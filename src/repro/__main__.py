@@ -152,28 +152,18 @@ def _cmd_run(args) -> int:
         summary = cluster.tuner.summary()
         totals = summary["totals"]
         print("tuner:")
-        print(
-            f"  decisions          : {totals['decisions']} "
-            f"({totals['specialized']} specialized)"
-        )
-        print(
-            f"  specializations    : {totals['installs']} installed, "
-            f"{totals['invalidations']} invalidated"
-        )
+        print(f"  decisions          : {totals['decisions']}")
         for node, state in summary["nodes"].items():
-            tracker = state["tracker"]
-            active = state["active"]
-            line = (
-                f"  {node:<6} regime={tracker['regime']} "
-                f"(flips={tracker['flips']}) "
-                f"specialized={state['specialized_fraction']:.0%}"
-            )
-            if active is not None:
-                line += f" active={active['id']}"
+            line = f"  {node:<6} decisions={state['decisions']}"
             sweep = state.get("sweep")
-            if sweep is not None and sweep["best"] is not None:
-                window, budget = sweep["best"]
-                line += f" sweep-best=w{window}/b{budget}"
+            if sweep is not None:
+                line += f" sweep-trials={sweep['trials']}"
+                if sweep["best"] is not None:
+                    window, budget = sweep["best"]
+                    line += f" sweep-best=w{window}/b{budget}"
+            rails = state.get("rails")
+            if rails is not None:
+                line += f" rail-refreshes={rails['refreshes']}"
             print(line)
     plane = cluster.obs
     if plane is not None:
@@ -278,14 +268,7 @@ def _cmd_live_run(args) -> int:
     print(f"rendezvous transfers : {report.rdv_count}")
     if result.tuner.get("enabled"):
         totals = result.tuner["totals"]
-        print(
-            f"tuner                : "
-            f"{int(totals.get('specialized', 0))}/"
-            f"{int(totals.get('decisions', 0))} specialized "
-            f"({result.tuner['specialized_fraction']:.0%}), "
-            f"{int(totals.get('installs', 0))} installs, "
-            f"{int(totals.get('invalidations', 0))} invalidations"
-        )
+        print(f"tuner                : {int(totals.get('decisions', 0))} decisions")
     if report.retransmits or report.packets_dropped:
         print(
             f"chaos recovery       : {report.retransmits} retransmits "

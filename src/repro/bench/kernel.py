@@ -495,13 +495,10 @@ def main(argv: list[str] | None = None) -> int:
     print("== kernel micro-benchmarks (ops per wall-second, best of 3) ==")
     print(_render(metrics))
 
-    from repro.core import kernel as _kernel
-
     payload = {
         "schema": 1,
         "suite": "kernel",
         "quick": args.quick,
-        "kernel_backend": _kernel.ACTIVE_BACKEND,
         "metrics": metrics,
     }
     Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

@@ -1,24 +1,20 @@
 """Benchmarks of the online adaptation plane (:mod:`repro.tuner`).
 
-Three questions, answered with numbers in ``BENCH_tuner.json``:
+Two questions, answered with numbers in ``BENCH_tuner.json``:
 
-* **Is the specialized fast path actually faster?**  Decisions per
-  second of a specialized closure (constants folded, capabilities
-  pre-resolved) vs the general ``make_plan`` it was synthesized from,
-  on the same loaded engine — plus the full wrapper rate (tracker +
-  dispatch bookkeeping included), which is the price a tuned run pays.
-* **Does the tuner actually serve from it?**  Fraction of decisions
-  served from the specialized path on a stable-regime workload (the
-  acceptance floor is one half).
+* **What does the per-decision hook cost?**  Decisions per second of
+  the plain ``make_plan`` vs the same strategy behind an installed
+  :class:`~repro.tuner.TunedStrategy` (no sweep, no rails) on the same
+  loaded engine — the price every tuned run pays per decision.
 * **Does tail-acting rail selection help the tail?**  p99 message
   latency on a skewed-rail cluster (slow TCP rail listed first, fast
   MX rail second) with selection on vs off, measured after a warmup
   long enough for the selector to have rail statistics.
 
 Unlike :mod:`repro.bench.kernel` there is no checked-in baseline: the
-``--check`` gate enforces *absolute* invariants (specialized beats
-general, served fraction >= 0.5, selection-on p99 < selection-off p99),
-so a regression is a property violation, not a percentage.
+``--check`` gate enforces an *absolute* invariant (selection-on p99 <
+selection-off p99), so a regression is a property violation, not a
+percentage.  The decision rates are reported, not gated.
 
 Usage::
 
@@ -35,24 +31,19 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.kernel import _best_rate, _bump_version, build_loaded_cluster
+from repro.bench.kernel import _bump_version, build_loaded_cluster
 from repro.core.config import EngineConfig
 from repro.core.strategies.search import BoundedSearchStrategy
 from repro.runtime.cluster import Cluster
 from repro.tuner import Tuner, TunerConfig
 from repro.tuner.config import RailsConfig
-from repro.tuner.specialize import MISS
 
 __all__ = [
     "decision_rates",
-    "stable_fraction",
     "skewed_rail_p99",
     "run_suite",
     "check_invariants",
 ]
-
-#: Acceptance floor on the share of decisions served specialized.
-MIN_SPECIALIZED_FRACTION = 0.5
 
 #: Default location of the emitted results (repository root).
 RESULT_FILE = "BENCH_tuner.json"
@@ -63,127 +54,51 @@ _DEPTH = 16  # backlog depth for the decision-rate comparison
 def decision_rates(
     depth: int = _DEPTH, *, iterations: int = 300, repeats: int = 9
 ) -> dict[str, float]:
-    """Decisions per second: general vs specialized vs tuned wrapper.
+    """Decisions per second: general vs tuned wrapper.
 
-    All three run the bounded search over the same backlog.  ``general``
-    calls the strategy's own ``make_plan``; ``specialized`` calls the
-    synthesized per-driver closure directly (the code the fast path
-    executes once installed); ``wrapper`` goes through the installed
-    :class:`~repro.tuner.specialize.TunedStrategy`, paying the regime
-    tracker and hit accounting on every call.
+    Both run the bounded search over the same backlog.  ``general``
+    calls the strategy's own ``make_plan``; ``wrapper`` goes through an
+    installed :class:`~repro.tuner.TunedStrategy`, paying the
+    per-decision hook on every call.
 
     Measured *interleaved* — one timed round of each configuration per
-    repeat, best-of-N per configuration — so scheduler drift hits all
-    three alike (the same discipline as
+    repeat, best-of-N per configuration — so scheduler drift hits both
+    alike (the same discipline as
     :func:`repro.bench.kernel.tracing_overhead`); a sequential
-    measurement would let a frequency ramp masquerade as a speedup.
+    measurement would let a frequency ramp masquerade as a difference.
     """
 
-    def setup() -> Cluster:
-        return build_loaded_cluster(
+    def make_round(tuned: bool):
+        cluster = build_loaded_cluster(
             depth,
             strategy=lambda: BoundedSearchStrategy(budget=16),
             config=EngineConfig(lookahead_window=16),
         )
+        engine = cluster.engine("n0")
+        driver = engine.drivers[0]
+        queues = list(engine.waiting.non_empty())
+        if tuned:
+            Tuner(engine, TunerConfig()).install()
 
-    # --- general: the plain strategy, no tuner anywhere -------------
-    general_cluster = setup()
-    general_engine = general_cluster.engine("n0")
-    general_driver = general_engine.drivers[0]
-    general_queues = list(general_engine.waiting.non_empty())
+        def timed() -> float:
+            start = time.perf_counter()
+            for _ in range(iterations):
+                plan = engine.strategy.make_plan(engine, driver)
+                assert plan is not None
+                for queue in queues:
+                    _bump_version(queue)
+            elapsed = time.perf_counter() - start
+            return iterations / elapsed if elapsed > 0 else 0.0
 
-    # --- specialized + wrapper: tuner installed, closure active -----
-    tuned_cluster = setup()
-    tuned_engine = tuned_cluster.engine("n0")
-    tuned_driver = tuned_engine.drivers[0]
-    tuned_queues = list(tuned_engine.waiting.non_empty())
-    tuner = Tuner(tuned_engine, TunerConfig(min_dwell=2, drift_window=3))
-    tuner.install()
-    # Warm until the tracker stabilizes and a specialization installs.
-    for _ in range(8):
-        tuned_engine.strategy.make_plan(tuned_engine, tuned_driver)
-        for queue in tuned_queues:
-            _bump_version(queue)
-    active = tuner.active
-    assert active is not None, "tuner failed to install a specialization"
-    fn = active.fns[id(tuned_driver)]
+        return timed
 
-    def general_round() -> float:
-        start = time.perf_counter()
-        for _ in range(iterations):
-            plan = general_engine.strategy.make_plan(general_engine, general_driver)
-            assert plan is not None
-            for queue in general_queues:
-                _bump_version(queue)
-        elapsed = time.perf_counter() - start
-        return iterations / elapsed if elapsed > 0 else 0.0
-
-    def specialized_round() -> float:
-        start = time.perf_counter()
-        for _ in range(iterations):
-            plan = fn(tuned_engine)
-            assert plan is not None and plan is not MISS
-            for queue in tuned_queues:
-                _bump_version(queue)
-        elapsed = time.perf_counter() - start
-        return iterations / elapsed if elapsed > 0 else 0.0
-
-    def wrapper_round() -> float:
-        start = time.perf_counter()
-        for _ in range(iterations):
-            plan = tuned_engine.strategy.make_plan(tuned_engine, tuned_driver)
-            assert plan is not None
-            for queue in tuned_queues:
-                _bump_version(queue)
-        elapsed = time.perf_counter() - start
-        return iterations / elapsed if elapsed > 0 else 0.0
-
-    rounds = {
-        "general": general_round,
-        "specialized": specialized_round,
-        "wrapper": wrapper_round,
-    }
+    rounds = {"general": make_round(False), "wrapper": make_round(True)}
     best = {name: 0.0 for name in rounds}
     for _ in range(repeats):
-        for name, one_round in rounds.items():
-            best[name] = max(best[name], one_round())
+        for name, timed in rounds.items():
+            best[name] = max(best[name], timed())
     return {
         f"decisions_per_sec/{name}/d{depth}": rate for name, rate in best.items()
-    }
-
-
-def stable_fraction(*, count: int = 400) -> dict[str, float]:
-    """Tuner counters over a stable deep-regime streaming run.
-
-    One bursty sender keeps the backlog above ``deep_backlog`` for the
-    whole run, so after ``min_dwell`` decisions every further decision
-    should come from the installed specialization.
-    """
-    cluster = Cluster(
-        n_nodes=2,
-        networks=[("mx", 1)],
-        engine="optimizing",
-        strategy="search",
-        seed=7,
-        tuner={"min_dwell": 4, "drift_window": 3},
-    )
-    api = cluster.api("n0")
-    flow = api.open_flow("n1")
-
-    def burst() -> None:
-        for _ in range(count):
-            api.send(flow, 512)
-
-    cluster.sim.at(0.0, burst)
-    cluster.run_until_idle()
-    assert cluster.tuner is not None
-    totals = cluster.tuner.summary()["totals"]
-    decisions = totals["decisions"] or 1
-    return {
-        "stable/decisions": float(totals["decisions"]),
-        "stable/specialized": float(totals["specialized"]),
-        "stable/specialized_fraction": totals["specialized"] / decisions,
-        "stable/installs": float(totals["installs"]),
     }
 
 
@@ -206,8 +121,6 @@ def skewed_rail_p99(
         tuner_spec = None
         if selection:
             tuner_spec = TunerConfig(
-                min_dwell=4,
-                drift_window=3,
                 rails=RailsConfig(
                     p99_budget_us=50.0, min_samples=16, refresh_every=8
                 ),
@@ -242,7 +155,6 @@ def run_suite(*, quick: bool = False) -> dict[str, float]:
     metrics.update(
         decision_rates(iterations=max(int(300 * scale), 50), repeats=3 if quick else 5)
     )
-    metrics.update(stable_fraction(count=max(int(400 * scale), 100)))
     metrics.update(skewed_rail_p99(count=max(int(400 * scale), 200)))
     return metrics
 
@@ -250,19 +162,6 @@ def run_suite(*, quick: bool = False) -> dict[str, float]:
 def check_invariants(metrics: dict[str, float]) -> list[str]:
     """The acceptance invariants; returns human-readable violations."""
     failures: list[str] = []
-    general = metrics[f"decisions_per_sec/general/d{_DEPTH}"]
-    specialized = metrics[f"decisions_per_sec/specialized/d{_DEPTH}"]
-    if specialized <= general:
-        failures.append(
-            f"specialized fast path is not faster: {specialized:,.0f}/s vs "
-            f"general {general:,.0f}/s"
-        )
-    fraction = metrics["stable/specialized_fraction"]
-    if fraction < MIN_SPECIALIZED_FRACTION:
-        failures.append(
-            f"stable regime served only {fraction:.1%} of decisions "
-            f"specialized (floor {MIN_SPECIALIZED_FRACTION:.0%})"
-        )
     p99_off = metrics["skewed_rail/p99_us/selection_off"]
     p99_on = metrics["skewed_rail/p99_us/selection_on"]
     if not p99_on < p99_off:
@@ -279,12 +178,8 @@ def _render(metrics: dict[str, float]) -> str:
     for name, value in sorted(metrics.items()):
         if "per_sec" in name:
             lines.append(f"  {name.ljust(width)}  {value:>14,.0f}/s")
-        elif "fraction" in name:
-            lines.append(f"  {name.ljust(width)}  {value:>14.1%}")
-        elif "p99_us" in name:
-            lines.append(f"  {name.ljust(width)}  {value:>12,.1f}us")
         else:
-            lines.append(f"  {name.ljust(width)}  {value:>14,.0f}")
+            lines.append(f"  {name.ljust(width)}  {value:>12,.1f}us")
     return "\n".join(lines)
 
 

@@ -36,6 +36,19 @@ from repro.network.wire import (
 
 __all__ = ["CostModel"]
 
+#: Names of the terms ``CostModel._terms`` returns, in order.
+_BREAKDOWN_TERMS = (
+    "wire_bytes",
+    "payload_bytes",
+    "control_bonus_bytes",
+    "startup_saved_bytes",
+    "occupancy_s",
+    "density",
+    "oldest_wait_s",
+    "staleness_boost",
+    "score",
+)
+
 
 @dataclass(frozen=True, slots=True)
 class CostModel:
@@ -80,23 +93,39 @@ class CostModel:
         size, mode, aggregation = self._assembly(plan)
         return plan.driver.occupancy(size, mode, aggregation)
 
-    def score(self, plan: TransferPlan, now: float) -> float:
-        """Value density of the plan (higher is better); see module docs."""
+    def _terms(self, plan: TransferPlan, now: float) -> tuple[float, ...]:
+        """Every term of the score, in :meth:`breakdown` order; the
+        score itself is last.  The only scalar copy of the arithmetic:
+        :meth:`score` and :meth:`breakdown` both read it, so they cannot
+        drift apart."""
         driver = plan.driver
         size, mode, aggregation = self._assembly(plan)
         occupancy = driver.occupancy(size, mode, aggregation)
         payload = float(plan.payload_bytes)
-        if plan.kind.is_control:
-            payload += self.control_bonus_bytes
+        control_bonus = self.control_bonus_bytes if plan.kind.is_control else 0.0
         link = driver.nic.link
         startup_equivalent = link.startup(mode) * link.bandwidth(mode)
         saved = len(plan.items) * startup_equivalent
-        density = (payload + saved) / occupancy
+        density = (payload + control_bonus + saved) / occupancy
         oldest_wait = max(
             (now - item.entry.submit_time for item in plan.items), default=0.0
         )
         boost = 1.0 + min(max(oldest_wait, 0.0) / self.starvation_horizon, 1.0)
-        return density * boost
+        return (
+            float(size),
+            payload,
+            control_bonus,
+            saved,
+            occupancy,
+            density,
+            oldest_wait,
+            boost,
+            density * boost,
+        )
+
+    def score(self, plan: TransferPlan, now: float) -> float:
+        """Value density of the plan (higher is better); see module docs."""
+        return self._terms(plan, now)[-1]
 
     def score_packed(
         self,
@@ -112,7 +141,7 @@ class CostModel:
         :class:`~repro.core.kernel.DriverConstants`; the remaining
         arguments are the prefix aggregates a
         :class:`~repro.core.kernel.SeedBuild` maintains.  Bit-identical
-        with :meth:`score` on the materialized plan (the kernel
+        with :meth:`score` on the materialized plan (the cost
         hypothesis tests pin this), so the batched search ranks
         candidates exactly as the scalar model would — without building
         them.
@@ -123,32 +152,6 @@ class CostModel:
         )
 
     def breakdown(self, plan: TransferPlan, now: float) -> dict[str, float]:
-        """The :meth:`score` computation, term by term.
-
-        Explainability only (the ``optimizer.decide`` trace record) —
-        never called on the NullTracer fast path, so it repeats the
-        arithmetic instead of complicating :meth:`score`.
-        """
-        driver = plan.driver
-        size, mode, aggregation = self._assembly(plan)
-        occupancy = driver.occupancy(size, mode, aggregation)
-        payload = float(plan.payload_bytes)
-        control_bonus = self.control_bonus_bytes if plan.kind.is_control else 0.0
-        link = driver.nic.link
-        saved = len(plan.items) * link.startup(mode) * link.bandwidth(mode)
-        density = (payload + control_bonus + saved) / occupancy
-        oldest_wait = max(
-            (now - item.entry.submit_time for item in plan.items), default=0.0
-        )
-        boost = 1.0 + min(max(oldest_wait, 0.0) / self.starvation_horizon, 1.0)
-        return {
-            "wire_bytes": float(size),
-            "payload_bytes": payload,
-            "control_bonus_bytes": control_bonus,
-            "startup_saved_bytes": saved,
-            "occupancy_s": occupancy,
-            "density": density,
-            "oldest_wait_s": oldest_wait,
-            "staleness_boost": boost,
-            "score": density * boost,
-        }
+        """The :meth:`score` computation, term by term (the
+        ``optimizer.decide`` trace record)."""
+        return dict(zip(_BREAKDOWN_TERMS, self._terms(plan, now)))

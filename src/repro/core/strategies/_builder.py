@@ -36,8 +36,6 @@ _CONTROL_PACKET_KIND = {
     EntryKind.RDV_ACK: PacketKind.RDV_ACK,
 }
 
-_BATCHING_ENABLED = kernel.batching_enabled()
-
 
 def park_oversized(engine: "CommEngineBase", driver: Driver, queue: ChannelQueue) -> int:
     """Park every pending oversized entry of a queue for rendezvous.
@@ -84,12 +82,7 @@ def build_from_queue(
     instead of re-materializing it per candidate.
     """
     config = engine.config
-    if (
-        pending is None
-        and not same_message_only
-        and not protocol_only
-        and _BATCHING_ENABLED
-    ):
+    if pending is None and not same_message_only and not protocol_only:
         # Array fast path: walk the queue's flat mirror instead of the
         # entry objects.  Only taken when the driver's constant fold is
         # exact (stock driver/link methods); the object walk below stays

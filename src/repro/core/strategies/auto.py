@@ -85,11 +85,7 @@ class AutoStrategy(Strategy):
         self._contrary = 0
 
     def _resolve_regime(self, backlog: int) -> tuple[str, int]:
-        """The regime this decision serves, plus the new contrary count.
-
-        Pure: callers commit the returned state themselves (the tuner's
-        specialized fast path must be able to probe without mutating).
-        """
+        """The regime this decision serves, plus the new contrary count."""
         raw = "deep" if backlog >= self.deep_backlog else "sparse"
         if raw == self._last_regime:
             return raw, 0

@@ -35,10 +35,10 @@ Budget accounting is unchanged from the naive enumeration — each
 (seed, width) candidate costs one evaluation whether it was built,
 derived, or score-only — so a given budget explores exactly the same
 candidates, and the packed scorer reproduces the scalar model's floats
-bit for bit, so the same candidate wins.  ``REPRO_KERNEL=reference``
-(or a driver/cost subclass the constant fold cannot represent) selects
-:meth:`BoundedSearchStrategy._make_plan_reference`, the pre-batching
-object walk kept as the semantic oracle.
+bit for bit, so the same candidate wins.  A driver or cost subclass
+the constant fold cannot represent selects
+:meth:`BoundedSearchStrategy._make_plan_reference`, the object walk
+kept as the semantic oracle.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import CommEngineBase
 
 __all__ = ["BoundedSearchStrategy"]
-
-_BATCHING_ENABLED = kernel.batching_enabled()
 
 
 @register_strategy("search")
@@ -86,11 +84,7 @@ class BoundedSearchStrategy(Strategy):
     ) -> TransferPlan | Hold | None:
         budget = self.budget if self.budget is not None else engine.config.search_budget
         queues = engine.queues_for(driver)
-        if (
-            _BATCHING_ENABLED
-            and type(engine.cost) is CostModel
-            and kernel.constants_for(driver).exact
-        ):
+        if type(engine.cost) is CostModel and kernel.constants_for(driver).exact:
             return self._make_plan_batched(engine, driver, budget, queues)
         return self._make_plan_reference(engine, driver, budget, queues)
 
@@ -128,9 +122,8 @@ class BoundedSearchStrategy(Strategy):
         best_score = float("-inf")
         best_key: tuple | None = None
         best_build = None  # the winning SeedBuild awaiting materialization
-        best_probe: tuple | None = None  # (arrays, channel, seed) probe winner
+        best_seed: tuple | None = None  # (arrays, channel, seed) of the winner
         best_n = 0
-        best_meta: tuple | None = None
         widest_seen = 0
         evaluated = 0
         out_of_budget = False
@@ -139,89 +132,32 @@ class BoundedSearchStrategy(Strategy):
         widths = self._widths(full_width)
         SeedBuild = kernel.SeedBuild
         score_packed = cost.score_packed
-        try:
-            for queue in queues:
-                # One array mirror per queue (rebuilt only if the park
-                # sweep above mutated it), shared by every seed build.
-                arrays = queue.pending_arrays(window_limit)
-                version = queue.version
-                channel_id = queue.channel_id
+        for queue in queues:
+            # One array mirror per queue (rebuilt only if the park
+            # sweep above mutated it), shared by every seed build.
+            arrays = queue.pending_arrays(window_limit)
+            version = queue.version
+            channel_id = queue.channel_id
 
-                # Uniform-window queues (the loaded steady state) are
-                # probed in one pass: per-seed aggregates straight off
-                # the arrays, no builder call and no plan object per
-                # candidate.  Budget accounting is identical to the
-                # per-seed walk below — the equivalence tests hold the
-                # two together.
-                stats = kernel.probe_uniform_seeds(
-                    arrays, consts, full_width, widths, budget - evaluated
-                )
-                if stats is not None:
-                    for seed, (base_items, payload, oldest, snaps) in enumerate(
-                        stats
-                    ):
-                        if evaluated >= budget:
-                            out_of_budget = True
-                            break
-                        evaluated += 1  # the seed's base build
-                        if explain and base_items > widest_seen:
-                            widest_seen = base_items
-                        first = True
-                        for width in widths:
-                            if not first:
-                                if evaluated >= budget:
-                                    out_of_budget = True
-                                    break
-                                evaluated += 1
-                            first = False
-                            n_items = base_items if width >= base_items else width
-                            key = (driver_key, channel_id, version, seed, n_items)
-                            cached = cache.get(key)
-                            if cached is None:
-                                if n_items == base_items:
-                                    p, o = payload, oldest
-                                else:
-                                    p = -1
-                                    o = 0.0
-                                    for cut_n, cut_p, cut_o in snaps:
-                                        if cut_n == n_items:
-                                            p, o = cut_p, cut_o
-                                            break
-                                    assert p >= 0, "probe width cut missing"
-                                cached = (
-                                    score_packed(consts, n_items, p, o, now),
-                                    None,
-                                )
-                                cache[key] = cached
-                            score, plan = cached
-                            if score > best_score:
-                                best_score = score
-                                best_plan = plan
-                                best_key = key
-                                best_build = None
-                                best_probe = (arrays, channel_id, seed)
-                                best_n = n_items
-                                if explain:
-                                    best_meta = (channel_id, seed, n_items)
-                        if out_of_budget:
-                            break
-                    else:
-                        # Seeds exhausted mid-queue: the per-seed walk
-                        # would try one deeper seed, find nothing
-                        # dispatchable, and charge that probe.
-                        if len(stats) < arrays.n:
-                            if evaluated >= budget:
-                                out_of_budget = True
-                            else:
-                                evaluated += 1
-                    if out_of_budget:
-                        break
-                    continue
-
-                for seed in range(arrays.n):
-                    if evaluated >= budget:
-                        out_of_budget = True
-                        break
+            # Uniform-window queues (the loaded steady state) are
+            # probed in one pass: per-seed aggregates straight off the
+            # arrays, no builder call and no plan object per candidate.
+            # Every other window is built seed by seed.  Budget
+            # accounting is the same either way — the equivalence tests
+            # hold the two sources together.
+            stats = kernel.probe_uniform_seeds(
+                arrays, consts, full_width, widths, budget - evaluated
+            )
+            probed = stats is not None
+            build = None  # this seed's SeedBuild (per-seed builds only)
+            for seed in range(len(stats) if probed else arrays.n):
+                if evaluated >= budget:
+                    out_of_budget = True
+                    break
+                evaluated += 1  # the seed's base build
+                if probed:
+                    base_items, payload, oldest, snaps = stats[seed]
+                else:
                     base = kernel.build_eager_arrays(
                         arrays,
                         consts,
@@ -234,7 +170,6 @@ class BoundedSearchStrategy(Strategy):
                         stripe_chunk,
                         multirail,
                     )
-                    evaluated += 1
                     if base is None:
                         # Nothing is dispatchable even with every earlier
                         # seed blocked; deeper seeds only block more, so
@@ -242,58 +177,80 @@ class BoundedSearchStrategy(Strategy):
                         # queue instead of burning budget on impossible
                         # seeds.
                         break
-                    is_prefix_family = type(base) is SeedBuild
-                    base_items = (
-                        base.n_items if is_prefix_family else len(base.items)
-                    )
-                    if explain and base_items > widest_seen:
-                        widest_seen = base_items
-                    first = True
-                    for width in widths:
-                        if not first:
-                            if evaluated >= budget:
-                                out_of_budget = True
-                                break
-                            evaluated += 1
-                        first = False
-                        n_items = base_items if width >= base_items else width
-                        key = (driver_key, channel_id, version, seed, n_items)
-                        cached = cache.get(key)
-                        if cached is None:
-                            if is_prefix_family:
-                                # Score the prefix from its aggregates;
-                                # no plan object unless it wins.
-                                cached = (
-                                    cost.score_packed(
-                                        consts,
-                                        n_items,
-                                        base.payload_prefix[n_items - 1],
-                                        base.oldest_prefix[n_items - 1],
-                                        now,
-                                    ),
-                                    None,
-                                )
+                    if type(base) is SeedBuild:
+                        build = base
+                        base_items = base.n_items
+                    else:
+                        build = None
+                        base_items = len(base.items)
+                if explain and base_items > widest_seen:
+                    widest_seen = base_items
+                first = True
+                for width in widths:
+                    if not first:
+                        if evaluated >= budget:
+                            out_of_budget = True
+                            break
+                        evaluated += 1
+                    first = False
+                    n_items = base_items if width >= base_items else width
+                    key = (driver_key, channel_id, version, seed, n_items)
+                    cached = cache.get(key)
+                    if cached is None:
+                        # Prefixes are scored from their aggregates; no
+                        # plan object unless one wins.
+                        if probed:
+                            if n_items == base_items:
+                                p, o = payload, oldest
                             else:
-                                # Control / rendezvous / lone-SAFER plans
-                                # come out of the builder materialized.
-                                cached = (cost.score(base, now), base)
-                            cache[key] = cached
-                        score, plan = cached
-                        if score > best_score:
-                            best_score = score
-                            best_plan = plan
-                            best_key = key
-                            best_build = base if is_prefix_family else None
-                            best_probe = None
-                            best_n = n_items
-                            if explain:
-                                best_meta = (channel_id, seed, n_items)
-                    if out_of_budget:
-                        break
+                                p = -1
+                                o = 0.0
+                                for cut_n, cut_p, cut_o in snaps:
+                                    if cut_n == n_items:
+                                        p, o = cut_p, cut_o
+                                        break
+                                assert p >= 0, "probe width cut missing"
+                            cached = (score_packed(consts, n_items, p, o, now), None)
+                        elif build is not None:
+                            cached = (
+                                score_packed(
+                                    consts,
+                                    n_items,
+                                    build.payload_prefix[n_items - 1],
+                                    build.oldest_prefix[n_items - 1],
+                                    now,
+                                ),
+                                None,
+                            )
+                        else:
+                            # Control / rendezvous / lone-SAFER plans
+                            # come out of the builder materialized.
+                            cached = (cost.score(base, now), base)
+                        cache[key] = cached
+                    score, plan = cached
+                    if score > best_score:
+                        best_score = score
+                        best_plan = plan
+                        best_key = key
+                        best_build = build
+                        best_seed = (arrays, channel_id, seed)
+                        best_n = n_items
                 if out_of_budget:
                     break
-            if best_key is None:
-                return None
+            else:
+                # Probed seeds exhausted mid-queue: the per-seed walk
+                # would try one deeper seed, find nothing dispatchable,
+                # and charge that probe.
+                if probed and len(stats) < arrays.n:
+                    if evaluated >= budget:
+                        out_of_budget = True
+                    else:
+                        evaluated += 1
+            if out_of_budget:
+                break
+        best = None
+        if best_seed is not None:
+            best = (best_score, best_seed[1], best_seed[2])
             if best_plan is None:
                 # Materialize the winner (exactly one plan per decision)
                 # and store it back so an unchanged-queue replay returns
@@ -302,8 +259,7 @@ class BoundedSearchStrategy(Strategy):
                     # Probe winner: rebuild its seed over the same (still
                     # coherent) arrays — deterministic, so the prefix is
                     # exactly what the probe scored.
-                    assert best_probe is not None
-                    p_arrays, p_channel, p_seed = best_probe
+                    p_arrays, p_channel, p_seed = best_seed
                     best_build = kernel.build_eager_arrays(
                         p_arrays,
                         consts,
@@ -319,25 +275,11 @@ class BoundedSearchStrategy(Strategy):
                     assert type(best_build) is SeedBuild
                 best_plan = best_build.plan(best_n)
                 cache[best_key] = (best_score, best_plan)
-            return best_plan
-        finally:
-            self.last_evaluated = evaluated
-            self.candidates_evaluated += evaluated
-            if explain:
-                self._last_explain = {
-                    "candidates": evaluated,
-                    "budget": budget,
-                    "truncation": "budget" if out_of_budget else "exhausted",
-                    "widest_items": widest_seen,
-                    "best_score": best_score if best_key is not None else None,
-                    "seed_channel": best_meta[0] if best_meta else None,
-                    "seed": best_meta[1] if best_meta else None,
-                }
-            else:
-                self._last_explain = None
+        self._account(explain, evaluated, budget, out_of_budget, widest_seen, best)
+        return best_plan
 
     # ------------------------------------------------------------------
-    # scalar reference path (REPRO_KERNEL=reference, exotic subclasses)
+    # object-walk reference path (driver/cost subclasses, test oracle)
     # ------------------------------------------------------------------
     def _make_plan_reference(
         self, engine: "CommEngineBase", driver: Driver, budget: int, queues
@@ -355,9 +297,9 @@ class BoundedSearchStrategy(Strategy):
         cost = engine.cost
         window_limit = engine.config.lookahead_window
 
-        best: TransferPlan | None = None
+        best_plan: TransferPlan | None = None
+        best: tuple | None = None  # (score, channel, seed) of the winner
         best_score = float("-inf")
-        best_meta: tuple | None = None
         widest_seen = 0
         evaluated = 0
         out_of_budget = False
@@ -366,84 +308,94 @@ class BoundedSearchStrategy(Strategy):
         explain = engine.sim.tracer.enabled
         full_width = driver.max_segments_per_packet()
         widths = self._widths(full_width)
-        try:
-            for queue in queues:
-                # One snapshot per queue, shared by every candidate build.
-                pending = queue.pending_view(window_limit)
-                version = queue.version
-                for seed in range(len(pending)):
-                    if evaluated >= budget:
-                        out_of_budget = True
-                        break
-                    base = build_from_queue(
-                        engine,
-                        driver,
-                        queue,
-                        max_items=full_width,
-                        skip_seeds=seed,
-                        allow_park=False,
-                        pending=pending,
-                    )
-                    evaluated += 1
-                    if base is None:
-                        # Nothing is dispatchable even with every earlier
-                        # seed blocked; deeper seeds only block more, so
-                        # this whole queue is exhausted — move to the next
-                        # queue instead of burning budget on impossible
-                        # seeds.
-                        break
-                    base_items = len(base.items)
-                    if explain and base_items > widest_seen:
-                        widest_seen = base_items
-                    first = True
-                    for width in widths:
-                        if not first:
-                            if evaluated >= budget:
-                                out_of_budget = True
-                                break
-                            evaluated += 1
-                        first = False
-                        n_items = base_items if width >= base_items else width
-                        key = (id(driver), queue.channel_id, version, seed, n_items)
-                        cached = cache.get(key)
-                        if cached is None:
-                            if n_items == base_items:
-                                candidate = base
-                            else:
-                                candidate = TransferPlan(
-                                    base.driver,
-                                    base.kind,
-                                    base.dst,
-                                    base.channel_id,
-                                    base.items[:n_items],
-                                )
-                            cached = (cost.score(candidate, now), candidate)
-                            cache[key] = cached
-                        score, candidate = cached
-                        if score > best_score:
-                            best, best_score = candidate, score
-                            if explain:
-                                best_meta = (queue.channel_id, seed, n_items)
-                    if out_of_budget:
-                        break
+        for queue in queues:
+            # One snapshot per queue, shared by every candidate build.
+            pending = queue.pending_view(window_limit)
+            version = queue.version
+            for seed in range(len(pending)):
+                if evaluated >= budget:
+                    out_of_budget = True
+                    break
+                base = build_from_queue(
+                    engine,
+                    driver,
+                    queue,
+                    max_items=full_width,
+                    skip_seeds=seed,
+                    allow_park=False,
+                    pending=pending,
+                )
+                evaluated += 1
+                if base is None:
+                    # Nothing is dispatchable even with every earlier
+                    # seed blocked; deeper seeds only block more, so
+                    # this whole queue is exhausted — move to the next
+                    # queue instead of burning budget on impossible
+                    # seeds.
+                    break
+                base_items = len(base.items)
+                if explain and base_items > widest_seen:
+                    widest_seen = base_items
+                first = True
+                for width in widths:
+                    if not first:
+                        if evaluated >= budget:
+                            out_of_budget = True
+                            break
+                        evaluated += 1
+                    first = False
+                    n_items = base_items if width >= base_items else width
+                    key = (id(driver), queue.channel_id, version, seed, n_items)
+                    cached = cache.get(key)
+                    if cached is None:
+                        if n_items == base_items:
+                            candidate = base
+                        else:
+                            candidate = TransferPlan(
+                                base.driver,
+                                base.kind,
+                                base.dst,
+                                base.channel_id,
+                                base.items[:n_items],
+                            )
+                        cached = (cost.score(candidate, now), candidate)
+                        cache[key] = cached
+                    score, candidate = cached
+                    if score > best_score:
+                        best_plan, best_score = candidate, score
+                        best = (score, queue.channel_id, seed)
                 if out_of_budget:
                     break
-            return best
-        finally:
-            self.last_evaluated = evaluated
-            self.candidates_evaluated += evaluated
-            if explain:
-                self._last_explain = {
-                    "candidates": evaluated,
-                    "budget": budget,
-                    "truncation": "budget" if out_of_budget else "exhausted",
-                    "widest_items": widest_seen,
-                    "best_score": best_score if best is not None else None,
-                    "seed_channel": best_meta[0] if best_meta else None,
-                    "seed": best_meta[1] if best_meta else None,
-                }
-            else:
-                self._last_explain = None
+            if out_of_budget:
+                break
+        self._account(explain, evaluated, budget, out_of_budget, widest_seen, best)
+        return best_plan
+
+    def _account(
+        self,
+        explain: bool,
+        evaluated: int,
+        budget: int,
+        out_of_budget: bool,
+        widest_seen: int,
+        best: tuple | None,
+    ) -> None:
+        """Budget and explain bookkeeping of one decision, shared by
+        both walks; ``best`` is the winner's ``(score, channel, seed)``."""
+        self.last_evaluated = evaluated
+        self.candidates_evaluated += evaluated
+        if explain:
+            self._last_explain = {
+                "candidates": evaluated,
+                "budget": budget,
+                "truncation": "budget" if out_of_budget else "exhausted",
+                "widest_items": widest_seen,
+                "best_score": best[0] if best else None,
+                "seed_channel": best[1] if best else None,
+                "seed": best[2] if best else None,
+            }
+        else:
+            self._last_explain = None
 
     def explain_last(self) -> dict | None:
         return self._last_explain

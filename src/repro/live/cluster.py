@@ -289,15 +289,7 @@ def pool_tuner_counters(
     for counters in nodes.values():
         for key, value in counters.items():
             totals[key] = totals.get(key, 0) + value
-    decisions = totals.get("decisions", 0)
-    return {
-        "enabled": bool(nodes),
-        "nodes": nodes,
-        "totals": totals,
-        "specialized_fraction": (
-            totals.get("specialized", 0) / decisions if decisions else 0.0
-        ),
-    }
+    return {"enabled": bool(nodes), "nodes": nodes, "totals": totals}
 
 
 #: Upper bound on one control round-trip.  A healthy peer answers in

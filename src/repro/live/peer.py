@@ -364,6 +364,7 @@ class Hub:
         self.lost_frames = 0  # legacy framing only: writes on a dead conn
         self.corrupt_frames_closed = 0
         self.abandoned = 0  # messages whose destination peer died
+        self._abandoned_ids: set[int] = set()
         self.abandoned_frames = 0
         self.blackholed = 0  # packets addressed to a declared-dead peer
         self.done_suppressed = 0
@@ -539,8 +540,17 @@ class Hub:
             )
         if link.dead:
             # Declared-dead destination: the flow is abandoned, the NIC
-            # must still drain or the engine wedges behind it.
+            # must still drain or the engine wedges behind it.  A message
+            # first seen here was submitted after the death: it is lost
+            # without ever being sent, so it counts on both sides of the
+            # coordinator's submitted − abandoned == DONE balance.
             self.blackholed += 1
+            for segment in packet.segments:
+                message_id = segment.payload.message.message_id
+                if message_id not in self._abandoned_ids:
+                    self._abandoned_ids.add(message_id)
+                    self.submitted += 1
+                    self.abandoned += 1
             self.flush_write(on_drained)
             return
         for segment in packet.segments:
@@ -818,6 +828,7 @@ class Hub:
         for message_id, message in list(self.sent_messages.items()):
             if message.flow.dst == node:
                 del self.sent_messages[message_id]
+                self._abandoned_ids.add(message_id)
                 abandoned += 1
         self.abandoned += abandoned
         return abandoned
@@ -1435,30 +1446,11 @@ class LivePeer:
                     metric, labels, help=f"{text} by the chaos injectors"
                 ).set_total(chaos[key])
         if self.tuner is not None:
-            stats = self.tuner.stats
-            for value, metric, text in (
-                (
-                    stats.decisions,
-                    "repro_tuner_decisions_total",
-                    "Decisions observed by the online tuner",
-                ),
-                (
-                    stats.specialized,
-                    "repro_tuner_specialized_total",
-                    "Decisions served from a specialized fast path",
-                ),
-                (
-                    stats.installs,
-                    "repro_tuner_installs_total",
-                    "Specializations synthesized and installed",
-                ),
-                (
-                    stats.invalidations,
-                    "repro_tuner_invalidations_total",
-                    "Specializations torn down (drift, sweep, or tail shift)",
-                ),
-            ):
-                registry.counter(metric, labels, help=text).set_total(value)
+            registry.counter(
+                "repro_tuner_decisions_total",
+                labels,
+                help="Decisions observed by the online tuner",
+            ).set_total(self.tuner.decisions)
 
     def report(self) -> dict[str, Any]:
         """The final REPORT payload: records, counters, apps, trace."""

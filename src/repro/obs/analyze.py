@@ -11,9 +11,8 @@ the Chrome trace-event format) and reconstructs the run's story:
   ``optimizer.decide`` records: how many dispatches had a *wider*
   candidate plan available (more segments aggregated) that lost on
   score, how the search budget was spent, which channels leave the
-  most aggregation on the table, and — when the tuner is on — how
-  decisions split across regimes and how many were served from a
-  specialized fast path (and by which specialization);
+  most aggregation on the table, and how decisions split across the
+  ``auto`` strategy's regimes;
 * a **cross-peer view** — on a merged multi-process trace (see
   :mod:`repro.obs.merge`): per-edge one-way latency percentiles from
   the correlated ``live.recv`` records, the aggregation ratio achieved
@@ -158,12 +157,8 @@ class TraceAnalysis:
     truncation: dict[str, int] = field(default_factory=dict)
     #: "node/channel" -> misses.
     miss_by_channel: dict[str, int] = field(default_factory=dict)
-    #: regime label -> decide records carrying it (tuner or auto strategy).
+    #: regime label -> decide records carrying it (auto strategy).
     regimes: dict[str, int] = field(default_factory=dict)
-    #: decide records served from a tuner specialization.
-    specialized: int = 0
-    #: specialization id -> decide records it served.
-    specializations: dict[str, int] = field(default_factory=dict)
     #: cross-peer view: "src->dst" -> correlated one-way latencies.
     edges: dict[str, _EdgeStats] = field(default_factory=dict)
     #: "src->dst" -> per-wire aggregation accounting (from nic.send).
@@ -190,10 +185,6 @@ class TraceAnalysis:
     @property
     def miss_fraction(self) -> float:
         return self.misses / self.decides if self.decides else 0.0
-
-    @property
-    def specialized_fraction(self) -> float:
-        return self.specialized / self.decides if self.decides else 0.0
 
     @property
     def crossings(self) -> int:
@@ -348,16 +339,9 @@ def _ingest_decide(analysis: TraceAnalysis, event: TraceEvent) -> None:
     truncation = detail.get("truncation")
     if truncation is not None:
         analysis.truncation[truncation] = analysis.truncation.get(truncation, 0) + 1
-    regime = detail.get("tuner_regime", detail.get("regime"))
+    regime = detail.get("regime")
     if regime is not None:
         analysis.regimes[regime] = analysis.regimes.get(regime, 0) + 1
-    if detail.get("tuner_path") == "specialized":
-        analysis.specialized += 1
-        spec_id = detail.get("specialization")
-        if spec_id is not None:
-            analysis.specializations[spec_id] = (
-                analysis.specializations.get(spec_id, 0) + 1
-            )
 
 
 def analyze_file(path: str | Path) -> TraceAnalysis:
@@ -525,15 +509,6 @@ def render(analysis: TraceAnalysis, *, width: int = 60, top: int = 5) -> str:
                 for regime, count in sorted(analysis.regimes.items())
             )
             lines.append(f"  decisions by regime            : {by_regime}")
-        if analysis.specialized:
-            lines.append(
-                f"  specialized fast path          : {analysis.specialized} "
-                f"({analysis.specialized_fraction:.1%})"
-            )
-            for spec_id, count in sorted(
-                analysis.specializations.items(), key=lambda kv: -kv[1]
-            )[:top]:
-                lines.append(f"    {spec_id:<28} ×{count}")
     else:
         lines.append(
             "  no decide records (use the 'search' strategy with tracing on)"
@@ -553,7 +528,6 @@ def summary_metrics(analysis: TraceAnalysis) -> dict[str, float]:
         "trace/samples": float(analysis.samples),
         "decide/records": float(analysis.decides),
         "decide/miss_fraction": analysis.miss_fraction,
-        "decide/specialized_fraction": analysis.specialized_fraction,
         "retransmit/events": float(analysis.retransmit_count),
         "retransmit/storms": float(analysis.retransmit_storms),
         "hold/starved_samples": float(analysis.hold_starved_samples),

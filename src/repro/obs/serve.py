@@ -12,9 +12,8 @@ is in flight:
 * ``GET /tails`` — JSON tail-latency view: per-edge/per-rail
   p50/p90/p99/p999 from the merged quantile sketches plus SLO burn
   rates (see :mod:`repro.obs.tails`).
-* ``GET /tuner`` — JSON online-adaptation view: per-peer regime,
-  active specializations, hit/miss counters, sweep and rail-selection
-  state (see :mod:`repro.tuner`).
+* ``GET /tuner`` — JSON online-adaptation view: per-peer and pooled
+  ``repro_tuner_*`` counters (see :mod:`repro.tuner`).
 * ``GET /why`` — JSON causal-attribution view: per-edge blame-bucket
   fractions and slowest-message exemplars computed over the events
   merged so far (see :mod:`repro.obs.causal`).

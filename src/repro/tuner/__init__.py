@@ -1,24 +1,20 @@
-"""The online adaptation plane: observe → stabilize → specialize → invalidate.
+"""The online adaptation plane: sweeps and rail selection behind one hook.
 
 ``repro/tuner/`` is the controller the paper's thesis calls for: the
 optimizer should not run one fixed configuration per session but adapt
 to the workload it actually observes.  One :class:`Tuner` sits beside
-each engine (sim and live planes alike) and closes three loops:
+each engine (sim and live planes alike) and closes two loops:
 
-* **regime specialization** — a :class:`~repro.tuner.regime.RegimeTracker`
-  watches the backlog with hysteresis; once a regime is stable, a
-  specialized decision function (constant-folded over the current
-  strategy, driver capabilities, and engine config — see
-  :mod:`repro.tuner.specialize`) is installed behind the existing
-  strategy interface and invalidated the moment the regime drifts;
 * **online parameter sweeps** — a
   :class:`~repro.tuner.sweep.SweepController` runs epsilon-greedy or
   successive-halving trials over the lookahead window and rearrangement
   budget, scored by live engine counters (the paper's own future work);
+  it is stepped once per scheduling decision by :class:`TunedStrategy`,
+  the per-decision hook wrapped around the engine's strategy;
 * **tail-acting rail selection** — a
   :class:`~repro.tuner.rails.TailRailSelector` reorders the engine's
-  rails by observed p99 against a budget, finally *acting* on the
-  telemetry PR 8 only logged.
+  rails by observed p99 against a budget, *acting* on the telemetry the
+  tail view collects.
 
 The escape hatch is structural: with ``tuner: off`` (the default)
 nothing here is imported into the hot path — no wrapper, no selector,
@@ -28,13 +24,14 @@ build, and the equivalence tests pin exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
+from repro.core.plan import Hold, TransferPlan
+from repro.core.strategies.base import Strategy
+from repro.drivers.base import Driver
 from repro.tuner.config import RailsConfig, SweepConfig, TunerConfig
 from repro.tuner.rails import TailRailSelector
-from repro.tuner.regime import RegimeTracker
-from repro.tuner.specialize import MISS, Specialization, TunedStrategy, synthesize
 from repro.tuner.sweep import SweepController
 from repro.util.errors import ConfigurationError
 
@@ -44,39 +41,47 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cluster import Cluster
 
 __all__ = [
-    "MISS",
     "ClusterTuner",
     "RailsConfig",
-    "RegimeTracker",
-    "Specialization",
     "SweepConfig",
     "SweepController",
     "TailRailSelector",
     "TunedStrategy",
     "Tuner",
     "TunerConfig",
-    "TunerStats",
-    "synthesize",
 ]
 
-#: Decisions between tail-drift probes (quantile reads are not free).
-_TAIL_PROBE_EVERY = 32
 
+class TunedStrategy(Strategy):
+    """The per-decision hook behind the existing strategy interface.
 
-@dataclass(slots=True)
-class TunerStats:
-    """Cumulative per-engine tuner counters."""
+    Installed by the tuner in place of the engine's strategy (never via
+    the registry — it is infrastructure, not a scenario-selectable
+    policy).  Each ``make_plan`` call lets the tuner observe the
+    decision (sweep stepping), then delegates to the wrapped strategy.
+    """
 
-    decisions: int = 0
-    specialized: int = 0
-    misses: int = 0
-    installs: int = 0
-    invalidations: int = 0
+    name = "tuned"
 
-    @property
-    def specialized_fraction(self) -> float:
-        """Share of decisions served by a specialized fast path."""
-        return self.specialized / self.decisions if self.decisions else 0.0
+    def __init__(self, inner: Strategy, tuner: "Tuner") -> None:
+        self.inner = inner
+        self._tuner = tuner
+
+    def make_plan(
+        self, engine: "CommEngineBase", driver: Driver
+    ) -> TransferPlan | Hold | None:
+        self._tuner.on_decision()
+        return self.inner.make_plan(engine, driver)
+
+    def explain_last(self) -> dict | None:
+        explain: dict = {"inner_strategy": type(self.inner).name}
+        inner = self.inner.explain_last()
+        if inner:
+            explain.update(inner)
+        return explain
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"TunedStrategy({self.inner!r})"
 
 
 class Tuner:
@@ -91,26 +96,12 @@ class Tuner:
         self.engine = engine
         self.config = config if config is not None else TunerConfig()
         self.tail_view = tail_view if tail_view is not None else engine.tail_view
-        self.tracker = RegimeTracker(
-            min_dwell=self.config.min_dwell,
-            drift_window=self.config.drift_window,
-            deep_backlog=self.config.deep_backlog,
-        )
-        self.stats = TunerStats()
+        #: Scheduling decisions observed since install.
+        self.decisions = 0
         self.sweep: SweepController | None = None
         self.rail_selector: TailRailSelector | None = None
-        self.active: Specialization | None = None
-        #: Every install/invalidate, as ``(event, spec_id, reason)``.
-        self.history: list[tuple[str, str, str]] = []
-        self.wrapper: TunedStrategy | None = None
-        self._seq = 0
-        self._unsupported: type | None = None
-        self._tail_anchor_us: float | None = None
         self._installed = False
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def install(self) -> None:
         """Wrap the engine's strategy and attach the sub-controllers."""
         if self._installed:
@@ -125,101 +116,17 @@ class Tuner:
         if self.config.rails is not None and self.tail_view is not None:
             self.rail_selector = TailRailSelector(self.tail_view, self.config.rails)
             engine.rail_selector = self.rail_selector
-        self.wrapper = TunedStrategy(engine.strategy, self)
-        engine.strategy = self.wrapper
+        engine.strategy = TunedStrategy(engine.strategy, self)
 
-    # ------------------------------------------------------------------
-    # the per-decision hook (called by TunedStrategy.make_plan)
-    # ------------------------------------------------------------------
-    def on_decision(self, engine: "CommEngineBase") -> None:
-        """Observe one decision: track the regime, adapt, (in)validate."""
-        stats = self.stats
-        stats.decisions += 1
-        flipped = self.tracker.observe(engine.waiting.total_pending)
-        if flipped and self.active is not None:
-            self._invalidate("drift")
-        if self.sweep is not None and self.sweep.step() and self.active is not None:
-            # The arm change moved values the specialization folded.
-            self._invalidate("sweep")
-        if (
-            self.active is not None
-            and self.config.tail_drift_factor is not None
-            and self.tail_view is not None
-            and stats.decisions % _TAIL_PROBE_EVERY == 0
-            and self._tail_drifted()
-        ):
-            self._invalidate("tail-drift")
-        if self.active is None and self.tracker.stable:
-            self._try_install()
+    def on_decision(self) -> None:
+        """Observe one decision (called by :meth:`TunedStrategy.make_plan`)."""
+        self.decisions += 1
+        if self.sweep is not None:
+            self.sweep.step()
 
-    def _try_install(self) -> None:
-        strategy = self.wrapper.inner if self.wrapper is not None else None
-        if strategy is None or type(strategy) is self._unsupported:
-            return
-        spec = synthesize(strategy, self.engine, self.tracker.committed, self._seq + 1)
-        if spec is None:
-            # No synthesizer for this strategy (or reference-kernel
-            # mode): remember, so stability does not retry every call.
-            self._unsupported = type(strategy)
-            return
-        self._seq += 1
-        self.active = spec
-        self.stats.installs += 1
-        self.history.append(("install", spec.spec_id, self.tracker.committed))
-        self._tail_anchor_us = self._worst_rail_p99()
-
-    def _invalidate(self, reason: str) -> None:
-        spec = self.active
-        assert spec is not None
-        self.active = None
-        self.stats.invalidations += 1
-        self.history.append(("invalidate", spec.spec_id, reason))
-        self._tail_anchor_us = None
-
-    # ------------------------------------------------------------------
-    # tail drift test
-    # ------------------------------------------------------------------
-    def _worst_rail_p99(self) -> float | None:
-        if self.tail_view is None:
-            return None
-        rails = self.tail_view.rails()
-        if not rails:
-            return None
-        return max(stats.p99_us for stats in rails.values())
-
-    def _tail_drifted(self) -> bool:
-        worst = self._worst_rail_p99()
-        if worst is None:
-            return False
-        anchor = self._tail_anchor_us
-        if anchor is None:
-            # Tails appeared after install: anchor now, judge later.
-            self._tail_anchor_us = worst
-            return False
-        factor = self.config.tail_drift_factor
-        assert factor is not None
-        return worst > max(anchor, 1.0) * factor
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
     def summary(self) -> dict:
         """JSON-able controller state (CLI, ``/tuner``, FLUSH mirror)."""
-        stats = self.stats
-        out = {
-            "decisions": stats.decisions,
-            "specialized": stats.specialized,
-            "specialized_fraction": round(stats.specialized_fraction, 4),
-            "misses": stats.misses,
-            "installs": stats.installs,
-            "invalidations": stats.invalidations,
-            "tracker": self.tracker.summary(),
-            "active": self.active.summary() if self.active is not None else None,
-            "history": [
-                {"event": event, "specialization": spec_id, "detail": detail}
-                for event, spec_id, detail in self.history
-            ],
-        }
+        out: dict = {"decisions": self.decisions}
         if self.sweep is not None:
             out["sweep"] = self.sweep.summary()
         if self.rail_selector is not None:
@@ -256,11 +163,6 @@ class ClusterTuner:
         return {
             "nodes": nodes,
             "totals": {
-                "decisions": sum(t.stats.decisions for t in self.tuners.values()),
-                "specialized": sum(t.stats.specialized for t in self.tuners.values()),
-                "installs": sum(t.stats.installs for t in self.tuners.values()),
-                "invalidations": sum(
-                    t.stats.invalidations for t in self.tuners.values()
-                ),
+                "decisions": sum(t.decisions for t in self.tuners.values()),
             },
         }

@@ -8,10 +8,6 @@ tune.  The block is strict and optional::
 
     "tuner": {
       "enabled": true,            # false = parse but install nothing
-      "min_dwell": 8,             # decisions before a regime is stable
-      "drift_window": 3,          # opposite observations before a flip
-      "deep_backlog": 8,          # regime threshold (matches auto)
-      "tail_drift_factor": 4.0,   # p99 blow-up invalidating specializations
       "sweep": {                  # online parameter sweeps (optional)
         "mode": "epsilon",        # or "halving"
         "epsilon": 0.1,
@@ -40,17 +36,7 @@ __all__ = ["TunerConfig", "SweepConfig", "RailsConfig", "SWEEP_MODES"]
 #: Valid values of :attr:`SweepConfig.mode`.
 SWEEP_MODES = ("epsilon", "halving")
 
-_TUNER_KEYS = frozenset(
-    {
-        "enabled",
-        "min_dwell",
-        "drift_window",
-        "deep_backlog",
-        "tail_drift_factor",
-        "sweep",
-        "rails",
-    }
-)
+_TUNER_KEYS = frozenset({"enabled", "sweep", "rails"})
 _SWEEP_KEYS = frozenset(
     {"mode", "epsilon", "trial_decisions", "windows", "budgets", "seed"}
 )
@@ -179,58 +165,22 @@ class TunerConfig:
     enabled:
         ``False`` parses the block but installs nothing — dispatch stays
         byte-identical to a tuner-less run (the escape hatch).
-    min_dwell:
-        Consecutive decisions the committed regime must hold before it
-        is declared *stable* (specialization only happens then).
-    drift_window:
-        Consecutive decisions observing the opposite regime before the
-        tracker commits a flip (hysteresis against thrash).
-    deep_backlog:
-        Pending-entry threshold separating the sparse and deep regimes
-        (matches :class:`~repro.core.strategies.auto.AutoStrategy`).
-    tail_drift_factor:
-        Invalidate specializations when the worst per-rail p99 exceeds
-        its value at install time by this factor (needs a tail view;
-        ``None`` disables the tail drift test).
     sweep / rails:
         Optional sub-controllers (see :class:`SweepConfig`,
         :class:`RailsConfig`); ``None`` leaves them off.
     """
 
     enabled: bool = True
-    min_dwell: int = 8
-    drift_window: int = 3
-    deep_backlog: int = 8
-    tail_drift_factor: float | None = 4.0
     sweep: SweepConfig | None = None
     rails: RailsConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.min_dwell < 1:
-            raise ConfigurationError(f"min_dwell must be >= 1, got {self.min_dwell}")
-        if self.drift_window < 1:
-            raise ConfigurationError(
-                f"drift_window must be >= 1, got {self.drift_window}"
-            )
-        if self.deep_backlog < 1:
-            raise ConfigurationError(
-                f"deep_backlog must be >= 1, got {self.deep_backlog}"
-            )
-        if self.tail_drift_factor is not None and self.tail_drift_factor <= 1.0:
-            raise ConfigurationError(
-                f"tail_drift_factor must be > 1 or None, got {self.tail_drift_factor}"
-            )
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, Any]) -> "TunerConfig":
         """Build from a scenario mapping, rejecting unknown keys."""
         _reject_unknown(spec, _TUNER_KEYS, "tuner")
         kwargs: dict[str, Any] = {}
-        for key in ("enabled", "min_dwell", "drift_window", "deep_backlog"):
-            if key in spec:
-                kwargs[key] = spec[key]
-        if "tail_drift_factor" in spec:
-            kwargs["tail_drift_factor"] = spec["tail_drift_factor"]
+        if "enabled" in spec:
+            kwargs["enabled"] = spec["enabled"]
         sweep_spec = spec.get("sweep")
         if sweep_spec is not None:
             kwargs["sweep"] = SweepConfig.from_spec(sweep_spec)

@@ -18,9 +18,7 @@ Reward is *payload bytes per dispatched packet* over the trial — the
 aggregation quality the whole optimizer exists to maximize — read from
 the engine's own cumulative counters, so measuring costs nothing on the
 hot path.  Applying an arm mutates the engine's **private** config copy
-(the tuner makes one at install time); the tuner invalidates any
-installed specialization when the arm changes, since specializations
-fold the very values the sweep moves.
+(the tuner makes one at install time).
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ from repro.util.units import KiB
 
 from tests.core.helpers import StubEngine, control_entry, data_entry, make_driver
 
+# Every test here runs once per decision walk (tests/core/conftest.py).
+pytestmark = pytest.mark.usefixtures("walk")
+
 
 @pytest.fixture
 def setup():

@@ -6,6 +6,7 @@ random build parameters proves the two agree — i.e. no strategy built
 on the shared builder can violate message-structure constraints.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,9 @@ from repro.sim import Simulator
 from repro.util.units import KiB
 
 from tests.core.helpers import StubEngine, make_driver
+
+# Every test here runs once per decision walk (tests/core/conftest.py).
+pytestmark = pytest.mark.usefixtures("walk")
 
 
 @st.composite

@@ -10,13 +10,12 @@ hold the two implementations together:
 * search equivalence: same winner, same ``candidates_evaluated``,
   across a (depth × budget) grid;
 * whole-run dispatch-order equivalence on scaled-down E2/E5 workloads;
-* the same whole-run checks against the compiled kernel
-  (``repro.core._kernel_hot_c``) when one is installed, skipped
-  otherwise.
+* a driver subclass overriding a folded method selects the object walk
+  by itself and dispatches identically.
 
-The reference path is selected in-process by clearing the strategies'
-module-level batching flags — exactly what ``REPRO_KERNEL=reference``
-does at import time.
+The object walk is forced in-process by the ``reference_mode`` fixture
+(``tests/core/conftest.py``): it makes ``constants_for`` report
+``exact=False``, the same signal a driver subclass produces.
 """
 
 from __future__ import annotations
@@ -28,8 +27,9 @@ from hypothesis import strategies as st
 from repro.core import kernel
 from repro.core.config import EngineConfig
 from repro.core.strategies import _builder
-from repro.core.strategies import search as search_mod
 from repro.core.strategies.search import BoundedSearchStrategy
+from repro.drivers.mx import MxDriver
+from repro.drivers.registry import DRIVER_TYPES
 from repro.madeleine.message import Flow, PackMode
 from repro.middleware import uniform_small_flows
 from repro.middleware.mpi_like import StreamApp
@@ -59,18 +59,6 @@ def plan_signature(plan):
             for item in plan.items
         ),
     )
-
-
-@pytest.fixture
-def reference_mode(monkeypatch):
-    """Force the scalar object-walk path, as REPRO_KERNEL=reference does."""
-
-    def activate():
-        monkeypatch.setattr(_builder, "_BATCHING_ENABLED", False)
-        monkeypatch.setattr(search_mod, "_BATCHING_ENABLED", False)
-
-    yield activate
-    monkeypatch.undo()
 
 
 # ----------------------------------------------------------------------
@@ -135,14 +123,15 @@ class TestBuilderEquivalence:
             driver, _ = make_driver(sim)
             engine = StubEngine([driver], sim=sim)
             queue = _load_queue(engine, specs)
-            saved = _builder._BATCHING_ENABLED
-            _builder._BATCHING_ENABLED = batched
-            try:
-                plan = _builder.build_from_queue(
-                    engine, driver, queue, max_items=8, allow_park=True
-                )
-            finally:
-                _builder._BATCHING_ENABLED = saved
+            # An explicit window snapshot selects the object walk.
+            pending = (
+                None
+                if batched
+                else queue.pending_view(engine.config.lookahead_window)
+            )
+            plan = _builder.build_from_queue(
+                engine, driver, queue, max_items=8, allow_park=True, pending=pending
+            )
             parked = [
                 (e.flow.name if e.flow else None, e.remaining)
                 for e in engine.parked
@@ -284,40 +273,25 @@ class TestDispatchOrderEquivalence:
 
 
 # ----------------------------------------------------------------------
-# compiled kernel (REPRO_KERNEL=compiled), when one is installed
+# the code's own selection: a driver subclass gets the object walk
 # ----------------------------------------------------------------------
-@pytest.fixture
-def compiled_kernel(monkeypatch):
-    """Swap the kernel facade onto the compiled module, if importable."""
-    compiled = pytest.importorskip(
-        "repro.core._kernel_hot_c",
-        reason="no compiled kernel built (tools/build_kernel.py)",
-    )
-    for name in (
-        "PendingArrays",
-        "DriverConstants",
-        "SeedBuild",
-        "build_eager_arrays",
-        "probe_uniform_seeds",
-        "oversized_waiting_indices",
-        "score_eager_packed",
+class _OverridingMx(MxDriver):
+    """Stock behaviour behind an overridden method the fold replicates."""
+
+    def choose_mode(self, payload_bytes):
+        return super().choose_mode(payload_bytes)
+
+
+class TestDriverSubclassSelectsObjectWalk:
+    def test_override_is_inexact_and_dispatches_identically(
+        self, monkeypatch, reference_mode
     ):
-        monkeypatch.setattr(kernel, name, getattr(compiled, name))
-    yield compiled
-
-
-class TestCompiledKernelConsistency:
-    def test_e2_dispatch_order_identical(self, compiled_kernel, reference_mode):
-        compiled = _run_e2_like()
-        assert compiled, "workload produced no dispatches"
+        with monkeypatch.context() as patch:
+            patch.setitem(DRIVER_TYPES, "mx", _OverridingMx)
+            driver = Cluster(seed=0).engine("n0").drivers[0]
+            assert type(driver) is _OverridingMx
+            assert not kernel.constants_for(driver).exact
+            overridden = _run_e2_like()
+        assert overridden, "workload produced no dispatches"
         reference_mode()
-        assert compiled == _run_e2_like()
-
-    def test_search_matches_reference(self, compiled_kernel, reference_mode):
-        engine_c, strat_c = _loaded_search_engine(64, 32, [256, 900])
-        plan_c = strat_c.make_plan(engine_c, engine_c.drivers[0])
-        reference_mode()
-        engine_r, strat_r = _loaded_search_engine(64, 32, [256, 900])
-        plan_r = strat_r.make_plan(engine_r, engine_r.drivers[0])
-        assert plan_signature(plan_c) == plan_signature(plan_r)
-        assert strat_c.last_evaluated == strat_r.last_evaluated
+        assert overridden == _run_e2_like()

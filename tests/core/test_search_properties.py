@@ -11,6 +11,7 @@ plan — always including the winner — must still match the scalar model
 exactly.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,9 @@ from repro.madeleine.message import Flow
 from repro.runtime.cluster import Cluster
 
 from tests.core.helpers import data_entry
+
+# Every test here runs once per decision walk (tests/core/conftest.py).
+pytestmark = pytest.mark.usefixtures("walk")
 
 
 def _loaded_engine(sizes, budget):

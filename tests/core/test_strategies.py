@@ -17,6 +17,9 @@ from repro.runtime.cluster import Cluster
 from repro.util.errors import ConfigurationError
 from repro.util.units import KiB, us
 
+# Every test here runs once per decision walk (tests/core/conftest.py).
+pytestmark = pytest.mark.usefixtures("walk")
+
 
 class TestRegistry:
     def test_predefined_strategies_registered(self):

@@ -120,7 +120,6 @@ class TestPrivateConfigCopy:
             config=shared,
             seed=0,
             tuner={
-                "min_dwell": 2,
                 "sweep": {"windows": [4], "budgets": [8], "trial_decisions": 2},
             },
         )
