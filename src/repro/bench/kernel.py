@@ -61,10 +61,6 @@ MAX_REGRESSION = 0.25
 #: (NullTracer, no sinks) over the bare-guard floor.
 TRACE_NULL_OVERHEAD = 0.02
 
-#: Allowed decision-rate overhead of full tracing (ring sink subscribed,
-#: explain collection + decide records live) over the disabled plane.
-TRACE_FULL_OVERHEAD = 0.15
-
 #: Default location of the emitted results (repository root).
 RESULT_FILE = "BENCH_kernel.json"
 
@@ -455,8 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             f"measure observability overhead and exit 1 when the disabled "
-            f"plane costs >{TRACE_NULL_OVERHEAD * 100:.0f}%% or full tracing "
-            f"costs >{TRACE_FULL_OVERHEAD * 100:.0f}%% decision rate"
+            f"plane costs >{TRACE_NULL_OVERHEAD * 100:.0f}%% decision rate "
+            f"(the cost of full tracing is printed, and gated end to end by "
+            f"the sim_traced workload of benchmarks/e2e)"
         ),
     )
     args = parser.parse_args(argv)
@@ -469,26 +466,15 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {name:<16} {value:8.2%}")
             else:
                 print(f"  {name:<16} {value:12,.0f}/s")
-        failures = []
         if rates["overhead_off"] > TRACE_NULL_OVERHEAD:
-            failures.append(
-                f"disabled plane costs {rates['overhead_off']:.2%} decision rate "
-                f"(gate {TRACE_NULL_OVERHEAD:.0%})"
+            print(
+                f"\ntracing overhead gate failed: disabled plane costs "
+                f"{rates['overhead_off']:.2%} decision rate "
+                f"(gate {TRACE_NULL_OVERHEAD:.0%})",
+                file=sys.stderr,
             )
-        if rates["overhead_full"] > TRACE_FULL_OVERHEAD:
-            failures.append(
-                f"full tracing costs {rates['overhead_full']:.2%} decision rate "
-                f"(gate {TRACE_FULL_OVERHEAD:.0%})"
-            )
-        if failures:
-            print("\ntracing overhead gate failed:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
             return 1
-        print(
-            f"within gates (off <= {TRACE_NULL_OVERHEAD:.0%}, "
-            f"full <= {TRACE_FULL_OVERHEAD:.0%})"
-        )
+        print(f"within gate (off <= {TRACE_NULL_OVERHEAD:.0%}; full is reported, not gated)")
         return 0
 
     metrics = run_suite(quick=args.quick)

@@ -12,9 +12,12 @@ discrete-event substrate for wall-clock asyncio:
   unmodified messaging stack;
 * :mod:`repro.live.nic` — a NIC whose idle transition is the socket
   write buffer draining;
-* :mod:`repro.live.peer` — one node's stack in one OS process;
-* :mod:`repro.live.observe` — the full observability plane inside one
-  peer (wall-clock sampler, trace spool streamed to the coordinator);
+* :mod:`repro.live.peer` — one node's stack in one OS process, built
+  above the NICs by the simulator's own builder
+  (:func:`repro.runtime.cluster.build_node_stack`);
+* :mod:`repro.live.observe` — what the observability plane needs on
+  top inside a peer (wall-clock sampler, trace spool streamed to the
+  coordinator);
 * :mod:`repro.live.cluster` — the coordinator that spawns a peer mesh,
   runs a scenario file live, merges a ``SessionReport``, and assembles
   the cluster-wide observability view (aligned trace, merged metrics,
@@ -24,7 +27,7 @@ discrete-event substrate for wall-clock asyncio:
 from repro.live.cluster import LiveRunResult, run_live_scenario
 from repro.live.loop import LiveClock, LiveEvent
 from repro.live.nic import LiveNIC
-from repro.live.observe import LiveSampler, PeerClusterAdapter, SpoolSink
+from repro.live.observe import LiveSampler, SpoolSink
 from repro.live.transport import MirrorReceiver, StreamDecoder
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "LiveNIC",
     "LiveSampler",
     "MirrorReceiver",
-    "PeerClusterAdapter",
     "SpoolSink",
     "StreamDecoder",
     "LiveRunResult",

@@ -55,12 +55,11 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
 from repro.live.chaos import ChaosConfig
 from repro.live.liveness import DeadPeer, PeerWatchdog
-from repro.network.virtual import TrafficClass
 from repro.obs.causal import attribute_events, export_blame
 from repro.obs.merge import (
     MergedTrace,
@@ -80,11 +79,13 @@ from repro.obs.tails import (
     pooled_message_sketch,
 )
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
-from repro.runtime.metrics import LatencySummary, MessageRecord, SessionReport
+from repro.runtime.cluster import check_topology
+from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
+from repro.runtime.scenario import build_workloads, parse_cluster
 from repro.util.errors import ConfigurationError, TransportError
 from repro.util.tracing import TraceEvent, event_to_dict
 
-__all__ = ["LiveRunResult", "run_live_scenario"]
+__all__ = ["LiveRunResult", "run_live_scenario", "survivor_agreement"]
 
 _POLL_INTERVAL = 0.02
 
@@ -424,90 +425,6 @@ class _Peer:
         self._stderr_file.close()
 
 
-def _merge_report(
-    peer_reports: list[dict[str, Any]],
-    *,
-    degraded: bool = False,
-    lost_messages: int = 0,
-) -> tuple[SessionReport, list[MessageRecord]]:
-    records: list[MessageRecord] = []
-    for payload in peer_reports:
-        for r in payload["records"]:
-            records.append(
-                MessageRecord(
-                    message_id=r["message_id"],
-                    flow_name=r["flow_name"],
-                    traffic_class=TrafficClass(r["traffic_class"]),
-                    src=r["src"],
-                    dst=r["dst"],
-                    size=r["size"],
-                    fragments=r["fragments"],
-                    submit_time=r["submit_time"],
-                    complete_time=r["complete_time"],
-                )
-            )
-    latencies = [r.latency for r in records]
-    total_bytes = sum(r.size for r in records)
-    if records:
-        duration = max(r.complete_time for r in records) - min(
-            r.submit_time for r in records
-        )
-        duration = max(duration, 0.0)
-    else:
-        duration = 0.0
-
-    by_class: dict[TrafficClass, LatencySummary] = {}
-    for traffic_class in TrafficClass:
-        samples = [r.latency for r in records if r.traffic_class is traffic_class]
-        if samples:
-            by_class[traffic_class] = LatencySummary.of(samples)
-
-    transactions = sum(n["requests"] for p in peer_reports for n in p["nics"])
-    busy = sum(n["busy_time"] for p in peer_reports for n in p["nics"])
-    host = sum(n["host_time"] for p in peer_reports for n in p["nics"])
-    nic_count = sum(len(p["nics"]) for p in peer_reports)
-    data_packets = sum(p["engine"]["data_packets"] for p in peer_reports)
-    segments = sum(p["engine"]["data_segments"] for p in peer_reports)
-    control = sum(
-        p["engine"]["dispatches"] - p["engine"]["data_packets"] for p in peer_reports
-    )
-    rdv = sum(p["engine"]["rdv_parked"] for p in peer_reports)
-    rdv_timeouts = sum(p["engine"]["rdv_timeouts"] for p in peer_reports)
-    failovers = sum(p["engine"]["failovers"] for p in peer_reports)
-    retransmits = sum(p["transport"].get("retransmits", 0) for p in peer_reports)
-    chaos_stats = [p["chaos"] for p in peer_reports if p.get("chaos")]
-    dropped = sum(c["drops"] for c in chaos_stats)
-    corrupted = sum(c["corruptions"] for c in chaos_stats)
-    duplicated = sum(c["duplicates"] for c in chaos_stats)
-    elapsed = max((p["now"] for p in peer_reports), default=0.0) or 1.0
-
-    report = SessionReport(
-        duration=duration,
-        messages=len(records),
-        total_bytes=total_bytes,
-        latency=LatencySummary.of(latencies),
-        latency_by_class=by_class,
-        throughput=total_bytes / duration if duration > 0 else 0.0,
-        message_rate=len(records) / duration if duration > 0 else 0.0,
-        network_transactions=transactions,
-        data_packets=data_packets,
-        control_packets=control,
-        aggregation_ratio=segments / data_packets if data_packets else 0.0,
-        nic_utilization=busy / (nic_count * elapsed) if nic_count else 0.0,
-        host_time=host,
-        rdv_count=rdv,
-        retransmits=retransmits,
-        packets_dropped=dropped,
-        packets_corrupted=corrupted,
-        packets_duplicated=duplicated,
-        failovers=failovers,
-        rdv_timeouts=rdv_timeouts,
-        degraded=degraded,
-        lost_messages=lost_messages,
-    )
-    return report, records
-
-
 def _event_from_wire(payload: Mapping[str, Any]) -> TraceEvent:
     """One streamed trace event back into its in-memory shape."""
     return TraceEvent(
@@ -566,21 +483,13 @@ class _ObsCollector:
             )
         return reply
 
-    def ingest_flush(self, reply: Mapping[str, Any]) -> None:
-        node = str(reply["node"])
-        if reply.get("events"):
-            bucket = self.events_by_peer.setdefault(node, [])
-            bucket.extend(_event_from_wire(e) for e in reply["events"])
-        if reply.get("metrics") is not None:
-            self.metrics_by_peer[node] = reply["metrics"]
-        if reply.get("exemplars") is not None:
-            self.exemplars_by_peer[node] = reply["exemplars"]
-
-    def ingest_report(self, payload: Mapping[str, Any]) -> None:
+    def ingest(self, payload: Mapping[str, Any]) -> None:
+        """Absorb one FLUSH reply (``events``) or REPORT payload (``trace``)."""
         node = str(payload["node"])
-        if payload.get("trace"):
+        events = payload.get("events") or payload.get("trace")
+        if events:
             bucket = self.events_by_peer.setdefault(node, [])
-            bucket.extend(_event_from_wire(e) for e in payload["trace"])
+            bucket.extend(_event_from_wire(e) for e in events)
         if payload.get("metrics") is not None:
             self.metrics_by_peer[node] = payload["metrics"]
         if payload.get("exemplars") is not None:
@@ -592,6 +501,383 @@ class _ObsCollector:
             self.samples, crossings, peers=self.events_by_peer.keys()
         )
         return align_events(self.events_by_peer, offsets)
+
+
+# --------------------------------------------------------------------------
+# the run, phase by phase
+# --------------------------------------------------------------------------
+
+
+def _validate(scenario: Mapping[str, Any]) -> tuple[int, ChaosConfig | None]:
+    """Reject, before any peer is spawned, what a peer would reject.
+
+    The cluster block and the workloads go through the simulator's own
+    parsers, so a bad scenario fails here with the simulator's words
+    instead of as a peer traceback.  Returns ``(n_nodes, chaos)`` — the
+    coordinator needs the failure-detection budget before it forks.
+    """
+    spec = parse_cluster(scenario)
+    check_topology(spec["n_nodes"], spec["networks"], spec["engine"])
+    chaos: ChaosConfig | None = None
+    if scenario.get("faults"):
+        chaos = ChaosConfig.from_spec(
+            dict(scenario["faults"]), default_seed=int(spec["seed"])
+        )
+        if chaos.die is not None and chaos.die.rank >= spec["n_nodes"]:
+            raise ConfigurationError(
+                f"faults die rank {chaos.die.rank} >= n_nodes {spec['n_nodes']}"
+            )
+    build_workloads(scenario)
+    return spec["n_nodes"], chaos
+
+
+def _alive(peers: list[_Peer], watchdog: PeerWatchdog | None) -> list[_Peer]:
+    if watchdog is None:
+        return peers
+    dead = watchdog.dead
+    return [p for p in peers if p.rank not in dead]
+
+
+def _note_failure(watchdog: PeerWatchdog, peer: _Peer) -> None:
+    """Tell the watchdog why a control request to ``peer`` just failed."""
+    rc = peer.proc.poll()
+    if rc is not None:
+        watchdog.note_exit(peer.rank, rc)
+    else:
+        watchdog.note_control_failure(peer.rank)
+
+
+def _bring_up(
+    peers: list[_Peer], obs: _ObsCollector, config: dict[str, Any], deadline: float
+) -> None:
+    """CONFIG → READY, MESH → MESH_OK, START → STARTED on every peer."""
+    endpoints: dict[int, dict[str, Any]] = {}
+    for peer in peers:
+        reply = peer.request({**config, "type": "config", "rank": peer.rank})
+        endpoints[peer.rank] = reply["endpoint"]
+        obs.nodes[peer.rank] = str(reply.get("node", f"n{peer.rank}"))
+    # Higher ranks dial lower ranks, so confirm in descending order:
+    # rank 0 only has to *accept*, which needs no round-trip first.
+    mesh_msg = {"type": "mesh", "endpoints": {str(r): e for r, e in endpoints.items()}}
+    for peer in peers:
+        assert peer.proc.stdin is not None
+        peer.proc.stdin.write(json.dumps(mesh_msg) + "\n")
+        peer.proc.stdin.flush()
+    for peer in peers:
+        peer.read_reply(timeout=max(deadline - time.time(), 1.0), expect="mesh_ok")
+    for peer in peers:
+        peer.request({"type": "start"}, expect="started")
+
+
+def _poll_step(
+    peers: list[_Peer],
+    obs: _ObsCollector,
+    watchdog: PeerWatchdog | None,
+    flushing: bool,
+) -> tuple[dict[int, dict[str, Any] | None], list[str]] | None:
+    """One STATUS round (plus deaths and FLUSH) over the peers alive.
+
+    Returns ``(statuses, dead_nodes)`` for :func:`survivor_agreement` —
+    a rank that did not answer maps to ``None`` — or ``None`` when a
+    peer was declared dead this round: survivors have been told
+    (``peer_down``) and counter agreement must restart against the new
+    survivor set.
+    """
+    statuses: dict[int, dict[str, Any] | None] = {}
+    for peer in _alive(peers, watchdog):
+        try:
+            statuses[peer.rank] = obs.timed_request(
+                peer, {"type": "status"}, expect="status"
+            )
+        except TransportError:
+            if watchdog is None:
+                raise
+            _note_failure(watchdog, peer)
+            statuses[peer.rank] = None
+            continue
+        if watchdog is not None:
+            watchdog.beat(peer.rank)
+    for rank, status in statuses.items():
+        if status is not None and status.get("fatal"):
+            raise TransportError(
+                f"peer {rank} hit a transport fault:\n{status['fatal']}"
+            )
+    if watchdog is not None:
+        # A SIGKILLed peer never fails a request first: reap exits
+        # proactively so detection is one poll, not one timeout.
+        for peer in _alive(peers, watchdog):
+            rc = peer.proc.poll()
+            if rc is not None:
+                watchdog.note_exit(peer.rank, rc)
+        # Worst survivor-reported silence per rank (gossip; the
+        # watchdog still requires direct contact loss too).
+        rank_of = {node: rank for rank, node in obs.nodes.items()}
+        worst: dict[int, float] = {}
+        for status in filter(None, statuses.values()):
+            for node, age in (status.get("hb_ages") or {}).items():
+                rank = rank_of.get(str(node))
+                if rank is not None:
+                    worst[rank] = max(worst.get(rank, 0.0), float(age))
+        for rank, age in worst.items():
+            watchdog.note_heartbeat_age(rank, age)
+        newly_dead = watchdog.check()
+        for dead in newly_dead:
+            print(
+                f"[repro.live] peer {dead.rank} ({dead.node}) declared "
+                f"dead ({dead.reason}, {dead.time_to_detect:.2f}s to "
+                f"detect); degrading run",
+                file=sys.stderr,
+            )
+            peers[dead.rank].kill()
+            for peer in _alive(peers, watchdog):
+                try:
+                    peer.request(
+                        {"type": "peer_down", "nodes": [dead.node]},
+                        expect="peer_down_ok",
+                    )
+                except TransportError:
+                    watchdog.note_control_failure(peer.rank)
+        if newly_dead:
+            return None
+    if flushing:
+        for peer in _alive(peers, watchdog):
+            try:
+                obs.ingest(
+                    obs.timed_request(peer, {"type": "flush"}, expect="flushed")
+                )
+            except TransportError:
+                if watchdog is None:
+                    raise
+                _note_failure(watchdog, peer)
+    dead_nodes = (
+        sorted(d.node for d in watchdog.dead.values()) if watchdog is not None else []
+    )
+    return statuses, dead_nodes
+
+
+def survivor_agreement(
+    statuses: Mapping[int, Mapping[str, Any] | None], dead_nodes: Sequence[str]
+) -> tuple[tuple, bool]:
+    """Counter agreement over the survivors of a (possibly degraded) run.
+
+    ``statuses`` maps every rank believed alive to its STATUS reply, or
+    to ``None`` if it did not answer this poll; ``dead_nodes`` names
+    the peers declared dead so far.  Returns ``(snapshot, agree)``: the
+    sums (compared between polls to see that traffic stopped moving)
+    and whether every rank answered and both equations hold —
+
+    1. Every submitted-and-not-abandoned message got exactly one DONE
+       back — from whoever received it, dead peers' pre-death DONEs
+       included::
+
+           Σ(submitted − abandoned) == Σ done_received
+
+    2. DONE traffic between survivors balances once each side's
+       exchanges with the dead are netted out (a DONE sent *to* a dead
+       peer was received by nobody alive; a DONE received *from* one
+       was sent by nobody alive)::
+
+           Σ(done_sent − Σ_dead done_by_dst[d])
+        == Σ(done_received − Σ_dead done_rx_by_src[d])
+
+    With no deaths both collapse to the three-way
+    ``submitted == done_received == done_sent`` check.
+    """
+    answered = [s for s in statuses.values() if s is not None]
+    submitted = sum(s["submitted"] - s.get("abandoned", 0) for s in answered)
+    done_rx = sum(s["done_received"] for s in answered)
+    done_rx_alive = done_rx - sum(
+        s.get("done_rx_by_src", {}).get(d, 0) for s in answered for d in dead_nodes
+    )
+    done_tx_alive = sum(
+        s["done_sent"] - sum(s.get("done_by_dst", {}).get(d, 0) for d in dead_nodes)
+        for s in answered
+    )
+    agree = (
+        len(answered) == len(statuses)
+        and submitted == done_rx
+        and done_rx_alive == done_tx_alive
+    )
+    return (submitted, done_rx, done_rx_alive, done_tx_alive, tuple(dead_nodes)), agree
+
+
+def _collect(
+    peers: list[_Peer],
+    obs: _ObsCollector,
+    watchdog: PeerWatchdog | None,
+    deadline: float,
+) -> list[dict[str, Any]]:
+    """STOP → REPORT from every survivor, then let the peers exit."""
+    peer_reports = []
+    for peer in _alive(peers, watchdog):
+        try:
+            peer_reports.append(
+                obs.timed_request(
+                    peer,
+                    {"type": "stop"},
+                    timeout=max(deadline - time.time(), 10.0),
+                    expect="report",
+                )
+            )
+        except TransportError:
+            # A peer that quiesced but died before REPORT: degrade
+            # late rather than lose the survivors' reports.
+            if watchdog is None:
+                raise
+            _note_failure(watchdog, peer)
+            watchdog.check()
+    if not peer_reports:
+        raise TransportError(
+            "no peer survived to produce a final report: "
+            + "; ".join(f"p{p.rank}: {p.stderr_tail(400)!r}" for p in peers)
+        )
+    for peer in _alive(peers, watchdog):
+        try:
+            peer.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            peer.kill()
+    return peer_reports
+
+
+def _merge_run(
+    peer_reports: list[dict[str, Any]],
+    obs: _ObsCollector,
+    dead_peers: list[DeadPeer],
+    trace_on: bool,
+    slo_objectives: tuple[SLObjective, ...],
+) -> LiveRunResult:
+    """The survivors' REPORT payloads into one cluster-wide result."""
+    for payload in peer_reports:
+        if payload.get("fatal"):
+            raise TransportError(
+                f"peer {payload['node']} hit a transport fault:\n{payload['fatal']}"
+            )
+        if payload.get("trace_dropped"):
+            print(
+                f"[repro.live] warning: peer {payload['node']} dropped "
+                f"{payload['trace_dropped']} trace events "
+                f"(spool overflow; seen={payload.get('trace_seen', '?')})",
+                file=sys.stderr,
+            )
+        obs.ingest(payload)
+    merged = obs.merge()
+    aligned = list(merged.events)
+    # The merged trace is truncated whenever any peer's spool evicted
+    # events before a drain; mark it the same way the sim flight
+    # recorder marks its exports so obs analyze / obs why warn loudly.
+    spool_dropped = sum(p.get("trace_dropped") or 0 for p in peer_reports)
+    if spool_dropped:
+        aligned.append(
+            TraceEvent(
+                time=aligned[-1].time if aligned else 0.0,
+                source="obs:coordinator",
+                kind="obs.truncated",
+                detail={
+                    "seen": sum(p.get("trace_seen") or 0 for p in peer_reports),
+                    "dropped": spool_dropped,
+                    "capacity": None,
+                },
+            )
+        )
+    if dead_peers and obs.metrics_by_peer:
+        # Death accounting lives with the authority that declared it:
+        # a pseudo-peer snapshot, so /metrics and obs diff see it with
+        # the same peer-labelled shape as everything else.
+        coord = MetricsRegistry()
+        for dead in dead_peers:
+            coord.counter(
+                "repro_peer_deaths_total",
+                {"reason": dead.reason},
+                help="Peers declared dead by the coordinator watchdog",
+            ).inc()
+            coord.histogram(
+                "repro_peer_time_to_detect_seconds",
+                help="Silence-to-declaration latency per declared death",
+                base=0.01, growth=2.0, n_buckets=16,
+            ).observe(dead.time_to_detect)
+        obs.metrics_by_peer["coordinator"] = coord.to_snapshot()
+    cluster_registry = (
+        merge_registries(obs.metrics_by_peer) if obs.metrics_by_peer else None
+    )
+    # Post-run tail view: collapse the per-peer sketches into cluster
+    # series, then apply the estimated clock offsets to the edge
+    # sketches — exact, because every sample on a directed edge needs
+    # the same constant correction (see correct_edge_sketches).
+    tails: dict[str, Any] = {}
+    report_tails: dict[str, float] = {}
+    if obs.metrics_by_peer:
+        aggregated = aggregate_registries(obs.metrics_by_peer.values())
+        corrected = correct_edge_sketches(aggregated, merged.offsets)
+        tails = TailView(aggregated, slo_objectives).snapshot()
+        tails["edges_offset_corrected"] = corrected
+        # The report's tail columns come from the pooled message-latency
+        # sketch (all nodes merged), same source the sim plane uses.
+        pooled = pooled_message_sketch(aggregated)
+        if pooled is not None:
+            report_tails = {
+                "latency_p99_us": pooled.quantile(0.99),
+                "latency_p999_us": pooled.quantile(0.999),
+            }
+
+    records = [MessageRecord.from_dict(r) for p in peer_reports for r in p["records"]]
+    chaos_stats = [p["chaos"] for p in peer_reports if p.get("chaos")]
+    duration = 0.0
+    if records:
+        duration = max(r.complete_time for r in records) - min(
+            r.submit_time for r in records
+        )
+    report = assemble_report(
+        records,
+        [nic for p in peer_reports for nic in p["nics"]],
+        [p["engine"] for p in peer_reports],
+        duration=max(duration, 0.0),
+        elapsed=max((p["now"] for p in peer_reports), default=0.0) or 1.0,
+        retransmits=sum(p["transport"].get("retransmits", 0) for p in peer_reports),
+        packets_dropped=sum(c["drops"] for c in chaos_stats),
+        packets_corrupted=sum(c["corruptions"] for c in chaos_stats),
+        packets_duplicated=sum(c["duplicates"] for c in chaos_stats),
+        degraded=bool(dead_peers),
+        lost_messages=sum(p["transport"].get("abandoned", 0) for p in peer_reports),
+        **report_tails,
+    )
+
+    # Post-run causal attribution over the offset-corrected merged
+    # trace — the coordinator is the only vantage point that sees a
+    # sender's submit and the receiver's delivery in one stream.
+    if trace_on:
+        blame_report = attribute_events(aligned)
+        if blame_report.messages or obs.exemplars_by_peer:
+            blame_edges = blame_report.edges()
+            tails["blame"] = {
+                "messages": len(blame_report.messages),
+                "incomplete": blame_report.incomplete,
+                "truncated": blame_report.truncated,
+                "edges": blame_edges,
+                "slowest": [b.to_dict() for b in blame_report.slowest(5)],
+                "peer_exemplars": dict(obs.exemplars_by_peer),
+            }
+            if cluster_registry is not None:
+                export_blame(blame_edges, cluster_registry)
+    return LiveRunResult(
+        report=report,
+        records=records,
+        peer_reports=peer_reports,
+        trace_events=[event_to_dict(e) for e in aligned],
+        rtts=[
+            sample
+            for p in peer_reports
+            for app in p.get("apps", [])
+            for sample in app.get("rtts", [])
+        ],
+        aligned_events=aligned,
+        offsets=merged.offsets,
+        crossings_matched=merged.crossings_matched,
+        crossings_clamped=merged.crossings_clamped,
+        cluster_registry=cluster_registry,
+        tails=tails,
+        tuner=pool_tuner_counters(obs.metrics_by_peer),
+        dead_peers=dead_peers,
+    )
 
 
 def run_live_scenario(
@@ -630,20 +916,7 @@ def run_live_scenario(
     """
     if transport not in ("uds", "tcp"):
         raise ConfigurationError(f"live transport must be 'uds' or 'tcp', got {transport!r}")
-    n_nodes = int(scenario.get("cluster", {}).get("n_nodes", 2))
-    if n_nodes < 2:
-        raise ConfigurationError(f"a live run needs >= 2 nodes, got {n_nodes}")
-    # Parse chaos here too (the peers re-parse their own copy): the
-    # coordinator needs the failure-detection budget before any peer is
-    # spawned, and a malformed faults block should fail before fork.
-    chaos: ChaosConfig | None = None
-    if scenario.get("faults"):
-        cluster_seed = int(dict(scenario.get("cluster", {})).get("seed", 0))
-        chaos = ChaosConfig.from_spec(dict(scenario["faults"]), default_seed=cluster_seed)
-        if chaos.die is not None and chaos.die.rank >= n_nodes:
-            raise ConfigurationError(
-                f"faults die rank {chaos.die.rank} >= n_nodes {n_nodes}"
-            )
+    n_nodes, chaos = _validate(scenario)
 
     obs_spec = dict(observability or {})
     if trace:
@@ -687,38 +960,22 @@ def run_live_scenario(
                 f"/tuner and /why on {server.address}",
                 file=sys.stderr,
             )
-        endpoints: dict[int, dict[str, Any]] = {}
-        for peer in peers:
-            reply = peer.request(
-                {
-                    "type": "config",
-                    "rank": peer.rank,
-                    "n_nodes": n_nodes,
-                    "epoch": epoch,
-                    "time_scale": time_scale,
-                    "trace": trace_on,
-                    "observability": obs_spec,
-                    "transport": transport,
-                    "workdir": workdir,
-                    "timeout": timeout,
-                    "scenario": dict(scenario),
-                }
-            )
-            endpoints[peer.rank] = reply["endpoint"]
-            obs.nodes[peer.rank] = str(reply.get("node", f"n{peer.rank}"))
-        # Higher ranks dial lower ranks, so confirm in descending order:
-        # rank 0 only has to *accept*, which needs no round-trip first.
-        mesh_msg = {"type": "mesh", "endpoints": {str(r): e for r, e in endpoints.items()}}
-        for peer in peers:
-            assert peer.proc.stdin is not None
-            peer.proc.stdin.write(json.dumps(mesh_msg) + "\n")
-            peer.proc.stdin.flush()
-        for peer in peers:
-            peer.read_reply(
-                timeout=max(deadline - time.time(), 1.0), expect="mesh_ok"
-            )
-        for peer in peers:
-            peer.request({"type": "start"}, expect="started")
+        _bring_up(
+            peers,
+            obs,
+            {
+                "n_nodes": n_nodes,
+                "epoch": epoch,
+                "time_scale": time_scale,
+                "trace": trace_on,
+                "observability": obs_spec,
+                "transport": transport,
+                "workdir": workdir,
+                "timeout": timeout,
+                "scenario": dict(scenario),
+            },
+            deadline,
+        )
         obs_state.update_status(phase="running", peers=len(peers))
 
         # The watchdog only arms under chaos: a clean run keeps the old
@@ -727,157 +984,41 @@ def run_live_scenario(
         watchdog: PeerWatchdog | None = None
         if chaos is not None:
             watchdog = PeerWatchdog(dict(obs.nodes), dead_after=chaos.dead_after)
-        rank_of = {node: rank for rank, node in obs.nodes.items()}
-        peer_by_rank = {peer.rank: peer for peer in peers}
-
-        def alive_peers() -> list[_Peer]:
-            if watchdog is None:
-                return peers
-            dead = watchdog.dead
-            return [p for p in peers if p.rank not in dead]
 
         previous: tuple | None = None
         stable = 0
         while True:
             if time.time() > deadline:
                 tails = "; ".join(
-                    f"p{p.rank}: {p.stderr_tail(400)!r}" for p in alive_peers()
+                    f"p{p.rank}: {p.stderr_tail(400)!r}"
+                    for p in _alive(peers, watchdog)
                 )
                 raise TransportError(
                     f"live run exceeded its {timeout}s wall-clock budget "
                     f"without quiescing ({tails})"
                 )
-            statuses: dict[int, dict[str, Any]] = {}
-            for peer in alive_peers():
-                try:
-                    status = obs.timed_request(
-                        peer, {"type": "status"}, expect="status"
-                    )
-                except TransportError:
-                    if watchdog is None:
-                        raise
-                    rc = peer.proc.poll()
-                    if rc is not None:
-                        watchdog.note_exit(peer.rank, rc)
-                    else:
-                        watchdog.note_control_failure(peer.rank)
-                    continue
-                if watchdog is not None:
-                    watchdog.beat(peer.rank)
-                statuses[peer.rank] = status
-            for rank, status in statuses.items():
-                if status.get("fatal"):
-                    raise TransportError(
-                        f"peer {rank} hit a transport fault:\n{status['fatal']}"
-                    )
-            if watchdog is not None:
-                # A SIGKILLed peer never fails a request first: reap
-                # exits proactively so detection is one poll, not one
-                # timeout.
-                for peer in alive_peers():
-                    rc = peer.proc.poll()
-                    if rc is not None:
-                        watchdog.note_exit(peer.rank, rc)
-                # Worst survivor-reported silence per rank (gossip; the
-                # watchdog still requires direct contact loss too).
-                worst: dict[int, float] = {}
-                for status in statuses.values():
-                    for node, age in (status.get("hb_ages") or {}).items():
-                        rank = rank_of.get(str(node))
-                        if rank is not None:
-                            worst[rank] = max(worst.get(rank, 0.0), float(age))
-                for rank, age in worst.items():
-                    watchdog.note_heartbeat_age(rank, age)
-                newly_dead = watchdog.check()
-                for dead in newly_dead:
-                    print(
-                        f"[repro.live] peer {dead.rank} ({dead.node}) declared "
-                        f"dead ({dead.reason}, {dead.time_to_detect:.2f}s to "
-                        f"detect); degrading run",
-                        file=sys.stderr,
-                    )
-                    peer_by_rank[dead.rank].kill()
-                    for peer in alive_peers():
-                        try:
-                            peer.request(
-                                {"type": "peer_down", "nodes": [dead.node]},
-                                expect="peer_down_ok",
-                            )
-                        except TransportError:
-                            watchdog.note_control_failure(peer.rank)
-                if newly_dead:
-                    # Counter agreement must restart against the new
-                    # survivor set.
-                    previous = None
-                    stable = 0
-                    continue
-            if flushing:
-                for peer in alive_peers():
-                    try:
-                        obs.ingest_flush(
-                            obs.timed_request(
-                                peer, {"type": "flush"}, expect="flushed"
-                            )
-                        )
-                    except TransportError:
-                        if watchdog is None:
-                            raise
-                        watchdog.note_control_failure(peer.rank)
-                if server is not None:
-                    for node, snapshot in obs.metrics_by_peer.items():
-                        obs_state.update_metrics(node, snapshot)
-                    if trace_on:
-                        obs_state.update_events(obs.events_by_peer, obs.samples)
-            dead_nodes = (
-                sorted(d.node for d in watchdog.dead.values())
-                if watchdog is not None
-                else []
-            )
-            # Two agreement equations over the survivors:
-            #
-            # 1. Every submitted-and-not-abandoned message got exactly
-            #    one DONE back — from whoever received it, dead peers'
-            #    pre-death DONEs included:
-            #        Σ(submitted − abandoned) == Σ done_received
-            # 2. DONE traffic between survivors balances once each
-            #    side's exchanges with the dead are netted out (a DONE
-            #    sent *to* a dead peer was received by nobody alive; a
-            #    DONE received *from* one was sent by nobody alive):
-            #        Σ(done_sent − Σ_dead done_by_dst[d])
-            #     == Σ(done_received − Σ_dead done_rx_by_src[d])
-            #
-            # With no deaths both collapse to the original three-way
-            # submitted == done_received == done_sent check.
-            submitted = sum(
-                s["submitted"] - s.get("abandoned", 0) for s in statuses.values()
-            )
-            done_rx = sum(s["done_received"] for s in statuses.values())
-            done_rx_alive = done_rx - sum(
-                s.get("done_rx_by_src", {}).get(d, 0)
-                for s in statuses.values()
-                for d in dead_nodes
-            )
-            done_tx_alive = sum(
-                s["done_sent"]
-                - sum(s.get("done_by_dst", {}).get(d, 0) for d in dead_nodes)
-                for s in statuses.values()
-            )
-            expected_ranks = (
-                set(watchdog.alive()) if watchdog is not None
-                else set(peer_by_rank)
-            )
-            complete = set(statuses) == expected_ranks
-            snapshot = (submitted, done_rx, done_rx_alive, done_tx_alive, tuple(dead_nodes))
-            quiet = complete and all(s["quiet"] for s in statuses.values())
+            polled = _poll_step(peers, obs, watchdog, flushing)
+            if polled is None:
+                previous = None
+                stable = 0
+                continue
+            if server is not None:
+                for node, snapshot in obs.metrics_by_peer.items():
+                    obs_state.update_metrics(node, snapshot)
+                if trace_on:
+                    obs_state.update_events(obs.events_by_peer, obs.samples)
+            statuses, dead_nodes = polled
+            snapshot, agree = survivor_agreement(statuses, dead_nodes)
+            quiet = all(s is not None and s["quiet"] for s in statuses.values())
+            submitted, done_rx, _, done_tx_alive, _ = snapshot
             obs_state.update_status(
                 submitted=submitted, done_received=done_rx, done_sent=done_tx_alive,
                 quiet=quiet, dead=dead_nodes,
             )
             obs_state.update_peers(
                 watchdog.summary() if watchdog is not None
-                else {"dead": [], "alive": sorted(peer_by_rank)}
+                else {"dead": [], "alive": [p.rank for p in peers]}
             )
-            agree = submitted == done_rx and done_rx_alive == done_tx_alive
             if quiet and agree and snapshot == previous:
                 stable += 1
                 if stable >= 2:
@@ -888,38 +1029,7 @@ def run_live_scenario(
             time.sleep(_POLL_INTERVAL)
 
         obs_state.update_status(phase="stopping")
-        peer_reports = []
-        for peer in alive_peers():
-            try:
-                peer_reports.append(
-                    obs.timed_request(
-                        peer,
-                        {"type": "stop"},
-                        timeout=max(deadline - time.time(), 10.0),
-                        expect="report",
-                    )
-                )
-            except TransportError:
-                # A peer that quiesced but died before REPORT: degrade
-                # late rather than lose the survivors' reports.
-                if watchdog is None:
-                    raise
-                rc = peer.proc.poll()
-                if rc is not None:
-                    watchdog.note_exit(peer.rank, rc)
-                else:
-                    watchdog.note_control_failure(peer.rank)
-                watchdog.check()
-        if not peer_reports:
-            raise TransportError(
-                "no peer survived to produce a final report: "
-                + "; ".join(f"p{p.rank}: {p.stderr_tail(400)!r}" for p in peers)
-            )
-        for peer in alive_peers():
-            try:
-                peer.proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                peer.kill()
+        peer_reports = _collect(peers, obs, watchdog, deadline)
         dead_peers = list(watchdog.dead.values()) if watchdog is not None else []
     finally:
         for peer in peers:
@@ -928,123 +1038,4 @@ def run_live_scenario(
             obs_state.update_status(phase="done")
             server.stop()
         shutil.rmtree(workdir, ignore_errors=True)
-
-    for payload in peer_reports:
-        if payload.get("fatal"):
-            raise TransportError(
-                f"peer {payload['node']} hit a transport fault:\n{payload['fatal']}"
-            )
-        if payload.get("trace_dropped"):
-            print(
-                f"[repro.live] warning: peer {payload['node']} dropped "
-                f"{payload['trace_dropped']} trace events "
-                f"(spool overflow; seen={payload.get('trace_seen', '?')})",
-                file=sys.stderr,
-            )
-    lost_messages = sum(
-        p["transport"].get("abandoned", 0) for p in peer_reports
-    )
-    report, records = _merge_report(
-        peer_reports, degraded=bool(dead_peers), lost_messages=lost_messages
-    )
-    for payload in peer_reports:
-        obs.ingest_report(payload)
-    merged = obs.merge()
-    aligned = list(merged.events)
-    # The merged trace is truncated whenever any peer's spool evicted
-    # events before a drain; mark it the same way the sim flight
-    # recorder marks its exports so obs analyze / obs why warn loudly.
-    spool_dropped = sum(p.get("trace_dropped") or 0 for p in peer_reports)
-    if spool_dropped:
-        aligned.append(
-            TraceEvent(
-                time=aligned[-1].time if aligned else 0.0,
-                source="obs:coordinator",
-                kind="obs.truncated",
-                detail={
-                    "seen": sum(p.get("trace_seen") or 0 for p in peer_reports),
-                    "dropped": spool_dropped,
-                    "capacity": None,
-                },
-            )
-        )
-    events = [event_to_dict(e) for e in aligned]
-    if dead_peers and obs.metrics_by_peer:
-        # Death accounting lives with the authority that declared it:
-        # a pseudo-peer snapshot, so /metrics and obs diff see it with
-        # the same peer-labelled shape as everything else.
-        coord = MetricsRegistry()
-        for dead in dead_peers:
-            coord.counter(
-                "repro_peer_deaths_total",
-                {"reason": dead.reason},
-                help="Peers declared dead by the coordinator watchdog",
-            ).inc()
-            coord.histogram(
-                "repro_peer_time_to_detect_seconds",
-                help="Silence-to-declaration latency per declared death",
-                base=0.01, growth=2.0, n_buckets=16,
-            ).observe(dead.time_to_detect)
-        obs.metrics_by_peer["coordinator"] = coord.to_snapshot()
-    cluster_registry = (
-        merge_registries(obs.metrics_by_peer) if obs.metrics_by_peer else None
-    )
-    # Post-run tail view: collapse the per-peer sketches into cluster
-    # series, then apply the estimated clock offsets to the edge
-    # sketches — exact, because every sample on a directed edge needs
-    # the same constant correction (see correct_edge_sketches).
-    tails: dict[str, Any] = {}
-    tuner_summary = pool_tuner_counters(obs.metrics_by_peer)
-    if obs.metrics_by_peer:
-        aggregated = aggregate_registries(obs.metrics_by_peer.values())
-        corrected = correct_edge_sketches(aggregated, merged.offsets)
-        tail_view = TailView(aggregated, slo_objectives)
-        tails = tail_view.snapshot()
-        tails["edges_offset_corrected"] = corrected
-        # The report's tail columns come from the pooled message-latency
-        # sketch (all nodes merged), same source the sim plane uses.
-        pooled = pooled_message_sketch(aggregated)
-        if pooled is not None:
-            report = replace(
-                report,
-                latency_p99_us=pooled.quantile(0.99),
-                latency_p999_us=pooled.quantile(0.999),
-            )
-    # Post-run causal attribution over the offset-corrected merged
-    # trace — the coordinator is the only vantage point that sees a
-    # sender's submit and the receiver's delivery in one stream.
-    if trace_on:
-        blame_report = attribute_events(aligned)
-        if blame_report.messages or obs.exemplars_by_peer:
-            blame_edges = blame_report.edges()
-            tails["blame"] = {
-                "messages": len(blame_report.messages),
-                "incomplete": blame_report.incomplete,
-                "truncated": blame_report.truncated,
-                "edges": blame_edges,
-                "slowest": [b.to_dict() for b in blame_report.slowest(5)],
-                "peer_exemplars": dict(obs.exemplars_by_peer),
-            }
-            if cluster_registry is not None:
-                export_blame(blame_edges, cluster_registry)
-    rtts = [
-        sample
-        for p in peer_reports
-        for app in p.get("apps", [])
-        for sample in app.get("rtts", [])
-    ]
-    return LiveRunResult(
-        report=report,
-        records=records,
-        peer_reports=peer_reports,
-        trace_events=events,
-        rtts=rtts,
-        aligned_events=aligned,
-        offsets=merged.offsets,
-        crossings_matched=merged.crossings_matched,
-        crossings_clamped=merged.crossings_clamped,
-        cluster_registry=cluster_registry,
-        tails=tails,
-        tuner=tuner_summary,
-        dead_peers=dead_peers,
-    )
+    return _merge_run(peer_reports, obs, dead_peers, trace_on, slo_objectives)

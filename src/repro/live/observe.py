@@ -1,21 +1,16 @@
 """Live-peer observability: the full plane inside one peer process.
 
-A live peer used to carry an ad-hoc ``ListSink`` + ``MetricsCollector``
-pair; this module gives it the same :class:`~repro.obs.plane.ObservabilityPlane`
-a simulated cluster gets, adapted to the two ways a peer differs:
-
-* **There is no Cluster object.**  :class:`PeerClusterAdapter` presents
-  one peer's stack (clock, engine, node, reassembler) through the duck
-  type ``ObservabilityPlane.install`` and the sampler's snapshot code
-  already consume — ``sim``, ``engines``, ``fabric.nodes``,
-  ``transport``, ``reassemblers``.
-* **Time is wall-clock and quiescence is watched.**  The base
-  :class:`~repro.obs.sampler.ObservabilitySampler` keeps itself alive by
-  rescheduling on the simulator queue; on a :class:`~repro.live.loop.LiveClock`
-  that would hold ``pending_timers`` above zero forever and the peer
-  would never look quiet.  :class:`LiveSampler` therefore drives the
-  same ``sample_once`` core from raw ``loop.call_later`` timers, which
-  the quiescence predicate deliberately does not see.
+A live peer gets the same :class:`~repro.obs.plane.ObservabilityPlane`
+a simulated cluster gets, installed on the
+:class:`~repro.live.peer.LivePeer` itself (which carries the cluster
+attributes the plane and the sampler read).  What differs is that time
+is wall-clock and quiescence is watched: the base
+:class:`~repro.obs.sampler.ObservabilitySampler` keeps itself alive by
+rescheduling on the simulator queue; on a :class:`~repro.live.loop.LiveClock`
+that would hold ``pending_timers`` above zero forever and the peer
+would never look quiet.  :class:`LiveSampler` therefore drives the
+same ``sample_once`` core from raw ``loop.call_later`` timers, which
+the quiescence predicate deliberately does not see.
 
 :class:`SpoolSink` is the streaming half: a bounded buffer of events
 since the last coordinator ``FLUSH``, drained into the control protocol
@@ -25,16 +20,13 @@ buffer stays as the crash flight recorder.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.obs.sampler import ObservabilitySampler
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.live.loop import LiveClock
-
-__all__ = ["SpoolSink", "PeerClusterAdapter", "LiveSampler"]
+__all__ = ["SpoolSink", "LiveSampler"]
 
 #: Events the spool holds between coordinator flushes.  At the
 #: coordinator's ~20 ms poll cadence this is far beyond any realistic
@@ -71,38 +63,6 @@ class SpoolSink:
         return len(self.events)
 
 
-class _Fabric:
-    """The one attribute of ``cluster.fabric`` the obs plane reads."""
-
-    def __init__(self, node) -> None:
-        self.nodes = [node]
-
-
-class PeerClusterAdapter:
-    """One live peer's stack shaped like a ``Cluster`` for the obs plane.
-
-    Only the attributes :meth:`ObservabilityPlane.install`,
-    :meth:`ObservabilityPlane.finalize` and the sampler snapshot read
-    are provided; anything else staying absent is a feature — new plane
-    code reaching deeper will fail loudly here instead of silently
-    observing half a peer.
-    """
-
-    def __init__(
-        self, clock: "LiveClock", engine, node, reassembler, transport=None
-    ) -> None:
-        self.sim = clock
-        self.engines = {engine.node_name: engine}
-        self.fabric = _Fabric(node)
-        #: The peer's socket hub when chaos/reliability is active — it
-        #: exposes the same ``stats.retransmits`` / ``in_flight`` surface
-        #: the simulated :class:`~repro.network.reliable.ReliableTransport`
-        #: does.  Without chaos the plain TCP/UDS stream *is* the
-        #: reliability layer and the gauges read 0 by design.
-        self.transport = transport
-        self.reassemblers = {node.name: reassembler}
-
-
 class LiveSampler(ObservabilitySampler):
     """Wall-clock cadence for the shared ``sample_once`` core.
 
@@ -115,7 +75,7 @@ class LiveSampler(ObservabilitySampler):
 
     def __init__(
         self,
-        adapter: PeerClusterAdapter,
+        cluster: Any,
         interval: float,
         *,
         registry=None,
@@ -123,14 +83,14 @@ class LiveSampler(ObservabilitySampler):
         tail_view=None,
     ) -> None:
         super().__init__(
-            adapter,
+            cluster,
             interval,
             registry=registry,
             source=source,
             autostart=False,
             tail_view=tail_view,
         )
-        self._clock = adapter.sim
+        self._clock = cluster.sim
         self._handle: Any = None
         self._stopped = False
 

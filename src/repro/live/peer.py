@@ -11,13 +11,16 @@ JSON-lines control protocol on stdin/stdout::
     FLUSH   -> FLUSHED {events, metrics} drain trace spool + registry snapshot
     STOP    -> REPORT {...}              final records + counters, then exit
 
-Inside, the peer assembles the *same* stack the simulated
-:class:`~repro.runtime.cluster.Cluster` builds — NICs, drivers from the
-registry, an unmodified :class:`~repro.core.engine.OptimizingEngine` (or
-the legacy baseline), reassembler, :class:`~repro.madeleine.api.MadAPI`
-— except the NICs are :class:`~repro.live.nic.LiveNIC`\\ s whose idle
-transition is a socket-drain event, and time is a
-:class:`~repro.live.loop.LiveClock` over asyncio.
+Inside, the peer runs the *same* stack the simulated
+:class:`~repro.runtime.cluster.Cluster` runs, built by the same code:
+the scenario is read by :func:`~repro.runtime.scenario.parse_cluster`
+and :func:`~repro.runtime.scenario.build_workloads`, and everything
+above the NICs of the local node comes from
+:func:`~repro.runtime.cluster.build_node_stack`.  What the peer builds
+itself is its transfer layer — :class:`~repro.live.nic.LiveNIC`\\ s whose
+idle transition is a socket-drain event, on a :class:`Hub` of sockets,
+timed by a :class:`~repro.live.loop.LiveClock` over asyncio — and the
+stand-ins for the nodes that live in other processes.
 
 **Symmetry rule.**  Every peer builds the *entire* scenario — all flows,
 all apps — but only its own node gets a real engine; remote nodes get
@@ -40,22 +43,20 @@ import sys
 import threading
 import traceback
 from collections import deque
+from dataclasses import replace
 from typing import Any, Callable
 
-from repro.core.config import EngineConfig
-from repro.core.strategies.base import make_strategy
-from repro.drivers.registry import make_driver
 from repro.madeleine.api import MadAPI
 from repro.madeleine.message import Flow, Message
 from repro.madeleine.rx import MessageReassembler
 from repro.network.fabric import Node
 from repro.network.reliable import ReceiveLedger, SendWindow, TransportStats
 from repro.network.technologies import TECHNOLOGIES
-from repro.network.virtual import TrafficClass
 from repro.network.wire import META_CORR, META_SENT_AT, META_VIA
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
-from repro.runtime.metrics import MetricsCollector
-from repro.tuner import Tuner, TunerConfig
+from repro.runtime.cluster import build_node_stack, install_tuner
+from repro.runtime.metrics import MetricsCollector, stats_row
+from repro.runtime.scenario import build_workloads, parse_cluster
 from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.rng import SeedSequenceRegistry
 from repro.util.tracing import Tracer, event_to_dict
@@ -64,7 +65,7 @@ from repro.live.chaos import ChaosConfig, ChaosInjector
 from repro.live.liveness import Backoff, HeartbeatLedger
 from repro.live.loop import LiveClock
 from repro.live.nic import LiveNIC
-from repro.live.observe import LiveSampler, PeerClusterAdapter, SpoolSink
+from repro.live.observe import LiveSampler, SpoolSink
 from repro.live.transport import (
     MirrorReceiver,
     StreamDecoder,
@@ -86,10 +87,6 @@ _READ_CHUNK = 1 << 16
 #: coordinator sees — streaming flushes carry the full event stream —
 #: it only bounds the in-peer crash recorder.
 _RING_DEFAULT = 50_000
-
-
-def _node_names(n: int) -> list[str]:
-    return [f"n{i}" for i in range(n)]
 
 
 def _outage_matches(outage, nic) -> bool:
@@ -921,58 +918,29 @@ class _StubEngine:
         pass
 
 
-class _RegisteringAPI(MadAPI):
-    """MadAPI that records every opened flow in a shared id registry.
-
-    The registry is what lets the mirror receiver resolve a wire
-    descriptor's flow id back to the local ``Flow`` object.
-    """
-
-    def __init__(self, node_name, engine, reassembler, registry: dict[int, Flow]) -> None:
-        super().__init__(node_name, engine, reassembler)
-        self._registry = registry
-
-    def open_flow(self, dst, name=None, traffic_class=TrafficClass.DEFAULT) -> Flow:
-        flow = super().open_flow(dst, name, traffic_class)
-        self._registry[flow.flow_id] = flow
-        return flow
-
-
-class _PeerCluster:
-    """The cluster facade workload apps program against.
-
-    Apps only touch ``.sim``, ``.api(name)`` and ``.stream(name)`` (see
-    :class:`~repro.middleware.base.AppBase`); this provides exactly
-    those, backed by the live clock and per-node APIs.
-    """
-
-    def __init__(self, sim: LiveClock, apis: dict[str, MadAPI], rng) -> None:
-        self.sim = sim
-        self.apis = apis
-        self.rng = rng
-
-    def api(self, node_name: str) -> MadAPI:
-        return self.apis[node_name]
-
-    def stream(self, name: str):
-        return self.rng.stream(name)
-
-
 class LivePeer:
-    """Everything one peer process owns; driven by the control protocol."""
+    """Everything one peer process owns; driven by the control protocol.
+
+    The peer is also the *cluster* of this process: it carries the
+    attributes of :class:`~repro.runtime.cluster.Cluster` that the
+    observability plane, the sampler, the tuner and the workload apps
+    read (``sim``, ``nodes``, ``engines``, ``reassemblers``, ``apis``,
+    ``transport``, ``engine_kind``, ``api()``, ``stream()``), holding
+    the one local node — so each of them is installed on the peer
+    exactly as it is installed on a simulated cluster.
+    """
 
     def __init__(self, config: dict[str, Any]) -> None:
         scenario = config["scenario"]
+        spec = parse_cluster(scenario)
         self.rank = int(config["rank"])
-        self.n_nodes = int(config["n_nodes"])
         self.scenario = scenario
-        self.names = _node_names(self.n_nodes)
+        self.names = [f"n{i}" for i in range(int(config["n_nodes"]))]
         self.local = self.names[self.rank]
         self.timeout = float(config.get("timeout", 60.0))
         faults_spec = scenario.get("faults")
-        cluster_seed = int(dict(scenario.get("cluster", {})).get("seed", 0))
         self.chaos: ChaosConfig | None = (
-            ChaosConfig.from_spec(faults_spec, default_seed=cluster_seed)
+            ChaosConfig.from_spec(faults_spec, default_seed=int(spec["seed"]))
             if faults_spec
             else None
         )
@@ -983,7 +951,8 @@ class LivePeer:
 
         self.tracer = Tracer()
         loop = asyncio.get_running_loop()
-        self.clock = LiveClock(
+        # ``sim`` is the name the clock goes by on a cluster.
+        self.clock = self.sim = LiveClock(
             loop,
             epoch=float(config["epoch"]),
             time_scale=float(config.get("time_scale", 1.0)),
@@ -997,17 +966,35 @@ class LivePeer:
             names=self.names,
             chaos=self.chaos,
         )
+        #: The socket hub when chaos/reliability is active — it exposes
+        #: the ``stats.retransmits`` / ``in_flight`` surface of the
+        #: simulated :class:`~repro.network.reliable.ReliableTransport`.
+        #: Without chaos the plain TCP/UDS stream *is* the reliability
+        #: layer and the gauges read 0 by design.
+        self.transport = self.hub if self.hub.envelope else None
+        self.rng = SeedSequenceRegistry(spec["seed"])
         self.flows: dict[int, Flow] = {}
-        self.mirror = MirrorReceiver(self.local, self.flows.get)
+        self.mirror = MirrorReceiver(self.local, self._flow_by_id)
         self.metrics = MetricsCollector()
         self.apps: list = []
         self._apps_installed = False
         #: Data frames that raced ahead of this peer's START (see
         #: ``_deliver_frame``); replayed once the flows exist.
         self._pre_start_frames: list = []
-        self._build_stack()
+        self._build_stack(spec)
         self._install_observability()
-        self._install_tuner()
+        # Tuner counters ride the FLUSH registry snapshots as
+        # ``repro_tuner_*`` metrics and feed the coordinator's ``/tuner``.
+        self.tuner = install_tuner(self, scenario.get("tuner"))
+
+    # -- the Cluster accessors workload apps call ----------------------
+    def api(self, node_name: str) -> MadAPI:
+        """The packing API of one node (a stand-in for remote nodes)."""
+        return self.apis[node_name]
+
+    def stream(self, name: str):
+        """A named deterministic RNG stream."""
+        return self.rng.stream(name)
 
     def _install_observability(self) -> None:
         """Attach the full observability plane to this peer's stack.
@@ -1022,22 +1009,13 @@ class LivePeer:
         """
         ring = self.obs_config.ring_buffer
         self.plane = ObservabilityPlane(
-            ObservabilityConfig(
+            replace(
+                self.obs_config,
                 sample_interval=None,
                 ring_buffer=ring if ring is not None else _RING_DEFAULT,
-                trace=self.obs_config.trace,
-                slo=self.obs_config.slo,
-                exemplars=self.obs_config.exemplars,
             )
         )
-        self.obs_adapter = PeerClusterAdapter(
-            self.clock,
-            self.engine,
-            self.node,
-            self.reassembler,
-            transport=self.hub if self.hub.envelope else None,
-        )
-        self.plane.install(self.obs_adapter)
+        self.plane.install(self)
         self.spool: SpoolSink | None = None
         if self.obs_config.trace:
             self.spool = SpoolSink()
@@ -1045,7 +1023,7 @@ class LivePeer:
         self.sampler: LiveSampler | None = None
         if self.obs_config.sample_interval is not None:
             self.sampler = LiveSampler(
-                self.obs_adapter,
+                self,
                 self.obs_config.sample_interval,
                 registry=self.plane.registry,
                 source=f"obs:{self.local}",
@@ -1053,44 +1031,11 @@ class LivePeer:
             )
         self._flushed = False
 
-    def _install_tuner(self) -> None:
-        """Wrap this peer's engine with the online tuner when configured.
-
-        Same grammar and escape hatch as the sim plane: no ``tuner``
-        block (or ``enabled: false``) installs nothing, keeping dispatch
-        byte-identical to a tuner-less peer.  Tuner counters ride the
-        FLUSH registry snapshots as ``repro_tuner_*`` metrics and feed
-        the coordinator's ``/tuner`` endpoint.
-        """
-        self.tuner: Tuner | None = None
-        spec = self.scenario.get("tuner")
-        if spec is None:
-            return
-        config = spec if isinstance(spec, TunerConfig) else TunerConfig.from_spec(spec)
-        if not config.enabled:
-            return
-        engine_kind = dict(self.scenario.get("cluster", {})).get("engine", "optimizing")
-        if engine_kind != "optimizing":
-            raise ConfigurationError(
-                f"the tuner requires the optimizing engine, not {engine_kind!r}"
-            )
-        tuner = Tuner(self.engine, config, tail_view=self.plane.tail_view)
-        tuner.install()
-        self.tuner = tuner
-
     # -- construction --------------------------------------------------
-    def _build_stack(self) -> None:
-        spec = dict(self.scenario.get("cluster", {}))
-        engine_kind = spec.get("engine", "optimizing")
-        networks = [tuple(net) for net in spec.get("networks", [("mx", 1)])]
-        seed = spec.get("seed", 0)
-
+    def _build_stack(self, spec: dict[str, Any]) -> None:
+        """The local node: live NICs here, the rest from the shared builder."""
         self.node = Node(self.clock, self.local)
-        for i, (tech, per_node) in enumerate(networks):
-            if tech not in TECHNOLOGIES:
-                raise ConfigurationError(
-                    f"unknown technology {tech!r} (known: {sorted(TECHNOLOGIES)})"
-                )
+        for i, (tech, per_node) in enumerate(spec["networks"]):
             link = TECHNOLOGIES[tech]()
             for idx in range(per_node):
                 self.node.nics.append(
@@ -1102,30 +1047,15 @@ class LivePeer:
                         self.hub.send_packet,
                     )
                 )
-        drivers = [make_driver(nic) for nic in self.node.nics]
-
-        config_spec = spec.get("config")
-        engine_config = EngineConfig(**config_spec) if config_spec else None
-        kwargs: dict[str, Any] = {"config": engine_config}
-        if engine_kind == "optimizing":
-            from repro.core.engine import OptimizingEngine as engine_cls
-            from repro.runtime.scenario import POLICY_TYPES
-
-            strategy_name = spec.get("strategy")
-            kwargs["strategy"] = (
-                make_strategy(strategy_name) if strategy_name is not None else None
-            )
-            policy_name = spec.get("policy")
-            if policy_name is not None:
-                kwargs["policy"] = POLICY_TYPES[policy_name]()
-        elif engine_kind == "legacy":
-            from repro.baseline.legacy import LegacyEngine as engine_cls
-        else:
-            raise ConfigurationError(f"unknown engine kind {engine_kind!r}")
-        self.engine = engine_cls(self.clock, self.node, drivers, **kwargs)
-
-        self.reassembler = MessageReassembler(self.clock, self.local)
-        self.node.receiver.register_default_sink(self.reassembler.sink)
+        self.engine_kind = spec["engine"]
+        self.engine, self.reassembler, api = build_node_stack(
+            self.clock,
+            self.node,
+            engine=spec["engine"],
+            strategy=spec["strategy"],
+            policy=spec["policy"],
+            config=spec["config"],
+        )
         self.metrics.attach(self.reassembler)
         # Chain-wrap the reassembler's single completion slot: metrics
         # first (records the delivery), then the DONE acknowledgement
@@ -1142,19 +1072,27 @@ class LivePeer:
 
         self.reassembler.on_message_complete = on_complete
 
-        self.apis: dict[str, MadAPI] = {
-            self.local: _RegisteringAPI(
-                self.local, self.engine, self.reassembler, self.flows
-            )
-        }
+        self.nodes = [self.node]
+        self.engines = {self.local: self.engine}
+        self.reassemblers = {self.local: self.reassembler}
+        # Every node gets an API (the symmetry rule); only the local one
+        # has an engine behind it.
+        self.apis: dict[str, MadAPI] = {self.local: api}
         for name in self.names:
-            if name == self.local:
-                continue
-            stub_rx = MessageReassembler(self.clock, name)
-            self.apis[name] = _RegisteringAPI(
-                name, _StubEngine(name), stub_rx, self.flows
-            )
-        self.facade = _PeerCluster(self.clock, self.apis, SeedSequenceRegistry(seed))
+            if name != self.local:
+                self.apis[name] = MadAPI(
+                    name, _StubEngine(name), MessageReassembler(self.clock, name)
+                )
+
+    def _flow_by_id(self, flow_id: int) -> Flow | None:
+        """Resolve a wire descriptor's flow id to the local ``Flow``."""
+        flow = self.flows.get(flow_id)
+        if flow is None:
+            # Not every flow exists at START: collectives open their
+            # pairwise flows on first use.
+            self.flows = {f.flow_id: f for api in self.apis.values() for f in api.flows}
+            flow = self.flows.get(flow_id)
+        return flow
 
     # -- inbound engine traffic ----------------------------------------
     def _deliver_frame(self, frame) -> None:
@@ -1194,15 +1132,9 @@ class LivePeer:
         the module docstring) and starts the app processes — traffic
         begins as soon as the event loop runs.
         """
-        from repro.runtime.scenario import build_app
-
-        workloads = self.scenario.get("workloads", [])
-        if not workloads:
-            raise ConfigurationError("scenario has no workloads")
-        for entry in workloads:
-            app = build_app(entry)
-            app.install(self.facade)
-            self.apps.append(app)
+        self.apps = build_workloads(self.scenario)
+        for app in self.apps:
+            app.install(self)
         if self.sampler is not None:
             self.sampler.start()
         self._arm_chaos()
@@ -1244,10 +1176,6 @@ class LivePeer:
                     loop.call_later(outage.recover * scale, self._outage_recover, nic)
         die = chaos.die
         if die is not None and die.rank == self.rank:
-            if die.rank >= self.n_nodes:
-                raise ConfigurationError(
-                    f"die rank {die.rank} outside the {self.n_nodes}-node cluster"
-                )
             loop.call_later(die.after * scale, os.kill, os.getpid(), die.signal)
 
     def _outage_fail(self, nic) -> None:
@@ -1450,7 +1378,7 @@ class LivePeer:
                 "repro_tuner_decisions_total",
                 labels,
                 help="Decisions observed by the online tuner",
-            ).set_total(self.tuner.decisions)
+            ).set_total(self.tuner.tuners[self.local].decisions)
 
     def report(self) -> dict[str, Any]:
         """The final REPORT payload: records, counters, apps, trace."""
@@ -1458,43 +1386,12 @@ class LivePeer:
             self.sampler.stop()
         self.plane.finalize()
         self._mirror_live_metrics()
-        records = [
-            {
-                "message_id": r.message_id,
-                "flow_name": r.flow_name,
-                "traffic_class": r.traffic_class.value,
-                "src": r.src,
-                "dst": r.dst,
-                "size": r.size,
-                "fragments": r.fragments,
-                "submit_time": r.submit_time,
-                "complete_time": r.complete_time,
-            }
-            for r in self.metrics.records
-        ]
-        es = self.engine.stats
-        engine_stats = {
-            "messages_submitted": es.messages_submitted,
-            "dispatches": es.dispatches,
-            "data_packets": es.data_packets,
-            "data_segments": es.data_segments,
-            "aggregated_packets": es.aggregated_packets,
-            "holds": es.holds,
-            "rdv_parked": es.rdv_parked,
-            "rdv_timeouts": es.rdv_timeouts,
-            "failovers": es.failovers,
-            "activations": dict(es.activations),
-        }
+        records = [r.to_dict() for r in self.metrics.records]
         nics = [
             {
                 "name": nic.name,
-                "requests": nic.stats.requests,
-                "payload_bytes": nic.stats.payload_bytes,
-                "wire_bytes": nic.stats.wire_bytes,
-                "busy_time": nic.stats.busy_time,
+                **stats_row(nic.stats),
                 "modeled_busy_time": nic.modeled_busy_time,
-                "host_time": nic.stats.host_time,
-                "segments": nic.stats.segments,
                 "drains": nic.drains,
             }
             for nic in self.node.nics
@@ -1523,7 +1420,7 @@ class LivePeer:
             "node": self.local,
             "now": self.clock.refresh(),
             "records": records,
-            "engine": engine_stats,
+            "engine": stats_row(self.engine.stats),
             "nics": nics,
             "transport": {
                 "bytes_tx": self.hub.bytes_tx,

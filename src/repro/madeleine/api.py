@@ -172,7 +172,8 @@ class MadAPI:
         self.node_name = node_name
         self.engine = engine
         self.reassembler = reassembler
-        self._flow_counter = 0
+        #: Every flow opened from this node, in opening order.
+        self.flows: list[Flow] = []
 
     # ------------------------------------------------------------------
     # send side
@@ -185,9 +186,10 @@ class MadAPI:
     ) -> Flow:
         """Open a directed flow from this node to ``dst``."""
         if name is None:
-            name = f"{self.node_name}->{dst}#{self._flow_counter}"
-        self._flow_counter += 1
-        return Flow(name, self.node_name, dst, traffic_class)
+            name = f"{self.node_name}->{dst}#{len(self.flows)}"
+        flow = Flow(name, self.node_name, dst, traffic_class)
+        self.flows.append(flow)
+        return flow
 
     def begin(self, flow: Flow, context: dict | None = None) -> PackingSession:
         """Start packing a message on a flow opened from this node.

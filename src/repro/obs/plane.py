@@ -217,7 +217,7 @@ class ObservabilityPlane:
                     {"node": name, "trigger": trigger},
                     help="Optimizer activations by trigger",
                 ).set_total(count)
-        for node in cluster.fabric.nodes:
+        for node in cluster.nodes:
             for nic in node.nics:
                 labels = {"nic": nic.name}
                 registry.counter(

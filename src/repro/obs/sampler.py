@@ -16,9 +16,7 @@ occupancy — then
 The sampler keeps itself alive only while the simulation is: with no
 ``horizon`` it stops rescheduling once its own tick is the last event
 in the queue, so finite workloads still drain under
-``run_until_idle`` (same termination rule as
-:class:`repro.runtime.sampling.PeriodicSampler`, which remains the
-lightweight registry-less alternative).
+``run_until_idle``.
 """
 
 from __future__ import annotations
@@ -157,7 +155,7 @@ class ObservabilitySampler:
 
         nic_busy: dict[str, float] = {}
         span = now - self._prev_time if self._prev_time is not None else None
-        for node in cluster.fabric.nodes:
+        for node in cluster.nodes:
             for nic in node.nics:
                 busy = nic.stats.busy_time
                 if span is not None and span > 0:

@@ -24,7 +24,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.baseline.legacy import LegacyEngine
 from repro.core.channels import ChannelPolicy, PooledChannels
@@ -32,10 +32,10 @@ from repro.drivers.capabilities import DriverCapabilities
 from repro.core.config import EngineConfig
 from repro.core.engine import CommEngineBase, OptimizingEngine
 from repro.core.strategies.base import Strategy, make_strategy
-from repro.drivers.registry import make_driver
+from repro.drivers.registry import DRIVER_TYPES, make_driver
 from repro.madeleine.api import MadAPI
 from repro.madeleine.rx import MessageReassembler
-from repro.network.fabric import Fabric
+from repro.network.fabric import Fabric, Node
 from repro.network.faults import FaultPlane
 from repro.network.reliable import ReliabilityConfig, ReliableTransport
 from repro.network.technologies import TECHNOLOGIES
@@ -47,10 +47,91 @@ from repro.util.errors import ConfigurationError
 from repro.util.rng import SeedSequenceRegistry
 from repro.util.tracing import Tracer
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "build_node_stack", "check_topology", "install_tuner"]
 
 #: Engine kind → constructor.
 _ENGINE_KINDS = {"optimizing": OptimizingEngine, "legacy": LegacyEngine}
+
+
+def check_topology(
+    n_nodes: int, networks: Sequence[tuple[str, int]], engine: str
+) -> None:
+    """Reject a cluster shape no plane can build (the live coordinator
+    calls this before it forks, so both planes refuse in the same words)."""
+    if n_nodes < 2:
+        raise ConfigurationError(f"a cluster needs >= 2 nodes, got {n_nodes}")
+    if engine not in _ENGINE_KINDS:
+        raise ConfigurationError(
+            f"engine must be one of {sorted(_ENGINE_KINDS)}, got {engine!r}"
+        )
+    if not networks:
+        raise ConfigurationError("a cluster needs at least one network")
+    for tech, nics_per_node in networks:
+        if tech not in TECHNOLOGIES:
+            raise ConfigurationError(
+                f"unknown technology {tech!r} (known: {sorted(TECHNOLOGIES)})"
+            )
+        if nics_per_node < 1:
+            raise ConfigurationError(
+                f"nics_per_node must be >= 1, got {nics_per_node}"
+            )
+
+
+def build_node_stack(
+    sim: Any,
+    node: Node,
+    *,
+    engine: str,
+    strategy: str | Callable[[], Strategy] | None,
+    policy: Callable[[], ChannelPolicy] | None,
+    config: EngineConfig | None,
+    driver_caps: dict[str, DriverCapabilities] | None = None,
+) -> tuple[CommEngineBase, MessageReassembler, MadAPI]:
+    """Everything above the NICs of one node, on either plane.
+
+    ``node`` already carries its NICs (simulated, or the live plane's
+    socket NICs) and ``sim`` is the clock they run on (a ``Simulator``
+    or a ``LiveClock``): the transfer layer is the only thing the two
+    planes build differently.  The other parameters mean what they mean
+    on :class:`Cluster`.
+    """
+    drivers = []
+    for nic in node.nics:
+        if driver_caps is not None and nic.link.name in driver_caps:
+            drivers.append(DRIVER_TYPES[nic.link.name](nic, driver_caps[nic.link.name]))
+        else:
+            drivers.append(make_driver(nic))
+
+    kwargs: dict = {"config": config}
+    if engine == "optimizing":
+        if isinstance(strategy, str):
+            kwargs["strategy"] = make_strategy(strategy)
+        else:
+            kwargs["strategy"] = strategy() if strategy is not None else None
+        kwargs["policy"] = policy() if policy is not None else PooledChannels()
+    elif policy is not None:
+        kwargs["policy"] = policy()
+    comm_engine = _ENGINE_KINDS[engine](sim, node, drivers, **kwargs)
+
+    reassembler = MessageReassembler(sim, node.name)
+    node.receiver.register_default_sink(reassembler.sink)
+    return comm_engine, reassembler, MadAPI(node.name, comm_engine, reassembler)
+
+
+def install_tuner(
+    cluster: Any, tuner: "Mapping | TunerConfig | None"
+) -> ClusterTuner | None:
+    """Install the online tuner a ``tuner`` block asks for, if it asks
+    (``None`` and ``{"enabled": false}`` install nothing).  Goes after the
+    observability plane: the tuner wants the tail view it hands out."""
+    if tuner is None:
+        return None
+    config = tuner if isinstance(tuner, TunerConfig) else TunerConfig.from_spec(tuner)
+    if not config.enabled:
+        return None
+    cluster_tuner = ClusterTuner(config)
+    cluster_tuner.install(cluster)
+    return cluster_tuner
 
 
 class Cluster:
@@ -128,70 +209,42 @@ class Cluster:
         observability: Mapping | ObservabilityConfig | ObservabilityPlane | None = None,
         tuner: "Mapping | TunerConfig | None" = None,
     ) -> None:
-        if n_nodes < 2:
-            raise ConfigurationError(f"a cluster needs >= 2 nodes, got {n_nodes}")
-        if engine not in _ENGINE_KINDS:
-            raise ConfigurationError(
-                f"engine must be one of {sorted(_ENGINE_KINDS)}, got {engine!r}"
-            )
-        if not networks:
-            raise ConfigurationError("a cluster needs at least one network")
+        check_topology(n_nodes, networks, engine)
 
         self.sim = Simulator(tracer)
         self.rng = SeedSequenceRegistry(seed)
         self.metrics = MetricsCollector()
         self.fabric = Fabric(self.sim)
         self.engine_kind = engine
+        #: Nodes in creation order (``n0`` … ``n{k-1}``).
+        self.nodes: list[Node] = []
         self.engines: dict[str, CommEngineBase] = {}
         self.reassemblers: dict[str, MessageReassembler] = {}
         self.apis: dict[str, MadAPI] = {}
 
-        nets = []
-        for i, (tech, nics_per_node) in enumerate(networks):
-            if tech not in TECHNOLOGIES:
-                raise ConfigurationError(
-                    f"unknown technology {tech!r} (known: {sorted(TECHNOLOGIES)})"
-                )
-            if nics_per_node < 1:
-                raise ConfigurationError(
-                    f"nics_per_node must be >= 1, got {nics_per_node}"
-                )
-            nets.append(
-                (self.fabric.add_network(f"{tech}{i}", TECHNOLOGIES[tech]()), nics_per_node)
-            )
-
+        nets = [
+            (self.fabric.add_network(f"{tech}{i}", TECHNOLOGIES[tech]()), nics_per_node)
+            for i, (tech, nics_per_node) in enumerate(networks)
+        ]
         for k in range(n_nodes):
             node = self.fabric.add_node(f"n{k}")
             for network, nics_per_node in nets:
                 for _ in range(nics_per_node):
                     network.attach(node)
-            drivers = []
-            for nic in node.nics:
-                if driver_caps is not None and nic.link.name in driver_caps:
-                    from repro.drivers.registry import DRIVER_TYPES
-
-                    drivers.append(
-                        DRIVER_TYPES[nic.link.name](nic, driver_caps[nic.link.name])
-                    )
-                else:
-                    drivers.append(make_driver(nic))
-
-            kwargs: dict = {"config": config}
-            if engine == "optimizing":
-                kwargs["strategy"] = self._make_strategy(strategy)
-                kwargs["policy"] = policy() if policy is not None else PooledChannels()
-            else:
-                if policy is not None:
-                    kwargs["policy"] = policy()
-            comm_engine = _ENGINE_KINDS[engine](self.sim, node, drivers, **kwargs)
-
-            reassembler = MessageReassembler(self.sim, node.name)
-            node.receiver.register_default_sink(reassembler.sink)
+            comm_engine, reassembler, api = build_node_stack(
+                self.sim,
+                node,
+                engine=engine,
+                strategy=strategy,
+                policy=policy,
+                config=config,
+                driver_caps=driver_caps,
+            )
             self.metrics.attach(reassembler)
-
+            self.nodes.append(node)
             self.engines[node.name] = comm_engine
             self.reassemblers[node.name] = reassembler
-            self.apis[node.name] = MadAPI(node.name, comm_engine, reassembler)
+            self.apis[node.name] = api
 
         self.fault_plane: FaultPlane | None = None
         self.transport: ReliableTransport | None = None
@@ -225,27 +278,7 @@ class Cluster:
             obs_plane.install(self)
             self.obs = obs_plane
 
-        # The tuner installs last: it wraps engine strategies and wants
-        # the tail view the observability plane just handed out.
-        self.tuner: "ClusterTuner | None" = None
-        if tuner is not None:
-            tuner_config = (
-                tuner if isinstance(tuner, TunerConfig) else TunerConfig.from_spec(tuner)
-            )
-            if tuner_config.enabled:
-                cluster_tuner = ClusterTuner(tuner_config)
-                cluster_tuner.install(self)
-                self.tuner = cluster_tuner
-
-    @staticmethod
-    def _make_strategy(
-        strategy: str | Callable[[], Strategy] | None,
-    ) -> Strategy | None:
-        if strategy is None:
-            return None
-        if isinstance(strategy, str):
-            return make_strategy(strategy)
-        return strategy()
+        self.tuner: "ClusterTuner | None" = install_tuner(self, tuner)
 
     # ------------------------------------------------------------------
     # accessors
@@ -253,7 +286,7 @@ class Cluster:
     @property
     def node_names(self) -> list[str]:
         """Node names in creation order."""
-        return [n.name for n in self.fabric.nodes]
+        return [n.name for n in self.nodes]
 
     def api(self, node_name: str) -> MadAPI:
         """The packing API of one node."""

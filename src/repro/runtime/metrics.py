@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,14 @@ from repro.util.stats import Percentiles
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cluster import Cluster
 
-__all__ = ["MessageRecord", "LatencySummary", "SessionReport", "MetricsCollector"]
+__all__ = [
+    "MessageRecord",
+    "LatencySummary",
+    "SessionReport",
+    "MetricsCollector",
+    "assemble_report",
+    "stats_row",
+]
 
 
 def _nan_to_none(x: float):
@@ -49,6 +56,19 @@ class MessageRecord:
         """Submit-to-full-delivery time (virtual seconds)."""
         return self.complete_time - self.submit_time
 
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready view (how a live peer ships its records)."""
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["traffic_class"] = self.traffic_class.value
+        return out
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "MessageRecord":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            **{**payload, "traffic_class": TrafficClass(payload["traffic_class"])}
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class LatencySummary:
@@ -64,18 +84,14 @@ class LatencySummary:
 
     def to_dict(self) -> dict:
         """JSON-ready view (NaNs become None for strict parsers)."""
-
-        def _num(x: float):
-            return None if isinstance(x, float) and math.isnan(x) else x
-
         return {
             "count": self.count,
-            "mean": _num(self.mean),
-            "p50": _num(self.p50),
-            "p90": _num(self.p90),
-            "p99": _num(self.p99),
-            "min": _num(self.minimum),
-            "max": _num(self.maximum),
+            "mean": _nan_to_none(self.mean),
+            "p50": _nan_to_none(self.p50),
+            "p90": _nan_to_none(self.p90),
+            "p99": _nan_to_none(self.p99),
+            "min": _nan_to_none(self.minimum),
+            "max": _nan_to_none(self.maximum),
         }
 
     @classmethod
@@ -134,36 +150,14 @@ class SessionReport:
     latency_p999_us: float = math.nan
 
     def to_dict(self) -> dict:
-        """Full JSON-ready view of the report (``repro run --json``)."""
-        return {
-            "duration": self.duration,
-            "messages": self.messages,
-            "total_bytes": self.total_bytes,
-            "latency": self.latency.to_dict(),
-            "latency_by_class": {
-                tc.value: summary.to_dict()
-                for tc, summary in self.latency_by_class.items()
-            },
-            "throughput": self.throughput,
-            "message_rate": self.message_rate,
-            "network_transactions": self.network_transactions,
-            "data_packets": self.data_packets,
-            "control_packets": self.control_packets,
-            "aggregation_ratio": self.aggregation_ratio,
-            "nic_utilization": self.nic_utilization,
-            "host_time": self.host_time,
-            "rdv_count": self.rdv_count,
-            "retransmits": self.retransmits,
-            "packets_dropped": self.packets_dropped,
-            "packets_corrupted": self.packets_corrupted,
-            "packets_duplicated": self.packets_duplicated,
-            "failovers": self.failovers,
-            "rdv_timeouts": self.rdv_timeouts,
-            "degraded": self.degraded,
-            "lost_messages": self.lost_messages,
-            "latency_p99_us": _nan_to_none(self.latency_p99_us),
-            "latency_p999_us": _nan_to_none(self.latency_p999_us),
+        """Full JSON-ready view of the report (``repro run --json``):
+        every field, in declaration order, NaNs as None."""
+        out = {name: _nan_to_none(getattr(self, name)) for name in self.__slots__}
+        out["latency"] = self.latency.to_dict()
+        out["latency_by_class"] = {
+            tc.value: summary.to_dict() for tc, summary in self.latency_by_class.items()
         }
+        return out
 
     def row(self) -> dict[str, float]:
         """Flat numeric view for table printing."""
@@ -183,6 +177,67 @@ class SessionReport:
             "latency_p99_us": self.latency_p99_us,
             "latency_p999_us": self.latency_p999_us,
         }
+
+
+def stats_row(stats: Any) -> dict[str, Any]:
+    """One ``NicStats`` / ``EngineStats`` as a row for :func:`assemble_report`
+    (shallow: ``dataclasses.asdict`` would deep-copy the per-kind dicts)."""
+    return {name: getattr(stats, name) for name in stats.__slots__}
+
+
+def assemble_report(
+    records: Sequence[MessageRecord],
+    nics: Sequence[Mapping[str, Any]],
+    engines: Sequence[Mapping[str, Any]],
+    *,
+    duration: float,
+    elapsed: float,
+    transport_failovers: int = 0,
+    **extra: Any,
+) -> SessionReport:
+    """The one place a :class:`SessionReport` is put together.
+
+    ``nics`` and ``engines`` hold one row of cumulative counters per NIC
+    and per engine (:func:`stats_row` of ``NicStats`` / ``EngineStats``
+    — the form a live peer ships them in).  The planes differ in where the
+    rows come from and in what ``duration`` (the span rates are taken
+    over) and ``elapsed`` (the span a NIC could have been busy for)
+    mean on their clock; ``extra`` sets further report fields by name.
+    """
+
+    def total(rows: Sequence[Mapping[str, Any]], key: str):
+        return sum(row[key] for row in rows)
+
+    by_class: dict[TrafficClass, LatencySummary] = {}
+    for traffic_class in TrafficClass:
+        samples = [r.latency for r in records if r.traffic_class is traffic_class]
+        if samples:
+            by_class[traffic_class] = LatencySummary.of(samples)
+    total_bytes = sum(r.size for r in records)
+    data_packets = total(engines, "data_packets")
+    return SessionReport(
+        duration=duration,
+        messages=len(records),
+        total_bytes=total_bytes,
+        latency=LatencySummary.of([r.latency for r in records]),
+        latency_by_class=by_class,
+        throughput=total_bytes / duration if duration > 0 else 0.0,
+        message_rate=len(records) / duration if duration > 0 else 0.0,
+        network_transactions=total(nics, "requests"),
+        data_packets=data_packets,
+        control_packets=total(engines, "dispatches") - data_packets,
+        aggregation_ratio=(
+            total(engines, "data_segments") / data_packets if data_packets else 0.0
+        ),
+        nic_utilization=(
+            total(nics, "busy_time") / (len(nics) * elapsed) if nics else 0.0
+        ),
+        host_time=total(nics, "host_time"),
+        rdv_count=total(engines, "rdv_parked"),
+        rdv_timeouts=total(engines, "rdv_timeouts"),
+        failovers=total(engines, "failovers") + transport_failovers,
+        **extra,
+    )
 
 
 class MetricsCollector:
@@ -232,45 +287,10 @@ class MetricsCollector:
     def report(self, cluster: "Cluster", since: float = 0.0) -> SessionReport:
         """Build the session report for records submitted after ``since``."""
         records = [r for r in self.records if r.submit_time >= since]
-        latencies = [r.latency for r in records]
-        total_bytes = sum(r.size for r in records)
-        last_complete = max((r.complete_time for r in records), default=cluster.sim.now)
-        duration = max(last_complete - since, 0.0)
-
-        by_class: dict[TrafficClass, LatencySummary] = {}
-        for traffic_class in TrafficClass:
-            samples = [r.latency for r in records if r.traffic_class is traffic_class]
-            if samples:
-                by_class[traffic_class] = LatencySummary.of(samples)
-
-        transactions = 0
-        busy = 0.0
-        host = 0.0
-        nic_count = 0
-        for node in cluster.fabric.nodes:
-            for nic in node.nics:
-                transactions += nic.stats.requests
-                busy += nic.stats.busy_time
-                host += nic.stats.host_time
-                nic_count += 1
-        data_packets = sum(e.stats.data_packets for e in cluster.engines.values())
-        segments = sum(e.stats.data_segments for e in cluster.engines.values())
-        control = sum(
-            e.stats.dispatches - e.stats.data_packets for e in cluster.engines.values()
-        )
-        rdv = sum(e.stats.rdv_parked for e in cluster.engines.values())
-        elapsed = cluster.sim.now if cluster.sim.now > 0 else 1.0
-
+        now = cluster.sim.now
+        last_complete = max((r.complete_time for r in records), default=now)
         transport = getattr(cluster, "transport", None)
         plane = getattr(cluster, "fault_plane", None)
-        retransmits = transport.stats.retransmits if transport is not None else 0
-        failovers = sum(e.stats.failovers for e in cluster.engines.values())
-        if transport is not None:
-            failovers += transport.stats.failovers
-        dropped = plane.stats.drops if plane is not None else 0
-        corrupted = plane.stats.corruptions if plane is not None else 0
-        duplicated = plane.stats.duplicates if plane is not None else 0
-        rdv_timeouts = sum(e.stats.rdv_timeouts for e in cluster.engines.values())
 
         # Tail columns from the observability plane's message-latency
         # sketches (traced runs only; NaN otherwise).  Imported here so a
@@ -285,27 +305,17 @@ class MetricsCollector:
                 p99_us = pooled.quantile(0.99)
                 p999_us = pooled.quantile(0.999)
 
-        return SessionReport(
-            duration=duration,
-            messages=len(records),
-            total_bytes=total_bytes,
-            latency=LatencySummary.of(latencies),
-            latency_by_class=by_class,
-            throughput=total_bytes / duration if duration > 0 else 0.0,
-            message_rate=len(records) / duration if duration > 0 else 0.0,
-            network_transactions=transactions,
-            data_packets=data_packets,
-            control_packets=control,
-            aggregation_ratio=segments / data_packets if data_packets else 0.0,
-            nic_utilization=busy / (nic_count * elapsed) if nic_count else 0.0,
-            host_time=host,
-            rdv_count=rdv,
-            retransmits=retransmits,
-            packets_dropped=dropped,
-            packets_corrupted=corrupted,
-            packets_duplicated=duplicated,
-            failovers=failovers,
-            rdv_timeouts=rdv_timeouts,
+        return assemble_report(
+            records,
+            [stats_row(nic.stats) for node in cluster.nodes for nic in node.nics],
+            [stats_row(engine.stats) for engine in cluster.engines.values()],
+            duration=max(last_complete - since, 0.0),
+            elapsed=now if now > 0 else 1.0,
+            transport_failovers=transport.stats.failovers if transport is not None else 0,
+            retransmits=transport.stats.retransmits if transport is not None else 0,
+            packets_dropped=plane.stats.drops if plane is not None else 0,
+            packets_corrupted=plane.stats.corruptions if plane is not None else 0,
+            packets_duplicated=plane.stats.duplicates if plane is not None else 0,
             latency_p99_us=p99_us,
             latency_p999_us=p999_us,
         )

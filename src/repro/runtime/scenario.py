@@ -44,6 +44,7 @@ experiment it configures.
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -78,7 +79,8 @@ from repro.util.errors import ConfigurationError
 __all__ = [
     "APP_TYPES",
     "POLICY_TYPES",
-    "build_app",
+    "parse_cluster",
+    "build_workloads",
     "build_scenario",
     "run_scenario",
     "load_scenario_file",
@@ -124,6 +126,10 @@ _CLUSTER_KEYS = frozenset(
     {"n_nodes", "networks", "engine", "strategy", "policy", "config", "seed"}
 )
 _RUN_KEYS = frozenset({"until", "warmup"})
+#: What an absent ``cluster`` key means: the constructor's own default.
+_CLUSTER_DEFAULTS = {
+    key: inspect.signature(Cluster).parameters[key].default for key in _CLUSTER_KEYS
+}
 
 
 def _reject_unknown_keys(spec: Mapping[str, Any], known: frozenset, where: str) -> None:
@@ -146,11 +152,39 @@ def _parse_traffic_class(value: Any) -> Any:
     return value
 
 
-def build_app(spec: Mapping[str, Any]) -> AppBase:
-    """One workload-list entry into an (uninstalled) app instance.
+def parse_cluster(scenario: Mapping[str, Any]) -> dict[str, Any]:
+    """The ``cluster`` block as :class:`Cluster` keyword arguments.
 
-    Public because the live plane builds its apps per peer process from
-    the same scenario grammar (:mod:`repro.live.peer`)."""
+    Every ``cluster`` key is present in the result (absent ones at the
+    constructor's default), with ``policy`` resolved to its factory,
+    ``config`` to an :class:`EngineConfig` and ``networks`` to tuples.
+    Both planes read the block through here — the simulator to build a
+    :class:`Cluster`, the live coordinator (before it forks) and every
+    live peer to build one node's stack — so a typo fails the same way
+    everywhere.
+    """
+    _reject_unknown_keys(scenario, _SCENARIO_KEYS, "scenario")
+    block = scenario.get("cluster", {})
+    _reject_unknown_keys(block, _CLUSTER_KEYS, "cluster")
+    spec = {**_CLUSTER_DEFAULTS, **block}
+    if spec["policy"] is not None:
+        try:
+            spec["policy"] = POLICY_TYPES[spec["policy"]]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown policy {spec['policy']!r} (known: {sorted(POLICY_TYPES)})"
+            ) from None
+    if spec["config"] is not None:
+        try:
+            spec["config"] = EngineConfig(**spec["config"])
+        except TypeError as bad:
+            raise ConfigurationError(f"engine config: {bad}") from None
+    spec["networks"] = [tuple(net) for net in spec["networks"]]
+    return spec
+
+
+def _build_app(spec: Mapping[str, Any], index: int) -> AppBase:
+    """The ``index``-th workload-list entry into an (uninstalled) app."""
     spec = dict(spec)
     try:
         app_name = spec.pop("app")
@@ -162,6 +196,10 @@ def build_app(spec: Mapping[str, Any]) -> AppBase:
         raise ConfigurationError(
             f"unknown app {app_name!r} (known: {sorted(APP_TYPES)})"
         ) from None
+    # Named by position, not by a process-wide counter: RNG stream names
+    # derive from app names, so the same scenario must name its apps the
+    # same way on every run in a process and on every live peer.
+    spec.setdefault("name", f"{app_type.__name__}{index}")
     if "traffic_class" in spec:
         spec["traffic_class"] = _parse_traffic_class(spec["traffic_class"])
     try:
@@ -179,42 +217,28 @@ def build_app(spec: Mapping[str, Any]) -> AppBase:
         raise ConfigurationError(f"app {app_name!r}: {bad}") from None
 
 
-def build_scenario(scenario: Mapping[str, Any]) -> tuple[Cluster, list[AppBase]]:
-    """Build the cluster and (uninstalled) workload apps of a scenario."""
-    _reject_unknown_keys(scenario, _SCENARIO_KEYS, "scenario")
-    cluster_spec = dict(scenario.get("cluster", {}))
-    _reject_unknown_keys(cluster_spec, _CLUSTER_KEYS, "cluster")
-    policy_name = cluster_spec.pop("policy", None)
-    if policy_name is not None:
-        try:
-            cluster_spec["policy"] = POLICY_TYPES[policy_name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown policy {policy_name!r} (known: {sorted(POLICY_TYPES)})"
-            ) from None
-    config_spec = cluster_spec.pop("config", None)
-    if config_spec is not None:
-        try:
-            cluster_spec["config"] = EngineConfig(**config_spec)
-        except TypeError as bad:
-            raise ConfigurationError(f"engine config: {bad}") from None
-    networks = cluster_spec.get("networks")
-    if networks is not None:
-        cluster_spec["networks"] = [tuple(net) for net in networks]
-    faults_spec = scenario.get("faults")
-    if faults_spec is not None:
-        cluster_spec["faults"] = faults_spec
-    obs_spec = scenario.get("observability")
-    if obs_spec is not None:
-        cluster_spec["observability"] = obs_spec
-    tuner_spec = scenario.get("tuner")
-    if tuner_spec is not None:
-        cluster_spec["tuner"] = tuner_spec
-    cluster = Cluster(**cluster_spec)
-    apps = [build_app(entry) for entry in scenario.get("workloads", [])]
+def build_workloads(scenario: Mapping[str, Any]) -> list[AppBase]:
+    """The (uninstalled) workload apps of a scenario, in list order.
+
+    Shared by both planes: a live peer installs the same apps, under
+    the same names, that the simulator would."""
+    apps = [
+        _build_app(entry, index)
+        for index, entry in enumerate(scenario.get("workloads", []))
+    ]
     if not apps:
         raise ConfigurationError("scenario has no workloads")
-    return cluster, apps
+    return apps
+
+
+def build_scenario(scenario: Mapping[str, Any]) -> tuple[Cluster, list[AppBase]]:
+    """Build the cluster and (uninstalled) workload apps of a scenario."""
+    cluster_spec = parse_cluster(scenario)
+    for block in ("faults", "observability", "tuner"):
+        if scenario.get(block) is not None:
+            cluster_spec[block] = scenario[block]
+    cluster = Cluster(**cluster_spec)
+    return cluster, build_workloads(scenario)
 
 
 def run_scenario(

@@ -63,6 +63,39 @@ class TestValidation:
             run_live_scenario(scenario)
 
 
+class TestFailsBeforeFork:
+    """A scenario the simulator rejects is rejected by the coordinator,
+    in the simulator's words, before any peer process exists."""
+
+    @pytest.mark.parametrize(
+        "cluster_patch",
+        [
+            {"n_nodez": 3},
+            {"policy": "round-robin"},
+            {"config": {"lookahead_windw": 4}},
+            {"networks": [["mx", 0]]},
+        ],
+        ids=["unknown-cluster-key", "unknown-policy", "bad-config-field", "zero-nics"],
+    )
+    def test_bad_cluster_block(self, cluster_patch, monkeypatch):
+        from repro.runtime.scenario import build_scenario
+
+        scenario = _scenario(
+            [{"app": "pingpong", "src": "n0", "dst": "n1", "size": 64, "count": 1}]
+        )
+        scenario["cluster"].update(cluster_patch)
+        with pytest.raises(ConfigurationError) as from_sim:
+            build_scenario(scenario)
+
+        def no_spawn(*args, **kwargs):
+            pytest.fail("a peer was spawned for a scenario that cannot be built")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        with pytest.raises(ConfigurationError) as from_live:
+            run_live_scenario(scenario, timeout=_TIMEOUT)
+        assert str(from_live.value) == str(from_sim.value)
+
+
 class TestPingPong:
     def test_uds_roundtrips_byte_identical(self):
         result = run_live_scenario(

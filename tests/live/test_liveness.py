@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.live.cluster import survivor_agreement
 from repro.live.liveness import Backoff, HeartbeatLedger, PeerWatchdog
 from repro.util.errors import ConfigurationError
 
@@ -126,3 +127,74 @@ class TestPeerWatchdog:
     def test_bad_dead_after_rejected(self):
         with pytest.raises(ConfigurationError):
             PeerWatchdog({0: "n0"}, dead_after=0.0)
+
+
+def _status(submitted=0, done_sent=0, done_received=0, **more):
+    return {
+        "quiet": True,
+        "submitted": submitted,
+        "done_sent": done_sent,
+        "done_received": done_received,
+        **more,
+    }
+
+
+class TestSurvivorAgreement:
+    """The coordinator's counter agreement, without any process."""
+
+    def test_no_deaths_is_the_three_way_check(self):
+        balanced = {
+            0: _status(submitted=5, done_sent=3, done_received=5),
+            1: _status(submitted=3, done_sent=5, done_received=3),
+        }
+        snapshot, agree = survivor_agreement(balanced, [])
+        assert agree
+        assert snapshot == (8, 8, 8, 8, ())
+        # One message still in flight: submitted, not yet acknowledged.
+        balanced[0]["submitted"] = 6
+        assert not survivor_agreement(balanced, [])[1]
+        # A DONE on the wire: sent by n1, not yet received by n0.
+        balanced[0]["submitted"] = 5
+        balanced[1]["done_sent"] = 6
+        assert not survivor_agreement(balanced, [])[1]
+
+    def test_done_sent_to_a_dead_peer_is_netted_out(self):
+        # n0 acknowledged 2 messages to n2 before n2 died: nobody alive
+        # will ever count them as received.
+        statuses = {
+            0: _status(submitted=4, done_sent=6, done_received=4,
+                       done_by_dst={"n1": 4, "n2": 2}),
+            1: _status(submitted=4, done_sent=4, done_received=4,
+                       done_by_dst={"n0": 4}),
+        }
+        assert not survivor_agreement(statuses, [])[1]
+        snapshot, agree = survivor_agreement(statuses, ["n2"])
+        assert agree
+        assert snapshot == (8, 8, 8, 8, ("n2",))
+
+    def test_done_received_from_a_dead_peer_is_netted_out(self):
+        # n2 acknowledged 3 of n0's messages, then died.
+        statuses = {
+            0: _status(submitted=7, done_sent=4, done_received=7,
+                       done_rx_by_src={"n1": 4, "n2": 3}),
+            1: _status(submitted=4, done_sent=4, done_received=4),
+        }
+        snapshot, agree = survivor_agreement(statuses, ["n2"])
+        assert agree
+        assert snapshot == (11, 11, 8, 8, ("n2",))
+
+    def test_abandoned_messages_need_no_done(self):
+        statuses = {
+            0: _status(submitted=9, done_sent=0, done_received=6, abandoned=3),
+            1: _status(submitted=0, done_sent=6, done_received=0),
+        }
+        snapshot, agree = survivor_agreement(statuses, ["n2"])
+        assert agree
+        assert snapshot[0] == 6
+
+    def test_a_silent_survivor_is_never_agreement(self):
+        # Both equations balance over the one rank that answered, but
+        # rank 1 is alive and said nothing this poll.
+        statuses = {0: _status(submitted=2, done_sent=2, done_received=2), 1: None}
+        assert not survivor_agreement(statuses, [])[1]
+        assert survivor_agreement({0: statuses[0]}, [])[1]

@@ -1,11 +1,13 @@
 """Sampler correctness: what it records must equal a direct recount."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import ObservabilitySampler
 from repro.runtime.cluster import Cluster
+from repro.util.errors import ConfigurationError
 
 
 def _drive(cluster: Cluster, sizes, dst="n1"):
@@ -80,6 +82,50 @@ class TestAgainstRecount:
         cluster.run_until_idle()
         assert sampler.series("backlog") == [s.backlog for s in sampler.samples]
         assert sampler.times == [s.time for s in sampler.samples]
+
+
+class TestCadence:
+    def test_samples_are_one_interval_apart(self):
+        cluster = Cluster(seed=1)
+        sampler = ObservabilitySampler(cluster, 1e-5)
+        _drive(cluster, [4096] * 16)
+        cluster.run_until_idle()
+        times = sampler.times
+        assert len(times) >= 5
+        assert all(abs(b - a - 1e-5) < 1e-12 for a, b in zip(times, times[1:]))
+
+    def test_horizon_bounds_sampling(self):
+        cluster = Cluster(seed=1)
+        sampler = ObservabilitySampler(cluster, 1e-5, horizon=3e-5)
+        _drive(cluster, [4096] * 16)
+        cluster.run_until_idle()
+        assert sampler.samples
+        assert all(s.time <= 3e-5 for s in sampler.samples)
+
+    def test_messages_completed_monotone(self):
+        cluster = Cluster(seed=1)
+        sampler = ObservabilitySampler(cluster, 1e-5)
+        _drive(cluster, [4096] * 16)
+        cluster.run_until_idle()
+        completed = sampler.series("messages_completed")
+        assert all(b >= a for a, b in zip(completed, completed[1:]))
+        assert completed[-1] == 16
+
+
+class TestValidation:
+    def test_interval_positive(self):
+        with pytest.raises(ConfigurationError):
+            ObservabilitySampler(Cluster(), 0.0)
+
+    def test_horizon_positive(self):
+        with pytest.raises(ConfigurationError):
+            ObservabilitySampler(Cluster(), 1e-6, horizon=-1.0)
+
+    def test_unknown_field(self):
+        sampler = ObservabilitySampler(Cluster(), 1e-6, horizon=1e-5)
+        sampler.sample_once()
+        with pytest.raises(ConfigurationError):
+            sampler.series("bogus")
 
 
 class TestRegistryUpdates:

@@ -218,6 +218,35 @@ class TestRunScenario:
         assert cluster.sim.now == 1e-5
 
 
+class TestRepeatable:
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_in_process_repeats_send_the_same_traffic(self, traced):
+        """App names — and so RNG stream names — come from the scenario,
+        not from how many apps the process built before."""
+        scenario = load_scenario_file("examples/scenario_mixed.json")
+        if traced:
+            scenario["observability"] = {"trace": True}
+        outcomes = []
+        for _ in range(3):
+            report, _cluster, _apps = run_scenario(scenario)
+            outcomes.append((report.messages, report.data_packets, report.latency.mean))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_unnamed_workloads_named_by_position(self):
+        for _ in range(2):
+            _cluster, apps = build_scenario(
+                minimal_scenario(
+                    workloads=[
+                        {"app": "stream", "src": "n0", "dst": "n1", "count": 1},
+                        {"app": "stream", "src": "n0", "dst": "n1", "count": 1,
+                         "name": "mine"},
+                        {"app": "pingpong", "src": "n0", "dst": "n1", "count": 1},
+                    ]
+                )
+            )
+            assert [app.name for app in apps] == ["StreamApp0", "mine", "PingPongApp2"]
+
+
 class TestScenarioFile:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "s.json"
