@@ -294,19 +294,19 @@ def tracing_overhead(
       the bare cost of the guard branches;
     * ``off``   — the production default: NullTracer, no sinks,
       ``enabled`` False;
-    * ``full``  — a :class:`~repro.obs.recorder.RingBufferSink` plus a
-      :class:`~repro.obs.causal.TailExemplars` reservoir subscribed
-      (the sinks a traced plane installs): explain collection, score
-      breakdowns, one ``optimizer.decide`` record per decision retained
-      in the ring, and the span-collector dispatch per event.
+    * ``full``  — an :class:`~repro.obs.plane.ObservabilityPlane` with
+      a 4096-event flight recorder installed, i.e. exactly the sinks a
+      traced run pays for (ring buffer, tail recorder, exemplar
+      reservoir) plus the tail view on the engine: explain collection,
+      score breakdowns, a ``tail_hint`` lookup and one
+      ``optimizer.decide`` record per decision.
 
     Every loop replicates the pump's emission guard, so ``full`` pays
     for the decide record exactly as a traced run does.  Returns the
     three rates plus ``overhead_off`` (off vs inert) and
     ``overhead_full`` (full vs off) as fractions.
     """
-    from repro.obs.causal import TailExemplars
-    from repro.obs.recorder import RingBufferSink
+    from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
 
     def setup(traced: bool):
         cluster = build_loaded_cluster(
@@ -316,8 +316,7 @@ def tracing_overhead(
         )
         engine = cluster.engine("n0")
         if traced:
-            cluster.sim.tracer.subscribe(RingBufferSink(4096))
-            cluster.sim.tracer.subscribe(TailExemplars(4))
+            ObservabilityPlane(ObservabilityConfig(ring_buffer=4096)).install(cluster)
         return engine
 
     engines = {

@@ -50,7 +50,6 @@ from repro.obs.merge import (
     extract_crossings,
     merge_histograms,
     merge_registries,
-    merge_sketches,
 )
 from repro.obs.metrics import (
     Counter,
@@ -116,7 +115,6 @@ __all__ = [
     "load_events",
     "merge_histograms",
     "merge_registries",
-    "merge_sketches",
     "parse_serve_address",
     "parse_slo",
     "pooled_message_sketch",

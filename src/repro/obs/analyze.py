@@ -194,7 +194,7 @@ class TraceAnalysis:
 
 def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
     """Run the full analysis over normalized trace events."""
-    from repro.obs.causal import attribute_chain
+    from repro.obs.causal import collector_report
     from repro.obs.spans import SpanCollector
 
     analysis = TraceAnalysis()
@@ -226,30 +226,12 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
             retransmit_times.append(event.time)
     analysis.retransmit_count = len(retransmit_times)
     analysis.retransmit_storms = _count_storms(retransmit_times)
-    spans.finish()
-    analysis.trace_seen = spans.trace_seen
-    analysis.trace_dropped = spans.trace_dropped
-    analysis.blame_incomplete = spans.incomplete
-    blame_edges: dict[str, dict] = {}
-    for chain in spans.drain_completed():
-        blame = attribute_chain(chain, spans.hold_windows)
-        if blame is None:
-            continue
-        analysis.blame_messages += 1
-        slot = blame_edges.setdefault(
-            blame.edge, {"messages": 0, "e2e_s": 0.0, "buckets_s": {}}
-        )
-        slot["messages"] += 1
-        slot["e2e_s"] += blame.e2e
-        for bucket, value in blame.buckets.items():
-            slot["buckets_s"][bucket] = slot["buckets_s"].get(bucket, 0.0) + value
-    for slot in blame_edges.values():
-        e2e = slot["e2e_s"]
-        slot["fractions"] = {
-            bucket: (value / e2e if e2e > 0 else 0.0)
-            for bucket, value in slot["buckets_s"].items()
-        }
-    analysis.blame = blame_edges
+    report = collector_report(spans)
+    analysis.trace_seen = report.trace_seen
+    analysis.trace_dropped = report.trace_dropped
+    analysis.blame_incomplete = report.incomplete
+    analysis.blame_messages = len(report.messages)
+    analysis.blame = report.edges()
     return analysis
 
 

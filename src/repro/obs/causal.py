@@ -50,7 +50,9 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
 from repro.obs.spans import (
@@ -61,7 +63,7 @@ from repro.obs.spans import (
     subtract_intervals,
     total_length,
 )
-from repro.util.tracing import TraceEvent
+from repro.util.tracing import KindSink, TraceEvent
 
 __all__ = [
     "BLAME_BUCKETS",
@@ -70,6 +72,7 @@ __all__ = [
     "TailExemplars",
     "attribute_chain",
     "attribute_events",
+    "collector_report",
     "export_blame",
     "render_waterfall",
     "render_report",
@@ -135,8 +138,8 @@ def _balanced(buckets: dict[str, float], total: float) -> dict[str, float]:
     float rounding; any tiny negative residual is shaved off the largest
     named bucket rather than reported as negative time.
     """
-    attributed = sum(v for k, v in buckets.items() if k != "unattributed")
-    residual = total - attributed
+    buckets["unattributed"] = 0.0
+    residual = total - sum(buckets.values())
     if residual < 0.0:
         largest = max(
             (k for k in buckets if k != "unattributed"), key=buckets.__getitem__
@@ -147,44 +150,50 @@ def _balanced(buckets: dict[str, float], total: float) -> dict[str, float]:
     return buckets
 
 
+_window_start = itemgetter(0)
+
+
+def _clipped(
+    windows: Iterable[tuple[float, float | None]], lo: float, hi: float
+) -> list[tuple[float, float]]:
+    """Union of ``windows`` within ``[lo, hi]``; open windows end at ``hi``."""
+    if not windows:
+        return []
+    closed = ((start, end if end is not None else hi) for start, end in windows)
+    return interval_overlap(merge_intervals(closed), lo, hi)
+
+
 def attribute_chain(
     chain: MessageChain,
     hold_windows: Mapping[str, list[tuple[float, float | None]]] | None = None,
 ) -> MessageBlame | None:
-    """Attribute one completed chain; None when it never completed."""
+    """Attribute one completed chain; None when it never completed.
+    ``hold_windows`` (:attr:`SpanCollector.hold_windows`) holds, per
+    node, start-sorted disjoint ``(arm_t, fire_t | None)`` windows."""
     if chain.complete_t is None:
         return None
     t0 = chain.submit_t
     t1 = max(chain.complete_t, t0)
     total = t1 - t0
     buckets = dict.fromkeys(BLAME_BUCKETS, 0.0)
-    legs = [leg for leg in chain.legs if leg.done_t is not None]
-    crit = max(legs, key=lambda leg: leg.done_t, default=None)
+    # The critical leg: the (first) one whose payload arrived last.
+    crit, crit_done = None, None
+    for leg in chain.legs:
+        done = leg.done_t
+        if done is not None and (crit is None or done > crit_done):
+            crit, crit_done = leg, done
     if crit is not None:
         send = crit.send_t if crit.send_t is not None else crit.dispatch_t
         send = min(max(send if send is not None else t0, t0), t1)
-        deliver = min(max(crit.done_t, send), t1)
+        deliver = min(max(crit_done, send), t1)
         # -- queue span [t0, send]: rdv beats hold beats nic_queue ------
-        rdv = interval_overlap(
-            merge_intervals(
-                (start, end if end is not None else send)
-                for start, end in chain.rdv_windows
-            ),
-            t0,
-            send,
-        )
+        rdv = _clipped(chain.rdv_windows, t0, send)
         windows = (hold_windows or {}).get(chain.src, ())
-        hold = subtract_intervals(
-            interval_overlap(
-                merge_intervals(
-                    (start, end if end is not None else send)
-                    for start, end in windows
-                ),
-                t0,
-                send,
-            ),
-            rdv,
-        )
+        # Only the window straddling t0 (if any) through the last one
+        # armed before `send` can overlap the queue span.
+        first = max(bisect_right(windows, t0, key=_window_start) - 1, 0)
+        last = bisect_left(windows, send, key=_window_start)
+        hold = subtract_intervals(_clipped(windows[first:last], t0, send), rdv)
         buckets["rdv"] = total_length(rdv)
         buckets["hold"] = total_length(hold)
         buckets["nic_queue"] = max(
@@ -205,7 +214,7 @@ def attribute_chain(
         )
         # -- receive span [arrival, deliver]: reorder-buffer residency --
         buckets["reorder"] = max(deliver - t_phys, 0.0)
-    blame = MessageBlame(
+    return MessageBlame(
         key=chain.key,
         flow=chain.flow,
         src=chain.src,
@@ -216,9 +225,7 @@ def attribute_chain(
         e2e=total,
         buckets=_balanced(buckets, total),
         critical_leg=crit.key if crit is not None else None,
-    )
-    for leg in chain.legs:
-        blame.legs.append(
+        legs=[
             {
                 "leg": leg.key,
                 "nic": leg.nic,
@@ -228,15 +235,43 @@ def attribute_chain(
                 "deliver_t": leg.done_t,
                 "retransmits": len(leg.retransmits),
                 "reordered": leg.reorder_enter_t is not None,
-                "critical": crit is not None and leg is crit,
+                "critical": leg is crit,
             }
-        )
-    return blame
+            for leg in chain.legs
+        ],
+    )
 
 
 # ----------------------------------------------------------------------
 # report over a whole trace
 # ----------------------------------------------------------------------
+def _fold(edges: dict[str, dict[str, Any]], blame: MessageBlame) -> dict[str, Any]:
+    """Add one message to its edge's running sums; returns the edge's slot."""
+    edge = blame.edge
+    slot = edges.get(edge)
+    if slot is None:
+        slot = edges[edge] = {
+            "messages": 0,
+            "e2e_s": 0.0,
+            "buckets_s": dict.fromkeys(BLAME_BUCKETS, 0.0),
+        }
+    slot["messages"] += 1
+    slot["e2e_s"] += blame.e2e
+    sums = slot["buckets_s"]
+    for bucket, value in blame.buckets.items():
+        sums[bucket] += value
+    return slot
+
+
+def _fractions(slot: Mapping[str, Any]) -> dict[str, float]:
+    """Each bucket's share of an edge slot's summed end-to-end latency."""
+    e2e = slot["e2e_s"]
+    return {
+        bucket: (value / e2e if e2e > 0 else 0.0)
+        for bucket, value in slot["buckets_s"].items()
+    }
+
+
 @dataclass(slots=True)
 class CausalReport:
     """Attribution for every completed message in one trace."""
@@ -254,24 +289,9 @@ class CausalReport:
         """Per-edge blame sums and fractions."""
         out: dict[str, dict[str, Any]] = {}
         for blame in self.messages:
-            slot = out.setdefault(
-                blame.edge,
-                {
-                    "messages": 0,
-                    "e2e_s": 0.0,
-                    "buckets_s": dict.fromkeys(BLAME_BUCKETS, 0.0),
-                },
-            )
-            slot["messages"] += 1
-            slot["e2e_s"] += blame.e2e
-            for bucket, value in blame.buckets.items():
-                slot["buckets_s"][bucket] += value
+            _fold(out, blame)
         for slot in out.values():
-            e2e = slot["e2e_s"]
-            slot["fractions"] = {
-                bucket: (value / e2e if e2e > 0 else 0.0)
-                for bucket, value in slot["buckets_s"].items()
-            }
+            slot["fractions"] = _fractions(slot)
         return out
 
     def slowest(self, k: int) -> list[MessageBlame]:
@@ -315,10 +335,8 @@ def export_blame(
             ).set(value / e2e if e2e > 0 else 0.0)
 
 
-def attribute_events(events: Iterable[TraceEvent]) -> CausalReport:
-    """Run span reconstruction + attribution over a full event stream."""
-    collector = SpanCollector()
-    collector.ingest_all(events)
+def collector_report(collector: SpanCollector) -> CausalReport:
+    """Close out a fully-fed collector and attribute what it completed."""
     collector.finish()
     report = CausalReport(
         incomplete=collector.incomplete,
@@ -332,10 +350,17 @@ def attribute_events(events: Iterable[TraceEvent]) -> CausalReport:
     return report
 
 
+def attribute_events(events: Iterable[TraceEvent]) -> CausalReport:
+    """Run span reconstruction + attribution over a full event stream."""
+    collector = SpanCollector()
+    collector.ingest_all(events)
+    return collector_report(collector)
+
+
 # ----------------------------------------------------------------------
 # slowest-K exemplar reservoir (live tracer sink)
 # ----------------------------------------------------------------------
-class TailExemplars:
+class TailExemplars(KindSink):
     """Keep full span chains of the slowest-K messages per edge.
 
     Subscribes as a tracer sink next to the ring buffer: while the ring
@@ -352,11 +377,13 @@ class TailExemplars:
         self.messages_attributed = 0
         self._collector = SpanCollector()
         self._edges: dict[str, dict[str, Any]] = {}
+        # The collector's table; the kind that completes chains also absorbs.
+        self.handlers = dict(self._collector.handlers)
+        self.handlers["message.complete"] = self._on_complete
 
-    def __call__(self, event: TraceEvent) -> None:
-        self._collector.ingest(event)
-        if self._collector.completed:
-            self._absorb()
+    def _on_complete(self, event: TraceEvent) -> None:
+        self._collector.handlers["message.complete"](event)
+        self._absorb()
 
     def _absorb(self) -> None:
         for chain in self._collector.drain_completed():
@@ -366,21 +393,12 @@ class TailExemplars:
 
     def add(self, blame: MessageBlame) -> None:
         """Fold one attributed message into its edge's reservoir."""
-        slot = self._edges.setdefault(
-            blame.edge,
-            {
-                "messages": 0,
-                "e2e_s": 0.0,
-                "buckets_s": dict.fromkeys(BLAME_BUCKETS, 0.0),
-                "exemplars": [],
-            },
-        )
         self.messages_attributed += 1
-        slot["messages"] += 1
-        slot["e2e_s"] += blame.e2e
-        for bucket, value in blame.buckets.items():
-            slot["buckets_s"][bucket] += value
-        exemplars: list[MessageBlame] = slot["exemplars"]
+        exemplars = _fold(self._edges, blame).setdefault("exemplars", [])
+        if len(exemplars) >= self.k and (
+            not exemplars or blame.e2e <= exemplars[-1].e2e
+        ):
+            return  # not among the slowest K (ties keep the earlier one)
         exemplars.append(blame)
         exemplars.sort(key=lambda b: b.e2e, reverse=True)
         del exemplars[self.k :]
@@ -392,19 +410,16 @@ class TailExemplars:
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready per-edge blame sums, fractions, and exemplars."""
-        edges: dict[str, Any] = {}
-        for edge, slot in self._edges.items():
-            e2e = slot["e2e_s"]
-            edges[edge] = {
+        edges = {
+            edge: {
                 "messages": slot["messages"],
-                "e2e_s": e2e,
+                "e2e_s": slot["e2e_s"],
                 "buckets_s": dict(slot["buckets_s"]),
-                "fractions": {
-                    bucket: (value / e2e if e2e > 0 else 0.0)
-                    for bucket, value in slot["buckets_s"].items()
-                },
+                "fractions": _fractions(slot),
                 "exemplars": [b.to_dict() for b in slot["exemplars"]],
             }
+            for edge, slot in self._edges.items()
+        }
         return {
             "k": self.k,
             "messages": self.messages_attributed,

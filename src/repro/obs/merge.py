@@ -29,7 +29,7 @@ process*.  This module turns those fragments into one coherent picture:
   commutative), gauges take the last writer, histograms merge
   bucket-wise — which equals the histogram of the union of the raw
   observations because bucket bounds are fixed at construction — and
-  quantile sketches merge level-wise (:func:`merge_sketches`), which
+  quantile sketches merge level-wise (:meth:`QuantileSketch.merge`), which
   replaces raw-sample pooling for cross-peer tail percentiles.
 * **Sketch offset correction** — a live peer records one-way edge
   latencies against *raw* clocks (it cannot know the cluster offsets
@@ -50,6 +50,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     QuantileSketch,
+    snapshot_entry,
 )
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent
@@ -65,7 +66,6 @@ __all__ = [
     "merge_registries",
     "aggregate_registries",
     "merge_histograms",
-    "merge_sketches",
     "correct_edge_sketches",
 ]
 
@@ -266,40 +266,6 @@ def _as_registry(source: "MetricsRegistry | Mapping[str, Any]") -> MetricsRegist
     return MetricsRegistry.from_snapshot(source)
 
 
-def _snapshot_entry(
-    metric: "Counter | Gauge | Histogram | QuantileSketch",
-    help_text: str,
-    labels: Mapping[str, str],
-) -> dict[str, Any]:
-    """Snapshot-shaped dict for one instrument with replacement labels.
-
-    Adoption into another registry goes through the snapshot insertion
-    path so bucket bounds are copied verbatim (recomputing them from
-    ``base``/``growth`` would risk float drift and a spurious bounds
-    mismatch on a later merge) and so the usual kind/name validation
-    applies.
-    """
-    entry: dict[str, Any] = {
-        "name": metric.name,
-        "kind": metric.kind,
-        "labels": [[k, v] for k, v in labels.items()],
-        "help": help_text,
-    }
-    if isinstance(metric, Histogram):
-        entry.update(
-            bounds=list(metric.bounds),
-            counts=list(metric.counts),
-            inf_count=metric.inf_count,
-            total=metric.total,
-            count=metric.count,
-        )
-    elif isinstance(metric, QuantileSketch):
-        entry.update(metric.state())
-    else:
-        entry["value"] = metric.value
-    return entry
-
-
 def merge_registries(
     per_peer: Mapping[str, "MetricsRegistry | Mapping[str, Any]"],
     *,
@@ -326,7 +292,11 @@ def merge_registries(
                 )
             labels[label] = peer
             help_text = registry._help.get(metric.name, "")
-            cluster._insert_snapshot_entry(_snapshot_entry(metric, help_text, labels))
+            # Adopt through the snapshot path: bucket bounds are copied
+            # verbatim (no float drift) and kind/name validation applies.
+            cluster._insert_snapshot_entry(
+                snapshot_entry(metric, help_text, labels.items())
+            )
     return cluster
 
 
@@ -351,18 +321,6 @@ def merge_histograms(target: Histogram, source: Histogram) -> Histogram:
     return target
 
 
-def merge_sketches(target: QuantileSketch, source: QuantileSketch) -> QuantileSketch:
-    """Level-wise merge of ``source`` into ``target`` (same ``k``).
-
-    Weight conservation makes the merged sketch summarize exactly the
-    union of both raw streams, so merged quantiles match pooled-stream
-    quantiles within the sketch's rank-error bound — associatively and
-    commutatively, which is what lets cross-peer tail percentiles drop
-    raw-sample pooling entirely.
-    """
-    return target.merge(source)
-
-
 def aggregate_registries(
     sources: Iterable["MetricsRegistry | Mapping[str, Any]"],
 ) -> MetricsRegistry:
@@ -371,7 +329,7 @@ def aggregate_registries(
     Counters sum (so the operation is associative and commutative up to
     float addition), gauges keep the last writer in input order,
     histograms merge bucket-wise via :func:`merge_histograms`, and
-    quantile sketches merge level-wise via :func:`merge_sketches`.
+    quantile sketches merge level-wise via :meth:`QuantileSketch.merge`.
     Inputs disagreeing on a metric's *kind* are a configuration error,
     same as within one registry.
     """
@@ -395,14 +353,14 @@ def aggregate_registries(
                 existing = out.get(metric.name, labels)
                 if existing is None:
                     out._insert_snapshot_entry(
-                        _snapshot_entry(metric, help_text, labels)
+                        snapshot_entry(metric, help_text, labels.items())
                     )
                 elif isinstance(metric, Histogram):
                     assert isinstance(existing, Histogram)
                     merge_histograms(existing, metric)
                 else:
                     assert isinstance(existing, QuantileSketch)
-                    merge_sketches(existing, metric)
+                    existing.merge(metric)
     return out
 
 

@@ -415,27 +415,10 @@ class MetricsRegistry:
         control protocol (see :mod:`repro.obs.merge` for the cross-peer
         merge semantics).
         """
-        metrics: list[dict[str, Any]] = []
-        for (name, labels), metric in sorted(self._metrics.items()):
-            entry: dict[str, Any] = {
-                "name": name,
-                "kind": metric.kind,
-                "labels": [list(pair) for pair in labels],
-                "help": self._help.get(name, ""),
-            }
-            if isinstance(metric, Histogram):
-                entry.update(
-                    bounds=list(metric.bounds),
-                    counts=list(metric.counts),
-                    inf_count=metric.inf_count,
-                    total=metric.total,
-                    count=metric.count,
-                )
-            elif isinstance(metric, QuantileSketch):
-                entry.update(metric.state())
-            else:
-                entry["value"] = metric.value
-            metrics.append(entry)
+        metrics = [
+            snapshot_entry(metric, self._help.get(name, ""), labels)
+            for (name, labels), metric in sorted(self._metrics.items())
+        ]
         return {"namespace": self.namespace, "metrics": metrics}
 
     @classmethod
@@ -487,6 +470,33 @@ class MetricsRegistry:
         help_text = entry.get("help")
         if help_text and name not in self._help:
             self._help[name] = str(help_text)
+
+
+def snapshot_entry(
+    metric: "Counter | Gauge | Histogram | QuantileSketch",
+    help_text: str,
+    labels: Iterable[tuple[str, str]],
+) -> dict[str, Any]:
+    """Snapshot-shaped dict for one instrument under the given labels."""
+    entry: dict[str, Any] = {
+        "name": metric.name,
+        "kind": metric.kind,
+        "labels": [list(pair) for pair in labels],
+        "help": help_text,
+    }
+    if isinstance(metric, Histogram):
+        entry.update(
+            bounds=list(metric.bounds),
+            counts=list(metric.counts),
+            inf_count=metric.inf_count,
+            total=metric.total,
+            count=metric.count,
+        )
+    elif isinstance(metric, QuantileSketch):
+        entry.update(metric.state())
+    else:
+        entry["value"] = metric.value
+    return entry
 
 
 def _num(value: float) -> str:

@@ -188,57 +188,45 @@ class ObservabilityPlane:
         if cluster is None:
             return
         registry = self.registry
+
+        def mirror(name: str, value: float, help: str, **labels: str) -> None:
+            registry.counter(name, labels or None, help=help).set_total(value)
+
         for name, engine in cluster.engines.items():
-            labels = {"node": name}
             stats = engine.stats
-            registry.counter(
-                "repro_dispatches_total", labels, help="Packets dispatched"
-            ).set_total(stats.dispatches)
-            registry.counter(
-                "repro_data_packets_total", labels, help="Data packets dispatched"
-            ).set_total(stats.data_packets)
-            registry.counter(
-                "repro_data_segments_total",
-                labels,
-                help="Payload segments across data packets",
-            ).set_total(stats.data_segments)
-            registry.counter(
-                "repro_holds_total", labels, help="Nagle holds taken"
-            ).set_total(stats.holds)
-            registry.counter(
-                "repro_rdv_parked_total", labels, help="Entries parked for rendezvous"
-            ).set_total(stats.rdv_parked)
-            registry.counter(
-                "repro_failovers_total", labels, help="Rail-down re-routes"
-            ).set_total(stats.failovers)
+            for metric, value, help in (
+                ("repro_dispatches_total", stats.dispatches, "Packets dispatched"),
+                ("repro_data_packets_total", stats.data_packets,
+                 "Data packets dispatched"),
+                ("repro_data_segments_total", stats.data_segments,
+                 "Payload segments across data packets"),
+                ("repro_holds_total", stats.holds, "Nagle holds taken"),
+                ("repro_rdv_parked_total", stats.rdv_parked,
+                 "Entries parked for rendezvous"),
+                ("repro_failovers_total", stats.failovers, "Rail-down re-routes"),
+            ):
+                mirror(metric, value, help, node=name)
             for trigger, count in stats.activations.items():
-                registry.counter(
-                    "repro_activations_total",
-                    {"node": name, "trigger": trigger},
-                    help="Optimizer activations by trigger",
-                ).set_total(count)
+                mirror("repro_activations_total", count,
+                       "Optimizer activations by trigger", node=name, trigger=trigger)
         for node in cluster.nodes:
             for nic in node.nics:
-                labels = {"nic": nic.name}
-                registry.counter(
-                    "repro_nic_requests_total", labels, help="NIC send requests"
-                ).set_total(nic.stats.requests)
-                registry.counter(
-                    "repro_nic_wire_bytes_total", labels, help="Bytes put on the wire"
-                ).set_total(nic.stats.wire_bytes)
-        transport = cluster.transport
-        if transport is not None:
-            registry.counter(
-                "repro_retransmits_total", help="Reliability-layer retransmissions"
-            ).set_total(transport.stats.retransmits)
+                mirror("repro_nic_requests_total", nic.stats.requests,
+                       "NIC send requests", nic=nic.name)
+                mirror("repro_nic_wire_bytes_total", nic.stats.wire_bytes,
+                       "Bytes put on the wire", nic=nic.name)
+        if cluster.transport is not None:
+            mirror("repro_retransmits_total", cluster.transport.stats.retransmits,
+                   "Reliability-layer retransmissions")
         if self.sink is not None:
-            registry.counter(
-                "repro_trace_events_total", help="Trace events captured (post-drop)"
-            ).set_total(len(self.sink.events))
-            registry.counter(
-                "repro_trace_events_dropped_total",
-                help="Trace events evicted by the flight recorder",
-            ).set_total(self.sink.dropped)
+            mirror("repro_trace_events_total", len(self.sink.events),
+                   "Trace events captured (post-drop)")
+            mirror("repro_trace_events_dropped_total", self.sink.dropped,
+                   "Trace events evicted by the flight recorder")
+        # What the plane itself cost, in the unit it is paid in: events.
+        for kind, count in cluster.sim.tracer.counts.items():
+            mirror("repro_obs_events_total", count,
+                   "Trace events dispatched to the plane's sinks", kind=kind)
         if self.tail_exemplars is not None:
             self.tail_exemplars.finish()
             self.tail_exemplars.export(registry)

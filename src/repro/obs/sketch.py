@@ -16,8 +16,8 @@ The design is a KLL-style compactor stack, deterministic on purpose:
   discarded.  The starting parity alternates per level between
   compactions, so successive compactions under- and over-count in
   alternation and the errors largely cancel.
-* A rank query flattens the stack into ``(value, weight)`` pairs and
-  walks cumulative weights.
+* A rank query bisects the cumulative weights of the value-sorted
+  stack; that view is kept between mutations (see ``_ranks``).
 
 Unlike textbook KLL there is no randomness: given the same insertion
 order the sketch state is bit-identical, which keeps traced runs
@@ -42,6 +42,8 @@ sketch equals having corrected every sample before insertion.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, islice, repeat
 from typing import Any, Iterable, Mapping
 
 from repro.util.errors import ConfigurationError
@@ -51,6 +53,9 @@ __all__ = ["QuantileSketch", "DEFAULT_K"]
 #: Default compactor capacity.  Memory is ``O(k * log(n/k))`` floats;
 #: 128 keeps a million-sample sketch under ~20 kB with sub-1% rank error.
 DEFAULT_K = 128
+
+#: Beyond this many unread level-0 values one re-sort beats inserting them.
+_INSERT_MAX = 16
 
 #: Standard quantiles rendered in the Prometheus summary exposition.
 SUMMARY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
@@ -74,8 +79,9 @@ class QuantileSketch:
         "_min",
         "_max",
         "_parity",
-        "_cache_count",
-        "_cache",
+        "_sorted",
+        "_sorted0",
+        "_running",
     )
 
     kind = "sketch"
@@ -100,9 +106,12 @@ class QuantileSketch:
         self._max = float("-inf")
         #: Per-level compaction parity (which half survives next time).
         self._parity: list[int] = [0]
-        #: Quantile memo: valid while ``count`` is unchanged.
-        self._cache_count = -1
-        self._cache: dict[float, float] = {}
+        #: Value-sorted ``(values, weights)`` of the levels above 0 and
+        #: the first ``_sorted0`` values of level 0 (None once levels are
+        #: rewritten); ``_running``: summed weights, None once mutated.
+        self._sorted: tuple[list[float], list[int]] | None = None
+        self._sorted0 = 0
+        self._running: list[int] | None = None
 
     # ------------------------------------------------------------------
     # ingest
@@ -110,6 +119,7 @@ class QuantileSketch:
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
+        self._running = None
         self.count += 1
         self.total += value
         if value < self._min:
@@ -123,6 +133,7 @@ class QuantileSketch:
 
     def _compact_from(self, start: int) -> None:
         """Cascade compactions upward from ``start`` until all fit."""
+        self._sorted = None
         i = start
         while i < len(self.levels) and len(self.levels[i]) >= self.k:
             buf = sorted(self.levels[i])
@@ -150,55 +161,66 @@ class QuantileSketch:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def _weighted(self) -> list[tuple[float, int]]:
-        """All retained ``(value, weight)`` pairs, sorted by value."""
-        pairs: list[tuple[float, int]] = []
-        for i, level in enumerate(self.levels):
-            weight = 1 << i
-            pairs.extend((v, weight) for v in level)
-        pairs.sort(key=lambda p: p[0])
-        return pairs
+    def _ranks(self) -> tuple[list[float], list[int]]:
+        """Retained values in ascending order and their running weights.
+
+        Refreshed at most once per mutation.  Between compactions the
+        sample only grows at the tail of level 0, so the sorted view is
+        kept and the new weight-1 values inserted into it; a compaction,
+        merge, shift or long unread backlog rebuilds it (C-level sort).
+        Ties may sit in any weight order: a query returns the *value*.
+        """
+        running = self._running
+        if running is None:
+            level0 = self.levels[0]
+            if self._sorted is None or len(level0) - self._sorted0 > _INSERT_MAX:
+                pairs: list[tuple[float, int]] = []
+                for i, level in enumerate(self.levels):
+                    pairs.extend(zip(level, repeat(1 << i)))
+                pairs.sort()
+                self._sorted = tuple(map(list, zip(*pairs))) if pairs else ([], [])
+            else:
+                values, weights = self._sorted
+                for value in islice(level0, self._sorted0, None):
+                    at = bisect_right(values, value)
+                    values.insert(at, value)
+                    weights.insert(at, 1)
+            self._sorted0 = len(level0)
+            running = self._running = list(accumulate(self._sorted[1]))
+        return self._sorted[0], running
 
     def quantile(self, q: float) -> float:
         """Estimated value at rank ``q`` (0..1); exact at q=0 and q=1."""
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        if q == 0.0:
-            return self._min
-        if q == 1.0:
-            return self._max
-        if self._cache_count == self.count and q in self._cache:
-            return self._cache[q]
-        target = q * self.count
-        running = 0
-        result = self._max
-        for value, weight in self._weighted():
-            running += weight
-            if running >= target:
-                result = value
-                break
-        if self._cache_count != self.count:
-            self._cache_count = self.count
-            self._cache = {}
-        self._cache[q] = result
-        return result
+        return self.quantiles((q,))[0]
 
     def quantiles(self, qs: Iterable[float]) -> list[float]:
-        """Batch :meth:`quantile` (one flatten, many ranks)."""
-        return [self.quantile(q) for q in qs]
+        """Estimated values at several ranks: one flatten, many ranks."""
+        count = self.count
+        values, running = self._ranks() if count else ((), ())
+        out: list[float] = []
+        for q in qs:
+            if not 0.0 <= q <= 1.0:
+                raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
+            if count == 0:
+                out.append(0.0)
+            elif q == 0.0:
+                out.append(self._min)
+            elif q == 1.0:
+                out.append(self._max)
+            else:
+                # First retained value whose running weight reaches the rank.
+                index = bisect_left(running, q * count)
+                out.append(values[index] if index < len(values) else self._max)
+        return out
 
     def fraction_above(self, threshold: float) -> float:
         """Estimated fraction of observations strictly above ``threshold``."""
-        if self.count == 0:
+        values, running = self._ranks()
+        if not values:
             return 0.0
-        above = 0
-        for i, level in enumerate(self.levels):
-            weight = 1 << i
-            above += weight * sum(1 for v in level if v > threshold)
-        retained = sum(len(level) << i for i, level in enumerate(self.levels))
-        return above / retained if retained else 0.0
+        at_or_below = bisect_right(values, threshold)
+        below = running[at_or_below - 1] if at_or_below else 0
+        return (running[-1] - below) / running[-1]
 
     def rank_error_bound(self) -> float:
         """Documented worst-case rank-error envelope for this sketch.
@@ -239,7 +261,7 @@ class QuantileSketch:
         if other.count:
             self._min = min(self._min, other._min)
             self._max = max(self._max, other._max)
-        self._cache_count = -1
+        self._sorted = self._running = None
         return self
 
     def shift(self, delta: float, *, floor: float | None = None) -> None:
@@ -262,7 +284,7 @@ class QuantileSketch:
         # shift exactly.
         self._min = clamp(self._min)
         self._max = clamp(self._max)
-        self._cache_count = -1
+        self._sorted = self._running = None
 
     # ------------------------------------------------------------------
     # snapshot / restore

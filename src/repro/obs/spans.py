@@ -25,7 +25,8 @@ Correlation keys
   completes when its delivered bytes cover its size.
 
 The collector is single-pass and bounded (FIFO eviction beyond
-``_PENDING_CAP`` in-flight chains/legs), so it doubles as a live tracer
+``_PENDING_CAP`` in-flight chains/legs; hold windows pruned behind the
+oldest open chain), so it doubles as a live tracer
 sink — that is what lets :class:`repro.obs.causal.TailExemplars` keep
 full span chains for the slowest messages even after the ring buffer
 evicted the raw events.
@@ -33,10 +34,12 @@ evicted the raw events.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-from repro.util.tracing import TraceEvent
+from repro.util.tracing import KindSink, TraceEvent
 
 __all__ = [
     "Leg",
@@ -177,7 +180,10 @@ def total_length(intervals: Iterable[tuple[float, float]]) -> float:
 # ----------------------------------------------------------------------
 # the collector
 # ----------------------------------------------------------------------
-class SpanCollector:
+_window_end = itemgetter(1)
+
+
+class SpanCollector(KindSink):
     """Single-pass, bounded reconstruction of message span chains.
 
     Feed it trace events (any order within a source's own stream; the
@@ -194,11 +200,11 @@ class SpanCollector:
         "legs",
         "completed",
         "hold_windows",
-        "events_seen",
         "trace_seen",
         "trace_dropped",
         "evicted_chains",
         "_open_hold",
+        "_undrained_since",
         "_flow_order",
     )
 
@@ -206,27 +212,23 @@ class SpanCollector:
         self.chains: dict[tuple[str, int], MessageChain] = {}
         self.legs: dict[str, Leg] = {}
         self.completed: list[MessageChain] = []
-        #: node -> list of (arm_t, fire_t | None) hold-timer windows.
+        #: node -> (arm_t, fire_t | None) hold-timer windows.  One timer
+        #: per node: start-sorted, disjoint, only the last can be open.
         self.hold_windows: dict[str, list[tuple[float, float | None]]] = {}
-        self.events_seen = 0
         #: From an ``obs.truncated`` marker, when the trace carried one.
         self.trace_seen: int | None = None
         self.trace_dropped = 0
         self.evicted_chains = 0
         self._open_hold: dict[str, int] = {}  # node -> index into windows
+        #: Earliest submit among completed chains not yet drained (their
+        #: attribution still needs the hold windows from there on).
+        self._undrained_since = float("inf")
         #: flow name -> chain keys in submit order (live completion join).
         self._flow_order: dict[str, list[tuple[str, int]]] = {}
+        self.handlers = {k: h.__get__(self) for k, h in self._HANDLERS.items()}
 
     # -- sink protocol -------------------------------------------------
-    def __call__(self, event: TraceEvent) -> None:
-        self.ingest(event)
-
-    def ingest(self, event: TraceEvent) -> None:
-        """Feed one trace event; unknown kinds are ignored."""
-        self.events_seen += 1
-        handler = self._HANDLERS.get(event.kind)
-        if handler is not None:
-            handler(self, event)
+    ingest = KindSink.__call__
 
     def ingest_all(self, events: Iterable[TraceEvent]) -> None:
         """Feed an entire event stream in order."""
@@ -271,10 +273,20 @@ class SpanCollector:
 
     def _on_hold_arm(self, event: TraceEvent) -> None:
         node = self._source_name(event)
+        if node in self._open_hold:
+            return
         windows = self.hold_windows.setdefault(node, [])
-        if node not in self._open_hold:
-            self._open_hold[node] = len(windows)
-            windows.append((event.time, None))
+        # Attribution clips windows to [submit, send] and chains are
+        # submitted in event order, so a window that ended before the
+        # oldest open (or undrained) chain's submit is never charged
+        # again: drop those, and the list tracks the work in flight.
+        oldest = next(iter(self.chains.values()), None)
+        horizon = oldest.submit_t if oldest is not None else event.time
+        horizon = min(horizon, self._undrained_since)
+        if windows and windows[0][1] <= horizon:
+            del windows[: bisect_right(windows, horizon, key=_window_end)]
+        self._open_hold[node] = len(windows)
+        windows.append((event.time, None))
 
     def _on_hold_fire(self, event: TraceEvent) -> None:
         node = self._source_name(event)
@@ -354,21 +366,16 @@ class SpanCollector:
     def _on_drop(self, event: TraceEvent) -> None:
         self._rel_leg(event).drops += 1
 
-    def _on_reorder_enter(self, event: TraceEvent) -> None:
+    def _on_reorder(self, event: TraceEvent) -> None:
         detail = event.detail
         src = detail.get("src")
         if src is None:
             return
         leg = self._leg(f"{src}#{detail['packet']}", str(src))
-        leg.reorder_enter_t = event.time
-
-    def _on_reorder_release(self, event: TraceEvent) -> None:
-        detail = event.detail
-        src = detail.get("src")
-        if src is None:
-            return
-        leg = self._leg(f"{src}#{detail['packet']}", str(src))
-        leg.reorder_release_t = event.time
+        if event.kind == "reorder.enter":
+            leg.reorder_enter_t = event.time
+        else:
+            leg.reorder_release_t = event.time
 
     def _on_live_recv(self, event: TraceEvent) -> None:
         detail = event.detail
@@ -431,6 +438,8 @@ class SpanCollector:
         self.chains.pop((chain.src, chain.message_id), None)
         self._forget_flow_entry(chain)
         self.completed.append(chain)
+        if chain.submit_t < self._undrained_since:
+            self._undrained_since = chain.submit_t
 
     _HANDLERS = {
         "collect.enqueue": _on_enqueue,
@@ -443,8 +452,8 @@ class SpanCollector:
         "nic.send": _on_nic_send,
         "rel.retransmit": _on_retransmit,
         "rel.drop": _on_drop,
-        "reorder.enter": _on_reorder_enter,
-        "reorder.release": _on_reorder_release,
+        "reorder.enter": _on_reorder,
+        "reorder.release": _on_reorder,
         "live.recv": _on_live_recv,
         "rx.deliver": _on_deliver,
         "message.complete": _on_complete,
@@ -455,6 +464,7 @@ class SpanCollector:
     def drain_completed(self) -> Iterator[MessageChain]:
         """Yield and forget chains completed since the last drain."""
         done, self.completed = self.completed, []
+        self._undrained_since = float("inf")
         yield from done
 
     def finish(self) -> None:

@@ -40,13 +40,13 @@ a live answer to "how bad are the tails *right now*":
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.obs.metrics import MetricsRegistry, QuantileSketch
 from repro.util.errors import ConfigurationError
-from repro.util.tracing import TraceEvent
+from repro.util.tracing import KindSink, TraceEvent
 
 __all__ = [
     "EDGE_METRIC",
@@ -68,9 +68,11 @@ EDGE_METRIC = "repro_edge_latency_us"
 RAIL_METRIC = "repro_nic_service_us"
 MESSAGE_METRIC = "repro_message_latency_us"
 
-_EDGE_HELP = "One-way wire latency per directed edge (microseconds)"
-_RAIL_HELP = "Per-NIC service time, send to drained (microseconds)"
-_MESSAGE_HELP = "Submit-to-reassembly message latency (microseconds)"
+_HELP = {
+    EDGE_METRIC: "One-way wire latency per directed edge (microseconds)",
+    RAIL_METRIC: "Per-NIC service time, send to drained (microseconds)",
+    MESSAGE_METRIC: "Submit-to-reassembly message latency (microseconds)",
+}
 
 #: Quantiles every tail report speaks in.
 TAIL_QUANTILES = (0.5, 0.9, 0.99, 0.999)
@@ -81,68 +83,74 @@ TAIL_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 _PENDING_CAP = 65536
 
 
-class TailRecorder:
+class TailRecorder(KindSink):
     """Tracer sink that feeds the tail sketches from trace events.
 
     Stateless toward the dispatch path: it only *reads* events the
     guarded emit sites already produce, so subscribing it cannot change
     what a run does — only what it knows about itself.
+
+    Sketch handles are kept per event source (``"nic:n0.mx00"``,
+    ``"reasm:n1"``, a ``(sender, receiver)`` pair for edges): names are
+    parsed and labels frozen once per source, not per event.
     """
 
-    __slots__ = ("registry", "_pending", "_busy_since")
+    __slots__ = ("registry", "_pending", "_busy_since", "_sketches")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        #: packet id -> (send time, src node) for sim send→deliver pairs.
+        #: packet id -> (send time, NIC source) for sim send→deliver pairs.
         self._pending: dict[Any, tuple[float, str]] = {}
-        #: nic name -> send time of the span currently in service.
+        #: NIC source -> send time of the span currently in service.
         self._busy_since: dict[str, float] = {}
+        self._sketches: dict[Any, QuantileSketch] = {}
+        self.handlers = {
+            "nic.send": self._on_send,
+            "rx.deliver": self._on_deliver,
+            "nic.idle": self._on_idle,
+            "live.recv": self._on_live_recv,
+            "message.complete": self._on_complete,
+        }
 
-    def __call__(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind == "nic.send":
-            self._on_send(event)
-        elif kind == "rx.deliver":
-            self._on_deliver(event)
-        elif kind == "nic.idle":
-            self._on_idle(event)
-        elif kind == "live.recv":
-            self._on_live_recv(event)
-        elif kind == "message.complete":
-            self._on_complete(event)
+    def _open(self, key: Any, metric: str, **labels: str) -> QuantileSketch:
+        """First event of a source: resolve its registry sketch, keep it."""
+        sketch = self._sketches[key] = self.registry.sketch(
+            metric, labels=labels, help=_HELP[metric]
+        )
+        return sketch
 
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
     def _on_send(self, event: TraceEvent) -> None:
-        nic_name = event.source.partition(":")[2]
-        node = nic_name.split(".", 1)[0]
         packet_id = event.detail.get("packet")
         if packet_id is not None:
             pending = self._pending
             if len(pending) >= _PENDING_CAP:
                 pending.pop(next(iter(pending)))
-            pending[packet_id] = (event.time, node)
+            pending[packet_id] = (event.time, event.source)
         # First send of a busy span starts the rail service clock; the
         # span ends at the NIC's next idle.
-        self._busy_since.setdefault(nic_name, event.time)
+        self._busy_since.setdefault(event.source, event.time)
 
     def _on_deliver(self, event: TraceEvent) -> None:
         sent = self._pending.pop(event.detail.get("packet"), None)
         if sent is None:
             return
-        sent_at, src = sent
-        dst = event.source.partition(":")[2]
-        self._edge_sketch(src, dst).observe(max(event.time - sent_at, 0.0) * 1e6)
+        sent_at, nic = sent
+        key = (nic, event.source)
+        sketch = self._sketches.get(key) or self._open(
+            key, EDGE_METRIC, src=_name(nic).split(".", 1)[0], dst=_name(event.source)
+        )
+        sketch.observe(max(event.time - sent_at, 0.0) * 1e6)
 
     def _on_idle(self, event: TraceEvent) -> None:
-        nic_name = event.source.partition(":")[2]
-        started = self._busy_since.pop(nic_name, None)
+        nic = event.source
+        started = self._busy_since.pop(nic, None)
         if started is None:
             return
-        self.registry.sketch(
-            RAIL_METRIC, labels={"nic": nic_name}, help=_RAIL_HELP
-        ).observe(max(event.time - started, 0.0) * 1e6)
+        sketch = self._sketches.get(nic) or self._open(nic, RAIL_METRIC, nic=_name(nic))
+        sketch.observe(max(event.time - started, 0.0) * 1e6)
 
     def _on_live_recv(self, event: TraceEvent) -> None:
         detail = event.detail
@@ -150,27 +158,30 @@ class TailRecorder:
         src = detail.get("src")
         if sent_at is None or src is None:
             return
-        dst = detail.get("dst") or event.source.partition(":")[2] or "?"
+        dst = detail.get("dst") or _name(event.source) or "?"
+        key = (str(src), str(dst))
+        sketch = self._sketches.get(key) or self._open(
+            key, EDGE_METRIC, src=key[0], dst=key[1]
+        )
         # Raw-clock difference: src stamped its clock, we read ours.
         # Clamp below zero (unaligned clocks) and let the coordinator
         # shift the merged sketch by the estimated offset afterwards.
-        self._edge_sketch(str(src), str(dst)).observe(
-            max(event.time - float(sent_at), 0.0) * 1e6
-        )
+        sketch.observe(max(event.time - float(sent_at), 0.0) * 1e6)
 
     def _on_complete(self, event: TraceEvent) -> None:
         submit_time = event.detail.get("submit_time")
         if submit_time is None:
             return
-        node = event.source.partition(":")[2]
-        self.registry.sketch(
-            MESSAGE_METRIC, labels={"node": node}, help=_MESSAGE_HELP
-        ).observe(max(event.time - float(submit_time), 0.0) * 1e6)
-
-    def _edge_sketch(self, src: str, dst: str) -> QuantileSketch:
-        return self.registry.sketch(
-            EDGE_METRIC, labels={"src": src, "dst": dst}, help=_EDGE_HELP
+        reasm = event.source
+        sketch = self._sketches.get(reasm) or self._open(
+            reasm, MESSAGE_METRIC, node=_name(reasm)
         )
+        sketch.observe(max(event.time - float(submit_time), 0.0) * 1e6)
+
+
+def _name(source: str) -> str:
+    """The component name of an event source (``"nic:n0.mx"`` -> ``"n0.mx"``)."""
+    return source.partition(":")[2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,40 +198,26 @@ class TailStats:
 
     @classmethod
     def of(cls, sketch: QuantileSketch) -> "TailStats":
-        p50, p90, p99, p999 = sketch.quantiles(TAIL_QUANTILES)
         return cls(
-            count=sketch.count,
-            p50_us=p50,
-            p90_us=p90,
-            p99_us=p99,
-            p999_us=p999,
-            mean_us=sketch.mean,
-            max_us=sketch.maximum,
+            sketch.count, *sketch.quantiles(TAIL_QUANTILES), sketch.mean, sketch.maximum
         )
 
     def to_dict(self) -> dict[str, float]:
         """JSON-able copy (the ``/tails`` payload entry)."""
-        return {
-            "count": self.count,
-            "p50_us": self.p50_us,
-            "p90_us": self.p90_us,
-            "p99_us": self.p99_us,
-            "p999_us": self.p999_us,
-            "mean_us": self.mean_us,
-            "max_us": self.max_us,
-        }
+        return asdict(self)
 
 
 class TailView:
-    """Read-only cached tail lookups over a registry's sketches.
+    """Read-only tail lookups over a registry's sketches.
 
-    The cache key is each sketch's observation count, so reads between
-    updates cost two dict lookups — cheap enough to consult per
-    dispatch, which is the contract the next PR's tail-aware rail
-    selection relies on.
+    A lookup resolves its sketch handle once; the summary itself is a
+    few bisects over the sorted view the sketch keeps between mutations
+    (:meth:`QuantileSketch._ranks`), so repeated reads cost no re-sort —
+    cheap enough to consult per dispatch, which is the contract
+    tail-aware rail selection relies on.
     """
 
-    __slots__ = ("_registry", "_cache", "objectives")
+    __slots__ = ("_registry", "_handles", "objectives")
 
     def __init__(
         self,
@@ -228,64 +225,62 @@ class TailView:
         objectives: "tuple[SLObjective, ...]" = (),
     ) -> None:
         self._registry = registry
-        self._cache: dict[tuple[str, tuple], tuple[int, TailStats]] = {}
+        self._handles: dict[tuple[str, ...], QuantileSketch] = {}
         self.objectives = objectives
 
     @property
     def registry(self) -> MetricsRegistry:
         return self._registry
 
-    def _stats(self, sketch: QuantileSketch | None) -> TailStats | None:
-        if sketch is None or sketch.count == 0:
-            return None
-        key = (sketch.name, sketch.labels)
-        cached = self._cache.get(key)
-        if cached is not None and cached[0] == sketch.count:
-            return cached[1]
-        stats = TailStats.of(sketch)
-        self._cache[key] = (sketch.count, stats)
-        return stats
+    @staticmethod
+    def _stats(sketch: QuantileSketch | None) -> TailStats | None:
+        return TailStats.of(sketch) if sketch is not None and sketch.count else None
+
+    def _sketch(self, key: tuple[str, ...], **labels: str) -> QuantileSketch | None:
+        """The ``key[0]`` sketch with these labels (handle kept), or None."""
+        sketch = self._handles.get(key)
+        if sketch is None:
+            sketch = self._registry.get(key[0], labels)
+            if sketch is not None:
+                self._handles[key] = sketch
+        return sketch
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
     def edge(self, src: str, dst: str) -> TailStats | None:
         """Tails for one directed edge, or None before any crossing."""
-        return self._stats(
-            self._registry.get(EDGE_METRIC, {"src": src, "dst": dst})
-        )
+        return self._stats(self._sketch((EDGE_METRIC, src, dst), src=src, dst=dst))
 
     def rail(self, nic: str) -> TailStats | None:
         """Service-time tails for one NIC, or None before any span."""
-        return self._stats(self._registry.get(RAIL_METRIC, {"nic": nic}))
+        return self._stats(self._sketch((RAIL_METRIC, nic), nic=nic))
 
     def message(self, node: str) -> TailStats | None:
         """Message-latency tails for one node, or None."""
-        return self._stats(self._registry.get(MESSAGE_METRIC, {"node": node}))
+        return self._stats(self._sketch((MESSAGE_METRIC, node), node=node))
 
-    def _family(self, name: str, key: Callable[[Mapping[str, str]], str]) -> dict[str, TailStats]:
+    def _family(self, metric: str, *names: str) -> dict[str, TailStats]:
+        """Every non-empty ``metric`` sketch, keyed by its ``names`` labels."""
         out: dict[str, TailStats] = {}
         for sketch in self._registry.sketches():
-            if sketch.name != name:
-                continue
-            stats = self._stats(sketch)
-            if stats is not None:
-                out[key(dict(sketch.labels))] = stats
+            if sketch.name == metric and sketch.count:
+                labels = dict(sketch.labels)
+                key = "->".join(labels.get(name, "?") for name in names)
+                out[key] = TailStats.of(sketch)
         return out
 
     def edges(self) -> dict[str, TailStats]:
         """All edges, keyed ``"src->dst"``."""
-        return self._family(
-            EDGE_METRIC, lambda l: f"{l.get('src', '?')}->{l.get('dst', '?')}"
-        )
+        return self._family(EDGE_METRIC, "src", "dst")
 
     def rails(self) -> dict[str, TailStats]:
         """All rails, keyed by NIC name."""
-        return self._family(RAIL_METRIC, lambda l: l.get("nic", "?"))
+        return self._family(RAIL_METRIC, "nic")
 
     def messages(self) -> dict[str, TailStats]:
         """Message latency per node."""
-        return self._family(MESSAGE_METRIC, lambda l: l.get("node", "?"))
+        return self._family(MESSAGE_METRIC, "node")
 
     # ------------------------------------------------------------------
     # scheduler-facing hint
@@ -294,21 +289,20 @@ class TailView:
         """Compact per-decision tail context, or None before any data.
 
         This is what rides ``optimizer.decide`` records as
-        ``tail_hint`` — logged, not acted on, in this PR.
+        ``tail_hint``.  It is asked for once per dispatch, typically
+        right after both sketches changed, so it reads just the ranks it
+        logs straight off the sketches instead of summarizing them.
         """
-        edge = self.edge(src, dst)
-        rail = self.rail(nic)
-        if edge is None and rail is None:
-            return None
         hint: dict[str, float] = {}
-        if edge is not None:
-            hint["edge_p99_us"] = edge.p99_us
-            hint["edge_p999_us"] = edge.p999_us
+        edge = self._sketch((EDGE_METRIC, src, dst), src=src, dst=dst)
+        if edge is not None and edge.count:
+            hint["edge_p99_us"], hint["edge_p999_us"] = edge.quantiles((0.99, 0.999))
             hint["edge_n"] = edge.count
-        if rail is not None:
-            hint["rail_p99_us"] = rail.p99_us
+        rail = self._sketch((RAIL_METRIC, nic), nic=nic)
+        if rail is not None and rail.count:
+            hint["rail_p99_us"] = rail.quantile(0.99)
             hint["rail_n"] = rail.count
-        return hint
+        return hint or None
 
     # ------------------------------------------------------------------
     # full dump (the /tails payload)
@@ -444,15 +438,7 @@ class SLOStatus:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-able copy (the ``/tails`` payload's ``slo`` entries)."""
-        return {
-            "objective": self.objective,
-            "edge": self.edge,
-            "threshold_us": self.threshold_us,
-            "target": self.target,
-            "burn": dict(self.burn),
-            "samples": self.samples,
-            "violated": self.violated,
-        }
+        return asdict(self)
 
 
 def evaluate_slo(

@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterator
 
 __all__ = [
     "TraceEvent",
+    "KindSink",
     "Tracer",
     "NullTracer",
     "TraceRecorder",
@@ -49,37 +50,65 @@ class TraceEvent:
     detail: dict[str, Any] = field(default_factory=dict)
 
 
+class KindSink:
+    """Base of sinks that consume only the kinds in their ``handlers``
+    table (``kind -> callable(event)``).  A :class:`Tracer` calls such a
+    sink only for those kinds; calling it directly (replaying a stored
+    trace) routes through the same table."""
+
+    __slots__ = ("handlers",)
+
+    def __call__(self, event: TraceEvent) -> None:
+        """Feed one event; kinds outside the table are ignored."""
+        handler = self.handlers.get(event.kind)
+        if handler is not None:
+            handler(event)
+
+
 class Tracer:
-    """Base tracer interface; also usable directly as a callback fan-out."""
+    """The one kind-indexed event dispatcher.  A subscriber is a plain
+    callable (gets every event) or a :class:`KindSink` (gets its kinds);
+    an event costs one route lookup plus the calls that consume it."""
 
     def __init__(self) -> None:
         self._sinks: list[Callable[[TraceEvent], None]] = []
+        #: kind -> the callables consuming it (built on first use).
+        self._routes: dict[str, tuple[Callable[[TraceEvent], None], ...]] = {}
+        #: Events dispatched so far, per kind (the plane exports it).
+        self.counts: dict[str, int] = {}
         #: Whether emitting is worthwhile (lets hot paths skip building
         #: detail dicts).  A plain attribute on purpose — see module docs.
         self.enabled: bool = False
 
     def subscribe(self, sink: Callable[[TraceEvent], None]) -> None:
-        """Register a callable invoked for every future event."""
+        """Register a sink for every future event (of its kinds)."""
         self._sinks.append(sink)
+        self._routes.clear()
         self.enabled = True
 
-    def emit(self, time: float, source: str, kind: str, **detail: Any) -> None:
-        """Record one event and fan it out to subscribers."""
-        event = TraceEvent(time, source, kind, detail)
-        self.record(event)
-        for sink in self._sinks:
-            sink(event)
+    def _route(self, kind: str) -> tuple[Callable[[TraceEvent], None], ...]:
+        """Every plain callable, plus each KindSink handler for ``kind``."""
+        route = self._routes[kind] = tuple(
+            call
+            for sink in self._sinks
+            if (call := getattr(sink, "handlers", {kind: sink}).get(kind)) is not None
+        )
+        return route
 
-    def record(self, event: TraceEvent) -> None:
-        """Store the event. Subclasses override; the base stores nothing."""
+    def emit(self, time: float, source: str, kind: str, **detail: Any) -> None:
+        """Dispatch one event to the subscribers that consume its kind."""
+        if not self.enabled:
+            return
+        event = TraceEvent(time, source, kind, detail)
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        route = self._routes.get(kind)
+        for call in route if route is not None else self._route(kind):
+            call(event)
 
 
 class NullTracer(Tracer):
-    """Discards everything; the default for production runs."""
-
-    def emit(self, time: float, source: str, kind: str, **detail: Any) -> None:
-        if self._sinks:
-            super().emit(time, source, kind, **detail)
+    """The production default: no sinks, so ``enabled`` stays false and
+    guarded emit sites never build an event."""
 
 
 class TraceRecorder(Tracer):
@@ -91,9 +120,10 @@ class TraceRecorder(Tracer):
     def __init__(self) -> None:
         super().__init__()
         self.events: list[TraceEvent] = []
-        self.enabled = True  # recording is itself a sink
+        self.subscribe(self.record)  # recording is itself a sink
 
     def record(self, event: TraceEvent) -> None:
+        """Store one event (also the way to replay a prebuilt one)."""
         self.events.append(event)
 
     def of_kind(self, kind: str) -> list[TraceEvent]:

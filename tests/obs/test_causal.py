@@ -5,6 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +23,13 @@ from repro.obs.causal import (
     render_waterfall,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import RingBufferSink
 from repro.obs.spans import Leg, MessageChain, SpanCollector
+from repro.obs.tails import TailRecorder
 from repro.runtime.scenario import run_scenario
 from repro.util.tracing import NullTracer, TraceEvent, Tracer
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def _chain(
@@ -285,6 +292,25 @@ class TestTailExemplars:
         assert snap["messages"] >= 1
         assert snap["messages"] >= len(ring_report.messages)
 
+    @given(
+        st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0, 13.0]), max_size=40),
+        st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reservoir_equals_sort_everything_and_truncate(self, latencies, k):
+        """Comparing against the K-th slowest first changes nothing: the
+        survivors are the first K of a stable slowest-first sort."""
+        reservoir = TailExemplars(k)
+        for mid, e2e in enumerate(latencies):
+            for event in self._blame_events(mid, e2e):
+                reservoir(event)
+        ranked = sorted(enumerate(latencies), key=lambda item: -item[1])[:k]
+        slot = reservoir.snapshot()["edges"].get("n0->n1", {"exemplars": []})
+        assert [ex["message"] for ex in slot["exemplars"]] == [
+            f"n0#m{mid}" for mid, _ in ranked
+        ]
+        assert reservoir.snapshot()["messages"] == len(latencies)
+
     def test_export_writes_registry_series(self):
         reservoir = TailExemplars(1)
         for event in self._blame_events(1, 2.0):
@@ -439,3 +465,100 @@ class TestWhyCli:
         captured = capsys.readouterr()
         assert "TRUNCATED" in captured.out or "TRUNCATED" in captured.err
         assert "evicted" in captured.err
+
+
+# ----------------------------------------------------------------------
+# online attribution == offline attribution, at a cost that does not
+# grow with the length of the run
+# ----------------------------------------------------------------------
+class TestOnlineEqualsOffline:
+    def test_reservoir_sums_equal_full_trace_attribution(self):
+        """The live sink prunes and bisects hold windows; the offline
+        pass keeps them all.  Same buckets, to the last digit."""
+        scenario = json.loads(
+            (EXAMPLES / "scenario_mixed.json").read_text(encoding="utf-8")
+        )
+        scenario["observability"] = {"trace": True}
+        _, cluster, _ = run_scenario(scenario)
+        plane = cluster.obs
+        plane.finalize()
+        online = plane.tail_exemplars.snapshot()["edges"]
+        offline = attribute_events(plane.events).edges()
+        assert set(online) == set(offline) and len(online) >= 8
+        for edge, slot in offline.items():
+            assert online[edge]["messages"] == slot["messages"]
+            assert online[edge]["e2e_s"] == slot["e2e_s"]
+            assert online[edge]["buckets_s"] == slot["buckets_s"]
+        assert any(slot["buckets_s"]["hold"] > 0 for slot in offline.values())
+
+
+class _ObsOpcodes:
+    """Bytecodes executed in ``repro.obs`` + the tracer while active
+    (``sys.settrace`` with per-opcode events: exact, repeats run to run)."""
+
+    def __init__(self) -> None:
+        self.ops = 0
+
+    def _local(self, frame, event, arg):
+        if event == "opcode":
+            self.ops += 1
+        return self._local
+
+    def _on_call(self, frame, event, arg):
+        filename = frame.f_code.co_filename
+        if f"repro{os.sep}obs{os.sep}" not in filename and not filename.endswith(
+            f"util{os.sep}tracing.py"
+        ):
+            return None
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return self._local
+
+    def __enter__(self) -> "_ObsOpcodes":
+        self._previous = sys.gettrace()
+        sys.settrace(self._on_call)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.settrace(self._previous)
+
+
+def _ops_per_event(holds: int) -> float:
+    """Plane-side cost of a run with ``holds`` Nagle holds on one node,
+    four messages in flight at any time."""
+    tracer = Tracer()
+    tracer.subscribe(RingBufferSink(64))
+    tracer.subscribe(TailRecorder(MetricsRegistry()))
+    tracer.subscribe(TailExemplars(4))
+
+    def message(i: int):
+        t = i * 1e-4
+        yield t, "engine:n0", "collect.enqueue", dict(
+            message=i, flow="f", dst="n1", bytes=64, fragments=1)
+        yield t + 1e-5, "engine:n0", "hold.arm", dict(wake_at=t + 3e-5, backlog=1)
+        yield t + 3e-5, "engine:n0", "hold.fire", {}
+        yield t + 3e-5, "engine:n0", "engine.dispatch", dict(
+            packet=i, dst="n1", packet_kind="eager", bytes=64,
+            messages=[(i, 0, 64)])
+        yield t + 3e-5, "nic:n0.mx00", "nic.send", dict(packet=i, occupancy=1e-6)
+        yield t + 4e-5, "nic:n0.mx00", "nic.idle", {}
+        # delivery lags four messages behind submission
+        yield t + 4.1e-4, "rx:n1", "rx.deliver", dict(packet=i, src="n0", corr=None)
+        yield t + 4.1e-4, "reasm:n1", "message.complete", dict(
+            message=i, flow="f", src="n0", submit_time=t)
+
+    events = sorted(
+        (event for i in range(holds) for event in message(i)),
+        key=lambda event: event[0],
+    )
+    with _ObsOpcodes() as counter:
+        for time, source, kind, detail in events:
+            tracer.emit(time, source, kind, **detail)
+    assert sum(tracer.counts.values()) == len(events)
+    return counter.ops / len(events)
+
+
+class TestCostDoesNotGrowWithTheRun:
+    def test_obs_bytecodes_per_event_flat_from_200_to_2000_holds(self):
+        short, long = _ops_per_event(200), _ops_per_event(2000)
+        assert long <= short * 1.10, (short, long)

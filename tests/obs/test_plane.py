@@ -91,6 +91,21 @@ class TestLifecycle:
         captured = plane.registry.get("repro_trace_events_total")
         assert captured.value == len(plane.events)
 
+    def test_finalize_exports_the_planes_own_event_counts(self):
+        """Overhead is a metric: every dispatched event is counted by
+        kind, and the counts add up to what the trace sink saw."""
+        _, cluster, _ = run_scenario(_scenario(observability={"ring_buffer": 16}))
+        plane = cluster.obs
+        plane.finalize()
+        per_kind = {
+            dict(metric.labels)["kind"]: metric.value
+            for metric in plane.registry
+            if metric.name == "repro_obs_events_total"
+        }
+        assert per_kind["optimizer.decide"] > 0
+        assert per_kind == cluster.sim.tracer.counts
+        assert sum(per_kind.values()) == plane.sink.seen > 16
+
     def test_exports_write_files(self, tmp_path):
         _, cluster, _ = run_scenario(
             _scenario(observability={"sample_interval": 1e-5})

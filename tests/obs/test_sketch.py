@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.sketch import DEFAULT_K, QuantileSketch
+from repro.obs.tails import TAIL_QUANTILES
 from repro.util.errors import ConfigurationError
 
 _values = st.lists(
@@ -218,3 +219,89 @@ class TestShift:
         s.shift(-2.5, floor=0.0)
         assert s.minimum == 0.0
         assert s.quantile(1.0) == 0.5
+
+
+# ----------------------------------------------------------------------
+# the rank query, pinned to the implementation it replaced
+# ----------------------------------------------------------------------
+def _oracle_quantile(sketch: QuantileSketch, q: float) -> float:
+    """``QuantileSketch.quantile`` as it was before the sorted view was
+    kept between mutations: flatten every level into ``(value, weight)``
+    pairs, sort them by value, walk the running weight."""
+    if sketch.count == 0:
+        return 0.0
+    if q == 0.0:
+        return sketch._min
+    if q == 1.0:
+        return sketch._max
+    pairs = [
+        (v, 1 << i) for i, level in enumerate(sketch.levels) for v in level
+    ]
+    pairs.sort(key=lambda p: p[0])
+    target = q * sketch.count
+    running = 0
+    for value, weight in pairs:
+        running += weight
+        if running >= target:
+            return value
+    return sketch._max
+
+
+_ORACLE_RANKS = (0.0, *TAIL_QUANTILES, 1.0)
+
+_small_values = st.lists(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, width=32),
+    max_size=600,
+)
+
+
+class TestRankQueryOracle:
+    @staticmethod
+    def _assert_identical(sketch: QuantileSketch) -> None:
+        expected = [_oracle_quantile(sketch, q) for q in _ORACLE_RANKS]
+        assert sketch.quantiles(_ORACLE_RANKS) == expected
+        assert [sketch.quantile(q) for q in _ORACLE_RANKS] == expected
+
+    @given(
+        _small_values,
+        _small_values,
+        st.floats(min_value=-1e5, max_value=1e5, allow_nan=False),
+        st.sampled_from([8, 16, DEFAULT_K]),
+        st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_identical_floats_across_observe_merge_shift(
+        self, a, b, delta, k, every
+    ):
+        """Any interleaving of reads with observe/merge/shift answers
+        every rank with the float the full re-flatten would."""
+        sketch = QuantileSketch("s", k=k)
+        for n, value in enumerate(a):
+            sketch.observe(value)
+            if n % every == 0:  # reads between mutations reuse the view
+                self._assert_identical(sketch)
+        self._assert_identical(sketch)
+        sketch.merge(_sketch_of(b, k=k))
+        self._assert_identical(sketch)
+        sketch.shift(delta, floor=0.0)
+        self._assert_identical(sketch)
+        for value in b[:50]:
+            sketch.observe(value)
+        self._assert_identical(sketch)
+
+    def test_unread_backlog_takes_the_resort_path(self):
+        sketch = _sketch_of([float(i % 17) for i in range(40)])
+        self._assert_identical(sketch)
+        for i in range(100):  # more than _INSERT_MAX new values, unread
+            sketch.observe(float((i * 7) % 23))
+        self._assert_identical(sketch)
+
+    def test_fraction_above_counts_retained_weight(self):
+        sketch = _sketch_of([float(i) for i in range(1000)])
+        for threshold in (-1.0, 0.0, 499.5, 998.0, 999.0, 5000.0):
+            above = sum(
+                (1 << i) * sum(1 for v in level if v > threshold)
+                for i, level in enumerate(sketch.levels)
+            )
+            retained = sum(len(level) << i for i, level in enumerate(sketch.levels))
+            assert sketch.fraction_above(threshold) == above / retained

@@ -105,11 +105,54 @@ class TestChainReconstruction:
 
     def test_hold_windows_open_and_close(self):
         collector = SpanCollector()
+        # An open chain submitted before the first window keeps it alive.
+        collector.ingest(_e(0.9, "engine:n0", "collect.enqueue",
+                            message=1, flow="f", dst="n1", bytes=10, fragments=1))
         collector.ingest(_e(1.0, "engine:n0", "hold.arm", wake_at=1.5, backlog=3))
         collector.ingest(_e(1.2, "engine:n0", "hold.arm", wake_at=1.5, backlog=4))
         collector.ingest(_e(1.5, "engine:n0", "hold.fire"))
         collector.ingest(_e(2.0, "engine:n0", "hold.arm", wake_at=2.4, backlog=1))
         assert collector.hold_windows["n0"] == [(1.0, 1.5), (2.0, None)]
+
+    def test_hold_windows_pruned_behind_the_oldest_open_chain(self):
+        """A long run leaks no window: 10,000 holds with a sliding set of
+        open chains keep only the windows those chains can still need."""
+        collector = SpanCollector()
+        open_chains = 8
+        longest = 0
+        for i in range(10_000):
+            t = float(i)
+            collector.ingest(_e(t, "engine:n0", "collect.enqueue",
+                                message=i, flow="f", dst="n1", bytes=8, fragments=1))
+            collector.ingest(_e(t + 0.25, "engine:n0", "hold.arm", wake_at=t + 0.5))
+            collector.ingest(_e(t + 0.5, "engine:n0", "hold.fire"))
+            if i >= open_chains:  # the oldest open chain completes
+                collector.ingest(_e(t + 0.75, "reasm:n1", "message.complete",
+                                    message=i - open_chains, flow="f", src="n0"))
+                assert len(list(collector.drain_completed())) == 1
+            longest = max(longest, len(collector.hold_windows["n0"]))
+        assert longest <= open_chains + 2
+        # ...and every window an open chain overlaps is still there.
+        needed = [
+            (chain.submit_t + 0.25, chain.submit_t + 0.5)
+            for chain in collector.chains.values()
+        ]
+        assert collector.hold_windows["n0"][-len(needed):] == needed
+
+    def test_undrained_completions_keep_their_windows(self):
+        """Offline use drains once at the end: nothing those completed
+        chains were held by may be pruned before that."""
+        collector = SpanCollector()
+        for i in range(50):
+            t = float(i)
+            collector.ingest(_e(t, "engine:n0", "collect.enqueue",
+                                message=i, flow="f", dst="n1", bytes=8, fragments=1))
+            collector.ingest(_e(t + 0.25, "engine:n0", "hold.arm", wake_at=t + 0.5))
+            collector.ingest(_e(t + 0.5, "engine:n0", "hold.fire"))
+            collector.ingest(_e(t + 0.75, "reasm:n1", "message.complete",
+                                message=i, flow="f", src="n0"))
+        assert len(collector.hold_windows["n0"]) == 50
+        assert len(list(collector.drain_completed())) == 50
 
     def test_rdv_window_closed_by_ready(self):
         collector = SpanCollector()

@@ -126,14 +126,23 @@ class TestTailView:
         assert set(view.rails()) == {"n0.mx"}
         assert view.messages() == {}
 
-    def test_cache_invalidation_on_new_samples(self):
+    def test_lookups_follow_new_samples(self):
         reg = self._populated()
         view = TailView(reg)
         before = view.edge("n0", "n1")
-        assert view.edge("n0", "n1") is before  # cached object
+        assert view.edge("n0", "n1") == before  # nothing changed
         reg.get(EDGE_METRIC, {"src": "n0", "dst": "n1"}).observe(1e6)
         after = view.edge("n0", "n1")
-        assert after is not before and after.count == 101
+        assert after != before and after.count == 101 and after.max_us == 1e6
+
+    def test_lookups_follow_a_shift(self):
+        """A shift moves values without changing the count; the view
+        must not serve the pre-shift summary."""
+        reg = self._populated()
+        view = TailView(reg)
+        before = view.edge("n0", "n1")
+        reg.get(EDGE_METRIC, {"src": "n0", "dst": "n1"}).shift(5.0)
+        assert view.edge("n0", "n1").p99_us == before.p99_us + 5.0
 
     def test_hint_shape(self):
         view = TailView(self._populated())
@@ -142,6 +151,22 @@ class TestTailView:
             "edge_p99_us", "edge_p999_us", "edge_n", "rail_p99_us", "rail_n",
         }
         assert view.hint("n9", "n8", "n9.mx") is None
+
+    def test_hint_logs_exactly_the_summary_values(self):
+        """The hint reads its ranks straight off the sketches; they are
+        the floats (and the key order) the cached summaries report."""
+        view = TailView(self._populated())
+        edge, rail = view.edge("n0", "n1"), view.rail("n0.mx")
+        assert list(view.hint("n0", "n1", "n0.mx").items()) == [
+            ("edge_p99_us", edge.p99_us),
+            ("edge_p999_us", edge.p999_us),
+            ("edge_n", edge.count),
+            ("rail_p99_us", rail.p99_us),
+            ("rail_n", rail.count),
+        ]
+        assert list(view.hint("n0", "n1", "n9.mx")) == [
+            "edge_p99_us", "edge_p999_us", "edge_n",
+        ]
 
     def test_snapshot_includes_slo_when_configured(self):
         objectives = parse_slo(

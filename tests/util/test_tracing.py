@@ -1,6 +1,6 @@
 """Tests for repro.util.tracing."""
 
-from repro.util.tracing import NullTracer, TraceRecorder, Tracer
+from repro.util.tracing import KindSink, NullTracer, TraceRecorder, Tracer
 
 
 class TestTraceRecorder:
@@ -112,3 +112,54 @@ class TestTracerFanOut:
         t.subscribe(b.append)
         t.emit(0.0, "s", "k")
         assert len(a) == len(b) == 1
+
+
+class _Picky(KindSink):
+    """Consumes two kinds; records what it was handed."""
+
+    def __init__(self):
+        self.got = []
+        self.handlers = {"a": self.got.append, "b": self.got.append}
+
+
+class TestKindDispatch:
+    def test_kind_sink_sees_only_its_kinds_plain_sink_sees_all(self):
+        t = Tracer()
+        everything, picky = [], _Picky()
+        t.subscribe(everything.append)
+        t.subscribe(picky)
+        for kind in ("a", "x", "b", "x", "a"):
+            t.emit(0.0, "s", kind)
+        assert [e.kind for e in everything] == ["a", "x", "b", "x", "a"]
+        assert [e.kind for e in picky.got] == ["a", "b", "a"]
+
+    def test_subscription_order_is_call_order_within_a_kind(self):
+        t = Tracer()
+        order = []
+        first, last = _Picky(), _Picky()
+        first.handlers = {"a": lambda e: order.append("first")}
+        last.handlers = {"a": lambda e: order.append("last")}
+        t.subscribe(first)
+        t.subscribe(lambda e: order.append("plain"))
+        t.subscribe(last)
+        t.emit(0.0, "s", "a")
+        assert order == ["first", "plain", "last"]
+
+    def test_counts_every_dispatched_event_by_kind(self):
+        t = Tracer()
+        t.emit(0.0, "s", "dropped")  # nobody listening yet: not an event
+        seen = []
+        t.subscribe(seen.append)
+        for kind in ("a", "b", "a"):
+            t.emit(0.0, "s", kind)
+        assert t.counts == {"a": 2, "b": 1}
+        assert sum(t.counts.values()) == len(seen)
+
+    def test_kind_sink_called_directly_routes_through_its_table(self):
+        picky = _Picky()
+        t = TraceRecorder()
+        t.emit(0.0, "s", "a")
+        t.emit(0.0, "s", "x")
+        for event in t.events:
+            picky(event)
+        assert [e.kind for e in picky.got] == ["a"]
