@@ -66,6 +66,17 @@ class CostModel:
     starvation_horizon: float = 1e-3
     control_bonus_bytes: float = 4096.0
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        # The search scores eager candidates through score_packed and
+        # everything else through score; a subclass changing one side
+        # only would rank with two different models.
+        scalar = {"wire_bytes", "_assembly", "_terms", "score"} & set(cls.__dict__)
+        if scalar and "score_packed" not in cls.__dict__:
+            raise TypeError(
+                f"{cls.__name__} redefines {sorted(scalar)} but not score_packed; "
+                "the two must stay one score"
+            )
+
     def wire_bytes(self, plan: TransferPlan) -> int:
         """Predicted on-wire size of the plan's packet (with framing)."""
         return (
@@ -138,7 +149,7 @@ class CostModel:
         """:meth:`score` for an EAGER data plan, from packed aggregates.
 
         ``consts`` is the driver's folded
-        :class:`~repro.core.kernel.DriverConstants`; the remaining
+        :class:`~repro.drivers.capabilities.DriverConstants`; the remaining
         arguments are the prefix aggregates a
         :class:`~repro.core.kernel.SeedBuild` maintains.  Bit-identical
         with :meth:`score` on the materialized plan (the cost

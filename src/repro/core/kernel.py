@@ -1,12 +1,8 @@
 """Decision kernel: flat-array candidate build and scoring.
 
-The array walk is the packet decision for stock drivers; the object walk
-in :mod:`repro.core.strategies._builder` serves every mode the arrays
-cannot express and is the oracle the equivalence tests compare against.
-:func:`constants_for` decides between them from what it can observe:
-``exact`` is ``False`` when a driver or link subclass overrides a method
-the constant fold replicates, and callers then take the object walk —
-never wrong scores.
+The array walk here is the only packet decision in ``src/``, for every
+strategy and driver.  The entry-object walk it replaced is the test
+oracle (``tests/core/oracle.py``) the equivalence tests compare it to.
 
 Design (ROADMAP "10-100x the decision kernel with array-based
 batching"):
@@ -16,13 +12,15 @@ batching"):
   ``dst``, ``aggregatable``, ``state``, …).  One attribute-chasing walk
   per queue mutation builds the mirror; every candidate evaluation after
   that touches only list slots and local variables.
-* :class:`DriverConstants` pre-resolves everything the inner loop used
+* :class:`~repro.drivers.capabilities.DriverConstants`
+  (``driver.constants``) pre-resolves everything the inner loop used
   to ask the driver per candidate — ``max_aggregate_size``, header
   sizes, the PIO/DMA crossover, ``startup·bandwidth`` per mode, the
   rendezvous threshold, gather limits (Morpheus-style specialization:
-  constants folded out of the loop).
-* :func:`build_eager_arrays` is the greedy packet builder of
-  ``strategies._builder`` re-expressed over the arrays; instead of a
+  constants folded out of the loop; no run-time guard, because a driver
+  or link that could break the fold is rejected when defined).
+* :func:`build_eager_arrays` is the greedy packet builder (rules in
+  :mod:`repro.core.strategies._builder`) over the arrays; instead of a
   :class:`~repro.core.plan.TransferPlan` it returns a :class:`SeedBuild`
   carrying *prefix* aggregates (payload sums, oldest submit time), so
   every narrower aggregation width of the same seed is scored without
@@ -32,7 +30,8 @@ batching"):
   operation order included, so scores (and therefore dispatch order)
   are byte-identical with the scalar model.  The hypothesis drift guard
   in ``tests/core/test_cost_properties.py`` pins the packed scorer to
-  the scalar one (``score`` and ``breakdown`` are a single computation).
+  the scalar one (``score`` and ``breakdown`` are a single computation)
+  on all four technologies.
 """
 
 from __future__ import annotations
@@ -50,16 +49,15 @@ from repro.network.wire import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.drivers.base import Driver
+    from repro.drivers.capabilities import DriverConstants
 
 __all__ = [
     "PendingArrays",
-    "DriverConstants",
     "SeedBuild",
     "build_eager_arrays",
     "probe_uniform_seeds",
     "oversized_waiting_indices",
     "score_eager_packed",
-    "constants_for",
 ]
 
 #: ``PendingArrays.state`` codes (only pending states appear in a
@@ -159,75 +157,6 @@ class PendingArrays:
         self.max_remaining = max(remaining) if n else 0
 
 
-class DriverConstants:
-    """Per-driver constants hoisted out of the candidate loop.
-
-    ``pio_limit`` folds :meth:`Driver.choose_mode` into one comparison:
-    ``payload <= pio_limit`` selects PIO (``-inf`` pins DMA-only
-    drivers, ``+inf`` pins PIO-only ones).  ``rdv_threshold`` folds
-    :meth:`Driver.wants_rendezvous` the same way (``None`` when the
-    driver has no rendezvous).  ``exact`` records whether the driver and
-    its link model use the stock method implementations — when they do
-    not (a subclass overrode cost or capability logic), callers must
-    fall back to the scalar reference path.
-    """
-
-    __slots__ = (
-        "max_aggregate_size",
-        "max_items_cap",
-        "rdv_threshold",
-        "supports_gather",
-        "max_gather_entries",
-        "gather_entry_cost",
-        "copy_bandwidth",
-        "pio_limit",
-        "startup_pio",
-        "bandwidth_pio",
-        "startup_equiv_pio",
-        "startup_dma",
-        "bandwidth_dma",
-        "startup_equiv_dma",
-        "reaches",
-        "exact",
-    )
-
-    def __init__(
-        self,
-        max_aggregate_size: int,
-        max_items_cap: int,
-        rdv_threshold: "float | None",
-        supports_gather: bool,
-        max_gather_entries: int,
-        gather_entry_cost: float,
-        copy_bandwidth: float,
-        pio_limit: float,
-        startup_pio: float,
-        bandwidth_pio: float,
-        startup_equiv_pio: float,
-        startup_dma: float,
-        bandwidth_dma: float,
-        startup_equiv_dma: float,
-        reaches: Any,
-        exact: bool,
-    ) -> None:
-        self.max_aggregate_size = max_aggregate_size
-        self.max_items_cap = max_items_cap
-        self.rdv_threshold = rdv_threshold
-        self.supports_gather = supports_gather
-        self.max_gather_entries = max_gather_entries
-        self.gather_entry_cost = gather_entry_cost
-        self.copy_bandwidth = copy_bandwidth
-        self.pio_limit = pio_limit
-        self.startup_pio = startup_pio
-        self.bandwidth_pio = bandwidth_pio
-        self.startup_equiv_pio = startup_equiv_pio
-        self.startup_dma = startup_dma
-        self.bandwidth_dma = bandwidth_dma
-        self.startup_equiv_dma = startup_equiv_dma
-        self.reaches = reaches
-        self.exact = exact
-
-
 class SeedBuild:
     """The widest legal greedy build from one seed, with prefix aggregates.
 
@@ -291,16 +220,19 @@ def build_eager_arrays(
     allow_park: bool,
     stripe_chunk: "int | None",
     multirail: bool,
+    same_message_only: bool = False,
+    protocol_only: bool = False,
 ) -> "TransferPlan | SeedBuild | None":
-    """Array-walk clone of ``strategies._builder.build_from_queue``.
+    """The greedy packet walk behind ``strategies._builder.build_from_queue``.
 
     Returns a finished :class:`TransferPlan` for packets that travel
     alone (rendezvous bulk, control, SAFER fragments), a
     :class:`SeedBuild` for an aggregatable eager prefix family, or
     ``None`` when nothing is dispatchable.  Semantics — walk order,
-    flow blocking, seed skipping, parking, chunking — mirror the object
-    walk exactly; the equivalence tests in
-    ``tests/core/test_kernel_equivalence.py`` hold the two together.
+    flow blocking, seed skipping, parking, chunking, the two legacy
+    restrictions — are those of the oracle object walk; the equivalence
+    tests in ``tests/core/test_kernel_equivalence.py`` hold the two
+    together.
     """
     n = arrays.n
     if n == 0:
@@ -318,8 +250,11 @@ def build_eager_arrays(
     # blocking plus budget packing — the steady-state shape of a loaded
     # queue, and the loop the candidate search spends its time in.
     dst0 = arrays.uniform_dst
-    if dst0 is not None and (
-        rdv_threshold is None or arrays.max_remaining <= rdv_threshold
+    if (
+        dst0 is not None
+        and (rdv_threshold is None or arrays.max_remaining <= rdv_threshold)
+        and not same_message_only
+        and not protocol_only
     ):
         if not reaches(dst0):
             return None
@@ -394,6 +329,7 @@ def build_eager_arrays(
     taken = 0
     oldest = _INF
     dst: "str | None" = None
+    first_message = None
     seeds_skipped = 0
 
     for i in range(n):
@@ -444,6 +380,11 @@ def build_eager_arrays(
                 meta=dict(entry.meta),
             )
 
+        if protocol_only:
+            # Plain waiting data stays queued (stalled legacy channel);
+            # it is not a reordering, so it must not block later picks.
+            continue
+
         # Oversized data negotiates a rendezvous first (unless no_rdv).
         if rdv_threshold is not None and remaining[i] > rdv_threshold and not no_rdv[i]:
             if allow_park:
@@ -468,7 +409,11 @@ def build_eager_arrays(
 
         if dst is None:
             dst = d
-        elif d != dst:
+            if same_message_only:
+                first_message = entries[i].message
+        elif d != dst or (
+            same_message_only and entries[i].message is not first_message
+        ):
             if fid >= 0 and not deferrable[i]:
                 blocked.add(fid)
             continue
@@ -605,7 +550,7 @@ def oversized_waiting_indices(
 ) -> list[int]:
     """Indices of plain WAITING data entries that must park for rendezvous.
 
-    The array clone of the ``park_oversized`` sweep's predicate; the
+    The predicate of the search's up-front parking sweep; the
     caller performs the actual (side-effectful) parking so this function
     stays pure.
     """
@@ -700,66 +645,3 @@ def score_eager_packed(
         ratio = 1.0
     boost = 1.0 + ratio
     return density * boost
-
-
-def constants_for(driver: "Driver") -> DriverConstants:
-    """The driver's :class:`DriverConstants`, folded once and cached.
-
-    Everything in the result is derived from frozen capability/link
-    dataclasses, so the fold is valid for the driver's lifetime; the
-    only live callable retained is the NIC's ``reaches`` bound method
-    (reachability can change under fault injection and must be
-    re-queried per build).
-
-    ``exact`` is ``False`` when the driver (or its link model, or a
-    subclass) overrides any method the fold replicates — callers must
-    then use the scalar reference path, because the folded arithmetic
-    would no longer match the overridden behaviour.
-    """
-    consts = getattr(driver, "_kernel_constants", None)
-    if consts is not None:
-        return consts
-    from repro.drivers.base import Driver as DriverBase
-    from repro.network.model import LinkModel, TransferMode
-
-    caps = driver.caps
-    link = driver.nic.link
-    cls = type(driver)
-    exact = (
-        cls.choose_mode is DriverBase.choose_mode
-        and cls.wants_rendezvous is DriverBase.wants_rendezvous
-        and cls.choose_aggregation is DriverBase.choose_aggregation
-        and cls.occupancy is DriverBase.occupancy
-        and cls.max_segments_per_packet is DriverBase.max_segments_per_packet
-        and type(link) is LinkModel
-    )
-    if not caps.supports_pio:
-        pio_limit = float("-inf")  # choose_mode: DMA always
-    elif not caps.supports_dma:
-        pio_limit = float("inf")  # choose_mode: PIO always
-    else:
-        pio_limit = min(float(caps.pio_threshold), link.pio_dma_crossover())
-    startup_pio = link.startup(TransferMode.PIO)
-    bandwidth_pio = link.bandwidth(TransferMode.PIO)
-    startup_dma = link.startup(TransferMode.DMA)
-    bandwidth_dma = link.bandwidth(TransferMode.DMA)
-    consts = DriverConstants(
-        max_aggregate_size=caps.max_aggregate_size,
-        max_items_cap=driver.max_segments_per_packet(),
-        rdv_threshold=caps.eager_threshold if caps.supports_rdv else None,
-        supports_gather=caps.supports_gather,
-        max_gather_entries=caps.max_gather_entries,
-        gather_entry_cost=link.gather_entry_cost,
-        copy_bandwidth=link.copy_bandwidth,
-        pio_limit=pio_limit,
-        startup_pio=startup_pio,
-        bandwidth_pio=bandwidth_pio,
-        startup_equiv_pio=startup_pio * bandwidth_pio,
-        startup_dma=startup_dma,
-        bandwidth_dma=bandwidth_dma,
-        startup_equiv_dma=startup_dma * bandwidth_dma,
-        reaches=driver.nic.reaches,
-        exact=exact,
-    )
-    driver._kernel_constants = consts
-    return consts

@@ -41,8 +41,7 @@ class AggregationStrategy(Strategy):
         )
         for queue in engine.queues_for(driver):
             # O(1) emptiness probe; the builder materializes the window
-            # itself (array mirror for stock drivers, object snapshot
-            # otherwise).
+            # (the queue's array mirror) itself.
             if not len(queue):
                 continue
             plan = build_from_queue(engine, driver, queue, max_items=limit)

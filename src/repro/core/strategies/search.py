@@ -35,10 +35,9 @@ Budget accounting is unchanged from the naive enumeration — each
 (seed, width) candidate costs one evaluation whether it was built,
 derived, or score-only — so a given budget explores exactly the same
 candidates, and the packed scorer reproduces the scalar model's floats
-bit for bit, so the same candidate wins.  A driver or cost subclass
-the constant fold cannot represent selects
-:meth:`BoundedSearchStrategy._make_plan_reference`, the object walk
-kept as the semantic oracle.
+bit for bit, so the same candidate wins.  The naive enumeration itself
+(one object-walk build and one scalar score per candidate) is kept as
+the oracle in ``tests/core/oracle.py``.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core import kernel
-from repro.core.cost import CostModel
 from repro.core.plan import Hold, TransferPlan
-from repro.core.strategies._builder import build_from_queue, park_oversized
 from repro.core.strategies.base import Strategy, register_strategy
 from repro.drivers.base import Driver
 
@@ -84,17 +81,7 @@ class BoundedSearchStrategy(Strategy):
     ) -> TransferPlan | Hold | None:
         budget = self.budget if self.budget is not None else engine.config.search_budget
         queues = engine.queues_for(driver)
-        if type(engine.cost) is CostModel and kernel.constants_for(driver).exact:
-            return self._make_plan_batched(engine, driver, budget, queues)
-        return self._make_plan_reference(engine, driver, budget, queues)
-
-    # ------------------------------------------------------------------
-    # batched kernel path (default)
-    # ------------------------------------------------------------------
-    def _make_plan_batched(
-        self, engine: "CommEngineBase", driver: Driver, budget: int, queues
-    ) -> TransferPlan | None:
-        consts = kernel.constants_for(driver)
+        consts = driver.constants
         config = engine.config
         window_limit = config.lookahead_window
         stripe_chunk = config.stripe_chunk
@@ -278,99 +265,6 @@ class BoundedSearchStrategy(Strategy):
         self._account(explain, evaluated, budget, out_of_budget, widest_seen, best)
         return best_plan
 
-    # ------------------------------------------------------------------
-    # object-walk reference path (driver/cost subclasses, test oracle)
-    # ------------------------------------------------------------------
-    def _make_plan_reference(
-        self, engine: "CommEngineBase", driver: Driver, budget: int, queues
-    ) -> TransferPlan | None:
-        # Rendezvous parking is a protocol action, not a rearrangement;
-        # do it once up front so candidate generation has no side effects.
-        for queue in queues:
-            park_oversized(engine, driver, queue)
-
-        now = engine.sim.now
-        if now != self._cache_now:
-            self._score_cache.clear()
-            self._cache_now = now
-        cache = self._score_cache
-        cost = engine.cost
-        window_limit = engine.config.lookahead_window
-
-        best_plan: TransferPlan | None = None
-        best: tuple | None = None  # (score, channel, seed) of the winner
-        best_score = float("-inf")
-        widest_seen = 0
-        evaluated = 0
-        out_of_budget = False
-        # Explainability is collected only while a trace sink is live;
-        # with the NullTracer the extra work is two dead branches.
-        explain = engine.sim.tracer.enabled
-        full_width = driver.max_segments_per_packet()
-        widths = self._widths(full_width)
-        for queue in queues:
-            # One snapshot per queue, shared by every candidate build.
-            pending = queue.pending_view(window_limit)
-            version = queue.version
-            for seed in range(len(pending)):
-                if evaluated >= budget:
-                    out_of_budget = True
-                    break
-                base = build_from_queue(
-                    engine,
-                    driver,
-                    queue,
-                    max_items=full_width,
-                    skip_seeds=seed,
-                    allow_park=False,
-                    pending=pending,
-                )
-                evaluated += 1
-                if base is None:
-                    # Nothing is dispatchable even with every earlier
-                    # seed blocked; deeper seeds only block more, so
-                    # this whole queue is exhausted — move to the next
-                    # queue instead of burning budget on impossible
-                    # seeds.
-                    break
-                base_items = len(base.items)
-                if explain and base_items > widest_seen:
-                    widest_seen = base_items
-                first = True
-                for width in widths:
-                    if not first:
-                        if evaluated >= budget:
-                            out_of_budget = True
-                            break
-                        evaluated += 1
-                    first = False
-                    n_items = base_items if width >= base_items else width
-                    key = (id(driver), queue.channel_id, version, seed, n_items)
-                    cached = cache.get(key)
-                    if cached is None:
-                        if n_items == base_items:
-                            candidate = base
-                        else:
-                            candidate = TransferPlan(
-                                base.driver,
-                                base.kind,
-                                base.dst,
-                                base.channel_id,
-                                base.items[:n_items],
-                            )
-                        cached = (cost.score(candidate, now), candidate)
-                        cache[key] = cached
-                    score, candidate = cached
-                    if score > best_score:
-                        best_plan, best_score = candidate, score
-                        best = (score, queue.channel_id, seed)
-                if out_of_budget:
-                    break
-            if out_of_budget:
-                break
-        self._account(explain, evaluated, budget, out_of_budget, widest_seen, best)
-        return best_plan
-
     def _account(
         self,
         explain: bool,
@@ -380,8 +274,8 @@ class BoundedSearchStrategy(Strategy):
         widest_seen: int,
         best: tuple | None,
     ) -> None:
-        """Budget and explain bookkeeping of one decision, shared by
-        both walks; ``best`` is the winner's ``(score, channel, seed)``."""
+        """Budget and explain bookkeeping of one decision; ``best`` is
+        the winner's ``(score, channel, seed)``."""
         self.last_evaluated = evaluated
         self.candidates_evaluated += evaluated
         if explain:

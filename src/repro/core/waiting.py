@@ -273,7 +273,7 @@ class ChannelQueue:
     def pending_arrays(self, window: int | None = None):
         """Flat-array mirror of :meth:`pending_view` (same window).
 
-        Returns the active kernel backend's ``PendingArrays``: the
+        Returns a :class:`~repro.core.kernel.PendingArrays`: the
         window's entries decomposed into parallel ``remaining`` /
         ``submit_time`` / ``flow_id`` / ``dst`` / ``aggregatable`` /
         ``state`` lists, so the decision kernel's candidate loop reads

@@ -5,7 +5,8 @@ the three questions the optimization engine asks:
 
 1. *How should this payload move?* — :meth:`choose_mode` (PIO vs DMA),
    :meth:`wants_rendezvous` (eager vs rendezvous), and
-   :meth:`choose_aggregation` (by-copy staging vs hardware gather);
+   :meth:`choose_aggregation` (by-copy staging vs hardware gather), all
+   answered from ``constants``, which the decision kernel reads too;
 2. *What would this request cost?* — :meth:`occupancy` /
    :meth:`one_way`, delegating to the technology's
    :class:`~repro.network.model.LinkModel`;
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.drivers.capabilities import DriverCapabilities
+from repro.drivers.capabilities import DriverCapabilities, DriverConstants
 from repro.network.model import TransferMode
 from repro.network.nic import NIC
 from repro.network.wire import PacketKind, WirePacket
@@ -40,8 +41,33 @@ class AggregationChoice:
     gather_entries: int
 
 
+#: Methods whose rules :class:`DriverConstants` and the packed scorer
+#: (:func:`repro.core.kernel.score_eager_packed`) carry as numbers.
+_FOLDED_METHODS = (
+    "choose_mode",
+    "wants_rendezvous",
+    "choose_aggregation",
+    "occupancy",
+    "max_segments_per_packet",
+)
+
+
 class Driver:
-    """Concrete driver; technology subclasses only pick the capabilities."""
+    """Concrete driver; technology subclasses only pick the capabilities.
+
+    One that redefines a decision method is rejected at class creation:
+    the engine reads the folded :attr:`constants`, so the override would
+    be ignored on the hot path and honoured elsewhere.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for method in _FOLDED_METHODS:
+            if method in cls.__dict__:
+                raise TypeError(
+                    f"{cls.__name__}.{method} overrides a decision folded into "
+                    "constants; express it in DriverCapabilities or the LinkModel"
+                )
 
     def __init__(self, nic: NIC, caps: DriverCapabilities) -> None:
         if caps.technology != nic.link.name:
@@ -50,6 +76,8 @@ class Driver:
             )
         self.nic = nic
         self.caps = caps
+        #: ``caps`` folded with the link: what every decision reads.
+        self.constants = DriverConstants(caps, nic.link, nic.reaches)
 
     @property
     def name(self) -> str:
@@ -72,18 +100,17 @@ class Driver:
 
         PIO is used when it is (a) supported, (b) within the hardware
         PIO window (``caps.pio_threshold``), and (c) actually cheaper
-        than DMA under the link's cost model (below the α/β crossover).
+        than DMA under the link's cost model (below the α/β crossover)
+        — all three folded into ``constants.pio_limit``.
         """
-        if not self.caps.supports_pio:
-            return TransferMode.DMA
-        if not self.caps.supports_dma:
+        if payload_bytes <= self.constants.pio_limit:
             return TransferMode.PIO
-        limit = min(float(self.caps.pio_threshold), self.nic.link.pio_dma_crossover())
-        return TransferMode.PIO if payload_bytes <= limit else TransferMode.DMA
+        return TransferMode.DMA
 
     def wants_rendezvous(self, payload_bytes: int) -> bool:
         """Whether this payload must use the rendezvous protocol."""
-        return self.caps.supports_rdv and payload_bytes > self.caps.eager_threshold
+        threshold = self.constants.rdv_threshold
+        return threshold is not None and payload_bytes > threshold
 
     def choose_aggregation(self, segment_sizes: list[int]) -> AggregationChoice:
         """Pick the cheaper assembly mechanism for a multi-segment packet.
@@ -98,21 +125,17 @@ class Driver:
         if n == 1:
             return AggregationChoice(copied_bytes=0, gather_entries=1)
         total = sum(segment_sizes)
-        link = self.nic.link
-        copy_cost = total / link.copy_bandwidth
-        if self.caps.supports_gather and n <= self.caps.max_gather_entries:
-            gather_cost = (n - 1) * link.gather_entry_cost
+        consts = self.constants
+        copy_cost = total / consts.copy_bandwidth
+        if consts.supports_gather and n <= consts.max_gather_entries:
+            gather_cost = (n - 1) * consts.gather_entry_cost
             if gather_cost < copy_cost:
                 return AggregationChoice(copied_bytes=0, gather_entries=n)
         return AggregationChoice(copied_bytes=total, gather_entries=1)
 
     def max_segments_per_packet(self) -> int:
         """Upper bound on aggregated segments (by-copy has no entry limit)."""
-        # By-copy staging can merge arbitrarily many segments; the real
-        # bound is max_aggregate_size.  Gather adds its own entry bound
-        # when it is the chosen mechanism, which choose_aggregation
-        # handles; here we cap to keep header overhead sane.
-        return max(self.caps.max_gather_entries, 64)
+        return self.constants.max_items_cap
 
     # ------------------------------------------------------------------
     # cost queries

@@ -11,11 +11,13 @@ makes the same strategy code portable across MX, Elan, IB and TCP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.util.errors import ConfigurationError
+from repro.network.model import LinkModel, TransferMode
+from repro.util.errors import CapabilityError, ConfigurationError
 from repro.util.units import KiB, us
 
-__all__ = ["DriverCapabilities"]
+__all__ = ["DriverCapabilities", "DriverConstants"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,3 +106,77 @@ class DriverCapabilities:
         gather bound only; strategies combine it with size limits.
         """
         return self.max_gather_entries if self.supports_gather else 1
+
+
+class DriverConstants:
+    """One driver's capabilities folded with its link, at construction.
+
+    Both inputs are frozen, so the fold holds for the driver's lifetime.
+    The :class:`~repro.drivers.base.Driver` decision methods and the
+    array walk in :mod:`repro.core.kernel` read these same fields — one
+    copy of each rule:
+
+    * ``payload <= pio_limit`` selects PIO (``-inf`` pins DMA-only
+      drivers, ``+inf`` PIO-only ones);
+    * ``payload > rdv_threshold`` selects rendezvous (``None``: none);
+    * ``max_items_cap`` bounds the segments of one packet.  By-copy
+      staging can merge arbitrarily many, so the real bound is
+      ``max_aggregate_size``; the cap keeps header overhead sane.
+
+    The only live callable kept is the NIC's ``reaches`` (reachability
+    changes under fault injection and is asked again per build).
+    """
+
+    __slots__ = (
+        "max_aggregate_size",
+        "max_items_cap",
+        "rdv_threshold",
+        "supports_gather",
+        "max_gather_entries",
+        "gather_entry_cost",
+        "copy_bandwidth",
+        "pio_limit",
+        "startup_pio",
+        "bandwidth_pio",
+        "startup_equiv_pio",
+        "startup_dma",
+        "bandwidth_dma",
+        "startup_equiv_dma",
+        "reaches",
+    )
+
+    def __init__(
+        self,
+        caps: DriverCapabilities,
+        link: LinkModel,
+        reaches: Callable[[str], bool],
+    ) -> None:
+        if type(link).sender_occupancy is not LinkModel.sender_occupancy:
+            # The packed scorer writes out LinkModel.sender_occupancy's
+            # arithmetic; another formula would be silently ignored.
+            raise CapabilityError(
+                f"{type(link).__name__} overrides LinkModel.sender_occupancy, "
+                "which the decision kernel folds; change its parameters instead"
+            )
+        self.max_aggregate_size = caps.max_aggregate_size
+        self.max_items_cap = max(caps.max_gather_entries, 64)
+        self.rdv_threshold = caps.eager_threshold if caps.supports_rdv else None
+        self.supports_gather = caps.supports_gather
+        self.max_gather_entries = caps.max_gather_entries
+        self.gather_entry_cost = link.gather_entry_cost
+        self.copy_bandwidth = link.copy_bandwidth
+        if not caps.supports_pio:
+            self.pio_limit = float("-inf")
+        elif not caps.supports_dma:
+            self.pio_limit = float("inf")
+        else:
+            # PIO while inside the hardware window *and* cheaper than
+            # DMA under the link's cost model (below the α/β crossover).
+            self.pio_limit = min(float(caps.pio_threshold), link.pio_dma_crossover())
+        self.startup_pio = link.startup(TransferMode.PIO)
+        self.bandwidth_pio = link.bandwidth(TransferMode.PIO)
+        self.startup_equiv_pio = self.startup_pio * self.bandwidth_pio
+        self.startup_dma = link.startup(TransferMode.DMA)
+        self.bandwidth_dma = link.bandwidth(TransferMode.DMA)
+        self.startup_equiv_dma = self.startup_dma * self.bandwidth_dma
+        self.reaches = reaches

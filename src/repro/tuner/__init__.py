@@ -19,7 +19,7 @@ each engine (sim and live planes alike) and closes two loops:
 The escape hatch is structural: with ``tuner: off`` (the default)
 nothing here is imported into the hot path — no wrapper, no selector,
 no per-decision hook — so dispatch is byte-identical to a tuner-less
-build, and the equivalence tests pin exactly that.
+build (``tests/tuner/test_tuner.py`` pins exactly that).
 """
 
 from __future__ import annotations

@@ -4,22 +4,25 @@ from __future__ import annotations
 
 from repro.core.config import EngineConfig
 from repro.core.waiting import WaitingLists
-from repro.drivers.mx import MxDriver
+from repro.drivers.registry import DRIVER_TYPES
 from repro.madeleine.message import Flow, Message, PackMode
 from repro.madeleine.submit import EntryKind, EntryState, SubmitEntry
 from repro.network.nic import NIC
-from repro.network.technologies import myrinet_mx
+from repro.network.technologies import TECHNOLOGIES
 from repro.sim import Simulator
 
 
-def make_driver(sim: Simulator, name: str = "mx0", node: str = "n0", link=None):
-    """A standalone MX driver whose NIC is permissive about reachability."""
+def make_driver(
+    sim: Simulator, name: str = "mx0", node: str = "n0", link=None, tech: str = "mx"
+):
+    """A standalone driver (MX unless ``tech`` says otherwise) whose NIC
+    is permissive about reachability."""
     deliveries: list = []
     nic = NIC(
-        sim, name, node, link if link is not None else myrinet_mx(),
+        sim, name, node, link if link is not None else TECHNOLOGIES[tech](),
         lambda packet, occupancy: deliveries.append((sim.now, packet)),
     )
-    return MxDriver(nic), deliveries
+    return DRIVER_TYPES[tech](nic), deliveries
 
 
 class StubEngine:

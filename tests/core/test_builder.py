@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.constraints import ConstraintChecker
 from repro.core.config import EngineConfig
-from repro.core.strategies._builder import build_from_queue, park_oversized
+from repro.core import kernel
+from repro.core.strategies._builder import build_from_queue
 from repro.madeleine.message import Flow, PackMode
 from repro.madeleine.submit import EntryKind, EntryState
 from repro.network.wire import PacketKind
@@ -12,8 +13,10 @@ from repro.sim import Simulator
 from repro.util.units import KiB
 
 from tests.core.helpers import StubEngine, control_entry, data_entry, make_driver
+from tests.core.oracle import park_oversized
 
-# Every test here runs once per decision walk (tests/core/conftest.py).
+# Every test here runs against the production walk and again against the
+# oracle it is compared to elsewhere (tests/core/conftest.py).
 pytestmark = pytest.mark.usefixtures("walk")
 
 
@@ -194,6 +197,10 @@ class TestRendezvousPath:
             data_entry(flow, driver.caps.eager_threshold + 5),
         ]
         fill(engine, queue, entries)
+        # The search's up-front sweep: production picks the indices off
+        # the arrays, the oracle parks entry by entry.
+        arrays = queue.pending_arrays(engine.config.lookahead_window)
+        assert kernel.oversized_waiting_indices(arrays, driver.constants) == [0, 2]
         parked = park_oversized(engine, driver, queue)
         assert parked == 2
         assert queue.pending() == [entries[1]]

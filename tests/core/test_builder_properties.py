@@ -21,7 +21,8 @@ from repro.util.units import KiB
 
 from tests.core.helpers import StubEngine, make_driver
 
-# Every test here runs once per decision walk (tests/core/conftest.py).
+# Every test here runs against the production walk and again against the
+# oracle it is compared to elsewhere (tests/core/conftest.py).
 pytestmark = pytest.mark.usefixtures("walk")
 
 

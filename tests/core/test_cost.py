@@ -75,3 +75,35 @@ class TestScore:
 
         plan = plan_of(driver, [100, 100])
         assert cost.wire_bytes(plan) == PACKET_HEADER_BYTES + 2 * HEADER_BYTES_PER_SEGMENT + 200
+
+
+class TestSubclassing:
+    def test_scalar_only_override_rejected(self):
+        """The search ranks eager candidates with score_packed and the
+        rest with score: a subclass changing one side only is refused
+        when the class statement runs."""
+        with pytest.raises(TypeError, match="score_packed"):
+
+            class Halved(CostModel):
+                def score(self, plan, now):
+                    return 0.5 * CostModel.score(self, plan, now)
+
+    def test_both_sides_or_parameters_only_accepted(self, driver):
+        class Halved(CostModel):
+            def score(self, plan, now):
+                return 0.5 * CostModel.score(self, plan, now)
+
+            def score_packed(self, consts, n_items, payload, oldest, now):
+                return 0.5 * CostModel.score_packed(
+                    self, consts, n_items, payload, oldest, now
+                )
+
+        class Patient(CostModel):
+            pass
+
+        plan = plan_of(driver, [100, 200])
+        model = Halved()
+        assert model.score(plan, 0.0) == model.score_packed(
+            driver.constants, 2, 300, 0.0, 0.0
+        )
+        assert Patient(starvation_horizon=1.0).score(plan, 0.0) > 0

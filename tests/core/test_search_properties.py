@@ -22,7 +22,8 @@ from repro.runtime.cluster import Cluster
 
 from tests.core.helpers import data_entry
 
-# Every test here runs once per decision walk (tests/core/conftest.py).
+# Every test here runs against the production walk and again against the
+# oracle it is compared to elsewhere (tests/core/conftest.py).
 pytestmark = pytest.mark.usefixtures("walk")
 
 

@@ -17,7 +17,8 @@ from repro.runtime.cluster import Cluster
 from repro.util.errors import ConfigurationError
 from repro.util.units import KiB, us
 
-# Every test here runs once per decision walk (tests/core/conftest.py).
+# Every test here runs against the production walk and again against the
+# oracle it is compared to elsewhere (tests/core/conftest.py).
 pytestmark = pytest.mark.usefixtures("walk")
 
 
