@@ -12,7 +12,7 @@ Usage::
     python -m repro obs diff base.json cand.json --check   # regression gate
     python -m repro obs tail merged.jsonl --scenario s.json --check  # SLO gate
     python -m repro obs why trace.jsonl --slowest 5   # causal latency blame
-    python -m repro bench [ids] [--quick]  # alias for python -m repro.bench
+    python -m repro bench [ids] [flags]    # alias for python -m repro.bench
 """
 
 from __future__ import annotations
@@ -326,18 +326,16 @@ def _cmd_obs_why(args) -> int:
     return why_main(args)
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.__main__ import main as bench_main
-
-    forwarded = list(args.experiments)
-    if args.quick:
-        forwarded.append("--quick")
-    if args.chart:
-        forwarded.append("--chart")
-    return bench_main(forwarded)
-
-
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["bench"]:
+        # The alias forwards its argv verbatim: bench/__main__.py owns
+        # the only flag table.
+        from repro.bench.__main__ import main as bench_main
+
+        return bench_main(argv[1:])
+
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -585,11 +583,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     why_parser.set_defaults(func=_cmd_obs_why)
 
-    bench_parser = subparsers.add_parser("bench", help="run experiments")
-    bench_parser.add_argument("experiments", nargs="*", metavar="ID")
-    bench_parser.add_argument("--quick", action="store_true")
-    bench_parser.add_argument("--chart", action="store_true")
-    bench_parser.set_defaults(func=_cmd_bench)
+    # Listed for --help only; ``bench`` is dispatched above.
+    subparsers.add_parser("bench", help="run experiments (python -m repro.bench)")
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -1,37 +1,15 @@
-"""Benchmark harness: experiment definitions E1–E8 and table printing.
+"""Paper-shape experiment runner: experiment definitions E1–E11 and
+table printing.
 
-Every experiment in DESIGN.md §4 has one function here that builds the
-workload, runs it on the relevant engine configurations, and returns an
+Every experiment in DESIGN.md §4 has one function in
+:mod:`repro.bench.experiments` that builds the workload, runs it on the
+relevant engine configurations, and returns an
 :class:`~repro.bench.harness.ExperimentResult` whose rows are the
-table/series the paper-shaped output is printed from.  The
-``benchmarks/`` directory wraps each one in a pytest-benchmark target;
+table/series the paper-shaped output is printed from.
 ``python -m repro.bench`` runs them all from the command line.
 """
 
-from repro.bench.harness import ExperimentResult, format_table, persist_result
-from repro.bench.experiments import (
-    e1_architecture,
-    e2_aggregation,
-    e3_pingpong,
-    e4_lookahead,
-    e5_search_budget,
-    e6_multirail,
-    e7_traffic_classes,
-    e8_nagle,
-    ALL_EXPERIMENTS,
-)
+from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.harness import ExperimentResult, format_table
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "ExperimentResult",
-    "e1_architecture",
-    "e2_aggregation",
-    "e3_pingpong",
-    "e4_lookahead",
-    "e5_search_budget",
-    "e6_multirail",
-    "e7_traffic_classes",
-    "e8_nagle",
-    "format_table",
-    "persist_result",
-]
+__all__ = ["ALL_EXPERIMENTS", "ExperimentResult", "format_table"]

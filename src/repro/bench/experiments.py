@@ -1,4 +1,4 @@
-"""Experiment definitions E1–E8 (see DESIGN.md §4 for the paper mapping).
+"""Experiment definitions E1–E11 (see DESIGN.md §4 for the paper mapping).
 
 Every function takes ``quick`` (smaller axes/counts for CI) and returns
 an :class:`~repro.bench.harness.ExperimentResult`.  The functions also
@@ -24,8 +24,8 @@ from repro.middleware import (
     uniform_small_flows,
 )
 from repro.network.virtual import TrafficClass
+from repro.obs.recorder import ListSink
 from repro.runtime import Cluster, run_session
-from repro.util.tracing import TraceRecorder
 from repro.util.units import KiB, MiB, us
 
 __all__ = [
@@ -56,13 +56,17 @@ def e1_architecture(quick: bool = False) -> ExperimentResult:
         "Figure 1 — three-layer architecture over 2xMX + 1xElan",
         ["nic", "technology", "requests", "eager", "rdv_data", "control", "busy_us"],
     )
-    tracer = TraceRecorder()
     cluster = Cluster(
         networks=[("mx", 2), ("elan", 1)],
-        tracer=tracer,
         seed=1,
         config=EngineConfig(stripe_chunk=32 * KiB),
     )
+    recorded = ListSink()
+    cluster.sim.tracer.subscribe(recorded)
+
+    def of_kind(kind: str) -> list:
+        return [e for e in recorded.events if e.kind == kind]
+
     n = 10 if quick else 40
     apps = [
         StreamApp(size=25 * KiB, count=max(n // 4, 4), interval=4 * us, name="bulkish"),
@@ -73,7 +77,7 @@ def e1_architecture(quick: bool = False) -> ExperimentResult:
     run_session(cluster, [a.install for a in apps])
 
     # --- layer-interaction checks (the "figure") -----------------------
-    kinds = list(tracer.kinds())
+    kinds = [e.kind for e in recorded.events]
     assert "collect.enqueue" in kinds, "collect layer must enqueue"
     assert "optimizer.activate" in kinds, "optimizing layer must activate"
     assert "nic.send" in kinds, "transfer layer must send"
@@ -81,14 +85,14 @@ def e1_architecture(quick: bool = False) -> ExperimentResult:
     first_collect = kinds.index("collect.enqueue")
     assert first_collect < first_dispatch, "nothing is sent before it is collected"
 
-    activations = tracer.of_kind("optimizer.activate")
+    activations = of_kind("optimizer.activate")
     triggers = {e.detail["trigger"] for e in activations}
     assert "idle" in triggers, "NIC-idle transitions must trigger the optimizer"
     max_backlog = max(e.detail["backlog"] for e in activations)
     assert max_backlog > 1, "a backlog must accumulate while NICs are busy"
 
-    parked = tracer.of_kind("rdv.park")
-    ready = tracer.of_kind("rdv.ready")
+    parked = of_kind("rdv.park")
+    ready = of_kind("rdv.ready")
     assert parked and ready, "rendezvous protocol must run"
     assert parked[0].time < ready[0].time
 
@@ -118,10 +122,6 @@ def e1_architecture(quick: bool = False) -> ExperimentResult:
         f"aggregation ratio {engine_stats.aggregation_ratio:.2f} segments/packet, "
         f"{engine_stats.rdv_parked} rendezvous"
     )
-    from repro.util.timeline import Timeline
-
-    gantt = Timeline.from_trace(tracer).render(width=64)
-    result.note("sender NIC activity (Gantt):\n" + gantt)
     return result
 
 

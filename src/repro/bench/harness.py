@@ -1,13 +1,11 @@
-"""Experiment result container, table formatting, result persistence."""
+"""Experiment result container and table formatting."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Sequence
 
-__all__ = ["ExperimentResult", "format_table", "persist_result"]
+__all__ = ["ExperimentResult", "format_table"]
 
 
 @dataclass(slots=True)
@@ -45,22 +43,6 @@ class ExperimentResult:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
-
-
-def persist_result(result: ExperimentResult, directory: str | None = None) -> Path:
-    """Write the rendered table to ``<directory>/<id>.txt``.
-
-    ``directory`` defaults to the ``REPRO_RESULTS_DIR`` environment
-    variable, falling back to ``benchmarks/results`` under the current
-    working directory.  Returns the written path.
-    """
-    if directory is None:
-        directory = os.environ.get("REPRO_RESULTS_DIR", "benchmarks/results")
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / f"{result.experiment_id}.txt"
-    target.write_text(result.render() + "\n", encoding="utf-8")
-    return target
 
 
 def _format_cell(value: Any) -> str:

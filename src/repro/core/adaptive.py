@@ -43,13 +43,6 @@ class AdaptiveChannels(ChannelPolicy):
     demote_after_windows:
         A promoted class is demoted after this many consecutive windows
         with zero traffic.
-    min_dwell_windows:
-        Hysteresis: once a class flips (promote or demote), it may not
-        flip again for this many adaptation windows.  ``1`` (the
-        default) allows a flip every window — the exact pre-hysteresis
-        behaviour; larger values stop an oscillating workload from
-        thrashing a class between its dedicated channel and the shared
-        one every window.
     """
 
     name = "adaptive"
@@ -67,20 +60,12 @@ class AdaptiveChannels(ChannelPolicy):
         promote_bytes: int = 64 * KiB,
         window_dispatches: int = 32,
         demote_after_windows: int = 4,
-        min_dwell_windows: int = 1,
     ) -> None:
         if promote_bytes < 1 or window_dispatches < 1 or demote_after_windows < 1:
             raise ConfigurationError("adaptive thresholds must be >= 1")
-        if min_dwell_windows < 1:
-            raise ConfigurationError(
-                f"min_dwell_windows must be >= 1, got {min_dwell_windows}"
-            )
         self.promote_bytes = promote_bytes
         self.window_dispatches = window_dispatches
         self.demote_after_windows = demote_after_windows
-        self.min_dwell_windows = min_dwell_windows
-        self._windows_seen = 0
-        self._last_flip: dict[TrafficClass, int] = {}
         self._pool: ChannelPool | None = None
         self._max_channels = 1
         self._shared_id: int | None = None
@@ -173,7 +158,6 @@ class AdaptiveChannels(ChannelPolicy):
         window = self._window_bytes
         self._window_bytes = {}
         self._dispatches_in_window = 0
-        self._windows_seen += 1
 
         for traffic_class in TrafficClass:
             bytes_moved = window.get(traffic_class, 0)
@@ -181,19 +165,12 @@ class AdaptiveChannels(ChannelPolicy):
                 if bytes_moved == 0:
                     idle = self._idle_windows.get(traffic_class, 0) + 1
                     self._idle_windows[traffic_class] = idle
-                    if idle >= self.demote_after_windows and self._dwelled(
-                        traffic_class
-                    ):
+                    if idle >= self.demote_after_windows:
                         self._demote(traffic_class)
                 else:
                     self._idle_windows[traffic_class] = 0
-            elif bytes_moved >= self.promote_bytes and self._dwelled(traffic_class):
+            elif bytes_moved >= self.promote_bytes:
                 self._promote(traffic_class)
-
-    def _dwelled(self, traffic_class: TrafficClass) -> bool:
-        """Whether the class's last flip is old enough to flip again."""
-        last = self._last_flip.get(traffic_class)
-        return last is None or self._windows_seen - last >= self.min_dwell_windows
 
     def _promote(self, traffic_class: TrafficClass) -> None:
         assert self._pool is not None
@@ -206,7 +183,6 @@ class AdaptiveChannels(ChannelPolicy):
         self._pool.assign(traffic_class, channel_id)
         self._dedicated[traffic_class] = channel_id
         self._idle_windows[traffic_class] = 0
-        self._last_flip[traffic_class] = self._windows_seen
         self.adaptations.append(("promote", traffic_class))
         if self._engine is not None:
             # Pending entries of the class follow the new assignment.
@@ -218,7 +194,6 @@ class AdaptiveChannels(ChannelPolicy):
         self._pool.assign(traffic_class, self._shared_id)
         self._free_channels.append(channel_id)
         self._idle_windows.pop(traffic_class, None)
-        self._last_flip[traffic_class] = self._windows_seen
         self.adaptations.append(("demote", traffic_class))
         if self._engine is not None:
             self._engine.reassign_class(traffic_class, self._shared_id)

@@ -50,12 +50,6 @@ class AutoStrategy(Strategy):
         Nagle parameters used in the sparse regime (defaults chosen for
         MX-scale latencies; ``EngineConfig`` values are *not* used so
         the meta-strategy is self-contained).
-    min_dwell:
-        Hysteresis: the backlog test must contradict the current regime
-        for this many *consecutive* decisions before the strategy
-        switches.  ``1`` (the default) switches immediately — the exact
-        pre-hysteresis behaviour; larger values stop an alternating
-        workload from thrashing the policy every few decisions.
     """
 
     def __init__(
@@ -63,16 +57,12 @@ class AutoStrategy(Strategy):
         deep_backlog: int = 8,
         hold_delay: float = 6 * us,
         hold_min_bytes: int = 2 * KiB,
-        min_dwell: int = 1,
     ) -> None:
         if deep_backlog < 1:
             raise ConfigurationError(f"deep_backlog must be >= 1, got {deep_backlog}")
         if hold_delay < 0 or hold_min_bytes < 0:
             raise ConfigurationError("hold parameters must be >= 0")
-        if min_dwell < 1:
-            raise ConfigurationError(f"min_dwell must be >= 1, got {min_dwell}")
         self.deep_backlog = deep_backlog
-        self.min_dwell = min_dwell
         self._aggregate = AggregationStrategy()
         self._nagle = NagleStrategy(
             inner=self._aggregate, delay=hold_delay, min_bytes=hold_min_bytes
@@ -80,28 +70,16 @@ class AutoStrategy(Strategy):
         #: regime name → times selected (for tests and reporting).
         self.selections: dict[str, int] = {"deep": 0, "sparse": 0}
         self._last_regime = "sparse"
-        # Consecutive decisions whose raw backlog label contradicted
-        # ``_last_regime`` (drives the min_dwell hysteresis).
-        self._contrary = 0
-
-    def _resolve_regime(self, backlog: int) -> tuple[str, int]:
-        """The regime this decision serves, plus the new contrary count."""
-        raw = "deep" if backlog >= self.deep_backlog else "sparse"
-        if raw == self._last_regime:
-            return raw, 0
-        contrary = self._contrary + 1
-        if contrary >= self.min_dwell:
-            return raw, 0
-        return self._last_regime, contrary
 
     def make_plan(
         self, engine: "CommEngineBase", driver: Driver
     ) -> TransferPlan | Hold | None:
-        regime, self._contrary = self._resolve_regime(engine.waiting.total_pending)
-        self.selections[regime] += 1
-        self._last_regime = regime
-        if regime == "deep":
+        if engine.waiting.total_pending >= self.deep_backlog:
+            self.selections["deep"] += 1
+            self._last_regime = "deep"
             return self._aggregate.make_plan(engine, driver)
+        self.selections["sparse"] += 1
+        self._last_regime = "sparse"
         return self._nagle.make_plan(engine, driver)
 
     def explain_last(self):

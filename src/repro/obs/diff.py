@@ -4,9 +4,11 @@ Compares two comparable artifacts and reports which indicators moved,
 optionally failing (``--check``) when one moved past a threshold in its
 *bad* direction.  Two input shapes are accepted, detected per file:
 
-* a ``BENCH_*.json`` benchmark result (the ``{"schema": 1, "metrics":
-  {...}}`` family written by :mod:`repro.bench.kernel` and
-  :mod:`repro.bench.live`);
+* a benchmark result: the object ``benchmarks/e2e/run.py`` prints
+  (``{"correct", "attempted", "failed", "metrics": {name: {"value",
+  "unit"}}}``, one per line of its saved output — the last is taken),
+  or the flat ``{"metrics": {name: number}}`` form of a hand-written
+  file;
 * any trace file the observability plane can load (JSONL or Chrome
   JSON), which is run through :func:`repro.obs.analyze.analyze_file`
   and reduced to its summary metrics.
@@ -45,6 +47,8 @@ WORSE_IF_HIGHER = (
     "burn",
     "unattributed",
     "_us",
+    "ops_per_",
+    "calls_per_",
 )
 
 #: Substrings marking a metric as worse-when-lower (throughput family).
@@ -56,6 +60,7 @@ WORSE_IF_LOWER = (
     "samples",
     "crossings",
     "rate",
+    "_per_s",
 )
 
 #: Relative change tolerated in the bad direction before --check fails.
@@ -90,6 +95,21 @@ def direction_of(key: str) -> str:
     return "neutral"
 
 
+def _load_json(path: Path):
+    """The JSON value a ``.json`` file holds — the whole text, else its
+    last line (saved ``run.py`` output) — or ``None``."""
+    try:
+        text = path.read_text().strip()
+    except UnicodeDecodeError:
+        return None
+    for candidate in (text, text[text.rfind("\n") + 1 :]):
+        try:
+            return json.loads(candidate)
+        except json.JSONDecodeError:
+            continue
+    return None
+
+
 def load_comparable(path: str | Path) -> tuple[str, dict[str, float]]:
     """Load one input file; returns ``(kind, flat_metrics)``.
 
@@ -100,17 +120,17 @@ def load_comparable(path: str | Path) -> tuple[str, dict[str, float]]:
     if not path.exists():
         raise ConfigurationError(f"no such file: {path}")
     if path.suffix == ".json":
-        try:
-            payload = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            payload = None
+        payload = _load_json(path)
         if isinstance(payload, dict) and "metrics" in payload:
             metrics = payload["metrics"]
             if not isinstance(metrics, dict):
                 raise ConfigurationError(
                     f"{path}: 'metrics' is not an object — not a bench result"
                 )
-            return "bench", {str(k): float(v) for k, v in metrics.items()}
+            return "bench", {
+                str(k): float(v["value"] if isinstance(v, dict) else v)
+                for k, v in metrics.items()
+            }
     return "trace", summary_metrics(analyze_file(path))
 
 

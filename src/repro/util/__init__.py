@@ -13,8 +13,8 @@ from repro.util.errors import (
     SimulationError,
 )
 from repro.util.rng import RngStream, SeedSequenceRegistry
-from repro.util.stats import OnlineStats, Percentiles, summarize
-from repro.util.tracing import NullTracer, Tracer, TraceEvent, TraceRecorder
+from repro.util.stats import Percentiles
+from repro.util.tracing import NullTracer, Tracer, TraceEvent
 from repro.util.units import (
     GiB,
     KiB,
@@ -38,7 +38,6 @@ __all__ = [
     "KiB",
     "MiB",
     "NullTracer",
-    "OnlineStats",
     "Percentiles",
     "ProtocolError",
     "ReproError",
@@ -46,7 +45,6 @@ __all__ = [
     "SeedSequenceRegistry",
     "SimulationError",
     "TraceEvent",
-    "TraceRecorder",
     "Tracer",
     "format_rate",
     "format_size",
@@ -56,6 +54,5 @@ __all__ = [
     "ms",
     "ns",
     "parse_size",
-    "summarize",
     "us",
 ]

@@ -1,92 +1,14 @@
-"""Streaming and batch statistics used by the metrics layer.
-
-:class:`OnlineStats` implements Welford's algorithm so metric collectors
-can accumulate millions of samples in O(1) memory; :func:`summarize` and
-:class:`Percentiles` give the batch view used by the benchmark harness.
-"""
+"""Batch statistics used by the metrics layer: :class:`Percentiles`
+snapshots and the CLI's :func:`ascii_histogram`."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["OnlineStats", "Percentiles", "summarize", "ascii_histogram"]
-
-
-class OnlineStats:
-    """Single-pass mean/variance/min/max accumulator (Welford)."""
-
-    __slots__ = ("count", "_mean", "_m2", "minimum", "maximum", "total")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.total = 0.0
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the accumulator."""
-        v = float(value)
-        self.count += 1
-        self.total += v
-        delta = v - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (v - self._mean)
-        if v < self.minimum:
-            self.minimum = v
-        if v > self.maximum:
-            self.maximum = v
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold an iterable of samples."""
-        for v in values:
-            self.add(v)
-
-    def merge(self, other: "OnlineStats") -> None:
-        """Fold another accumulator into this one (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            self.total = other.total
-            return
-        n1, n2 = self.count, other.count
-        delta = other._mean - self._mean
-        total_n = n1 + n2
-        self._mean += delta * n2 / total_n
-        self._m2 += other._m2 + delta * delta * n1 * n2 / total_n
-        self.count = total_n
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (``nan`` when empty)."""
-        return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (``nan`` for fewer than 2 samples)."""
-        return self._m2 / (self.count - 1) if self.count > 1 else math.nan
-
-    @property
-    def stddev(self) -> float:
-        """Unbiased sample standard deviation."""
-        var = self.variance
-        return math.sqrt(var) if not math.isnan(var) else math.nan
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OnlineStats(n={self.count}, mean={self.mean:.6g})"
+__all__ = ["Percentiles", "ascii_histogram"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,19 +27,6 @@ class Percentiles:
         arr = np.asarray(samples, dtype=float)
         p50, p90, p99 = np.percentile(arr, [50.0, 90.0, 99.0])
         return cls(float(p50), float(p90), float(p99))
-
-
-@dataclass(frozen=True, slots=True)
-class Summary:
-    """Batch summary returned by :func:`summarize`."""
-
-    count: int
-    mean: float
-    stddev: float
-    minimum: float
-    maximum: float
-    total: float
-    percentiles: Percentiles
 
 
 def ascii_histogram(
@@ -150,19 +59,3 @@ def ascii_histogram(
         bar = "#" * int(round(count / peak * width))
         lines.append(f"{label:>{label_width}}  {count:>{count_width}}  {bar}")
     return "\n".join(lines)
-
-
-def summarize(samples: Sequence[float]) -> Summary:
-    """Summarize a non-empty batch of samples (mean, spread, percentiles)."""
-    if len(samples) == 0:
-        raise ValueError("cannot summarize an empty sample")
-    arr = np.asarray(samples, dtype=float)
-    return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        stddev=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        total=float(arr.sum()),
-        percentiles=Percentiles.of(arr),
-    )

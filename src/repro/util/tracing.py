@@ -2,9 +2,10 @@
 
 A :class:`Tracer` receives ``(time, source, kind, detail)`` tuples.  The
 default :class:`NullTracer` discards them at near-zero cost; tests and
-the E1 architecture benchmark install a :class:`TraceRecorder` to assert
-on the *sequence* of layer interactions (collect → optimize → transfer),
-which is how we validate Figure 1 executably.
+the E1 architecture benchmark subscribe a
+:class:`~repro.obs.recorder.ListSink` to assert on the *sequence* of
+layer interactions (collect → optimize → transfer), which is how we
+validate Figure 1 executably.
 
 The observability plane (:mod:`repro.obs`) builds on the same hook: it
 *subscribes sinks* to whatever tracer the simulator already has, which
@@ -28,7 +29,6 @@ __all__ = [
     "KindSink",
     "Tracer",
     "NullTracer",
-    "TraceRecorder",
     "event_to_dict",
     "events_to_jsonl",
 ]
@@ -109,41 +109,6 @@ class Tracer:
 class NullTracer(Tracer):
     """The production default: no sinks, so ``enabled`` stays false and
     guarded emit sites never build an event."""
-
-
-class TraceRecorder(Tracer):
-    """Keeps every event in memory for post-run inspection.
-
-    Use :meth:`to_jsonl` to export for external timeline tools.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.events: list[TraceEvent] = []
-        self.subscribe(self.record)  # recording is itself a sink
-
-    def record(self, event: TraceEvent) -> None:
-        """Store one event (also the way to replay a prebuilt one)."""
-        self.events.append(event)
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        """All recorded events with exactly this kind tag."""
-        return [e for e in self.events if e.kind == kind]
-
-    def kinds(self) -> Iterator[str]:
-        """Kind tags in emission order (with repeats)."""
-        return (e.kind for e in self.events)
-
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self.events.clear()
-
-    def to_jsonl(self) -> str:
-        """Serialize events as JSON Lines (one event object per line)."""
-        return events_to_jsonl(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 def event_to_dict(event: TraceEvent) -> dict[str, Any]:

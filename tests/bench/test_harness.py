@@ -1,8 +1,8 @@
-"""Tests for the benchmark harness: tables, persistence, figures, CLI."""
+"""Tests for the benchmark harness: tables, figures, CLI."""
 
 import pytest
 
-from repro.bench.harness import ExperimentResult, format_table, persist_result
+from repro.bench.harness import ExperimentResult, format_table
 
 
 def sample_result():
@@ -45,18 +45,6 @@ class TestFormatTable:
         table = format_table(["v"], [{"v": 0.001}, {"v": 12345.6}, {"v": 0.0}])
         assert "0.001" in table
         assert "1.23e+04" in table
-
-
-class TestPersistence:
-    def test_writes_file(self, tmp_path):
-        path = persist_result(sample_result(), directory=str(tmp_path))
-        assert path.name == "EX.txt"
-        assert "sample" in path.read_text()
-
-    def test_env_var_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "alt"))
-        path = persist_result(sample_result())
-        assert str(tmp_path / "alt") in str(path)
 
 
 class TestFigures:
@@ -114,8 +102,7 @@ class TestFigures:
 
 
 class TestCli:
-    def test_runs_selected_quick(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    def test_runs_selected_quick(self, capsys):
         from repro.bench.__main__ import main
 
         assert main(["E1", "--quick"]) == 0
@@ -128,16 +115,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["EZZZ"])
 
-    def test_chart_flag(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    def test_chart_flag(self, capsys):
         from repro.bench.__main__ import main
 
         assert main(["E8", "--quick", "--chart"]) == 0
         out = capsys.readouterr().out
         assert "figure: E8" in out
 
-    def test_markdown_export(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    def test_markdown_export(self, capsys, tmp_path):
         from repro.bench.__main__ import main
 
         target = tmp_path / "results.md"
@@ -145,3 +130,11 @@ class TestCli:
         text = target.read_text()
         assert text.startswith("# Experiment results")
         assert "## E8" in text and "```" in text
+
+    def test_repro_bench_alias_forwards_every_flag(self, capsys, tmp_path):
+        """``python -m repro bench`` declares no flags of its own."""
+        from repro.__main__ import main
+
+        target = tmp_path / "alias.md"
+        assert main(["bench", "E8", "--quick", "--markdown", str(target)]) == 0
+        assert "## E8" in target.read_text()

@@ -9,6 +9,7 @@ from repro.madeleine.message import Flow, Message, PackMode
 from repro.madeleine.submit import EntryKind, EntryState, SubmitEntry
 from repro.network.nic import NIC
 from repro.network.technologies import TECHNOLOGIES
+from repro.runtime.cluster import Cluster
 from repro.sim import Simulator
 
 
@@ -59,3 +60,48 @@ def data_entry(
 def control_entry(dst: str = "n1", kind: EntryKind = EntryKind.RDV_REQ, **meta):
     """An engine-generated control entry."""
     return SubmitEntry(kind, dst, 0.0, meta=meta)
+
+
+def plan_signature(plan):
+    """Order-sensitive, object-identity-free fingerprint of a plan."""
+    if plan is None:
+        return None
+    return (
+        str(plan.kind),
+        plan.dst,
+        plan.channel_id,
+        tuple(
+            (
+                item.entry.flow.name if item.entry.flow is not None else None,
+                item.entry.fragment.index if item.entry.fragment is not None else None,
+                item.entry.kind.value,
+                item.entry.offset,
+                item.take,
+            )
+            for item in plan.items
+        ),
+    )
+
+
+def build_loaded_cluster(
+    depth: int,
+    *,
+    n_flows: int = 8,
+    strategy=None,
+    config: EngineConfig | None = None,
+) -> Cluster:
+    """A 2-node cluster whose ``n0`` engine holds ``depth`` pending entries.
+
+    256-byte entries (small enough that no driver wants a rendezvous)
+    are enqueued directly (no pump is triggered), interleaved
+    round-robin over ``n_flows`` independent flows so cross-flow
+    aggregation opportunities exist at every seed.
+    """
+    cluster = Cluster(seed=0, strategy=strategy, config=config)
+    engine = cluster.engine("n0")
+    flows = [Flow(f"bench-f{i}", "n0", "n1") for i in range(n_flows)]
+    for i in range(depth):
+        entry = data_entry(flows[i % n_flows], 256)
+        entry.fragment.message.mark_flushed(0.0)
+        engine._enqueue(entry)
+    return cluster

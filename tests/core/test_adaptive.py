@@ -208,45 +208,3 @@ class TestAdaptiveChannels:
         run_session(cluster, [a.install for a in apps])
         policy = policy_holder["n0"]
         assert ("promote", TrafficClass.BULK) in policy.adaptations
-
-
-class TestMinDwellWindows:
-    """min_dwell_windows > 1 damps promote/demote thrash (tuner satellite)."""
-
-    @staticmethod
-    def drive(policy, windows=40):
-        pool = ChannelPool()
-        policy.setup(pool, max_channels=8)
-        shared = pool.channels[0].channel_id
-        # Strict alternation of one heavy-BULK window and one BULK-idle
-        # window — the adversarial trace for a dwell-less adapter.
-        for i in range(windows):
-            if i % 2 == 0:
-                policy.note_dispatch(shared, [(TrafficClass.BULK, 2 * KiB)])
-            else:
-                policy.note_dispatch(shared, [(TrafficClass.CONTROL, 1)])
-        return policy.adaptations
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveChannels(min_dwell_windows=0)
-
-    def test_default_dwell_keeps_immediate_flips(self):
-        """min_dwell_windows=1 is the pre-hysteresis behaviour: the
-        oscillating trace flips the BULK channel on every window."""
-        policy = AdaptiveChannels(
-            promote_bytes=1 * KiB, window_dispatches=1, demote_after_windows=1
-        )
-        assert len(self.drive(policy)) == 40
-
-    def test_oscillating_trace_does_not_thrash(self):
-        policy = AdaptiveChannels(
-            promote_bytes=1 * KiB,
-            window_dispatches=1,
-            demote_after_windows=1,
-            min_dwell_windows=4,
-        )
-        adaptations = self.drive(policy)
-        # One flip per dwell period instead of one per window.
-        assert len(adaptations) == 8
-        assert adaptations[0] == ("promote", TrafficClass.BULK)

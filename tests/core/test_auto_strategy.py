@@ -96,49 +96,3 @@ class TestRegimeSelection:
         plain = run("aggregate")
         assert auto.network_transactions == plain.network_transactions
         assert auto.latency.mean == pytest.approx(plain.latency.mean)
-
-
-class TestMinDwellHysteresis:
-    """min_dwell > 1 stops an alternating backlog from thrashing."""
-
-    @staticmethod
-    def fake_engine(backlog):
-        from types import SimpleNamespace
-
-        # Empty queue set: both inner strategies return None without
-        # touching the driver, so regime selection runs in isolation.
-        return SimpleNamespace(
-            waiting=SimpleNamespace(total_pending=backlog),
-            queues_for=lambda driver: [],
-        )
-
-    def drive(self, strategy, backlogs):
-        from types import SimpleNamespace
-
-        driver = SimpleNamespace(max_segments_per_packet=lambda: 8)
-        for backlog in backlogs:
-            strategy.make_plan(self.fake_engine(backlog), driver)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AutoStrategy(min_dwell=0)
-
-    def test_default_dwell_keeps_immediate_switching(self):
-        """min_dwell=1 is the exact pre-hysteresis behaviour: a strict
-        alternation flips the policy on every single decision."""
-        strategy = AutoStrategy(deep_backlog=8)
-        self.drive(strategy, [0, 20] * 20)
-        assert strategy.selections == {"deep": 20, "sparse": 20}
-
-    def test_oscillating_trace_does_not_thrash(self):
-        strategy = AutoStrategy(deep_backlog=8, min_dwell=4)
-        self.drive(strategy, [0, 20] * 20)
-        assert strategy.selections == {"deep": 0, "sparse": 40}
-        assert strategy.explain_last()["regime"] == "sparse"
-
-    def test_sustained_shift_still_switches(self):
-        strategy = AutoStrategy(deep_backlog=8, min_dwell=3)
-        self.drive(strategy, [0, 0, 20, 20, 20, 20])
-        # Decisions 3-4 ride out the dwell on nagle; decision 5 commits.
-        assert strategy.selections["deep"] == 2
-        assert strategy.explain_last()["regime"] == "deep"

@@ -7,9 +7,9 @@ from repro.core.config import EngineConfig
 from repro.core.strategies import NagleStrategy
 from repro.madeleine.message import PackMode
 from repro.network.virtual import TrafficClass
+from repro.obs.recorder import ListSink
 from repro.runtime.cluster import Cluster
 from repro.util.errors import ConfigurationError
-from repro.util.tracing import TraceRecorder
 from repro.util.units import KiB, us
 
 
@@ -18,21 +18,31 @@ def two_node_cluster(**kwargs):
     return Cluster(**kwargs)
 
 
+def traced_two_node_cluster():
+    """A two-node cluster plus the sink recording every event it emits."""
+    cluster = two_node_cluster()
+    recorded = ListSink()
+    cluster.sim.tracer.subscribe(recorded)
+    return cluster, recorded
+
+
+def activations(recorded):
+    return [e for e in recorded.events if e.kind == "optimizer.activate"]
+
+
 class TestActivationDiscipline:
     def test_submit_on_idle_nic_sends_immediately(self):
-        tracer = TraceRecorder()
-        c = two_node_cluster(tracer=tracer)
+        c, recorded = traced_two_node_cluster()
         api = c.api("n0")
         api.send(api.open_flow("n1"), 256)
         c.run_until_idle()
-        triggers = [e.detail["trigger"] for e in tracer.of_kind("optimizer.activate")]
+        triggers = [e.detail["trigger"] for e in activations(recorded)]
         assert triggers[0] == "submit"
 
     def test_backlog_accumulates_while_nic_busy(self):
         """The paper's core mechanism: submissions during a transfer
         queue up and are optimized at the idle transition."""
-        tracer = TraceRecorder()
-        c = two_node_cluster(tracer=tracer)
+        c, recorded = traced_two_node_cluster()
         api = c.api("n0")
         flow = api.open_flow("n1")
         engine = c.engine("n0")
@@ -46,7 +56,7 @@ class TestActivationDiscipline:
         c.run_until_idle()
         assert engine.backlog == 0
         idle_activations = [
-            e for e in tracer.of_kind("optimizer.activate") if e.detail["trigger"] == "idle"
+            e for e in activations(recorded) if e.detail["trigger"] == "idle"
         ]
         assert idle_activations, "idle transition must trigger the optimizer"
         # The accumulated backlog went out aggregated, not one-by-one.
@@ -101,8 +111,7 @@ class TestDispatchAccounting:
 
 class TestRendezvousProtocol:
     def test_large_message_uses_rendezvous(self):
-        tracer = TraceRecorder()
-        c = two_node_cluster(tracer=tracer)
+        c = two_node_cluster()
         api = c.api("n0")
         flow = api.open_flow("n1")
         big = api.send(flow, 128 * KiB)

@@ -46,28 +46,13 @@ from repro.util.errors import CapabilityError
 from repro.util.units import KiB, us
 
 from tests.core import oracle
-from tests.core.helpers import StubEngine, control_entry, data_entry, make_driver
-
-
-def plan_signature(plan):
-    """Order-sensitive, object-identity-free fingerprint of a plan."""
-    if plan is None:
-        return None
-    return (
-        str(plan.kind),
-        plan.dst,
-        plan.channel_id,
-        tuple(
-            (
-                item.entry.flow.name if item.entry.flow is not None else None,
-                item.entry.fragment.index if item.entry.fragment is not None else None,
-                item.entry.kind.value,
-                item.entry.offset,
-                item.take,
-            )
-            for item in plan.items
-        ),
-    )
+from tests.core.helpers import (
+    StubEngine,
+    control_entry,
+    data_entry,
+    make_driver,
+    plan_signature,
+)
 
 
 # ----------------------------------------------------------------------

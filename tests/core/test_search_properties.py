@@ -20,7 +20,7 @@ from repro.core.strategies.search import BoundedSearchStrategy
 from repro.madeleine.message import Flow
 from repro.runtime.cluster import Cluster
 
-from tests.core.helpers import data_entry
+from tests.core.helpers import build_loaded_cluster, data_entry, plan_signature
 
 # Every test here runs against the production walk and again against the
 # oracle it is compared to elsewhere (tests/core/conftest.py).
@@ -88,3 +88,26 @@ class TestScoreMemoization:
         # very same plan object wins with the same budget spent.
         assert again is first
         assert strategy.last_evaluated == evaluated
+
+
+class TestDecisionBoundedByWindow:
+    def test_decision_does_not_grow_with_backlog_past_the_window(self):
+        """One decision reads ``lookahead_window`` entries however deep
+        the backlog behind them is: same window, same candidates, same
+        plan at depth 64 and at depth 1,024."""
+        outcomes = []
+        for depth in (64, 1024):
+            cluster = build_loaded_cluster(
+                depth,
+                strategy=lambda: BoundedSearchStrategy(budget=64),
+                config=EngineConfig(lookahead_window=16),
+            )
+            engine = cluster.engine("n0")
+            (queue,) = engine.waiting.non_empty()
+            assert queue.pending_arrays(16).n == 16
+            plan = engine.strategy.make_plan(engine, engine.drivers[0])
+            assert plan is not None
+            outcomes.append(
+                (plan_signature(plan), engine.strategy.candidates_evaluated)
+            )
+        assert outcomes[0] == outcomes[1]

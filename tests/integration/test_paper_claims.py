@@ -9,8 +9,8 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.middleware import ControlPlaneApp, StreamApp, uniform_small_flows
 from repro.network.virtual import TrafficClass
+from repro.obs.recorder import ListSink
 from repro.runtime import Cluster, run_session
-from repro.util.tracing import TraceRecorder
 from repro.util.units import KiB, us
 
 
@@ -33,11 +33,12 @@ class TestAbstractClaims:
 
     def test_triggered_when_network_cards_become_idle(self):
         """'…are triggered by the network cards when they become idle.'"""
-        tracer = TraceRecorder()
-        cluster = Cluster(tracer=tracer, seed=1)
+        cluster = Cluster(seed=1)
+        recorded = ListSink()
+        cluster.sim.tracer.subscribe(recorded)
         apps = uniform_small_flows(4, size=512, count=30, interval=1 * us)
         run_session(cluster, [a.install for a in apps])
-        activations = tracer.of_kind("optimizer.activate")
+        activations = [e for e in recorded.events if e.kind == "optimizer.activate"]
         idle_triggered = sum(1 for e in activations if e.detail["trigger"] == "idle")
         assert idle_triggered > len(activations) / 2
 

@@ -5,9 +5,9 @@ import pytest
 from repro.network.nic import NIC
 from repro.network.technologies import myrinet_mx
 from repro.network.wire import PacketKind, WirePacket, WireSegment
+from repro.obs.recorder import ListSink
 from repro.sim import Simulator
 from repro.util.errors import SimulationError
-from repro.util.tracing import TraceRecorder
 
 
 def make_nic(sim, deliveries=None):
@@ -148,10 +148,12 @@ class TestReaches:
 
 class TestTracing:
     def test_send_and_idle_events(self):
-        tracer = TraceRecorder()
-        sim = Simulator(tracer)
+        sim = Simulator()
+        recorded = ListSink()
+        sim.tracer.subscribe(recorded)
         nic, _ = make_nic(sim)
         nic.submit(packet(), occupancy=1e-6, one_way=2e-6)
         sim.run()
-        assert len(tracer.of_kind("nic.send")) == 1
-        assert len(tracer.of_kind("nic.idle")) == 1
+        kinds = [e.kind for e in recorded.events]
+        assert kinds.count("nic.send") == 1
+        assert kinds.count("nic.idle") == 1

@@ -27,6 +27,9 @@ class TestDirection:
             "crossings/clamped",
             "decide/miss_fraction",
             "hold/starved_samples",
+            "py_ops_per_msg",
+            "core.decide.calls_per_msg",
+            "obs.ops_per_event",
         ],
     )
     def test_higher_is_worse(self, key):
@@ -39,6 +42,8 @@ class TestDirection:
             "aggregation/throughput_MBps",
             "pingpong/bytes_verified",
             "traced/flow_crossings",
+            "msgs_per_s",
+            "live.mb_per_s",
         ],
     )
     def test_lower_is_worse(self, key):
@@ -119,7 +124,7 @@ def _bench_file(tmp_path, name, metrics):
 
 class TestLoadComparable:
     def test_bench_json(self, tmp_path):
-        path = _bench_file(tmp_path, "BENCH_live.json", {"a/ratio": 2.0})
+        path = _bench_file(tmp_path, "result.json", {"a/ratio": 2.0})
         kind, metrics = load_comparable(path)
         assert kind == "bench"
         assert metrics == {"a/ratio": 2.0}
@@ -146,7 +151,41 @@ def _args(baseline, candidate, *, check=False, threshold=None, ignore=()):
     )
 
 
+def _ledger_output(tmp_path, name, msgs_per_s):
+    """Saved stdout of ``benchmarks/e2e/run.py --workload sim_mixed
+    --smoke``: the printed table, then the result object on the last line."""
+    result = {
+        "correct": True,
+        "attempted": 1664,
+        "failed": 0,
+        "metrics": {
+            "msgs_per_s": {"value": msgs_per_s, "unit": "1/s"},
+            "peak_rss_mb": {"value": 41.3, "unit": "MB"},
+            "py_ops_per_msg": {"value": 8358.28, "unit": "count"},
+            "sim_latency_us": {"value": 235.037918, "unit": "us"},
+            "core.agg_ratio": {"value": 2.730298, "unit": "count"},
+        },
+    }
+    path = tmp_path / name
+    path.write_text(
+        "== sim_mixed  seed=2006  trace=0  attempted=1664 failed=0\n"
+        f"msgs_per_s {msgs_per_s:>16.6f} 1/s\n"
+        "gate delivered                    ok \n"
+        + json.dumps(result)
+        + "\n"
+    )
+    return path
+
+
 class TestMain:
+    @pytest.mark.parametrize("cand_rate, exit_code", [(10900.0, 0), (5450.0, 1)])
+    def test_ledger_result_line_is_gated(self, tmp_path, capsys, cand_rate, exit_code):
+        base = _ledger_output(tmp_path, "base.json", 10900.0)
+        cand = _ledger_output(tmp_path, "cand.json", cand_rate)
+        assert load_comparable(base)[1]["sim_latency_us"] == 235.037918
+        assert main(_args(base, cand, check=True)) == exit_code
+        assert f"{exit_code} regression(s)" in capsys.readouterr().out
+
     def test_injected_regression_fails_check(self, tmp_path, capsys):
         base = _bench_file(
             tmp_path, "base.json",

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.bench.kernel import build_loaded_cluster
 from repro.core.config import EngineConfig
 from repro.core.strategies.search import BoundedSearchStrategy
 from repro.obs.recorder import ListSink
 from repro.runtime.cluster import Cluster
+
+from tests.core.helpers import build_loaded_cluster
 
 
 def _traced_loaded_cluster(depth, *, budget=64, traced=True):

@@ -1,78 +1,8 @@
-"""Tests for repro.util.stats, including Welford-vs-numpy property tests."""
+"""Tests for repro.util.stats."""
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.util.stats import OnlineStats, Percentiles, summarize
-
-finite_floats = st.floats(
-    min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
-)
-
-
-class TestOnlineStats:
-    def test_empty(self):
-        s = OnlineStats()
-        assert s.count == 0
-        assert math.isnan(s.mean)
-        assert math.isnan(s.variance)
-
-    def test_single_sample(self):
-        s = OnlineStats()
-        s.add(5.0)
-        assert s.mean == 5.0
-        assert s.minimum == s.maximum == 5.0
-        assert math.isnan(s.variance)
-
-    def test_known_values(self):
-        s = OnlineStats()
-        s.extend([1.0, 2.0, 3.0, 4.0])
-        assert s.mean == pytest.approx(2.5)
-        assert s.variance == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
-        assert s.total == pytest.approx(10.0)
-
-    @given(st.lists(finite_floats, min_size=2, max_size=200))
-    def test_matches_numpy(self, values):
-        s = OnlineStats()
-        s.extend(values)
-        arr = np.asarray(values)
-        assert s.mean == pytest.approx(arr.mean(), rel=1e-9, abs=1e-6)
-        assert s.stddev == pytest.approx(arr.std(ddof=1), rel=1e-6, abs=1e-6)
-        assert s.minimum == arr.min()
-        assert s.maximum == arr.max()
-
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=50),
-        st.lists(finite_floats, min_size=1, max_size=50),
-    )
-    def test_merge_equivalent_to_concat(self, xs, ys):
-        merged = OnlineStats()
-        merged.extend(xs)
-        other = OnlineStats()
-        other.extend(ys)
-        merged.merge(other)
-
-        concat = OnlineStats()
-        concat.extend(xs + ys)
-        assert merged.count == concat.count
-        assert merged.mean == pytest.approx(concat.mean, rel=1e-9, abs=1e-6)
-        if merged.count > 1:
-            assert merged.variance == pytest.approx(concat.variance, rel=1e-6, abs=1e-6)
-
-    def test_merge_with_empty(self):
-        s = OnlineStats()
-        s.extend([1.0, 2.0])
-        s.merge(OnlineStats())
-        assert s.count == 2
-
-        empty = OnlineStats()
-        empty.merge(s)
-        assert empty.count == 2
-        assert empty.mean == pytest.approx(1.5)
+from repro.util.stats import Percentiles
 
 
 class TestPercentiles:
@@ -116,20 +46,3 @@ class TestAsciiHistogram:
 
         out = ascii_histogram([3.0], bins=3)
         assert "#" in out
-
-
-class TestSummarize:
-    def test_summary_fields(self):
-        s = summarize([2.0, 4.0, 6.0])
-        assert s.count == 3
-        assert s.mean == pytest.approx(4.0)
-        assert s.minimum == 2.0
-        assert s.maximum == 6.0
-        assert s.total == pytest.approx(12.0)
-
-    def test_single_sample_stddev_zero(self):
-        assert summarize([3.0]).stddev == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])

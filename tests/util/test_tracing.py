@@ -1,40 +1,13 @@
 """Tests for repro.util.tracing."""
 
-from repro.util.tracing import KindSink, NullTracer, TraceRecorder, Tracer
+from repro.util.tracing import KindSink, NullTracer, Tracer, events_to_jsonl
 
 
-class TestTraceRecorder:
-    def test_records_events_in_order(self):
-        t = TraceRecorder()
-        t.emit(0.0, "nic:0", "nic.start", size=10)
-        t.emit(1.0, "nic:0", "nic.idle")
-        assert [e.kind for e in t.events] == ["nic.start", "nic.idle"]
-        assert t.events[0].detail == {"size": 10}
-        assert t.events[1].time == 1.0
-
-    def test_of_kind_filters(self):
-        t = TraceRecorder()
-        t.emit(0.0, "a", "x")
-        t.emit(0.0, "a", "y")
-        t.emit(0.0, "b", "x")
-        assert len(t.of_kind("x")) == 2
-        assert len(t.of_kind("z")) == 0
-
-    def test_kinds_iterator(self):
-        t = TraceRecorder()
-        t.emit(0.0, "a", "x")
-        t.emit(0.0, "a", "x")
-        assert list(t.kinds()) == ["x", "x"]
-
-    def test_clear_and_len(self):
-        t = TraceRecorder()
-        t.emit(0.0, "a", "x")
-        assert len(t) == 1
-        t.clear()
-        assert len(t) == 0
-
-    def test_always_enabled(self):
-        assert TraceRecorder().enabled
+def recording():
+    """A tracer plus the list its every event is appended to."""
+    tracer, events = Tracer(), []
+    tracer.subscribe(events.append)
+    return tracer, events
 
 
 class TestNullTracer:
@@ -57,10 +30,10 @@ class TestJsonExport:
     def test_to_jsonl_roundtrip(self):
         import json
 
-        t = TraceRecorder()
+        t, events = recording()
         t.emit(1.5, "nic:0", "nic.send", bytes=128, dst="n1")
         t.emit(2.0, "nic:0", "nic.idle")
-        lines = t.to_jsonl().splitlines()
+        lines = events_to_jsonl(events).splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
         assert first == {
@@ -75,9 +48,8 @@ class TestJsonExport:
 
         from repro.util.tracing import TraceEvent
 
-        t = TraceRecorder()
-        t.record(TraceEvent(1.0, "a", "k", {"time": "bogus", "source": "x", "kind": "y"}))
-        parsed = json.loads(t.to_jsonl())
+        event = TraceEvent(1.0, "a", "k", {"time": "bogus", "source": "x", "kind": "y"})
+        parsed = json.loads(events_to_jsonl([event]))
         assert parsed["time"] == 1.0
         assert parsed["source"] == "a"
         assert parsed["kind"] == "k"
@@ -86,22 +58,22 @@ class TestJsonExport:
     def test_nested_json_values_preserved(self):
         import json
 
-        t = TraceRecorder()
+        t, events = recording()
         t.emit(0.0, "a", "k", obj={"nested": 1}, seq=[1, (2, 3)])
-        parsed = json.loads(t.to_jsonl())
+        parsed = json.loads(events_to_jsonl(events))
         assert parsed["detail"]["obj"] == {"nested": 1}
         assert parsed["detail"]["seq"] == [1, [2, 3]]
 
     def test_non_json_values_coerced(self):
         import json
 
-        t = TraceRecorder()
+        t, events = recording()
         t.emit(0.0, "a", "k", obj=object())
-        parsed = json.loads(t.to_jsonl())
+        parsed = json.loads(events_to_jsonl(events))
         assert isinstance(parsed["detail"]["obj"], str)
 
     def test_empty(self):
-        assert TraceRecorder().to_jsonl() == ""
+        assert events_to_jsonl([]) == ""
 
 
 class TestTracerFanOut:
@@ -157,9 +129,9 @@ class TestKindDispatch:
 
     def test_kind_sink_called_directly_routes_through_its_table(self):
         picky = _Picky()
-        t = TraceRecorder()
+        t, events = recording()
         t.emit(0.0, "s", "a")
         t.emit(0.0, "s", "x")
-        for event in t.events:
+        for event in events:
             picky(event)
         assert [e.kind for e in picky.got] == ["a"]
