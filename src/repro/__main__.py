@@ -69,6 +69,30 @@ def _parse_faults_arg(value: str) -> dict | None:
     return faults
 
 
+def _print_report(report, counted: str, verified: str | None = None) -> None:
+    """The ``SessionReport`` block both planes print.
+
+    ``counted`` is the plane's word for a message that made it
+    (``completed`` in virtual time, ``delivered`` over sockets);
+    ``verified`` is the live plane's byte-verification line.
+    """
+    print(f"messages {counted:<12}: {report.messages}")
+    print(f"payload delivered    : {report.total_bytes} B")
+    if verified is not None:
+        print(f"bytes verified       : {verified}")
+    print(f"throughput           : {format_rate(report.throughput)}")
+    print(f"mean latency         : {report.latency.mean * 1e6:.2f} us")
+    print(f"p99 latency          : {report.latency.p99 * 1e6:.2f} us")
+    if not math.isnan(report.latency_p99_us):
+        print(
+            f"sketch p99 / p999    : {report.latency_p99_us:.2f} / "
+            f"{report.latency_p999_us:.2f} us"
+        )
+    print(f"network transactions : {report.network_transactions}")
+    print(f"aggregation ratio    : {report.aggregation_ratio:.2f}")
+    print(f"rendezvous transfers : {report.rdv_count}")
+
+
 def _cmd_run(args) -> int:
     import json
 
@@ -113,19 +137,7 @@ def _cmd_run(args) -> int:
         return 1 if incomplete else 0
     print(f"== scenario: {name} ==")
     print(f"virtual time         : {format_time(cluster.sim.now)}")
-    print(f"messages completed   : {report.messages}")
-    print(f"payload delivered    : {report.total_bytes} B")
-    print(f"throughput           : {format_rate(report.throughput)}")
-    print(f"mean latency         : {report.latency.mean * 1e6:.2f} us")
-    print(f"p99 latency          : {report.latency.p99 * 1e6:.2f} us")
-    if not math.isnan(report.latency_p99_us):
-        print(
-            f"sketch p99 / p999    : {report.latency_p99_us:.2f} / "
-            f"{report.latency_p999_us:.2f} us"
-        )
-    print(f"network transactions : {report.network_transactions}")
-    print(f"aggregation ratio    : {report.aggregation_ratio:.2f}")
-    print(f"rendezvous transfers : {report.rdv_count}")
+    _print_report(report, "completed")
     if cluster.fault_plane is not None:
         print(f"packets dropped      : {report.packets_dropped}")
         print(f"packets corrupted    : {report.packets_corrupted}")
@@ -252,20 +264,11 @@ def _cmd_live_run(args) -> int:
         return 0
     print(f"== live scenario: {name} ({args.transport}) ==")
     print(f"wall time            : {format_time(report.duration)}")
-    print(f"messages delivered   : {report.messages}")
-    print(f"payload delivered    : {report.total_bytes} B")
-    print(f"bytes verified       : {result.bytes_verified} (corrupt: {result.corrupt_slices})")
-    print(f"throughput           : {format_rate(report.throughput)}")
-    print(f"mean latency         : {report.latency.mean * 1e6:.2f} us")
-    print(f"p99 latency          : {report.latency.p99 * 1e6:.2f} us")
-    if not math.isnan(report.latency_p99_us):
-        print(
-            f"sketch p99 / p999    : {report.latency_p99_us:.2f} / "
-            f"{report.latency_p999_us:.2f} us"
-        )
-    print(f"network transactions : {report.network_transactions}")
-    print(f"aggregation ratio    : {report.aggregation_ratio:.2f}")
-    print(f"rendezvous transfers : {report.rdv_count}")
+    _print_report(
+        report,
+        "delivered",
+        verified=f"{result.bytes_verified} (corrupt: {result.corrupt_slices})",
+    )
     if result.tuner.get("enabled"):
         totals = result.tuner["totals"]
         print(f"tuner                : {int(totals.get('decisions', 0))} decisions")

@@ -71,7 +71,7 @@ class ConstraintChecker:
                     else "non-aggregatable entry"
                 )
                 raise ConstraintViolation(
-                    f"{reason} #{entry.entry_id} aggregated with "
+                    f"{reason} {entry!r} aggregated with "
                     f"{len(plan.items) - 1} other item(s)"
                 )
 
@@ -93,7 +93,7 @@ class ConstraintChecker:
                     and caps.supports_rdv
                 ):
                     raise ConstraintViolation(
-                        f"entry #{entry.entry_id} ({entry.remaining} B) must use "
+                        f"{entry!r} ({entry.remaining} B) must use "
                         f"rendezvous on {plan.driver.name} "
                         f"(eager_threshold={caps.eager_threshold})"
                     )
@@ -101,14 +101,14 @@ class ConstraintChecker:
             for entry in plan.entries:
                 if entry.state is not EntryState.RDV_READY:
                     raise ConstraintViolation(
-                        f"RDV_DATA plan includes entry #{entry.entry_id} in state "
+                        f"RDV_DATA plan includes {entry!r} in state "
                         f"{entry.state.value}"
                     )
 
     def _check_flow_fifo(
         self, plan: TransferPlan, channel_pending: list[SubmitEntry]
     ) -> None:
-        taken = {item.entry.entry_id for item in plan.items}
+        taken = {item.entry for item in plan.items}
         skipped_flows: set[int] = set()
         for entry in channel_pending:
             if entry.flow is None or entry.kind is not EntryKind.DATA:
@@ -116,10 +116,10 @@ class ConstraintChecker:
             if entry.state is EntryState.RDV_READY:
                 continue  # parked bulk re-entered the queue; exempt from FIFO
             flow_id = entry.flow.flow_id
-            if entry.entry_id in taken:
+            if entry in taken:
                 if flow_id in skipped_flows:
                     raise ConstraintViolation(
-                        f"plan takes entry #{entry.entry_id} of flow "
+                        f"plan takes {entry!r} of flow "
                         f"{entry.flow.name!r} after skipping a non-deferrable "
                         f"earlier entry of the same flow"
                     )

@@ -19,7 +19,6 @@ The deterministic Madeleine-3 baseline reuses the same base class; see
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -75,8 +74,6 @@ class EngineStats:
 
 class CommEngineBase:
     """Shared mechanics: waiting lists, dispatch, rendezvous protocol."""
-
-    _rdv_tokens = itertools.count()
 
     def __init__(
         self,
@@ -330,6 +327,7 @@ class CommEngineBase:
             channel_id=plan.channel_id,
             segments=tuple(segments),
             meta=plan.meta,
+            packet_id=self.sim.ids.packet(),
         )
         plan.driver.send(packet)
         self.policy.note_dispatch(
@@ -361,7 +359,7 @@ class CommEngineBase:
                 messages=[
                     [
                         seg.payload.message.message_id,
-                        seg.payload.fragment_id,
+                        seg.payload.index,
                         seg.length,
                     ]
                     for seg in segments
@@ -416,11 +414,11 @@ class CommEngineBase:
         """
         if entry.state is not EntryState.WAITING:
             raise ProtocolError(
-                f"cannot park entry #{entry.entry_id} in state {entry.state.value}"
+                f"cannot park {entry!r} in state {entry.state.value}"
             )
         self.waiting.queue(channel_id).remove(entry)
         entry.state = EntryState.RDV_PENDING
-        token = next(self._rdv_tokens)
+        token = self.sim.ids.rdv_token()
         self._rdv_pending[token] = (entry, channel_id)
         request = SubmitEntry(
             EntryKind.RDV_REQ,
@@ -448,7 +446,9 @@ class CommEngineBase:
                 self.sim.now,
                 f"engine:{self.node_name}",
                 "rdv.park",
-                entry=entry.entry_id,
+                fragment=(
+                    entry.fragment.index if entry.fragment is not None else None
+                ),
                 token=token,
                 bytes=entry.remaining,
                 message=(
@@ -548,7 +548,9 @@ class CommEngineBase:
                 self.sim.now,
                 f"engine:{self.node_name}",
                 "rdv.ready",
-                entry=entry.entry_id,
+                fragment=(
+                    entry.fragment.index if entry.fragment is not None else None
+                ),
                 token=token,
                 message=(
                     entry.message.message_id if entry.message is not None else None
@@ -582,7 +584,9 @@ class CommEngineBase:
                 self.sim.now,
                 f"engine:{self.node_name}",
                 "rdv.timeout",
-                entry=entry.entry_id,
+                fragment=(
+                    entry.fragment.index if entry.fragment is not None else None
+                ),
                 token=token,
                 bytes=entry.remaining,
                 message=(

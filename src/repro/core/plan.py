@@ -38,7 +38,7 @@ class PlanItem:
     def __post_init__(self) -> None:
         if self.take <= 0 or self.take > self.entry.remaining:
             raise ConfigurationError(
-                f"plan item takes {self.take} B of entry #{self.entry.entry_id} "
+                f"plan item takes {self.take} B of {self.entry!r} "
                 f"with {self.entry.remaining} B remaining"
             )
 
@@ -60,7 +60,7 @@ class TransferPlan:
         for item in self.items:
             if item.entry.dst != self.dst:
                 raise ConfigurationError(
-                    f"entry #{item.entry.entry_id} targets {item.entry.dst!r}, "
+                    f"{item.entry!r} targets {item.entry.dst!r}, "
                     f"plan targets {self.dst!r}"
                 )
 

@@ -22,7 +22,7 @@ recomputed:
   themselves: :class:`~repro.madeleine.submit.SubmitEntry` notifies its
   owning queue on every state transition and byte consumption;
 * :meth:`ChannelQueue.remove` is O(1): entries live in a lazily
-  compacted slot list (``entry_id`` → slot index), removal blanks the
+  compacted slot list (entry → slot index), removal blanks the
   slot, and compaction runs only when dead slots outnumber live ones;
 * ``oldest_submit_time`` and windowed :meth:`ChannelQueue.pending`
   snapshots are memoized against the queue's **version stamp**, which
@@ -91,7 +91,7 @@ class ChannelQueue:
         #: Arrival-ordered slots; ``None`` marks a lazily removed entry.
         self._slots: list[SubmitEntry | None] = []
         self._head = 0  # slots before this index are all dead
-        self._index: dict[int, int] = {}  # entry_id -> slot position
+        self._index: dict[SubmitEntry, int] = {}  # entry -> slot position
         self._garbage = 0  # dead slots at or after _head
         self._pending_count = 0
         self._pending_bytes = 0
@@ -113,11 +113,11 @@ class ChannelQueue:
         """Add an entry at the tail (arrival order)."""
         if entry._owner is not None:
             raise InternalError(
-                f"entry #{entry.entry_id} already belongs to channel "
+                f"{entry!r} already belongs to channel "
                 f"{entry._owner.channel_id}, cannot append to {self.channel_id}"
             )
         entry._owner = self
-        self._index[entry.entry_id] = len(self._slots)
+        self._index[entry] = len(self._slots)
         self._slots.append(entry)
         if entry._state in _PENDING_STATES:
             self._account(1, entry.remaining)
@@ -125,10 +125,10 @@ class ChannelQueue:
 
     def remove(self, entry: SubmitEntry) -> None:
         """Remove a specific entry (dispatch or rendezvous parking)."""
-        position = self._index.pop(entry.entry_id, None)
+        position = self._index.pop(entry, None)
         if position is None or self._slots[position] is not entry:
             raise InternalError(
-                f"entry #{entry.entry_id} not in channel {self.channel_id}"
+                f"{entry!r} not in channel {self.channel_id}"
             )
         self._slots[position] = None
         self._garbage += 1
@@ -181,7 +181,7 @@ class ChannelQueue:
             if entry is None:
                 self._garbage -= 1
             elif entry._state is EntryState.SENT:
-                del self._index[entry.entry_id]
+                del self._index[entry]
                 entry._owner = None
                 slots[head] = None
             else:
@@ -201,7 +201,7 @@ class ChannelQueue:
         self._slots = [e for e in self._slots[self._head :] if e is not None]
         self._head = 0
         self._garbage = 0
-        self._index = {e.entry_id: i for i, e in enumerate(self._slots)}
+        self._index = {e: i for i, e in enumerate(self._slots)}
 
     # ------------------------------------------------------------------
     # reads (all memoized against the version stamp)
@@ -257,7 +257,7 @@ class ChannelQueue:
                     # another rail): blank it now so the dead slot counts
                     # toward compaction instead of lingering until the
                     # head happens to pass it.
-                    del self._index[entry.entry_id]
+                    del self._index[entry]
                     entry._owner = None
                     slots[position] = None
                     self._garbage += 1

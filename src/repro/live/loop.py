@@ -2,11 +2,12 @@
 
 The optimizing engine, the workload processes, and every component in
 between talk to a :class:`~repro.sim.engine.Simulator`-shaped object:
-``now``, ``schedule``, ``at``, ``cancel``, ``tracer``.  :class:`LiveClock`
-satisfies that interface over a running asyncio event loop, so the exact
-same engine/strategy/middleware code that runs in virtual time runs in
-wall-clock time — hold timers become ``call_later`` timers, process
-think-times become real sleeps, and trace events carry real timestamps.
+``now``, ``schedule``, ``at``, ``cancel``, ``tracer``, ``ids``.
+:class:`LiveClock` satisfies that interface over a running asyncio
+event loop, so the exact same engine/strategy/middleware code that runs
+in virtual time runs in wall-clock time — hold timers become
+``call_later`` timers, process think-times become real sleeps, and
+trace events carry real timestamps.
 
 Two deliberate departures from a naive ``time.time()`` passthrough:
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
+from repro.sim.engine import RunIds
 from repro.util.errors import SimulationError
 from repro.util.tracing import NullTracer, Tracer
 
@@ -86,6 +88,7 @@ class LiveClock:
         self._now = max(0.0, (time.time() - epoch) / time_scale)
         self._pending = 0
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
+        self.ids = RunIds()
 
     # ------------------------------------------------------------------
     # clock

@@ -19,18 +19,18 @@ above the NICs of the local node comes from
 :func:`~repro.runtime.cluster.build_node_stack`.  What the peer builds
 itself is its transfer layer — :class:`~repro.live.nic.LiveNIC`\\ s whose
 idle transition is a socket-drain event, on a :class:`Hub` of sockets,
-timed by a :class:`~repro.live.loop.LiveClock` over asyncio — and the
-stand-ins for the nodes that live in other processes.
+timed by a :class:`~repro.live.loop.LiveClock` over asyncio.
 
-**Symmetry rule.**  Every peer builds the *entire* scenario — all flows,
-all apps — but only its own node gets a real engine; remote nodes get
-stubs whose ``submit_message`` is a no-op.  Because every flow is opened
-synchronously during app install, before any traffic, the module-level
-flow-id counter assigns identical ids on every peer, which is what lets
-a wire descriptor's ``flow`` field resolve to the right local
-:class:`~repro.madeleine.message.Flow` object.  Processes driving a
-remote node's half of a workload simply stall on futures that never
-resolve locally; global termination is detected by counter agreement
+**Every peer builds the flow table, each peer runs its own half.**
+Every peer installs the *entire* scenario, so every flow of every app
+is opened — at START, in the same order, before any traffic — and the
+run-scoped flow counter (``sim.ids``) assigns identical ids on every
+peer: that is what lets a wire descriptor's ``flow`` field resolve to
+the right local :class:`~repro.madeleine.message.Flow` object.  But a
+workload process is started only on the peer that owns its node
+(:meth:`~repro.middleware.base.AppBase.spawn`); a remote node has a
+:class:`~repro.madeleine.api.MadAPI` to open flows on and no engine
+behind it.  Global termination is detected by counter agreement
 (messages submitted == deliveries acknowledged), not by app completion.
 """
 
@@ -900,22 +900,58 @@ class Hub:
 # --------------------------------------------------------------------------
 
 
-class _StubEngine:
-    """Engine stand-in for remote nodes (satisfies CommEngineProtocol).
-
-    A message submitted here belongs to a process that is really running
-    on another peer; locally it goes nowhere and the submitting process
-    stalls on a future that never resolves — by design.
-    """
-
-    def __init__(self, node_name: str) -> None:
-        self.node_name = node_name
-
-    def submit_message(self, message: Message) -> None:
-        pass
-
-    def post_receive(self, flow: Flow, count: int = 1) -> None:
-        pass
+#: Every counter the socket plane keeps for one peer, declared once as
+#: ``(report key, getter(peer), metric name or None, metric help)``.
+#: ``report()["transport"]`` carries every row under its key, STATUS the
+#: rows named in ``_STATUS_KEYS``, and ``_mirror_live_metrics`` mirrors
+#: the rows that name a metric into the registry.
+_TRANSPORT_COUNTERS = (
+    ("bytes_tx", lambda p: p.hub.bytes_tx,
+     "repro_live_bytes_tx_total", "Bytes written to peer sockets"),
+    ("bytes_rx", lambda p: p.hub.bytes_rx,
+     "repro_live_bytes_rx_total", "Bytes read from peer sockets"),
+    ("bytes_verified", lambda p: p.mirror.bytes_verified,
+     "repro_live_bytes_verified_total",
+     "Payload bytes checked against the sender's pattern"),
+    ("corrupt_slices", lambda p: p.mirror.corrupt_slices,
+     "repro_live_corrupt_slices_total", "Payload slices that failed verification"),
+    ("submitted", lambda p: p.hub.submitted, None, ""),
+    ("done_sent", lambda p: p.hub.done_sent, None, ""),
+    ("done_received", lambda p: p.hub.done_received, None, ""),
+    ("abandoned", lambda p: p.hub.abandoned,
+     "repro_live_abandoned_messages_total",
+     "Submitted messages abandoned because their destination died"),
+    ("blackholed", lambda p: p.hub.blackholed,
+     "repro_live_blackholed_total", "Packets addressed to a declared-dead peer"),
+    ("done_suppressed", lambda p: p.hub.done_suppressed, None, ""),
+    ("done_by_dst", lambda p: dict(p.hub.done_by_dst), None, ""),
+    ("done_rx_by_src", lambda p: dict(p.hub.done_rx_by_src), None, ""),
+    ("retransmits", lambda p: p.hub.stats.retransmits,
+     "repro_live_retransmits_total", "Enveloped records re-sent after an RTO expiry"),
+    ("dups_discarded", lambda p: p.hub.stats.dups_discarded,
+     "repro_live_dups_discarded_total",
+     "Duplicate enveloped records dropped by the receive ledger"),
+    ("reorder_held", lambda p: p.hub.stats.reorder_held, None, ""),
+    ("acks_sent", lambda p: p.hub.stats.acks_sent, None, ""),
+    ("acks_dropped", lambda p: p.hub.stats.acks_dropped, None, ""),
+    ("exhausted", lambda p: p.hub.stats.exhausted, None, ""),
+    ("corrupt_frames", lambda p: p.hub.corrupt_frames,
+     "repro_live_corrupt_frames_total",
+     "Records discarded by the tolerant stream decoders"),
+    ("reconnects", lambda p: p.hub.reconnects,
+     "repro_live_reconnects_total", "Peer connections re-established after a loss"),
+    ("disconnects", lambda p: p.hub.disconnects,
+     "repro_live_disconnects_total",
+     "Peer connections lost (EOF, error, or injected close)"),
+    ("heartbeats_sent", lambda p: p.hub.heartbeats_sent,
+     "repro_live_heartbeats_sent_total", "Liveness beacons written to peer sockets"),
+    ("lost_frames", lambda p: p.hub.lost_frames, None, ""),
+    ("dead", lambda p: sorted(p.hub.dead_nodes), None, ""),
+)
+_STATUS_KEYS = frozenset(
+    {"submitted", "done_sent", "done_received", "abandoned",
+     "done_by_dst", "done_rx_by_src", "dead"}
+)
 
 
 class LivePeer:
@@ -973,8 +1009,10 @@ class LivePeer:
         #: layer and the gauges read 0 by design.
         self.transport = self.hub if self.hub.envelope else None
         self.rng = SeedSequenceRegistry(spec["seed"])
+        #: Flow id -> ``Flow``, for every flow of the scenario (filled
+        #: at START: installing the apps opens all of them).
         self.flows: dict[int, Flow] = {}
-        self.mirror = MirrorReceiver(self.local, self._flow_by_id)
+        self.mirror = MirrorReceiver(self.local, self.flows.get)
         self.metrics = MetricsCollector()
         self.apps: list = []
         self._apps_installed = False
@@ -989,7 +1027,7 @@ class LivePeer:
 
     # -- the Cluster accessors workload apps call ----------------------
     def api(self, node_name: str) -> MadAPI:
-        """The packing API of one node (a stand-in for remote nodes)."""
+        """The packing API of one node (engine-less for remote nodes)."""
         return self.apis[node_name]
 
     def stream(self, name: str):
@@ -1064,35 +1102,20 @@ class LivePeer:
 
         def on_complete(message: Message, now: float) -> None:
             record(message, now)
-            origin = self.mirror.origin_of(message)
-            if origin is not None:
-                src, sender_mid = origin
-                self.hub.send_done(src, sender_mid, now)
-                self.mirror.forget(message)
+            self.hub.send_done(message.flow.src, message.message_id, now)
+            self.mirror.forget(message)
 
         self.reassembler.on_message_complete = on_complete
 
         self.nodes = [self.node]
         self.engines = {self.local: self.engine}
         self.reassemblers = {self.local: self.reassembler}
-        # Every node gets an API (the symmetry rule); only the local one
-        # has an engine behind it.
+        # Every node gets an API to open its flows on; only the local
+        # one has an engine behind it.
         self.apis: dict[str, MadAPI] = {self.local: api}
         for name in self.names:
             if name != self.local:
-                self.apis[name] = MadAPI(
-                    name, _StubEngine(name), MessageReassembler(self.clock, name)
-                )
-
-    def _flow_by_id(self, flow_id: int) -> Flow | None:
-        """Resolve a wire descriptor's flow id to the local ``Flow``."""
-        flow = self.flows.get(flow_id)
-        if flow is None:
-            # Not every flow exists at START: collectives open their
-            # pairwise flows on first use.
-            self.flows = {f.flow_id: f for api in self.apis.values() for f in api.flows}
-            flow = self.flows.get(flow_id)
-        return flow
+                self.apis[name] = MadAPI(name, None, MessageReassembler(self.clock, name))
 
     # -- inbound engine traffic ----------------------------------------
     def _deliver_frame(self, frame) -> None:
@@ -1121,20 +1144,24 @@ class LivePeer:
                 segments=len(frame.segments),
                 bytes=sum(seg.length for seg in frame.segments),
             )
-        packet = self.mirror.packet_from_frame(frame)
+        packet = self.mirror.packet_from_frame(frame, self.clock.ids.packet())
         self.node.receiver.deliver(packet)
 
     # -- control-protocol steps ----------------------------------------
     def install_apps(self) -> int:
         """Build and install every scenario workload; returns the count.
 
-        Installation opens all flows synchronously (the symmetry rule in
-        the module docstring) and starts the app processes — traffic
-        begins as soon as the event loop runs.
+        Installation opens every flow of the scenario synchronously (so
+        the flow table is complete before any frame is decoded) and
+        starts the local node's processes — traffic begins as soon as
+        the event loop runs.
         """
         self.apps = build_workloads(self.scenario)
         for app in self.apps:
             app.install(self)
+        self.flows.update(
+            (flow.flow_id, flow) for api in self.apis.values() for flow in api.flows
+        )
         if self.sampler is not None:
             self.sampler.start()
         self._arm_chaos()
@@ -1200,9 +1227,7 @@ class LivePeer:
         for node in nodes:
             abandoned += self.hub.mark_dead(node)
             purged += self.reassembler.abandon_incomplete(
-                lambda message, _src=node: (
-                    (self.mirror.origin_of(message) or (None,))[0] == _src
-                )
+                lambda message, _src=node: message.flow.src == _src
             )
             self.mirror.forget_from(node)
         return {
@@ -1251,13 +1276,11 @@ class LivePeer:
             "type": "status",
             "quiet": self.quiet,
             "now": now,
-            "submitted": self.hub.submitted,
-            "done_sent": self.hub.done_sent,
-            "done_received": self.hub.done_received,
-            "abandoned": self.hub.abandoned,
-            "done_by_dst": dict(self.hub.done_by_dst),
-            "done_rx_by_src": dict(self.hub.done_rx_by_src),
-            "dead": sorted(self.hub.dead_nodes),
+            **{
+                key: read(self)
+                for key, read, _metric, _help in _TRANSPORT_COUNTERS
+                if key in _STATUS_KEYS
+            },
             "fatal": self.hub.fatal,
         }
         if self.hub.hb is not None:
@@ -1299,71 +1322,17 @@ class LivePeer:
         """
         registry = self.plane.registry
         labels = {"node": self.local}
-        registry.counter(
-            "repro_live_bytes_tx_total", labels, help="Bytes written to peer sockets"
-        ).set_total(self.hub.bytes_tx)
-        registry.counter(
-            "repro_live_bytes_rx_total", labels, help="Bytes read from peer sockets"
-        ).set_total(self.hub.bytes_rx)
-        registry.counter(
-            "repro_live_bytes_verified_total",
-            labels,
-            help="Payload bytes checked against the sender's pattern",
-        ).set_total(self.mirror.bytes_verified)
-        registry.counter(
-            "repro_live_corrupt_slices_total",
-            labels,
-            help="Payload slices that failed verification",
-        ).set_total(self.mirror.corrupt_slices)
+        for _key, read, metric, text in _TRANSPORT_COUNTERS:
+            if metric is not None:
+                registry.counter(metric, labels, help=text).set_total(read(self))
         if self.spool is not None:
             registry.counter(
                 "repro_trace_spool_dropped_total",
                 labels,
                 help="Trace events dropped by the streaming spool",
             ).set_total(self.spool.dropped)
-        hub = self.hub
-        registry.counter(
-            "repro_live_retransmits_total",
-            labels,
-            help="Enveloped records re-sent after an RTO expiry",
-        ).set_total(hub.stats.retransmits)
-        registry.counter(
-            "repro_live_reconnects_total",
-            labels,
-            help="Peer connections re-established after a loss",
-        ).set_total(hub.reconnects)
-        registry.counter(
-            "repro_live_disconnects_total",
-            labels,
-            help="Peer connections lost (EOF, error, or injected close)",
-        ).set_total(hub.disconnects)
-        registry.counter(
-            "repro_live_heartbeats_sent_total",
-            labels,
-            help="Liveness beacons written to peer sockets",
-        ).set_total(hub.heartbeats_sent)
-        registry.counter(
-            "repro_live_dups_discarded_total",
-            labels,
-            help="Duplicate enveloped records dropped by the receive ledger",
-        ).set_total(hub.stats.dups_discarded)
-        registry.counter(
-            "repro_live_corrupt_frames_total",
-            labels,
-            help="Records discarded by the tolerant stream decoders",
-        ).set_total(hub.corrupt_frames)
-        registry.counter(
-            "repro_live_abandoned_messages_total",
-            labels,
-            help="Submitted messages abandoned because their destination died",
-        ).set_total(hub.abandoned)
-        registry.counter(
-            "repro_live_blackholed_total",
-            labels,
-            help="Packets addressed to a declared-dead peer",
-        ).set_total(hub.blackholed)
         if self.chaos is not None:
-            chaos = hub.chaos_stats()
+            chaos = self.hub.chaos_stats()
             for key, metric, text in (
                 ("drops", "repro_chaos_drops_total", "Records dropped"),
                 ("corruptions", "repro_chaos_corruptions_total", "Records corrupted"),
@@ -1423,30 +1392,7 @@ class LivePeer:
             "engine": stats_row(self.engine.stats),
             "nics": nics,
             "transport": {
-                "bytes_tx": self.hub.bytes_tx,
-                "bytes_rx": self.hub.bytes_rx,
-                "bytes_verified": self.mirror.bytes_verified,
-                "corrupt_slices": self.mirror.corrupt_slices,
-                "submitted": self.hub.submitted,
-                "done_sent": self.hub.done_sent,
-                "done_received": self.hub.done_received,
-                "abandoned": self.hub.abandoned,
-                "blackholed": self.hub.blackholed,
-                "done_suppressed": self.hub.done_suppressed,
-                "done_by_dst": dict(self.hub.done_by_dst),
-                "done_rx_by_src": dict(self.hub.done_rx_by_src),
-                "retransmits": self.hub.stats.retransmits,
-                "dups_discarded": self.hub.stats.dups_discarded,
-                "reorder_held": self.hub.stats.reorder_held,
-                "acks_sent": self.hub.stats.acks_sent,
-                "acks_dropped": self.hub.stats.acks_dropped,
-                "exhausted": self.hub.stats.exhausted,
-                "corrupt_frames": self.hub.corrupt_frames,
-                "reconnects": self.hub.reconnects,
-                "disconnects": self.hub.disconnects,
-                "heartbeats_sent": self.hub.heartbeats_sent,
-                "lost_frames": self.hub.lost_frames,
-                "dead": sorted(self.hub.dead_nodes),
+                key: read(self) for key, read, _metric, _help in _TRANSPORT_COUNTERS
             },
             "chaos": self.hub.chaos_stats() if self.chaos is not None else None,
             "apps": apps,

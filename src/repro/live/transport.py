@@ -31,15 +31,14 @@ Three layers live here, all shared by the peer processes and the tests:
   from the segment descriptors and hands a normal
   :class:`~repro.network.wire.WirePacket` to the node's receiver, so the
   existing reassembler, inboxes, subscriptions, and metrics all run
-  unmodified.  Mirror messages use a *negative* id space — the sender's
-  ids live in another process and must not collide with locally created
-  messages — and are keyed back to ``(src node, sender message id)`` so
-  completions can be acknowledged to the sender.
+  unmodified.  A mirror is built from the sender's flow id and sequence
+  number, so it carries the sender's own ``message_id`` — the id a
+  completion is acknowledged under — and its origin is
+  ``message.flow.src``.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 import zlib
 from typing import Any, Callable, Iterable
@@ -54,7 +53,6 @@ from repro.network.wire import (
     decode_frame,
     encode_frame,
 )
-from repro.sim.process import Future
 from repro.util.errors import ProtocolError, WireError
 
 __all__ = [
@@ -355,25 +353,27 @@ def ack_frame(src: str, dst: str, seqs: Iterable[int], *, wrap: bool = True) -> 
 class MirrorReceiver:
     """Rebuilds message/fragment skeletons for packets arriving by socket.
 
-    One per peer.  The first slice of an unseen ``(src, message id)``
-    creates a *mirror* message — negative id, the local ``Flow`` object
-    looked up by the flow id the symmetric scenario construction
-    guarantees both sides share — and every slice is verified against
-    the deterministic payload pattern before being handed to the node's
-    ordinary receiver.
+    One per peer.  The first slice of an unseen message id creates a
+    *mirror* message on the local ``Flow`` object the descriptor's flow
+    id names (every peer opens every flow of the scenario at START, in
+    the same order, so the ids agree), and every slice is verified
+    against the deterministic payload pattern before being handed to
+    the node's ordinary receiver.
     """
 
     def __init__(self, node_name: str, flow_lookup: Callable[[int], Flow | None]) -> None:
         self.node_name = node_name
         self._flow_lookup = flow_lookup
-        self._mirrors: dict[tuple[str, int], Message] = {}
-        self._origins: dict[int, tuple[str, int]] = {}
-        self._mirror_ids = itertools.count(-1, -1)
+        self._mirrors: dict[int, Message] = {}
         self.bytes_verified = 0
         self.corrupt_slices = 0
 
-    def packet_from_frame(self, frame: DecodedFrame) -> WirePacket:
-        """Reconstruct the data packet the sending engine dispatched."""
+    def packet_from_frame(self, frame: DecodedFrame, packet_id: int) -> WirePacket:
+        """Reconstruct the data packet the sending engine dispatched.
+
+        ``packet_id`` names the rebuilt packet on *this* peer (the
+        sender's own id crosses the wire only as the tracing
+        correlation key in ``meta``)."""
         segments: list[WireSegment] = []
         for seg in frame.segments:
             fragment = self._mirror_fragment(frame.src, seg.descriptor)
@@ -395,6 +395,7 @@ class MirrorReceiver:
             channel_id=frame.channel_id,
             segments=tuple(segments),
             meta=frame.meta,
+            packet_id=packet_id,
         )
 
     def _mirror_fragment(self, src: str, descriptor: dict[str, Any]) -> Fragment:
@@ -405,7 +406,7 @@ class MirrorReceiver:
             layout = descriptor["layout"]
         except KeyError as missing:
             raise WireError(f"segment descriptor missing {missing}") from None
-        message = self._mirrors.get((src, sender_mid))
+        message = self._mirrors.get(sender_mid)
         if message is None:
             message = self._make_mirror(src, sender_mid, flow_id, layout, descriptor)
         if not 0 <= index < len(message.fragments):
@@ -434,17 +435,15 @@ class MirrorReceiver:
                 f"flow {flow.name!r} terminates at {flow.dst!r}, but its data "
                 f"arrived at {self.node_name!r}"
             )
-        # Bypass Message.__init__: it would bump the shared id counter and
-        # the flow's messages_sent, desynchronizing this peer's locally
-        # created messages from the sender's.
-        message = object.__new__(Message)
-        message.message_id = next(self._mirror_ids)
-        message.flow = flow
-        message.fragments = []
+        message = Message(
+            flow, descriptor.get("ctx") or {}, seq=int(descriptor.get("seq") or 0)
+        )
+        if message.message_id != sender_mid:
+            raise ProtocolError(
+                f"packet from {src!r} names message {sender_mid}, but flow "
+                f"{flow.name!r} seq {message.seq} is message {message.message_id}"
+            )
         message.submit_time = float(descriptor.get("submit") or 0.0)
-        message.completion = Future()
-        message.seq = int(descriptor.get("seq") or 0)
-        message.context = descriptor.get("ctx") or {}
         for i, entry in enumerate(layout):
             try:
                 size, express = int(entry[0]), bool(entry[1])
@@ -453,19 +452,12 @@ class MirrorReceiver:
             # Fragment.__init__ does not append; preserve the Message
             # invariant that fragments[i].index == i.
             message.fragments.append(Fragment(message, i, size, PackMode.CHEAPER, express))
-        self._mirrors[(src, sender_mid)] = message
-        self._origins[message.message_id] = (src, sender_mid)
+        self._mirrors[sender_mid] = message
         return message
-
-    def origin_of(self, message: Message) -> tuple[str, int] | None:
-        """(src node, sender message id) of a mirror, or None if local."""
-        return self._origins.get(message.message_id)
 
     def forget(self, message: Message) -> None:
         """Drop bookkeeping for a completed mirror message."""
-        origin = self._origins.pop(message.message_id, None)
-        if origin is not None:
-            self._mirrors.pop(origin, None)
+        self._mirrors.pop(message.message_id, None)
 
     def forget_from(self, src: str) -> int:
         """Drop every open mirror created for packets from ``src``.
@@ -474,10 +466,9 @@ class MirrorReceiver:
         messages will never complete and their mirrors would otherwise
         leak for the rest of the run.  Returns the number forgotten.
         """
-        doomed = [key for key in self._mirrors if key[0] == src]
-        for key in doomed:
-            message = self._mirrors.pop(key)
-            self._origins.pop(message.message_id, None)
+        doomed = [mid for mid, m in self._mirrors.items() if m.flow.src == src]
+        for mid in doomed:
+            del self._mirrors[mid]
         return len(doomed)
 
     @property

@@ -27,8 +27,9 @@ from typing import Protocol
 from repro.madeleine.message import Flow, Message, PackMode
 from repro.madeleine.rx import MessageReassembler
 from repro.network.virtual import TrafficClass
+from repro.sim.process import Future
 from repro.sim.resources import Store
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ProtocolError
 
 __all__ = ["CommEngineProtocol", "PackingSession", "UnpackingSession", "MadAPI"]
 
@@ -55,7 +56,8 @@ class PackingSession:
         context: dict | None = None,
     ) -> None:
         self._engine = engine
-        self._message: Message | None = Message(flow, context)
+        self._message: Message | None = Message(flow, context, seq=flow.messages_sent)
+        flow.messages_sent += 1
 
     def pack(
         self,
@@ -103,8 +105,6 @@ class UnpackingSession:
     def _with_message(self, action):
         """Run ``action(message)`` once the session's message is known,
         returning the future ``action`` produces, flattened."""
-        from repro.sim.process import Future
-
         out = Future()
 
         def when_known(message):
@@ -119,8 +119,6 @@ class UnpackingSession:
 
         ``size``, when given, must match the sender's fragment size.
         """
-        from repro.util.errors import ProtocolError
-
         if self._ended:
             raise ConfigurationError("unpack() after end()")
         index = self._cursor
@@ -147,8 +145,6 @@ class UnpackingSession:
         self._ended = True
 
         def action(message):
-            from repro.sim.process import Future
-
             out = Future()
             message.completion.add_callback(lambda _t: out.resolve(message))
             return out
@@ -157,15 +153,21 @@ class UnpackingSession:
 
 
 class MadAPI:
-    """Per-node facade over the engine (send side) and reassembler (receive side)."""
+    """Per-node facade over the engine (send side) and reassembler (receive side).
+
+    ``engine`` is ``None`` for a node that lives in another process (a
+    live peer builds the whole flow table but owns one node): flows can
+    be opened and inboxes named on it, so every peer numbers the flows
+    alike, but nothing can be sent or received through it.
+    """
 
     def __init__(
         self,
         node_name: str,
-        engine: CommEngineProtocol,
+        engine: CommEngineProtocol | None,
         reassembler: MessageReassembler,
     ) -> None:
-        if engine.node_name != node_name:
+        if engine is not None and engine.node_name != node_name:
             raise ConfigurationError(
                 f"engine of node {engine.node_name!r} wired to API of {node_name!r}"
             )
@@ -187,7 +189,8 @@ class MadAPI:
         """Open a directed flow from this node to ``dst``."""
         if name is None:
             name = f"{self.node_name}->{dst}#{len(self.flows)}"
-        flow = Flow(name, self.node_name, dst, traffic_class)
+        flow_id = self.reassembler.sim.ids.flow()
+        flow = Flow(flow_id, name, self.node_name, dst, traffic_class)
         self.flows.append(flow)
         return flow
 
@@ -201,6 +204,8 @@ class MadAPI:
             raise ConfigurationError(
                 f"flow {flow.name!r} originates at {flow.src!r}, not {self.node_name!r}"
             )
+        if self.engine is None:
+            raise self._no_engine("send")
         return PackingSession(self.engine, flow, context)
 
     def send(
@@ -251,7 +256,14 @@ class MadAPI:
         credits.
         """
         self._check_incoming(flow)
+        if self.engine is None:
+            raise self._no_engine("post receives")
         self.engine.post_receive(flow, count)
+
+    def _no_engine(self, verb: str) -> ConfigurationError:
+        return ConfigurationError(
+            f"cannot {verb} on node {self.node_name!r}: it has no engine in this process"
+        )
 
     def _check_incoming(self, flow: Flow) -> None:
         if flow.dst != self.node_name:

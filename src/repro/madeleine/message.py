@@ -21,17 +21,12 @@ Packing modes (the Madeleine API of reference [1]):
 from __future__ import annotations
 
 import enum
-import itertools
 
 from repro.network.virtual import TrafficClass
 from repro.sim.process import Future
 from repro.util.errors import ConfigurationError
 
 __all__ = ["PackMode", "Fragment", "Message", "Flow"]
-
-_fragment_ids = itertools.count()
-_message_ids = itertools.count()
-_flow_ids = itertools.count()
 
 
 class PackMode(enum.Enum):
@@ -48,12 +43,18 @@ class Flow:
     A flow is what a middleware opens once and then streams messages
     over; the optimizer's cross-flow aggregation mixes packets *across*
     flows while preserving FIFO *within* each flow (for eager traffic).
+
+    ``flow_id`` is handed in by whoever opens the flow
+    (:meth:`~repro.madeleine.api.MadAPI.open_flow` draws it from the
+    run's ``sim.ids``), so the same scenario numbers its flows the same
+    way on every run and on every live peer.
     """
 
     __slots__ = ("flow_id", "name", "src", "dst", "traffic_class", "messages_sent")
 
     def __init__(
         self,
+        flow_id: int,
         name: str,
         src: str,
         dst: str,
@@ -61,7 +62,7 @@ class Flow:
     ) -> None:
         if src == dst:
             raise ConfigurationError(f"flow {name!r} connects node {src!r} to itself")
-        self.flow_id: int = next(_flow_ids)
+        self.flow_id = flow_id
         self.name = name
         self.src = src
         self.dst = dst
@@ -80,10 +81,11 @@ class Fragment:
     (they are what ``mad_unpack(..., receive_EXPRESS)`` reads to learn
     what the message is).  ``index`` is the fragment's position in its
     message; within a message, fragments are packed — and must be
-    deliverable — in index order.
+    deliverable — in index order.  ``(message.message_id, index)`` is
+    the fragment's identity wherever one has to be written down.
     """
 
-    __slots__ = ("fragment_id", "message", "index", "size", "mode", "express")
+    __slots__ = ("message", "index", "size", "mode", "express")
 
     def __init__(
         self,
@@ -95,7 +97,6 @@ class Fragment:
     ) -> None:
         if size <= 0:
             raise ConfigurationError(f"fragment size must be > 0, got {size}")
-        self.fragment_id: int = next(_fragment_ids)
         self.message = message
         self.index = index
         self.size = size
@@ -105,7 +106,7 @@ class Fragment:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "hdr" if self.express else "data"
         return (
-            f"Fragment(#{self.fragment_id} msg={self.message.message_id} "
+            f"Fragment(msg={self.message.message_id} "
             f"[{self.index}] {self.size}B {self.mode.value} {tag})"
         )
 
@@ -119,6 +120,12 @@ class Message:
     application metadata (an MPI tag, an RPC method id, …) — it rides
     the message the way header contents would in a real system, and the
     library never interprets it.
+
+    ``seq`` is the message's position on its flow, assigned by the
+    sender (:class:`~repro.madeleine.api.PackingSession`) and carried
+    to a live receiver in the wire descriptor; ``message_id`` is
+    computed from ``(flow.flow_id, seq)``, so the sender, the receiver
+    and every trace name the same message by the same integer.
     """
 
     __slots__ = (
@@ -131,15 +138,14 @@ class Message:
         "context",
     )
 
-    def __init__(self, flow: Flow, context: dict | None = None) -> None:
-        self.message_id: int = next(_message_ids)
+    def __init__(self, flow: Flow, context: dict | None = None, *, seq: int) -> None:
+        self.message_id: int = flow.flow_id << 32 | seq
         self.flow = flow
         self.fragments: list[Fragment] = []
         self.submit_time: float | None = None
         self.completion: Future = Future()
-        self.seq = flow.messages_sent
+        self.seq = seq
         self.context: dict = context if context is not None else {}
-        flow.messages_sent += 1
 
     def add_fragment(
         self,

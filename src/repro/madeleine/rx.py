@@ -47,13 +47,13 @@ class _FragmentProgress:
         end = offset + length
         if offset < 0 or end > self.fragment.size:
             raise ProtocolError(
-                f"fragment {self.fragment.fragment_id}: slice [{offset}, {end}) "
+                f"{self.fragment!r}: slice [{offset}, {end}) "
                 f"outside [0, {self.fragment.size})"
             )
         for existing_offset, existing_length in self.ranges:
             if offset < existing_offset + existing_length and existing_offset < end:
                 raise ProtocolError(
-                    f"fragment {self.fragment.fragment_id}: duplicate delivery of "
+                    f"{self.fragment!r}: duplicate delivery of "
                     f"[{offset}, {end})"
                 )
         self.ranges.append((offset, length))
@@ -69,16 +69,16 @@ class MessageReassembler:
     """Per-node reassembly of incoming data packets."""
 
     def __init__(self, sim: Simulator, node_name: str) -> None:
-        self._sim = sim
+        self.sim = sim
         self.node_name = node_name
-        self._progress: dict[int, _FragmentProgress] = {}
+        self._progress: dict[Fragment, _FragmentProgress] = {}
         self._message_remaining: dict[int, int] = {}
         self._flow_callbacks: dict[int, list[MessageCallback]] = {}
         self._express_callbacks: dict[int, list[ExpressCallback]] = {}
         self._inboxes: dict[int, Store] = {}
         self._announced: dict[int, list[Message]] = {}
         self._announce_waiters: dict[int, list] = {}
-        self._fragment_watchers: dict[int, list] = {}
+        self._fragment_watchers: dict[Fragment, list] = {}
         self._completed_messages: set[int] = set()
         self.messages_completed = 0
         self.on_message_complete: MessageCallback | None = None
@@ -105,7 +105,7 @@ class MessageReassembler:
         inbox.get()`` to wait for the next message.
         """
         if flow.flow_id not in self._inboxes:
-            self._inboxes[flow.flow_id] = Store(self._sim, name=f"inbox:{flow.name}")
+            self._inboxes[flow.flow_id] = Store(self.sim, name=f"inbox:{flow.name}")
         return self._inboxes[flow.flow_id]
 
     # ------------------------------------------------------------------
@@ -113,7 +113,7 @@ class MessageReassembler:
     # ------------------------------------------------------------------
     def sink(self, packet: WirePacket) -> None:
         """Consume one delivered data packet."""
-        now = self._sim.now
+        now = self.sim.now
         for segment in packet.segments:
             fragment = segment.payload
             if not isinstance(fragment, Fragment):
@@ -134,10 +134,10 @@ class MessageReassembler:
                 f"slice for already-completed message {message.message_id} "
                 f"(replayed packet?)"
             )
-        progress = self._progress.get(fragment.fragment_id)
+        progress = self._progress.get(fragment)
         if progress is None:
             progress = _FragmentProgress(fragment)
-            self._progress[fragment.fragment_id] = progress
+            self._progress[fragment] = progress
             if message.message_id not in self._message_remaining:
                 self._message_remaining[message.message_id] = len(message.fragments)
                 self._announce(message, now)
@@ -173,16 +173,16 @@ class MessageReassembler:
         from repro.sim.process import Future
 
         future = Future()
-        progress = self._progress.get(fragment.fragment_id)
+        progress = self._progress.get(fragment)
         if (progress is not None and progress.complete) or fragment.message.completion.done:
             future.resolve(fragment)
         else:
-            self._fragment_watchers.setdefault(fragment.fragment_id, []).append(future)
+            self._fragment_watchers.setdefault(fragment, []).append(future)
         return future
 
     def _on_fragment_complete(self, fragment: Fragment, now: float) -> None:
         message = fragment.message
-        for watcher in self._fragment_watchers.pop(fragment.fragment_id, ()):
+        for watcher in self._fragment_watchers.pop(fragment, ()):
             watcher.resolve(fragment)
         if fragment.express:
             for callback in self._express_callbacks.get(message.flow.flow_id, ()):
@@ -197,9 +197,9 @@ class MessageReassembler:
         self._completed_messages.add(message.message_id)
         # Free per-fragment state; the message is done.
         for fragment in message.fragments:
-            self._progress.pop(fragment.fragment_id, None)
+            self._progress.pop(fragment, None)
         del self._message_remaining[message.message_id]
-        tracer = self._sim.tracer
+        tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(
                 now,
@@ -246,8 +246,8 @@ class MessageReassembler:
                 doomed[message.message_id] = message
         for message in doomed.values():
             for fragment in message.fragments:
-                self._progress.pop(fragment.fragment_id, None)
-                self._fragment_watchers.pop(fragment.fragment_id, None)
+                self._progress.pop(fragment, None)
+                self._fragment_watchers.pop(fragment, None)
             self._message_remaining.pop(message.message_id, None)
         return len(doomed)
 

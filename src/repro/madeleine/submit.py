@@ -11,7 +11,6 @@ makes the traffic-class experiment (E7) meaningful.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any
 
 from repro.madeleine.message import Flow, Fragment, Message
@@ -25,8 +24,6 @@ __all__ = [
     "SubmitEntry",
     "CONTROL_ENTRY_SIZE",
 ]
-
-_entry_ids = itertools.count()
 
 #: Nominal payload size of engine-generated control entries (rendezvous
 #: handshake records): a token plus a length, in bytes.
@@ -70,7 +67,6 @@ class SubmitEntry:
     """
 
     __slots__ = (
-        "entry_id",
         "kind",
         "_state",
         "_owner",
@@ -102,7 +98,6 @@ class SubmitEntry:
                 raise ConfigurationError("DATA entries need a fragment and a flow")
         elif fragment is not None:
             raise ConfigurationError(f"{kind.value} entries must not carry a fragment")
-        self.entry_id: int = next(_entry_ids)
         self.kind = kind
         self._state = EntryState.WAITING
         self._owner = None  # ChannelQueue holding this entry, if any
@@ -184,7 +179,7 @@ class SubmitEntry:
         """
         if n_bytes <= 0 or n_bytes > self.remaining:
             raise ConfigurationError(
-                f"entry {self.entry_id}: cannot consume {n_bytes} of "
+                f"{self!r}: cannot consume {n_bytes} of "
                 f"{self.remaining} remaining bytes"
             )
         start = self.offset
@@ -198,10 +193,10 @@ class SubmitEntry:
         return start
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fragment = self.fragment
         label = (
-            f"frag#{self.fragment.fragment_id}" if self.fragment is not None else self.kind.value
+            f"msg={fragment.message.message_id}[{fragment.index}]"
+            if fragment is not None
+            else self.kind.value
         )
-        return (
-            f"SubmitEntry(#{self.entry_id} {label} ->{self.dst} "
-            f"{self.remaining}B {self.state.value})"
-        )
+        return f"SubmitEntry({label} ->{self.dst} {self.remaining}B {self.state.value})"

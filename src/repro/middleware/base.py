@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-import itertools
 from typing import TYPE_CHECKING, Sequence
 
 from repro.sim.process import Future, Process, all_of
@@ -14,22 +13,27 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["AppBase", "MiddlewareApp", "CollectiveApp"]
 
-_app_ids = itertools.count()
-
 
 class AppBase(abc.ABC):
     """Process management shared by all workload apps.
 
-    Subclasses implement :meth:`_start`, spawning their processes with
-    :meth:`spawn`; ``install`` wires the app into a cluster and is
-    directly usable as a ``run_session`` workload installer.  ``done``
-    resolves when every spawned process finished.
+    Subclasses implement :meth:`_start`: open **every** flow the app
+    will ever use, in a fixed order, then :meth:`spawn` its processes,
+    each with the node it belongs to.  A process runs only where its
+    node has an engine — everywhere on a simulated cluster, on one
+    peer of a live mesh — while the flows are opened on every peer, so
+    all of them number the flows alike.  ``install`` wires the app into
+    a cluster and is directly usable as a ``run_session`` workload
+    installer.  ``done`` resolves when every process started here
+    finished.  An app built without a ``name`` is named at install
+    time from the run's ``sim.ids``.
     """
 
     def __init__(self, name: str | None = None) -> None:
-        self.name = name if name is not None else f"{type(self).__name__}{next(_app_ids)}"
+        self.name = name
         self.done: Future = Future()
         self._cluster: "Cluster | None" = None
+        self._spawn_requests = 0
         self._processes: list[Process] = []
 
     # ------------------------------------------------------------------
@@ -37,27 +41,39 @@ class AppBase(abc.ABC):
     # ------------------------------------------------------------------
     def install(self, cluster: "Cluster") -> "AppBase":
         """Attach the app to a cluster and start its processes."""
-        if self._cluster is not None:
-            raise ConfigurationError(f"app {self.name!r} installed twice")
-        self._cluster = cluster
+        self._attach(cluster)
         self._start(cluster)
-        if not self._processes:
+        if not self._spawn_requests:
             raise ConfigurationError(f"app {self.name!r} started no processes")
         all_of([p.finished for p in self._processes]).add_callback(
             lambda _value: self.done.resolve(None)
         )
         return self
 
+    def _attach(self, cluster: "Cluster") -> None:
+        if self._cluster is not None:
+            raise ConfigurationError(f"app {self.name!r} installed twice")
+        self._cluster = cluster
+        if self.name is None:
+            self.name = f"{type(self).__name__}{cluster.sim.ids.app()}"
+
     @abc.abstractmethod
     def _start(self, cluster: "Cluster") -> None:
         """Open flows and spawn processes (subclass hook)."""
 
-    def spawn(self, generator, label: str = "proc") -> Process:
-        """Start one cooperative process belonging to this app."""
+    def spawn(self, node: str, generator, label: str = "proc") -> None:
+        """Start one cooperative process of this app, if ``node`` lives here.
+
+        ``node`` is the node the process acts for.  Where that node has
+        no engine (another peer's node on the live plane) the generator
+        is dropped unstarted: its half of the workload runs elsewhere.
+        """
         assert self._cluster is not None
-        process = Process(self._cluster.sim, generator, name=f"{self.name}.{label}")
-        self._processes.append(process)
-        return process
+        self._spawn_requests += 1
+        if node in self._cluster.engines:
+            self._processes.append(
+                Process(self._cluster.sim, generator, name=f"{self.name}.{label}")
+            )
 
     # ------------------------------------------------------------------
     # conveniences for subclasses

@@ -28,38 +28,35 @@ def _is_power_of_two(n: int) -> bool:
 
 
 class _PairwiseFlows:
-    """Lazily opened flows + inboxes between group members."""
+    """A flow + inbox for every ordered pair of group members.
+
+    All of them are opened here, rank-major, before any process runs:
+    a flow's id is its place in the run's opening order, so which
+    pairs exist must not depend on which rank happened to send first
+    (or, on the live plane, on which ranks this peer executes).
+    """
 
     def __init__(self, cluster: "Cluster", nodes: list[str], tag: str, traffic_class):
         self._cluster = cluster
         self._nodes = nodes
-        self._tag = tag
-        self._traffic_class = traffic_class
         self._flows: dict[tuple[int, int], object] = {}
         self._inboxes: dict[tuple[int, int], object] = {}
-
-    def _ensure(self, src: int, dst: int):
-        key = (src, dst)
-        if key not in self._flows:
-            api = self._cluster.api(self._nodes[src])
-            flow = api.open_flow(
-                self._nodes[dst],
-                f"{self._tag}.{src}->{dst}",
-                self._traffic_class,
-            )
-            self._flows[key] = flow
-            self._inboxes[key] = self._cluster.api(self._nodes[dst]).inbox(flow)
-        return self._flows[key], self._inboxes[key]
+        for src, src_node in enumerate(nodes):
+            for dst, dst_node in enumerate(nodes):
+                if src != dst:
+                    flow = cluster.api(src_node).open_flow(
+                        dst_node, f"{tag}.{src}->{dst}", traffic_class
+                    )
+                    self._flows[src, dst] = flow
+                    self._inboxes[src, dst] = cluster.api(dst_node).inbox(flow)
 
     def send(self, src: int, dst: int, size: int, header: int = 8):
-        flow, _ = self._ensure(src, dst)
         return self._cluster.api(self._nodes[src]).send(
-            flow, size, header_size=header
+            self._flows[src, dst], size, header_size=header
         )
 
     def recv(self, src: int, dst: int):
-        _, inbox = self._ensure(src, dst)
-        return inbox.get()
+        return self._inboxes[src, dst].get()
 
 
 class BroadcastApp(CollectiveApp):
@@ -122,9 +119,9 @@ class BroadcastApp(CollectiveApp):
                     pairs.send(rank, child, self.payload)
                 pairs.send(rank, 0, 8, header=0)  # ack
 
-        self.spawn(root_proc(), "rank0")
+        self.spawn(self.nodes[0], root_proc(), "rank0")
         for rank in range(1, n):
-            self.spawn(leaf_proc(rank), f"rank{rank}")
+            self.spawn(self.nodes[rank], leaf_proc(rank), f"rank{rank}")
 
     def _parent(self, rank: int) -> int:
         """Binomial-tree parent: clear the lowest set bit."""
@@ -167,7 +164,7 @@ class BarrierApp(CollectiveApp):
                     self.durations.append(sim.now - start)
 
         for rank in range(n):
-            self.spawn(rank_proc(rank), f"rank{rank}")
+            self.spawn(self.nodes[rank], rank_proc(rank), f"rank{rank}")
 
 
 class AllReduceApp(CollectiveApp):
@@ -209,7 +206,7 @@ class AllReduceApp(CollectiveApp):
                     self.durations.append(sim.now - start)
 
         for rank in range(n):
-            self.spawn(rank_proc(rank), f"rank{rank}")
+            self.spawn(self.nodes[rank], rank_proc(rank), f"rank{rank}")
 
 
 class HaloExchangeApp(CollectiveApp):
@@ -259,4 +256,4 @@ class HaloExchangeApp(CollectiveApp):
                     self.durations.append(sim.now - start)
 
         for rank in range(n):
-            self.spawn(rank_proc(rank), f"rank{rank}")
+            self.spawn(self.nodes[rank], rank_proc(rank), f"rank{rank}")

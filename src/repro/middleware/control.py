@@ -64,4 +64,4 @@ class ControlPlaneApp(MiddlewareApp):
                     yield rng.exponential(self.interval) if self.jitter else self.interval
                 api.send(flow, self.size, header_size=8)
 
-        self.spawn(ticker(), "ticker")
+        self.spawn(self.src, ticker(), "ticker")

@@ -76,5 +76,5 @@ class DsmApp(MiddlewareApp):
                 yield fault_inbox.get()
                 api_dst.send(page_flow, self.page_size, header_size=16)
 
-        self.spawn(faulting_thread(), "fault")
-        self.spawn(home_node(), "home")
+        self.spawn(self.src, faulting_thread(), "fault")
+        self.spawn(self.dst, home_node(), "home")

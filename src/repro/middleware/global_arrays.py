@@ -104,6 +104,6 @@ class GlobalArraysApp(MiddlewareApp):
                 yield get_req_inbox.get()
                 api_dst.send(get_data_flow, size, header_size=24)
 
-        self.spawn(origin(), "origin")
+        self.spawn(self.src, origin(), "origin")
         if get_sizes:
-            self.spawn(home(), "home")
+            self.spawn(self.dst, home(), "home")

@@ -49,9 +49,7 @@ class IntegratorApp(MiddlewareApp):
             part.install(cluster)
 
     def install(self, cluster: "Cluster") -> "IntegratorApp":
-        if self._cluster is not None:
-            raise ConfigurationError(f"app {self.name!r} installed twice")
-        self._cluster = cluster
+        self._attach(cluster)
         self._start(cluster)
         all_of([p.done for p in self.parts]).add_callback(
             lambda _value: self.done.resolve(None)

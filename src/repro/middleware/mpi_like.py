@@ -73,8 +73,8 @@ class PingPongApp(MiddlewareApp):
                 yield ping_inbox.get()
                 api_dst.send(pong, self.size, header_size=self.header_size)
 
-        self.spawn(client(), "client")
-        self.spawn(server(), "server")
+        self.spawn(self.src, client(), "client")
+        self.spawn(self.dst, server(), "server")
 
 
 class StreamApp(MiddlewareApp):
@@ -149,4 +149,4 @@ class StreamApp(MiddlewareApp):
                 )
                 self.messages.append(message)
 
-        self.spawn(sender(), "sender")
+        self.spawn(self.src, sender(), "sender")

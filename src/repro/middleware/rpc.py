@@ -102,5 +102,5 @@ class RpcApp(MiddlewareApp):
         for worker in range(self.concurrency):
             n = per_worker + (1 if worker < remainder else 0)
             if n:
-                self.spawn(client(n), f"client{worker}")
-        self.spawn(server(), "server")
+                self.spawn(self.src, client(n), f"client{worker}")
+        self.spawn(self.dst, server(), "server")

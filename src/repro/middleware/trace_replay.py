@@ -73,12 +73,12 @@ class TraceReplayApp(AppBase):
         self.messages: list = []
 
     def _start(self, cluster: "Cluster") -> None:
+        # Every flow the trace needs, opened in trace order before any
+        # replayer runs (flow ids are the run's opening order).
         flows: dict[tuple[str, str, TrafficClass], object] = {}
         by_src: dict[str, list[TraceRecord]] = {}
         for record in self.trace:
             by_src.setdefault(record.src, []).append(record)
-
-        def flow_for(record: TraceRecord):
             key = (record.src, record.dst, record.traffic_class)
             if key not in flows:
                 flows[key] = cluster.api(record.src).open_flow(
@@ -86,7 +86,6 @@ class TraceReplayApp(AppBase):
                     f"{self.name}.{record.src}->{record.dst}.{record.traffic_class.value}",
                     record.traffic_class,
                 )
-            return flows[key]
 
         def replayer(records: list[TraceRecord]):
             api = cluster.api(records[0].src)
@@ -94,7 +93,9 @@ class TraceReplayApp(AppBase):
                 gap = record.time - cluster.sim.now
                 if gap > 0:
                     yield gap
-                session = api.begin(flow_for(record))
+                session = api.begin(
+                    flows[record.src, record.dst, record.traffic_class]
+                )
                 base = record.size // record.fragments
                 remainder = record.size - base * record.fragments
                 for i in range(record.fragments):
@@ -103,7 +104,7 @@ class TraceReplayApp(AppBase):
                 self.messages.append(session.flush())
 
         for src, records in by_src.items():
-            self.spawn(replayer(records), f"replay-{src}")
+            self.spawn(src, replayer(records), f"replay-{src}")
 
 
 def synthesize_trace(

@@ -23,7 +23,6 @@ typed :class:`~repro.util.errors.WireError`, never a bare
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import struct
 import zlib
@@ -77,12 +76,11 @@ META_VIA = "_via"
 def correlation_id(node: str, packet_id: int) -> str:
     """The wire-crossing correlation id stamped into packet meta.
 
-    Packet ids are process-local counters, so namespacing by the sending
-    node makes the pair unique across a whole live mesh.
+    Packet ids are counted per run — on the live plane, per peer — so
+    namespacing by the sending node makes the pair unique across a
+    whole live mesh.
     """
     return f"{node}#{packet_id}"
-
-_packet_ids = itertools.count()
 
 
 class PacketKind(enum.Enum):
@@ -128,7 +126,9 @@ class WirePacket:
 
     ``meta`` carries control-protocol fields (rendezvous tokens, source
     engine hints); it never contributes to the wire size beyond the fixed
-    framing constants.
+    framing constants.  ``packet_id`` is handed in by the creator (the
+    engine draws it from the run's ``sim.ids``): unique within a run,
+    and the same for the same run every time.
     """
 
     kind: PacketKind
@@ -137,7 +137,7 @@ class WirePacket:
     channel_id: int
     segments: tuple[WireSegment, ...] = ()
     meta: dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.kind in (PacketKind.EAGER, PacketKind.RDV_DATA) and not self.segments:

@@ -18,11 +18,12 @@ Correlation keys
   (:func:`repro.network.wire.correlation_id`), so sim traces (one
   process, shared packet ids) and merged live traces (corr echoed in
   ``live.recv``/``rx.deliver``) resolve identically.
-* A message chain is keyed ``(sender, message_id)``.  On a live
-  receiver the mirror message carries a peer-local id, so delivery is
-  joined through the leg instead: ``engine.dispatch`` records which
-  (message, fragment, length) slices each packet carries, and a chain
-  completes when its delivered bytes cover its size.
+* A message chain is keyed ``(sender, message_id)``; a live receiver's
+  mirror message carries the sender's id, so its ``message.complete``
+  joins directly.  Delivery is joined through the leg:
+  ``engine.dispatch`` records which (message, fragment index, length)
+  slices each packet carries, and a chain is covered when its delivered
+  bytes reach its size.
 
 The collector is single-pass and bounded (FIFO eviction beyond
 ``_PENDING_CAP`` in-flight chains/legs; hold windows pruned behind the
@@ -75,7 +76,7 @@ class Leg:
     deliver_t: float | None = None
     retransmits: list[float] = field(default_factory=list)
     drops: int = 0
-    #: ``(message_id, fragment_id, length)`` slices this packet carries.
+    #: ``(message_id, fragment index, length)`` slices this packet carries.
     slices: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
@@ -413,9 +414,9 @@ class SpanCollector(KindSink):
         if src is not None:
             chain = self.chains.get((str(src), int(detail["message"])))
         if chain is None:
-            # Live mirror message: peer-local id never matches the
-            # sender's.  Per-flow delivery is in order, so the oldest
-            # fully-covered chain of the same flow is the one completing.
+            # A trace recorded before mirrors carried the sender's id
+            # (peer-local negative ids).  Per-flow delivery is in order,
+            # so the oldest fully-covered chain of the flow completes.
             flow = detail.get("flow")
             for key in self._flow_order.get(flow, ()):
                 candidate = self.chains.get(key)

@@ -196,9 +196,9 @@ def _build_app(spec: Mapping[str, Any], index: int) -> AppBase:
         raise ConfigurationError(
             f"unknown app {app_name!r} (known: {sorted(APP_TYPES)})"
         ) from None
-    # Named by position, not by a process-wide counter: RNG stream names
-    # derive from app names, so the same scenario must name its apps the
-    # same way on every run in a process and on every live peer.
+    # Named by workload position: RNG stream names derive from app
+    # names, so the same scenario must name its apps the same way on
+    # every run and on every live peer, whichever entries carry a name.
     spec.setdefault("name", f"{app_type.__name__}{index}")
     if "traffic_class" in spec:
         spec["traffic_class"] = _parse_traffic_class(spec["traffic_class"])

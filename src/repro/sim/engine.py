@@ -8,13 +8,37 @@ metrics.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable
 
 from repro.sim.event import Event, EventQueue
 from repro.util.errors import SimulationError
 from repro.util.tracing import NullTracer, Tracer
 
-__all__ = ["Simulator"]
+__all__ = ["RunIds", "Simulator"]
+
+
+class RunIds:
+    """The identities a run has to *count*, one instance per run.
+
+    Owned by the :class:`Simulator` (and, identically, by the live
+    plane's ``LiveClock``) as ``sim.ids``, so an id is a function of
+    what this run did and never of what the process did before it.
+    Each attribute is a zero-argument callable returning the next
+    integer: ``flow()`` numbers flows in opening order, ``packet()``
+    wire packets, ``rdv_token()`` rendezvous handshakes and ``app()``
+    the apps installed without a name.  Every other id is derived from
+    structure — a message id from ``(flow_id, seq)``, a fragment from
+    its message and index — and needs no counter at all.
+    """
+
+    __slots__ = ("flow", "packet", "rdv_token", "app")
+
+    def __init__(self) -> None:
+        self.flow = itertools.count().__next__
+        self.packet = itertools.count().__next__
+        self.rdv_token = itertools.count().__next__
+        self.app = itertools.count().__next__
 
 
 class Simulator:
@@ -33,6 +57,7 @@ class Simulator:
         self._running = False
         self._events_processed = 0
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
+        self.ids = RunIds()
 
     # ------------------------------------------------------------------
     # clock

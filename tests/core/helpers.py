@@ -42,6 +42,13 @@ class StubEngine:
         self.parked.append(entry)
 
 
+def next_message(flow: Flow, context: dict | None = None) -> Message:
+    """The flow's next message, numbered the way ``PackingSession`` does."""
+    message = Message(flow, context, seq=flow.messages_sent)
+    flow.messages_sent += 1
+    return message
+
+
 def data_entry(
     flow: Flow,
     size: int,
@@ -50,7 +57,7 @@ def data_entry(
     submit_time: float = 0.0,
 ) -> SubmitEntry:
     """A DATA submit entry wrapping a one-fragment message."""
-    message = Message(flow)
+    message = next_message(flow)
     fragment = message.add_fragment(size, mode=mode, express=express)
     return SubmitEntry(
         EntryKind.DATA, flow.dst, submit_time, fragment=fragment, flow=flow
@@ -99,7 +106,7 @@ def build_loaded_cluster(
     """
     cluster = Cluster(seed=0, strategy=strategy, config=config)
     engine = cluster.engine("n0")
-    flows = [Flow(f"bench-f{i}", "n0", "n1") for i in range(n_flows)]
+    flows = [Flow(i, f"bench-f{i}", "n0", "n1") for i in range(n_flows)]
     for i in range(depth):
         entry = data_entry(flows[i % n_flows], 256)
         entry.fragment.message.mark_flushed(0.0)

@@ -67,7 +67,7 @@ class TestAdaptiveChannels:
         policy.setup(pool, max_channels=8)
         assert len(pool) == 1
         assert policy.channels_in_use == 1
-        flow = Flow("f", "n0", "n1", TrafficClass.BULK)
+        flow = Flow(0, "f", "n0", "n1", TrafficClass.BULK)
         entry = data_entry(flow, 100)
         assert policy.channel_for_entry(entry) == pool.channels[0].channel_id
 
@@ -80,7 +80,7 @@ class TestAdaptiveChannels:
             policy.note_dispatch(shared, [(TrafficClass.BULK, 8 * KiB)])
         assert TrafficClass.BULK in policy.dedicated_classes
         assert ("promote", TrafficClass.BULK) in policy.adaptations
-        flow = Flow("f", "n0", "n1", TrafficClass.BULK)
+        flow = Flow(0, "f", "n0", "n1", TrafficClass.BULK)
         assert policy.channel_for_entry(data_entry(flow, 1)) != shared
 
     def test_demotion_after_idle_windows(self):

@@ -38,7 +38,7 @@ def fill(engine, queue, entries):
 class TestBasicAggregation:
     def test_single_entry(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         [e] = fill(engine, queue, [data_entry(flow, 100)])
         plan = build_from_queue(engine, driver, queue, max_items=16)
         assert plan.kind is PacketKind.EAGER
@@ -47,7 +47,7 @@ class TestBasicAggregation:
 
     def test_cross_flow_aggregation(self, setup):
         engine, driver, queue = setup
-        flows = [Flow(f"f{i}", "n0", "n1") for i in range(4)]
+        flows = [Flow(i, f"f{i}", "n0", "n1") for i in range(4)]
         entries = fill(engine, queue, [data_entry(f, 256) for f in flows])
         plan = build_from_queue(engine, driver, queue, max_items=16)
         assert plan.entries == entries
@@ -55,14 +55,14 @@ class TestBasicAggregation:
 
     def test_max_items_respected(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         fill(engine, queue, [data_entry(flow, 10) for _ in range(10)])
         plan = build_from_queue(engine, driver, queue, max_items=3)
         assert len(plan.items) == 3
 
     def test_size_budget_respected(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         size = driver.caps.max_aggregate_size // 2 + 1
         fill(engine, queue, [data_entry(flow, size) for _ in range(3)])
         plan = build_from_queue(engine, driver, queue, max_items=16)
@@ -75,7 +75,7 @@ class TestBasicAggregation:
     def test_plans_satisfy_constraints(self, setup):
         engine, driver, queue = setup
         checker = ConstraintChecker()
-        flows = [Flow(f"f{i}", "n0", "n1") for i in range(3)]
+        flows = [Flow(i, f"f{i}", "n0", "n1") for i in range(3)]
         fill(
             engine,
             queue,
@@ -88,7 +88,7 @@ class TestBasicAggregation:
 class TestDestinationSplit:
     def test_only_one_destination_per_packet(self, setup):
         engine, driver, queue = setup
-        f1, f2 = Flow("a", "n0", "n1"), Flow("b", "n0", "n2")
+        f1, f2 = Flow(0, "a", "n0", "n1"), Flow(1, "b", "n0", "n2")
         e1 = data_entry(f1, 100)
         e2 = data_entry(f2, 100)
         e3 = data_entry(f1, 100)
@@ -101,7 +101,7 @@ class TestDestinationSplit:
 class TestModes:
     def test_safer_travels_alone(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         safer = data_entry(flow, 100, mode=PackMode.SAFER)
         cheap = data_entry(flow, 100)
         fill(engine, queue, [safer, cheap])
@@ -111,7 +111,7 @@ class TestModes:
 
     def test_safer_skipped_when_plan_started(self, setup):
         engine, driver, queue = setup
-        f1, f2 = Flow("a", "n0", "n1"), Flow("b", "n0", "n1")
+        f1, f2 = Flow(0, "a", "n0", "n1"), Flow(1, "b", "n0", "n1")
         cheap = data_entry(f1, 100)
         safer = data_entry(f2, 100, mode=PackMode.SAFER)
         cheap2 = data_entry(f1, 100)
@@ -121,7 +121,7 @@ class TestModes:
 
     def test_later_overtaken_within_flow(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         big_later = data_entry(flow, driver.caps.max_aggregate_size, mode=PackMode.LATER)
         small = data_entry(flow, 64)
         fill(engine, queue, [big_later, small])
@@ -132,7 +132,7 @@ class TestModes:
 
     def test_fifo_blocking_within_flow(self, setup):
         engine, driver, queue = setup
-        f1, f2 = Flow("a", "n0", "n1"), Flow("b", "n0", "n2")
+        f1, f2 = Flow(0, "a", "n0", "n1"), Flow(1, "b", "n0", "n2")
         other_dst = data_entry(f2, 100)  # seeds dst n2
         blocked = data_entry(f1, 100)  # n1: skipped (wrong dst)
         follower = data_entry(f1, 100)  # must NOT be taken after skip
@@ -144,7 +144,7 @@ class TestModes:
 class TestRendezvousPath:
     def test_oversized_entry_parked(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         big = data_entry(flow, driver.caps.eager_threshold + 1)
         small = data_entry(flow, 64)
         fill(engine, queue, [big, small])
@@ -155,7 +155,7 @@ class TestRendezvousPath:
 
     def test_no_park_when_disallowed(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         big = data_entry(flow, driver.caps.eager_threshold + 1)
         fill(engine, queue, [big])
         plan = build_from_queue(engine, driver, queue, max_items=16, allow_park=False)
@@ -164,7 +164,7 @@ class TestRendezvousPath:
 
     def test_rdv_ready_dispatched_alone(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         bulk = data_entry(flow, 256 * KiB)
         bulk.state = EntryState.RDV_READY
         small = data_entry(flow, 64)
@@ -181,7 +181,7 @@ class TestRendezvousPath:
         d2, _ = make_driver(sim, "mx1")
         engine = StubEngine([d1, d2], config=EngineConfig(stripe_chunk=64 * KiB), sim=sim)
         queue = engine.waiting.queue(0)
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         bulk = data_entry(flow, 256 * KiB)
         bulk.state = EntryState.RDV_READY
         queue.append(bulk)
@@ -190,7 +190,7 @@ class TestRendezvousPath:
 
     def test_park_oversized_sweep(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         entries = [
             data_entry(flow, driver.caps.eager_threshold + 1),
             data_entry(flow, 64),
@@ -217,7 +217,7 @@ class TestControlEntries:
 
     def test_control_after_data_not_mixed(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         e = data_entry(flow, 64)
         req = control_entry("n1", token=1)
         fill(engine, queue, [e])
@@ -230,7 +230,7 @@ class TestControlEntries:
 class TestSeedsAndSameMessage:
     def test_skip_seeds_produces_alternative_plan(self, setup):
         engine, driver, queue = setup
-        f1, f2 = Flow("a", "n0", "n1"), Flow("b", "n0", "n1")
+        f1, f2 = Flow(0, "a", "n0", "n1"), Flow(1, "b", "n0", "n1")
         e1, e2 = data_entry(f1, 100), data_entry(f2, 200)
         fill(engine, queue, [e1, e2])
         plan = build_from_queue(engine, driver, queue, max_items=16, skip_seeds=1)
@@ -241,8 +241,8 @@ class TestSeedsAndSameMessage:
         from repro.madeleine.message import Message
         from repro.madeleine.submit import EntryKind, SubmitEntry
 
-        flow = Flow("f", "n0", "n1")
-        m1, m2 = Message(flow), Message(flow)
+        flow = Flow(0, "f", "n0", "n1")
+        m1, m2 = Message(flow, seq=0), Message(flow, seq=1)
         frags1 = [m1.add_fragment(64), m1.add_fragment(64)]
         frag2 = m2.add_fragment(64)
         entries = [
@@ -257,7 +257,7 @@ class TestSeedsAndSameMessage:
 
     def test_protocol_only_skips_waiting_data(self, setup):
         engine, driver, queue = setup
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         e = data_entry(flow, 64)
         req = control_entry("n1", token=3)
         fill(engine, queue, [e])
@@ -280,7 +280,7 @@ class TestPartialTake:
         driver = TcpDriver(nic)
         engine = StubEngine([driver], sim=sim)
         queue = engine.waiting.queue(0)
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         big = data_entry(flow, 3 * driver.caps.max_aggregate_size)
         queue.append(big)
         plan = build_from_queue(engine, driver, queue, max_items=16)

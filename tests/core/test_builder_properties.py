@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from repro.core.config import EngineConfig
 from repro.core.constraints import ConstraintChecker
 from repro.core.strategies._builder import build_from_queue
-from repro.madeleine.message import Flow, Message, PackMode
+from repro.madeleine.message import Flow, PackMode
 from repro.madeleine.submit import EntryKind, EntryState, SubmitEntry
 from repro.network.wire import PacketKind
 from repro.sim import Simulator
 from repro.util.units import KiB
 
-from tests.core.helpers import StubEngine, make_driver
+from tests.core.helpers import StubEngine, make_driver, next_message
 
 # Every test here runs against the production walk and again against the
 # oracle it is compared to elsewhere (tests/core/conftest.py).
@@ -32,7 +32,7 @@ def queue_contents(draw):
     some control entries, some rendezvous-ready bulk."""
     n_flows = draw(st.integers(min_value=1, max_value=4))
     flows = [
-        Flow(f"f{i}", "n0", draw(st.sampled_from(["n1", "n2"])))
+        Flow(i, f"f{i}", "n0", draw(st.sampled_from(["n1", "n2"])))
         for i in range(n_flows)
     ]
     entries = []
@@ -52,7 +52,7 @@ def queue_contents(draw):
             )
             continue
         flow = draw(st.sampled_from(flows))
-        message = Message(flow)
+        message = next_message(flow)
         size = draw(st.integers(min_value=1, max_value=64 * KiB))
         mode = draw(st.sampled_from(list(PackMode)))
         fragment = message.add_fragment(size, mode=mode)

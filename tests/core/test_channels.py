@@ -22,7 +22,7 @@ class TestPooledChannels:
         policy = PooledChannels()
         pool = ChannelPool()
         policy.setup(pool, max_channels=8)
-        bulk_flow = Flow("b", "n0", "n1", TrafficClass.BULK)
+        bulk_flow = Flow(0, "b", "n0", "n1", TrafficClass.BULK)
         ctrl = control_entry("n1")
         bulk = data_entry(bulk_flow, 10)
         assert policy.channel_for_entry(bulk) != policy.channel_for_entry(ctrl)
@@ -37,7 +37,7 @@ class TestPooledChannels:
         policy.setup(pool, max_channels=8)
         ctrl_ch = policy.channel_for_entry(control_entry("n1"))
         bulk_ch = policy.channel_for_entry(
-            data_entry(Flow("b", "n0", "n1", TrafficClass.BULK), 10)
+            data_entry(Flow(0, "b", "n0", "n1", TrafficClass.BULK), 10)
         )
         queues = [ChannelQueue(bulk_ch), ChannelQueue(ctrl_ch)]
         ordered = policy.service_order(queues)
@@ -50,8 +50,8 @@ class TestPooledChannels:
         policy.setup(pool, max_channels=8)
         assert len(pool) == 1
         flows = [
-            Flow("a", "n0", "n1", TrafficClass.BULK),
-            Flow("b", "n0", "n1", TrafficClass.CONTROL),
+            Flow(0, "a", "n0", "n1", TrafficClass.BULK),
+            Flow(1, "b", "n0", "n1", TrafficClass.CONTROL),
         ]
         channels = {policy.channel_for_entry(data_entry(f, 10)) for f in flows}
         assert len(channels) == 1
@@ -77,7 +77,7 @@ class TestOneToOneChannels:
         policy = OneToOneChannels()
         pool = ChannelPool()
         policy.setup(pool, max_channels=8)
-        f1, f2 = Flow("a", "n0", "n1"), Flow("b", "n0", "n1")
+        f1, f2 = Flow(0, "a", "n0", "n1"), Flow(1, "b", "n0", "n1")
         c1 = policy.channel_for_entry(data_entry(f1, 10))
         c2 = policy.channel_for_entry(data_entry(f2, 10))
         assert c1 != c2
@@ -88,7 +88,7 @@ class TestOneToOneChannels:
         policy = OneToOneChannels()
         pool = ChannelPool()
         policy.setup(pool, max_channels=2)
-        flows = [Flow(f"f{i}", "n0", "n1") for i in range(5)]
+        flows = [Flow(i, f"f{i}", "n0", "n1") for i in range(5)]
         channels = {policy.channel_for_entry(data_entry(f, 10)) for f in flows}
         assert len(channels) <= 2
         assert len(pool) == 2

@@ -22,7 +22,7 @@ def cost():
 
 
 def plan_of(driver, sizes, submit_time=0.0, kind=PacketKind.EAGER):
-    flow = Flow("f", "n0", "n1")
+    flow = Flow(0, "f", "n0", "n1")
     items = [
         PlanItem(data_entry(flow, s, submit_time=submit_time), s) for s in sizes
     ]

@@ -23,7 +23,7 @@ from tests.core.helpers import data_entry, make_driver
 
 
 def plan_of_sizes(driver, sizes, submit_time=0.0):
-    flow = Flow("f", "n0", "n1")
+    flow = Flow(0, "f", "n0", "n1")
     items = [PlanItem(data_entry(flow, s, submit_time=submit_time), s) for s in sizes]
     return TransferPlan(driver, PacketKind.EAGER, "n1", 0, items)
 
@@ -124,7 +124,7 @@ class TestCostProperties:
         equivalence is exercised too (including negative waits: *now*
         may precede a submit time)."""
         driver, _ = make_driver(Simulator(), tech=tech)
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         items = [
             PlanItem(data_entry(flow, s, submit_time=submits[i % len(submits)]), s)
             for i, s in enumerate(sizes)

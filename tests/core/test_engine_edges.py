@@ -90,7 +90,7 @@ class TestProtocolErrors:
         cluster = Cluster(seed=1)
         engine = cluster.engine("n0")
         bogus = WirePacket(
-            PacketKind.RDV_ACK, "n1", "n0", 0, meta={"token": 424242}
+            PacketKind.RDV_ACK, "n1", "n0", 0, meta={"token": 424242}, packet_id=0
         )
         with pytest.raises(ProtocolError, match="unmatched"):
             engine._handle_rdv_ack(bogus)
@@ -102,7 +102,7 @@ class TestProtocolErrors:
 
         cluster = Cluster(seed=1)
         engine = cluster.engine("n0")
-        entry = data_entry(Flow("f", "n0", "n1"), 100_000)
+        entry = data_entry(Flow(0, "f", "n0", "n1"), 100_000)
         entry.consume(100_000)  # SENT
         with pytest.raises(ProtocolError):
             engine.park_for_rendezvous(entry, 0)

@@ -86,8 +86,8 @@ def _load_queue(engine, specs):
     """Fill channel 0 from ``specs``; returns the queue and the entries
     in load order (plans are compared by position in that list)."""
     flows = {
-        False: [Flow(f"f{i}", "n0", "n1") for i in range(4)],
-        True: [Flow(f"g{i}", "n0", "n2") for i in range(4)],
+        False: [Flow(i, f"f{i}", "n0", "n1") for i in range(4)],
+        True: [Flow(4 + i, f"g{i}", "n0", "n2") for i in range(4)],
     }
     last_message: dict[Flow, Message] = {}
     queue = engine.waiting.queue(0)
@@ -191,11 +191,11 @@ class TestBuilderEquivalence:
         driver, _ = make_driver(sim)
         engine = StubEngine([driver], sim=sim, config=EngineConfig(lookahead_window=4))
         queue = engine.waiting.queue(0)
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         for _ in range(12):
             queue.append(data_entry(flow, 64))
         if unblocker == "rdv_ready":
-            hidden = data_entry(Flow("bulk", "n0", "n1"), 256 * KiB)
+            hidden = data_entry(Flow(1, "bulk", "n0", "n1"), 256 * KiB)
             hidden.state = EntryState.RDV_READY
         else:
             kind = EntryKind.RDV_REQ if unblocker == "rdv_req" else EntryKind.RDV_ACK
@@ -229,7 +229,7 @@ def _loaded_search_engine(strategy_type, depth, budget, sizes=None):
         seed=0, strategy=factory, config=EngineConfig(lookahead_window=32)
     )
     engine = cluster.engine("n0")
-    flows = [Flow(f"f{i}", "n0", "n1") for i in range(8)]
+    flows = [Flow(i, f"f{i}", "n0", "n1") for i in range(8)]
     for i in range(depth):
         size = 256 if sizes is None else sizes[i % len(sizes)]
         engine._enqueue(data_entry(flows[i % 8], size))
@@ -279,7 +279,7 @@ class TestSearchBudgetEquivalence:
 
         def run(strategy_type):
             engine, strategy = _loaded_search_engine(strategy_type, 0, 24)
-            flows = [Flow(f"f{i}", "n0", "n1") for i in range(3)]
+            flows = [Flow(i, f"f{i}", "n0", "n1") for i in range(3)]
             sizes = [300, 48 * KiB, 700, 64, 40 * KiB, 1500, 90, 2048]
             for i, size in enumerate(sizes):
                 mode = PackMode.SAFER if i == 3 else PackMode.CHEAPER

@@ -39,7 +39,7 @@ def _loaded_engine(sizes, budget):
         seed=0, strategy=factory, config=EngineConfig(lookahead_window=16)
     )
     engine = cluster.engine("n0")
-    flows = [Flow(f"f{i}", "n0", "n1") for i in range(4)]
+    flows = [Flow(i, f"f{i}", "n0", "n1") for i in range(4)]
     for i, size in enumerate(sizes):
         engine._enqueue(data_entry(flows[i % len(flows)], size))
     return engine, holder[0]

@@ -148,7 +148,7 @@ class TestSearchBudgetAccounting:
 
         cluster = Cluster(seed=0, strategy=factory)
         engine = cluster.engine("n0")
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         for _ in range(n_entries):
             engine._enqueue(data_entry(flow, 256))
         return engine, holder[0]

@@ -12,7 +12,7 @@ from tests.core.helpers import data_entry
 
 @pytest.fixture
 def flow():
-    return Flow("f", "n0", "n1")
+    return Flow(0, "f", "n0", "n1")
 
 
 class TestChannelQueue:

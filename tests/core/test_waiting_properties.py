@@ -30,7 +30,7 @@ class TestChannelQueueProperties:
     @settings(max_examples=150, deadline=None)
     @given(ops=queue_operations())
     def test_pending_always_waiting_in_arrival_order(self, ops):
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         queue = ChannelQueue(0)
         appended = []
         for op in ops:
@@ -73,7 +73,7 @@ class TestChannelQueueProperties:
         )
     )
     def test_waiting_lists_totals(self, channels):
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         lists = WaitingLists()
         for channel_id in channels:
             lists.enqueue(data_entry(flow, 10), channel_id)
@@ -109,7 +109,7 @@ class TestIncrementalAccounting:
     @settings(max_examples=150, deadline=None)
     @given(program=lifecycle_programs())
     def test_counters_equal_recount(self, program):
-        flow = Flow("f", "n0", "n1")
+        flow = Flow(0, "f", "n0", "n1")
         lists = WaitingLists()
         channels = (lists.queue(0), lists.queue(1))
         parked = []  # (entry, channel_id) pairs, as the engine keeps them

@@ -148,7 +148,7 @@ class TestAggregationChoice:
 class TestSend:
     def packet(self, size=1024, n=1, kind=PacketKind.EAGER):
         segs = tuple(WireSegment(f"p{i}", 0, size // n) for i in range(n))
-        return WirePacket(kind, "n0", "n1", 0, segs)
+        return WirePacket(kind, "n0", "n1", 0, segs, packet_id=0)
 
     def test_send_returns_costs_and_occupies_nic(self, sim):
         driver, deliveries = make_mx_driver(sim)
@@ -176,7 +176,7 @@ class TestSend:
 
         nic = NIC(sim, "t", "n0", gige_tcp(), lambda p, o: None)
         driver = TcpDriver(nic)
-        pkt = WirePacket(PacketKind.EAGER, "n0", "n1", 0, (WireSegment("p", 0, 8),))
+        pkt = WirePacket(PacketKind.EAGER, "n0", "n1", 0, (WireSegment("p", 0, 8),), packet_id=0)
         with pytest.raises(CapabilityError):
             driver.send(pkt, mode=TransferMode.PIO)
 
@@ -185,7 +185,7 @@ class TestSend:
 
         nic = NIC(sim, "t", "n0", gige_tcp(), lambda p, o: None)
         driver = TcpDriver(nic)
-        pkt = WirePacket(PacketKind.RDV_REQ, "n0", "n1", 0)
+        pkt = WirePacket(PacketKind.RDV_REQ, "n0", "n1", 0, packet_id=0)
         with pytest.raises(CapabilityError):
             driver.send(pkt)
 

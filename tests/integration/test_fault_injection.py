@@ -16,8 +16,8 @@ def cluster():
 
 
 def fragment_for(src="n0", dst="n1"):
-    flow = Flow("evil", src, dst)
-    message = Message(flow)
+    flow = Flow(99, "evil", src, dst)  # an id no flow of the cluster has
+    message = Message(flow, seq=0)
     fragment = message.add_fragment(1024)
     message.mark_flushed(0.0)
     return fragment
@@ -28,7 +28,8 @@ class TestWireFaults:
         """Delivering the same slice twice is a protocol violation."""
         fragment = fragment_for()
         packet = WirePacket(
-            PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 0, 1024),)
+            PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 0, 1024),),
+            packet_id=0,
         )
         receiver = cluster.fabric.node("n1").receiver
         receiver.deliver(packet)
@@ -40,13 +41,15 @@ class TestWireFaults:
         receiver = cluster.fabric.node("n1").receiver
         receiver.deliver(
             WirePacket(
-                PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 0, 600),)
+                PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 0, 600),),
+                packet_id=0,
             )
         )
         with pytest.raises(ProtocolError):
             receiver.deliver(
                 WirePacket(
-                    PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 500, 200),)
+                    PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 500, 200),),
+                    packet_id=0,
                 )
             )
 
@@ -56,7 +59,8 @@ class TestWireFaults:
         with pytest.raises(ProtocolError):
             receiver.deliver(
                 WirePacket(
-                    PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 512, 1024),)
+                    PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 512, 1024),),
+                    packet_id=0,
                 )
             )
 
@@ -68,7 +72,8 @@ class TestWireFaults:
         with pytest.raises(ProtocolError):
             receiver.deliver(
                 WirePacket(
-                    PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 0, 1024),)
+                    PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 0, 1024),),
+                    packet_id=0,
                 )
             )
 
@@ -76,7 +81,7 @@ class TestWireFaults:
         receiver = cluster.fabric.node("n0").receiver
         with pytest.raises(ProtocolError, match="unmatched"):
             receiver.deliver(
-                WirePacket(PacketKind.RDV_ACK, "n1", "n0", 0, meta={"token": 10**9})
+                WirePacket(PacketKind.RDV_ACK, "n1", "n0", 0, meta={"token": 10**9}, packet_id=0)
             )
 
     def test_garbage_payload_rejected(self, cluster):
@@ -84,7 +89,8 @@ class TestWireFaults:
         with pytest.raises(ProtocolError, match="non-fragment"):
             receiver.deliver(
                 WirePacket(
-                    PacketKind.EAGER, "n0", "n1", 0, (WireSegment(b"junk", 0, 4),)
+                    PacketKind.EAGER, "n0", "n1", 0, (WireSegment(b"junk", 0, 4),),
+                    packet_id=0,
                 )
             )
 
@@ -95,7 +101,8 @@ class TestFaultsDoNotCorruptState:
         receiver = cluster.fabric.node("n1").receiver
         fragment = fragment_for()
         packet = WirePacket(
-            PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 0, 1024),)
+            PacketKind.EAGER, "n0", "n1", 0, (WireSegment(fragment, 0, 1024),),
+            packet_id=0,
         )
         receiver.deliver(packet)
         with pytest.raises(ProtocolError):

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -167,6 +168,49 @@ class TestAggregation:
         assert "nic.idle" in kinds
         times = [e["time"] for e in result.trace_events]
         assert times == sorted(times)
+
+
+_GROUP = ["n0", "n1", "n2", "n3"]
+#: Also what the CI ``live-smoke`` job feeds ``python -m repro live run``.
+_COLLECTIVES = [
+    {"app": "barrier", "nodes": _GROUP, "rounds": 5},
+    {"app": "allreduce", "nodes": _GROUP, "size": 2048, "rounds": 3},
+    {"app": "halo", "nodes": _GROUP, "halo_size": 1024, "iterations": 4},
+    {"app": "broadcast", "nodes": _GROUP, "size": 4096, "rounds": 3},
+]
+
+
+class TestCollectives:
+    def test_four_peer_collectives_byte_verified(self):
+        """Every pair's flow is opened on every peer at START, so a
+        collective's first frame always finds its flow — whichever rank
+        sends first, and although no peer runs another rank's process."""
+        scenario = _scenario(_COLLECTIVES)
+        scenario["cluster"]["n_nodes"] = 4
+        result = run_live_scenario(scenario, timeout=_TIMEOUT)
+        delivered = Counter(r.flow_name.split(".")[0] for r in result.records)
+        assert delivered == {
+            "BarrierApp0": 40,  # 4 ranks x 2 steps x 5 rounds
+            "AllReduceApp1": 24,  # 4 ranks x 2 steps x 3 rounds
+            "HaloExchangeApp2": 32,  # 4 ranks x 2 neighbours x 4 iterations
+            "BroadcastApp3": 18,  # (3 payloads + 3 acks) x 3 rounds
+        }
+        assert result.corrupt_slices == 0
+        assert result.bytes_verified == result.report.total_bytes
+        # Four receivers, one id space: a message is named by its flow
+        # and sequence number, the same on its sender and its receiver.
+        assert len({r.message_id for r in result.records}) == len(result.records)
+
+    def test_peer_hosting_neither_endpoint_installs_cleanly(self):
+        scenario = _scenario(
+            [{"app": "pingpong", "src": "n0", "dst": "n1", "size": 64, "count": 3}]
+        )
+        scenario["cluster"]["n_nodes"] = 3  # n2 builds the flows, runs nothing
+        result = run_live_scenario(scenario, timeout=_TIMEOUT)
+        assert result.report.messages == 6
+        assert len(result.rtts) == 3
+        assert {r.dst for r in result.records} == {"n0", "n1"}
+        assert result.corrupt_slices == 0
 
 
 class TestCli:

@@ -22,6 +22,8 @@ from repro.madeleine.message import Flow, Message
 from repro.network.wire import PacketKind, WirePacket, WireSegment, encode_frame
 from repro.util.errors import ProtocolError, SimulationError, WireError
 
+from tests.core.helpers import next_message
+
 
 def _ctrl_frame(meta=None):
     return encode_frame(PacketKind.CTRL, "n0", "n1", 0, meta or {})
@@ -125,7 +127,7 @@ class TestControlFrames:
 
 def _sent_packet(flow, size=128):
     """One eager packet exactly as the engine would dispatch it."""
-    message = Message(flow)
+    message = next_message(flow)
     fragment = message.add_fragment(size)
     message.mark_flushed(0.5)
     packet = WirePacket(
@@ -134,6 +136,7 @@ def _sent_packet(flow, size=128):
         dst=flow.dst,
         channel_id=0,
         segments=(WireSegment(fragment, 0, size),),
+        packet_id=0,
     )
     return message, packet
 
@@ -144,11 +147,11 @@ class TestMirrorReceiver:
         return MirrorReceiver(flow.dst, lambda fid: flow if fid == flow.flow_id else None)
 
     def test_roundtrip_rebuilds_packet(self):
-        flow = Flow("t-mirror", "n0", "n1")
+        flow = Flow(0, "t-mirror", "n0", "n1")
         message, packet = _sent_packet(flow)
         frames = StreamDecoder().feed(encode_live_packet(packet))
         mirror = self._pair(flow)
-        rebuilt = mirror.packet_from_frame(frames[0])
+        rebuilt = mirror.packet_from_frame(frames[0], 0)
         assert rebuilt.kind is PacketKind.EAGER
         assert rebuilt.src == "n0" and rebuilt.dst == "n1"
         seg = rebuilt.segments[0]
@@ -158,24 +161,51 @@ class TestMirrorReceiver:
         assert mirror.bytes_verified == 128
         assert mirror.corrupt_slices == 0
 
-    def test_mirror_ids_negative_and_tracked(self):
-        flow = Flow("t-ids", "n0", "n1")
+    def test_mirror_carries_sender_id(self):
+        """The receiver names the message as the sender does — the DONE
+        acknowledgement and every trace join go by that id."""
+        flow = Flow(3, "t-ids", "n0", "n1")
+        _sent_packet(flow)  # seq 0 went earlier: the mirror must read seq, not count
         message, packet = _sent_packet(flow)
         mirror = self._pair(flow)
         rebuilt = mirror.packet_from_frame(
-            StreamDecoder().feed(encode_live_packet(packet))[0]
+            StreamDecoder().feed(encode_live_packet(packet))[0], 7
         )
+        assert rebuilt.packet_id == 7
         mirrored = rebuilt.segments[0].payload.message
-        assert mirrored.message_id < 0
-        assert mirror.origin_of(mirrored) == ("n0", message.message_id)
+        assert mirrored is not message
+        assert (mirrored.message_id, mirrored.seq) == (message.message_id, 1)
+        assert mirrored.flow.src == "n0"
+        assert flow.messages_sent == 2  # building a mirror sends nothing
         assert mirror.open_mirrors == 1
         mirror.forget(mirrored)
         assert mirror.open_mirrors == 0
-        assert mirror.origin_of(mirrored) is None
+
+    def test_forged_message_id_rejected(self):
+        flow = Flow(0, "t-forged", "n0", "n1")
+        _, packet = _sent_packet(flow)
+        frame = StreamDecoder().feed(encode_live_packet(packet))[0]
+        frame.segments[0].descriptor["msg"] += 1
+        with pytest.raises(ProtocolError, match="names message"):
+            self._pair(flow).packet_from_frame(frame, 0)
+
+    def test_forget_from_drops_every_open_mirror_of_a_sender(self):
+        flows = [Flow(0, "a", "n0", "n2"), Flow(1, "b", "n1", "n2")]
+        mirror = MirrorReceiver("n2", lambda fid: flows[fid])
+        for flow, count in zip(flows, (3, 2)):
+            for _ in range(count):
+                _, packet = _sent_packet(flow)
+                mirror.packet_from_frame(
+                    StreamDecoder().feed(encode_live_packet(packet))[0], 0
+                )
+        assert mirror.open_mirrors == 5
+        assert mirror.forget_from("n0") == 3
+        assert mirror.open_mirrors == 2
+        assert mirror.forget_from("n0") == 0
 
     def test_same_message_reuses_mirror(self):
-        flow = Flow("t-reuse", "n0", "n1")
-        message = Message(flow)
+        flow = Flow(0, "t-reuse", "n0", "n1")
+        message = Message(flow, seq=0)
         f0 = message.add_fragment(100)
         f1 = message.add_fragment(50)
         message.mark_flushed(0.0)
@@ -186,13 +216,14 @@ class TestMirrorReceiver:
                 dst="n1",
                 channel_id=0,
                 segments=(WireSegment(f, 0, f.size),),
+                packet_id=0,
             )
             for f in (f0, f1)
         ]
         mirror = self._pair(flow)
         rebuilt = [
             mirror.packet_from_frame(
-                StreamDecoder().feed(encode_live_packet(p))[0]
+                StreamDecoder().feed(encode_live_packet(p))[0], 0
             )
             for p in packets
         ]
@@ -203,7 +234,7 @@ class TestMirrorReceiver:
         assert mirror.open_mirrors == 1
 
     def test_corrupted_bytes_detected(self):
-        flow = Flow("t-corrupt", "n0", "n1")
+        flow = Flow(0, "t-corrupt", "n0", "n1")
         _, packet = _sent_packet(flow)
         # The codec CRC catches wire flips, so model corruption *past*
         # the codec: same frame, segment data replaced by zeros.
@@ -225,24 +256,24 @@ class TestMirrorReceiver:
 
         mirror = self._pair(flow)
         with pytest.raises(WireError):
-            mirror.packet_from_frame(_Frame)
+            mirror.packet_from_frame(_Frame, 0)
         assert mirror.corrupt_slices == 1
 
     def test_unknown_flow_rejected(self):
-        flow = Flow("t-unknown", "n0", "n1")
+        flow = Flow(0, "t-unknown", "n0", "n1")
         _, packet = _sent_packet(flow)
         frame = StreamDecoder().feed(encode_live_packet(packet))[0]
         mirror = MirrorReceiver("n1", lambda fid: None)
         with pytest.raises(ProtocolError):
-            mirror.packet_from_frame(frame)
+            mirror.packet_from_frame(frame, 0)
 
     def test_wrong_destination_rejected(self):
-        flow = Flow("t-wrongdst", "n0", "n1")
+        flow = Flow(0, "t-wrongdst", "n0", "n1")
         _, packet = _sent_packet(flow)
         frame = StreamDecoder().feed(encode_live_packet(packet))[0]
         mirror = MirrorReceiver("n2", lambda fid: flow)
         with pytest.raises(ProtocolError):
-            mirror.packet_from_frame(frame)
+            mirror.packet_from_frame(frame, 0)
 
     def test_non_fragment_payload_rejected(self):
         packet = WirePacket(
@@ -251,6 +282,7 @@ class TestMirrorReceiver:
             dst="n1",
             channel_id=0,
             segments=(WireSegment("not a fragment", 0, 4),),
+            packet_id=0,
         )
         with pytest.raises(ProtocolError):
             encode_live_packet(packet)

@@ -13,9 +13,9 @@ from repro.sim import Simulator
 from repro.util.errors import ProtocolError
 
 
-def make_message(sizes, dst="n1"):
-    flow = Flow("f", "n0", dst)
-    message = Message(flow)
+def make_message(sizes, dst="n1", seq=0):
+    flow = Flow(0, "f", "n0", dst)
+    message = Message(flow, seq=seq)
     for i, size in enumerate(sizes):
         message.add_fragment(size, express=(i == 0))
     return message
@@ -23,7 +23,7 @@ def make_message(sizes, dst="n1"):
 
 def packet_of(fragment_slices, dst="n1"):
     segs = tuple(WireSegment(f, off, ln) for f, off, ln in fragment_slices)
-    return WirePacket(PacketKind.EAGER, "n0", dst, 0, segs)
+    return WirePacket(PacketKind.EAGER, "n0", dst, 0, segs, packet_id=0)
 
 
 @pytest.fixture
@@ -50,7 +50,7 @@ class TestBasicReassembly:
         assert m.completion.done
 
     def test_aggregated_packet_with_two_messages(self, reassembler):
-        m1, m2 = make_message([64]), make_message([64])
+        m1, m2 = make_message([64]), make_message([64], seq=1)
         reassembler.sink(
             packet_of([(m1.fragments[0], 0, 64), (m2.fragments[0], 0, 64)])
         )
@@ -94,7 +94,7 @@ class TestSafety:
 
     def test_non_fragment_payload_rejected(self, reassembler):
         pkt = WirePacket(
-            PacketKind.EAGER, "n0", "n1", 0, (WireSegment("junk", 0, 10),)
+            PacketKind.EAGER, "n0", "n1", 0, (WireSegment("junk", 0, 10),), packet_id=0
         )
         with pytest.raises(ProtocolError):
             reassembler.sink(pkt)

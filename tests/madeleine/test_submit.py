@@ -14,8 +14,8 @@ from repro.util.errors import ConfigurationError
 
 
 def data_entry(size=1024, mode=PackMode.CHEAPER, traffic_class=TrafficClass.DEFAULT):
-    flow = Flow("f", "a", "b", traffic_class)
-    message = Message(flow)
+    flow = Flow(0, "f", "a", "b", traffic_class)
+    message = Message(flow, seq=0)
     fragment = message.add_fragment(size, mode=mode)
     return SubmitEntry(EntryKind.DATA, "b", 0.0, fragment=fragment, flow=flow)
 
@@ -41,8 +41,8 @@ class TestConstruction:
         assert e.flow is None
 
     def test_control_with_fragment_rejected(self):
-        flow = Flow("f", "a", "b")
-        frag = Message(flow).add_fragment(8)
+        flow = Flow(0, "f", "a", "b")
+        frag = Message(flow, seq=0).add_fragment(8)
         with pytest.raises(ConfigurationError):
             SubmitEntry(EntryKind.RDV_ACK, "b", 0.0, fragment=frag)
 

@@ -12,9 +12,12 @@ from repro.middleware import (
     StreamApp,
     uniform_small_flows,
 )
+from repro.madeleine.api import MadAPI
+from repro.madeleine.rx import MessageReassembler
 from repro.network.virtual import TrafficClass
 from repro.runtime import Cluster, run_session
 from repro.util.errors import ConfigurationError
+from repro.util.rng import SeedSequenceRegistry
 
 
 @pytest.fixture
@@ -187,3 +190,76 @@ class TestDeterminism:
             return run_session(c, [a.install for a in apps])
 
         assert run(1).latency.mean != run(2).latency.mean
+
+
+class _OnePeer:
+    """What a live peer is to its apps, minus the sockets: every node's
+    API to open flows on, one node's engine."""
+
+    def __init__(self, cluster, local):
+        self.sim = cluster.sim
+        self.engines = {local: cluster.engines[local]}
+        self.apis = {
+            name: api
+            if name == local
+            else MadAPI(name, None, MessageReassembler(cluster.sim, name))
+            for name, api in cluster.apis.items()
+        }
+        self.api = self.apis.__getitem__
+        self.stream = cluster.stream
+
+
+class TestRunsWhereItsNodeLives:
+    @staticmethod
+    def _install(cluster_like):
+        apps = [
+            PingPongApp("n0", "n1", count=3, name="pp"),
+            StreamApp("n0", "n1", count=3, interval=1e-6, name="s"),
+            PingPongApp("n1", "n0", count=3),  # named by the run
+        ]
+        for app in apps:
+            app.install(cluster_like)
+        flow_ids = {
+            flow.name: flow.flow_id
+            for api in cluster_like.apis.values()
+            for flow in api.flows
+        }
+        return apps, flow_ids
+
+    def test_peer_builds_every_flow_and_runs_only_its_half(self):
+        _, on_full_cluster = self._install(Cluster(n_nodes=2, seed=5))
+        cluster = Cluster(n_nodes=2, seed=5)
+        peer = _OnePeer(cluster, "n1")
+        (pingpong, stream, reverse), flow_ids = self._install(peer)
+        assert flow_ids == on_full_cluster
+        assert flow_ids == {
+            "pp.ping": 0, "pp.pong": 1, "s.stream": 2,
+            "PingPongApp0.ping": 3, "PingPongApp0.pong": 4,
+        }
+        assert [p.name for p in pingpong._processes] == ["pp.server"]
+        assert stream._processes == []  # its one process is n0's: not an error
+        assert [p.name for p in reverse._processes] == ["PingPongApp0.client"]
+        cluster.run_until_idle()
+        # n0's half never ran here: no message was numbered on a flow
+        # out of n0, and nothing was drawn from the stream's arrivals.
+        api0 = peer.api("n0")
+        assert [flow.messages_sent for flow in api0.flows] == [0, 0, 0]
+        fresh = SeedSequenceRegistry(5).stream("s.arrivals")
+        assert (
+            peer.stream("s.arrivals").generator.bit_generator.state
+            == fresh.generator.bit_generator.state
+        )
+        # n1's client did run, and its ping left for the real n0.
+        assert peer.api("n1").flows[1].messages_sent == 1
+        with pytest.raises(ConfigurationError, match="no engine"):
+            api0.send(api0.flows[0], 8)
+        with pytest.raises(ConfigurationError, match="no engine"):
+            api0.post_receive(peer.api("n1").flows[0])
+
+    def test_app_that_spawns_nothing_is_still_an_error(self, cluster):
+        class Idle(PingPongApp):
+            def _start(self, cluster):
+                pass
+
+        with pytest.raises(ConfigurationError, match="started no processes"):
+            Idle().install(cluster)

@@ -77,7 +77,7 @@ class TestRouting:
         net.attach(b)
         received = []
         fabric.node("b").receiver.register_default_sink(received.append)
-        pkt = WirePacket(PacketKind.EAGER, "a", "b", 0, (WireSegment("x", 0, 64),))
+        pkt = WirePacket(PacketKind.EAGER, "a", "b", 0, (WireSegment("x", 0, 64),), packet_id=0)
         nic.submit(pkt, occupancy=1e-6, one_way=2e-6)
         sim.run()
         assert received == [pkt]
@@ -88,7 +88,7 @@ class TestRouting:
         a = fabric.add_node("a")
         fabric.add_node("c")  # not attached to mx0
         nic = net.attach(a)
-        pkt = WirePacket(PacketKind.EAGER, "a", "c", 0, (WireSegment("x", 0, 64),))
+        pkt = WirePacket(PacketKind.EAGER, "a", "c", 0, (WireSegment("x", 0, 64),), packet_id=0)
         nic.submit(pkt, occupancy=1e-6, one_way=2e-6)
         with pytest.raises(ConfigurationError):
             sim.run()

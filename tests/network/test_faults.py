@@ -214,7 +214,7 @@ class TestFailedNic:
         nic = make_nic(sim)
         nic.fail()
         packet = WirePacket(
-            PacketKind.EAGER, "n0", "n1", 0, (WireSegment("p", 0, 10),)
+            PacketKind.EAGER, "n0", "n1", 0, (WireSegment("p", 0, 10),), packet_id=0
         )
         with pytest.raises(SimulationError, match="failed"):
             nic.submit(packet, occupancy=1e-6, one_way=2e-6)
@@ -228,7 +228,7 @@ class TestFailedNic:
         idles = []
         nic.on_idle(lambda n: idles.append(sim.now))
         packet = WirePacket(
-            PacketKind.EAGER, "n0", "n1", 0, (WireSegment("p", 0, 10),)
+            PacketKind.EAGER, "n0", "n1", 0, (WireSegment("p", 0, 10),), packet_id=0
         )
         nic.submit(packet, occupancy=2e-6, one_way=3e-6)
         sim.schedule(1e-6, nic.fail)  # outage mid-transfer

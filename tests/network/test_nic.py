@@ -21,7 +21,7 @@ def make_nic(sim, deliveries=None):
 
 def packet(size=100):
     return WirePacket(
-        PacketKind.EAGER, "n0", "n1", 0, (WireSegment("payload", 0, size),)
+        PacketKind.EAGER, "n0", "n1", 0, (WireSegment("payload", 0, size),), packet_id=0
     )
 
 
@@ -50,7 +50,7 @@ class TestStateMachine:
         sim = Simulator()
         nic, _ = make_nic(sim)
         foreign = WirePacket(
-            PacketKind.EAGER, "other", "n1", 0, (WireSegment("p", 0, 10),)
+            PacketKind.EAGER, "other", "n1", 0, (WireSegment("p", 0, 10),), packet_id=0
         )
         with pytest.raises(SimulationError):
             nic.submit(foreign, occupancy=1e-6, one_way=2e-6)

@@ -10,12 +10,12 @@ from repro.util.errors import ProtocolError
 
 def data_packet(dst="n0", channel=0, size=64):
     return WirePacket(
-        PacketKind.EAGER, "src", dst, channel, (WireSegment("x", 0, size),)
+        PacketKind.EAGER, "src", dst, channel, (WireSegment("x", 0, size),), packet_id=0
     )
 
 
 def control_packet(kind=PacketKind.RDV_REQ, dst="n0"):
-    return WirePacket(kind, "src", dst, 0, meta={"token": 7})
+    return WirePacket(kind, "src", dst, 0, meta={"token": 7}, packet_id=0)
 
 
 class TestDataDemux:
@@ -134,13 +134,14 @@ class TestDuplicateDeliveryWithoutGuard:
         reassembler = MessageReassembler(sim, "n0")
         r = Receiver(sim, "n0")
         r.register_default_sink(reassembler.sink)
-        flow = Flow("f", "src", "n0")
-        message = Message(flow)
+        flow = Flow(0, "f", "src", "n0")
+        message = Message(flow, seq=0)
         message.add_fragment(64)
         message.submit_time = 0.0
         fragment = message.fragments[0]
         packet = WirePacket(
-            PacketKind.EAGER, "src", "n0", 0, (WireSegment(fragment, 0, 64),)
+            PacketKind.EAGER, "src", "n0", 0, (WireSegment(fragment, 0, 64),),
+            packet_id=0,
         )
         r.deliver(packet)
         with pytest.raises(ProtocolError):

@@ -51,9 +51,10 @@ def make_stack(plane=None, config=None, n_networks=1):
     return sim, fabric, transport, received
 
 
-def data_packet(channel=0, size=64, src="n0", dst="n1"):
+def data_packet(sim, channel=0, size=64, src="n0", dst="n1"):
     return WirePacket(
-        PacketKind.EAGER, src, dst, channel, (WireSegment("x", 0, size),)
+        PacketKind.EAGER, src, dst, channel, (WireSegment("x", 0, size),),
+        packet_id=sim.ids.packet(),
     )
 
 
@@ -87,7 +88,7 @@ class TestConfig:
 class TestCleanPath:
     def test_delivered_once_and_acknowledged(self):
         sim, fabric, transport, received = make_stack()
-        fabric.node("n0").nics[0].submit(data_packet(), OCC, ONE_WAY)
+        fabric.node("n0").nics[0].submit(data_packet(sim), OCC, ONE_WAY)
         sim.run()
         assert len(received) == 1
         assert transport.in_flight == 0
@@ -98,7 +99,7 @@ class TestCleanPath:
         sim, fabric, transport, received = make_stack()
         nic = fabric.node("n0").nics[0]
         for channel in (0, 0, 1):
-            packet = data_packet(channel=channel)
+            packet = data_packet(sim, channel=channel)
             nic.submit(packet, OCC, ONE_WAY)
             sim.run()
         seqs = [(p.channel_id, p.meta["rel_seq"]) for p in received]
@@ -109,7 +110,7 @@ class TestRetransmit:
     def test_dropped_packet_retransmitted_once(self):
         plane = ScriptedPlane(verdicts=[FaultVerdict(drop=True)])
         sim, fabric, transport, received = make_stack(plane)
-        fabric.node("n0").nics[0].submit(data_packet(), OCC, ONE_WAY)
+        fabric.node("n0").nics[0].submit(data_packet(sim), OCC, ONE_WAY)
         sim.run()
         assert len(received) == 1
         assert transport.stats.retransmits == 1
@@ -118,7 +119,7 @@ class TestRetransmit:
     def test_corrupt_copy_discarded_and_retransmitted(self):
         plane = ScriptedPlane(verdicts=[FaultVerdict(corrupt=True)])
         sim, fabric, transport, received = make_stack(plane)
-        fabric.node("n0").nics[0].submit(data_packet(), OCC, ONE_WAY)
+        fabric.node("n0").nics[0].submit(data_packet(sim), OCC, ONE_WAY)
         sim.run()
         assert len(received) == 1
         assert transport.stats.corrupt_discarded == 1
@@ -127,7 +128,7 @@ class TestRetransmit:
     def test_duplicate_copy_deduplicated(self):
         plane = ScriptedPlane(verdicts=[FaultVerdict(duplicate=True)])
         sim, fabric, transport, received = make_stack(plane)
-        fabric.node("n0").nics[0].submit(data_packet(), OCC, ONE_WAY)
+        fabric.node("n0").nics[0].submit(data_packet(sim), OCC, ONE_WAY)
         sim.run()
         assert len(received) == 1
         assert transport.stats.dups_discarded == 1
@@ -136,7 +137,7 @@ class TestRetransmit:
     def test_lost_ack_triggers_reack_not_redelivery(self):
         plane = ScriptedPlane(ack_losses=[True])
         sim, fabric, transport, received = make_stack(plane)
-        fabric.node("n0").nics[0].submit(data_packet(), OCC, ONE_WAY)
+        fabric.node("n0").nics[0].submit(data_packet(sim), OCC, ONE_WAY)
         sim.run()
         assert len(received) == 1  # retransmitted copy deduplicated
         assert transport.stats.retransmits == 1
@@ -148,7 +149,7 @@ class TestRetransmit:
         plane = FaultPlane(FaultSpec(drop=1.0))
         config = ReliabilityConfig(max_retries=2)
         sim, fabric, transport, received = make_stack(plane, config)
-        fabric.node("n0").nics[0].submit(data_packet(), OCC, ONE_WAY)
+        fabric.node("n0").nics[0].submit(data_packet(sim), OCC, ONE_WAY)
         with pytest.raises(TransportError, match="unacknowledged after 3 attempts"):
             sim.run()
         assert received == []
@@ -158,7 +159,7 @@ class TestRetransmit:
 class TestReorderBuffer:
     def test_out_of_order_released_in_sequence(self):
         sim, fabric, transport, received = make_stack()
-        packets = [data_packet() for _ in range(3)]
+        packets = [data_packet(sim) for _ in range(3)]
         for seq, packet in enumerate(packets):
             packet.meta["rel_seq"] = seq
         transport._ingest(packets[2])
@@ -170,7 +171,7 @@ class TestReorderBuffer:
 
     def test_stale_and_buffered_duplicates_discarded(self):
         sim, fabric, transport, received = make_stack()
-        packets = [data_packet() for _ in range(2)]
+        packets = [data_packet(sim) for _ in range(2)]
         for seq, packet in enumerate(packets):
             packet.meta["rel_seq"] = seq
         transport._ingest(packets[0])
@@ -182,7 +183,7 @@ class TestReorderBuffer:
 
     def test_unsequenced_packet_passes_through(self):
         sim, fabric, transport, received = make_stack()
-        transport._ingest(data_packet())
+        transport._ingest(data_packet(sim))
         assert len(received) == 1
 
 
@@ -192,7 +193,7 @@ class TestFailover:
         sim, fabric, transport, received = make_stack(plane, n_networks=2)
         node = fabric.node("n0")
         primary, secondary = node.nics
-        primary.submit(data_packet(), OCC, ONE_WAY)
+        primary.submit(data_packet(sim), OCC, ONE_WAY)
         sim.schedule(4e-6, primary.fail)  # before the ~8e-6 retransmit timer
         sim.run()
         assert len(received) == 1
@@ -205,7 +206,7 @@ class TestFailover:
         config = ReliabilityConfig(max_retries=2)
         sim, fabric, transport, received = make_stack(plane, config)
         primary = fabric.node("n0").nics[0]
-        primary.submit(data_packet(), OCC, ONE_WAY)
+        primary.submit(data_packet(sim), OCC, ONE_WAY)
         sim.schedule(4e-6, primary.fail)
         with pytest.raises(TransportError):
             sim.run()
@@ -223,7 +224,7 @@ class TestGuardWiring:
 
     def test_deliver_routes_through_guard(self):
         sim, fabric, transport, received = make_stack()
-        packet = data_packet()
+        packet = data_packet(sim)
         packet.meta["rel_seq"] = 1  # out of order: guard must hold it
         fabric.node("n1").receiver.deliver(packet)
         assert received == []

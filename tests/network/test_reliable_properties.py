@@ -38,7 +38,8 @@ def run_lossy_session(seed, drop, duplicate, jitter, n_packets, n_channels):
     nic = fabric.node("n0").nics[0]
     for i in range(n_packets):
         packet = WirePacket(
-            PacketKind.EAGER, "n0", "n1", i % n_channels, (WireSegment("x", 0, 64),)
+            PacketKind.EAGER, "n0", "n1", i % n_channels, (WireSegment("x", 0, 64),),
+            packet_id=i,
         )
         sim.at(i * SPACING, nic.submit, packet, OCC, ONE_WAY)
     sim.run()

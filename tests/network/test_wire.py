@@ -9,6 +9,7 @@ from repro.network.wire import (
     WirePacket,
     WireSegment,
 )
+from repro.runtime.cluster import Cluster
 from repro.util.errors import ProtocolError
 
 
@@ -32,30 +33,46 @@ class TestWirePacket:
             WireSegment("a", 0, 100),
             WireSegment("b", 0, 200),
         )
-        pkt = WirePacket(PacketKind.EAGER, "n0", "n1", 0, segs)
+        pkt = WirePacket(PacketKind.EAGER, "n0", "n1", 0, segs, packet_id=0)
         assert pkt.payload_bytes == 300
         assert pkt.wire_bytes == PACKET_HEADER_BYTES + 2 * HEADER_BYTES_PER_SEGMENT + 300
         assert pkt.segment_count == 2
 
     def test_control_packet_without_segments(self):
-        pkt = WirePacket(PacketKind.RDV_REQ, "n0", "n1", 0, meta={"token": 1})
+        pkt = WirePacket(PacketKind.RDV_REQ, "n0", "n1", 0, meta={"token": 1}, packet_id=0)
         assert pkt.payload_bytes == 0
         assert pkt.wire_bytes == PACKET_HEADER_BYTES
 
     def test_data_packet_requires_segments(self):
         with pytest.raises(ProtocolError):
-            WirePacket(PacketKind.EAGER, "n0", "n1", 0)
+            WirePacket(PacketKind.EAGER, "n0", "n1", 0, packet_id=0)
         with pytest.raises(ProtocolError):
-            WirePacket(PacketKind.RDV_DATA, "n0", "n1", 0)
+            WirePacket(PacketKind.RDV_DATA, "n0", "n1", 0, packet_id=0)
 
     def test_self_addressed_rejected(self):
         with pytest.raises(ProtocolError):
-            WirePacket(PacketKind.CTRL, "n0", "n0", 0)
+            WirePacket(PacketKind.CTRL, "n0", "n0", 0, packet_id=0)
 
     def test_packet_ids_unique(self):
-        a = WirePacket(PacketKind.CTRL, "n0", "n1", 0)
-        b = WirePacket(PacketKind.CTRL, "n0", "n1", 0)
-        assert a.packet_id != b.packet_id
+        """The run counts its packets: unique within a cluster, and every
+        cluster starts at packet 0 whatever the process did before."""
+
+        def dispatched():
+            cluster = Cluster(observability={"trace": True})
+            api = cluster.api("n0")
+            flow = api.open_flow("n1")
+            for _ in range(4):
+                api.send(flow, 64)
+                cluster.run_until_idle()
+            return [
+                event.detail["packet"]
+                for event in cluster.obs.sink.events
+                if event.kind == "engine.dispatch"
+            ]
+
+        first, second = dispatched(), dispatched()
+        assert first == second == list(range(len(first)))
+        assert len(first) > 1
 
 
 class TestPacketKind:

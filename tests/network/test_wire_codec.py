@@ -98,6 +98,7 @@ class TestRoundTrip:
             channel_id=1,
             segments=(WireSegment(object(), 32, 4),),
             meta={"k": 1},
+            packet_id=0,
         )
         decoded = decode_frame(encode_packet(packet, [({"d": 0}, b"abcd")]))
         assert decoded.segments[0].offset == 32
@@ -111,6 +112,7 @@ class TestRoundTrip:
             dst="b",
             channel_id=1,
             segments=(WireSegment(object(), 0, 4),),
+            packet_id=0,
         )
         with pytest.raises(WireError, match="1 segments but 2 payloads"):
             encode_packet(packet, [({}, b"abcd"), ({}, b"efgh")])

@@ -1,6 +1,9 @@
 """Tests for declarative scenarios and the top-level CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from repro.runtime.scenario import (
     run_scenario,
 )
 from repro.util.errors import ConfigurationError
+from repro.util.tracing import events_to_jsonl
 
 
 def minimal_scenario(**overrides):
@@ -218,19 +222,63 @@ class TestRunScenario:
         assert cluster.sim.now == 1e-5
 
 
+#: Seven flows wrapped onto TCP's four channels by ``flow_id % 4``: the
+#: one place a flow *id* (not just its identity) reaches a decision.
+_WRAPPED_STREAMS = {
+    "cluster": {
+        "n_nodes": 2, "networks": [["tcp", 1]], "policy": "one-to-one", "seed": 7,
+    },
+    "workloads": [
+        {"app": "stream", "src": "n0", "dst": "n1", "count": 40, "interval": 2e-6}
+    ] * 7,
+}
+
+
+def _repeatable_scenario(name, traced):
+    if name == "wrapped-streams":
+        scenario = json.loads(json.dumps(_WRAPPED_STREAMS))
+    else:
+        scenario = load_scenario_file(f"examples/scenario_{name}.json")
+    if traced:
+        scenario["observability"] = {**scenario.get("observability", {}), "trace": True}
+    return scenario
+
+
+def run_outcome(scenario):
+    """Everything a run produced, as text: the report, and — when traced —
+    the full event log, which names every id of every layer."""
+    report, cluster, _apps = run_scenario(scenario)
+    trace = ""
+    if cluster.obs is not None and cluster.obs.sink is not None:
+        trace = events_to_jsonl(cluster.obs.sink.events)
+    return [json.dumps(report.to_dict(), sort_keys=True), trace]
+
+
 class TestRepeatable:
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    def test_in_process_repeats_send_the_same_traffic(self, traced):
-        """App names — and so RNG stream names — come from the scenario,
-        not from how many apps the process built before."""
-        scenario = load_scenario_file("examples/scenario_mixed.json")
-        if traced:
-            scenario["observability"] = {"trace": True}
-        outcomes = []
-        for _ in range(3):
-            report, _cluster, _apps = run_scenario(scenario)
-            outcomes.append((report.messages, report.data_packets, report.latency.mean))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+    @pytest.mark.parametrize("name", ["mixed", "faulty", "tuner", "wrapped-streams"])
+    def test_run_is_a_function_of_scenario_and_seed(self, name, traced):
+        """Ids come from the run and from structure, so the fourth run in
+        a process is byte-equal to the first run of a fresh interpreter."""
+        scenario = _repeatable_scenario(name, traced)
+        outcomes = [run_outcome(json.loads(json.dumps(scenario))) for _ in range(4)]
+        assert outcomes[1:] == outcomes[:1] * 3
+        assert outcomes[0][1] or not traced
+        fresh = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import json, sys\n"
+                "from tests.runtime.test_scenario import run_outcome\n"
+                "json.dump(run_outcome(json.load(sys.stdin)), sys.stdout)",
+            ],
+            input=json.dumps(scenario),
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(["src", "."])},
+        )
+        assert json.loads(fresh.stdout) == outcomes[0]
 
     def test_unnamed_workloads_named_by_position(self):
         for _ in range(2):

@@ -1,8 +1,10 @@
 """Package-level smoke tests: public API surface and docstring coverage."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +94,77 @@ class TestDocumentation:
                             f"{module.__name__}.{cls_name}.{meth_name}"
                         )
         assert undocumented == []
+
+
+def _import_time_nodes(body):
+    """Every AST node evaluated when a module is imported: module and
+    class bodies, and of a function only its decorators and defaults."""
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            stack.extend(getattr(node, "decorator_list", []))
+            stack.extend(d for d in args.defaults + args.kw_defaults if d is not None)
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def process_scoped_counters(source: str) -> list[str]:
+    """Names of id counters a module would share across runs: an
+    ``itertools.count()`` built at import time, or a module-level integer
+    that a function rebinds through ``global``."""
+    tree = ast.parse(source)
+    found = []
+    for node in _import_time_nodes(tree.body):
+        if isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            if callee in ("itertools.count", "count"):
+                found.append(f"line {node.lineno}: {callee}()")
+    module_ints = {
+        target.id
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        and isinstance(stmt.value, ast.Constant)
+        and type(stmt.value.value) is int
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.extend(
+                f"line {node.lineno}: global {name}"
+                for name in node.names
+                if name in module_ints
+            )
+    return found
+
+
+class TestNoProcessScopedIdentity:
+    """Ids come from the run (``sim.ids``) or from structure: a counter
+    has to live on an instance somebody creates per run."""
+
+    def test_scan_catches_the_patterns(self):
+        assert process_scoped_counters("import itertools\n_ids = itertools.count()")
+        assert process_scoped_counters(
+            "from itertools import count\nclass Engine:\n    _tokens = count()"
+        )
+        assert process_scoped_counters(
+            "_next = 0\ndef take():\n    global _next\n    _next += 1\n    return _next"
+        )
+        assert process_scoped_counters(
+            "import itertools\ndef take(ids=itertools.count()):\n    return next(ids)"
+        )
+        assert not process_scoped_counters(
+            "import itertools\nLIMIT = 4\nclass Ids:\n"
+            "    def __init__(self):\n        self.flow = itertools.count().__next__"
+        )
+
+    def test_no_module_or_class_level_counter_in_src(self):
+        offenders = {
+            str(path.relative_to(repro.__path__[0])): found
+            for path in sorted(Path(repro.__path__[0]).rglob("*.py"))
+            if (found := process_scoped_counters(path.read_text(encoding="utf-8")))
+        }
+        assert offenders == {}
