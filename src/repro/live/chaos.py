@@ -3,7 +3,9 @@
 The simulated plane injects faults *below* the NIC model
 (:mod:`repro.network.faults`); the live plane injects them *below* the
 stream framing — on the actual bytes a peer is about to write to a
-socket.  Same vocabulary, same determinism contract:
+socket.  Same vocabulary, same lottery (one implementation:
+:class:`~repro.network.faults.FaultLottery`), same determinism
+contract:
 
 * a :class:`ChaosConfig` is parsed from the scenario ``"faults"`` block
   using the PR 1 fault grammar (``drop`` / ``corrupt`` / ``duplicate``
@@ -11,10 +13,12 @@ socket.  Same vocabulary, same determinism contract:
   plus three live-only knobs — ``disconnect`` (periodic hard connection
   close), ``die`` (process-death injection for degraded-run tests) and
   ``heartbeat`` (liveness tuning);
-* every peer derives one :class:`ChaosInjector` per outbound link from
-  the shared seed, so the injected fault *sequence* is a pure function
-  of ``(seed, link name)`` — identical across runs, independent of
-  socket timing;
+* every peer derives one :class:`ChaosInjector` — the simulator's
+  lottery plus the two operations only a byte stream has, corrupting a
+  record and closing the connection — per outbound link from the shared
+  seed, so the injected fault *sequence* is a pure function of
+  ``(seed, link name)`` — identical across runs, independent of socket
+  timing;
 * corruption flips a byte at or past
   :data:`~repro.live.transport.ENVELOPE_CRC_OFFSET` (the CRC-covered
   frame body), so an injected flip never desynchronizes the
@@ -22,9 +26,9 @@ socket.  Same vocabulary, same determinism contract:
   ignored prefix byte — the frame CRC catches it and the retransmit
   layer recovers.
 
-The injector decides; the hub (:mod:`repro.live.peer`) delivers.  That
-mirrors the sim split between :class:`~repro.network.faults.FaultPlane`
-and :class:`~repro.network.reliable.ReliableTransport`.
+The injector decides; the hub (:mod:`repro.live.hub`) delivers.  That
+is the sim split between :class:`~repro.network.faults.FaultPlane` and
+:class:`~repro.network.reliable.ReliableTransport`.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from typing import Any, Mapping
 
 from repro.live.transport import ENVELOPE_CRC_OFFSET
 from repro.network.faults import (
+    FaultLottery,
+    FaultPlaneStats,
     FaultSpec,
-    FaultVerdict,
     RailOutage,
     parse_fault_spec,
     parse_outage,
@@ -47,10 +52,11 @@ from repro.util.rng import SeedSequenceRegistry
 
 __all__ = ["DieSpec", "ChaosConfig", "ChaosStats", "ChaosInjector"]
 
-#: Nominal one-way latency stand-in for the loopback wire.  The sim's
-#: ``rto_for`` defaults to 4x the packet's own one-way latency, which is
-#: meaningless over a real socket; this constant makes an unconfigured
-#: reliability block resolve to a 50 ms base RTO.
+#: Nominal one-way latency stand-in for the loopback wire.  The default
+#: retransmit timeout is 4x the packet's own one-way latency, which is
+#: meaningless over a real socket; handing the send window this
+#: constant makes an unconfigured reliability block resolve to a 50 ms
+#: base RTO.
 NOMINAL_ONE_WAY = 0.0125
 
 _CHAOS_KEYS = frozenset(
@@ -209,14 +215,10 @@ class ChaosConfig:
     @property
     def wire_active(self) -> bool:
         """Whether wire-level injection (and hence the reliability
-        envelope) is in force.  Outage-only or die-only chaos keeps the
-        legacy framing: those failures are detected, not retransmitted
-        around."""
+        protocol) is in force.  Outage-only or die-only chaos sends
+        everything unsequenced: those failures are detected, not
+        retransmitted around."""
         return not self.spec.is_null or self.disconnect_every > 0
-
-    def rto_for(self, attempts: int) -> float:
-        """Retransmit timeout for the (attempts+1)-th live transmission."""
-        return self.reliability.rto_for(NOMINAL_ONE_WAY, attempts)
 
     @property
     def dead_after(self) -> float:
@@ -225,71 +227,35 @@ class ChaosConfig:
 
 
 @dataclass(slots=True)
-class ChaosStats:
+class ChaosStats(FaultPlaneStats):
     """What one injector has done to its link so far."""
 
-    judged: int = 0
-    drops: int = 0
-    corruptions: int = 0
-    duplicates: int = 0
-    delayed: int = 0
     disconnects: int = 0
 
 
-class ChaosInjector:
+class ChaosInjector(FaultLottery):
     """Seeded per-link fault decisions for outbound records.
 
-    Deterministic in the sequence of :meth:`judge` calls: the verdict
-    stream is a pure function of ``(config.seed, link)``, never of
+    The simulator's :class:`~repro.network.faults.FaultLottery` over
+    the streams ``chaos:{link}`` / ``chaos:ack:{link}``, so the verdict
+    sequence is a pure function of ``(config.seed, link)``, never of
     wall-clock or socket timing.  The *effect* of a verdict (how long a
     delayed write actually takes) is of course timing-dependent — only
     the decisions are reproducible, exactly as in the sim plane.
     """
 
     def __init__(self, config: ChaosConfig, link: str) -> None:
+        rng = SeedSequenceRegistry(config.seed)
+        super().__init__(
+            config.spec,
+            rng.stream(f"chaos:{link}"),
+            rng.stream(f"chaos:ack:{link}"),
+            ChaosStats(),
+        )
         self.config = config
         self.link = link
-        self.stats = ChaosStats()
-        self._rng = SeedSequenceRegistry(config.seed)
-        self._stream = self._rng.stream(f"chaos:{link}")
-        self._corrupt_stream = self._rng.stream(f"chaos:corrupt:{link}")
+        self._corrupt_stream = rng.stream(f"chaos:corrupt:{link}")
         self._since_disconnect = 0
-
-    def judge(self) -> FaultVerdict:
-        """Decide the fate of one outbound record (same draw order as
-        :meth:`~repro.network.faults.FaultPlane.judge`)."""
-        spec = self.config.spec
-        self.stats.judged += 1
-        if spec.is_null:
-            return FaultVerdict()
-        stream = self._stream
-        drop = spec.drop > 0 and stream.uniform() < spec.drop
-        corrupt = spec.corrupt > 0 and stream.uniform() < spec.corrupt
-        duplicate = spec.duplicate > 0 and stream.uniform() < spec.duplicate
-        delay = stream.exponential(spec.jitter) if spec.jitter > 0 else 0.0
-        dup_delay = (
-            stream.exponential(spec.jitter) if duplicate and spec.jitter > 0 else 0.0
-        )
-        if drop:
-            self.stats.drops += 1
-        if corrupt:
-            self.stats.corruptions += 1
-        if duplicate:
-            self.stats.duplicates += 1
-        if delay > 0 or dup_delay > 0:
-            self.stats.delayed += 1
-        return FaultVerdict(
-            drop=drop, corrupt=corrupt, duplicate=duplicate, delay=delay, dup_delay=dup_delay
-        )
-
-    def judge_ack(self) -> bool:
-        """Whether one outbound ACK record is lost (separate stream, as
-        in the sim plane, so data and ACK lotteries stay independent)."""
-        spec = self.config.spec
-        if spec.drop == 0:
-            return False
-        stream = self._rng.stream(f"chaos:ack:{self.link}")
-        return stream.uniform() < spec.drop
 
     def corrupt_record(self, record: bytes) -> bytes:
         """Flip one payload byte of an enveloped stream record.

@@ -147,6 +147,22 @@ class LiveClock:
             event.cancel()
             self._pending -= 1
 
+    def background(self, delay: float, fn: Callable[..., Any], *args: Any):
+        """Run ``fn(*args)`` ``delay`` virtual seconds from now, uncounted.
+
+        The one timer that is not run activity: heartbeats, samplers,
+        chaos injections, redials and deferred write releases must not
+        hold quiescence open, so this never touches
+        :attr:`pending_timers`.  ``now`` is refreshed before the call
+        (a loop entry point, like every other); ``delay=0`` runs on the
+        next loop iteration.  Returns the loop's handle (``.cancel()``).
+        """
+        return self._loop.call_later(delay * self._scale, self._enter, fn, args)
+
+    def _enter(self, fn: Callable[..., Any], args: tuple) -> None:
+        self.refresh()
+        fn(*args)
+
     def _arm(self, when: float, fn: Callable[..., Any], args: tuple) -> LiveEvent:
         event = LiveEvent(when)
         real_delay = max(0.0, (when - self.refresh()) * self._scale)

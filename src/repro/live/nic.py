@@ -2,10 +2,10 @@
 
 :class:`LiveNIC` subclasses the simulated :class:`~repro.network.nic.NIC`
 and keeps its *entire* contract — same ``submit`` signature the drivers
-call, same validation, same stats counters, same ``on_idle``
-subscription the optimizing engine uses as its activation trigger, same
-refill-break semantics in ``_complete``.  What changes is what "busy"
-means:
+call, the inherited admission (``NIC._admit``: validation, busy flip,
+stats counters), same ``on_idle`` subscription the optimizing engine
+uses as its activation trigger, same refill-break semantics in
+``_complete``.  What changes is what "busy" means:
 
 * simulated: busy for a *modeled* ``occupancy`` computed from the
   :class:`~repro.network.model.LinkModel`;
@@ -38,7 +38,7 @@ from repro.network.wire import (
     WirePacket,
     correlation_id,
 )
-from repro.util.errors import InternalError, SimulationError
+from repro.util.errors import InternalError
 
 from repro.live.loop import LiveClock
 from repro.live.transport import encode_live_packet
@@ -69,12 +69,9 @@ class LiveNIC(NIC):
     ) -> None:
         super().__init__(clock, name, node_name, link, self._never_deliver)
         self._send = send
-        self._clock = clock
         #: Sum of driver-modeled occupancies, for modeled-vs-measured
         #: comparison in live benchmarks (stats.busy_time is measured).
         self.modeled_busy_time = 0.0
-        #: Measured drain time of the most recent request (virtual s).
-        self.last_drain = 0.0
         self.drains = 0
 
     @staticmethod
@@ -99,20 +96,6 @@ class LiveNIC(NIC):
         :attr:`modeled_busy_time`; the busy interval ends when the
         kernel drains the bytes, not when a model says so.
         """
-        if self._failed:
-            raise SimulationError(f"NIC {self.name!r} submit while failed (rail outage)")
-        if self._busy:
-            raise SimulationError(f"NIC {self.name!r} submit while busy")
-        if occupancy <= 0 or one_way < occupancy:
-            raise SimulationError(
-                f"NIC {self.name!r}: inconsistent timings occupancy={occupancy}, "
-                f"one_way={one_way}"
-            )
-        if packet.src != self.node_name:
-            raise SimulationError(
-                f"NIC {self.name!r} on node {self.node_name!r} asked to send a "
-                f"packet from {packet.src!r}"
-            )
         # Stamp the distributed-tracing keys into the wire meta before
         # encoding, so the receiving peer can correlate its frame-decode
         # record with this exact send (and this exact clock reading).
@@ -125,20 +108,12 @@ class LiveNIC(NIC):
             packet.meta[META_CORR] = corr
             packet.meta[META_SENT_AT] = self._sim.now
             packet.meta[META_VIA] = self.name
-        # Bare wire-codec frame: the hub owns record framing (plain
-        # length prefix, or the reliability envelope under chaos).
-        data = encode_live_packet(packet, wrap=False)  # encode before flipping
-        # state: a serialization error must leave the NIC idle and usable.
-
-        self._busy = True
-        self.stats.requests += 1
-        self.stats.payload_bytes += packet.payload_bytes
-        self.stats.wire_bytes += packet.wire_bytes
-        self.stats.host_time += host_time
-        self.stats.segments += packet.segment_count
+        # Encode before admitting: a serialization error must leave the
+        # NIC idle, uncounted and usable.  The frame is bare — the hub
+        # owns record framing.
+        data = encode_live_packet(packet)
+        kind = self._admit(packet, occupancy, one_way, host_time)
         self.modeled_busy_time += occupancy
-        kind = packet.kind.value
-        self.stats.kind_counts[kind] = self.stats.kind_counts.get(kind, 0) + 1
 
         if tracer.enabled:
             tracer.emit(
@@ -165,9 +140,7 @@ class LiveNIC(NIC):
         current ``now`` and may immediately refill the NIC, which the
         inherited ``_complete`` handles with its refill break.
         """
-        measured = (time.perf_counter() - started) / self._clock.time_scale
-        self.stats.busy_time += measured
-        self.last_drain = measured
+        self.stats.busy_time += (time.perf_counter() - started) / self._sim.time_scale
         self.drains += 1
         # The inherited _complete() emits nic.idle, which both closes
         # the Perfetto send span and ends the tail recorder's per-rail

@@ -9,8 +9,8 @@ is wall-clock and quiescence is watched: the base
 rescheduling on the simulator queue; on a :class:`~repro.live.loop.LiveClock`
 that would hold ``pending_timers`` above zero forever and the peer
 would never look quiet.  :class:`LiveSampler` therefore drives the
-same ``sample_once`` core from raw ``loop.call_later`` timers, which
-the quiescence predicate deliberately does not see.
+same ``sample_once`` core from the clock's uncounted ``background``
+timers, which the quiescence predicate deliberately does not see.
 
 :class:`SpoolSink` is the streaming half: a bounded buffer of events
 since the last coordinator ``FLUSH``, drained into the control protocol
@@ -66,11 +66,11 @@ class SpoolSink:
 class LiveSampler(ObservabilitySampler):
     """Wall-clock cadence for the shared ``sample_once`` core.
 
-    Timers go straight to ``loop.call_later`` — never ``clock.schedule``
-    — so the peer's quiescence predicate (``pending_timers == 0``) is
-    not pinned high by the sampler's own heartbeat.  The interval is in
-    virtual seconds, scaled to real seconds by the clock's time scale,
-    matching what the same scenario block means in a simulated run.
+    Timers are :meth:`~repro.live.loop.LiveClock.background` timers —
+    never ``clock.schedule`` — so the peer's quiescence predicate
+    (``pending_timers == 0``) is not pinned high by the sampler's own
+    heartbeat.  The interval is in virtual seconds, matching what the
+    same scenario block means in a simulated run.
     """
 
     def __init__(
@@ -101,13 +101,11 @@ class LiveSampler(ObservabilitySampler):
         return self
 
     def _arm(self) -> None:
-        real_delay = self.interval * self._clock.time_scale
-        self._handle = self._clock._loop.call_later(real_delay, self._wall_tick)
+        self._handle = self._clock.background(self.interval, self._wall_tick)
 
     def _wall_tick(self) -> None:
         if self._stopped:
             return
-        self._clock.refresh()
         self.sample_once()
         self._arm()
 

@@ -43,7 +43,8 @@ import sys
 import threading
 import traceback
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 from typing import Any, Callable
 
 from repro.madeleine.api import MadAPI
@@ -61,7 +62,7 @@ from repro.util.errors import ConfigurationError, ProtocolError
 from repro.util.rng import SeedSequenceRegistry
 from repro.util.tracing import Tracer, event_to_dict
 
-from repro.live.chaos import ChaosConfig, ChaosInjector
+from repro.live.chaos import NOMINAL_ONE_WAY, ChaosConfig, ChaosInjector, ChaosStats
 from repro.live.liveness import Backoff, HeartbeatLedger
 from repro.live.loop import LiveClock
 from repro.live.nic import LiveNIC
@@ -75,7 +76,6 @@ from repro.live.transport import (
     hello_frame,
     live_ctrl_kind,
     wrap_envelope,
-    wrap_frame,
 )
 
 __all__ = ["LivePeer", "main"]
@@ -134,7 +134,8 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.name = name  # peer node name; None until its HELLO arrives
-        self.decoder = StreamDecoder(envelope=hub.envelope, tolerant=hub.envelope)
+        # Skipping a bad record is only sound when a retransmit recovers it.
+        self.decoder = StreamDecoder(tolerant=hub.reliable)
         self.outbound: deque[tuple[bytes | None, Callable[[], None] | None, bool]] = (
             deque()
         )
@@ -238,28 +239,25 @@ class _Connection:
         except Exception:  # pragma: no cover - teardown best-effort
             pass
 
-    # Legacy teardown name (Hub.close and tests call it).
-    close = abort
 
+class _Outbound:
+    """One sequenced frame in a link's send window."""
 
-class _Unacked:
-    """Sender-side state for one enveloped record awaiting its ACK."""
+    __slots__ = ("frame", "on_drained")
 
-    __slots__ = ("frame", "attempts", "timer")
-
-    def __init__(self, frame: bytes) -> None:
+    def __init__(self, frame: bytes, on_drained: Callable[[], None] | None) -> None:
         self.frame = frame  # bare wire-codec frame (re-enveloped per attempt)
-        self.attempts = 0
-        self.timer = None  # armed LiveEvent for the retransmit timeout
+        self.on_drained = on_drained  # NIC release; taken by the first attempt
 
 
 class _Link:
     """The durable relationship with one peer node.
 
     Connections are transient — chaos closes them, peers die and come
-    back — but the link persists: it owns the reliability window and
-    ledger (whose sequence space spans reconnects), the chaos injector
-    for the outbound direction, and the redial backoff.  Exactly one
+    back — but the link persists: under reliability it owns the send
+    window and receive ledger (whose sequence space spans reconnects);
+    under any chaos, the injector for the outbound direction and the
+    redial backoff.  Exactly one
     side of each pair redials (``dial`` — the higher rank, matching the
     MESH bring-up direction) so a flap never produces crossed dials.
     """
@@ -287,8 +285,8 @@ class _Link:
         self.conn: _Connection | None = None
         self.dead = False
         self.ever_connected = False
-        self.window = SendWindow()
-        self.ledger = ReceiveLedger()
+        self.window: SendWindow | None = None
+        self.ledger: ReceiveLedger | None = None
         self.injector: ChaosInjector | None = None
         self.backoff: Backoff | None = None
         self.redial_handle = None
@@ -301,14 +299,16 @@ class _Link:
 class Hub:
     """All-to-all socket mesh plus sender-side delivery bookkeeping.
 
-    With a :class:`~repro.live.chaos.ChaosConfig` whose wire faults are
-    active, every record crosses in the reliability envelope
-    (:func:`~repro.live.transport.wrap_envelope`): sequenced data/DONE
-    records are retransmitted on RTO until ACKed and deduplicated /
-    reordered on receive, so injected drops, corruption, duplication and
-    disconnects still yield byte-identical delivery.  Without chaos the
-    legacy plain framing is used unchanged — TCP/UDS loopback is already
-    reliable and the envelope would be pure overhead.
+    The hub is the socket *carrier* of the simulator's own reliability
+    protocol.  With a :class:`~repro.live.chaos.ChaosConfig` whose wire
+    faults are active (:attr:`reliable`), data and DONE frames go
+    through each link's :class:`~repro.network.reliable.SendWindow`
+    (sequenced, retransmitted on RTO until ACKed) and
+    :class:`~repro.network.reliable.ReceiveLedger` (deduplicated,
+    released in order), so injected drops, corruption, duplication and
+    disconnects still yield byte-identical delivery.  Without it every
+    record is sent ``TAG_RAW`` in the same record format — TCP/UDS
+    loopback is already reliable.
     """
 
     def __init__(
@@ -325,7 +325,10 @@ class Hub:
         self.rank = rank
         self._deliver = deliver  # deliver(frame): engine/data traffic
         self.chaos = chaos
-        self.envelope = chaos is not None and chaos.wire_active
+        #: Whether data and DONE frames are sequenced, ACKed and
+        #: retransmitted (wire-level chaos is in force).
+        self.reliable = chaos is not None and chaos.wire_active
+        self.stats = TransportStats()
         self.links: dict[str, _Link] = {}
         for peer_rank, name in enumerate(names or []):
             if name == node_name:
@@ -334,6 +337,10 @@ class Hub:
             if chaos is not None:
                 link.injector = ChaosInjector(chaos, f"{node_name}->{name}")
                 link.backoff = Backoff(seed=chaos.seed * 1009 + rank * 37 + peer_rank)
+            if self.reliable:
+                carry, gave_up = partial(self._carry, link), partial(self._exhausted, link)
+                link.window = SendWindow(clock, chaos.reliability, carry, gave_up, self.stats)
+                link.ledger = ReceiveLedger(self.stats)
             self.links[name] = link
         self._anonymous: list[_Connection] = []
         self._mesh_ready = asyncio.Event()
@@ -353,16 +360,14 @@ class Hub:
         #: both sides when checking counter agreement on a degraded run.
         self.done_by_dst: dict[str, int] = {}
         self.done_rx_by_src: dict[str, int] = {}
-        self.stats = TransportStats()
         self.hb = HeartbeatLedger(chaos.dead_after) if chaos is not None else None
         self.heartbeats_sent = 0
         self.reconnects = 0
         self.disconnects = 0
-        self.lost_frames = 0  # legacy framing only: writes on a dead conn
+        self.lost_frames = 0  # lossless runs only: writes on a dead conn
         self.corrupt_frames_closed = 0
         self.abandoned = 0  # messages whose destination peer died
         self._abandoned_ids: set[int] = set()
-        self.abandoned_frames = 0
         self.blackholed = 0  # packets addressed to a declared-dead peer
         self.done_suppressed = 0
         self.dead_nodes: set[str] = set()
@@ -377,16 +382,12 @@ class Hub:
     def flush_write(self, on_drained: Callable[[], None] | None) -> None:
         """Release one queued write whose bytes will never be sent.
 
-        Always deferred via ``call_soon``: the callback re-enters the
-        engine (NIC idle → next dispatch) and must never run inside the
-        submit path that enqueued the write.
+        Always deferred to the next loop iteration: the callback
+        re-enters the engine (NIC idle → next dispatch) and must never
+        run inside the submit path that enqueued the write.
         """
         if on_drained is not None:
-            self.clock._loop.call_soon(self._release_write, on_drained)
-
-    def _release_write(self, on_drained: Callable[[], None]) -> None:
-        self.clock.refresh()
-        on_drained()
+            self.clock.background(0.0, on_drained)
 
     # -- server / mesh -------------------------------------------------
     async def serve(self, transport: str, workdir: str) -> dict[str, Any]:
@@ -404,10 +405,6 @@ class Hub:
     def _on_accept(self, reader, writer) -> None:
         self._anonymous.append(_Connection(self, reader, writer, None))
 
-    def _wrap_raw(self, frame: bytes) -> bytes:
-        """Record framing for an unsequenced transport-control frame."""
-        return wrap_envelope(frame) if self.envelope else wrap_frame(frame)
-
     async def _open(self, endpoint: dict[str, Any]):
         if endpoint["kind"] == "uds":
             return await asyncio.open_unix_connection(endpoint["path"])
@@ -417,13 +414,13 @@ class Hub:
         """Dial one peer's endpoint and introduce ourselves with a HELLO."""
         link = self.links[peer_name]
         link.endpoint = endpoint
-        reader, writer = await self._open(endpoint)
-        conn = _Connection(self, reader, writer, peer_name)
-        self._register(peer_name, conn)
+        self._dialed(link, *await self._open(endpoint))
+
+    def _dialed(self, link: "_Link", reader, writer) -> None:
+        conn = _Connection(self, reader, writer, link.name)
+        self._register(link.name, conn)
         conn.enqueue(
-            self._wrap_raw(hello_frame(self.node_name, self.rank, wrap=False)),
-            None,
-            counted=False,
+            wrap_envelope(hello_frame(self.node_name, self.rank)), None, counted=False
         )
 
     def _register(self, name: str, conn: _Connection) -> None:
@@ -493,10 +490,10 @@ class Hub:
         if link.redial_handle is not None or link.dead or self.closing:
             return
         delay = link.backoff.next() if link.backoff is not None else 0.05
-        # Raw loop timer: redial pacing is wall-clock and must not block
-        # quiescence (the unacked windows already do, meaningfully).
-        link.redial_handle = self.clock._loop.call_later(
-            delay, self._start_redial, link
+        # Redial pacing is wall-clock (hence the division) and must not
+        # block quiescence (the unacked windows already do, meaningfully).
+        link.redial_handle = self.clock.background(
+            delay / self.clock.time_scale, self._start_redial, link
         )
 
     def _start_redial(self, link: _Link) -> None:
@@ -514,21 +511,14 @@ class Hub:
         if link.dead or self.closing or link.writable:
             writer.close()
             return
-        conn = _Connection(self, reader, writer, link.name)
-        self._register(link.name, conn)
-        conn.enqueue(
-            self._wrap_raw(hello_frame(self.node_name, self.rank, wrap=False)),
-            None,
-            counted=False,
-        )
+        self._dialed(link, reader, writer)
 
     # -- sending -------------------------------------------------------
     def send_packet(self, packet, data: bytes, on_drained) -> None:
         """NIC path: ship one engine packet to its destination peer.
 
         ``data`` is the bare wire-codec frame; the hub owns record
-        framing (plain length prefix, or the reliability envelope when
-        chaos is active).
+        framing.
         """
         link = self.links.get(packet.dst)
         if link is None:
@@ -555,21 +545,11 @@ class Hub:
             if message.message_id not in self.sent_messages:
                 self.sent_messages[message.message_id] = message
                 self.submitted += 1
-        if self.envelope:
-            self._ship(link, data, on_drained)
-            return
-        if not link.writable:
-            if not link.ever_connected:
-                raise ProtocolError(
-                    f"no live connection from {self.node_name!r} to {packet.dst!r}"
-                )
-            # Legacy framing has no retransmit: the bytes are simply
-            # gone.  Counted loudly; counter agreement will stall and
-            # the coordinator's deadline or watchdog decides.
-            self.lost_frames += 1
-            self.flush_write(on_drained)
-            return
-        link.conn.enqueue(wrap_frame(data), on_drained)
+        if not (self.reliable or link.ever_connected):
+            raise ProtocolError(
+                f"no live connection from {self.node_name!r} to {packet.dst!r}"
+            )
+        self._send(link, data, on_drained)
 
     def send_done(self, dst: str, message_id: int, when: float) -> None:
         """Acknowledge a completed delivery back to its sender."""
@@ -581,151 +561,121 @@ class Hub:
             return
         self.done_sent += 1
         self.done_by_dst[dst] = self.done_by_dst.get(dst, 0) + 1
-        frame = done_frame(self.node_name, dst, [(message_id, when)], wrap=False)
-        if self.envelope:
-            self._ship(link, frame, None)
-            return
-        if not link.writable:
+        self._send(link, done_frame(self.node_name, dst, [(message_id, when)]), None)
+
+    def _send(self, link: _Link, frame: bytes, on_drained) -> None:
+        """The one send path for data and DONE frames.
+
+        Under reliability the link's window stamps, attempts (through
+        :meth:`_carry`) and retransmits.  Otherwise the frame is written
+        once, ``TAG_RAW``; on a lost connection the bytes are simply
+        gone — counted loudly, counter agreement will stall and the
+        coordinator's deadline or watchdog decides.
+        """
+        if self.reliable:
+            link.window.send(_Outbound(frame, on_drained), NOMINAL_ONE_WAY)
+        elif link.writable:
+            link.conn.enqueue(wrap_envelope(frame), on_drained)
+        else:
             self.lost_frames += 1
-            return
-        link.conn.enqueue(wrap_frame(frame), None)
+            self.flush_write(on_drained)
 
-    # -- reliability: envelope ship / retransmit / ack ------------------
-    def _ship(self, link: _Link, frame: bytes, on_drained) -> None:
-        """Stamp one frame into the link's sequence space and transmit."""
-        entry = _Unacked(frame)
-        seq = link.window.stamp(entry)
-        self.stats.packets_sent += 1
-        self._transmit(link, seq, entry, on_drained)
-
-    def _transmit(self, link: _Link, seq: int, entry: _Unacked, on_drained=None) -> None:
+    # -- reliability: the socket carrier of the send window -------------
+    def _carry(self, link: _Link, seq: int, out: _Outbound, attempt: int) -> bool:
         """One transmission attempt: chaos lottery, then the socket.
 
-        The retransmit timer is armed *unconditionally* first — through
-        the live clock, so an unacked record holds quiescence open — and
-        covers the disconnected case too: while the link is down the
-        record just waits for the timer, and a post-reconnect RTO
-        re-ships it.  ``on_drained`` (NIC release) fires on the first
-        attempt whatever the verdict; a dropped record still occupied
-        the modeled rail.
+        While the link is down nothing is sent and ``False`` tells the
+        window so: the record just waits for its timer, which holds
+        quiescence open, and a post-reconnect expiry re-ships it.  The
+        NIC release fires on the first attempt whatever happens to it;
+        a dropped record still occupied the modeled rail.
         """
-        entry.timer = self.clock.schedule(
-            self.chaos.rto_for(entry.attempts), self._on_rto, link, seq
-        )
+        on_drained, out.on_drained = out.on_drained, None
         conn = link.conn
         if conn is None or conn.failed:
             self.flush_write(on_drained)
-            return
-        entry.attempts += 1
+            return False
         verdict = link.injector.judge()
         if verdict.drop:
             self.flush_write(on_drained)
         else:
-            record = wrap_envelope(entry.frame, seq)
+            record = wrap_envelope(out.frame, seq)
             if verdict.corrupt:
                 record = link.injector.corrupt_record(record)
+            # A delayed write finding its connection gone is flushed by
+            # enqueue() itself, like any other.
             if verdict.delay > 0:
-                self._enqueue_delayed(conn, record, on_drained, verdict.delay)
+                self.clock.background(verdict.delay, conn.enqueue, record, on_drained)
             else:
                 conn.enqueue(record, on_drained)
             if verdict.duplicate:
-                dup = wrap_envelope(entry.frame, seq)
+                dup = wrap_envelope(out.frame, seq)
                 if verdict.dup_delay > 0:
-                    self._enqueue_delayed(conn, dup, None, verdict.dup_delay)
+                    self.clock.background(verdict.dup_delay, conn.enqueue, dup, None)
                 else:
                     conn.enqueue(dup, None)
         if link.injector.should_disconnect():
             conn.request_close()
+        return True
 
-    def _enqueue_delayed(self, conn: _Connection, record, on_drained, delay) -> None:
-        real = delay * self.clock.time_scale
-        self.clock._loop.call_later(real, self._delayed_write, conn, record, on_drained)
-
-    def _delayed_write(self, conn: _Connection, record, on_drained) -> None:
-        self.clock.refresh()
-        if conn.failed:
-            self.flush_write(on_drained)
-        else:
-            conn.enqueue(record, on_drained)
-
-    def _on_rto(self, link: _Link, seq: int) -> None:
-        """Retransmit timeout: the record was never acknowledged."""
-        entry = link.window.get(seq)
-        if entry is None or link.dead:
-            return
-        if entry.attempts > self.chaos.reliability.max_retries:
-            self.stats.exhausted += 1
-            link.window.ack(seq)
-            self.note_fatal(
-                f"record seq={seq} to {link.name!r} unacknowledged after "
-                f"{entry.attempts} attempts"
-            )
-            return
-        if link.writable:
-            self.stats.retransmits += 1
-        self._transmit(link, seq, entry)
-
-    def _handle_ack(self, link: _Link, seqs) -> None:
-        for seq in seqs:
-            entry = link.window.ack(int(seq))
-            if entry is not None and entry.timer is not None:
-                self.clock.cancel(entry.timer)
-                entry.timer = None
+    def _exhausted(self, link: _Link, seq: int, out: _Outbound, attempts: int) -> None:
+        self.note_fatal(
+            f"record seq={seq} to {link.name!r} unacknowledged after "
+            f"{attempts} attempts"
+        )
 
     # -- receiving -----------------------------------------------------
     def ingest(self, conn: _Connection, records: list) -> None:
-        """Absorb one chunk's decoded records from ``conn``.
+        """Absorb one chunk's decoded ``(seq, frame)`` records from ``conn``.
 
-        Plain mode routes frames straight to :meth:`handle_frame`.
-        Envelope mode additionally runs the reliability receive side:
-        sequenced records pass the link's ledger (dedup + in-order
-        release) and every observed sequence number — duplicates
-        included — is acknowledged in one batch per chunk, subject to
-        the ACK-loss lottery.  Any traffic at all refreshes the sender's
-        heartbeat ledger entry; a busy link needs no beacons.
+        Unsequenced records go straight to :meth:`handle_frame`.
+        Sequenced ones (reliability only) pass the link's ledger (dedup
+        + in-order release) first, and every observed sequence number —
+        duplicates included — is acknowledged in one batch per chunk,
+        subject to the ACK-loss lottery.  Any traffic at all refreshes
+        the sender's heartbeat ledger entry; a busy link needs no
+        beacons.
         """
         if self.hb is not None and conn.name is not None:
             self.hb.record(conn.name, self.clock.refresh())
-        if not self.envelope:
-            for frame in records:
-                self.handle_frame(frame, conn)
-            return
         seen_seqs: list[int] = []
         for seq, frame in records:
             if seq is None:
-                self._handle_raw(frame, conn)
+                self.handle_frame(frame, conn, sequenced=False)
                 continue
             link = self.links.get(conn.name) if conn.name is not None else None
-            if link is None:
-                self.note_fatal("sequenced record on an unidentified connection")
+            if link is None or link.ledger is None:
+                self.note_fatal(
+                    f"sequenced record from {conn.name!r}, which has no ledger "
+                    "(unidentified connection, or a lossless run)"
+                )
                 continue
             seen_seqs.append(seq)
-            released = link.ledger.admit(seq, frame)
-            if released is None:
-                self.stats.dups_discarded += 1
-            elif not released:
-                self.stats.reorder_held += 1
-            else:
-                for ready in released:
-                    self.stats.delivered += 1
-                    self.handle_frame(ready, conn)
-        if seen_seqs and conn.name is not None and not conn.failed:
-            link = self.links.get(conn.name)
-            if link is not None and not link.dead:
+            for ready in link.ledger.admit(seq, frame) or ():
+                self.handle_frame(ready, conn, sequenced=True)
+        if seen_seqs and not conn.failed:
+            link = self.links[conn.name]
+            if not link.dead:
                 if link.injector.judge_ack():
                     self.stats.acks_dropped += 1
                 else:
                     self.stats.acks_sent += 1
                     conn.enqueue(
-                        wrap_envelope(
-                            ack_frame(self.node_name, conn.name, seen_seqs, wrap=False)
-                        ),
+                        wrap_envelope(ack_frame(self.node_name, conn.name, seen_seqs)),
                         None,
                         counted=False,
                     )
 
-    def _handle_raw(self, frame, conn: _Connection) -> None:
-        """Unsequenced (TAG_RAW) records: HELLO, heartbeat, ACK."""
+    def handle_frame(self, frame, conn: _Connection, sequenced: bool) -> None:
+        """Route one decoded frame: transport control here, data onward.
+
+        HELLO identifies an inbound connection; an ACK retires records
+        from the link's window; DONE resolves the acknowledged
+        messages' completion futures; everything else is engine traffic
+        handed to the node's receiver via ``deliver``.  Under
+        reliability, DONE and engine traffic must have come through the
+        ledger: an unsequenced copy would bypass exactly-once delivery.
+        """
         ctrl = live_ctrl_kind(frame)
         if ctrl == "hello":
             self._register(str(frame.meta["node"]), conn)
@@ -734,26 +684,15 @@ class Hub:
             return  # arrival itself refreshed the ledger in ingest()
         if ctrl == "ack":
             link = self.links.get(conn.name) if conn.name is not None else None
-            if link is not None:
-                self._handle_ack(link, frame.meta.get("seqs", ()))
+            if link is not None and link.window is not None:
+                for seq in frame.meta.get("seqs", ()):
+                    link.window.ack(int(seq))
             return
-        self.note_fatal(
-            f"unsequenced non-control frame from {conn.name!r} "
-            f"(live_ctrl={ctrl!r})"
-        )
-
-    def handle_frame(self, frame, conn: _Connection) -> None:
-        """Route one decoded frame: transport control here, data onward.
-
-        HELLO identifies an inbound connection; DONE resolves the
-        acknowledged messages' completion futures; everything else is
-        engine traffic handed to the node's receiver via ``deliver``.
-        """
-        ctrl = live_ctrl_kind(frame)
-        if ctrl == "hello":
-            self._register(str(frame.meta["node"]), conn)
-            return
-        if ctrl == "hb":
+        if self.reliable and not sequenced:
+            self.note_fatal(
+                f"unsequenced non-control frame from {conn.name!r} "
+                f"(live_ctrl={ctrl!r})"
+            )
             return
         if ctrl == "done":
             for message_id, when in frame.meta.get("items", ()):
@@ -777,17 +716,17 @@ class Hub:
         self._arm_heartbeat()
 
     def _arm_heartbeat(self) -> None:
-        real = self.chaos.heartbeat_interval * self.clock.time_scale
-        self._hb_handle = self.clock._loop.call_later(real, self._heartbeat_tick)
+        self._hb_handle = self.clock.background(
+            self.chaos.heartbeat_interval, self._heartbeat_tick
+        )
 
     def _heartbeat_tick(self) -> None:
         if self.closing:
             return
-        now = self.clock.refresh()
         # Heartbeats bypass the chaos lottery: they are the liveness
         # *probe*, and a probe subject to the fault it measures would
         # conflate wire loss with peer death.
-        record = self._wrap_raw(heartbeat_frame(self.node_name, now, wrap=False))
+        record = wrap_envelope(heartbeat_frame(self.node_name, self.clock.now))
         for link in self.links.values():
             if link.writable and not link.dead:
                 link.conn.enqueue(record, None, counted=False)
@@ -801,7 +740,7 @@ class Hub:
         Returns the number of locally submitted messages abandoned
         because their destination died.  The link stays dead for the
         rest of the run: no redial, sends blackhole, DONEs to it are
-        suppressed, its unacked window is drained (cancelling the
+        suppressed, its send window is closed (cancelling the
         retransmit timers that would otherwise hold quiescence open
         forever).
         """
@@ -813,11 +752,8 @@ class Hub:
         if link.redial_handle is not None:
             link.redial_handle.cancel()
             link.redial_handle = None
-        for _seq, entry in link.window.drain():
-            if entry.timer is not None:
-                self.clock.cancel(entry.timer)
-                entry.timer = None
-            self.abandoned_frames += 1
+        if link.window is not None:
+            link.window.close()
         if link.conn is not None:
             conn, link.conn = link.conn, None
             conn.abort()
@@ -833,8 +769,12 @@ class Hub:
     # -- quiescence / teardown -----------------------------------------
     @property
     def in_flight(self) -> int:
-        """Enveloped records awaiting acknowledgement across all links."""
-        return sum(link.window.in_flight for link in self.links.values())
+        """Sequenced records awaiting acknowledgement across all links."""
+        return sum(
+            link.window.in_flight
+            for link in self.links.values()
+            if link.window is not None
+        )
 
     @property
     def corrupt_frames(self) -> int:
@@ -859,18 +799,11 @@ class Hub:
 
     def chaos_stats(self) -> dict[str, int]:
         """Aggregate injector decisions across every outbound link."""
-        out = {"judged": 0, "drops": 0, "corruptions": 0, "duplicates": 0,
-               "delayed": 0, "disconnects": 0}
+        out = {field.name: 0 for field in fields(ChaosStats)}
         for link in self.links.values():
-            if link.injector is None:
-                continue
-            stats = link.injector.stats
-            out["judged"] += stats.judged
-            out["drops"] += stats.drops
-            out["corruptions"] += stats.corruptions
-            out["duplicates"] += stats.duplicates
-            out["delayed"] += stats.delayed
-            out["disconnects"] += stats.disconnects
+            if link.injector is not None:
+                for key in out:
+                    out[key] += getattr(link.injector.stats, key)
         return out
 
     def close(self) -> None:
@@ -883,10 +816,8 @@ class Hub:
             if link.redial_handle is not None:
                 link.redial_handle.cancel()
                 link.redial_handle = None
-            for _seq, entry in link.window.drain():
-                if entry.timer is not None:
-                    self.clock.cancel(entry.timer)
-                    entry.timer = None
+            if link.window is not None:
+                link.window.close()
             if link.conn is not None:
                 link.conn.abort()
         for conn in list(self._anonymous):
@@ -1007,7 +938,7 @@ class LivePeer:
         #: simulated :class:`~repro.network.reliable.ReliableTransport`.
         #: Without chaos the plain TCP/UDS stream *is* the reliability
         #: layer and the gauges read 0 by design.
-        self.transport = self.hub if self.hub.envelope else None
+        self.transport = self.hub if self.hub.reliable else None
         self.rng = SeedSequenceRegistry(spec["seed"])
         #: Flow id -> ``Flow``, for every flow of the scenario (filled
         #: at START: installing the apps opens all of them).
@@ -1040,7 +971,8 @@ class LivePeer:
         The plane gets a sampler-less config — its base sampler lives on
         the simulator event queue, which on a live clock would pin
         ``pending_timers`` above zero and defeat quiescence detection —
-        and a :class:`LiveSampler` is driven off raw loop timers instead.
+        and a :class:`LiveSampler` is driven off the clock's uncounted
+        ``background`` timers instead.
         The spool is the streaming buffer the coordinator drains with
         FLUSH requests; the plane's ring buffer stays as the bounded
         in-process flight recorder.
@@ -1176,9 +1108,10 @@ class LivePeer:
         """Start heartbeats and schedule outages / the die timer.
 
         Runs at START (not CONFIG) so every injected event is measured
-        from the moment traffic begins.  Outage and die timers are raw
-        loop timers, not live-clock events: a scheduled-but-unfired
-        outage must not hold an otherwise-finished run open — if the
+        from the moment traffic begins.  Outage and die timers are
+        ``background`` timers, not counted clock events: a
+        scheduled-but-unfired outage must not hold an
+        otherwise-finished run open — if the
         workload completes first, the outage simply never happens (the
         simulator, which can fast-forward virtual time, always fires
         them; a wall-clock run cannot).
@@ -1187,8 +1120,7 @@ class LivePeer:
         if chaos is None:
             return
         self.hub.start_heartbeats()
-        loop = self.clock._loop
-        scale = self.clock.time_scale
+        background = self.clock.background
         for outage in chaos.outages:
             nics = [nic for nic in self.node.nics if _outage_matches(outage, nic)]
             if not nics:
@@ -1198,20 +1130,12 @@ class LivePeer:
                     f"local: {[n.name for n in self.node.nics]})"
                 )
             for nic in nics:
-                loop.call_later(outage.at * scale, self._outage_fail, nic)
+                background(outage.at, nic.fail)
                 if outage.recover is not None:
-                    loop.call_later(outage.recover * scale, self._outage_recover, nic)
+                    background(outage.recover, nic.recover)
         die = chaos.die
         if die is not None and die.rank == self.rank:
-            loop.call_later(die.after * scale, os.kill, os.getpid(), die.signal)
-
-    def _outage_fail(self, nic) -> None:
-        self.clock.refresh()
-        nic.fail()
-
-    def _outage_recover(self, nic) -> None:
-        self.clock.refresh()
-        nic.recover()
+            background(die.after, os.kill, os.getpid(), die.signal)
 
     def mark_dead(self, nodes: list[str]) -> dict[str, int]:
         """React to a ``peer_down`` broadcast from the coordinator.

@@ -3,22 +3,23 @@
 Three layers live here, all shared by the peer processes and the tests:
 
 * **Stream framing** — every socket carries a sequence of
-  ``u32 length || wire-codec frame`` records.  The wire-codec frame is
-  exactly what :func:`repro.network.wire.encode_frame` produces (magic,
-  version, CRC-32), so the stream layer only needs to split; a
-  :class:`StreamDecoder` is tolerant of arbitrary partial reads and
-  rejects oversized or corrupt frames with a typed
+  ``u32 length || u8 tag || [u64 seq] || wire-codec frame`` records
+  (:func:`wrap_envelope`), one format for every run.  The wire-codec
+  frame is exactly what :func:`repro.network.wire.encode_frame`
+  produces (magic, version, CRC-32), so the stream layer only needs to
+  split; a :class:`StreamDecoder` is tolerant of arbitrary partial
+  reads and rejects oversized or corrupt records with a typed
   :class:`~repro.util.errors.WireError`.
 
-  When the chaos/reliability plane is active the record body grows a
-  one-byte **envelope tag** (:func:`wrap_envelope`):
-  ``u32 length || u8 tag || [u64 seq] || frame``.  ``TAG_SEQ`` records
-  carry the per-connection reliability sequence number the receiving
-  hub deduplicates and reorders on; ``TAG_RAW`` records (HELLO,
-  heartbeats, ACKs) bypass the sequence space.  A decoder in
-  ``tolerant`` mode counts and skips records whose frame fails CRC or
-  envelope validation instead of raising — the reliability layer's
-  retransmit path, not the decoder, is then responsible for recovery.
+  ``TAG_SEQ`` records carry the per-link reliability sequence number
+  the receiving hub deduplicates and reorders on; ``TAG_RAW`` records
+  bypass the sequence space.  A lossless run sends everything
+  ``TAG_RAW`` (the tag byte is its whole cost); under chaos, engine
+  data and DONE acknowledgements are sequenced and only HELLO,
+  heartbeats and ACKs stay raw.  A decoder in ``tolerant`` mode counts
+  and skips records whose frame fails CRC or envelope validation
+  instead of raising — the reliability layer's retransmit path, not
+  the decoder, is then responsible for recovery.
 * **Deterministic payload bytes** — the simulator moves *sizes*, not
   bytes; the live plane must put real bytes on the wire and prove they
   arrive intact.  Every fragment's content is a deterministic function
@@ -62,7 +63,6 @@ __all__ = [
     "ENVELOPE_DATA_OFFSET",
     "ENVELOPE_CRC_OFFSET",
     "StreamDecoder",
-    "wrap_frame",
     "wrap_envelope",
     "fragment_seed",
     "payload_bytes",
@@ -82,11 +82,11 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH_PREFIX = struct.Struct("!I")
 _SEQ = struct.Struct("!Q")
 
-#: Envelope tags (first body byte of an enveloped record).
-TAG_RAW = 0  #: unsequenced transport control (HELLO, heartbeat, ACK)
-TAG_SEQ = 1  #: sequenced traffic (engine data, DONE acknowledgements)
+#: Envelope tags (first body byte of every record).
+TAG_RAW = 0  #: unsequenced: everything lossless; HELLO, heartbeat, ACK under chaos
+TAG_SEQ = 1  #: sequenced under chaos (engine data, DONE acknowledgements)
 
-#: First byte of the wrapped frame inside a sequenced enveloped record:
+#: First byte of the wrapped frame inside a sequenced record:
 #: length prefix (4) + tag (1) + sequence number (8).
 ENVELOPE_DATA_OFFSET = _LENGTH_PREFIX.size + 1 + _SEQ.size
 
@@ -100,19 +100,12 @@ ENVELOPE_DATA_OFFSET = _LENGTH_PREFIX.size + 1 + _SEQ.size
 ENVELOPE_CRC_OFFSET = ENVELOPE_DATA_OFFSET + FRAME_PREFIX_BYTES
 
 
-def wrap_frame(frame: bytes) -> bytes:
-    """Prefix one wire-codec frame with its length for the stream."""
-    if len(frame) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(frame)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _LENGTH_PREFIX.pack(len(frame)) + frame
-
-
 def wrap_envelope(frame: bytes, seq: int | None = None) -> bytes:
-    """Wrap one frame in the reliability envelope.
+    """Wrap one wire-codec frame into a stream record.
 
     ``seq=None`` produces a ``TAG_RAW`` record; otherwise the record is
-    ``TAG_SEQ`` and carries the 64-bit per-connection sequence number
-    the receiving hub deduplicates and reorders on.
+    ``TAG_SEQ`` and carries the 64-bit per-link sequence number the
+    receiving hub deduplicates and reorders on.
     """
     if seq is None:
         body = bytes([TAG_RAW]) + frame
@@ -126,29 +119,26 @@ def wrap_envelope(frame: bytes, seq: int | None = None) -> bytes:
 
 
 class StreamDecoder:
-    """Incremental splitter: arbitrary byte chunks in, decoded frames out.
+    """Incremental splitter: arbitrary byte chunks in, decoded records out.
 
-    ``feed`` never assumes a read boundary lines up with a frame — a
+    ``feed`` never assumes a read boundary lines up with a record — a
     TCP segment may end mid-prefix, mid-header, or mid-payload; the
-    remainder is buffered until the next chunk.
+    remainder is buffered until the next chunk.  It returns
+    ``(seq, frame)`` pairs, ``seq`` being ``None`` for ``TAG_RAW``
+    records.
 
-    Two orthogonal modes:
-
-    * ``envelope`` — records carry the reliability envelope
-      (:func:`wrap_envelope`) and ``feed`` returns ``(seq, frame)``
-      pairs, ``seq`` being ``None`` for ``TAG_RAW`` records;
-    * ``tolerant`` — a record whose body fails envelope or CRC
-      validation is *counted* (:attr:`corrupt_frames`) and skipped
-      instead of raising, leaving recovery to the retransmit layer.
-      The length prefix itself stays load-bearing either way: an
-      implausible length is unrecoverable stream corruption.
+    In ``tolerant`` mode (only sound when a retransmit can recover,
+    i.e. under reliability) a record whose body fails envelope or CRC
+    validation is *counted* (:attr:`corrupt_frames`) and skipped
+    instead of raising.  The length prefix itself stays load-bearing
+    either way: an implausible length is unrecoverable stream
+    corruption.
     """
 
-    __slots__ = ("_buffer", "_envelope", "_tolerant", "corrupt_frames")
+    __slots__ = ("_buffer", "_tolerant", "corrupt_frames")
 
-    def __init__(self, *, envelope: bool = False, tolerant: bool = False) -> None:
+    def __init__(self, *, tolerant: bool = False) -> None:
         self._buffer = bytearray()
-        self._envelope = envelope
         self._tolerant = tolerant
         #: Records dropped by tolerant mode (CRC / envelope failures).
         self.corrupt_frames = 0
@@ -158,12 +148,8 @@ class StreamDecoder:
         """Bytes received but not yet forming a complete frame."""
         return len(self._buffer)
 
-    def feed(self, data: bytes) -> list:
-        """Absorb one chunk; return every record it completes.
-
-        Plain mode returns ``list[DecodedFrame]``; envelope mode returns
-        ``list[tuple[int | None, DecodedFrame]]``.
-        """
+    def feed(self, data: bytes) -> list[tuple[int | None, DecodedFrame]]:
+        """Absorb one chunk; return every ``(seq, frame)`` it completes."""
         self._buffer.extend(data)
         out: list = []
         while True:
@@ -187,11 +173,10 @@ class StreamDecoder:
                     raise
                 self.corrupt_frames += 1
 
-    def _decode_body(self, body: bytes):
-        if not self._envelope:
-            return decode_frame(body)
+    @staticmethod
+    def _decode_body(body: bytes) -> tuple[int | None, DecodedFrame]:
         if not body:
-            raise WireError("empty enveloped record")
+            raise WireError("empty record")
         tag = body[0]
         if tag == TAG_RAW:
             return None, decode_frame(body[1:])
@@ -267,16 +252,14 @@ def _segment_descriptor(fragment: Fragment) -> dict[str, Any]:
     }
 
 
-def encode_live_packet(packet: WirePacket, *, wrap: bool = True) -> bytes:
-    """Serialize one engine-produced packet into a stream record.
+def encode_live_packet(packet: WirePacket) -> bytes:
+    """Serialize one engine-produced packet into a wire-codec frame.
 
     Data segments reference in-process ``Fragment`` objects; each
     becomes a JSON descriptor (enough for the receiver to rebuild the
     message skeleton) plus deterministic pattern bytes for the slice.
     Control packets (rendezvous handshake) carry their ``meta`` only.
-
-    ``wrap=False`` returns the bare wire-codec frame so the hub can
-    apply its own record framing (the reliability envelope).
+    The hub wraps the frame into a stream record (:func:`wrap_envelope`).
     """
     segments = []
     for seg in packet.segments:
@@ -289,10 +272,9 @@ def encode_live_packet(packet: WirePacket, *, wrap: bool = True) -> bytes:
         segments.append(
             (_segment_descriptor(fragment), seg.offset, seg.length, payload_bytes(seed, seg.offset, seg.length))
         )
-    frame = encode_frame(
+    return encode_frame(
         packet.kind, packet.src, packet.dst, packet.channel_id, packet.meta, segments
     )
-    return wrap_frame(frame) if wrap else frame
 
 
 # --------------------------------------------------------------------------
@@ -306,43 +288,39 @@ def live_ctrl_kind(frame: DecodedFrame) -> str | None:
     return tag if isinstance(tag, str) else None
 
 
-def hello_frame(src: str, rank: int, *, wrap: bool = True) -> bytes:
+def hello_frame(src: str, rank: int) -> bytes:
     """Mesh handshake: identifies the sending peer on a fresh connection."""
-    frame = encode_frame(
+    return encode_frame(
         PacketKind.CTRL, src, "*", -1, {"live_ctrl": "hello", "rank": rank, "node": src}
     )
-    return wrap_frame(frame) if wrap else frame
 
 
-def done_frame(src: str, dst: str, items: Iterable[tuple[int, float]], *, wrap: bool = True) -> bytes:
+def done_frame(src: str, dst: str, items: Iterable[tuple[int, float]]) -> bytes:
     """Delivery acknowledgement: ``items`` are (sender message id, time).
 
     Sent receiver → sender when a mirrored message completes, so the
     sender can resolve the original ``Message.completion`` future (the
     live analogue of the simulator resolving it at arrival time).
     """
-    frame = encode_frame(
+    return encode_frame(
         PacketKind.CTRL,
         src,
         dst,
         -1,
         {"live_ctrl": "done", "items": [[mid, t] for mid, t in items]},
     )
-    return wrap_frame(frame) if wrap else frame
 
 
-def heartbeat_frame(src: str, t: float, *, wrap: bool = True) -> bytes:
+def heartbeat_frame(src: str, t: float) -> bytes:
     """Peer-to-peer liveness beacon (TAG_RAW; never retransmitted)."""
-    frame = encode_frame(PacketKind.CTRL, src, "*", -1, {"live_ctrl": "hb", "t": t})
-    return wrap_frame(frame) if wrap else frame
+    return encode_frame(PacketKind.CTRL, src, "*", -1, {"live_ctrl": "hb", "t": t})
 
 
-def ack_frame(src: str, dst: str, seqs: Iterable[int], *, wrap: bool = True) -> bytes:
+def ack_frame(src: str, dst: str, seqs: Iterable[int]) -> bytes:
     """Reliability acknowledgement for a batch of received sequence numbers."""
-    frame = encode_frame(
+    return encode_frame(
         PacketKind.CTRL, src, dst, -1, {"live_ctrl": "ack", "seqs": [int(s) for s in seqs]}
     )
-    return wrap_frame(frame) if wrap else frame
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,10 @@ if they survive that.  A :class:`FaultPlane` is the single authority for
 :class:`RailOutage` events that drive :meth:`repro.network.nic.NIC.fail`
 / :meth:`~repro.network.nic.NIC.recover`.
 
-Every decision draws from a named stream of the plane's **own**
-:class:`~repro.util.rng.SeedSequenceRegistry` (one stream per NIC), so
+Every decision is one :class:`FaultLottery` draw from a named stream of
+the plane's **own** :class:`~repro.util.rng.SeedSequenceRegistry` (one
+lottery per NIC — and, in the live plane, the same lottery per socket
+link: :class:`~repro.live.chaos.ChaosInjector`), so
 
 * a whole faulty run is reproducible from one integer — identical seeds
   yield byte-identical drop/duplicate/retransmit counters, and
@@ -39,6 +41,8 @@ __all__ = [
     "FaultSpec",
     "RailOutage",
     "FaultVerdict",
+    "FaultPlaneStats",
+    "FaultLottery",
     "FaultPlane",
     "parse_fault_spec",
     "parse_outage",
@@ -134,13 +138,65 @@ _OUTAGE_KEYS = frozenset({"nic", "network", "at", "recover"})
 
 @dataclass(slots=True)
 class FaultPlaneStats:
-    """What the plane has injected so far (decisions, not recoveries)."""
+    """What a lottery has injected so far (decisions, not recoveries)."""
 
     judged: int = 0
     drops: int = 0
     corruptions: int = 0
     duplicates: int = 0
     delayed: int = 0
+
+
+@dataclass(eq=False)
+class FaultLottery:
+    """The seeded draw: one spec over a decision and an ACK stream.
+
+    The single implementation of *what goes wrong with one
+    transmission*, for both planes: :class:`FaultPlane` keeps one per
+    NIC (streams ``faults:{nic}`` / ``faults:ack:{nic}``, plane-wide
+    stats); the live plane's :class:`~repro.live.chaos.ChaosInjector`
+    *is* one per outbound link (``chaos:{link}`` / ``chaos:ack:{link}``).
+    The stream names and the draw order below are load-bearing: they
+    are what makes a faulty run a function of its seed.
+    """
+
+    spec: FaultSpec
+    stream: RngStream
+    ack_stream: RngStream
+    stats: FaultPlaneStats
+
+    def judge(self) -> FaultVerdict:
+        """Decide the fate of one transmission attempt."""
+        spec = self.spec
+        stats = self.stats
+        stats.judged += 1
+        if spec.is_null:
+            return _CLEAN
+        stream = self.stream
+        drop = spec.drop > 0 and stream.uniform() < spec.drop
+        corrupt = spec.corrupt > 0 and stream.uniform() < spec.corrupt
+        duplicate = spec.duplicate > 0 and stream.uniform() < spec.duplicate
+        delay = stream.exponential(spec.jitter) if spec.jitter > 0 else 0.0
+        dup_delay = (
+            stream.exponential(spec.jitter) if duplicate and spec.jitter > 0 else 0.0
+        )
+        if drop:
+            stats.drops += 1
+        if corrupt:
+            stats.corruptions += 1
+        if duplicate:
+            stats.duplicates += 1
+        if delay > 0 or dup_delay > 0:
+            stats.delayed += 1
+        return FaultVerdict(
+            drop=drop, corrupt=corrupt, duplicate=duplicate, delay=delay, dup_delay=dup_delay
+        )
+
+    def judge_ack(self) -> bool:
+        """Whether one reverse-path acknowledgement is lost (its own
+        stream, so the data and ACK lotteries stay independent)."""
+        spec = self.spec
+        return spec.drop > 0 and self.ack_stream.uniform() < spec.drop
 
 
 class FaultPlane:
@@ -177,6 +233,7 @@ class FaultPlane:
         self.seed = int(seed)
         self.stats = FaultPlaneStats()
         self._rng = SeedSequenceRegistry(self.seed)
+        self._lotteries: dict[str, FaultLottery] = {}
 
     # ------------------------------------------------------------------
     # construction from a scenario mapping
@@ -229,43 +286,26 @@ class FaultPlane:
             return self.per_network[network]
         return self.default
 
-    def stream_for(self, nic: "NIC") -> RngStream:
-        """The deterministic per-NIC decision stream."""
-        return self._rng.stream(f"faults:{nic.name}")
+    def lottery_for(self, nic: "NIC") -> FaultLottery:
+        """The NIC's seeded draw: its effective spec over the streams
+        ``faults:{nic}`` / ``faults:ack:{nic}``, counting plane-wide."""
+        lottery = self._lotteries.get(nic.name)
+        if lottery is None:
+            lottery = self._lotteries[nic.name] = FaultLottery(
+                self.spec_for(nic),
+                self._rng.stream(f"faults:{nic.name}"),
+                self._rng.stream(f"faults:ack:{nic.name}"),
+                self.stats,
+            )
+        return lottery
 
     def judge(self, nic: "NIC") -> FaultVerdict:
         """Decide the fate of one transmission attempt on ``nic``."""
-        spec = self.spec_for(nic)
-        self.stats.judged += 1
-        if spec.is_null:
-            return _CLEAN
-        stream = self.stream_for(nic)
-        drop = spec.drop > 0 and stream.uniform() < spec.drop
-        corrupt = spec.corrupt > 0 and stream.uniform() < spec.corrupt
-        duplicate = spec.duplicate > 0 and stream.uniform() < spec.duplicate
-        delay = stream.exponential(spec.jitter) if spec.jitter > 0 else 0.0
-        dup_delay = (
-            stream.exponential(spec.jitter) if duplicate and spec.jitter > 0 else 0.0
-        )
-        if drop:
-            self.stats.drops += 1
-        if corrupt:
-            self.stats.corruptions += 1
-        if duplicate:
-            self.stats.duplicates += 1
-        if delay > 0 or dup_delay > 0:
-            self.stats.delayed += 1
-        return FaultVerdict(
-            drop=drop, corrupt=corrupt, duplicate=duplicate, delay=delay, dup_delay=dup_delay
-        )
+        return self.lottery_for(nic).judge()
 
     def judge_ack(self, nic: "NIC") -> bool:
         """Whether the reverse-path acknowledgement for ``nic`` is lost."""
-        spec = self.spec_for(nic)
-        if spec.drop == 0:
-            return False
-        stream = self._rng.stream(f"faults:ack:{nic.name}")
-        return stream.uniform() < spec.drop
+        return self.lottery_for(nic).judge_ack()
 
     # ------------------------------------------------------------------
     # outages

@@ -173,20 +173,13 @@ class NIC:
     # ------------------------------------------------------------------
     # transfer
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        packet: WirePacket,
-        occupancy: float,
-        one_way: float,
-        host_time: float = 0.0,
-    ) -> None:
-        """Start one request.
+    def _admit(
+        self, packet: WirePacket, occupancy: float, one_way: float, host_time: float
+    ) -> str:
+        """Validate one request, go busy, count it; returns the kind label.
 
-        ``occupancy`` — sender-side busy time; ``one_way`` — delay until
-        the packet is delivered to the destination node; ``host_time`` —
-        host CPU time the request consumes (accounting only).  All are
-        computed by the driver so technology-specific policy stays out of
-        the NIC.
+        Shared by every NIC type: what differs between them (how busy
+        time is accounted, where the bytes go) stays in ``submit``.
         """
         if self._failed:
             raise SimulationError(f"NIC {self.name!r} submit while failed (rail outage)")
@@ -206,11 +199,29 @@ class NIC:
         self.stats.requests += 1
         self.stats.payload_bytes += packet.payload_bytes
         self.stats.wire_bytes += packet.wire_bytes
-        self.stats.busy_time += occupancy
         self.stats.host_time += host_time
         self.stats.segments += packet.segment_count
         kind = packet.kind.value
         self.stats.kind_counts[kind] = self.stats.kind_counts.get(kind, 0) + 1
+        return kind
+
+    def submit(
+        self,
+        packet: WirePacket,
+        occupancy: float,
+        one_way: float,
+        host_time: float = 0.0,
+    ) -> None:
+        """Start one request.
+
+        ``occupancy`` — sender-side busy time; ``one_way`` — delay until
+        the packet is delivered to the destination node; ``host_time`` —
+        host CPU time the request consumes (accounting only).  All are
+        computed by the driver so technology-specific policy stays out of
+        the NIC.
+        """
+        kind = self._admit(packet, occupancy, one_way, host_time)
+        self.stats.busy_time += occupancy
 
         tracer = self._sim.tracer
         if tracer.enabled:

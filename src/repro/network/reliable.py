@@ -6,11 +6,11 @@ emits arrives exactly once, in order.  Once a
 breaks, so a :class:`ReliableTransport` interposes between the NICs and
 the fabric:
 
-* **Sender side** — every packet is stamped with a per-stream sequence
-  number (stream = ``(src, dst, channel)``), submitted to the fault
-  lottery, and tracked until acknowledged.  A retransmit timer with
-  exponential backoff re-sends lost or corrupted packets; a bounded
-  retry budget turns a black-holed packet into a loud
+* **Sender side** — every packet enters the :class:`SendWindow` of its
+  stream (``(src, dst, channel)``): stamped with a sequence number,
+  submitted to the fault lottery, and tracked until acknowledged.  A
+  retransmit timer with exponential backoff re-sends lost or corrupted
+  packets; a bounded retry budget turns a black-holed packet into a loud
   :class:`~repro.util.errors.TransportError` instead of a silent hang.
   When the original rail is down at retransmit time, the attempt **fails
   over** to any surviving NIC on the source node that reaches the
@@ -19,11 +19,16 @@ the fabric:
 * **Receiver side** — an endpoint installed as the node's receive guard
   (:meth:`~repro.network.receiver.Receiver.install_guard`) acknowledges
   every intact arrival (duplicates included, so lost ACKs converge),
-  discards corrupted copies un-ACKed, deduplicates retransmissions, and
-  holds out-of-order packets in a reorder buffer, releasing them to
+  discards corrupted copies un-ACKed, and passes the rest through the
+  stream's :class:`ReceiveLedger`: retransmissions are deduplicated,
+  out-of-order packets held and released to
   :meth:`~repro.network.receiver.Receiver.dispatch` strictly in sequence
   so the messaging layer above never observes loss, duplication, or
   reordering.
+
+The window and the ledger *are* the protocol; this transport is their
+carrier over simulated NICs, and the live plane's
+:class:`~repro.live.hub.Hub` carries the same two classes over sockets.
 
 Documented simplifications (mirroring the send-side focus of the base
 model, DESIGN.md §6): retransmissions and ACKs travel with the link's
@@ -36,17 +41,16 @@ delivery, and the counters, change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.network.faults import FaultPlane
-from repro.network.wire import PacketKind, WirePacket
+from repro.network.wire import WirePacket
 from repro.sim.engine import Simulator
 from repro.util.errors import ConfigurationError, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.fabric import Fabric
     from repro.network.nic import NIC
-    from repro.sim.event import Event
 
 __all__ = [
     "ReliabilityConfig",
@@ -127,105 +131,147 @@ class TransportStats:
 
 @dataclass(slots=True)
 class _Pending:
-    """Sender-side state for one unacknowledged packet."""
+    """What the simulated carrier needs to (re)send one packet."""
 
     packet: WirePacket
-    nic: "NIC"
+    nic: "NIC"  #: rebound when a retransmission fails over
     one_way: float
-    attempts: int = 0
-    timer: "Event | None" = None
+
+
+@dataclass(slots=True)
+class _Entry:
+    """The window's own record of one unacknowledged item."""
+
+    item: Any
+    one_way: float
+    attempts: int = 0  #: transmissions the carrier actually made
+    timer: Any = None
 
 
 @dataclass(slots=True)
 class SendWindow:
-    """Transport-agnostic sender window: sequence stamping + unacked tracking.
+    """The sender half of the protocol, for any carrier on any clock.
 
-    Carries no timers and no I/O — the owning transport decides *when*
-    to retransmit; the window only answers *what* is outstanding.  Used
-    by the simulated :class:`ReliableTransport` conceptually (which
-    predates it) and concretely by the live plane's per-connection
-    reliability (:mod:`repro.live.peer`).
+    :meth:`send` stamps an item with the next sequence number and runs
+    its first attempt.  An attempt hands ``(seq, item, attempt)`` to
+    ``carrier`` and arms the retransmit timer on ``clock`` (``schedule``
+    / ``cancel``: a :class:`~repro.sim.engine.Simulator` or a
+    :class:`~repro.live.loop.LiveClock`).  On expiry the budget is
+    checked once: re-attempt with the backed-off timeout, or — after
+    ``max_retries + 1`` attempts — forget the item and call
+    ``on_exhausted(seq, item, attempts)``.  :meth:`ack` retires an item.
+
+    The carrier returns whether it made the attempt; ``False`` (a live
+    link between connections) re-arms the same timeout and spends no
+    budget.  ``stats`` counts ``packets_sent`` / ``retransmits`` /
+    ``exhausted``.  The simulated :class:`ReliableTransport` (a window
+    per stream) and the live :class:`~repro.live.hub.Hub` (one per
+    link) are the two carriers.
     """
 
+    clock: Any
+    config: ReliabilityConfig
+    carrier: Callable[[int, Any, int], bool]
+    on_exhausted: Callable[[int, Any, int], None]
+    stats: TransportStats
     next_seq: int = 0
-    _unacked: dict = field(default_factory=dict)
+    _unacked: dict[int, _Entry] = field(default_factory=dict)
 
-    def stamp(self, item) -> int:
-        """Assign the next sequence number to ``item`` and track it."""
+    def send(self, item, one_way: float) -> int:
+        """Stamp ``item``, track it, run its first attempt; returns the
+        sequence number.  ``one_way`` scales the default timeout."""
         seq = self.next_seq
         self.next_seq += 1
-        self._unacked[seq] = item
+        entry = self._unacked[seq] = _Entry(item, one_way)
+        self.stats.packets_sent += 1
+        self._attempt(seq, entry)
         return seq
 
-    def ack(self, seq: int):
-        """Retire one sequence number; returns its item or None if unknown."""
-        return self._unacked.pop(seq, None)
+    def _attempt(self, seq: int, entry: _Entry) -> None:
+        # Carrier first, timer second: in virtual time an arrival the
+        # carrier schedules for the expiry instant must fire before it.
+        attempt = entry.attempts
+        made = self.carrier(seq, entry.item, attempt)
+        entry.timer = self.clock.schedule(
+            self.config.rto_for(entry.one_way, attempt), self._expire, seq
+        )
+        if made:
+            entry.attempts += 1
+            if attempt:
+                self.stats.retransmits += 1
 
-    def get(self, seq: int):
-        """The still-unacked item at ``seq``, or None."""
-        return self._unacked.get(seq)
+    def _expire(self, seq: int) -> None:
+        entry = self._unacked[seq]  # an ACK would have cancelled this timer
+        if entry.attempts > self.config.max_retries:
+            del self._unacked[seq]
+            self.stats.exhausted += 1
+            self.on_exhausted(seq, entry.item, entry.attempts)
+        else:
+            self._attempt(seq, entry)
+
+    def ack(self, seq: int):
+        """Retire one sequence number and cancel its timer; returns the
+        item, or None for a late ACK of something already retired."""
+        entry = self._unacked.pop(seq, None)
+        if entry is None:
+            return None
+        self.clock.cancel(entry.timer)
+        return entry.item
 
     @property
     def in_flight(self) -> int:
         """Stamped but not yet acknowledged."""
         return len(self._unacked)
 
-    def pending(self) -> list:
-        """All unacked ``(seq, item)`` pairs in sequence order."""
-        return sorted(self._unacked.items())
-
-    def drain(self) -> list:
-        """Remove and return every unacked ``(seq, item)`` in order."""
-        items = self.pending()
+    def close(self) -> None:
+        """Forget every unacknowledged item, cancelling its timer."""
+        for entry in self._unacked.values():
+            self.clock.cancel(entry.timer)
         self._unacked.clear()
-        return items
 
 
 @dataclass(slots=True)
 class ReceiveLedger:
-    """Transport-agnostic receiver ledger: exactly-once, in-order release.
+    """The receiver half: exactly-once, in-order release.
 
     :meth:`admit` returns ``None`` for a duplicate (already released or
     already buffered), ``[]`` when the item is held for reordering, and
-    the in-sequence run of released items otherwise.  The caller ACKs
-    on any non-crash outcome — duplicates included, since the sender may
-    only be retransmitting because the previous ACK was lost.
+    the in-sequence run of released items otherwise — counting each
+    outcome into ``stats`` (``dups_discarded`` / ``reorder_held`` /
+    ``delivered``).  The caller ACKs on any non-crash outcome —
+    duplicates included, since the sender may only be retransmitting
+    because the previous ACK was lost.
     """
 
+    stats: TransportStats
     expected: int = 0
     _buffer: dict = field(default_factory=dict)
-    dups: int = 0
-    held: int = 0
 
     def admit(self, seq: int, item) -> list | None:
         """Accept one arrival: ``None`` for a duplicate (ACK it anyway —
         the first ACK may have been lost), ``[]`` when held for
         reordering, else the in-sequence run now released."""
         if seq < self.expected or seq in self._buffer:
-            self.dups += 1
+            self.stats.dups_discarded += 1
             return None
         if seq > self.expected:
             self._buffer[seq] = item
-            self.held += 1
+            self.stats.reorder_held += 1
             return []
         released = [item]
         self.expected += 1
         while self.expected in self._buffer:
             released.append(self._buffer.pop(self.expected))
             self.expected += 1
+        self.stats.delivered += len(released)
         return released
-
-    @property
-    def buffered(self) -> int:
-        """Out-of-order items currently held back."""
-        return len(self._buffer)
 
 
 class ReliableTransport:
     """Cluster-wide reliability layer over a :class:`FaultPlane`.
 
-    One instance serves the whole fabric: sender state is keyed by
-    packet id, receiver state by sequence stream, so a single object can
+    One instance serves the whole fabric: sender and receiver state are
+    keyed by sequence stream, not by rail, so a single object can
     arbitrate every rail — including cross-rail failover.
     """
 
@@ -241,8 +287,7 @@ class ReliableTransport:
         self.plane = plane if plane is not None else FaultPlane()
         self.config = config if config is not None else ReliabilityConfig()
         self.stats = TransportStats()
-        self._pending: dict[int, _Pending] = {}
-        self._next_seq: dict[tuple[str, str, int], int] = {}
+        self._tx: dict[tuple[str, str, int], SendWindow] = {}
         self._rx: dict[tuple[str, str, int], ReceiveLedger] = {}
 
     # ------------------------------------------------------------------
@@ -259,7 +304,7 @@ class ReliableTransport:
     @property
     def in_flight(self) -> int:
         """Number of packets currently awaiting acknowledgement."""
-        return len(self._pending)
+        return sum(window.in_flight for window in self._tx.values())
 
     # ------------------------------------------------------------------
     # sender side
@@ -268,105 +313,94 @@ class ReliableTransport:
         """Take over delivery of one freshly submitted packet.
 
         Called by :meth:`repro.network.nic.NIC.submit` in place of the
-        direct fabric hand-off.  Stamps the per-stream sequence number,
-        registers the pending record, and runs the first attempt.
+        direct fabric hand-off: the packet enters its stream's
+        :class:`SendWindow`, which stamps it and runs the first attempt.
         """
         stream = (packet.src, packet.dst, packet.channel_id)
-        seq = self._next_seq.get(stream, 0)
-        self._next_seq[stream] = seq + 1
-        packet.meta["rel_seq"] = seq
-        pending = _Pending(packet=packet, nic=nic, one_way=one_way)
-        self._pending[packet.packet_id] = pending
-        self.stats.packets_sent += 1
-        self._send_attempt(pending)
-
-    def _send_attempt(self, pending: _Pending) -> None:
-        """One transmission attempt: fault lottery, arrival, retransmit timer."""
-        nic, packet = pending.nic, pending.packet
-        if nic.failed:
-            # The rail is dark: the attempt is lost outright.  The timer
-            # still arms, so the retransmit path gets a chance to fail
-            # over (or the rail a chance to recover).
-            nic.stats.drops += 1
-        else:
-            verdict = self.plane.judge(nic)
-            tracer = self._sim.tracer
-            if verdict.drop:
-                nic.stats.drops += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        self._sim.now,
-                        f"rel:{nic.name}",
-                        "rel.drop",
-                        packet=packet.packet_id,
-                        attempt=pending.attempts,
-                    )
-            else:
-                if verdict.corrupt:
-                    nic.stats.corruptions += 1
-                self._sim.schedule(
-                    pending.one_way + verdict.delay,
-                    self._on_arrival,
-                    packet,
-                    nic,
-                    pending.one_way,
-                    verdict.corrupt,
-                )
-                if verdict.duplicate:
-                    nic.stats.duplicates += 1
-                    self._sim.schedule(
-                        pending.one_way + verdict.dup_delay,
-                        self._on_arrival,
-                        packet,
-                        nic,
-                        pending.one_way,
-                        verdict.corrupt,
-                    )
-        pending.timer = self._sim.schedule(
-            self.config.rto_for(pending.one_way, pending.attempts),
-            self._on_timeout,
-            packet.packet_id,
-        )
-
-    def _on_timeout(self, packet_id: int) -> None:
-        pending = self._pending.get(packet_id)
-        if pending is None:  # pragma: no cover - timer cancelled on ACK
-            return
-        if pending.attempts >= self.config.max_retries:
-            self.stats.exhausted += 1
-            del self._pending[packet_id]
-            raise TransportError(
-                f"packet #{packet_id} ({pending.packet.kind.value} "
-                f"{pending.packet.src}->{pending.packet.dst}) unacknowledged after "
-                f"{pending.attempts + 1} attempts on NIC {pending.nic.name!r}"
+        window = self._tx.get(stream)
+        if window is None:
+            window = self._tx[stream] = SendWindow(
+                self._sim, self.config, self._send_attempt, self._exhausted, self.stats
             )
-        pending.attempts += 1
-        if pending.nic.failed:
-            fallback = self._failover_nic(pending)
-            if fallback is not None:
-                tracer = self._sim.tracer
-                if tracer.enabled:
-                    tracer.emit(
-                        self._sim.now,
-                        f"rel:{pending.nic.name}",
-                        "rel.failover",
-                        packet=packet_id,
-                        to=fallback.name,
-                    )
-                pending.nic = fallback
-                self.stats.failovers += 1
-        self.stats.retransmits += 1
-        pending.nic.stats.retransmits += 1
+        window.send(_Pending(packet, nic, one_way), one_way)
+
+    def _send_attempt(self, seq: int, pending: _Pending, attempt: int) -> bool:
+        """The window's carrier: failover, fault lottery, arrival(s)."""
+        packet = pending.packet
         tracer = self._sim.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self._sim.now,
-                f"rel:{pending.nic.name}",
-                "rel.retransmit",
-                packet=packet_id,
-                attempt=pending.attempts,
+        if attempt == 0:
+            packet.meta["rel_seq"] = seq
+        else:
+            if pending.nic.failed:
+                fallback = self._failover_nic(pending)
+                if fallback is not None:
+                    if tracer.enabled:
+                        tracer.emit(
+                            self._sim.now,
+                            f"rel:{pending.nic.name}",
+                            "rel.failover",
+                            packet=packet.packet_id,
+                            to=fallback.name,
+                        )
+                    pending.nic = fallback
+                    self.stats.failovers += 1
+            pending.nic.stats.retransmits += 1
+            if tracer.enabled:
+                tracer.emit(
+                    self._sim.now,
+                    f"rel:{pending.nic.name}",
+                    "rel.retransmit",
+                    packet=packet.packet_id,
+                    attempt=attempt,
+                )
+        nic = pending.nic
+        if nic.failed:
+            # The rail is dark: the attempt is lost outright.  It still
+            # counts, so the next expiry gets a chance to fail over (or
+            # the rail a chance to recover) before the budget runs out.
+            nic.stats.drops += 1
+            return True
+        verdict = self.plane.judge(nic)
+        if verdict.drop:
+            nic.stats.drops += 1
+            if tracer.enabled:
+                tracer.emit(
+                    self._sim.now,
+                    f"rel:{nic.name}",
+                    "rel.drop",
+                    packet=packet.packet_id,
+                    attempt=attempt,
+                )
+            return True
+        if verdict.corrupt:
+            nic.stats.corruptions += 1
+        self._sim.schedule(
+            pending.one_way + verdict.delay,
+            self._on_arrival,
+            packet,
+            nic,
+            pending.one_way,
+            verdict.corrupt,
+        )
+        if verdict.duplicate:
+            nic.stats.duplicates += 1
+            self._sim.schedule(
+                pending.one_way + verdict.dup_delay,
+                self._on_arrival,
+                packet,
+                nic,
+                pending.one_way,
+                verdict.corrupt,
             )
-        self._send_attempt(pending)
+        return True
+
+    def _exhausted(self, seq: int, pending: _Pending, attempts: int) -> None:
+        packet = pending.packet
+        raise TransportError(
+            f"packet #{packet.packet_id} ({packet.kind.value} "
+            f"{packet.src}->{packet.dst}) unacknowledged after "
+            f"{attempts} attempts on NIC {pending.nic.name!r}"
+        )
 
     def _failover_nic(self, pending: _Pending) -> "NIC | None":
         """First healthy NIC on the source node that reaches the destination."""
@@ -375,13 +409,6 @@ class ReliableTransport:
             if not nic.failed and nic is not pending.nic and nic.reaches(pending.packet.dst):
                 return nic
         return None
-
-    def _on_ack(self, packet_id: int) -> None:
-        pending = self._pending.pop(packet_id, None)
-        if pending is None:
-            return  # late ACK for an already-acknowledged packet
-        if pending.timer is not None:
-            self._sim.cancel(pending.timer)
 
     # ------------------------------------------------------------------
     # receiver side
@@ -408,8 +435,9 @@ class ReliableTransport:
             self.stats.acks_dropped += 1
             return
         self.stats.acks_sent += 1
+        window = self._tx[(packet.src, packet.dst, packet.channel_id)]
         self._sim.schedule(
-            self.config.ack_delay_for(one_way), self._on_ack, packet.packet_id
+            self.config.ack_delay_for(one_way), window.ack, packet.meta["rel_seq"]
         )
 
     def _ingest(self, packet: WirePacket) -> None:
@@ -421,25 +449,21 @@ class ReliableTransport:
         a direct ``deliver`` call — gets the same exactly-once, in-order
         contract.
         """
-        if packet.kind is PacketKind.ACK:  # pragma: no cover - ACKs bypass NICs
-            self._on_ack(packet.meta["ack_of"])
-            return
         seq = packet.meta.get("rel_seq")
         receiver = self._fabric.node(packet.dst).receiver
         if seq is None:
             # Unsequenced packet (injected directly in a test): pass through.
             receiver.dispatch(packet)
             return
-        ledger = self._rx.setdefault(
-            (packet.src, packet.dst, packet.channel_id), ReceiveLedger()
-        )
+        stream = (packet.src, packet.dst, packet.channel_id)
+        ledger = self._rx.get(stream)
+        if ledger is None:
+            ledger = self._rx[stream] = ReceiveLedger(self.stats)
         released = ledger.admit(seq, packet)
         if released is None:
-            self.stats.dups_discarded += 1
             return
         tracer = self._sim.tracer
         if not released:
-            self.stats.reorder_held += 1
             if tracer.enabled:
                 tracer.emit(
                     self._sim.now,
@@ -464,10 +488,9 @@ class ReliableTransport:
                 )
         for ready in released:
             receiver.dispatch(ready)
-            self.stats.delivered += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ReliableTransport(in_flight={len(self._pending)}, "
+            f"ReliableTransport(in_flight={self.in_flight}, "
             f"retransmits={self.stats.retransmits}, failovers={self.stats.failovers})"
         )

@@ -8,6 +8,8 @@ import pytest
 from repro.live.loop import LiveClock
 from repro.live.transport import (
     MAX_FRAME_BYTES,
+    TAG_RAW,
+    TAG_SEQ,
     MirrorReceiver,
     StreamDecoder,
     done_frame,
@@ -16,10 +18,16 @@ from repro.live.transport import (
     hello_frame,
     live_ctrl_kind,
     payload_bytes,
-    wrap_frame,
+    wrap_envelope,
 )
 from repro.madeleine.message import Flow, Message
-from repro.network.wire import PacketKind, WirePacket, WireSegment, encode_frame
+from repro.network.wire import (
+    PacketKind,
+    WirePacket,
+    WireSegment,
+    decode_frame,
+    encode_frame,
+)
 from repro.util.errors import ProtocolError, SimulationError, WireError
 
 from tests.core.helpers import next_message
@@ -29,36 +37,59 @@ def _ctrl_frame(meta=None):
     return encode_frame(PacketKind.CTRL, "n0", "n1", 0, meta or {})
 
 
+def _decode_one(frame: bytes):
+    """One bare frame through the stream: wrap, feed, expect it alone."""
+    ((seq, decoded),) = StreamDecoder().feed(wrap_envelope(frame))
+    assert seq is None
+    return decoded
+
+
 class TestStreamFraming:
     def test_roundtrip_one_frame(self):
         decoder = StreamDecoder()
-        frames = decoder.feed(wrap_frame(_ctrl_frame({"k": 1})))
-        assert len(frames) == 1
-        assert frames[0].meta == {"k": 1}
+        records = decoder.feed(wrap_envelope(_ctrl_frame({"k": 1})))
+        assert len(records) == 1
+        seq, frame = records[0]
+        assert seq is None and frame.meta == {"k": 1}
         assert decoder.buffered == 0
 
+    def test_raw_data_record_decodes_like_the_bare_frame(self):
+        """The single format costs a lossless run one tag byte and
+        nothing else: a ``TAG_RAW`` data record carries exactly the
+        ``DecodedFrame`` the bare wire-codec frame decodes to."""
+        _, packet = _sent_packet(Flow(0, "t-raw", "n0", "n1"))
+        frame = encode_live_packet(packet)
+        record = wrap_envelope(frame)
+        assert len(record) == 4 + 1 + len(frame) and record[4] == TAG_RAW
+        ((seq, decoded),) = StreamDecoder().feed(record)
+        assert seq is None
+        assert decoded == decode_frame(frame)
+        assert decoded.segments[0].length == 128
+
     def test_partial_reads_any_boundary(self):
-        wire = wrap_frame(_ctrl_frame({"a": 1})) + wrap_frame(_ctrl_frame({"a": 2}))
+        wire = wrap_envelope(_ctrl_frame({"a": 1})) + wrap_envelope(
+            _ctrl_frame({"a": 2}), seq=0
+        )
         # Feed one byte at a time: no boundary assumption may survive this.
         decoder = StreamDecoder()
         out = []
         for i in range(len(wire)):
             out.extend(decoder.feed(wire[i : i + 1]))
-        assert [f.meta["a"] for f in out] == [1, 2]
+        assert [(seq, f.meta["a"]) for seq, f in out] == [(None, 1), (0, 2)]
         assert decoder.buffered == 0
 
     def test_split_inside_length_prefix(self):
-        wire = wrap_frame(_ctrl_frame())
+        wire = wrap_envelope(_ctrl_frame())
         decoder = StreamDecoder()
         assert decoder.feed(wire[:2]) == []
         assert decoder.buffered == 2
-        frames = decoder.feed(wire[2:])
-        assert len(frames) == 1
+        records = decoder.feed(wire[2:])
+        assert len(records) == 1
 
     def test_many_frames_one_chunk(self):
-        wire = b"".join(wrap_frame(_ctrl_frame({"i": i})) for i in range(5))
-        frames = StreamDecoder().feed(wire)
-        assert [f.meta["i"] for f in frames] == [0, 1, 2, 3, 4]
+        wire = b"".join(wrap_envelope(_ctrl_frame({"i": i})) for i in range(5))
+        records = StreamDecoder().feed(wire)
+        assert [f.meta["i"] for _, f in records] == [0, 1, 2, 3, 4]
 
     def test_oversized_declared_length_rejected(self):
         import struct
@@ -69,13 +100,25 @@ class TestStreamFraming:
 
     def test_oversized_frame_rejected_on_wrap(self):
         with pytest.raises(WireError):
-            wrap_frame(b"\0" * (MAX_FRAME_BYTES + 1))
+            wrap_envelope(b"\0" * MAX_FRAME_BYTES)  # + the tag byte
 
     def test_corrupt_payload_raises_from_codec(self):
-        wire = bytearray(wrap_frame(_ctrl_frame({"k": 1})))
+        wire = bytearray(wrap_envelope(_ctrl_frame({"k": 1})))
         wire[-1] ^= 0xFF  # flip a bit inside the codec frame
         with pytest.raises(WireError):
             StreamDecoder().feed(bytes(wire))
+
+    def test_malformed_envelope_rejected(self):
+        import struct
+
+        for body in (b"", b"\x07" + _ctrl_frame(), bytes([TAG_SEQ]) + b"\0\0"):
+            with pytest.raises(WireError):
+                StreamDecoder().feed(struct.pack("!I", len(body)) + body)
+        with pytest.raises(WireError):
+            wrap_envelope(_ctrl_frame(), seq=-1)
+        tolerant = StreamDecoder(tolerant=True)
+        assert tolerant.feed(struct.pack("!I", 0)) == []
+        assert tolerant.corrupt_frames == 1
 
 
 class TestPayloadPattern:
@@ -110,19 +153,18 @@ class TestPayloadPattern:
 
 class TestControlFrames:
     def test_hello_identifies_peer(self):
-        frames = StreamDecoder().feed(hello_frame("n2", 2))
-        assert live_ctrl_kind(frames[0]) == "hello"
-        assert frames[0].meta["node"] == "n2"
-        assert frames[0].meta["rank"] == 2
+        frame = _decode_one(hello_frame("n2", 2))
+        assert live_ctrl_kind(frame) == "hello"
+        assert frame.meta["node"] == "n2"
+        assert frame.meta["rank"] == 2
 
     def test_done_carries_items(self):
-        frames = StreamDecoder().feed(done_frame("n1", "n0", [(5, 1.25)]))
-        assert live_ctrl_kind(frames[0]) == "done"
-        assert frames[0].meta["items"] == [[5, 1.25]]
+        frame = _decode_one(done_frame("n1", "n0", [(5, 1.25)]))
+        assert live_ctrl_kind(frame) == "done"
+        assert frame.meta["items"] == [[5, 1.25]]
 
     def test_engine_traffic_is_not_ctrl(self):
-        frames = StreamDecoder().feed(wrap_frame(_ctrl_frame({"other": 1})))
-        assert live_ctrl_kind(frames[0]) is None
+        assert live_ctrl_kind(_decode_one(_ctrl_frame({"other": 1}))) is None
 
 
 def _sent_packet(flow, size=128):
@@ -149,9 +191,8 @@ class TestMirrorReceiver:
     def test_roundtrip_rebuilds_packet(self):
         flow = Flow(0, "t-mirror", "n0", "n1")
         message, packet = _sent_packet(flow)
-        frames = StreamDecoder().feed(encode_live_packet(packet))
         mirror = self._pair(flow)
-        rebuilt = mirror.packet_from_frame(frames[0], 0)
+        rebuilt = mirror.packet_from_frame(_decode_one(encode_live_packet(packet)), 0)
         assert rebuilt.kind is PacketKind.EAGER
         assert rebuilt.src == "n0" and rebuilt.dst == "n1"
         seg = rebuilt.segments[0]
@@ -169,7 +210,7 @@ class TestMirrorReceiver:
         message, packet = _sent_packet(flow)
         mirror = self._pair(flow)
         rebuilt = mirror.packet_from_frame(
-            StreamDecoder().feed(encode_live_packet(packet))[0], 7
+            _decode_one(encode_live_packet(packet)), 7
         )
         assert rebuilt.packet_id == 7
         mirrored = rebuilt.segments[0].payload.message
@@ -184,7 +225,7 @@ class TestMirrorReceiver:
     def test_forged_message_id_rejected(self):
         flow = Flow(0, "t-forged", "n0", "n1")
         _, packet = _sent_packet(flow)
-        frame = StreamDecoder().feed(encode_live_packet(packet))[0]
+        frame = _decode_one(encode_live_packet(packet))
         frame.segments[0].descriptor["msg"] += 1
         with pytest.raises(ProtocolError, match="names message"):
             self._pair(flow).packet_from_frame(frame, 0)
@@ -196,7 +237,7 @@ class TestMirrorReceiver:
             for _ in range(count):
                 _, packet = _sent_packet(flow)
                 mirror.packet_from_frame(
-                    StreamDecoder().feed(encode_live_packet(packet))[0], 0
+                    _decode_one(encode_live_packet(packet)), 0
                 )
         assert mirror.open_mirrors == 5
         assert mirror.forget_from("n0") == 3
@@ -222,9 +263,7 @@ class TestMirrorReceiver:
         ]
         mirror = self._pair(flow)
         rebuilt = [
-            mirror.packet_from_frame(
-                StreamDecoder().feed(encode_live_packet(p))[0], 0
-            )
+            mirror.packet_from_frame(_decode_one(encode_live_packet(p)), 0)
             for p in packets
         ]
         m0 = rebuilt[0].segments[0].payload.message
@@ -238,7 +277,7 @@ class TestMirrorReceiver:
         _, packet = _sent_packet(flow)
         # The codec CRC catches wire flips, so model corruption *past*
         # the codec: same frame, segment data replaced by zeros.
-        frame = StreamDecoder().feed(encode_live_packet(packet))[0]
+        frame = _decode_one(encode_live_packet(packet))
 
         class _Seg:
             descriptor = frame.segments[0].descriptor
@@ -262,7 +301,7 @@ class TestMirrorReceiver:
     def test_unknown_flow_rejected(self):
         flow = Flow(0, "t-unknown", "n0", "n1")
         _, packet = _sent_packet(flow)
-        frame = StreamDecoder().feed(encode_live_packet(packet))[0]
+        frame = _decode_one(encode_live_packet(packet))
         mirror = MirrorReceiver("n1", lambda fid: None)
         with pytest.raises(ProtocolError):
             mirror.packet_from_frame(frame, 0)
@@ -270,7 +309,7 @@ class TestMirrorReceiver:
     def test_wrong_destination_rejected(self):
         flow = Flow(0, "t-wrongdst", "n0", "n1")
         _, packet = _sent_packet(flow)
-        frame = StreamDecoder().feed(encode_live_packet(packet))[0]
+        frame = _decode_one(encode_live_packet(packet))
         mirror = MirrorReceiver("n2", lambda fid: flow)
         with pytest.raises(ProtocolError):
             mirror.packet_from_frame(frame, 0)
@@ -353,6 +392,26 @@ class TestLiveClock:
             clock.cancel(event)
             assert clock.pending_timers == 0
             clock.cancel(event)  # idempotent
+            assert clock.pending_timers == 0
+        finally:
+            loop.close()
+
+    def test_background_timer_fires_uncounted(self):
+        loop = asyncio.new_event_loop()
+        try:
+            clock = self._clock(loop, time_scale=2.0)
+            armed_at = clock.now
+            fired = []
+            clock.background(0.005, lambda tag: fired.append((tag, clock.now)), "late")
+            clock.background(0.0, lambda: fired.append(("soon", clock.now)))
+            doomed = clock.background(0.001, fired.append, "cancelled")
+            doomed.cancel()
+            assert clock.pending_timers == 0  # never holds quiescence open
+            loop.run_until_complete(asyncio.sleep(0.05))
+            assert [tag for tag, _ in fired] == ["soon", "late"]
+            # 0.005 virtual seconds at 2 real seconds each; ``now`` was
+            # refreshed before the callback read it.
+            assert fired[1][1] >= armed_at + 0.005
             assert clock.pending_timers == 0
         finally:
             loop.close()

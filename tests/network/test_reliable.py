@@ -1,10 +1,19 @@
 """Tests for the ACK/retransmit reliability protocol."""
 
+import asyncio
+import time
+
 import pytest
 
+from repro.live.loop import LiveClock
 from repro.network.fabric import Fabric
 from repro.network.faults import FaultPlane, FaultSpec, FaultVerdict
-from repro.network.reliable import ReliabilityConfig, ReliableTransport
+from repro.network.reliable import (
+    ReliabilityConfig,
+    ReliableTransport,
+    SendWindow,
+    TransportStats,
+)
 from repro.network.technologies import myrinet_mx, quadrics_elan
 from repro.network.wire import PacketKind, WirePacket, WireSegment
 from repro.sim import Simulator
@@ -83,6 +92,122 @@ class TestConfig:
     def test_from_spec_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="retries"):
             ReliabilityConfig.from_spec({"retries": 3})
+
+
+class _Carrier:
+    """A scripted carrier: logs every attempt, is down while told to be."""
+
+    def __init__(self, clock, down_for=0):
+        self.clock = clock
+        self.down_for = down_for  # the first this-many calls find the link down
+        self.calls = []  # (now, seq, item, attempt, made)
+        self.exhausted = []  # (now, seq, item, attempts)
+
+    def carry(self, seq, item, attempt):
+        made = len(self.calls) >= self.down_for
+        self.calls.append((self.clock.now, seq, item, attempt, made))
+        return made
+
+    def on_exhausted(self, seq, item, attempts):
+        self.exhausted.append((self.clock.now, seq, item, attempts))
+
+
+def make_window(clock, down_for=0, **config):
+    carrier = _Carrier(clock, down_for)
+    stats = TransportStats()
+    window = SendWindow(
+        clock, ReliabilityConfig(**config), carrier.carry, carrier.on_exhausted, stats
+    )
+    return window, carrier, stats
+
+
+class TestSendWindow:
+    """The sender half on its own: no fabric, no sockets, a scripted carrier."""
+
+    @pytest.mark.parametrize("clock_kind", ["sim", "live"])
+    def test_backoff_schedule_then_exhaustion_once(self, clock_kind):
+        # rto 1, backoff 2, 3 retries: attempts at 0, 1, 3, 7; gives up at 15.
+        if clock_kind == "sim":
+            clock, unit = Simulator(), 1.0
+        else:  # the same protocol on wall-clock time, millisecond RTOs
+            loop = asyncio.new_event_loop()
+            clock, unit = LiveClock(loop, epoch=time.time()), 2e-3
+        window, carrier, stats = make_window(clock, rto=unit, backoff=2.0, max_retries=3)
+        start = clock.now
+        assert window.send("item", one_way=123.0) == 0  # an explicit rto wins
+        if clock_kind == "sim":
+            clock.run()
+        else:
+            loop.run_until_complete(asyncio.sleep(25 * unit))
+            loop.close()
+        assert [(seq, item, k, made) for _, seq, item, k, made in carrier.calls] == [
+            (0, "item", k, True) for k in range(4)
+        ]
+        elapsed = [(now - start) / unit for now, *_ in carrier.calls]
+        ((gave_up, *reported),) = carrier.exhausted  # exactly once
+        assert reported == [0, "item", 4]
+        if clock_kind == "sim":
+            assert elapsed == [0.0, 1.0, 3.0, 7.0] and gave_up == 15.0
+            assert clock.pending_events == 0
+        else:  # a timer never fires early; the loop may run it late
+            assert all(got >= due for got, due in zip(elapsed, [0, 1, 3, 7]))
+            assert (gave_up - start) / unit >= 15
+            assert clock.pending_timers == 0
+        assert window.in_flight == 0  # forgotten, not retried forever
+        assert (stats.packets_sent, stats.retransmits, stats.exhausted) == (1, 3, 1)
+
+    def test_default_rto_scales_with_the_items_one_way(self):
+        sim = Simulator()
+        window, carrier, _ = make_window(sim, max_retries=1)
+        window.send("a", one_way=ONE_WAY)
+        sim.run()
+        assert [now for now, *_ in carrier.calls] == [0.0, pytest.approx(4 * ONE_WAY)]
+
+    def test_ack_cancels_the_timer(self):
+        sim = Simulator()
+        window, carrier, stats = make_window(sim, rto=1.0)
+        for item in ("a", "b"):
+            window.send(item, ONE_WAY)
+        assert window.in_flight == 2 and window.next_seq == 2
+        sim.schedule(0.5, window.ack, 0)
+        sim.run(until=0.75)
+        assert window.in_flight == 1 and sim.pending_events == 1  # b's timer
+        assert window.ack(1) == "b"
+        assert sim.pending_events == 0
+        assert window.ack(1) is None  # late ACK of something already retired
+        sim.run()
+        assert len(carrier.calls) == 2 and stats.retransmits == 0
+        assert carrier.exhausted == []
+
+    def test_down_carrier_rearms_without_spending_budget_or_backing_off(self):
+        sim = Simulator()
+        window, carrier, stats = make_window(
+            sim, down_for=3, rto=1.0, backoff=2.0, max_retries=1
+        )
+        window.send("item", ONE_WAY)
+        sim.run()
+        assert [(now, k, made) for now, _, _, k, made in carrier.calls] == [
+            (0.0, 0, False),  # link down: nothing sent, nothing spent,
+            (1.0, 0, False),  # same timeout again,
+            (2.0, 0, False),
+            (3.0, 0, True),  # up: this is the first transmission
+            (4.0, 1, True),  # ... and the only retry the budget allows
+        ]
+        assert carrier.exhausted == [(6.0, 0, "item", 2)]
+        assert (stats.retransmits, stats.exhausted) == (1, 1)
+
+    def test_close_leaves_no_timer(self):
+        sim = Simulator()
+        window, carrier, _ = make_window(sim, rto=1.0)
+        for item in "abc":
+            window.send(item, ONE_WAY)
+        window.ack(1)
+        assert window.in_flight == 2 and sim.pending_events == 2
+        window.close()
+        assert window.in_flight == 0 and sim.pending_events == 0
+        sim.run()
+        assert len(carrier.calls) == 3 and carrier.exhausted == []
+        assert window.send("d", ONE_WAY) == 3  # the sequence space goes on
 
 
 class TestCleanPath:

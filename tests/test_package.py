@@ -168,3 +168,32 @@ class TestNoProcessScopedIdentity:
             if (found := process_scoped_counters(path.read_text(encoding="utf-8")))
         }
         assert offenders == {}
+
+
+def loop_reaches(source: str) -> list[int]:
+    """Line numbers of every ``<expr>._loop`` attribute access."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_loop"
+    ]
+
+
+class TestOneUncountedTimer:
+    """Only ``live/loop.py`` touches the asyncio loop behind a
+    ``LiveClock``: a timer that must not hold quiescence open is
+    ``clock.background(...)``, which also refreshes ``now``."""
+
+    def test_scan_catches_a_raw_loop_timer(self):
+        assert loop_reaches("self.clock._loop.call_later(d, self._tick)") == [1]
+        assert loop_reaches("self._clock.background(d, self._tick)") == []
+
+    def test_no_loop_reach_in_the_live_plane_outside_the_clock(self):
+        live = Path(repro.__path__[0]) / "live"
+        offenders = {
+            path.name: found
+            for path in sorted(live.glob("*.py"))
+            if path.name != "loop.py"
+            and (found := loop_reaches(path.read_text(encoding="utf-8")))
+        }
+        assert offenders == {}
