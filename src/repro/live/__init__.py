@@ -12,6 +12,9 @@ discrete-event substrate for wall-clock asyncio:
   unmodified messaging stack;
 * :mod:`repro.live.nic` — a NIC whose idle transition is the socket
   write buffer draining;
+* :mod:`repro.live.hub` — the peer's sockets: the carrier of the
+  simulator's reliability protocol and fault lottery over real bytes,
+  plus reconnects, heartbeats and peer-death bookkeeping;
 * :mod:`repro.live.peer` — one node's stack in one OS process, built
   above the NICs by the simulator's own builder
   (:func:`repro.runtime.cluster.build_node_stack`);
