@@ -85,6 +85,7 @@ _SEQ = struct.Struct("!Q")
 #: Envelope tags (first body byte of every record).
 TAG_RAW = 0  #: unsequenced: everything lossless; HELLO, heartbeat, ACK under chaos
 TAG_SEQ = 1  #: sequenced under chaos (engine data, DONE acknowledgements)
+_RAW_HEADER = bytes([TAG_RAW])
 
 #: First byte of the wrapped frame inside a sequenced record:
 #: length prefix (4) + tag (1) + sequence number (8).
@@ -108,14 +109,16 @@ def wrap_envelope(frame: bytes, seq: int | None = None) -> bytes:
     receiving hub deduplicates and reorders on.
     """
     if seq is None:
-        body = bytes([TAG_RAW]) + frame
+        header = _RAW_HEADER
     else:
         if seq < 0:
             raise WireError(f"negative reliability sequence number {seq}")
-        body = bytes([TAG_SEQ]) + _SEQ.pack(seq) + frame
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireError(f"record of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _LENGTH_PREFIX.pack(len(body)) + body
+        header = bytes([TAG_SEQ]) + _SEQ.pack(seq)
+    length = len(header) + len(frame)
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"record of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    # Every record of every run passes here: copy the frame once.
+    return _LENGTH_PREFIX.pack(length) + header + frame
 
 
 class StreamDecoder:

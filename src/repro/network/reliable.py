@@ -209,14 +209,12 @@ class SendWindow:
         else:
             self._attempt(seq, entry)
 
-    def ack(self, seq: int):
-        """Retire one sequence number and cancel its timer; returns the
-        item, or None for a late ACK of something already retired."""
+    def ack(self, seq: int) -> None:
+        """Retire one sequence number and cancel its timer (a late ACK
+        of something already retired is ignored)."""
         entry = self._unacked.pop(seq, None)
-        if entry is None:
-            return None
-        self.clock.cancel(entry.timer)
-        return entry.item
+        if entry is not None:
+            self.clock.cancel(entry.timer)
 
     @property
     def in_flight(self) -> int:
