@@ -15,7 +15,6 @@ from repro.middleware import (
     ControlPlaneApp,
     DsmApp,
     GlobalArraysApp,
-    IntegratorApp,
     PingPongApp,
     RpcApp,
     StreamApp,
@@ -27,22 +26,20 @@ from repro.util.units import KiB, us
 
 def conglomerate():
     """One PadicoTM-style stack: five middlewares over one node pair."""
-    return IntegratorApp(
-        [
-            PingPongApp(count=60, size=32, name="mpi-latency"),
-            StreamApp(size=16 * KiB, count=40, interval=5 * us,
-                      traffic_class=TrafficClass.BULK, name="mpi-bulk"),
-            RpcApp(calls=60, concurrency=4, service_time=2 * us, name="corba"),
-            DsmApp(faults=30, name="dsm"),
-            GlobalArraysApp(operations=60, name="ga"),
-            ControlPlaneApp(count=80, interval=6 * us, name="signalling"),
-        ]
-    )
+    return [
+        PingPongApp(count=60, size=32, name="mpi-latency"),
+        StreamApp(size=16 * KiB, count=40, interval=5 * us,
+                  traffic_class=TrafficClass.BULK, name="mpi-bulk"),
+        RpcApp(calls=60, concurrency=4, service_time=2 * us, name="corba"),
+        DsmApp(faults=30, name="dsm"),
+        GlobalArraysApp(operations=60, name="ga"),
+        ControlPlaneApp(count=80, interval=6 * us, name="signalling"),
+    ]
 
 
 def run(engine: str):
     cluster = Cluster(n_nodes=2, engine=engine, seed=2006)
-    report = run_session(cluster, [conglomerate().install])
+    report = run_session(cluster, [app.install for app in conglomerate()])
     return cluster, report
 
 

@@ -27,8 +27,8 @@ Layer map (paper Figure 1)
 * optimizer–scheduler → :mod:`repro.core`
 * transfer layer (drivers, NICs, networks) → :mod:`repro.drivers`,
   :mod:`repro.network`
-* baselines → :mod:`repro.baseline`; workloads → :mod:`repro.middleware`;
-  assembly/metrics → :mod:`repro.runtime`.
+
+The full module map is ``DESIGN.md`` §3.
 """
 
 from repro.baseline.legacy import LegacyEngine

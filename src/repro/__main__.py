@@ -506,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
 
     diff_parser = obs_sub.add_parser(
         "diff",
-        help="compare two traces or BENCH_*.json files metric-by-metric",
+        help="compare two traces or benchmarks/e2e/run.py results metric-by-metric",
     )
     diff_parser.add_argument("baseline", help="baseline trace or bench JSON")
     diff_parser.add_argument("candidate", help="candidate trace or bench JSON")

@@ -212,7 +212,7 @@ class ChannelQueue:
         return self._version
 
     def invalidate_caches(self) -> None:
-        """Force the next read to re-walk (benchmarks use this to defeat
+        """Force the next read to re-walk (equivalence tests use this to defeat
         cross-decision memoization; never needed in normal operation)."""
         self._version += 1
 

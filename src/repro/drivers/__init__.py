@@ -11,7 +11,6 @@ capabilities of the underlying network drivers").
 from repro.drivers.base import AggregationChoice, Driver
 from repro.drivers.capabilities import DriverCapabilities
 from repro.drivers.elan import ElanDriver
-from repro.drivers.ibverbs import IbverbsDriver
 from repro.drivers.mx import MxDriver
 from repro.drivers.registry import DRIVER_TYPES, make_driver
 from repro.drivers.tcp import TcpDriver
@@ -22,7 +21,6 @@ __all__ = [
     "Driver",
     "DriverCapabilities",
     "ElanDriver",
-    "IbverbsDriver",
     "MxDriver",
     "TcpDriver",
     "make_driver",

@@ -5,7 +5,7 @@ decision (can I aggregate? by copy or by gather? how large? eager or
 rendezvous? PIO or DMA?) queries the :class:`DriverCapabilities` of the
 candidate driver.  This is the paper's "optimizations are parameterized
 by the capabilities of the underlying network drivers", and it is what
-makes the same strategy code portable across MX, Elan, IB and TCP.
+makes the same strategy code portable across MX, Elan and TCP.
 """
 
 from __future__ import annotations

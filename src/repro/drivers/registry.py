@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.drivers.base import Driver
 from repro.drivers.elan import ElanDriver
-from repro.drivers.ibverbs import IbverbsDriver
 from repro.drivers.mx import MxDriver
 from repro.drivers.tcp import TcpDriver
 from repro.network.nic import NIC
@@ -21,7 +20,6 @@ __all__ = ["DRIVER_TYPES", "make_driver"]
 DRIVER_TYPES: dict[str, type[Driver]] = {
     "mx": MxDriver,
     "elan": ElanDriver,
-    "ib": IbverbsDriver,
     "tcp": TcpDriver,
 }
 

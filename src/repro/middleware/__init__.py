@@ -16,9 +16,7 @@ timing of those middlewares:
 * :class:`~repro.middleware.global_arrays.GlobalArraysApp` — one-sided
   put/get traffic;
 * :class:`~repro.middleware.control.ControlPlaneApp` — small
-  latency-critical signalling messages;
-* :class:`~repro.middleware.integrator.IntegratorApp` — a PadicoTM-style
-  composition running several middlewares over the same node pair.
+  latency-critical signalling messages.
 
 Every app exposes ``install(cluster)`` (usable directly as a
 :func:`repro.runtime.session.run_session` workload) and accumulates
@@ -35,16 +33,8 @@ from repro.middleware.collectives import (
 from repro.middleware.control import ControlPlaneApp
 from repro.middleware.dsm import DsmApp
 from repro.middleware.global_arrays import GlobalArraysApp
-from repro.middleware.integrator import IntegratorApp, uniform_small_flows
-from repro.middleware.mpi_like import PingPongApp, StreamApp
+from repro.middleware.mpi_like import PingPongApp, StreamApp, uniform_small_flows
 from repro.middleware.rpc import RpcApp
-from repro.middleware.trace_replay import (
-    TraceRecord,
-    TraceReplayApp,
-    load_trace,
-    save_trace,
-    synthesize_trace,
-)
 
 __all__ = [
     "AllReduceApp",
@@ -56,15 +46,9 @@ __all__ = [
     "DsmApp",
     "GlobalArraysApp",
     "HaloExchangeApp",
-    "IntegratorApp",
     "MiddlewareApp",
     "PingPongApp",
     "RpcApp",
     "StreamApp",
-    "TraceRecord",
-    "TraceReplayApp",
-    "load_trace",
-    "save_trace",
-    "synthesize_trace",
     "uniform_small_flows",
 ]

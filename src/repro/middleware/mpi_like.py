@@ -3,7 +3,8 @@
 :class:`PingPongApp` is the classic latency microbenchmark (closed
 loop); :class:`StreamApp` is an open-loop unidirectional stream with
 configurable arrival process and size distribution — the basic building
-block of the multi-flow aggregation experiments.
+block of the multi-flow aggregation experiments, which
+:func:`uniform_small_flows` instantiates N times over one node pair.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.util.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cluster import Cluster
 
-__all__ = ["PingPongApp", "StreamApp"]
+__all__ = ["PingPongApp", "StreamApp", "uniform_small_flows"]
 
 
 class PingPongApp(MiddlewareApp):
@@ -150,3 +151,32 @@ class StreamApp(MiddlewareApp):
                 self.messages.append(message)
 
         self.spawn(self.src, sender(), "sender")
+
+
+def uniform_small_flows(
+    n_flows: int,
+    *,
+    src: str = "n0",
+    dst: str = "n1",
+    size: int = 256,
+    count: int = 100,
+    interval: float = 0.0,
+    jitter: bool = True,
+    traffic_class: TrafficClass = TrafficClass.DEFAULT,
+) -> list[StreamApp]:
+    """N independent small-message streams between one node pair (E2)."""
+    if n_flows < 1:
+        raise ConfigurationError(f"n_flows must be >= 1, got {n_flows}")
+    return [
+        StreamApp(
+            src,
+            dst,
+            size=size,
+            count=count,
+            interval=interval,
+            jitter=jitter,
+            traffic_class=traffic_class,
+            name=f"flow{i}",
+        )
+        for i in range(n_flows)
+    ]

@@ -5,7 +5,7 @@ This package models the *transfer layer* of Figure 1 of the paper:
 * :mod:`~repro.network.model` — per-technology transfer cost models
   (PIO/DMA α+β terms, copy costs, gather/scatter overheads);
 * :mod:`~repro.network.technologies` — calibrated presets for
-  Myrinet/MX, Quadrics/Elan (QsNet), InfiniBand and GigE/TCP;
+  Myrinet/MX, Quadrics/Elan (QsNet) and GigE/TCP;
 * :mod:`~repro.network.wire` — wire packets and segments;
 * :mod:`~repro.network.nic` — the NIC busy/idle state machine whose
   *idle transition* triggers the optimizer (paper §3);
@@ -30,7 +30,6 @@ from repro.network.reliable import ReliabilityConfig, ReliableTransport, Transpo
 from repro.network.technologies import (
     TECHNOLOGIES,
     gige_tcp,
-    infiniband,
     myrinet_mx,
     quadrics_elan,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "WirePacket",
     "WireSegment",
     "gige_tcp",
-    "infiniband",
     "myrinet_mx",
     "quadrics_elan",
 ]

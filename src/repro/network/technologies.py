@@ -8,8 +8,6 @@ The constants follow published microbenchmarks of the paper era
 * **Quadrics QsNet II / Elan4**: ~1.5–2 µs latency, ~350 MB/s per rail
   (we use conservative host-limited figures rather than the 900 MB/s
   link peak — consistent with the Madeleine test platforms).
-* **InfiniBand 4x (Mellanox, 2005)**: ~5 µs latency through verbs,
-  ~700 MB/s.
 * **GigE / TCP**: ~50 µs latency, ~110 MB/s; no PIO/DMA distinction
   visible to the user, modelled as DMA-only with a high start-up.
 
@@ -24,7 +22,7 @@ from typing import Callable
 from repro.network.model import LinkModel
 from repro.util.units import mb_per_s, us
 
-__all__ = ["myrinet_mx", "quadrics_elan", "infiniband", "gige_tcp", "TECHNOLOGIES"]
+__all__ = ["myrinet_mx", "quadrics_elan", "gige_tcp", "TECHNOLOGIES"]
 
 
 def myrinet_mx() -> LinkModel:
@@ -57,21 +55,6 @@ def quadrics_elan() -> LinkModel:
     )
 
 
-def infiniband() -> LinkModel:
-    """InfiniBand 4x through verbs (a 2005-era Mellanox HCA)."""
-    return LinkModel(
-        name="ib",
-        pio_latency=1.5 * us,  # inline sends
-        pio_bandwidth=120 * mb_per_s,
-        dma_latency=5.0 * us,
-        dma_bandwidth=700 * mb_per_s,
-        wire_latency=0.5 * us,
-        copy_bandwidth=1500 * mb_per_s,
-        gather_entry_cost=0.20 * us,
-        rx_overhead=1.0 * us,
-    )
-
-
 def gige_tcp() -> LinkModel:
     """Gigabit Ethernet through the kernel TCP stack (fallback network)."""
     return LinkModel(
@@ -91,6 +74,5 @@ def gige_tcp() -> LinkModel:
 TECHNOLOGIES: dict[str, Callable[[], LinkModel]] = {
     "mx": myrinet_mx,
     "elan": quadrics_elan,
-    "ib": infiniband,
     "tcp": gige_tcp,
 }

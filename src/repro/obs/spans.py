@@ -192,8 +192,7 @@ class SpanCollector(KindSink):
     as a tracer sink.  Completed chains accumulate in
     :attr:`completed`; :meth:`drain_completed` hands them off
     incrementally, :meth:`finish` closes out chains whose delivery is
-    fully covered but whose ``message.complete`` never joined (live
-    mirror messages).
+    fully covered but whose ``message.complete`` never arrived.
     """
 
     __slots__ = (
@@ -206,7 +205,6 @@ class SpanCollector(KindSink):
         "evicted_chains",
         "_open_hold",
         "_undrained_since",
-        "_flow_order",
     )
 
     def __init__(self) -> None:
@@ -224,8 +222,6 @@ class SpanCollector(KindSink):
         #: Earliest submit among completed chains not yet drained (their
         #: attribution still needs the hold windows from there on).
         self._undrained_since = float("inf")
-        #: flow name -> chain keys in submit order (live completion join).
-        self._flow_order: dict[str, list[tuple[str, int]]] = {}
         self.handlers = {k: h.__get__(self) for k, h in self._HANDLERS.items()}
 
     # -- sink protocol -------------------------------------------------
@@ -255,22 +251,9 @@ class SpanCollector(KindSink):
         )
         key = (node, chain.message_id)
         if len(self.chains) >= _PENDING_CAP:
-            evicted = self.chains.pop(next(iter(self.chains)))
+            self.chains.pop(next(iter(self.chains)))
             self.evicted_chains += 1
-            self._forget_flow_entry(evicted)
         self.chains[key] = chain
-        if chain.flow is not None:
-            self._flow_order.setdefault(chain.flow, []).append(key)
-
-    def _forget_flow_entry(self, chain: MessageChain) -> None:
-        if chain.flow is None:
-            return
-        order = self._flow_order.get(chain.flow)
-        if order is not None:
-            try:
-                order.remove((chain.src, chain.message_id))
-            except ValueError:
-                pass
 
     def _on_hold_arm(self, event: TraceEvent) -> None:
         node = self._source_name(event)
@@ -409,20 +392,7 @@ class SpanCollector(KindSink):
 
     def _on_complete(self, event: TraceEvent) -> None:
         detail = event.detail
-        src = detail.get("src")
-        chain = None
-        if src is not None:
-            chain = self.chains.get((str(src), int(detail["message"])))
-        if chain is None:
-            # A trace recorded before mirrors carried the sender's id
-            # (peer-local negative ids).  Per-flow delivery is in order,
-            # so the oldest fully-covered chain of the flow completes.
-            flow = detail.get("flow")
-            for key in self._flow_order.get(flow, ()):
-                candidate = self.chains.get(key)
-                if candidate is not None and candidate.covered:
-                    chain = candidate
-                    break
+        chain = self.chains.get((detail.get("src"), int(detail["message"])))
         if chain is None:
             return
         chain.complete_t = event.time
@@ -437,7 +407,6 @@ class SpanCollector(KindSink):
 
     def _finalize(self, chain: MessageChain) -> None:
         self.chains.pop((chain.src, chain.message_id), None)
-        self._forget_flow_entry(chain)
         self.completed.append(chain)
         if chain.submit_t < self._undrained_since:
             self._undrained_since = chain.submit_t
@@ -470,8 +439,8 @@ class SpanCollector(KindSink):
 
     def finish(self) -> None:
         """Close out chains delivered in full but missing a completion
-        event (live mirror messages whose ``message.complete`` could not
-        be joined); incomplete chains stay in :attr:`chains`."""
+        event (a truncated trace); incomplete chains stay in
+        :attr:`chains`."""
         for key in [k for k, c in self.chains.items() if c.covered]:
             chain = self.chains[key]
             chain.complete_t = chain.last_deliver_t

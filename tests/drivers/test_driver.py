@@ -7,7 +7,6 @@ from repro.drivers import (
     Driver,
     DriverCapabilities,
     ElanDriver,
-    IbverbsDriver,
     MxDriver,
     TcpDriver,
     make_driver,
@@ -206,14 +205,6 @@ class TestSend:
 
 
 class TestPerTechnologyProfiles:
-    def test_ib_inline_window_small(self, sim):
-        from repro.network.technologies import infiniband
-
-        nic = NIC(sim, "i", "n0", infiniband(), lambda p, o: None)
-        driver = IbverbsDriver(nic)
-        assert driver.choose_mode(256) is TransferMode.PIO
-        assert driver.choose_mode(257) is TransferMode.DMA
-
     def test_elan_thresholds_above_mx(self, sim):
         from repro.network.technologies import quadrics_elan
 

@@ -38,7 +38,7 @@ class TestEachTechnology:
         # Chunked into max_aggregate_size pieces.
         assert stats.data_packets >= (1 * MiB) // (64 * KiB)
 
-    def test_ib_uses_rendezvous_earlier_than_mx(self):
+    def test_mx_uses_rendezvous_earlier_than_elan(self):
         def rdv_count(tech, size):
             cluster = Cluster(networks=[(tech, 1)], seed=1)
             api = cluster.api("n0")
@@ -46,9 +46,9 @@ class TestEachTechnology:
             cluster.run_until_idle()
             return cluster.engine("n0").stats.rdv_parked
 
-        size = 20 * KiB  # above IB's 16 KiB threshold, below MX's 32 KiB
-        assert rdv_count("ib", size) == 1
-        assert rdv_count("mx", size) == 0
+        size = 48 * KiB  # above MX's 32 KiB threshold, below Elan's 64 KiB
+        assert rdv_count("mx", size) == 1
+        assert rdv_count("elan", size) == 0
 
 
 class TestPartialConnectivity:

@@ -16,8 +16,10 @@ import pytest
 
 from repro.live import run_live_scenario
 from repro.obs.analyze import analyze_events, summary_metrics
+from repro.obs.causal import collector_report
 from repro.obs.export import to_chrome_trace
 from repro.obs.merge import KIND_WIRE_RECV
+from repro.obs.spans import SpanCollector
 
 _TIMEOUT = 30.0
 
@@ -52,6 +54,15 @@ class TestMergedTrace:
         # Ping-pong never aggregates across messages, so every delivered
         # message is exactly one correlated wire crossing.
         assert traced_run.crossings_matched >= traced_run.report.messages
+        # ... and every completion names its sender's chain: the receiving
+        # peer's message.complete carries the sender's (src, message).
+        collector = SpanCollector()
+        for event in traced_run.aligned_events:
+            if event.kind == "message.complete":
+                key = (event.detail["src"], event.detail["message"])
+                assert key in collector.chains
+            collector.ingest(event)
+        assert collector_report(collector).incomplete == 0
 
     def test_send_not_after_aligned_recv(self, traced_run):
         recvs = [

@@ -6,7 +6,6 @@ from repro.middleware import (
     ControlPlaneApp,
     DsmApp,
     GlobalArraysApp,
-    IntegratorApp,
     PingPongApp,
     RpcApp,
     StreamApp,
@@ -136,29 +135,6 @@ class TestControlPlane:
         run_session(cluster, [app.install])
         assert len(app.latencies) == 15
         assert all(l > 0 for l in app.latencies)
-
-
-class TestIntegrator:
-    def test_composes_apps(self, cluster):
-        parts = [PingPongApp(count=5), RpcApp(calls=5), ControlPlaneApp(count=5)]
-        app = IntegratorApp(parts)
-        run_session(cluster, [app.install])
-        assert app.done.done
-        assert all(p.done.done for p in parts)
-
-    def test_mixed_node_pairs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            IntegratorApp([PingPongApp("n0", "n1"), PingPongApp("n1", "n2")])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            IntegratorApp([])
-
-    def test_double_install_rejected(self, cluster):
-        app = IntegratorApp([PingPongApp(count=2)])
-        app.install(cluster)
-        with pytest.raises(ConfigurationError):
-            app.install(cluster)
 
 
 class TestUniformSmallFlows:

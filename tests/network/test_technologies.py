@@ -6,7 +6,6 @@ from repro.network.model import TransferMode
 from repro.network.technologies import (
     TECHNOLOGIES,
     gige_tcp,
-    infiniband,
     myrinet_mx,
     quadrics_elan,
 )
@@ -15,7 +14,7 @@ from repro.util.units import KiB, MiB, us
 
 class TestRegistry:
     def test_all_registered(self):
-        assert set(TECHNOLOGIES) == {"mx", "elan", "ib", "tcp"}
+        assert set(TECHNOLOGIES) == {"mx", "elan", "tcp"}
 
     def test_names_match_keys(self):
         for key, factory in TECHNOLOGIES.items():
@@ -33,10 +32,6 @@ class TestCalibrationShapes:
 
     def test_elan_higher_bandwidth_than_mx(self):
         assert quadrics_elan().dma_bandwidth > myrinet_mx().dma_bandwidth
-
-    def test_ib_highest_bandwidth(self):
-        ib = infiniband().dma_bandwidth
-        assert ib > quadrics_elan().dma_bandwidth > myrinet_mx().dma_bandwidth
 
     def test_tcp_much_slower_startup(self):
         assert gige_tcp().dma_latency > 10 * myrinet_mx().dma_latency

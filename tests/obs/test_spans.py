@@ -180,18 +180,6 @@ class TestChainReconstruction:
         assert leg.drops == 1
         assert leg.retransmits == [2.5]
 
-    def test_live_mirror_completion_joined_by_flow_order(self):
-        """A live receiver's message.complete carries a peer-local id;
-        the oldest fully-covered chain of the same flow is completed."""
-        events = _basic_stream()[:-1]  # drop the matching complete
-        events.append(_e(6.0, "reasm:n1", "message.complete",
-                         message=-3, flow="f.stream", src="n0"))
-        collector = SpanCollector()
-        collector.ingest_all(events)
-        (chain,) = collector.drain_completed()
-        assert chain.message_id == 7
-        assert chain.complete_t == 6.0
-
     def test_finish_closes_covered_chains(self):
         events = _basic_stream()[:-1]  # no message.complete at all
         collector = SpanCollector()

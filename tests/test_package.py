@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,71 @@ class TestDocumentation:
                             f"{module.__name__}.{cls_name}.{meth_name}"
                         )
         assert undocumented == []
+
+    def test_docs_reference_what_exists(self):
+        """Every back-ticked repo path and dotted ``repro.*`` name, and
+        every ``--flag``, that the prose documents mention resolves: to a
+        file, an importable name, or an ``add_argument`` of a CLI."""
+        root = Path(repro.__path__[0]).parents[1]
+        # Output files the reader names, not files of the repo.
+        placeholders = {"trace.json", "merged.json", "scenario.json", "t.jsonl"}
+        suffixes = (".py", ".md", ".json", ".jsonl", ".yml", ".toml")
+        flags = {
+            arg.value
+            for cli in ("src/repro/__main__.py", "src/repro/bench/__main__.py",
+                        "benchmarks/e2e/run.py")
+            for call in ast.walk(ast.parse((root / cli).read_text(encoding="utf-8")))
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", None) == "add_argument"
+            for arg in call.args
+            if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+        }
+
+        def importable(name):
+            parts = name.split(".")
+            for cut in range(len(parts), 0, -1):
+                try:
+                    obj = importlib.import_module(".".join(parts[:cut]))
+                except ImportError:
+                    continue
+                return all(
+                    (obj := getattr(obj, attr, None)) is not None
+                    for attr in parts[cut:]
+                )
+            return False
+
+        def is_file(token):
+            if "/" not in token:  # a bare file name: anywhere below the root
+                return token in placeholders or any(root.rglob(token))
+            return any(
+                any(base.glob(token))
+                for base in (root, root / "src", root / "src" / "repro")
+            )
+
+        dangling = []
+        for doc in ("README.md", "DESIGN.md", "docs/ARCHITECTURE.md", "EXPERIMENTS.md"):
+            text = (root / doc).read_text(encoding="utf-8")
+            for flag in set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)) - flags:
+                dangling.append(f"{doc}: {flag}")
+            inline = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+            for token in {t for span in inline for t in span.split()}:
+                token = token.strip(".,;:()[]\"'").split("::")[0]
+                if re.fullmatch(r"repro(\.\w+)+", token):
+                    ok = importable(token)
+                elif re.fullmatch(r"[\w.*/-]+", token) and token.endswith(
+                    suffixes + ("/",)
+                ):
+                    ok = is_file(token)
+                else:
+                    continue
+                if not ok:
+                    dangling.append(f"{doc}: {token}")
+        assert sorted(dangling) == [], dangling
+        # The module map (DESIGN.md §3) has one row per package.
+        design = (root / "DESIGN.md").read_text(encoding="utf-8")
+        assert sorted(re.findall(r"^  (\w+)/ ", design, flags=re.M)) == sorted(
+            init.parent.name for init in Path(repro.__path__[0]).glob("*/__init__.py")
+        )
 
 
 def _import_time_nodes(body):
@@ -197,3 +263,136 @@ class TestOneUncountedTimer:
             and (found := loop_reaches(path.read_text(encoding="utf-8")))
         }
         assert offenders == {}
+
+
+def _dotted(path: str) -> str:
+    parts = path[: -len(".py")].split("/")
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def orphan_modules(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Modules of ``package`` (relative path -> source) that nothing uses.
+
+    A use is an import — or a launch by dotted name, ``python -m`` —
+    from another module of the package or from one of ``users`` (outside
+    files, path -> source).  A name imported from a package is a use of
+    the one submodule that defines it.  An import in a package
+    ``__init__`` counts only if the ``__init__`` references the name in
+    its own code, or if the imported module registers itself in a table
+    (``@register_*``) and so is reached through the table's owner.
+    """
+    trees = {path: ast.parse(source) for path, source in package.items()}
+    modules = {_dotted(path): path for path in trees}
+    packages = {_dotted(path) for path in trees if path.endswith("__init__.py")}
+
+    def imports(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield alias.name, None, alias.asname or alias.name
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                for alias in node.names:
+                    yield node.module, alias.name, alias.asname or alias.name
+
+    exports = {
+        name: {bound: (mod, attr) for mod, attr, bound in imports(trees[modules[name]])}
+        for name in packages
+    }
+
+    def defining_module(mod, attr):
+        while True:
+            if attr is not None and f"{mod}.{attr}" in modules:
+                mod, attr = f"{mod}.{attr}", None
+            elif mod in packages and attr in exports[mod]:
+                mod, attr = exports[mod][attr]
+            else:
+                return mod if mod in modules and mod not in packages else None
+
+    def registers_itself(tree):
+        return any(
+            isinstance(dec, ast.Call)
+            and isinstance(dec.func, ast.Name)
+            and dec.func.id.startswith("register_")
+            for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            for dec in node.decorator_list
+        )
+
+    used = set()
+    for path, tree in {**trees, **{p: ast.parse(s) for p, s in users.items()}}.items():
+        own = _dotted(path) if path in trees else None
+        referenced = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for mod, attr, bound in imports(tree):
+            target = defining_module(mod, attr)
+            if target is None or target == own:
+                continue
+            if (
+                own in packages
+                and bound not in referenced
+                and not registers_itself(trees[modules[target]])
+            ):
+                continue  # a bare re-export
+            used.add(target)
+        used.update(
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value in modules
+            and node.value != own
+        )
+    return sorted(
+        name
+        for name in modules
+        if name not in packages and name not in used and not name.endswith("__main__")
+    )
+
+
+class TestSurface:
+    """Every module is reached by a scenario, an experiment or a ledger
+    workload: something in ``src/repro`` or ``benchmarks/e2e`` imports it.
+    Its own test, an example or a re-export in ``__init__`` is not a use."""
+
+    def test_scan_catches_a_planted_orphan(self):
+        package = {
+            "repro/__main__.py": (
+                "import sys\nfrom repro.apps import run\n"
+                "PEER = [sys.executable, '-m', 'repro.peer']"
+            ),
+            "repro/peer.py": "print('ready')",
+            "repro/apps/__init__.py": (
+                "from repro.apps.table import APP_TYPES, register_app\n"
+                "from repro.apps.stream import StreamApp\n"
+                "from repro.apps.replay import ReplayApp\n"
+                "from repro.apps.ping import PingApp\n"
+                "def run(kind):\n    return APP_TYPES[kind]()\n"
+                "__all__ = ['StreamApp', 'ReplayApp', 'PingApp', 'run']"
+            ),
+            "repro/apps/table.py": (
+                "APP_TYPES = {}\n"
+                "def register_app(name):\n"
+                "    return lambda cls: APP_TYPES.setdefault(name, cls)"
+            ),
+            "repro/apps/stream.py": "class StreamApp: ...",
+            "repro/apps/replay.py": "class ReplayApp: ...",
+            "repro/apps/ping.py": (
+                "from repro.apps.table import register_app\n"
+                "@register_app('ping')\nclass PingApp: ..."
+            ),
+        }
+        users = {"benchmarks/e2e/run.py": "from repro.apps import StreamApp"}
+        assert orphan_modules(package, users) == ["repro.apps.replay"]
+        assert orphan_modules(package, {}) == ["repro.apps.replay", "repro.apps.stream"]
+
+    def test_every_module_is_used(self):
+        src = Path(repro.__path__[0]).parent
+        package = {
+            path.relative_to(src).as_posix(): path.read_text(encoding="utf-8")
+            for path in sorted(src.rglob("*.py"))
+        }
+        e2e = src.parent / "benchmarks" / "e2e"
+        users = {
+            path.name: path.read_text(encoding="utf-8")
+            for path in sorted(e2e.glob("*.py"))
+        }
+        assert users, "benchmarks/e2e not found next to src/"
+        assert orphan_modules(package, users) == []
