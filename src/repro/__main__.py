@@ -6,7 +6,6 @@ Usage::
     python -m repro run scenario.json    # execute a declarative scenario
     python -m repro run scenario.json --trace-out trace.json \
         --metrics-out metrics.prom --sample-interval 1e-5
-    python -m repro tune scenario.json --json  # online adaptation plane on
     python -m repro live run scenario.json --serve :9464 --trace-out merged.json
     python -m repro obs analyze trace.json   # timelines + decision summary
     python -m repro obs diff base.json cand.json --check   # regression gate
@@ -108,12 +107,6 @@ def _cmd_run(args) -> int:
             merged = dict(scenario.get("faults", {}))
             merged.update(override)
             scenario["faults"] = merged
-    if args.tuner == "off":
-        scenario.pop("tuner", None)
-    elif args.tuner == "on":
-        tuner_spec = dict(scenario.get("tuner", {}))
-        tuner_spec["enabled"] = True
-        scenario["tuner"] = tuner_spec
     if args.trace_out or args.metrics_out or args.sample_interval is not None:
         obs_spec = dict(scenario.get("observability", {}))
         if args.sample_interval is not None:
@@ -161,22 +154,9 @@ def _cmd_run(args) -> int:
         print("latency histogram (us):")
         print(ascii_histogram(latencies_us, fmt="{:.1f}"))
     if cluster.tuner is not None:
-        summary = cluster.tuner.summary()
-        totals = summary["totals"]
         print("tuner:")
-        print(f"  decisions          : {totals['decisions']}")
-        for node, state in summary["nodes"].items():
-            line = f"  {node:<6} decisions={state['decisions']}"
-            sweep = state.get("sweep")
-            if sweep is not None:
-                line += f" sweep-trials={sweep['trials']}"
-                if sweep["best"] is not None:
-                    window, budget = sweep["best"]
-                    line += f" sweep-best=w{window}/b{budget}"
-            rails = state.get("rails")
-            if rails is not None:
-                line += f" rail-refreshes={rails['refreshes']}"
-            print(line)
+        for node, state in cluster.tuner.summary()["nodes"].items():
+            print(f"  {node:<6} rail-refreshes={state['rails']['refreshes']}")
     plane = cluster.obs
     if plane is not None:
         plane.finalize()
@@ -249,7 +229,6 @@ def _cmd_live_run(args) -> int:
             "crossings_matched": result.crossings_matched,
             "crossings_clamped": result.crossings_clamped,
             "tails": result.tails,
-            "tuner": result.tuner,
             "dead_peers": [
                 {
                     "rank": d.rank,
@@ -269,9 +248,6 @@ def _cmd_live_run(args) -> int:
         "delivered",
         verified=f"{result.bytes_verified} (corrupt: {result.corrupt_slices})",
     )
-    if result.tuner.get("enabled"):
-        totals = result.tuner["totals"]
-        print(f"tuner                : {int(totals.get('decisions', 0))} decisions")
     if report.retransmits or report.packets_dropped:
         print(
             f"chaos recovery       : {report.retransmits} retransmits "
@@ -379,48 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         help="periodic time-series sample interval in simulated seconds",
     )
     run_parser.add_argument(
-        "--tuner",
-        choices=("on", "off"),
-        help=(
-            "override the scenario's tuner block: 'on' enables the online "
-            "adaptation plane (defaults if the scenario has no block), "
-            "'off' removes it (dispatch byte-identical to a tuner-less run)"
-        ),
-    )
-    run_parser.add_argument(
         "--json",
         action="store_true",
         help="emit the full session report as JSON on stdout (no human text)",
     )
     run_parser.set_defaults(func=_cmd_run)
-
-    tune_parser = subparsers.add_parser(
-        "tune",
-        help="execute a scenario with the online adaptation plane forced on",
-    )
-    tune_parser.add_argument("scenario", help="path to a scenario JSON file")
-    tune_parser.add_argument(
-        "--trace-out", metavar="PATH", help="write the captured trace"
-    )
-    tune_parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="write end-of-run metrics as Prometheus text exposition",
-    )
-    tune_parser.add_argument(
-        "--sample-interval",
-        type=float,
-        metavar="SECONDS",
-        help="periodic time-series sample interval in simulated seconds",
-    )
-    tune_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full session report (incl. tuner state) as JSON",
-    )
-    tune_parser.set_defaults(
-        func=_cmd_run, tuner="on", faults=None, histogram=False
-    )
 
     live_parser = subparsers.add_parser(
         "live", help="run the engine over real sockets (repro.live)"

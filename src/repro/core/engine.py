@@ -119,9 +119,9 @@ class CommEngineBase:
         self._hold_timer: Event | None = None
         self._hold_wake = float("inf")
         #: Read-only tail statistics, set by the observability plane at
-        #: install time (None without a plane).  Consulted only on the
-        #: tracing-gated decide-record path: strategies do not act on
-        #: it yet, so dispatch stays identical with or without it.
+        #: install time (None without a plane that records tails).
+        #: Consulted on the tracing-gated decide-record path, and by the
+        #: rail selector when a ``tuner`` block installs one.
         self.tail_view = None
         #: Optional driver-iteration reorderer (``order(drivers)``),
         #: installed by the tuner's tail-acting rail selection.  None —

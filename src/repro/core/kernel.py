@@ -36,7 +36,7 @@ batching"):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.core.plan import PlanItem, TransferPlan
 from repro.madeleine.message import PackMode
@@ -104,10 +104,9 @@ class PendingArrays:
         "n_seed_flows",
     )
 
-    def __init__(self, entries: Sequence[SubmitEntry]) -> None:
+    def __init__(self, entry_list: list[SubmitEntry]) -> None:
         # Column extraction as comprehensions: each field is one C-speed
         # walk instead of one interpreted loop doing nine appends.
-        entry_list = list(entries)
         n = len(entry_list)
         self.entries = entry_list
         self.n = n
@@ -249,6 +248,7 @@ def build_eager_arrays(
     # eager candidate, nothing oversized): the walk collapses to flow
     # blocking plus budget packing — the steady-state shape of a loaded
     # queue, and the loop the candidate search spends its time in.
+    # Its number: +182 / +96 py_ops_per_msg (sim_mixed / sim_storm) without it.
     dst0 = arrays.uniform_dst
     if (
         dst0 is not None

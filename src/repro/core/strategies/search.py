@@ -24,12 +24,10 @@ Hot-path structure (one decision stays O(window), not O(backlog)):
   prefixes of it (a greedy walk stopped at *k* items takes exactly the
   first *k* items of the wider walk, and stopping early cannot change
   any earlier take/skip decision), so two of three builds disappear;
-* scores are memoized per ``(driver, channel, queue version, seed,
-  item count)`` — distinct widths that truncate to the same plan (a
-  control packet, a lone SAFER fragment, a two-entry queue) are scored
-  once.  The queue version stamp keys the cache, so any queue mutation
-  invalidates it for free; the cache itself is dropped whenever
-  simulated time moves (scores depend on waiting-time staleness).
+* within one seed, a width that truncates to the item count just
+  scored (a control packet, a lone SAFER fragment, a two-entry queue)
+  is charged to the budget and skipped: the same plan cannot beat its
+  own score under the strict ``>`` that picks the winner.
 
 Budget accounting is unchanged from the naive enumeration — each
 (seed, width) candidate costs one evaluation whether it was built,
@@ -67,13 +65,6 @@ class BoundedSearchStrategy(Strategy):
         self.candidates_evaluated = 0
         #: Candidates evaluated by the most recent ``make_plan`` call.
         self.last_evaluated = 0
-        # (driver id, channel, queue version, seed, items) -> (score, plan),
-        # valid for one instant of simulated time.  ``plan`` is None for
-        # batched candidates that were scored without being materialized;
-        # the winning candidate's plan is always stored (replays return
-        # the identical object).
-        self._score_cache: dict[tuple, tuple[float, TransferPlan | None]] = {}
-        self._cache_now: float | None = None
         self._last_explain: dict | None = None
 
     def make_plan(
@@ -87,7 +78,6 @@ class BoundedSearchStrategy(Strategy):
         stripe_chunk = config.stripe_chunk
         multirail = len(engine.drivers) > 1
         cost = engine.cost
-        driver_key = id(driver)
 
         # Rendezvous parking is a protocol action, not a rearrangement;
         # do it once up front so candidate generation has no side
@@ -100,14 +90,8 @@ class BoundedSearchStrategy(Strategy):
                     engine.park_for_rendezvous(arrays.entries[i], queue.channel_id)
 
         now = engine.sim.now
-        if now != self._cache_now:
-            self._score_cache.clear()
-            self._cache_now = now
-        cache = self._score_cache
-
         best_plan: TransferPlan | None = None
         best_score = float("-inf")
-        best_key: tuple | None = None
         best_build = None  # the winning SeedBuild awaiting materialization
         best_seed: tuple | None = None  # (arrays, channel, seed) of the winner
         best_n = 0
@@ -123,7 +107,6 @@ class BoundedSearchStrategy(Strategy):
             # One array mirror per queue (rebuilt only if the park
             # sweep above mutated it), shared by every seed build.
             arrays = queue.pending_arrays(window_limit)
-            version = queue.version
             channel_id = queue.channel_id
 
             # Uniform-window queues (the loaded steady state) are
@@ -132,6 +115,7 @@ class BoundedSearchStrategy(Strategy):
             # Every other window is built seed by seed.  Budget
             # accounting is the same either way — the equivalence tests
             # hold the two sources together.
+            # Its number: +675 py_ops_per_msg on sim_storm without the probe.
             stats = kernel.probe_uniform_seeds(
                 arrays, consts, full_width, widths, budget - evaluated
             )
@@ -172,53 +156,48 @@ class BoundedSearchStrategy(Strategy):
                         base_items = len(base.items)
                 if explain and base_items > widest_seen:
                     widest_seen = base_items
-                first = True
+                scored_n = 0  # item count of this seed's last scored width
                 for width in widths:
-                    if not first:
+                    if scored_n:
                         if evaluated >= budget:
                             out_of_budget = True
                             break
                         evaluated += 1
-                    first = False
                     n_items = base_items if width >= base_items else width
-                    key = (driver_key, channel_id, version, seed, n_items)
-                    cached = cache.get(key)
-                    if cached is None:
-                        # Prefixes are scored from their aggregates; no
-                        # plan object unless one wins.
-                        if probed:
-                            if n_items == base_items:
-                                p, o = payload, oldest
-                            else:
-                                p = -1
-                                o = 0.0
-                                for cut_n, cut_p, cut_o in snaps:
-                                    if cut_n == n_items:
-                                        p, o = cut_p, cut_o
-                                        break
-                                assert p >= 0, "probe width cut missing"
-                            cached = (score_packed(consts, n_items, p, o, now), None)
-                        elif build is not None:
-                            cached = (
-                                score_packed(
-                                    consts,
-                                    n_items,
-                                    build.payload_prefix[n_items - 1],
-                                    build.oldest_prefix[n_items - 1],
-                                    now,
-                                ),
-                                None,
-                            )
+                    if n_items == scored_n:
+                        continue
+                    scored_n = n_items
+                    # Prefixes are scored from their aggregates; no plan
+                    # object unless one wins.
+                    plan = None
+                    if probed:
+                        if n_items == base_items:
+                            p, o = payload, oldest
                         else:
-                            # Control / rendezvous / lone-SAFER plans
-                            # come out of the builder materialized.
-                            cached = (cost.score(base, now), base)
-                        cache[key] = cached
-                    score, plan = cached
+                            p = -1
+                            o = 0.0
+                            for cut_n, cut_p, cut_o in snaps:
+                                if cut_n == n_items:
+                                    p, o = cut_p, cut_o
+                                    break
+                            assert p >= 0, "probe width cut missing"
+                        score = score_packed(consts, n_items, p, o, now)
+                    elif build is not None:
+                        score = score_packed(
+                            consts,
+                            n_items,
+                            build.payload_prefix[n_items - 1],
+                            build.oldest_prefix[n_items - 1],
+                            now,
+                        )
+                    else:
+                        # Control / rendezvous / lone-SAFER plans come
+                        # out of the builder materialized.
+                        plan = base
+                        score = cost.score(base, now)
                     if score > best_score:
                         best_score = score
                         best_plan = plan
-                        best_key = key
                         best_build = build
                         best_seed = (arrays, channel_id, seed)
                         best_n = n_items
@@ -239,9 +218,7 @@ class BoundedSearchStrategy(Strategy):
         if best_seed is not None:
             best = (best_score, best_seed[1], best_seed[2])
             if best_plan is None:
-                # Materialize the winner (exactly one plan per decision)
-                # and store it back so an unchanged-queue replay returns
-                # this very object.
+                # Materialize the winner (exactly one plan per decision).
                 if best_build is None:
                     # Probe winner: rebuild its seed over the same (still
                     # coherent) arrays — deterministic, so the prefix is
@@ -261,7 +238,6 @@ class BoundedSearchStrategy(Strategy):
                     )
                     assert type(best_build) is SeedBuild
                 best_plan = best_build.plan(best_n)
-                cache[best_key] = (best_score, best_plan)
         self._account(explain, evaluated, budget, out_of_budget, widest_seen, best)
         return best_plan
 

@@ -24,11 +24,12 @@ recomputed:
 * :meth:`ChannelQueue.remove` is O(1): entries live in a lazily
   compacted slot list (entry → slot index), removal blanks the
   slot, and compaction runs only when dead slots outnumber live ones;
-* ``oldest_submit_time`` and windowed :meth:`ChannelQueue.pending`
-  snapshots are memoized against the queue's **version stamp**, which
-  every mutation bumps — a scheduling decision that evaluates dozens of
-  candidate plans over an unchanged queue pays for one walk, not one
-  per candidate.
+* the decision path's one memo is the flat-array mirror of the window
+  (:meth:`ChannelQueue.pending_arrays`), keyed on the queue's **version
+  stamp**, which every mutation bumps — a scheduling decision that
+  evaluates dozens of candidates over an unchanged queue pays for one
+  walk, not one per candidate (+1,290 / +2,277 ``py_ops_per_msg`` on
+  ``sim_mixed`` / ``sim_storm`` without it).
 
 The brute-force definitions these counters must agree with are kept in
 :meth:`ChannelQueue.recount` (exercised by the hypothesis property
@@ -76,11 +77,6 @@ class ChannelQueue:
         "_pending_bytes",
         "_version",
         "_lists",
-        "_snap_version",
-        "_snap_window",
-        "_snap",
-        "_oldest_version",
-        "_oldest",
         "_arrays_version",
         "_arrays_window",
         "_arrays",
@@ -97,11 +93,6 @@ class ChannelQueue:
         self._pending_bytes = 0
         self._version = 0
         self._lists = lists
-        self._snap_version = -1
-        self._snap_window: int | None = None
-        self._snap: tuple[SubmitEntry, ...] = ()
-        self._oldest_version = -1
-        self._oldest: float | None = None
         self._arrays_version = -1
         self._arrays_window: int | None = None
         self._arrays = None  # kernel.PendingArrays mirror of the snapshot
@@ -204,7 +195,7 @@ class ChannelQueue:
         self._index = {e: i for i, e in enumerate(self._slots)}
 
     # ------------------------------------------------------------------
-    # reads (all memoized against the version stamp)
+    # reads
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
@@ -221,25 +212,16 @@ class ChannelQueue:
 
         ``window`` is the paper's *lookahead window*: how many waiting
         packets the optimizer may examine per decision.  ``None`` means
-        unbounded.  Returns a fresh list; the underlying snapshot is
-        cached until the queue changes.
+        unbounded.  Returns a fresh list (one queue walk).
         """
-        return list(self._snapshot(window))
-
-    def pending_view(self, window: int | None = None) -> tuple[SubmitEntry, ...]:
-        """Like :meth:`pending` but returns the cached immutable
-        snapshot without a defensive copy — for hot-path readers (the
-        packet builders) that only iterate it."""
         return self._snapshot(window)
 
-    def _snapshot(self, window: int | None) -> tuple[SubmitEntry, ...]:
-        if self._snap_version == self._version:
-            snap, cached_window = self._snap, self._snap_window
-            if cached_window is None or len(snap) < cached_window:
-                # Complete snapshot of everything pending: serves any window.
-                return snap if window is None else snap[:window]
-            if window is not None and window <= cached_window:
-                return snap[:window]
+    def pending_view(self, window: int | None = None) -> list[SubmitEntry]:
+        """Like :meth:`pending` but the memoized mirror's own entry list,
+        without a copy — for readers that only iterate it."""
+        return self.pending_arrays(window).entries
+
+    def _snapshot(self, window: int | None) -> list[SubmitEntry]:
         self._prune()
         result: list[SubmitEntry] = []
         slots = self._slots
@@ -265,10 +247,7 @@ class ChannelQueue:
             result.append(entry)
             if window is not None and len(result) >= window:
                 break
-        self._snap = tuple(result)
-        self._snap_window = window
-        self._snap_version = self._version
-        return self._snap
+        return result
 
     def pending_arrays(self, window: int | None = None):
         """Flat-array mirror of :meth:`pending_view` (same window).
@@ -279,13 +258,13 @@ class ChannelQueue:
         ``state`` lists, so the decision kernel's candidate loop reads
         list slots instead of chasing :class:`SubmitEntry` attributes.
 
-        Coherence rides the same version stamp as every other cached
-        read: any observable entry mutation notifies the queue (state
-        transitions, byte consumption) or passes through it (append /
-        remove), bumping ``_version`` and invalidating the mirror.  The
-        one meta flag the kernel consumes (``no_rdv``) is only ever set
-        while its entry is parked *outside* any queue, so re-enqueueing
-        it bumps the version too.
+        Coherence rides the version stamp: any observable entry
+        mutation notifies the queue (state transitions, byte
+        consumption) or passes through it (append / remove), bumping
+        ``_version`` and invalidating the mirror.  The one meta flag the
+        kernel consumes (``no_rdv``) is only ever set while its entry is
+        parked *outside* any queue, so re-enqueueing it bumps the
+        version too.
         """
         if self._arrays_version == self._version and self._arrays_window == window:
             return self._arrays
@@ -296,22 +275,6 @@ class ChannelQueue:
         self._arrays_window = window
         self._arrays_version = self._version
         return arrays
-
-    @property
-    def oldest_submit_time(self) -> float | None:
-        """Submit time of the oldest pending entry (None when empty)."""
-        if self._oldest_version != self._version:
-            self._prune()
-            oldest = None
-            slots = self._slots
-            for position in range(self._head, len(slots)):
-                entry = slots[position]
-                if entry is not None and entry._state in _PENDING_STATES:
-                    oldest = entry.submit_time
-                    break
-            self._oldest = oldest
-            self._oldest_version = self._version
-        return self._oldest
 
     @property
     def pending_bytes(self) -> int:
@@ -401,16 +364,6 @@ class WaitingLists:
     def total_pending_bytes(self) -> int:
         """Pending bytes across all channels (O(1))."""
         return self._total_pending_bytes
-
-    @property
-    def oldest_submit_time(self) -> float | None:
-        """Oldest pending submit time across all channels."""
-        times = [
-            t
-            for q in self._queues.values()
-            if q._pending_count and (t := q.oldest_submit_time) is not None
-        ]
-        return min(times) if times else None
 
     def __bool__(self) -> bool:
         return self._total_pending > 0

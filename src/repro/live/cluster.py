@@ -114,9 +114,6 @@ class LiveRunResult:
     #: per-edge/per-rail/per-node p50..p999 plus SLO burn rates); empty
     #: when the run carried no observability.
     tails: dict[str, Any] = field(default_factory=dict)
-    #: Pooled ``repro_tuner_*`` counters (same shape ``GET /tuner``
-    #: serves mid-run); ``enabled: false`` when no peer ran a tuner.
-    tuner: dict[str, Any] = field(default_factory=dict)
     #: Peers declared dead mid-run (empty on a clean run).  When
     #: non-empty, ``report.degraded`` is True and the report merges only
     #: the survivors' views.
@@ -218,18 +215,6 @@ class _ObsState:
         with self._lock:
             return dict(self._peers)
 
-    def tuner(self) -> dict[str, Any]:
-        """In-flight online-adaptation view for ``GET /tuner``.
-
-        Per-peer ``repro_tuner_*`` counters from the latest FLUSH
-        registry snapshots, plus cluster totals.  A scenario without a
-        tuner block reports ``enabled: false`` and no nodes — the
-        counters only exist when a peer installed the tuner.
-        """
-        with self._lock:
-            per_peer = dict(self._metrics_by_peer)
-        return pool_tuner_counters(per_peer)
-
     def why(self) -> dict[str, Any]:
         """In-flight causal-attribution view for ``GET /why``.
 
@@ -262,35 +247,6 @@ class _ObsState:
         }
         self._why_cache = (total, payload)
         return payload
-
-
-def pool_tuner_counters(
-    per_peer: Mapping[str, Mapping[str, Any]],
-) -> dict[str, Any]:
-    """Fold every peer's ``repro_tuner_*`` counters into one summary.
-
-    Serves both the mid-run ``/tuner`` endpoint and the post-run
-    :attr:`LiveRunResult.tuner` field.  A run without a tuner block has
-    no such counters, so the summary reports ``enabled: false``.
-    """
-    prefix = "repro_tuner_"
-    nodes: dict[str, dict[str, float]] = {}
-    for snapshot in per_peer.values():
-        for metric in snapshot.get("metrics", ()):
-            name = metric.get("name", "")
-            if not name.startswith(prefix):
-                continue
-            labels = dict(metric.get("labels") or ())
-            node = labels.get("node", "?")
-            short = name[len(prefix):]
-            if short.endswith("_total"):
-                short = short[: -len("_total")]
-            nodes.setdefault(node, {})[short] = metric.get("value", 0)
-    totals: dict[str, float] = {}
-    for counters in nodes.values():
-        for key, value in counters.items():
-            totals[key] = totals.get(key, 0) + value
-    return {"enabled": bool(nodes), "nodes": nodes, "totals": totals}
 
 
 #: Upper bound on one control round-trip.  A healthy peer answers in
@@ -875,7 +831,6 @@ def _merge_run(
         crossings_clamped=merged.crossings_clamped,
         cluster_registry=cluster_registry,
         tails=tails,
-        tuner=pool_tuner_counters(obs.metrics_by_peer),
         dead_peers=dead_peers,
     )
 
@@ -905,9 +860,8 @@ def run_live_scenario(
     every poll and the result carries one aligned merged trace.
     ``serve`` (``"PORT"``/``":PORT"``/``"HOST:PORT"``) additionally
     exposes live cluster ``/metrics`` (Prometheus text), ``/status``
-    (JSON), ``/peers`` (liveness), ``/tails`` (tail-latency view),
-    ``/tuner`` (online adaptation) and ``/why`` (causal attribution)
-    for the duration of the run.
+    (JSON), ``/peers`` (liveness), ``/tails`` (tail-latency view) and
+    ``/why`` (causal attribution) for the duration of the run.
 
     A scenario ``"faults"`` block arms chaos injection *and* the
     coordinator watchdog: peers that die mid-run are declared dead,
@@ -951,13 +905,13 @@ def run_live_scenario(
         if serve_host is not None:
             server = ObsHTTPServer(
                 obs_state.metrics_text, obs_state.status, obs_state.peers,
-                obs_state.tails, obs_state.tuner, obs_state.why,
+                obs_state.tails, obs_state.why,
                 host=serve_host, port=serve_port,
             )
             server.start()
             print(
-                f"[repro.live] serving /metrics, /status, /peers, /tails, "
-                f"/tuner and /why on {server.address}",
+                f"[repro.live] serving /metrics, /status, /peers, /tails "
+                f"and /why on {server.address}",
                 file=sys.stderr,
             )
         _bring_up(

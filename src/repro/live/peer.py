@@ -216,8 +216,6 @@ class LivePeer:
         self._pre_start_frames: list = []
         self._build_stack(spec)
         self._install_observability()
-        # Tuner counters ride the FLUSH registry snapshots as
-        # ``repro_tuner_*`` metrics and feed the coordinator's ``/tuner``.
         self.tuner = install_tuner(self, scenario.get("tuner"))
 
     # -- the Cluster accessors workload apps call ----------------------
@@ -530,12 +528,6 @@ class LivePeer:
                 registry.counter(
                     metric, labels, help=f"{text} by the chaos injectors"
                 ).set_total(chaos[key])
-        if self.tuner is not None:
-            registry.counter(
-                "repro_tuner_decisions_total",
-                labels,
-                help="Decisions observed by the online tuner",
-            ).set_total(self.tuner.tuners[self.local].decisions)
 
     def report(self) -> dict[str, Any]:
         """The final REPORT payload: records, counters, apps, trace."""

@@ -47,7 +47,6 @@ __all__ = [
     "DecodedFrame",
     "correlation_id",
     "encode_frame",
-    "encode_packet",
     "decode_frame",
 ]
 
@@ -259,29 +258,6 @@ def encode_frame(
         WIRE_MAGIC, WIRE_VERSION, _KIND_CODES[kind], 0, 0, zlib.crc32(body), len(body)
     )
     return prefix + body
-
-
-def encode_packet(packet: WirePacket, payloads: Sequence[tuple[dict[str, Any], bytes]]) -> bytes:
-    """Encode a :class:`WirePacket` given per-segment descriptors + bytes.
-
-    ``payloads`` pairs up positionally with ``packet.segments``; the
-    offset/length framing comes from the packet's own segments.
-    """
-    if len(payloads) != len(packet.segments):
-        raise WireError(
-            f"packet has {len(packet.segments)} segments but {len(payloads)} payloads given"
-        )
-    return encode_frame(
-        packet.kind,
-        packet.src,
-        packet.dst,
-        packet.channel_id,
-        packet.meta,
-        [
-            (descriptor, seg.offset, seg.length, data)
-            for seg, (descriptor, data) in zip(packet.segments, payloads)
-        ],
-    )
 
 
 class _Cursor:

@@ -164,11 +164,14 @@ class ObservabilityPlane:
             cluster.sim.tracer.subscribe(self.tail_recorder)
         if self.tail_exemplars is not None:
             cluster.sim.tracer.subscribe(self.tail_exemplars)
-        # The view is read-only and only feeds tracing-side records
-        # (tail_hint), so handing it to every engine cannot change
-        # dispatch — the identity tests pin that.
-        for engine in cluster.engines.values():
-            engine.tail_view = self.tail_view
+        # The view is read-only; handing it to every engine changes
+        # dispatch only where a ``tuner`` block installs a rail selector
+        # on it.  Without the recorder (``"trace": false``) nothing
+        # would ever feed it, so engines keep ``tail_view = None`` and a
+        # selector refuses to install on tails that cannot exist.
+        if self.tail_recorder is not None:
+            for engine in cluster.engines.values():
+                engine.tail_view = self.tail_view
         if self.config.sample_interval is not None:
             self.sampler = ObservabilitySampler(
                 cluster,

@@ -12,8 +12,6 @@ is in flight:
 * ``GET /tails`` — JSON tail-latency view: per-edge/per-rail
   p50/p90/p99/p999 from the merged quantile sketches plus SLO burn
   rates (see :mod:`repro.obs.tails`).
-* ``GET /tuner`` — JSON online-adaptation view: per-peer and pooled
-  ``repro_tuner_*`` counters (see :mod:`repro.tuner`).
 * ``GET /why`` — JSON causal-attribution view: per-edge blame-bucket
   fractions and slowest-message exemplars computed over the events
   merged so far (see :mod:`repro.obs.causal`).
@@ -76,9 +74,6 @@ class ObsHTTPServer:
     tails:
         Optional zero-arg callable returning a JSON-able dict for
         ``/tails`` (tail-latency view); without it the route 404s.
-    tuner:
-        Optional zero-arg callable returning a JSON-able dict for
-        ``/tuner`` (online-adaptation view); without it the route 404s.
     why:
         Optional zero-arg callable returning a JSON-able dict for
         ``/why`` (causal-attribution view); without it the route 404s.
@@ -93,7 +88,6 @@ class ObsHTTPServer:
         status: Callable[[], Mapping[str, Any]],
         peers: Callable[[], Mapping[str, Any]] | None = None,
         tails: Callable[[], Mapping[str, Any]] | None = None,
-        tuner: Callable[[], Mapping[str, Any]] | None = None,
         why: Callable[[], Mapping[str, Any]] | None = None,
         *,
         host: str = "127.0.0.1",
@@ -103,7 +97,6 @@ class ObsHTTPServer:
         self._status = status
         self._peers = peers
         self._tails = tails
-        self._tuner = tuner
         self._why = why
         self._host = host
         self._port = port
@@ -245,9 +238,6 @@ class ObsHTTPServer:
             if route == "/tails" and self._tails is not None:
                 body = json.dumps(dict(self._tails()), indent=2, sort_keys=True)
                 return "200 OK", "application/json", (body + "\n").encode("utf-8")
-            if route == "/tuner" and self._tuner is not None:
-                body = json.dumps(dict(self._tuner()), indent=2, sort_keys=True)
-                return "200 OK", "application/json", (body + "\n").encode("utf-8")
             if route == "/why" and self._why is not None:
                 body = json.dumps(dict(self._why()), indent=2, sort_keys=True)
                 return "200 OK", "application/json", (body + "\n").encode("utf-8")
@@ -256,5 +246,5 @@ class ObsHTTPServer:
         return (
             "404 Not Found",
             "text/plain",
-            b"not found; try /metrics, /status, /peers, /tails, /tuner or /why\n",
+            b"not found; try /metrics, /status, /peers, /tails or /why\n",
         )

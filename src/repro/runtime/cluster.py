@@ -121,14 +121,12 @@ def build_node_stack(
 def install_tuner(
     cluster: Any, tuner: "Mapping | TunerConfig | None"
 ) -> ClusterTuner | None:
-    """Install the online tuner a ``tuner`` block asks for, if it asks
-    (``None`` and ``{"enabled": false}`` install nothing).  Goes after the
-    observability plane: the tuner wants the tail view it hands out."""
+    """Install the rail selectors a ``tuner`` block asks for (``None``
+    installs nothing).  Goes after the observability plane: the
+    selectors read the tail view it hands the engines."""
     if tuner is None:
         return None
     config = tuner if isinstance(tuner, TunerConfig) else TunerConfig.from_spec(tuner)
-    if not config.enabled:
-        return None
     cluster_tuner = ClusterTuner(config)
     cluster_tuner.install(cluster)
     return cluster_tuner
@@ -185,13 +183,12 @@ class Cluster:
         periodic sampler are attached as ``cluster.obs``; ``None``
         (default) keeps every emit site on the NullTracer fast path.
     tuner:
-        Optional online adaptation plane: a
+        Optional tail-acting rail selection: a
         :class:`~repro.tuner.TunerConfig` or a mapping in the scenario
-        ``"tuner"`` schema (see :mod:`repro.tuner.config`).  When set
-        and enabled, each engine's strategy is wrapped by the tuner
-        (``cluster.tuner``); ``None`` (default) — or
-        ``{"enabled": false}`` — installs nothing, keeping dispatch
-        byte-identical to a tuner-less build.
+        ``"tuner"`` schema (see :mod:`repro.tuner`).  When set,
+        every engine gets a rail selector (``cluster.tuner``) and
+        ``observability`` must record tails; ``None`` (default)
+        installs nothing.
     """
 
     def __init__(

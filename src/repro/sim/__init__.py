@@ -7,9 +7,8 @@ A deliberately small, deterministic event engine:
   cancellable scheduled callbacks with deterministic tie-breaking;
 * :class:`~repro.sim.process.Process` / :class:`~repro.sim.process.Future`
   — generator-based cooperative processes for closed-loop workloads;
-* :class:`~repro.sim.resources.Resource` /
-  :class:`~repro.sim.resources.Store` — classic queueing primitives used
-  to model host CPU contention and mailbox hand-off.
+* :class:`~repro.sim.resources.Store` — the mailbox that hands received
+  messages to middleware processes.
 
 Everything above (:mod:`repro.network`, :mod:`repro.core`, …) runs inside
 one :class:`Simulator` per experiment.
@@ -18,14 +17,13 @@ one :class:`Simulator` per experiment.
 from repro.sim.engine import Simulator
 from repro.sim.event import Event, EventQueue
 from repro.sim.process import Future, Process, all_of
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 __all__ = [
     "Event",
     "EventQueue",
     "Future",
     "Process",
-    "Resource",
     "Simulator",
     "Store",
     "all_of",

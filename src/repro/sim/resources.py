@@ -1,8 +1,6 @@
-"""Classic queueing primitives on top of the event kernel.
+"""The mailbox on top of the event kernel.
 
-:class:`Resource` models a counted resource with FIFO admission — we use
-it for host-CPU contention (PIO transfers burn host cycles; DMA does
-not).  :class:`Store` is an unbounded producer/consumer mailbox used for
+:class:`Store` is an unbounded producer/consumer mailbox used for
 receiver-side hand-off to middleware processes.
 """
 
@@ -13,56 +11,8 @@ from typing import Any
 
 from repro.sim.engine import Simulator
 from repro.sim.process import Future
-from repro.util.errors import SimulationError
 
-__all__ = ["Resource", "Store"]
-
-
-class Resource:
-    """A counted resource with FIFO waiters.
-
-    ``acquire()`` returns a :class:`Future` that resolves when a unit is
-    granted; the holder must call ``release()`` exactly once per grant.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self._sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: deque[Future] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Units currently granted."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of pending acquire requests."""
-        return len(self._waiters)
-
-    def acquire(self) -> Future:
-        """Request one unit; the returned future resolves on grant."""
-        grant = Future()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            grant.resolve(None)
-        else:
-            self._waiters.append(grant)
-        return grant
-
-    def release(self) -> None:
-        """Return one unit, waking the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release() on idle resource {self.name!r}")
-        if self._waiters:
-            # Hand the unit directly to the next waiter; in_use unchanged.
-            self._waiters.popleft().resolve(None)
-        else:
-            self._in_use -= 1
+__all__ = ["Store"]
 
 
 class Store:

@@ -1,168 +1,140 @@
-"""The online adaptation plane: sweeps and rail selection behind one hook.
+"""Tail-acting rail selection: the scheduler acts on the tails it observes.
 
-``repro/tuner/`` is the controller the paper's thesis calls for: the
-optimizer should not run one fixed configuration per session but adapt
-to the workload it actually observes.  One :class:`Tuner` sits beside
-each engine (sim and live planes alike) and closes two loops:
+A scenario ``"tuner"`` block installs one
+:class:`~repro.tuner.rails.TailRailSelector` per engine as
+``engine.rail_selector``, in the sim and live planes alike.  Its number:
+``tests/tuner/test_rails.py::TestSkewedRailRun``, steady-state p99
+105.49 → 21.36 µs with a slow rail listed first.  The block is strict
+and optional; present, it turns selection on (there is no other
+switch)::
 
-* **online parameter sweeps** — a
-  :class:`~repro.tuner.sweep.SweepController` runs epsilon-greedy or
-  successive-halving trials over the lookahead window and rearrangement
-  budget, scored by live engine counters (the paper's own future work);
-  it is stepped once per scheduling decision by :class:`TunedStrategy`,
-  the per-decision hook wrapped around the engine's strategy;
-* **tail-acting rail selection** — a
-  :class:`~repro.tuner.rails.TailRailSelector` reorders the engine's
-  rails by observed p99 against a budget, *acting* on the telemetry the
-  tail view collects.
+    "tuner": {
+      "rails": {                  # every key optional
+        "p99_budget_us": 500.0,
+        "min_samples": 32,
+        "refresh_every": 32
+      }
+    }
 
-The escape hatch is structural: with ``tuner: off`` (the default)
-nothing here is imported into the hot path — no wrapper, no selector,
-no per-decision hook — so dispatch is byte-identical to a tuner-less
-build (``tests/tuner/test_tuner.py`` pins exactly that).
+Same contract as the ``"faults"`` and ``"observability"`` blocks: an
+unknown key is a :class:`~repro.util.errors.ConfigurationError` naming
+it, and so is a block without the tails it acts on (``observability``
+with tracing on) — a knob silently ignored would invalidate the run it
+was meant to tune.  Nothing else is touched: ``engine.strategy`` stays
+the object the scenario's strategy factory returned, and without the
+block no selector exists, so dispatch without a tuner is identical by
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Mapping
 
-from repro.core.plan import Hold, TransferPlan
-from repro.core.strategies.base import Strategy
-from repro.drivers.base import Driver
-from repro.tuner.config import RailsConfig, SweepConfig, TunerConfig
 from repro.tuner.rails import TailRailSelector
-from repro.tuner.sweep import SweepController
 from repro.util.errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine import CommEngineBase
-    from repro.obs.tails import TailView
-    from repro.runtime.cluster import Cluster
-
-__all__ = [
-    "ClusterTuner",
-    "RailsConfig",
-    "SweepConfig",
-    "SweepController",
-    "TailRailSelector",
-    "TunedStrategy",
-    "Tuner",
-    "TunerConfig",
-]
+__all__ = ["ClusterTuner", "RailsConfig", "TailRailSelector", "TunerConfig"]
 
 
-class TunedStrategy(Strategy):
-    """The per-decision hook behind the existing strategy interface.
+def _reject_unknown(spec: Mapping[str, Any], known: tuple, where: str) -> None:
+    for key in spec:
+        if key not in known:
+            raise ConfigurationError(
+                f"unknown {where} key {key!r} (known: {sorted(known)})"
+            )
 
-    Installed by the tuner in place of the engine's strategy (never via
-    the registry — it is infrastructure, not a scenario-selectable
-    policy).  Each ``make_plan`` call lets the tuner observe the
-    decision (sweep stepping), then delegates to the wrapped strategy.
+
+@dataclass(frozen=True, slots=True)
+class RailsConfig:
+    """Tail-acting rail selection: prefer rails within the p99 budget.
+
+    Parameters
+    ----------
+    p99_budget_us:
+        A rail whose service-time sketch p99 is at or below this is
+        "within budget" and preferred (best p99 first); rails above it
+        are tried last.
+    min_samples:
+        Sketch observations a rail needs before its tail is trusted;
+        rails with fewer keep their original position.
+    refresh_every:
+        Scheduling passes between re-reads of the tail view (ordering
+        is cached in between — quantile queries are not free).
     """
 
-    name = "tuned"
+    p99_budget_us: float = 1000.0
+    min_samples: int = 32
+    refresh_every: int = 32
 
-    def __init__(self, inner: Strategy, tuner: "Tuner") -> None:
-        self.inner = inner
-        self._tuner = tuner
+    def __post_init__(self) -> None:
+        if self.p99_budget_us <= 0:
+            raise ConfigurationError(
+                f"p99_budget_us must be > 0, got {self.p99_budget_us}"
+            )
+        if self.min_samples < 1:
+            raise ConfigurationError(
+                f"min_samples must be >= 1, got {self.min_samples}"
+            )
+        if self.refresh_every < 1:
+            raise ConfigurationError(
+                f"refresh_every must be >= 1, got {self.refresh_every}"
+            )
 
-    def make_plan(
-        self, engine: "CommEngineBase", driver: Driver
-    ) -> TransferPlan | Hold | None:
-        self._tuner.on_decision()
-        return self.inner.make_plan(engine, driver)
-
-    def explain_last(self) -> dict | None:
-        explain: dict = {"inner_strategy": type(self.inner).name}
-        inner = self.inner.explain_last()
-        if inner:
-            explain.update(inner)
-        return explain
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TunedStrategy({self.inner!r})"
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, Any]) -> "RailsConfig":
+        _reject_unknown(spec, cls.__slots__, "tuner rails")
+        return cls(**dict(spec))
 
 
-class Tuner:
-    """One engine's online controller (install → observe → adapt)."""
+@dataclass(frozen=True, slots=True)
+class TunerConfig:
+    """The scenario ``"tuner"`` block: the :class:`RailsConfig` of its
+    ``rails`` key."""
 
-    def __init__(
-        self,
-        engine: "CommEngineBase",
-        config: TunerConfig | None = None,
-        tail_view: "TailView | None" = None,
-    ) -> None:
-        self.engine = engine
-        self.config = config if config is not None else TunerConfig()
-        self.tail_view = tail_view if tail_view is not None else engine.tail_view
-        #: Scheduling decisions observed since install.
-        self.decisions = 0
-        self.sweep: SweepController | None = None
-        self.rail_selector: TailRailSelector | None = None
-        self._installed = False
+    rails: RailsConfig = RailsConfig()
 
-    def install(self) -> None:
-        """Wrap the engine's strategy and attach the sub-controllers."""
-        if self._installed:
-            raise ConfigurationError("tuner is already installed on this engine")
-        self._installed = True
-        engine = self.engine
-        if self.config.sweep is not None:
-            # Sweeps mutate config values; give this engine a private
-            # copy so a config object shared across nodes stays put.
-            engine.config = replace(engine.config)
-            self.sweep = SweepController(engine, self.config.sweep)
-        if self.config.rails is not None and self.tail_view is not None:
-            self.rail_selector = TailRailSelector(self.tail_view, self.config.rails)
-            engine.rail_selector = self.rail_selector
-        engine.strategy = TunedStrategy(engine.strategy, self)
-
-    def on_decision(self) -> None:
-        """Observe one decision (called by :meth:`TunedStrategy.make_plan`)."""
-        self.decisions += 1
-        if self.sweep is not None:
-            self.sweep.step()
-
-    def summary(self) -> dict:
-        """JSON-able controller state (CLI, ``/tuner``, FLUSH mirror)."""
-        out: dict = {"decisions": self.decisions}
-        if self.sweep is not None:
-            out["sweep"] = self.sweep.summary()
-        if self.rail_selector is not None:
-            out["rails"] = self.rail_selector.summary()
-        return out
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, Any]) -> "TunerConfig":
+        """Build from a scenario mapping, rejecting unknown keys."""
+        _reject_unknown(spec, cls.__slots__, "tuner")
+        return cls(RailsConfig.from_spec(spec.get("rails", {})))
 
 
 class ClusterTuner:
-    """All of a cluster's per-engine tuners, installed as one unit."""
+    """A cluster's rail selectors, one per engine, installed as one unit."""
 
-    def __init__(self, config: TunerConfig | None = None) -> None:
-        self.config = config if config is not None else TunerConfig()
-        self.tuners: dict[str, Tuner] = {}
-        self._installed = False
+    def __init__(self, config: TunerConfig) -> None:
+        self.config = config
+        self.selectors: dict[str, TailRailSelector] = {}
 
-    def install(self, cluster: "Cluster") -> None:
-        """Attach one tuner per engine (after observability install)."""
-        if self._installed:
-            raise ConfigurationError("cluster tuner is already installed")
+    def install(self, cluster: Any) -> None:
+        """Attach one selector per engine of a ``Cluster`` or live peer
+        (after its observability plane)."""
         if cluster.engine_kind != "optimizing":
             raise ConfigurationError(
                 "the tuner requires the optimizing engine "
                 f"(cluster runs {cluster.engine_kind!r})"
             )
-        self._installed = True
         for name, engine in cluster.engines.items():
-            tuner = Tuner(engine, self.config)
-            tuner.install()
-            self.tuners[name] = tuner
+            if engine.rail_selector is not None:
+                raise ConfigurationError(
+                    f"a rail selector is already installed on {name}"
+                )
+            if engine.tail_view is None:
+                raise ConfigurationError(
+                    "tuner rails act on recorded tails and observability.trace "
+                    f'is off on {name}: add an "observability" block (sim) or '
+                    "trace the live run"
+                )
+            selector = TailRailSelector(engine.tail_view, self.config.rails)
+            engine.rail_selector = self.selectors[name] = selector
 
     def summary(self) -> dict:
-        """Per-node tuner state plus cluster-level totals."""
-        nodes = {name: tuner.summary() for name, tuner in self.tuners.items()}
+        """Per-node selector state (CLI report, ``repro run --json``)."""
         return {
-            "nodes": nodes,
-            "totals": {
-                "decisions": sum(t.decisions for t in self.tuners.values()),
-            },
+            "nodes": {
+                name: {"rails": selector.summary()}
+                for name, selector in self.selectors.items()
+            }
         }

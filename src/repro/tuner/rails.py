@@ -1,11 +1,10 @@
-"""Tail-acting rail selection: the scheduler finally acts on tails.
+"""Tail-acting rail selection: the scheduler acts on tails.
 
-PR 8 built the telemetry — per-rail service-time quantile sketches, a
-:class:`~repro.obs.tails.TailView`, and a ``tail_hint`` logged on every
-decide record but explicitly *not* acted on.  This module closes that
-loop: installed as ``engine.rail_selector``, it reorders the engine's
-driver iteration so the backlog head lands on rails whose observed p99
-is within budget instead of whichever rail happens to be listed first.
+The observability plane keeps per-rail service-time quantile sketches
+behind a :class:`~repro.obs.tails.TailView`.  Installed as
+``engine.rail_selector``, this reorders the engine's driver iteration so
+the backlog head lands on rails whose observed p99 is within budget
+instead of whichever rail happens to be listed first.
 
 Ordering, computed from the tail view and cached between refreshes:
 
@@ -17,10 +16,6 @@ Ordering, computed from the tail view and cached between refreshes:
    the unmeasured ones when the SLO is actually burning (or no SLO is
    configured); a healthy SLO with over-budget rails means the budget
    is conservative, and churn would be gratuitous.
-
-``engine.rail_selector`` is ``None`` by default; the engine then
-iterates ``self.drivers`` exactly as before — byte identity of the
-escape hatch is the absence of this object, not a disabled branch.
 """
 
 from __future__ import annotations
@@ -28,10 +23,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.obs.tails import TailView, evaluate_slo
-from repro.tuner.config import RailsConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.drivers.base import Driver
+    from repro.tuner import RailsConfig
 
 __all__ = ["TailRailSelector"]
 
@@ -39,7 +34,7 @@ __all__ = ["TailRailSelector"]
 class TailRailSelector:
     """Per-rail p99-budget preference order over an engine's drivers."""
 
-    def __init__(self, tail_view: TailView, config: RailsConfig) -> None:
+    def __init__(self, tail_view: TailView, config: "RailsConfig") -> None:
         self.tail_view = tail_view
         self.config = config
         self.refreshes = 0
@@ -109,7 +104,7 @@ class TailRailSelector:
         return any(s.worst_burn >= 1.0 for s in statuses)
 
     def summary(self) -> dict:
-        """JSON-able state (CLI reports and the ``/tuner`` endpoint)."""
+        """JSON-able state (CLI report, ``repro run --json``)."""
         return {
             "p99_budget_us": self.config.p99_budget_us,
             "refreshes": self.refreshes,

@@ -22,11 +22,9 @@ from repro.util.units import (
     format_rate,
     format_size,
     format_time,
-    gbit_per_s,
     mb_per_s,
     ms,
     ns,
-    parse_size,
     us,
 )
 
@@ -49,10 +47,8 @@ __all__ = [
     "format_rate",
     "format_size",
     "format_time",
-    "gbit_per_s",
     "mb_per_s",
     "ms",
     "ns",
-    "parse_size",
     "us",
 ]

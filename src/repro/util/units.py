@@ -20,8 +20,6 @@ __all__ = [
     "us",
     "ms",
     "mb_per_s",
-    "gbit_per_s",
-    "parse_size",
     "format_size",
     "format_time",
     "format_rate",
@@ -43,46 +41,6 @@ ms: float = 1e-3
 
 #: One megabyte per second (10^6 bytes/s, the unit used by MX microbenchmarks).
 mb_per_s: float = 1e6
-#: One gigabit per second in bytes per second.
-gbit_per_s: float = 1e9 / 8.0
-
-_SIZE_SUFFIXES = {
-    "": 1,
-    "b": 1,
-    "k": KiB,
-    "kb": KiB,
-    "kib": KiB,
-    "m": MiB,
-    "mb": MiB,
-    "mib": MiB,
-    "g": GiB,
-    "gb": GiB,
-    "gib": GiB,
-}
-
-
-def parse_size(text: str | int) -> int:
-    """Parse a human-readable size (``"4KiB"``, ``"1M"``, ``"512"``) to bytes.
-
-    Integers pass through unchanged.  Raises :class:`ValueError` for
-    malformed strings or negative sizes.
-    """
-    if isinstance(text, int):
-        if text < 0:
-            raise ValueError(f"size must be non-negative, got {text}")
-        return text
-    s = text.strip().lower().replace(" ", "")
-    idx = len(s)
-    while idx > 0 and not s[idx - 1].isdigit():
-        idx -= 1
-    number, suffix = s[:idx], s[idx:]
-    if not number:
-        raise ValueError(f"cannot parse size {text!r}")
-    try:
-        factor = _SIZE_SUFFIXES[suffix]
-    except KeyError:
-        raise ValueError(f"unknown size suffix {suffix!r} in {text!r}") from None
-    return int(number) * factor
 
 
 def format_size(n_bytes: float) -> str:

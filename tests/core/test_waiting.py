@@ -108,7 +108,7 @@ class TestChannelQueue:
         for e in entries:
             q.append(e)
         assert q.pending(2) == entries[:2]
-        # Narrower window served from the cached snapshot.
+        # A narrower window right after a wider one.
         assert q.pending(1) == entries[:1]
         q.append(data_entry(flow, 10))
         assert len(q.pending()) == 5
@@ -155,13 +155,6 @@ class TestChannelQueue:
         assert q.pending() == [keeper]
         assert len(q._slots) < 200
 
-    def test_oldest_submit_time(self, flow):
-        q = ChannelQueue(0)
-        assert q.oldest_submit_time is None
-        q.append(data_entry(flow, 10, submit_time=2.0))
-        q.append(data_entry(flow, 10, submit_time=1.0))
-        assert q.oldest_submit_time == 2.0  # arrival order, not time order
-
     def test_pending_bytes(self, flow):
         q = ChannelQueue(0)
         q.append(data_entry(flow, 100))
@@ -197,11 +190,9 @@ class TestWaitingLists:
         w.enqueue(data_entry(flow, 50, submit_time=0.5), 1)
         assert w.total_pending == 2
         assert w.total_pending_bytes == 150
-        assert w.oldest_submit_time == 0.5
         assert bool(w)
 
     def test_empty_totals(self):
         w = WaitingLists()
         assert w.total_pending == 0
-        assert w.oldest_submit_time is None
         assert not bool(w)

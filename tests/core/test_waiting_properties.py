@@ -158,7 +158,8 @@ class TestIncrementalAccounting:
                 count, n_bytes, oldest = q.recount()
                 assert len(q) == count
                 assert q.pending_bytes == n_bytes
-                assert q.oldest_submit_time == oldest
+                head = q.pending(1)
+                assert (head[0].submit_time if head else None) == oldest
                 total_count += count
                 total_bytes += n_bytes
             assert lists.total_pending == total_count

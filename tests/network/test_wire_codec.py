@@ -11,11 +11,8 @@ from repro.network.wire import (
     WIRE_VERSION,
     DecodedFrame,
     PacketKind,
-    WirePacket,
-    WireSegment,
     decode_frame,
     encode_frame,
-    encode_packet,
 )
 from repro.util.errors import ProtocolError, WireError
 
@@ -89,33 +86,6 @@ class TestRoundTrip:
         assert decoded.src == "nœud-0"
         assert decoded.dst == "ノード1"
         assert decoded.meta["why"] == "héllo"
-
-    def test_encode_packet_uses_packet_framing(self):
-        packet = WirePacket(
-            kind=PacketKind.EAGER,
-            src="a",
-            dst="b",
-            channel_id=1,
-            segments=(WireSegment(object(), 32, 4),),
-            meta={"k": 1},
-            packet_id=0,
-        )
-        decoded = decode_frame(encode_packet(packet, [({"d": 0}, b"abcd")]))
-        assert decoded.segments[0].offset == 32
-        assert decoded.segments[0].data == b"abcd"
-        assert decoded.meta == {"k": 1}
-
-    def test_encode_packet_payload_count_mismatch(self):
-        packet = WirePacket(
-            kind=PacketKind.EAGER,
-            src="a",
-            dst="b",
-            channel_id=1,
-            segments=(WireSegment(object(), 0, 4),),
-            packet_id=0,
-        )
-        with pytest.raises(WireError, match="1 segments but 2 payloads"):
-            encode_packet(packet, [({}, b"abcd"), ({}, b"efgh")])
 
     def test_encode_rejects_length_mismatch(self):
         with pytest.raises(WireError, match="disagrees"):

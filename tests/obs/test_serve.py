@@ -93,7 +93,7 @@ class TestObsHTTPServer:
             "slowest": [],
         }
         srv = ObsHTTPServer(
-            lambda: "", lambda: {}, None, None, None, lambda: payload, port=0
+            lambda: "", lambda: {}, None, None, lambda: payload, port=0
         ).start()
         try:
             status, headers, body = _get(f"{srv.address}/why")

@@ -177,39 +177,6 @@ class TestProcess:
 
 
 class TestResources:
-    def test_resource_fifo(self):
-        from repro.sim import Resource
-
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def worker(name, hold):
-            grant = res.acquire()
-            yield grant
-            order.append((name, sim.now))
-            yield hold
-            res.release()
-
-        Process(sim, worker("a", 1.0))
-        Process(sim, worker("b", 1.0))
-        sim.run()
-        assert order[0][0] == "a"
-        assert order[1] == ("b", pytest.approx(1.0))
-
-    def test_resource_capacity_validation(self):
-        from repro.sim import Resource
-
-        with pytest.raises(SimulationError):
-            Resource(Simulator(), capacity=0)
-
-    def test_release_idle_rejected(self):
-        from repro.sim import Resource
-
-        res = Resource(Simulator(), capacity=1)
-        with pytest.raises(SimulationError):
-            res.release()
-
     def test_store_put_then_get(self):
         from repro.sim import Store
 

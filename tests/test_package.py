@@ -270,6 +270,17 @@ def _dotted(path: str) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
+def _registers_itself(definition) -> bool:
+    """A class or function decorated ``@register_*(…)`` is reached
+    through the table it registers in."""
+    return any(
+        isinstance(dec, ast.Call)
+        and isinstance(dec.func, ast.Name)
+        and dec.func.id.startswith("register_")
+        for dec in definition.decorator_list
+    )
+
+
 def orphan_modules(package: dict[str, str], users: dict[str, str]) -> list[str]:
     """Modules of ``package`` (relative path -> source) that nothing uses.
 
@@ -310,12 +321,9 @@ def orphan_modules(package: dict[str, str], users: dict[str, str]) -> list[str]:
 
     def registers_itself(tree):
         return any(
-            isinstance(dec, ast.Call)
-            and isinstance(dec.func, ast.Name)
-            and dec.func.id.startswith("register_")
+            _registers_itself(node)
             for node in tree.body
             if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-            for dec in node.decorator_list
         )
 
     used = set()
@@ -347,10 +355,61 @@ def orphan_modules(package: dict[str, str], users: dict[str, str]) -> list[str]:
     )
 
 
+def orphan_names(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """``__all__`` entries of ``package`` modules that no code refers to.
+
+    A reference is a load of the name, an attribute access by it or a
+    ``from … import`` of it, anywhere in the package (the defining
+    module's own code included) or in ``users``.  The definition, the
+    ``__all__`` listing and a bare re-export in a package ``__init__``
+    are not references; a class or function that registers itself in a
+    table (``@register_*``) is reached through the table.
+    """
+    trees = {path: ast.parse(source) for path, source in package.items()}
+
+    def references(path, tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.ImportFrom) and not path.endswith("__init__.py"):
+                yield from (alias.name for alias in node.names)
+
+    referenced = {
+        name
+        for path, tree in {**trees, **{p: ast.parse(s) for p, s in users.items()}}.items()
+        for name in references(path, tree)
+    }
+    orphans = []
+    for path, tree in trees.items():
+        defined = {}
+        declared = []
+        for node in tree.body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined[node.name] = _registers_itself(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                if "__all__" in names:
+                    declared = [element.value for element in node.value.elts]
+                defined.update(dict.fromkeys(names, False))
+        orphans += [
+            f"{_dotted(path)}.{name}"
+            for name in declared
+            # a name the module does not define is a re-export, checked
+            # where it is defined
+            if defined.get(name) is False and name not in referenced
+        ]
+    return sorted(orphans)
+
+
 class TestSurface:
     """Every module is reached by a scenario, an experiment or a ledger
     workload: something in ``src/repro`` or ``benchmarks/e2e`` imports it.
-    Its own test, an example or a re-export in ``__init__`` is not a use."""
+    Its own test, an example or a re-export in ``__init__`` is not a use.
+    Every public name (``__all__`` entry) is referred to by code in
+    ``src/repro``, ``benchmarks/e2e`` or ``examples/``."""
 
     def test_scan_catches_a_planted_orphan(self):
         package = {
@@ -383,16 +442,51 @@ class TestSurface:
         assert orphan_modules(package, users) == ["repro.apps.replay"]
         assert orphan_modules(package, {}) == ["repro.apps.replay", "repro.apps.stream"]
 
-    def test_every_module_is_used(self):
+    @staticmethod
+    def sources(*folders):
+        """``(package, users)``: ``src/repro`` and the ``*.py`` files of
+        ``folders``, each as relative path -> source."""
         src = Path(repro.__path__[0]).parent
         package = {
             path.relative_to(src).as_posix(): path.read_text(encoding="utf-8")
             for path in sorted(src.rglob("*.py"))
         }
-        e2e = src.parent / "benchmarks" / "e2e"
         users = {
-            path.name: path.read_text(encoding="utf-8")
-            for path in sorted(e2e.glob("*.py"))
+            path.relative_to(src.parent).as_posix(): path.read_text(encoding="utf-8")
+            for folder in folders
+            for path in sorted((src.parent / folder).glob("*.py"))
         }
-        assert users, "benchmarks/e2e not found next to src/"
-        assert orphan_modules(package, users) == []
+        assert users, f"{folders} not found next to src/"
+        return package, users
+
+    def test_every_module_is_used(self):
+        assert orphan_modules(*self.sources("benchmarks/e2e")) == []
+
+    def test_name_scan_catches_a_planted_orphan(self):
+        package = {
+            "repro/units/__init__.py": (
+                "from repro.units.sizes import KiB, parse_size, format_size\n"
+                "__all__ = ['KiB', 'parse_size', 'format_size']"
+            ),
+            "repro/units/sizes.py": (
+                "__all__ = ['KiB', 'parse_size', 'format_size', 'Size']\n"
+                "KiB = 1024\n"
+                "def parse_size(text): return int(text)\n"
+                "def format_size(n): return f'{n / KiB} KiB'\n"
+                "@register_type('size')\nclass Size: ..."
+            ),
+            "repro/report.py": (
+                "from repro import units\n"
+                "__all__ = ['render']\n"
+                "def render(n): return units.format_size(n)"
+            ),
+        }
+        assert orphan_names(package, {}) == [
+            "repro.report.render",
+            "repro.units.sizes.parse_size",
+        ]
+        users = {"examples/show.py": "from repro.report import render"}
+        assert orphan_names(package, users) == ["repro.units.sizes.parse_size"]
+
+    def test_every_public_name_is_used(self):
+        assert orphan_names(*self.sources("benchmarks/e2e", "examples")) == []

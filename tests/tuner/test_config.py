@@ -3,60 +3,40 @@
 import pytest
 
 from repro.runtime.scenario import build_scenario
-from repro.tuner import RailsConfig, SweepConfig, TunerConfig
+from repro.tuner import RailsConfig, TunerConfig
 from repro.util.errors import ConfigurationError
 
 
 class TestTunerConfig:
     def test_defaults(self):
-        config = TunerConfig()
-        assert config.enabled
-        assert config.sweep is None and config.rails is None
+        assert TunerConfig() == TunerConfig.from_spec({})
+        assert TunerConfig().rails == RailsConfig()
 
     def test_from_spec_full_block(self):
-        config = TunerConfig.from_spec(
-            {
-                "enabled": True,
-                "sweep": {"mode": "halving", "windows": [8, 16], "budgets": [32]},
-                "rails": {"p99_budget_us": 250.0},
-            }
-        )
-        assert config.sweep.mode == "halving"
-        assert config.sweep.windows == (8, 16)
+        config = TunerConfig.from_spec({"rails": {"p99_budget_us": 250.0}})
         assert config.rails.p99_budget_us == 250.0
         # untouched sub-keys keep their defaults
         assert config.rails.min_samples == 32
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, key",
         [
-            {"enabled": True, "sweeps": {}},  # typo at the top level
+            ({"sweeps": {}}, "sweeps"),  # typo at the top level
             # keys of the removed regime tracker are unknown, not ignored
-            {"min_dwell": 4},
-            {"drift_window": 2},
-            {"deep_backlog": 16},
-            {"tail_drift_factor": 4.0},
-            {"sweep": {"windows": [8], "budgets": [8], "modes": "epsilon"}},
-            {"rails": {"p99_budget": 100.0}},
+            ({"min_dwell": 4}, "min_dwell"),
+            ({"drift_window": 2}, "drift_window"),
+            ({"deep_backlog": 16}, "deep_backlog"),
+            ({"tail_drift_factor": 4.0}, "tail_drift_factor"),
+            # so are the removed online sweep and the on/off switch
+            ({"sweep": {"windows": [8], "budgets": [8]}}, "sweep"),
+            ({"rails": {"p99_budget": 100.0}}, "p99_budget"),
+            ({"enabled": False}, "enabled"),
         ],
+        ids=[f"spec{i}" for i in range(8)],
     )
-    def test_unknown_keys_rejected(self, spec):
-        with pytest.raises(ConfigurationError, match="unknown"):
+    def test_unknown_keys_rejected(self, spec, key):
+        with pytest.raises(ConfigurationError, match=f"unknown .* {key!r}"):
             TunerConfig.from_spec(spec)
-
-
-class TestSweepConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SweepConfig(mode="greedy")
-        with pytest.raises(ConfigurationError):
-            SweepConfig(epsilon=1.5)
-        with pytest.raises(ConfigurationError):
-            SweepConfig(trial_decisions=0)
-        with pytest.raises(ConfigurationError):
-            SweepConfig(windows=())
-        with pytest.raises(ConfigurationError):
-            SweepConfig(budgets=(0,))
 
 
 class TestRailsConfig:
@@ -73,18 +53,15 @@ class TestScenarioWiring:
     BASE = {
         "cluster": {"n_nodes": 2, "strategy": "aggregate"},
         "workloads": [{"app": "stream", "src": "n0", "dst": "n1", "count": 1}],
+        "observability": {},
     }
 
     def test_tuner_block_installs_cluster_tuner(self):
-        scenario = dict(self.BASE, tuner={})
+        scenario = dict(self.BASE, tuner={"rails": {}})
         cluster, _ = build_scenario(scenario)
-        assert cluster.tuner is not None
-        assert set(cluster.tuner.tuners) == {"n0", "n1"}
-
-    def test_disabled_block_installs_nothing(self):
-        scenario = dict(self.BASE, tuner={"enabled": False})
-        cluster, _ = build_scenario(scenario)
-        assert cluster.tuner is None
+        assert set(cluster.tuner.selectors) == {"n0", "n1"}
+        for name, selector in cluster.tuner.selectors.items():
+            assert cluster.engine(name).rail_selector is selector
 
     def test_no_block_installs_nothing(self):
         cluster, _ = build_scenario(dict(self.BASE))
@@ -102,4 +79,14 @@ class TestScenarioWiring:
         scenario = dict(self.BASE, tuner={})
         scenario["cluster"] = {"n_nodes": 2, "engine": "legacy"}
         with pytest.raises(ConfigurationError, match="optimizing"):
+            build_scenario(scenario)
+
+    @pytest.mark.parametrize(
+        "observability", [None, {"trace": False}], ids=["absent", "trace-off"]
+    )
+    def test_rails_without_recorded_tails_rejected(self, observability):
+        """A selector that could never see a tail is an error, not a
+        silent no-op."""
+        scenario = dict(self.BASE, tuner={"rails": {}}, observability=observability)
+        with pytest.raises(ConfigurationError, match="observability.trace"):
             build_scenario(scenario)

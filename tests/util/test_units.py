@@ -16,41 +16,6 @@ class TestConstants:
         assert units.ms == pytest.approx(1e-3)
         assert units.ns == pytest.approx(1e-9)
 
-    def test_rate_units(self):
-        # 1 Gbit/s == 125 MB/s
-        assert units.gbit_per_s == pytest.approx(125 * units.mb_per_s)
-
-
-class TestParseSize:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("0", 0),
-            ("512", 512),
-            ("4KiB", 4096),
-            ("4k", 4096),
-            ("4 KB", 4096),
-            ("1MiB", 1024**2),
-            ("2m", 2 * 1024**2),
-            ("1GiB", 1024**3),
-            ("3gb", 3 * 1024**3),
-        ],
-    )
-    def test_valid(self, text, expected):
-        assert units.parse_size(text) == expected
-
-    def test_int_passthrough(self):
-        assert units.parse_size(12345) == 12345
-
-    def test_negative_int_rejected(self):
-        with pytest.raises(ValueError):
-            units.parse_size(-1)
-
-    @pytest.mark.parametrize("text", ["", "KiB", "12qux", "x12"])
-    def test_malformed(self, text):
-        with pytest.raises(ValueError):
-            units.parse_size(text)
-
 
 class TestFormatting:
     def test_format_size_bytes(self):
