@@ -224,6 +224,7 @@ def _cmd_live_run(args) -> int:
             "report": report.to_dict(),
             "bytes_verified": result.bytes_verified,
             "corrupt_slices": result.corrupt_slices,
+            "done_frames_sent": result.done_frames_sent,
             "rtt_samples": len(result.rtts),
             "clock_offsets": result.offsets,
             "crossings_matched": result.crossings_matched,

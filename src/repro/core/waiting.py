@@ -49,6 +49,7 @@ from repro.util.errors import InternalError
 
 __all__ = ["ChannelQueue", "WaitingLists"]
 
+# recount()'s oracle; the hot paths compare by identity.
 _PENDING_STATES = PENDING_ENTRY_STATES
 _WAITING = EntryState.WAITING
 _RDV_READY = EntryState.RDV_READY
@@ -110,7 +111,8 @@ class ChannelQueue:
         entry._owner = self
         self._index[entry] = len(self._slots)
         self._slots.append(entry)
-        if entry._state in _PENDING_STATES:
+        state = entry._state
+        if state is _WAITING or state is _RDV_READY:
             self._account(1, entry.remaining)
         self._version += 1
 
@@ -124,7 +126,8 @@ class ChannelQueue:
         self._slots[position] = None
         self._garbage += 1
         entry._owner = None
-        if entry._state in _PENDING_STATES:
+        state = entry._state
+        if state is _WAITING or state is _RDV_READY:
             self._account(-1, -entry.remaining)
         self._version += 1
         self._maybe_compact()
@@ -135,8 +138,8 @@ class ChannelQueue:
     def _note_state_change(
         self, entry: SubmitEntry, old: EntryState, new: EntryState
     ) -> None:
-        was_pending = old in _PENDING_STATES
-        now_pending = new in _PENDING_STATES
+        was_pending = old is _WAITING or old is _RDV_READY
+        now_pending = new is _WAITING or new is _RDV_READY
         if was_pending and not now_pending:
             self._account(-1, -entry.remaining)
         elif now_pending and not was_pending:

@@ -79,7 +79,7 @@ from repro.obs.tails import (
     pooled_message_sketch,
 )
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
-from repro.runtime.cluster import check_topology
+from repro.runtime.cluster import Cluster, check_topology
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
 from repro.runtime.scenario import build_workloads, parse_cluster
 from repro.util.errors import ConfigurationError, TransportError
@@ -127,6 +127,11 @@ class LiveRunResult:
     @property
     def corrupt_slices(self) -> int:
         return sum(p["transport"]["corrupt_slices"] for p in self.peer_reports)
+
+    @property
+    def done_frames_sent(self) -> int:
+        """DONE frames the peers wrote (one per sender per ingested chunk)."""
+        return sum(p["transport"]["done_frames_sent"] for p in self.peer_reports)
 
 
 class _ObsState:
@@ -464,13 +469,17 @@ class _ObsCollector:
 # --------------------------------------------------------------------------
 
 
-def _validate(scenario: Mapping[str, Any]) -> tuple[int, ChaosConfig | None]:
+def _validate(
+    scenario: Mapping[str, Any], trace: bool
+) -> tuple[int, ChaosConfig | None]:
     """Reject, before any peer is spawned, what a peer would reject.
 
     The cluster block and the workloads go through the simulator's own
-    parsers, so a bad scenario fails here with the simulator's words
-    instead of as a peer traceback.  Returns ``(n_nodes, chaos)`` — the
-    coordinator needs the failure-detection budget before it forks.
+    parsers, and a ``tuner`` block installs on a throwaway simulated
+    cluster — or refuses to — as it would on every peer, so a bad
+    scenario fails here with the simulator's words instead of as a peer
+    traceback.  Returns ``(n_nodes, chaos)`` — the coordinator needs the
+    failure-detection budget before it forks.
     """
     spec = parse_cluster(scenario)
     check_topology(spec["n_nodes"], spec["networks"], spec["engine"])
@@ -484,6 +493,8 @@ def _validate(scenario: Mapping[str, Any]) -> tuple[int, ChaosConfig | None]:
                 f"faults die rank {chaos.die.rank} >= n_nodes {spec['n_nodes']}"
             )
     build_workloads(scenario)
+    if scenario.get("tuner") is not None:
+        Cluster(**spec, observability={"trace": trace}, tuner=scenario["tuner"])
     return spec["n_nodes"], chaos
 
 
@@ -870,12 +881,12 @@ def run_live_scenario(
     """
     if transport not in ("uds", "tcp"):
         raise ConfigurationError(f"live transport must be 'uds' or 'tcp', got {transport!r}")
-    n_nodes, chaos = _validate(scenario)
-
     obs_spec = dict(observability or {})
     if trace:
         obs_spec.setdefault("trace", True)
     trace_on = bool(obs_spec.get("trace"))
+    n_nodes, chaos = _validate(scenario, trace_on)
+
     # Validate SLO objectives before any peer is spawned (peers re-parse
     # their own copy); the coordinator needs them for /tails and the
     # post-run burn-rate verdicts.

@@ -287,7 +287,12 @@ class Hub:
         self.sent_messages: dict[int, Message] = {}
         self.submitted = 0
         self.done_sent = 0
+        self.done_frames_sent = 0
         self.done_received = 0
+        #: Completions of the chunk being ingested, per sender: one DONE
+        #: frame each when :meth:`ingest` flushes.  Empty between chunks.
+        self._done_batch: dict[str, list[tuple[int, float]]] = {}
+        self._ingesting = False
         #: DONE acknowledgements sent/received, broken down by the far
         #: peer — the coordinator subtracts a dead peer's share from
         #: both sides when checking counter agreement on a degraded run.
@@ -482,19 +487,33 @@ class Hub:
             raise ProtocolError(
                 f"no live connection from {self.node_name!r} to {packet.dst!r}"
             )
+        self._flush_done()  # a reply never overtakes the DONE of its request
         self._send(link, data, on_drained)
 
     def send_done(self, dst: str, message_id: int, when: float) -> None:
-        """Acknowledge a completed delivery back to its sender."""
-        link = self.links.get(dst)
-        if link is None:
+        """Acknowledge a completed delivery back to its sender.
+
+        Inside :meth:`ingest` the acknowledgement joins the chunk's
+        batch; anywhere else it is sent at once.
+        """
+        if dst not in self.links:
             raise ProtocolError(f"cannot acknowledge to unknown peer {dst!r}")
-        if link.dead:
-            self.done_suppressed += 1
-            return
-        self.done_sent += 1
-        self.done_by_dst[dst] = self.done_by_dst.get(dst, 0) + 1
-        self._send(link, done_frame(self.node_name, dst, [(message_id, when)]), None)
+        self._done_batch.setdefault(dst, []).append((message_id, when))
+        if not self._ingesting:
+            self._flush_done()
+
+    def _flush_done(self) -> None:
+        """Send every gathered completion, one DONE frame per sender."""
+        batch, self._done_batch = self._done_batch, {}
+        for dst, items in batch.items():
+            link = self.links[dst]
+            if link.dead:
+                self.done_suppressed += len(items)
+                continue
+            self.done_sent += len(items)
+            self.done_by_dst[dst] = self.done_by_dst.get(dst, 0) + len(items)
+            self.done_frames_sent += 1
+            self._send(link, done_frame(self.node_name, dst, items), None)
 
     def _send(self, link: _Link, frame: bytes, on_drained) -> None:
         """The one send path for data and DONE frames.
@@ -565,12 +584,23 @@ class Hub:
         Sequenced ones (reliability only) pass the link's ledger (dedup
         + in-order release) first, and every observed sequence number —
         duplicates included — is acknowledged in one batch per chunk,
-        subject to the ACK-loss lottery.  Any traffic at all refreshes
-        the sender's heartbeat ledger entry; a busy link needs no
-        beacons.
+        subject to the ACK-loss lottery.  The messages the chunk
+        completed are acknowledged the same way: one DONE frame per
+        sender, flushed before this returns — or raises — so no
+        completion is ever held across an event-loop turn.  Any traffic
+        at all refreshes the sender's heartbeat ledger entry; a busy
+        link needs no beacons.
         """
         if self.hb is not None and conn.name is not None:
             self.hb.record(conn.name, self.clock.refresh())
+        self._ingesting = True
+        try:
+            self._absorb(conn, records)
+        finally:
+            self._ingesting = False
+            self._flush_done()
+
+    def _absorb(self, conn: _Connection, records: list) -> None:
         seen_seqs: list[int] = []
         for seq, frame in records:
             if seq is None:

@@ -112,6 +112,7 @@ _TRANSPORT_COUNTERS = (
      "repro_live_corrupt_slices_total", "Payload slices that failed verification"),
     ("submitted", lambda p: p.hub.submitted, None, ""),
     ("done_sent", lambda p: p.hub.done_sent, None, ""),
+    ("done_frames_sent", lambda p: p.hub.done_frames_sent, None, ""),
     ("done_received", lambda p: p.hub.done_received, None, ""),
     ("abandoned", lambda p: p.hub.abandoned,
      "repro_live_abandoned_messages_total",

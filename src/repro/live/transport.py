@@ -40,6 +40,7 @@ Three layers live here, all shared by the peer processes and the tests:
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 from typing import Any, Callable, Iterable
@@ -196,28 +197,11 @@ class StreamDecoder:
 # --------------------------------------------------------------------------
 
 _TILE_BYTES = 256
-_tile_cache: dict[int, bytes] = {}
 
 
 def fragment_seed(src: str, message_id: int, fragment_index: int) -> int:
     """Stable 32-bit seed identifying one fragment's byte pattern."""
     return zlib.crc32(f"{src}/{message_id}/{fragment_index}".encode("utf-8"))
-
-
-def _tile(seed: int) -> bytes:
-    cached = _tile_cache.get(seed)
-    if cached is not None:
-        return cached
-    out = bytearray(_TILE_BYTES)
-    x = (seed or 0x9E3779B9) & 0xFFFFFFFF
-    for i in range(_TILE_BYTES):
-        x = (x * 1103515245 + 12345) & 0xFFFFFFFF
-        out[i] = (x >> 16) & 0xFF
-    tile = bytes(out)
-    if len(_tile_cache) > 4096:  # sender registries bound this; belt and braces
-        _tile_cache.clear()
-    _tile_cache[seed] = tile
-    return tile
 
 
 def payload_bytes(seed: int, offset: int, length: int) -> bytes:
@@ -231,7 +215,9 @@ def payload_bytes(seed: int, offset: int, length: int) -> bytes:
         raise WireError(f"negative payload slice ({offset}, {length})")
     if length == 0:
         return b""
-    tile = _tile(seed)
+    # One C call per slice: every fragment has its own seed, so a cache
+    # of tiles would never hit.
+    tile = hashlib.shake_128(seed.to_bytes(4, "big")).digest(_TILE_BYTES)
     start = offset % _TILE_BYTES
     reps = (start + length + _TILE_BYTES - 1) // _TILE_BYTES
     return (tile * reps)[start : start + length]
@@ -242,7 +228,7 @@ def payload_bytes(seed: int, offset: int, length: int) -> bytes:
 # --------------------------------------------------------------------------
 
 
-def _segment_descriptor(fragment: Fragment) -> dict[str, Any]:
+def _message_skeleton(fragment: Fragment) -> dict[str, Any]:
     message = fragment.message
     return {
         "flow": message.flow.flow_id,
@@ -259,21 +245,31 @@ def encode_live_packet(packet: WirePacket) -> bytes:
     """Serialize one engine-produced packet into a wire-codec frame.
 
     Data segments reference in-process ``Fragment`` objects; each
-    becomes a JSON descriptor (enough for the receiver to rebuild the
-    message skeleton) plus deterministic pattern bytes for the slice.
+    becomes a JSON descriptor plus deterministic pattern bytes for the
+    slice.  A message's first segment in the frame carries its whole
+    skeleton (enough for the receiver to rebuild it), its later ones
+    only ``{"msg", "idx"}`` — the frame is atomic under its CRC, so the
+    skeleton is always decoded first.
     Control packets (rendezvous handshake) carry their ``meta`` only.
     The hub wraps the frame into a stream record (:func:`wrap_envelope`).
     """
     segments = []
+    described: set[int] = set()
     for seg in packet.segments:
         fragment = seg.payload
         if not isinstance(fragment, Fragment):
             raise ProtocolError(
                 f"live transport cannot serialize non-fragment payload {seg.payload!r}"
             )
-        seed = fragment_seed(packet.src, fragment.message.message_id, fragment.index)
+        message_id = fragment.message.message_id
+        if message_id in described:
+            descriptor = {"msg": message_id, "idx": fragment.index}
+        else:
+            described.add(message_id)
+            descriptor = _message_skeleton(fragment)
+        seed = fragment_seed(packet.src, message_id, fragment.index)
         segments.append(
-            (_segment_descriptor(fragment), seg.offset, seg.length, payload_bytes(seed, seg.offset, seg.length))
+            (descriptor, seg.offset, seg.length, payload_bytes(seed, seg.offset, seg.length))
         )
     return encode_frame(
         packet.kind, packet.src, packet.dst, packet.channel_id, packet.meta, segments
@@ -382,14 +378,14 @@ class MirrorReceiver:
     def _mirror_fragment(self, src: str, descriptor: dict[str, Any]) -> Fragment:
         try:
             sender_mid = descriptor["msg"]
-            flow_id = descriptor["flow"]
             index = descriptor["idx"]
-            layout = descriptor["layout"]
+            message = self._mirrors.get(sender_mid)
+            if message is None:  # the message's first segment: needs the skeleton
+                message = self._make_mirror(
+                    src, sender_mid, descriptor["flow"], descriptor["layout"], descriptor
+                )
         except KeyError as missing:
             raise WireError(f"segment descriptor missing {missing}") from None
-        message = self._mirrors.get(sender_mid)
-        if message is None:
-            message = self._make_mirror(src, sender_mid, flow_id, layout, descriptor)
         if not 0 <= index < len(message.fragments):
             raise WireError(
                 f"fragment index {index} outside mirror layout of "

@@ -50,6 +50,10 @@ class EntryState(enum.Enum):
 #: States in which an entry is visible to (and schedulable by) the
 #: waiting lists.  The queues' incremental accounting keys off this set.
 PENDING_ENTRY_STATES = frozenset((EntryState.WAITING, EntryState.RDV_READY))
+# Hot paths compare by identity: probing the set hashes the member
+# through Python-level ``Enum.__hash__``.
+_WAITING = EntryState.WAITING
+_RDV_READY = EntryState.RDV_READY
 
 
 class SubmitEntry:
@@ -186,7 +190,8 @@ class SubmitEntry:
         self.offset += n_bytes
         self.remaining -= n_bytes
         owner = self._owner
-        if owner is not None and self._state in PENDING_ENTRY_STATES:
+        state = self._state
+        if owner is not None and (state is _WAITING or state is _RDV_READY):
             owner._note_bytes_consumed(n_bytes)
         if self.remaining == 0:
             self.state = EntryState.SENT

@@ -190,6 +190,9 @@ _BODY_HEAD = struct.Struct("!iHHIH")
 # desc_len(u32) offset(u64) length(u64)
 _SEG_HEAD = struct.Struct("!IQQ")
 
+# One compact encoder for every meta dict and segment descriptor.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
 _KIND_CODES = {kind: code for code, kind in enumerate(PacketKind)}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
@@ -239,7 +242,7 @@ def encode_frame(
     """
     src_b = src.encode("utf-8")
     dst_b = dst.encode("utf-8")
-    meta_b = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    meta_b = _dumps(meta).encode("utf-8")
     parts = [_BODY_HEAD.pack(channel_id, len(src_b), len(dst_b), len(meta_b), len(segments))]
     parts.append(src_b)
     parts.append(dst_b)
@@ -249,7 +252,7 @@ def encode_frame(
             raise WireError(
                 f"segment length field {length} disagrees with payload of {len(data)} bytes"
             )
-        desc_b = json.dumps(descriptor, separators=(",", ":")).encode("utf-8")
+        desc_b = _dumps(descriptor).encode("utf-8")
         parts.append(_SEG_HEAD.pack(len(desc_b), offset, length))
         parts.append(desc_b)
         parts.append(data)

@@ -96,6 +96,27 @@ class TestFailsBeforeFork:
             run_live_scenario(scenario, timeout=_TIMEOUT)
         assert str(from_live.value) == str(from_sim.value)
 
+    @pytest.mark.parametrize(
+        "tuner, trace, match",
+        [
+            ({"sweeps": {}}, True, "unknown tuner key 'sweeps'"),
+            ({"rails": {}}, False, "observability.trace"),
+        ],
+        ids=["unknown-tuner-key", "rails-without-recorded-tails"],
+    )
+    def test_bad_tuner_block(self, tuner, trace, match, monkeypatch):
+        scenario = _scenario(
+            [{"app": "pingpong", "src": "n0", "dst": "n1", "size": 64, "count": 1}]
+        )
+        scenario["tuner"] = tuner
+
+        def no_spawn(*args, **kwargs):
+            pytest.fail("a peer was spawned for a tuner block that cannot install")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        with pytest.raises(ConfigurationError, match=match):
+            run_live_scenario(scenario, trace=trace, timeout=_TIMEOUT)
+
 
 class TestPingPong:
     def test_uds_roundtrips_byte_identical(self):

@@ -2,8 +2,11 @@
 
 import asyncio
 import time
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.live.loop import LiveClock
 from repro.live.transport import (
@@ -22,6 +25,7 @@ from repro.live.transport import (
 )
 from repro.madeleine.message import Flow, Message
 from repro.network.wire import (
+    DecodedSegment,
     PacketKind,
     WirePacket,
     WireSegment,
@@ -149,6 +153,31 @@ class TestPayloadPattern:
     def test_seed_zero_still_patterns(self):
         data = payload_bytes(0, 0, 256)
         assert len(set(data)) > 1  # not a constant fill
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.integers(0, 1100),
+        length=st.integers(0, 1100),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_slice_is_a_slice_of_the_whole(self, seed, offset, length):
+        """Absolute addressing across tile boundaries (256 B): a slice
+        generated on its own equals the same span of one long read."""
+        whole = payload_bytes(seed, 0, offset + length)
+        assert payload_bytes(seed, offset, length) == whole[offset:]
+        assert len(whole) == offset + length
+
+    def test_distinct_seeds_distinct_tiles(self):
+        tiles = {payload_bytes(seed * 2654435761 % 2**32, 0, 256) for seed in range(10_000)}
+        assert len(tiles) == 10_000
+
+    def test_wire_pattern_is_pinned(self):
+        """Two checkouts that disagree about the pattern would each
+        verify their own bytes and reject the other's: pin it."""
+        assert payload_bytes(0, 0, 16).hex() == "8f970ca42c849ca00c48f88d88380c57"
+        seed = fragment_seed("n0", 7, 0)
+        assert seed == 3484234675
+        assert payload_bytes(seed, 0, 16).hex() == "0bfc96377ee83adf9555835d225a5fb5"
 
 
 class TestControlFrames:
@@ -297,6 +326,91 @@ class TestMirrorReceiver:
         with pytest.raises(WireError):
             mirror.packet_from_frame(_Frame, 0)
         assert mirror.corrupt_slices == 1
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_mutated_byte_in_any_slice_is_detected(self, data):
+        """Every received slice is compared against the pattern: one
+        flipped byte anywhere in any segment (here past the CRC, which
+        would catch it first on a real wire) is a ``WireError``."""
+        flow = Flow(0, "t-flip", "n0", "n1")
+        message = next_message(flow)
+        fragments = [message.add_fragment(size) for size in (300, 40)]
+        message.mark_flushed(0.0)
+        slices = [(fragments[0], 0, 100), (fragments[0], 100, 200), (fragments[1], 0, 40)]
+        packet = WirePacket(
+            kind=PacketKind.EAGER, src="n0", dst="n1", channel_id=0,
+            segments=tuple(WireSegment(*s) for s in slices), packet_id=0,
+        )
+        frame = _decode_one(encode_live_packet(packet))
+        victim = data.draw(st.integers(0, len(slices) - 1))
+        at = data.draw(st.integers(0, slices[victim][2] - 1))
+        flip = data.draw(st.integers(1, 255))
+        segments = list(frame.segments)
+        seg = segments[victim]
+        mutated = bytearray(seg.data)
+        mutated[at] ^= flip
+        segments[victim] = DecodedSegment(seg.descriptor, seg.offset, seg.length, bytes(mutated))
+        mirror = self._pair(flow)
+        with pytest.raises(WireError, match="payload mismatch"):
+            mirror.packet_from_frame(replace(frame, segments=tuple(segments)), 0)
+        assert mirror.corrupt_slices == 1
+        assert mirror.bytes_verified == sum(s[2] for s in slices[:victim])
+
+    def test_skeleton_once_per_message_per_frame(self):
+        """A message's first segment in a frame carries the skeleton,
+        its later ones ``{"msg", "idx"}``; the next frame starts over."""
+        flow = Flow(0, "t-skeleton", "n0", "n1")
+        packets = []
+        for _ in range(2):
+            message = next_message(flow)
+            a, b = message.add_fragment(100), message.add_fragment(50)
+            message.mark_flushed(0.0)
+            packets.append((message, a, b))
+        (m0, a0, b0), (m1, a1, b1) = packets
+        packet = WirePacket(
+            kind=PacketKind.EAGER, src="n0", dst="n1", channel_id=0,
+            segments=tuple(
+                WireSegment(f, o, n)
+                for f, o, n in ((a0, 0, 60), (a1, 0, 100), (a0, 60, 40), (b0, 0, 50))
+            ),
+            packet_id=0,
+        )
+        frame = _decode_one(encode_live_packet(packet))
+        short = {"msg": m0.message_id, "idx": 0}
+        assert [sorted(s.descriptor) for s in frame.segments] == [
+            sorted(["flow", "msg", "idx", "layout", "submit", "seq", "ctx"])
+        ] * 2 + [["idx", "msg"]] * 2
+        assert frame.segments[2].descriptor == short
+        assert frame.segments[3].descriptor == {"msg": m0.message_id, "idx": 1}
+        mirror = self._pair(flow)
+        rebuilt = mirror.packet_from_frame(frame, 0)
+        assert [(s.payload.message.message_id, s.payload.index, s.offset, s.length)
+                for s in rebuilt.segments] == [
+            (m0.message_id, 0, 0, 60), (m1.message_id, 0, 0, 100),
+            (m0.message_id, 0, 60, 40), (m0.message_id, 1, 0, 50),
+        ]
+        assert mirror.bytes_verified == 250
+        # A later frame of the same message repeats the skeleton: the
+        # codec keeps no state across frames.
+        tail = WirePacket(
+            kind=PacketKind.EAGER, src="n0", dst="n1", channel_id=0,
+            segments=(WireSegment(b1, 0, 50),), packet_id=1,
+        )
+        assert "layout" in _decode_one(encode_live_packet(tail)).segments[0].descriptor
+
+    def test_short_descriptor_without_a_mirror_rejected(self):
+        flow = Flow(0, "t-short", "n0", "n1")
+        message, packet = _sent_packet(flow)
+        frame = _decode_one(encode_live_packet(packet))
+        seg = frame.segments[0]
+        short = DecodedSegment(
+            {"msg": message.message_id, "idx": 0}, seg.offset, seg.length, seg.data
+        )
+        mirror = self._pair(flow)
+        with pytest.raises(WireError, match="descriptor missing"):
+            mirror.packet_from_frame(replace(frame, segments=(short,)), 0)
+        assert mirror.open_mirrors == 0 and mirror.bytes_verified == 0
 
     def test_unknown_flow_rejected(self):
         flow = Flow(0, "t-unknown", "n0", "n1")
