@@ -46,6 +46,7 @@ class AdaptiveChannels(ChannelPolicy):
     """
 
     name = "adaptive"
+    stable_service_order = True
 
     #: Service priority among promoted channels (control first).
     PRIORITY = (
@@ -70,6 +71,7 @@ class AdaptiveChannels(ChannelPolicy):
         self._max_channels = 1
         self._shared_id: int | None = None
         self._dedicated: dict[TrafficClass, int] = {}
+        self._rank: dict[int, int] = {}  # channel id → service rank
         self._free_channels: list[int] = []
         self._window_bytes: dict[TrafficClass, int] = {}
         self._idle_windows: dict[TrafficClass, int] = {}
@@ -91,6 +93,7 @@ class AdaptiveChannels(ChannelPolicy):
         self._shared_id = shared.channel_id
         for traffic_class in TrafficClass:
             pool.assign(traffic_class, shared.channel_id)
+        self._rerank()
 
     def channel_for_entry(self, entry: SubmitEntry) -> int:
         if self._pool is None:
@@ -105,7 +108,8 @@ class AdaptiveChannels(ChannelPolicy):
     #: dedicated channel can ever tie with the shared one.
     _SHARED_RANK = 2
 
-    def service_order(self, queues: Sequence[ChannelQueue]) -> list[ChannelQueue]:
+    def _rerank(self) -> None:
+        """Rebuild the channel → rank table (the assignment changed)."""
         rank: dict[int, int] = {}
         for position, traffic_class in enumerate(self.PRIORITY):
             channel_id = self._dedicated.get(traffic_class)
@@ -120,6 +124,12 @@ class AdaptiveChannels(ChannelPolicy):
                 )
         if self._shared_id is not None:
             rank.setdefault(self._shared_id, self._SHARED_RANK)
+        self._rank = rank
+
+    def service_order(self, queues: Sequence[ChannelQueue]) -> list[ChannelQueue]:
+        if len(queues) < 2:
+            return list(queues)
+        rank = self._rank
         unknown = len(self.PRIORITY) + 1
         return sorted(
             queues, key=lambda q: (rank.get(q.channel_id, unknown), q.channel_id)
@@ -182,6 +192,7 @@ class AdaptiveChannels(ChannelPolicy):
             channel_id = self._pool.create(f"dyn:{traffic_class.value}").channel_id
         self._pool.assign(traffic_class, channel_id)
         self._dedicated[traffic_class] = channel_id
+        self._rerank()
         self._idle_windows[traffic_class] = 0
         self.adaptations.append(("promote", traffic_class))
         if self._engine is not None:
@@ -191,6 +202,7 @@ class AdaptiveChannels(ChannelPolicy):
     def _demote(self, traffic_class: TrafficClass) -> None:
         assert self._pool is not None and self._shared_id is not None
         channel_id = self._dedicated.pop(traffic_class)
+        self._rerank()
         self._pool.assign(traffic_class, self._shared_id)
         self._free_channels.append(channel_id)
         self._idle_windows.pop(traffic_class, None)

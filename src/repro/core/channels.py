@@ -31,6 +31,9 @@ class ChannelPolicy(abc.ABC):
     """Maps entries to channels and orders channel service."""
 
     name: ClassVar[str] = "abstract"
+    #: ``service_order`` changes only with ``note_dispatch`` / ``note_rail_event``,
+    #: never by being called: the engine may skip pumps a standing Hold answers.
+    stable_service_order: ClassVar[bool] = False
 
     @abc.abstractmethod
     def setup(self, pool: ChannelPool, max_channels: int) -> None:
@@ -86,6 +89,7 @@ class PooledChannels(ChannelPolicy):
     """
 
     name = "pooled"
+    stable_service_order = True
 
     #: Default service priority, most urgent first.
     DEFAULT_PRIORITY = (

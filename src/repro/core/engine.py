@@ -62,10 +62,6 @@ class EngineStats:
     acks_sent: int = 0
     failovers: int = 0
 
-    def note_activation(self, trigger: str) -> None:
-        """Count one optimizer activation by its trigger kind."""
-        self.activations[trigger] = self.activations.get(trigger, 0) + 1
-
     @property
     def aggregation_ratio(self) -> float:
         """Mean payload segments per data packet (1.0 = no aggregation)."""
@@ -118,6 +114,10 @@ class CommEngineBase:
         self._pumping = False
         self._hold_timer: Event | None = None
         self._hold_wake = float("inf")
+        #: ``(release_bytes, release_pending, rails)``, the tightest of the
+        #: Holds of a pump in which every idle rail held and nothing was sent.
+        #: Stands until the next pump or kick — the armed timer's at the latest.
+        self._standing: tuple[float, float, int] | None = None
         #: Read-only tail statistics, set by the observability plane at
         #: install time (None without a plane that records tails).
         #: Consulted on the tracing-gated decide-record path, and by the
@@ -237,12 +237,10 @@ class CommEngineBase:
             queues = [q for q in queues if q.channel_id % n == index]
         return self.policy.service_order(queues)
 
-    def _pump(self, trigger: str) -> None:
-        """Feed every idle NIC until strategies run out of plans."""
-        if self._pumping:
-            return
-        self._pumping = True
-        self.stats.note_activation(trigger)
+    def _activate(self, trigger: str) -> None:
+        """Count one optimizer activation by its trigger and trace it."""
+        activations = self.stats.activations
+        activations[trigger] = activations.get(trigger, 0) + 1
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(
@@ -252,27 +250,51 @@ class CommEngineBase:
                 trigger=trigger,
                 backlog=self.waiting.total_pending,
             )
+
+    def _pump(self, trigger: str) -> None:
+        """Feed every idle NIC until strategies run out of plans."""
+        if self._pumping:
+            return
+        self._standing = None
+        self._activate(trigger)
         selector = self.rail_selector
         drivers = self.drivers if selector is None else selector.order(self.drivers)
+        waiting = self.waiting
+        tracer = self.sim.tracer
+        stats = self.stats
+        release_bytes = release_pending = float("inf")
+        rails = 0  # rails that held
+        held_only = True  # no rail sent, none had nothing to send
+        self._pumping = True
         try:
             for driver in drivers:
-                while driver.idle:
+                # An empty backlog leaves nothing to ask a rail about.
+                while waiting.total_pending and driver.idle:
                     epoch = self._enqueue_epoch
                     decision = self.strategy.make_plan(self, driver)
                     if isinstance(decision, TransferPlan):
                         if tracer.enabled:
                             self._emit_decide(decision, tracer)
                         self._dispatch(decision)
+                        held_only = False
                     elif isinstance(decision, Hold):
-                        self.stats.holds += 1
+                        stats.holds += 1
                         self._arm_hold(decision.wake_at)
+                        release_bytes = min(release_bytes, decision.release_bytes)
+                        release_pending = min(release_pending, decision.release_pending)
+                        rails += 1
                         break
                     else:
                         if self._enqueue_epoch != epoch:
                             continue  # planning parked work; re-plan
+                        held_only = False
                         break
         finally:
             self._pumping = False
+        # A rail selector, or a policy whose service order counts its
+        # calls, must see every pump: under them no hold stands.
+        if rails and held_only and selector is None and self.policy.stable_service_order:
+            self._standing = (release_bytes, release_pending, rails)
 
     def _emit_decide(self, plan: TransferPlan, tracer) -> None:
         """One ``optimizer.decide`` record per dispatch (tracing only).
@@ -605,6 +627,7 @@ class CommEngineBase:
 
     def _kick(self, trigger: str) -> None:
         """Pump if any NIC can take work right now."""
+        self._standing = None  # whatever kicked may have changed the answer
         if any(d.idle for d in self.drivers):
             self._pump(trigger)
 
@@ -684,6 +707,19 @@ class OptimizingEngine(CommEngineBase):
     """
 
     def _after_submit(self) -> None:
+        if self._standing is not None:
+            release_bytes, release_pending, rails = self._standing
+            waiting = self.waiting
+            if (
+                self.sim.now < self._hold_wake
+                and waiting.total_pending < release_pending
+                and waiting.total_pending_bytes < release_bytes
+            ):
+                # Entries were only appended since the hold was made: a full
+                # pump would be this activation and each rail's Hold again.
+                self._activate("submit")
+                self.stats.holds += rails
+                return
         if any(d.idle for d in self.drivers):
             self._pump("submit")
 

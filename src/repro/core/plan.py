@@ -90,6 +90,16 @@ class TransferPlan:
 
 @dataclass(frozen=True, slots=True)
 class Hold:
-    """Strategy decision: send nothing now, re-evaluate at ``wake_at``."""
+    """Strategy decision: send nothing now, re-evaluate at ``wake_at``.
+
+    A standing decision: the engine may answer submit activations from
+    a Hold until its release condition — ``now`` reaches ``wake_at`` or
+    the backlog reaches ``release_pending`` entries or ``release_bytes``
+    bytes — and it re-asks on every other activation.  Set both no higher
+    than the backlog at which entries appended to the waiting lists could
+    change the decision; the defaults mean "always re-ask".
+    """
 
     wake_at: float
+    release_bytes: float = 0
+    release_pending: float = 0

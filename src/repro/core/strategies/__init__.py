@@ -20,7 +20,7 @@ Predefined strategies:
   capabilities (the paper's headline optimization);
 * ``search`` — bounded best-first search over candidate rearrangements,
   scored by the cost model (§4 future work);
-* ``nagle`` — wrapper adding the artificial small-backlog delay (§3);
+* ``nagle`` — ``aggregate`` behind the artificial small-backlog delay (§3);
 * ``auto`` — meta-strategy that selects between the above per decision,
   based on the observed backlog (§2: "selecting different policies, as
   the needs of the application evolve").

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.plan import Hold, TransferPlan
-from repro.core.strategies._builder import build_from_queue
+from repro.core.strategies._builder import build_from_queue, first_build
 from repro.core.strategies.base import Strategy, register_strategy
 from repro.drivers.base import Driver
 
@@ -34,17 +34,4 @@ class AggregationStrategy(Strategy):
     def make_plan(
         self, engine: "CommEngineBase", driver: Driver
     ) -> TransferPlan | Hold | None:
-        limit = (
-            self.max_items
-            if self.max_items is not None
-            else driver.max_segments_per_packet()
-        )
-        for queue in engine.queues_for(driver):
-            # O(1) emptiness probe; the builder materializes the window
-            # (the queue's array mirror) itself.
-            if not len(queue):
-                continue
-            plan = build_from_queue(engine, driver, queue, max_items=limit)
-            if plan is not None:
-                return plan
-        return None
+        return first_build(engine, driver, build_from_queue, self.max_items)

@@ -14,9 +14,9 @@ the packet-building policy itself:
   just send immediately (the "regular communication library" fallback
   of §3).
 
-``AutoStrategy`` watches the waiting lists and recent activity and
-delegates each decision to the matching inner strategy.  Its
-``selections`` counter shows which regimes a run visited.
+``AutoStrategy`` watches the waiting lists and decides as the matching
+strategy would: ``aggregate``'s build when deep, ``nagle``'s build plus
+gate when sparse.  ``selections`` shows which regimes a run visited.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.plan import Hold, TransferPlan
-from repro.core.strategies.aggregation import AggregationStrategy
+from repro.core.strategies._builder import build_from_queue, first_build
 from repro.core.strategies.base import Strategy, register_strategy
-from repro.core.strategies.nagle import NagleStrategy
+from repro.core.strategies.nagle import gated_plan
 from repro.drivers.base import Driver
 from repro.util.errors import ConfigurationError
 from repro.util.units import KiB, us
@@ -63,11 +63,10 @@ class AutoStrategy(Strategy):
         if hold_delay < 0 or hold_min_bytes < 0:
             raise ConfigurationError("hold parameters must be >= 0")
         self.deep_backlog = deep_backlog
-        self._aggregate = AggregationStrategy()
-        self._nagle = NagleStrategy(
-            inner=self._aggregate, delay=hold_delay, min_bytes=hold_min_bytes
-        )
-        #: regime name → times selected (for tests and reporting).
+        self.hold_delay = hold_delay
+        self.hold_min_bytes = hold_min_bytes
+        #: regime name → decisions made in it (submits the engine
+        #: answers from a standing Hold are not decisions).
         self.selections: dict[str, int] = {"deep": 0, "sparse": 0}
         self._last_regime = "sparse"
 
@@ -77,16 +76,13 @@ class AutoStrategy(Strategy):
         if engine.waiting.total_pending >= self.deep_backlog:
             self.selections["deep"] += 1
             self._last_regime = "deep"
-            return self._aggregate.make_plan(engine, driver)
+            return first_build(engine, driver, build_from_queue)
         self.selections["sparse"] += 1
         self._last_regime = "sparse"
-        return self._nagle.make_plan(engine, driver)
+        # ``deep_backlog`` entries flip the regime: a Hold stands below that.
+        return gated_plan(
+            engine, driver, self.hold_delay, self.hold_min_bytes, self.deep_backlog
+        )
 
     def explain_last(self):
-        inner = (
-            self._aggregate if self._last_regime == "deep" else self._nagle
-        ).explain_last()
-        explain = {"regime": self._last_regime}
-        if inner:
-            explain.update(inner)
-        return explain
+        return {"regime": self._last_regime}

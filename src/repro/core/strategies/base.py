@@ -26,6 +26,10 @@ class Strategy(abc.ABC):
     * a :class:`~repro.core.plan.Hold` to postpone the decision, or
     * ``None`` when nothing should be sent on this driver now.
 
+    The engine may answer submit activations from a Hold until its
+    release condition; it re-asks on every other activation (NIC idle,
+    hold expiry, rendezvous and rail events).
+
     Strategies may *park* oversized entries for rendezvous via
     ``engine.park_for_rendezvous`` while planning; the engine re-plans
     when parking added new control work.

@@ -9,28 +9,16 @@ available, as a regular communication library would do").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.core.plan import Hold, TransferPlan
-from repro.core.strategies._builder import build_from_queue
-from repro.core.strategies.base import Strategy, register_strategy
-from repro.drivers.base import Driver
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine import CommEngineBase
+from repro.core.strategies.aggregation import AggregationStrategy
+from repro.core.strategies.base import register_strategy
 
 __all__ = ["EagerStrategy"]
 
 
 @register_strategy("eager")
-class EagerStrategy(Strategy):
-    """Send waiting entries one per packet, in arrival order."""
+class EagerStrategy(AggregationStrategy):
+    """Send waiting entries one per packet, in arrival order:
+    ``aggregate`` capped at one segment."""
 
-    def make_plan(
-        self, engine: "CommEngineBase", driver: Driver
-    ) -> TransferPlan | Hold | None:
-        for queue in engine.queues_for(driver):
-            plan = build_from_queue(engine, driver, queue, max_items=1)
-            if plan is not None:
-                return plan
-        return None
+    def __init__(self) -> None:
+        super().__init__(max_items=1)

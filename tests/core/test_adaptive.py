@@ -169,6 +169,40 @@ class TestAdaptiveChannels:
             ids[TrafficClass.BULK],
         ]
 
+    def test_service_order_follows_a_promote_demote_cycle(self):
+        """The channel → rank table is rebuilt when the assignment
+        changes, not per call: the order must track a promotion, the
+        demotion that frees the channel, and its reuse by another class."""
+        policy = AdaptiveChannels(
+            promote_bytes=1 * KiB, window_dispatches=1, demote_after_windows=1
+        )
+        pool = ChannelPool()
+        policy.setup(pool, max_channels=8)
+        shared = pool.channels[0].channel_id
+
+        def order(*channel_ids):
+            queues = [ChannelQueue(channel_id) for channel_id in channel_ids]
+            return [q.channel_id for q in policy.service_order(queues)]
+
+        assert order(shared) == [shared]
+        policy.note_dispatch(shared, [(TrafficClass.CONTROL, 2 * KiB)])
+        first = pool.channel_for(TrafficClass.CONTROL).channel_id
+        assert first != shared
+        assert order(shared, first) == [first, shared]
+        # One window without control traffic demotes it: the freed
+        # channel keeps no rank and sorts last.
+        policy.note_dispatch(shared, [(TrafficClass.DEFAULT, 32)])
+        assert TrafficClass.CONTROL not in policy.dedicated_classes
+        assert order(first, shared) == [shared, first]
+        # BULK takes the freed channel over; CONTROL earns a new one.
+        policy.note_dispatch(shared, [(TrafficClass.BULK, 2 * KiB)])
+        assert pool.channel_for(TrafficClass.BULK).channel_id == first
+        assert order(first, shared) == [shared, first]
+        policy.note_dispatch(shared, [(TrafficClass.CONTROL, 2 * KiB), (TrafficClass.BULK, 1)])
+        second = pool.channel_for(TrafficClass.CONTROL).channel_id
+        assert second not in (shared, first)
+        assert order(first, shared, second) == [second, shared, first]
+
     def test_respects_max_channels(self):
         policy = AdaptiveChannels(promote_bytes=1, window_dispatches=1)
         pool = ChannelPool()

@@ -152,6 +152,34 @@ class TestPingPong:
         assert result.bytes_verified == result.report.total_bytes
 
 
+class TestHolds:
+    def test_auto_strategy_holds_on_the_live_clock(self):
+        """``auto`` over a quiet socket holds every small message for its
+        Nagle delay (the benchmark's live workloads use ``aggregate`` and
+        never reach a Hold).  The clock is stretched so the 6 us delay is
+        30 ms of wall time: the stream's burst lands under the ping's
+        armed hold and is answered from it, so n0 counts more holds than
+        its hold timer fired.  The run returning at all means no timer
+        was left armed — a peer is not ``quiet`` while
+        ``engine.hold_timer_armed`` or ``clock.pending_timers``."""
+        scenario = _scenario(
+            [
+                {"app": "pingpong", "src": "n0", "dst": "n1", "size": 64, "count": 8},
+                {"app": "stream", "src": "n0", "dst": "n1", "size": 32, "count": 6,
+                 "interval": 0.0},
+            ]
+        )
+        scenario["cluster"]["strategy"] = "auto"
+        result = run_live_scenario(scenario, time_scale=5000.0, timeout=_TIMEOUT)
+        report = result.report
+        assert report.messages == 16 + 6
+        assert result.bytes_verified == report.total_bytes
+        assert result.corrupt_slices == 0
+        engines = {p["node"]: p["engine"] for p in result.peer_reports}
+        assert engines["n1"]["holds"] > 0
+        assert engines["n0"]["holds"] > engines["n0"]["activations"]["nagle"] > 0
+
+
 class TestAggregation:
     def test_multiflow_coalesces(self):
         result = run_live_scenario(
