@@ -114,9 +114,8 @@ class CommEngineBase:
         self._pumping = False
         self._hold_timer: Event | None = None
         self._hold_wake = float("inf")
-        #: ``(release_bytes, release_pending, rails)``, the tightest of the
-        #: Holds of a pump in which every idle rail held and nothing was sent.
-        #: Stands until the next pump or kick — the armed timer's at the latest.
+        #: ``(release_bytes, release_pending, rails)``, the tightest Hold of a
+        #: pump where every idle rail only held; the next pump or kick clears it.
         self._standing: tuple[float, float, int] | None = None
         #: Read-only tail statistics, set by the observability plane at
         #: install time (None without a plane that records tails).
@@ -283,6 +282,8 @@ class CommEngineBase:
                         release_bytes = min(release_bytes, decision.release_bytes)
                         release_pending = min(release_pending, decision.release_pending)
                         rails += 1
+                        # The held walk parked an entry: a handshake now waits.
+                        held_only = held_only and self._enqueue_epoch == epoch
                         break
                     else:
                         if self._enqueue_epoch != epoch:
@@ -291,9 +292,8 @@ class CommEngineBase:
                         break
         finally:
             self._pumping = False
-        # A rail selector, or a policy whose service order counts its
-        # calls, must see every pump: under them no hold stands.
-        if rails and held_only and selector is None and self.policy.stable_service_order:
+        # A policy whose service order counts its calls must see every pump.
+        if rails and held_only and self.policy.stable_service_order:
             self._standing = (release_bytes, release_pending, rails)
 
     def _emit_decide(self, plan: TransferPlan, tracer) -> None:
@@ -707,7 +707,8 @@ class OptimizingEngine(CommEngineBase):
     """
 
     def _after_submit(self) -> None:
-        if self._standing is not None:
+        # A rail selector counts the pumps it orders: under one, none is skipped.
+        if self._standing is not None and self.rail_selector is None:
             release_bytes, release_pending, rails = self._standing
             waiting = self.waiting
             if (
@@ -715,8 +716,7 @@ class OptimizingEngine(CommEngineBase):
                 and waiting.total_pending < release_pending
                 and waiting.total_pending_bytes < release_bytes
             ):
-                # Entries were only appended since the hold was made: a full
-                # pump would be this activation and each rail's Hold again.
+                # Only tail appends since the hold: a pump would hold each rail again.
                 self._activate("submit")
                 self.stats.holds += rails
                 return

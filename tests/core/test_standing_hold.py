@@ -191,11 +191,14 @@ def run_schedule(schedule, shadow: bool, prepare=None, **cluster_kwargs):
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(SCHEDULES, st.sampled_from(["pooled", "static"]))
-def test_standing_hold_decides_like_a_full_pump(schedule, rail_binding):
+@given(SCHEDULES, st.sampled_from(["pooled", "static"]), st.sampled_from([None, PooledChannels]))
+def test_standing_hold_decides_like_a_full_pump(schedule, rail_binding, policy):
+    """``policy`` None is ``adaptive`` (handshakes share the data queue);
+    under ``pooled`` CONTROL entries have a channel of their own."""
+    kwargs = {"rail_binding": rail_binding, "policy": policy}
     assert (
-        run_schedule(schedule, shadow=False, rail_binding=rail_binding)[:3]
-        == run_schedule(schedule, shadow=True, rail_binding=rail_binding)[:3]
+        run_schedule(schedule, shadow=False, **kwargs)[:3]
+        == run_schedule(schedule, shadow=True, **kwargs)[:3]
     )
 
 
@@ -274,6 +277,20 @@ class TestRelease:
         parked = [step[0][4] for step in steps]
         assert parked == [0, 1, 1]  # parked by the submit's own pump
 
+    def test_parked_behind_a_held_entry(self):
+        """``pooled``: the held walk itself parks the entry behind the
+        small one, and the handshake waits in the CONTROL channel.  No
+        hold stands over it — the next submit's pump sends it at once."""
+        log, steps, _, cluster = both(
+            [(0.0, send(0, 64)), (1 * us, send(0, ELAN_RDV + 1)), (1 * us, send(0, 64)),
+             (30 * us, ("post", 0))],
+            policy=PooledChannels,
+        )
+        assert [step[0][4] for step in steps[:3]] == [0, 1, 1]
+        assert [(at, kind) for at, node, _, kind, *_ in log if node == "n0"][0] == (
+            2 * us, "rdv_req"
+        )
+
     def test_submit_at_exactly_wake_at(self):
         """At ``wake_at`` the hold is over, whichever of the submit and
         the timer the event queue runs first."""
@@ -337,6 +354,21 @@ class TestRelease:
         both(schedule, **kwargs)
         real, shadow = consultations(schedule, **kwargs)
         assert real == shadow
+
+    def test_selector_installed_under_a_hold_orders_the_next_submit(self):
+        """The tuner may install a rail selector while a hold stands; it
+        counts the pumps it orders, so none is answered without it."""
+        cluster = make_cluster(shadow=False)
+        engine = cluster.engine("n0")
+        api = cluster.api("n0")
+        flow = api.open_flow("n1")
+        api.send(flow, 64, header_size=0)
+        assert engine._standing is not None
+        orders = []
+        engine.rail_selector = mock.Mock(order=lambda d: (orders.append(1), d)[1])
+        api.send(flow, 64, header_size=0)
+        api.send(flow, 64, header_size=0)
+        assert len(orders) == 2 and engine.stats.holds == 6
 
     def test_default_hold_is_always_reasked(self):
         """A strategy that fills no release condition is asked on every
