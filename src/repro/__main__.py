@@ -8,8 +8,8 @@ Usage::
         --metrics-out metrics.prom --sample-interval 1e-5
     python -m repro live run scenario.json --serve :9464 --trace-out merged.json
     python -m repro obs analyze trace.json   # timelines + decision summary
+    python -m repro obs analyze merged.jsonl --scenario s.json --check  # SLO gate
     python -m repro obs diff base.json cand.json --check   # regression gate
-    python -m repro obs tail merged.jsonl --scenario s.json --check  # SLO gate
     python -m repro obs why trace.jsonl --slowest 5   # causal latency blame
     python -m repro bench [ids] [flags]    # alias for python -m repro.bench
 """
@@ -159,7 +159,6 @@ def _cmd_run(args) -> int:
             print(f"  {node:<6} rail-refreshes={state['rails']['refreshes']}")
     plane = cluster.obs
     if plane is not None:
-        plane.finalize()
         if plane.sink is not None and plane.sink.dropped:
             print(
                 f"flight recorder      : kept {len(plane.sink.events)} of "
@@ -292,12 +291,6 @@ def _cmd_obs_diff(args) -> int:
     from repro.obs.diff import main as diff_main
 
     return diff_main(args)
-
-
-def _cmd_obs_tail(args) -> int:
-    from repro.obs.tails import main as tail_main
-
-    return tail_main(args)
 
 
 def _cmd_obs_why(args) -> int:
@@ -442,6 +435,22 @@ def main(argv: list[str] | None = None) -> int:
     analyze_parser.add_argument(
         "--top", type=int, default=5, help="channels to list in the miss summary"
     )
+    analyze_parser.add_argument(
+        "--scenario",
+        metavar="PATH",
+        help=(
+            "scenario JSON whose observability.slo block defines the "
+            "objectives to evaluate (multi-window burn rates)"
+        ),
+    )
+    analyze_parser.add_argument(
+        "--check",
+        action="store_true",
+        help=(
+            "exit nonzero when no edge was correlated or any SLO is "
+            "violated in every configured window"
+        ),
+    )
     analyze_parser.set_defaults(func=_cmd_obs_analyze)
 
     diff_parser = obs_sub.add_parser(
@@ -469,31 +478,6 @@ def main(argv: list[str] | None = None) -> int:
         help="exit nonzero when any non-ignored metric regressed",
     )
     diff_parser.set_defaults(func=_cmd_obs_diff)
-
-    tail_parser = obs_sub.add_parser(
-        "tail",
-        help="per-edge tail-latency report + SLO burn rates from a trace",
-    )
-    tail_parser.add_argument(
-        "trace", help="trace file (.jsonl or Chrome JSON; merged live or sim)"
-    )
-    tail_parser.add_argument(
-        "--scenario",
-        metavar="PATH",
-        help=(
-            "scenario JSON whose observability.slo block defines the "
-            "objectives to evaluate (multi-window burn rates)"
-        ),
-    )
-    tail_parser.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit nonzero when no edge was correlated or any SLO is "
-            "violated in every configured window"
-        ),
-    )
-    tail_parser.set_defaults(func=_cmd_obs_tail)
 
     why_parser = obs_sub.add_parser(
         "why",

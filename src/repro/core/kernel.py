@@ -404,7 +404,7 @@ def build_eager_arrays(
                 PacketKind.EAGER,
                 d,
                 channel_id,
-                [PlanItem(entries[i], remaining[i])],
+                [PlanItem(entries[i], min(remaining[i], budget))],
             )
 
         if dst is None:

@@ -72,12 +72,8 @@ from repro.obs.merge import (
     merge_registries,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tails import (
-    SLObjective,
-    TailView,
-    parse_slo,
-    pooled_message_sketch,
-)
+from repro.obs.plane import ObservabilityConfig
+from repro.obs.tails import SLObjective, TailView, pooled_message_sketch
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
 from repro.runtime.cluster import Cluster, check_topology
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
@@ -411,7 +407,6 @@ class _ObsCollector:
         self.samples: list[OffsetSample] = []
         self.events_by_peer: dict[str, list[TraceEvent]] = {}
         self.metrics_by_peer: dict[str, Mapping[str, Any]] = {}
-        self.exemplars_by_peer: dict[str, Mapping[str, Any]] = {}
         self.nodes: dict[int, str] = {}
 
     def timed_request(
@@ -453,8 +448,6 @@ class _ObsCollector:
             bucket.extend(_event_from_wire(e) for e in events)
         if payload.get("metrics") is not None:
             self.metrics_by_peer[node] = payload["metrics"]
-        if payload.get("exemplars") is not None:
-            self.exemplars_by_peer[node] = payload["exemplars"]
 
     def merge(self) -> MergedTrace:
         crossings = extract_crossings(self.events_by_peer)
@@ -470,17 +463,25 @@ class _ObsCollector:
 
 
 def _validate(
-    scenario: Mapping[str, Any], trace: bool
-) -> tuple[int, ChaosConfig | None]:
+    scenario: Mapping[str, Any], observability: Mapping[str, Any]
+) -> tuple[int, ChaosConfig | None, tuple[SLObjective, ...]]:
     """Reject, before any peer is spawned, what a peer would reject.
 
-    The cluster block and the workloads go through the simulator's own
-    parsers, and a ``tuner`` block installs on a throwaway simulated
-    cluster — or refuses to — as it would on every peer, so a bad
-    scenario fails here with the simulator's words instead of as a peer
-    traceback.  Returns ``(n_nodes, chaos)`` — the coordinator needs the
-    failure-detection budget before it forks.
+    The cluster block, the workloads and the observability spec go
+    through the simulator's own parsers, and a ``tuner`` block installs
+    on a throwaway simulated cluster — or refuses to — as it would on
+    every peer, so a bad scenario fails here with the simulator's words
+    instead of as a peer traceback.  Returns ``(n_nodes, chaos, slo)`` —
+    the coordinator needs the failure-detection budget before it forks,
+    and the objectives for ``/tails`` and the post-run verdicts.
     """
+    obs_config = ObservabilityConfig.from_spec(observability)
+    if obs_config.ring_buffer is not None:
+        raise ConfigurationError(
+            "observability.ring_buffer sizes the simulator's flight recorder; "
+            "a live peer keeps no ring — its spool streams every event to "
+            "the coordinator"
+        )
     spec = parse_cluster(scenario)
     check_topology(spec["n_nodes"], spec["networks"], spec["engine"])
     chaos: ChaosConfig | None = None
@@ -494,8 +495,9 @@ def _validate(
             )
     build_workloads(scenario)
     if scenario.get("tuner") is not None:
+        trace = bool(observability.get("trace"))
         Cluster(**spec, observability={"trace": trace}, tuner=scenario["tuner"])
-    return spec["n_nodes"], chaos
+    return spec["n_nodes"], chaos, obs_config.slo
 
 
 def _alive(peers: list[_Peer], watchdog: PeerWatchdog | None) -> list[_Peer]:
@@ -757,10 +759,9 @@ def _merge_run(
                 {"reason": dead.reason},
                 help="Peers declared dead by the coordinator watchdog",
             ).inc()
-            coord.histogram(
+            coord.sketch(
                 "repro_peer_time_to_detect_seconds",
                 help="Silence-to-declaration latency per declared death",
-                base=0.01, growth=2.0, n_buckets=16,
             ).observe(dead.time_to_detect)
         obs.metrics_by_peer["coordinator"] = coord.to_snapshot()
     cluster_registry = (
@@ -813,18 +814,16 @@ def _merge_run(
     # sender's submit and the receiver's delivery in one stream.
     if trace_on:
         blame_report = attribute_events(aligned)
-        if blame_report.messages or obs.exemplars_by_peer:
-            blame_edges = blame_report.edges()
-            tails["blame"] = {
-                "messages": len(blame_report.messages),
-                "incomplete": blame_report.incomplete,
-                "truncated": blame_report.truncated,
-                "edges": blame_edges,
-                "slowest": [b.to_dict() for b in blame_report.slowest(5)],
-                "peer_exemplars": dict(obs.exemplars_by_peer),
-            }
-            if cluster_registry is not None:
-                export_blame(blame_edges, cluster_registry)
+        blame_edges = blame_report.edges()
+        tails["blame"] = {
+            "messages": len(blame_report.messages),
+            "incomplete": blame_report.incomplete,
+            "truncated": blame_report.truncated,
+            "edges": blame_edges,
+            "slowest": [b.to_dict() for b in blame_report.slowest(5)],
+        }
+        if cluster_registry is not None:
+            export_blame(blame_edges, cluster_registry)
     return LiveRunResult(
         report=report,
         records=records,
@@ -885,12 +884,7 @@ def run_live_scenario(
     if trace:
         obs_spec.setdefault("trace", True)
     trace_on = bool(obs_spec.get("trace"))
-    n_nodes, chaos = _validate(scenario, trace_on)
-
-    # Validate SLO objectives before any peer is spawned (peers re-parse
-    # their own copy); the coordinator needs them for /tails and the
-    # post-run burn-rate verdicts.
-    slo_objectives = parse_slo(obs_spec.get("slo"))
+    n_nodes, chaos, slo_objectives = _validate(scenario, obs_spec)
     # Serving live metrics needs registry snapshots flowing even when
     # nobody asked for trace events; flushing is cheap either way.
     flushing = trace_on or serve is not None

@@ -12,10 +12,10 @@ would never look quiet.  :class:`LiveSampler` therefore drives the
 same ``sample_once`` core from the clock's uncounted ``background``
 timers, which the quiescence predicate deliberately does not see.
 
-:class:`SpoolSink` is the streaming half: a bounded buffer of events
-since the last coordinator ``FLUSH``, drained into the control protocol
-every poll so no cap ever truncates the run's trace — the peer's ring
-buffer stays as the crash flight recorder.
+:class:`SpoolSink` is the streaming half and the peer's one trace
+recorder: a bounded buffer of events since the last coordinator
+``FLUSH``, drained into the control protocol every poll so no cap ever
+truncates the run's trace.
 """
 
 from __future__ import annotations

@@ -69,12 +69,6 @@ from repro.live.transport import MirrorReceiver
 
 __all__ = ["LivePeer", "main"]
 
-#: Default flight-recorder window when the scenario does not size one.
-#: Unlike the old hard REPORT cap, this never truncates what the
-#: coordinator sees — streaming flushes carry the full event stream —
-#: it only bounds the in-peer crash recorder.
-_RING_DEFAULT = 50_000
-
 
 def _outage_matches(outage, nic) -> bool:
     """Whether one scheduled outage targets one local live NIC.
@@ -236,23 +230,14 @@ class LivePeer:
         ``pending_timers`` above zero and defeat quiescence detection —
         and a :class:`LiveSampler` is driven off the clock's uncounted
         ``background`` timers instead.
-        The spool is the streaming buffer the coordinator drains with
-        FLUSH requests; the plane's ring buffer stays as the bounded
-        in-process flight recorder.
+        The plane's one trace recorder is the spool, the streaming buffer
+        the coordinator drains with FLUSH requests.
         """
-        ring = self.obs_config.ring_buffer
+        self.spool: SpoolSink | None = SpoolSink() if self.obs_config.trace else None
         self.plane = ObservabilityPlane(
-            replace(
-                self.obs_config,
-                sample_interval=None,
-                ring_buffer=ring if ring is not None else _RING_DEFAULT,
-            )
+            replace(self.obs_config, sample_interval=None), sink=self.spool
         )
         self.plane.install(self)
-        self.spool: SpoolSink | None = None
-        if self.obs_config.trace:
-            self.spool = SpoolSink()
-            self.tracer.subscribe(self.spool)
         self.sampler: LiveSampler | None = None
         if self.obs_config.sample_interval is not None:
             self.sampler = LiveSampler(
@@ -489,7 +474,7 @@ class LivePeer:
         # keeps the in-flight /metrics view from reading all-zero until
         # the final report.
         self._mirror_live_metrics()
-        reply = {
+        return {
             "type": "flushed",
             "node": self.local,
             "now": self.clock.refresh(),
@@ -497,9 +482,6 @@ class LivePeer:
             "spool_dropped": self.spool.dropped if self.spool is not None else 0,
             "metrics": self.plane.registry.to_snapshot(),
         }
-        if self.plane.tail_exemplars is not None:
-            reply["exemplars"] = self.plane.tail_exemplars.snapshot()
-        return reply
 
     def _mirror_live_metrics(self) -> None:
         """Mirror live-plane counters (hub, mirror, spool) into the registry.
@@ -558,13 +540,8 @@ class LivePeer:
         # the last drain; when it never flushed (legacy path) it is the
         # whole run, bounded solely by the spool capacity — and the
         # drop counters say so honestly instead of silently capping.
-        trace_events = self.spool.drain() if self.spool is not None else []
-        ring = self.plane.sink
-        exemplars = (
-            self.plane.tail_exemplars.snapshot()
-            if self.plane.tail_exemplars is not None
-            else None
-        )
+        spool = self.spool
+        trace_events = spool.drain() if spool is not None else []
         return {
             "type": "report",
             "node": self.local,
@@ -578,12 +555,10 @@ class LivePeer:
             "chaos": self.hub.chaos_stats() if self.chaos is not None else None,
             "apps": apps,
             "trace": [event_to_dict(e) for e in trace_events],
-            "trace_dropped": self.spool.dropped if self.spool is not None else 0,
-            "trace_seen": ring.seen if ring is not None else 0,
-            "ring_dropped": ring.dropped if ring is not None else 0,
+            "trace_dropped": spool.dropped if spool is not None else 0,
+            "trace_seen": spool.seen if spool is not None else 0,
             "streamed": self._flushed,
             "metrics": self.plane.registry.to_snapshot(),
-            "exemplars": exemplars,
             "fatal": self.hub.fatal,
         }
 

@@ -33,7 +33,6 @@ from repro.obs.causal import (
     BLAME_BUCKETS,
     CausalReport,
     MessageBlame,
-    TailExemplars,
     attribute_chain,
     attribute_events,
     render_waterfall,
@@ -48,13 +47,11 @@ from repro.obs.merge import (
     correct_edge_sketches,
     estimate_offsets,
     extract_crossings,
-    merge_histograms,
     merge_registries,
 )
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     QuantileSketch,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "Counter",
     "Crossing",
     "Gauge",
-    "Histogram",
     "Leg",
     "ListSink",
     "MergedTrace",
@@ -99,7 +95,6 @@ __all__ = [
     "SLObjective",
     "SLOStatus",
     "SpanCollector",
-    "TailExemplars",
     "TailRecorder",
     "TailStats",
     "TailView",
@@ -113,7 +108,6 @@ __all__ = [
     "evaluate_slo_offline",
     "extract_crossings",
     "load_events",
-    "merge_histograms",
     "merge_registries",
     "parse_serve_address",
     "parse_slo",

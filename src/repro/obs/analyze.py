@@ -19,7 +19,10 @@ the Chrome trace-event format) and reconstructs the run's story:
   on each wire (segments per data packet, per ``src->dst`` edge),
   retransmit storms (bursts of ``rel.retransmit`` events), and
   hold-timer starvation (samples where a Nagle hold was armed while
-  every NIC sat idle — traffic waiting on a timer with the wire free).
+  every NIC sat idle — traffic waiting on a timer with the wire free);
+* with ``--scenario``, the exact multi-window SLO burn rates of the
+  scenario's objectives over those crossings (``--check`` turns a
+  violation, or a trace without crossings, into exit status 1).
 
 Everything renders as ASCII so it works over SSH next to the
 simulation; open the same file in https://ui.perfetto.dev for the
@@ -28,11 +31,13 @@ interactive version.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.export import load_events
+from repro.obs.tails import SLOStatus, evaluate_slo_offline, parse_slo
 from repro.util.tracing import TraceEvent
 from repro.util.units import format_time
 
@@ -544,13 +549,45 @@ def summary_metrics(analysis: TraceAnalysis) -> dict[str, float]:
     return out
 
 
+def render_slo(statuses: list[SLOStatus]) -> str:
+    """One line per (objective, edge) burn-rate verdict."""
+    if not statuses:
+        return "SLO: no objectives matched any edge"
+    lines = ["SLO burn rates (burn >= 1 in every window = violation):"]
+    for status in statuses:
+        windows = "  ".join(
+            f"{label}={burn:.2f}" for label, burn in status.burn.items()
+        )
+        verdict = "VIOLATED" if status.violated else "ok"
+        lines.append(
+            f"  [{verdict:^8}] {status.objective}: {status.edge} "
+            f"<= {status.threshold_us:g}us @ {status.target:g} "
+            f"(n={status.samples})  burn {windows}"
+        )
+    return "\n".join(lines)
+
+
 def main(args) -> int:
-    """Entry point for ``python -m repro obs analyze``."""
+    """Entry point for ``python -m repro obs analyze``.
+
+    ``--scenario`` adds the exact multi-window burn rates of that
+    scenario's ``observability.slo`` objectives; ``--check`` exits 1
+    when no wire crossing was correlated or an objective is violated.
+    """
     path = Path(args.trace)
+    statuses: list[SLOStatus] = []
     try:
         print(f"== observability analysis: {path} ==")
         analysis = analyze_file(path)
         print(render(analysis, width=args.width, top=args.top))
+        if args.scenario:
+            spec = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
+            objectives = parse_slo(spec.get("observability", {}).get("slo"))
+            statuses = evaluate_slo_offline(
+                analysis.edges, objectives, t_end=analysis.span[1]
+            )
+            print()
+            print(render_slo(statuses))
         if analysis.truncated:
             from repro.obs.causal import truncation_warning
 
@@ -560,4 +597,12 @@ def main(args) -> int:
             )
     except BrokenPipeError:  # e.g. piped into head; not an error
         return 0
+    if args.check:
+        if not analysis.edges:
+            print("FAIL: --check requires at least one correlated edge")
+            return 1
+        violated = [s for s in statuses if s.violated]
+        if violated:
+            print(f"FAIL: {len(violated)} SLO violation(s)")
+            return 1
     return 0

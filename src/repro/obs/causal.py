@@ -32,18 +32,12 @@ striped over several rails) completes when its **slowest** leg delivers;
 blame is attributed along that leg only — latencies do not add across
 parallel legs.
 
-Three surfaces:
-
-* ``python -m repro obs why`` (:func:`main`) — per-message waterfalls
-  plus a per-edge blame table from any trace file.
-* :class:`TailExemplars` — a bounded reservoir keeping the full span
-  chains of the slowest-K messages per edge, usable as a live tracer
-  sink so exemplars survive :class:`~repro.obs.recorder.RingBufferSink`
-  eviction; :meth:`TailExemplars.export` turns the accumulated blame
-  into registry metrics (``repro_blame_seconds_total``,
-  ``repro_blame_fraction``).
-* :func:`attribute_events` — offline attribution for
-  :mod:`repro.obs.analyze` summary metrics and the merged live trace.
+Blame is attributed after the run, from the trace — the one place a
+message's whole chain is visible.  :func:`attribute_events` is that one
+pass; the plane's ``finalize`` (a simulated run's own sink), the live
+coordinator (the merged trace), ``obs analyze`` and ``obs why``
+(:func:`main`, per-message waterfalls from any trace file) all call it,
+and :func:`export_blame` writes its per-edge sums to a registry.
 """
 
 from __future__ import annotations
@@ -63,13 +57,12 @@ from repro.obs.spans import (
     subtract_intervals,
     total_length,
 )
-from repro.util.tracing import KindSink, TraceEvent
+from repro.util.tracing import TraceEvent
 
 __all__ = [
     "BLAME_BUCKETS",
     "MessageBlame",
     "CausalReport",
-    "TailExemplars",
     "attribute_chain",
     "attribute_events",
     "collector_report",
@@ -315,10 +308,10 @@ def export_blame(
 ) -> None:
     """Mirror per-edge blame sums and fractions into a metrics registry.
 
-    ``edges`` is the :meth:`CausalReport.edges` /
-    :class:`TailExemplars` shape: ``{edge: {"e2e_s": ..., "buckets_s":
-    {bucket: seconds}}}``.  Writes ``repro_blame_seconds_total``
-    (counter) and ``repro_blame_fraction`` (gauge) per (edge, bucket).
+    ``edges`` is the :meth:`CausalReport.edges` shape: ``{edge:
+    {"e2e_s": ..., "buckets_s": {bucket: seconds}}}``.  Writes
+    ``repro_blame_seconds_total`` (counter) and ``repro_blame_fraction``
+    (gauge) per (edge, bucket).
     """
     for edge, slot in edges.items():
         e2e = slot["e2e_s"]
@@ -343,7 +336,7 @@ def collector_report(collector: SpanCollector) -> CausalReport:
         trace_seen=collector.trace_seen,
         trace_dropped=collector.trace_dropped,
     )
-    for chain in collector.drain_completed():
+    for chain in collector.completed:
         blame = attribute_chain(chain, collector.hold_windows)
         if blame is not None:
             report.messages.append(blame)
@@ -355,81 +348,6 @@ def attribute_events(events: Iterable[TraceEvent]) -> CausalReport:
     collector = SpanCollector()
     collector.ingest_all(events)
     return collector_report(collector)
-
-
-# ----------------------------------------------------------------------
-# slowest-K exemplar reservoir (live tracer sink)
-# ----------------------------------------------------------------------
-class TailExemplars(KindSink):
-    """Keep full span chains of the slowest-K messages per edge.
-
-    Subscribes as a tracer sink next to the ring buffer: while the ring
-    keeps the *last* N raw events, this keeps the *worst* K attributed
-    messages per directed edge (plus running per-edge blame sums), so
-    ``obs why`` evidence survives eviction.  ``snapshot()`` is
-    JSON-able and ships over the live FLUSH protocol.
-    """
-
-    __slots__ = ("k", "messages_attributed", "_collector", "_edges")
-
-    def __init__(self, k: int = 4) -> None:
-        self.k = int(k)
-        self.messages_attributed = 0
-        self._collector = SpanCollector()
-        self._edges: dict[str, dict[str, Any]] = {}
-        # The collector's table; the kind that completes chains also absorbs.
-        self.handlers = dict(self._collector.handlers)
-        self.handlers["message.complete"] = self._on_complete
-
-    def _on_complete(self, event: TraceEvent) -> None:
-        self._collector.handlers["message.complete"](event)
-        self._absorb()
-
-    def _absorb(self) -> None:
-        for chain in self._collector.drain_completed():
-            blame = attribute_chain(chain, self._collector.hold_windows)
-            if blame is not None:
-                self.add(blame)
-
-    def add(self, blame: MessageBlame) -> None:
-        """Fold one attributed message into its edge's reservoir."""
-        self.messages_attributed += 1
-        exemplars = _fold(self._edges, blame).setdefault("exemplars", [])
-        if len(exemplars) >= self.k and (
-            not exemplars or blame.e2e <= exemplars[-1].e2e
-        ):
-            return  # not among the slowest K (ties keep the earlier one)
-        exemplars.append(blame)
-        exemplars.sort(key=lambda b: b.e2e, reverse=True)
-        del exemplars[self.k :]
-
-    def finish(self) -> None:
-        """Close out live mirror chains with full delivery coverage."""
-        self._collector.finish()
-        self._absorb()
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-ready per-edge blame sums, fractions, and exemplars."""
-        edges = {
-            edge: {
-                "messages": slot["messages"],
-                "e2e_s": slot["e2e_s"],
-                "buckets_s": dict(slot["buckets_s"]),
-                "fractions": _fractions(slot),
-                "exemplars": [b.to_dict() for b in slot["exemplars"]],
-            }
-            for edge, slot in self._edges.items()
-        }
-        return {
-            "k": self.k,
-            "messages": self.messages_attributed,
-            "incomplete": self._collector.incomplete,
-            "edges": edges,
-        }
-
-    def export(self, registry) -> None:
-        """Mirror accumulated blame into a metrics registry."""
-        export_blame(self._edges, registry)
 
 
 # ----------------------------------------------------------------------

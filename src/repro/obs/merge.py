@@ -26,11 +26,9 @@ process*.  This module turns those fragments into one coherent picture:
   per-peer instrument reappears with a ``peer`` label.
   :func:`aggregate_registries` collapses same-name/same-label
   instruments across inputs instead: counters sum (associative and
-  commutative), gauges take the last writer, histograms merge
-  bucket-wise — which equals the histogram of the union of the raw
-  observations because bucket bounds are fixed at construction — and
-  quantile sketches merge level-wise (:meth:`QuantileSketch.merge`), which
-  replaces raw-sample pooling for cross-peer tail percentiles.
+  commutative), gauges take the last writer, and quantile sketches
+  merge level-wise (:meth:`QuantileSketch.merge`), which replaces
+  raw-sample pooling for cross-peer tail percentiles.
 * **Sketch offset correction** — a live peer records one-way edge
   latencies against *raw* clocks (it cannot know the cluster offsets
   mid-run).  Because every sample on a directed edge needs the same
@@ -47,7 +45,6 @@ from typing import Any, Iterable, Mapping
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     QuantileSketch,
     snapshot_entry,
@@ -65,7 +62,6 @@ __all__ = [
     "align_events",
     "merge_registries",
     "aggregate_registries",
-    "merge_histograms",
     "correct_edge_sketches",
 ]
 
@@ -292,33 +288,12 @@ def merge_registries(
                 )
             labels[label] = peer
             help_text = registry._help.get(metric.name, "")
-            # Adopt through the snapshot path: bucket bounds are copied
+            # Adopt through the snapshot path: sketch state is copied
             # verbatim (no float drift) and kind/name validation applies.
             cluster._insert_snapshot_entry(
                 snapshot_entry(metric, help_text, labels.items())
             )
     return cluster
-
-
-def merge_histograms(target: Histogram, source: Histogram) -> Histogram:
-    """Bucket-wise merge of ``source`` into ``target`` (same bounds).
-
-    Because buckets are fixed intervals, adding counts bucket-by-bucket
-    yields exactly the histogram that observing the union of both raw
-    sample sets would have produced — the property the hypothesis suite
-    asserts.
-    """
-    if target.bounds != source.bounds:
-        raise ConfigurationError(
-            f"cannot merge histogram {source.name!r}: bucket bounds differ "
-            f"({len(target.bounds)} vs {len(source.bounds)} buckets)"
-        )
-    for i, count in enumerate(source.counts):
-        target.counts[i] += count
-    target.inf_count += source.inf_count
-    target.total += source.total
-    target.count += source.count
-    return target
 
 
 def aggregate_registries(
@@ -327,8 +302,7 @@ def aggregate_registries(
     """Collapse same-series instruments across inputs into totals.
 
     Counters sum (so the operation is associative and commutative up to
-    float addition), gauges keep the last writer in input order,
-    histograms merge bucket-wise via :func:`merge_histograms`, and
+    float addition), gauges keep the last writer in input order, and
     quantile sketches merge level-wise via :meth:`QuantileSketch.merge`.
     Inputs disagreeing on a metric's *kind* are a configuration error,
     same as within one registry.
@@ -343,7 +317,7 @@ def aggregate_registries(
                 out.counter(metric.name, labels, help=help_text).inc(metric.value)
             elif isinstance(metric, Gauge):
                 out.gauge(metric.name, labels, help=help_text).set(metric.value)
-            elif isinstance(metric, (Histogram, QuantileSketch)):
+            elif isinstance(metric, QuantileSketch):
                 kind = metric.kind
                 known = out._kinds.get(metric.name)
                 if known is not None and known != kind:
@@ -355,11 +329,7 @@ def aggregate_registries(
                     out._insert_snapshot_entry(
                         snapshot_entry(metric, help_text, labels.items())
                     )
-                elif isinstance(metric, Histogram):
-                    assert isinstance(existing, Histogram)
-                    merge_histograms(existing, metric)
                 else:
-                    assert isinstance(existing, QuantileSketch)
                     existing.merge(metric)
     return out
 

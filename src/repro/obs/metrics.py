@@ -1,20 +1,16 @@
-"""Time-series metrics primitives: counters, gauges, log-bucketed histograms.
+"""Time-series metrics primitives: counters, gauges, quantile sketches.
 
 A :class:`MetricsRegistry` is the observability plane's numeric store.
 It deliberately mirrors the Prometheus data model — counters only go up,
-gauges go anywhere, histograms keep cumulative bucket counts — so
-:meth:`MetricsRegistry.to_prometheus` can render the standard text
-exposition format without translation.
+gauges go anywhere — so :meth:`MetricsRegistry.to_prometheus` can render
+the standard text exposition format without translation.  The one
+distribution instrument is the mergeable
+:class:`~repro.obs.sketch.QuantileSketch`, exposed as a ``summary``.
 
 Metrics are identified by ``(name, labels)``.  Labels are ordinary
 dicts at the call site and frozen into a sorted tuple internally, so
 ``registry.gauge("repro_queue_depth", labels={"node": "n0"})`` returns
 the same instrument every time.
-
-Histograms are **log-bucketed**: bucket upper bounds grow geometrically
-(default ×2) from ``base``, which keeps tail resolution over the many
-orders of magnitude queue depths and wait times span without
-hand-tuning bucket lists per metric.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from typing import Any, Iterable, Mapping
 from repro.obs.sketch import DEFAULT_K, SUMMARY_QUANTILES, QuantileSketch
 from repro.util.errors import ConfigurationError
 
-__all__ = ["Counter", "Gauge", "Histogram", "QuantileSketch", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "QuantileSketch", "MetricsRegistry"]
 
 #: Frozen label form: sorted (key, value) pairs.
 LabelKey = tuple[tuple[str, str], ...]
@@ -125,140 +121,23 @@ class Gauge:
         self.value -= amount
 
 
-class Histogram:
-    """Log-bucketed distribution with cumulative Prometheus semantics.
-
-    Bucket *i* holds observations ``<= base * growth**i``; one final
-    implicit ``+Inf`` bucket catches the rest.  ``n_buckets`` finite
-    buckets therefore span ``base`` … ``base * growth**(n_buckets-1)``.
-    """
-
-    __slots__ = ("name", "labels", "bounds", "counts", "inf_count", "total", "count")
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        labels: LabelKey = (),
-        *,
-        base: float = 1.0,
-        growth: float = 2.0,
-        n_buckets: int = 16,
-    ) -> None:
-        if base <= 0:
-            raise ConfigurationError(f"histogram base must be > 0, got {base}")
-        if growth <= 1.0:
-            raise ConfigurationError(f"histogram growth must be > 1, got {growth}")
-        if n_buckets < 1:
-            raise ConfigurationError(f"histogram needs >= 1 bucket, got {n_buckets}")
-        self.name = name
-        self.labels = labels
-        self.bounds: tuple[float, ...] = tuple(
-            base * growth**i for i in range(n_buckets)
-        )
-        self.counts = [0] * n_buckets
-        self.inf_count = 0
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.count += 1
-        self.total += value
-        bounds = self.bounds
-        if value > bounds[-1]:
-            self.inf_count += 1
-            return
-        # Geometric bounds: binary search beats a linear walk only past
-        # ~30 buckets; defaults sit well under that, so walk.
-        for i, bound in enumerate(bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-
-    def cumulative(self) -> list[tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, ending at +Inf."""
-        out = []
-        running = 0
-        for bound, n in zip(self.bounds, self.counts):
-            running += n
-            out.append((bound, running))
-        out.append((float("inf"), running + self.inf_count))
-        return out
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile from the bucket counts.
-
-        Finds the bucket containing rank ``q * count`` and linearly
-        interpolates within it, so the estimate is exact to within one
-        bucket's width — with geometric bounds, a *relative* error of at
-        most ``growth - 1``.  The +Inf bucket has no upper bound, so
-        ranks landing there return the last finite bound (a documented
-        underestimate; use a sketch when the tail matters).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        running = 0
-        lower = 0.0
-        for bound, n in zip(self.bounds, self.counts):
-            if n and running + n >= target:
-                fraction = (target - running) / n
-                return lower + fraction * (bound - lower)
-            running += n
-            lower = bound
-        return self.bounds[-1]
-
-    @classmethod
-    def _restore(
-        cls,
-        name: str,
-        labels: LabelKey,
-        bounds: tuple[float, ...],
-        counts: list[int],
-        inf_count: int,
-        total: float,
-        count: int,
-    ) -> "Histogram":
-        """Rebuild a histogram from snapshot state, bypassing bucket setup."""
-        if len(bounds) != len(counts) or not bounds:
-            raise ConfigurationError(
-                f"histogram snapshot for {name!r} has {len(bounds)} bounds "
-                f"but {len(counts)} counts"
-            )
-        hist = object.__new__(cls)
-        hist.name = name
-        hist.labels = labels
-        hist.bounds = tuple(float(b) for b in bounds)
-        hist.counts = [int(c) for c in counts]
-        hist.inf_count = int(inf_count)
-        hist.total = float(total)
-        hist.count = int(count)
-        return hist
+#: Any registry instrument.
+Instrument = Counter | Gauge | QuantileSketch
 
 
 class MetricsRegistry:
     """Named instruments plus the Prometheus text renderer.
 
-    ``counter``/``gauge``/``histogram``/``sketch`` are get-or-create:
-    the first call fixes the instrument's type and (for histograms)
-    bucketing; re-requesting the same name with a different type is an
-    error — two components silently writing different shapes to one
-    name would corrupt the export.
+    ``counter``/``gauge``/``sketch`` are get-or-create: the first call
+    fixes the instrument's type (and a sketch's ``k``); re-requesting the
+    same name with a different type is an error — two components
+    silently writing different shapes to one name would corrupt the
+    export.
     """
 
     def __init__(self, namespace: str = "repro") -> None:
         self.namespace = namespace
-        self._metrics: dict[
-            tuple[str, LabelKey], Counter | Gauge | Histogram | QuantileSketch
-        ] = {}
+        self._metrics: dict[tuple[str, LabelKey], Instrument] = {}
         self._help: dict[str, str] = {}
         self._kinds: dict[str, str] = {}
 
@@ -306,28 +185,6 @@ class MetricsRegistry:
         """Get or create the gauge at ``(name, labels)``."""
         return self._get(Gauge, "gauge", name, labels, help)
 
-    def histogram(
-        self,
-        name: str,
-        labels: Mapping[str, object] | None = None,
-        help: str = "",
-        *,
-        base: float = 1.0,
-        growth: float = 2.0,
-        n_buckets: int = 16,
-    ) -> Histogram:
-        """Get or create the histogram (bucketing fixed on first call)."""
-        return self._get(
-            Histogram,
-            "histogram",
-            name,
-            labels,
-            help,
-            base=base,
-            growth=growth,
-            n_buckets=n_buckets,
-        )
-
     def sketch(
         self,
         name: str,
@@ -342,7 +199,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    def __iter__(self) -> "Iterable[Counter | Gauge | Histogram | QuantileSketch]":
+    def __iter__(self) -> Iterable[Instrument]:
         return iter(self._metrics.values())
 
     def __len__(self) -> int:
@@ -350,7 +207,7 @@ class MetricsRegistry:
 
     def get(
         self, name: str, labels: Mapping[str, object] | None = None
-    ) -> "Counter | Gauge | Histogram | QuantileSketch | None":
+    ) -> Instrument | None:
         """The instrument at ``(name, labels)``, or None."""
         return self._metrics.get((name, _freeze_labels(labels)))
 
@@ -367,7 +224,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def to_prometheus(self) -> str:
         """Render the standard Prometheus text exposition format."""
-        by_name: dict[str, list[Counter | Gauge | Histogram | QuantileSketch]] = {}
+        by_name: dict[str, list[Instrument]] = {}
         for (name, _), metric in sorted(self._metrics.items()):
             by_name.setdefault(name, []).append(metric)
         lines: list[str] = []
@@ -382,15 +239,7 @@ class MetricsRegistry:
             exposed_kind = "summary" if self._kinds[name] == "sketch" else self._kinds[name]
             lines.append(f"# TYPE {name} {exposed_kind}")
             for metric in metrics:
-                if isinstance(metric, Histogram):
-                    for bound, cum in metric.cumulative():
-                        le = "+Inf" if bound == float("inf") else _num(bound)
-                        label_text = _format_labels(metric.labels, (("le", le),))
-                        lines.append(f"{name}_bucket{label_text} {cum}")
-                    label_text = _format_labels(metric.labels)
-                    lines.append(f"{name}_sum{label_text} {_num(metric.total)}")
-                    lines.append(f"{name}_count{label_text} {metric.count}")
-                elif isinstance(metric, QuantileSketch):
+                if isinstance(metric, QuantileSketch):
                     for q in SUMMARY_QUANTILES:
                         label_text = _format_labels(
                             metric.labels, (("quantile", _num(q)),)
@@ -444,23 +293,13 @@ class MetricsRegistry:
             raise ConfigurationError(
                 f"duplicate snapshot series {name!r} {dict(labels)!r}"
             )
-        metric: Counter | Gauge | Histogram | QuantileSketch
+        metric: Instrument
         if kind == "counter":
             metric = Counter(name, labels)
             metric.value = float(entry.get("value", 0.0))
         elif kind == "gauge":
             metric = Gauge(name, labels)
             metric.value = float(entry.get("value", 0.0))
-        elif kind == "histogram":
-            metric = Histogram._restore(
-                name,
-                labels,
-                tuple(entry.get("bounds", ())),
-                list(entry.get("counts", ())),
-                int(entry.get("inf_count", 0)),
-                float(entry.get("total", 0.0)),
-                int(entry.get("count", 0)),
-            )
         elif kind == "sketch":
             metric = QuantileSketch._restore(name, labels, entry)
         else:
@@ -473,7 +312,7 @@ class MetricsRegistry:
 
 
 def snapshot_entry(
-    metric: "Counter | Gauge | Histogram | QuantileSketch",
+    metric: Instrument,
     help_text: str,
     labels: Iterable[tuple[str, str]],
 ) -> dict[str, Any]:
@@ -484,15 +323,7 @@ def snapshot_entry(
         "labels": [list(pair) for pair in labels],
         "help": help_text,
     }
-    if isinstance(metric, Histogram):
-        entry.update(
-            bounds=list(metric.bounds),
-            counts=list(metric.counts),
-            inf_count=metric.inf_count,
-            total=metric.total,
-            count=metric.count,
-        )
-    elif isinstance(metric, QuantileSketch):
+    if isinstance(metric, QuantileSketch):
         entry.update(metric.state())
     else:
         entry["value"] = metric.value

@@ -20,7 +20,6 @@ Scenarios opt in with a top-level ``"observability"`` block::
       "sample_interval": 1e-5,     # simulated seconds; null disables
       "ring_buffer": 65536,        # keep last N events; null = keep all
       "trace": true,               # capture trace events at all
-      "exemplars": 5,              # slowest-K span chains kept per edge
       "slo": [                     # latency objectives (see obs.tails)
         {"name": "edge", "edge": "*", "threshold_us": 5000,
          "target": 0.99, "windows": [1.0, 10.0]}
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.obs.causal import TailExemplars
+from repro.obs.causal import attribute_events, export_blame
 from repro.obs.export import write_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
@@ -52,12 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ObservabilityConfig", "ObservabilityPlane"]
 
-_SPEC_KEYS = frozenset(
-    {"sample_interval", "ring_buffer", "trace", "slo", "exemplars"}
-)
-
-#: Slowest-K span chains kept per edge when the scenario does not say.
-_DEFAULT_EXEMPLARS = 4
+_SPEC_KEYS = frozenset({"sample_interval", "ring_buffer", "trace", "slo"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,18 +73,12 @@ class ObservabilityConfig:
     slo:
         Latency objectives evaluated over the edge tail sketches
         (see :mod:`repro.obs.tails`).
-    exemplars:
-        Slowest-K span chains kept per edge by the causal-attribution
-        reservoir (see :class:`repro.obs.causal.TailExemplars`).
-        ``None`` takes the default K; ``0`` disables the reservoir.
-        Only meaningful with ``trace`` on.
     """
 
     sample_interval: float | None = None
     ring_buffer: int | None = None
     trace: bool = True
     slo: tuple[SLObjective, ...] = ()
-    exemplars: int | None = None
 
     def __post_init__(self) -> None:
         if self.sample_interval is not None and self.sample_interval <= 0:
@@ -100,10 +88,6 @@ class ObservabilityConfig:
         if self.ring_buffer is not None and self.ring_buffer < 1:
             raise ConfigurationError(
                 f"ring_buffer must be >= 1, got {self.ring_buffer}"
-            )
-        if self.exemplars is not None and self.exemplars < 0:
-            raise ConfigurationError(
-                f"exemplars must be >= 0, got {self.exemplars}"
             )
 
     @classmethod
@@ -119,36 +103,35 @@ class ObservabilityConfig:
             ring_buffer=spec.get("ring_buffer"),
             trace=spec.get("trace", True),
             slo=parse_slo(spec.get("slo")),
-            exemplars=spec.get("exemplars"),
         )
 
 
 class ObservabilityPlane:
     """One cluster's observability capture, install → run → export."""
 
-    def __init__(self, config: ObservabilityConfig | None = None) -> None:
+    def __init__(
+        self, config: ObservabilityConfig | None = None, *, sink=None
+    ) -> None:
+        """``sink`` replaces the default recorder (a list, or the ring
+        buffer).  A live peer passes its FLUSH spool: its events stream
+        to the coordinator, which attributes blame over the merged trace,
+        so a plane given a sink attributes none itself."""
         self.config = config if config is not None else ObservabilityConfig()
         self.registry = MetricsRegistry()
-        self.sink: ListSink | RingBufferSink | None = None
+        self.sink = None
         self.sampler: ObservabilitySampler | None = None
         self.tail_view = TailView(self.registry, self.config.slo)
         self.tail_recorder: TailRecorder | None = None
-        self.tail_exemplars: TailExemplars | None = None
+        self._attributes_blame = sink is None
         self._cluster: "Cluster | None" = None
         if self.config.trace:
-            self.sink = (
-                RingBufferSink(self.config.ring_buffer)
-                if self.config.ring_buffer is not None
-                else ListSink()
-            )
+            if sink is not None:
+                self.sink = sink
+            elif self.config.ring_buffer is not None:
+                self.sink = RingBufferSink(self.config.ring_buffer)
+            else:
+                self.sink = ListSink()
             self.tail_recorder = TailRecorder(self.registry)
-            k = (
-                _DEFAULT_EXEMPLARS
-                if self.config.exemplars is None
-                else self.config.exemplars
-            )
-            if k > 0:
-                self.tail_exemplars = TailExemplars(k)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -162,8 +145,6 @@ class ObservabilityPlane:
             cluster.sim.tracer.subscribe(self.sink)
         if self.tail_recorder is not None:
             cluster.sim.tracer.subscribe(self.tail_recorder)
-        if self.tail_exemplars is not None:
-            cluster.sim.tracer.subscribe(self.tail_exemplars)
         # The view is read-only; handing it to every engine changes
         # dispatch only where a ``tuner`` block installs a rail selector
         # on it.  Without the recorder (``"trace": false``) nothing
@@ -185,7 +166,10 @@ class ObservabilityPlane:
 
         Engine and NIC stats are maintained by the hot path itself;
         copying them in once at the end keeps the run unperturbed while
-        making the Prometheus exposition a complete run summary.
+        making the Prometheus exposition a complete run summary.  The
+        recorded trace is attributed here too, in one pass after the run
+        (:func:`~repro.obs.causal.attribute_events`): with a ring buffer
+        that overflowed, blame covers the retained window only.
         """
         cluster = self._cluster
         if cluster is None:
@@ -221,18 +205,18 @@ class ObservabilityPlane:
         if cluster.transport is not None:
             mirror("repro_retransmits_total", cluster.transport.stats.retransmits,
                    "Reliability-layer retransmissions")
-        if self.sink is not None:
-            mirror("repro_trace_events_total", len(self.sink.events),
+        sink = self.sink
+        if sink is not None:
+            mirror("repro_trace_events_total", sink.seen - sink.dropped,
                    "Trace events captured (post-drop)")
-            mirror("repro_trace_events_dropped_total", self.sink.dropped,
-                   "Trace events evicted by the flight recorder")
+            mirror("repro_trace_events_dropped_total", sink.dropped,
+                   "Trace events the recorder dropped")
         # What the plane itself cost, in the unit it is paid in: events.
         for kind, count in cluster.sim.tracer.counts.items():
             mirror("repro_obs_events_total", count,
                    "Trace events dispatched to the plane's sinks", kind=kind)
-        if self.tail_exemplars is not None:
-            self.tail_exemplars.finish()
-            self.tail_exemplars.export(registry)
+        if sink is not None and self._attributes_blame:
+            export_blame(attribute_events(sink.events).edges(), registry)
 
     # ------------------------------------------------------------------
     # access + export

@@ -8,15 +8,14 @@ occupancy — then
 
 * appends an :class:`ObsSample` row to its in-memory series,
 * updates the plane's :class:`~repro.obs.metrics.MetricsRegistry`
-  (gauges for the instantaneous values, log-bucketed histograms for
-  the queue-depth and busy-fraction distributions), and
+  (gauges for the instantaneous values, quantile sketches for the
+  queue-depth and busy-fraction distributions), and
 * emits one ``obs.sample`` trace event, which the Chrome exporter
   turns into Perfetto counter tracks.
 
-The sampler keeps itself alive only while the simulation is: with no
-``horizon`` it stops rescheduling once its own tick is the last event
-in the queue, so finite workloads still drain under
-``run_until_idle``.
+The sampler keeps itself alive only while the simulation is: it stops
+rescheduling once its own tick is the last event in the queue, so
+finite workloads still drain under ``run_until_idle``.
 """
 
 from __future__ import annotations
@@ -60,18 +59,14 @@ class ObservabilitySampler:
         interval: float,
         *,
         registry: "MetricsRegistry | None" = None,
-        horizon: float | None = None,
         source: str = "obs:sampler",
         autostart: bool = True,
         tail_view: "TailView | None" = None,
     ) -> None:
         if interval <= 0:
             raise ConfigurationError(f"sample interval must be > 0, got {interval}")
-        if horizon is not None and horizon <= 0:
-            raise ConfigurationError(f"horizon must be > 0, got {horizon}")
         self._cluster = cluster
         self.interval = interval
-        self.horizon = horizon
         self.registry = registry
         #: When set, each tick embeds compact per-edge p99s in its
         #: ``obs.sample`` record so the Perfetto export can draw tail
@@ -95,10 +90,8 @@ class ObservabilitySampler:
     # ------------------------------------------------------------------
     def _tick(self) -> None:
         cluster = self._cluster
-        if self.horizon is not None and cluster.sim.now > self.horizon:
-            return
         self.sample_once()
-        if self.horizon is None and cluster.sim.pending_events == 0:
+        if cluster.sim.pending_events == 0:
             # The tick just consumed was the only thing scheduled: the
             # simulation has drained, so let run_until_idle terminate.
             return
@@ -195,7 +188,7 @@ class ObservabilitySampler:
             registry.gauge(
                 "repro_queue_bytes", labels, help="Pending bytes per channel queue"
             ).set(n_bytes)
-            registry.histogram(
+            registry.sketch(
                 "repro_queue_depth_hist",
                 help="Sampled channel queue depth distribution",
             ).observe(depth)
@@ -205,12 +198,9 @@ class ObservabilitySampler:
                 {"nic": nic_name},
                 help="NIC busy fraction over the last sample interval",
             ).set(fraction)
-            registry.histogram(
+            registry.sketch(
                 "repro_nic_busy_hist",
                 help="Sampled NIC busy fraction distribution (percent)",
-                base=1.0,
-                growth=2.0,
-                n_buckets=8,
             ).observe(fraction * 100.0)
         registry.gauge(
             "repro_backlog_entries", help="Pending entries across all engines"
@@ -232,17 +222,3 @@ class ObservabilitySampler:
         registry.counter(
             "repro_samples_total", help="Observability samples taken"
         ).inc()
-
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-    def series(self, field: str) -> list[float]:
-        """One scalar sample field over time (e.g. ``"backlog"``)."""
-        try:
-            return [getattr(s, field) for s in self.samples]
-        except AttributeError:
-            raise ConfigurationError(f"unknown sample field {field!r}") from None
-
-    @property
-    def times(self) -> list[float]:
-        return self.series("time")

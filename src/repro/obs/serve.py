@@ -13,7 +13,7 @@ is in flight:
   p50/p90/p99/p999 from the merged quantile sketches plus SLO burn
   rates (see :mod:`repro.obs.tails`).
 * ``GET /why`` — JSON causal-attribution view: per-edge blame-bucket
-  fractions and slowest-message exemplars computed over the events
+  fractions and the slowest messages' waterfalls computed over the events
   merged so far (see :mod:`repro.obs.causal`).
 
 The server is deliberately tiny: a hand-rolled HTTP/1.0 responder on

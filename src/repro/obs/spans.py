@@ -26,19 +26,15 @@ Correlation keys
   bytes reach its size.
 
 The collector is single-pass and bounded (FIFO eviction beyond
-``_PENDING_CAP`` in-flight chains/legs; hold windows pruned behind the
-oldest open chain), so it doubles as a live tracer
-sink — that is what lets :class:`repro.obs.causal.TailExemplars` keep
-full span chains for the slowest messages even after the ring buffer
-evicted the raw events.
+``_PENDING_CAP`` in-flight chains/legs).  It runs once over a finished
+trace — a run's own sink, a trace file, or the coordinator's merged
+live stream — because only there is every chain whole.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.util.tracing import KindSink, TraceEvent
 
@@ -181,18 +177,14 @@ def total_length(intervals: Iterable[tuple[float, float]]) -> float:
 # ----------------------------------------------------------------------
 # the collector
 # ----------------------------------------------------------------------
-_window_end = itemgetter(1)
-
-
 class SpanCollector(KindSink):
     """Single-pass, bounded reconstruction of message span chains.
 
-    Feed it trace events (any order within a source's own stream; the
-    merged live stream qualifies) via :meth:`ingest` or use it directly
-    as a tracer sink.  Completed chains accumulate in
-    :attr:`completed`; :meth:`drain_completed` hands them off
-    incrementally, :meth:`finish` closes out chains whose delivery is
-    fully covered but whose ``message.complete`` never arrived.
+    Feed it a trace's events (any order within a source's own stream;
+    the merged live stream qualifies) via :meth:`ingest_all`.  Completed
+    chains accumulate in :attr:`completed`; :meth:`finish` closes out
+    chains whose delivery is fully covered but whose
+    ``message.complete`` never arrived.
     """
 
     __slots__ = (
@@ -204,7 +196,6 @@ class SpanCollector(KindSink):
         "trace_dropped",
         "evicted_chains",
         "_open_hold",
-        "_undrained_since",
     )
 
     def __init__(self) -> None:
@@ -219,18 +210,19 @@ class SpanCollector(KindSink):
         self.trace_dropped = 0
         self.evicted_chains = 0
         self._open_hold: dict[str, int] = {}  # node -> index into windows
-        #: Earliest submit among completed chains not yet drained (their
-        #: attribution still needs the hold windows from there on).
-        self._undrained_since = float("inf")
         self.handlers = {k: h.__get__(self) for k, h in self._HANDLERS.items()}
 
     # -- sink protocol -------------------------------------------------
     ingest = KindSink.__call__
 
     def ingest_all(self, events: Iterable[TraceEvent]) -> None:
-        """Feed an entire event stream in order."""
+        """Feed an entire event stream in order (only the kinds in
+        :attr:`handlers` cost more than one lookup)."""
+        handlers = self.handlers
         for event in events:
-            self.ingest(event)
+            handler = handlers.get(event.kind)
+            if handler is not None:
+                handler(event)
 
     # -- event handlers ------------------------------------------------
     @staticmethod
@@ -260,15 +252,6 @@ class SpanCollector(KindSink):
         if node in self._open_hold:
             return
         windows = self.hold_windows.setdefault(node, [])
-        # Attribution clips windows to [submit, send] and chains are
-        # submitted in event order, so a window that ended before the
-        # oldest open (or undrained) chain's submit is never charged
-        # again: drop those, and the list tracks the work in flight.
-        oldest = next(iter(self.chains.values()), None)
-        horizon = oldest.submit_t if oldest is not None else event.time
-        horizon = min(horizon, self._undrained_since)
-        if windows and windows[0][1] <= horizon:
-            del windows[: bisect_right(windows, horizon, key=_window_end)]
         self._open_hold[node] = len(windows)
         windows.append((event.time, None))
 
@@ -408,8 +391,6 @@ class SpanCollector(KindSink):
     def _finalize(self, chain: MessageChain) -> None:
         self.chains.pop((chain.src, chain.message_id), None)
         self.completed.append(chain)
-        if chain.submit_t < self._undrained_since:
-            self._undrained_since = chain.submit_t
 
     _HANDLERS = {
         "collect.enqueue": _on_enqueue,
@@ -431,12 +412,6 @@ class SpanCollector(KindSink):
     }
 
     # -- completion ----------------------------------------------------
-    def drain_completed(self) -> Iterator[MessageChain]:
-        """Yield and forget chains completed since the last drain."""
-        done, self.completed = self.completed, []
-        self._undrained_since = float("inf")
-        yield from done
-
     def finish(self) -> None:
         """Close out chains delivered in full but missing a completion
         event (a truncated trace); incomplete chains stay in

@@ -4,7 +4,7 @@ This module turns the quantile sketches of :mod:`repro.obs.sketch` into
 a live answer to "how bad are the tails *right now*":
 
 * :class:`TailRecorder` is a tracer sink (subscribed by the
-  observability plane next to the ring buffer) that feeds three sketch
+  observability plane next to its trace recorder) that feeds three sketch
   families in the plane's registry:
 
   - ``repro_edge_latency_us{src,dst}`` — one-way wire latency per
@@ -32,10 +32,10 @@ a live answer to "how bad are the tails *right now*":
   rate is the observed violating fraction divided by the error budget
   (``1 - target``), so burn ``>= 1`` means the budget is being spent at
   least as fast as it accrues.  Online evaluation (``/tails``) is
-  cumulative over the sketches; offline evaluation (``repro obs tail``)
-  is exact and multi-window over the trace's timestamped crossings — a
-  violation requires *every* configured window to burn, which filters
-  one-off spikes from sustained regressions.
+  cumulative over the sketches; offline evaluation (``repro obs analyze
+  --scenario``) is exact and multi-window over the trace's timestamped
+  crossings — a violation requires *every* configured window to burn,
+  which filters one-off spikes from sustained regressions.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "pooled_message_sketch",
     "evaluate_slo",
     "evaluate_slo_offline",
-    "main",
 ]
 
 EDGE_METRIC = "repro_edge_latency_us"
@@ -523,82 +522,3 @@ def evaluate_slo_offline(
             status.violated = bool(burns) and all(b >= 1.0 for b in burns)
             statuses.append(status)
     return statuses
-
-
-# ----------------------------------------------------------------------
-# ``python -m repro obs tail``
-# ----------------------------------------------------------------------
-def render_tail_report(
-    analysis, statuses: list[SLOStatus] | None = None
-) -> str:
-    """ASCII tail report from an offline :class:`TraceAnalysis`."""
-    from repro.util.units import format_time
-
-    lines: list[str] = []
-    if not analysis.edges:
-        lines.append(
-            "no correlated wire crossings in this trace "
-            "(needs live.recv records from a merged live trace, or a "
-            "traced sim run)"
-        )
-    else:
-        lines.append("per-edge one-way latency (exact, from trace samples):")
-        name_width = max(len(e) for e in analysis.edges)
-        for edge_name in sorted(analysis.edges):
-            edge = analysis.edges[edge_name]
-            lines.append(
-                f"  {edge_name:<{name_width}}  n={edge.count:<6} "
-                f"p50 {format_time(edge.percentile(0.50))}  "
-                f"p90 {format_time(edge.percentile(0.90))}  "
-                f"p99 {format_time(edge.percentile(0.99))}  "
-                f"p999 {format_time(edge.percentile(0.999))}  "
-                f"max {format_time(edge.percentile(1.0))}"
-            )
-    if statuses is not None:
-        lines.append("")
-        if not statuses:
-            lines.append("SLO: no objectives matched any edge")
-        else:
-            lines.append("SLO burn rates (burn >= 1 in every window = violation):")
-            for status in statuses:
-                windows = "  ".join(
-                    f"{label}={burn:.2f}" for label, burn in status.burn.items()
-                )
-                verdict = "VIOLATED" if status.violated else "ok"
-                lines.append(
-                    f"  [{verdict:^8}] {status.objective}: {status.edge} "
-                    f"<= {status.threshold_us:g}us @ {status.target:g} "
-                    f"(n={status.samples})  burn {windows}"
-                )
-    return "\n".join(lines)
-
-
-def main(args) -> int:
-    """Entry point for ``python -m repro obs tail``."""
-    import json
-    from pathlib import Path
-
-    from repro.obs.analyze import analyze_file
-
-    analysis = analyze_file(Path(args.trace))
-    statuses: list[SLOStatus] | None = None
-    if getattr(args, "scenario", None):
-        spec = json.loads(Path(args.scenario).read_text())
-        objectives = parse_slo(spec.get("observability", {}).get("slo"))
-        statuses = evaluate_slo_offline(
-            analysis.edges, objectives, t_end=analysis.span[1]
-        )
-    try:
-        print(f"== tail report: {args.trace} ==")
-        print(render_tail_report(analysis, statuses))
-    except BrokenPipeError:
-        return 0
-    if getattr(args, "check", False):
-        if not analysis.edges:
-            print("FAIL: --check requires at least one correlated edge")
-            return 1
-        violated = [s for s in statuses or [] if s.violated]
-        if violated:
-            print(f"FAIL: {len(violated)} SLO violation(s)")
-            return 1
-    return 0

@@ -182,7 +182,7 @@ def build_from_queue(
                 PacketKind.EAGER,
                 entry.dst,
                 queue.channel_id,
-                [PlanItem(entry, entry.remaining)],
+                [PlanItem(entry, min(entry.remaining, budget))],
             )
 
         if dst is None:

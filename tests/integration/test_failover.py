@@ -5,6 +5,7 @@ rendezvous handshakes degrade to eager chunking on timeout."""
 import pytest
 
 from repro.core.config import EngineConfig
+from repro.madeleine.message import PackMode
 from repro.network.virtual import TrafficClass
 from repro.runtime import Cluster
 from repro.util.units import KiB
@@ -104,8 +105,12 @@ class TestLosslessUnchanged:
 
 
 class TestRendezvousTimeout:
+    # A SAFER fragment travels alone; once its handshake timed out it is
+    # chunked to the aggregation budget like any other eager entry.
+    @pytest.mark.parametrize("size", [64 * KiB, 256 * KiB])
+    @pytest.mark.parametrize("mode", list(PackMode), ids=lambda mode: mode.value)
     @pytest.mark.parametrize("engine", ["optimizing", "legacy"])
-    def test_times_out_and_falls_back_to_eager(self, engine):
+    def test_times_out_and_falls_back_to_eager(self, engine, mode, size):
         cluster = Cluster(
             engine=engine,
             seed=3,
@@ -113,7 +118,7 @@ class TestRendezvousTimeout:
         )
         api = cluster.api("n0")
         flow = api.open_flow("n1", traffic_class=TrafficClass.BULK)
-        message = api.send(flow, 256 * KiB)
+        message = api.send(flow, size, mode=mode)
         cluster.run_until_idle()
         assert message.completion.done
         assert cluster.engine("n0").stats.rdv_timeouts >= 1

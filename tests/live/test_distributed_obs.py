@@ -1,20 +1,25 @@
 """Integration: the distributed observability plane over a real 2-peer run.
 
 One traced UDS live run is shared across the assertions (spawning peer
-processes is the expensive part); a second run exercises the in-flight
-HTTP endpoint.
+processes is the expensive part); a traced run of
+``examples/scenario_live.json`` checks what the peers ship, and another
+run exercises the in-flight HTTP endpoint.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.live import run_live_scenario
+from repro.live import cluster as live_cluster
+from repro.live.peer import LivePeer
 from repro.obs.analyze import analyze_events, summary_metrics
 from repro.obs.causal import collector_report
 from repro.obs.export import to_chrome_trace
@@ -131,6 +136,68 @@ class TestReportAccounting:
             if m.name == "repro_dispatches_total"
         ]
         assert sum(dispatches) >= traced_run.report.messages
+
+
+_LIVE_EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "scenario_live.json"
+
+
+@pytest.fixture(scope="module")
+def example_run():
+    """A traced run of the example, with every FLUSH / REPORT payload
+    the coordinator ingested."""
+    scenario = json.loads(_LIVE_EXAMPLE.read_text(encoding="utf-8"))
+    payloads = []
+    ingest = live_cluster._ObsCollector.ingest
+
+    def recording(self, payload):
+        payloads.append(payload)
+        ingest(self, payload)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(live_cluster._ObsCollector, "ingest", recording)
+        result = run_live_scenario(
+            scenario, timeout=_TIMEOUT,
+            observability=dict(scenario["observability"], trace=True),
+        )
+    return result, payloads
+
+
+class TestOneRecorderPerPeer:
+    def test_peer_tracer_has_the_spool_and_the_tail_recorder(self):
+        scenario = json.loads(_LIVE_EXAMPLE.read_text(encoding="utf-8"))
+
+        async def build(rank):
+            peer = LivePeer({
+                "scenario": scenario, "rank": rank, "n_nodes": 2,
+                "epoch": time.time(),
+                "observability": dict(scenario["observability"], trace=True),
+            })
+            peer.hub.close()
+            return peer
+
+        for rank in (0, 1):
+            peer = asyncio.run(build(rank))
+            sinks = [type(sink).__name__ for sink in peer.tracer._sinks]
+            assert sinks == ["SpoolSink", "TailRecorder"]
+            assert peer.plane.sink is peer.spool
+
+    def test_payloads_carry_no_exemplars_or_ring(self, example_run):
+        _, payloads = example_run
+        kinds = {payload["type"] for payload in payloads}
+        assert kinds == {"flushed", "report"}
+        for payload in payloads:
+            assert "exemplars" not in payload
+            assert "ring_dropped" not in payload
+
+    def test_coordinator_blames_every_message(self, example_run):
+        result, _ = example_run
+        blame = result.tails["blame"]
+        assert blame["messages"] == result.report.messages == 130
+        assert blame["incomplete"] == 0
+        assert set(blame["edges"]) == {"n0->n1", "n1->n0"}
+        assert "peer_exemplars" not in blame
+        for payload in result.peer_reports:
+            assert payload["trace_seen"] >= 1
 
 
 class TestLiveServe:

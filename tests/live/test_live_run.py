@@ -117,6 +117,23 @@ class TestFailsBeforeFork:
         with pytest.raises(ConfigurationError, match=match):
             run_live_scenario(scenario, trace=trace, timeout=_TIMEOUT)
 
+    def test_ring_buffer_rejected(self, monkeypatch):
+        """A live peer's one recorder is its streaming spool: a flight
+        recorder size is a simulator knob."""
+        scenario = _scenario(
+            [{"app": "pingpong", "src": "n0", "dst": "n1", "size": 64, "count": 1}]
+        )
+
+        def no_spawn(*args, **kwargs):
+            pytest.fail("a peer was spawned for a ring_buffer it cannot keep")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        with pytest.raises(ConfigurationError, match="ring_buffer"):
+            run_live_scenario(
+                scenario, timeout=_TIMEOUT,
+                observability={"trace": True, "ring_buffer": 1024},
+            )
+
 
 class TestPingPong:
     def test_uds_roundtrips_byte_identical(self):

@@ -174,3 +174,44 @@ class TestEndToEnd:
             assert analysis.backlog.values
             text = render(analysis)
             assert "dispatches with decide records" in text
+
+
+class TestSloCheck:
+    """``obs analyze TRACE --scenario S --check``: the offline SLO gate."""
+
+    def _run(self, tmp_path, events, capsys):
+        import json
+
+        from repro.__main__ import main as cli
+        from repro.obs.export import write_trace
+
+        trace = tmp_path / "merged.jsonl"
+        write_trace(trace, events)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"observability": {"slo": [
+            {"name": "wire-fast", "edge": "*", "threshold_us": 5000,
+             "target": 0.99, "windows": [0.5, 2.0]},
+        ]}}))
+        code = cli(["obs", "analyze", str(trace), "--scenario", str(scenario),
+                    "--check"])
+        return code, capsys.readouterr().out
+
+    def test_met_objectives_exit_zero(self, tmp_path, capsys):
+        events = [_recv(1.0 + 1e-3 * i, "n0", "n1", 1.0 + 1e-3 * i - 1e-4)
+                  for i in range(50)]
+        code, out = self._run(tmp_path, events, capsys)
+        assert code == 0
+        assert "[   ok   ] wire-fast: n0->n1" in out
+
+    def test_violation_exits_one(self, tmp_path, capsys):
+        events = [_recv(1.0 + 1e-3 * i, "n0", "n1", 1.0 + 1e-3 * i - 1e-2)
+                  for i in range(50)]
+        code, out = self._run(tmp_path, events, capsys)
+        assert code == 1
+        assert "VIOLATED" in out and "FAIL: 1 SLO violation(s)" in out
+
+    def test_no_correlated_edge_exits_one(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, [_decide(0.0, 1, 1)], capsys)
+        assert code == 1
+        assert "SLO: no objectives matched any edge" in out
+        assert "FAIL: --check requires at least one correlated edge" in out

@@ -1,4 +1,4 @@
-"""Causal attribution: blame buckets, exemplars, and ``obs why``."""
+"""Causal attribution: blame buckets, the plane's export, and ``obs why``."""
 
 from __future__ import annotations
 
@@ -14,17 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.causal import (
-    BLAME_BUCKETS,
-    TailExemplars,
     attribute_chain,
     attribute_events,
+    export_blame,
     main as why_main,
     render_report,
     render_waterfall,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import RingBufferSink
-from repro.obs.spans import Leg, MessageChain, SpanCollector
+from repro.obs.recorder import ListSink
+from repro.obs.spans import Leg, MessageChain
 from repro.obs.tails import TailRecorder
 from repro.runtime.scenario import run_scenario
 from repro.util.tracing import NullTracer, TraceEvent, Tracer
@@ -226,17 +225,6 @@ class TestEndToEndSim:
         for edge, slot in causal.edges().items():
             assert slot["fractions"]["unattributed"] < 0.10, edge
 
-    def test_exemplars_match_offline_attribution(self, traced_run):
-        _, cluster = traced_run
-        plane = cluster.obs
-        assert plane.tail_exemplars is not None  # default K with trace on
-        snap = plane.tail_exemplars.snapshot()
-        causal = attribute_events(plane.events)
-        assert snap["messages"] == len(causal.messages)
-        offline = causal.edges()
-        for edge, slot in snap["edges"].items():
-            assert slot["buckets_s"] == pytest.approx(offline[edge]["buckets_s"])
-
     def test_blame_metrics_exported(self, traced_run):
         _, cluster = traced_run
         text = cluster.obs.registry.to_prometheus()
@@ -244,7 +232,17 @@ class TestEndToEndSim:
         assert "repro_blame_fraction" in text
 
 
-class TestTailExemplars:
+def _blame_sums(registry):
+    """``{edge: {bucket: seconds}}`` from the registry's blame counters."""
+    sums: dict = {}
+    for metric in registry:
+        if metric.name == "repro_blame_seconds_total":
+            labels = dict(metric.labels)
+            sums.setdefault(labels["edge"], {})[labels["bucket"]] = metric.value
+    return sums
+
+
+class TestExportBlame:
     def _blame_events(self, mid, e2e, src="n0", dst="n1"):
         pid = 1000 + mid
         return [
@@ -260,75 +258,39 @@ class TestTailExemplars:
                        {"message": mid, "flow": "f", "src": src}),
         ]
 
-    def test_keeps_slowest_k_per_edge(self):
-        reservoir = TailExemplars(2)
-        for mid, e2e in enumerate([5.0, 9.0, 1.0, 7.0]):
-            for event in self._blame_events(mid, e2e):
-                reservoir(event)
-        snap = reservoir.snapshot()
-        slot = snap["edges"]["n0->n1"]
-        assert slot["messages"] == 4  # sums cover everything
-        kept = [ex["e2e_s"] for ex in slot["exemplars"]]
-        assert kept == [9.0, 7.0]  # only the worst K chains survive
-
-    def test_survives_ring_buffer_eviction(self):
-        """Exemplar evidence outlives the flight recorder window."""
-        from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
-        from repro.runtime.cluster import Cluster
-
-        plane = ObservabilityPlane(
-            ObservabilityConfig(ring_buffer=8, exemplars=3)
-        )
-        cluster = Cluster(seed=0, strategy="eager")
-        plane.install(cluster)
-        api = cluster.api("n0")
-        flow = api.open_flow("n1")
-        api.send(flow, 4096)
-        cluster.run_until_idle()
-        plane.finalize()
-        assert plane.sink.dropped > 0  # the ring really did evict
-        ring_report = attribute_events(plane.events)
-        snap = plane.tail_exemplars.snapshot()
-        assert snap["messages"] >= 1
-        assert snap["messages"] >= len(ring_report.messages)
-
-    @given(
-        st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0, 13.0]), max_size=40),
-        st.integers(min_value=0, max_value=5),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_reservoir_equals_sort_everything_and_truncate(self, latencies, k):
-        """Comparing against the K-th slowest first changes nothing: the
-        survivors are the first K of a stable slowest-first sort."""
-        reservoir = TailExemplars(k)
-        for mid, e2e in enumerate(latencies):
-            for event in self._blame_events(mid, e2e):
-                reservoir(event)
-        ranked = sorted(enumerate(latencies), key=lambda item: -item[1])[:k]
-        slot = reservoir.snapshot()["edges"].get("n0->n1", {"exemplars": []})
-        assert [ex["message"] for ex in slot["exemplars"]] == [
-            f"n0#m{mid}" for mid, _ in ranked
-        ]
-        assert reservoir.snapshot()["messages"] == len(latencies)
-
     def test_export_writes_registry_series(self):
-        reservoir = TailExemplars(1)
-        for event in self._blame_events(1, 2.0):
-            reservoir(event)
+        report = attribute_events(self._blame_events(1, 2.0))
         registry = MetricsRegistry()
-        reservoir.export(registry)
+        export_blame(report.edges(), registry)
         text = registry.to_prometheus()
         assert 'repro_blame_seconds_total{bucket="nic_queue",edge="n0->n1"}' in text
         assert "repro_blame_fraction" in text
         # fractions of one edge sum to 1
-        snap = reservoir.snapshot()["edges"]["n0->n1"]["fractions"]
-        assert sum(snap.values()) == pytest.approx(1.0)
+        fractions = report.edges()["n0->n1"]["fractions"]
+        assert sum(fractions.values()) == pytest.approx(1.0)
 
-    def test_zero_k_plane_disables_reservoir(self):
-        from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
-
-        plane = ObservabilityPlane(ObservabilityConfig(exemplars=0))
-        assert plane.tail_exemplars is None
+    def test_ring_overflow_blames_the_retained_window(self, tmp_path, capsys):
+        """A flight recorder that evicted the start of the run attributes
+        what it kept, and its exported trace says it is truncated."""
+        _, cluster, _ = run_scenario({
+            "name": "ring-overflow",
+            "cluster": {"n_nodes": 2, "strategy": "eager", "seed": 0},
+            "observability": {"ring_buffer": 64},
+            "workloads": [{"app": "stream", "src": "n0", "dst": "n1",
+                           "size": 512, "count": 30, "interval": 1e-4}],
+        })
+        plane = cluster.obs
+        assert plane.sink.dropped > 0  # the ring really did evict
+        retained = attribute_events(plane.events)
+        assert 0 < len(retained.messages) < 30
+        assert _blame_sums(plane.registry) == {
+            edge: slot["buckets_s"] for edge, slot in retained.edges().items()
+        }
+        path = tmp_path / "ring.jsonl"
+        plane.write_trace(path)
+        why_main(argparse.Namespace(trace=str(path), message=None, slowest=1,
+                                    edge=None, json=False))
+        assert "TRUNCATED" in capsys.readouterr().err
 
 
 class TestZeroEmission:
@@ -468,27 +430,31 @@ class TestWhyCli:
 
 
 # ----------------------------------------------------------------------
-# online attribution == offline attribution, at a cost that does not
-# grow with the length of the run
+# blame is attributed once, after the run, at a cost per event that
+# does not grow with the length of the run
 # ----------------------------------------------------------------------
-class TestOnlineEqualsOffline:
-    def test_reservoir_sums_equal_full_trace_attribution(self):
-        """The live sink prunes and bisects hold windows; the offline
-        pass keeps them all.  Same buckets, to the last digit."""
+class TestFinalizeEqualsOffline:
+    def test_registry_blame_equals_full_trace_attribution(self):
+        """``finalize`` replays the plane's own sink through the one
+        offline pass: its registry series are that pass's sums, to the
+        last digit."""
         scenario = json.loads(
             (EXAMPLES / "scenario_mixed.json").read_text(encoding="utf-8")
         )
         scenario["observability"] = {"trace": True}
         _, cluster, _ = run_scenario(scenario)
         plane = cluster.obs
-        plane.finalize()
-        online = plane.tail_exemplars.snapshot()["edges"]
         offline = attribute_events(plane.events).edges()
-        assert set(online) == set(offline) and len(online) >= 8
+        assert len(offline) >= 8
+        assert _blame_sums(plane.registry) == {
+            edge: slot["buckets_s"] for edge, slot in offline.items()
+        }
         for edge, slot in offline.items():
-            assert online[edge]["messages"] == slot["messages"]
-            assert online[edge]["e2e_s"] == slot["e2e_s"]
-            assert online[edge]["buckets_s"] == slot["buckets_s"]
+            for bucket, fraction in slot["fractions"].items():
+                gauge = plane.registry.get(
+                    "repro_blame_fraction", {"edge": edge, "bucket": bucket}
+                )
+                assert gauge.value == fraction
         assert any(slot["buckets_s"]["hold"] > 0 for slot in offline.values())
 
 
@@ -525,11 +491,12 @@ class _ObsOpcodes:
 
 def _ops_per_event(holds: int) -> float:
     """Plane-side cost of a run with ``holds`` Nagle holds on one node,
-    four messages in flight at any time."""
+    four messages in flight at any time: recording during the run plus
+    the one attribution pass over the recorded trace after it."""
     tracer = Tracer()
-    tracer.subscribe(RingBufferSink(64))
+    sink = ListSink()
+    tracer.subscribe(sink)
     tracer.subscribe(TailRecorder(MetricsRegistry()))
-    tracer.subscribe(TailExemplars(4))
 
     def message(i: int):
         t = i * 1e-4
@@ -554,7 +521,9 @@ def _ops_per_event(holds: int) -> float:
     with _ObsOpcodes() as counter:
         for time, source, kind, detail in events:
             tracer.emit(time, source, kind, **detail)
+        report = attribute_events(sink.events)
     assert sum(tracer.counts.values()) == len(events)
+    assert len(report.messages) == holds and report.incomplete == 0
     return counter.ops / len(events)
 
 

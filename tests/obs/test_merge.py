@@ -3,8 +3,6 @@
 The merge layer (:mod:`repro.obs.merge`) is pure data-plumbing with
 algebraic contracts, so it gets algebraic tests:
 
-* histogram bucket-wise merge must equal observing the union of the raw
-  samples into one histogram;
 * counter aggregation must be associative and commutative;
 * clock-offset alignment must preserve each peer's internal event order
   no matter the offsets;
@@ -26,50 +24,17 @@ from repro.obs.merge import (
     correct_edge_sketches,
     estimate_offsets,
     extract_crossings,
-    merge_histograms,
     merge_registries,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent
 
-# Values that land in finite buckets and keep float sums exactly
-# comparable; the merge itself is pure integer bucket arithmetic.
+# Positive latencies spanning the orders of magnitude a sketch sees.
 _observations = st.lists(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
     max_size=40,
 )
-
-
-def _hist_registry(samples, *, name="repro_m", n_buckets=8):
-    reg = MetricsRegistry()
-    hist = reg.histogram(name, {"node": "n0"}, base=1e-6, growth=4.0,
-                         n_buckets=n_buckets)
-    for value in samples:
-        hist.observe(value)
-    return reg, hist
-
-
-class TestHistogramMerge:
-    @given(a=_observations, b=_observations)
-    @settings(max_examples=60, deadline=None)
-    def test_bucketwise_merge_equals_union_of_observations(self, a, b):
-        _, ha = _hist_registry(a)
-        _, hb = _hist_registry(b)
-        _, hu = _hist_registry(a + b)
-        merge_histograms(ha, hb)
-        assert ha.counts == hu.counts
-        assert ha.inf_count == hu.inf_count
-        assert ha.count == hu.count
-        assert math.isclose(ha.total, hu.total, rel_tol=1e-9, abs_tol=1e-12)
-
-    def test_mismatched_bounds_rejected(self):
-        _, ha = _hist_registry([1.0])
-        reg = MetricsRegistry()
-        hb = reg.histogram("repro_m", {"node": "n0"}, base=1e-6, growth=4.0,
-                           n_buckets=12)
-        with pytest.raises(ConfigurationError):
-            merge_histograms(ha, hb)
 
 
 def _counter_registry(values: dict[str, int]) -> MetricsRegistry:
@@ -173,10 +138,10 @@ class TestSketchAggregation:
     def test_kind_collision_rejected(self):
         from repro.obs.tails import EDGE_METRIC
 
-        hist_reg = MetricsRegistry()
-        hist_reg.histogram(EDGE_METRIC, {"src": "n0", "dst": "n1"})
+        gauge_reg = MetricsRegistry()
+        gauge_reg.gauge(EDGE_METRIC, {"src": "n0", "dst": "n1"})
         with pytest.raises(ConfigurationError):
-            aggregate_registries([_sketch_registry([1.0]), hist_reg])
+            aggregate_registries([_sketch_registry([1.0]), gauge_reg])
 
 
 class TestOffsetCorrection:

@@ -4,16 +4,8 @@ import math
 import re
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    QuantileSketch,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, QuantileSketch
 from repro.util.errors import ConfigurationError
 
 
@@ -45,84 +37,6 @@ class TestGauge:
         g.dec(7)
         g.inc(1)
         assert g.value == -1
-
-
-class TestHistogram:
-    def test_bounds_grow_geometrically(self):
-        h = Histogram("h", base=1.0, growth=2.0, n_buckets=4)
-        assert h.bounds == (1.0, 2.0, 4.0, 8.0)
-
-    def test_cumulative_ends_at_inf(self):
-        h = Histogram("h", base=1.0, growth=2.0, n_buckets=3)
-        for v in (0.5, 2.0, 100.0):
-            h.observe(v)
-        cum = h.cumulative()
-        assert cum[-1] == (float("inf"), 3)
-        # cumulative counts never decrease
-        counts = [n for _, n in cum]
-        assert counts == sorted(counts)
-
-    def test_mean(self):
-        h = Histogram("h")
-        h.observe(2)
-        h.observe(4)
-        assert h.mean == 3.0
-
-    def test_validation(self):
-        for kwargs in ({"base": 0}, {"growth": 1.0}, {"n_buckets": 0}):
-            with pytest.raises(ConfigurationError):
-                Histogram("h", **kwargs)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e9), max_size=50))
-    def test_every_observation_lands_in_exactly_one_bucket(self, values):
-        h = Histogram("h", base=1.0, growth=2.0, n_buckets=8)
-        for v in values:
-            h.observe(v)
-        assert sum(h.counts) + h.inf_count == len(values)
-        assert h.cumulative()[-1][1] == len(values)
-
-
-class TestHistogramQuantile:
-    def test_validation(self):
-        h = Histogram("h")
-        with pytest.raises(ConfigurationError):
-            h.quantile(-0.1)
-        with pytest.raises(ConfigurationError):
-            h.quantile(1.5)
-        assert h.quantile(0.5) == 0.0  # empty
-
-    @given(
-        st.lists(
-            st.floats(min_value=1e-6, max_value=1e5, allow_nan=False),
-            min_size=1,
-            max_size=200,
-        ),
-        st.sampled_from([0.5, 0.9, 0.99]),
-    )
-    def test_within_one_bucket_of_exact(self, values, q):
-        """The bucket-interpolated answer must land within the bucket
-        that contains the exact quantile — i.e. off by at most one
-        bucket's relative width (growth factor)."""
-        h = Histogram("h", base=1e-6, growth=2.0, n_buckets=40)
-        for v in values:
-            h.observe(v)
-        exact = sorted(values)[max(math.ceil(q * len(values)) - 1, 0)]
-        answer = h.quantile(q)
-        # exact lies in bucket (lower, upper]; answer must be within
-        # one growth factor either side of it.
-        assert exact / 2.0 <= answer <= exact * 2.0 + 1e-12
-
-    def test_interpolates_within_bucket(self):
-        h = Histogram("h", base=1.0, growth=2.0, n_buckets=4)
-        for _ in range(100):
-            h.observe(1.5)  # all mass in the (1, 2] bucket
-        assert 1.0 <= h.quantile(0.01) <= h.quantile(0.99) <= 2.0
-        assert h.quantile(0.99) > h.quantile(0.01)  # strictly interpolated
-
-    def test_overflow_bucket_returns_last_bound(self):
-        h = Histogram("h", base=1.0, growth=2.0, n_buckets=3)
-        h.observe(1e9)  # lands in +Inf
-        assert h.quantile(0.99) == h.bounds[-1]
 
 
 class TestRegistry:
@@ -179,27 +93,15 @@ class TestPrometheusExport:
         reg = MetricsRegistry()
         reg.counter("repro_sends_total", {"nic": "n0.mx00"}, help="Sends").inc(7)
         reg.gauge("repro_depth", {"node": "n0", "channel": "0"}).set(3)
-        h = reg.histogram("repro_lat", help="Latency", n_buckets=4)
-        h.observe(1.5)
-        h.observe(100.0)
+        s = reg.sketch("repro_lat", help="Latency")
+        s.observe(1.5)
+        s.observe(100.0)
         samples = _parse_prometheus(reg.to_prometheus())
         assert samples['repro_sends_total{nic="n0.mx00"}'] == 7
         assert samples['repro_depth{channel="0",node="n0"}'] == 3
-        assert samples['repro_lat_bucket{le="+Inf"}'] == 2
+        assert samples['repro_lat{quantile="0.99"}'] == 100.0
         assert samples["repro_lat_count"] == 2
         assert math.isclose(samples["repro_lat_sum"], 101.5)
-
-    def test_histogram_buckets_are_cumulative(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_h", n_buckets=4)
-        for v in (1, 2, 4, 8, 1000):
-            h.observe(v)
-        samples = _parse_prometheus(reg.to_prometheus())
-        buckets = [
-            v for k, v in samples.items() if k.startswith("repro_h_bucket")
-        ]
-        assert buckets == sorted(buckets)
-        assert samples['repro_h_bucket{le="+Inf"}'] == samples["repro_h_count"]
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().to_prometheus() == ""

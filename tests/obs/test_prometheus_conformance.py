@@ -5,8 +5,8 @@ registry's ``to_prometheus`` output through a small grammar-checking
 parser modeled on the exposition-format spec: comment ordering
 (HELP before TYPE before samples, one contiguous block per family),
 metric/label name character sets, label-value escaping, and the
-histogram invariants (cumulative ``le`` buckets, ``+Inf`` == ``_count``,
-``_sum`` present).
+summary invariants (a ``quantile`` label joined to the instrument's own,
+``_sum``/``_count`` under the family's one TYPE line).
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ class Exposition:
 
     @staticmethod
     def _family_of(sample_name: str, types: dict[str, str]) -> str:
-        for suffix in ("_bucket", "_sum", "_count"):
+        for suffix in ("_sum", "_count"):
             base = sample_name.removesuffix(suffix)
-            if base != sample_name and types.get(base) == "histogram":
+            if base != sample_name and types.get(base) == "summary":
                 return base
         return sample_name
 
@@ -171,50 +171,48 @@ class TestGrammar:
         for node in ("n0", "n1", "n2"):
             reg.counter("repro_a_total", {"node": node}).inc()
             reg.gauge("repro_b", {"node": node}).set(1)
-            reg.histogram("repro_c", {"node": node}).observe(1.0)
+            reg.sketch("repro_c", {"node": node}).observe(1.0)
         Exposition(reg.to_prometheus())  # parser asserts contiguity
 
 
-class TestHistogramInvariants:
+class TestSummaryInvariants:
     def _exposition(self, observations):
         reg = MetricsRegistry()
-        hist = reg.histogram(
-            "repro_lat", {"node": "n0"}, help="Latency.", base=1.0, growth=2.0,
-            n_buckets=6,
-        )
+        sketch = reg.sketch("repro_lat", {"node": "n0"}, help="Latency.")
         for value in observations:
-            hist.observe(value)
-        return Exposition(reg.to_prometheus()), hist
+            sketch.observe(value)
+        return Exposition(reg.to_prometheus())
 
-    def test_buckets_cumulative_and_inf_equals_count(self):
-        exp, hist = self._exposition([0.5, 1.0, 3.0, 100.0, 1e9])
-        buckets = exp.series("repro_lat_bucket")
-        by_le = {dict(labels)["le"]: v for labels, v in buckets.items()}
-        assert "+Inf" in by_le
-        finite = sorted(
-            (float(le), v) for le, v in by_le.items() if le != "+Inf"
-        )
-        counts = [v for _, v in finite]
-        assert counts == sorted(counts), "bucket counts must be cumulative"
-        assert by_le["+Inf"] == max(counts + [0]) + hist.inf_count
-        count = exp.series("repro_lat_count")
-        total = exp.series("repro_lat_sum")
-        ((_, count_val),) = count.items()
-        ((_, sum_val),) = total.items()
-        assert by_le["+Inf"] == count_val == 5
-        assert math.isclose(sum_val, 0.5 + 1.0 + 3.0 + 100.0 + 1e9)
+    def test_count_equals_observations(self):
+        observations = [0.5, 1.0, 3.0, 100.0, 1e9]
+        exp = self._exposition(observations)
+        ((_, count_val),) = exp.series("repro_lat_count").items()
+        ((_, sum_val),) = exp.series("repro_lat_sum").items()
+        assert count_val == len(observations)
+        assert math.isclose(sum_val, sum(observations))
+        by_q = {
+            float(dict(labels)["quantile"]): v
+            for labels, v in exp.series("repro_lat").items()
+        }
+        values = [by_q[q] for q in sorted(by_q)]
+        assert values == sorted(values), "quantiles must not decrease"
 
-    def test_le_label_joins_instrument_labels(self):
-        exp, _ = self._exposition([2.0])
-        for labels, _v in exp.series("repro_lat_bucket").items():
+    def test_quantile_label_joins_instrument_labels(self):
+        exp = self._exposition([2.0])
+        quantiles = exp.series("repro_lat")
+        assert quantiles
+        for labels in quantiles:
             as_dict = dict(labels)
             assert as_dict["node"] == "n0"
-            assert "le" in as_dict
+            assert "quantile" in as_dict
+        for derived in ("repro_lat_sum", "repro_lat_count"):
+            for labels in exp.series(derived):
+                assert dict(labels) == {"node": "n0"}
 
     def test_type_declared_on_base_name_only(self):
-        exp, _ = self._exposition([2.0])
-        assert exp.types["repro_lat"] == "histogram"
-        for derived in ("repro_lat_bucket", "repro_lat_sum", "repro_lat_count"):
+        exp = self._exposition([2.0])
+        assert exp.types["repro_lat"] == "summary"
+        for derived in ("repro_lat_sum", "repro_lat_count"):
             assert derived not in exp.types
 
 

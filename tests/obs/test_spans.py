@@ -57,7 +57,7 @@ class TestChainReconstruction:
     def test_basic_chain(self):
         collector = SpanCollector()
         collector.ingest_all(_basic_stream())
-        chains = list(collector.drain_completed())
+        chains = collector.completed
         assert len(chains) == 1
         chain = chains[0]
         assert chain.key == "n0#m7"
@@ -78,7 +78,7 @@ class TestChainReconstruction:
                             packet=42, src="n0", corr=None, bytes=1024))
         collector = SpanCollector()
         collector.ingest_all(events)
-        (chain,) = collector.drain_completed()
+        (chain,) = collector.completed
         assert chain.delivered_bytes == 1024
         assert chain.legs[0].deliver_t == 5.0  # first delivery wins
 
@@ -99,7 +99,7 @@ class TestChainReconstruction:
         ]
         collector = SpanCollector()
         collector.ingest_all(events)
-        (chain,) = collector.drain_completed()
+        (chain,) = collector.completed
         assert len(chain.legs) == 2
         assert chain.delivered_bytes == 200
 
@@ -114,34 +114,9 @@ class TestChainReconstruction:
         collector.ingest(_e(2.0, "engine:n0", "hold.arm", wake_at=2.4, backlog=1))
         assert collector.hold_windows["n0"] == [(1.0, 1.5), (2.0, None)]
 
-    def test_hold_windows_pruned_behind_the_oldest_open_chain(self):
-        """A long run leaks no window: 10,000 holds with a sliding set of
-        open chains keep only the windows those chains can still need."""
-        collector = SpanCollector()
-        open_chains = 8
-        longest = 0
-        for i in range(10_000):
-            t = float(i)
-            collector.ingest(_e(t, "engine:n0", "collect.enqueue",
-                                message=i, flow="f", dst="n1", bytes=8, fragments=1))
-            collector.ingest(_e(t + 0.25, "engine:n0", "hold.arm", wake_at=t + 0.5))
-            collector.ingest(_e(t + 0.5, "engine:n0", "hold.fire"))
-            if i >= open_chains:  # the oldest open chain completes
-                collector.ingest(_e(t + 0.75, "reasm:n1", "message.complete",
-                                    message=i - open_chains, flow="f", src="n0"))
-                assert len(list(collector.drain_completed())) == 1
-            longest = max(longest, len(collector.hold_windows["n0"]))
-        assert longest <= open_chains + 2
-        # ...and every window an open chain overlaps is still there.
-        needed = [
-            (chain.submit_t + 0.25, chain.submit_t + 0.5)
-            for chain in collector.chains.values()
-        ]
-        assert collector.hold_windows["n0"][-len(needed):] == needed
-
     def test_undrained_completions_keep_their_windows(self):
-        """Offline use drains once at the end: nothing those completed
-        chains were held by may be pruned before that."""
+        """Attribution runs once, after the whole trace: every hold
+        window a completed chain may be charged for is still there."""
         collector = SpanCollector()
         for i in range(50):
             t = float(i)
@@ -152,7 +127,7 @@ class TestChainReconstruction:
             collector.ingest(_e(t + 0.75, "reasm:n1", "message.complete",
                                 message=i, flow="f", src="n0"))
         assert len(collector.hold_windows["n0"]) == 50
-        assert len(list(collector.drain_completed())) == 50
+        assert len(collector.completed) == 50
 
     def test_rdv_window_closed_by_ready(self):
         collector = SpanCollector()
@@ -186,7 +161,7 @@ class TestChainReconstruction:
         collector.ingest_all(events)
         assert collector.incomplete == 1
         collector.finish()
-        (chain,) = collector.drain_completed()
+        (chain,) = collector.completed
         assert chain.complete_t == 5.0  # last delivery stands in
         assert collector.incomplete == 0
 
@@ -196,7 +171,7 @@ class TestChainReconstruction:
                             message=1, flow="f", dst="n1", bytes=100, fragments=1))
         collector.finish()
         assert collector.incomplete == 1
-        assert list(collector.drain_completed()) == []
+        assert collector.completed == []
 
     def test_truncation_marker_ingested(self):
         collector = SpanCollector()
