@@ -15,8 +15,6 @@ Key pieces:
   delay, …);
 * :mod:`~repro.core.channels` — channel assignment policies (traffic
   classes vs one-to-one fallback, paper §2);
-* :mod:`~repro.core.constraints` — the message-structure constraints the
-  optimizer must respect (paper §3);
 * :mod:`~repro.core.cost` — capability-parameterized plan cost/score
   model.
 """
@@ -29,7 +27,6 @@ from repro.core.channels import (
     WeightedChannels,
 )
 from repro.core.config import EngineConfig
-from repro.core.constraints import ConstraintChecker
 from repro.core.cost import CostModel
 from repro.core.engine import CommEngineBase, EngineStats, OptimizingEngine
 from repro.core.plan import Hold, PlanItem, TransferPlan
@@ -54,7 +51,6 @@ __all__ = [
     "ChannelPolicy",
     "ChannelQueue",
     "CommEngineBase",
-    "ConstraintChecker",
     "CostModel",
     "EagerStrategy",
     "EngineConfig",

@@ -57,9 +57,6 @@ class EngineConfig:
         transmission (graceful degradation on a faulty fabric).
         ``None`` (default) waits forever — the lossless-network
         behaviour.
-    validate_plans:
-        Run the :class:`~repro.core.constraints.ConstraintChecker` on
-        every dispatched plan (cheap; keep on outside hot benchmarks).
     """
 
     lookahead_window: int = 16
@@ -70,7 +67,6 @@ class EngineConfig:
     rail_binding: str = "pooled"
     rdv_requires_recv: bool = False
     rdv_timeout: float | None = None
-    validate_plans: bool = True
 
     def __post_init__(self) -> None:
         if self.lookahead_window < 1:

@@ -24,7 +24,6 @@ from typing import Iterable
 
 from repro.core.channels import ChannelPolicy, PooledChannels
 from repro.core.config import EngineConfig
-from repro.core.constraints import ConstraintChecker
 from repro.core.cost import CostModel
 from repro.core.plan import Hold, TransferPlan
 from repro.core.strategies.aggregation import AggregationStrategy
@@ -81,7 +80,6 @@ class CommEngineBase:
         policy: ChannelPolicy | None = None,
         config: EngineConfig | None = None,
         cost: CostModel | None = None,
-        checker: ConstraintChecker | None = None,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -98,7 +96,6 @@ class CommEngineBase:
         self.policy = policy if policy is not None else PooledChannels()
         self.config = config if config is not None else EngineConfig()
         self.cost = cost if cost is not None else CostModel()
-        self.checker = checker if checker is not None else ConstraintChecker()
         self.waiting = WaitingLists()
         self.stats = EngineStats()
 
@@ -118,15 +115,11 @@ class CommEngineBase:
         #: pump where every idle rail only held; the next pump or kick clears it.
         self._standing: tuple[float, float, int] | None = None
         #: Read-only tail statistics, set by the observability plane at
-        #: install time (None without a plane that records tails).
-        #: Consulted on the tracing-gated decide-record path, and by the
-        #: rail selector when a ``tuner`` block installs one.
+        #: install time (None without a plane that records tails).  The
+        #: rail selector reads it when a ``tuner`` block installs one.
         self.tail_view = None
-        #: Optional driver-iteration reorderer (``order(drivers)``),
-        #: installed by the tuner's tail-acting rail selection.  None —
-        #: the default — iterates ``self.drivers`` exactly as built, so
-        #: dispatch without a selector is byte-identical to before the
-        #: hook existed.
+        #: Optional driver-iteration reorderer (``order(drivers)``), installed
+        #: by the tuner's rail selection; None iterates ``self.drivers`` as built.
         self.rail_selector = None
 
         self.policy.setup(node.channels, min(d.caps.max_channels for d in self.drivers))
@@ -266,30 +259,46 @@ class CommEngineBase:
         held_only = True  # no rail sent, none had nothing to send
         self._pumping = True
         try:
-            for driver in drivers:
-                # An empty backlog leaves nothing to ask a rail about.
-                while waiting.total_pending and driver.idle:
-                    epoch = self._enqueue_epoch
-                    decision = self.strategy.make_plan(self, driver)
-                    if isinstance(decision, TransferPlan):
-                        if tracer.enabled:
-                            self._emit_decide(decision, tracer)
-                        self._dispatch(decision)
-                        held_only = False
-                    elif isinstance(decision, Hold):
-                        stats.holds += 1
-                        self._arm_hold(decision.wake_at)
-                        release_bytes = min(release_bytes, decision.release_bytes)
-                        release_pending = min(release_pending, decision.release_pending)
-                        rails += 1
-                        # The held walk parked an entry: a handshake now waits.
-                        held_only = held_only and self._enqueue_epoch == epoch
-                        break
-                    else:
-                        if self._enqueue_epoch != epoch:
-                            continue  # planning parked work; re-plan
-                        held_only = False
-                        break
+            while True:
+                pass_epoch = self._enqueue_epoch
+                for driver in drivers:
+                    carries_rdv = driver.caps.supports_rdv
+                    # An empty backlog leaves nothing to ask a rail about.
+                    while waiting.total_pending and driver.idle:
+                        epoch = self._enqueue_epoch
+                        decision = self.strategy.make_plan(self, driver)
+                        if isinstance(decision, TransferPlan):
+                            if not carries_rdv and decision.kind.is_control:
+                                # The handshake rides an idle rail that speaks it.
+                                decision.driver = next((
+                                    d for d in self.drivers
+                                    if d.idle and d.caps.supports_rdv and d.nic.reaches(decision.dst)
+                                ), None)
+                                if decision.driver is None:
+                                    held_only = False
+                                    break
+                            if tracer.enabled:
+                                self._emit_decide(decision, tracer)
+                            self._dispatch(decision)
+                            held_only = False
+                        elif isinstance(decision, Hold):
+                            stats.holds += 1
+                            self._arm_hold(decision.wake_at)
+                            release_bytes = min(release_bytes, decision.release_bytes)
+                            release_pending = min(release_pending, decision.release_pending)
+                            rails += 1
+                            # The held walk parked an entry: a handshake now waits.
+                            held_only = held_only and self._enqueue_epoch == epoch
+                            break
+                        else:
+                            if self._enqueue_epoch != epoch:
+                                continue  # planning parked work; re-plan
+                            held_only = False
+                            break
+                # Under static binding a park can queue its RDV_REQ on a
+                # channel only a rail already passed serves: ask again.
+                if self.config.rail_binding != "static" or self._enqueue_epoch == pass_epoch:
+                    break
         finally:
             self._pumping = False
         # A policy whose service order counts its calls must see every pump.
@@ -317,10 +326,6 @@ class CommEngineBase:
         explain = self.strategy.explain_last()
         if explain:
             detail.update(explain)
-        if self.tail_view is not None:
-            hint = self.tail_view.hint(self.node_name, plan.dst, plan.driver.name)
-            if hint is not None:
-                detail["tail_hint"] = hint
         tracer.emit(
             self.sim.now, f"engine:{self.node_name}", "optimizer.decide", **detail
         )
@@ -328,12 +333,6 @@ class CommEngineBase:
     def _dispatch(self, plan: TransferPlan) -> None:
         """Turn a plan into a wire packet and hand it to the driver."""
         queue = self.waiting.queue(plan.channel_id)
-        if self.config.validate_plans:
-            # Plan items can only come from the lookahead window, and the
-            # FIFO rule is decided by entries at or before the last taken
-            # one, so a window-bounded snapshot suffices (and keeps the
-            # check O(window) instead of O(queue) under deep backlogs).
-            self.checker.check(plan, queue.pending_view(self.config.lookahead_window))
         segments: list[WireSegment] = []
         for item in plan.items:
             entry = item.entry

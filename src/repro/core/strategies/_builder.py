@@ -2,7 +2,7 @@
 
 One walk over a channel queue's pending window, in arrival order,
 maintaining per-flow blocking state so the result always satisfies the
-:class:`~repro.core.constraints.ConstraintChecker` rules:
+§3 rules that the test suite's ``tests/core/constraints.py`` checks:
 
 * taking an entry after skipping a non-deferrable earlier entry of the
   same flow is forbidden → skipped flows are blocked for the rest of

@@ -205,11 +205,6 @@ class ChannelQueue:
         """Monotonic stamp bumped by every mutation (cache key)."""
         return self._version
 
-    def invalidate_caches(self) -> None:
-        """Force the next read to re-walk (equivalence tests use this to defeat
-        cross-decision memoization; never needed in normal operation)."""
-        self._version += 1
-
     def pending(self, window: int | None = None) -> list[SubmitEntry]:
         """The first ``window`` pending entries in arrival order.
 

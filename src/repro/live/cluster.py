@@ -79,7 +79,7 @@ from repro.runtime.cluster import Cluster, check_topology
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
 from repro.runtime.scenario import build_workloads, parse_cluster
 from repro.util.errors import ConfigurationError, TransportError
-from repro.util.tracing import TraceEvent, event_to_dict
+from repro.util.tracing import TraceEvent
 
 __all__ = ["LiveRunResult", "run_live_scenario", "survivor_agreement"]
 
@@ -93,10 +93,8 @@ class LiveRunResult:
     report: SessionReport
     records: list[MessageRecord]
     peer_reports: list[dict[str, Any]]
-    #: Aligned, merged trace events as JSON-able dicts (time-sorted).
-    trace_events: list[dict[str, Any]] = field(default_factory=list)
     rtts: list[float] = field(default_factory=list)
-    #: Same events as :class:`~repro.util.tracing.TraceEvent` objects.
+    #: Aligned, merged trace events (time-sorted).
     aligned_events: list[TraceEvent] = field(default_factory=list)
     #: Per-peer clock offsets applied during the merge (node -> seconds).
     offsets: dict[str, float] = field(default_factory=dict)
@@ -828,7 +826,6 @@ def _merge_run(
         report=report,
         records=records,
         peer_reports=peer_reports,
-        trace_events=[event_to_dict(e) for e in aligned],
         rtts=[
             sample
             for p in peer_reports

@@ -22,9 +22,7 @@ a live answer to "how bad are the tails *right now*":
 
 * :class:`TailView` is the read side: cheap cached per-edge/per-rail
   p50/p90/p99/p999 lookups over those sketches, exposed on the plane
-  and on each engine so a strategy *could* consult it.  This PR only
-  logs a ``tail_hint`` in ``optimizer.decide`` records — the hint rides
-  the tracing-only emit path, so dispatch stays byte-identical.
+  and on each engine, where the tuner's rail selector reads it.
 
 * :class:`SLObjective` + :func:`evaluate_slo` implement SRE-style
   burn-rate tracking: an objective says "``target`` of crossings on
@@ -280,28 +278,6 @@ class TailView:
     def messages(self) -> dict[str, TailStats]:
         """Message latency per node."""
         return self._family(MESSAGE_METRIC, "node")
-
-    # ------------------------------------------------------------------
-    # scheduler-facing hint
-    # ------------------------------------------------------------------
-    def hint(self, src: str, dst: str, nic: str) -> dict[str, float] | None:
-        """Compact per-decision tail context, or None before any data.
-
-        This is what rides ``optimizer.decide`` records as
-        ``tail_hint``.  It is asked for once per dispatch, typically
-        right after both sketches changed, so it reads just the ranks it
-        logs straight off the sketches instead of summarizing them.
-        """
-        hint: dict[str, float] = {}
-        edge = self._sketch((EDGE_METRIC, src, dst), src=src, dst=dst)
-        if edge is not None and edge.count:
-            hint["edge_p99_us"], hint["edge_p999_us"] = edge.quantiles((0.99, 0.999))
-            hint["edge_n"] = edge.count
-        rail = self._sketch((RAIL_METRIC, nic), nic=nic)
-        if rail is not None and rail.count:
-            hint["rail_p99_us"] = rail.quantile(0.99)
-            hint["rail_n"] = rail.count
-        return hint or None
 
     # ------------------------------------------------------------------
     # full dump (the /tails payload)

@@ -290,7 +290,6 @@ class MetricsCollector:
         now = cluster.sim.now
         last_complete = max((r.complete_time for r in records), default=now)
         transport = getattr(cluster, "transport", None)
-        plane = getattr(cluster, "fault_plane", None)
 
         # Tail columns from the observability plane's message-latency
         # sketches (traced runs only; NaN otherwise).  Imported here so a
@@ -305,17 +304,21 @@ class MetricsCollector:
                 p99_us = pooled.quantile(0.99)
                 p999_us = pooled.quantile(0.999)
 
+        nics = [stats_row(nic.stats) for node in cluster.nodes for nic in node.nics]
         return assemble_report(
             records,
-            [stats_row(nic.stats) for node in cluster.nodes for nic in node.nics],
+            nics,
             [stats_row(engine.stats) for engine in cluster.engines.values()],
             duration=max(last_complete - since, 0.0),
             elapsed=now if now > 0 else 1.0,
             transport_failovers=transport.stats.failovers if transport is not None else 0,
             retransmits=transport.stats.retransmits if transport is not None else 0,
-            packets_dropped=plane.stats.drops if plane is not None else 0,
-            packets_corrupted=plane.stats.corruptions if plane is not None else 0,
-            packets_duplicated=plane.stats.duplicates if plane is not None else 0,
+            # What happened to packets, as the sending NICs counted it: a
+            # drop includes an attempt sent into a dark rail, and a packet
+            # the lottery drops is neither corrupted nor duplicated.
+            packets_dropped=sum(row["drops"] for row in nics),
+            packets_corrupted=sum(row["corruptions"] for row in nics),
+            packets_duplicated=sum(row["duplicates"] for row in nics),
             latency_p99_us=p99_us,
             latency_p999_us=p999_us,
         )

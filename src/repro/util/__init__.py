@@ -7,7 +7,6 @@ simulation kernel (:mod:`repro.sim`) builds on them.
 from repro.util.errors import (
     CapabilityError,
     ConfigurationError,
-    ConstraintViolation,
     ProtocolError,
     ReproError,
     SimulationError,
@@ -31,7 +30,6 @@ from repro.util.units import (
 __all__ = [
     "CapabilityError",
     "ConfigurationError",
-    "ConstraintViolation",
     "GiB",
     "KiB",
     "MiB",

@@ -13,7 +13,6 @@ __all__ = [
     "ConfigurationError",
     "InternalError",
     "SimulationError",
-    "ConstraintViolation",
     "CapabilityError",
     "ProtocolError",
     "TransportError",
@@ -49,15 +48,6 @@ class SimulationError(ReproError):
 
     Examples: scheduling an event in the past, running a simulator that
     was already stopped, a NIC completing a transfer it never started.
-    """
-
-
-class ConstraintViolation(ReproError):
-    """An optimization would (or did) break a message-ordering constraint.
-
-    The optimizer treats the structured-message dependencies expressed
-    through the packing API as hard constraints (paper §3); strategies
-    raise or receive this error when a candidate plan violates them.
     """
 
 

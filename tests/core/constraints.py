@@ -2,10 +2,13 @@
 
 Paper §3: message internal dependencies "are taken into account as
 limiting factors — or constraints — by the scheduler while estimating the
-value of a given packet reordering operation".  This module centralizes
-those rules so every strategy (greedy aggregation, bounded search, …)
-enforces exactly the same semantics, and so property tests can check
-plans independently of the strategy that produced them.
+value of a given packet reordering operation".  The decision walk
+(``repro.core.kernel``) builds every plan to satisfy them; this module
+re-derives them independently, as a test instrument.  The root
+``tests/conftest.py`` runs :meth:`ConstraintChecker.check` before every
+in-process dispatch of the test suite, and the ``plan_valid`` entry of
+``tests/invariants.py`` names it.  Production has no such check: the
+engine→NIC boundary is ``Driver.validate`` (``CapabilityError``).
 
 The rules
 ---------
@@ -20,7 +23,7 @@ The rules
    with anything else.
 5. **Capability fit** — an EAGER plan's payload must fit the driver's
    ``max_aggregate_size``; oversized entries must go through rendezvous
-   instead.
+   instead, unless their handshake already timed out (``no_rdv``).
 """
 
 from __future__ import annotations
@@ -31,9 +34,13 @@ from repro.core.plan import TransferPlan
 from repro.madeleine.message import PackMode
 from repro.madeleine.submit import EntryKind, EntryState, SubmitEntry
 from repro.network.wire import PacketKind
-from repro.util.errors import ConstraintViolation
+from repro.util.errors import ReproError
 
-__all__ = ["ConstraintChecker"]
+__all__ = ["ConstraintChecker", "ConstraintViolation"]
+
+
+class ConstraintViolation(ReproError):
+    """A plan breaks one of the message-structure rules above."""
 
 
 class ConstraintChecker:
@@ -91,6 +98,7 @@ class ConstraintChecker:
                     and item.take == entry.remaining
                     and entry.remaining > caps.eager_threshold
                     and caps.supports_rdv
+                    and not entry.meta.get("no_rdv")
                 ):
                     raise ConstraintViolation(
                         f"{entry!r} ({entry.remaining} B) must use "

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.constraints import ConstraintChecker
 from repro.core.config import EngineConfig
 from repro.core import kernel
 from repro.core.strategies._builder import build_from_queue
@@ -12,6 +11,7 @@ from repro.network.wire import PacketKind
 from repro.sim import Simulator
 from repro.util.units import KiB
 
+from tests.core.constraints import ConstraintChecker
 from tests.core.helpers import StubEngine, control_entry, data_entry, make_driver
 from tests.core.oracle import park_oversized
 

@@ -1,7 +1,7 @@
 """Property tests: the greedy builder only ever produces legal plans.
 
-The ConstraintChecker encodes the paper's §3 constraint semantics
-independently of the builder; fuzzing random queue contents against
+The constraint checker (``tests/core/constraints.py``) encodes the
+paper's §3 constraint semantics independently of the builder; fuzzing random queue contents against
 random build parameters proves the two agree — i.e. no strategy built
 on the shared builder can violate message-structure constraints.
 """
@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
-from repro.core.constraints import ConstraintChecker
 from repro.core.strategies._builder import build_from_queue
 from repro.madeleine.message import Flow, PackMode
 from repro.madeleine.submit import EntryKind, EntryState, SubmitEntry
@@ -19,6 +18,7 @@ from repro.network.wire import PacketKind
 from repro.sim import Simulator
 from repro.util.units import KiB
 
+from tests.core.constraints import ConstraintChecker
 from tests.core.helpers import StubEngine, make_driver, next_message
 
 # Every test here runs against the production walk and again against the

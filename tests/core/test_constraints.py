@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core.constraints import ConstraintChecker
 from repro.core.plan import PlanItem, TransferPlan
 from repro.madeleine.message import Flow, PackMode
 from repro.madeleine.submit import EntryState
 from repro.network.wire import PacketKind
 from repro.sim import Simulator
-from repro.util.errors import ConstraintViolation
 
+from tests.core.constraints import ConstraintChecker, ConstraintViolation
 from tests.core.helpers import control_entry, data_entry, make_driver
 
 

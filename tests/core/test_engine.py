@@ -250,7 +250,3 @@ class TestValidationAndErrors:
         nic_b = net.attach(b)
         with pytest.raises(ConfigurationError):
             OptimizingEngine(sim, a, [make_driver(nic_b)])
-
-    def test_plan_validation_enabled_by_default(self):
-        c = two_node_cluster()
-        assert c.engine("n0").config.validate_plans

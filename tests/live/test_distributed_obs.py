@@ -25,6 +25,7 @@ from repro.obs.causal import collector_report
 from repro.obs.export import to_chrome_trace
 from repro.obs.merge import KIND_WIRE_RECV
 from repro.obs.spans import SpanCollector
+from repro.util.tracing import event_to_dict
 
 _TIMEOUT = 30.0
 
@@ -91,8 +92,10 @@ class TestMergedTrace:
         assert sources == {"n0", "n1"}
 
     def test_trace_events_dicts_match_aligned(self, traced_run):
-        assert len(traced_run.trace_events) == len(traced_run.aligned_events)
-        assert all("kind" in e and "time" in e for e in traced_run.trace_events)
+        # ``--trace-out`` writes these dicts, one per aligned event.
+        dicts = [event_to_dict(e) for e in traced_run.aligned_events]
+        assert [d["time"] for d in dicts] == [e.time for e in traced_run.aligned_events]
+        assert all("kind" in d for d in dicts)
 
     def test_chrome_export_has_matched_flow_pairs(self, traced_run):
         trace = to_chrome_trace(traced_run.aligned_events)

@@ -229,10 +229,10 @@ class TestAggregation:
             trace=True,
             timeout=_TIMEOUT,
         )
-        kinds = {e["kind"] for e in result.trace_events}
+        kinds = {e.kind for e in result.aligned_events}
         assert "nic.send" in kinds
         assert "nic.idle" in kinds
-        times = [e["time"] for e in result.trace_events]
+        times = [e.time for e in result.aligned_events]
         assert times == sorted(times)
 
 

@@ -107,21 +107,6 @@ class TestPostRunTails:
                     f"[{lo}, {hi}] (n={n})"
                 )
 
-    def test_decides_carry_rail_tail_hints(self, traced_run):
-        decides = [
-            e for e in traced_run.trace_events
-            if e["kind"] == "optimizer.decide"
-        ]
-        assert decides
-        hints = [
-            e["detail"]["tail_hint"] for e in decides
-            if "tail_hint" in e["detail"]
-        ]
-        # Edge sketches live at the *receiver*, so a sender's hint is
-        # rail-only on the live plane — but it must be there.
-        assert hints
-        assert all("rail_p99_us" in h and h["rail_n"] >= 1 for h in hints)
-
 
 class TestLiveTailsEndpoint:
     def test_tails_served_during_run(self):

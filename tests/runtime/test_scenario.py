@@ -131,10 +131,12 @@ class TestValidation:
             build_scenario({"cluster": {"n_nodes": 2}, "workloads": []})
 
     def test_bad_config_key(self):
-        with pytest.raises(ConfigurationError, match="engine config"):
-            build_scenario(
-                minimal_scenario(cluster={"config": {"warp_speed": 9}})
-            )
+        # ``validate_plans`` is gone: plans are checked by the test suite.
+        for key, value in (("warp_speed", 9), ("validate_plans", True)):
+            with pytest.raises(ConfigurationError, match=f"engine config.*{key}"):
+                build_scenario(
+                    minimal_scenario(cluster={"config": {key: value}})
+                )
 
     def test_unknown_scenario_key_named_in_error(self):
         with pytest.raises(ConfigurationError, match="workload"):
