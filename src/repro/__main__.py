@@ -17,7 +17,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import repro
@@ -81,12 +80,10 @@ def _print_report(report, counted: str, verified: str | None = None) -> None:
         print(f"bytes verified       : {verified}")
     print(f"throughput           : {format_rate(report.throughput)}")
     print(f"mean latency         : {report.latency.mean * 1e6:.2f} us")
-    print(f"p99 latency          : {report.latency.p99 * 1e6:.2f} us")
-    if not math.isnan(report.latency_p99_us):
-        print(
-            f"sketch p99 / p999    : {report.latency_p99_us:.2f} / "
-            f"{report.latency_p999_us:.2f} us"
-        )
+    print(
+        f"p99 / p999 latency   : {report.latency.p99 * 1e6:.2f} / "
+        f"{report.latency.p999 * 1e6:.2f} us"
+    )
     print(f"network transactions : {report.network_transactions}")
     print(f"aggregation ratio    : {report.aggregation_ratio:.2f}")
     print(f"rendezvous transfers : {report.rdv_count}")
@@ -116,6 +113,14 @@ def _cmd_run(args) -> int:
         scenario["observability"] = obs_spec
     report, cluster, apps = run_scenario(scenario)
     name = scenario.get("name", args.scenario)
+    plane = cluster.obs
+    written: list[str] = []
+    if plane is not None and args.trace_out:
+        fmt = plane.write_trace(args.trace_out)
+        written.append(f"trace written        : {args.trace_out} ({fmt})")
+    if plane is not None and args.metrics_out:
+        plane.write_metrics(args.metrics_out)
+        written.append(f"metrics written      : {args.metrics_out} (prometheus)")
     if args.json:
         incomplete = [a.name for a in apps if not a.done.done]
         payload = {
@@ -157,19 +162,13 @@ def _cmd_run(args) -> int:
         print("tuner:")
         for node, state in cluster.tuner.summary()["nodes"].items():
             print(f"  {node:<6} rail-refreshes={state['rails']['refreshes']}")
-    plane = cluster.obs
-    if plane is not None:
-        if plane.sink is not None and plane.sink.dropped:
-            print(
-                f"flight recorder      : kept {len(plane.sink.events)} of "
-                f"{plane.sink.seen} events (oldest evicted)"
-            )
-        if args.trace_out:
-            fmt = plane.write_trace(args.trace_out)
-            print(f"trace written        : {args.trace_out} ({fmt})")
-        if args.metrics_out:
-            plane.write_metrics(args.metrics_out)
-            print(f"metrics written      : {args.metrics_out} (prometheus)")
+    if plane is not None and plane.sink is not None and plane.sink.dropped:
+        print(
+            f"flight recorder      : kept {len(plane.sink.events)} of "
+            f"{plane.sink.seen} events (oldest evicted)"
+        )
+    for line in written:
+        print(line)
     incomplete = [a.name for a in apps if not a.done.done]
     if incomplete:
         print(f"WARNING: workloads not finished: {incomplete}")

@@ -73,7 +73,7 @@ from repro.obs.merge import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.plane import ObservabilityConfig
-from repro.obs.tails import SLObjective, TailView, pooled_message_sketch
+from repro.obs.tails import SLObjective, TailView
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
 from repro.runtime.cluster import Cluster, check_topology
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
@@ -105,8 +105,8 @@ class LiveRunResult:
     #: None when the run carried no observability.
     cluster_registry: MetricsRegistry | None = None
     #: Offset-corrected cluster tail view (``TailView.snapshot()`` shape:
-    #: per-edge/per-rail/per-node p50..p999 plus SLO burn rates); empty
-    #: when the run carried no observability.
+    #: per-edge/per-rail p50..p999 plus SLO burn rates); empty when the
+    #: run carried no observability.
     tails: dict[str, Any] = field(default_factory=dict)
     #: Peers declared dead mid-run (empty on a clean run).  When
     #: non-empty, ``report.degraded`` is True and the report merges only
@@ -129,32 +129,28 @@ class LiveRunResult:
 
 
 class _ObsState:
-    """Thread-safe snapshot of the in-flight run the HTTP server reads.
+    """What the HTTP server reads of the in-flight run.
 
-    The coordinator's poll loop owns the write side; the
-    :class:`~repro.obs.serve.ObsHTTPServer` thread calls
-    :meth:`metrics_text`/:meth:`status` whenever a client asks.
+    The coordinator's poll loop writes progress here and streams into
+    the one :class:`_ObsCollector`; the
+    :class:`~repro.obs.serve.ObsHTTPServer` thread reads both under the
+    collector's lock, copying streamed state only when a client asks.
     """
 
     def __init__(
         self,
         scenario_name: str,
+        collector: "_ObsCollector",
         objectives: tuple[SLObjective, ...] = (),
     ) -> None:
-        self._lock = threading.Lock()
+        self._collector = collector
+        self._lock = collector.lock
         self._scenario = scenario_name
         self._objectives = objectives
         self._started = time.time()
-        self._metrics_by_peer: dict[str, Mapping[str, Any]] = {}
         self._status: dict[str, Any] = {"phase": "starting"}
         self._peers: dict[str, Any] = {"dead": [], "alive": []}
-        self._events_by_peer: dict[str, list[TraceEvent]] = {}
-        self._offset_samples: list[OffsetSample] = []
         self._why_cache: tuple[int, dict[str, Any]] | None = None
-
-    def update_metrics(self, node: str, snapshot: Mapping[str, Any]) -> None:
-        with self._lock:
-            self._metrics_by_peer[node] = snapshot
 
     def update_status(self, **fields: Any) -> None:
         with self._lock:
@@ -164,25 +160,9 @@ class _ObsState:
         with self._lock:
             self._peers = dict(summary)
 
-    def update_events(
-        self,
-        events_by_peer: Mapping[str, list[TraceEvent]],
-        samples: list[OffsetSample],
-    ) -> None:
-        """Snapshot the streamed-so-far trace for the ``/why`` route.
-
-        Shallow copies (events are immutable) taken under the lock so
-        the HTTP thread never observes the poll loop mid-append.
-        """
-        with self._lock:
-            self._events_by_peer = {
-                node: list(events) for node, events in events_by_peer.items()
-            }
-            self._offset_samples = list(samples)
-
     def metrics_text(self) -> str:
         with self._lock:
-            per_peer = dict(self._metrics_by_peer)
+            per_peer = dict(self._collector.metrics_by_peer)
         return merge_registries(per_peer).to_prometheus()
 
     def tails(self) -> dict[str, Any]:
@@ -190,12 +170,12 @@ class _ObsState:
 
         Aggregates the latest per-peer sketch snapshots (series never
         collide across peers — edge sketches live at the receiver, rail
-        and message sketches carry the owning node in their labels).
+        sketches carry the owning node in their labels).
         Mid-run edge latencies are *raw-clock* differences; the exact
         offset-corrected view is the post-run :attr:`LiveRunResult.tails`.
         """
         with self._lock:
-            per_peer = dict(self._metrics_by_peer)
+            per_peer = dict(self._collector.metrics_by_peer)
         view = TailView(
             aggregate_registries(per_peer.values()), self._objectives
         )
@@ -220,18 +200,20 @@ class _ObsState:
         Attributes the events flushed so far, aligned with the clock
         offsets estimable at this point of the run; the exact post-run
         view is ``LiveRunResult.tails["blame"]``.  Cached by total
-        event count, so polling between flushes costs nothing.
+        event count, so polling between flushes copies nothing.
         """
+        collector = self._collector
         with self._lock:
+            total = sum(len(events) for events in collector.events_by_peer.values())
+            cached = self._why_cache
+            if cached is not None and cached[0] == total:
+                return cached[1]
+            # Shallow copies (events are immutable): the poll loop keeps
+            # appending while the pass below runs outside the lock.
             per_peer = {
-                node: list(events)
-                for node, events in self._events_by_peer.items()
+                node: list(events) for node, events in collector.events_by_peer.items()
             }
-            samples = list(self._offset_samples)
-        total = sum(len(events) for events in per_peer.values())
-        cached = self._why_cache
-        if cached is not None and cached[0] == total:
-            return cached[1]
+            samples = list(collector.samples)
         crossings = extract_crossings(per_peer)
         offsets = estimate_offsets(samples, crossings, peers=per_peer.keys())
         merged = align_events(per_peer, offsets)
@@ -396,12 +378,14 @@ class _ObsCollector:
     Owns the offset samples (from bracketed control round-trips), the
     per-peer event streams (FLUSH drains + the REPORT tail) and the
     latest per-peer registry snapshot; :meth:`merge` turns them into the
-    aligned cluster view after the run.
+    aligned cluster view after the run.  Every write holds :attr:`lock`,
+    which the ``--serve`` thread takes to read (:class:`_ObsState`).
     """
 
     def __init__(self, epoch: float, time_scale: float) -> None:
         self._epoch = epoch
         self._scale = time_scale
+        self.lock = threading.Lock()
         self.samples: list[OffsetSample] = []
         self.events_by_peer: dict[str, list[TraceEvent]] = {}
         self.metrics_by_peer: dict[str, Mapping[str, Any]] = {}
@@ -427,25 +411,26 @@ class _ObsCollector:
         now = reply.get("now")
         node = self.nodes.get(peer.rank)
         if now is not None and node is not None:
-            self.samples.append(
-                OffsetSample(
-                    peer=node,
-                    t0=(t0 - self._epoch) / self._scale,
-                    t1=(t1 - self._epoch) / self._scale,
-                    peer_now=float(now),
-                )
+            sample = OffsetSample(
+                peer=node,
+                t0=(t0 - self._epoch) / self._scale,
+                t1=(t1 - self._epoch) / self._scale,
+                peer_now=float(now),
             )
+            with self.lock:
+                self.samples.append(sample)
         return reply
 
     def ingest(self, payload: Mapping[str, Any]) -> None:
         """Absorb one FLUSH reply (``events``) or REPORT payload (``trace``)."""
         node = str(payload["node"])
-        events = payload.get("events") or payload.get("trace")
-        if events:
-            bucket = self.events_by_peer.setdefault(node, [])
-            bucket.extend(_event_from_wire(e) for e in events)
-        if payload.get("metrics") is not None:
-            self.metrics_by_peer[node] = payload["metrics"]
+        wire = payload.get("events") or payload.get("trace") or ()
+        events = [_event_from_wire(e) for e in wire]
+        with self.lock:
+            if events:
+                self.events_by_peer.setdefault(node, []).extend(events)
+            if payload.get("metrics") is not None:
+                self.metrics_by_peer[node] = payload["metrics"]
 
     def merge(self) -> MergedTrace:
         crossings = extract_crossings(self.events_by_peer)
@@ -770,20 +755,11 @@ def _merge_run(
     # sketches — exact, because every sample on a directed edge needs
     # the same constant correction (see correct_edge_sketches).
     tails: dict[str, Any] = {}
-    report_tails: dict[str, float] = {}
     if obs.metrics_by_peer:
         aggregated = aggregate_registries(obs.metrics_by_peer.values())
         corrected = correct_edge_sketches(aggregated, merged.offsets)
         tails = TailView(aggregated, slo_objectives).snapshot()
         tails["edges_offset_corrected"] = corrected
-        # The report's tail columns come from the pooled message-latency
-        # sketch (all nodes merged), same source the sim plane uses.
-        pooled = pooled_message_sketch(aggregated)
-        if pooled is not None:
-            report_tails = {
-                "latency_p99_us": pooled.quantile(0.99),
-                "latency_p999_us": pooled.quantile(0.999),
-            }
 
     records = [MessageRecord.from_dict(r) for p in peer_reports for r in p["records"]]
     chaos_stats = [p["chaos"] for p in peer_reports if p.get("chaos")]
@@ -804,7 +780,6 @@ def _merge_run(
         packets_duplicated=sum(c["duplicates"] for c in chaos_stats),
         degraded=bool(dead_peers),
         lost_messages=sum(p["transport"].get("abandoned", 0) for p in peer_reports),
-        **report_tails,
     )
 
     # Post-run causal attribution over the offset-corrected merged
@@ -896,7 +871,6 @@ def run_live_scenario(
     deadline = time.time() + timeout
     peers: list[_Peer] = []
     server: ObsHTTPServer | None = None
-    obs_state = _ObsState(str(scenario.get("name", "live")), slo_objectives)
     try:
         # Append as we spawn: if a later _Peer fails to construct, the
         # finally-sweep still kills the children already forked.
@@ -904,6 +878,7 @@ def run_live_scenario(
             peers.append(_Peer(rank, workdir, deadline))
         epoch = time.time()
         obs = _ObsCollector(epoch, time_scale)
+        obs_state = _ObsState(str(scenario.get("name", "live")), obs, slo_objectives)
         if serve_host is not None:
             server = ObsHTTPServer(
                 obs_state.metrics_text, obs_state.status, obs_state.peers,
@@ -958,11 +933,6 @@ def run_live_scenario(
                 previous = None
                 stable = 0
                 continue
-            if server is not None:
-                for node, snapshot in obs.metrics_by_peer.items():
-                    obs_state.update_metrics(node, snapshot)
-                if trace_on:
-                    obs_state.update_events(obs.events_by_peer, obs.samples)
             statuses, dead_nodes = polled
             snapshot, agree = survivor_agreement(statuses, dead_nodes)
             quiet = all(s is not None and s["quiet"] for s in statuses.values())

@@ -110,7 +110,7 @@ class LiveSampler(ObservabilitySampler):
         self._arm()
 
     def stop(self) -> None:
-        """Stop ticking (idempotent); the collected series stay readable."""
+        """Stop ticking (idempotent)."""
         self._stopped = True
         if self._handle is not None:
             self._handle.cancel()

@@ -57,7 +57,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
-from repro.obs.sampler import ObservabilitySampler, ObsSample
+from repro.obs.sampler import ObservabilitySampler
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
 from repro.obs.spans import Leg, MessageChain, SpanCollector
 from repro.obs.tails import (
@@ -69,7 +69,6 @@ from repro.obs.tails import (
     evaluate_slo,
     evaluate_slo_offline,
     parse_slo,
-    pooled_message_sketch,
 )
 
 __all__ = [
@@ -85,7 +84,6 @@ __all__ = [
     "MessageChain",
     "MetricsRegistry",
     "ObsHTTPServer",
-    "ObsSample",
     "ObservabilityConfig",
     "ObservabilityPlane",
     "ObservabilitySampler",
@@ -111,7 +109,6 @@ __all__ = [
     "merge_registries",
     "parse_serve_address",
     "parse_slo",
-    "pooled_message_sketch",
     "render_waterfall",
     "to_chrome_trace",
     "truncation_marker",

@@ -38,6 +38,7 @@ from pathlib import Path
 
 from repro.obs.export import load_events
 from repro.obs.tails import SLOStatus, evaluate_slo_offline, parse_slo
+from repro.util.stats import percentiles
 from repro.util.tracing import TraceEvent
 from repro.util.units import format_time
 
@@ -55,6 +56,9 @@ _BLOCKS = "▁▂▃▄▅▆▇█"
 #: a burst of :data:`_STORM_SIZE` or more counts as a storm.
 _STORM_GAP = 0.01
 _STORM_SIZE = 3
+
+#: Per-edge latency columns and the percentile each one reads.
+_EDGE_TAILS = {"p50": 50.0, "p90": 90.0, "p99": 99.0, "p999": 99.9, "max": 100.0}
 
 
 def _sparkline(values: list[float], width: int = 60) -> str:
@@ -105,22 +109,10 @@ class _EdgeStats:
     times: list[float] = field(default_factory=list)  #: arrival times (parallel)
     clamped: int = 0  #: crossings whose aligned latency was clamped to 0
 
-    def percentile(self, q: float) -> float:
-        """Linearly interpolated quantile (numpy's default definition).
-
-        Rank ``q * (n - 1)`` interpolates between the two straddling
-        order statistics, so p99 of 200 samples no longer snaps to a
-        single sample the way nearest-rank did — this is the exact
-        reference the online sketches are tested against.
-        """
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = max(0.0, min(q, 1.0)) * (len(ordered) - 1)
-        lower = int(rank)
-        upper = min(lower + 1, len(ordered) - 1)
-        fraction = rank - lower
-        return ordered[lower] + fraction * (ordered[upper] - ordered[lower])
+    def tails(self) -> dict[str, float]:
+        """Exact latency columns (seconds), keyed as :data:`_EDGE_TAILS`."""
+        values = percentiles(self.latencies, list(_EDGE_TAILS.values()))
+        return dict(zip(_EDGE_TAILS, values))
 
     @property
     def count(self) -> int:
@@ -401,14 +393,10 @@ def render(analysis: TraceAnalysis, *, width: int = 60, top: int = 5) -> str:
         for edge_name in sorted(analysis.edges):
             edge = analysis.edges[edge_name]
             clamp = f"  clamped {edge.clamped}" if edge.clamped else ""
-            lines.append(
-                f"  {edge_name:<{name_width}}  n={edge.count:<6} "
-                f"p50 {format_time(edge.percentile(0.50))}  "
-                f"p90 {format_time(edge.percentile(0.90))}  "
-                f"p99 {format_time(edge.percentile(0.99))}  "
-                f"p999 {format_time(edge.percentile(0.999))}  "
-                f"max {format_time(edge.percentile(1.0))}{clamp}"
+            columns = "  ".join(
+                f"{label} {format_time(value)}" for label, value in edge.tails().items()
             )
+            lines.append(f"  {edge_name:<{name_width}}  n={edge.count:<6} {columns}{clamp}")
 
     if analysis.wire_agg:
         lines.append("")
@@ -530,11 +518,8 @@ def summary_metrics(analysis: TraceAnalysis) -> dict[str, float]:
     for edge_name, edge in sorted(analysis.edges.items()):
         prefix = f"edge/{edge_name}"
         out[f"{prefix}/crossings"] = float(edge.count)
-        out[f"{prefix}/latency_p50_us"] = edge.percentile(0.50) * 1e6
-        out[f"{prefix}/latency_p90_us"] = edge.percentile(0.90) * 1e6
-        out[f"{prefix}/latency_p99_us"] = edge.percentile(0.99) * 1e6
-        out[f"{prefix}/latency_p999_us"] = edge.percentile(0.999) * 1e6
-        out[f"{prefix}/latency_max_us"] = edge.percentile(1.0) * 1e6
+        for label, value in edge.tails().items():
+            out[f"{prefix}/latency_{label}_us"] = value * 1e6
     for wire_name, wire in sorted(analysis.wire_agg.items()):
         prefix = f"wire/{wire_name}"
         out[f"{prefix}/ratio"] = wire.ratio

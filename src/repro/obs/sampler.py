@@ -6,12 +6,14 @@ per-NIC busy fraction over the last interval, reliability-layer
 retransmits in flight, rendezvous handshakes in flight, and hold-timer
 occupancy — then
 
-* appends an :class:`ObsSample` row to its in-memory series,
 * updates the plane's :class:`~repro.obs.metrics.MetricsRegistry`
   (gauges for the instantaneous values, quantile sketches for the
   queue-depth and busy-fraction distributions), and
 * emits one ``obs.sample`` trace event, which the Chrome exporter
   turns into Perfetto counter tracks.
+
+Those two are the tick's only records: the sampler keeps no series of
+its own, so a long live run does not grow it.
 
 The sampler keeps itself alive only while the simulation is: it stops
 rescheduling once its own tick is the last event in the queue, so
@@ -20,8 +22,7 @@ finite workloads still drain under ``run_until_idle``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.util.errors import ConfigurationError
 
@@ -30,24 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tails import TailView
     from repro.runtime.cluster import Cluster
 
-__all__ = ["ObsSample", "ObservabilitySampler"]
-
-
-@dataclass(frozen=True, slots=True)
-class ObsSample:
-    """One tick of the observability time series."""
-
-    time: float
-    #: ``"node/channel_id"`` → (pending entries, pending bytes).
-    queues: dict[str, tuple[int, int]]
-    #: NIC name → busy fraction over the last interval (0..1).
-    nic_busy: dict[str, float]
-    backlog: int
-    backlog_bytes: int
-    retransmits_in_flight: int
-    rendezvous_in_flight: int
-    holds_armed: int  #: engines with a Nagle hold timer pending
-    messages_completed: int
+__all__ = ["ObservabilitySampler"]
 
 
 class ObservabilitySampler:
@@ -75,7 +59,6 @@ class ObservabilitySampler:
         #: Trace source the tick emits under; live peers use ``obs:<node>``
         #: so merged multi-process traces attribute samples to a peer.
         self.source = source
-        self.samples: list[ObsSample] = []
         self._prev_busy: dict[str, float] = {}
         self._prev_time: float | None = None
         if autostart:
@@ -97,30 +80,19 @@ class ObservabilitySampler:
             return
         cluster.sim.schedule(self.interval, self._tick)
 
-    def sample_once(self) -> ObsSample:
-        """Take one sample now: record, mirror to the registry, emit.
+    def sample_once(self) -> None:
+        """Take one sample now: mirror it to the registry and emit it.
 
         The scheduling-free core of :meth:`_tick`, shared with subclasses
         that drive their own cadence (live wall-clock sampling).
         """
         cluster = self._cluster
         now = cluster.sim.now
-        sample = self._snapshot(now)
-        self.samples.append(sample)
+        detail = self._snapshot(now)
         if self.registry is not None:
-            self._update_registry(sample)
+            self._update_registry(detail)
         tracer = cluster.sim.tracer
         if tracer.enabled:
-            detail = dict(
-                queues={k: list(v) for k, v in sample.queues.items()},
-                nic_busy=sample.nic_busy,
-                backlog=sample.backlog,
-                backlog_bytes=sample.backlog_bytes,
-                retransmits_in_flight=sample.retransmits_in_flight,
-                rendezvous_in_flight=sample.rendezvous_in_flight,
-                holds_armed=sample.holds_armed,
-                completed=sample.messages_completed,
-            )
             if self.tail_view is not None:
                 tails = {
                     edge: stats.p99_us
@@ -129,19 +101,23 @@ class ObservabilitySampler:
                 if tails:
                     detail["tail_p99_us"] = tails
             tracer.emit(now, self.source, "obs.sample", **detail)
-        return sample
 
-    def _snapshot(self, now: float) -> ObsSample:
+    def _snapshot(self, now: float) -> dict[str, Any]:
+        """One tick, in the shape of the ``obs.sample`` event detail.
+
+        ``queues`` maps ``"node/channel_id"`` to ``[pending entries,
+        pending bytes]``, ``nic_busy`` a NIC name to its busy fraction
+        over the last interval (0..1), ``holds_armed`` counts engines
+        with a Nagle hold timer pending and ``completed`` the messages
+        reassembled so far.
+        """
         cluster = self._cluster
-        queues: dict[str, tuple[int, int]] = {}
+        queues: dict[str, list[int]] = {}
         holds = 0
         rdv = 0
         for name, engine in cluster.engines.items():
             for queue in engine.waiting.queues():
-                queues[f"{name}/{queue.channel_id}"] = (
-                    len(queue),
-                    queue.pending_bytes,
-                )
+                queues[f"{name}/{queue.channel_id}"] = [len(queue), queue.pending_bytes]
             if engine.hold_timer_armed:
                 holds += 1
             rdv += engine.rendezvous_in_flight
@@ -160,8 +136,7 @@ class ObservabilitySampler:
         self._prev_time = now
 
         transport = cluster.transport
-        return ObsSample(
-            time=now,
+        return dict(
             queues=queues,
             nic_busy=nic_busy,
             backlog=sum(e.waiting.total_pending for e in cluster.engines.values()),
@@ -171,15 +146,13 @@ class ObservabilitySampler:
             retransmits_in_flight=transport.in_flight if transport is not None else 0,
             rendezvous_in_flight=rdv,
             holds_armed=holds,
-            messages_completed=sum(
-                r.messages_completed for r in cluster.reassemblers.values()
-            ),
+            completed=sum(r.messages_completed for r in cluster.reassemblers.values()),
         )
 
-    def _update_registry(self, sample: ObsSample) -> None:
+    def _update_registry(self, sample: dict[str, Any]) -> None:
         registry = self.registry
         assert registry is not None
-        for key, (depth, n_bytes) in sample.queues.items():
+        for key, (depth, n_bytes) in sample["queues"].items():
             node, _, channel = key.partition("/")
             labels = {"node": node, "channel": channel}
             registry.gauge(
@@ -192,7 +165,7 @@ class ObservabilitySampler:
                 "repro_queue_depth_hist",
                 help="Sampled channel queue depth distribution",
             ).observe(depth)
-        for nic_name, fraction in sample.nic_busy.items():
+        for nic_name, fraction in sample["nic_busy"].items():
             registry.gauge(
                 "repro_nic_busy_fraction",
                 {"nic": nic_name},
@@ -204,21 +177,21 @@ class ObservabilitySampler:
             ).observe(fraction * 100.0)
         registry.gauge(
             "repro_backlog_entries", help="Pending entries across all engines"
-        ).set(sample.backlog)
+        ).set(sample["backlog"])
         registry.gauge(
             "repro_backlog_bytes", help="Pending bytes across all engines"
-        ).set(sample.backlog_bytes)
+        ).set(sample["backlog_bytes"])
         registry.gauge(
             "repro_retransmits_in_flight",
             help="Reliability-layer packets awaiting acknowledgement",
-        ).set(sample.retransmits_in_flight)
+        ).set(sample["retransmits_in_flight"])
         registry.gauge(
             "repro_rendezvous_in_flight",
             help="Rendezvous handshakes awaiting acknowledgement",
-        ).set(sample.rendezvous_in_flight)
+        ).set(sample["rendezvous_in_flight"])
         registry.gauge(
             "repro_hold_timers_armed", help="Engines with a Nagle hold timer pending"
-        ).set(sample.holds_armed)
+        ).set(sample["holds_armed"])
         registry.counter(
             "repro_samples_total", help="Observability samples taken"
         ).inc()

@@ -57,7 +57,8 @@ DEFAULT_K = 128
 #: Beyond this many unread level-0 values one re-sort beats inserting them.
 _INSERT_MAX = 16
 
-#: Standard quantiles rendered in the Prometheus summary exposition.
+#: The quantiles every tail speaks in: the Prometheus summary exposition
+#: and each :class:`~repro.obs.tails.TailStats`.
 SUMMARY_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 
 

@@ -4,8 +4,8 @@ This module turns the quantile sketches of :mod:`repro.obs.sketch` into
 a live answer to "how bad are the tails *right now*":
 
 * :class:`TailRecorder` is a tracer sink (subscribed by the
-  observability plane next to its trace recorder) that feeds three sketch
-  families in the plane's registry:
+  observability plane next to its trace recorder) that feeds the two
+  sketch families a running engine reads, in the plane's registry:
 
   - ``repro_edge_latency_us{src,dst}`` — one-way wire latency per
     directed edge.  In the simulation it correlates each ``nic.send``
@@ -17,8 +17,9 @@ a live answer to "how bad are the tails *right now*":
   - ``repro_nic_service_us{nic}`` — per-rail service time, the span
     from ``nic.send`` to that NIC's next ``nic.idle``.  Identical
     semantics in both planes (live NICs measure the kernel drain).
-  - ``repro_message_latency_us{node}`` — submit-to-reassembly message
-    latency from ``message.complete`` records.
+
+  Message latency is not sketched: the records give it exactly
+  (:class:`~repro.runtime.metrics.LatencySummary`).
 
 * :class:`TailView` is the read side: cheap cached per-edge/per-rail
   p50/p90/p99/p999 lookups over those sketches, exposed on the plane
@@ -43,36 +44,30 @@ from fnmatch import fnmatchcase
 from typing import Any, Iterable, Mapping
 
 from repro.obs.metrics import MetricsRegistry, QuantileSketch
+from repro.obs.sketch import SUMMARY_QUANTILES
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import KindSink, TraceEvent
 
 __all__ = [
     "EDGE_METRIC",
     "RAIL_METRIC",
-    "MESSAGE_METRIC",
     "TailRecorder",
     "TailStats",
     "TailView",
     "SLObjective",
     "SLOStatus",
     "parse_slo",
-    "pooled_message_sketch",
     "evaluate_slo",
     "evaluate_slo_offline",
 ]
 
 EDGE_METRIC = "repro_edge_latency_us"
 RAIL_METRIC = "repro_nic_service_us"
-MESSAGE_METRIC = "repro_message_latency_us"
 
 _HELP = {
     EDGE_METRIC: "One-way wire latency per directed edge (microseconds)",
     RAIL_METRIC: "Per-NIC service time, send to drained (microseconds)",
-    MESSAGE_METRIC: "Submit-to-reassembly message latency (microseconds)",
 }
-
-#: Quantiles every tail report speaks in.
-TAIL_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 
 #: Unmatched sim sends kept for send→deliver correlation.  Live peers
 #: never see the remote ``rx.deliver``, so their outbound sends would
@@ -87,8 +82,8 @@ class TailRecorder(KindSink):
     guarded emit sites already produce, so subscribing it cannot change
     what a run does — only what it knows about itself.
 
-    Sketch handles are kept per event source (``"nic:n0.mx00"``,
-    ``"reasm:n1"``, a ``(sender, receiver)`` pair for edges): names are
+    Sketch handles are kept per event source (``"nic:n0.mx00"``, a
+    ``(sender, receiver)`` pair for edges): names are
     parsed and labels frozen once per source, not per event.
     """
 
@@ -106,7 +101,6 @@ class TailRecorder(KindSink):
             "rx.deliver": self._on_deliver,
             "nic.idle": self._on_idle,
             "live.recv": self._on_live_recv,
-            "message.complete": self._on_complete,
         }
 
     def _open(self, key: Any, metric: str, **labels: str) -> QuantileSketch:
@@ -165,16 +159,6 @@ class TailRecorder(KindSink):
         # shift the merged sketch by the estimated offset afterwards.
         sketch.observe(max(event.time - float(sent_at), 0.0) * 1e6)
 
-    def _on_complete(self, event: TraceEvent) -> None:
-        submit_time = event.detail.get("submit_time")
-        if submit_time is None:
-            return
-        reasm = event.source
-        sketch = self._sketches.get(reasm) or self._open(
-            reasm, MESSAGE_METRIC, node=_name(reasm)
-        )
-        sketch.observe(max(event.time - float(submit_time), 0.0) * 1e6)
-
 
 def _name(source: str) -> str:
     """The component name of an event source (``"nic:n0.mx"`` -> ``"n0.mx"``)."""
@@ -196,7 +180,7 @@ class TailStats:
     @classmethod
     def of(cls, sketch: QuantileSketch) -> "TailStats":
         return cls(
-            sketch.count, *sketch.quantiles(TAIL_QUANTILES), sketch.mean, sketch.maximum
+            sketch.count, *sketch.quantiles(SUMMARY_QUANTILES), sketch.mean, sketch.maximum
         )
 
     def to_dict(self) -> dict[str, float]:
@@ -253,10 +237,6 @@ class TailView:
         """Service-time tails for one NIC, or None before any span."""
         return self._stats(self._sketch((RAIL_METRIC, nic), nic=nic))
 
-    def message(self, node: str) -> TailStats | None:
-        """Message-latency tails for one node, or None."""
-        return self._stats(self._sketch((MESSAGE_METRIC, node), node=node))
-
     def _family(self, metric: str, *names: str) -> dict[str, TailStats]:
         """Every non-empty ``metric`` sketch, keyed by its ``names`` labels."""
         out: dict[str, TailStats] = {}
@@ -275,10 +255,6 @@ class TailView:
         """All rails, keyed by NIC name."""
         return self._family(RAIL_METRIC, "nic")
 
-    def messages(self) -> dict[str, TailStats]:
-        """Message latency per node."""
-        return self._family(MESSAGE_METRIC, "node")
-
     # ------------------------------------------------------------------
     # full dump (the /tails payload)
     # ------------------------------------------------------------------
@@ -287,9 +263,6 @@ class TailView:
         payload: dict[str, Any] = {
             "edges": {k: v.to_dict() for k, v in sorted(self.edges().items())},
             "rails": {k: v.to_dict() for k, v in sorted(self.rails().items())},
-            "messages": {
-                k: v.to_dict() for k, v in sorted(self.messages().items())
-            },
         }
         if self.objectives:
             payload["slo"] = [
@@ -297,24 +270,6 @@ class TailView:
                 for status in evaluate_slo(self._registry, self.objectives)
             ]
         return payload
-
-
-def pooled_message_sketch(registry: MetricsRegistry) -> QuantileSketch | None:
-    """Every node's message-latency sketch merged into one, or None.
-
-    This is what feeds the report's ``latency_p99_us``/``latency_p999_us``
-    columns: one cluster-wide distribution, built by sketch merge rather
-    than raw-sample pooling, so it works identically on a sim plane and
-    on the coordinator's aggregated live registries.
-    """
-    pooled: QuantileSketch | None = None
-    for sketch in registry.sketches():
-        if sketch.name != MESSAGE_METRIC or not sketch.count:
-            continue
-        if pooled is None:
-            pooled = QuantileSketch(MESSAGE_METRIC, k=sketch.k)
-        pooled.merge(sketch)
-    return pooled
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from repro.madeleine.message import Message
 from repro.madeleine.rx import MessageReassembler
 from repro.network.virtual import TrafficClass
-from repro.util.stats import Percentiles
+from repro.util.stats import percentiles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cluster import Cluster
@@ -79,6 +79,7 @@ class LatencySummary:
     p50: float
     p90: float
     p99: float
+    p999: float
     minimum: float
     maximum: float
 
@@ -90,6 +91,7 @@ class LatencySummary:
             "p50": _nan_to_none(self.p50),
             "p90": _nan_to_none(self.p90),
             "p99": _nan_to_none(self.p99),
+            "p999": _nan_to_none(self.p999),
             "min": _nan_to_none(self.minimum),
             "max": _nan_to_none(self.maximum),
         }
@@ -99,16 +101,13 @@ class LatencySummary:
         arr = np.asarray(list(latencies), dtype=float)
         if arr.size == 0:
             nan = math.nan
-            return cls(0, nan, nan, nan, nan, nan, nan)
-        p = Percentiles.of(arr)
+            return cls(0, nan, nan, nan, nan, nan, nan, nan)
         return cls(
-            count=int(arr.size),
-            mean=float(arr.mean()),
-            p50=p.p50,
-            p90=p.p90,
-            p99=p.p99,
-            minimum=float(arr.min()),
-            maximum=float(arr.max()),
+            int(arr.size),
+            float(arr.mean()),
+            *percentiles(arr, (50.0, 90.0, 99.0, 99.9)),
+            float(arr.min()),
+            float(arr.max()),
         )
 
 
@@ -142,12 +141,6 @@ class SessionReport:
     degraded: bool = False
     #: Submitted messages abandoned because their destination peer died.
     lost_messages: int = 0
-    #: Cluster-wide message-latency tails from the observability plane's
-    #: pooled quantile sketch (NaN when the run carried no tracing):
-    #: online estimates within the sketch's rank-error bound, unlike
-    #: ``latency.p99`` which is exact over the raw records.
-    latency_p99_us: float = math.nan
-    latency_p999_us: float = math.nan
 
     def to_dict(self) -> dict:
         """Full JSON-ready view of the report (``repro run --json``):
@@ -166,6 +159,7 @@ class SessionReport:
             "bytes": self.total_bytes,
             "mean_lat_us": self.latency.mean * 1e6,
             "p99_lat_us": self.latency.p99 * 1e6,
+            "p999_lat_us": self.latency.p999 * 1e6,
             "tput_MBps": self.throughput / 1e6,
             "msg_per_s": self.message_rate,
             "transactions": self.network_transactions,
@@ -174,8 +168,6 @@ class SessionReport:
             "retransmits": self.retransmits,
             "failovers": self.failovers,
             "dropped": self.packets_dropped,
-            "latency_p99_us": self.latency_p99_us,
-            "latency_p999_us": self.latency_p999_us,
         }
 
 
@@ -290,20 +282,6 @@ class MetricsCollector:
         now = cluster.sim.now
         last_complete = max((r.complete_time for r in records), default=now)
         transport = getattr(cluster, "transport", None)
-
-        # Tail columns from the observability plane's message-latency
-        # sketches (traced runs only; NaN otherwise).  Imported here so a
-        # bare simulation never pays the obs import.
-        p99_us = p999_us = math.nan
-        obs_plane = getattr(cluster, "obs", None)
-        if obs_plane is not None:
-            from repro.obs.tails import pooled_message_sketch
-
-            pooled = pooled_message_sketch(obs_plane.registry)
-            if pooled is not None:
-                p99_us = pooled.quantile(0.99)
-                p999_us = pooled.quantile(0.999)
-
         nics = [stats_row(nic.stats) for node in cluster.nodes for nic in node.nics]
         return assemble_report(
             records,
@@ -319,6 +297,4 @@ class MetricsCollector:
             packets_dropped=sum(row["drops"] for row in nics),
             packets_corrupted=sum(row["corruptions"] for row in nics),
             packets_duplicated=sum(row["duplicates"] for row in nics),
-            latency_p99_us=p99_us,
-            latency_p999_us=p999_us,
         )

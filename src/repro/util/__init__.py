@@ -12,7 +12,6 @@ from repro.util.errors import (
     SimulationError,
 )
 from repro.util.rng import RngStream, SeedSequenceRegistry
-from repro.util.stats import Percentiles
 from repro.util.tracing import NullTracer, Tracer, TraceEvent
 from repro.util.units import (
     GiB,
@@ -34,7 +33,6 @@ __all__ = [
     "KiB",
     "MiB",
     "NullTracer",
-    "Percentiles",
     "ProtocolError",
     "ReproError",
     "RngStream",

@@ -1,32 +1,26 @@
-"""Batch statistics used by the metrics layer: :class:`Percentiles`
-snapshots and the CLI's :func:`ascii_histogram`."""
+"""Batch statistics: the one exact-quantile definition
+(:func:`percentiles`) and the CLI's :func:`ascii_histogram`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Percentiles", "ascii_histogram"]
+__all__ = ["percentiles", "ascii_histogram"]
 
 
-@dataclass(frozen=True, slots=True)
-class Percentiles:
-    """Fixed percentile snapshot of a sample batch."""
+def percentiles(samples: Sequence[float], ps: Sequence[float]) -> list[float]:
+    """Exact percentiles ``ps`` (in percent, 0..100) of a non-empty sample.
 
-    p50: float
-    p90: float
-    p99: float
-
-    @classmethod
-    def of(cls, samples: Sequence[float]) -> "Percentiles":
-        """Compute p50/p90/p99 of a non-empty sequence."""
-        if len(samples) == 0:
-            raise ValueError("cannot take percentiles of an empty sample")
-        arr = np.asarray(samples, dtype=float)
-        p50, p90, p99 = np.percentile(arr, [50.0, 90.0, 99.0])
-        return cls(float(p50), float(p90), float(p99))
+    numpy's default (linear) definition: rank ``p/100 * (n - 1)``
+    interpolates between the two straddling order statistics.  Every
+    exact tail the program reports — report latencies, per-edge trace
+    tables — comes from here.
+    """
+    if len(samples) == 0:
+        raise ValueError("cannot take percentiles of an empty sample")
+    return np.percentile(np.asarray(samples, dtype=float), ps).tolist()
 
 
 def ascii_histogram(

@@ -81,10 +81,7 @@ class Outcome:
             (r.message_id, r.size, r.submit_time, r.complete_time)
             for r in self.cluster.metrics.records
         )
-        report = self.report.to_dict()
-        for tracing_only in ("latency_p99_us", "latency_p999_us"):
-            report.pop(tracing_only)
-        return records, report, self.cluster.sim.now
+        return records, self.report.to_dict(), self.cluster.sim.now
 
 
 @dataclass(slots=True)

@@ -2,14 +2,17 @@
 
 One traced UDS live run is shared across the assertions (spawning peer
 processes is the expensive part); a traced run of
-``examples/scenario_live.json`` checks what the peers ship, and another
-run exercises the in-flight HTTP endpoint.
+``examples/scenario_live.json`` checks what the peers ship (and feeds a
+threaded replay of the coordinator's serve state), and two more runs
+exercise the in-flight HTTP endpoints.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -244,3 +247,90 @@ class TestLiveServe:
         status = grabbed["status"]
         assert status["scenario"] == "dist-obs"
         assert status["phase"] in ("starting", "running", "stopping")
+
+    def test_why_served_during_traced_run(self):
+        """``/why`` attributes what the coordinator has streamed so far,
+        read straight from its collector while the run is in flight."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        grabbed: dict[str, object] = {}
+
+        def poll():
+            deadline = time.time() + _TIMEOUT
+            while time.time() < deadline and "why" not in grabbed:
+                try:
+                    with urllib.request.urlopen(
+                        f"http://127.0.0.1:{port}/why", timeout=1
+                    ) as resp:
+                        payload = json.loads(resp.read())
+                    if payload.get("messages", 0) > 0:
+                        grabbed["why"] = payload
+                except OSError:
+                    time.sleep(0.005)
+
+        poller = threading.Thread(target=poll, daemon=True)
+        poller.start()
+        result = run_live_scenario(
+            _scenario(count=40), timeout=_TIMEOUT,
+            observability={"trace": True}, serve=f"127.0.0.1:{port}",
+        )
+        poller.join(timeout=5)
+        assert result.report.messages == 80
+        assert "why" in grabbed, "/why never attributed a message mid-run"
+        assert not poller.is_alive()
+        payload = grabbed["why"]
+        assert payload["note"].startswith("mid-run")
+        assert 0 < payload["messages"] <= result.tails["blame"]["messages"]
+
+
+class TestServeStateUnderConcurrentReads:
+    def test_readers_never_see_the_collector_mid_write(self, example_run):
+        """The poll loop writes the one collector while the HTTP thread
+        reads it; every read takes the collector's lock.  Replay a real
+        run's FLUSH / REPORT payloads into fresh collectors from one
+        thread while three read every route, with a short switch interval
+        to force interleaving (a new peer's first events are the moment
+        an unlocked read would iterate a dict that grows)."""
+        _, payloads = example_run
+        streamed = sum(len(p.get("events") or p.get("trace") or ()) for p in payloads)
+        current: dict[str, live_cluster._ObsState] = {}
+        done = threading.Event()
+        errors: list[BaseException] = []
+
+        def read():
+            while not done.is_set():
+                state = current["state"]
+                try:
+                    state.why()
+                    state.tails()
+                    state.metrics_text()
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+                    return
+
+        def fresh():
+            collector = live_cluster._ObsCollector(epoch=0.0, time_scale=1.0)
+            current["state"] = live_cluster._ObsState("replay", collector)
+            return collector
+
+        fresh()
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for _ in range(100):
+                collector = fresh()
+                for payload in payloads:
+                    collector.ingest(payload)
+                assert sum(map(len, collector.events_by_peer.values())) == streamed
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=10)
+            sys.setswitchinterval(previous)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert current["state"].why()["messages"] > 0

@@ -308,7 +308,9 @@ class TestCli:
         assert payload["corrupt_slices"] == 0
         assert payload["rtt_samples"] == 3
         # Tail telemetry rides the payload; no tracing means the tail
-        # families exist but stay empty.
+        # families exist but stay empty.  The report's exact tails come
+        # from the records either way.
         assert payload["tails"]["edges"] == {}
         assert payload["tails"]["rails"] == {}
-        assert payload["report"]["latency_p99_us"] is None
+        latency = payload["report"]["latency"]
+        assert latency["p999"] >= latency["p99"] > 0

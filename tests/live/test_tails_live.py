@@ -1,4 +1,4 @@
-"""Live-plane tail telemetry: corrected edge sketches, /tails, hints.
+"""Live-plane tail telemetry: corrected edge sketches and /tails.
 
 One traced 2-peer UDS run (with an SLO block) is shared across the
 assertions; a second run polls the in-flight ``/tails`` endpoint.
@@ -12,6 +12,7 @@ import threading
 import time
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.live import run_live_scenario
@@ -66,9 +67,10 @@ class TestPostRunTails:
         # raw-clock disclaimer.
         assert "note" not in traced_run.tails
 
-    def test_rails_and_messages_present(self, traced_run):
-        assert traced_run.tails["rails"]
-        assert set(traced_run.tails["messages"]) == {"n0", "n1"}
+    def test_rails_present(self, traced_run):
+        assert set(traced_run.tails) >= {"edges", "rails"}
+        assert {rail.split(".")[0] for rail in traced_run.tails["rails"]} == {"n0", "n1"}
+        assert "messages" not in traced_run.tails  # exact, in the report
 
     def test_slo_verdicts_attached(self, traced_run):
         statuses = traced_run.tails["slo"]
@@ -80,10 +82,12 @@ class TestPostRunTails:
             # Loopback one-way latency is far below the 1s threshold.
             assert status["violated"] is False
 
-    def test_report_tail_columns_fed_from_sketches(self, traced_run):
-        report = traced_run.report
-        assert not math.isnan(report.latency_p99_us)
-        assert report.latency_p999_us >= report.latency_p99_us > 0
+    def test_report_p999_exact_from_records(self, traced_run):
+        latency = traced_run.report.latency
+        exact = [r.latency for r in traced_run.records]
+        assert latency.count == len(exact) == traced_run.report.messages
+        assert (latency.p99, latency.p999) == tuple(np.percentile(exact, [99, 99.9]))
+        assert latency.p999 >= latency.p99 > 0
 
     def test_sketch_p99_matches_exact_within_rank_error(self, traced_run):
         """The corrected sketch and the offline analysis see the *same*

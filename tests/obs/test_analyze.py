@@ -10,6 +10,7 @@ from repro.obs.analyze import (
     summary_metrics,
 )
 from repro.runtime.scenario import run_scenario
+from repro.util.stats import percentiles
 from repro.util.tracing import TraceEvent
 
 
@@ -96,17 +97,18 @@ class TestEdgePercentiles:
         # 4 crossings with latencies 1..4 ms: numpy's default definition
         # puts p50 at rank q*(n-1)=1.5, i.e. halfway between 2 and 3 ms.
         events = [
-            _recv(10.0 + 0.001 * lat, "n0", "n1", 10.0) for lat in (1, 2, 3, 4)
+            _recv(10.0 + 0.001 * lat, "n0", "n1", 10.0) for lat in (4, 2, 1, 3)
         ]
-        analysis = analyze_events(events)
-        edge = analysis.edges["n0->n1"]
-        assert edge.percentile(0.50) == pytest.approx(2.5e-3)
-        assert edge.percentile(0.25) == pytest.approx(1.75e-3)
-        # q clamps at the extremes instead of indexing out of range.
-        assert edge.percentile(0.0) == pytest.approx(1e-3)
-        assert edge.percentile(1.0) == pytest.approx(4e-3)
-        assert edge.percentile(-5.0) == pytest.approx(1e-3)
-        assert edge.percentile(5.0) == pytest.approx(4e-3)
+        edge = analyze_events(events).edges["n0->n1"]
+        tails = edge.tails()
+        assert list(tails) == ["p50", "p90", "p99", "p999", "max"]
+        assert tails["p50"] == pytest.approx(2.5e-3)
+        assert tails["max"] == pytest.approx(4e-3)
+        # The columns are the shared exact definition, value for value.
+        assert list(tails.values()) == percentiles(
+            edge.latencies, [50, 90, 99, 99.9, 100]
+        )
+        assert percentiles(edge.latencies, [0, 25]) == pytest.approx([1e-3, 1.75e-3])
 
     def test_times_parallel_to_latencies(self):
         # evaluate_slo_offline windows over (times, latencies) pairs.

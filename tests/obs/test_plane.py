@@ -1,8 +1,8 @@
 """Observability plane lifecycle, scenario wiring, and the off fast path."""
 
 import json
-import math
 
+import numpy as np
 import pytest
 
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
@@ -67,9 +67,8 @@ class TestLifecycle:
         plane = cluster.obs
         assert plane is not None
         assert plane.sampler is not None
-        assert len(plane.sampler.samples) > 1
         assert any(e.kind == "optimizer.decide" for e in plane.events)
-        assert any(e.kind == "obs.sample" for e in plane.events)
+        assert sum(e.kind == "obs.sample" for e in plane.events) > 1
 
     def test_flight_recorder_bounds_capture(self):
         _, cluster, _ = run_scenario(_scenario(observability={"ring_buffer": 16}))
@@ -168,12 +167,14 @@ class TestReportRow:
             assert row[column] == 0
 
     def test_tail_columns_present(self):
-        report, _, _ = run_scenario(_scenario())
+        """p99 and p999 are exact over the records, untraced too."""
+        report, cluster, _ = run_scenario(_scenario())
         row = report.row()
-        assert "latency_p99_us" in row and "latency_p999_us" in row
-        # Untraced run: the sketch columns stay NaN (and None in JSON).
-        assert math.isnan(row["latency_p99_us"])
-        assert report.to_dict()["latency_p99_us"] is None
+        latencies = [r.latency for r in cluster.metrics.records]
+        p99, p999 = np.percentile(latencies, [99, 99.9])
+        assert row["p99_lat_us"] == p99 * 1e6
+        assert row["p999_lat_us"] == p999 * 1e6
+        assert report.to_dict()["latency"]["p999"] == p999 >= p99 > 0
 
 
 class TestTailTelemetry:
@@ -184,11 +185,13 @@ class TestTailTelemetry:
         assert "n0->n1" in edges and edges["n0->n1"].count > 0
         assert edges["n0->n1"].p99_us >= edges["n0->n1"].p50_us > 0
         assert view.rails()  # per-NIC service-time spans
-        assert "n1" in view.messages()
-        # The pooled message sketch feeds the report columns.
-        assert not math.isnan(report.latency_p99_us)
-        assert report.latency_p999_us >= report.latency_p99_us > 0
-        assert report.to_dict()["latency_p99_us"] == report.latency_p99_us
+        # The edge and rail families are the only sketches the recorder
+        # keeps; message latency comes from the records alone.
+        assert {s.name for s in cluster.obs.registry.sketches()} == {
+            "repro_edge_latency_us", "repro_nic_service_us"
+        }
+        untraced, _, _ = run_scenario(_scenario())
+        assert report.to_dict() == untraced.to_dict()
 
     def test_engines_carry_view(self):
         _, cluster, _ = run_scenario(_scenario(observability={}))
@@ -197,13 +200,11 @@ class TestTailTelemetry:
             assert engine.tail_view is plane.tail_view
 
     def test_trace_off_means_no_tail_recording(self):
-        report, cluster, _ = run_scenario(
-            _scenario(observability={"trace": False})
-        )
+        _, cluster, _ = run_scenario(_scenario(observability={"trace": False}))
         plane = cluster.obs
         assert plane.tail_recorder is None
         assert plane.tail_view.edges() == {}
-        assert math.isnan(report.latency_p99_us)
+        assert plane.registry.sketches() == []
 
     def test_dispatch_identical_traced_vs_untraced(self):
         def run(observability):

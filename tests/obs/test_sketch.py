@@ -19,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.sketch import DEFAULT_K, QuantileSketch
-from repro.obs.tails import TAIL_QUANTILES
+from repro.obs.sketch import DEFAULT_K, SUMMARY_QUANTILES, QuantileSketch
 from repro.util.errors import ConfigurationError
 
 _values = st.lists(
@@ -247,7 +246,7 @@ def _oracle_quantile(sketch: QuantileSketch, q: float) -> float:
     return sketch._max
 
 
-_ORACLE_RANKS = (0.0, *TAIL_QUANTILES, 1.0)
+_ORACLE_RANKS = (0.0, *SUMMARY_QUANTILES, 1.0)
 
 _small_values = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, width=32),

@@ -9,7 +9,6 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tails import (
     EDGE_METRIC,
-    MESSAGE_METRIC,
     RAIL_METRIC,
     SLObjective,
     TailRecorder,
@@ -17,7 +16,6 @@ from repro.obs.tails import (
     evaluate_slo,
     evaluate_slo_offline,
     parse_slo,
-    pooled_message_sketch,
 )
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent
@@ -77,16 +75,15 @@ class TestTailRecorder:
         sketch = reg.get(EDGE_METRIC, {"src": "n0", "dst": "n1"})
         assert sketch.quantile(0.5) == 0.0
 
-    def test_message_complete_needs_submit_time(self):
+    def test_message_complete_records_nothing(self):
+        """Message latency is exact from the records; the recorder
+        neither subscribes to nor sketches completions."""
         reg = MetricsRegistry()
         rec = TailRecorder(reg)
-        _feed(rec, 3.0, "reasm:n1", "message.complete", message=1)
-        assert reg.get(MESSAGE_METRIC, {"node": "n1"}) is None
+        assert "message.complete" not in rec.handlers
         _feed(rec, 3.001, "reasm:n1", "message.complete",
               message=2, submit_time=3.0)
-        sketch = reg.get(MESSAGE_METRIC, {"node": "n1"})
-        assert sketch.count == 1
-        assert sketch.quantile(0.5) == pytest.approx(1000.0, rel=1e-6)
+        assert reg.sketches() == []
 
     def test_pending_cap_evicts_oldest(self):
         from repro.obs import tails
@@ -124,7 +121,6 @@ class TestTailView:
         view = TailView(self._populated())
         assert set(view.edges()) == {"n0->n1"}
         assert set(view.rails()) == {"n0.mx"}
-        assert view.messages() == {}
 
     def test_lookups_follow_new_samples(self):
         reg = self._populated()
@@ -150,20 +146,8 @@ class TestTailView:
         )
         view = TailView(self._populated(), objectives)
         snap = view.snapshot()
-        assert set(snap) >= {"edges", "rails", "messages", "slo"}
+        assert set(snap) == {"edges", "rails", "slo"}
         assert snap["slo"][0]["violated"] is True  # everything exceeds 1us
-
-    def test_pooled_message_sketch(self):
-        reg = MetricsRegistry()
-        rec = TailRecorder(reg)
-        for node, lat in (("n0", 1e-3), ("n1", 2e-3)):
-            _feed(rec, 1.0 + lat, f"reasm:{node}", "message.complete",
-                  message=1, submit_time=1.0)
-        pooled = pooled_message_sketch(reg)
-        assert pooled is not None and pooled.count == 2
-        assert pooled.minimum == pytest.approx(1000.0, rel=1e-6)
-        assert pooled.maximum == pytest.approx(2000.0, rel=1e-6)
-        assert pooled_message_sketch(MetricsRegistry()) is None
 
 
 class TestParseSLO:

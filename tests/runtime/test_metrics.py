@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.network.virtual import TrafficClass
@@ -16,11 +17,15 @@ class TestLatencySummary:
         assert s.count == 3
         assert s.mean == pytest.approx(2.0)
         assert s.minimum == 1.0 and s.maximum == 3.0
+        assert (s.p50, s.p90, s.p99, s.p999) == tuple(
+            np.percentile([1.0, 2.0, 3.0], [50, 90, 99, 99.9])
+        )
 
     def test_empty_is_nan(self):
         s = LatencySummary.of([])
         assert s.count == 0
-        assert math.isnan(s.mean)
+        assert math.isnan(s.mean) and math.isnan(s.p999)
+        assert s.to_dict()["p999"] is None
 
 
 class TestReport:

@@ -99,8 +99,13 @@ class TestDocumentation:
     def test_docs_reference_what_exists(self):
         """Every back-ticked repo path and dotted ``repro.*`` name, and
         every ``--flag``, that the prose documents mention resolves: to a
-        file, an importable name, or an ``add_argument`` of a CLI."""
+        file, an importable name, or an ``add_argument`` of a CLI.  Every
+        back-ticked ``repro_*`` metric name (a summary's ``_sum`` /
+        ``_count`` series stripped) occurs as a string in ``src/repro``."""
         root = Path(repro.__path__[0]).parents[1]
+        source = "\n".join(
+            path.read_text(encoding="utf-8") for path in Path(repro.__path__[0]).rglob("*.py")
+        )
         # Output files the reader names, not files of the repo.
         placeholders = {"trace.json", "merged.json", "scenario.json", "t.jsonl"}
         suffixes = (".py", ".md", ".json", ".jsonl", ".yml", ".toml")
@@ -142,6 +147,13 @@ class TestDocumentation:
             for flag in set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)) - flags:
                 dangling.append(f"{doc}: {flag}")
             inline = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+            for metric in {
+                re.sub(r"_(sum|count)$", "", name)
+                for span in inline
+                for name in re.findall(r"\brepro_\w+", span)
+            }:
+                if not re.search(rf"[\"']{metric}[\"']", source):
+                    dangling.append(f"{doc}: {metric}")
             for token in {t for span in inline for t in span.split()}:
                 token = token.strip(".,;:()[]\"'").split("::")[0]
                 if re.fullmatch(r"repro(\.\w+)+", token):

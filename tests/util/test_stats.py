@@ -1,20 +1,36 @@
 """Tests for repro.util.stats."""
 
+import numpy as np
 import pytest
 
-from repro.util.stats import Percentiles
+from repro.util.stats import percentiles
 
 
 class TestPercentiles:
     def test_of_uniform_ramp(self):
-        p = Percentiles.of(list(range(101)))
-        assert p.p50 == pytest.approx(50.0)
-        assert p.p90 == pytest.approx(90.0)
-        assert p.p99 == pytest.approx(99.0)
+        assert percentiles(list(range(101)), [50, 90, 99, 99.9]) == pytest.approx(
+            [50.0, 90.0, 99.0, 99.9]
+        )
+
+    def test_numpy_default_definition(self):
+        """Rank ``p/100 * (n - 1)`` interpolates between the straddling
+        order statistics, exactly as ``numpy.percentile``."""
+        samples = [4.0, 1.0, 3.0, 2.0]
+        assert percentiles(samples, [0, 25, 50, 100]) == pytest.approx(
+            [1.0, 1.75, 2.5, 4.0]
+        )
+        rng = np.random.default_rng(7)
+        draws = rng.exponential(size=999)
+        ps = [50, 90, 99, 99.9, 100]
+        assert percentiles(draws, ps) == np.percentile(draws, ps).tolist()
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            percentiles([1.0, 2.0], [101])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Percentiles.of([])
+            percentiles([], [50])
 
 
 class TestAsciiHistogram:
