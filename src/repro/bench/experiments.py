@@ -280,7 +280,7 @@ def e5_search_budget(quick: bool = False) -> ExperimentResult:
     result = ExperimentResult(
         "E5",
         "bounded rearrangement-search budget sweep",
-        ["budget", "MBps", "mean_lat_us", "agg_ratio", "wall_ms"],
+        ["budget", "MBps", "mean_lat_us", "agg_ratio", "candidates", "wall_ms"],
     )
     budgets = [1, 8, 64] if quick else [1, 2, 4, 8, 16, 32, 64, 128, 256]
     count = 50 if quick else 120
@@ -313,15 +313,22 @@ def e5_search_budget(quick: bool = False) -> ExperimentResult:
             MBps=report.throughput / 1e6,
             mean_lat_us=report.latency.mean * 1e6,
             agg_ratio=report.aggregation_ratio,
+            # The exact cost of the search; wall_ms is the noisy one.
+            candidates=sum(
+                engine.strategy.candidates_evaluated
+                for engine in cluster.engines.values()
+            ),
             wall_ms=wall,
         )
 
     assert result.rows[-1]["MBps"] >= result.rows[0]["MBps"] * 0.9
-    result.figure = ("budget", ["MBps", "wall_ms"], True)
+    candidates = [row["candidates"] for row in result.rows]
+    assert candidates == sorted(candidates), "a larger budget evaluated fewer candidates"
+    result.figure = ("budget", ["MBps", "candidates"], True)
     result.note(
         "communication metrics saturate after a handful of evaluations while "
-        "optimizer wall time keeps growing - bounding the search is free "
-        "(the paper's announced plan)"
+        "the candidates evaluated keep growing until the search exhausts the "
+        "window - bounding the search is free (the paper's announced plan)"
     )
     return result
 

@@ -21,14 +21,22 @@ because their α/β/copy/gather structures differ.
 
 Control plans get a strong fixed urgency — delaying a rendezvous ACK
 stalls a bulk transfer end to end.
+
+A plan is priced once: :meth:`CostModel.terms` computes every term from
+the plan's aggregates, and ``score`` / ``breakdown`` / ``occupancy``
+reduce a :class:`~repro.core.plan.TransferPlan` to those aggregates.
+The bounded search prices its unbuilt candidates through the same
+:meth:`~CostModel.terms` straight from prefix aggregates, so a candidate
+scores the same float built or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.kernel import score_eager_packed as _score_eager_packed
 from repro.core.plan import TransferPlan
+from repro.drivers.capabilities import DriverConstants
+from repro.network.model import TransferMode
 from repro.network.wire import (
     HEADER_BYTES_PER_SEGMENT,
     PACKET_HEADER_BYTES,
@@ -36,7 +44,7 @@ from repro.network.wire import (
 
 __all__ = ["CostModel"]
 
-#: Names of the terms ``CostModel._terms`` returns, in order.
+#: Names of the terms ``CostModel.terms`` returns, in order.
 _BREAKDOWN_TERMS = (
     "wire_bytes",
     "payload_bytes",
@@ -48,6 +56,8 @@ _BREAKDOWN_TERMS = (
     "staleness_boost",
     "score",
 )
+
+_PIO = TransferMode.PIO
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,62 +76,42 @@ class CostModel:
     starvation_horizon: float = 1e-3
     control_bonus_bytes: float = 4096.0
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        # The search scores eager candidates through score_packed and
-        # everything else through score; a subclass changing one side
-        # only would rank with two different models.
-        scalar = {"wire_bytes", "_assembly", "_terms", "score"} & set(cls.__dict__)
-        if scalar and "score_packed" not in cls.__dict__:
-            raise TypeError(
-                f"{cls.__name__} redefines {sorted(scalar)} but not score_packed; "
-                "the two must stay one score"
-            )
+    def terms(
+        self,
+        consts: DriverConstants,
+        n_items: int,
+        payload_bytes: int,
+        oldest_submit: float,
+        now: float,
+        control: bool = False,
+    ) -> tuple[float, ...]:
+        """Every term of the score, in :meth:`breakdown` order (the score
+        itself last), from a plan's aggregates.
 
-    def wire_bytes(self, plan: TransferPlan) -> int:
-        """Predicted on-wire size of the plan's packet (with framing)."""
-        return (
-            PACKET_HEADER_BYTES
-            + plan.segment_count * HEADER_BYTES_PER_SEGMENT
-            + plan.payload_bytes
-        )
-
-    def _assembly(self, plan: TransferPlan):
-        """``(wire_bytes, mode, aggregation)`` — the per-plan driver
-        queries, computed exactly once per scoring pass."""
-        driver = plan.driver
-        size = self.wire_bytes(plan)
-        if plan.kind.is_control:
-            aggregation = driver.choose_aggregation([size])
+        ``consts`` is the plan driver's ``constants``; a control plan is
+        one item and no payload segment.  The only computation
+        of the price: dispatch order rides on exact float comparisons,
+        so every caller must read this one.
+        """
+        if control:
+            size = PACKET_HEADER_BYTES + payload_bytes
+            control_bonus = self.control_bonus_bytes
         else:
-            aggregation = driver.choose_aggregation(
-                [item.take for item in plan.items]
-            )
-        mode = driver.choose_mode(plan.payload_bytes)
-        return size, mode, aggregation
-
-    def occupancy(self, plan: TransferPlan) -> float:
-        """Predicted sender-side NIC busy time of the plan."""
-        size, mode, aggregation = self._assembly(plan)
-        return plan.driver.occupancy(size, mode, aggregation)
-
-    def _terms(self, plan: TransferPlan, now: float) -> tuple[float, ...]:
-        """Every term of the score, in :meth:`breakdown` order; the
-        score itself is last.  The only scalar copy of the arithmetic:
-        :meth:`score` and :meth:`breakdown` both read it, so they cannot
-        drift apart."""
-        driver = plan.driver
-        size, mode, aggregation = self._assembly(plan)
-        occupancy = driver.occupancy(size, mode, aggregation)
-        payload = float(plan.payload_bytes)
-        control_bonus = self.control_bonus_bytes if plan.kind.is_control else 0.0
-        link = driver.nic.link
-        startup_equivalent = link.startup(mode) * link.bandwidth(mode)
-        saved = len(plan.items) * startup_equivalent
-        density = (payload + control_bonus + saved) / occupancy
-        oldest_wait = max(
-            (now - item.entry.submit_time for item in plan.items), default=0.0
+            size = PACKET_HEADER_BYTES + n_items * HEADER_BYTES_PER_SEGMENT + payload_bytes
+            control_bonus = 0.0
+        copied_bytes, gather_entries = consts.aggregation(n_items, payload_bytes)
+        mode = consts.mode(payload_bytes)
+        occupancy = consts.sender_occupancy(
+            size, mode, copied_bytes=copied_bytes, gather_entries=gather_entries
         )
-        boost = 1.0 + min(max(oldest_wait, 0.0) / self.starvation_horizon, 1.0)
+        payload = float(payload_bytes)
+        saved = n_items * (
+            consts.startup_equiv_pio if mode is _PIO else consts.startup_equiv_dma
+        )
+        density = (payload + control_bonus + saved) / occupancy
+        oldest_wait = now - oldest_submit
+        ratio = (oldest_wait if oldest_wait > 0.0 else 0.0) / self.starvation_horizon
+        boost = 1.0 + (ratio if ratio < 1.0 else 1.0)
         return (
             float(size),
             payload,
@@ -134,35 +124,32 @@ class CostModel:
             density * boost,
         )
 
+    def _plan_terms(self, plan: TransferPlan, now: float) -> tuple[float, ...]:
+        """:meth:`terms` of a materialized plan."""
+        control = plan.kind.is_control
+        items = plan.items
+        return self.terms(
+            plan.driver.constants,
+            1 if control else len(items),
+            plan.payload_bytes,
+            min(item.entry.submit_time for item in items),
+            now,
+            control,
+        )
+
+    def wire_bytes(self, plan: TransferPlan) -> int:
+        """Predicted on-wire size of the plan's packet (with framing)."""
+        return int(self._plan_terms(plan, 0.0)[0])
+
+    def occupancy(self, plan: TransferPlan) -> float:
+        """Predicted sender-side NIC busy time of the plan."""
+        return self._plan_terms(plan, 0.0)[4]
+
     def score(self, plan: TransferPlan, now: float) -> float:
         """Value density of the plan (higher is better); see module docs."""
-        return self._terms(plan, now)[-1]
-
-    def score_packed(
-        self,
-        consts,
-        n_items: int,
-        payload_bytes: int,
-        oldest_submit: float,
-        now: float,
-    ) -> float:
-        """:meth:`score` for an EAGER data plan, from packed aggregates.
-
-        ``consts`` is the driver's folded
-        :class:`~repro.drivers.capabilities.DriverConstants`; the remaining
-        arguments are the prefix aggregates a
-        :class:`~repro.core.kernel.SeedBuild` maintains.  Bit-identical
-        with :meth:`score` on the materialized plan (the cost
-        hypothesis tests pin this), so the batched search ranks
-        candidates exactly as the scalar model would — without building
-        them.
-        """
-        return _score_eager_packed(
-            consts, n_items, payload_bytes, oldest_submit, now,
-            self.starvation_horizon,
-        )
+        return self._plan_terms(plan, now)[-1]
 
     def breakdown(self, plan: TransferPlan, now: float) -> dict[str, float]:
         """The :meth:`score` computation, term by term (the
         ``optimizer.decide`` trace record)."""
-        return dict(zip(_BREAKDOWN_TERMS, self._terms(plan, now)))
+        return dict(zip(_BREAKDOWN_TERMS, self._plan_terms(plan, now)))

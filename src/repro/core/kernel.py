@@ -14,24 +14,18 @@ batching"):
   that touches only list slots and local variables.
 * :class:`~repro.drivers.capabilities.DriverConstants`
   (``driver.constants``) pre-resolves everything the inner loop used
-  to ask the driver per candidate — ``max_aggregate_size``, header
-  sizes, the PIO/DMA crossover, ``startup·bandwidth`` per mode, the
+  to ask the driver per candidate — ``max_aggregate_size``, the
   rendezvous threshold, gather limits (Morpheus-style specialization:
   constants folded out of the loop; no run-time guard, because a driver
-  or link that could break the fold is rejected when defined).
+  that could break the fold is rejected when defined).
 * :func:`build_eager_arrays` is the greedy packet builder (rules in
   :mod:`repro.core.strategies._builder`) over the arrays; instead of a
   :class:`~repro.core.plan.TransferPlan` it returns a :class:`SeedBuild`
   carrying *prefix* aggregates (payload sums, oldest submit time), so
-  every narrower aggregation width of the same seed is scored without
-  being materialized.
-* :func:`score_eager_packed` replicates
-  :meth:`repro.core.cost.CostModel.score` arithmetic term for term —
-  operation order included, so scores (and therefore dispatch order)
-  are byte-identical with the scalar model.  The hypothesis drift guard
-  in ``tests/core/test_cost_properties.py`` pins the packed scorer to
-  the scalar one (``score`` and ``breakdown`` are a single computation)
-  on all four technologies.
+  every narrower aggregation width of the same seed is priced by
+  :meth:`repro.core.cost.CostModel.terms` — the one price, which
+  ``CostModel.score`` reduces a built plan to — without being
+  materialized.
 """
 
 from __future__ import annotations
@@ -41,11 +35,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.plan import PlanItem, TransferPlan
 from repro.madeleine.message import PackMode
 from repro.madeleine.submit import EntryKind, EntryState, SubmitEntry
-from repro.network.wire import (
-    HEADER_BYTES_PER_SEGMENT,
-    PACKET_HEADER_BYTES,
-    PacketKind,
-)
+from repro.network.wire import PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.drivers.base import Driver
@@ -57,7 +47,6 @@ __all__ = [
     "build_eager_arrays",
     "probe_uniform_seeds",
     "oversized_waiting_indices",
-    "score_eager_packed",
 ]
 
 #: ``PendingArrays.state`` codes (only pending states appear in a
@@ -161,9 +150,10 @@ class SeedBuild:
 
     ``payload_prefix[k-1]`` / ``oldest_prefix[k-1]`` are the payload sum
     and oldest submit time of the first ``k`` items — everything
-    :func:`score_eager_packed` needs to score a ``k``-item truncation
-    without constructing it.  :meth:`plan` materializes one width on
-    demand (only ever called for the winning candidate).
+    :meth:`~repro.core.cost.CostModel.terms` needs to price a
+    ``k``-item truncation without constructing it.  :meth:`plan`
+    materializes one width on demand (only ever called for the winning
+    candidate).
     """
 
     __slots__ = (
@@ -469,9 +459,10 @@ def probe_uniform_seeds(
     arrival order, exactly the entries whose flow is **not** among the
     window's first *s* distinct flows — i.e. ``flow_rank[i] >= s`` —
     subject only to the budget/width packing rules.  One tight pass per
-    seed therefore yields everything :func:`score_eager_packed` needs,
-    without per-seed builder calls, index lists, or :class:`SeedBuild`
-    objects; the winning seed alone is re-built for materialization.
+    seed therefore yields everything
+    :meth:`~repro.core.cost.CostModel.terms` needs, without per-seed
+    builder calls, index lists, or :class:`SeedBuild` objects; the
+    winning seed alone is re-built for materialization.
 
     Builds exist for seeds ``0 .. n_seed_flows - 1`` and for no deeper
     seed; the caller replicates the reference walk's exhausted-queue
@@ -584,64 +575,3 @@ def oversized_waiting_indices(
             if ok:
                 out.append(i)
     return out
-
-
-def score_eager_packed(
-    consts: DriverConstants,
-    n_items: int,
-    payload_bytes: int,
-    oldest_submit: float,
-    now: float,
-    starvation_horizon: float,
-) -> float:
-    """:meth:`CostModel.score` for an EAGER prefix, without the plan.
-
-    Replicates the scalar arithmetic *operation for operation* (same
-    order, same intermediate expressions) so the result is bit-identical
-    with ``CostModel.score`` on the materialized plan — dispatch order
-    depends on exact float comparisons.  Covers only EAGER data plans;
-    control and rendezvous plans are scored through the scalar model by
-    the caller.
-    """
-    size = PACKET_HEADER_BYTES + n_items * HEADER_BYTES_PER_SEGMENT + payload_bytes
-    # Driver.choose_aggregation, folded.
-    if n_items == 1:
-        copied_bytes = 0
-        gather_entries = 1
-    else:
-        copy_cost = payload_bytes / consts.copy_bandwidth
-        if (
-            consts.supports_gather
-            and n_items <= consts.max_gather_entries
-            and (n_items - 1) * consts.gather_entry_cost < copy_cost
-        ):
-            copied_bytes = 0
-            gather_entries = n_items
-        else:
-            copied_bytes = payload_bytes
-            gather_entries = 1
-    # Driver.choose_mode, folded.
-    if payload_bytes <= consts.pio_limit:
-        startup = consts.startup_pio
-        bandwidth = consts.bandwidth_pio
-        startup_equivalent = consts.startup_equiv_pio
-    else:
-        startup = consts.startup_dma
-        bandwidth = consts.bandwidth_dma
-        startup_equivalent = consts.startup_equiv_dma
-    # LinkModel.sender_occupancy, same term order.
-    serialization = size / bandwidth
-    copy_time = copied_bytes / consts.copy_bandwidth
-    gather_time = (gather_entries - 1) * consts.gather_entry_cost
-    occupancy = startup + serialization + copy_time + gather_time
-    # CostModel.score, same term order.
-    saved = n_items * startup_equivalent
-    density = (float(payload_bytes) + saved) / occupancy
-    oldest_wait = now - oldest_submit
-    if oldest_wait < 0.0:
-        oldest_wait = 0.0
-    ratio = oldest_wait / starvation_horizon
-    if ratio > 1.0:
-        ratio = 1.0
-    boost = 1.0 + ratio
-    return density * boost

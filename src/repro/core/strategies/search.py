@@ -18,8 +18,10 @@ Hot-path structure (one decision stays O(window), not O(backlog)):
   with the driver's cost constants folded out of the loop — see
   :mod:`repro.core.kernel`.  A candidate only becomes a
   :class:`~repro.core.plan.TransferPlan` object if it *wins*; losing
-  (seed, width) combinations are scored from prefix aggregates and
-  discarded as plain floats;
+  (seed, width) combinations are priced from prefix aggregates by
+  :meth:`~repro.core.cost.CostModel.terms` — the computation
+  ``CostModel.score`` itself reduces a plan to — and discarded as plain
+  floats;
 * per seed, only the **widest** candidate is built; narrower widths are
   prefixes of it (a greedy walk stopped at *k* items takes exactly the
   first *k* items of the wider walk, and stopping early cannot change
@@ -32,8 +34,8 @@ Hot-path structure (one decision stays O(window), not O(backlog)):
 Budget accounting is unchanged from the naive enumeration — each
 (seed, width) candidate costs one evaluation whether it was built,
 derived, or score-only — so a given budget explores exactly the same
-candidates, and the packed scorer reproduces the scalar model's floats
-bit for bit, so the same candidate wins.  The naive enumeration itself
+candidates, and a prefix scores the same float as its built plan, so the
+same candidate wins.  The naive enumeration itself
 (one object-walk build and one scalar score per candidate) is kept as
 the oracle in ``tests/core/oracle.py``.
 """
@@ -102,7 +104,7 @@ class BoundedSearchStrategy(Strategy):
         full_width = consts.max_items_cap
         widths = self._widths(full_width)
         SeedBuild = kernel.SeedBuild
-        score_packed = cost.score_packed
+        price = cost.terms
         for queue in queues:
             # One array mirror per queue (rebuilt only if the park
             # sweep above mutated it), shared by every seed build.
@@ -181,15 +183,15 @@ class BoundedSearchStrategy(Strategy):
                                     p, o = cut_p, cut_o
                                     break
                             assert p >= 0, "probe width cut missing"
-                        score = score_packed(consts, n_items, p, o, now)
+                        score = price(consts, n_items, p, o, now)[-1]
                     elif build is not None:
-                        score = score_packed(
+                        score = price(
                             consts,
                             n_items,
                             build.payload_prefix[n_items - 1],
                             build.oldest_prefix[n_items - 1],
                             now,
-                        )
+                        )[-1]
                     else:
                         # Control / rendezvous / lone-SAFER plans come
                         # out of the builder materialized.

@@ -41,8 +41,9 @@ class AggregationChoice:
     gather_entries: int
 
 
-#: Methods whose rules :class:`DriverConstants` and the packed scorer
-#: (:func:`repro.core.kernel.score_eager_packed`) carry as numbers.
+#: Methods whose rules :class:`DriverConstants` carries, which the array
+#: walk and the price (:meth:`repro.core.cost.CostModel.terms`) read
+#: instead of the driver.
 _FOLDED_METHODS = (
     "choose_mode",
     "wants_rendezvous",
@@ -103,9 +104,7 @@ class Driver:
         than DMA under the link's cost model (below the α/β crossover)
         — all three folded into ``constants.pio_limit``.
         """
-        if payload_bytes <= self.constants.pio_limit:
-            return TransferMode.PIO
-        return TransferMode.DMA
+        return self.constants.mode(payload_bytes)
 
     def wants_rendezvous(self, payload_bytes: int) -> bool:
         """Whether this payload must use the rendezvous protocol."""
@@ -122,16 +121,7 @@ class Driver:
         n = len(segment_sizes)
         if n == 0:
             raise CapabilityError("cannot aggregate zero segments")
-        if n == 1:
-            return AggregationChoice(copied_bytes=0, gather_entries=1)
-        total = sum(segment_sizes)
-        consts = self.constants
-        copy_cost = total / consts.copy_bandwidth
-        if consts.supports_gather and n <= consts.max_gather_entries:
-            gather_cost = (n - 1) * consts.gather_entry_cost
-            if gather_cost < copy_cost:
-                return AggregationChoice(copied_bytes=0, gather_entries=n)
-        return AggregationChoice(copied_bytes=total, gather_entries=1)
+        return AggregationChoice(*self.constants.aggregation(n, sum(segment_sizes)))
 
     def max_segments_per_packet(self) -> int:
         """Upper bound on aggregated segments (by-copy has no entry limit)."""
@@ -207,10 +197,11 @@ class Driver:
         if mode is TransferMode.DMA and not self.caps.supports_dma:
             raise CapabilityError(f"driver {self.name} does not support DMA")
         self.validate(packet, aggregation)
-        busy = self.occupancy(packet.wire_bytes, mode, aggregation)
-        arrival = self.one_way(packet.wire_bytes, mode, aggregation)
+        wire_bytes = packet.wire_bytes
+        busy = self.occupancy(wire_bytes, mode, aggregation)
+        arrival = self.one_way(wire_bytes, mode, aggregation)
         host = self.nic.link.host_occupancy(
-            packet.wire_bytes, mode, copied_bytes=aggregation.copied_bytes
+            wire_bytes, mode, copied_bytes=aggregation.copied_bytes
         )
         self.nic.submit(packet, busy, arrival, host_time=host)
         return busy, arrival

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.network.model import LinkModel, TransferMode
-from repro.util.errors import CapabilityError, ConfigurationError
+from repro.util.errors import ConfigurationError
 from repro.util.units import KiB, us
 
 __all__ = ["DriverCapabilities", "DriverConstants"]
+
+_PIO = TransferMode.PIO
+_DMA = TransferMode.DMA
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,19 +115,23 @@ class DriverConstants:
     """One driver's capabilities folded with its link, at construction.
 
     Both inputs are frozen, so the fold holds for the driver's lifetime.
-    The :class:`~repro.drivers.base.Driver` decision methods and the
-    array walk in :mod:`repro.core.kernel` read these same fields — one
-    copy of each rule:
+    The :class:`~repro.drivers.base.Driver` decision methods, the price
+    (:meth:`repro.core.cost.CostModel.terms`) and the array walk in
+    :mod:`repro.core.kernel` read these same fields — one copy of each
+    rule:
 
-    * ``payload <= pio_limit`` selects PIO (``-inf`` pins DMA-only
-      drivers, ``+inf`` PIO-only ones);
+    * :meth:`mode` is the PIO/DMA rule, ``payload <= pio_limit``
+      (``-inf`` pins DMA-only drivers, ``+inf`` PIO-only ones);
+    * :meth:`aggregation` is the gather-vs-copy rule;
     * ``payload > rdv_threshold`` selects rendezvous (``None``: none);
     * ``max_items_cap`` bounds the segments of one packet.  By-copy
       staging can merge arbitrarily many, so the real bound is
       ``max_aggregate_size``; the cap keeps header overhead sane.
 
-    The only live callable kept is the NIC's ``reaches`` (reachability
-    changes under fault injection and is asked again per build).
+    Two live callables are kept: the link's ``sender_occupancy`` (the
+    one occupancy formula, which the NIC is charged by too) and the
+    NIC's ``reaches`` (reachability changes under fault injection and is
+    asked again per build).
     """
 
     __slots__ = (
@@ -136,12 +143,9 @@ class DriverConstants:
         "gather_entry_cost",
         "copy_bandwidth",
         "pio_limit",
-        "startup_pio",
-        "bandwidth_pio",
         "startup_equiv_pio",
-        "startup_dma",
-        "bandwidth_dma",
         "startup_equiv_dma",
+        "sender_occupancy",
         "reaches",
     )
 
@@ -151,13 +155,6 @@ class DriverConstants:
         link: LinkModel,
         reaches: Callable[[str], bool],
     ) -> None:
-        if type(link).sender_occupancy is not LinkModel.sender_occupancy:
-            # The packed scorer writes out LinkModel.sender_occupancy's
-            # arithmetic; another formula would be silently ignored.
-            raise CapabilityError(
-                f"{type(link).__name__} overrides LinkModel.sender_occupancy, "
-                "which the decision kernel folds; change its parameters instead"
-            )
         self.max_aggregate_size = caps.max_aggregate_size
         self.max_items_cap = max(caps.max_gather_entries, 64)
         self.rdv_threshold = caps.eager_threshold if caps.supports_rdv else None
@@ -173,10 +170,27 @@ class DriverConstants:
             # PIO while inside the hardware window *and* cheaper than
             # DMA under the link's cost model (below the α/β crossover).
             self.pio_limit = min(float(caps.pio_threshold), link.pio_dma_crossover())
-        self.startup_pio = link.startup(TransferMode.PIO)
-        self.bandwidth_pio = link.bandwidth(TransferMode.PIO)
-        self.startup_equiv_pio = self.startup_pio * self.bandwidth_pio
-        self.startup_dma = link.startup(TransferMode.DMA)
-        self.bandwidth_dma = link.bandwidth(TransferMode.DMA)
-        self.startup_equiv_dma = self.startup_dma * self.bandwidth_dma
+        # startup·bandwidth: the bytes one request start-up is worth.
+        self.startup_equiv_pio = link.pio_latency * link.pio_bandwidth
+        self.startup_equiv_dma = link.dma_latency * link.dma_bandwidth
+        self.sender_occupancy = link.sender_occupancy
         self.reaches = reaches
+
+    def mode(self, payload_bytes: int) -> TransferMode:
+        """PIO or DMA for a payload of ``payload_bytes``."""
+        return _PIO if payload_bytes <= self.pio_limit else _DMA
+
+    def aggregation(self, n: int, total: int) -> tuple[int, int]:
+        """``(copied_bytes, gather_entries)`` assembling ``n`` segments of
+        ``total`` payload bytes: a hardware gather when it is supported,
+        within ``max_gather_entries`` and cheaper than staging every byte
+        by host copy; a single segment is free."""
+        if n == 1:
+            return 0, 1
+        if (
+            self.supports_gather
+            and n <= self.max_gather_entries
+            and (n - 1) * self.gather_entry_cost < total / self.copy_bandwidth
+        ):
+            return 0, n
+        return total, 1

@@ -108,14 +108,6 @@ class LinkModel:
     # ------------------------------------------------------------------
     # cost primitives
     # ------------------------------------------------------------------
-    def startup(self, mode: TransferMode) -> float:
-        """Per-request start-up cost α for the given mode."""
-        return self.pio_latency if mode is TransferMode.PIO else self.dma_latency
-
-    def bandwidth(self, mode: TransferMode) -> float:
-        """Byte rate β for the given mode."""
-        return self.pio_bandwidth if mode is TransferMode.PIO else self.dma_bandwidth
-
     def sender_occupancy(
         self,
         size: int,
@@ -129,7 +121,9 @@ class LinkModel:
         ``size`` is the total wire payload; ``copied_bytes`` of it were
         staged by host memcpy (by-copy aggregation); ``gather_entries``
         is the number of scatter/gather descriptor entries (1 for a
-        contiguous send).
+        contiguous send).  The one occupancy formula: the driver charges
+        the NIC by it and the cost model prices plans by it, so a
+        subclass overriding it changes both.
         """
         if size < 0:
             raise ConfigurationError(f"negative transfer size {size}")
@@ -139,10 +133,15 @@ class LinkModel:
             )
         if gather_entries < 1:
             raise ConfigurationError(f"gather_entries must be >= 1, got {gather_entries}")
-        serialization = size / self.bandwidth(mode)
+        # Start-up α and byte rate β of the mode.
+        if mode is TransferMode.PIO:
+            startup, bandwidth = self.pio_latency, self.pio_bandwidth
+        else:
+            startup, bandwidth = self.dma_latency, self.dma_bandwidth
+        serialization = size / bandwidth
         copy_cost = copied_bytes / self.copy_bandwidth
         gather_cost = (gather_entries - 1) * self.gather_entry_cost
-        return self.startup(mode) + serialization + copy_cost + gather_cost
+        return startup + serialization + copy_cost + gather_cost
 
     def one_way_time(
         self,

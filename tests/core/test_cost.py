@@ -1,11 +1,15 @@
 """Tests for the plan cost/score model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.cost import CostModel
 from repro.core.plan import PlanItem, TransferPlan
 from repro.madeleine.message import Flow
-from repro.network.wire import PacketKind
+from repro.network.model import LinkModel
+from repro.network.technologies import myrinet_mx
+from repro.network.wire import PacketKind, WirePacket, WireSegment
 from repro.sim import Simulator
 
 from tests.core.helpers import control_entry, data_entry, make_driver
@@ -49,6 +53,32 @@ class TestOccupancy:
         )
         assert cost.occupancy(ctl) < cost.occupancy(plan_of(driver, [4096]))
 
+    def test_link_override_scales_charge_and_price_alike(self, cost):
+        """``LinkModel.sender_occupancy`` is the one occupancy formula: a
+        link type overriding it changes what the driver charges the NIC
+        and what the cost model predicts, by the same factor."""
+
+        class PessimisticLink(LinkModel):
+            def sender_occupancy(self, size, mode, **kwargs):
+                return 2.0 * LinkModel.sender_occupancy(self, size, mode, **kwargs)
+
+        def charged_and_priced(link):
+            driver, _ = make_driver(Simulator(), link=link)
+            plan = plan_of(driver, [100, 300, 700])
+            segments = tuple(
+                WireSegment(item.entry.fragment, 0, item.take) for item in plan.items
+            )
+            driver.send(WirePacket(PacketKind.EAGER, "n0", "n1", 0, segments, packet_id=1))
+            return driver.nic.stats.busy_time, cost.occupancy(plan)
+
+        stock = myrinet_mx()
+        charged, priced = charged_and_priced(stock)
+        assert charged == priced
+        assert charged_and_priced(PessimisticLink(**dataclasses.asdict(stock))) == (
+            2.0 * charged,
+            2.0 * priced,
+        )
+
 
 class TestScore:
     def test_bigger_payload_higher_score(self, driver, cost):
@@ -76,34 +106,3 @@ class TestScore:
         plan = plan_of(driver, [100, 100])
         assert cost.wire_bytes(plan) == PACKET_HEADER_BYTES + 2 * HEADER_BYTES_PER_SEGMENT + 200
 
-
-class TestSubclassing:
-    def test_scalar_only_override_rejected(self):
-        """The search ranks eager candidates with score_packed and the
-        rest with score: a subclass changing one side only is refused
-        when the class statement runs."""
-        with pytest.raises(TypeError, match="score_packed"):
-
-            class Halved(CostModel):
-                def score(self, plan, now):
-                    return 0.5 * CostModel.score(self, plan, now)
-
-    def test_both_sides_or_parameters_only_accepted(self, driver):
-        class Halved(CostModel):
-            def score(self, plan, now):
-                return 0.5 * CostModel.score(self, plan, now)
-
-            def score_packed(self, consts, n_items, payload, oldest, now):
-                return 0.5 * CostModel.score_packed(
-                    self, consts, n_items, payload, oldest, now
-                )
-
-        class Patient(CostModel):
-            pass
-
-        plan = plan_of(driver, [100, 200])
-        model = Halved()
-        assert model.score(plan, 0.0) == model.score_packed(
-            driver.constants, 2, 300, 0.0, 0.0
-        )
-        assert Patient(starvation_horizon=1.0).score(plan, 0.0) > 0

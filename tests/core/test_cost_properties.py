@@ -1,8 +1,8 @@
-"""Property tests for the cost model: monotonicity, positivity, the
-three-way drift guard pinning ``score`` == ``breakdown`` == the batched
-kernel's packed scorer (dispatch order rides on exact float equality) on
-every technology, and the driver's folded constants against a
-brute-force reading of its capabilities and link."""
+"""Property tests for the cost model: monotonicity, positivity, every
+plan kind priced by the one function the search prices prefixes with
+(dispatch order rides on exact float equality) on every technology, and
+the driver's folded constants against a brute-force reading of its
+capabilities and link."""
 
 import math
 
@@ -14,6 +14,7 @@ from repro.core.cost import CostModel
 from repro.core.plan import PlanItem, TransferPlan
 from repro.drivers.registry import DRIVER_TYPES
 from repro.madeleine.message import Flow
+from repro.madeleine.submit import EntryKind, SubmitEntry
 from repro.network.model import TransferMode
 from repro.network.wire import PacketKind
 from repro.sim import Simulator
@@ -118,9 +119,12 @@ class TestCostProperties:
         model = CostModel()
         assert model.breakdown(plan, now)["score"] == model.score(plan, now)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         tech=st.sampled_from(sorted(DRIVER_TYPES)),
+        kind=st.sampled_from(
+            [PacketKind.EAGER, PacketKind.RDV_DATA, PacketKind.RDV_REQ, PacketKind.RDV_ACK]
+        ),
         # 1 B .. 16 KiB × up to 40 segments: straddles every PIO limit
         # (154 B .. 256 B) and every gather-entry bound (16 / 30 / 32).
         sizes=st.lists(
@@ -133,34 +137,46 @@ class TestCostProperties:
         ),
         now=st.floats(min_value=0.0, max_value=2e-2, allow_nan=False),
     )
-    def test_packed_score_matches_scalar(self, tech, sizes, submits, now):
-        """The batched kernel's packed scorer reproduces CostModel.score
-        bit for bit from (n_items, payload, oldest_submit) aggregates —
-        the invariant the whole batched search's dispatch-order
-        equivalence rests on — on all four technologies (``tcp`` is the
-        DMA-only / no-gather / no-rendezvous corner the fold pins with
-        ``-inf`` / ``None``).  The scalar side reaches the link through
-        ``Driver.occupancy`` → ``LinkModel.sender_occupancy``; the
-        packed side writes that arithmetic out.  Submit times vary per
-        item, so the ``now - min(submit)`` vs ``max(now - submit)``
-        equivalence is exercised too (including negative waits: *now*
-        may precede a submit time)."""
+    def test_packed_score_matches_scalar(self, tech, kind, sizes, submits, now):
+        """``score``, ``breakdown`` and ``occupancy`` of every plan kind
+        are ``CostModel.terms`` on the plan's packed aggregates — the
+        function the search prices unbuilt prefixes with, so dispatch
+        order cannot depend on whether a candidate was built.  A control
+        plan is one item and no segment; a rendezvous body is one item.
+        Submit times vary per item, so ``now - min(submit)`` is checked
+        against ``max(now - submit)``, negative waits included (*now*
+        may precede a submit time); ``tcp`` is the DMA-only / no-gather
+        corner."""
         driver, _ = make_driver(Simulator(), tech=tech)
         flow = Flow(0, "f", "n0", "n1")
-        items = [
-            PlanItem(data_entry(flow, s, submit_time=submits[i % len(submits)]), s)
-            for i, s in enumerate(sizes)
-        ]
-        plan = TransferPlan(driver, PacketKind.EAGER, "n1", 0, items)
+        if kind.is_control:
+            entry_kind = EntryKind.RDV_REQ if kind is PacketKind.RDV_REQ else EntryKind.RDV_ACK
+            entry = SubmitEntry(entry_kind, "n1", submits[0])
+            items = [PlanItem(entry, entry.remaining)]
+        else:
+            if kind is PacketKind.RDV_DATA:
+                sizes = [sum(sizes)]
+            items = [
+                PlanItem(data_entry(flow, s, submit_time=submits[i % len(submits)]), s)
+                for i, s in enumerate(sizes)
+            ]
+        plan = TransferPlan(driver, kind, "n1", 0, items)
         model = CostModel()
-        packed = model.score_packed(
+        terms = model.terms(
             driver.constants,
-            len(items),
-            plan.payload_bytes,
+            1 if kind.is_control else len(sizes),
+            0 if kind.is_control else sum(sizes),
             min(item.entry.submit_time for item in items),
             now,
+            kind.is_control,
         )
-        assert packed == model.score(plan, now)
+        breakdown = model.breakdown(plan, now)
+        assert tuple(breakdown.values()) == terms
+        assert model.score(plan, now) == breakdown["score"] == terms[-1]
+        assert model.occupancy(plan) == breakdown["occupancy_s"] == terms[4]
+        assert breakdown["oldest_wait_s"] == max(
+            now - item.entry.submit_time for item in items
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(

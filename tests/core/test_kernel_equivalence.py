@@ -14,8 +14,8 @@ after how many candidate evaluations, what gets parked — has to match:
   across a (depth × budget) grid;
 * whole-run dispatch equivalence on scaled-down E2/E5 workloads and on
   two :class:`~repro.baseline.legacy.LegacyEngine` runs;
-* the fold cannot silently diverge: a driver class or a link that would
-  make the constants wrong is rejected when defined / constructed.
+* the fold cannot silently diverge: a driver class that would make the
+  constants wrong is rejected when defined.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ from repro.madeleine.message import Flow, Message, PackMode
 from repro.madeleine.submit import EntryKind, EntryState, SubmitEntry
 from repro.middleware import GlobalArraysApp, uniform_small_flows
 from repro.middleware.mpi_like import StreamApp
-from repro.network.model import LinkModel
 from repro.network.nic import NIC
 from repro.network.technologies import myrinet_mx
 from repro.runtime import Cluster, run_session
 from repro.sim import Simulator
-from repro.util.errors import CapabilityError
 from repro.util.units import KiB, us
 
 from tests.core import oracle
@@ -438,7 +436,7 @@ class TestLegacyRunEquivalence:
 
 
 # ----------------------------------------------------------------------
-# the fold cannot silently diverge from the driver or the link
+# the fold cannot silently diverge from the driver
 # ----------------------------------------------------------------------
 class TestFoldCannotDiverge:
     @pytest.mark.parametrize(
@@ -460,19 +458,9 @@ class TestFoldCannotDiverge:
         with pytest.raises(TypeError, match=method):
             type("Overriding", (base,), {method: lambda self, *a: stock(self, *a)})
 
-    def test_link_overriding_sender_occupancy_rejected_at_construction(self):
-        class PessimisticLink(LinkModel):
-            def sender_occupancy(self, size, mode, **kwargs):
-                return 2.0 * LinkModel.sender_occupancy(self, size, mode, **kwargs)
-
-        link = PessimisticLink(**dataclasses.asdict(myrinet_mx()))
-        nic = NIC(Simulator(), "mx0", "n0", link, lambda packet, occupancy: None)
-        with pytest.raises(CapabilityError, match="sender_occupancy"):
-            MxDriver(nic)
-
     def test_capability_profiles_and_link_parameters_are_the_extension(self):
         """What stays allowed: a subclass that only picks capabilities,
-        and a link that only changes parameters."""
+        and a link with other parameters, both read into the fold."""
 
         class TinyEagerMx(MxDriver):
             def __init__(self, nic):
@@ -489,4 +477,4 @@ class TestFoldCannotDiverge:
         driver = TinyEagerMx(nic)
         assert driver.wants_rendezvous(1 * KiB + 1) and not driver.wants_rendezvous(1 * KiB)
         assert driver.constants.pio_limit <= 128
-        assert driver.constants.startup_pio == stock.pio_latency * 2
+        assert driver.constants.startup_equiv_pio == stock.pio_latency * 2 * stock.pio_bandwidth

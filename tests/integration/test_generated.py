@@ -6,7 +6,8 @@ overrides, a fault block with one rail outage, and messages sized at
 ±1 B of every threshold the drawn configuration has, in every
 ``PackMode``.  Each draw runs twice (untraced, then traced) and must
 keep every invariant of :data:`tests.invariants.INVARIANTS`; every
-dispatch inside it is plan-checked by the root ``conftest.py``.
+dispatch inside it is plan- and price-checked by the root
+``conftest.py``.
 
 Tier-1 runs ten times hypothesis's configured budget (1,000 scenarios
 under the default profile); CI runs the ``deep`` profile on top.  A
@@ -17,6 +18,7 @@ regression.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, replace
 
 import pytest
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from repro.core.config import RAIL_BINDINGS, EngineConfig
 from repro.core.plan import PlanItem, TransferPlan
 from repro.core.strategies import STRATEGY_TYPES
+from repro.drivers.base import Driver
 from repro.drivers.elan import ELAN_CAPABILITIES
 from repro.drivers.mx import MX_CAPABILITIES
 from repro.drivers.tcp import TCP_CAPABILITIES
@@ -355,9 +358,10 @@ def good_run() -> Run:
 
 
 class TestInvariantSet:
-    def test_declares_the_seven_invariants(self):
+    def test_declares_the_eight_invariants(self):
         assert INVARIANTS.names() == [
             "plan_valid",
+            "priced_as_charged",
             "exactly_once_fifo",
             "bytes_conserved",
             "report_recount",
@@ -377,7 +381,7 @@ class TestInvariantSet:
     def test_subjects_partition_the_set(self):
         on_dispatch = {inv.name for inv in INVARIANTS.on(Dispatch)}
         on_run = {inv.name for inv in INVARIANTS.on(Run)}
-        assert on_dispatch == {"plan_valid"}
+        assert on_dispatch == {"plan_valid", "priced_as_charged"}
         assert on_dispatch | on_run == set(INVARIANTS.names())
 
 
@@ -403,6 +407,29 @@ class TestPlantedViolations:
             INVARIANTS["plan_valid"].check(Dispatch(engine, plan))
         # The suite-wide instrument is wired: the engine refuses it too.
         with pytest.raises(ConstraintViolation, match="SAFER"):
+            engine._dispatch(plan)
+
+    def test_priced_as_charged_catches_a_charge_changed_on_one_side(self, monkeypatch):
+        cluster = Cluster()
+        engine = cluster.engine("n0")
+        entry = data_entry(Flow(0, "f", "n0", "n1"), 256)
+        entry.fragment.message.mark_flushed(0.0)
+        engine._enqueue(entry)
+        channel = engine.policy.channel_for_entry(entry)
+        plan = TransferPlan(
+            engine.drivers[0], PacketKind.EAGER, "n1", channel, [PlanItem(entry, 256)]
+        )
+        price = engine.cost.occupancy(plan)
+        INVARIANTS["priced_as_charged"].check(Dispatch(engine, plan, price))
+        with pytest.raises(InvariantViolation, match="priced_as_charged"):
+            INVARIANTS["priced_as_charged"].check(Dispatch(engine, plan, 2.0 * price))
+        # The suite-wide instrument is wired: a charge moved by one ulp on
+        # the driver side only fails the dispatch.
+        stock = Driver.occupancy
+        monkeypatch.setattr(
+            Driver, "occupancy", lambda self, *a: math.nextafter(stock(self, *a), math.inf)
+        )
+        with pytest.raises(InvariantViolation, match="priced_as_charged"):
             engine._dispatch(plan)
 
     def test_exactly_once_fifo_catches_a_reordered_flow(self, good_run):

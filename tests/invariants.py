@@ -3,9 +3,11 @@
 :data:`INVARIANTS` is a tuple of named, typed :class:`Invariant`
 entries.  An invariant's ``subject`` says what it judges:
 
-* a :class:`Dispatch` — one plan an engine is about to put on the wire.
-  The root ``tests/conftest.py`` checks every in-process dispatch of the
-  suite against the ``Dispatch`` invariants;
+* a :class:`Dispatch` — one plan an engine puts on the wire, seen just
+  before (entries unconsumed) and just after (with the busy time its NIC
+  was charged).  The root ``tests/conftest.py`` checks every in-process
+  dispatch of the suite against the ``Dispatch`` invariants, at both
+  moments;
 * a :class:`Run` — one scenario run twice in one process, untraced and
   then traced (:func:`run_twice`).  ``tests/integration/test_generated.py``
   checks every generated scenario against the ``Run`` invariants.
@@ -49,10 +51,15 @@ class InvariantViolation(AssertionError):
 
 @dataclass(frozen=True, slots=True)
 class Dispatch:
-    """A plan at the moment ``engine`` dispatches it (entries unconsumed)."""
+    """A plan ``engine`` dispatches: just before, entries unconsumed
+    (``charged`` is None), or just after, where ``charged`` is the busy
+    time the dispatch charged the plan's simulated NIC.  A
+    :class:`~repro.live.nic.LiveNIC` charges measured time, so a live
+    dispatch is only seen before."""
 
     engine: CommEngineBase
     plan: TransferPlan
+    charged: float | None = None
 
 
 #: One dispatched packet as the run's log keeps it: ``(time, node, kind,
@@ -150,11 +157,26 @@ _CHECKER = ConstraintChecker()
 
 def _plan_valid(d: Dispatch) -> None:
     """The plan obeys the paper's §3 message-structure rules."""
+    if d.charged is not None:
+        return  # judged before the plan consumes a byte
     # The snapshot production checked before the check left ``src/``:
     # plan items come from the lookahead window and the FIFO rule only
     # looks at entries up to the last one taken.
     queue = d.engine.waiting.queue(d.plan.channel_id)
     _CHECKER.check(d.plan, queue.pending_view(d.engine.config.lookahead_window))
+
+
+def _priced_as_charged(d: Dispatch) -> None:
+    """The occupancy the cost model predicts for the plan is, bit for bit,
+    the busy time ``Driver.send`` charged the NIC for its packet."""
+    if d.charged is None:
+        return  # judged after the dispatch
+    predicted = d.engine.cost.occupancy(d.plan)
+    if predicted != d.charged:
+        _fail(
+            "priced_as_charged",
+            f"{d.plan!r} priced at {predicted!r} s, NIC charged {d.charged!r} s",
+        )
 
 
 def _exactly_once_fifo(run: Run) -> None:
@@ -257,6 +279,7 @@ def _deterministic(run: Run) -> None:
 INVARIANTS = InvariantSet(
     (
         Invariant("plan_valid", Dispatch, _plan_valid),
+        Invariant("priced_as_charged", Dispatch, _priced_as_charged),
         Invariant("exactly_once_fifo", Run, _exactly_once_fifo),
         Invariant("bytes_conserved", Run, _bytes_conserved),
         Invariant("report_recount", Run, _report_recount),
