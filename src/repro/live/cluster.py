@@ -56,30 +56,32 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.live.chaos import ChaosConfig
 from repro.live.liveness import DeadPeer, PeerWatchdog
-from repro.obs.causal import attribute_events, export_blame
+from repro.obs.causal import export_blame
 from repro.obs.merge import (
     MergedTrace,
     OffsetSample,
     aggregate_registries,
     align_events,
-    correct_edge_sketches,
     estimate_offsets,
     extract_crossings,
     merge_registries,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.plane import ObservabilityConfig
-from repro.obs.tails import SLObjective, TailView
+from repro.obs.tails import SLObjective, TailView, evaluate_slo_offline
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
 from repro.runtime.cluster import Cluster, check_topology
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
 from repro.runtime.scenario import build_workloads, parse_cluster
 from repro.util.errors import ConfigurationError, TransportError
 from repro.util.tracing import TraceEvent
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.analyze import TraceAnalysis
 
 __all__ = ["LiveRunResult", "run_live_scenario", "survivor_agreement"]
 
@@ -104,9 +106,10 @@ class LiveRunResult:
     #: Cluster-level registry (every peer's metrics, ``peer``-labelled);
     #: None when the run carried no observability.
     cluster_registry: MetricsRegistry | None = None
-    #: Offset-corrected cluster tail view (``TailView.snapshot()`` shape:
-    #: per-edge/per-rail p50..p999 plus SLO burn rates); empty when the
-    #: run carried no observability.
+    #: Cluster tail view (:func:`_tails` over the aligned trace: exact
+    #: per-edge p50..p999, SLO burn rates, per-rail service tails,
+    #: blame); edges, rails and blame are empty when the run was not
+    #: traced.
     tails: dict[str, Any] = field(default_factory=dict)
     #: Peers declared dead mid-run (empty on a clean run).  When
     #: non-empty, ``report.degraded`` is True and the report merges only
@@ -150,7 +153,7 @@ class _ObsState:
         self._started = time.time()
         self._status: dict[str, Any] = {"phase": "starting"}
         self._peers: dict[str, Any] = {"dead": [], "alive": []}
-        self._why_cache: tuple[int, dict[str, Any]] | None = None
+        self._analysis_cache: "tuple[int, TraceAnalysis] | None" = None
 
     def update_status(self, **fields: Any) -> None:
         with self._lock:
@@ -166,22 +169,12 @@ class _ObsState:
         return merge_registries(per_peer).to_prometheus()
 
     def tails(self) -> dict[str, Any]:
-        """In-flight cluster tail view for ``GET /tails``.
-
-        Aggregates the latest per-peer sketch snapshots (series never
-        collide across peers — edge sketches live at the receiver, rail
-        sketches carry the owning node in their labels).
-        Mid-run edge latencies are *raw-clock* differences; the exact
-        offset-corrected view is the post-run :attr:`LiveRunResult.tails`.
-        """
+        """In-flight cluster tail view for ``GET /tails``: the post-run
+        :attr:`LiveRunResult.tails` payload over the events merged so far."""
+        analysis = self._analysis()
         with self._lock:
             per_peer = dict(self._collector.metrics_by_peer)
-        view = TailView(
-            aggregate_registries(per_peer.values()), self._objectives
-        )
-        payload = view.snapshot()
-        payload["note"] = "mid-run edge latencies are raw-clock (uncorrected)"
-        return payload
+        return _tails(analysis, per_peer, self._objectives)
 
     def status(self) -> dict[str, Any]:
         with self._lock:
@@ -195,17 +188,25 @@ class _ObsState:
             return dict(self._peers)
 
     def why(self) -> dict[str, Any]:
-        """In-flight causal-attribution view for ``GET /why``.
+        """In-flight causal-attribution view for ``GET /why``; the exact
+        post-run view is ``LiveRunResult.tails["blame"]``."""
+        payload = self._analysis().report.summary()
+        payload["note"] = (
+            "mid-run view over flushed events; exact post-run "
+            "blame is in the run result"
+        )
+        return payload
 
-        Attributes the events flushed so far, aligned with the clock
-        offsets estimable at this point of the run; the exact post-run
-        view is ``LiveRunResult.tails["blame"]``.  Cached by total
-        event count, so polling between flushes copies nothing.
-        """
+    def _analysis(self) -> "TraceAnalysis":
+        """One analysis of the events flushed so far, aligned with the
+        clock offsets estimable at this point of the run.  Cached by
+        total event count, so polling between flushes copies nothing."""
+        from repro.obs.analyze import analyze_events
+
         collector = self._collector
         with self._lock:
             total = sum(len(events) for events in collector.events_by_peer.values())
-            cached = self._why_cache
+            cached = self._analysis_cache
             if cached is not None and cached[0] == total:
                 return cached[1]
             # Shallow copies (events are immutable): the poll loop keeps
@@ -216,18 +217,37 @@ class _ObsState:
             samples = list(collector.samples)
         crossings = extract_crossings(per_peer)
         offsets = estimate_offsets(samples, crossings, peers=per_peer.keys())
-        merged = align_events(per_peer, offsets)
-        report = attribute_events(merged.events)
-        payload = {
-            "note": "mid-run view over flushed events; exact post-run "
-            "blame is in the run result",
-            "messages": len(report.messages),
-            "incomplete": report.incomplete,
-            "edges": report.edges(),
-            "slowest": [b.to_dict() for b in report.slowest(5)],
-        }
-        self._why_cache = (total, payload)
-        return payload
+        analysis = analyze_events(align_events(per_peer, offsets).events)
+        self._analysis_cache = (total, analysis)
+        return analysis
+
+
+def _tails(
+    analysis: "TraceAnalysis",
+    metrics_by_peer: Mapping[str, Mapping[str, Any]],
+    objectives: tuple[SLObjective, ...],
+) -> dict[str, Any]:
+    """The cluster tail view, from one analysis of an aligned merge.
+
+    Edge latency and the SLO verdicts are exact, over the trace's
+    crossings; rail service tails come from the peers' sketches merged
+    level-wise (rail series never collide: each carries its NIC's name).
+    """
+    rails = TailView(aggregate_registries(metrics_by_peer.values())).rails()
+    payload: dict[str, Any] = {
+        "edges": {
+            name: edge.stats().to_dict()
+            for name, edge in sorted(analysis.edges.items())
+        },
+        "rails": {nic: stats.to_dict() for nic, stats in sorted(rails.items())},
+        "blame": analysis.report.summary(),
+    }
+    if objectives:
+        statuses = evaluate_slo_offline(
+            analysis.edges, objectives, t_end=analysis.span[1]
+        )
+        payload["slo"] = [status.to_dict() for status in statuses]
+    return payload
 
 
 #: Upper bound on one control round-trip.  A healthy peer answers in
@@ -695,10 +715,13 @@ def _merge_run(
     peer_reports: list[dict[str, Any]],
     obs: _ObsCollector,
     dead_peers: list[DeadPeer],
-    trace_on: bool,
     slo_objectives: tuple[SLObjective, ...],
 ) -> LiveRunResult:
     """The survivors' REPORT payloads into one cluster-wide result."""
+    # Imported here, not at the top: peers import this module and never
+    # analyze a trace.
+    from repro.obs.analyze import analyze_events
+
     for payload in peer_reports:
         if payload.get("fatal"):
             raise TransportError(
@@ -750,16 +773,6 @@ def _merge_run(
     cluster_registry = (
         merge_registries(obs.metrics_by_peer) if obs.metrics_by_peer else None
     )
-    # Post-run tail view: collapse the per-peer sketches into cluster
-    # series, then apply the estimated clock offsets to the edge
-    # sketches — exact, because every sample on a directed edge needs
-    # the same constant correction (see correct_edge_sketches).
-    tails: dict[str, Any] = {}
-    if obs.metrics_by_peer:
-        aggregated = aggregate_registries(obs.metrics_by_peer.values())
-        corrected = correct_edge_sketches(aggregated, merged.offsets)
-        tails = TailView(aggregated, slo_objectives).snapshot()
-        tails["edges_offset_corrected"] = corrected
 
     records = [MessageRecord.from_dict(r) for p in peer_reports for r in p["records"]]
     chaos_stats = [p["chaos"] for p in peer_reports if p.get("chaos")]
@@ -782,21 +795,12 @@ def _merge_run(
         lost_messages=sum(p["transport"].get("abandoned", 0) for p in peer_reports),
     )
 
-    # Post-run causal attribution over the offset-corrected merged
-    # trace — the coordinator is the only vantage point that sees a
-    # sender's submit and the receiver's delivery in one stream.
-    if trace_on:
-        blame_report = attribute_events(aligned)
-        blame_edges = blame_report.edges()
-        tails["blame"] = {
-            "messages": len(blame_report.messages),
-            "incomplete": blame_report.incomplete,
-            "truncated": blame_report.truncated,
-            "edges": blame_edges,
-            "slowest": [b.to_dict() for b in blame_report.slowest(5)],
-        }
-        if cluster_registry is not None:
-            export_blame(blame_edges, cluster_registry)
+    # Post-run tail view and causal attribution over the offset-aligned
+    # merged trace — the coordinator is the only vantage point that sees
+    # a sender's submit and the receiver's delivery in one stream.
+    tails = _tails(analyze_events(aligned), obs.metrics_by_peer, slo_objectives)
+    if cluster_registry is not None:
+        export_blame(tails["blame"]["edges"], cluster_registry)
     return LiveRunResult(
         report=report,
         records=records,
@@ -964,4 +968,4 @@ def run_live_scenario(
             obs_state.update_status(phase="done")
             server.stop()
         shutil.rmtree(workdir, ignore_errors=True)
-    return _merge_run(peer_reports, obs, dead_peers, trace_on, slo_objectives)
+    return _merge_run(peer_reports, obs, dead_peers, slo_objectives)

@@ -80,15 +80,9 @@ class LiveSampler(ObservabilitySampler):
         *,
         registry=None,
         source: str = "obs:sampler",
-        tail_view=None,
     ) -> None:
         super().__init__(
-            cluster,
-            interval,
-            registry=registry,
-            source=source,
-            autostart=False,
-            tail_view=tail_view,
+            cluster, interval, registry=registry, source=source, autostart=False
         )
         self._clock = cluster.sim
         self._handle: Any = None

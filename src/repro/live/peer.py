@@ -245,7 +245,6 @@ class LivePeer:
                 self.obs_config.sample_interval,
                 registry=self.plane.registry,
                 source=f"obs:{self.local}",
-                tail_view=self.plane.tail_view,
             )
         self._flushed = False
 

@@ -27,6 +27,11 @@ peers: :mod:`repro.obs.merge` aligns per-peer clocks and merges trace
 streams and registries, :mod:`repro.obs.serve` exposes the cluster
 registry over HTTP during the run, and :mod:`repro.obs.diff` gates two
 runs against each other (``python -m repro obs diff A B --check``).
+
+Per-edge one-way latency and its SLO verdicts are computed once,
+exactly, from the (aligned) trace by :mod:`repro.obs.analyze`; the
+online sketches of :mod:`repro.obs.tails` keep only the rail service
+time the tuner reads.
 """
 
 from repro.obs.causal import (
@@ -44,7 +49,6 @@ from repro.obs.merge import (
     OffsetSample,
     aggregate_registries,
     align_events,
-    correct_edge_sketches,
     estimate_offsets,
     extract_crossings,
     merge_registries,
@@ -66,7 +70,6 @@ from repro.obs.tails import (
     TailRecorder,
     TailStats,
     TailView,
-    evaluate_slo,
     evaluate_slo_offline,
     parse_slo,
 )
@@ -100,9 +103,7 @@ __all__ = [
     "align_events",
     "attribute_chain",
     "attribute_events",
-    "correct_edge_sketches",
     "estimate_offsets",
-    "evaluate_slo",
     "evaluate_slo_offline",
     "extract_crossings",
     "load_events",

@@ -13,13 +13,16 @@ the Chrome trace-event format) and reconstructs the run's story:
   score, how the search budget was spent, which channels leave the
   most aggregation on the table, and how decisions split across the
   ``auto`` strategy's regimes;
-* a **cross-peer view** — on a merged multi-process trace (see
-  :mod:`repro.obs.merge`): per-edge one-way latency percentiles from
-  the correlated ``live.recv`` records, the aggregation ratio achieved
-  on each wire (segments per data packet, per ``src->dst`` edge),
-  retransmit storms (bursts of ``rel.retransmit`` events), and
-  hold-timer starvation (samples where a Nagle hold was armed while
-  every NIC sat idle — traffic waiting on a timer with the wire free);
+* a **wire view**: exact per-edge one-way latency percentiles — the
+  one place they are computed.  On a merged multi-process trace (see
+  :mod:`repro.obs.merge`) a crossing is a correlated ``live.recv``
+  record; on a simulated trace it is an ``rx.deliver`` closing the
+  ``nic.send`` of the same ``{sender}#{packet}`` (the latest send, the
+  first delivery).  Beside it: the aggregation ratio achieved on each
+  wire (segments per data packet, per ``src->dst`` edge), retransmit
+  storms (bursts of ``rel.retransmit`` events), and hold-timer
+  starvation (samples where a Nagle hold was armed while every NIC sat
+  idle — traffic waiting on a timer with the wire free);
 * with ``--scenario``, the exact multi-window SLO burn rates of the
   scenario's objectives over those crossings (``--check`` turns a
   violation, or a trace without crossings, into exit status 1).
@@ -36,8 +39,10 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.obs.causal import CausalReport, collector_report, truncation_warning
 from repro.obs.export import load_events
-from repro.obs.tails import SLOStatus, evaluate_slo_offline, parse_slo
+from repro.obs.spans import SpanCollector
+from repro.obs.tails import SLOStatus, TailStats, evaluate_slo_offline, parse_slo
 from repro.util.stats import percentiles
 from repro.util.tracing import TraceEvent
 from repro.util.units import format_time
@@ -114,6 +119,17 @@ class _EdgeStats:
         values = percentiles(self.latencies, list(_EDGE_TAILS.values()))
         return dict(zip(_EDGE_TAILS, values))
 
+    def stats(self) -> TailStats:
+        """The same columns in microseconds, plus the mean (an entry of a
+        live run's ``tails["edges"]``)."""
+        tails = self.tails()
+        return TailStats(
+            self.count,
+            *(tails[label] * 1e6 for label in ("p50", "p90", "p99", "p999")),
+            sum(self.latencies) / self.count * 1e6,
+            tails["max"] * 1e6,
+        )
+
     @property
     def count(self) -> int:
         return len(self.latencies)
@@ -166,18 +182,9 @@ class TraceAnalysis:
     hold_starved_samples: int = 0
     hold_starved_streak: int = 0  #: longest consecutive run of the above
     samples: int = 0  #: obs.sample ticks seen
-    #: flight-recorder accounting from an ``obs.truncated`` marker.
-    trace_seen: int | None = None
-    trace_dropped: int = 0
-    #: causal blame per edge: "src->dst" -> blame summary (see obs.causal).
-    blame: dict[str, dict] = field(default_factory=dict)
-    blame_messages: int = 0
-    blame_incomplete: int = 0
-
-    @property
-    def truncated(self) -> bool:
-        """The input trace lost events to ring-buffer eviction."""
-        return self.trace_dropped > 0
+    #: causal attribution of every completed message (see obs.causal),
+    #: with the flight-recorder accounting of an ``obs.truncated`` marker.
+    report: CausalReport = field(default_factory=CausalReport)
 
     @property
     def miss_fraction(self) -> float:
@@ -185,15 +192,12 @@ class TraceAnalysis:
 
     @property
     def crossings(self) -> int:
-        """Correlated wire crossings (live.recv records with latency)."""
+        """Correlated wire crossings (one-way latencies measured)."""
         return sum(edge.count for edge in self.edges.values())
 
 
 def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
     """Run the full analysis over normalized trace events."""
-    from repro.obs.causal import collector_report
-    from repro.obs.spans import SpanCollector
-
     analysis = TraceAnalysis()
     analysis.n_events = len(events)
     if events:
@@ -201,6 +205,8 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
     retransmit_times: list[float] = []
     streak = 0
     spans = SpanCollector()
+    #: "{sender}#{packet}" -> (send time, sender) of sim sends in flight.
+    in_flight: dict[str, tuple[float, str]] = {}
     for event in events:
         analysis.kinds[event.kind] = analysis.kinds.get(event.kind, 0) + 1
         spans.ingest(event)
@@ -218,17 +224,14 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
         elif event.kind == "live.recv":
             _ingest_crossing(analysis, event)
         elif event.kind == "nic.send":
-            _ingest_send(analysis, event)
+            _ingest_send(analysis, event, in_flight)
+        elif event.kind == "rx.deliver":
+            _ingest_deliver(analysis, event, in_flight)
         elif event.kind == "rel.retransmit":
             retransmit_times.append(event.time)
     analysis.retransmit_count = len(retransmit_times)
     analysis.retransmit_storms = _count_storms(retransmit_times)
-    report = collector_report(spans)
-    analysis.trace_seen = report.trace_seen
-    analysis.trace_dropped = report.trace_dropped
-    analysis.blame_incomplete = report.incomplete
-    analysis.blame_messages = len(report.messages)
-    analysis.blame = report.edges()
+    analysis.report = collector_report(spans)
     return analysis
 
 
@@ -269,6 +272,19 @@ def _ingest_sample(analysis: TraceAnalysis, event: TraceEvent) -> bool:
     return bool(holds) and bool(busy) and max(busy.values()) == 0.0
 
 
+def _add_crossing(
+    analysis: TraceAnalysis, src: str, dst: str, send_time: float, time: float
+) -> None:
+    """One wire crossing of the ``src->dst`` edge, received at ``time``."""
+    edge = analysis.edges.setdefault(f"{src}->{dst}", _EdgeStats())
+    latency = time - send_time
+    if latency < 0:  # unaligned raw clocks can do this; never report it
+        latency = 0.0
+        edge.clamped += 1
+    edge.latencies.append(latency)
+    edge.times.append(time)
+
+
 def _ingest_crossing(analysis: TraceAnalysis, event: TraceEvent) -> None:
     """One correlated wire crossing (live.recv with a send timestamp)."""
     detail = event.detail
@@ -277,22 +293,36 @@ def _ingest_crossing(analysis: TraceAnalysis, event: TraceEvent) -> None:
     if src is None or send_time is None:
         return
     dst = detail.get("dst") or event.source.partition(":")[2] or "?"
-    edge = analysis.edges.setdefault(f"{src}->{dst}", _EdgeStats())
-    latency = event.time - float(send_time)
-    if latency < 0:  # unaligned raw clocks can do this; never report it
-        latency = 0.0
-        edge.clamped += 1
-    edge.latencies.append(latency)
-    edge.times.append(event.time)
+    _add_crossing(analysis, src, dst, float(send_time), event.time)
 
 
-def _ingest_send(analysis: TraceAnalysis, event: TraceEvent) -> None:
-    """Per-wire aggregation accounting from a data-packet nic.send."""
+def _ingest_deliver(
+    analysis: TraceAnalysis, event: TraceEvent, in_flight: dict
+) -> None:
+    """A sim delivery closes the send of its ``{sender}#{packet}`` (live
+    deliveries carry ``corr``; their crossing is the ``live.recv``)."""
     detail = event.detail
+    if detail.get("corr") is not None:
+        return
+    sent = in_flight.pop(f"{detail.get('src')}#{detail.get('packet')}", None)
+    if sent is not None:
+        _add_crossing(
+            analysis, sent[1], event.source.partition(":")[2], sent[0], event.time
+        )
+
+
+def _ingest_send(
+    analysis: TraceAnalysis, event: TraceEvent, in_flight: dict
+) -> None:
+    """A sim send opens a crossing; a data packet also counts toward its
+    wire's aggregation."""
+    detail = event.detail
+    node = event.source.partition(":")[2].split(".", 1)[0]
+    if detail.get("corr") is None:
+        in_flight[f"{node}#{detail.get('packet')}"] = (event.time, node)
     if detail.get("packet_kind") != "data":
         return
     dst = detail.get("dst")
-    node = event.source.partition(":")[2].split(".", 1)[0]
     if dst is None or not node:
         return
     wire = analysis.wire_agg.setdefault(f"{node}->{dst}", _WireAgg())
@@ -334,12 +364,9 @@ def analyze_file(path: str | Path) -> TraceAnalysis:
 def render(analysis: TraceAnalysis, *, width: int = 60, top: int = 5) -> str:
     """ASCII report of an analysis: timelines + decision summary."""
     lines: list[str] = []
-    if analysis.truncated:
-        from repro.obs.causal import truncation_warning
-
-        lines.append(
-            truncation_warning(analysis.trace_dropped, analysis.trace_seen)
-        )
+    report = analysis.report
+    if report.truncated:
+        lines.append(truncation_warning(report.trace_dropped, report.trace_seen))
         lines.append("")
     t0, t1 = analysis.span
     lines.append(
@@ -425,16 +452,17 @@ def render(analysis: TraceAnalysis, *, width: int = 60, top: int = 5) -> str:
             f"NIC idle (longest streak {analysis.hold_starved_streak})"
         )
 
-    if analysis.blame:
+    blame = report.edges()
+    if blame:
         lines.append("")
         lines.append(
-            f"causal blame per edge ({analysis.blame_messages} message(s) "
-            f"attributed, {analysis.blame_incomplete} incomplete; "
+            f"causal blame per edge ({len(report.messages)} message(s) "
+            f"attributed, {report.incomplete} incomplete; "
             "see 'obs why' for waterfalls):"
         )
-        name_width = max(len(e) for e in analysis.blame)
-        for edge_name in sorted(analysis.blame):
-            slot = analysis.blame[edge_name]
+        name_width = max(len(e) for e in blame)
+        for edge_name in sorted(blame):
+            slot = blame[edge_name]
             dominant = sorted(
                 (
                     (bucket, frac)
@@ -525,10 +553,11 @@ def summary_metrics(analysis: TraceAnalysis) -> dict[str, float]:
         out[f"{prefix}/ratio"] = wire.ratio
         out[f"{prefix}/data_packets"] = float(wire.data_packets)
         out[f"{prefix}/segments"] = float(wire.segments)
-    out["blame/messages"] = float(analysis.blame_messages)
-    if analysis.trace_dropped:
-        out["trace/dropped"] = float(analysis.trace_dropped)
-    for edge_name, slot in sorted(analysis.blame.items()):
+    report = analysis.report
+    out["blame/messages"] = float(len(report.messages))
+    if report.trace_dropped:
+        out["trace/dropped"] = float(report.trace_dropped)
+    for edge_name, slot in sorted(report.edges().items()):
         for bucket, fraction in sorted(slot["fractions"].items()):
             out[f"blame/{edge_name}/{bucket}_fraction"] = fraction
     return out
@@ -573,11 +602,10 @@ def main(args) -> int:
             )
             print()
             print(render_slo(statuses))
-        if analysis.truncated:
-            from repro.obs.causal import truncation_warning
-
+        report = analysis.report
+        if report.truncated:
             print(
-                truncation_warning(analysis.trace_dropped, analysis.trace_seen),
+                truncation_warning(report.trace_dropped, report.trace_seen),
                 file=sys.stderr,
             )
     except BrokenPipeError:  # e.g. piped into head; not an error

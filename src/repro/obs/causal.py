@@ -291,6 +291,17 @@ class CausalReport:
         """The ``k`` highest-latency attributed messages."""
         return sorted(self.messages, key=lambda b: b.e2e, reverse=True)[:k]
 
+    def summary(self, slowest: int = 5) -> dict[str, Any]:
+        """Counts, per-edge rollup and the ``slowest`` waterfalls (a live
+        run's ``tails["blame"]`` and the ``/why`` payload)."""
+        return {
+            "messages": len(self.messages),
+            "incomplete": self.incomplete,
+            "truncated": self.truncated,
+            "edges": self.edges(),
+            "slowest": [b.to_dict() for b in self.slowest(slowest)],
+        }
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready shape: every message plus the per-edge rollup."""
         return {

@@ -318,10 +318,6 @@ def _sample_counters(event: TraceEvent, tracks: _TrackAllocator) -> list[dict[st
     for name, value in global_series.items():
         if value is not None:
             counter(_GLOBAL_PID, name, {name: value})
-    # Per-edge p99 from the tail sketches (one counter track per edge),
-    # so the Perfetto timeline shows tails moving alongside queue depth.
-    for edge, p99 in (detail.get("tail_p99_us") or {}).items():
-        counter(_GLOBAL_PID, f"p99 {edge}", {"us": p99})
     return out
 
 

@@ -28,13 +28,12 @@ process*.  This module turns those fragments into one coherent picture:
   instruments across inputs instead: counters sum (associative and
   commutative), gauges take the last writer, and quantile sketches
   merge level-wise (:meth:`QuantileSketch.merge`), which replaces
-  raw-sample pooling for cross-peer tail percentiles.
-* **Sketch offset correction** — a live peer records one-way edge
-  latencies against *raw* clocks (it cannot know the cluster offsets
-  mid-run).  Because every sample on a directed edge needs the same
-  constant correction, :func:`correct_edge_sketches` applies it exactly,
-  post-merge, by shifting each edge sketch — the sketch equivalent of
-  the per-event rewrite :func:`align_events` does for trace records.
+  raw-sample pooling for cross-peer rail percentiles.
+
+Per-edge one-way latency needs no correction of its own: it is read
+exactly from the aligned trace (:func:`repro.obs.analyze.analyze_events`
+over :func:`align_events` output), so the clock offsets are applied once,
+to the events.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ __all__ = [
     "align_events",
     "merge_registries",
     "aggregate_registries",
-    "correct_edge_sketches",
 ]
 
 #: Trace-event kind emitted by a live peer when a wire frame is decoded
@@ -333,36 +331,3 @@ def aggregate_registries(
                     existing.merge(metric)
     return out
 
-
-def correct_edge_sketches(
-    registry: MetricsRegistry, offsets: Mapping[str, float]
-) -> int:
-    """Apply clock-offset corrections to the edge latency sketches.
-
-    A peer records edge latency as ``recv@dst_clock - sent@src_clock``;
-    with per-peer offsets (peer clock minus the merged timeline) the
-    true latency adds ``offsets[src] - offsets[dst]`` — one constant per
-    directed edge, so shifting the finished sketch is *exact*, not an
-    approximation.  Negative corrected values clamp to zero, mirroring
-    :func:`align_events`.  Returns the number of sketches corrected.
-
-    Mutates ``registry`` in place; call once, on the coordinator's
-    aggregated registry, after :func:`estimate_offsets`.
-    """
-    from repro.obs.tails import EDGE_METRIC
-
-    corrected = 0
-    for sketch in registry.sketches():
-        if sketch.name != EDGE_METRIC or sketch.count == 0:
-            continue
-        labels = dict(sketch.labels)
-        src = labels.get("src")
-        dst = labels.get("dst")
-        if src is None or dst is None:
-            continue
-        delta_us = (
-            float(offsets.get(src, 0.0)) - float(offsets.get(dst, 0.0))
-        ) * 1e6
-        sketch.shift(delta_us, floor=0.0)
-        corrected += 1
-    return corrected

@@ -20,7 +20,7 @@ Scenarios opt in with a top-level ``"observability"`` block::
       "sample_interval": 1e-5,     # simulated seconds; null disables
       "ring_buffer": 65536,        # keep last N events; null = keep all
       "trace": true,               # capture trace events at all
-      "slo": [                     # latency objectives (see obs.tails)
+      "slo": [                     # edge latency objectives (obs.tails)
         {"name": "edge", "edge": "*", "threshold_us": 5000,
          "target": 0.99, "windows": [1.0, 10.0]}
       ]
@@ -68,11 +68,13 @@ class ObservabilityConfig:
     trace:
         When false, no trace sink is subscribed — the plane only
         samples into the metrics registry, and the per-event emit
-        sites stay on their disabled fast path.  Tail sketches ride
+        sites stay on their disabled fast path.  The rail sketches ride
         the same subscription, so they are also off.
     slo:
-        Latency objectives evaluated over the edge tail sketches
-        (see :mod:`repro.obs.tails`).
+        Edge latency objectives.  The plane does not evaluate them; the
+        exact multi-window verdicts come from the trace, after the run
+        (``repro obs analyze TRACE --scenario S`` and a live run's
+        ``tails["slo"]``, see :mod:`repro.obs.tails`).
     """
 
     sample_interval: float | None = None
@@ -120,7 +122,7 @@ class ObservabilityPlane:
         self.registry = MetricsRegistry()
         self.sink = None
         self.sampler: ObservabilitySampler | None = None
-        self.tail_view = TailView(self.registry, self.config.slo)
+        self.tail_view = TailView(self.registry)
         self.tail_recorder: TailRecorder | None = None
         self._attributes_blame = sink is None
         self._cluster: "Cluster | None" = None
@@ -155,10 +157,7 @@ class ObservabilityPlane:
                 engine.tail_view = self.tail_view
         if self.config.sample_interval is not None:
             self.sampler = ObservabilitySampler(
-                cluster,
-                self.config.sample_interval,
-                registry=self.registry,
-                tail_view=self.tail_view,
+                cluster, self.config.sample_interval, registry=self.registry
             )
 
     def finalize(self) -> None:

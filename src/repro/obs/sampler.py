@@ -13,7 +13,9 @@ occupancy — then
   turns into Perfetto counter tracks.
 
 Those two are the tick's only records: the sampler keeps no series of
-its own, so a long live run does not grow it.
+its own, so a long live run does not grow it, and it carries no
+latency — per-edge latency over time is read from the trace's wire
+crossings (:mod:`repro.obs.analyze`).
 
 The sampler keeps itself alive only while the simulation is: it stops
 rescheduling once its own tick is the last event in the queue, so
@@ -28,7 +30,6 @@ from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tails import TailView
     from repro.runtime.cluster import Cluster
 
 __all__ = ["ObservabilitySampler"]
@@ -45,17 +46,12 @@ class ObservabilitySampler:
         registry: "MetricsRegistry | None" = None,
         source: str = "obs:sampler",
         autostart: bool = True,
-        tail_view: "TailView | None" = None,
     ) -> None:
         if interval <= 0:
             raise ConfigurationError(f"sample interval must be > 0, got {interval}")
         self._cluster = cluster
         self.interval = interval
         self.registry = registry
-        #: When set, each tick embeds compact per-edge p99s in its
-        #: ``obs.sample`` record so the Perfetto export can draw tail
-        #: counter tracks over time.
-        self.tail_view = tail_view
         #: Trace source the tick emits under; live peers use ``obs:<node>``
         #: so merged multi-process traces attribute samples to a peer.
         self.source = source
@@ -93,13 +89,6 @@ class ObservabilitySampler:
             self._update_registry(detail)
         tracer = cluster.sim.tracer
         if tracer.enabled:
-            if self.tail_view is not None:
-                tails = {
-                    edge: stats.p99_us
-                    for edge, stats in self.tail_view.edges().items()
-                }
-                if tails:
-                    detail["tail_p99_us"] = tails
             tracer.emit(now, self.source, "obs.sample", **detail)
 
     def _snapshot(self, now: float) -> dict[str, Any]:

@@ -1,6 +1,6 @@
 """Minimal HTTP exposure of a run's cluster-level metrics.
 
-:class:`ObsHTTPServer` serves two read-only endpoints while a live run
+:class:`ObsHTTPServer` serves read-only endpoints while a live run
 is in flight:
 
 * ``GET /metrics`` — the cluster :class:`~repro.obs.metrics.MetricsRegistry`
@@ -9,12 +9,15 @@ is in flight:
   counts, clock offsets, trace accounting) for humans and scripts.
 * ``GET /peers`` — liveness: which peers are alive, which the watchdog
   has declared dead (and why), with time-to-detect per declaration.
-* ``GET /tails`` — JSON tail-latency view: per-edge/per-rail
-  p50/p90/p99/p999 from the merged quantile sketches plus SLO burn
-  rates (see :mod:`repro.obs.tails`).
+* ``GET /tails`` — JSON tail-latency view over the events merged so
+  far: exact per-edge p50/p90/p99/p999 from the offset-aligned trace,
+  the scenario's SLO burn rates over it, per-rail service tails from the
+  merged sketches, and the blame summary (see :mod:`repro.obs.analyze`).
 * ``GET /why`` — JSON causal-attribution view: per-edge blame-bucket
   fractions and the slowest messages' waterfalls computed over the events
   merged so far (see :mod:`repro.obs.causal`).
+
+``HEAD`` answers any route with its headers only.
 
 The server is deliberately tiny: a hand-rolled HTTP/1.0 responder on
 ``asyncio`` streams, no routing table, no keep-alive, no dependencies.
@@ -203,7 +206,9 @@ class ObsHTTPServer:
                 f"Content-Length: {len(body)}\r\n"
                 "Connection: close\r\n"
                 "\r\n"
-            ).encode("latin-1") + body
+            ).encode("latin-1")
+            if method != "HEAD":  # RFC 9110 §9.3.2: HEAD gets headers only
+                payload += body
             # Count before the write: a client that reads the full
             # Content-Length body must observe its own request counted.
             self.requests_served += 1

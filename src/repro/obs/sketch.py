@@ -2,10 +2,11 @@
 
 A :class:`QuantileSketch` summarizes an unbounded stream of observations
 in bounded memory while answering rank queries (p50/p90/p99/p999) with
-bounded *rank* error.  It is the online complement to the exact offline
-percentiles :mod:`repro.obs.analyze` computes from raw trace samples —
-same question, answerable while the run is still in flight and
-mergeable across peers without shipping raw samples.
+bounded *rank* error.  It serves the distributions a running engine or
+a sampler reads while the run is in flight (rail service time, sampled
+queue depth) and merges across peers without shipping raw samples;
+what the trace or the records give exactly (edge and message latency)
+is never sketched.
 
 The design is a KLL-style compactor stack, deterministic on purpose:
 
@@ -32,12 +33,6 @@ levels, so ``merge(a, b)`` summarizes exactly the union of both streams
 (weights are conserved); quantiles of a merge agree with quantiles of
 the pooled stream within the same rank-error envelope, associatively
 and commutatively — the property the hypothesis suite asserts.
-
-Sketches also support a constant :meth:`shift`, which is what makes
-coordinator-side clock-offset correction exact: a live peer records
-one-way latencies against *raw* clocks, and since every sample on one
-directed edge needs the same constant correction, shifting the finished
-sketch equals having corrected every sample before insertion.
 """
 
 from __future__ import annotations
@@ -168,7 +163,7 @@ class QuantileSketch:
         Refreshed at most once per mutation.  Between compactions the
         sample only grows at the tail of level 0, so the sorted view is
         kept and the new weight-1 values inserted into it; a compaction,
-        merge, shift or long unread backlog rebuilds it (C-level sort).
+        merge or long unread backlog rebuilds it (C-level sort).
         Ties may sit in any weight order: a query returns the *value*.
         """
         running = self._running
@@ -214,15 +209,6 @@ class QuantileSketch:
                 out.append(values[index] if index < len(values) else self._max)
         return out
 
-    def fraction_above(self, threshold: float) -> float:
-        """Estimated fraction of observations strictly above ``threshold``."""
-        values, running = self._ranks()
-        if not values:
-            return 0.0
-        at_or_below = bisect_right(values, threshold)
-        below = running[at_or_below - 1] if at_or_below else 0
-        return (running[-1] - below) / running[-1]
-
     def rank_error_bound(self) -> float:
         """Documented worst-case rank-error envelope for this sketch.
 
@@ -264,28 +250,6 @@ class QuantileSketch:
             self._max = max(self._max, other._max)
         self._sorted = self._running = None
         return self
-
-    def shift(self, delta: float, *, floor: float | None = None) -> None:
-        """Add a constant to every retained value (clock-offset correction).
-
-        ``floor`` clamps shifted values (and min/max) from below — the
-        same "never report a negative latency" rule event alignment
-        applies, applied to the sketch instead of raw samples.
-        """
-        if self.count == 0 or delta == 0.0 and floor is None:
-            return
-        clamp = (lambda v: max(v + delta, floor)) if floor is not None else (
-            lambda v: v + delta
-        )
-        self.total = 0.0
-        for i, level in enumerate(self.levels):
-            self.levels[i] = [clamp(v) for v in level]
-            self.total += sum(self.levels[i]) * (1 << i)
-        # Weighted total is now estimated from retained state; min/max
-        # shift exactly.
-        self._min = clamp(self._min)
-        self._max = clamp(self._max)
-        self._sorted = self._running = None
 
     # ------------------------------------------------------------------
     # snapshot / restore

@@ -12,17 +12,20 @@ Ordering, computed from the tail view and cached between refreshes:
    best p99 first;
 2. rails with **insufficient data**, in their original positions —
    never punish a rail for being unmeasured;
-3. rails **over** budget, least-bad p99 first — but only demoted below
-   the unmeasured ones when the SLO is actually burning (or no SLO is
-   configured); a healthy SLO with over-budget rails means the budget
-   is conservative, and churn would be gratuitous.
+3. rails **over** budget, least-bad p99 first.
+
+So when every measured rail is over budget, the unmeasured ones are
+tried first and the measured ones follow least-bad first.  The
+selector reads rail service time only; edge latency objectives are
+verdicts on the trace after the run (:mod:`repro.obs.tails`), not
+inputs here.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.obs.tails import TailView, evaluate_slo
+from repro.obs.tails import TailView
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.drivers.base import Driver
@@ -79,29 +82,9 @@ class TailRailSelector:
                 over.append((stats.p99_us, index, driver))
                 buckets[nic] = "over"
         self.last_buckets = buckets
-        if not over:
-            if not within:
-                return drivers  # nothing measured: keep the original order
-            within.sort()
-            return [d for _, _, d in within] + unknown
-        if within:
-            within.sort()
-            over.sort()
-            return [d for _, _, d in within] + unknown + [d for _, _, d in over]
-        # Every measured rail is over budget: fall back on SLO burn.
-        # A burning (or absent) SLO justifies least-bad-first emergency
-        # ordering; a healthy SLO keeps the original order.
-        if self._slo_burning():
-            over.sort()
-            return unknown + [d for _, _, d in over]
-        return drivers
-
-    def _slo_burning(self) -> bool:
-        objectives = self.tail_view.objectives
-        if not objectives:
-            return True
-        statuses = evaluate_slo(self.tail_view.registry, objectives)
-        return any(s.worst_burn >= 1.0 for s in statuses)
+        within.sort()
+        over.sort()
+        return [d for _, _, d in within] + unknown + [d for _, _, d in over]
 
     def summary(self) -> dict:
         """JSON-able state (CLI report, ``repro run --json``)."""

@@ -281,6 +281,8 @@ class TestLiveServe:
         assert not poller.is_alive()
         payload = grabbed["why"]
         assert payload["note"].startswith("mid-run")
+        # The one blame summary, plus the note.
+        assert set(payload) == {"note"} | set(result.tails["blame"])
         assert 0 < payload["messages"] <= result.tails["blame"]["messages"]
 
 

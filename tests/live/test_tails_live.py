@@ -1,4 +1,4 @@
-"""Live-plane tail telemetry: corrected edge sketches and /tails.
+"""Live-plane tail telemetry: the exact edge table and /tails.
 
 One traced 2-peer UDS run (with an SLO block) is shared across the
 assertions; a second run polls the in-flight ``/tails`` endpoint.
@@ -7,7 +7,6 @@ assertions; a second run polls the in-flight ``/tails`` endpoint.
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 import urllib.request
@@ -15,8 +14,11 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.live import cluster as live_cluster
 from repro.live import run_live_scenario
 from repro.obs.analyze import analyze_events
+from repro.obs.merge import OffsetSample
+from repro.obs.tails import evaluate_slo_offline, parse_slo
 
 _TIMEOUT = 30.0
 
@@ -61,10 +63,19 @@ class TestPostRunTails:
             assert stats["count"] > 0
             assert stats["p999_us"] >= stats["p99_us"] >= stats["p50_us"] > 0
 
-    def test_edges_were_offset_corrected(self, traced_run):
-        assert traced_run.tails["edges_offset_corrected"] == 2
-        # Post-run snapshots are corrected; only mid-run ones carry the
-        # raw-clock disclaimer.
+    def test_edges_and_slo_are_the_analyzers(self, traced_run):
+        """The payload is the offline analysis of the aligned trace,
+        bit for bit: one edge table, no sketch beside it."""
+        analysis = analyze_events(traced_run.aligned_events)
+        assert traced_run.tails["edges"] == {
+            name: edge.stats().to_dict() for name, edge in analysis.edges.items()
+        }
+        for name, stats in traced_run.tails["edges"].items():
+            assert stats["p99_us"] == analysis.edges[name].tails()["p99"] * 1e6
+        statuses = evaluate_slo_offline(
+            analysis.edges, parse_slo(_OBS["slo"]), t_end=analysis.span[1]
+        )
+        assert traced_run.tails["slo"] == [s.to_dict() for s in statuses]
         assert "note" not in traced_run.tails
 
     def test_rails_present(self, traced_run):
@@ -78,7 +89,7 @@ class TestPostRunTails:
         assert {s["edge"] for s in statuses} == {"n0->n1", "n1->n0"}
         for status in statuses:
             assert status["objective"] == "wire-fast"
-            assert "cumulative" in status["burn"]
+            assert set(status["burn"]) == {"0.5s", "2s"}
             # Loopback one-way latency is far below the 1s threshold.
             assert status["violated"] is False
 
@@ -88,28 +99,6 @@ class TestPostRunTails:
         assert latency.count == len(exact) == traced_run.report.messages
         assert (latency.p99, latency.p999) == tuple(np.percentile(exact, [99, 99.9]))
         assert latency.p999 >= latency.p99 > 0
-
-    def test_sketch_p99_matches_exact_within_rank_error(self, traced_run):
-        """The corrected sketch and the offline analysis see the *same*
-        crossing samples (same offsets, same clamp), so the sketch's p99
-        must land within its documented rank-error window of the exact
-        sorted-list quantile."""
-        analysis = analyze_events(traced_run.aligned_events)
-        for edge_name, stats in traced_run.tails["edges"].items():
-            exact = analysis.edges[edge_name]
-            assert exact.count == stats["count"]
-            ordered = sorted(v * 1e6 for v in exact.latencies)
-            n = len(ordered)
-            for q, key in ((0.5, "p50_us"), (0.99, "p99_us")):
-                # Sketches with n <= k are exact up to rank 1/n; allow
-                # one extra rank of slack for interpolation differences.
-                bound = 2.0 / n + 1.0 / 64.0
-                lo = ordered[max(math.ceil((q - bound) * n) - 1, 0)]
-                hi = ordered[min(math.ceil((q + bound) * n), n) - 1]
-                assert lo - 1e-3 <= stats[key] <= hi + 1e-3, (
-                    f"{edge_name} {key}: {stats[key]} outside "
-                    f"[{lo}, {hi}] (n={n})"
-                )
 
 
 class TestLiveTailsEndpoint:
@@ -141,5 +130,36 @@ class TestLiveTailsEndpoint:
         assert result.report.messages == 80
         assert "tails" in grabbed, "/tails never answered with edge data"
         payload = grabbed["tails"]
-        assert payload["note"].startswith("mid-run")
+        # Mid-run edges come from the offset-aligned merge, like the
+        # post-run ones: no raw-clock disclaimer, no negative latency.
+        assert "note" not in payload
         assert payload["slo"][0]["objective"] == "wire-fast"
+        assert set(payload) == set(result.tails)
+        for name, stats in payload["edges"].items():
+            final = result.tails["edges"][name]
+            assert 0 < stats["count"] <= final["count"]
+            assert stats["max_us"] >= stats["p99_us"] >= stats["p50_us"] >= 0
+
+
+class TestMidRunTails:
+    def test_edges_are_offset_aligned(self):
+        """``/tails`` reads the same aligned merge as ``/why``: n1's clock
+        runs 1 ms ahead, so a raw 1.1 ms crossing is a 100 us one."""
+        collector = live_cluster._ObsCollector(epoch=0.0, time_scale=1.0)
+        collector.samples = [
+            OffsetSample("n0", t0=1.0, t1=1.0, peer_now=1.0),
+            OffsetSample("n1", t0=1.0, t1=1.0, peer_now=1.001),
+        ]
+        collector.ingest({"node": "n0", "events": []})
+        collector.ingest({"node": "n1", "events": [
+            {"time": 5.0 + i + 1.1e-3, "source": "live:n1", "kind": "live.recv",
+             "detail": {"src": "n0", "dst": "n1", "sent_at": 5.0 + i, "corr": f"n0#{i}"}}
+            for i in range(3)
+        ]})
+        state = live_cluster._ObsState("mid-run", collector, parse_slo(_OBS["slo"]))
+        payload = state.tails()
+        assert "note" not in payload
+        edge = payload["edges"]["n0->n1"]
+        assert edge["count"] == 3
+        assert edge["p50_us"] == pytest.approx(100.0)
+        assert payload["slo"][0]["edge"] == "n0->n1"

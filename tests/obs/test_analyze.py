@@ -1,5 +1,8 @@
 """Trace-analysis CLI: timeline reconstruction and miss accounting."""
 
+from bisect import bisect_left, bisect_right
+from pathlib import Path
+
 import pytest
 
 from repro.obs.analyze import (
@@ -9,7 +12,7 @@ from repro.obs.analyze import (
     render,
     summary_metrics,
 )
-from repro.runtime.scenario import run_scenario
+from repro.runtime.scenario import load_scenario_file, run_scenario
 from repro.util.stats import percentiles
 from repro.util.tracing import TraceEvent
 
@@ -143,6 +146,100 @@ class TestEdgePercentiles:
         # Values are in microseconds (latencies were 100us..4.9ms).
         assert out[f"{prefix}/latency_p50_us"] == pytest.approx(2500.0)
         assert out[f"{prefix}/latency_max_us"] == pytest.approx(4900.0)
+
+
+def _send(t, nic, packet, **detail):
+    return TraceEvent(t, f"nic:{nic}", "nic.send", {"packet": packet, **detail})
+
+
+def _deliver(t, node, src, packet, corr=None):
+    return TraceEvent(
+        t, f"rx:{node}", "rx.deliver", {"packet": packet, "src": src, "corr": corr}
+    )
+
+
+class TestSimCrossings:
+    """On a simulated trace an ``rx.deliver`` closes the ``nic.send`` of
+    the same ``{sender}#{packet}``: the latest send, the first delivery."""
+
+    def test_send_deliver_pair_is_one_crossing(self):
+        events = [_send(1.0, "n0.mx00", 7), _deliver(1.0001, "n1", "n0", 7)]
+        edge = analyze_events(events).edges["n0->n1"]
+        assert edge.count == 1
+        assert edge.latencies == [pytest.approx(1e-4)]
+        assert edge.times == [1.0001]
+
+    def test_unmatched_deliver_is_ignored(self):
+        events = [_send(1.0, "n0.mx00", 7), _deliver(1.1, "n1", "n2", 7)]
+        assert analyze_events(events).edges == {}
+
+    def test_latest_send_first_delivery(self):
+        events = [
+            _send(1.0, "n0.mx00", 3),
+            _send(2.0, "n0.mx01", 3),  # a resend replaces the open crossing
+            _deliver(2.5, "n1", "n0", 3),
+            _deliver(2.7, "n1", "n0", 3),  # a duplicate closes nothing
+        ]
+        assert analyze_events(events).edges["n0->n1"].latencies == [0.5]
+
+    def test_live_records_are_not_sim_crossings(self):
+        """A live send and delivery carry ``corr``: their crossing is the
+        ``live.recv``, counted once."""
+        events = [
+            _send(1.0, "n0.mx00", 0, corr="n0#0"),
+            _recv(1.2, "n0", "n1", 1.0),
+            _deliver(1.3, "n1", "n0", 0, corr="n0#0"),
+        ]
+        assert analyze_events(events).edges["n0->n1"].latencies == [
+            pytest.approx(0.2)
+        ]
+
+
+#: The parent commit's ``repro_edge_latency_us`` sketches on the traced
+#: ``examples/scenario_mixed.json``: edge -> (count, p50 us, p99 us,
+#: rank_error_bound()).
+_PARENT_EDGE_SKETCHES = {
+    "n0->n1": (189, 4.153333333332954, 190.3257142857142, 0.015625),
+    "n0->n2": (8, 2.470666666666609, 3.050000000000101, 0.0078125),
+    "n0->n3": (36, 9.379959514170055, 96.03625101214575, 0.0078125),
+    "n1->n0": (137, 4.153333333332954, 37.910323886639674, 0.015625),
+    "n1->n2": (44, 9.163179487179487, 38.141295546558695, 0.0078125),
+    "n1->n3": (8, 3.0500000000000065, 3.3106666666666076, 0.0078125),
+    "n2->n0": (10, 2.2600000000000224, 3.050000000000101, 0.0078125),
+    "n2->n1": (35, 9.464955465587064, 37.910323886639674, 0.0078125),
+    "n2->n3": (55, 4.153333333333333, 38.86234817813765, 0.0078125),
+    "n3->n0": (57, 6.077142857142853, 105.56255060728765, 0.0078125),
+    "n3->n1": (8, 2.2600000000000224, 3.3106666666666076, 0.0078125),
+    "n3->n2": (49, 21.359716599190236, 38.66000000000001, 0.0078125),
+}
+
+_EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+class TestScenarioMixedEdges:
+    """The exact table reports what the online edge sketch counted, and
+    the sketch's quantiles sit within its rank-error envelope of it."""
+
+    @pytest.fixture(scope="class")
+    def analysis(self):
+        scenario = load_scenario_file(_EXAMPLES / "scenario_mixed.json")
+        scenario["observability"] = {"trace": True}
+        _, cluster, _ = run_scenario(scenario)
+        return analyze_events(cluster.obs.events)
+
+    def test_crossings_per_edge_equal_the_sketch_counts(self, analysis):
+        assert analysis.crossings == 636
+        assert {name: edge.count for name, edge in analysis.edges.items()} == {
+            name: count for name, (count, *_rest) in _PARENT_EDGE_SKETCHES.items()
+        }
+
+    def test_sketch_quantiles_within_rank_error_of_exact(self, analysis):
+        for name, (count, p50, p99, bound) in _PARENT_EDGE_SKETCHES.items():
+            ordered = sorted(v * 1e6 for v in analysis.edges[name].latencies)
+            for q, value in ((0.5, p50), (0.99, p99)):
+                below = bisect_left(ordered, value) / count
+                at_or_below = bisect_right(ordered, value) / count
+                assert below - bound <= q <= at_or_below + bound, (name, q)
 
 
 class TestSparkline:

@@ -231,6 +231,21 @@ class TestEndToEndSim:
         assert "repro_blame_seconds_total" in text
         assert "repro_blame_fraction" in text
 
+    def test_summary_is_the_report_rolled_up(self, traced_run):
+        """``tails["blame"]`` and ``/why`` both print this one summary."""
+        _, cluster = traced_run
+        causal = attribute_events(cluster.obs.events)
+        summary = causal.summary(slowest=3)
+        assert summary == {
+            "messages": len(causal.messages),
+            "incomplete": causal.incomplete,
+            "truncated": False,
+            "edges": causal.edges(),
+            "slowest": [b.to_dict() for b in causal.slowest(3)],
+        }
+        assert len(summary["slowest"]) == 3
+        assert len(causal.summary()["slowest"]) == 5  # the default
+
 
 def _blame_sums(registry):
     """``{edge: {bucket: seconds}}`` from the registry's blame counters."""

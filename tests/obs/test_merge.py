@@ -21,12 +21,12 @@ from repro.obs.merge import (
     OffsetSample,
     aggregate_registries,
     align_events,
-    correct_edge_sketches,
     estimate_offsets,
     extract_crossings,
     merge_registries,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tails import RAIL_METRIC
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent
 
@@ -105,12 +105,8 @@ class TestRelabelMerge:
 
 
 def _sketch_registry(samples, *, labels=None):
-    from repro.obs.tails import EDGE_METRIC
-
     reg = MetricsRegistry()
-    sketch = reg.sketch(
-        EDGE_METRIC, labels or {"src": "n0", "dst": "n1"}, k=32
-    )
+    sketch = reg.sketch(RAIL_METRIC, labels or {"nic": "n0.mx00"}, k=32)
     for value in samples:
         sketch.observe(value)
     return reg
@@ -120,12 +116,10 @@ class TestSketchAggregation:
     @given(a=_observations, b=_observations)
     @settings(max_examples=40, deadline=None)
     def test_levelwise_merge_equals_pooled_stream(self, a, b):
-        from repro.obs.tails import EDGE_METRIC
-
         out = aggregate_registries(
             [_sketch_registry(a), _sketch_registry(b).to_snapshot()]
         )
-        merged = out.get(EDGE_METRIC, {"src": "n0", "dst": "n1"})
+        merged = out.get(RAIL_METRIC, {"nic": "n0.mx00"})
         assert merged.count == len(a) + len(b)
         pooled = sorted(a + b)
         if pooled:
@@ -136,54 +130,10 @@ class TestSketchAggregation:
             assert rank_lo - bound <= 0.5 <= rank + bound
 
     def test_kind_collision_rejected(self):
-        from repro.obs.tails import EDGE_METRIC
-
         gauge_reg = MetricsRegistry()
-        gauge_reg.gauge(EDGE_METRIC, {"src": "n0", "dst": "n1"})
+        gauge_reg.gauge(RAIL_METRIC, {"nic": "n0.mx00"})
         with pytest.raises(ConfigurationError):
             aggregate_registries([_sketch_registry([1.0]), gauge_reg])
-
-
-class TestOffsetCorrection:
-    def test_shifts_each_edge_by_its_offset_delta(self):
-        from repro.obs.tails import EDGE_METRIC
-
-        reg = _sketch_registry([100.0, 200.0, 300.0])
-        # n0's clock runs 50us ahead of the timeline, n1 10us: true
-        # latency adds (off_src - off_dst) = +40us to every raw sample.
-        corrected = correct_edge_sketches(reg, {"n0": 50e-6, "n1": 10e-6})
-        assert corrected == 1
-        sketch = reg.get(EDGE_METRIC, {"src": "n0", "dst": "n1"})
-        assert sketch.minimum == pytest.approx(140.0)
-        assert sketch.maximum == pytest.approx(340.0)
-        assert sketch.total == pytest.approx(100 + 200 + 300 + 3 * 40)
-
-    def test_negative_correction_clamps_at_zero(self):
-        from repro.obs.tails import EDGE_METRIC
-
-        reg = _sketch_registry([5.0, 100.0])
-        correct_edge_sketches(reg, {"n0": -50e-6, "n1": 0.0})
-        sketch = reg.get(EDGE_METRIC, {"src": "n0", "dst": "n1"})
-        assert sketch.minimum == 0.0  # 5 - 50 clamps
-        assert sketch.maximum == pytest.approx(50.0)
-
-    def test_non_edge_sketches_untouched(self):
-        from repro.obs.tails import RAIL_METRIC
-
-        reg = MetricsRegistry()
-        rail = reg.sketch(RAIL_METRIC, {"nic": "n0.mx"})
-        rail.observe(10.0)
-        assert correct_edge_sketches(reg, {"n0": 1.0}) == 0
-        assert rail.minimum == 10.0
-
-    def test_unknown_peers_default_to_zero(self):
-        reg = _sketch_registry([10.0])
-        assert correct_edge_sketches(reg, {}) == 1
-        from repro.obs.tails import EDGE_METRIC
-
-        assert reg.get(
-            EDGE_METRIC, {"src": "n0", "dst": "n1"}
-        ).minimum == 10.0
 
 
 _per_peer_times = st.dictionaries(

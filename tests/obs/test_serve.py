@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -114,6 +115,19 @@ class TestObsHTTPServer:
             assert err.value.code == 500
         finally:
             srv.stop()
+
+    def test_head_gets_headers_without_body(self, server):
+        """RFC 9110 §9.3.2: a HEAD response carries GET's headers and no
+        content; the server closes the connection after them."""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as conn:
+            conn.sendall(b"HEAD /metrics HTTP/1.0\r\n\r\n")
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 200 OK")
+        assert b"Content-Length: 11" in head  # GET's length for "repro_up 1\n"
+        assert body == b""
 
     def test_serves_many_requests(self, server):
         for _ in range(5):

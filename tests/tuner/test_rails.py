@@ -2,9 +2,9 @@
 
 from types import SimpleNamespace
 
+from repro.obs.tails import RAIL_METRIC
 from repro.runtime.cluster import Cluster
 from repro.tuner import RailsConfig, TailRailSelector, TunerConfig
-from repro.tuner import rails as rails_mod
 
 
 def _driver(name):
@@ -16,24 +16,22 @@ def _stats(p99_us, count=100):
 
 
 class _FakeView:
-    """Just enough TailView: per-rail stats + SLO inputs."""
+    """Just enough TailView: per-rail stats."""
 
-    def __init__(self, by_nic, objectives=()):
+    def __init__(self, by_nic):
         self.by_nic = by_nic
-        self.objectives = objectives
-        self.registry = None  # only touched via evaluate_slo (patched)
 
     def rail(self, nic):
         return self.by_nic.get(nic)
 
 
-def make(by_nic, *, objectives=(), **config_kwargs):
+def make(by_nic, **config_kwargs):
     config = RailsConfig(
         p99_budget_us=config_kwargs.pop("p99_budget_us", 100.0),
         min_samples=config_kwargs.pop("min_samples", 10),
         refresh_every=config_kwargs.pop("refresh_every", 1),
     )
-    return TailRailSelector(_FakeView(by_nic, objectives), config)
+    return TailRailSelector(_FakeView(by_nic), config)
 
 
 class TestOrdering:
@@ -76,35 +74,28 @@ class TestOrdering:
         the unmeasured rail must be tried, not left behind the known-bad
         one."""
         drivers = [_driver("tcp"), _driver("mx")]
-        selector = make({"tcp": _stats(500.0)})  # no objectives => burning
+        selector = make({"tcp": _stats(500.0)})
         ordered = [d.nic.name for d in selector.order(drivers)]
         assert ordered == ["mx", "tcp"]
 
-    def test_all_over_budget_with_healthy_slo_keeps_original_order(self, monkeypatch):
-        drivers = [_driver("a"), _driver("b")]
-        selector = make(
-            {"a": _stats(500.0), "b": _stats(600.0)},
-            objectives=(object(),),
+    def test_all_over_budget_with_objectives_goes_unmeasured_then_least_bad(self):
+        """Edge objectives are verdicts on the trace, not selector inputs:
+        with an ``slo`` block configured and every measured rail over
+        budget, the order is still unmeasured first, then least-bad."""
+        cluster = Cluster(
+            n_nodes=2,
+            networks=[("tcp", 1), ("mx", 1), ("elan", 1)],
+            engine="optimizing",
+            observability={"slo": [{"edge": "*", "threshold_us": 1e6}]},
+            tuner=TunerConfig(rails=RailsConfig(p99_budget_us=100.0, min_samples=1)),
         )
-        monkeypatch.setattr(
-            rails_mod,
-            "evaluate_slo",
-            lambda registry, objectives: [SimpleNamespace(worst_burn=0.1)],
-        )
-        assert [d.nic.name for d in selector.order(drivers)] == ["a", "b"]
-
-    def test_all_over_budget_with_burning_slo_goes_least_bad_first(self, monkeypatch):
-        drivers = [_driver("worse"), _driver("bad")]
-        selector = make(
-            {"worse": _stats(900.0), "bad": _stats(500.0)},
-            objectives=(object(),),
-        )
-        monkeypatch.setattr(
-            rails_mod,
-            "evaluate_slo",
-            lambda registry, objectives: [SimpleNamespace(worst_burn=2.0)],
-        )
-        assert [d.nic.name for d in selector.order(drivers)] == ["bad", "worse"]
+        engine = cluster.engine("n0")
+        tcp, mx, elan = engine.drivers
+        for driver, p99_us in ((tcp, 900.0), (mx, 500.0)):
+            cluster.obs.registry.sketch(
+                RAIL_METRIC, {"nic": driver.nic.name}
+            ).observe(p99_us)
+        assert list(engine.rail_selector.order(engine.drivers)) == [elan, mx, tcp]
 
 
 class TestCaching:
