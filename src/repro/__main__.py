@@ -223,6 +223,7 @@ def _cmd_live_run(args) -> int:
             "bytes_verified": result.bytes_verified,
             "corrupt_slices": result.corrupt_slices,
             "done_frames_sent": result.done_frames_sent,
+            "data_bytes_sent": result.data_bytes_sent,
             "rtt_samples": len(result.rtts),
             "clock_offsets": result.offsets,
             "crossings_matched": result.crossings_matched,

@@ -130,6 +130,11 @@ class LiveRunResult:
         """DONE frames the peers wrote (one per sender per ingested chunk)."""
         return sum(p["transport"]["done_frames_sent"] for p in self.peer_reports)
 
+    @property
+    def data_bytes_sent(self) -> int:
+        """Engine-data records the peers wrote, envelope included."""
+        return sum(p["transport"]["data_bytes_sent"] for p in self.peer_reports)
+
 
 class _ObsState:
     """What the HTTP server reads of the in-flight run.

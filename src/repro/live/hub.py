@@ -27,6 +27,7 @@ from repro.live.chaos import NOMINAL_ONE_WAY, ChaosConfig, ChaosInjector, ChaosS
 from repro.live.liveness import Backoff, HeartbeatLedger
 from repro.live.loop import LiveClock
 from repro.live.transport import (
+    ENVELOPE_DATA_OFFSET,
     StreamDecoder,
     ack_frame,
     done_frame,
@@ -288,6 +289,8 @@ class Hub:
         self.submitted = 0
         self.done_sent = 0
         self.done_frames_sent = 0
+        #: Engine-data records handed to the sockets, envelope included.
+        self.data_bytes_sent = 0
         self.done_received = 0
         #: Completions of the chunk being ingested, per sender: one DONE
         #: frame each when :meth:`ingest` flushes.  Empty between chunks.
@@ -488,7 +491,7 @@ class Hub:
                 f"no live connection from {self.node_name!r} to {packet.dst!r}"
             )
         self._flush_done()  # a reply never overtakes the DONE of its request
-        self._send(link, data, on_drained)
+        self.data_bytes_sent += self._send(link, data, on_drained)
 
     def send_done(self, dst: str, message_id: int, when: float) -> None:
         """Acknowledge a completed delivery back to its sender.
@@ -515,22 +518,26 @@ class Hub:
             self.done_frames_sent += 1
             self._send(link, done_frame(self.node_name, dst, items), None)
 
-    def _send(self, link: _Link, frame: bytes, on_drained) -> None:
+    def _send(self, link: _Link, frame: bytes, on_drained) -> int:
         """The one send path for data and DONE frames.
 
         Under reliability the link's window stamps, attempts (through
         :meth:`_carry`) and retransmits.  Otherwise the frame is written
         once, ``TAG_RAW``; on a lost connection the bytes are simply
         gone — counted loudly, counter agreement will stall and the
-        coordinator's deadline or watchdog decides.
+        coordinator's deadline or watchdog decides.  Returns the size of
+        the record's first transmission (0 when it is lost).
         """
         if self.reliable:
             link.window.send(_Outbound(frame, on_drained), NOMINAL_ONE_WAY)
-        elif link.writable:
-            link.conn.enqueue(wrap_envelope(frame), on_drained)
-        else:
-            self.lost_frames += 1
-            self.flush_write(on_drained)
+            return ENVELOPE_DATA_OFFSET + len(frame)
+        if link.writable:
+            record = wrap_envelope(frame)
+            link.conn.enqueue(record, on_drained)
+            return len(record)
+        self.lost_frames += 1
+        self.flush_write(on_drained)
+        return 0
 
     # -- reliability: the socket carrier of the send window -------------
     def _carry(self, link: _Link, seq: int, out: _Outbound, attempt: int) -> bool:

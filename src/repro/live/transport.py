@@ -29,7 +29,8 @@ Three layers live here, all shared by the peer processes and the tests:
   slice without shipping expected values out of band.
 * **Mirror reassembly** — on receive, :class:`MirrorReceiver` rebuilds a
   local :class:`~repro.madeleine.message.Message`/``Fragment`` skeleton
-  from the segment descriptors and hands a normal
+  from the binary message skeletons
+  (:class:`~repro.network.wire.MessageSkeleton`) and hands a normal
   :class:`~repro.network.wire.WirePacket` to the node's receiver, so the
   existing reassembler, inboxes, subscriptions, and metrics all run
   unmodified.  A mirror is built from the sender's flow id and sequence
@@ -43,12 +44,13 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro.madeleine.message import Flow, Fragment, Message, PackMode
 from repro.network.wire import (
     FRAME_PREFIX_BYTES,
     DecodedFrame,
+    MessageSkeleton,
     PacketKind,
     WirePacket,
     WireSegment,
@@ -228,28 +230,15 @@ def payload_bytes(seed: int, offset: int, length: int) -> bytes:
 # --------------------------------------------------------------------------
 
 
-def _message_skeleton(fragment: Fragment) -> dict[str, Any]:
-    message = fragment.message
-    return {
-        "flow": message.flow.flow_id,
-        "msg": message.message_id,
-        "idx": fragment.index,
-        "layout": [[f.size, 1 if f.express else 0] for f in message.fragments],
-        "submit": message.submit_time,
-        "seq": message.seq,
-        "ctx": message.context,
-    }
-
-
 def encode_live_packet(packet: WirePacket) -> bytes:
     """Serialize one engine-produced packet into a wire-codec frame.
 
     Data segments reference in-process ``Fragment`` objects; each
-    becomes a JSON descriptor plus deterministic pattern bytes for the
-    slice.  A message's first segment in the frame carries its whole
-    skeleton (enough for the receiver to rebuild it), its later ones
-    only ``{"msg", "idx"}`` — the frame is atomic under its CRC, so the
-    skeleton is always decoded first.
+    becomes a binary segment record plus deterministic pattern bytes for
+    the slice.  A message's first segment in the frame carries its
+    :class:`~repro.network.wire.MessageSkeleton` (enough for the
+    receiver to rebuild it), its later ones none — the frame is atomic
+    under its CRC, so the skeleton is always decoded first.
     Control packets (rendezvous handshake) carry their ``meta`` only.
     The hub wraps the frame into a stream record (:func:`wrap_envelope`).
     """
@@ -261,16 +250,19 @@ def encode_live_packet(packet: WirePacket) -> bytes:
             raise ProtocolError(
                 f"live transport cannot serialize non-fragment payload {seg.payload!r}"
             )
-        message_id = fragment.message.message_id
-        if message_id in described:
-            descriptor = {"msg": message_id, "idx": fragment.index}
-        else:
+        message = fragment.message
+        message_id = message.message_id
+        skeleton = None
+        if message_id not in described:
             described.add(message_id)
-            descriptor = _message_skeleton(fragment)
+            layout = [(f.size, f.express) for f in message.fragments]
+            submit = message.submit_time or 0.0  # 0.0: not yet flushed
+            skeleton = MessageSkeleton(
+                message.flow.flow_id, submit, message.seq, layout, message.context
+            )
         seed = fragment_seed(packet.src, message_id, fragment.index)
-        segments.append(
-            (descriptor, seg.offset, seg.length, payload_bytes(seed, seg.offset, seg.length))
-        )
+        data = payload_bytes(seed, seg.offset, seg.length)
+        segments.append((message_id, fragment.index, skeleton, seg.offset, seg.length, data))
     return encode_frame(
         packet.kind, packet.src, packet.dst, packet.channel_id, packet.meta, segments
     )
@@ -331,7 +323,7 @@ class MirrorReceiver:
     """Rebuilds message/fragment skeletons for packets arriving by socket.
 
     One per peer.  The first slice of an unseen message id creates a
-    *mirror* message on the local ``Flow`` object the descriptor's flow
+    *mirror* message on the local ``Flow`` object the skeleton's flow
     id names (every peer opens every flow of the scenario at START, in
     the same order, so the ids agree), and every slice is verified
     against the deterministic payload pattern before being handed to
@@ -351,23 +343,32 @@ class MirrorReceiver:
         ``packet_id`` names the rebuilt packet on *this* peer (the
         sender's own id crosses the wire only as the tracing
         correlation key in ``meta``)."""
+        src = frame.src
         segments: list[WireSegment] = []
-        for seg in frame.segments:
-            fragment = self._mirror_fragment(frame.src, seg.descriptor)
-            seed = fragment_seed(frame.src, seg.descriptor["msg"], fragment.index)
-            expected = payload_bytes(seed, seg.offset, seg.length)
-            if seg.data != expected:
+        for message_id, index, skeleton, offset, length, data in frame.segments:
+            message = self._mirrors.get(message_id)
+            if message is None:  # the message's first segment: needs the skeleton
+                if skeleton is None:
+                    raise WireError(
+                        f"segment of message {message_id} has no mirror and no skeleton"
+                    )
+                message = self._make_mirror(src, message_id, skeleton)
+            if index >= len(message.fragments):
+                raise WireError(
+                    f"fragment index {index} outside mirror layout of "
+                    f"{len(message.fragments)} fragment(s)"
+                )
+            if data != payload_bytes(fragment_seed(src, message_id, index), offset, length):
                 self.corrupt_slices += 1
                 raise WireError(
-                    f"payload mismatch on {frame.src}->{self.node_name} "
-                    f"msg {seg.descriptor['msg']} fragment {fragment.index} "
-                    f"[{seg.offset}, {seg.offset + seg.length})"
+                    f"payload mismatch on {src}->{self.node_name} "
+                    f"msg {message_id} fragment {index} [{offset}, {offset + length})"
                 )
-            self.bytes_verified += seg.length
-            segments.append(WireSegment(fragment, seg.offset, seg.length))
+            self.bytes_verified += length
+            segments.append(WireSegment(message.fragments[index], offset, length))
         return WirePacket(
             kind=frame.kind,
-            src=frame.src,
+            src=src,
             dst=frame.dst,
             channel_id=frame.channel_id,
             segments=tuple(segments),
@@ -375,32 +376,8 @@ class MirrorReceiver:
             packet_id=packet_id,
         )
 
-    def _mirror_fragment(self, src: str, descriptor: dict[str, Any]) -> Fragment:
-        try:
-            sender_mid = descriptor["msg"]
-            index = descriptor["idx"]
-            message = self._mirrors.get(sender_mid)
-            if message is None:  # the message's first segment: needs the skeleton
-                message = self._make_mirror(
-                    src, sender_mid, descriptor["flow"], descriptor["layout"], descriptor
-                )
-        except KeyError as missing:
-            raise WireError(f"segment descriptor missing {missing}") from None
-        if not 0 <= index < len(message.fragments):
-            raise WireError(
-                f"fragment index {index} outside mirror layout of "
-                f"{len(message.fragments)} fragment(s)"
-            )
-        return message.fragments[index]
-
-    def _make_mirror(
-        self,
-        src: str,
-        sender_mid: int,
-        flow_id: int,
-        layout: list,
-        descriptor: dict[str, Any],
-    ) -> Message:
+    def _make_mirror(self, src: str, sender_mid: int, skeleton: MessageSkeleton) -> Message:
+        flow_id, submit, seq, layout, ctx = skeleton
         flow = self._flow_lookup(flow_id)
         if flow is None:
             raise ProtocolError(
@@ -412,23 +389,19 @@ class MirrorReceiver:
                 f"flow {flow.name!r} terminates at {flow.dst!r}, but its data "
                 f"arrived at {self.node_name!r}"
             )
-        message = Message(
-            flow, descriptor.get("ctx") or {}, seq=int(descriptor.get("seq") or 0)
-        )
+        message = Message(flow, ctx, seq=seq)
         if message.message_id != sender_mid:
             raise ProtocolError(
                 f"packet from {src!r} names message {sender_mid}, but flow "
                 f"{flow.name!r} seq {message.seq} is message {message.message_id}"
             )
-        message.submit_time = float(descriptor.get("submit") or 0.0)
-        for i, entry in enumerate(layout):
-            try:
-                size, express = int(entry[0]), bool(entry[1])
-            except (TypeError, ValueError, IndexError):
-                raise WireError(f"malformed layout entry {entry!r}") from None
-            # Fragment.__init__ does not append; preserve the Message
-            # invariant that fragments[i].index == i.
-            message.fragments.append(Fragment(message, i, size, PackMode.CHEAPER, express))
+        message.submit_time = submit
+        # Fragment.__init__ does not append; preserve the Message
+        # invariant that fragments[i].index == i.
+        message.fragments.extend(
+            Fragment(message, i, size, PackMode.CHEAPER, bool(express))
+            for i, (size, express) in enumerate(layout)
+        )
         self._mirrors[sender_mid] = message
         return message
 

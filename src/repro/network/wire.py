@@ -10,14 +10,12 @@ The module also defines the *byte-level* encoding used when a packet
 actually crosses a socket (the live transport plane,
 :mod:`repro.live.transport`): :func:`encode_frame` /
 :func:`decode_frame` serialize one packet's framing — magic, version,
-CRC-32 checksum, addressing, the ``meta`` control dict, and one
-``(descriptor, offset, length, payload bytes)`` record per segment.
-Segment payloads are JSON descriptors plus raw bytes rather than the
-in-process :class:`~repro.madeleine.message.Fragment` objects the
-simulator shares by reference; the live plane maps between the two.
-Decoding is hardened: truncated, corrupted, or garbage input raises a
-typed :class:`~repro.util.errors.WireError`, never a bare
-``struct.error``/``IndexError``.
+CRC-32 checksum, addressing, the ``meta`` control dict (JSON), and one
+binary :class:`DecodedSegment` record per segment, whose message's first
+segment in the frame carries its :class:`MessageSkeleton`.  The live
+plane maps these to and from in-process fragments.  Truncated,
+corrupted or garbage input, and a field too wide for its slot, raise a
+typed :class:`~repro.util.errors.WireError`, never ``struct.error``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.util.errors import ProtocolError, WireError
 
@@ -43,6 +41,7 @@ __all__ = [
     "WIRE_MAGIC",
     "WIRE_VERSION",
     "FRAME_PREFIX_BYTES",
+    "MessageSkeleton",
     "DecodedSegment",
     "DecodedFrame",
     "correlation_id",
@@ -137,26 +136,21 @@ class WirePacket:
     segments: tuple[WireSegment, ...] = ()
     meta: dict[str, Any] = field(default_factory=dict)
     packet_id: int = field(kw_only=True)
+    #: Total payload bytes (without framing).
+    payload_bytes: int = field(init=False, compare=False)
+    #: Total bytes on the wire, including framing.
+    wire_bytes: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind in (PacketKind.EAGER, PacketKind.RDV_DATA) and not self.segments:
             raise ProtocolError(f"{self.kind.value} packet must carry segments")
         if self.src == self.dst:
             raise ProtocolError(f"packet addressed to its own node {self.src!r}")
-
-    @property
-    def payload_bytes(self) -> int:
-        """Total payload bytes (without framing)."""
-        return sum(s.length for s in self.segments)
-
-    @property
-    def wire_bytes(self) -> int:
-        """Total bytes on the wire, including framing."""
-        return (
-            PACKET_HEADER_BYTES
-            + len(self.segments) * HEADER_BYTES_PER_SEGMENT
-            + self.payload_bytes
-        )
+        # Read 7-9 times per packet (driver, stats, receiver, emit sites).
+        payload = sum(s.length for s in self.segments)
+        framing = PACKET_HEADER_BYTES + len(self.segments) * HEADER_BYTES_PER_SEGMENT
+        object.__setattr__(self, "payload_bytes", payload)
+        object.__setattr__(self, "wire_bytes", framing + payload)
 
     @property
     def segment_count(self) -> int:
@@ -176,8 +170,8 @@ class WirePacket:
 
 #: First four bytes of every encoded frame.
 WIRE_MAGIC = b"RWIR"
-#: Current frame format version.
-WIRE_VERSION = 1
+#: Current frame format version (2: binary segment records).
+WIRE_VERSION = 2
 
 # magic(4) version(1) kind(1) flags(1) reserved(1) crc32(4) body_len(u32)
 _PREFIX = struct.Struct("!4sBBBBII")
@@ -187,26 +181,46 @@ _PREFIX = struct.Struct("!4sBBBBII")
 FRAME_PREFIX_BYTES = _PREFIX.size
 # channel_id(i32) src_len(u16) dst_len(u16) meta_len(u32) seg_count(u16)
 _BODY_HEAD = struct.Struct("!iHHIH")
-# desc_len(u32) offset(u64) length(u64)
-_SEG_HEAD = struct.Struct("!IQQ")
+# message_id(u64) index(u32) has_skeleton(u8) offset(u64) length(u64)
+_SEGMENT = struct.Struct("!QIBQQ")
+# flow_id(u32) submit(f64) seq(u32) fragment_count(u32) ctx_len(u32)
+_SKELETON = struct.Struct("!IdIII")
+# one per fragment, in index order: size(u32) express(u8)
+_LAYOUT_ENTRY = struct.Struct("!IB")
 
-# One compact encoder for every meta dict and segment descriptor.
+# One compact encoder for every meta dict and message context.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 _KIND_CODES = {kind: code for code, kind in enumerate(PacketKind)}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedSegment:
-    """One segment as it appears on the wire.
+class MessageSkeleton(NamedTuple):
+    """What a receiver needs to rebuild a message it has not seen.
 
-    ``descriptor`` is the sender's JSON routing record (flow id, fragment
-    index, message layout …) — opaque to the codec; ``data`` is the raw
-    payload slice covering ``[offset, offset + length)`` of the fragment.
+    ``layout`` is ``(size, express)`` per fragment, in index order;
+    ``ctx`` is the message's application context (zero bytes on the
+    wire when empty).
     """
 
-    descriptor: dict[str, Any]
+    flow_id: int
+    submit: float
+    seq: int
+    layout: Sequence[tuple[int, int]]
+    ctx: dict[str, Any]
+
+
+class DecodedSegment(NamedTuple):
+    """One segment as it appears on the wire.
+
+    ``data`` is the raw payload slice covering ``[offset, offset +
+    length)`` of fragment ``index`` of message ``message_id``;
+    ``skeleton`` rides on the message's first segment in the frame.
+    """
+
+    message_id: int
+    index: int
+    skeleton: MessageSkeleton | None
     offset: int
     length: int
     data: bytes
@@ -230,36 +244,42 @@ def encode_frame(
     dst: str,
     channel_id: int,
     meta: dict[str, Any],
-    segments: Sequence[tuple[dict[str, Any], int, int, bytes]] = (),
+    segments: Sequence[tuple] = (),
 ) -> bytes:
     """Serialize one packet's framing and payload into wire bytes.
 
-    Each segment is ``(descriptor, offset, length, payload_bytes)``; the
-    descriptor is any JSON-serializable dict the receiver needs to route
-    the slice.  The returned buffer is self-delimiting (a length field in
-    the prefix) and carries a CRC-32 over everything after the prefix, so
-    :func:`decode_frame` can detect truncation and corruption.
+    Each segment is ``(message_id, index, skeleton, offset, length,
+    data)``, the fields of :class:`DecodedSegment`.  The returned buffer
+    is self-delimiting (a length field in the prefix) and carries a
+    CRC-32 over everything after the prefix, so :func:`decode_frame` can
+    detect truncation and corruption.  A field its wire slot cannot hold
+    (negative, too wide, not a number) is a ``WireError``, never a wrap.
     """
     src_b = src.encode("utf-8")
     dst_b = dst.encode("utf-8")
     meta_b = _dumps(meta).encode("utf-8")
-    parts = [_BODY_HEAD.pack(channel_id, len(src_b), len(dst_b), len(meta_b), len(segments))]
-    parts.append(src_b)
-    parts.append(dst_b)
-    parts.append(meta_b)
-    for descriptor, offset, length, data in segments:
-        if length != len(data):
-            raise WireError(
-                f"segment length field {length} disagrees with payload of {len(data)} bytes"
-            )
-        desc_b = _dumps(descriptor).encode("utf-8")
-        parts.append(_SEG_HEAD.pack(len(desc_b), offset, length))
-        parts.append(desc_b)
-        parts.append(data)
-    body = b"".join(parts)
-    prefix = _PREFIX.pack(
-        WIRE_MAGIC, WIRE_VERSION, _KIND_CODES[kind], 0, 0, zlib.crc32(body), len(body)
-    )
+    try:
+        head = _BODY_HEAD.pack(channel_id, len(src_b), len(dst_b), len(meta_b), len(segments))
+        parts = [head, src_b, dst_b, meta_b]
+        for message_id, index, skeleton, offset, length, data in segments:
+            if length != len(data):
+                raise WireError(
+                    f"segment length field {length} disagrees with payload of {len(data)} bytes"
+                )
+            parts.append(_SEGMENT.pack(message_id, index, skeleton is not None, offset, length))
+            if skeleton is not None:
+                flow_id, submit, seq, layout, ctx = skeleton
+                ctx_b = _dumps(ctx).encode("utf-8") if ctx else b""
+                parts.append(_SKELETON.pack(flow_id, submit, seq, len(layout), len(ctx_b)))
+                parts.extend([_LAYOUT_ENTRY.pack(size, express) for size, express in layout])
+                parts.append(ctx_b)
+            parts.append(data)
+        body = b"".join(parts)
+        prefix = _PREFIX.pack(
+            WIRE_MAGIC, WIRE_VERSION, _KIND_CODES[kind], 0, 0, zlib.crc32(body), len(body)
+        )
+    except struct.error as exc:
+        raise WireError(f"a field does not fit its wire slot: {exc}") from None
     return prefix + body
 
 
@@ -272,18 +292,20 @@ class _Cursor:
         self._data = data
         self._pos = 0
 
+    def _advance(self, n: int, what: str) -> int:
+        start = self._pos
+        if start + n > len(self._data):
+            left = len(self._data) - start
+            raise WireError(f"truncated frame: {what} at byte {start} needs {n}, {left} left")
+        self._pos = start + n
+        return start
+
     def take(self, n: int, what: str) -> bytes:
-        end = self._pos + n
-        if end > len(self._data):
-            raise WireError(
-                f"truncated frame: {what} needs {n} bytes, {len(self._data) - self._pos} left"
-            )
-        chunk = self._data[self._pos : end]
-        self._pos = end
-        return chunk
+        start = self._advance(n, what)
+        return self._data[start : self._pos]
 
     def unpack(self, fmt: struct.Struct, what: str) -> tuple[Any, ...]:
-        return fmt.unpack(self.take(fmt.size, what))
+        return fmt.unpack_from(self._data, self._advance(fmt.size, what))
 
     @property
     def exhausted(self) -> bool:
@@ -293,7 +315,7 @@ class _Cursor:
 def _decode_json(raw: bytes, what: str) -> dict[str, Any]:
     try:
         value = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise WireError(f"malformed {what} JSON: {exc}") from exc
     if not isinstance(value, dict):
         raise WireError(f"{what} must decode to an object, got {type(value).__name__}")
@@ -305,18 +327,14 @@ def decode_frame(data: bytes) -> DecodedFrame:
 
     Raises :class:`~repro.util.errors.WireError` on any malformed input:
     short prefix, bad magic, unsupported version, unknown packet kind,
-    truncated body, CRC mismatch, or garbage JSON.  Trailing bytes after
-    the declared body length are also rejected — the caller is expected
-    to hand exactly one frame (stream splitting happens a layer above).
+    truncated body, CRC mismatch, bad skeleton flag, or garbage JSON.
+    Trailing bytes after the declared body length are also rejected —
+    the caller is expected to hand exactly one frame (stream splitting
+    happens a layer above).
     """
     if len(data) < _PREFIX.size:
         raise WireError(f"frame shorter than {_PREFIX.size}-byte prefix ({len(data)} bytes)")
-    try:
-        magic, version, kind_code, _flags, _reserved, crc, body_len = _PREFIX.unpack(
-            data[: _PREFIX.size]
-        )
-    except struct.error as exc:  # pragma: no cover - length guarded above
-        raise WireError(f"unreadable frame prefix: {exc}") from exc
+    magic, version, kind_code, _flags, _reserved, crc, body_len = _PREFIX.unpack_from(data)
     if magic != WIRE_MAGIC:
         raise WireError(f"bad magic {magic!r} (expected {WIRE_MAGIC!r})")
     if version != WIRE_VERSION:
@@ -336,11 +354,20 @@ def decode_frame(data: bytes) -> DecodedFrame:
     dst = cur.take(dst_len, "dst").decode("utf-8", errors="replace")
     meta = _decode_json(cur.take(meta_len, "meta"), "meta")
     segments = []
-    for i in range(seg_count):
-        desc_len, offset, length = cur.unpack(_SEG_HEAD, f"segment {i} header")
-        descriptor = _decode_json(cur.take(desc_len, f"segment {i} descriptor"), "descriptor")
-        payload = cur.take(length, f"segment {i} payload")
-        segments.append(DecodedSegment(descriptor, offset, length, payload))
+    for _ in range(seg_count):
+        message_id, index, flag, offset, length = cur.unpack(_SEGMENT, "segment header")
+        skeleton = None
+        if flag == 1:
+            flow_id, submit, seq, count, ctx_len = cur.unpack(_SKELETON, "skeleton")
+            layout = cur.take(count * _LAYOUT_ENTRY.size, "layout")
+            ctx = _decode_json(cur.take(ctx_len, "ctx"), "ctx") if ctx_len else {}
+            skeleton = MessageSkeleton(
+                flow_id, submit, seq, tuple(_LAYOUT_ENTRY.iter_unpack(layout)), ctx
+            )
+        elif flag:
+            raise WireError(f"segment of message {message_id} has skeleton flag {flag}")
+        data = cur.take(length, "payload")
+        segments.append(DecodedSegment(message_id, index, skeleton, offset, length, data))
     if not cur.exhausted:
         raise WireError("trailing bytes after last segment")
     return DecodedFrame(kind, src, dst, channel_id, meta, tuple(segments))

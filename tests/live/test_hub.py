@@ -80,7 +80,7 @@ def _hub(loop, chaos=None, explode_on=None):
     delivered = []
 
     def deliver(frame):
-        message_id = frame.segments[0].descriptor["msg"]
+        message_id = frame.segments[0].message_id
         if message_id == explode_on:
             raise WireError("payload mismatch (injected)")
         delivered.append(message_id)
@@ -190,6 +190,23 @@ class TestDoneBatching:
         kinds = [live_ctrl_kind(f) for _, f in conns["n0"].records(TAG_RAW)]
         assert kinds == ["done", None, "done"]
         assert _done_items(conns["n0"]) == [[ids[0]], [ids[1]]]
+
+
+class TestDataBytes:
+    def test_each_data_record_counts_with_its_envelope(self, loop):
+        hub, conns, _ = _hub(loop)
+        message = next_message(Flow(1, "out", "n1", "n0"))
+        fragment = message.add_fragment(8)
+        message.mark_flushed(0.0)
+        packet = WirePacket(
+            kind=PacketKind.EAGER, src="n1", dst="n0", channel_id=0,
+            segments=(WireSegment(fragment, 0, 8),), packet_id=0,
+        )
+        frame = encode_live_packet(packet)
+        hub.send_packet(packet, frame, None)
+        hub.send_done("n0", 5, 0.0)  # a DONE record is not data
+        assert conns["n0"].written[0] == wrap_envelope(frame)
+        assert hub.data_bytes_sent == len(wrap_envelope(frame))
 
 
 class TestDoneBatchingUnderFaults:

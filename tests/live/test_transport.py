@@ -1,6 +1,7 @@
 """Unit tests for the live plane's framing, payloads, clock and mirror."""
 
 import asyncio
+import json
 import time
 from dataclasses import replace
 
@@ -24,8 +25,9 @@ from repro.live.transport import (
     wrap_envelope,
 )
 from repro.madeleine.message import Flow, Message
+from repro.network import wire
 from repro.network.wire import (
-    DecodedSegment,
+    MessageSkeleton,
     PacketKind,
     WirePacket,
     WireSegment,
@@ -255,9 +257,10 @@ class TestMirrorReceiver:
         flow = Flow(0, "t-forged", "n0", "n1")
         _, packet = _sent_packet(flow)
         frame = _decode_one(encode_live_packet(packet))
-        frame.segments[0].descriptor["msg"] += 1
+        seg = frame.segments[0]
+        forged = replace(frame, segments=(seg._replace(message_id=seg.message_id + 1),))
         with pytest.raises(ProtocolError, match="names message"):
-            self._pair(flow).packet_from_frame(frame, 0)
+            self._pair(flow).packet_from_frame(forged, 0)
 
     def test_forget_from_drops_every_open_mirror_of_a_sender(self):
         flows = [Flow(0, "a", "n0", "n2"), Flow(1, "b", "n1", "n2")]
@@ -307,24 +310,11 @@ class TestMirrorReceiver:
         # The codec CRC catches wire flips, so model corruption *past*
         # the codec: same frame, segment data replaced by zeros.
         frame = _decode_one(encode_live_packet(packet))
-
-        class _Seg:
-            descriptor = frame.segments[0].descriptor
-            offset = frame.segments[0].offset
-            length = frame.segments[0].length
-            data = bytes(frame.segments[0].length)  # zeros != pattern
-
-        class _Frame:
-            kind = frame.kind
-            src = frame.src
-            dst = frame.dst
-            channel_id = frame.channel_id
-            meta = frame.meta
-            segments = [_Seg]
-
+        seg = frame.segments[0]
+        zeros = seg._replace(data=bytes(seg.length))  # zeros != pattern
         mirror = self._pair(flow)
         with pytest.raises(WireError):
-            mirror.packet_from_frame(_Frame, 0)
+            mirror.packet_from_frame(replace(frame, segments=(zeros,)), 0)
         assert mirror.corrupt_slices == 1
 
     @given(data=st.data())
@@ -350,7 +340,7 @@ class TestMirrorReceiver:
         seg = segments[victim]
         mutated = bytearray(seg.data)
         mutated[at] ^= flip
-        segments[victim] = DecodedSegment(seg.descriptor, seg.offset, seg.length, bytes(mutated))
+        segments[victim] = seg._replace(data=bytes(mutated))
         mirror = self._pair(flow)
         with pytest.raises(WireError, match="payload mismatch"):
             mirror.packet_from_frame(replace(frame, segments=tuple(segments)), 0)
@@ -359,7 +349,7 @@ class TestMirrorReceiver:
 
     def test_skeleton_once_per_message_per_frame(self):
         """A message's first segment in a frame carries the skeleton,
-        its later ones ``{"msg", "idx"}``; the next frame starts over."""
+        its later ones none; the next frame starts over."""
         flow = Flow(0, "t-skeleton", "n0", "n1")
         packets = []
         for _ in range(2):
@@ -377,12 +367,11 @@ class TestMirrorReceiver:
             packet_id=0,
         )
         frame = _decode_one(encode_live_packet(packet))
-        short = {"msg": m0.message_id, "idx": 0}
-        assert [sorted(s.descriptor) for s in frame.segments] == [
-            sorted(["flow", "msg", "idx", "layout", "submit", "seq", "ctx"])
-        ] * 2 + [["idx", "msg"]] * 2
-        assert frame.segments[2].descriptor == short
-        assert frame.segments[3].descriptor == {"msg": m0.message_id, "idx": 1}
+        assert [s.skeleton is not None for s in frame.segments] == [True, True, False, False]
+        assert frame.segments[0].skeleton == MessageSkeleton(
+            flow.flow_id, 0.0, m0.seq, ((100, False), (50, False)), {}
+        )
+        assert [s[:2] for s in frame.segments[2:]] == [(m0.message_id, 0), (m0.message_id, 1)]
         mirror = self._pair(flow)
         rebuilt = mirror.packet_from_frame(frame, 0)
         assert [(s.payload.message.message_id, s.payload.index, s.offset, s.length)
@@ -397,20 +386,58 @@ class TestMirrorReceiver:
             kind=PacketKind.EAGER, src="n0", dst="n1", channel_id=0,
             segments=(WireSegment(b1, 0, 50),), packet_id=1,
         )
-        assert "layout" in _decode_one(encode_live_packet(tail)).segments[0].descriptor
+        assert _decode_one(encode_live_packet(tail)).segments[0].skeleton is not None
 
     def test_short_descriptor_without_a_mirror_rejected(self):
         flow = Flow(0, "t-short", "n0", "n1")
         message, packet = _sent_packet(flow)
         frame = _decode_one(encode_live_packet(packet))
-        seg = frame.segments[0]
-        short = DecodedSegment(
-            {"msg": message.message_id, "idx": 0}, seg.offset, seg.length, seg.data
-        )
+        short = frame.segments[0]._replace(skeleton=None)
         mirror = self._pair(flow)
-        with pytest.raises(WireError, match="descriptor missing"):
+        with pytest.raises(WireError, match="no skeleton"):
             mirror.packet_from_frame(replace(frame, segments=(short,)), 0)
         assert mirror.open_mirrors == 0 and mirror.bytes_verified == 0
+
+    def test_index_outside_the_layout_rejected(self):
+        flow = Flow(0, "t-index", "n0", "n1")
+        _, packet = _sent_packet(flow)
+        frame = _decode_one(encode_live_packet(packet))
+        beyond = frame.segments[0]._replace(index=1)
+        with pytest.raises(WireError, match="outside mirror layout"):
+            self._pair(flow).packet_from_frame(replace(frame, segments=(beyond,)), 0)
+
+    @pytest.mark.parametrize("context, json_calls", [(None, 1), ({"tag": 7}, 2)])
+    def test_no_json_per_segment(self, monkeypatch, context, json_calls):
+        """JSON is spent on the frame's ``meta`` and on a non-empty
+        context, never per segment: 16 two-fragment messages, one frame."""
+        flow = Flow(0, "t-json", "n0", "n1")
+        segments = []
+        for i in range(16):
+            message = next_message(flow, context if i == 3 else None)
+            for size in (16, 256):
+                segments.append(WireSegment(message.add_fragment(size, express=size == 16), 0, size))
+            message.mark_flushed(0.0)
+        packet = WirePacket(
+            kind=PacketKind.EAGER, src="n0", dst="n1", channel_id=0,
+            segments=tuple(segments), packet_id=0,
+        )
+        calls = {"dumps": 0, "loads": 0}
+        dumps, loads = wire._dumps, json.loads
+
+        def counted_dumps(value):
+            calls["dumps"] += 1
+            return dumps(value)
+
+        def counted_loads(text):
+            calls["loads"] += 1
+            return loads(text)
+
+        monkeypatch.setattr(wire, "_dumps", counted_dumps)
+        monkeypatch.setattr(json, "loads", counted_loads)
+        rebuilt = self._pair(flow).packet_from_frame(_decode_one(encode_live_packet(packet)), 0)
+        assert calls == {"dumps": json_calls, "loads": json_calls}
+        assert len(rebuilt.segments) == 32
+        assert rebuilt.segments[6].payload.message.context == (context or {})
 
     def test_unknown_flow_rejected(self):
         flow = Flow(0, "t-unknown", "n0", "n1")
