@@ -114,10 +114,6 @@ class CommEngineBase:
         #: ``(release_bytes, release_pending, rails)``, the tightest Hold of a
         #: pump where every idle rail only held; the next pump or kick clears it.
         self._standing: tuple[float, float, int] | None = None
-        #: Read-only tail statistics, set by the observability plane at
-        #: install time (None without a plane that records tails).  The
-        #: rail selector reads it when a ``tuner`` block installs one.
-        self.tail_view = None
         #: Optional driver-iteration reorderer (``order(drivers)``), installed
         #: by the tuner's rail selection; None iterates ``self.drivers`` as built.
         self.rail_selector = None

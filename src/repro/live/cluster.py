@@ -64,7 +64,6 @@ from repro.obs.causal import export_blame
 from repro.obs.merge import (
     MergedTrace,
     OffsetSample,
-    aggregate_registries,
     align_events,
     estimate_offsets,
     extract_crossings,
@@ -72,7 +71,7 @@ from repro.obs.merge import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.plane import ObservabilityConfig
-from repro.obs.tails import SLObjective, TailView, evaluate_slo_offline
+from repro.obs.tails import SLObjective, evaluate_slo_offline
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
 from repro.runtime.cluster import Cluster, check_topology
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
@@ -107,7 +106,7 @@ class LiveRunResult:
     #: None when the run carried no observability.
     cluster_registry: MetricsRegistry | None = None
     #: Cluster tail view (:func:`_tails` over the aligned trace: exact
-    #: per-edge p50..p999, SLO burn rates, per-rail service tails,
+    #: per-edge latency and per-rail service tails, SLO burn rates,
     #: blame); edges, rails and blame are empty when the run was not
     #: traced.
     tails: dict[str, Any] = field(default_factory=dict)
@@ -176,10 +175,7 @@ class _ObsState:
     def tails(self) -> dict[str, Any]:
         """In-flight cluster tail view for ``GET /tails``: the post-run
         :attr:`LiveRunResult.tails` payload over the events merged so far."""
-        analysis = self._analysis()
-        with self._lock:
-            per_peer = dict(self._collector.metrics_by_peer)
-        return _tails(analysis, per_peer, self._objectives)
+        return _tails(self._analysis(), self._objectives)
 
     def status(self) -> dict[str, Any]:
         with self._lock:
@@ -228,23 +224,20 @@ class _ObsState:
 
 
 def _tails(
-    analysis: "TraceAnalysis",
-    metrics_by_peer: Mapping[str, Mapping[str, Any]],
-    objectives: tuple[SLObjective, ...],
+    analysis: "TraceAnalysis", objectives: tuple[SLObjective, ...]
 ) -> dict[str, Any]:
-    """The cluster tail view, from one analysis of an aligned merge.
-
-    Edge latency and the SLO verdicts are exact, over the trace's
-    crossings; rail service tails come from the peers' sketches merged
-    level-wise (rail series never collide: each carries its NIC's name).
-    """
-    rails = TailView(aggregate_registries(metrics_by_peer.values())).rails()
+    """The cluster tail view, from one analysis of an aligned merge:
+    edge latency, the SLO verdicts over it and rail service time are all
+    exact, over the trace (rail names never collide across peers: each
+    NIC's name carries its node)."""
     payload: dict[str, Any] = {
         "edges": {
             name: edge.stats().to_dict()
             for name, edge in sorted(analysis.edges.items())
         },
-        "rails": {nic: stats.to_dict() for nic, stats in sorted(rails.items())},
+        "rails": {
+            nic: rail.stats().to_dict() for nic, rail in sorted(analysis.rails.items())
+        },
         "blame": analysis.report.summary(),
     }
     if objectives:
@@ -503,8 +496,7 @@ def _validate(
             )
     build_workloads(scenario)
     if scenario.get("tuner") is not None:
-        trace = bool(observability.get("trace"))
-        Cluster(**spec, observability={"trace": trace}, tuner=scenario["tuner"])
+        Cluster(**spec, tuner=scenario["tuner"])
     return spec["n_nodes"], chaos, obs_config.slo
 
 
@@ -770,10 +762,11 @@ def _merge_run(
                 {"reason": dead.reason},
                 help="Peers declared dead by the coordinator watchdog",
             ).inc()
-            coord.sketch(
+            coord.gauge(
                 "repro_peer_time_to_detect_seconds",
+                {"node": dead.node},
                 help="Silence-to-declaration latency per declared death",
-            ).observe(dead.time_to_detect)
+            ).set(dead.time_to_detect)
         obs.metrics_by_peer["coordinator"] = coord.to_snapshot()
     cluster_registry = (
         merge_registries(obs.metrics_by_peer) if obs.metrics_by_peer else None
@@ -803,7 +796,7 @@ def _merge_run(
     # Post-run tail view and causal attribution over the offset-aligned
     # merged trace — the coordinator is the only vantage point that sees
     # a sender's submit and the receiver's delivery in one stream.
-    tails = _tails(analyze_events(aligned), obs.metrics_by_peer, slo_objectives)
+    tails = _tails(analyze_events(aligned), slo_objectives)
     if cluster_registry is not None:
         export_blame(tails["blame"]["edges"], cluster_registry)
     return LiveRunResult(

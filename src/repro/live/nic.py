@@ -142,7 +142,6 @@ class LiveNIC(NIC):
         """
         self.stats.busy_time += (time.perf_counter() - started) / self._sim.time_scale
         self.drains += 1
-        # The inherited _complete() emits nic.idle, which both closes
-        # the Perfetto send span and ends the tail recorder's per-rail
-        # service-time span (send -> drained, measured not modeled).
+        # The inherited _complete() closes the NIC's service span (send
+        # -> drained, measured not modeled) and emits nic.idle.
         self._complete()

@@ -29,6 +29,7 @@ sequencing, retransmission) instead of going straight to the fabric.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -40,7 +41,11 @@ from repro.util.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.reliable import ReliableTransport
 
-__all__ = ["NIC", "NicStats"]
+__all__ = ["NIC", "NicStats", "SERVICE_WINDOW"]
+
+#: Send → idle spans a NIC keeps in :attr:`NIC.service_us`: a p99 over
+#: 1,024 spans leaves at least ten samples beyond it.
+SERVICE_WINDOW = 1024
 
 
 @dataclass(slots=True)
@@ -96,6 +101,12 @@ class NIC:
         self._fail_subscribers: list[Callable[["NIC"], None]] = []
         self._recover_subscribers: list[Callable[["NIC"], None]] = []
         self.stats = NicStats()
+        #: The last :data:`SERVICE_WINDOW` service times (microseconds),
+        #: each from a send to the idle transition it ends.  A span cut
+        #: by an outage is not service time and is not kept.  Kept here,
+        #: not in ``stats``, because reports copy every ``NicStats`` slot.
+        self.service_us: deque[float] = deque(maxlen=SERVICE_WINDOW)
+        self._sent_at: float | None = None
         #: Set by Network.attach; None for NICs built outside a fabric.
         self.network = None
         #: Reliability layer routing this NIC's deliveries; None = direct.
@@ -148,6 +159,7 @@ class NIC:
         if self._failed:
             return
         self._failed = True
+        self._sent_at = None
         self.stats.failures += 1
         tracer = self._sim.tracer
         if tracer.enabled:
@@ -196,6 +208,7 @@ class NIC:
                 f"packet from {packet.src!r}"
             )
         self._busy = True
+        self._sent_at = self._sim.now
         self.stats.requests += 1
         self.stats.payload_bytes += packet.payload_bytes
         self.stats.wire_bytes += packet.wire_bytes
@@ -248,9 +261,12 @@ class NIC:
             # Rail went down mid-transfer: the packet made it out, but
             # the NIC must not advertise capacity it no longer has.
             return
+        now = self._sim.now
+        if self._sent_at is not None:
+            self.service_us.append((now - self._sent_at) * 1e6)
         tracer = self._sim.tracer
         if tracer.enabled:
-            tracer.emit(self._sim.now, f"nic:{self.name}", "nic.idle")
+            tracer.emit(now, f"nic:{self.name}", "nic.idle")
         for callback in self._idle_subscribers:
             callback(self)
             if self._busy:

@@ -28,10 +28,11 @@ streams and registries, :mod:`repro.obs.serve` exposes the cluster
 registry over HTTP during the run, and :mod:`repro.obs.diff` gates two
 runs against each other (``python -m repro obs diff A B --check``).
 
-Per-edge one-way latency and its SLO verdicts are computed once,
-exactly, from the (aligned) trace by :mod:`repro.obs.analyze`; the
-online sketches of :mod:`repro.obs.tails` keep only the rail service
-time the tuner reads.
+Per-edge one-way latency, its SLO verdicts and per-rail service time
+are computed once, exactly, from the (aligned) trace by
+:mod:`repro.obs.analyze`.  The plane keeps no online quantile state and
+nothing in it steers dispatch: the rail tails the tuner acts on are the
+NICs' own windows (:attr:`repro.network.nic.NIC.service_us`).
 """
 
 from repro.obs.causal import (
@@ -47,18 +48,12 @@ from repro.obs.merge import (
     Crossing,
     MergedTrace,
     OffsetSample,
-    aggregate_registries,
     align_events,
     estimate_offsets,
     extract_crossings,
     merge_registries,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    QuantileSketch,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
 from repro.obs.sampler import ObservabilitySampler
@@ -67,9 +62,7 @@ from repro.obs.spans import Leg, MessageChain, SpanCollector
 from repro.obs.tails import (
     SLObjective,
     SLOStatus,
-    TailRecorder,
     TailStats,
-    TailView,
     evaluate_slo_offline,
     parse_slo,
 )
@@ -91,15 +84,11 @@ __all__ = [
     "ObservabilityPlane",
     "ObservabilitySampler",
     "OffsetSample",
-    "QuantileSketch",
     "RingBufferSink",
     "SLObjective",
     "SLOStatus",
     "SpanCollector",
-    "TailRecorder",
     "TailStats",
-    "TailView",
-    "aggregate_registries",
     "align_events",
     "attribute_chain",
     "attribute_events",

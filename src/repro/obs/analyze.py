@@ -18,11 +18,14 @@ the Chrome trace-event format) and reconstructs the run's story:
   :mod:`repro.obs.merge`) a crossing is a correlated ``live.recv``
   record; on a simulated trace it is an ``rx.deliver`` closing the
   ``nic.send`` of the same ``{sender}#{packet}`` (the latest send, the
-  first delivery).  Beside it: the aggregation ratio achieved on each
-  wire (segments per data packet, per ``src->dst`` edge), retransmit
-  storms (bursts of ``rel.retransmit`` events), and hold-timer
-  starvation (samples where a Nagle hold was armed while every NIC sat
-  idle — traffic waiting on a timer with the wire free);
+  first delivery).  Per-rail service time is read the same way: a
+  ``nic.send`` opens its NIC's span, the next ``nic.idle`` closes it and
+  a ``nic.fail`` drops it (an outage is not service time).  Beside them:
+  the aggregation ratio achieved on each wire (segments per data
+  packet, per ``src->dst`` edge), retransmit storms (bursts of
+  ``rel.retransmit`` events), and hold-timer starvation (samples where
+  a Nagle hold was armed while every NIC sat idle — traffic waiting on
+  a timer with the wire free);
 * with ``--scenario``, the exact multi-window SLO burn rates of the
   scenario's objectives over those crossings (``--check`` turns a
   violation, or a trace without crossings, into exit status 1).
@@ -107,12 +110,17 @@ class _Series:
 
 
 @dataclass
-class _EdgeStats:
-    """One-way latency samples for one ``src->dst`` wire edge."""
+class _Spans:
+    """Timed durations (seconds): the one-way latencies of one
+    ``src->dst`` wire edge, or the service times of one rail."""
 
     latencies: list[float] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)  #: arrival times (parallel)
+    times: list[float] = field(default_factory=list)  #: end times (parallel)
     clamped: int = 0  #: crossings whose aligned latency was clamped to 0
+
+    def add(self, duration: float, time: float) -> None:
+        self.latencies.append(duration)
+        self.times.append(time)
 
     def tails(self) -> dict[str, float]:
         """Exact latency columns (seconds), keyed as :data:`_EDGE_TAILS`."""
@@ -121,7 +129,7 @@ class _EdgeStats:
 
     def stats(self) -> TailStats:
         """The same columns in microseconds, plus the mean (an entry of a
-        live run's ``tails["edges"]``)."""
+        live run's ``tails["edges"]`` or ``tails["rails"]``)."""
         tails = self.tails()
         return TailStats(
             self.count,
@@ -173,7 +181,9 @@ class TraceAnalysis:
     #: regime label -> decide records carrying it (auto strategy).
     regimes: dict[str, int] = field(default_factory=dict)
     #: cross-peer view: "src->dst" -> correlated one-way latencies.
-    edges: dict[str, _EdgeStats] = field(default_factory=dict)
+    edges: dict[str, _Spans] = field(default_factory=dict)
+    #: NIC name -> service times, each a ``nic.send`` to its ``nic.idle``.
+    rails: dict[str, _Spans] = field(default_factory=dict)
     #: "src->dst" -> per-wire aggregation accounting (from nic.send).
     wire_agg: dict[str, _WireAgg] = field(default_factory=dict)
     retransmit_count: int = 0
@@ -207,6 +217,8 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
     spans = SpanCollector()
     #: "{sender}#{packet}" -> (send time, sender) of sim sends in flight.
     in_flight: dict[str, tuple[float, str]] = {}
+    #: NIC source -> send time of the span it is serving.
+    serving: dict[str, float] = {}
     for event in events:
         analysis.kinds[event.kind] = analysis.kinds.get(event.kind, 0) + 1
         spans.ingest(event)
@@ -224,7 +236,15 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
         elif event.kind == "live.recv":
             _ingest_crossing(analysis, event)
         elif event.kind == "nic.send":
+            serving[event.source] = event.time
             _ingest_send(analysis, event, in_flight)
+        elif event.kind == "nic.idle":
+            sent = serving.pop(event.source, None)
+            if sent is not None:
+                rail = analysis.rails.setdefault(event.source.partition(":")[2], _Spans())
+                rail.add(event.time - sent, event.time)
+        elif event.kind == "nic.fail":
+            serving.pop(event.source, None)
         elif event.kind == "rx.deliver":
             _ingest_deliver(analysis, event, in_flight)
         elif event.kind == "rel.retransmit":
@@ -276,13 +296,12 @@ def _add_crossing(
     analysis: TraceAnalysis, src: str, dst: str, send_time: float, time: float
 ) -> None:
     """One wire crossing of the ``src->dst`` edge, received at ``time``."""
-    edge = analysis.edges.setdefault(f"{src}->{dst}", _EdgeStats())
+    edge = analysis.edges.setdefault(f"{src}->{dst}", _Spans())
     latency = time - send_time
     if latency < 0:  # unaligned raw clocks can do this; never report it
         latency = 0.0
         edge.clamped += 1
-    edge.latencies.append(latency)
-    edge.times.append(time)
+    edge.add(latency, time)
 
 
 def _ingest_crossing(analysis: TraceAnalysis, event: TraceEvent) -> None:
@@ -413,17 +432,22 @@ def render(analysis: TraceAnalysis, *, width: int = 60, top: int = 5) -> str:
             f"peak {series.peak[1]:.0f}"
         )
 
-    if analysis.edges:
+    for title, table in (
+        ("cross-peer wire crossings (correlated one-way latency):", analysis.edges),
+        ("NIC service time (send to idle):", analysis.rails),
+    ):
+        if not table:
+            continue
         lines.append("")
-        lines.append("cross-peer wire crossings (correlated one-way latency):")
-        name_width = max(len(e) for e in analysis.edges)
-        for edge_name in sorted(analysis.edges):
-            edge = analysis.edges[edge_name]
-            clamp = f"  clamped {edge.clamped}" if edge.clamped else ""
+        lines.append(title)
+        name_width = max(len(name) for name in table)
+        for name in sorted(table):
+            spans = table[name]
+            clamp = f"  clamped {spans.clamped}" if spans.clamped else ""
             columns = "  ".join(
-                f"{label} {format_time(value)}" for label, value in edge.tails().items()
+                f"{label} {format_time(value)}" for label, value in spans.tails().items()
             )
-            lines.append(f"  {edge_name:<{name_width}}  n={edge.count:<6} {columns}{clamp}")
+            lines.append(f"  {name:<{name_width}}  n={spans.count:<6} {columns}{clamp}")
 
     if analysis.wire_agg:
         lines.append("")

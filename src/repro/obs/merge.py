@@ -24,16 +24,11 @@ process*.  This module turns those fragments into one coherent picture:
 * **Registry merging** — :func:`merge_registries` builds the
   cluster-level :class:`~repro.obs.metrics.MetricsRegistry`: every
   per-peer instrument reappears with a ``peer`` label.
-  :func:`aggregate_registries` collapses same-name/same-label
-  instruments across inputs instead: counters sum (associative and
-  commutative), gauges take the last writer, and quantile sketches
-  merge level-wise (:meth:`QuantileSketch.merge`), which replaces
-  raw-sample pooling for cross-peer rail percentiles.
 
-Per-edge one-way latency needs no correction of its own: it is read
-exactly from the aligned trace (:func:`repro.obs.analyze.analyze_events`
-over :func:`align_events` output), so the clock offsets are applied once,
-to the events.
+Per-edge one-way latency and per-rail service time need no merge of
+their own: both are read exactly from the aligned trace
+(:func:`repro.obs.analyze.analyze_events` over :func:`align_events`
+output), so the clock offsets are applied once, to the events.
 """
 
 from __future__ import annotations
@@ -41,13 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    QuantileSketch,
-    snapshot_entry,
-)
+from repro.obs.metrics import MetricsRegistry, snapshot_entry
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent
 
@@ -60,7 +49,6 @@ __all__ = [
     "extract_crossings",
     "align_events",
     "merge_registries",
-    "aggregate_registries",
 ]
 
 #: Trace-event kind emitted by a live peer when a wire frame is decoded
@@ -254,12 +242,6 @@ def align_events(
 # ----------------------------------------------------------------------
 # metric registries
 # ----------------------------------------------------------------------
-def _as_registry(source: "MetricsRegistry | Mapping[str, Any]") -> MetricsRegistry:
-    if isinstance(source, MetricsRegistry):
-        return source
-    return MetricsRegistry.from_snapshot(source)
-
-
 def merge_registries(
     per_peer: Mapping[str, "MetricsRegistry | Mapping[str, Any]"],
     *,
@@ -271,12 +253,15 @@ def merge_registries(
     :meth:`~repro.obs.metrics.MetricsRegistry.to_snapshot` payload, as
     shipped over the control protocol).  Series from different peers
     can never collide — the added label disambiguates them — so this is
-    a pure relabeling, not a numeric merge; use
-    :func:`aggregate_registries` for cluster totals.
+    a pure relabeling, not a numeric merge.
     """
     cluster = MetricsRegistry()
     for peer, source in sorted(per_peer.items()):
-        registry = _as_registry(source)
+        registry = (
+            source
+            if isinstance(source, MetricsRegistry)
+            else MetricsRegistry.from_snapshot(source)
+        )
         for metric in registry:
             labels = dict(metric.labels)
             if label in labels:
@@ -286,48 +271,8 @@ def merge_registries(
                 )
             labels[label] = peer
             help_text = registry._help.get(metric.name, "")
-            # Adopt through the snapshot path: sketch state is copied
-            # verbatim (no float drift) and kind/name validation applies.
+            # Adopt through the snapshot path: kind/name validation applies.
             cluster._insert_snapshot_entry(
                 snapshot_entry(metric, help_text, labels.items())
             )
     return cluster
-
-
-def aggregate_registries(
-    sources: Iterable["MetricsRegistry | Mapping[str, Any]"],
-) -> MetricsRegistry:
-    """Collapse same-series instruments across inputs into totals.
-
-    Counters sum (so the operation is associative and commutative up to
-    float addition), gauges keep the last writer in input order, and
-    quantile sketches merge level-wise via :meth:`QuantileSketch.merge`.
-    Inputs disagreeing on a metric's *kind* are a configuration error,
-    same as within one registry.
-    """
-    out = MetricsRegistry()
-    for source in sources:
-        registry = _as_registry(source)
-        for metric in registry:
-            labels = dict(metric.labels)
-            help_text = registry._help.get(metric.name, "")
-            if isinstance(metric, Counter):
-                out.counter(metric.name, labels, help=help_text).inc(metric.value)
-            elif isinstance(metric, Gauge):
-                out.gauge(metric.name, labels, help=help_text).set(metric.value)
-            elif isinstance(metric, QuantileSketch):
-                kind = metric.kind
-                known = out._kinds.get(metric.name)
-                if known is not None and known != kind:
-                    raise ConfigurationError(
-                        f"metric {metric.name!r} is a {known}, not a {kind}"
-                    )
-                existing = out.get(metric.name, labels)
-                if existing is None:
-                    out._insert_snapshot_entry(
-                        snapshot_entry(metric, help_text, labels.items())
-                    )
-                else:
-                    existing.merge(metric)
-    return out
-

@@ -1,11 +1,11 @@
-"""Time-series metrics primitives: counters, gauges, quantile sketches.
+"""Time-series metrics primitives: counters and gauges.
 
 A :class:`MetricsRegistry` is the observability plane's numeric store.
 It deliberately mirrors the Prometheus data model — counters only go up,
 gauges go anywhere — so :meth:`MetricsRegistry.to_prometheus` can render
-the standard text exposition format without translation.  The one
-distribution instrument is the mergeable
-:class:`~repro.obs.sketch.QuantileSketch`, exposed as a ``summary``.
+the standard text exposition format without translation.  There is no
+distribution instrument: every tail the program reports is exact, from
+the records or the trace (:mod:`repro.obs.analyze`).
 
 Metrics are identified by ``(name, labels)``.  Labels are ordinary
 dicts at the call site and frozen into a sorted tuple internally, so
@@ -18,10 +18,9 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Mapping
 
-from repro.obs.sketch import DEFAULT_K, SUMMARY_QUANTILES, QuantileSketch
 from repro.util.errors import ConfigurationError
 
-__all__ = ["Counter", "Gauge", "QuantileSketch", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 #: Frozen label form: sorted (key, value) pairs.
 LabelKey = tuple[tuple[str, str], ...]
@@ -54,11 +53,10 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", r"\\").replace("\n", r"\n")
 
 
-def _format_labels(labels: LabelKey, extra: tuple[tuple[str, str], ...] = ()) -> str:
-    pairs = labels + extra
-    if not pairs:
+def _format_labels(labels: LabelKey) -> str:
+    if not labels:
         return ""
-    body = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in pairs)
+    body = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in labels)
     return "{" + body + "}"
 
 
@@ -122,17 +120,16 @@ class Gauge:
 
 
 #: Any registry instrument.
-Instrument = Counter | Gauge | QuantileSketch
+Instrument = Counter | Gauge
 
 
 class MetricsRegistry:
     """Named instruments plus the Prometheus text renderer.
 
-    ``counter``/``gauge``/``sketch`` are get-or-create: the first call
-    fixes the instrument's type (and a sketch's ``k``); re-requesting the
-    same name with a different type is an error — two components
-    silently writing different shapes to one name would corrupt the
-    export.
+    ``counter``/``gauge`` are get-or-create: the first call fixes the
+    instrument's type; re-requesting the same name with a different type
+    is an error — two components silently writing different shapes to
+    one name would corrupt the export.
     """
 
     def __init__(self, namespace: str = "repro") -> None:
@@ -151,7 +148,6 @@ class MetricsRegistry:
         name: str,
         labels: Mapping[str, object] | None,
         help: str,
-        **kwargs,
     ):
         if not _METRIC_NAME_RE.match(name or ""):
             raise ConfigurationError(
@@ -166,7 +162,7 @@ class MetricsRegistry:
         key = (name, _freeze_labels(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = factory(name, key[1], **kwargs)
+            metric = factory(name, key[1])
             self._metrics[key] = metric
             self._kinds[name] = kind
             if help and name not in self._help:
@@ -185,17 +181,6 @@ class MetricsRegistry:
         """Get or create the gauge at ``(name, labels)``."""
         return self._get(Gauge, "gauge", name, labels, help)
 
-    def sketch(
-        self,
-        name: str,
-        labels: Mapping[str, object] | None = None,
-        help: str = "",
-        *,
-        k: int = DEFAULT_K,
-    ) -> QuantileSketch:
-        """Get or create the quantile sketch (``k`` fixed on first call)."""
-        return self._get(QuantileSketch, "sketch", name, labels, help, k=k)
-
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
@@ -211,14 +196,6 @@ class MetricsRegistry:
         """The instrument at ``(name, labels)``, or None."""
         return self._metrics.get((name, _freeze_labels(labels)))
 
-    def sketches(self) -> "Iterable[QuantileSketch]":
-        """All sketch instruments, in sorted ``(name, labels)`` order."""
-        return [
-            metric
-            for (_, _), metric in sorted(self._metrics.items())
-            if isinstance(metric, QuantileSketch)
-        ]
-
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
@@ -232,25 +209,11 @@ class MetricsRegistry:
             help_text = self._help.get(name)
             if help_text:
                 lines.append(f"# HELP {name} {_escape_help(help_text)}")
-            # Sketches render as the Prometheus `summary` type: the
-            # exposition format has no native sketch kind, and summary
-            # (pre-computed quantiles + sum + count) is exactly the view
-            # a scraper wants.
-            exposed_kind = "summary" if self._kinds[name] == "sketch" else self._kinds[name]
-            lines.append(f"# TYPE {name} {exposed_kind}")
+            lines.append(f"# TYPE {name} {self._kinds[name]}")
             for metric in metrics:
-                if isinstance(metric, QuantileSketch):
-                    for q in SUMMARY_QUANTILES:
-                        label_text = _format_labels(
-                            metric.labels, (("quantile", _num(q)),)
-                        )
-                        lines.append(f"{name}{label_text} {_num(metric.quantile(q))}")
-                    label_text = _format_labels(metric.labels)
-                    lines.append(f"{name}_sum{label_text} {_num(metric.total)}")
-                    lines.append(f"{name}_count{label_text} {metric.count}")
-                else:
-                    label_text = _format_labels(metric.labels)
-                    lines.append(f"{name}{label_text} {_num(metric.value)}")
+                lines.append(
+                    f"{name}{_format_labels(metric.labels)} {_num(metric.value)}"
+                )
         return "\n".join(lines) + ("\n" if lines else "")
 
     # ------------------------------------------------------------------
@@ -293,17 +256,11 @@ class MetricsRegistry:
             raise ConfigurationError(
                 f"duplicate snapshot series {name!r} {dict(labels)!r}"
             )
-        metric: Instrument
-        if kind == "counter":
-            metric = Counter(name, labels)
-            metric.value = float(entry.get("value", 0.0))
-        elif kind == "gauge":
-            metric = Gauge(name, labels)
-            metric.value = float(entry.get("value", 0.0))
-        elif kind == "sketch":
-            metric = QuantileSketch._restore(name, labels, entry)
-        else:
+        factory = {"counter": Counter, "gauge": Gauge}.get(kind)
+        if factory is None:
             raise ConfigurationError(f"unknown metric kind {kind!r} in snapshot")
+        metric = factory(name, labels)
+        metric.value = float(entry.get("value", 0.0))
         self._metrics[key] = metric
         self._kinds[name] = kind
         help_text = entry.get("help")
@@ -317,17 +274,13 @@ def snapshot_entry(
     labels: Iterable[tuple[str, str]],
 ) -> dict[str, Any]:
     """Snapshot-shaped dict for one instrument under the given labels."""
-    entry: dict[str, Any] = {
+    return {
         "name": metric.name,
         "kind": metric.kind,
         "labels": [list(pair) for pair in labels],
         "help": help_text,
+        "value": metric.value,
     }
-    if isinstance(metric, QuantileSketch):
-        entry.update(metric.state())
-    else:
-        entry["value"] = metric.value
-    return entry
 
 
 def _num(value: float) -> str:

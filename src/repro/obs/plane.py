@@ -14,6 +14,11 @@ producing events; with no plane installed those sites stay on the
 NullTracer fast path (one attribute read, one branch, no detail-dict
 allocation).
 
+Nothing the plane records is read back by dispatch: the rail tails the
+tuner acts on are kept by the NICs themselves
+(:attr:`~repro.network.nic.NIC.service_us`), so a plane changes what a
+run knows about itself, never what it does.
+
 Scenarios opt in with a top-level ``"observability"`` block::
 
     "observability": {
@@ -42,7 +47,7 @@ from repro.obs.export import write_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
 from repro.obs.sampler import ObservabilitySampler
-from repro.obs.tails import SLObjective, TailRecorder, TailView, parse_slo
+from repro.obs.tails import SLObjective, parse_slo
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent
 
@@ -68,8 +73,7 @@ class ObservabilityConfig:
     trace:
         When false, no trace sink is subscribed — the plane only
         samples into the metrics registry, and the per-event emit
-        sites stay on their disabled fast path.  The rail sketches ride
-        the same subscription, so they are also off.
+        sites stay on their disabled fast path.
     slo:
         Edge latency objectives.  The plane does not evaluate them; the
         exact multi-window verdicts come from the trace, after the run
@@ -122,8 +126,6 @@ class ObservabilityPlane:
         self.registry = MetricsRegistry()
         self.sink = None
         self.sampler: ObservabilitySampler | None = None
-        self.tail_view = TailView(self.registry)
-        self.tail_recorder: TailRecorder | None = None
         self._attributes_blame = sink is None
         self._cluster: "Cluster | None" = None
         if self.config.trace:
@@ -133,7 +135,6 @@ class ObservabilityPlane:
                 self.sink = RingBufferSink(self.config.ring_buffer)
             else:
                 self.sink = ListSink()
-            self.tail_recorder = TailRecorder(self.registry)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -145,16 +146,6 @@ class ObservabilityPlane:
         self._cluster = cluster
         if self.sink is not None:
             cluster.sim.tracer.subscribe(self.sink)
-        if self.tail_recorder is not None:
-            cluster.sim.tracer.subscribe(self.tail_recorder)
-        # The view is read-only; handing it to every engine changes
-        # dispatch only where a ``tuner`` block installs a rail selector
-        # on it.  Without the recorder (``"trace": false``) nothing
-        # would ever feed it, so engines keep ``tail_view = None`` and a
-        # selector refuses to install on tails that cannot exist.
-        if self.tail_recorder is not None:
-            for engine in cluster.engines.values():
-                engine.tail_view = self.tail_view
         if self.config.sample_interval is not None:
             self.sampler = ObservabilitySampler(
                 cluster, self.config.sample_interval, registry=self.registry

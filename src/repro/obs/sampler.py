@@ -7,10 +7,10 @@ retransmits in flight, rendezvous handshakes in flight, and hold-timer
 occupancy — then
 
 * updates the plane's :class:`~repro.obs.metrics.MetricsRegistry`
-  (gauges for the instantaneous values, quantile sketches for the
-  queue-depth and busy-fraction distributions), and
+  (gauges for the instantaneous values), and
 * emits one ``obs.sample`` trace event, which the Chrome exporter
-  turns into Perfetto counter tracks.
+  turns into Perfetto counter tracks (and from which ``obs analyze``
+  builds the queue-depth and busy-fraction series).
 
 Those two are the tick's only records: the sampler keeps no series of
 its own, so a long live run does not grow it, and it carries no
@@ -150,20 +150,12 @@ class ObservabilitySampler:
             registry.gauge(
                 "repro_queue_bytes", labels, help="Pending bytes per channel queue"
             ).set(n_bytes)
-            registry.sketch(
-                "repro_queue_depth_hist",
-                help="Sampled channel queue depth distribution",
-            ).observe(depth)
         for nic_name, fraction in sample["nic_busy"].items():
             registry.gauge(
                 "repro_nic_busy_fraction",
                 {"nic": nic_name},
                 help="NIC busy fraction over the last sample interval",
             ).set(fraction)
-            registry.sketch(
-                "repro_nic_busy_hist",
-                help="Sampled NIC busy fraction distribution (percent)",
-            ).observe(fraction * 100.0)
         registry.gauge(
             "repro_backlog_entries", help="Pending entries across all engines"
         ).set(sample["backlog"])

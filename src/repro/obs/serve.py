@@ -10,9 +10,9 @@ is in flight:
 * ``GET /peers`` — liveness: which peers are alive, which the watchdog
   has declared dead (and why), with time-to-detect per declaration.
 * ``GET /tails`` — JSON tail-latency view over the events merged so
-  far: exact per-edge p50/p90/p99/p999 from the offset-aligned trace,
-  the scenario's SLO burn rates over it, per-rail service tails from the
-  merged sketches, and the blame summary (see :mod:`repro.obs.analyze`).
+  far, all exact from the offset-aligned trace: per-edge one-way
+  latency and per-rail service time p50/p90/p99/p999, the scenario's
+  SLO burn rates, and the blame summary (see :mod:`repro.obs.analyze`).
 * ``GET /why`` — JSON causal-attribution view: per-edge blame-bucket
   fractions and the slowest messages' waterfalls computed over the events
   merged so far (see :mod:`repro.obs.causal`).

@@ -1,20 +1,13 @@
-"""Tail-latency telemetry: the rail sketches, and SLO burn rates.
+"""Tail-latency rows and SLO burn rates.
 
-* :class:`TailRecorder` is a tracer sink (subscribed by the
-  observability plane next to its trace recorder) that feeds the one
-  sketch family a running engine reads, ``repro_nic_service_us{nic}``:
-  per-rail service time, the span from ``nic.send`` to that NIC's next
-  ``nic.idle``.  Identical semantics in both planes (live NICs measure
-  the kernel drain).
-
-  Nothing else is sketched.  Message latency comes exactly from the
-  records (:class:`~repro.runtime.metrics.LatencySummary`) and per-edge
-  one-way latency exactly from the trace, after the run
-  (:func:`repro.obs.analyze.analyze_events`).
-
-* :class:`TailView` is the read side: cheap cached per-rail
-  p50/p90/p99/p999 lookups over those sketches, exposed on the plane
-  and on each engine, where the tuner's rail selector reads it.
+* :class:`TailStats` is one exact tail row in microseconds: a per-edge
+  one-way latency or a per-rail service time, both computed from the
+  trace after the run (:func:`repro.obs.analyze.analyze_events`), the
+  entries of a live run's ``tails["edges"]`` / ``tails["rails"]``.
+  Nothing here is online: message latency comes exactly from the
+  records (:class:`~repro.runtime.metrics.LatencySummary`), and the
+  rail tails the tuner acts on are each NIC's own window
+  (:attr:`~repro.network.nic.NIC.service_us`).
 
 * :class:`SLObjective` + :func:`evaluate_slo_offline` implement
   SRE-style burn-rate tracking: an objective says "``target`` of
@@ -34,68 +27,20 @@ from dataclasses import asdict, dataclass, field
 from fnmatch import fnmatchcase
 from typing import Any, Iterable, Mapping
 
-from repro.obs.metrics import MetricsRegistry, QuantileSketch
-from repro.obs.sketch import SUMMARY_QUANTILES
 from repro.util.errors import ConfigurationError
-from repro.util.tracing import KindSink, TraceEvent
 
 __all__ = [
-    "RAIL_METRIC",
-    "TailRecorder",
     "TailStats",
-    "TailView",
     "SLObjective",
     "SLOStatus",
     "parse_slo",
     "evaluate_slo_offline",
 ]
 
-RAIL_METRIC = "repro_nic_service_us"
-
-
-class TailRecorder(KindSink):
-    """Tracer sink that feeds the rail sketches from trace events.
-
-    Stateless toward the dispatch path: it only *reads* events the
-    guarded emit sites already produce, so subscribing it cannot change
-    what a run does — only what it knows about itself.
-
-    Sketch handles are kept per NIC source (``"nic:n0.mx00"``): names
-    are parsed and labels frozen once per source, not per event.
-    """
-
-    __slots__ = ("registry", "_busy_since", "_sketches")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        #: NIC source -> send time of the span currently in service.
-        self._busy_since: dict[str, float] = {}
-        self._sketches: dict[str, QuantileSketch] = {}
-        self.handlers = {"nic.send": self._on_send, "nic.idle": self._on_idle}
-
-    def _on_send(self, event: TraceEvent) -> None:
-        # First send of a busy span starts the rail service clock; the
-        # span ends at the NIC's next idle.
-        self._busy_since.setdefault(event.source, event.time)
-
-    def _on_idle(self, event: TraceEvent) -> None:
-        nic = event.source
-        started = self._busy_since.pop(nic, None)
-        if started is None:
-            return
-        sketch = self._sketches.get(nic)
-        if sketch is None:
-            sketch = self._sketches[nic] = self.registry.sketch(
-                RAIL_METRIC,
-                labels={"nic": nic.partition(":")[2]},
-                help="Per-NIC service time, send to drained (microseconds)",
-            )
-        sketch.observe(max(event.time - started, 0.0) * 1e6)
-
 
 @dataclass(frozen=True, slots=True)
 class TailStats:
-    """One sketch's tail summary (microsecond values)."""
+    """One exact tail row (microsecond values)."""
 
     count: int
     p50_us: float
@@ -105,50 +50,9 @@ class TailStats:
     mean_us: float
     max_us: float
 
-    @classmethod
-    def of(cls, sketch: QuantileSketch) -> "TailStats":
-        return cls(
-            sketch.count, *sketch.quantiles(SUMMARY_QUANTILES), sketch.mean, sketch.maximum
-        )
-
     def to_dict(self) -> dict[str, float]:
         """JSON-able copy (a ``tails`` payload entry)."""
         return asdict(self)
-
-
-class TailView:
-    """Read-only rail-tail lookups over a registry's sketches.
-
-    A lookup resolves its sketch handle once; the summary itself is a
-    few bisects over the sorted view the sketch keeps between mutations
-    (:meth:`QuantileSketch._ranks`), so repeated reads cost no re-sort —
-    cheap enough to consult per dispatch, which is the contract
-    tail-aware rail selection relies on.
-    """
-
-    __slots__ = ("_registry", "_handles")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-        self._handles: dict[str, QuantileSketch] = {}
-
-    def rail(self, nic: str) -> TailStats | None:
-        """Service-time tails for one NIC, or None before any span."""
-        sketch = self._handles.get(nic)
-        if sketch is None:
-            sketch = self._registry.get(RAIL_METRIC, {"nic": nic})
-            if sketch is None:
-                return None
-            self._handles[nic] = sketch
-        return TailStats.of(sketch) if sketch.count else None
-
-    def rails(self) -> dict[str, TailStats]:
-        """Every measured rail, keyed by NIC name."""
-        return {
-            dict(sketch.labels)["nic"]: TailStats.of(sketch)
-            for sketch in self._registry.sketches()
-            if sketch.name == RAIL_METRIC and sketch.count
-        }
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +163,7 @@ def evaluate_slo_offline(
     """Exact multi-window burn rates from timestamped trace crossings.
 
     ``edges`` maps edge names to objects with parallel ``times`` /
-    ``latencies`` lists (seconds) — :class:`repro.obs.analyze._EdgeStats`.
+    ``latencies`` lists (seconds) — :class:`repro.obs.analyze._Spans`.
     A violation requires **every** window to burn its budget, the
     standard multi-window rule: short windows alone alert on blips,
     long windows alone alert too late, both together mean the regression

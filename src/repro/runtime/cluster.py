@@ -122,8 +122,7 @@ def install_tuner(
     cluster: Any, tuner: "Mapping | TunerConfig | None"
 ) -> ClusterTuner | None:
     """Install the rail selectors a ``tuner`` block asks for (``None``
-    installs nothing).  Goes after the observability plane: the
-    selectors read the tail view it hands the engines."""
+    installs nothing)."""
     if tuner is None:
         return None
     config = tuner if isinstance(tuner, TunerConfig) else TunerConfig.from_spec(tuner)
@@ -186,8 +185,8 @@ class Cluster:
         Optional tail-acting rail selection: a
         :class:`~repro.tuner.TunerConfig` or a mapping in the scenario
         ``"tuner"`` schema (see :mod:`repro.tuner`).  When set,
-        every engine gets a rail selector (``cluster.tuner``) and
-        ``observability`` must record tails; ``None`` (default)
+        every engine gets a rail selector (``cluster.tuner``) reading
+        its NICs' service windows, traced or not; ``None`` (default)
         installs nothing.
     """
 

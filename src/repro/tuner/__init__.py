@@ -1,8 +1,10 @@
-"""Tail-acting rail selection: the scheduler acts on the tails it observes.
+"""Tail-acting rail selection: the scheduler acts on the tails its NICs measure.
 
 A scenario ``"tuner"`` block installs one
 :class:`~repro.tuner.rails.TailRailSelector` per engine as
-``engine.rail_selector``, in the sim and live planes alike.  Its number:
+``engine.rail_selector``, in the sim and live planes alike, traced or
+not: the selector reads each NIC's own window of service times
+(:attr:`~repro.network.nic.NIC.service_us`).  Its number:
 ``tests/tuner/test_rails.py::TestSkewedRailRun``, steady-state p99
 105.49 → 21.36 µs with a slow rail listed first.  The block is strict
 and optional; present, it turns selection on (there is no other
@@ -18,12 +20,11 @@ switch)::
 
 Same contract as the ``"faults"`` and ``"observability"`` blocks: an
 unknown key is a :class:`~repro.util.errors.ConfigurationError` naming
-it, and so is a block without the tails it acts on (``observability``
-with tracing on) — a knob silently ignored would invalidate the run it
-was meant to tune.  Nothing else is touched: ``engine.strategy`` stays
-the object the scenario's strategy factory returned, and without the
-block no selector exists, so dispatch without a tuner is identical by
-construction.
+it, and so is a ``min_samples`` no window can reach — a knob silently
+ignored would invalidate the run it was meant to tune.  Nothing else is
+touched: ``engine.strategy`` stays the object the scenario's strategy
+factory returned, and without the block no selector exists, so dispatch
+without a tuner is identical by construction.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.network.nic import SERVICE_WINDOW
 from repro.tuner.rails import TailRailSelector
 from repro.util.errors import ConfigurationError
 
@@ -52,15 +54,16 @@ class RailsConfig:
     Parameters
     ----------
     p99_budget_us:
-        A rail whose service-time sketch p99 is at or below this is
-        "within budget" and preferred (best p99 first); rails above it
-        are tried last.
+        A rail whose service-time p99 (over its NIC's window) is at or
+        below this is "within budget" and preferred (best p99 first);
+        rails above it are tried last.
     min_samples:
-        Sketch observations a rail needs before its tail is trusted;
-        rails with fewer keep their original position.
+        Spans a rail's window needs before its tail is trusted; rails
+        with fewer keep their original position.  At most
+        :data:`~repro.network.nic.SERVICE_WINDOW`.
     refresh_every:
-        Scheduling passes between re-reads of the tail view (ordering
-        is cached in between — quantile queries are not free).
+        Scheduling passes between re-reads of the windows (ordering is
+        cached in between — quantile queries are not free).
     """
 
     p99_budget_us: float = 1000.0
@@ -72,9 +75,10 @@ class RailsConfig:
             raise ConfigurationError(
                 f"p99_budget_us must be > 0, got {self.p99_budget_us}"
             )
-        if self.min_samples < 1:
+        if not 1 <= self.min_samples <= SERVICE_WINDOW:
             raise ConfigurationError(
-                f"min_samples must be >= 1, got {self.min_samples}"
+                f"min_samples must be in [1, {SERVICE_WINDOW}] (the NIC "
+                f"service window), got {self.min_samples}"
             )
         if self.refresh_every < 1:
             raise ConfigurationError(
@@ -109,8 +113,7 @@ class ClusterTuner:
         self.selectors: dict[str, TailRailSelector] = {}
 
     def install(self, cluster: Any) -> None:
-        """Attach one selector per engine of a ``Cluster`` or live peer
-        (after its observability plane)."""
+        """Attach one selector per engine of a ``Cluster`` or live peer."""
         if cluster.engine_kind != "optimizing":
             raise ConfigurationError(
                 "the tuner requires the optimizing engine "
@@ -121,13 +124,7 @@ class ClusterTuner:
                 raise ConfigurationError(
                     f"a rail selector is already installed on {name}"
                 )
-            if engine.tail_view is None:
-                raise ConfigurationError(
-                    "tuner rails act on recorded tails and observability.trace "
-                    f'is off on {name}: add an "observability" block (sim) or '
-                    "trace the live run"
-                )
-            selector = TailRailSelector(engine.tail_view, self.config.rails)
+            selector = TailRailSelector(self.config.rails)
             engine.rail_selector = self.selectors[name] = selector
 
     def summary(self) -> dict:

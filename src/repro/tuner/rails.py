@@ -1,12 +1,15 @@
 """Tail-acting rail selection: the scheduler acts on tails.
 
-The observability plane keeps per-rail service-time quantile sketches
-behind a :class:`~repro.obs.tails.TailView`.  Installed as
-``engine.rail_selector``, this reorders the engine's driver iteration so
-the backlog head lands on rails whose observed p99 is within budget
-instead of whichever rail happens to be listed first.
+Every NIC keeps the service times of its last
+:data:`~repro.network.nic.SERVICE_WINDOW` sends
+(:attr:`~repro.network.nic.NIC.service_us`, send to idle).  Installed
+as ``engine.rail_selector``, this reorders the engine's driver
+iteration so the backlog head lands on rails whose p99 over that window
+is within budget instead of whichever rail happens to be listed first.
+The p99 is exact (:func:`repro.util.stats.percentiles`) and needs no
+tracing, so a tuned run decides the same traced or untraced.
 
-Ordering, computed from the tail view and cached between refreshes:
+Ordering, computed from the windows and cached between refreshes:
 
 1. rails **within** the p99 budget (and with enough samples to trust),
    best p99 first;
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.obs.tails import TailView
+from repro.util.stats import percentiles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.drivers.base import Driver
@@ -37,8 +40,7 @@ __all__ = ["TailRailSelector"]
 class TailRailSelector:
     """Per-rail p99-budget preference order over an engine's drivers."""
 
-    def __init__(self, tail_view: TailView, config: "RailsConfig") -> None:
-        self.tail_view = tail_view
+    def __init__(self, config: "RailsConfig") -> None:
         self.config = config
         self.refreshes = 0
         #: Most recent ordering decision, for reports: nic → bucket.
@@ -64,22 +66,23 @@ class TailRailSelector:
 
     def _compute(self, drivers: list["Driver"]) -> list["Driver"]:
         config = self.config
-        view = self.tail_view
         within: list[tuple[float, int, "Driver"]] = []
         unknown: list["Driver"] = []
         over: list[tuple[float, int, "Driver"]] = []
         buckets: dict[str, str] = {}
         for index, driver in enumerate(drivers):
             nic = driver.nic.name
-            stats = view.rail(nic)
-            if stats is None or stats.count < config.min_samples:
+            window = driver.nic.service_us
+            if len(window) < config.min_samples:
                 unknown.append(driver)
                 buckets[nic] = "unmeasured"
-            elif stats.p99_us <= config.p99_budget_us:
-                within.append((stats.p99_us, index, driver))
+                continue
+            (p99_us,) = percentiles(window, (99.0,))
+            if p99_us <= config.p99_budget_us:
+                within.append((p99_us, index, driver))
                 buckets[nic] = "within"
             else:
-                over.append((stats.p99_us, index, driver))
+                over.append((p99_us, index, driver))
                 buckets[nic] = "over"
         self.last_buckets = buckets
         within.sort()

@@ -52,9 +52,9 @@ class TraceEvent:
 
 class KindSink:
     """Base of sinks that consume only the kinds in their ``handlers``
-    table (``kind -> callable(event)``).  A :class:`Tracer` calls such a
-    sink only for those kinds; calling it directly (replaying a stored
-    trace) routes through the same table."""
+    table (``kind -> callable(event)``); every other event costs one
+    lookup.  Subscribed to a :class:`Tracer` or fed a stored trace, it
+    routes through the same table."""
 
     __slots__ = ("handlers",)
 
@@ -66,14 +66,12 @@ class KindSink:
 
 
 class Tracer:
-    """The one kind-indexed event dispatcher.  A subscriber is a plain
-    callable (gets every event) or a :class:`KindSink` (gets its kinds);
-    an event costs one route lookup plus the calls that consume it."""
+    """The one event dispatcher: every subscriber is called with every
+    event, in subscription order (a :class:`KindSink` then keeps only
+    its kinds)."""
 
     def __init__(self) -> None:
         self._sinks: list[Callable[[TraceEvent], None]] = []
-        #: kind -> the callables consuming it (built on first use).
-        self._routes: dict[str, tuple[Callable[[TraceEvent], None], ...]] = {}
         #: Events dispatched so far, per kind (the plane exports it).
         self.counts: dict[str, int] = {}
         #: Whether emitting is worthwhile (lets hot paths skip building
@@ -81,29 +79,18 @@ class Tracer:
         self.enabled: bool = False
 
     def subscribe(self, sink: Callable[[TraceEvent], None]) -> None:
-        """Register a sink for every future event (of its kinds)."""
+        """Register a sink for every future event."""
         self._sinks.append(sink)
-        self._routes.clear()
         self.enabled = True
 
-    def _route(self, kind: str) -> tuple[Callable[[TraceEvent], None], ...]:
-        """Every plain callable, plus each KindSink handler for ``kind``."""
-        route = self._routes[kind] = tuple(
-            call
-            for sink in self._sinks
-            if (call := getattr(sink, "handlers", {kind: sink}).get(kind)) is not None
-        )
-        return route
-
     def emit(self, time: float, source: str, kind: str, **detail: Any) -> None:
-        """Dispatch one event to the subscribers that consume its kind."""
+        """Dispatch one event to every subscriber."""
         if not self.enabled:
             return
         event = TraceEvent(time, source, kind, detail)
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        route = self._routes.get(kind)
-        for call in route if route is not None else self._route(kind):
-            call(event)
+        for sink in self._sinks:
+            sink(event)
 
 
 class NullTracer(Tracer):

@@ -2,9 +2,9 @@
 
 One hypothesis strategy draws a whole scenario: engine, strategy,
 channel policy, rails, every ``EngineConfig`` knob, driver-capability
-overrides, a fault block with one rail outage, and messages sized at
-±1 B of every threshold the drawn configuration has, in every
-``PackMode``.  Each draw runs twice (untraced, then traced) and must
+overrides, a fault block with one rail outage, a ``tuner`` block on the
+optimizing engine, and messages sized at ±1 B of every threshold the
+drawn configuration has, in every ``PackMode``.  Each draw runs twice (untraced, then traced) and must
 keep every invariant of :data:`tests.invariants.INVARIANTS`; every
 dispatch inside it is plan- and price-checked by the root
 ``conftest.py``.
@@ -68,6 +68,8 @@ class Scenario:
     #: Technology → ``DriverCapabilities`` field overrides.
     caps: dict = dataclasses.field(default_factory=dict)
     faults: dict | None = None
+    #: The scenario ``"tuner"`` block (optimizing engine only).
+    tuner: dict | None = None
     #: ``(src, dst, traffic class, messages)``; a message is a tuple of fragments.
     flows: tuple[tuple[str, str, TrafficClass, tuple[tuple[Fragment, ...], ...]], ...] = ()
     seed: int = 0
@@ -86,6 +88,7 @@ class Scenario:
             },
             faults=self.faults,
             observability={} if traced else None,
+            tuner=self.tuner,
         )
 
     def submit(self, cluster: Cluster) -> list[Message]:
@@ -142,6 +145,18 @@ FAULTS = st.fixed_dictionaries(
         "seed": st.integers(0, 3),
     }
 )
+#: Rail selection that acts within a draw: a few spans per rail suffice.
+TUNER = st.fixed_dictionaries(
+    {
+        "rails": st.fixed_dictionaries(
+            {
+                "p99_budget_us": st.sampled_from((1.0, 20.0, 1000.0)),
+                "min_samples": st.integers(1, 4),
+                "refresh_every": st.integers(1, 4),
+            }
+        )
+    }
+)
 #: ``(at, down for)`` of one outage of the first network's rail 0.
 OUTAGE = st.none() | st.tuples(st.floats(0.0, 50 * us), st.floats(1 * us, 50 * us))
 #: A size is either small, or ``(threshold position, -1/0/+1 B)``: the
@@ -168,6 +183,8 @@ FLOWS = st.lists(
 
 @st.composite
 def scenarios(draw) -> Scenario:
+    engine = draw(st.sampled_from(ENGINES))
+    tuner = draw(st.none() | TUNER) if engine == "optimizing" else None
     networks = draw(NETWORKS)
     config = draw(CONFIG)
     caps = {}
@@ -213,13 +230,14 @@ def scenarios(draw) -> Scenario:
         for (src, dst), traffic_class, messages in draw(FLOWS)
     )
     return Scenario(
-        engine=draw(st.sampled_from(ENGINES)),
+        engine=engine,
         strategy=draw(st.sampled_from(sorted(STRATEGY_TYPES))),
         policy=draw(st.sampled_from(sorted(POLICY_TYPES))),
         networks=networks,
         config=config,
         caps=caps,
         faults=faults,
+        tuner=tuner,
         flows=flows,
         seed=draw(st.integers(0, 3)),
     )

@@ -83,6 +83,12 @@ class TestPeerDeath:
         text = result.cluster_registry.to_prometheus()
         assert "repro_peer_deaths_total" in text
         assert 'peer="coordinator"' in text
+        (dead,) = result.dead_peers
+        detect = result.cluster_registry.get(
+            "repro_peer_time_to_detect_seconds", {"node": "n1", "peer": "coordinator"}
+        )
+        assert detect.kind == "gauge"
+        assert detect.value == dead.time_to_detect
 
 
 class TestWireChaos:

@@ -169,7 +169,7 @@ def example_run():
 
 
 class TestOneRecorderPerPeer:
-    def test_peer_tracer_has_the_spool_and_the_tail_recorder(self):
+    def test_peer_tracer_has_only_the_spool(self):
         scenario = json.loads(_LIVE_EXAMPLE.read_text(encoding="utf-8"))
 
         async def build(rank):
@@ -184,7 +184,7 @@ class TestOneRecorderPerPeer:
         for rank in (0, 1):
             peer = asyncio.run(build(rank))
             sinks = [type(sink).__name__ for sink in peer.tracer._sinks]
-            assert sinks == ["SpoolSink", "TailRecorder"]
+            assert sinks == ["SpoolSink"]
             assert peer.plane.sink is peer.spool
 
     def test_payloads_carry_no_exemplars_or_ring(self, example_run):

@@ -100,9 +100,9 @@ class TestFailsBeforeFork:
         "tuner, trace, match",
         [
             ({"sweeps": {}}, True, "unknown tuner key 'sweeps'"),
-            ({"rails": {}}, False, "observability.trace"),
+            ({"rails": {"min_samples": 1025}}, False, "min_samples"),
         ],
-        ids=["unknown-tuner-key", "rails-without-recorded-tails"],
+        ids=["unknown-tuner-key", "min-samples-beyond-the-window"],
     )
     def test_bad_tuner_block(self, tuner, trace, match, monkeypatch):
         scenario = _scenario(

@@ -82,6 +82,11 @@ class TestPostRunTails:
         assert set(traced_run.tails) >= {"edges", "rails"}
         assert {rail.split(".")[0] for rail in traced_run.tails["rails"]} == {"n0", "n1"}
         assert "messages" not in traced_run.tails  # exact, in the report
+        # Exact, from the same pass over the aligned trace as the edges.
+        analysis = analyze_events(traced_run.aligned_events)
+        assert traced_run.tails["rails"] == {
+            nic: rail.stats().to_dict() for nic, rail in analysis.rails.items()
+        }
 
     def test_slo_verdicts_attached(self, traced_run):
         statuses = traced_run.tails["slo"]

@@ -14,12 +14,15 @@ import pytest
 from repro.live.loop import LiveClock
 from repro.live.nic import LiveNIC
 from repro.madeleine.message import Flow, Message
-from repro.network.nic import NIC
+from repro.network.nic import NIC, SERVICE_WINDOW
 from repro.network.technologies import myrinet_mx
 from repro.network.wire import PacketKind, WirePacket, WireSegment, decode_frame
+from repro.obs.analyze import analyze_events
 from repro.obs.recorder import ListSink
+from repro.runtime.cluster import Cluster
 from repro.sim import Simulator
 from repro.util.errors import ProtocolError, SimulationError
+from repro.util.units import KiB, us
 
 
 def make_nic(sim, deliveries=None):
@@ -259,3 +262,68 @@ class TestTracing:
         kinds = [e.kind for e in recorded.events]
         assert kinds.count("nic.send") == 1
         assert kinds.count("nic.idle") == 1
+
+
+class TestServiceWindow:
+    """``NIC.service_us``: each send's span to the idle transition it
+    ends, in microseconds, the last ``SERVICE_WINDOW`` of them."""
+
+    def test_send_to_idle_is_one_span(self):
+        sim = Simulator()
+        nic, _ = make_nic(sim)
+        sim.at(1.0, nic.submit, packet(), 2e-6, 3e-6)
+        sim.run()
+        assert list(nic.service_us) == [((1.0 + 2e-6) - 1.0) * 1e6]
+
+    def test_window_keeps_the_latest_spans(self):
+        sim = Simulator()
+        nic, _ = make_nic(sim)
+
+        def refill(idle_nic):
+            if sim.now < 1.5e-3:
+                idle_nic.submit(packet(), 1e-6, 2e-6)
+
+        nic.on_idle(refill)
+        refill(nic)
+        sim.run()
+        assert nic.stats.requests > SERVICE_WINDOW
+        assert len(nic.service_us) == SERVICE_WINDOW
+
+    @pytest.mark.parametrize("recover_before_completion", [False, True])
+    def test_span_cut_by_an_outage_is_dropped(self, recover_before_completion):
+        sim = Simulator()
+        nic, _ = make_nic(sim)
+        nic.submit(packet(), occupancy=10e-6, one_way=20e-6)
+        sim.at(2e-6, nic.fail)
+        sim.at(5e-6 if recover_before_completion else 50e-6, nic.recover)
+        sim.run()
+        assert list(nic.service_us) == []
+        nic.submit(packet(), occupancy=1e-6, one_way=2e-6)
+        sim.run()
+        assert len(nic.service_us) == 1
+
+    def test_outage_is_not_service_time(self):
+        """Named regression: one MX rail down from 2 to 500 us under 40
+        x 64 KiB sends.  A rail that fails mid-transfer emits no
+        ``nic.idle``; the span it was serving once stretched over the
+        whole outage (502.5 us against a largest occupancy of 268.4 us).
+        No kept span, on the NIC or from the trace, exceeds the largest
+        occupancy (up to 1 ns of clock arithmetic)."""
+        cluster = Cluster(
+            networks=[("mx", 1)],
+            faults={"outages": [{"network": "mx0", "at": 2 * us, "recover": 500 * us}]},
+            observability={},
+        )
+        api = cluster.api("n0")
+        flow = api.open_flow("n1")
+        for _ in range(40):
+            api.send(flow, 64 * KiB)
+        cluster.run_until_idle()
+        assert cluster.report().messages == 40
+        events = cluster.obs.events
+        bound_us = max(e.detail["occupancy"] for e in events if e.kind == "nic.send") * 1e6
+        nic = cluster.nodes[0].nics[0]
+        traced_us = [s * 1e6 for s in analyze_events(events).rails[nic.name].latencies]
+        assert nic.stats.failures == 1 and len(nic.service_us) > 40
+        assert max(nic.service_us) <= bound_us + 1e-3
+        assert max(traced_us) <= bound_us + 1e-3

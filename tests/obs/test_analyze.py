@@ -195,6 +195,42 @@ class TestSimCrossings:
         ]
 
 
+def _nic(t, nic, kind):
+    return TraceEvent(t, f"nic:{nic}", kind, {})
+
+
+class TestRailSpans:
+    """A ``nic.send`` opens its NIC's service span, the next ``nic.idle``
+    closes it and a ``nic.fail`` drops it."""
+
+    def test_send_to_idle_is_one_span(self):
+        events = [_send(2.0, "n0.mx00", 1), _nic(2.001, "n0.mx00", "nic.idle")]
+        rail = analyze_events(events).rails["n0.mx00"]
+        assert rail.latencies == [2.001 - 2.0]
+        assert rail.times == [2.001]
+        assert rail.stats().count == 1
+
+    def test_idle_without_send_is_ignored(self):
+        assert analyze_events([_nic(1.0, "n0.mx00", "nic.idle")]).rails == {}
+
+    def test_an_outage_is_not_service_time(self):
+        events = [
+            _send(1.0, "n0.mx00", 1),
+            _nic(1.5, "n0.mx00", "nic.fail"),  # no idle while the rail is down
+            _nic(9.0, "n0.mx00", "nic.recover"),
+            _nic(9.5, "n0.mx00", "nic.idle"),  # closes nothing
+            _send(10.0, "n0.mx00", 2),
+            _nic(10.25, "n0.mx00", "nic.idle"),
+        ]
+        assert analyze_events(events).rails["n0.mx00"].latencies == [0.25]
+
+    def test_render_lists_the_rails(self):
+        events = [_send(2.0, "n0.mx00", 1), _nic(2.001, "n0.mx00", "nic.idle")]
+        text = render(analyze_events(events))
+        assert "NIC service time (send to idle):" in text
+        assert "n0.mx00  n=1" in text
+
+
 #: The parent commit's ``repro_edge_latency_us`` sketches on the traced
 #: ``examples/scenario_mixed.json``: edge -> (count, p50 us, p99 us,
 #: rank_error_bound()).

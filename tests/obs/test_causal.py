@@ -24,7 +24,6 @@ from repro.obs.causal import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ListSink
 from repro.obs.spans import Leg, MessageChain
-from repro.obs.tails import TailRecorder
 from repro.runtime.scenario import run_scenario
 from repro.util.tracing import NullTracer, TraceEvent, Tracer
 
@@ -511,7 +510,6 @@ def _ops_per_event(holds: int) -> float:
     tracer = Tracer()
     sink = ListSink()
     tracer.subscribe(sink)
-    tracer.subscribe(TailRecorder(MetricsRegistry()))
 
     def message(i: int):
         t = i * 1e-4

@@ -3,7 +3,7 @@
 The merge layer (:mod:`repro.obs.merge`) is pure data-plumbing with
 algebraic contracts, so it gets algebraic tests:
 
-* counter aggregation must be associative and commutative;
+* relabeling must keep every peer's series apart;
 * clock-offset alignment must preserve each peer's internal event order
   no matter the offsets;
 * offset estimation must recover an exact skew from noise-free probes.
@@ -19,22 +19,14 @@ from hypothesis import strategies as st
 
 from repro.obs.merge import (
     OffsetSample,
-    aggregate_registries,
     align_events,
     estimate_offsets,
     extract_crossings,
     merge_registries,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tails import RAIL_METRIC
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent
-
-# Positive latencies spanning the orders of magnitude a sketch sees.
-_observations = st.lists(
-    st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
-    max_size=40,
-)
 
 
 def _counter_registry(values: dict[str, int]) -> MetricsRegistry:
@@ -42,45 +34,6 @@ def _counter_registry(values: dict[str, int]) -> MetricsRegistry:
     for node, value in values.items():
         reg.counter("repro_x_total", {"node": node}).inc(value)
     return reg
-
-
-_counter_values = st.dictionaries(
-    st.sampled_from(["n0", "n1", "n2"]),
-    st.integers(min_value=0, max_value=10**9),
-    max_size=3,
-)
-
-
-def _totals(reg: MetricsRegistry) -> dict:
-    return {
-        (e["name"], tuple(sorted(map(tuple, e["labels"])))): e["value"]
-        for e in reg.to_snapshot()["metrics"]
-    }
-
-
-class TestCounterAggregation:
-    @given(a=_counter_values, b=_counter_values)
-    @settings(max_examples=60, deadline=None)
-    def test_commutative(self, a, b):
-        ab = aggregate_registries([_counter_registry(a), _counter_registry(b)])
-        ba = aggregate_registries([_counter_registry(b), _counter_registry(a)])
-        assert _totals(ab) == _totals(ba)
-
-    @given(a=_counter_values, b=_counter_values, c=_counter_values)
-    @settings(max_examples=60, deadline=None)
-    def test_associative(self, a, b, c):
-        regs = [_counter_registry(v) for v in (a, b, c)]
-        left = aggregate_registries(
-            [aggregate_registries(regs[:2]), regs[2]]
-        )
-        flat = aggregate_registries(regs)
-        assert _totals(left) == _totals(flat)
-
-    def test_sums_values(self):
-        out = aggregate_registries(
-            [_counter_registry({"n0": 3}), _counter_registry({"n0": 4})]
-        )
-        assert out.get("repro_x_total", {"node": "n0"}).value == 7
 
 
 class TestRelabelMerge:
@@ -102,38 +55,6 @@ class TestRelabelMerge:
         reg.counter("repro_x_total", {"peer": "oops"}).inc()
         with pytest.raises(ConfigurationError):
             merge_registries({"n0": reg})
-
-
-def _sketch_registry(samples, *, labels=None):
-    reg = MetricsRegistry()
-    sketch = reg.sketch(RAIL_METRIC, labels or {"nic": "n0.mx00"}, k=32)
-    for value in samples:
-        sketch.observe(value)
-    return reg
-
-
-class TestSketchAggregation:
-    @given(a=_observations, b=_observations)
-    @settings(max_examples=40, deadline=None)
-    def test_levelwise_merge_equals_pooled_stream(self, a, b):
-        out = aggregate_registries(
-            [_sketch_registry(a), _sketch_registry(b).to_snapshot()]
-        )
-        merged = out.get(RAIL_METRIC, {"nic": "n0.mx00"})
-        assert merged.count == len(a) + len(b)
-        pooled = sorted(a + b)
-        if pooled:
-            bound = merged.rank_error_bound() + 1.0 / len(pooled)
-            answer = merged.quantile(0.5)
-            rank = sum(1 for v in pooled if v <= answer) / len(pooled)
-            rank_lo = sum(1 for v in pooled if v < answer) / len(pooled)
-            assert rank_lo - bound <= 0.5 <= rank + bound
-
-    def test_kind_collision_rejected(self):
-        gauge_reg = MetricsRegistry()
-        gauge_reg.gauge(RAIL_METRIC, {"nic": "n0.mx00"})
-        with pytest.raises(ConfigurationError):
-            aggregate_registries([_sketch_registry([1.0]), gauge_reg])
 
 
 _per_peer_times = st.dictionaries(

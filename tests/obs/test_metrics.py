@@ -1,11 +1,10 @@
 """Tests for the metrics registry and its Prometheus rendering."""
 
-import math
 import re
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, QuantileSketch
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.util.errors import ConfigurationError
 
 
@@ -93,63 +92,9 @@ class TestPrometheusExport:
         reg = MetricsRegistry()
         reg.counter("repro_sends_total", {"nic": "n0.mx00"}, help="Sends").inc(7)
         reg.gauge("repro_depth", {"node": "n0", "channel": "0"}).set(3)
-        s = reg.sketch("repro_lat", help="Latency")
-        s.observe(1.5)
-        s.observe(100.0)
         samples = _parse_prometheus(reg.to_prometheus())
         assert samples['repro_sends_total{nic="n0.mx00"}'] == 7
         assert samples['repro_depth{channel="0",node="n0"}'] == 3
-        assert samples['repro_lat{quantile="0.99"}'] == 100.0
-        assert samples["repro_lat_count"] == 2
-        assert math.isclose(samples["repro_lat_sum"], 101.5)
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().to_prometheus() == ""
-
-
-class TestSketchInstrument:
-    def test_get_or_create_and_kind(self):
-        reg = MetricsRegistry()
-        a = reg.sketch("repro_s_us", {"src": "n0"})
-        b = reg.sketch("repro_s_us", {"src": "n0"})
-        assert a is b
-        assert isinstance(a, QuantileSketch)
-        with pytest.raises(ConfigurationError):
-            reg.counter("repro_s_us")  # kind conflict
-
-    def test_sketches_listing(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_c")
-        reg.sketch("repro_s_us", {"x": "1"})
-        reg.sketch("repro_s_us", {"x": "0"})
-        names = [(s.name, dict(s.labels)["x"]) for s in reg.sketches()]
-        assert names == [("repro_s_us", "0"), ("repro_s_us", "1")]
-
-    def test_prometheus_summary_exposition(self):
-        reg = MetricsRegistry()
-        s = reg.sketch("repro_s_us", {"src": "n0"}, help="edge tails")
-        for i in range(100):
-            s.observe(float(i))
-        text = reg.to_prometheus()
-        assert "# TYPE repro_s_us summary" in text
-        samples = _parse_prometheus(text)
-        assert samples['repro_s_us{src="n0",quantile="0.5"}'] == s.quantile(0.5)
-        assert samples['repro_s_us{src="n0",quantile="0.99"}'] == s.quantile(0.99)
-        assert samples['repro_s_us_count{src="n0"}'] == 100
-        assert math.isclose(
-            samples['repro_s_us_sum{src="n0"}'], sum(range(100))
-        )
-
-    def test_snapshot_round_trip_through_registry(self):
-        reg = MetricsRegistry()
-        s = reg.sketch("repro_s_us", {"src": "n0"}, k=16)
-        for i in range(1000):
-            s.observe(float(i % 97))
-        restored = MetricsRegistry.from_snapshot(reg.to_snapshot())
-        r = restored.get("repro_s_us", {"src": "n0"})
-        assert isinstance(r, QuantileSketch)
-        assert r.k == 16
-        assert r.count == s.count
-        assert r.levels == s.levels
-        for q in (0.5, 0.99, 0.999):
-            assert r.quantile(q) == s.quantile(q)

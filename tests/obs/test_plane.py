@@ -178,30 +178,31 @@ class TestReportRow:
 
 
 class TestTailTelemetry:
-    def test_traced_run_populates_tail_sketches(self):
-        report, cluster, _ = run_scenario(_scenario(observability={}))
-        rails = cluster.obs.tail_view.rails()  # per-NIC service-time spans
-        assert rails and all(s.p99_us >= s.p50_us > 0 for s in rails.values())
-        # The rail family is the only sketch the recorder keeps; message
-        # latency comes from the records, edge latency from the trace.
-        assert {s.name for s in cluster.obs.registry.sketches()} == {
-            "repro_nic_service_us"
-        }
-        untraced, _, _ = run_scenario(_scenario())
-        assert report.to_dict() == untraced.to_dict()
+    def test_service_windows_identical_traced_vs_untraced(self):
+        """Rail tails are the NICs' own: tracing neither feeds nor moves
+        them."""
 
-    def test_engines_carry_view(self):
-        _, cluster, _ = run_scenario(_scenario(observability={}))
-        plane = cluster.obs
-        for engine in cluster.engines.values():
-            assert engine.tail_view is plane.tail_view
+        def windows(cluster):
+            return {
+                nic.name: list(nic.service_us)
+                for node in cluster.nodes
+                for nic in node.nics
+            }
 
-    def test_trace_off_means_no_tail_recording(self):
-        _, cluster, _ = run_scenario(_scenario(observability={"trace": False}))
-        plane = cluster.obs
-        assert plane.tail_recorder is None
-        assert plane.tail_view.rails() == {}
-        assert plane.registry.sketches() == []
+        _, traced, _ = run_scenario(_scenario(observability={}))
+        _, untraced, _ = run_scenario(_scenario())
+        assert windows(traced) == windows(untraced)
+        assert all(windows(untraced)["n0.mx00"])
+
+    def test_registry_keeps_no_distribution(self):
+        """Every tail is exact, from the records or the trace: the
+        exposition has counters and gauges only."""
+        _, cluster, _ = run_scenario(
+            _scenario(observability={"sample_interval": 1e-5})
+        )
+        text = cluster.obs.registry.to_prometheus()
+        kinds = {line.split()[-1] for line in text.splitlines() if line.startswith("# TYPE")}
+        assert kinds == {"counter", "gauge"}
 
     def test_dispatch_identical_traced_vs_untraced(self):
         def run(observability):
@@ -217,4 +218,4 @@ class TestTailTelemetry:
                 report.latency.p99,
             )
 
-        assert run(None) == run({})  # trace + tail recorder on
+        assert run(None) == run({})  # trace on

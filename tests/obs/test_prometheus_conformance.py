@@ -4,14 +4,11 @@ Instead of substring-matching a few expected lines, these tests run the
 registry's ``to_prometheus`` output through a small grammar-checking
 parser modeled on the exposition-format spec: comment ordering
 (HELP before TYPE before samples, one contiguous block per family),
-metric/label name character sets, label-value escaping, and the
-summary invariants (a ``quantile`` label joined to the instrument's own,
-``_sum``/``_count`` under the family's one TYPE line).
+metric/label name character sets, and label-value escaping.
 """
 
 from __future__ import annotations
 
-import math
 import re
 
 import pytest
@@ -73,14 +70,6 @@ class Exposition:
         self.samples: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
         self._ingest(text)
 
-    @staticmethod
-    def _family_of(sample_name: str, types: dict[str, str]) -> str:
-        for suffix in ("_sum", "_count"):
-            base = sample_name.removesuffix(suffix)
-            if base != sample_name and types.get(base) == "summary":
-                return base
-        return sample_name
-
     def _ingest(self, text: str) -> None:
         assert text == "" or text.endswith("\n"), "exposition must end in newline"
         seen_families: list[str] = []
@@ -116,7 +105,7 @@ class Exposition:
             assert not line.startswith("#"), f"unknown comment: {line!r}"
             m = _SAMPLE_RE.match(line)
             assert m, f"malformed sample: {line!r}"
-            family = self._family_of(m.group("name"), self.types)
+            family = m.group("name")
             assert family in self.types, f"sample before TYPE: {line!r}"
             assert family == current, (
                 f"sample for {family} outside its contiguous block"
@@ -125,13 +114,6 @@ class Exposition:
             key = (m.group("name"), tuple(sorted(labels.items())))
             assert key not in self.samples, f"duplicate series {key}"
             self.samples[key] = float(m.group("value"))
-
-    def series(self, sample_name: str) -> dict[tuple[tuple[str, str], ...], float]:
-        return {
-            labels: v
-            for (name, labels), v in self.samples.items()
-            if name == sample_name
-        }
 
 
 class TestGrammar:
@@ -171,49 +153,7 @@ class TestGrammar:
         for node in ("n0", "n1", "n2"):
             reg.counter("repro_a_total", {"node": node}).inc()
             reg.gauge("repro_b", {"node": node}).set(1)
-            reg.sketch("repro_c", {"node": node}).observe(1.0)
         Exposition(reg.to_prometheus())  # parser asserts contiguity
-
-
-class TestSummaryInvariants:
-    def _exposition(self, observations):
-        reg = MetricsRegistry()
-        sketch = reg.sketch("repro_lat", {"node": "n0"}, help="Latency.")
-        for value in observations:
-            sketch.observe(value)
-        return Exposition(reg.to_prometheus())
-
-    def test_count_equals_observations(self):
-        observations = [0.5, 1.0, 3.0, 100.0, 1e9]
-        exp = self._exposition(observations)
-        ((_, count_val),) = exp.series("repro_lat_count").items()
-        ((_, sum_val),) = exp.series("repro_lat_sum").items()
-        assert count_val == len(observations)
-        assert math.isclose(sum_val, sum(observations))
-        by_q = {
-            float(dict(labels)["quantile"]): v
-            for labels, v in exp.series("repro_lat").items()
-        }
-        values = [by_q[q] for q in sorted(by_q)]
-        assert values == sorted(values), "quantiles must not decrease"
-
-    def test_quantile_label_joins_instrument_labels(self):
-        exp = self._exposition([2.0])
-        quantiles = exp.series("repro_lat")
-        assert quantiles
-        for labels in quantiles:
-            as_dict = dict(labels)
-            assert as_dict["node"] == "n0"
-            assert "quantile" in as_dict
-        for derived in ("repro_lat_sum", "repro_lat_count"):
-            for labels in exp.series(derived):
-                assert dict(labels) == {"node": "n0"}
-
-    def test_type_declared_on_base_name_only(self):
-        exp = self._exposition([2.0])
-        assert exp.types["repro_lat"] == "summary"
-        for derived in ("repro_lat_sum", "repro_lat_count"):
-            assert derived not in exp.types
 
 
 class TestNameValidation:

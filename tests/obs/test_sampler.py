@@ -123,10 +123,8 @@ class TestRegistryUpdates:
             assert registry.get("repro_nic_busy_fraction", {"nic": nic}).value == fraction
         samples = registry.get("repro_samples_total")
         assert samples is not None and samples.value == len(ticks) >= 1
-        depths = registry.get("repro_queue_depth_hist")
-        assert depths is not None and depths.count > 0
-        busy = registry.get("repro_nic_busy_hist")
-        assert busy is not None and 0.0 <= busy.quantile(0.5) <= 100.0
+        # The distributions are the trace's (obs analyze), not the registry's.
+        assert {metric.kind for metric in registry} == {"counter", "gauge"}
 
     def test_termination_under_run_until_idle(self):
         """The sampler must not keep an otherwise-drained sim alive."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.network.nic import SERVICE_WINDOW
 from repro.runtime.scenario import build_scenario
 from repro.tuner import RailsConfig, TunerConfig
 from repro.util.errors import ConfigurationError
@@ -48,6 +49,12 @@ class TestRailsConfig:
         with pytest.raises(ConfigurationError):
             RailsConfig(refresh_every=0)
 
+    def test_min_samples_beyond_the_window_rejected(self):
+        """A rail could never be measured: its NIC keeps fewer spans."""
+        assert RailsConfig(min_samples=SERVICE_WINDOW).min_samples == 1024
+        with pytest.raises(ConfigurationError, match="min_samples .*1024"):
+            RailsConfig(min_samples=SERVICE_WINDOW + 1)
+
 
 class TestScenarioWiring:
     BASE = {
@@ -84,9 +91,8 @@ class TestScenarioWiring:
     @pytest.mark.parametrize(
         "observability", [None, {"trace": False}], ids=["absent", "trace-off"]
     )
-    def test_rails_without_recorded_tails_rejected(self, observability):
-        """A selector that could never see a tail is an error, not a
-        silent no-op."""
+    def test_untraced_scenario_gets_selectors(self, observability):
+        """The selector reads the NICs' own windows: no trace needed."""
         scenario = dict(self.BASE, tuner={"rails": {}}, observability=observability)
-        with pytest.raises(ConfigurationError, match="observability.trace"):
-            build_scenario(scenario)
+        cluster, _ = build_scenario(scenario)
+        assert set(cluster.tuner.selectors) == {"n0", "n1"}

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import asyncio
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
 from repro.core.strategies.search import BoundedSearchStrategy
 from repro.live.peer import LivePeer
+from repro.network.nic import SERVICE_WINDOW
+from repro.obs.analyze import analyze_events
 from repro.runtime import Cluster
+from repro.runtime.scenario import load_scenario_file, run_scenario
 from repro.tuner import ClusterTuner, TailRailSelector, TunerConfig
 from repro.util.errors import ConfigurationError
 
@@ -73,9 +77,9 @@ class TestLivePeer:
         assert engine.rail_selector is peer.tuner.selectors["n0"]
         assert type(engine.strategy).name == "aggregate"
 
-    def test_rails_without_recorded_tails_rejected(self):
-        with pytest.raises(ConfigurationError, match="observability.trace"):
-            self.build(trace=False)
+    def test_untraced_peer_gets_a_selector(self):
+        peer = self.build(trace=False)
+        assert peer.engines["n0"].rail_selector is peer.tuner.selectors["n0"]
 
 
 class TestCli:
@@ -99,3 +103,34 @@ class TestSummary:
         assert set(summary["nodes"]) == {"n0", "n1"}
         assert summary["nodes"]["n0"]["rails"]["refreshes"] == 1
         assert summary["nodes"]["n1"]["rails"]["refreshes"] == 0
+
+
+_TUNER_EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "scenario_tuner.json"
+
+
+class TestServiceWindowsOnTheExample:
+    """``examples/scenario_tuner.json``: the selector's input is the NICs'
+    windows, which the trace reproduces exactly and tracing does not move."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        traced = load_scenario_file(_TUNER_EXAMPLE)
+        untraced = dict(traced)
+        del untraced["observability"]
+        return run_scenario(traced)[1], run_scenario(untraced)[1]
+
+    def test_each_window_is_the_traces_last_spans_bit_for_bit(self, runs):
+        cluster, _ = runs
+        rails = analyze_events(cluster.obs.events).rails
+        for node in cluster.nodes:
+            for nic in node.nics:
+                spans = rails[nic.name].latencies if nic.name in rails else []
+                expected = [span * 1e6 for span in spans][-SERVICE_WINDOW:]
+                assert list(nic.service_us) == expected, nic.name
+        assert rails  # the example does measure its rails
+
+    def test_untraced_run_tunes_the_same(self, runs):
+        traced, untraced = runs
+        assert untraced.obs is None
+        assert traced.tuner.summary() == untraced.tuner.summary()
+        assert traced.tuner.summary()["nodes"]["n0"]["rails"]["refreshes"] == 10
