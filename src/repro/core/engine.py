@@ -330,13 +330,12 @@ class CommEngineBase:
         """Turn a plan into a wire packet and hand it to the driver."""
         queue = self.waiting.queue(plan.channel_id)
         segments: list[WireSegment] = []
-        for item in plan.items:
-            entry = item.entry
-            offset = entry.consume(item.take)
+        taken = []  # (traffic class, bytes) per item, for the policy
+        for entry, take in plan.items:
+            offset = queue.dispatch(entry, take)
             if entry.kind is EntryKind.DATA:
-                segments.append(WireSegment(entry.fragment, offset, item.take))
-            if entry.state is EntryState.SENT:
-                queue.remove(entry)
+                segments.append(WireSegment(entry.fragment, offset, take))
+            taken.append((entry.traffic_class, take))
         packet = WirePacket(
             kind=plan.kind,
             src=self.node_name,
@@ -347,10 +346,7 @@ class CommEngineBase:
             packet_id=self.sim.ids.packet(),
         )
         plan.driver.send(packet)
-        self.policy.note_dispatch(
-            plan.channel_id,
-            [(item.entry.traffic_class, item.take) for item in plan.items],
-        )
+        self.policy.note_dispatch(plan.channel_id, taken)
         stats = self.stats
         stats.dispatches += 1
         kind = plan.kind.value

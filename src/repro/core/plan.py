@@ -13,7 +13,7 @@ sensible to send on this driver right now").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.drivers.base import Driver
 from repro.madeleine.submit import SubmitEntry
@@ -23,24 +23,29 @@ from repro.util.errors import ConfigurationError
 __all__ = ["PlanItem", "TransferPlan", "Hold"]
 
 
-@dataclass(frozen=True, slots=True)
-class PlanItem:
+class _PlanItem(NamedTuple):
+    entry: SubmitEntry
+    take: int
+
+
+class PlanItem(_PlanItem):
     """One entry slice included in a plan.
 
     ``take`` is how many of the entry's remaining bytes this packet
     carries — less than ``entry.remaining`` when a large rendezvous body
-    is striped across rails.
+    is striped across rails.  An immutable named tuple: built several
+    times per decision, unpacked once per dispatched segment.
     """
 
-    entry: SubmitEntry
-    take: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.take <= 0 or self.take > self.entry.remaining:
+    def __new__(cls, entry: SubmitEntry, take: int) -> "PlanItem":
+        if take <= 0 or take > entry.remaining:
             raise ConfigurationError(
-                f"plan item takes {self.take} B of {self.entry!r} "
-                f"with {self.entry.remaining} B remaining"
+                f"plan item takes {take} B of {entry!r} "
+                f"with {entry.remaining} B remaining"
             )
+        return tuple.__new__(cls, (entry, take))
 
 
 @dataclass(slots=True)

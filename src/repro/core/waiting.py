@@ -18,9 +18,10 @@ aggregate this module exposes is *incrementally maintained* rather than
 recomputed:
 
 * ``len(queue)``, ``queue.pending_bytes``, ``WaitingLists.total_pending``
-  and ``total_pending_bytes`` are O(1) counters, updated by the entries
-  themselves: :class:`~repro.madeleine.submit.SubmitEntry` notifies its
-  owning queue on every state transition and byte consumption;
+  and ``total_pending_bytes`` are O(1) counters: a
+  :class:`~repro.madeleine.submit.SubmitEntry` notifies its owning queue
+  on every state transition and byte consumption, and
+  :meth:`ChannelQueue.dispatch` retires a whole entry in one update;
 * :meth:`ChannelQueue.remove` is O(1): entries live in a lazily
   compacted slot list (entry → slot index), removal blanks the
   slot, and compaction runs only when dead slots outnumber live ones;
@@ -131,6 +132,34 @@ class ChannelQueue:
             self._account(-1, -entry.remaining)
         self._version += 1
         self._maybe_compact()
+
+    def dispatch(self, entry: SubmitEntry, n_bytes: int) -> int:
+        """Mark ``n_bytes`` of an entry as sent; returns the slice offset.
+
+        An entry sent whole (the common case) leaves the queue with one
+        counter update and one version bump.  A partial take (striping,
+        chunking), or one this queue cannot retire, takes the two-call
+        path: ``entry.consume``, then :meth:`remove` once it is ``SENT``.
+        """
+        if n_bytes != entry.remaining or n_bytes <= 0 or entry._owner is not self:
+            start = entry.consume(n_bytes)
+            if entry._state is _SENT:
+                self.remove(entry)
+            return start
+        position = self._index.pop(entry)
+        self._slots[position] = None
+        self._garbage += 1
+        entry._owner = None
+        start = entry.offset
+        state = entry._state
+        if state is _WAITING or state is _RDV_READY:
+            self._account(-1, -n_bytes)
+        entry.offset = start + n_bytes
+        entry.remaining = 0
+        entry._state = _SENT
+        self._version += 1
+        self._maybe_compact()
+        return start
 
     # ------------------------------------------------------------------
     # entry notifications (called by SubmitEntry on owned entries)

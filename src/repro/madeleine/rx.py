@@ -65,13 +65,18 @@ class _FragmentProgress:
         return self.delivered == self.fragment.size
 
 
+#: ``_progress`` value of a fragment whose first slice covered it whole
+#: (in order, not striped — the common case): complete, no range list.
+_WHOLE = object()
+
+
 class MessageReassembler:
     """Per-node reassembly of incoming data packets."""
 
     def __init__(self, sim: Simulator, node_name: str) -> None:
         self.sim = sim
         self.node_name = node_name
-        self._progress: dict[Fragment, _FragmentProgress] = {}
+        self._progress: dict[Fragment, _FragmentProgress | object] = {}
         self._message_remaining: dict[int, int] = {}
         self._flow_callbacks: dict[int, list[MessageCallback]] = {}
         self._express_callbacks: dict[int, list[ExpressCallback]] = {}
@@ -136,11 +141,19 @@ class MessageReassembler:
             )
         progress = self._progress.get(fragment)
         if progress is None:
-            progress = _FragmentProgress(fragment)
-            self._progress[fragment] = progress
             if message.message_id not in self._message_remaining:
                 self._message_remaining[message.message_id] = len(message.fragments)
                 self._announce(message, now)
+            if offset == 0 and length == fragment.size:
+                self._progress[fragment] = _WHOLE
+                self._on_fragment_complete(fragment, now)
+                return
+            progress = self._progress[fragment] = _FragmentProgress(fragment)
+        elif progress is _WHOLE:
+            # A slice after a whole delivery: the range list it skipped
+            # rejects it below, as it would any other overlap.
+            progress = self._progress[fragment] = _FragmentProgress(fragment)
+            progress.add(0, fragment.size)
         was_complete = progress.complete
         progress.add(offset, length)
         if progress.complete and not was_complete:
@@ -174,7 +187,8 @@ class MessageReassembler:
 
         future = Future()
         progress = self._progress.get(fragment)
-        if (progress is not None and progress.complete) or fragment.message.completion.done:
+        done = progress is _WHOLE or (progress is not None and progress.complete)
+        if done or fragment.message.completion.done:
             future.resolve(fragment)
         else:
             self._fragment_watchers.setdefault(fragment, []).append(future)
@@ -236,8 +250,8 @@ class MessageReassembler:
         number of messages abandoned.
         """
         doomed: dict[int, Message] = {}
-        for progress in list(self._progress.values()):
-            message = progress.fragment.message
+        for fragment in list(self._progress):
+            message = fragment.message
             if (
                 message.message_id in self._message_remaining
                 and message.message_id not in doomed

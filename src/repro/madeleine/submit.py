@@ -68,6 +68,8 @@ class SubmitEntry:
     it (``_owner``, maintained by the queue itself): state transitions
     and byte consumption notify the owner so the queue's pending
     count/bytes counters stay exact without ever re-walking the queue.
+    A whole dispatch skips both: ``ChannelQueue.dispatch`` sets
+    ``offset``, ``remaining`` and the state itself.
     """
 
     __slots__ = (

@@ -103,10 +103,11 @@ class ChannelPool:
 
         Falls back to the DEFAULT assignment, then to channel 0.
         """
-        if traffic_class in self._assignment:
-            return self._channels[self._assignment[traffic_class]]
-        if TrafficClass.DEFAULT in self._assignment:
-            return self._channels[self._assignment[TrafficClass.DEFAULT]]
+        channel_id = self._assignment.get(traffic_class)
+        if channel_id is None:
+            channel_id = self._assignment.get(TrafficClass.DEFAULT)
+        if channel_id is not None:
+            return self._channels[channel_id]
         if not self._channels:
             raise ConfigurationError("channel pool is empty")
         return self._channels[min(self._channels)]

@@ -97,25 +97,30 @@ class PacketKind(enum.Enum):
         return self in (PacketKind.RDV_REQ, PacketKind.RDV_ACK, PacketKind.CTRL, PacketKind.ACK)
 
 
-@dataclass(frozen=True, slots=True)
-class WireSegment:
+class _WireSegment(NamedTuple):
+    payload: Any
+    offset: int
+    length: int
+
+
+class WireSegment(_WireSegment):
     """A contiguous slice of one payload carried in a packet.
 
     ``payload`` is opaque to the network layer; the messaging layer uses
     it to locate the fragment being (partially) delivered.  ``offset``
     and ``length`` support splitting one fragment across several packets
-    (multirail striping, rendezvous chunking).
+    (multirail striping, rendezvous chunking).  An immutable named
+    tuple: one is built per dispatched segment.
     """
 
-    payload: Any
-    offset: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.offset < 0 or self.length < 0:
+    def __new__(cls, payload: Any, offset: int, length: int) -> "WireSegment":
+        if offset < 0 or length < 0:
             raise ProtocolError(
-                f"segment with negative offset/length ({self.offset}, {self.length})"
+                f"segment with negative offset/length ({offset}, {length})"
             )
+        return tuple.__new__(cls, (payload, offset, length))
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,9 +37,9 @@ def _nan_to_none(x: float):
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
-@dataclass(frozen=True, slots=True)
-class MessageRecord:
-    """One completed message."""
+class MessageRecord(NamedTuple):
+    """One completed message (an immutable named tuple: one is built per
+    message, on the delivery path)."""
 
     message_id: int
     flow_name: str
@@ -58,7 +58,7 @@ class MessageRecord:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready view (how a live peer ships its records)."""
-        out = {name: getattr(self, name) for name in self.__slots__}
+        out = self._asdict()
         out["traffic_class"] = self.traffic_class.value
         return out
 

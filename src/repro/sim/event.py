@@ -2,8 +2,10 @@
 
 Determinism contract: two events scheduled for the same virtual time fire
 in scheduling order (FIFO), enforced by a monotonically increasing
-sequence number.  Cancellation is O(1) lazy: cancelled events stay in the
-heap and are skipped on pop.
+sequence number.  The heap holds ``(time, seq, event)`` tuples, so it
+orders by C-level tuple compares that never reach the event (``seq`` is
+unique).  Cancellation is O(1) lazy: cancelled events stay in the heap
+and are skipped on pop.
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ class Event:
         self.fn = _cancelled_fn
         self.args = ()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.9f}, seq={self.seq}, {state})"
@@ -59,22 +56,24 @@ class EventQueue:
     __slots__ = ("_heap", "_seq", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._live = 0
 
     def push(self, time: float, fn: Callable[..., Any], args: tuple = ()) -> Event:
         """Schedule ``fn(*args)`` at ``time`` and return the handle."""
-        event = Event(time, self._seq, fn, args)
-        self._seq += 1
+        seq = self._seq
+        event = Event(time, seq, fn, args)
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or ``None`` if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -83,9 +82,10 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Time of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def note_cancelled(self) -> None:
         """Bookkeeping hook: the owner cancelled one live event."""

@@ -26,11 +26,14 @@ class RngStream:
     explicit, validated parameters, so workload code stays readable.
     """
 
-    __slots__ = ("name", "_gen")
+    __slots__ = ("name", "_gen", "_median", "_mu")
 
     def __init__(self, name: str, generator: np.random.Generator) -> None:
         self.name = name
         self._gen = generator
+        # lognormal_size's last median and its log (a stream draws around one)
+        self._median: float | None = None
+        self._mu = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream({self.name!r})"
@@ -72,7 +75,10 @@ class RngStream:
             raise ValueError("median must be > 0 and sigma >= 0")
         if hi < lo:
             raise ValueError(f"empty size range [{lo}, {hi}]")
-        value = float(self._gen.lognormal(mean=np.log(median), sigma=sigma))
+        if median != self._median:
+            self._median = median
+            self._mu = np.log(median)
+        value = float(self._gen.lognormal(self._mu, sigma))
         return int(min(max(value, lo), hi))
 
     def shuffle(self, items: list) -> None:

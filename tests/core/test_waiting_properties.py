@@ -12,14 +12,21 @@ from tests.core.helpers import data_entry
 
 @st.composite
 def queue_operations(draw):
-    """A random interleaving of append / consume / park operations."""
+    """A random interleaving of append / consume / retire / park operations."""
     n = draw(st.integers(min_value=1, max_value=40))
     ops = []
     for _ in range(n):
         ops.append(
             draw(
                 st.sampled_from(
-                    ["append", "append", "consume_head", "park_head", "consume_partial"]
+                    [
+                        "append",
+                        "append",
+                        "consume_head",
+                        "park_head",
+                        "consume_partial",
+                        "retire_head",
+                    ]
                 )
             )
         )
@@ -46,11 +53,20 @@ class TestChannelQueueProperties:
                 head = pending[0]
                 if head.remaining > 1:
                     head.consume(head.remaining // 2)
+            elif op == "retire_head" and pending:
+                # engine._dispatch of a whole entry: one step out of the queue.
+                head = pending[0]
+                remaining, offset = head.remaining, head.offset
+                assert queue.dispatch(head, remaining) == offset
+                assert head.state is EntryState.SENT and head.remaining == 0
+                assert head.offset == offset + remaining and head._owner is None
             elif op == "park_head" and pending:
                 head = pending[0]
                 if head.state is EntryState.WAITING:
                     queue.remove(head)
                     head.state = EntryState.RDV_PENDING
+            count, n_bytes, _oldest = queue.recount()
+            assert (len(queue), queue.pending_bytes) == (count, n_bytes)
 
         pending = queue.pending()
         # 1. Only pending-state entries are visible.
@@ -94,7 +110,11 @@ def lifecycle_programs(draw):
     n = draw(st.integers(min_value=1, max_value=50))
     return [
         (
-            draw(st.sampled_from(["append", "dispatch", "slice", "park", "ack", "fail"])),
+            draw(
+                st.sampled_from(
+                    ["append", "dispatch", "retire", "slice", "park", "ack", "fail"]
+                )
+            ),
             draw(st.integers(min_value=0, max_value=1)),
             draw(st.integers(min_value=0, max_value=7)),
             draw(st.integers(min_value=1, max_value=500)),
@@ -121,11 +141,16 @@ class TestIncrementalAccounting:
             if op == "append":
                 lists.enqueue(data_entry(flow, size, submit_time=clock), channel_id)
             elif op == "dispatch" and pending:
-                # engine._dispatch: consume (may transition to SENT
+                # The two-call retire: consume (may transition to SENT
                 # while still owned), then remove.
                 entry = pending[pick % len(pending)]
                 entry.consume(entry.remaining)
                 queue.remove(entry)
+            elif op == "retire" and pending:
+                # engine._dispatch of a whole entry: ChannelQueue.dispatch
+                # consumes, retires and removes it in one step.
+                entry = pending[pick % len(pending)]
+                queue.dispatch(entry, entry.remaining)
             elif op == "slice" and pending:
                 # Multirail striping: partial consume, entry stays.
                 entry = pending[pick % len(pending)]

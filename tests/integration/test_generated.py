@@ -464,7 +464,7 @@ class TestPlantedViolations:
 
     def test_bytes_conserved_catches_a_dropped_byte(self, good_run):
         records = good_run.untraced.cluster.metrics.records
-        records[-1] = replace(records[-1], size=records[-1].size - 1)
+        records[-1] = records[-1]._replace(size=records[-1].size - 1)
         with pytest.raises(InvariantViolation, match="bytes_conserved"):
             INVARIANTS["bytes_conserved"].check(good_run)
 
@@ -488,6 +488,6 @@ class TestPlantedViolations:
 
     def test_deterministic_catches_a_different_result(self, good_run):
         records = good_run.traced.cluster.metrics.records
-        records[0] = replace(records[0], complete_time=records[0].complete_time * 2)
+        records[0] = records[0]._replace(complete_time=records[0].complete_time * 2)
         with pytest.raises(InvariantViolation, match="deterministic"):
             INVARIANTS["deterministic"].check(good_run)

@@ -100,6 +100,46 @@ class TestSafety:
             reassembler.sink(pkt)
 
 
+class TestWholeFragmentDelivery:
+    """A first slice covering its fragment completes it without a range
+    list; everything that list guarded still holds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=512), min_size=2, max_size=4),
+        offset=st.integers(min_value=0, max_value=600),
+        length=st.integers(min_value=1, max_value=600),
+    )
+    def test_any_slice_after_a_whole_delivery_is_rejected(self, sizes, offset, length):
+        m = make_message(sizes)
+        r = MessageReassembler(Simulator(), "n1")
+        first = m.fragments[0]
+        r.sink(packet_of([(first, 0, first.size)]))
+        assert not m.completion.done
+        with pytest.raises(ProtocolError):
+            r.sink(packet_of([(first, offset, length)]))
+
+    def test_when_fragment_complete_after_a_whole_delivery(self, reassembler):
+        m = make_message([16, 1024])
+        header, body = m.fragments
+        reassembler.sink(packet_of([(header, 0, 16)]))
+        assert reassembler.when_fragment_complete(header).done
+        pending = reassembler.when_fragment_complete(body)
+        assert not pending.done
+        reassembler.sink(packet_of([(body, 0, 1024)]))
+        assert pending.done and pending.value is body
+
+    def test_abandon_releases_a_whole_delivered_fragment(self, reassembler):
+        m = make_message([16, 1024])
+        header, body = m.fragments
+        reassembler.sink(packet_of([(header, 0, 16)]))
+        watcher = reassembler.when_fragment_complete(body)
+        assert reassembler.abandon_incomplete(lambda message: message is m) == 1
+        assert reassembler.incomplete_messages == 0
+        assert reassembler._progress == {} and reassembler._fragment_watchers == {}
+        assert not watcher.done and not m.completion.done
+
+
 class TestNotifications:
     def test_flow_subscription(self, reassembler):
         m = make_message([50])

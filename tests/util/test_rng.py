@@ -87,6 +87,18 @@ class TestRngStream:
             assert 64 <= v <= 4096
             assert isinstance(v, int)
 
+    def test_lognormal_size_draws_unchanged(self):
+        """The memoized log median draws what the plain expression drew."""
+        stream = SeedSequenceRegistry(seed=7).stream("sizes")
+        reference = SeedSequenceRegistry(seed=7).stream("sizes").generator
+        medians = [64, 128.0, 128, 512, 64] * 2_000
+        drawn = [stream.lognormal_size(m, 0.5, lo=1, hi=4 * 512) for m in medians]
+        expected = [
+            int(min(max(float(reference.lognormal(mean=np.log(m), sigma=0.5)), 1), 4 * 512))
+            for m in medians
+        ]
+        assert drawn == expected
+
     def test_lognormal_size_validation(self, stream):
         with pytest.raises(ValueError):
             stream.lognormal_size(median=0, sigma=1.0, lo=1, hi=2)
