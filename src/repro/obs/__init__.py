@@ -28,11 +28,13 @@ streams and registries, :mod:`repro.obs.serve` exposes the cluster
 registry over HTTP during the run, and :mod:`repro.obs.diff` gates two
 runs against each other (``python -m repro obs diff A B --check``).
 
-Per-edge one-way latency, its SLO verdicts and per-rail service time
-are computed once, exactly, from the (aligned) trace by
-:mod:`repro.obs.analyze`.  The plane keeps no online quantile state and
-nothing in it steers dispatch: the rail tails the tuner acts on are the
-NICs' own windows (:attr:`repro.network.nic.NIC.service_us`).
+Everything the plane reports about a run — per-edge one-way latency,
+its SLO verdicts, per-rail service time and causal blame — is computed
+once, exactly, after the run by one fold over the (aligned) trace,
+:func:`repro.obs.analyze.analyze_events`.  The plane keeps no online
+quantile state and nothing in it steers dispatch: the rail tails the
+tuner acts on are the NICs' own windows
+(:attr:`repro.network.nic.NIC.service_us`).
 """
 
 from repro.obs.causal import (
@@ -58,7 +60,7 @@ from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
 from repro.obs.sampler import ObservabilitySampler
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
-from repro.obs.spans import Leg, MessageChain, SpanCollector
+from repro.obs.spans import Leg, MessageChain
 from repro.obs.tails import (
     SLObjective,
     SLOStatus,
@@ -87,7 +89,6 @@ __all__ = [
     "RingBufferSink",
     "SLObjective",
     "SLOStatus",
-    "SpanCollector",
     "TailStats",
     "align_events",
     "attribute_chain",

@@ -1,33 +1,38 @@
-"""Post-run trace analysis: ``python -m repro obs analyze trace.jsonl``.
+"""The one pass over a finished trace: ``python -m repro obs analyze``.
 
-Reads a trace exported by the observability plane (either the JSONL or
-the Chrome trace-event format) and reconstructs the run's story:
+:func:`analyze_events` folds a time-ordered event list (a run's own
+recorder, a JSONL or Chrome trace file, or the live coordinator's
+aligned merge) through one ``kind -> handler`` table, so every event is
+parsed once, and returns a :class:`TraceAnalysis` holding:
 
-* **queue-depth timelines** — total and per-node pending entries over
-  time, from the sampler's ``obs.sample`` records;
-* **NIC utilization timelines** — per-NIC busy fraction per sample
-  interval;
-* an **aggregation-opportunity miss summary** — from the optimizer's
-  ``optimizer.decide`` records: how many dispatches had a *wider*
-  candidate plan available (more segments aggregated) that lost on
-  score, how the search budget was spent, which channels leave the
-  most aggregation on the table, and how decisions split across the
-  ``auto`` strategy's regimes;
-* a **wire view**: exact per-edge one-way latency percentiles — the
-  one place they are computed.  On a merged multi-process trace (see
-  :mod:`repro.obs.merge`) a crossing is a correlated ``live.recv``
-  record; on a simulated trace it is an ``rx.deliver`` closing the
-  ``nic.send`` of the same ``{sender}#{packet}`` (the latest send, the
-  first delivery).  Per-rail service time is read the same way: a
-  ``nic.send`` opens its NIC's span, the next ``nic.idle`` closes it and
-  a ``nic.fail`` drops it (an outage is not service time).  Beside them:
-  the aggregation ratio achieved on each wire (segments per data
-  packet, per ``src->dst`` edge), retransmit storms (bursts of
-  ``rel.retransmit`` events), and hold-timer starvation (samples where
-  a Nagle hold was armed while every NIC sat idle — traffic waiting on
-  a timer with the wire free);
+* **span chains** — one :class:`~repro.obs.spans.MessageChain` per
+  message (``collect.enqueue`` opens it, ``message.complete`` closes it)
+  over packet :class:`~repro.obs.spans.Leg`\\ s keyed
+  ``"{sender}#{packet}"``, the wire correlation id the live plane stamps
+  into frames, so sim and merged live traces resolve alike.  A leg
+  learns its slices from ``engine.dispatch`` and its timestamps from
+  ``nic.send`` / ``rel.*`` / ``reorder.*`` / ``live.recv`` /
+  ``rx.deliver``; a chain whose delivered bytes cover it but whose
+  ``message.complete`` is missing (a truncated trace) is closed at its
+  last delivery.  Every closed chain is attributed
+  (:func:`~repro.obs.causal.attribute_chain`) into :attr:`report`, the
+  blame that ``ObservabilityPlane.finalize``, ``obs why`` and the live
+  coordinator read;
+* **per-edge one-way latency**, exact — the one place it is computed.
+  On a merged live trace a crossing is a correlated ``live.recv``; on a
+  simulated one it is an ``rx.deliver`` closing its leg's latest
+  ``nic.send`` (the latest send, the first delivery after it);
+* **per-rail service time**: a ``nic.send`` opens its NIC's span, the
+  next ``nic.idle`` closes it and a ``nic.fail`` drops it (an outage is
+  not service time);
+* the **decision summary** of ``optimizer.decide`` records (dispatches
+  where a wider candidate lost on score, search truncation, the ``auto``
+  strategy's regimes), **retransmit storms** (bursts of
+  ``rel.retransmit``), and from ``obs.sample`` ticks the queue-depth and
+  NIC-busy timelines plus **hold-timer starvation** (a Nagle hold armed
+  while every NIC sat idle);
 * with ``--scenario``, the exact multi-window SLO burn rates of the
-  scenario's objectives over those crossings (``--check`` turns a
+  scenario's objectives over the crossings (``--check`` turns a
   violation, or a trace without crossings, into exit status 1).
 
 Everything renders as ASCII so it works over SSH next to the
@@ -39,12 +44,14 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
-from repro.obs.causal import CausalReport, collector_report, truncation_warning
+from repro.obs.causal import CausalReport, attribute_chain, truncation_warning
 from repro.obs.export import load_events
-from repro.obs.spans import SpanCollector
+from repro.obs.spans import Leg, MessageChain
 from repro.obs.tails import SLOStatus, TailStats, evaluate_slo_offline, parse_slo
 from repro.util.stats import percentiles
 from repro.util.tracing import TraceEvent
@@ -67,6 +74,13 @@ _STORM_SIZE = 3
 
 #: Per-edge latency columns and the percentile each one reads.
 _EDGE_TAILS = {"p50": 50.0, "p90": 90.0, "p99": 99.0, "p999": 99.9, "max": 100.0}
+
+#: Bound on open (not yet completed) chains and on legs; beyond it the
+#: oldest is evicted FIFO so a runaway trace cannot grow memory.
+_PENDING_CAP = 65536
+
+_kind = attrgetter("kind")
+_time = attrgetter("time")
 
 
 def _sparkline(values: list[float], width: int = 60) -> str:
@@ -118,10 +132,6 @@ class _Spans:
     times: list[float] = field(default_factory=list)  #: end times (parallel)
     clamped: int = 0  #: crossings whose aligned latency was clamped to 0
 
-    def add(self, duration: float, time: float) -> None:
-        self.latencies.append(duration)
-        self.times.append(time)
-
     def tails(self) -> dict[str, float]:
         """Exact latency columns (seconds), keyed as :data:`_EDGE_TAILS`."""
         values = percentiles(self.latencies, list(_EDGE_TAILS.values()))
@@ -141,19 +151,6 @@ class _Spans:
     @property
     def count(self) -> int:
         return len(self.latencies)
-
-
-@dataclass
-class _WireAgg:
-    """Aggregation accounting for one ``src->dst`` wire edge."""
-
-    data_packets: int = 0
-    segments: int = 0
-    payload_bytes: int = 0
-
-    @property
-    def ratio(self) -> float:
-        return self.segments / self.data_packets if self.data_packets else 0.0
 
 
 @dataclass
@@ -184,16 +181,26 @@ class TraceAnalysis:
     edges: dict[str, _Spans] = field(default_factory=dict)
     #: NIC name -> service times, each a ``nic.send`` to its ``nic.idle``.
     rails: dict[str, _Spans] = field(default_factory=dict)
-    #: "src->dst" -> per-wire aggregation accounting (from nic.send).
-    wire_agg: dict[str, _WireAgg] = field(default_factory=dict)
     retransmit_count: int = 0
     retransmit_storms: int = 0
     #: obs.sample ticks where a hold timer was armed with every NIC idle.
     hold_starved_samples: int = 0
     hold_starved_streak: int = 0  #: longest consecutive run of the above
     samples: int = 0  #: obs.sample ticks seen
-    #: causal attribution of every completed message (see obs.causal),
-    #: with the flight-recorder accounting of an ``obs.truncated`` marker.
+    #: ``(sender, message_id)`` -> chains left open (never covered).
+    chains: dict[tuple[str, int], MessageChain] = field(default_factory=dict)
+    #: ``"{sender}#{packet}"`` -> every packet leg seen.
+    legs: dict[str, Leg] = field(default_factory=dict)
+    #: Closed chains, in completion order.
+    completed: list[MessageChain] = field(default_factory=list)
+    #: node -> ``(arm_t, fire_t | None)`` hold-timer windows.  One timer
+    #: per node: start-sorted, disjoint, only the last can be open.
+    hold_windows: dict[str, list[tuple[float, float | None]]] = field(
+        default_factory=dict
+    )
+    evicted_chains: int = 0
+    #: causal attribution of every closed chain (see obs.causal), with
+    #: the flight-recorder accounting of an ``obs.truncated`` marker.
     report: CausalReport = field(default_factory=CausalReport)
 
     @property
@@ -207,51 +214,325 @@ class TraceAnalysis:
 
 
 def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
-    """Run the full analysis over normalized trace events."""
-    analysis = TraceAnalysis()
-    analysis.n_events = len(events)
+    """The one fold over a finished, time-ordered trace (module docs).
+
+    Detail fields are read as the emitters wrote them: ids, sizes and
+    slices are ints in memory and stay ints through both file formats.
+    """
+    analysis = TraceAnalysis(
+        n_events=len(events), kinds=dict(Counter(map(_kind, events)))
+    )
     if events:
-        analysis.span = (events[0].time, max(e.time for e in events))
+        analysis.span = (events[0].time, max(map(_time, events)))
+    chains = analysis.chains
+    legs = analysis.legs
+    completed = analysis.completed
+    hold_windows = analysis.hold_windows
+    edges = analysis.edges
+    rails = analysis.rails
+    report = analysis.report
+    open_hold: dict[str, int] = {}  # node -> index of its open window
+    serving: dict[str, float] = {}  # NIC source -> send time of its span
     retransmit_times: list[float] = []
-    streak = 0
-    spans = SpanCollector()
-    #: "{sender}#{packet}" -> (send time, sender) of sim sends in flight.
-    in_flight: dict[str, tuple[float, str]] = {}
-    #: NIC source -> send time of the span it is serving.
-    serving: dict[str, float] = {}
-    for event in events:
-        analysis.kinds[event.kind] = analysis.kinds.get(event.kind, 0) + 1
-        spans.ingest(event)
-        if event.kind == "obs.sample":
-            starved = _ingest_sample(analysis, event)
-            analysis.samples += 1
-            streak = streak + 1 if starved else 0
-            if starved:
-                analysis.hold_starved_samples += 1
-                analysis.hold_starved_streak = max(
-                    analysis.hold_starved_streak, streak
-                )
-        elif event.kind == "optimizer.decide":
-            _ingest_decide(analysis, event)
-        elif event.kind == "live.recv":
-            _ingest_crossing(analysis, event)
-        elif event.kind == "nic.send":
-            serving[event.source] = event.time
-            _ingest_send(analysis, event, in_flight)
-        elif event.kind == "nic.idle":
-            sent = serving.pop(event.source, None)
+    starved_streak = 0
+
+    def leg_for(key: str, node: str) -> Leg:
+        leg = legs.get(key)
+        if leg is None:
+            if len(legs) >= _PENDING_CAP:
+                del legs[next(iter(legs))]
+            leg = legs[key] = Leg(key, node)
+        return leg
+
+    def crossing(src: str, dst: str, send_time: float, time: float) -> None:
+        name = f"{src}->{dst}"
+        edge = edges.get(name)
+        if edge is None:
+            edge = edges[name] = _Spans()
+        latency = time - send_time
+        if latency < 0:  # unaligned raw clocks can do this; never report it
+            latency = 0.0
+            edge.clamped += 1
+        edge.latencies.append(latency)
+        edge.times.append(time)
+
+    def on_enqueue(event: TraceEvent) -> None:
+        detail = event.detail
+        node = event.source.partition(":")[2]
+        message = detail["message"]
+        chain = MessageChain(
+            node,
+            message,
+            detail.get("flow"),
+            detail.get("dst"),
+            detail.get("bytes", 0),
+            detail.get("fragments", 0),
+            event.time,
+        )
+        if len(chains) >= _PENDING_CAP:
+            del chains[next(iter(chains))]
+            analysis.evicted_chains += 1
+        chains[node, message] = chain
+
+    def on_hold_arm(event: TraceEvent) -> None:
+        node = event.source.partition(":")[2]
+        if node not in open_hold:
+            windows = hold_windows.setdefault(node, [])
+            open_hold[node] = len(windows)
+            windows.append((event.time, None))
+
+    def on_hold_fire(event: TraceEvent) -> None:
+        node = event.source.partition(":")[2]
+        index = open_hold.pop(node, None)
+        if index is not None:
+            windows = hold_windows[node]
+            windows[index] = (windows[index][0], event.time)
+
+    def rdv_chain(event: TraceEvent) -> MessageChain | None:
+        message = event.detail.get("message")
+        if message is None:
+            return None
+        return chains.get((event.source.partition(":")[2], message))
+
+    def on_rdv_park(event: TraceEvent) -> None:
+        chain = rdv_chain(event)
+        if chain is not None:
+            chain.rdv_windows.append((event.time, None))
+
+    def on_rdv_close(event: TraceEvent) -> None:
+        chain = rdv_chain(event)
+        if chain is not None:
+            windows = chain.rdv_windows
+            for i in range(len(windows) - 1, -1, -1):
+                if windows[i][1] is None:
+                    windows[i] = (windows[i][0], event.time)
+                    break
+
+    def on_dispatch(event: TraceEvent) -> None:
+        detail = event.detail
+        packet = detail.get("packet")
+        if packet is None:  # trace predates packet correlation
+            return
+        node = event.source.partition(":")[2]
+        key = f"{node}#{packet}"
+        leg = legs.get(key) or leg_for(key, node)  # nic.send came first
+        leg.packet_id = packet
+        leg.dispatch_t = event.time
+        leg.dst = detail.get("dst")
+        leg.packet_kind = detail.get("packet_kind")
+        leg.bytes = detail.get("bytes", 0)
+        messages = detail.get("messages", ())
+        leg.slices += messages
+        for mid, _fid, _length in messages:
+            chain = chains.get((node, mid))
+            if chain is not None and leg not in chain.legs:
+                chain.legs.append(leg)
+
+    def on_nic_send(event: TraceEvent) -> None:
+        detail = event.detail
+        source = event.source
+        time = event.time
+        serving[source] = time
+        nic = source.partition(":")[2]
+        node = nic.partition(".")[0]
+        corr = detail.get("corr")
+        leg = leg_for(corr or f"{node}#{detail['packet']}", node)
+        if corr is None:  # a sim send: the crossing opens here
+            leg.last_send_t = time
+        if leg.send_t is None:
+            leg.send_t = time
+        leg.nic = nic
+        occupancy = detail.get("occupancy")
+        if occupancy is not None:
+            leg.occupancy = float(occupancy)
+
+    def on_nic_idle(event: TraceEvent) -> None:
+        sent = serving.pop(event.source, None)
+        if sent is not None:
+            name = event.source.partition(":")[2]
+            rail = rails.get(name)
+            if rail is None:
+                rail = rails[name] = _Spans()
+            rail.latencies.append(event.time - sent)
+            rail.times.append(event.time)
+
+    def on_nic_fail(event: TraceEvent) -> None:
+        serving.pop(event.source, None)
+
+    def rel_leg(event: TraceEvent) -> Leg:
+        node = event.source.partition(":")[2].partition(".")[0]
+        return leg_for(f"{node}#{event.detail['packet']}", node)
+
+    def on_retransmit(event: TraceEvent) -> None:
+        rel_leg(event).retransmits.append(event.time)
+        retransmit_times.append(event.time)
+
+    def on_drop(event: TraceEvent) -> None:
+        rel_leg(event).drops += 1
+
+    def reorder_leg(event: TraceEvent) -> Leg | None:
+        src = event.detail.get("src")
+        if src is None:
+            return None
+        return leg_for(f"{src}#{event.detail['packet']}", str(src))
+
+    def on_reorder_enter(event: TraceEvent) -> None:
+        leg = reorder_leg(event)
+        if leg is not None:
+            leg.reorder_enter_t = event.time
+
+    def on_reorder_release(event: TraceEvent) -> None:
+        leg = reorder_leg(event)
+        if leg is not None:
+            leg.reorder_release_t = event.time
+
+    def on_live_recv(event: TraceEvent) -> None:
+        detail = event.detail
+        corr = detail.get("corr")
+        if corr is not None:
+            src = detail.get("src", str(corr).partition("#")[0])
+            leg = leg_for(str(corr), str(src))
+            if leg.recv_t is None:
+                leg.recv_t = event.time
+        src = detail.get("src")
+        send_time = detail.get("send_time", detail.get("sent_at"))
+        if src is not None and send_time is not None:
+            dst = detail.get("dst") or event.source.partition(":")[2] or "?"
+            crossing(src, dst, float(send_time), event.time)
+
+    def on_deliver(event: TraceEvent) -> None:
+        detail = event.detail
+        corr = detail.get("corr")
+        time = event.time
+        if corr is None:  # a sim delivery closes its leg's latest send
+            src = detail.get("src")
+            if src is None or "packet" not in detail:
+                return
+            leg = legs.get(f"{src}#{detail['packet']}")
+            if leg is None:
+                return
+            sent = leg.last_send_t
             if sent is not None:
-                rail = analysis.rails.setdefault(event.source.partition(":")[2], _Spans())
-                rail.add(event.time - sent, event.time)
-        elif event.kind == "nic.fail":
-            serving.pop(event.source, None)
-        elif event.kind == "rx.deliver":
-            _ingest_deliver(analysis, event, in_flight)
-        elif event.kind == "rel.retransmit":
-            retransmit_times.append(event.time)
-    analysis.retransmit_count = len(retransmit_times)
+                leg.last_send_t = None
+                crossing(src, event.source.partition(":")[2], sent, time)
+        else:
+            leg = legs.get(str(corr))
+            if leg is None:
+                return
+        if leg.deliver_t is None:
+            leg.deliver_t = time
+            node = leg.node
+            for mid, _fid, length in leg.slices:
+                chain = chains.get((node, mid))
+                if chain is not None:
+                    chain.delivered_bytes += length
+                    chain.last_deliver_t = time
+
+    def on_complete(event: TraceEvent) -> None:
+        detail = event.detail
+        chain = chains.pop((detail.get("src"), detail["message"]), None)
+        if chain is not None:
+            chain.complete_t = event.time
+            completed.append(chain)
+
+    def on_truncated(event: TraceEvent) -> None:
+        detail = event.detail
+        report.trace_dropped += int(detail.get("dropped", 0))
+        seen = detail.get("seen")
+        if seen is not None:
+            report.trace_seen = (report.trace_seen or 0) + int(seen)
+
+    def on_sample(event: TraceEvent) -> None:
+        nonlocal starved_streak
+        detail = event.detail
+        t = event.time
+        backlog = detail.get("backlog")
+        if backlog is not None:
+            analysis.backlog.add(t, backlog)
+        per_node: dict[str, float] = {}
+        for key, pair in (detail.get("queues") or {}).items():
+            node = str(key).split("/", 1)[0]
+            per_node[node] = per_node.get(node, 0.0) + pair[0]
+        for node, depth in per_node.items():
+            analysis.node_depth.setdefault(node, _Series()).add(t, depth)
+        busy = detail.get("nic_busy") or {}
+        for nic_name, fraction in busy.items():
+            analysis.nic_busy.setdefault(nic_name, _Series()).add(t, fraction)
+        retrans = detail.get("retransmits_in_flight")
+        if retrans is not None:
+            analysis.retransmits.add(t, retrans)
+        # Hold starvation: a Nagle hold armed while every NIC sat idle.
+        if detail.get("holds_armed") and busy and max(busy.values()) == 0.0:
+            starved_streak += 1
+            analysis.hold_starved_samples += 1
+            analysis.hold_starved_streak = max(
+                analysis.hold_starved_streak, starved_streak
+            )
+        else:
+            starved_streak = 0
+
+    def on_decide(event: TraceEvent) -> None:
+        detail = event.detail
+        items = detail.get("items", 0) or 0
+        widest = detail.get("widest_items")
+        analysis.width_sum += items
+        if widest is not None:
+            analysis.widest_sum += widest
+            if widest > items:
+                analysis.misses += 1
+                key = f"{event.source.partition(':')[2]}/{detail.get('channel', '?')}"
+                misses = analysis.miss_by_channel
+                misses[key] = misses.get(key, 0) + 1
+        truncation = detail.get("truncation")
+        if truncation is not None:
+            analysis.truncation[truncation] = analysis.truncation.get(truncation, 0) + 1
+        regime = detail.get("regime")
+        if regime is not None:
+            analysis.regimes[regime] = analysis.regimes.get(regime, 0) + 1
+
+    table = {
+        "collect.enqueue": on_enqueue,
+        "hold.arm": on_hold_arm,
+        "hold.fire": on_hold_fire,
+        "rdv.park": on_rdv_park,
+        "rdv.ready": on_rdv_close,
+        "rdv.timeout": on_rdv_close,
+        "engine.dispatch": on_dispatch,
+        "nic.send": on_nic_send,
+        "nic.idle": on_nic_idle,
+        "nic.fail": on_nic_fail,
+        "rel.retransmit": on_retransmit,
+        "rel.drop": on_drop,
+        "reorder.enter": on_reorder_enter,
+        "reorder.release": on_reorder_release,
+        "live.recv": on_live_recv,
+        "rx.deliver": on_deliver,
+        "message.complete": on_complete,
+        "obs.truncated": on_truncated,
+        "obs.sample": on_sample,
+        "optimizer.decide": on_decide,
+    }
+    handlers = map(table.get, map(_kind, events))  # looked up in C
+    for event, handler in zip(events, handlers):
+        if handler is not None:
+            handler(event)
+
+    # A chain delivered in full whose message.complete is missing (a
+    # truncated trace) closes at its last delivery; the rest stay open.
+    for key in [key for key, chain in chains.items() if chain.covered]:
+        chain = chains.pop(key)
+        chain.complete_t = chain.last_deliver_t
+        completed.append(chain)
+    report.incomplete = len(chains)
+    for chain in completed:
+        blame = attribute_chain(chain, hold_windows)
+        if blame is not None:
+            report.messages.append(blame)
+    kinds = analysis.kinds
+    analysis.decides = kinds.get("optimizer.decide", 0)
+    analysis.samples = kinds.get("obs.sample", 0)
+    analysis.retransmit_count = kinds.get("rel.retransmit", 0)
     analysis.retransmit_storms = _count_storms(retransmit_times)
-    analysis.report = collector_report(spans)
     return analysis
 
 
@@ -266,110 +547,6 @@ def _count_storms(times: list[float]) -> int:
             storms += 1
         previous = t
     return storms
-
-
-def _ingest_sample(analysis: TraceAnalysis, event: TraceEvent) -> bool:
-    """Ingest one sampler tick; returns True when it shows hold starvation
-    (a Nagle hold armed while every sampled NIC sat idle)."""
-    detail = event.detail
-    t = event.time
-    backlog = detail.get("backlog")
-    if backlog is not None:
-        analysis.backlog.add(t, backlog)
-    per_node: dict[str, float] = {}
-    for key, pair in (detail.get("queues") or {}).items():
-        node = str(key).split("/", 1)[0]
-        per_node[node] = per_node.get(node, 0.0) + pair[0]
-    for node, depth in per_node.items():
-        analysis.node_depth.setdefault(node, _Series()).add(t, depth)
-    busy = detail.get("nic_busy") or {}
-    for nic_name, fraction in busy.items():
-        analysis.nic_busy.setdefault(nic_name, _Series()).add(t, fraction)
-    retrans = detail.get("retransmits_in_flight")
-    if retrans is not None:
-        analysis.retransmits.add(t, retrans)
-    holds = detail.get("holds_armed") or 0
-    return bool(holds) and bool(busy) and max(busy.values()) == 0.0
-
-
-def _add_crossing(
-    analysis: TraceAnalysis, src: str, dst: str, send_time: float, time: float
-) -> None:
-    """One wire crossing of the ``src->dst`` edge, received at ``time``."""
-    edge = analysis.edges.setdefault(f"{src}->{dst}", _Spans())
-    latency = time - send_time
-    if latency < 0:  # unaligned raw clocks can do this; never report it
-        latency = 0.0
-        edge.clamped += 1
-    edge.add(latency, time)
-
-
-def _ingest_crossing(analysis: TraceAnalysis, event: TraceEvent) -> None:
-    """One correlated wire crossing (live.recv with a send timestamp)."""
-    detail = event.detail
-    src = detail.get("src")
-    send_time = detail.get("send_time", detail.get("sent_at"))
-    if src is None or send_time is None:
-        return
-    dst = detail.get("dst") or event.source.partition(":")[2] or "?"
-    _add_crossing(analysis, src, dst, float(send_time), event.time)
-
-
-def _ingest_deliver(
-    analysis: TraceAnalysis, event: TraceEvent, in_flight: dict
-) -> None:
-    """A sim delivery closes the send of its ``{sender}#{packet}`` (live
-    deliveries carry ``corr``; their crossing is the ``live.recv``)."""
-    detail = event.detail
-    if detail.get("corr") is not None:
-        return
-    sent = in_flight.pop(f"{detail.get('src')}#{detail.get('packet')}", None)
-    if sent is not None:
-        _add_crossing(
-            analysis, sent[1], event.source.partition(":")[2], sent[0], event.time
-        )
-
-
-def _ingest_send(
-    analysis: TraceAnalysis, event: TraceEvent, in_flight: dict
-) -> None:
-    """A sim send opens a crossing; a data packet also counts toward its
-    wire's aggregation."""
-    detail = event.detail
-    node = event.source.partition(":")[2].split(".", 1)[0]
-    if detail.get("corr") is None:
-        in_flight[f"{node}#{detail.get('packet')}"] = (event.time, node)
-    if detail.get("packet_kind") != "data":
-        return
-    dst = detail.get("dst")
-    if dst is None or not node:
-        return
-    wire = analysis.wire_agg.setdefault(f"{node}->{dst}", _WireAgg())
-    wire.data_packets += 1
-    wire.segments += int(detail.get("segments", 0) or 0)
-    wire.payload_bytes += int(detail.get("bytes", 0) or 0)
-
-
-def _ingest_decide(analysis: TraceAnalysis, event: TraceEvent) -> None:
-    detail = event.detail
-    analysis.decides += 1
-    items = detail.get("items", 0) or 0
-    widest = detail.get("widest_items")
-    analysis.width_sum += items
-    if widest is not None:
-        analysis.widest_sum += widest
-        if widest > items:
-            analysis.misses += 1
-            node = event.source.partition(":")[2]
-            channel = detail.get("channel", "?")
-            key = f"{node}/{channel}"
-            analysis.miss_by_channel[key] = analysis.miss_by_channel.get(key, 0) + 1
-    truncation = detail.get("truncation")
-    if truncation is not None:
-        analysis.truncation[truncation] = analysis.truncation.get(truncation, 0) + 1
-    regime = detail.get("regime")
-    if regime is not None:
-        analysis.regimes[regime] = analysis.regimes.get(regime, 0) + 1
 
 
 def analyze_file(path: str | Path) -> TraceAnalysis:
@@ -448,18 +625,6 @@ def render(analysis: TraceAnalysis, *, width: int = 60, top: int = 5) -> str:
                 f"{label} {format_time(value)}" for label, value in spans.tails().items()
             )
             lines.append(f"  {name:<{name_width}}  n={spans.count:<6} {columns}{clamp}")
-
-    if analysis.wire_agg:
-        lines.append("")
-        lines.append("aggregation per wire (segments per data packet):")
-        name_width = max(len(w) for w in analysis.wire_agg)
-        for wire_name in sorted(analysis.wire_agg):
-            wire = analysis.wire_agg[wire_name]
-            lines.append(
-                f"  {wire_name:<{name_width}}  ratio {wire.ratio:5.2f}  "
-                f"({wire.segments} segments / {wire.data_packets} packets, "
-                f"{wire.payload_bytes} B)"
-            )
 
     if analysis.retransmit_count:
         lines.append("")
@@ -572,11 +737,6 @@ def summary_metrics(analysis: TraceAnalysis) -> dict[str, float]:
         out[f"{prefix}/crossings"] = float(edge.count)
         for label, value in edge.tails().items():
             out[f"{prefix}/latency_{label}_us"] = value * 1e6
-    for wire_name, wire in sorted(analysis.wire_agg.items()):
-        prefix = f"wire/{wire_name}"
-        out[f"{prefix}/ratio"] = wire.ratio
-        out[f"{prefix}/data_packets"] = float(wire.data_packets)
-        out[f"{prefix}/segments"] = float(wire.segments)
     report = analysis.report
     out["blame/messages"] = float(len(report.messages))
     if report.trace_dropped:

@@ -1,7 +1,8 @@
 """Causal latency attribution: why was this message late?
 
-Built on :mod:`repro.obs.spans`, this module attributes every
-microsecond of a message's end-to-end latency to a named blame bucket:
+This module attributes every microsecond of a message's end-to-end
+latency, read from its :class:`~repro.obs.spans.MessageChain`, to a
+named blame bucket:
 
 ``hold``
     Waiting on the sender while the Nagle hold timer was armed — the
@@ -33,11 +34,13 @@ blame is attributed along that leg only — latencies do not add across
 parallel legs.
 
 Blame is attributed after the run, from the trace — the one place a
-message's whole chain is visible.  :func:`attribute_events` is that one
-pass; the plane's ``finalize`` (a simulated run's own sink), the live
+message's whole chain is visible — by the one fold over it,
+:func:`repro.obs.analyze.analyze_events`, which calls
+:func:`attribute_chain` on every closed chain.  Its ``report`` is what
+the plane's ``finalize`` (a simulated run's own sink), the live
 coordinator (the merged trace), ``obs analyze`` and ``obs why``
-(:func:`main`, per-message waterfalls from any trace file) all call it,
-and :func:`export_blame` writes its per-edge sums to a registry.
+(:func:`main`, per-message waterfalls from any trace file) read, and
+:func:`export_blame` writes its per-edge sums to a registry.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from typing import Any, Iterable, Mapping
 
 from repro.obs.spans import (
     MessageChain,
-    SpanCollector,
     interval_overlap,
     merge_intervals,
     subtract_intervals,
@@ -65,7 +67,6 @@ __all__ = [
     "CausalReport",
     "attribute_chain",
     "attribute_events",
-    "collector_report",
     "export_blame",
     "render_waterfall",
     "render_report",
@@ -161,8 +162,8 @@ def attribute_chain(
     hold_windows: Mapping[str, list[tuple[float, float | None]]] | None = None,
 ) -> MessageBlame | None:
     """Attribute one completed chain; None when it never completed.
-    ``hold_windows`` (:attr:`SpanCollector.hold_windows`) holds, per
-    node, start-sorted disjoint ``(arm_t, fire_t | None)`` windows."""
+    ``hold_windows`` (``TraceAnalysis.hold_windows``) holds, per node,
+    start-sorted disjoint ``(arm_t, fire_t | None)`` windows."""
     if chain.complete_t is None:
         return None
     t0 = chain.submit_t
@@ -339,26 +340,11 @@ def export_blame(
             ).set(value / e2e if e2e > 0 else 0.0)
 
 
-def collector_report(collector: SpanCollector) -> CausalReport:
-    """Close out a fully-fed collector and attribute what it completed."""
-    collector.finish()
-    report = CausalReport(
-        incomplete=collector.incomplete,
-        trace_seen=collector.trace_seen,
-        trace_dropped=collector.trace_dropped,
-    )
-    for chain in collector.completed:
-        blame = attribute_chain(chain, collector.hold_windows)
-        if blame is not None:
-            report.messages.append(blame)
-    return report
+def attribute_events(events: list[TraceEvent]) -> CausalReport:
+    """The blame of a whole trace: ``analyze_events(events).report``."""
+    from repro.obs.analyze import analyze_events
 
-
-def attribute_events(events: Iterable[TraceEvent]) -> CausalReport:
-    """Run span reconstruction + attribution over a full event stream."""
-    collector = SpanCollector()
-    collector.ingest_all(events)
-    return collector_report(collector)
+    return analyze_events(events).report
 
 
 # ----------------------------------------------------------------------
@@ -462,10 +448,9 @@ def render_report(
 # ----------------------------------------------------------------------
 def main(args) -> int:
     """Entry point for ``python -m repro obs why``."""
-    from repro.obs.export import load_events
+    from repro.obs.analyze import analyze_file
 
-    events = load_events(args.trace)
-    report = attribute_events(events)
+    report = analyze_file(args.trace).report
     if getattr(args, "json", False):
         payload = report.to_dict()
         if args.message is None:

@@ -1,7 +1,11 @@
 """Trace exporters: Chrome trace-event JSON (Perfetto) and JSON Lines.
 
 The Chrome exporter maps the simulator's event stream onto the trace
-event format ``chrome://tracing`` and https://ui.perfetto.dev consume:
+event format ``chrome://tracing`` and https://ui.perfetto.dev consume.
+Every event becomes an **instant** event (``i``) on its source's track,
+carrying its full detail dict in ``args``; the spans, flows and counters
+below are projections of those instants, drawn beside them (their
+details stay on the instants):
 
 * every **node** becomes a process (``pid``), with its NICs and its
   optimizer as named threads (tracks);
@@ -16,15 +20,14 @@ event format ``chrome://tracing`` and https://ui.perfetto.dev consume:
   **flow events** (``s``/``f``): an arrow from the sending NIC's
   ``nic.send`` span to the receiving peer's decode instant, keyed by the
   correlation id the sender stamped into the wire meta — in a merged
-  multi-peer trace this draws every wire crossing across process lanes;
-* everything else (dispatch decisions, activations, failovers) becomes
-  instant events carrying their full detail dict in ``args``.
+  multi-peer trace this draws every wire crossing across process lanes.
 
 Timestamps are virtual microseconds (the trace format's native unit).
 
 ``load_events`` reads both export formats back into normalized
-:class:`~repro.util.tracing.TraceEvent` lists, which is what the
-``python -m repro obs analyze`` CLI operates on.
+:class:`~repro.util.tracing.TraceEvent` lists (a Chrome trace from its
+instants), which is what the ``python -m repro obs analyze`` CLI
+operates on.
 """
 
 from __future__ import annotations
@@ -153,6 +156,7 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
         kind = event.kind
         detail = event.detail
         pid, tid = tracks.track_for(event.source)
+        out.append(_instant(event, ts, pid, tid))
 
         if kind == "nic.send":
             open_sends[event.source] = event
@@ -164,7 +168,6 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
                     "tid": tid,
                     "name": f"send {detail.get('packet_kind', '?')}",
                     "cat": "nic",
-                    "args": _jsonable_args(detail),
                 }
             )
         elif kind == "nic.idle":
@@ -182,7 +185,6 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
                     "cat": "rdv",
                     "id": token,
                     "name": "rendezvous",
-                    "args": _jsonable_args(detail),
                 }
             )
         elif kind in ("rdv.ready", "rdv.timeout"):
@@ -202,17 +204,8 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
                 )
         elif kind == "obs.sample":
             out.extend(_sample_counters(event, tracks))
-            # Also kept as an instant so trace files round-trip through
-            # load_events without losing the sampler's full detail.
-            out.append(_instant(event, ts, pid, tid))
-            continue
         elif kind == "live.recv":
             out.extend(_flow_pair(event, ts, pid, tid, tracks))
-            # The instant keeps the record loadable by load_events (the
-            # flow pair is a projection, like counters are for samples).
-            out.append(_instant(event, ts, pid, tid))
-        else:
-            out.append(_instant(event, ts, pid, tid))
 
     # Close anything still open so the JSON is a well-formed trace.
     for source, event in open_sends.items():
@@ -359,9 +352,10 @@ def write_trace(path: str | Path, events: Sequence[TraceEvent]) -> str:
 def load_events(path: str | Path) -> list[TraceEvent]:
     """Load a trace file (either export format) back into events.
 
-    Chrome traces reconstruct from their instant events — duration and
-    counter tracks are projections of the same records, so nothing the
-    analyzer needs is lost.
+    A Chrome trace is rebuilt from its instant events, one per recorded
+    event; its spans, flows and counters are projections of them.  Times
+    pass through microseconds, so they can differ from the JSONL's in
+    the last bits.
     """
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.obs.causal import attribute_events, export_blame
+from repro.obs.causal import export_blame
 from repro.obs.export import write_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
@@ -126,15 +126,22 @@ class ObservabilityPlane:
         self.registry = MetricsRegistry()
         self.sink = None
         self.sampler: ObservabilitySampler | None = None
-        self._attributes_blame = sink is None
         self._cluster: "Cluster | None" = None
+        #: The trace fold ``finalize`` attributes blame with, when this
+        #: plane records its own trace.  Its module loads here, with the
+        #: cluster, not inside the run ``finalize`` ends.
+        self._fold = None
         if self.config.trace:
             if sink is not None:
                 self.sink = sink
-            elif self.config.ring_buffer is not None:
-                self.sink = RingBufferSink(self.config.ring_buffer)
             else:
-                self.sink = ListSink()
+                from repro.obs.analyze import analyze_events
+
+                self._fold = analyze_events
+                if self.config.ring_buffer is not None:
+                    self.sink = RingBufferSink(self.config.ring_buffer)
+                else:
+                    self.sink = ListSink()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -157,8 +164,8 @@ class ObservabilityPlane:
         Engine and NIC stats are maintained by the hot path itself;
         copying them in once at the end keeps the run unperturbed while
         making the Prometheus exposition a complete run summary.  The
-        recorded trace is attributed here too, in one pass after the run
-        (:func:`~repro.obs.causal.attribute_events`): with a ring buffer
+        recorded trace is attributed here too, by the one pass over it
+        (:func:`~repro.obs.analyze.analyze_events`): with a ring buffer
         that overflowed, blame covers the retained window only.
         """
         cluster = self._cluster
@@ -205,8 +212,8 @@ class ObservabilityPlane:
         for kind, count in cluster.sim.tracer.counts.items():
             mirror("repro_obs_events_total", count,
                    "Trace events dispatched to the plane's sinks", kind=kind)
-        if sink is not None and self._attributes_blame:
-            export_blame(attribute_events(sink.events).edges(), registry)
+        if self._fold is not None:
+            export_blame(self._fold(sink.events).report.edges(), registry)
 
     # ------------------------------------------------------------------
     # access + export

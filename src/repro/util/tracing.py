@@ -26,7 +26,6 @@ from typing import Any, Callable, Iterator
 
 __all__ = [
     "TraceEvent",
-    "KindSink",
     "Tracer",
     "NullTracer",
     "event_to_dict",
@@ -50,25 +49,9 @@ class TraceEvent:
     detail: dict[str, Any] = field(default_factory=dict)
 
 
-class KindSink:
-    """Base of sinks that consume only the kinds in their ``handlers``
-    table (``kind -> callable(event)``); every other event costs one
-    lookup.  Subscribed to a :class:`Tracer` or fed a stored trace, it
-    routes through the same table."""
-
-    __slots__ = ("handlers",)
-
-    def __call__(self, event: TraceEvent) -> None:
-        """Feed one event; kinds outside the table are ignored."""
-        handler = self.handlers.get(event.kind)
-        if handler is not None:
-            handler(event)
-
-
 class Tracer:
     """The one event dispatcher: every subscriber is called with every
-    event, in subscription order (a :class:`KindSink` then keeps only
-    its kinds)."""
+    event, in subscription order."""
 
     def __init__(self) -> None:
         self._sinks: list[Callable[[TraceEvent], None]] = []

@@ -24,10 +24,8 @@ from repro.live import run_live_scenario
 from repro.live import cluster as live_cluster
 from repro.live.peer import LivePeer
 from repro.obs.analyze import analyze_events, summary_metrics
-from repro.obs.causal import collector_report
 from repro.obs.export import to_chrome_trace
 from repro.obs.merge import KIND_WIRE_RECV
-from repro.obs.spans import SpanCollector
 from repro.util.tracing import event_to_dict
 
 _TIMEOUT = 30.0
@@ -65,13 +63,14 @@ class TestMergedTrace:
         assert traced_run.crossings_matched >= traced_run.report.messages
         # ... and every completion names its sender's chain: the receiving
         # peer's message.complete carries the sender's (src, message).
-        collector = SpanCollector()
+        analysis = analyze_events(traced_run.aligned_events)
+        closed = {(chain.src, chain.message_id): chain for chain in analysis.completed}
         for event in traced_run.aligned_events:
             if event.kind == "message.complete":
                 key = (event.detail["src"], event.detail["message"])
-                assert key in collector.chains
-            collector.ingest(event)
-        assert collector_report(collector).incomplete == 0
+                assert key in closed
+                assert closed[key].complete_t == event.time
+        assert analysis.report.incomplete == 0
 
     def test_send_not_after_aligned_recv(self, traced_run):
         recvs = [

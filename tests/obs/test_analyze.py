@@ -1,5 +1,6 @@
 """Trace-analysis CLI: timeline reconstruction and miss accounting."""
 
+import math
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 
@@ -276,6 +277,27 @@ class TestScenarioMixedEdges:
                 below = bisect_left(ordered, value) / count
                 at_or_below = bisect_right(ordered, value) / count
                 assert below - bound <= q <= at_or_below + bound, (name, q)
+
+
+class TestFormatsAgree:
+    """The Chrome export keeps every event as an instant, so it analyzes
+    like the JSONL of the same run (times pass through microseconds)."""
+
+    def test_summary_metrics_equal_across_formats(self, tmp_path):
+        scenario = load_scenario_file(_EXAMPLES / "scenario_mixed.json")
+        scenario["observability"] = {"trace": True}
+        _, cluster, _ = run_scenario(scenario)
+        metrics = {}
+        for suffix in ("jsonl", "json"):
+            path = tmp_path / f"trace.{suffix}"
+            cluster.obs.write_trace(path)
+            metrics[suffix] = summary_metrics(analyze_file(path))
+        jsonl, chrome = metrics["jsonl"], metrics["json"]
+        assert jsonl["crossings/total"] == 636
+        assert chrome.keys() == jsonl.keys()
+        for key, value in jsonl.items():
+            # abs_tol: a zero residual (unattributed) is float noise ~1e-17.
+            assert math.isclose(chrome[key], value, rel_tol=1e-9, abs_tol=1e-12), key
 
 
 class TestSparkline:

@@ -126,13 +126,21 @@ class TestRoundTrip:
         assert write_trace(path, events) == "chrome"
         loaded = load_events(path)
         by_kind = {e.kind: e for e in loaded}
-        # span-projected events (nic.send/idle, rdv.*) don't come back;
-        # instants do, with time/source/detail intact.
+        # Every event comes back from its instant, time/source/detail
+        # intact, the span-projected kinds (nic.send/idle, rdv.*) too.
+        assert [e.kind for e in loaded] == [e.kind for e in events]
         sample = by_kind["obs.sample"]
         assert sample.time == pytest.approx(4e-6)
         assert sample.source == "obs:sampler"
         assert sample.detail["backlog"] == 3
         assert by_kind["optimizer.activate"].detail == {"trigger": "submit"}
+        send = by_kind["nic.send"]
+        assert (send.source, send.detail) == (
+            "nic:n0.mx00", {"packet_kind": "eager", "bytes": 256}
+        )
+        assert by_kind["nic.idle"].time == pytest.approx(3e-6)
+        assert by_kind["rdv.park"].detail == {"token": 7, "bytes": 65536}
+        assert by_kind["rdv.ready"].source == "engine:n1"
 
     def test_single_line_jsonl_detected(self, tmp_path):
         path = tmp_path / "one.jsonl"

@@ -1,12 +1,12 @@
-"""Span reconstruction: stitching trace events into message chains."""
+"""Span reconstruction: the trace fold stitches events into message chains."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro.obs.spans as spans_mod
+import repro.obs.analyze as analyze_mod
+from repro.obs.analyze import analyze_events
 from repro.obs.spans import (
-    SpanCollector,
     interval_overlap,
     merge_intervals,
     subtract_intervals,
@@ -55,9 +55,8 @@ class TestIntervalHelpers:
 
 class TestChainReconstruction:
     def test_basic_chain(self):
-        collector = SpanCollector()
-        collector.ingest_all(_basic_stream())
-        chains = collector.completed
+        analysis = analyze_events(_basic_stream())
+        chains = analysis.completed
         assert len(chains) == 1
         chain = chains[0]
         assert chain.key == "n0#m7"
@@ -70,15 +69,13 @@ class TestChainReconstruction:
         assert (leg.dispatch_t, leg.send_t, leg.deliver_t) == (2.0, 3.0, 5.0)
         assert leg.occupancy == 0.5
         assert leg.nic == "n0.mx00"
-        assert collector.incomplete == 0
+        assert analysis.report.incomplete == 0
 
     def test_duplicate_deliver_counts_bytes_once(self):
         events = _basic_stream()
         events.insert(4, _e(5.5, "rx:n1", "rx.deliver",
                             packet=42, src="n0", corr=None, bytes=1024))
-        collector = SpanCollector()
-        collector.ingest_all(events)
-        (chain,) = collector.completed
+        (chain,) = analyze_events(events).completed
         assert chain.delivered_bytes == 1024
         assert chain.legs[0].deliver_t == 5.0  # first delivery wins
 
@@ -97,96 +94,101 @@ class TestChainReconstruction:
             _e(4.5, "reasm:n1", "message.complete",
                message=1, flow="f", src="n0"),
         ]
-        collector = SpanCollector()
-        collector.ingest_all(events)
-        (chain,) = collector.completed
+        (chain,) = analyze_events(events).completed
         assert len(chain.legs) == 2
         assert chain.delivered_bytes == 200
 
     def test_hold_windows_open_and_close(self):
-        collector = SpanCollector()
-        # An open chain submitted before the first window keeps it alive.
-        collector.ingest(_e(0.9, "engine:n0", "collect.enqueue",
-                            message=1, flow="f", dst="n1", bytes=10, fragments=1))
-        collector.ingest(_e(1.0, "engine:n0", "hold.arm", wake_at=1.5, backlog=3))
-        collector.ingest(_e(1.2, "engine:n0", "hold.arm", wake_at=1.5, backlog=4))
-        collector.ingest(_e(1.5, "engine:n0", "hold.fire"))
-        collector.ingest(_e(2.0, "engine:n0", "hold.arm", wake_at=2.4, backlog=1))
-        assert collector.hold_windows["n0"] == [(1.0, 1.5), (2.0, None)]
+        analysis = analyze_events([
+            # An open chain submitted before the first window keeps it alive.
+            _e(0.9, "engine:n0", "collect.enqueue",
+               message=1, flow="f", dst="n1", bytes=10, fragments=1),
+            _e(1.0, "engine:n0", "hold.arm", wake_at=1.5, backlog=3),
+            _e(1.2, "engine:n0", "hold.arm", wake_at=1.5, backlog=4),
+            _e(1.5, "engine:n0", "hold.fire"),
+            _e(2.0, "engine:n0", "hold.arm", wake_at=2.4, backlog=1),
+        ])
+        assert analysis.hold_windows["n0"] == [(1.0, 1.5), (2.0, None)]
 
     def test_undrained_completions_keep_their_windows(self):
         """Attribution runs once, after the whole trace: every hold
         window a completed chain may be charged for is still there."""
-        collector = SpanCollector()
+        events = []
         for i in range(50):
             t = float(i)
-            collector.ingest(_e(t, "engine:n0", "collect.enqueue",
-                                message=i, flow="f", dst="n1", bytes=8, fragments=1))
-            collector.ingest(_e(t + 0.25, "engine:n0", "hold.arm", wake_at=t + 0.5))
-            collector.ingest(_e(t + 0.5, "engine:n0", "hold.fire"))
-            collector.ingest(_e(t + 0.75, "reasm:n1", "message.complete",
-                                message=i, flow="f", src="n0"))
-        assert len(collector.hold_windows["n0"]) == 50
-        assert len(collector.completed) == 50
+            events += [
+                _e(t, "engine:n0", "collect.enqueue",
+                   message=i, flow="f", dst="n1", bytes=8, fragments=1),
+                _e(t + 0.25, "engine:n0", "hold.arm", wake_at=t + 0.5),
+                _e(t + 0.5, "engine:n0", "hold.fire"),
+                _e(t + 0.75, "reasm:n1", "message.complete",
+                   message=i, flow="f", src="n0"),
+            ]
+        analysis = analyze_events(events)
+        assert len(analysis.hold_windows["n0"]) == 50
+        assert len(analysis.completed) == 50
 
     def test_rdv_window_closed_by_ready(self):
-        collector = SpanCollector()
-        collector.ingest(_e(1.0, "engine:n0", "collect.enqueue",
-                            message=3, flow="f", dst="n1", bytes=10, fragments=1))
-        collector.ingest(_e(1.1, "engine:n0", "rdv.park", message=3))
-        collector.ingest(_e(1.9, "engine:n0", "rdv.ready", message=3))
-        chain = collector.chains[("n0", 3)]
+        analysis = analyze_events([
+            _e(1.0, "engine:n0", "collect.enqueue",
+               message=3, flow="f", dst="n1", bytes=10, fragments=1),
+            _e(1.1, "engine:n0", "rdv.park", message=3),
+            _e(1.9, "engine:n0", "rdv.ready", message=3),
+        ])
+        chain = analysis.chains[("n0", 3)]
         assert chain.rdv_windows == [(1.1, 1.9)]
 
     def test_reorder_spans_attach_to_leg(self):
-        collector = SpanCollector()
-        collector.ingest(_e(3.0, "rel:n1", "reorder.enter",
-                            packet=9, src="n0", seq=2, expected=1))
-        collector.ingest(_e(3.7, "rel:n1", "reorder.release", packet=9, src="n0"))
-        leg = collector.legs["n0#9"]
+        analysis = analyze_events([
+            _e(3.0, "rel:n1", "reorder.enter", packet=9, src="n0", seq=2, expected=1),
+            _e(3.7, "rel:n1", "reorder.release", packet=9, src="n0"),
+        ])
+        leg = analysis.legs["n0#9"]
         assert (leg.reorder_enter_t, leg.reorder_release_t) == (3.0, 3.7)
         assert leg.arrival_t == 3.0
 
     def test_retransmits_and_drops_recorded(self):
-        collector = SpanCollector()
-        collector.ingest(_e(2.0, "rel:n0.mx00", "rel.drop", packet=5, attempt=0))
-        collector.ingest(_e(2.5, "rel:n0.mx00", "rel.retransmit", packet=5, attempt=1))
-        leg = collector.legs["n0#5"]
+        analysis = analyze_events([
+            _e(2.0, "rel:n0.mx00", "rel.drop", packet=5, attempt=0),
+            _e(2.5, "rel:n0.mx00", "rel.retransmit", packet=5, attempt=1),
+        ])
+        leg = analysis.legs["n0#5"]
         assert leg.drops == 1
         assert leg.retransmits == [2.5]
 
     def test_finish_closes_covered_chains(self):
         events = _basic_stream()[:-1]  # no message.complete at all
-        collector = SpanCollector()
-        collector.ingest_all(events)
-        assert collector.incomplete == 1
-        collector.finish()
-        (chain,) = collector.completed
+        # Without its delivery the chain is not covered and stays open ...
+        assert analyze_events(events[:-1]).report.incomplete == 1
+        # ... with it, the fold closes the chain at that delivery.
+        analysis = analyze_events(events)
+        (chain,) = analysis.completed
         assert chain.complete_t == 5.0  # last delivery stands in
-        assert collector.incomplete == 0
+        assert analysis.report.incomplete == 0
 
     def test_uncovered_chain_stays_incomplete(self):
-        collector = SpanCollector()
-        collector.ingest(_e(1.0, "engine:n0", "collect.enqueue",
-                            message=1, flow="f", dst="n1", bytes=100, fragments=1))
-        collector.finish()
-        assert collector.incomplete == 1
-        assert collector.completed == []
+        analysis = analyze_events([
+            _e(1.0, "engine:n0", "collect.enqueue",
+               message=1, flow="f", dst="n1", bytes=100, fragments=1),
+        ])
+        assert analysis.report.incomplete == 1
+        assert analysis.completed == []
 
     def test_truncation_marker_ingested(self):
-        collector = SpanCollector()
-        collector.ingest(_e(9.0, "obs:recorder", "obs.truncated",
-                            seen=1000, dropped=900, capacity=100))
-        assert collector.trace_dropped == 900
-        assert collector.trace_seen == 1000
+        report = analyze_events([
+            _e(9.0, "obs:recorder", "obs.truncated",
+               seen=1000, dropped=900, capacity=100),
+        ]).report
+        assert report.trace_dropped == 900
+        assert report.trace_seen == 1000
 
     def test_pending_cap_evicts_fifo(self, monkeypatch):
-        monkeypatch.setattr(spans_mod, "_PENDING_CAP", 2)
-        collector = SpanCollector()
-        for mid in range(3):
-            collector.ingest(_e(float(mid), "engine:n0", "collect.enqueue",
-                                message=mid, flow="f", dst="n1",
-                                bytes=10, fragments=1))
-        assert collector.evicted_chains == 1
-        assert ("n0", 0) not in collector.chains
-        assert ("n0", 2) in collector.chains
+        monkeypatch.setattr(analyze_mod, "_PENDING_CAP", 2)
+        analysis = analyze_events([
+            _e(float(mid), "engine:n0", "collect.enqueue",
+               message=mid, flow="f", dst="n1", bytes=10, fragments=1)
+            for mid in range(3)
+        ])
+        assert analysis.evicted_chains == 1
+        assert ("n0", 0) not in analysis.chains
+        assert ("n0", 2) in analysis.chains

@@ -1,6 +1,6 @@
 """Tests for repro.util.tracing."""
 
-from repro.util.tracing import KindSink, NullTracer, Tracer, events_to_jsonl
+from repro.util.tracing import NullTracer, Tracer, events_to_jsonl
 
 
 def recording():
@@ -86,34 +86,13 @@ class TestTracerFanOut:
         assert len(a) == len(b) == 1
 
 
-class _Picky(KindSink):
-    """Consumes two kinds; records what it was handed."""
-
-    def __init__(self):
-        self.got = []
-        self.handlers = {"a": self.got.append, "b": self.got.append}
-
-
 class TestKindDispatch:
-    def test_kind_sink_sees_only_its_kinds_plain_sink_sees_all(self):
-        t = Tracer()
-        everything, picky = [], _Picky()
-        t.subscribe(everything.append)
-        t.subscribe(picky)
-        for kind in ("a", "x", "b", "x", "a"):
-            t.emit(0.0, "s", kind)
-        assert [e.kind for e in everything] == ["a", "x", "b", "x", "a"]
-        assert [e.kind for e in picky.got] == ["a", "b", "a"]
-
     def test_subscription_order_is_call_order_within_a_kind(self):
         t = Tracer()
         order = []
-        first, last = _Picky(), _Picky()
-        first.handlers = {"a": lambda e: order.append("first")}
-        last.handlers = {"a": lambda e: order.append("last")}
-        t.subscribe(first)
+        t.subscribe(lambda e: order.append("first"))
         t.subscribe(lambda e: order.append("plain"))
-        t.subscribe(last)
+        t.subscribe(lambda e: order.append("last"))
         t.emit(0.0, "s", "a")
         assert order == ["first", "plain", "last"]
 
@@ -126,12 +105,3 @@ class TestKindDispatch:
             t.emit(0.0, "s", kind)
         assert t.counts == {"a": 2, "b": 1}
         assert sum(t.counts.values()) == len(seen)
-
-    def test_kind_sink_called_directly_routes_through_its_table(self):
-        picky = _Picky()
-        t, events = recording()
-        t.emit(0.0, "s", "a")
-        t.emit(0.0, "s", "x")
-        for event in events:
-            picky(event)
-        assert [e.kind for e in picky.got] == ["a"]
