@@ -40,6 +40,8 @@ from repro.util.errors import ConfigurationError, InternalError, ProtocolError
 
 __all__ = ["EngineStats", "CommEngineBase", "OptimizingEngine"]
 
+_DATA = EntryKind.DATA
+
 
 @dataclass(slots=True)
 class EngineStats:
@@ -134,16 +136,14 @@ class CommEngineBase:
         """Accept a flushed message; enqueue one entry per fragment."""
         now = self.sim.now
         message.mark_flushed(now)
+        flow = message.flow
+        entries = [SubmitEntry(_DATA, flow.dst, now, f, flow) for f in message.fragments]
+        # Every fragment carries its flow's traffic class, and every
+        # policy maps by class or by flow: one channel for the message.
+        self.waiting.queue(self.policy.channel_for_entry(entries[0])).extend(entries)
         self.stats.messages_submitted += 1
-        for fragment in message.fragments:
-            entry = SubmitEntry(
-                EntryKind.DATA,
-                message.flow.dst,
-                now,
-                fragment=fragment,
-                flow=message.flow,
-            )
-            self._enqueue(entry)
+        self.stats.entries_enqueued += len(entries)
+        self._enqueue_epoch += len(entries)
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(
@@ -328,14 +328,15 @@ class CommEngineBase:
 
     def _dispatch(self, plan: TransferPlan) -> None:
         """Turn a plan into a wire packet and hand it to the driver."""
-        queue = self.waiting.queue(plan.channel_id)
+        items = plan.items
         segments: list[WireSegment] = []
         taken = []  # (traffic class, bytes) per item, for the policy
-        for entry, take in plan.items:
-            offset = queue.dispatch(entry, take)
-            if entry.kind is EntryKind.DATA:
-                segments.append(WireSegment(entry.fragment, offset, take))
+        for entry, take in items:
+            # Read before the retire below moves ``offset`` past the slice.
+            if entry.kind is _DATA:
+                segments.append(WireSegment(entry.fragment, entry.offset, take))
             taken.append((entry.traffic_class, take))
+        self.waiting.queue(plan.channel_id).retire(items)
         packet = WirePacket(
             kind=plan.kind,
             src=self.node_name,
@@ -711,8 +712,10 @@ class OptimizingEngine(CommEngineBase):
                 self._activate("submit")
                 self.stats.holds += rails
                 return
-        if any(d.idle for d in self.drivers):
-            self._pump("submit")
+        for driver in self.drivers:
+            if driver.idle:
+                self._pump("submit")
+                return
 
     def _nic_idle(self, nic) -> None:
         self._pump("idle")

@@ -30,6 +30,7 @@ batching"):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.plan import PlanItem, TransferPlan
@@ -69,10 +70,11 @@ _LATER = PackMode.LATER
 class PendingArrays:
     """Flat parallel mirror of one queue's pending window.
 
-    Built from a version-stamped snapshot in arrival order; coherent for
-    exactly as long as the queue's version does not move (the queue
-    caches one instance per version, see
-    :meth:`repro.core.waiting.ChannelQueue.pending_arrays`).
+    :meth:`repro.core.waiting.ChannelQueue.pending_arrays` walks the
+    slots once and hands over the hot columns and, for a *uniform*
+    window (every entry plain CHEAPER data, WAITING, one destination),
+    that destination and the flow ranks; the rest is derived here.
+    Coherent for as long as the queue's version does not move.
     """
 
     __slots__ = (
@@ -90,61 +92,60 @@ class PendingArrays:
         "uniform_dst",
         "max_remaining",
         "flow_rank",
-        "n_seed_flows",
+        "flow_first",
     )
 
-    def __init__(self, entry_list: list[SubmitEntry]) -> None:
-        # Column extraction as comprehensions: each field is one C-speed
-        # walk instead of one interpreted loop doing nine appends.
-        n = len(entry_list)
-        self.entries = entry_list
+    def __init__(
+        self, entries: list[SubmitEntry], remaining: list[int], submit_time: list[float],
+        flow_id: list[int], uniform_dst: "str | None" = None,
+        flow_rank: "list[int] | None" = None, flow_first: "list[int] | None" = None,
+        flagged: bool = False,
+    ) -> None:
+        n = len(entries)
+        self.entries = entries
         self.n = n
-        self.remaining = remaining = [e.remaining for e in entry_list]
-        self.submit_time = [e.submit_time for e in entry_list]
-        self.flow_id = [e.flow_id for e in entry_list]
-        self.dst = dsts = [e.dst for e in entry_list]
-        states = [e._state for e in entry_list]
+        self.remaining = remaining
+        self.submit_time = submit_time
+        self.flow_id = flow_id
+        self.max_remaining = max(remaining) if n else 0
+        #: ``flow_rank[i] >= s`` is the whole eligibility test of the
+        #: greedy build from seed *s* on a uniform window, and
+        #: ``flow_first[s]`` is its first entry (see probe_uniform_seeds).
+        self.uniform_dst = uniform_dst
+        self.flow_rank = flow_rank
+        self.flow_first = flow_first
+        if uniform_dst is not None:  # every per-entry flag follows from the screen
+            self.dst = [uniform_dst] * n
+            self.state = [STATE_WAITING] * n
+            self.is_control = [False] * n
+            self.aggregatable = [True] * n
+            self.deferrable = [False] * n
+            self.no_rdv = (
+                [bool(e.meta.get("no_rdv")) for e in entries] if flagged else [False] * n
+            )
+            return
+        self.dst = [e.dst for e in entries]
+        states = [e._state for e in entries]
         self.state = [
             STATE_RDV_READY if s is _RDV_READY else STATE_WAITING for s in states
         ]
-        self.is_control = is_control = [e.kind is not _DATA for e in entry_list]
+        self.is_control = is_control = [e.kind is not _DATA for e in entries]
         # ``and`` short-circuits before ``fragment`` on control entries
         # (their fragment is None); member identity instead of ``.value``
         # dodges the enum DynamicClassAttribute descriptor.
-        self.aggregatable = aggregatable = [
+        self.aggregatable = [
             not c and s is not _RDV_READY and e.fragment.mode is not _SAFER
-            for c, s, e in zip(is_control, states, entry_list)
+            for c, s, e in zip(is_control, states, entries)
         ]
-        self.deferrable = deferrable = [
-            not c and e.fragment.mode is _LATER
-            for c, e in zip(is_control, entry_list)
+        self.deferrable = [
+            not c and e.fragment.mode is _LATER for c, e in zip(is_control, entries)
         ]
         self.no_rdv = [
-            not c and bool(e.meta.get("no_rdv"))
-            for c, e in zip(is_control, entry_list)
+            not c and bool(e.meta.get("no_rdv")) for c, e in zip(is_control, entries)
         ]
-        # Uniform-window screen for the specialized build loop: every
-        # entry aggregatable (implies data + WAITING + not SAFER),
-        # nothing deferrable, one destination.
-        self.uniform_dst = None
-        self.flow_rank: "list[int] | None" = None
-        self.n_seed_flows = 0
-        if n and all(aggregatable) and not any(deferrable):
-            d0 = dsts[0]
-            if all(d == d0 for d in dsts):
-                self.uniform_dst = d0
-                # First-occurrence rank of each entry's flow: the greedy
-                # build from seed *s* blocks exactly the window's first
-                # *s* distinct flows, so ``flow_rank[i] >= s`` is the
-                # whole eligibility test (see probe_uniform_seeds).
-                rank_of: dict[int, int] = {}
-                self.flow_rank = [
-                    rank_of.setdefault(f, len(rank_of)) for f in self.flow_id
-                ]
-                self.n_seed_flows = len(rank_of)
-        self.max_remaining = max(remaining) if n else 0
 
 
+@dataclass(slots=True)
 class SeedBuild:
     """The widest legal greedy build from one seed, with prefix aggregates.
 
@@ -156,33 +157,13 @@ class SeedBuild:
     candidate).
     """
 
-    __slots__ = (
-        "driver",
-        "channel_id",
-        "dst",
-        "entries",
-        "takes",
-        "payload_prefix",
-        "oldest_prefix",
-    )
-
-    def __init__(
-        self,
-        driver: "Driver",
-        channel_id: int,
-        dst: str,
-        entries: list[SubmitEntry],
-        takes: list[int],
-        payload_prefix: list[int],
-        oldest_prefix: list[float],
-    ) -> None:
-        self.driver = driver
-        self.channel_id = channel_id
-        self.dst = dst
-        self.entries = entries
-        self.takes = takes
-        self.payload_prefix = payload_prefix
-        self.oldest_prefix = oldest_prefix
+    driver: Driver
+    channel_id: int
+    dst: str
+    entries: list[SubmitEntry]
+    takes: list[int]
+    payload_prefix: list[int]
+    oldest_prefix: list[float]
 
     @property
     def n_items(self) -> int:
@@ -238,7 +219,7 @@ def build_eager_arrays(
     # eager candidate, nothing oversized): the walk collapses to flow
     # blocking plus budget packing — the steady-state shape of a loaded
     # queue, and the loop the candidate search spends its time in.
-    # Its number: +182 / +96 py_ops_per_msg (sim_mixed / sim_storm) without it.
+    # Its number: +142 / +155 py_ops_per_msg (sim_mixed / sim_storm) without it.
     dst0 = arrays.uniform_dst
     if (
         dst0 is not None
@@ -248,14 +229,11 @@ def build_eager_arrays(
     ):
         if not reaches(dst0):
             return None
-        blocked_set: set[int] = set()
-        i = 0
-        skipped = 0
-        while skipped < skip_seeds and i < n:
-            if flow_id[i] not in blocked_set:
-                blocked_set.add(flow_id[i])
-                skipped += 1
-            i += 1
+        flow_first = arrays.flow_first
+        if skip_seeds >= len(flow_first):
+            return None  # every flow is a skipped seed's
+        flow_rank = arrays.flow_rank
+        blocked_set: "set[int] | None" = None  # flows blocked on budget overflow
         idx2: list[int] = []
         takes2: list[int] = []
         payload2: list[int] = []
@@ -263,10 +241,11 @@ def build_eager_arrays(
         taken2 = 0
         count = 0
         oldest_t = _INF
-        while i < n:
+        for i in range(flow_first[skip_seeds], n):
+            if flow_rank[i] < skip_seeds:
+                continue  # a skipped seed's flow
             fid = flow_id[i]
-            if fid in blocked_set:
-                i += 1
+            if blocked_set is not None and fid in blocked_set:
                 continue
             r = remaining[i]
             space = budget - taken2
@@ -276,8 +255,9 @@ def build_eager_arrays(
                 # Chunk an over-budget entry (drivers without rendezvous).
                 take = r if r < budget else budget
             else:
+                if blocked_set is None:
+                    blocked_set = set()
                 blocked_set.add(fid)
-                i += 1
                 continue
             idx2.append(i)
             takes2.append(take)
@@ -290,17 +270,8 @@ def build_eager_arrays(
             count += 1
             if count >= max_items or taken2 >= budget:
                 break
-            i += 1
-        if not count:
-            return None
         return SeedBuild(
-            driver,
-            channel_id,
-            dst0,
-            [entries[j] for j in idx2],
-            takes2,
-            payload2,
-            oldest2,
+            driver, channel_id, dst0, [entries[j] for j in idx2], takes2, payload2, oldest2
         )
 
     dsts = arrays.dst
@@ -453,29 +424,25 @@ def probe_uniform_seeds(
 ) -> "list[tuple[int, int, float, list[tuple[int, int, float]]]] | None":
     """Score-ready aggregates for every viable seed of a uniform window.
 
-    The bounded search's steady-state inner loop.  For a uniform window
-    (every entry an aggregatable same-destination eager candidate, see
-    :class:`PendingArrays`), the greedy build from seed *s* takes, in
-    arrival order, exactly the entries whose flow is **not** among the
-    window's first *s* distinct flows — i.e. ``flow_rank[i] >= s`` —
-    subject only to the budget/width packing rules.  One tight pass per
-    seed therefore yields everything
-    :meth:`~repro.core.cost.CostModel.terms` needs, without per-seed
-    builder calls, index lists, or :class:`SeedBuild` objects; the
-    winning seed alone is re-built for materialization.
-
-    Builds exist for seeds ``0 .. n_seed_flows - 1`` and for no deeper
-    seed; the caller replicates the reference walk's exhausted-queue
-    probe accounting itself.
+    The bounded search's steady-state inner loop.  On a uniform window
+    (see :class:`PendingArrays`) the greedy build from seed *s* takes,
+    in arrival order from ``flow_first[s]``, exactly the entries with
+    ``flow_rank[i] >= s`` that the budget/width packing admits — no
+    builder call, index list or :class:`SeedBuild` per seed; only the
+    winner is re-built.  When the whole window fits one packet (payload
+    within the budget, entries within ``max_items``) packing admits
+    every entry, so seed *s*'s full build is the window minus its first
+    *s* flows, priced from per-flow sums filled in one pass, and its
+    walk stops at the widest width cut below that count.  Any other
+    window walks each seed to its full build: same loop, other stop.
 
     Returns ``None`` when the window is not uniform-eligible (caller
-    falls back to :func:`build_eager_arrays` per seed); ``[]`` when the
-    destination is unreachable (no seed can build); otherwise a list
-    over seeds of ``(base_items, payload, oldest_submit, snaps)`` where
-    ``snaps`` holds the same triple at each narrower width cut of
-    ``widths``.  At most ``max_seeds`` entries are computed — each seed
-    costs the search at least one evaluation, so deeper stats could
-    never be consumed.
+    builds seed by seed), ``[]`` when the destination is unreachable,
+    else ``(base_items, payload, oldest_submit, snaps)`` for the first
+    ``max_seeds`` seeds (at most one per flow), ``snaps`` holding the
+    same triple at the narrower width cuts the search reads.  The caller
+    passes the seeds its budget can still reach, and replicates the
+    reference walk's exhausted-queue probe accounting itself.
     """
     dst0 = arrays.uniform_dst
     if dst0 is None:
@@ -487,25 +454,48 @@ def probe_uniform_seeds(
         return []
     n = arrays.n
     flow_rank = arrays.flow_rank
+    flow_first = arrays.flow_first
     flow_id = arrays.flow_id
     remaining = arrays.remaining
     submit_time = arrays.submit_time
     budget = consts.max_aggregate_size
     # Width cuts below the full build are snapshotted mid-walk.
     targets = sorted(w for w in set(widths) if w < max_items)
-    n_targets = len(targets)
-    n_seeds = arrays.n_seed_flows
-    if max_seeds < n_seeds:
-        n_seeds = max_seeds
+    n_flows = len(flow_first)
+    n_seeds = n_flows if n_flows < max_seeds else max_seeds
+    full_count = n
+    full_payload = sum(remaining)
+    fits = full_payload <= budget and n <= max_items
+    if fits:
+        # Per-flow sums; ``oldest_of`` then becomes the min over flows >= s.
+        # Its number: +436 py_ops_per_msg on sim_storm without them.
+        count_of = [0] * n_flows
+        bytes_of = [0] * n_flows
+        oldest_of = [_INF] * n_flows
+        for rank, r, st in zip(flow_rank, remaining, submit_time):
+            count_of[rank] += 1
+            bytes_of[rank] += r
+            if st < oldest_of[rank]:
+                oldest_of[rank] = st
+        for s in range(n_flows - 2, -1, -1):
+            if oldest_of[s + 1] < oldest_of[s]:
+                oldest_of[s] = oldest_of[s + 1]
+    stop = max_items
     out: list[tuple[int, int, float, list[tuple[int, int, float]]]] = []
     for s in range(n_seeds):
+        if fits:
+            stop = 0
+            for t in targets:
+                if t < full_count:
+                    stop = t
         taken = 0
         count = 0
         oldest = _INF
         snaps: list[tuple[int, int, float]] = []
-        ti = 0
+        cuts = iter(targets)
+        cut = next(cuts, 0)
         blocked: "set[int] | None" = None  # flows blocked on budget overflow
-        for i in range(n):
+        for i in range(flow_first[s], n):
             if flow_rank[i] < s:
                 continue  # a skipped seed's flow
             if blocked is not None and flow_id[i] in blocked:
@@ -527,12 +517,17 @@ def probe_uniform_seeds(
             if st < oldest:
                 oldest = st
             count += 1
-            if ti < n_targets and count == targets[ti]:
+            if count == cut:
                 snaps.append((count, taken, oldest))
-                ti += 1
-            if count >= max_items or taken >= budget:
+                cut = next(cuts, 0)
+            if count >= stop or taken >= budget:
                 break
-        out.append((count, taken, oldest, snaps))
+        if fits:
+            out.append((full_count, full_payload, oldest_of[s], snaps))
+            full_count -= count_of[s]
+            full_payload -= bytes_of[s]
+        else:
+            out.append((count, taken, oldest, snaps))
     return out
 
 

@@ -117,9 +117,12 @@ class BoundedSearchStrategy(Strategy):
             # Every other window is built seed by seed.  Budget
             # accounting is the same either way — the equivalence tests
             # hold the two sources together.
-            # Its number: +675 py_ops_per_msg on sim_storm without the probe.
+            # Its number: +911 py_ops_per_msg on sim_storm without the probe.
+            # Each probed seed costs the budget len(widths) evaluations,
+            # so deeper seeds could never be read.
             stats = kernel.probe_uniform_seeds(
-                arrays, consts, full_width, widths, budget - evaluated
+                arrays, consts, full_width, widths,
+                -(-(budget - evaluated) // len(widths)),
             )
             probed = stats is not None
             build = None  # this seed's SeedBuild (per-seed builds only)
@@ -223,8 +226,9 @@ class BoundedSearchStrategy(Strategy):
                 # Materialize the winner (exactly one plan per decision).
                 if best_build is None:
                     # Probe winner: rebuild its seed over the same (still
-                    # coherent) arrays — deterministic, so the prefix is
-                    # exactly what the probe scored.
+                    # coherent) arrays, up to the winning width only —
+                    # deterministic, so the prefix is exactly what the
+                    # probe scored.
                     p_arrays, p_channel, p_seed = best_seed
                     best_build = kernel.build_eager_arrays(
                         p_arrays,
@@ -232,7 +236,7 @@ class BoundedSearchStrategy(Strategy):
                         engine,
                         driver,
                         p_channel,
-                        full_width,
+                        best_n,
                         p_seed,
                         False,
                         stripe_chunk,

@@ -20,17 +20,19 @@ recomputed:
 * ``len(queue)``, ``queue.pending_bytes``, ``WaitingLists.total_pending``
   and ``total_pending_bytes`` are O(1) counters: a
   :class:`~repro.madeleine.submit.SubmitEntry` notifies its owning queue
-  on every state transition and byte consumption, and
-  :meth:`ChannelQueue.dispatch` retires a whole entry in one update;
+  on every state transition and byte consumption, while the two bulk
+  crossings update them once: :meth:`ChannelQueue.extend` adds one
+  message's entries and :meth:`ChannelQueue.retire` takes out one
+  packet's whole entries;
 * :meth:`ChannelQueue.remove` is O(1): entries live in a lazily
   compacted slot list (entry → slot index), removal blanks the
   slot, and compaction runs only when dead slots outnumber live ones;
 * the decision path's one memo is the flat-array mirror of the window
-  (:meth:`ChannelQueue.pending_arrays`), keyed on the queue's **version
-  stamp**, which every mutation bumps — a scheduling decision that
-  evaluates dozens of candidates over an unchanged queue pays for one
-  walk, not one per candidate (+1,290 / +2,277 ``py_ops_per_msg`` on
-  ``sim_mixed`` / ``sim_storm`` without it).
+  (:meth:`ChannelQueue.pending_arrays`, one walk over the slots), keyed
+  on the queue's **version stamp**, which every mutation bumps — a
+  scheduling decision that evaluates dozens of candidates over an
+  unchanged queue pays for one walk, not one per candidate (+235 / +947
+  ``py_ops_per_msg`` on ``sim_mixed`` / ``sim_storm`` without it).
 
 The brute-force definitions these counters must agree with are kept in
 :meth:`ChannelQueue.recount` (exercised by the hypothesis property
@@ -39,10 +41,13 @@ tests).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
+from repro.core.kernel import PendingArrays
+from repro.madeleine.message import PackMode
 from repro.madeleine.submit import (
     PENDING_ENTRY_STATES,
+    EntryKind,
     EntryState,
     SubmitEntry,
 )
@@ -55,6 +60,8 @@ _PENDING_STATES = PENDING_ENTRY_STATES
 _WAITING = EntryState.WAITING
 _RDV_READY = EntryState.RDV_READY
 _SENT = EntryState.SENT
+_DATA = EntryKind.DATA
+_CHEAPER = PackMode.CHEAPER
 
 #: Dead-slot count below which compaction is never attempted (tiny
 #: queues are cheaper to leave fragmented than to rebuild).
@@ -104,18 +111,7 @@ class ChannelQueue:
     # ------------------------------------------------------------------
     def append(self, entry: SubmitEntry) -> None:
         """Add an entry at the tail (arrival order)."""
-        if entry._owner is not None:
-            raise InternalError(
-                f"{entry!r} already belongs to channel "
-                f"{entry._owner.channel_id}, cannot append to {self.channel_id}"
-            )
-        entry._owner = self
-        self._index[entry] = len(self._slots)
-        self._slots.append(entry)
-        state = entry._state
-        if state is _WAITING or state is _RDV_READY:
-            self._account(1, entry.remaining)
-        self._version += 1
+        self.extend((entry,))
 
     def remove(self, entry: SubmitEntry) -> None:
         """Remove a specific entry (dispatch or rendezvous parking)."""
@@ -133,33 +129,68 @@ class ChannelQueue:
         self._version += 1
         self._maybe_compact()
 
-    def dispatch(self, entry: SubmitEntry, n_bytes: int) -> int:
-        """Mark ``n_bytes`` of an entry as sent; returns the slice offset.
-
-        An entry sent whole (the common case) leaves the queue with one
-        counter update and one version bump.  A partial take (striping,
-        chunking), or one this queue cannot retire, takes the two-call
-        path: ``entry.consume``, then :meth:`remove` once it is ``SENT``.
-        """
-        if n_bytes != entry.remaining or n_bytes <= 0 or entry._owner is not self:
-            start = entry.consume(n_bytes)
-            if entry._state is _SENT:
-                self.remove(entry)
-            return start
-        position = self._index.pop(entry)
-        self._slots[position] = None
-        self._garbage += 1
-        entry._owner = None
-        start = entry.offset
-        state = entry._state
-        if state is _WAITING or state is _RDV_READY:
-            self._account(-1, -n_bytes)
-        entry.offset = start + n_bytes
-        entry.remaining = 0
-        entry._state = _SENT
+    def extend(self, entries: Sequence[SubmitEntry]) -> None:
+        """Add entries at the tail in order (one message's fragments):
+        one counter update and one version bump for the lot, and none of
+        them if any already belongs to a queue."""
+        for entry in entries:
+            if entry._owner is not None:
+                raise InternalError(
+                    f"{entry!r} already belongs to channel "
+                    f"{entry._owner.channel_id}, cannot append to {self.channel_id}"
+                )
+        index = self._index
+        position = len(self._slots)
+        count = 0
+        total = 0
+        for entry in entries:
+            entry._owner = self
+            index[entry] = position
+            position += 1
+            state = entry._state
+            if state is _WAITING or state is _RDV_READY:
+                count += 1
+                total += entry.remaining
+        self._slots.extend(entries)
+        self._account(count, total)
         self._version += 1
-        self._maybe_compact()
-        return start
+
+    def retire(self, items: Iterable[tuple[SubmitEntry, int]]) -> None:
+        """Mark each ``(entry, n_bytes)`` of a dispatched packet as sent.
+
+        Entries sent whole leave together: one counter update, one
+        version bump and one compaction check per packet.  A partial
+        take, or an entry this queue does not hold, goes
+        ``entry.consume``, then :meth:`remove` once it is ``SENT``.
+        """
+        index = self._index
+        slots = self._slots
+        count = 0
+        total = 0
+        whole = False
+        for entry, n_bytes in items:
+            if n_bytes != entry.remaining or n_bytes <= 0 or entry._owner is not self:
+                entry.consume(n_bytes)
+                if entry._state is _SENT:
+                    self.remove(entry)
+                    index = self._index  # remove() may have compacted
+                    slots = self._slots
+                continue
+            slots[index.pop(entry)] = None
+            self._garbage += 1
+            entry._owner = None
+            state = entry._state
+            if state is _WAITING or state is _RDV_READY:
+                count += 1
+                total += n_bytes
+            entry.offset += n_bytes
+            entry.remaining = 0
+            entry._state = _SENT
+            whole = True
+        if whole:
+            self._account(-count, -total)
+            self._version += 1
+            self._maybe_compact()
 
     # ------------------------------------------------------------------
     # entry notifications (called by SubmitEntry on owned entries)
@@ -239,65 +270,88 @@ class ChannelQueue:
 
         ``window`` is the paper's *lookahead window*: how many waiting
         packets the optimizer may examine per decision.  ``None`` means
-        unbounded.  Returns a fresh list (one queue walk).
+        unbounded.  Returns a fresh list (a copy of the mirror's).
         """
-        return self._snapshot(window)
+        return list(self.pending_arrays(window).entries)
 
     def pending_view(self, window: int | None = None) -> list[SubmitEntry]:
         """Like :meth:`pending` but the memoized mirror's own entry list,
         without a copy — for readers that only iterate it."""
         return self.pending_arrays(window).entries
 
-    def _snapshot(self, window: int | None) -> list[SubmitEntry]:
-        self._prune()
-        result: list[SubmitEntry] = []
-        slots = self._slots
-        for position in range(self._head, len(slots)):
-            entry = slots[position]
-            if entry is None:
-                continue
-            # ``_state`` read directly: the property indirection is
-            # measurable at snapshot-walk frequency — as is frozenset
-            # membership (enum hashing), hence the identity compares.
-            state = entry._state
-            if state is not _WAITING and state is not _RDV_READY:
-                if state is _SENT:
-                    # Retired mid-queue (striping finished its bytes on
-                    # another rail): blank it now so the dead slot counts
-                    # toward compaction instead of lingering until the
-                    # head happens to pass it.
-                    del self._index[entry]
-                    entry._owner = None
-                    slots[position] = None
-                    self._garbage += 1
-                continue
-            result.append(entry)
-            if window is not None and len(result) >= window:
-                break
-        return result
+    def pending_arrays(self, window: int | None = None) -> PendingArrays:
+        """The window as a :class:`~repro.core.kernel.PendingArrays`:
+        parallel columns the decision kernel reads instead of chasing
+        :class:`SubmitEntry` attributes, memoized on the version stamp.
 
-    def pending_arrays(self, window: int | None = None):
-        """Flat-array mirror of :meth:`pending_view` (same window).
-
-        Returns a :class:`~repro.core.kernel.PendingArrays`: the
-        window's entries decomposed into parallel ``remaining`` /
-        ``submit_time`` / ``flow_id`` / ``dst`` / ``aggregatable`` /
-        ``state`` lists, so the decision kernel's candidate loop reads
-        list slots instead of chasing :class:`SubmitEntry` attributes.
-
-        Coherence rides the version stamp: any observable entry
-        mutation notifies the queue (state transitions, byte
-        consumption) or passes through it (append / remove), bumping
-        ``_version`` and invalidating the mirror.  The one meta flag the
-        kernel consumes (``no_rdv``) is only ever set while its entry is
-        parked *outside* any queue, so re-enqueueing it bumps the
-        version too.
+        Every observable entry mutation notifies the queue or passes
+        through it, bumping the version.  The one meta flag the kernel
+        reads (``no_rdv``) is only set while its entry is parked outside
+        any queue, so re-enqueueing it bumps the version too.
         """
         if self._arrays_version == self._version and self._arrays_window == window:
             return self._arrays
-        from repro.core.kernel import PendingArrays
-
-        arrays = PendingArrays(self._snapshot(window))
+        # One pass over the live slots fills the hot columns, the
+        # uniform-window screen (plain CHEAPER data, WAITING, one
+        # destination) and the first-occurrence flow ranks.  ``_state``
+        # and ``fragment.mode`` are read directly and compared by
+        # identity: property and enum-hash costs show at this frequency.
+        self._prune()
+        slots = self._slots
+        entries: list[SubmitEntry] = []
+        remaining, submit_time, flow_id, flow_rank = [], [], [], []
+        flow_first: list[int] = []  # window index of each rank's first entry
+        rank_of: dict[int, int] = {}
+        dst0 = None
+        uniform = True
+        flagged = False  # some entry carries meta (a no_rdv fallback)
+        limit = -1 if window is None else window
+        n = 0
+        for position in range(self._head, len(slots)):
+            if n == limit:
+                break
+            entry = slots[position]
+            if entry is None:
+                continue
+            state = entry._state
+            if state is not _WAITING and state is not _RDV_READY:
+                if state is _SENT:
+                    # Retired mid-queue (striping finished it on another
+                    # rail): blank it now so it counts toward compaction.
+                    del self._index[entry]
+                    slots[position] = None
+                    entry._owner = None
+                    self._garbage += 1
+                continue
+            fid = entry.flow_id
+            if uniform:
+                if (
+                    state is _WAITING
+                    and entry.kind is _DATA
+                    and entry.fragment.mode is _CHEAPER
+                    and (entry.dst == dst0 or not n)
+                ):
+                    dst0 = entry.dst
+                    rank = rank_of.get(fid)
+                    if rank is None:
+                        rank = rank_of[fid] = len(flow_first)
+                        flow_first.append(n)
+                    flow_rank.append(rank)
+                    if entry.meta:
+                        flagged = True
+                else:
+                    uniform = False
+            entries.append(entry)
+            remaining.append(entry.remaining)
+            submit_time.append(entry.submit_time)
+            flow_id.append(fid)
+            n += 1
+        if uniform and n:
+            arrays = PendingArrays(
+                entries, remaining, submit_time, flow_id, dst0, flow_rank, flow_first, flagged
+            )
+        else:
+            arrays = PendingArrays(entries, remaining, submit_time, flow_id)
         self._arrays = arrays
         self._arrays_window = window
         self._arrays_version = self._version

@@ -397,11 +397,13 @@ class MirrorReceiver:
             )
         message.submit_time = submit
         # Fragment.__init__ does not append; preserve the Message
-        # invariant that fragments[i].index == i.
+        # invariants that fragments[i].index == i and that total_size
+        # is the sum of the fragment sizes.
         message.fragments.extend(
             Fragment(message, i, size, PackMode.CHEAPER, bool(express))
             for i, (size, express) in enumerate(layout)
         )
+        message.total_size = sum(size for size, _express in layout)
         self._mirrors[sender_mid] = message
         return message
 

@@ -132,6 +132,7 @@ class Message:
         "message_id",
         "flow",
         "fragments",
+        "total_size",
         "submit_time",
         "completion",
         "seq",
@@ -142,6 +143,8 @@ class Message:
         self.message_id: int = flow.flow_id << 32 | seq
         self.flow = flow
         self.fragments: list[Fragment] = []
+        #: Sum of fragment sizes in bytes, kept by :meth:`add_fragment`.
+        self.total_size = 0
         self.submit_time: float | None = None
         self.completion: Future = Future()
         self.seq = seq
@@ -160,12 +163,8 @@ class Message:
             )
         fragment = Fragment(self, len(self.fragments), size, mode, express)
         self.fragments.append(fragment)
+        self.total_size += size
         return fragment
-
-    @property
-    def total_size(self) -> int:
-        """Sum of fragment sizes in bytes."""
-        return sum(f.size for f in self.fragments)
 
     @property
     def flushed(self) -> bool:

@@ -54,6 +54,7 @@ PENDING_ENTRY_STATES = frozenset((EntryState.WAITING, EntryState.RDV_READY))
 # through Python-level ``Enum.__hash__``.
 _WAITING = EntryState.WAITING
 _RDV_READY = EntryState.RDV_READY
+_DATA = EntryKind.DATA
 
 
 class SubmitEntry:
@@ -68,7 +69,7 @@ class SubmitEntry:
     it (``_owner``, maintained by the queue itself): state transitions
     and byte consumption notify the owner so the queue's pending
     count/bytes counters stay exact without ever re-walking the queue.
-    A whole dispatch skips both: ``ChannelQueue.dispatch`` sets
+    A whole dispatch skips both: ``ChannelQueue.retire`` sets
     ``offset``, ``remaining`` and the state itself.
     """
 
@@ -93,19 +94,26 @@ class SubmitEntry:
         kind: EntryKind,
         dst: str,
         submit_time: float,
-        *,
         fragment: Fragment | None = None,
         flow: Flow | None = None,
+        *,
         traffic_class: TrafficClass | None = None,
         meta: dict[str, Any] | None = None,
     ) -> None:
-        if kind is EntryKind.DATA:
+        # Built twice per message on the submit path: the DATA branch
+        # sets its fields straight from the fragment and the flow.
+        if kind is _DATA:
             if fragment is None or flow is None:
                 raise ConfigurationError("DATA entries need a fragment and a flow")
-        elif fragment is not None:
-            raise ConfigurationError(f"{kind.value} entries must not carry a fragment")
+            self.message: Message | None = fragment.message
+            self.remaining = fragment.size
+        else:
+            if fragment is not None:
+                raise ConfigurationError(f"{kind.value} entries must not carry a fragment")
+            self.message = None
+            self.remaining = CONTROL_ENTRY_SIZE
         self.kind = kind
-        self._state = EntryState.WAITING
+        self._state = _WAITING
         self._owner = None  # ChannelQueue holding this entry, if any
         self.flow = flow
         #: Flat copy of ``flow.flow_id`` (``-1`` for engine control
@@ -120,10 +128,8 @@ class SubmitEntry:
         else:
             self.traffic_class = TrafficClass.CONTROL
         self.fragment = fragment
-        self.message: Message | None = fragment.message if fragment is not None else None
         self.submit_time = submit_time
         self.offset = 0
-        self.remaining = fragment.size if fragment is not None else CONTROL_ENTRY_SIZE
         self.meta: dict[str, Any] = meta if meta is not None else {}
 
     # ------------------------------------------------------------------

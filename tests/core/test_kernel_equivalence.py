@@ -292,6 +292,82 @@ class TestSearchBudgetEquivalence:
         assert run(BoundedSearchStrategy) == run(oracle.OracleSearchStrategy)
 
 
+class TestProbeStopsMatchOracle:
+    """The probe's two stops against the oracle's naive search.
+
+    A uniform window that fits one packet is priced from per-flow sums
+    and walked only to the widest width cut; a window that binds — the
+    payload budget overflows mid-walk, or more entries than the 64-item
+    cap — walks every seed to its full build.  Either way the winner and
+    ``candidates_evaluated`` must be the oracle's.
+    """
+
+    #: (entry count, entry sizes, lookahead window) per window shape; on
+    #: the default MX driver the budget is 32 KiB and the cap 64 items.
+    SHAPES = {
+        "fits": (st.integers(1, 64), st.integers(1, 512), 64),
+        "budget": (st.integers(17, 64), st.integers(2048, 8192), 64),
+        "items": (st.integers(65, 96), st.integers(1, 256), 96),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.sampled_from(sorted(SHAPES)),
+        n_flows=st.integers(1, 16),
+        budget=st.integers(1, 64),
+        data=st.data(),
+    )
+    def test_winner_and_evaluations_match(self, shape, n_flows, budget, data):
+        count, size, window = self.SHAPES[shape]
+        n = data.draw(count, label="entries")
+        specs = data.draw(
+            st.lists(
+                st.tuples(
+                    size,
+                    st.integers(0, n_flows - 1),
+                    st.integers(0, 8),  # submit time, in 100 us steps
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            label="specs",
+        )
+
+        def run(strategy_type):
+            holder = []
+
+            def factory():
+                holder.append(strategy_type(budget=budget))
+                return holder[-1]
+
+            cluster = Cluster(
+                seed=0, strategy=factory, config=EngineConfig(lookahead_window=window)
+            )
+            engine = cluster.engine("n0")
+            # Ages span the staleness boost's unsaturated range.
+            engine.sim.run(until=1e-3)
+            flows = [Flow(i, f"f{i}", "n0", "n1") for i in range(n_flows)]
+            loaded = []
+            for entry_size, flow, age in specs:
+                entry = data_entry(flows[flow], entry_size, submit_time=age * 1e-4)
+                engine._enqueue(entry)
+                loaded.append(entry)
+            driver = engine.drivers[0]
+            consts = driver.constants
+            (queue,) = engine.waiting.non_empty()
+            arrays = queue.pending_arrays(window)
+            assert arrays.uniform_dst == "n1"
+            fits = (
+                sum(arrays.remaining) <= consts.max_aggregate_size
+                and arrays.n <= consts.max_items_cap
+            )
+            assert fits == (shape == "fits")
+            plan = holder[0].make_plan(engine, driver)
+            return _positions(plan, loaded), holder[0].last_evaluated
+
+        assert run(BoundedSearchStrategy) == run(oracle.OracleSearchStrategy)
+
+
 # ----------------------------------------------------------------------
 # whole-run dispatch order: scaled-down E2 / E5 workloads
 # ----------------------------------------------------------------------

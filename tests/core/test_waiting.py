@@ -5,7 +5,7 @@ import pytest
 from repro.core.waiting import ChannelQueue, WaitingLists
 from repro.madeleine.message import Flow
 from repro.madeleine.submit import EntryState
-from repro.util.errors import InternalError
+from repro.util.errors import ConfigurationError, InternalError
 
 from tests.core.helpers import data_entry
 
@@ -53,6 +53,62 @@ class TestChannelQueue:
         e.state = EntryState.RDV_PENDING
         assert q.pending() == []
         assert not q
+
+    def test_zero_window_is_empty(self, flow):
+        """A window of zero entries shows none (the walk checks the
+        window before it takes an entry, not after)."""
+        q = ChannelQueue(0)
+        q.append(data_entry(flow, 10))
+        assert q.pending(0) == []
+        assert q.pending_arrays(0).n == 0
+        assert q.pending_arrays(0).entries == []
+
+    def test_extend_keeps_order_and_counters(self, flow):
+        w = WaitingLists()
+        q = w.queue(0)
+        head = data_entry(flow, 10)
+        q.append(head)
+        batch = [data_entry(flow, 20), data_entry(flow, 30)]
+        version = q.version
+        q.extend(batch)
+        assert q.version == version + 1
+        assert q.pending() == [head, *batch]
+        assert (len(q), q.pending_bytes) == (3, 60)
+        assert (w.total_pending, w.total_pending_bytes) == (3, 60)
+
+    def test_extend_rejects_an_owned_entry_whole(self, flow):
+        q0, q1 = ChannelQueue(0), ChannelQueue(1)
+        owned = data_entry(flow, 10)
+        q0.append(owned)
+        fresh = data_entry(flow, 10)
+        with pytest.raises(InternalError):
+            q1.extend([fresh, owned])
+        assert fresh._owner is None and owned._owner is q0
+        assert q1.pending() == [] and q1.recount() == (0, 0, None)
+
+    def test_retire_mixed_packet(self, flow):
+        """Whole entries leave in one step; a partial take stays queued."""
+        w = WaitingLists()
+        q = w.queue(0)
+        a, b, c = data_entry(flow, 100), data_entry(flow, 60), data_entry(flow, 40)
+        for e in (a, b, c):
+            q.append(e)
+        version = q.version
+        q.retire([(a, 100), (b, 20), (c, 40)])
+        assert q.version > version
+        assert q.pending() == [b]
+        assert (a.state, c.state) == (EntryState.SENT, EntryState.SENT)
+        assert (b.offset, b.remaining) == (20, 40)
+        assert (len(q), q.pending_bytes) == (1, 40) == (w.total_pending, w.total_pending_bytes)
+        assert q.recount() == (1, 40, b.submit_time)
+
+    def test_retire_rejects_an_overlong_take(self, flow):
+        q = ChannelQueue(0)
+        e = data_entry(flow, 10)
+        q.append(e)
+        with pytest.raises(ConfigurationError):
+            q.retire([(e, 11)])
+        assert q.pending() == [e]
 
     def test_remove(self, flow):
         q = ChannelQueue(0)

@@ -1,35 +1,48 @@
 """Property tests for the waiting packet lists under random operations."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.waiting import ChannelQueue, WaitingLists
 from repro.madeleine.message import Flow
 from repro.madeleine.submit import EntryState
+from repro.util.errors import InternalError
 
 from tests.core.helpers import data_entry
 
 
 @st.composite
 def queue_operations(draw):
-    """A random interleaving of append / consume / retire / park operations."""
+    """A random interleaving of append / extend / consume / retire / park
+    operations, as ``(op, arg)``: ``extend`` takes a batch size,
+    ``retire`` one flag per packet item (True: the whole entry, False: a
+    partial take)."""
     n = draw(st.integers(min_value=1, max_value=40))
     ops = []
     for _ in range(n):
-        ops.append(
-            draw(
-                st.sampled_from(
-                    [
-                        "append",
-                        "append",
-                        "consume_head",
-                        "park_head",
-                        "consume_partial",
-                        "retire_head",
-                    ]
-                )
+        op = draw(
+            st.sampled_from(
+                [
+                    "append",
+                    "append",
+                    "extend",
+                    "extend_owned",
+                    "consume_head",
+                    "park_head",
+                    "consume_partial",
+                    "retire_head",
+                    "retire",
+                ]
             )
         )
+        if op == "extend":
+            arg = draw(st.integers(min_value=0, max_value=3))
+        elif op == "retire":
+            arg = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+        else:
+            arg = None
+        ops.append((op, arg))
     return ops
 
 
@@ -38,14 +51,28 @@ class TestChannelQueueProperties:
     @given(ops=queue_operations())
     def test_pending_always_waiting_in_arrival_order(self, ops):
         flow = Flow(0, "f", "n0", "n1")
-        queue = ChannelQueue(0)
+        lists = WaitingLists()
+        queue = lists.queue(0)
         appended = []
-        for op in ops:
+        for op, arg in ops:
             pending = queue.pending()
             if op == "append":
                 entry = data_entry(flow, 100)
                 queue.append(entry)
                 appended.append(entry)
+            elif op == "extend":
+                # engine.submit_message: one message's fragments at once.
+                batch = [data_entry(flow, 100) for _ in range(arg)]
+                queue.extend(batch)
+                appended.extend(batch)
+            elif op == "extend_owned" and pending:
+                # A batch holding an entry some queue already owns is
+                # refused whole: nothing of it is enqueued.
+                fresh = data_entry(flow, 100)
+                with pytest.raises(InternalError):
+                    queue.extend([fresh, pending[0]])
+                assert fresh._owner is None
+                assert queue.pending() == pending
             elif op == "consume_head" and pending:
                 head = pending[0]
                 head.consume(head.remaining)
@@ -57,9 +84,25 @@ class TestChannelQueueProperties:
                 # engine._dispatch of a whole entry: one step out of the queue.
                 head = pending[0]
                 remaining, offset = head.remaining, head.offset
-                assert queue.dispatch(head, remaining) == offset
+                queue.retire([(head, remaining)])
                 assert head.state is EntryState.SENT and head.remaining == 0
                 assert head.offset == offset + remaining and head._owner is None
+            elif op == "retire" and pending:
+                # engine._dispatch of a packet: whole entries and partial
+                # takes (striping slices) in one retire.
+                items = []
+                for entry, whole in zip(pending, arg):
+                    r = entry.remaining
+                    items.append((entry, r if whole or r == 1 else r // 2))
+                before = [(e, e.remaining, e.offset) for e, _ in items]
+                queue.retire(items)
+                for (entry, take), (_, remaining, offset) in zip(items, before):
+                    assert entry.offset == offset + take
+                    assert entry.remaining == remaining - take
+                    if take == remaining:
+                        assert entry.state is EntryState.SENT and entry._owner is None
+                    else:
+                        assert entry.state is EntryState.WAITING and entry._owner is queue
             elif op == "park_head" and pending:
                 head = pending[0]
                 if head.state is EntryState.WAITING:
@@ -67,6 +110,7 @@ class TestChannelQueueProperties:
                     head.state = EntryState.RDV_PENDING
             count, n_bytes, _oldest = queue.recount()
             assert (len(queue), queue.pending_bytes) == (count, n_bytes)
+            assert (lists.total_pending, lists.total_pending_bytes) == (count, n_bytes)
 
         pending = queue.pending()
         # 1. Only pending-state entries are visible.
@@ -147,10 +191,10 @@ class TestIncrementalAccounting:
                 entry.consume(entry.remaining)
                 queue.remove(entry)
             elif op == "retire" and pending:
-                # engine._dispatch of a whole entry: ChannelQueue.dispatch
+                # engine._dispatch of a whole entry: ChannelQueue.retire
                 # consumes, retires and removes it in one step.
                 entry = pending[pick % len(pending)]
-                queue.dispatch(entry, entry.remaining)
+                queue.retire([(entry, entry.remaining)])
             elif op == "slice" and pending:
                 # Multirail striping: partial consume, entry stays.
                 entry = pending[pick % len(pending)]

@@ -304,6 +304,28 @@ class TestMirrorReceiver:
         assert [f.size for f in m0.fragments] == [100, 50]
         assert mirror.open_mirrors == 1
 
+    def test_mirror_total_size_is_the_senders(self):
+        """A mirror gets its fragments without ``add_fragment``, so it
+        must set the running ``total_size`` itself."""
+        flow = Flow(0, "t-total", "n0", "n1")
+        message = Message(flow, seq=0)
+        first = message.add_fragment(16, express=True)
+        message.add_fragment(200)
+        message.mark_flushed(0.0)
+        packet = WirePacket(
+            kind=PacketKind.EAGER,
+            src="n0",
+            dst="n1",
+            channel_id=0,
+            segments=(WireSegment(first, 0, first.size),),
+            packet_id=0,
+        )
+        rebuilt = self._pair(flow).packet_from_frame(
+            _decode_one(encode_live_packet(packet)), 0
+        )
+        mirrored = rebuilt.segments[0].payload.message
+        assert mirrored.total_size == message.total_size == 216
+
     def test_corrupted_bytes_detected(self):
         flow = Flow(0, "t-corrupt", "n0", "n1")
         _, packet = _sent_packet(flow)
