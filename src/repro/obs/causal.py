@@ -50,9 +50,10 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.obs.spans import (
+    Leg,
     MessageChain,
     interval_overlap,
     merge_intervals,
@@ -101,12 +102,39 @@ class MessageBlame:
     complete_t: float
     e2e: float
     buckets: dict[str, float]
-    critical_leg: str | None
-    legs: list[dict[str, Any]] = field(default_factory=list)
+    #: The leg blame was attributed along (None: no leg delivered).
+    critical: Leg | None = None
+    #: The chain's packet legs, in dispatch order.
+    chain_legs: list[Leg] = field(default_factory=list)
 
     @property
     def edge(self) -> str:
         return f"{self.src}->{self.dst}"
+
+    @property
+    def critical_leg(self) -> str | None:
+        """The critical leg's key."""
+        return self.critical.key if self.critical is not None else None
+
+    @property
+    def legs(self) -> list[dict[str, Any]]:
+        """One row per leg, built when read: only ``to_dict``, ``obs why``
+        and waterfalls ask, so the trace fold never pays for it."""
+        crit = self.critical
+        return [
+            {
+                "leg": leg.key,
+                "nic": leg.nic,
+                "kind": leg.packet_kind,
+                "bytes": leg.bytes,
+                "send_t": leg.send_t,
+                "deliver_t": leg.done_t,
+                "retransmits": len(leg.retransmits),
+                "reordered": leg.reorder_enter_t is not None,
+                "critical": leg is crit,
+            }
+            for leg in self.chain_legs
+        ]
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready shape (seconds-suffixed keys for the buckets)."""
@@ -120,7 +148,7 @@ class MessageBlame:
             "e2e_s": self.e2e,
             "buckets_s": dict(self.buckets),
             "critical_leg": self.critical_leg,
-            "legs": list(self.legs),
+            "legs": self.legs,
         }
 
 
@@ -148,11 +176,15 @@ _window_start = itemgetter(0)
 
 
 def _clipped(
-    windows: Iterable[tuple[float, float | None]], lo: float, hi: float
+    windows: Sequence[tuple[float, float | None]], lo: float, hi: float
 ) -> list[tuple[float, float]]:
     """Union of ``windows`` within ``[lo, hi]``; open windows end at ``hi``."""
     if not windows:
         return []
+    if len(windows) == 1:  # the usual case: what the merge and clip give
+        start, end = windows[0]
+        lo, hi = max(start, lo), min(end if end is not None else hi, hi)
+        return [(lo, hi)] if hi > lo else []
     closed = ((start, end if end is not None else hi) for start, end in windows)
     return interval_overlap(merge_intervals(closed), lo, hi)
 
@@ -164,75 +196,72 @@ def attribute_chain(
     """Attribute one completed chain; None when it never completed.
     ``hold_windows`` (``TraceAnalysis.hold_windows``) holds, per node,
     start-sorted disjoint ``(arm_t, fire_t | None)`` windows."""
-    if chain.complete_t is None:
+    complete_t = chain.complete_t
+    if complete_t is None:
         return None
     t0 = chain.submit_t
-    t1 = max(chain.complete_t, t0)
+    t1 = max(complete_t, t0)
     total = t1 - t0
-    buckets = dict.fromkeys(BLAME_BUCKETS, 0.0)
     # The critical leg: the (first) one whose payload arrived last.
     crit, crit_done = None, None
     for leg in chain.legs:
         done = leg.done_t
         if done is not None and (crit is None or done > crit_done):
             crit, crit_done = leg, done
-    if crit is not None:
+    if crit is None:
+        buckets = dict.fromkeys(BLAME_BUCKETS, 0.0)
+    else:
         send = crit.send_t if crit.send_t is not None else crit.dispatch_t
         send = min(max(send if send is not None else t0, t0), t1)
         deliver = min(max(crit_done, send), t1)
         # -- queue span [t0, send]: rdv beats hold beats nic_queue ------
         rdv = _clipped(chain.rdv_windows, t0, send)
-        windows = (hold_windows or {}).get(chain.src, ())
-        # Only the window straddling t0 (if any) through the last one
-        # armed before `send` can overlap the queue span.
-        first = max(bisect_right(windows, t0, key=_window_start) - 1, 0)
-        last = bisect_left(windows, send, key=_window_start)
-        hold = subtract_intervals(_clipped(windows[first:last], t0, send), rdv)
-        buckets["rdv"] = total_length(rdv)
-        buckets["hold"] = total_length(hold)
-        buckets["nic_queue"] = max(
-            (send - t0) - buckets["rdv"] - buckets["hold"], 0.0
-        )
+        hold: list[tuple[float, float]] = []
+        windows = hold_windows.get(chain.src) if hold_windows else None
+        if windows:
+            # Only the window straddling t0 (if any) through the last one
+            # armed before `send` can overlap the queue span.
+            first = max(bisect_right(windows, t0, key=_window_start) - 1, 0)
+            last = bisect_left(windows, send, key=_window_start)
+            if last > first:
+                hold = _clipped(windows[first:last], t0, send)
+                if rdv:
+                    hold = subtract_intervals(hold, rdv)
+        rdv_s = total_length(rdv) if rdv else 0
+        hold_s = total_length(hold) if hold else 0
         # -- transit span [send, arrival]: retransmit, service, wire ----
         arrival = crit.arrival_t
         t_phys = min(max(arrival if arrival is not None else deliver, send), deliver)
         transit = t_phys - send
-        rounds = [t for t in crit.retransmits if send < t <= t_phys]
-        if rounds:
-            buckets["retransmit"] = min(max(rounds) - send, transit)
-        buckets["service"] = max(
-            min(crit.occupancy or 0.0, transit - buckets["retransmit"]), 0.0
-        )
-        buckets["wire"] = max(
-            transit - buckets["retransmit"] - buckets["service"], 0.0
-        )
-        # -- receive span [arrival, deliver]: reorder-buffer residency --
-        buckets["reorder"] = max(deliver - t_phys, 0.0)
+        retransmit = 0.0
+        if crit.retransmits:
+            rounds = [t for t in crit.retransmits if send < t <= t_phys]
+            if rounds:
+                retransmit = min(max(rounds) - send, transit)
+        service = max(min(crit.occupancy or 0.0, transit - retransmit), 0.0)
+        buckets = {
+            "hold": hold_s,
+            "rdv": rdv_s,
+            "nic_queue": max((send - t0) - rdv_s - hold_s, 0.0),
+            "service": service,
+            "wire": max(transit - retransmit - service, 0.0),
+            "retransmit": retransmit,
+            # -- receive span [arrival, deliver]: reorder-buffer residency
+            "reorder": max(deliver - t_phys, 0.0),
+            "unattributed": 0.0,
+        }
     return MessageBlame(
-        key=chain.key,
-        flow=chain.flow,
-        src=chain.src,
-        dst=chain.dst or "?",
-        bytes=chain.bytes,
-        submit_t=t0,
-        complete_t=t1,
-        e2e=total,
-        buckets=_balanced(buckets, total),
-        critical_leg=crit.key if crit is not None else None,
-        legs=[
-            {
-                "leg": leg.key,
-                "nic": leg.nic,
-                "kind": leg.packet_kind,
-                "bytes": leg.bytes,
-                "send_t": leg.send_t,
-                "deliver_t": leg.done_t,
-                "retransmits": len(leg.retransmits),
-                "reordered": leg.reorder_enter_t is not None,
-                "critical": leg is crit,
-            }
-            for leg in chain.legs
-        ],
+        chain.key,
+        chain.flow,
+        chain.src,
+        chain.dst or "?",
+        chain.bytes,
+        t0,
+        t1,
+        total,
+        _balanced(buckets, total),
+        crit,
+        chain.legs,
     )
 
 

@@ -1,6 +1,6 @@
 """Trace sinks: unbounded capture and the bounded flight recorder.
 
-Both are plain callables — subscribe them to any
+Both are callables — subscribe them to any
 :class:`~repro.util.tracing.Tracer` — so the observability plane can
 attach to a cluster's existing tracer after construction instead of
 threading a special tracer through every component.
@@ -45,25 +45,26 @@ def truncation_marker(sink: "ListSink | RingBufferSink") -> TraceEvent:
     )
 
 
-class ListSink:
-    """Keeps every event, in emission order."""
+class ListSink(list):
+    """Keeps every event, in emission order.
 
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+    It *is* the event list: calling it is ``list.append``, so recording
+    an event costs no Python frame.  Like any list it is falsy while
+    empty and compares by content; test it against ``None``.
+    """
 
-    def __call__(self, event: TraceEvent) -> None:
-        self.events.append(event)
+    __slots__ = ()
+    __call__ = list.append
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The captured events (the sink itself)."""
+        return self
 
     @property
     def seen(self) -> int:
         """Events received (none are ever dropped)."""
-        return len(self.events)
+        return len(self)
 
     @property
     def dropped(self) -> int:
@@ -71,7 +72,7 @@ class ListSink:
 
     def to_jsonl(self) -> str:
         """The captured events as JSON Lines text."""
-        return events_to_jsonl(self.events)
+        return events_to_jsonl(self)
 
 
 class RingBufferSink:

@@ -98,14 +98,15 @@ class LatencySummary:
 
     @classmethod
     def of(cls, latencies: Iterable[float]) -> "LatencySummary":
-        arr = np.asarray(list(latencies), dtype=float)
-        if arr.size == 0:
+        values = list(latencies)
+        if not values:
             nan = math.nan
             return cls(0, nan, nan, nan, nan, nan, nan, nan)
+        arr = np.asarray(values, dtype=float)
         return cls(
-            int(arr.size),
-            float(arr.mean()),
-            *percentiles(arr, (50.0, 90.0, 99.0, 99.9)),
+            len(values),
+            float(arr.mean()),  # numpy's pairwise sum, not a running one
+            *percentiles(values, (50.0, 90.0, 99.0, 99.9)),
             float(arr.min()),
             float(arr.max()),
         )

@@ -15,14 +15,16 @@ start producing events without reconstructing the cluster.
 Hot-path contract: ``tracer.enabled`` is a plain attribute, not a
 property — emit sites check it before building any detail dict, so a
 production run with no sinks pays one attribute read and one branch per
-potential event, nothing more.
+potential event, nothing more.  A traced event costs its detail dict,
+one :class:`TraceEvent` (a ``NamedTuple``, built in C without the
+generated ``__new__``), a per-kind count and one call per sink; a
+``ListSink`` records it with ``list.append`` itself, no Python frame.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 __all__ = [
     "TraceEvent",
@@ -33,9 +35,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One trace record.
+class TraceEvent(NamedTuple):
+    """One trace record: an immutable four-field tuple.
 
     ``source`` identifies the emitting component (``"nic:myri0"``,
     ``"optimizer:node1"``); ``kind`` is a stable machine-matchable tag
@@ -46,7 +47,12 @@ class TraceEvent:
     time: float
     source: str
     kind: str
-    detail: dict[str, Any] = field(default_factory=dict)
+    detail: dict[str, Any]
+
+
+#: ``_tuple_new(TraceEvent, fields)`` builds an event in C, without the
+#: generated ``__new__``'s Python frame (the tracer's per-event path).
+_tuple_new = tuple.__new__
 
 
 class Tracer:
@@ -70,8 +76,9 @@ class Tracer:
         """Dispatch one event to every subscriber."""
         if not self.enabled:
             return
-        event = TraceEvent(time, source, kind, detail)
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+        event = _tuple_new(TraceEvent, (time, source, kind, detail))
+        counts = self.counts
+        counts[kind] = counts.get(kind, 0) + 1
         for sink in self._sinks:
             sink(event)
 

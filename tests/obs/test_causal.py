@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.causal import (
+    _clipped,
     attribute_chain,
     attribute_events,
     export_blame,
@@ -23,7 +24,7 @@ from repro.obs.causal import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ListSink
-from repro.obs.spans import Leg, MessageChain
+from repro.obs.spans import Leg, MessageChain, interval_overlap, merge_intervals
 from repro.runtime.scenario import run_scenario
 from repro.util.tracing import NullTracer, TraceEvent, Tracer
 
@@ -153,6 +154,25 @@ class TestAttributeChain:
         assert flags == {"n0#1": True, "n0#2": False}
         _assert_balanced(blame)
 
+    def test_leg_rows_read_the_chain(self):
+        chain = _chain(retransmits=(5.0,), reorder_enter=8.5, reorder_release=8.8)
+        chain.legs.append(
+            Leg(key="n0#2", node="n0", packet_id=2, nic=None, packet_kind="rdv",
+                bytes=7, send_t=None, recv_t=3.0)
+        )
+        blame = attribute_chain(chain)
+        assert blame.critical is chain.legs[0]
+        assert blame.to_dict()["critical_leg"] == "n0#1"
+        assert blame.to_dict()["legs"] == [
+            {"leg": "n0#1", "nic": "n0.mx00", "kind": "eager", "bytes": 100,
+             "send_t": 4.0, "deliver_t": 9.0, "retransmits": 1,
+             "reordered": True, "critical": True},
+            {"leg": "n0#2", "nic": None, "kind": "rdv", "bytes": 7,
+             "send_t": None, "deliver_t": 3.0, "retransmits": 0,
+             "reordered": False, "critical": False},
+        ]
+        assert blame.legs == blame.to_dict()["legs"]
+
     def test_chain_with_no_legs_is_all_unattributed(self):
         chain = _chain()
         chain.legs = []
@@ -189,6 +209,26 @@ class TestAttributeChain:
             hold_windows={"n0": [(submit, submit + hold_frac * queue)]},
         )
         _assert_balanced(blame)
+
+    @given(
+        starts=st.lists(st.floats(-5, 20), max_size=4, unique=True),
+        lengths=st.lists(st.floats(0, 6), min_size=4, max_size=4),
+        open_last=st.booleans(),
+        lo=st.floats(-5, 20),
+        span=st.floats(0, 10),
+    )
+    def test_clipping_one_window_equals_the_merge(
+        self, starts, lengths, open_last, lo, span
+    ):
+        """One window skips the merge; any count must equal merge + clip."""
+        windows = [(s, s + n) for s, n in zip(sorted(starts), lengths)]
+        if open_last and windows:
+            windows[-1] = (windows[-1][0], None)
+        hi = lo + span
+        closed = [(s, e if e is not None else hi) for s, e in windows]
+        assert _clipped(windows, lo, hi) == interval_overlap(
+            merge_intervals(closed), lo, hi
+        )
 
 
 class TestEndToEndSim:

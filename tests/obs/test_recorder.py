@@ -24,6 +24,24 @@ class TestListSink:
         assert sink.seen == 5
         assert sink.dropped == 0
 
+    def test_records_a_tracers_events_in_order(self):
+        tracer = Tracer()
+        sink = ListSink()
+        assert sink.seen == 0 and sink.events == [] and sink.to_jsonl() == ""
+        tracer.subscribe(sink)
+        assert tracer.enabled
+        for i in range(4):
+            tracer.emit(float(i), "test:src", "test.kind", i=i)
+        assert sink.events == [_event(i) for i in range(4)]
+        assert list(sink) == sink.events and len(sink) == 4
+        assert sink.seen == 4
+        assert sink.dropped == 0
+        lines = [json.loads(line) for line in sink.to_jsonl().splitlines()]
+        assert [line["detail"]["i"] for line in lines] == [0, 1, 2, 3]
+        assert lines[0] == {
+            "time": 0.0, "source": "test:src", "kind": "test.kind", "detail": {"i": 0},
+        }
+
     def test_to_jsonl(self):
         sink = ListSink()
         sink(_event(3))

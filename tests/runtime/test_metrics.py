@@ -1,6 +1,11 @@
 """Tests for metrics collection and session reports."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,46 @@ class TestLatencySummary:
         assert s.count == 0
         assert math.isnan(s.mean) and math.isnan(s.p999)
         assert s.to_dict()["p999"] is None
+
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: Runs one session of a scenario in a fresh interpreter and prints the
+#: modules it left loaded.
+_SESSION_MODULES = """
+import json, sys
+from repro.runtime.scenario import build_scenario
+from repro.runtime.session import run_session
+spec = json.load(open(sys.argv[1]))
+if sys.argv[2] == "traced":
+    spec["observability"] = {"trace": True}
+else:
+    spec.pop("observability", None)
+cluster, apps = build_scenario(spec)
+run = spec.get("run", {})
+report = run_session(cluster, [app.install for app in apps],
+                     until=run.get("until"), warmup=run.get("warmup", 0.0))
+assert report.messages > 0 and (cluster.obs is not None) == (sys.argv[2] == "traced")
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+class TestSessionImports:
+    @pytest.mark.parametrize("mode", ["untraced", "traced"])
+    def test_a_session_never_loads_masked_arrays(self, mode):
+        """Exact percentiles are computed in Python: ``np.percentile``
+        pulls in ``numpy.ma`` (13 ms of CPU, about 2 MB) on every run."""
+        fresh = subprocess.run(
+            [sys.executable, "-c", _SESSION_MODULES,
+             str(ROOT / "examples" / "scenario_mixed.json"), mode],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        modules = json.loads(fresh.stdout)
+        assert "repro.runtime.session" in modules
+        assert "numpy.ma" not in modules
 
 
 class TestReport:

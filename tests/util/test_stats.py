@@ -1,9 +1,42 @@
 """Tests for repro.util.stats."""
 
+import math
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.util.stats import percentiles
+
+
+def _bits(values):
+    """The IEEE-754 bit patterns, so ``-0.0`` and ``0.0`` differ."""
+    return [struct.pack("<d", v) for v in values]
+
+
+#: Finite floats, subnormals and values near the top of the range (whose
+#: differences overflow), drawn from a small pool now and then so ties
+#: are common.
+_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_values = st.one_of(
+    _finite,
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324, 1e-310, 1e308, -1e308]),
+)
+_samples = st.one_of(
+    st.lists(_values, min_size=1, max_size=2000),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0, 1e300]), min_size=1, max_size=2000),
+)
+_ps = st.lists(
+    st.one_of(
+        st.sampled_from([0, 100, 0.0, 100.0, 50, 99.9]),
+        st.floats(0.0, 100.0),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
 
 class TestPercentiles:
@@ -31,6 +64,34 @@ class TestPercentiles:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             percentiles([], [50])
+
+    @given(_samples, _ps)
+    @example([-0.0], [0, 50, 100])  # the sign of a zero survives as numpy's
+    @example([-1.0, -0.0, -0.0], [50, 75, 100])
+    @example([-1e308, 1e308], [0, 50, 100])  # b - a overflows to inf
+    def test_bit_identical_to_numpy(self, samples, ps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflowing lerps
+            expected = np.percentile(np.asarray(samples, dtype=float), ps).tolist()
+        assert _bits(percentiles(samples, ps)) == _bits(expected)
+
+    @pytest.mark.parametrize("p", [-1e-9, -1, 100.00001, 101, math.nan, math.inf])
+    def test_every_out_of_range_p_rejected(self, p):
+        with pytest.raises(ValueError):
+            np.percentile([1.0, 2.0], [50, p])
+        with pytest.raises(ValueError):
+            percentiles([1.0, 2.0], [50, p])
+
+    @given(st.lists(_finite, max_size=50), st.integers(0, 50), _ps)
+    def test_a_nan_sample_gives_nan_like_numpy(self, samples, at, ps):
+        samples.insert(min(at, len(samples)), math.nan)
+        assert all(math.isnan(v) for v in np.percentile(samples, ps))
+        assert all(math.isnan(v) for v in percentiles(samples, ps))
+
+    def test_returns_python_floats(self):
+        values = percentiles([3, 1, 2], (0, 50, 100))
+        assert values == [1.0, 2.0, 3.0]
+        assert all(type(v) is float for v in values)
 
 
 class TestAsciiHistogram:

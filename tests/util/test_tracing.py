@@ -1,6 +1,8 @@
 """Tests for repro.util.tracing."""
 
-from repro.util.tracing import NullTracer, Tracer, events_to_jsonl
+import pytest
+
+from repro.util.tracing import NullTracer, TraceEvent, Tracer, events_to_jsonl
 
 
 def recording():
@@ -24,6 +26,29 @@ class TestNullTracer:
         t.emit(0.5, "a", "x", k=1)
         assert len(seen) == 1
         assert seen[0].detail == {"k": 1}
+
+
+class TestTraceEvent:
+    def test_a_four_field_record(self):
+        event = TraceEvent(time=1.0, source="nic:n0", kind="nic.send", detail={"b": 1})
+        assert (event.time, event.source, event.kind, event.detail) == (
+            1.0, "nic:n0", "nic.send", {"b": 1},
+        )
+        assert event == TraceEvent(1.0, "nic:n0", "nic.send", {"b": 1})
+
+    @pytest.mark.parametrize("name", ["time", "source", "kind", "detail"])
+    def test_fields_cannot_be_assigned(self, name):
+        t, events = recording()
+        t.emit(0.5, "a", "k", x=1)
+        with pytest.raises(AttributeError):
+            setattr(events[0], name, None)
+        assert events[0] == TraceEvent(0.5, "a", "k", {"x": 1})
+
+    def test_emitted_events_are_trace_events(self):
+        t, events = recording()
+        t.emit(0.5, "a", "k")
+        assert type(events[0]) is TraceEvent
+        assert events[0].detail == {}
 
 
 class TestJsonExport:
