@@ -114,6 +114,11 @@ def _cmd_run(args) -> int:
     report, cluster, apps = run_scenario(scenario)
     name = scenario.get("name", args.scenario)
     plane = cluster.obs
+    tuned = {
+        node: engine.rail_order.summary()
+        for node, engine in cluster.engines.items()
+        if engine.rail_order is not None
+    }
     written: list[str] = []
     if plane is not None and args.trace_out:
         fmt = plane.write_trace(args.trace_out)
@@ -129,8 +134,8 @@ def _cmd_run(args) -> int:
             "report": report.to_dict(),
             "incomplete_workloads": incomplete,
         }
-        if cluster.tuner is not None:
-            payload["tuner"] = cluster.tuner.summary()
+        if tuned:
+            payload["tuner"] = {"nodes": {n: {"rails": s} for n, s in tuned.items()}}
         print(json.dumps(payload, indent=2))
         return 1 if incomplete else 0
     print(f"== scenario: {name} ==")
@@ -158,10 +163,10 @@ def _cmd_run(args) -> int:
         latencies_us = [r.latency * 1e6 for r in cluster.metrics.records]
         print("latency histogram (us):")
         print(ascii_histogram(latencies_us, fmt="{:.1f}"))
-    if cluster.tuner is not None:
+    if tuned:
         print("tuner:")
-        for node, state in cluster.tuner.summary()["nodes"].items():
-            print(f"  {node:<6} rail-refreshes={state['rails']['refreshes']}")
+        for node, state in tuned.items():
+            print(f"  {node:<6} rail-refreshes={state['refreshes']}")
     if plane is not None and plane.sink is not None and plane.sink.dropped:
         print(
             f"flight recorder      : kept {len(plane.sink.events)} of "

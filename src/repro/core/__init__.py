@@ -14,7 +14,7 @@ Key pieces:
   (aggregation, bounded reordering search, multirail striping, Nagle
   delay, …);
 * :mod:`~repro.core.channels` — channel assignment policies (traffic
-  classes vs one-to-one fallback, paper §2);
+  classes vs one-to-one fallback, paper §2) and the rail order;
 * :mod:`~repro.core.cost` — capability-parameterized plan cost/score
   model.
 """

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.channels import ChannelPolicy, PooledChannels
+from repro.core.channels import ChannelPolicy, PooledChannels, TailRailOrder
 from repro.core.config import EngineConfig
 from repro.core.cost import CostModel
 from repro.core.plan import Hold, TransferPlan
@@ -80,6 +80,7 @@ class CommEngineBase:
         *,
         strategy: Strategy | None = None,
         policy: ChannelPolicy | None = None,
+        rail_order: TailRailOrder | None = None,
         config: EngineConfig | None = None,
         cost: CostModel | None = None,
     ) -> None:
@@ -116,9 +117,8 @@ class CommEngineBase:
         #: ``(release_bytes, release_pending, rails)``, the tightest Hold of a
         #: pump where every idle rail only held; the next pump or kick clears it.
         self._standing: tuple[float, float, int] | None = None
-        #: Optional driver-iteration reorderer (``order(drivers)``), installed
-        #: by the tuner's rail selection; None iterates ``self.drivers`` as built.
-        self.rail_selector = None
+        #: The pumps' driver order; None visits ``self.drivers`` as listed.
+        self.rail_order = rail_order
 
         self.policy.setup(node.channels, min(d.caps.max_channels for d in self.drivers))
         self.policy.bind(self)
@@ -245,8 +245,8 @@ class CommEngineBase:
             return
         self._standing = None
         self._activate(trigger)
-        selector = self.rail_selector
-        drivers = self.drivers if selector is None else selector.order(self.drivers)
+        rail_order = self.rail_order
+        drivers = self.drivers if rail_order is None else rail_order.order(self.drivers)
         waiting = self.waiting
         tracer = self.sim.tracer
         stats = self.stats
@@ -297,8 +297,9 @@ class CommEngineBase:
                     break
         finally:
             self._pumping = False
-        # A policy whose service order counts its calls must see every pump.
-        if rails and held_only and self.policy.stable_service_order:
+        # A policy whose service order counts its calls, or a rail order
+        # (it counts the pumps it orders), must see every pump.
+        if rails and held_only and self.policy.stable_service_order and rail_order is None:
             self._standing = (release_bytes, release_pending, rails)
 
     def _emit_decide(self, plan: TransferPlan, tracer) -> None:
@@ -699,8 +700,7 @@ class OptimizingEngine(CommEngineBase):
     """
 
     def _after_submit(self) -> None:
-        # A rail selector counts the pumps it orders: under one, none is skipped.
-        if self._standing is not None and self.rail_selector is None:
+        if self._standing is not None:
             release_bytes, release_pending, rails = self._standing
             waiting = self.waiting
             if (

@@ -73,7 +73,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.plane import ObservabilityConfig
 from repro.obs.tails import SLObjective, evaluate_slo_offline
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
-from repro.runtime.cluster import Cluster, check_topology
+from repro.runtime.cluster import check_topology
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
 from repro.runtime.scenario import build_workloads, parse_cluster
 from repro.util.errors import ConfigurationError, TransportError
@@ -468,11 +468,10 @@ def _validate(
 ) -> tuple[int, ChaosConfig | None, tuple[SLObjective, ...]]:
     """Reject, before any peer is spawned, what a peer would reject.
 
-    The cluster block, the workloads and the observability spec go
-    through the simulator's own parsers, and a ``tuner`` block installs
-    on a throwaway simulated cluster — or refuses to — as it would on
-    every peer, so a bad scenario fails here with the simulator's words
-    instead of as a peer traceback.  Returns ``(n_nodes, chaos, slo)`` —
+    The cluster and ``tuner`` blocks, the workloads and the
+    observability spec go through the simulator's own parsers, so a bad
+    scenario fails here with the simulator's words instead of as a peer
+    traceback.  Returns ``(n_nodes, chaos, slo)`` —
     the coordinator needs the failure-detection budget before it forks,
     and the objectives for ``/tails`` and the post-run verdicts.
     """
@@ -495,8 +494,6 @@ def _validate(
                 f"faults die rank {chaos.die.rank} >= n_nodes {spec['n_nodes']}"
             )
     build_workloads(scenario)
-    if scenario.get("tuner") is not None:
-        Cluster(**spec, tuner=scenario["tuner"])
     return spec["n_nodes"], chaos, obs_config.slo
 
 

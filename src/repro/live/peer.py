@@ -53,7 +53,7 @@ from repro.network.fabric import Node
 from repro.network.technologies import TECHNOLOGIES
 from repro.network.wire import META_CORR, META_SENT_AT, META_VIA
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
-from repro.runtime.cluster import build_node_stack, install_tuner
+from repro.runtime.cluster import build_node_stack
 from repro.runtime.metrics import MetricsCollector, stats_row
 from repro.runtime.scenario import build_workloads, parse_cluster
 from repro.util.errors import ConfigurationError
@@ -150,7 +150,7 @@ class LivePeer:
 
     The peer is also the *cluster* of this process: it carries the
     attributes of :class:`~repro.runtime.cluster.Cluster` that the
-    observability plane, the sampler, the tuner and the workload apps
+    observability plane, the sampler and the workload apps
     read (``sim``, ``nodes``, ``engines``, ``reassemblers``, ``apis``,
     ``transport``, ``engine_kind``, ``api()``, ``stream()``), holding
     the one local node — so each of them is installed on the peer
@@ -212,7 +212,6 @@ class LivePeer:
         self._pre_start_frames: list = []
         self._build_stack(spec)
         self._install_observability()
-        self.tuner = install_tuner(self, scenario.get("tuner"))
 
     # -- the Cluster accessors workload apps call ----------------------
     def api(self, node_name: str) -> MadAPI:
@@ -273,6 +272,7 @@ class LivePeer:
             strategy=spec["strategy"],
             policy=spec["policy"],
             config=spec["config"],
+            rail_order=spec["rail_order"],
         )
         self.metrics.attach(self.reassembler)
         # Chain-wrap the reassembler's single completion slot: metrics

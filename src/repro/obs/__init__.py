@@ -33,7 +33,7 @@ its SLO verdicts, per-rail service time and causal blame — is computed
 once, exactly, after the run by one fold over the (aligned) trace,
 :func:`repro.obs.analyze.analyze_events`.  The plane keeps no online
 quantile state and nothing in it steers dispatch: the rail tails the
-tuner acts on are the NICs' own windows
+rail order acts on are the NICs' own windows
 (:attr:`repro.network.nic.NIC.service_us`).
 """
 

@@ -15,7 +15,7 @@ NullTracer fast path (one attribute read, one branch, no detail-dict
 allocation).
 
 Nothing the plane records is read back by dispatch: the rail tails the
-tuner acts on are kept by the NICs themselves
+rail order acts on are kept by the NICs themselves
 (:attr:`~repro.network.nic.NIC.service_us`), so a plane changes what a
 run knows about itself, never what it does.
 

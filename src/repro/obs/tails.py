@@ -6,7 +6,7 @@
   entries of a live run's ``tails["edges"]`` / ``tails["rails"]``.
   Nothing here is online: message latency comes exactly from the
   records (:class:`~repro.runtime.metrics.LatencySummary`), and the
-  rail tails the tuner acts on are each NIC's own window
+  rail tails the rail order acts on are each NIC's own window
   (:attr:`~repro.network.nic.NIC.service_us`).
 
 * :class:`SLObjective` + :func:`evaluate_slo_offline` implement

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.baseline.legacy import LegacyEngine
-from repro.core.channels import ChannelPolicy, PooledChannels
+from repro.core.channels import ChannelPolicy, PooledChannels, TailRailOrder
 from repro.drivers.capabilities import DriverCapabilities
 from repro.core.config import EngineConfig
 from repro.core.engine import CommEngineBase, OptimizingEngine
@@ -41,13 +41,12 @@ from repro.network.reliable import ReliabilityConfig, ReliableTransport
 from repro.network.technologies import TECHNOLOGIES
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
 from repro.runtime.metrics import MetricsCollector
-from repro.tuner import ClusterTuner, TunerConfig
 from repro.sim.engine import Simulator
 from repro.util.errors import ConfigurationError
 from repro.util.rng import SeedSequenceRegistry
 from repro.util.tracing import Tracer
 
-__all__ = ["Cluster", "build_node_stack", "check_topology", "install_tuner"]
+__all__ = ["Cluster", "build_node_stack", "check_topology"]
 
 #: Engine kind → constructor.
 _ENGINE_KINDS = {"optimizing": OptimizingEngine, "legacy": LegacyEngine}
@@ -86,6 +85,7 @@ def build_node_stack(
     policy: Callable[[], ChannelPolicy] | None,
     config: EngineConfig | None,
     driver_caps: dict[str, DriverCapabilities] | None = None,
+    rail_order: Callable[[], TailRailOrder] | None = None,
 ) -> tuple[CommEngineBase, MessageReassembler, MadAPI]:
     """Everything above the NICs of one node, on either plane.
 
@@ -102,7 +102,10 @@ def build_node_stack(
         else:
             drivers.append(make_driver(nic))
 
-    kwargs: dict = {"config": config}
+    kwargs: dict = {
+        "config": config,
+        "rail_order": rail_order() if rail_order is not None else None,
+    }
     if engine == "optimizing":
         if isinstance(strategy, str):
             kwargs["strategy"] = make_strategy(strategy)
@@ -116,19 +119,6 @@ def build_node_stack(
     reassembler = MessageReassembler(sim, node.name)
     node.receiver.register_default_sink(reassembler.sink)
     return comm_engine, reassembler, MadAPI(node.name, comm_engine, reassembler)
-
-
-def install_tuner(
-    cluster: Any, tuner: "Mapping | TunerConfig | None"
-) -> ClusterTuner | None:
-    """Install the rail selectors a ``tuner`` block asks for (``None``
-    installs nothing)."""
-    if tuner is None:
-        return None
-    config = tuner if isinstance(tuner, TunerConfig) else TunerConfig.from_spec(tuner)
-    cluster_tuner = ClusterTuner(config)
-    cluster_tuner.install(cluster)
-    return cluster_tuner
 
 
 class Cluster:
@@ -181,13 +171,11 @@ class Cluster:
         ``ring_buffer``/``trace``).  When set, a trace sink and the
         periodic sampler are attached as ``cluster.obs``; ``None``
         (default) keeps every emit site on the NullTracer fast path.
-    tuner:
-        Optional tail-acting rail selection: a
-        :class:`~repro.tuner.TunerConfig` or a mapping in the scenario
-        ``"tuner"`` schema (see :mod:`repro.tuner`).  When set,
-        every engine gets a rail selector (``cluster.tuner``) reading
-        its NICs' service windows, traced or not; ``None`` (default)
-        installs nothing.
+    rail_order:
+        Rail-order factory (one fresh
+        :class:`~repro.core.channels.TailRailOrder` per node; a scenario
+        ``"tuner"`` block parses into one).  ``None`` (default) visits
+        each node's rails in listed order.
     """
 
     def __init__(
@@ -203,7 +191,7 @@ class Cluster:
         driver_caps: dict[str, "DriverCapabilities"] | None = None,
         faults: Mapping | FaultPlane | None = None,
         observability: Mapping | ObservabilityConfig | ObservabilityPlane | None = None,
-        tuner: "Mapping | TunerConfig | None" = None,
+        rail_order: Callable[[], TailRailOrder] | None = None,
     ) -> None:
         check_topology(n_nodes, networks, engine)
 
@@ -235,6 +223,7 @@ class Cluster:
                 policy=policy,
                 config=config,
                 driver_caps=driver_caps,
+                rail_order=rail_order,
             )
             self.metrics.attach(reassembler)
             self.nodes.append(node)
@@ -273,8 +262,6 @@ class Cluster:
                 )
             obs_plane.install(self)
             self.obs = obs_plane
-
-        self.tuner: "ClusterTuner | None" = install_tuner(self, tuner)
 
     # ------------------------------------------------------------------
     # accessors

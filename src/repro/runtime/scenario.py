@@ -26,6 +26,8 @@ file) describing the cluster, the workloads, and the run window::
         "reliability": {"max_retries": 10}
       },
       "observability": {"sample_interval": 1e-5, "ring_buffer": 65536},
+      "tuner": {"rails": {"p99_budget_us": 500.0, "min_samples": 32,
+                          "refresh_every": 32}},
       "run": {"until": null, "warmup": 0.0}
     }
 
@@ -33,7 +35,10 @@ The optional ``"faults"`` block activates the fault-injection plane and
 reliability protocol (:mod:`repro.network.faults`,
 :mod:`repro.network.reliable`); the optional ``"observability"`` block
 attaches trace capture and the periodic sampler
-(:mod:`repro.obs.plane`).  Unknown keys anywhere in the scenario
+(:mod:`repro.obs.plane`); the optional ``"tuner"`` block gives every
+engine a :class:`~repro.core.channels.TailRailOrder` built from its
+``rails`` keys (all optional; the block being there is the switch,
+optimizing engine only).  Unknown keys anywhere in the scenario
 are rejected with :class:`~repro.util.errors.ConfigurationError` naming
 the bad key — a typo'd knob silently ignored would invalidate the
 experiment it configures.
@@ -44,6 +49,7 @@ experiment it configures.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 from pathlib import Path
@@ -54,6 +60,7 @@ from repro.core.channels import (
     ChannelPolicy,
     OneToOneChannels,
     PooledChannels,
+    TailRailOrder,
     WeightedChannels,
 )
 from repro.core.config import EngineConfig
@@ -126,6 +133,8 @@ _CLUSTER_KEYS = frozenset(
     {"n_nodes", "networks", "engine", "strategy", "policy", "config", "seed"}
 )
 _RUN_KEYS = frozenset({"until", "warmup"})
+_TUNER_KEYS = frozenset({"rails"})
+_RAILS_KEYS = frozenset(inspect.signature(TailRailOrder).parameters)
 #: What an absent ``cluster`` key means: the constructor's own default.
 _CLUSTER_DEFAULTS = {
     key: inspect.signature(Cluster).parameters[key].default for key in _CLUSTER_KEYS
@@ -157,7 +166,9 @@ def parse_cluster(scenario: Mapping[str, Any]) -> dict[str, Any]:
 
     Every ``cluster`` key is present in the result (absent ones at the
     constructor's default), with ``policy`` resolved to its factory,
-    ``config`` to an :class:`EngineConfig` and ``networks`` to tuples.
+    ``config`` to an :class:`EngineConfig` and ``networks`` to tuples;
+    ``rail_order`` is the ``"tuner"`` block's factory (``None`` without
+    one).
     Both planes read the block through here — the simulator to build a
     :class:`Cluster`, the live coordinator (before it forks) and every
     live peer to build one node's stack — so a typo fails the same way
@@ -180,7 +191,27 @@ def parse_cluster(scenario: Mapping[str, Any]) -> dict[str, Any]:
         except TypeError as bad:
             raise ConfigurationError(f"engine config: {bad}") from None
     spec["networks"] = [tuple(net) for net in spec["networks"]]
+    spec["rail_order"] = _parse_rail_order(scenario.get("tuner"), spec["engine"])
     return spec
+
+
+def _parse_rail_order(block: Any, engine: str) -> Callable[[], TailRailOrder] | None:
+    """The ``"tuner"`` block as a :class:`TailRailOrder` factory."""
+    if block is None:
+        return None
+    if not isinstance(block, Mapping):
+        raise ConfigurationError(f"scenario key 'tuner' must be an object, got {block!r}")
+    _reject_unknown_keys(block, _TUNER_KEYS, "tuner")
+    rails = block.get("rails", {})
+    if not isinstance(rails, Mapping):
+        raise ConfigurationError(f"tuner key 'rails' must be an object, got {rails!r}")
+    _reject_unknown_keys(rails, _RAILS_KEYS, "tuner rails")
+    TailRailOrder(**rails)  # a bad value raises here, naming its key
+    if engine != "optimizing":
+        raise ConfigurationError(
+            f"the tuner requires the optimizing engine (cluster runs {engine!r})"
+        )
+    return functools.partial(TailRailOrder, **rails)
 
 
 def _build_app(spec: Mapping[str, Any], index: int) -> AppBase:
@@ -234,7 +265,7 @@ def build_workloads(scenario: Mapping[str, Any]) -> list[AppBase]:
 def build_scenario(scenario: Mapping[str, Any]) -> tuple[Cluster, list[AppBase]]:
     """Build the cluster and (uninstalled) workload apps of a scenario."""
     cluster_spec = parse_cluster(scenario)
-    for block in ("faults", "observability", "tuner"):
+    for block in ("faults", "observability"):
         if scenario.get(block) is not None:
             cluster_spec[block] = scenario[block]
     cluster = Cluster(**cluster_spec)

@@ -20,7 +20,7 @@ def percentiles(samples: Sequence[float], ps: Sequence[float]) -> list[float]:
     order statistics with numpy's own lerp.  A sample holding a NaN
     gives NaN for every ``p``, as numpy does.  Every exact tail the
     program reports — report latencies, per-edge trace tables, the rail
-    tuner's p99 — comes from here.  (``np.percentile`` itself would
+    order's p99 — comes from here.  (``np.percentile`` itself would
     import ``numpy.ma`` into every run that reports.)
     """
     if len(samples) == 0:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.adaptive import AdaptiveChannels
-from repro.core.channels import OneToOneChannels, PooledChannels
+from repro.core.channels import OneToOneChannels, PooledChannels, TailRailOrder
 from repro.core.config import EngineConfig
 from repro.core.engine import OptimizingEngine
 from repro.core.plan import Hold
@@ -46,7 +46,8 @@ class AlwaysRedecide(OptimizingEngine):
 
 
 def make_cluster(
-    shadow: bool, strategy=None, policy=None, networks=None, rail_binding="pooled"
+    shadow: bool, strategy=None, policy=None, networks=None, rail_binding="pooled",
+    rail_order=None,
 ) -> Cluster:
     kinds = dict(cluster_module._ENGINE_KINDS)
     if shadow:
@@ -66,6 +67,7 @@ def make_cluster(
                 )
             },
             seed=1,
+            rail_order=rail_order,
         )
 
 
@@ -355,20 +357,18 @@ class TestRelease:
         real, shadow = consultations(schedule, **kwargs)
         assert real == shadow
 
-    def test_selector_installed_under_a_hold_orders_the_next_submit(self):
-        """The tuner may install a rail selector while a hold stands; it
-        counts the pumps it orders, so none is answered without it."""
-        cluster = make_cluster(shadow=False)
+    def test_rail_order_is_never_answered_for(self):
+        """A rail order counts the pumps it orders, so under one no
+        submit is answered by a standing hold: every submit is decided
+        in full, as the shadow engine decides it."""
+        schedule = [(0.0, send(0, 64)), (1 * us, send(0, 64)), (1 * us, send(0, 64))]
+        kwargs = {"rail_order": lambda: TailRailOrder(min_samples=1, refresh_every=1)}
+        _, _, _, cluster = both(schedule, **kwargs)
         engine = cluster.engine("n0")
-        api = cluster.api("n0")
-        flow = api.open_flow("n1")
-        api.send(flow, 64, header_size=0)
-        assert engine._standing is not None
-        orders = []
-        engine.rail_selector = mock.Mock(order=lambda d: (orders.append(1), d)[1])
-        api.send(flow, 64, header_size=0)
-        api.send(flow, 64, header_size=0)
-        assert len(orders) == 2 and engine.stats.holds == 6
+        # Ordered pumps: the three submits, the hold timer and the idle NIC.
+        assert engine.stats.holds == 6 and engine.rail_order.refreshes == 5
+        real, shadow = consultations(schedule, **kwargs)
+        assert real == shadow
 
     def test_default_hold_is_always_reasked(self):
         """A strategy that fills no release condition is asked on every

@@ -36,7 +36,7 @@ from repro.madeleine.message import Flow, Message, PackMode
 from repro.network.virtual import TrafficClass
 from repro.network.wire import PacketKind
 from repro.runtime.cluster import Cluster
-from repro.runtime.scenario import POLICY_TYPES
+from repro.runtime.scenario import POLICY_TYPES, parse_cluster
 from repro.util.units import KiB, us
 
 from tests.core.constraints import ConstraintViolation
@@ -88,7 +88,9 @@ class Scenario:
             },
             faults=self.faults,
             observability={} if traced else None,
-            tuner=self.tuner,
+            rail_order=parse_cluster(
+                {"cluster": {"engine": self.engine}, "tuner": self.tuner}
+            )["rail_order"],
         )
 
     def submit(self, cluster: Cluster) -> list[Message]:

@@ -101,8 +101,18 @@ class TestFailsBeforeFork:
         [
             ({"sweeps": {}}, True, "unknown tuner key 'sweeps'"),
             ({"rails": {"min_samples": 1025}}, False, "min_samples"),
+            ({"rails": None}, False, "'rails'"),
+            ([], False, "'tuner'"),
+            ({"rails": {"p99_budget_us": "x"}}, False, "p99_budget_us"),
+            ({"rails": {"p99_budget_us": float("nan")}}, False, "p99_budget_us"),
+            ({"rails": {"min_samples": 2.5}}, False, "min_samples"),
+            ({"rails": {"refresh_every": 1.5}}, False, "refresh_every"),
         ],
-        ids=["unknown-tuner-key", "min-samples-beyond-the-window"],
+        ids=[
+            "unknown-tuner-key", "min-samples-beyond-the-window", "null-rails",
+            "list-block", "string-budget", "nan-budget", "fractional-min-samples",
+            "fractional-refresh",
+        ],
     )
     def test_bad_tuner_block(self, tuner, trace, match, monkeypatch):
         scenario = _scenario(
