@@ -230,9 +230,6 @@ def _cmd_live_run(args) -> int:
             "done_frames_sent": result.done_frames_sent,
             "data_bytes_sent": result.data_bytes_sent,
             "rtt_samples": len(result.rtts),
-            "clock_offsets": result.offsets,
-            "crossings_matched": result.crossings_matched,
-            "crossings_clamped": result.crossings_clamped,
             "tails": result.tails,
             "dead_peers": [
                 {
@@ -268,17 +265,9 @@ def _cmd_live_run(args) -> int:
     if result.rtts:
         mean_rtt = sum(result.rtts) / len(result.rtts)
         print(f"mean ping-pong RTT   : {mean_rtt * 1e6:.2f} us (n={len(result.rtts)})")
-    if result.offsets:
-        worst = max(abs(v) for v in result.offsets.values())
-        print(
-            f"clock offsets        : {len(result.offsets)} peers aligned "
-            f"(max |offset| {worst * 1e6:.2f} us)"
-        )
-    if result.crossings_matched:
-        print(
-            f"wire crossings       : {result.crossings_matched} correlated "
-            f"({result.crossings_clamped} clamped)"
-        )
+    crossings = sum(edge["count"] for edge in result.tails["edges"].values())
+    if crossings:
+        print(f"wire crossings       : {crossings} correlated")
     if args.trace_out:
         print(f"trace written        : {args.trace_out} ({fmt})")
     if args.metrics_out and result.cluster_registry is not None:
@@ -390,8 +379,8 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out",
         metavar="PATH",
         help=(
-            "write the cross-peer merged trace, clock-aligned with flow "
-            "events per wire crossing (.jsonl/.ndjson or Chrome JSON)"
+            "write the cross-peer merged trace, with flow events per "
+            "wire crossing (.jsonl/.ndjson or Chrome JSON)"
         ),
     )
     live_run.add_argument(

@@ -23,7 +23,7 @@ discrete-event substrate for wall-clock asyncio:
   coordinator);
 * :mod:`repro.live.cluster` — the coordinator that spawns a peer mesh,
   runs a scenario file live, merges a ``SessionReport``, and assembles
-  the cluster-wide observability view (aligned trace, merged metrics,
+  the cluster-wide observability view (merged trace, merged metrics,
   optional live ``/metrics`` endpoint).
 """
 

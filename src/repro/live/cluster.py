@@ -33,15 +33,16 @@ any peer death stays an immediate hard error.
 The merged report is assembled from receiver-side message records
 (each delivered message is recorded exactly once cluster-wide, at its
 destination peer); submit/complete timestamps are comparable across
-peers because every clock shares the coordinator's epoch.
+peers because every peer is a child process on this host, stamping
+the host clock against the coordinator's epoch.
 
 Beyond the report, the coordinator is the *merge point* of the
-distributed observability plane (docs/ARCHITECTURE.md §13): it brackets
-every control round-trip to estimate per-peer clock offsets, aligns and
-merges the streamed trace fragments into one multi-process trace
-(:mod:`repro.obs.merge`), folds the per-peer metric registries into a
-cluster registry with a ``peer`` label, and — with ``serve`` — exposes
-``/metrics`` and ``/status`` over HTTP while the run is in flight.
+distributed observability plane (docs/ARCHITECTURE.md §13): it merges
+the streamed trace fragments, as the peers recorded them, into one
+multi-process trace (:mod:`repro.obs.merge`), folds the per-peer metric
+registries into a cluster registry with a ``peer`` label, and — with
+``serve`` — exposes ``/metrics`` and ``/status`` over HTTP while the run
+is in flight.
 """
 
 from __future__ import annotations
@@ -61,23 +62,17 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from repro.live.chaos import ChaosConfig
 from repro.live.liveness import DeadPeer, PeerWatchdog
 from repro.obs.causal import export_blame
-from repro.obs.merge import (
-    MergedTrace,
-    OffsetSample,
-    align_events,
-    estimate_offsets,
-    extract_crossings,
-    merge_registries,
-)
+from repro.obs.merge import merge_events, merge_registries
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.plane import ObservabilityConfig
+from repro.obs.recorder import truncation_marker
 from repro.obs.tails import SLObjective, evaluate_slo_offline
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
 from repro.runtime.cluster import check_topology
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
 from repro.runtime.scenario import build_workloads, parse_cluster
 from repro.util.errors import ConfigurationError, TransportError
-from repro.util.tracing import TraceEvent
+from repro.util.tracing import TraceEvent, event_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.analyze import TraceAnalysis
@@ -95,17 +90,14 @@ class LiveRunResult:
     records: list[MessageRecord]
     peer_reports: list[dict[str, Any]]
     rtts: list[float] = field(default_factory=list)
-    #: Aligned, merged trace events (time-sorted).
+    #: The merged trace: every peer's events as recorded, time-sorted
+    #: (:func:`~repro.obs.merge.merge_events`), plus an
+    #: ``obs.truncated`` marker when a peer's spool dropped events.
     aligned_events: list[TraceEvent] = field(default_factory=list)
-    #: Per-peer clock offsets applied during the merge (node -> seconds).
-    offsets: dict[str, float] = field(default_factory=dict)
-    #: Correlated wire crossings found / clamped during alignment.
-    crossings_matched: int = 0
-    crossings_clamped: int = 0
     #: Cluster-level registry (every peer's metrics, ``peer``-labelled);
     #: None when the run carried no observability.
     cluster_registry: MetricsRegistry | None = None
-    #: Cluster tail view (:func:`_tails` over the aligned trace: exact
+    #: Cluster tail view (:func:`_tails` over the merged trace: exact
     #: per-edge latency and per-rail service tails, SLO burn rates,
     #: blame); edges, rails and blame are empty when the run was not
     #: traced.
@@ -199,9 +191,8 @@ class _ObsState:
         return payload
 
     def _analysis(self) -> "TraceAnalysis":
-        """One analysis of the events flushed so far, aligned with the
-        clock offsets estimable at this point of the run.  Cached by
-        total event count, so polling between flushes copies nothing."""
+        """One analysis of the events flushed so far.  Cached by total
+        event count, so polling between flushes copies nothing."""
         from repro.obs.analyze import analyze_events
 
         collector = self._collector
@@ -215,10 +206,7 @@ class _ObsState:
             per_peer = {
                 node: list(events) for node, events in collector.events_by_peer.items()
             }
-            samples = list(collector.samples)
-        crossings = extract_crossings(per_peer)
-        offsets = estimate_offsets(samples, crossings, peers=per_peer.keys())
-        analysis = analyze_events(align_events(per_peer, offsets).events)
+        analysis = analyze_events(merge_events(per_peer))
         self._analysis_cache = (total, analysis)
         return analysis
 
@@ -226,7 +214,7 @@ class _ObsState:
 def _tails(
     analysis: "TraceAnalysis", objectives: tuple[SLObjective, ...]
 ) -> dict[str, Any]:
-    """The cluster tail view, from one analysis of an aligned merge:
+    """The cluster tail view, from one analysis of the merged trace:
     edge latency, the SLO verdicts over it and rail service time are all
     exact, over the trace (rail names never collide across peers: each
     NIC's name carries its node)."""
@@ -380,82 +368,47 @@ class _Peer:
         self._stderr_file.close()
 
 
-def _event_from_wire(payload: Mapping[str, Any]) -> TraceEvent:
-    """One streamed trace event back into its in-memory shape."""
-    return TraceEvent(
-        time=float(payload["time"]),
-        source=str(payload["source"]),
-        kind=str(payload["kind"]),
-        detail=dict(payload.get("detail") or {}),
-    )
-
-
 class _ObsCollector:
     """Coordinator-side accumulator for everything the peers stream.
 
-    Owns the offset samples (from bracketed control round-trips), the
-    per-peer event streams (FLUSH drains + the REPORT tail) and the
-    latest per-peer registry snapshot; :meth:`merge` turns them into the
-    aligned cluster view after the run.  Every write holds :attr:`lock`,
-    which the ``--serve`` thread takes to read (:class:`_ObsState`).
+    Owns the per-peer event streams (FLUSH drains + the REPORT tail),
+    the spools' event accounting and the latest per-peer registry
+    snapshot; :meth:`merge` turns them into the cluster trace after the
+    run.  Every write holds :attr:`lock`, which the ``--serve`` thread
+    takes to read (:class:`_ObsState`).
     """
 
-    def __init__(self, epoch: float, time_scale: float) -> None:
-        self._epoch = epoch
-        self._scale = time_scale
+    def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.samples: list[OffsetSample] = []
         self.events_by_peer: dict[str, list[TraceEvent]] = {}
         self.metrics_by_peer: dict[str, Mapping[str, Any]] = {}
         self.nodes: dict[int, str] = {}
-
-    def timed_request(
-        self,
-        peer: _Peer,
-        msg: dict[str, Any],
-        timeout: float | None = None,
-        expect: str | None = None,
-    ) -> dict[str, Any]:
-        """A control round-trip that doubles as a clock-offset probe.
-
-        Any reply carrying ``now`` (STATUS, FLUSH, REPORT) yields one
-        :class:`~repro.obs.merge.OffsetSample`; coordinator wall time is
-        mapped onto the shared virtual timeline the same way the peers'
-        clocks are (seconds past the epoch, divided by the time scale).
-        """
-        t0 = time.time()
-        reply = peer.request(msg, timeout=timeout, expect=expect)
-        t1 = time.time()
-        now = reply.get("now")
-        node = self.nodes.get(peer.rank)
-        if now is not None and node is not None:
-            sample = OffsetSample(
-                peer=node,
-                t0=(t0 - self._epoch) / self._scale,
-                t1=(t1 - self._epoch) / self._scale,
-                peer_now=float(now),
-            )
-            with self.lock:
-                self.samples.append(sample)
-        return reply
+        #: Events the peers' spools saw and dropped (from REPORT).
+        self.seen = 0
+        self.dropped = 0
 
     def ingest(self, payload: Mapping[str, Any]) -> None:
         """Absorb one FLUSH reply (``events``) or REPORT payload (``trace``)."""
         node = str(payload["node"])
         wire = payload.get("events") or payload.get("trace") or ()
-        events = [_event_from_wire(e) for e in wire]
+        events = [event_from_dict(e) for e in wire]
         with self.lock:
             if events:
                 self.events_by_peer.setdefault(node, []).extend(events)
             if payload.get("metrics") is not None:
                 self.metrics_by_peer[node] = payload["metrics"]
+            self.seen += payload.get("trace_seen") or 0
+            self.dropped += payload.get("trace_dropped") or 0
 
-    def merge(self) -> MergedTrace:
-        crossings = extract_crossings(self.events_by_peer)
-        offsets = estimate_offsets(
-            self.samples, crossings, peers=self.events_by_peer.keys()
-        )
-        return align_events(self.events_by_peer, offsets)
+    def merge(self) -> list[TraceEvent]:
+        """The cluster trace.  It is truncated whenever a peer's spool
+        dropped events before a drain, and then ends with the same
+        ``obs.truncated`` marker a simulated flight recorder writes, so
+        ``obs analyze`` / ``obs why`` warn."""
+        merged = merge_events(self.events_by_peer)
+        if self.dropped:
+            merged.append(truncation_marker(merged, self.seen, self.dropped))
+        return merged
 
 
 # --------------------------------------------------------------------------
@@ -552,9 +505,7 @@ def _poll_step(
     statuses: dict[int, dict[str, Any] | None] = {}
     for peer in _alive(peers, watchdog):
         try:
-            statuses[peer.rank] = obs.timed_request(
-                peer, {"type": "status"}, expect="status"
-            )
+            statuses[peer.rank] = peer.request({"type": "status"}, expect="status")
         except TransportError:
             if watchdog is None:
                 raise
@@ -608,9 +559,7 @@ def _poll_step(
     if flushing:
         for peer in _alive(peers, watchdog):
             try:
-                obs.ingest(
-                    obs.timed_request(peer, {"type": "flush"}, expect="flushed")
-                )
+                obs.ingest(peer.request({"type": "flush"}, expect="flushed"))
             except TransportError:
                 if watchdog is None:
                     raise
@@ -669,7 +618,6 @@ def survivor_agreement(
 
 def _collect(
     peers: list[_Peer],
-    obs: _ObsCollector,
     watchdog: PeerWatchdog | None,
     deadline: float,
 ) -> list[dict[str, Any]]:
@@ -678,8 +626,7 @@ def _collect(
     for peer in _alive(peers, watchdog):
         try:
             peer_reports.append(
-                obs.timed_request(
-                    peer,
+                peer.request(
                     {"type": "stop"},
                     timeout=max(deadline - time.time(), 10.0),
                     expect="report",
@@ -730,24 +677,6 @@ def _merge_run(
             )
         obs.ingest(payload)
     merged = obs.merge()
-    aligned = list(merged.events)
-    # The merged trace is truncated whenever any peer's spool evicted
-    # events before a drain; mark it the same way the sim flight
-    # recorder marks its exports so obs analyze / obs why warn loudly.
-    spool_dropped = sum(p.get("trace_dropped") or 0 for p in peer_reports)
-    if spool_dropped:
-        aligned.append(
-            TraceEvent(
-                time=aligned[-1].time if aligned else 0.0,
-                source="obs:coordinator",
-                kind="obs.truncated",
-                detail={
-                    "seen": sum(p.get("trace_seen") or 0 for p in peer_reports),
-                    "dropped": spool_dropped,
-                    "capacity": None,
-                },
-            )
-        )
     if dead_peers and obs.metrics_by_peer:
         # Death accounting lives with the authority that declared it:
         # a pseudo-peer snapshot, so /metrics and obs diff see it with
@@ -790,10 +719,10 @@ def _merge_run(
         lost_messages=sum(p["transport"].get("abandoned", 0) for p in peer_reports),
     )
 
-    # Post-run tail view and causal attribution over the offset-aligned
-    # merged trace — the coordinator is the only vantage point that sees
-    # a sender's submit and the receiver's delivery in one stream.
-    tails = _tails(analyze_events(aligned), slo_objectives)
+    # Post-run tail view and causal attribution over the merged trace —
+    # the coordinator is the only vantage point that sees a sender's
+    # submit and the receiver's delivery in one stream.
+    tails = _tails(analyze_events(merged), slo_objectives)
     if cluster_registry is not None:
         export_blame(tails["blame"]["edges"], cluster_registry)
     return LiveRunResult(
@@ -806,10 +735,7 @@ def _merge_run(
             for app in p.get("apps", [])
             for sample in app.get("rtts", [])
         ],
-        aligned_events=aligned,
-        offsets=merged.offsets,
-        crossings_matched=merged.crossings_matched,
-        crossings_clamped=merged.crossings_clamped,
+        aligned_events=merged,
         cluster_registry=cluster_registry,
         tails=tails,
         dead_peers=dead_peers,
@@ -838,7 +764,7 @@ def run_live_scenario(
     ``observability`` is an :class:`~repro.obs.plane.ObservabilityConfig`
     spec shipped to every peer (``trace=True`` is shorthand for
     ``{"trace": True}``); with tracing on, each peer's spool is drained
-    every poll and the result carries one aligned merged trace.
+    every poll and the result carries one merged trace.
     ``serve`` (``"PORT"``/``":PORT"``/``"HOST:PORT"``) additionally
     exposes live cluster ``/metrics`` (Prometheus text), ``/status``
     (JSON), ``/peers`` (liveness), ``/tails`` (tail-latency view) and
@@ -876,7 +802,7 @@ def run_live_scenario(
         for rank in range(n_nodes):
             peers.append(_Peer(rank, workdir, deadline))
         epoch = time.time()
-        obs = _ObsCollector(epoch, time_scale)
+        obs = _ObsCollector()
         obs_state = _ObsState(str(scenario.get("name", "live")), obs, slo_objectives)
         if serve_host is not None:
             server = ObsHTTPServer(
@@ -954,7 +880,7 @@ def run_live_scenario(
             time.sleep(_POLL_INTERVAL)
 
         obs_state.update_status(phase="stopping")
-        peer_reports = _collect(peers, obs, watchdog, deadline)
+        peer_reports = _collect(peers, watchdog, deadline)
         dead_peers = list(watchdog.dead.values()) if watchdog is not None else []
     finally:
         for peer in peers:

@@ -246,7 +246,6 @@ class LivePeer:
                 registry=self.plane.registry,
                 source=f"obs:{self.local}",
             )
-        self._flushed = False
 
     # -- construction --------------------------------------------------
     def _build_stack(self, spec: dict[str, Any]) -> None:
@@ -437,17 +436,12 @@ class LivePeer:
         )
 
     def status(self) -> dict[str, Any]:
-        """One STATUS reply: quiescence flag plus delivery counters.
-
-        ``now`` is this peer's clock at reply time; the coordinator
-        brackets the request with its own clock readings to estimate the
-        peer's offset (round-trip midpoint, see :mod:`repro.obs.merge`).
-        """
+        """One STATUS reply: quiescence flag plus delivery counters (and,
+        with heartbeats on, the age of every peer's last heartbeat)."""
         now = self.clock.refresh()
         out = {
             "type": "status",
             "quiet": self.quiet,
-            "now": now,
             **{
                 key: read(self)
                 for key, read, _metric, _help in _TRANSPORT_COUNTERS
@@ -468,7 +462,6 @@ class LivePeer:
         happened the final REPORT only carries the tail, never a
         re-send.
         """
-        self._flushed = True
         events = self.spool.drain() if self.spool is not None else []
         # set_total is monotonic, so re-mirroring every flush is safe and
         # keeps the in-flight /metrics view from reading all-zero until
@@ -477,9 +470,7 @@ class LivePeer:
         return {
             "type": "flushed",
             "node": self.local,
-            "now": self.clock.refresh(),
             "events": [event_to_dict(e) for e in events],
-            "spool_dropped": self.spool.dropped if self.spool is not None else 0,
             "metrics": self.plane.registry.to_snapshot(),
         }
 
@@ -487,19 +478,15 @@ class LivePeer:
         """Mirror live-plane counters (hub, mirror, spool) into the registry.
 
         The plane's ``finalize`` covers everything a simulated cluster
-        has; these are the extra truths only a socket-backed peer knows.
+        has; these are the extra truths only a socket-backed peer knows,
+        plus the spool's counts, which change between FLUSHes.
         """
         registry = self.plane.registry
         labels = {"node": self.local}
         for _key, read, metric, text in _TRANSPORT_COUNTERS:
             if metric is not None:
                 registry.counter(metric, labels, help=text).set_total(read(self))
-        if self.spool is not None:
-            registry.counter(
-                "repro_trace_spool_dropped_total",
-                labels,
-                help="Trace events dropped by the streaming spool",
-            ).set_total(self.spool.dropped)
+        self.plane.mirror_recorder()
         if self.chaos is not None:
             chaos = self.hub.chaos_stats()
             for key, metric, text in (
@@ -535,11 +522,7 @@ class LivePeer:
             if rtts:
                 entry["rtts"] = list(rtts)
             apps.append(entry)
-        # Trace tail: everything still in the spool.  When the
-        # coordinator streamed with FLUSH this is only the events since
-        # the last drain; when it never flushed (legacy path) it is the
-        # whole run, bounded solely by the spool capacity — and the
-        # drop counters say so honestly instead of silently capping.
+        # Trace tail: the events since the coordinator's last FLUSH.
         spool = self.spool
         trace_events = spool.drain() if spool is not None else []
         return {
@@ -557,7 +540,6 @@ class LivePeer:
             "trace": [event_to_dict(e) for e in trace_events],
             "trace_dropped": spool.dropped if spool is not None else 0,
             "trace_seen": spool.seen if spool is not None else 0,
-            "streamed": self._flushed,
             "metrics": self.plane.registry.to_snapshot(),
             "fatal": self.hub.fatal,
         }

@@ -23,14 +23,14 @@ or declaratively via a scenario's ``"observability"`` block and the
 ``python -m repro run … --trace-out/--metrics-out`` flags.
 
 For *distributed* (multi-process live) runs the plane extends across
-peers: :mod:`repro.obs.merge` aligns per-peer clocks and merges trace
-streams and registries, :mod:`repro.obs.serve` exposes the cluster
+peers: :mod:`repro.obs.merge` merges the per-peer trace streams (one
+host, one clock: nothing is shifted) and registries, :mod:`repro.obs.serve` exposes the cluster
 registry over HTTP during the run, and :mod:`repro.obs.diff` gates two
 runs against each other (``python -m repro obs diff A B --check``).
 
 Everything the plane reports about a run — per-edge one-way latency,
 its SLO verdicts, per-rail service time and causal blame — is computed
-once, exactly, after the run by one fold over the (aligned) trace,
+once, exactly, after the run by one fold over the (merged) trace,
 :func:`repro.obs.analyze.analyze_events`.  The plane keeps no online
 quantile state and nothing in it steers dispatch: the rail tails the
 rail order acts on are the NICs' own windows
@@ -46,15 +46,7 @@ from repro.obs.causal import (
     render_waterfall,
 )
 from repro.obs.export import load_events, to_chrome_trace, write_trace
-from repro.obs.merge import (
-    Crossing,
-    MergedTrace,
-    OffsetSample,
-    align_events,
-    estimate_offsets,
-    extract_crossings,
-    merge_registries,
-)
+from repro.obs.merge import merge_events, merge_registries
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
@@ -73,11 +65,9 @@ __all__ = [
     "BLAME_BUCKETS",
     "CausalReport",
     "Counter",
-    "Crossing",
     "Gauge",
     "Leg",
     "ListSink",
-    "MergedTrace",
     "MessageBlame",
     "MessageChain",
     "MetricsRegistry",
@@ -85,18 +75,15 @@ __all__ = [
     "ObservabilityConfig",
     "ObservabilityPlane",
     "ObservabilitySampler",
-    "OffsetSample",
     "RingBufferSink",
     "SLObjective",
     "SLOStatus",
     "TailStats",
-    "align_events",
     "attribute_chain",
     "attribute_events",
-    "estimate_offsets",
     "evaluate_slo_offline",
-    "extract_crossings",
     "load_events",
+    "merge_events",
     "merge_registries",
     "parse_serve_address",
     "parse_slo",

@@ -2,7 +2,7 @@
 
 :func:`analyze_events` folds a time-ordered event list (a run's own
 recorder, a JSONL or Chrome trace file, or the live coordinator's
-aligned merge) through one ``kind -> handler`` table, so every event is
+merged trace) through one ``kind -> handler`` table, so every event is
 parsed once, and returns a :class:`TraceAnalysis` holding:
 
 * **span chains** — one :class:`~repro.obs.spans.MessageChain` per
@@ -130,7 +130,7 @@ class _Spans:
 
     latencies: list[float] = field(default_factory=list)
     times: list[float] = field(default_factory=list)  #: end times (parallel)
-    clamped: int = 0  #: crossings whose aligned latency was clamped to 0
+    clamped: int = 0  #: crossings whose latency was clamped to 0
 
     def tails(self) -> dict[str, float]:
         """Exact latency columns (seconds), keyed as :data:`_EDGE_TAILS`."""
@@ -244,13 +244,13 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
             leg = legs[key] = Leg(key, node)
         return leg
 
-    def crossing(src: str, dst: str, send_time: float, time: float) -> None:
+    def crossing(src: str, dst: str, sent_at: float, time: float) -> None:
         name = f"{src}->{dst}"
         edge = edges.get(name)
         if edge is None:
             edge = edges[name] = _Spans()
-        latency = time - send_time
-        if latency < 0:  # unaligned raw clocks can do this; never report it
+        latency = time - sent_at
+        if latency < 0:  # a trace from skewed clocks can do this; never report it
             latency = 0.0
             edge.clamped += 1
         edge.latencies.append(latency)
@@ -395,10 +395,10 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
             if leg.recv_t is None:
                 leg.recv_t = event.time
         src = detail.get("src")
-        send_time = detail.get("send_time", detail.get("sent_at"))
-        if src is not None and send_time is not None:
+        sent_at = detail.get("sent_at")
+        if src is not None and sent_at is not None:
             dst = detail.get("dst") or event.source.partition(":")[2] or "?"
-            crossing(src, dst, float(send_time), event.time)
+            crossing(src, dst, float(sent_at), event.time)
 
     def on_deliver(event: TraceEvent) -> None:
         detail = event.detail

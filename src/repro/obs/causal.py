@@ -410,13 +410,19 @@ def render_waterfall(blame: MessageBlame, width: int = 44) -> str:
 
 
 def truncation_warning(dropped: int, seen: int | None) -> str:
-    """The loud eviction warning ``obs analyze``/``obs why`` print."""
+    """The loud drop warning ``obs analyze``/``obs why`` print.
+
+    True of both recorders: a simulated flight recorder evicts the run's
+    oldest events, a full live spool drops its newest until the next
+    drain, so the gap can sit at the start or mid-trace.
+    """
     total = f" of {seen} recorded" if seen else ""
     return (
-        "WARNING: trace is TRUNCATED — the flight recorder evicted "
-        f"{dropped} event(s){total}; spans that started before the "
-        "ring buffer's horizon are missing or incomplete. Attribution "
-        "below covers only the surviving window."
+        f"WARNING: trace is TRUNCATED — its recorder evicted or refused "
+        f"{dropped} event(s){total} (a flight recorder evicts the oldest, "
+        "a full live spool refuses the newest until its next drain); "
+        "spans that touch the gap are missing or incomplete. Attribution "
+        "below covers only the events kept."
     )
 
 

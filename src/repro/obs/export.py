@@ -37,7 +37,12 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.util.errors import ConfigurationError
-from repro.util.tracing import TraceEvent, event_to_dict, events_to_jsonl
+from repro.util.tracing import (
+    TraceEvent,
+    event_from_dict,
+    event_to_dict,
+    events_to_jsonl,
+)
 
 __all__ = [
     "to_chrome_trace",
@@ -253,8 +258,8 @@ def _flow_pair(
 ) -> list[dict[str, Any]]:
     """Flow start/finish (`ph: s`/`f`) for one ``live.recv`` record.
 
-    The start sits on the sending NIC's track at the (aligned, when the
-    merge ran) send timestamp — visually anchored to the ``nic.send``
+    The start sits on the sending NIC's track at the sender's own
+    ``sent_at`` timestamp — visually anchored to the ``nic.send``
     span that produced the frame; the finish sits on the receiver's
     track at decode time.  Without a correlation id there is nothing to
     key the arrow on, so the record stays a plain instant.
@@ -263,13 +268,13 @@ def _flow_pair(
     corr = detail.get("corr")
     if corr is None:
         return []
-    send_time = detail.get("send_time", detail.get("sent_at"))
+    sent_at = detail.get("sent_at")
     via = detail.get("via")
     if via is not None:
         src_pid, src_tid = tracks.track_for(f"nic:{via}")
     else:  # sender NIC unknown: anchor the start on the sender process
         src_pid, src_tid = tracks.track_for(f"live:{detail.get('src', '?')}")
-    start_ts = _us(float(send_time)) if send_time is not None else ts
+    start_ts = _us(float(sent_at)) if sent_at is not None else ts
     flow = {"cat": "wire", "id": str(corr), "name": "wire"}
     return [
         {"ph": "s", "ts": min(start_ts, ts), "pid": src_pid, "tid": src_tid, **flow},
@@ -394,15 +399,7 @@ def load_events(path: str | Path) -> list[TraceEvent]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            events.append(
-                TraceEvent(
-                    record["time"],
-                    record["source"],
-                    record["kind"],
-                    record.get("detail", {}),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as bad:
+            events.append(event_from_dict(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as bad:
             raise ConfigurationError(f"{path}:{lineno}: bad trace line: {bad}") from None
     return events

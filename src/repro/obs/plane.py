@@ -202,18 +202,31 @@ class ObservabilityPlane:
         if cluster.transport is not None:
             mirror("repro_retransmits_total", cluster.transport.stats.retransmits,
                    "Reliability-layer retransmissions")
-        sink = self.sink
-        if sink is not None:
-            mirror("repro_trace_events_total", sink.seen - sink.dropped,
-                   "Trace events captured (post-drop)")
-            mirror("repro_trace_events_dropped_total", sink.dropped,
-                   "Trace events the recorder dropped")
+        self.mirror_recorder()
         # What the plane itself cost, in the unit it is paid in: events.
         for kind, count in cluster.sim.tracer.counts.items():
             mirror("repro_obs_events_total", count,
                    "Trace events dispatched to the plane's sinks", kind=kind)
         if self._fold is not None:
-            export_blame(self._fold(sink.events).report.edges(), registry)
+            export_blame(self._fold(self.sink.events).report.edges(), registry)
+
+    def mirror_recorder(self) -> None:
+        """Mirror the recorder's event counts into the registry.
+
+        ``finalize`` calls it; a live peer calls it at every FLUSH too,
+        so the in-flight ``/metrics`` view counts spool drops as they
+        happen.
+        """
+        sink = self.sink
+        if sink is not None:
+            registry = self.registry
+            registry.counter(
+                "repro_trace_events_total", help="Trace events captured (post-drop)"
+            ).set_total(sink.seen - sink.dropped)
+            registry.counter(
+                "repro_trace_events_dropped_total",
+                help="Trace events the recorder dropped",
+            ).set_total(sink.dropped)
 
     # ------------------------------------------------------------------
     # access + export
@@ -234,9 +247,12 @@ class ObservabilityPlane:
             raise ConfigurationError(
                 "no trace captured: the observability plane has trace=false"
             )
-        events = self.sink.events
-        if self.sink.dropped:
-            events = events + [truncation_marker(self.sink)]
+        sink = self.sink
+        events = sink.events
+        if sink.dropped:
+            events = events + [
+                truncation_marker(events, sink.seen, sink.dropped, sink.capacity)
+            ]
         return write_trace(path, events)
 
     def write_metrics(self, path: str | Path) -> None:

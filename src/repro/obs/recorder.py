@@ -16,7 +16,7 @@ the end.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent, events_to_jsonl
@@ -24,24 +24,24 @@ from repro.util.tracing import TraceEvent, events_to_jsonl
 __all__ = ["ListSink", "RingBufferSink", "truncation_marker"]
 
 
-def truncation_marker(sink: "ListSink | RingBufferSink") -> TraceEvent:
-    """A synthetic ``obs.truncated`` event recording eviction counts.
+def truncation_marker(
+    events: Sequence[TraceEvent], seen: int, dropped: int, capacity: int | None = None
+) -> TraceEvent:
+    """A synthetic ``obs.truncated`` event recording drop counts.
 
-    Appended after the retained window when a trace is exported from a
-    ring buffer that overflowed, so offline consumers (``obs analyze``,
-    ``obs why``) can warn instead of silently reading a truncated run
-    as a complete one.  Survives both JSONL and Chrome export formats.
+    Appended after the kept ``events`` when a trace is exported from a
+    recorder that dropped some: a ring buffer that overflowed (it
+    evicts the oldest), or a live run whose peer spool filled (it
+    drops the newest until the next drain).  Offline consumers
+    (``obs analyze``, ``obs why``) then warn instead of silently reading
+    a truncated run as a complete one.  Survives both JSONL and Chrome
+    export formats.
     """
-    events = sink.events
     return TraceEvent(
         time=events[-1].time if events else 0.0,
         source="obs:recorder",
         kind="obs.truncated",
-        detail={
-            "seen": sink.seen,
-            "dropped": sink.dropped,
-            "capacity": getattr(sink, "capacity", None),
-        },
+        detail={"seen": seen, "dropped": dropped, "capacity": capacity},
     )
 
 

@@ -6,11 +6,11 @@ is in flight:
 * ``GET /metrics`` — the cluster :class:`~repro.obs.metrics.MetricsRegistry`
   rendered in Prometheus text exposition format (``text/plain; version=0.0.4``).
 * ``GET /status`` — a JSON document with run progress (per-peer message
-  counts, clock offsets, trace accounting) for humans and scripts.
+  counts, quiescence, dead peers) for humans and scripts.
 * ``GET /peers`` — liveness: which peers are alive, which the watchdog
   has declared dead (and why), with time-to-detect per declaration.
 * ``GET /tails`` — JSON tail-latency view over the events merged so
-  far, all exact from the offset-aligned trace: per-edge one-way
+  far, all exact from the merged trace: per-edge one-way
   latency and per-rail service time p50/p90/p99/p999, the scenario's
   SLO burn rates, and the blame summary (see :mod:`repro.obs.analyze`).
 * ``GET /why`` — JSON causal-attribution view: per-edge blame-bucket

@@ -24,13 +24,14 @@ generated ``__new__``), a per-kind count and one call per sink; a
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "TraceEvent",
     "Tracer",
     "NullTracer",
     "event_to_dict",
+    "event_from_dict",
     "events_to_jsonl",
 ]
 
@@ -100,6 +101,20 @@ def event_to_dict(event: TraceEvent) -> dict[str, Any]:
         "kind": event.kind,
         "detail": {k: _jsonable(v) for k, v in event.detail.items()},
     }
+
+
+def event_from_dict(record: Mapping[str, Any]) -> TraceEvent:
+    """One event back from its :func:`event_to_dict` shape.
+
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a record of
+    another shape; callers name the record in their error.
+    """
+    return TraceEvent(
+        float(record["time"]),
+        str(record["source"]),
+        str(record["kind"]),
+        dict(record.get("detail") or {}),
+    )
 
 
 def events_to_jsonl(events: "Iterator[TraceEvent] | list[TraceEvent]") -> str:

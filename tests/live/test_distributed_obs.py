@@ -23,9 +23,8 @@ import pytest
 from repro.live import run_live_scenario
 from repro.live import cluster as live_cluster
 from repro.live.peer import LivePeer
-from repro.obs.analyze import analyze_events, summary_metrics
-from repro.obs.export import to_chrome_trace
-from repro.obs.merge import KIND_WIRE_RECV
+from repro.obs.analyze import analyze_events, analyze_file, summary_metrics
+from repro.obs.export import to_chrome_trace, write_trace
 from repro.util.tracing import event_to_dict
 
 _TIMEOUT = 30.0
@@ -56,11 +55,16 @@ def traced_run():
     )
 
 
+def _recvs(result):
+    """The merged trace's wire crossings (one ``live.recv`` each)."""
+    return [e for e in result.aligned_events if e.kind == "live.recv"]
+
+
 class TestMergedTrace:
     def test_crossing_per_delivered_message(self, traced_run):
         # Ping-pong never aggregates across messages, so every delivered
         # message is exactly one correlated wire crossing.
-        assert traced_run.crossings_matched >= traced_run.report.messages
+        assert len(_recvs(traced_run)) >= traced_run.report.messages
         # ... and every completion names its sender's chain: the receiving
         # peer's message.complete carries the sender's (src, message).
         analysis = analyze_events(traced_run.aligned_events)
@@ -73,28 +77,25 @@ class TestMergedTrace:
         assert analysis.report.incomplete == 0
 
     def test_send_not_after_aligned_recv(self, traced_run):
-        recvs = [
-            e for e in traced_run.aligned_events if e.kind == KIND_WIRE_RECV
-        ]
+        """One host, one clock: every raw crossing ends after the
+        sender's own ``sent_at``, so the analysis clamps none."""
+        recvs = _recvs(traced_run)
         assert recvs
         for event in recvs:
-            assert event.detail["send_time"] <= event.time
-        assert traced_run.crossings_clamped == 0
-
-    def test_offsets_estimated_for_both_peers(self, traced_run):
-        assert set(traced_run.offsets) == {"n0", "n1"}
-        # Same-host peers: offsets are microseconds, not seconds.
-        assert all(abs(v) < 0.1 for v in traced_run.offsets.values())
+            assert event.detail["sent_at"] <= event.time
+        edges = analyze_events(traced_run.aligned_events).edges
+        assert set(edges) == {"n0->n1", "n1->n0"}
+        assert all(edge.clamped == 0 for edge in edges.values())
 
     def test_events_from_both_peers_on_one_timeline(self, traced_run):
         times = [e.time for e in traced_run.aligned_events]
         assert times == sorted(times)
         sources = {e.detail.get("dst") for e in traced_run.aligned_events
-                   if e.kind == KIND_WIRE_RECV}
+                   if e.kind == "live.recv"}
         assert sources == {"n0", "n1"}
 
     def test_trace_events_dicts_match_aligned(self, traced_run):
-        # ``--trace-out`` writes these dicts, one per aligned event.
+        # ``--trace-out`` writes these dicts, one per merged event.
         dicts = [event_to_dict(e) for e in traced_run.aligned_events]
         assert [d["time"] for d in dicts] == [e.time for e in traced_run.aligned_events]
         assert all("kind" in d for d in dicts)
@@ -103,7 +104,7 @@ class TestMergedTrace:
         trace = to_chrome_trace(traced_run.aligned_events)
         starts = [e for e in trace["traceEvents"] if e["ph"] == "s"]
         finishes = [e for e in trace["traceEvents"] if e["ph"] == "f"]
-        assert len(starts) == traced_run.crossings_matched
+        assert len(starts) == len(_recvs(traced_run))
         assert {e["id"] for e in starts} == {e["id"] for e in finishes}
         # Each peer renders as its own process in the merged view.
         pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] in "sf"}
@@ -128,8 +129,17 @@ class TestReportAccounting:
     def test_no_truncation_and_streaming_flagged(self, traced_run):
         for payload in traced_run.peer_reports:
             assert payload["trace_dropped"] == 0
-            assert payload["streamed"] is True
             assert payload["trace_seen"] >= 1
+        assert not any(e.kind == "obs.truncated" for e in traced_run.aligned_events)
+        # One metric name for the spool's drops, the plane's.
+        dropped = {
+            dict(m.labels)["peer"]: m.value
+            for m in traced_run.cluster_registry
+            if m.name == "repro_trace_events_dropped_total"
+        }
+        assert dropped == {"n0": 0, "n1": 0}
+        names = {m.name for m in traced_run.cluster_registry}
+        assert "repro_trace_spool_dropped_total" not in names
 
     def test_cluster_registry_aggregates_all_peers(self, traced_run):
         registry = traced_run.cluster_registry
@@ -203,6 +213,26 @@ class TestOneRecorderPerPeer:
         assert "peer_exemplars" not in blame
         for payload in result.peer_reports:
             assert payload["trace_seen"] >= 1
+
+    def test_merged_trace_is_the_streamed_events(self, example_run, tmp_path):
+        """The merge holds exactly what the peers streamed, each event at
+        the time its peer recorded, and ``tails["edges"]`` is the edge
+        table of the written trace file."""
+        result, payloads = example_run
+        streamed = sorted(
+            json.dumps(e, sort_keys=True)
+            for p in payloads for e in p.get("events") or p.get("trace") or ()
+        )
+        merged = sorted(
+            json.dumps(event_to_dict(e), sort_keys=True) for e in result.aligned_events
+        )
+        assert merged == streamed
+        path = tmp_path / "live_merged.jsonl"
+        write_trace(path, result.aligned_events)
+        edges = analyze_file(path).edges
+        assert result.tails["edges"] == {
+            name: edge.stats().to_dict() for name, edge in sorted(edges.items())
+        }
 
 
 class TestLiveServe:
@@ -311,7 +341,7 @@ class TestServeStateUnderConcurrentReads:
                     return
 
         def fresh():
-            collector = live_cluster._ObsCollector(epoch=0.0, time_scale=1.0)
+            collector = live_cluster._ObsCollector()
             current["state"] = live_cluster._ObsState("replay", collector)
             return collector
 

@@ -17,7 +17,6 @@ import pytest
 from repro.live import cluster as live_cluster
 from repro.live import run_live_scenario
 from repro.obs.analyze import analyze_events
-from repro.obs.merge import OffsetSample
 from repro.obs.tails import evaluate_slo_offline, parse_slo
 
 _TIMEOUT = 30.0
@@ -64,7 +63,7 @@ class TestPostRunTails:
             assert stats["p999_us"] >= stats["p99_us"] >= stats["p50_us"] > 0
 
     def test_edges_and_slo_are_the_analyzers(self, traced_run):
-        """The payload is the offline analysis of the aligned trace,
+        """The payload is the offline analysis of the merged trace,
         bit for bit: one edge table, no sketch beside it."""
         analysis = analyze_events(traced_run.aligned_events)
         assert traced_run.tails["edges"] == {
@@ -82,7 +81,7 @@ class TestPostRunTails:
         assert set(traced_run.tails) >= {"edges", "rails"}
         assert {rail.split(".")[0] for rail in traced_run.tails["rails"]} == {"n0", "n1"}
         assert "messages" not in traced_run.tails  # exact, in the report
-        # Exact, from the same pass over the aligned trace as the edges.
+        # Exact, from the same pass over the merged trace as the edges.
         analysis = analyze_events(traced_run.aligned_events)
         assert traced_run.tails["rails"] == {
             nic: rail.stats().to_dict() for nic, rail in analysis.rails.items()
@@ -135,8 +134,8 @@ class TestLiveTailsEndpoint:
         assert result.report.messages == 80
         assert "tails" in grabbed, "/tails never answered with edge data"
         payload = grabbed["tails"]
-        # Mid-run edges come from the offset-aligned merge, like the
-        # post-run ones: no raw-clock disclaimer, no negative latency.
+        # Mid-run edges come from the same merge as the post-run ones:
+        # no disclaimer, no negative latency.
         assert "note" not in payload
         assert payload["slo"][0]["objective"] == "wire-fast"
         assert set(payload) == set(result.tails)
@@ -148,13 +147,10 @@ class TestLiveTailsEndpoint:
 
 class TestMidRunTails:
     def test_edges_are_offset_aligned(self):
-        """``/tails`` reads the same aligned merge as ``/why``: n1's clock
-        runs 1 ms ahead, so a raw 1.1 ms crossing is a 100 us one."""
-        collector = live_cluster._ObsCollector(epoch=0.0, time_scale=1.0)
-        collector.samples = [
-            OffsetSample("n0", t0=1.0, t1=1.0, peer_now=1.0),
-            OffsetSample("n1", t0=1.0, t1=1.0, peer_now=1.001),
-        ]
+        """``/tails`` reads the same merge as ``/why``, with every
+        timestamp as its peer recorded it: peers share one host clock, so
+        a raw 1.1 ms crossing is a 1,100 us one."""
+        collector = live_cluster._ObsCollector()
         collector.ingest({"node": "n0", "events": []})
         collector.ingest({"node": "n1", "events": [
             {"time": 5.0 + i + 1.1e-3, "source": "live:n1", "kind": "live.recv",
@@ -166,5 +162,5 @@ class TestMidRunTails:
         assert "note" not in payload
         edge = payload["edges"]["n0->n1"]
         assert edge["count"] == 3
-        assert edge["p50_us"] == pytest.approx(100.0)
+        assert edge["p50_us"] == pytest.approx(1100.0)
         assert payload["slo"][0]["edge"] == "n0->n1"

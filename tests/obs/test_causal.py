@@ -23,12 +23,32 @@ from repro.obs.causal import (
     render_waterfall,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.live.cluster import _ObsCollector
+from repro.obs.export import write_trace
 from repro.obs.recorder import ListSink
 from repro.obs.spans import Leg, MessageChain, interval_overlap, merge_intervals
 from repro.runtime.scenario import run_scenario
-from repro.util.tracing import NullTracer, TraceEvent, Tracer
+from repro.util.tracing import NullTracer, TraceEvent, Tracer, event_to_dict
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+def _truncated_traces(plane, tmp_path):
+    """The two truncated traces a run can export: the flight recorder's
+    own, and a live coordinator's merge of a peer whose spool dropped
+    events (here the recorder's kept window, streamed as one peer's)."""
+    ring = tmp_path / "ring.jsonl"
+    plane.write_trace(ring)
+    collector = _ObsCollector()
+    collector.ingest({
+        "node": "n0",
+        "trace": [event_to_dict(e) for e in plane.events],
+        "trace_seen": plane.sink.seen,
+        "trace_dropped": plane.sink.dropped,
+    })
+    merged = tmp_path / "merged.jsonl"
+    write_trace(merged, collector.merge())
+    return ring, merged
 
 
 def _chain(
@@ -340,11 +360,10 @@ class TestExportBlame:
         assert _blame_sums(plane.registry) == {
             edge: slot["buckets_s"] for edge, slot in retained.edges().items()
         }
-        path = tmp_path / "ring.jsonl"
-        plane.write_trace(path)
-        why_main(argparse.Namespace(trace=str(path), message=None, slowest=1,
-                                    edge=None, json=False))
-        assert "TRUNCATED" in capsys.readouterr().err
+        for path in _truncated_traces(plane, tmp_path):
+            why_main(argparse.Namespace(trace=str(path), message=None, slowest=1,
+                                        edge=None, json=False))
+            assert "TRUNCATED" in capsys.readouterr().err
 
 
 class TestZeroEmission:
@@ -475,12 +494,12 @@ class TestWhyCli:
             api.send(flow, 512)
         cluster.run_until_idle()
         assert plane.sink.dropped > 0
-        path = tmp_path / "trunc.jsonl"
-        plane.write_trace(path)
-        why_main(self._args(path))
-        captured = capsys.readouterr()
-        assert "TRUNCATED" in captured.out or "TRUNCATED" in captured.err
-        assert "evicted" in captured.err
+        for path in _truncated_traces(plane, tmp_path):
+            why_main(self._args(path))
+            captured = capsys.readouterr()
+            assert "TRUNCATED" in captured.out or "TRUNCATED" in captured.err
+            assert "evicted" in captured.err
+            assert f"{plane.sink.dropped} event(s) of {plane.sink.seen}" in captured.err
 
 
 # ----------------------------------------------------------------------
