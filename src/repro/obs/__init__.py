@@ -15,9 +15,9 @@ Quick use::
     cluster = Cluster(...)
     plane.install(cluster)
     cluster.run_until_idle()
-    plane.finalize()
+    plane.finalize()                     # mirror end-of-run counters
     plane.write_trace("trace.json")      # Chrome/Perfetto format
-    plane.write_metrics("metrics.prom")  # Prometheus text exposition
+    plane.write_metrics("metrics.prom")  # first registry read folds blame
 
 or declaratively via a scenario's ``"observability"`` block and the
 ``python -m repro run … --trace-out/--metrics-out`` flags.
@@ -31,10 +31,11 @@ runs against each other (``python -m repro obs diff A B --check``).
 Everything the plane reports about a run — per-edge one-way latency,
 its SLO verdicts, per-rail service time and causal blame — is computed
 once, exactly, after the run by one fold over the (merged) trace,
-:func:`repro.obs.analyze.analyze_events`.  The plane keeps no online
-quantile state and nothing in it steers dispatch: the rail tails the
-rail order acts on are the NICs' own windows
-(:attr:`repro.network.nic.NIC.service_us`).
+:func:`repro.obs.analyze.analyze_events`, when someone reads it: a
+simulated plane's blame is attributed when the registry is first read.
+The plane keeps no online quantile state and nothing in it steers
+dispatch: the rail tails the rail order acts on are the NICs' own
+windows (:attr:`repro.network.nic.NIC.service_us`).
 """
 
 from repro.obs.causal import (

@@ -16,8 +16,8 @@ parsed once, and returns a :class:`TraceAnalysis` holding:
   ``message.complete`` is missing (a truncated trace) is closed at its
   last delivery.  Every closed chain is attributed
   (:func:`~repro.obs.causal.attribute_chain`) into :attr:`report`, the
-  blame that ``ObservabilityPlane.finalize``, ``obs why`` and the live
-  coordinator read;
+  blame that ``ObservabilityPlane.registry`` (attributed when the
+  registry is first read), ``obs why`` and the live coordinator read;
 * **per-edge one-way latency**, exact — the one place it is computed.
   On a merged live trace a crossing is a correlated ``live.recv``; on a
   simulated one it is an ``rx.deliver`` closing its leg's latest

@@ -37,7 +37,8 @@ Blame is attributed after the run, from the trace — the one place a
 message's whole chain is visible — by the one fold over it,
 :func:`repro.obs.analyze.analyze_events`, which calls
 :func:`attribute_chain` on every closed chain.  Its ``report`` is what
-the plane's ``finalize`` (a simulated run's own sink), the live
+the plane's ``registry`` (a simulated run's own sink; blame is
+attributed when the registry is first read), the live
 coordinator (the merged trace), ``obs analyze`` and ``obs why``
 (:func:`main`, per-message waterfalls from any trace file) read, and
 :func:`export_blame` writes its per-edge sums to a registry.

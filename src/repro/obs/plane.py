@@ -17,7 +17,9 @@ allocation).
 Nothing the plane records is read back by dispatch: the rail tails the
 rail order acts on are kept by the NICs themselves
 (:attr:`~repro.network.nic.NIC.service_us`), so a plane changes what a
-run knows about itself, never what it does.
+run knows about itself, never what it does.  Nor is it read back at the
+end of the run: blame is attributed when the registry is first read,
+so a traced run that only writes its trace pays for capture alone.
 
 Scenarios opt in with a top-level ``"observability"`` block::
 
@@ -123,21 +125,19 @@ class ObservabilityPlane:
         to the coordinator, which attributes blame over the merged trace,
         so a plane given a sink attributes none itself."""
         self.config = config if config is not None else ObservabilityConfig()
-        self.registry = MetricsRegistry()
+        self._registry = MetricsRegistry()
         self.sink = None
         self.sampler: ObservabilitySampler | None = None
         self._cluster: "Cluster | None" = None
-        #: The trace fold ``finalize`` attributes blame with, when this
-        #: plane records its own trace.  Its module loads here, with the
-        #: cluster, not inside the run ``finalize`` ends.
-        self._fold = None
+        #: Whether this plane records its own trace, and so attributes
+        #: blame over it; ``finalize`` sets ``_blame_owed`` from it.
+        self._own_trace = False
+        self._blame_owed = False
         if self.config.trace:
             if sink is not None:
                 self.sink = sink
             else:
-                from repro.obs.analyze import analyze_events
-
-                self._fold = analyze_events
+                self._own_trace = True
                 if self.config.ring_buffer is not None:
                     self.sink = RingBufferSink(self.config.ring_buffer)
                 else:
@@ -155,7 +155,7 @@ class ObservabilityPlane:
             cluster.sim.tracer.subscribe(self.sink)
         if self.config.sample_interval is not None:
             self.sampler = ObservabilitySampler(
-                cluster, self.config.sample_interval, registry=self.registry
+                cluster, self.config.sample_interval, registry=self._registry
             )
 
     def finalize(self) -> None:
@@ -164,14 +164,14 @@ class ObservabilityPlane:
         Engine and NIC stats are maintained by the hot path itself;
         copying them in once at the end keeps the run unperturbed while
         making the Prometheus exposition a complete run summary.  The
-        recorded trace is attributed here too, by the one pass over it
-        (:func:`~repro.obs.analyze.analyze_events`): with a ring buffer
-        that overflowed, blame covers the retained window only.
+        recorded trace is not read here: blame is attributed when the
+        registry is first read (:attr:`registry`), so a run whose
+        registry nobody reads pays for capture only.
         """
         cluster = self._cluster
         if cluster is None:
             return
-        registry = self.registry
+        registry = self._registry
 
         def mirror(name: str, value: float, help: str, **labels: str) -> None:
             registry.counter(name, labels or None, help=help).set_total(value)
@@ -207,8 +207,7 @@ class ObservabilityPlane:
         for kind, count in cluster.sim.tracer.counts.items():
             mirror("repro_obs_events_total", count,
                    "Trace events dispatched to the plane's sinks", kind=kind)
-        if self._fold is not None:
-            export_blame(self._fold(self.sink.events).report.edges(), registry)
+        self._blame_owed = self._own_trace
 
     def mirror_recorder(self) -> None:
         """Mirror the recorder's event counts into the registry.
@@ -219,7 +218,7 @@ class ObservabilityPlane:
         """
         sink = self.sink
         if sink is not None:
-            registry = self.registry
+            registry = self._registry
             registry.counter(
                 "repro_trace_events_total", help="Trace events captured (post-drop)"
             ).set_total(sink.seen - sink.dropped)
@@ -231,6 +230,27 @@ class ObservabilityPlane:
     # ------------------------------------------------------------------
     # access + export
     # ------------------------------------------------------------------
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The plane's metrics, blame included once the run is finalized.
+
+        Blame is attributed when the registry is first read after
+        :meth:`finalize`: that read folds the recorded trace once, by
+        the one pass over it (:func:`~repro.obs.analyze.analyze_events`),
+        and exports its per-edge sums
+        (:func:`~repro.obs.causal.export_blame`); later reads return the
+        same registry.  With a ring buffer that overflowed, blame covers
+        the retained window only.
+        """
+        if self._blame_owed:
+            self._blame_owed = False
+            from repro.obs.analyze import analyze_events
+
+            export_blame(
+                analyze_events(self.sink.events).report.edges(), self._registry
+            )
+        return self._registry
+
     @property
     def events(self) -> list[TraceEvent]:
         """Captured trace events (empty when tracing is off)."""

@@ -48,6 +48,7 @@ def run_session(
     obs_plane = getattr(cluster, "obs", None)
     if obs_plane is not None:
         # Mirror end-of-run stats into the metrics registry so every
-        # session exit leaves a complete exposition (idempotent).
+        # session exit leaves a complete exposition (idempotent); blame
+        # is attributed when the registry is first read, not here.
         obs_plane.finalize()
     return cluster.report(since=warmup)

@@ -15,9 +15,12 @@ def percentiles(samples: Sequence[float], ps: Sequence[float]) -> list[float]:
     """Exact percentiles ``ps`` (in percent, 0..100) of a non-empty sample.
 
     numpy's default (``linear``) definition, computed in Python over one
-    ``sorted`` copy and bit-identical to ``np.percentile``: the rank
-    ``(n - 1) * (p / 100)`` interpolates between the two straddling
-    order statistics with numpy's own lerp.  A sample holding a NaN
+    ``sorted`` copy and always equal in value to ``np.percentile``: the
+    rank ``(n - 1) * (p / 100)`` interpolates between the two straddling
+    order statistics with numpy's own lerp.  The result is bit-identical
+    too unless the sample mixes ``0.0`` and ``-0.0``: the stable sort and
+    numpy's partition leave equal zeros in different orders, so numpy's
+    order picks the sign of a zero result.  A sample holding a NaN
     gives NaN for every ``p``, as numpy does.  Every exact tail the
     program reports — report latencies, per-edge trace tables, the rail
     order's p99 — comes from here.  (``np.percentile`` itself would

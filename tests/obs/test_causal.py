@@ -355,11 +355,18 @@ class TestExportBlame:
         })
         plane = cluster.obs
         assert plane.sink.dropped > 0  # the ring really did evict
-        retained = attribute_events(plane.events)
+        registry = plane.registry  # the first read folds the kept window
+        retained = attribute_events(plane.sink.events)
         assert 0 < len(retained.messages) < 30
-        assert _blame_sums(plane.registry) == {
+        assert _blame_sums(registry) == {
             edge: slot["buckets_s"] for edge, slot in retained.edges().items()
         }
+        for edge, slot in retained.edges().items():
+            for bucket, fraction in slot["fractions"].items():
+                gauge = registry.get(
+                    "repro_blame_fraction", {"edge": edge, "bucket": bucket}
+                )
+                assert gauge.value == fraction
         for path in _truncated_traces(plane, tmp_path):
             why_main(argparse.Namespace(trace=str(path), message=None, slowest=1,
                                         edge=None, json=False))
@@ -503,14 +510,14 @@ class TestWhyCli:
 
 
 # ----------------------------------------------------------------------
-# blame is attributed once, after the run, at a cost per event that
-# does not grow with the length of the run
+# blame is attributed once, when the registry is first read after the
+# run, at a cost per event that does not grow with the length of the run
 # ----------------------------------------------------------------------
 class TestFinalizeEqualsOffline:
     def test_registry_blame_equals_full_trace_attribution(self):
-        """``finalize`` replays the plane's own sink through the one
-        offline pass: its registry series are that pass's sums, to the
-        last digit."""
+        """The first registry read after ``finalize`` replays the plane's
+        own sink through the one offline pass: its registry series are
+        that pass's sums, to the last digit."""
         scenario = json.loads(
             (EXAMPLES / "scenario_mixed.json").read_text(encoding="utf-8")
         )
@@ -529,6 +536,30 @@ class TestFinalizeEqualsOffline:
                 )
                 assert gauge.value == fraction
         assert any(slot["buckets_s"]["hold"] > 0 for slot in offline.values())
+
+
+class TestBlameOnFirstRead:
+    def test_a_session_folds_nothing_and_the_reads_fold_once(self, monkeypatch):
+        import repro.obs.analyze as analyze
+
+        folds = []
+        fold = analyze.analyze_events
+
+        def counted(events):
+            folds.append(len(events))
+            return fold(events)
+
+        monkeypatch.setattr(analyze, "analyze_events", counted)
+        scenario = json.loads(
+            (EXAMPLES / "scenario_mixed.json").read_text(encoding="utf-8")
+        )
+        scenario["observability"] = {"trace": True}
+        _, cluster, _ = run_scenario(scenario)
+        assert folds == []
+        first, second = cluster.obs.registry, cluster.obs.registry
+        assert first is second
+        assert folds == [len(cluster.obs.sink.events)]
+        assert _blame_sums(first)
 
 
 class _ObsOpcodes:

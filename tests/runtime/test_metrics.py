@@ -73,6 +73,40 @@ class TestSessionImports:
         assert "numpy.ma" not in modules
 
 
+#: Runs one traced session of a scenario in a fresh interpreter, then
+#: reads the plane's registry; prints what was loaded before the read
+#: and the blame series the read exported.
+_SESSION_THEN_READ = """
+import json, sys
+from repro.runtime.scenario import build_scenario
+from repro.runtime.session import run_session
+spec = json.load(open(sys.argv[1]))
+spec["observability"] = {"trace": True}
+cluster, apps = build_scenario(spec)
+run = spec.get("run", {})
+run_session(cluster, [app.install for app in apps],
+            until=run.get("until"), warmup=run.get("warmup", 0.0))
+loaded = "repro.obs.analyze" in sys.modules
+blame = [m for m in cluster.obs.registry if m.name == "repro_blame_seconds_total"]
+print(json.dumps([loaded, "repro.obs.analyze" in sys.modules, len(blame)]))
+"""
+
+
+class TestBlameOnRead:
+    def test_a_traced_session_leaves_the_fold_to_the_registry_read(self):
+        """A traced run records and stops there: the trace fold's module
+        loads, and blame is attributed, when the registry is first read."""
+        fresh = subprocess.run(
+            [sys.executable, "-c", _SESSION_THEN_READ,
+             str(ROOT / "examples" / "scenario_mixed.json")],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert json.loads(fresh.stdout) == [False, True, 96]
+
+
 class TestReport:
     def make_report(self, **send_kwargs):
         c = Cluster(seed=2)
