@@ -17,16 +17,20 @@ Run:  python examples/failover.py
 
 from repro import Cluster, TrafficClass
 from repro.middleware import StreamApp, uniform_small_flows
+from repro.network.faults import FaultConfig
 from repro.runtime import run_session
 from repro.util.units import KiB, us
 
-FAULTS = {
-    "seed": 13,
-    "drop": 0.05,
-    "duplicate": 0.01,
-    "outages": [{"nic": "n0.mx00", "at": 50 * us, "recover": 300 * us}],
-    "reliability": {"max_retries": 16},
-}
+#: A scenario "faults" block, read the way ``repro run`` reads one.
+FAULTS = FaultConfig.from_spec(
+    {
+        "seed": 13,
+        "drop": 0.05,
+        "duplicate": 0.01,
+        "outages": [{"nic": "n0.mx00", "at": 50 * us, "recover": 300 * us}],
+        "reliability": {"max_retries": 16},
+    }
+)
 
 
 def run(faults):

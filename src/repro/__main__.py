@@ -38,33 +38,43 @@ def _cmd_info(_args) -> int:
     return 0
 
 
-def _parse_faults_arg(value: str) -> dict | None:
-    """Parse the ``--faults`` override: ``off`` or ``key=val,key=val``.
+def _apply_flags(scenario: dict, args) -> None:
+    """Apply ``--faults``, ``--sample-interval`` and ``--trace-out`` to
+    the scenario, the same way for ``run`` and ``live run``.
 
-    Values parse as floats; ``drop=0.05,jitter=1e-6`` is the typical
-    shape.  Nested blocks (outages, per-NIC overrides) stay in the
-    scenario file — the CLI knob covers the scalar lotteries plus
-    ``seed``.
+    ``--faults`` is ``off`` (drop the block) or ``key=val,key=val``
+    merged over it: values parse as floats (``seed`` as an integer),
+    ``drop=0.05,jitter=1e-6`` being the typical shape.  Nested blocks
+    (outages, per-NIC overrides, ``die``, ``disconnect``) stay in the
+    scenario file.
     """
     from repro.util.errors import ConfigurationError
 
-    if value == "off":
-        return None
-    faults: dict = {}
-    for pair in value.split(","):
-        key, sep, raw = pair.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ConfigurationError(
-                f"--faults expects 'off' or key=val[,key=val...], got {value!r}"
-            )
-        try:
-            faults[key] = int(raw) if key == "seed" else float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"--faults value for {key!r} is not a number: {raw!r}"
-            ) from None
-    return faults
+    if args.faults == "off":
+        scenario.pop("faults", None)
+    elif args.faults is not None:
+        faults = dict(scenario.get("faults", {}))
+        for pair in args.faults.split(","):
+            key, sep, raw = pair.partition("=")
+            key = key.strip()
+            if not sep or not key:
+                raise ConfigurationError(
+                    f"--faults expects 'off' or key=val[,key=val...], got {args.faults!r}"
+                )
+            try:
+                faults[key] = int(raw) if key == "seed" else float(raw)
+            except ValueError:
+                raise ConfigurationError(
+                    f"--faults value for {key!r} is not a number: {raw!r}"
+                ) from None
+        scenario["faults"] = faults
+    obs = {}
+    if args.sample_interval is not None:
+        obs["sample_interval"] = args.sample_interval
+    if args.trace_out:
+        obs["trace"] = True  # the explicit flag beats the scenario
+    if obs:
+        scenario["observability"] = {**scenario.get("observability", {}), **obs}
 
 
 def _print_report(report, counted: str, verified: str | None = None) -> None:
@@ -96,21 +106,9 @@ def _cmd_run(args) -> int:
     from repro.runtime.scenario import load_scenario_file, run_scenario
 
     scenario = load_scenario_file(args.scenario)
-    if args.faults is not None:
-        override = _parse_faults_arg(args.faults)
-        if override is None:
-            scenario.pop("faults", None)
-        else:
-            merged = dict(scenario.get("faults", {}))
-            merged.update(override)
-            scenario["faults"] = merged
-    if args.trace_out or args.metrics_out or args.sample_interval is not None:
-        obs_spec = dict(scenario.get("observability", {}))
-        if args.sample_interval is not None:
-            obs_spec["sample_interval"] = args.sample_interval
-        if args.trace_out:
-            obs_spec["trace"] = True  # the explicit flag beats the scenario
-        scenario["observability"] = obs_spec
+    _apply_flags(scenario, args)
+    if args.metrics_out:
+        scenario.setdefault("observability", {})
     report, cluster, apps = run_scenario(scenario)
     name = scenario.get("name", args.scenario)
     plane = cluster.obs
@@ -188,27 +186,12 @@ def _cmd_live_run(args) -> int:
     from repro.runtime.scenario import load_scenario_file
 
     scenario = load_scenario_file(args.scenario)
-    if args.chaos:
-        import os as _os
-
-        scenario = dict(scenario)
-        if _os.path.exists(args.chaos):
-            with open(args.chaos, encoding="utf-8") as f:
-                scenario["faults"] = json.load(f)
-        else:
-            scenario["faults"] = json.loads(args.chaos)
-    observability = dict(scenario.get("observability", {}))
-    if args.sample_interval is not None:
-        observability["sample_interval"] = args.sample_interval
-    if args.trace_out:
-        observability["trace"] = True
+    _apply_flags(scenario, args)
     result = run_live_scenario(
         scenario,
         transport=args.transport,
         time_scale=args.time_scale,
-        trace=bool(args.trace_out),
         timeout=args.timeout,
-        observability=observability or None,
         serve=args.serve,
     )
     report = result.report
@@ -293,6 +276,17 @@ def _cmd_obs_why(args) -> int:
     return why_main(args)
 
 
+def _add_faults_flag(parser) -> None:
+    parser.add_argument(
+        "--faults",
+        metavar="SPEC",
+        help=(
+            "override the scenario's faults block: 'off' to disable, or "
+            "key=val pairs, e.g. --faults drop=0.05,duplicate=0.01,seed=7"
+        ),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -315,14 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument(
         "--histogram", action="store_true", help="show the latency histogram"
     )
-    run_parser.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help=(
-            "override the scenario's faults block: 'off' to disable, or "
-            "key=val pairs, e.g. --faults drop=0.05,duplicate=0.01,seed=7"
-        ),
-    )
+    _add_faults_flag(run_parser)
     run_parser.add_argument(
         "--trace-out",
         metavar="PATH",
@@ -402,16 +389,7 @@ def main(argv: list[str] | None = None) -> int:
             "over HTTP while the run is in flight, e.g. --serve :9464"
         ),
     )
-    live_run.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        help=(
-            "chaos-inject the run: a scenario 'faults' block as inline JSON "
-            "or a path to a JSON file, e.g. "
-            "--chaos '{\"drop\": 0.05, \"disconnect\": {\"every\": 40}, \"seed\": 7}' "
-            "(overrides the scenario's own faults block)"
-        ),
-    )
+    _add_faults_flag(live_run)
     live_run.add_argument(
         "--json", action="store_true", help="emit the report as JSON on stdout"
     )

@@ -3,22 +3,20 @@
 The simulated plane injects faults *below* the NIC model
 (:mod:`repro.network.faults`); the live plane injects them *below* the
 stream framing — on the actual bytes a peer is about to write to a
-socket.  Same vocabulary, same lottery (one implementation:
-:class:`~repro.network.faults.FaultLottery`), same determinism
-contract:
+socket.  Same grammar, same lottery, same determinism contract:
 
-* a :class:`ChaosConfig` is parsed from the scenario ``"faults"`` block
-  using the PR 1 fault grammar (``drop`` / ``corrupt`` / ``duplicate``
-  / ``jitter`` probabilities, ``outages``, ``reliability``, ``seed``)
-  plus three live-only knobs — ``disconnect`` (periodic hard connection
-  close), ``die`` (process-death injection for degraded-run tests) and
-  ``heartbeat`` (liveness tuning);
+* the scenario ``"faults"`` block is read once, for both planes, into a
+  :class:`~repro.network.faults.FaultConfig`; of its keys the live plane
+  alone runs ``disconnect`` (periodic hard connection close), ``die``
+  (process-death injection for degraded-run tests) and ``heartbeat``
+  (liveness tuning), and it refuses ``per_nic`` / ``per_network``
+  (chaos applies per connection) before any peer is spawned;
 * every peer derives one :class:`ChaosInjector` — the simulator's
-  lottery plus the two operations only a byte stream has, corrupting a
-  record and closing the connection — per outbound link from the shared
-  seed, so the injected fault *sequence* is a pure function of
-  ``(seed, link name)`` — identical across runs, independent of socket
-  timing;
+  :class:`~repro.network.faults.FaultLottery` plus the two operations
+  only a byte stream has, corrupting a record and closing the
+  connection — per outbound link from the shared seed, so the injected
+  fault *sequence* is a pure function of ``(seed, link name)`` —
+  identical across runs, independent of socket timing;
 * corruption flips a byte at or past
   :data:`~repro.live.transport.ENVELOPE_CRC_OFFSET` (the CRC-covered
   frame body), so an injected flip never desynchronizes the
@@ -33,24 +31,13 @@ is the sim split between :class:`~repro.network.faults.FaultPlane` and
 
 from __future__ import annotations
 
-import signal as _signal
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 from repro.live.transport import ENVELOPE_CRC_OFFSET
-from repro.network.faults import (
-    FaultLottery,
-    FaultPlaneStats,
-    FaultSpec,
-    RailOutage,
-    parse_fault_spec,
-    parse_outage,
-)
-from repro.network.reliable import ReliabilityConfig
-from repro.util.errors import ConfigurationError, FaultInjectionError
+from repro.network.faults import FaultConfig, FaultLottery, FaultPlaneStats
 from repro.util.rng import SeedSequenceRegistry
 
-__all__ = ["DieSpec", "ChaosConfig", "ChaosStats", "ChaosInjector"]
+__all__ = ["ChaosStats", "ChaosInjector"]
 
 #: Nominal one-way latency stand-in for the loopback wire.  The default
 #: retransmit timeout is 4x the packet's own one-way latency, which is
@@ -58,172 +45,6 @@ __all__ = ["DieSpec", "ChaosConfig", "ChaosStats", "ChaosInjector"]
 #: constant makes an unconfigured reliability block resolve to a 50 ms
 #: base RTO.
 NOMINAL_ONE_WAY = 0.0125
-
-_CHAOS_KEYS = frozenset(
-    {
-        "seed",
-        "drop",
-        "corrupt",
-        "duplicate",
-        "jitter",
-        "outages",
-        "reliability",
-        "disconnect",
-        "die",
-        "heartbeat",
-    }
-)
-_DISCONNECT_KEYS = frozenset({"every"})
-_DIE_KEYS = frozenset({"rank", "after", "signal"})
-
-
-def _parse_signal(value: Any) -> int:
-    if isinstance(value, int):
-        return value
-    name = str(value).upper()
-    if not name.startswith("SIG"):
-        name = "SIG" + name
-    try:
-        return int(getattr(_signal, name))
-    except AttributeError:
-        raise ConfigurationError(f"unknown die signal {value!r}") from None
-
-
-@dataclass(frozen=True, slots=True)
-class DieSpec:
-    """Process-death injection: one rank kills itself mid-run.
-
-    Lets the degraded-path integration tests script a SIGKILL from
-    inside the scenario instead of reaching into the coordinator's
-    process table.
-    """
-
-    rank: int
-    after: float  #: seconds after START
-    signal: int = int(_signal.SIGKILL)
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ConfigurationError(f"die rank must be >= 0, got {self.rank}")
-        if self.after < 0:
-            raise ConfigurationError(f"die delay must be >= 0, got {self.after}")
-
-
-@dataclass(frozen=True, slots=True)
-class ChaosConfig:
-    """Everything the scenario ``"faults"`` block means to a live run."""
-
-    spec: FaultSpec = field(default_factory=FaultSpec)
-    seed: int = 0
-    outages: tuple[RailOutage, ...] = ()
-    #: Hard-close every outbound connection after this many shipped
-    #: records (0 = never).  Exercises reconnect + retransmit-on-redial.
-    disconnect_every: int = 0
-    die: DieSpec | None = None
-    reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
-    heartbeat_interval: float = 0.25
-    heartbeat_misses: int = 8
-
-    def __post_init__(self) -> None:
-        if self.disconnect_every < 0:
-            raise ConfigurationError(
-                f"disconnect.every must be >= 0, got {self.disconnect_every}"
-            )
-        if self.heartbeat_interval <= 0:
-            raise ConfigurationError(
-                f"heartbeat.interval must be > 0, got {self.heartbeat_interval}"
-            )
-        if self.heartbeat_misses < 1:
-            raise ConfigurationError(
-                f"heartbeat.misses must be >= 1, got {self.heartbeat_misses}"
-            )
-
-    @classmethod
-    def from_spec(cls, spec: Mapping[str, Any], default_seed: int = 0) -> "ChaosConfig":
-        """Parse a scenario ``"faults"`` block for the live plane.
-
-        Rejects unknown keys loudly, including the sim-only
-        ``per_nic`` / ``per_network`` overrides — a live link has no
-        per-rail fault lottery (chaos rides the connection, outages
-        ride the NIC objects).
-        """
-        spec = dict(spec)
-        for key in spec:
-            if key in ("per_nic", "per_network"):
-                raise ConfigurationError(
-                    f"faults key {key!r} is not supported by the live plane "
-                    "(chaos applies per connection; use 'outages' for rail loss)"
-                )
-            if key not in _CHAOS_KEYS:
-                raise ConfigurationError(
-                    f"unknown live faults key {key!r} (known: {sorted(_CHAOS_KEYS)})"
-                )
-        try:
-            fault_spec = parse_fault_spec(
-                {
-                    k: spec[k]
-                    for k in ("drop", "corrupt", "duplicate", "jitter")
-                    if k in spec
-                },
-                "live chaos",
-            )
-            outages = tuple(parse_outage(entry) for entry in spec.get("outages", []))
-        except FaultInjectionError as bad:
-            raise ConfigurationError(str(bad)) from None
-
-        disconnect = dict(spec.get("disconnect") or {})
-        for key in disconnect:
-            if key not in _DISCONNECT_KEYS:
-                raise ConfigurationError(
-                    f"unknown faults disconnect key {key!r} "
-                    f"(known: {sorted(_DISCONNECT_KEYS)})"
-                )
-        die_spec = spec.get("die")
-        die = None
-        if die_spec is not None:
-            die_spec = dict(die_spec)
-            for key in die_spec:
-                if key not in _DIE_KEYS:
-                    raise ConfigurationError(
-                        f"unknown faults die key {key!r} (known: {sorted(_DIE_KEYS)})"
-                    )
-            if "rank" not in die_spec:
-                raise ConfigurationError("faults die block requires 'rank'")
-            die = DieSpec(
-                rank=int(die_spec["rank"]),
-                after=float(die_spec.get("after", 0.0)),
-                signal=_parse_signal(die_spec.get("signal", "KILL")),
-            )
-        hb = dict(spec.get("heartbeat") or {})
-        for key in hb:
-            if key not in ("interval", "misses"):
-                raise ConfigurationError(
-                    f"unknown faults heartbeat key {key!r} "
-                    "(known: ['interval', 'misses'])"
-                )
-        return cls(
-            spec=fault_spec,
-            seed=int(spec.get("seed", default_seed)),
-            outages=outages,
-            disconnect_every=int(disconnect.get("every", 0)),
-            die=die,
-            reliability=ReliabilityConfig.from_spec(spec.get("reliability", {})),
-            heartbeat_interval=float(hb.get("interval", 0.25)),
-            heartbeat_misses=int(hb.get("misses", 8)),
-        )
-
-    @property
-    def wire_active(self) -> bool:
-        """Whether wire-level injection (and hence the reliability
-        protocol) is in force.  Outage-only or die-only chaos sends
-        everything unsequenced: those failures are detected, not
-        retransmitted around."""
-        return not self.spec.is_null or self.disconnect_every > 0
-
-    @property
-    def dead_after(self) -> float:
-        """Silence budget before a heartbeat source is presumed dead."""
-        return self.heartbeat_interval * self.heartbeat_misses
 
 
 @dataclass(slots=True)
@@ -244,7 +65,7 @@ class ChaosInjector(FaultLottery):
     the decisions are reproducible, exactly as in the sim plane.
     """
 
-    def __init__(self, config: ChaosConfig, link: str) -> None:
+    def __init__(self, config: FaultConfig, link: str) -> None:
         rng = SeedSequenceRegistry(config.seed)
         super().__init__(
             config.spec,

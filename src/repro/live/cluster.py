@@ -59,16 +59,14 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.live.chaos import ChaosConfig
 from repro.live.liveness import DeadPeer, PeerWatchdog
 from repro.obs.causal import export_blame
 from repro.obs.merge import merge_events, merge_registries
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.plane import ObservabilityConfig
 from repro.obs.recorder import truncation_marker
 from repro.obs.tails import SLObjective, evaluate_slo_offline
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
-from repro.runtime.cluster import check_topology
+from repro.runtime.cluster import refuse
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
 from repro.runtime.scenario import build_workloads, parse_cluster
 from repro.util.errors import ConfigurationError, TransportError
@@ -416,38 +414,18 @@ class _ObsCollector:
 # --------------------------------------------------------------------------
 
 
-def _validate(
-    scenario: Mapping[str, Any], observability: Mapping[str, Any]
-) -> tuple[int, ChaosConfig | None, tuple[SLObjective, ...]]:
+def _validate(scenario: Mapping[str, Any]) -> dict[str, Any]:
     """Reject, before any peer is spawned, what a peer would reject.
 
-    The cluster and ``tuner`` blocks, the workloads and the
-    observability spec go through the simulator's own parsers, so a bad
-    scenario fails here with the simulator's words instead of as a peer
-    traceback.  Returns ``(n_nodes, chaos, slo)`` —
-    the coordinator needs the failure-detection budget before it forks,
-    and the objectives for ``/tails`` and the post-run verdicts.
+    The simulator's reader (:func:`~repro.runtime.scenario.parse_cluster`),
+    the live plane's refusals (:func:`~repro.runtime.cluster.refuse`) and
+    the workloads, so a bad scenario fails in the simulator's words, not
+    as a peer traceback.  Returns the parsed scenario.
     """
-    obs_config = ObservabilityConfig.from_spec(observability)
-    if obs_config.ring_buffer is not None:
-        raise ConfigurationError(
-            "observability.ring_buffer sizes the simulator's flight recorder; "
-            "a live peer keeps no ring — its spool streams every event to "
-            "the coordinator"
-        )
     spec = parse_cluster(scenario)
-    check_topology(spec["n_nodes"], spec["networks"], spec["engine"])
-    chaos: ChaosConfig | None = None
-    if scenario.get("faults"):
-        chaos = ChaosConfig.from_spec(
-            dict(scenario["faults"]), default_seed=int(spec["seed"])
-        )
-        if chaos.die is not None and chaos.die.rank >= spec["n_nodes"]:
-            raise ConfigurationError(
-                f"faults die rank {chaos.die.rank} >= n_nodes {spec['n_nodes']}"
-            )
+    refuse("live", spec["faults"], spec["observability"])
     build_workloads(scenario)
-    return spec["n_nodes"], chaos, obs_config.slo
+    return spec
 
 
 def _alive(peers: list[_Peer], watchdog: PeerWatchdog | None) -> list[_Peer]:
@@ -749,7 +727,6 @@ def run_live_scenario(
     time_scale: float = 1.0,
     trace: bool = False,
     timeout: float = 60.0,
-    observability: Mapping[str, Any] | None = None,
     serve: str | None = None,
 ) -> LiveRunResult:
     """Execute a scenario over real sockets; returns the merged result.
@@ -761,10 +738,12 @@ def run_live_scenario(
     peer stderr excerpts.  The scenario's ``"run"`` block (virtual-time
     horizon) is ignored: a live run ends when traffic drains.
 
-    ``observability`` is an :class:`~repro.obs.plane.ObservabilityConfig`
-    spec shipped to every peer (``trace=True`` is shorthand for
-    ``{"trace": True}``); with tracing on, each peer's spool is drained
-    every poll and the result carries one merged trace.
+    The scenario's ``"observability"`` block means what it means to the
+    simulator (``trace=True`` turns its ``trace`` on, and adds the
+    block if there is none); with tracing on, each peer's spool is
+    drained every poll and the result carries one merged trace, and the
+    block's ``slo`` objectives are evaluated over it into
+    ``tails["slo"]``.
     ``serve`` (``"PORT"``/``":PORT"``/``"HOST:PORT"``) additionally
     exposes live cluster ``/metrics`` (Prometheus text), ``/status``
     (JSON), ``/peers`` (liveness), ``/tails`` (tail-latency view) and
@@ -777,14 +756,15 @@ def run_live_scenario(
     """
     if transport not in ("uds", "tcp"):
         raise ConfigurationError(f"live transport must be 'uds' or 'tcp', got {transport!r}")
-    obs_spec = dict(observability or {})
-    if trace:
-        obs_spec.setdefault("trace", True)
-    trace_on = bool(obs_spec.get("trace"))
-    n_nodes, chaos, slo_objectives = _validate(scenario, obs_spec)
+    block = scenario.get("observability")
+    if trace and (block is None or isinstance(block, Mapping)):
+        scenario = {**scenario, "observability": {**(block or {}), "trace": True}}
+    spec = _validate(scenario)
+    n_nodes, chaos, obs_config = spec["n_nodes"], spec["faults"], spec["observability"]
+    slo_objectives = obs_config.slo if obs_config is not None else ()
     # Serving live metrics needs registry snapshots flowing even when
     # nobody asked for trace events; flushing is cheap either way.
-    flushing = trace_on or serve is not None
+    flushing = (obs_config is not None and obs_config.trace) or serve is not None
 
     serve_host: str | None = None
     serve_port = 0
@@ -823,8 +803,6 @@ def run_live_scenario(
                 "n_nodes": n_nodes,
                 "epoch": epoch,
                 "time_scale": time_scale,
-                "trace": trace_on,
-                "observability": obs_spec,
                 "transport": transport,
                 "workdir": workdir,
                 "timeout": timeout,

@@ -20,10 +20,11 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.madeleine.message import Message
+from repro.network.faults import FaultConfig
 from repro.network.reliable import ReceiveLedger, SendWindow, TransportStats
 from repro.util.errors import ConfigurationError, ProtocolError
 
-from repro.live.chaos import NOMINAL_ONE_WAY, ChaosConfig, ChaosInjector, ChaosStats
+from repro.live.chaos import NOMINAL_ONE_WAY, ChaosInjector, ChaosStats
 from repro.live.liveness import Backoff, HeartbeatLedger
 from repro.live.loop import LiveClock
 from repro.live.transport import (
@@ -234,8 +235,8 @@ class Hub:
     """All-to-all socket mesh plus sender-side delivery bookkeeping.
 
     The hub is the socket *carrier* of the simulator's own reliability
-    protocol.  With a :class:`~repro.live.chaos.ChaosConfig` whose wire
-    faults are active (:attr:`reliable`), data and DONE frames go
+    protocol.  With a :class:`~repro.network.faults.FaultConfig` whose
+    wire faults are active (:attr:`reliable`), data and DONE frames go
     through each link's :class:`~repro.network.reliable.SendWindow`
     (sequenced, retransmitted on RTO until ACKed) and
     :class:`~repro.network.reliable.ReceiveLedger` (deduplicated,
@@ -252,7 +253,7 @@ class Hub:
         rank: int,
         deliver,
         names: list[str] | None = None,
-        chaos: "ChaosConfig | None" = None,
+        chaos: FaultConfig | None = None,
     ) -> None:
         self.clock = clock
         self.node_name = node_name

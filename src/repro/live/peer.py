@@ -50,17 +50,16 @@ from repro.madeleine.api import MadAPI
 from repro.madeleine.message import Flow, Message
 from repro.madeleine.rx import MessageReassembler
 from repro.network.fabric import Node
+from repro.network.faults import rail_names
 from repro.network.technologies import TECHNOLOGIES
 from repro.network.wire import META_CORR, META_SENT_AT, META_VIA
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
 from repro.runtime.cluster import build_node_stack
 from repro.runtime.metrics import MetricsCollector, stats_row
 from repro.runtime.scenario import build_workloads, parse_cluster
-from repro.util.errors import ConfigurationError
 from repro.util.rng import SeedSequenceRegistry
 from repro.util.tracing import Tracer, event_to_dict
 
-from repro.live.chaos import ChaosConfig
 from repro.live.hub import Hub
 from repro.live.loop import LiveClock
 from repro.live.nic import LiveNIC
@@ -68,20 +67,6 @@ from repro.live.observe import LiveSampler, SpoolSink
 from repro.live.transport import MirrorReceiver
 
 __all__ = ["LivePeer", "main"]
-
-
-def _outage_matches(outage, nic) -> bool:
-    """Whether one scheduled outage targets one local live NIC.
-
-    Live NICs are named ``<node>.<tech><net_index><nic_index>`` (e.g.
-    ``n0.mx00``); an outage's ``nic`` must match the full name, while
-    ``network`` matches the sim-plane network prefix (``mx0`` hits
-    ``n0.mx00`` and ``n0.mx01`` on every node).
-    """
-    if outage.nic is not None:
-        return nic.name == outage.nic
-    _node, tech_part = nic.name.split(".", 1)
-    return tech_part.startswith(str(outage.network))
 
 
 # --------------------------------------------------------------------------
@@ -165,16 +150,8 @@ class LivePeer:
         self.names = [f"n{i}" for i in range(int(config["n_nodes"]))]
         self.local = self.names[self.rank]
         self.timeout = float(config.get("timeout", 60.0))
-        faults_spec = scenario.get("faults")
-        self.chaos: ChaosConfig | None = (
-            ChaosConfig.from_spec(faults_spec, default_seed=int(spec["seed"]))
-            if faults_spec
-            else None
-        )
-
-        obs_spec = dict(config.get("observability") or {})
-        obs_spec.setdefault("trace", bool(config.get("trace")))
-        self.obs_config = ObservabilityConfig.from_spec(obs_spec)
+        self.chaos = spec["faults"]
+        self.obs_config = spec["observability"] or ObservabilityConfig(trace=False)
 
         self.tracer = Tracer()
         loop = asyncio.get_running_loop()
@@ -251,18 +228,15 @@ class LivePeer:
     def _build_stack(self, spec: dict[str, Any]) -> None:
         """The local node: live NICs here, the rest from the shared builder."""
         self.node = Node(self.clock, self.local)
-        for i, (tech, per_node) in enumerate(spec["networks"]):
-            link = TECHNOLOGIES[tech]()
-            for idx in range(per_node):
-                self.node.nics.append(
-                    LiveNIC(
-                        self.clock,
-                        f"{self.local}.{tech}{i}{idx}",
-                        self.local,
-                        link,
-                        self.hub.send_packet,
-                    )
-                )
+        links = {
+            f"{tech}{i}": TECHNOLOGIES[tech]() for i, (tech, _) in enumerate(spec["networks"])
+        }
+        #: Local NIC name → its network's name, for outage matching.
+        self.rails = dict(rail_names([self.local], spec["networks"]))
+        for name, network in self.rails.items():
+            self.node.nics.append(
+                LiveNIC(self.clock, name, self.local, links[network], self.hub.send_packet)
+            )
         self.engine_kind = spec["engine"]
         self.engine, self.reassembler, api = build_node_stack(
             self.clock,
@@ -369,17 +343,11 @@ class LivePeer:
         self.hub.start_heartbeats()
         background = self.clock.background
         for outage in chaos.outages:
-            nics = [nic for nic in self.node.nics if _outage_matches(outage, nic)]
-            if not nics:
-                raise ConfigurationError(
-                    f"outage names no local NIC on {self.local!r} "
-                    f"(nic={outage.nic!r}, network={outage.network!r}, "
-                    f"local: {[n.name for n in self.node.nics]})"
-                )
-            for nic in nics:
-                background(outage.at, nic.fail)
-                if outage.recover is not None:
-                    background(outage.recover, nic.recover)
+            for nic in self.node.nics:
+                if outage.hits(nic.name, self.rails[nic.name]):
+                    background(outage.at, nic.fail)
+                    if outage.recover is not None:
+                        background(outage.recover, nic.recover)
         die = chaos.die
         if die is not None and die.rank == self.rank:
             background(die.after, os.kill, os.getpid(), die.signal)

@@ -1,12 +1,12 @@
-"""Deterministic fault injection for the simulated fabric.
+"""Deterministic fault injection, and the one reading of a ``"faults"`` block.
 
 Real high-speed fabrics drop, corrupt, duplicate, and reorder packets,
 and lose whole rails; the engine's scheduling claims only mean something
 if they survive that.  A :class:`FaultPlane` is the single authority for
-*what goes wrong*: per-NIC / per-network :class:`FaultSpec` lotteries
-(packet drop, corruption, duplication, delay jitter) plus scheduled
-:class:`RailOutage` events that drive :meth:`repro.network.nic.NIC.fail`
-/ :meth:`~repro.network.nic.NIC.recover`.
+*what goes wrong* on the simulated fabric: per-NIC / per-network
+:class:`FaultSpec` lotteries (packet drop, corruption, duplication,
+delay jitter) plus scheduled :class:`RailOutage` events that drive
+:meth:`repro.network.nic.NIC.fail` / :meth:`~repro.network.nic.NIC.recover`.
 
 Every decision is one :class:`FaultLottery` draw from a named stream of
 the plane's **own** :class:`~repro.util.rng.SeedSequenceRegistry` (one
@@ -22,14 +22,22 @@ The plane decides; it does not deliver.  The
 :meth:`FaultPlane.judge` on every transmission attempt and turns the
 verdict into (non-)arrivals, so recovery — retransmission, dedup,
 reordering repair, rail failover — lives in one place.
+
+A scenario's ``"faults"`` block has one grammar for both planes, read
+once by :meth:`FaultConfig.from_spec`; each plane refuses the keys it
+cannot run in one table (:data:`repro.runtime.cluster.REFUSED`).  An
+outage names a rail as both planes name it (:func:`rail_names`), and
+one match (:meth:`RailOutage.hits`) picks its NICs on either plane.
 """
 
 from __future__ import annotations
 
+import signal as _signal
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.util.errors import FaultInjectionError
+from repro.network.reliable import ReliabilityConfig
+from repro.util.errors import REQUIRED, ConfigurationError, read_block
 from repro.util.rng import RngStream, SeedSequenceRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,12 +48,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "FaultSpec",
     "RailOutage",
+    "DieSpec",
+    "FaultConfig",
     "FaultVerdict",
     "FaultPlaneStats",
     "FaultLottery",
     "FaultPlane",
-    "parse_fault_spec",
-    "parse_outage",
+    "rail_names",
+    "check_outages",
 ]
 
 
@@ -68,11 +78,11 @@ class FaultSpec:
         for name in ("drop", "corrupt", "duplicate"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise FaultInjectionError(
+                raise ConfigurationError(
                     f"{name} probability must be in [0, 1], got {p}"
                 )
-        if self.jitter < 0:
-            raise FaultInjectionError(f"jitter must be >= 0, got {self.jitter}")
+        if not self.jitter >= 0:
+            raise ConfigurationError(f"jitter must be >= 0, got {self.jitter}")
 
     @property
     def is_null(self) -> bool:
@@ -100,15 +110,189 @@ class RailOutage:
 
     def __post_init__(self) -> None:
         if (self.nic is None) == (self.network is None):
-            raise FaultInjectionError(
+            raise ConfigurationError(
                 "an outage must name exactly one of 'nic' or 'network'"
             )
-        if self.at < 0:
-            raise FaultInjectionError(f"outage time must be >= 0, got {self.at}")
-        if self.recover is not None and self.recover <= self.at:
-            raise FaultInjectionError(
+        if not self.at >= 0:
+            raise ConfigurationError(f"outage time must be >= 0, got {self.at}")
+        if self.recover is not None and not self.recover > self.at:
+            raise ConfigurationError(
                 f"recovery at t={self.recover} must come after the outage at t={self.at}"
             )
+
+    def hits(self, nic: str, network: str) -> bool:
+        """Whether this outage takes down the rail ``nic`` of ``network``
+        (names as :func:`rail_names` gives them, on either plane)."""
+        return nic == self.nic if self.nic is not None else network == self.network
+
+
+@dataclass(frozen=True, slots=True)
+class DieSpec:
+    """Process-death injection: one live rank kills itself mid-run.
+
+    Lets the degraded-path integration tests script a SIGKILL from
+    inside the scenario instead of reaching into the coordinator's
+    process table.
+    """
+
+    rank: int
+    after: float  #: seconds after START
+    signal: int = int(_signal.SIGKILL)
+
+    def __post_init__(self) -> None:
+        if self.rank < 0:
+            raise ConfigurationError(f"die rank must be >= 0, got {self.rank}")
+        if not self.after >= 0:
+            raise ConfigurationError(f"die delay must be >= 0, got {self.after}")
+
+
+def _signal_number(value: int | str) -> int:
+    if isinstance(value, int):
+        return value
+    name = value.upper()
+    if not name.startswith("SIG"):
+        name = "SIG" + name
+    try:
+        return int(getattr(_signal, name))
+    except AttributeError:
+        raise ConfigurationError(f"unknown die signal {value!r}") from None
+
+
+#: The scenario ``"faults"`` grammar, one for both planes:
+#: key → ``(kind, default)`` (see :func:`~repro.util.errors.read_block`).
+_SPEC_SCHEMA = {key: (float, 0.0) for key in ("drop", "corrupt", "duplicate", "jitter")}
+_FAULTS_SCHEMA = {
+    **_SPEC_SCHEMA,
+    "per_network": (Mapping, {}),
+    "per_nic": (Mapping, {}),
+    "outages": ((list, tuple), ()),
+    "reliability": (Mapping, {}),
+    "disconnect": (Mapping, {}),
+    "die": (Mapping, None),
+    "heartbeat": (Mapping, {}),
+}
+_OUTAGE_SCHEMA = {
+    "at": (float, REQUIRED),
+    "nic": (str, None),
+    "network": (str, None),
+    "recover": (float, None),
+}
+_DISCONNECT_SCHEMA = {"every": (int, 0)}
+_DIE_SCHEMA = {"rank": (int, REQUIRED), "after": (float, 0.0), "signal": ((int, str), "KILL")}
+_HEARTBEAT_SCHEMA = {"interval": (float, 0.25), "misses": (int, 8)}
+
+
+@dataclass(frozen=True)
+class FaultConfig:
+    """Everything a scenario ``"faults"`` block means, to either plane.
+
+    ``spec`` is the default lottery, ``per_network`` / ``per_nic`` the
+    simulator's overrides of it and ``seed`` the lotteries' seed (the
+    cluster's when the block names none).  Only the live plane runs
+    ``disconnect_every`` (hard-close a connection every that many
+    records; 0 = never), ``die`` and the heartbeat.  ``keys`` are the
+    keys the block named: what a plane refuses by.
+    """
+
+    spec: FaultSpec = field(default_factory=FaultSpec)
+    seed: int = 0
+    per_network: Mapping[str, FaultSpec] = field(default_factory=dict)
+    per_nic: Mapping[str, FaultSpec] = field(default_factory=dict)
+    outages: tuple[RailOutage, ...] = ()
+    reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
+    disconnect_every: int = 0
+    die: DieSpec | None = None
+    heartbeat_interval: float = 0.25
+    heartbeat_misses: int = 8
+    keys: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if self.disconnect_every < 0:
+            raise ConfigurationError(
+                f"disconnect.every must be >= 0, got {self.disconnect_every}"
+            )
+        if not self.heartbeat_interval > 0:
+            raise ConfigurationError(
+                f"heartbeat.interval must be > 0, got {self.heartbeat_interval}"
+            )
+        if self.heartbeat_misses < 1:
+            raise ConfigurationError(
+                f"heartbeat.misses must be >= 1, got {self.heartbeat_misses}"
+            )
+
+    @classmethod
+    def from_spec(cls, block: Any, default_seed: int = 0) -> "FaultConfig":
+        """Read a scenario ``"faults"`` block (its only reader); a typo'd
+        or wrong-typed knob is a ``ConfigurationError`` naming its key."""
+        top = read_block(block, {**_FAULTS_SCHEMA, "seed": (int, default_seed)}, "faults")
+
+        def lotteries(key: str) -> dict[str, FaultSpec]:
+            return {
+                name: FaultSpec(**read_block(sub, _SPEC_SCHEMA, f"faults.{key}[{name!r}]"))
+                for name, sub in top[key].items()
+            }
+
+        die = None
+        if top["die"] is not None:
+            values = read_block(top["die"], _DIE_SCHEMA, "faults.die")
+            die = DieSpec(values["rank"], values["after"], _signal_number(values["signal"]))
+        heartbeat = read_block(top["heartbeat"], _HEARTBEAT_SCHEMA, "faults.heartbeat")
+        return cls(
+            spec=FaultSpec(**{key: top[key] for key in _SPEC_SCHEMA}),
+            seed=top["seed"],
+            per_network=lotteries("per_network"),
+            per_nic=lotteries("per_nic"),
+            outages=tuple(
+                RailOutage(**read_block(entry, _OUTAGE_SCHEMA, f"faults.outages[{i}]"))
+                for i, entry in enumerate(top["outages"])
+            ),
+            reliability=ReliabilityConfig.from_spec(top["reliability"]),
+            disconnect_every=read_block(
+                top["disconnect"], _DISCONNECT_SCHEMA, "faults.disconnect"
+            )["every"],
+            die=die,
+            heartbeat_interval=heartbeat["interval"],
+            heartbeat_misses=heartbeat["misses"],
+            keys=frozenset(block),
+        )
+
+    @property
+    def wire_active(self) -> bool:
+        """Whether live wire-level injection (and hence the reliability
+        protocol) is in force.  Outage-only or die-only chaos sends
+        everything unsequenced: those failures are detected, not
+        retransmitted around."""
+        return not self.spec.is_null or self.disconnect_every > 0
+
+    @property
+    def dead_after(self) -> float:
+        """Silence budget before a heartbeat source is presumed dead."""
+        return self.heartbeat_interval * self.heartbeat_misses
+
+
+def rail_names(nodes: Iterable[str], networks: Sequence[tuple[str, int]]) -> list[tuple[str, str]]:
+    """The rails of ``nodes`` as ``(nic, network)`` names, as both planes
+    name them: the second NIC of ``n1`` on the first ``mx`` network is
+    ``n1.mx01`` on ``mx0``."""
+    return [
+        (f"{node}.{tech}{i}{k}", f"{tech}{i}")
+        for node in nodes
+        for i, (tech, per_node) in enumerate(networks)
+        for k in range(per_node)
+    ]
+
+
+def check_outages(outages: Iterable[RailOutage], rails: Sequence[tuple[str, str]]) -> None:
+    """Reject an outage that hits none of ``rails`` (``(nic, network)``
+    names), naming what it names and what exists."""
+    for outage in outages:
+        if not any(outage.hits(nic, network) for nic, network in rails):
+            if outage.nic is not None:
+                what, known = f"NIC {outage.nic!r}", [nic for nic, _ in rails]
+            else:
+                what = f"network {outage.network!r}"
+                known = list(dict.fromkeys(network for _, network in rails))
+            raise ConfigurationError(f"outage names unknown {what} (known: {known})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,13 +312,6 @@ class FaultVerdict:
 
 
 _CLEAN = FaultVerdict()
-
-#: Keys accepted by :meth:`FaultPlane.from_spec` (scenario ``"faults"`` block).
-_SPEC_KEYS = frozenset(
-    {"seed", "drop", "corrupt", "duplicate", "jitter", "per_network", "per_nic", "outages"}
-)
-_OUTAGE_KEYS = frozenset({"nic", "network", "at", "recover"})
-
 
 @dataclass(slots=True)
 class FaultPlaneStats:
@@ -236,45 +413,6 @@ class FaultPlane:
         self._lotteries: dict[str, FaultLottery] = {}
 
     # ------------------------------------------------------------------
-    # construction from a scenario mapping
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_spec(cls, spec: Mapping[str, Any], default_seed: int = 0) -> "FaultPlane":
-        """Build a plane from a scenario ``"faults"`` block.
-
-        Unknown keys are rejected loudly — a typo'd fault knob silently
-        ignored would make a resilience experiment meaningless.
-        """
-        spec = dict(spec)
-        for key in spec:
-            if key not in _SPEC_KEYS:
-                raise FaultInjectionError(
-                    f"unknown faults key {key!r} (known: {sorted(_SPEC_KEYS)})"
-                )
-        default = FaultSpec(
-            drop=float(spec.get("drop", 0.0)),
-            corrupt=float(spec.get("corrupt", 0.0)),
-            duplicate=float(spec.get("duplicate", 0.0)),
-            jitter=float(spec.get("jitter", 0.0)),
-        )
-        per_network = {
-            name: _parse_subspec(f"per_network[{name!r}]", sub)
-            for name, sub in dict(spec.get("per_network", {})).items()
-        }
-        per_nic = {
-            name: _parse_subspec(f"per_nic[{name!r}]", sub)
-            for name, sub in dict(spec.get("per_nic", {})).items()
-        }
-        outages = [parse_outage(entry) for entry in spec.get("outages", [])]
-        return cls(
-            default,
-            per_network=per_network,
-            per_nic=per_nic,
-            outages=outages,
-            seed=int(spec.get("seed", default_seed)),
-        )
-
-    # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
     def spec_for(self, nic: "NIC") -> FaultSpec:
@@ -313,85 +451,20 @@ class FaultPlane:
     def install(self, fabric: "Fabric", sim: "Simulator") -> None:
         """Schedule every outage against a built fabric.
 
-        Raises :class:`FaultInjectionError` when an outage names a NIC
-        or network the fabric does not have.
+        Raises :class:`~repro.util.errors.ConfigurationError` when an
+        outage names a NIC or network the fabric does not have.
         """
+        rails = [(nic, nic.network.name) for node in fabric.nodes for nic in node.nics]
+        check_outages(self.outages, [(nic.name, network) for nic, network in rails])
         for outage in self.outages:
-            for nic in self._resolve(fabric, outage):
-                sim.at(outage.at, nic.fail)
-                if outage.recover is not None:
-                    sim.at(outage.recover, nic.recover)
-
-    @staticmethod
-    def _resolve(fabric: "Fabric", outage: RailOutage) -> list["NIC"]:
-        if outage.nic is not None:
-            for node in fabric.nodes:
-                for nic in node.nics:
-                    if nic.name == outage.nic:
-                        return [nic]
-            raise FaultInjectionError(
-                f"outage names unknown NIC {outage.nic!r} "
-                f"(known: {[n.name for node in fabric.nodes for n in node.nics]})"
-            )
-        matches = [
-            nic
-            for node in fabric.nodes
-            for nic in node.nics
-            if nic.network is not None and nic.network.name == outage.network
-        ]
-        if not matches:
-            raise FaultInjectionError(
-                f"outage names unknown network {outage.network!r} "
-                f"(known: {[n.name for n in fabric.networks]})"
-            )
-        return matches
+            for nic, network in rails:
+                if outage.hits(nic.name, network):
+                    sim.at(outage.at, nic.fail)
+                    if outage.recover is not None:
+                        sim.at(outage.recover, nic.recover)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FaultPlane(default={self.default}, outages={len(self.outages)}, "
             f"seed={self.seed})"
         )
-
-
-def parse_fault_spec(sub: Mapping[str, Any], where: str = "spec") -> FaultSpec:
-    """Parse one drop/corrupt/duplicate/jitter mapping into a :class:`FaultSpec`.
-
-    Shared vocabulary between the simulated plane's per-NIC/per-network
-    sub-specs and the live plane's chaos profile
-    (:mod:`repro.live.chaos`), so a fault profile means the same thing
-    in both planes.
-    """
-    sub = dict(sub)
-    for key in sub:
-        if key not in ("drop", "corrupt", "duplicate", "jitter"):
-            raise FaultInjectionError(
-                f"unknown key {key!r} in faults {where} "
-                "(known: ['corrupt', 'drop', 'duplicate', 'jitter'])"
-            )
-    return FaultSpec(**{k: float(v) for k, v in sub.items()})
-
-
-def _parse_subspec(where: str, sub: Mapping[str, Any]) -> FaultSpec:
-    return parse_fault_spec(sub, where)
-
-
-def parse_outage(entry: Mapping[str, Any]) -> RailOutage:
-    """Parse one scheduled-outage entry; public so the live chaos
-    layer shares the schema (and its strict unknown-key errors)."""
-    entry = dict(entry)
-    for key in entry:
-        if key not in _OUTAGE_KEYS:
-            raise FaultInjectionError(
-                f"unknown key {key!r} in faults outage (known: {sorted(_OUTAGE_KEYS)})"
-            )
-    try:
-        at = float(entry["at"])
-    except KeyError:
-        raise FaultInjectionError(f"outage entry missing 'at': {entry}") from None
-    recover = entry.get("recover")
-    return RailOutage(
-        at=at,
-        nic=entry.get("nic"),
-        network=entry.get("network"),
-        recover=float(recover) if recover is not None else None,
-    )

@@ -43,13 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.network.faults import FaultPlane
 from repro.network.wire import WirePacket
 from repro.sim.engine import Simulator
-from repro.util.errors import ConfigurationError, TransportError
+from repro.util.errors import ConfigurationError, TransportError, read_block
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.fabric import Fabric
+    from repro.network.faults import FaultPlane
     from repro.network.nic import NIC
 
 __all__ = [
@@ -88,20 +88,7 @@ class ReliabilityConfig:
     @classmethod
     def from_spec(cls, spec) -> "ReliabilityConfig":
         """Build from a scenario ``"faults" → "reliability"`` sub-block."""
-        spec = dict(spec)
-        known = ("max_retries", "rto", "backoff", "ack_delay")
-        for key in spec:
-            if key not in known:
-                raise ConfigurationError(
-                    f"unknown reliability key {key!r} (known: {sorted(known)})"
-                )
-        kwargs: dict = {}
-        if "max_retries" in spec:
-            kwargs["max_retries"] = int(spec["max_retries"])
-        for key in ("rto", "backoff", "ack_delay"):
-            if key in spec and spec[key] is not None:
-                kwargs[key] = float(spec[key])
-        return cls(**kwargs)
+        return cls(**read_block(spec, _SCHEMA, "faults.reliability"))
 
     def rto_for(self, one_way: float, attempts: int) -> float:
         """Timeout for the (attempts+1)-th transmission of a packet."""
@@ -111,6 +98,15 @@ class ReliabilityConfig:
     def ack_delay_for(self, one_way: float) -> float:
         """Latency of the acknowledgement's return trip."""
         return self.ack_delay if self.ack_delay is not None else one_way
+
+
+#: The ``"reliability"`` sub-block: key → ``(kind, default)``.
+_SCHEMA = {
+    "max_retries": (int, 10),
+    "rto": (float, None),
+    "backoff": (float, 2.0),
+    "ack_delay": (float, None),
+}
 
 
 @dataclass(slots=True)
@@ -277,12 +273,16 @@ class ReliableTransport:
         self,
         sim: Simulator,
         fabric: "Fabric",
-        plane: FaultPlane | None = None,
+        plane: "FaultPlane | None" = None,
         config: ReliabilityConfig | None = None,
     ) -> None:
+        if plane is None:
+            from repro.network.faults import FaultPlane  # faults imports this module
+
+            plane = FaultPlane()
         self._sim = sim
         self._fabric = fabric
-        self.plane = plane if plane is not None else FaultPlane()
+        self.plane = plane
         self.config = config if config is not None else ReliabilityConfig()
         self.stats = TransportStats()
         self._tx: dict[tuple[str, str, int], SendWindow] = {}

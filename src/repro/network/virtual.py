@@ -51,7 +51,7 @@ class ChannelPool:
 
     The default assignment maps every class to channel 0 (pure
     multiplexing).  Policies such as
-    :class:`~repro.core.strategies.traffic_class.TrafficClassPolicy`
+    :class:`~repro.core.adaptive.AdaptiveChannels`
     install richer assignments and may change them while running — the
     "dynamically change the assignment of networking resources to traffic
     classes" capability of §2.

@@ -52,7 +52,7 @@ from pathlib import Path
 from repro.obs.causal import CausalReport, attribute_chain, truncation_warning
 from repro.obs.export import load_events
 from repro.obs.spans import Leg, MessageChain
-from repro.obs.tails import SLOStatus, TailStats, evaluate_slo_offline, parse_slo
+from repro.obs.tails import SLOStatus, TailStats, evaluate_slo_offline
 from repro.util.stats import percentiles
 from repro.util.tracing import TraceEvent
 from repro.util.units import format_time
@@ -779,10 +779,12 @@ def main(args) -> int:
         analysis = analyze_file(path)
         print(render(analysis, width=args.width, top=args.top))
         if args.scenario:
+            from repro.obs.plane import ObservabilityConfig
+
             spec = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
-            objectives = parse_slo(spec.get("observability", {}).get("slo"))
+            config = ObservabilityConfig.from_spec(spec.get("observability", {}))
             statuses = evaluate_slo_offline(
-                analysis.edges, objectives, t_end=analysis.span[1]
+                analysis.edges, config.slo, t_end=analysis.span[1]
             )
             print()
             print(render_slo(statuses))

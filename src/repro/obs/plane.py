@@ -33,16 +33,20 @@ Scenarios opt in with a top-level ``"observability"`` block::
       ]
     }
 
-Unknown keys are rejected (:class:`ConfigurationError`), same contract
-as the ``"faults"`` block — a typo'd knob silently ignored would
-invalidate the run it was meant to observe.
+The block means the same on both planes: :meth:`ObservabilityConfig.from_spec`
+is its one reader (called by :func:`~repro.runtime.scenario.parse_cluster`),
+and an unknown key or a wrong-typed value is a :class:`ConfigurationError`
+naming the key, same contract as the ``"faults"`` block — a typo'd knob
+silently ignored would invalidate the run it was meant to observe.  A
+live peer keeps no ring buffer, so the live plane refuses ``ring_buffer``
+(:data:`repro.runtime.cluster.REFUSED`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.causal import export_blame
 from repro.obs.export import write_trace
@@ -50,7 +54,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
 from repro.obs.sampler import ObservabilitySampler
 from repro.obs.tails import SLObjective, parse_slo
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, read_block
 from repro.util.tracing import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,7 +62,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ObservabilityConfig", "ObservabilityPlane"]
 
-_SPEC_KEYS = frozenset({"sample_interval", "ring_buffer", "trace", "slo"})
+#: The scenario ``"observability"`` block: key → ``(kind, default)``.
+_SCHEMA = {
+    "sample_interval": (float, None),
+    "ring_buffer": (int, None),
+    "trace": (bool, True),
+    "slo": ((list, tuple), None),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +99,7 @@ class ObservabilityConfig:
     slo: tuple[SLObjective, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.sample_interval is not None and self.sample_interval <= 0:
+        if self.sample_interval is not None and not self.sample_interval > 0:
             raise ConfigurationError(
                 f"sample_interval must be > 0, got {self.sample_interval}"
             )
@@ -99,19 +109,10 @@ class ObservabilityConfig:
             )
 
     @classmethod
-    def from_spec(cls, spec: Mapping[str, Any]) -> "ObservabilityConfig":
-        """Build from a scenario mapping, rejecting unknown keys."""
-        for key in spec:
-            if key not in _SPEC_KEYS:
-                raise ConfigurationError(
-                    f"unknown observability key {key!r} (known: {sorted(_SPEC_KEYS)})"
-                )
-        return cls(
-            sample_interval=spec.get("sample_interval"),
-            ring_buffer=spec.get("ring_buffer"),
-            trace=spec.get("trace", True),
-            slo=parse_slo(spec.get("slo")),
-        )
+    def from_spec(cls, spec: Any) -> "ObservabilityConfig":
+        """Read a scenario ``"observability"`` block: the only reader of it."""
+        values = read_block(spec, _SCHEMA, "observability")
+        return cls(**{**values, "slo": parse_slo(values["slo"])})
 
 
 class ObservabilityPlane:

@@ -24,7 +24,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.baseline.legacy import LegacyEngine
 from repro.core.channels import ChannelPolicy, PooledChannels, TailRailOrder
@@ -36,8 +36,8 @@ from repro.drivers.registry import DRIVER_TYPES, make_driver
 from repro.madeleine.api import MadAPI
 from repro.madeleine.rx import MessageReassembler
 from repro.network.fabric import Fabric, Node
-from repro.network.faults import FaultPlane
-from repro.network.reliable import ReliabilityConfig, ReliableTransport
+from repro.network.faults import FaultConfig, FaultPlane
+from repro.network.reliable import ReliableTransport
 from repro.network.technologies import TECHNOLOGIES
 from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
 from repro.runtime.metrics import MetricsCollector
@@ -46,17 +46,28 @@ from repro.util.errors import ConfigurationError
 from repro.util.rng import SeedSequenceRegistry
 from repro.util.tracing import Tracer
 
-__all__ = ["Cluster", "build_node_stack", "check_topology"]
+__all__ = ["Cluster", "REFUSED", "build_node_stack", "check_topology", "refuse"]
 
 #: Engine kind → constructor.
 _ENGINE_KINDS = {"optimizing": OptimizingEngine, "legacy": LegacyEngine}
+
+#: Scenario keys one plane cannot run: key → (the plane that refuses it,
+#: why).  Both planes read every block alike; this is all they differ in.
+REFUSED = {
+    "faults.per_nic": ("live", "chaos applies per connection; use 'outages' for rail loss"),
+    "faults.per_network": ("live", "chaos applies per connection; use 'outages' for rail loss"),
+    "observability.ring_buffer": ("live", "a peer's spool streams every event; it keeps no ring"),
+    "faults.die": ("sim", "a simulated node is no process to kill"),
+    "faults.disconnect": ("sim", "a simulated rail has no connection to close"),
+    "faults.heartbeat": ("sim", "a simulated node needs no liveness beacon"),
+}
 
 
 def check_topology(
     n_nodes: int, networks: Sequence[tuple[str, int]], engine: str
 ) -> None:
-    """Reject a cluster shape no plane can build (the live coordinator
-    calls this before it forks, so both planes refuse in the same words)."""
+    """Reject a cluster shape no plane can build (the scenario reader
+    calls this too, so both planes refuse in the same words)."""
     if n_nodes < 2:
         raise ConfigurationError(f"a cluster needs >= 2 nodes, got {n_nodes}")
     if engine not in _ENGINE_KINDS:
@@ -74,6 +85,20 @@ def check_topology(
             raise ConfigurationError(
                 f"nics_per_node must be >= 1, got {nics_per_node}"
             )
+
+
+def refuse(
+    plane: str, faults: FaultConfig | None, observability: ObservabilityConfig | None
+) -> None:
+    """Reject what ``plane`` (``"sim"`` or ``"live"``) cannot run of a
+    scenario's ``faults`` and ``observability`` blocks (:data:`REFUSED`)."""
+    named = {f"faults.{key}" for key in faults.keys} if faults is not None else set()
+    if observability is not None and observability.ring_buffer is not None:
+        named.add("observability.ring_buffer")
+    for key, (refusing, why) in REFUSED.items():
+        if refusing == plane and key in named:
+            where = "simulator" if plane == "sim" else "live plane"
+            raise ConfigurationError(f"{key} is not supported by the {where} ({why})")
 
 
 def build_node_stack(
@@ -153,24 +178,18 @@ class Cluster:
         (e.g. ``{"mx": replace(MX_CAPABILITIES, supports_gather=False)}``)
         for capability ablations.
     faults:
-        Optional fault model: a ready-made
-        :class:`~repro.network.faults.FaultPlane`, or a mapping in the
-        scenario ``"faults"`` schema (``drop``/``corrupt``/``duplicate``
-        /``jitter``, ``per_network``, ``per_nic``, ``outages``, ``seed``,
-        plus an optional ``"reliability"`` sub-block with
-        ``max_retries``/``rto``/``backoff``/``ack_delay``).  When set,
-        every NIC routes through a
-        :class:`~repro.network.reliable.ReliableTransport` and scheduled
+        A :class:`~repro.network.faults.FaultConfig` (a scenario
+        ``"faults"`` block parses into one).  When set, every NIC routes
+        through a :class:`~repro.network.reliable.ReliableTransport`
+        over a :class:`~repro.network.faults.FaultPlane` and scheduled
         rail outages are installed.  ``None`` (default) keeps the
         lossless fabric and its exact packet timings.
     observability:
-        Optional observability plane: a ready-made (uninstalled)
-        :class:`~repro.obs.plane.ObservabilityPlane`, an
-        :class:`~repro.obs.plane.ObservabilityConfig`, or a mapping in
-        the scenario ``"observability"`` schema (``sample_interval``/
-        ``ring_buffer``/``trace``).  When set, a trace sink and the
-        periodic sampler are attached as ``cluster.obs``; ``None``
-        (default) keeps every emit site on the NullTracer fast path.
+        An :class:`~repro.obs.plane.ObservabilityConfig` (a scenario
+        ``"observability"`` block parses into one).  When set, a trace
+        sink and the periodic sampler are attached as ``cluster.obs``;
+        ``None`` (default) keeps every emit site on the NullTracer fast
+        path.
     rail_order:
         Rail-order factory (one fresh
         :class:`~repro.core.channels.TailRailOrder` per node; a scenario
@@ -189,11 +208,12 @@ class Cluster:
         seed: int = 0,
         tracer: Tracer | None = None,
         driver_caps: dict[str, "DriverCapabilities"] | None = None,
-        faults: Mapping | FaultPlane | None = None,
-        observability: Mapping | ObservabilityConfig | ObservabilityPlane | None = None,
+        faults: FaultConfig | None = None,
+        observability: ObservabilityConfig | None = None,
         rail_order: Callable[[], TailRailOrder] | None = None,
     ) -> None:
         check_topology(n_nodes, networks, engine)
+        refuse("sim", faults, observability)
 
         self.sim = Simulator(tracer)
         self.rng = SeedSequenceRegistry(seed)
@@ -234,34 +254,23 @@ class Cluster:
         self.fault_plane: FaultPlane | None = None
         self.transport: ReliableTransport | None = None
         if faults is not None:
-            if isinstance(faults, FaultPlane):
-                plane, rel_config = faults, ReliabilityConfig()
-            else:
-                spec = dict(faults)
-                rel_spec = spec.pop("reliability", None)
-                rel_config = (
-                    ReliabilityConfig.from_spec(rel_spec)
-                    if rel_spec is not None
-                    else ReliabilityConfig()
-                )
-                plane = FaultPlane.from_spec(spec, default_seed=seed)
-            self.fault_plane = plane
-            self.transport = ReliableTransport(self.sim, self.fabric, plane, rel_config)
+            self.fault_plane = FaultPlane(
+                faults.spec,
+                per_network=faults.per_network,
+                per_nic=faults.per_nic,
+                outages=faults.outages,
+                seed=faults.seed,
+            )
+            self.transport = ReliableTransport(
+                self.sim, self.fabric, self.fault_plane, faults.reliability
+            )
             self.transport.install()
-            plane.install(self.fabric, self.sim)
+            self.fault_plane.install(self.fabric, self.sim)
 
         self.obs: ObservabilityPlane | None = None
         if observability is not None:
-            if isinstance(observability, ObservabilityPlane):
-                obs_plane = observability
-            elif isinstance(observability, ObservabilityConfig):
-                obs_plane = ObservabilityPlane(observability)
-            else:
-                obs_plane = ObservabilityPlane(
-                    ObservabilityConfig.from_spec(observability)
-                )
-            obs_plane.install(self)
-            self.obs = obs_plane
+            self.obs = ObservabilityPlane(observability)
+            self.obs.install(self)
 
     # ------------------------------------------------------------------
     # accessors

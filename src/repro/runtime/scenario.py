@@ -38,13 +38,17 @@ attaches trace capture and the periodic sampler
 (:mod:`repro.obs.plane`); the optional ``"tuner"`` block gives every
 engine a :class:`~repro.core.channels.TailRailOrder` built from its
 ``rails`` keys (all optional; the block being there is the switch,
-optimizing engine only).  Unknown keys anywhere in the scenario
-are rejected with :class:`~repro.util.errors.ConfigurationError` naming
-the bad key — a typo'd knob silently ignored would invalidate the
-experiment it configures.
+optimizing engine only).
 
-:func:`run_scenario` executes it and returns ``(report, apps)``; the
-``python -m repro run`` CLI wraps this for files.
+Every block has one reader, shared by both planes
+(:func:`parse_cluster`).  An unknown key, a wrong-typed value, or an
+outage or ``die`` rank naming no part of the cluster is a
+:class:`~repro.util.errors.ConfigurationError` naming the key, in the
+same words on both planes — a typo'd knob silently ignored would
+invalidate the experiment it configures.
+
+:func:`run_scenario` executes it and returns ``(report, cluster,
+apps)``; the ``python -m repro run`` CLI wraps this for files.
 """
 
 from __future__ import annotations
@@ -77,11 +81,13 @@ from repro.middleware import (
     RpcApp,
     StreamApp,
 )
+from repro.network.faults import FaultConfig, check_outages, rail_names
 from repro.network.virtual import TrafficClass
-from repro.runtime.cluster import Cluster
+from repro.obs.plane import ObservabilityConfig
+from repro.runtime.cluster import Cluster, check_topology
 from repro.runtime.metrics import SessionReport
 from repro.runtime.session import run_session
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, read_block, reject_unknown_keys
 
 __all__ = [
     "APP_TYPES",
@@ -132,21 +138,13 @@ _SCENARIO_KEYS = frozenset(
 _CLUSTER_KEYS = frozenset(
     {"n_nodes", "networks", "engine", "strategy", "policy", "config", "seed"}
 )
-_RUN_KEYS = frozenset({"until", "warmup"})
+_RUN_SCHEMA = {"until": (float, None), "warmup": (float, 0.0)}
 _TUNER_KEYS = frozenset({"rails"})
 _RAILS_KEYS = frozenset(inspect.signature(TailRailOrder).parameters)
 #: What an absent ``cluster`` key means: the constructor's own default.
 _CLUSTER_DEFAULTS = {
     key: inspect.signature(Cluster).parameters[key].default for key in _CLUSTER_KEYS
 }
-
-
-def _reject_unknown_keys(spec: Mapping[str, Any], known: frozenset, where: str) -> None:
-    for key in spec:
-        if key not in known:
-            raise ConfigurationError(
-                f"unknown {where} key {key!r} (known: {sorted(known)})"
-            )
 
 
 def _parse_traffic_class(value: Any) -> Any:
@@ -162,21 +160,21 @@ def _parse_traffic_class(value: Any) -> Any:
 
 
 def parse_cluster(scenario: Mapping[str, Any]) -> dict[str, Any]:
-    """The ``cluster`` block as :class:`Cluster` keyword arguments.
+    """The whole scenario but its workloads, read once for both planes.
 
-    Every ``cluster`` key is present in the result (absent ones at the
-    constructor's default), with ``policy`` resolved to its factory,
-    ``config`` to an :class:`EngineConfig` and ``networks`` to tuples;
-    ``rail_order`` is the ``"tuner"`` block's factory (``None`` without
-    one).
-    Both planes read the block through here — the simulator to build a
+    Every ``cluster`` key is a :class:`Cluster` keyword (absent ones at
+    the constructor's default; ``policy`` a factory, ``config`` an
+    :class:`EngineConfig`, ``networks`` tuples), as are ``rail_order``
+    (the ``"tuner"`` block), ``faults`` (a
+    :class:`~repro.network.faults.FaultConfig`) and ``observability``
+    (an :class:`~repro.obs.plane.ObservabilityConfig`), each ``None``
+    without its block; ``run`` is the ``"run"`` block.  The simulator's
     :class:`Cluster`, the live coordinator (before it forks) and every
-    live peer to build one node's stack — so a typo fails the same way
-    everywhere.
+    live peer build from this, so a bad block fails alike everywhere.
     """
-    _reject_unknown_keys(scenario, _SCENARIO_KEYS, "scenario")
+    reject_unknown_keys(scenario, _SCENARIO_KEYS, "scenario")
     block = scenario.get("cluster", {})
-    _reject_unknown_keys(block, _CLUSTER_KEYS, "cluster")
+    reject_unknown_keys(block, _CLUSTER_KEYS, "cluster")
     spec = {**_CLUSTER_DEFAULTS, **block}
     if spec["policy"] is not None:
         try:
@@ -192,6 +190,22 @@ def parse_cluster(scenario: Mapping[str, Any]) -> dict[str, Any]:
             raise ConfigurationError(f"engine config: {bad}") from None
     spec["networks"] = [tuple(net) for net in spec["networks"]]
     spec["rail_order"] = _parse_rail_order(scenario.get("tuner"), spec["engine"])
+    check_topology(spec["n_nodes"], spec["networks"], spec["engine"])
+    faults = scenario.get("faults")
+    if faults is not None:
+        faults = FaultConfig.from_spec(faults, default_seed=spec["seed"])
+        nodes = [f"n{k}" for k in range(spec["n_nodes"])]
+        check_outages(faults.outages, rail_names(nodes, spec["networks"]))
+        if faults.die is not None and faults.die.rank >= spec["n_nodes"]:
+            raise ConfigurationError(
+                f"faults die rank {faults.die.rank} >= n_nodes {spec['n_nodes']}"
+            )
+    spec["faults"] = faults
+    observability = scenario.get("observability")
+    if observability is not None:
+        observability = ObservabilityConfig.from_spec(observability)
+    spec["observability"] = observability
+    spec["run"] = read_block(scenario.get("run", {}), _RUN_SCHEMA, "run")
     return spec
 
 
@@ -201,11 +215,11 @@ def _parse_rail_order(block: Any, engine: str) -> Callable[[], TailRailOrder] | 
         return None
     if not isinstance(block, Mapping):
         raise ConfigurationError(f"scenario key 'tuner' must be an object, got {block!r}")
-    _reject_unknown_keys(block, _TUNER_KEYS, "tuner")
+    reject_unknown_keys(block, _TUNER_KEYS, "tuner")
     rails = block.get("rails", {})
     if not isinstance(rails, Mapping):
         raise ConfigurationError(f"tuner key 'rails' must be an object, got {rails!r}")
-    _reject_unknown_keys(rails, _RAILS_KEYS, "tuner rails")
+    reject_unknown_keys(rails, _RAILS_KEYS, "tuner rails")
     TailRailOrder(**rails)  # a bad value raises here, naming its key
     if engine != "optimizing":
         raise ConfigurationError(
@@ -264,26 +278,26 @@ def build_workloads(scenario: Mapping[str, Any]) -> list[AppBase]:
 
 def build_scenario(scenario: Mapping[str, Any]) -> tuple[Cluster, list[AppBase]]:
     """Build the cluster and (uninstalled) workload apps of a scenario."""
-    cluster_spec = parse_cluster(scenario)
-    for block in ("faults", "observability"):
-        if scenario.get(block) is not None:
-            cluster_spec[block] = scenario[block]
-    cluster = Cluster(**cluster_spec)
-    return cluster, build_workloads(scenario)
+    cluster, apps, _run = _build(scenario)
+    return cluster, apps
+
+
+def _build(scenario: Mapping[str, Any]) -> tuple[Cluster, list[AppBase], dict[str, Any]]:
+    spec = parse_cluster(scenario)
+    run = spec.pop("run")
+    return Cluster(**spec), build_workloads(scenario), run
 
 
 def run_scenario(
     scenario: Mapping[str, Any],
 ) -> tuple[SessionReport, Cluster, list[AppBase]]:
     """Build and execute a scenario; returns (report, cluster, apps)."""
-    cluster, apps = build_scenario(scenario)
-    run_spec = scenario.get("run", {})
-    _reject_unknown_keys(run_spec, _RUN_KEYS, "run")
+    cluster, apps, run = _build(scenario)
     report = run_session(
         cluster,
         [app.install for app in apps],
-        until=run_spec.get("until"),
-        warmup=run_spec.get("warmup", 0.0),
+        until=run["until"],
+        warmup=run["warmup"],
     )
     return report, cluster, apps
 

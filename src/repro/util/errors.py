@@ -8,6 +8,8 @@ propagate.
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
 __all__ = [
     "ReproError",
     "ConfigurationError",
@@ -17,7 +19,9 @@ __all__ = [
     "ProtocolError",
     "TransportError",
     "WireError",
-    "FaultInjectionError",
+    "REQUIRED",
+    "reject_unknown_keys",
+    "read_block",
 ]
 
 
@@ -86,10 +90,56 @@ class WireError(ProtocolError):
     """
 
 
-class FaultInjectionError(ReproError):
-    """A fault-injection plan is inconsistent or cannot be applied.
+#: The default of a :func:`read_block` key that must be given.
+REQUIRED = object()
 
-    Examples: a drop probability outside ``[0, 1]``, an outage naming a
-    NIC or network that does not exist in the fabric, a recovery time
-    scheduled before the outage itself.
+_KIND_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list",
+    tuple: "a list",
+    Mapping: "an object",
+}
+
+
+def reject_unknown_keys(block: Mapping[str, Any], known, where: str) -> None:
+    """Raise a :class:`ConfigurationError` naming the first key of
+    ``block`` that is not in ``known``."""
+    for key in block:
+        if key not in known:
+            raise ConfigurationError(
+                f"unknown {where} key {key!r} (known: {sorted(known)})"
+            )
+
+
+def read_block(block: Any, schema: Mapping[str, tuple], where: str) -> dict[str, Any]:
+    """One scenario block, read against ``schema`` (key → ``(kind, default)``).
+
+    The result has every key of ``schema``, absent ones at their default
+    (a :data:`REQUIRED` one must be given).  A value must be of its kind
+    (a type or tuple of types; a bool is no number, an int is a float),
+    or ``None`` where the default is.  Anything else raises a
+    :class:`ConfigurationError` naming ``where`` and the key.
     """
+    if not isinstance(block, Mapping):
+        raise ConfigurationError(f"{where} must be an object, got {block!r}")
+    reject_unknown_keys(block, schema, where)
+    values = {}
+    for key, (kind, default) in schema.items():
+        value = block.get(key, default)
+        if value is REQUIRED:
+            raise ConfigurationError(f"{where} needs {key!r}")
+        if value is None and default is None:
+            values[key] = None
+            continue
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        numbers = (int, *kinds) if float in kinds else kinds
+        if not isinstance(value, numbers) or (isinstance(value, bool) and bool not in kinds):
+            names = dict.fromkeys(_KIND_NAMES[k] for k in kinds)
+            raise ConfigurationError(
+                f"{where}.{key} must be {' or '.join(names)}, got {value!r}"
+            )
+        values[key] = float(value) if kind is float else value
+    return values

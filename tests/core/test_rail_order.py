@@ -26,6 +26,7 @@ from repro.core.strategies.search import BoundedSearchStrategy
 from repro.live.peer import LivePeer
 from repro.network.nic import SERVICE_WINDOW
 from repro.obs.analyze import analyze_events
+from repro.obs.plane import ObservabilityConfig
 from repro.runtime import Cluster
 from repro.runtime.scenario import (
     build_scenario,
@@ -228,7 +229,9 @@ class TestOrdering:
             n_nodes=2,
             networks=[("tcp", 1), ("mx", 1), ("elan", 1)],
             engine="optimizing",
-            observability={"slo": [{"edge": "*", "threshold_us": 1e6}]},
+            observability=ObservabilityConfig.from_spec(
+                {"slo": [{"edge": "*", "threshold_us": 1e6}]}
+            ),
             rail_order=partial(TailRailOrder, p99_budget_us=100.0, min_samples=1),
         )
         engine = cluster.engine("n0")
@@ -283,7 +286,7 @@ class TestSkewedRailRun:
             engine="optimizing",
             strategy="aggregate",
             seed=11,
-            observability={"sample_interval": 1e-4} if traced else None,
+            observability=ObservabilityConfig(sample_interval=1e-4) if traced else None,
             rail_order=(
                 partial(TailRailOrder, p99_budget_us=50.0, min_samples=16, refresh_every=8)
                 if selection
@@ -338,7 +341,9 @@ class TestInstall:
             built.append(BoundedSearchStrategy(budget=8))
             return built[-1]
 
-        cluster = Cluster(strategy=factory, observability={}, rail_order=TailRailOrder)
+        cluster = Cluster(
+            strategy=factory, observability=ObservabilityConfig(), rail_order=TailRailOrder
+        )
         for name, strategy in zip(cluster.node_names, built):
             engine = cluster.engine(name)
             assert engine.strategy is strategy
@@ -354,11 +359,9 @@ class TestLivePeer:
             "cluster": {"n_nodes": 2, "strategy": "aggregate"},
             "workloads": [{"app": "stream", "src": "n0", "dst": "n1", "count": 1}],
             "tuner": {"rails": {"min_samples": 8}},
+            "observability": {"trace": trace},
         }
-        config = {
-            "scenario": scenario, "rank": 0, "n_nodes": 2,
-            "epoch": time.time(), "trace": trace,
-        }
+        config = {"scenario": scenario, "rank": 0, "n_nodes": 2, "epoch": time.time()}
 
         async def construct():
             return LivePeer(config)

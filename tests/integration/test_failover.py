@@ -6,16 +6,19 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.madeleine.message import PackMode
+from repro.network.faults import FaultConfig
 from repro.network.virtual import TrafficClass
 from repro.runtime import Cluster
 from repro.util.units import KiB
 
-FAULTS = {
-    "drop": 0.05,
-    "seed": 13,
-    "outages": [{"nic": "n0.mx00", "at": 2e-5, "recover": 4e-4}],
-    "reliability": {"max_retries": 16},
-}
+FAULTS = FaultConfig.from_spec(
+    {
+        "drop": 0.05,
+        "seed": 13,
+        "outages": [{"nic": "n0.mx00", "at": 2e-5, "recover": 4e-4}],
+        "reliability": {"max_retries": 16},
+    }
+)
 
 
 def drive(cluster, n_messages=40, size=4 * KiB):
@@ -56,18 +59,22 @@ class TestLossyRun:
     def test_single_rail_outage_recovers_without_failover_target(self):
         """With one rail, traffic stalls through the outage and resumes
         after recovery — no surviving NIC to fail over to."""
-        faults = {
-            "seed": 5,
-            "outages": [{"nic": "n0.mx00", "at": 2e-5, "recover": 3e-4}],
-            "reliability": {"max_retries": 16, "rto": 1e-4},
-        }
+        faults = FaultConfig.from_spec(
+            {
+                "seed": 5,
+                "outages": [{"nic": "n0.mx00", "at": 2e-5, "recover": 3e-4}],
+                "reliability": {"max_retries": 16, "rto": 1e-4},
+            }
+        )
         cluster = Cluster(networks=[("mx", 1)], seed=3, faults=faults)
         messages = drive(cluster, n_messages=10)
         assert all(m.completion.done for m in messages)
 
     def test_duplicate_storm_delivers_each_message_once(self):
         cluster = Cluster(
-            networks=[("mx", 1)], seed=7, faults={"duplicate": 0.5, "seed": 7}
+            networks=[("mx", 1)],
+            seed=7,
+            faults=FaultConfig.from_spec({"duplicate": 0.5, "seed": 7}),
         )
         api = cluster.api("n0")
         flow = api.open_flow("n1", traffic_class=TrafficClass.CONTROL)

@@ -33,8 +33,10 @@ from repro.drivers.elan import ELAN_CAPABILITIES
 from repro.drivers.mx import MX_CAPABILITIES
 from repro.drivers.tcp import TCP_CAPABILITIES
 from repro.madeleine.message import Flow, Message, PackMode
+from repro.network.faults import FaultConfig
 from repro.network.virtual import TrafficClass
 from repro.network.wire import PacketKind
+from repro.obs.plane import ObservabilityConfig
 from repro.runtime.cluster import Cluster
 from repro.runtime.scenario import POLICY_TYPES, parse_cluster
 from repro.util.units import KiB, us
@@ -86,8 +88,8 @@ class Scenario:
                 tech: replace(CAPABILITIES[tech], **over)
                 for tech, over in self.caps.items()
             },
-            faults=self.faults,
-            observability={} if traced else None,
+            faults=FaultConfig.from_spec(self.faults) if self.faults is not None else None,
+            observability=ObservabilityConfig() if traced else None,
             rail_order=parse_cluster(
                 {"cluster": {"engine": self.engine}, "tuner": self.tuner}
             )["rail_order"],

@@ -24,20 +24,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.live.chaos import NOMINAL_ONE_WAY, ChaosConfig, ChaosInjector
+from repro.live.chaos import NOMINAL_ONE_WAY, ChaosInjector
 from repro.live.transport import (
     ENVELOPE_CRC_OFFSET,
     StreamDecoder,
     done_frame,
     wrap_envelope,
 )
-from repro.network.faults import FaultLottery, FaultPlane, FaultPlaneStats
+from repro.network.faults import FaultConfig, FaultLottery, FaultPlane, FaultPlaneStats
 from repro.network.reliable import (
     ReceiveLedger,
     ReliabilityConfig,
     SendWindow,
     TransportStats,
 )
+from repro.runtime.cluster import refuse
 from repro.sim import Simulator
 from repro.util.errors import ConfigurationError
 from repro.util.rng import SeedSequenceRegistry
@@ -52,8 +53,8 @@ class TestDeterminism:
               "seed": 42, "disconnect": {"every": 7}}
 
     def test_same_seed_same_link_same_sequence(self):
-        a = ChaosInjector(ChaosConfig.from_spec(self.CONFIG), "n0->n1")
-        b = ChaosInjector(ChaosConfig.from_spec(self.CONFIG), "n0->n1")
+        a = ChaosInjector(FaultConfig.from_spec(self.CONFIG), "n0->n1")
+        b = ChaosInjector(FaultConfig.from_spec(self.CONFIG), "n0->n1")
         seq_a = [(_verdict_tuple(a.judge()), a.should_disconnect(), a.judge_ack())
                  for _ in range(300)]
         seq_b = [(_verdict_tuple(b.judge()), b.should_disconnect(), b.judge_ack())
@@ -61,7 +62,7 @@ class TestDeterminism:
         assert seq_a == seq_b
 
     def test_links_draw_independent_sequences(self):
-        config = ChaosConfig.from_spec(self.CONFIG)
+        config = FaultConfig.from_spec(self.CONFIG)
         a = ChaosInjector(config, "n0->n1")
         b = ChaosInjector(config, "n1->n0")
         seq_a = [_verdict_tuple(a.judge()) for _ in range(300)]
@@ -70,15 +71,15 @@ class TestDeterminism:
 
     def test_different_seed_different_sequence(self):
         spec = dict(self.CONFIG)
-        a = ChaosInjector(ChaosConfig.from_spec(spec), "n0->n1")
+        a = ChaosInjector(FaultConfig.from_spec(spec), "n0->n1")
         spec["seed"] = 43
-        b = ChaosInjector(ChaosConfig.from_spec(spec), "n0->n1")
+        b = ChaosInjector(FaultConfig.from_spec(spec), "n0->n1")
         seq_a = [_verdict_tuple(a.judge()) for _ in range(300)]
         seq_b = [_verdict_tuple(b.judge()) for _ in range(300)]
         assert seq_a != seq_b
 
     def test_disconnect_cadence(self):
-        config = ChaosConfig.from_spec({"disconnect": {"every": 5}})
+        config = FaultConfig.from_spec({"disconnect": {"every": 5}})
         injector = ChaosInjector(config, "n0->n1")
         pattern = [injector.should_disconnect() for _ in range(15)]
         assert pattern == [False] * 4 + [True] + [False] * 4 + [True] + [False] * 4 + [True]
@@ -115,7 +116,7 @@ _GOLDEN = {
 class TestOneLottery:
     """Both planes' fault decisions are one implementation."""
 
-    CONFIG = ChaosConfig.from_spec(TestDeterminism.CONFIG)
+    CONFIG = FaultConfig.from_spec(TestDeterminism.CONFIG)
 
     def _carrier(self, stream):
         """``judge, judge_ack`` of the plane that draws from ``stream``."""
@@ -156,7 +157,7 @@ class TestOneLottery:
 
 class TestCorruption:
     def test_corrupt_preserves_header_and_flips_one_payload_byte(self):
-        config = ChaosConfig.from_spec({"corrupt": 1.0, "seed": 3})
+        config = FaultConfig.from_spec({"corrupt": 1.0, "seed": 3})
         injector = ChaosInjector(config, "n0->n1")
         record = wrap_envelope(done_frame("n0", "n1", [(1, 0.0)]), seq=9)
         mutated = injector.corrupt_record(record)
@@ -166,7 +167,7 @@ class TestCorruption:
         assert len(diffs) == 1 and diffs[0] >= ENVELOPE_CRC_OFFSET
 
     def test_corrupt_record_is_detected_not_fatal(self):
-        config = ChaosConfig.from_spec({"corrupt": 1.0, "seed": 3})
+        config = FaultConfig.from_spec({"corrupt": 1.0, "seed": 3})
         injector = ChaosInjector(config, "n0->n1")
         record = wrap_envelope(done_frame("n0", "n1", [(1, 0.0)]), seq=9)
         decoder = StreamDecoder(tolerant=True)
@@ -178,7 +179,7 @@ class TestCorruption:
         assert seq == 9
 
     def test_too_short_record_returned_unchanged(self):
-        config = ChaosConfig.from_spec({"corrupt": 1.0})
+        config = FaultConfig.from_spec({"corrupt": 1.0})
         injector = ChaosInjector(config, "n0->n1")
         assert injector.corrupt_record(b"tiny") == b"tiny"
 
@@ -186,47 +187,47 @@ class TestCorruption:
 class TestConfigParsing:
     def test_sim_only_keys_rejected(self):
         with pytest.raises(ConfigurationError):
-            ChaosConfig.from_spec({"per_nic": {"n0.mx00": {"drop": 0.1}}})
+            refuse("live", FaultConfig.from_spec({"per_nic": {"n0.mx00": {"drop": 0.1}}}), None)
         with pytest.raises(ConfigurationError):
-            ChaosConfig.from_spec({"per_network": {"mx": {"drop": 0.1}}})
+            refuse("live", FaultConfig.from_spec({"per_network": {"mx": {"drop": 0.1}}}), None)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError):
-            ChaosConfig.from_spec({"dropp": 0.1})
+            FaultConfig.from_spec({"dropp": 0.1})
         with pytest.raises(ConfigurationError):
-            ChaosConfig.from_spec({"disconnect": {"evry": 3}})
+            FaultConfig.from_spec({"disconnect": {"evry": 3}})
         with pytest.raises(ConfigurationError):
-            ChaosConfig.from_spec({"die": {"rank": 0, "afterr": 1}})
+            FaultConfig.from_spec({"die": {"rank": 0, "afterr": 1}})
         with pytest.raises(ConfigurationError):
-            ChaosConfig.from_spec({"heartbeat": {"intervall": 0.1}})
+            FaultConfig.from_spec({"heartbeat": {"intervall": 0.1}})
 
     def test_die_requires_rank(self):
         with pytest.raises(ConfigurationError):
-            ChaosConfig.from_spec({"die": {"after": 1.0}})
+            FaultConfig.from_spec({"die": {"after": 1.0}})
 
     def test_die_signal_names(self):
-        config = ChaosConfig.from_spec({"die": {"rank": 1, "signal": "TERM"}})
+        config = FaultConfig.from_spec({"die": {"rank": 1, "signal": "TERM"}})
         import signal
         assert config.die is not None and config.die.signal == int(signal.SIGTERM)
         with pytest.raises(ConfigurationError):
-            ChaosConfig.from_spec({"die": {"rank": 1, "signal": "NOPE"}})
+            FaultConfig.from_spec({"die": {"rank": 1, "signal": "NOPE"}})
 
     def test_wire_active_only_for_wire_faults(self):
-        assert not ChaosConfig.from_spec({"die": {"rank": 0}}).wire_active
-        assert not ChaosConfig.from_spec(
+        assert not FaultConfig.from_spec({"die": {"rank": 0}}).wire_active
+        assert not FaultConfig.from_spec(
             {"outages": [{"at": 0.1, "nic": "n0.mx00"}]}
         ).wire_active
-        assert ChaosConfig.from_spec({"drop": 0.01}).wire_active
-        assert ChaosConfig.from_spec({"disconnect": {"every": 10}}).wire_active
+        assert FaultConfig.from_spec({"drop": 0.01}).wire_active
+        assert FaultConfig.from_spec({"disconnect": {"every": 10}}).wire_active
 
     def test_rto_backoff_monotonic(self):
-        config = ChaosConfig.from_spec({"drop": 0.1})
+        config = FaultConfig.from_spec({"drop": 0.1})
         rtos = [config.reliability.rto_for(NOMINAL_ONE_WAY, a) for a in range(5)]
         assert all(b >= a for a, b in zip(rtos, rtos[1:]))
         assert rtos[0] > 0
 
     def test_dead_after(self):
-        config = ChaosConfig.from_spec(
+        config = FaultConfig.from_spec(
             {"heartbeat": {"interval": 0.5, "misses": 4}}
         )
         assert config.dead_after == pytest.approx(2.0)
@@ -337,7 +338,7 @@ def test_corruption_is_always_detected_never_delivered(seed, n, corrupt):
     """Injected byte flips are caught by the frame CRC: the tolerant
     decoder skips them, the retransmit path re-sends, and the delivered
     payloads are byte-identical originals."""
-    config = ChaosConfig.from_spec({"corrupt": 1.0, "seed": seed % 2**31})
+    config = FaultConfig.from_spec({"corrupt": 1.0, "seed": seed % 2**31})
     injector = ChaosInjector(config, "n0->n1")
     rng = random.Random(seed)
     flips = 0

@@ -50,8 +50,8 @@ def _scenario(count=6):
 @pytest.fixture(scope="module")
 def traced_run():
     return run_live_scenario(
-        _scenario(), timeout=_TIMEOUT,
-        observability={"trace": True, "sample_interval": 0.005},
+        dict(_scenario(), observability={"trace": True, "sample_interval": 0.005}),
+        timeout=_TIMEOUT,
     )
 
 
@@ -170,22 +170,19 @@ def example_run():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(live_cluster._ObsCollector, "ingest", recording)
-        result = run_live_scenario(
-            scenario, timeout=_TIMEOUT,
-            observability=dict(scenario["observability"], trace=True),
-        )
+        result = run_live_scenario(scenario, timeout=_TIMEOUT, trace=True)
     return result, payloads
 
 
 class TestOneRecorderPerPeer:
     def test_peer_tracer_has_only_the_spool(self):
         scenario = json.loads(_LIVE_EXAMPLE.read_text(encoding="utf-8"))
+        scenario["observability"] = dict(scenario["observability"], trace=True)
 
         async def build(rank):
             peer = LivePeer({
                 "scenario": scenario, "rank": rank, "n_nodes": 2,
                 "epoch": time.time(),
-                "observability": dict(scenario["observability"], trace=True),
             })
             peer.hub.close()
             return peer
@@ -261,7 +258,7 @@ class TestLiveServe:
         poller.start()
         result = run_live_scenario(
             _scenario(count=20), timeout=_TIMEOUT,
-            observability={"trace": True}, serve=f"127.0.0.1:{port}",
+            trace=True, serve=f"127.0.0.1:{port}",
         )
         poller.join(timeout=5)
         assert result.report.messages == 40
@@ -302,7 +299,7 @@ class TestLiveServe:
         poller.start()
         result = run_live_scenario(
             _scenario(count=40), timeout=_TIMEOUT,
-            observability={"trace": True}, serve=f"127.0.0.1:{port}",
+            trace=True, serve=f"127.0.0.1:{port}",
         )
         poller.join(timeout=5)
         assert result.report.messages == 80

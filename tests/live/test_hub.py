@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.live.chaos import ChaosConfig
+from repro.network.faults import FaultConfig
 from repro.live.hub import Hub
 from repro.live.loop import LiveClock
 from repro.live.transport import (
@@ -211,7 +211,7 @@ class TestDataBytes:
 
 class TestDoneBatchingUnderFaults:
     def test_the_batch_is_one_sequenced_record_retransmitted_as_one(self, loop):
-        chaos = ChaosConfig.from_spec(
+        chaos = FaultConfig.from_spec(
             {"duplicate": 1e-12, "seed": 3, "reliability": {"rto": 0.01}},
             default_seed=0,
         )

@@ -7,12 +7,14 @@ timeout — a hung mesh fails the test rather than the suite.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
+from repro.live import cluster as live_cluster
 from repro.live import run_live_scenario
 from repro.runtime.metrics import SessionReport
 from repro.util.errors import ConfigurationError
@@ -127,22 +129,113 @@ class TestFailsBeforeFork:
         with pytest.raises(ConfigurationError, match=match):
             run_live_scenario(scenario, trace=trace, timeout=_TIMEOUT)
 
+    @pytest.mark.parametrize(
+        "block, value, key",
+        [
+            ("observability", {"trace": "false"}, "observability.trace"),
+            ("observability", {"sample_interval": "1e-5"}, "observability.sample_interval"),
+            ("observability", {"ring_buffer": 2.5}, "observability.ring_buffer"),
+            ("observability", {"sampel_interval": 1e-5}, "sampel_interval"),
+            ("faults", {"seed": 1.5}, "faults.seed"),
+            ("faults", {"disconnect": {"every": 2.7}}, "faults.disconnect.every"),
+            ("faults", {"drop": "x"}, "faults.drop"),
+            ("faults", {"die": {"rank": "one"}}, "faults.die.rank"),
+            ("faults", {"heartbeat": {"interval": "fast"}}, "faults.heartbeat.interval"),
+            ("faults", {"outages": {"nic": "n0.mx00", "at": 0.1}}, "faults.outages"),
+            ("faults", {"bogus": 1}, "bogus"),
+            ("faults", {"outages": [{"nic": "n0.ib00", "at": 0.1}]}, "n0.ib00"),
+            ("faults", {"outages": [{"network": "mx", "at": 0.1}]}, "network 'mx'"),
+            ("faults", {"die": {"rank": 9}}, "die rank 9"),
+            ("run", {"stop_at": 1.0}, "stop_at"),
+            ("run", {"until": "soon"}, "run.until"),
+        ],
+        ids=[
+            "trace-string", "interval-string", "fractional-ring", "unknown-obs-key",
+            "fractional-seed", "fractional-disconnect", "string-drop", "string-die-rank",
+            "string-heartbeat", "outages-object", "unknown-faults-key", "unknown-nic",
+            "network-prefix", "die-rank-beyond-cluster", "unknown-run-key", "string-until",
+        ],
+    )
+    def test_same_verdict_on_both_planes(self, block, value, key, monkeypatch):
+        """One reader per block: a bad block is the same
+        ``ConfigurationError``, naming its key, from the simulator and
+        from the coordinator before it forks."""
+        from repro.runtime.scenario import build_scenario
+
+        scenario = _scenario(
+            [{"app": "pingpong", "src": "n0", "dst": "n1", "size": 64, "count": 1}]
+        )
+        scenario[block] = value
+        with pytest.raises(ConfigurationError, match=re.escape(key)) as from_sim:
+            build_scenario(scenario)
+
+        def no_spawn(*args, **kwargs):
+            pytest.fail("a peer was spawned for a scenario that cannot be built")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        with pytest.raises(ConfigurationError) as from_live:
+            run_live_scenario(scenario, timeout=_TIMEOUT)
+        assert str(from_live.value) == str(from_sim.value)
+
+    @pytest.mark.parametrize(
+        "block, value, plane",
+        [
+            ("faults", {"die": {"rank": 1}}, "sim"),
+            ("faults", {"disconnect": {"every": 5}}, "sim"),
+            ("faults", {"heartbeat": {}}, "sim"),
+            ("observability", {"ring_buffer": 64}, "live"),
+        ],
+        ids=["die", "disconnect", "heartbeat", "ring-buffer"],
+    )
+    def test_each_plane_refuses_what_it_cannot_run(self, block, value, plane, monkeypatch):
+        """Each plane refuses what ``runtime.cluster.REFUSED`` says it
+        cannot run, and the other plane accepts the same block (the live
+        refusal of ``per_nic`` / ``per_network`` is
+        ``TestValidation.test_bad_faults_block_rejected``)."""
+        from repro.runtime.scenario import build_scenario
+
+        scenario = _scenario(
+            [{"app": "pingpong", "src": "n0", "dst": "n1", "size": 64, "count": 1}]
+        )
+        scenario[block] = value
+        where = "simulator" if plane == "sim" else "live plane"
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: pytest.fail("spawned"))
+        if plane == "sim":
+            with pytest.raises(ConfigurationError, match=f"not supported by the {where}"):
+                build_scenario(scenario)
+            live_cluster._validate(scenario)
+        else:
+            build_scenario(scenario)
+            with pytest.raises(ConfigurationError, match=f"not supported by the {where}"):
+                run_live_scenario(scenario, timeout=_TIMEOUT)
+
     def test_ring_buffer_rejected(self, monkeypatch):
         """A live peer's one recorder is its streaming spool: a flight
         recorder size is a simulator knob."""
         scenario = _scenario(
             [{"app": "pingpong", "src": "n0", "dst": "n1", "size": 64, "count": 1}]
         )
+        scenario["observability"] = {"trace": True, "ring_buffer": 1024}
 
         def no_spawn(*args, **kwargs):
             pytest.fail("a peer was spawned for a ring_buffer it cannot keep")
 
         monkeypatch.setattr(subprocess, "Popen", no_spawn)
         with pytest.raises(ConfigurationError, match="ring_buffer"):
-            run_live_scenario(
-                scenario, timeout=_TIMEOUT,
-                observability={"trace": True, "ring_buffer": 1024},
-            )
+            run_live_scenario(scenario, timeout=_TIMEOUT)
+
+
+class TestOutages:
+    def test_outage_of_one_nodes_rail_arms_on_that_node_only(self):
+        """An outage names a rail of one node; every other peer has no
+        such NIC and arms nothing, instead of failing the run."""
+        scenario = _scenario(
+            [{"app": "pingpong", "src": "n0", "dst": "n1", "size": 64, "count": 3}]
+        )
+        scenario["faults"] = {"outages": [{"nic": "n0.mx00", "at": 100.0}]}
+        result = run_live_scenario(scenario, timeout=_TIMEOUT)
+        assert result.report.messages == 6
+        assert not result.report.degraded
 
 
 class TestPingPong:

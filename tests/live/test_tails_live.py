@@ -10,6 +10,7 @@ import json
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.live import cluster as live_cluster
 from repro.live import run_live_scenario
 from repro.obs.analyze import analyze_events
 from repro.obs.tails import evaluate_slo_offline, parse_slo
+from repro.runtime.scenario import load_scenario_file
 
 _TIMEOUT = 30.0
 
@@ -50,7 +52,7 @@ _OBS = {
 
 @pytest.fixture(scope="module")
 def traced_run():
-    return run_live_scenario(_scenario(), timeout=_TIMEOUT, observability=_OBS)
+    return run_live_scenario(dict(_scenario(), observability=_OBS), timeout=_TIMEOUT)
 
 
 class TestPostRunTails:
@@ -105,6 +107,18 @@ class TestPostRunTails:
         assert latency.p999 >= latency.p99 > 0
 
 
+class TestScenarioObservability:
+    def test_example_slo_evaluated_through_the_api(self):
+        """The live plane reads the scenario's own ``observability``
+        block, as ``run_scenario`` does: no CLI, no extra argument, and
+        the example's objective comes back evaluated."""
+        path = Path(__file__).resolve().parents[2] / "examples" / "scenario_live.json"
+        result = run_live_scenario(load_scenario_file(path), timeout=_TIMEOUT)
+        verdicts = result.tails["slo"]
+        assert verdicts and {v["objective"] for v in verdicts} == {"wire-fast"}
+        assert {v["edge"] for v in verdicts} == set(result.tails["edges"]) != set()
+
+
 class TestLiveTailsEndpoint:
     def test_tails_served_during_run(self):
         port = 19632
@@ -127,8 +141,8 @@ class TestLiveTailsEndpoint:
         poller = threading.Thread(target=poll, daemon=True)
         poller.start()
         result = run_live_scenario(
-            _scenario(count=40), timeout=_TIMEOUT,
-            observability=_OBS, serve=f"127.0.0.1:{port}",
+            dict(_scenario(count=40), observability=_OBS), timeout=_TIMEOUT,
+            serve=f"127.0.0.1:{port}",
         )
         poller.join(timeout=5)
         assert result.report.messages == 80

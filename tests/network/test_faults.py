@@ -3,11 +3,11 @@
 import pytest
 
 from repro.network.fabric import Fabric
-from repro.network.faults import FaultPlane, FaultSpec, FaultVerdict, RailOutage
+from repro.network.faults import FaultConfig, FaultPlane, FaultSpec, FaultVerdict, RailOutage
 from repro.network.nic import NIC
 from repro.network.technologies import myrinet_mx
 from repro.sim import Simulator
-from repro.util.errors import FaultInjectionError, SimulationError
+from repro.util.errors import ConfigurationError, SimulationError
 
 
 def make_nic(sim, name="nic0"):
@@ -33,29 +33,29 @@ class TestFaultSpec:
     @pytest.mark.parametrize("field", ["drop", "corrupt", "duplicate"])
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
     def test_probability_range_enforced(self, field, bad):
-        with pytest.raises(FaultInjectionError):
+        with pytest.raises(ConfigurationError):
             FaultSpec(**{field: bad})
 
     def test_negative_jitter_rejected(self):
-        with pytest.raises(FaultInjectionError):
+        with pytest.raises(ConfigurationError):
             FaultSpec(jitter=-1e-6)
 
 
 class TestRailOutage:
     def test_needs_exactly_one_target(self):
-        with pytest.raises(FaultInjectionError):
+        with pytest.raises(ConfigurationError):
             RailOutage(at=1.0)
-        with pytest.raises(FaultInjectionError):
+        with pytest.raises(ConfigurationError):
             RailOutage(at=1.0, nic="a", network="b")
 
     def test_recover_must_follow_outage(self):
-        with pytest.raises(FaultInjectionError):
+        with pytest.raises(ConfigurationError):
             RailOutage(at=2.0, nic="a", recover=1.0)
-        with pytest.raises(FaultInjectionError):
+        with pytest.raises(ConfigurationError):
             RailOutage(at=2.0, nic="a", recover=2.0)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(FaultInjectionError):
+        with pytest.raises(ConfigurationError):
             RailOutage(at=-1.0, nic="a")
 
 
@@ -130,7 +130,7 @@ class TestJudge:
 
 class TestFromSpec:
     def test_round_trip(self):
-        plane = FaultPlane.from_spec(
+        config = FaultConfig.from_spec(
             {
                 "drop": 0.05,
                 "duplicate": 0.01,
@@ -140,31 +140,31 @@ class TestFromSpec:
                 "seed": 42,
             }
         )
-        assert plane.default.drop == 0.05
-        assert plane.per_network["mx0"].drop == 0.2
-        assert plane.per_nic["n0.mx00"].jitter == 1e-6
-        assert plane.outages[0].recover == 0.002
-        assert plane.seed == 42
+        assert config.spec.drop == 0.05
+        assert config.per_network["mx0"].drop == 0.2
+        assert config.per_nic["n0.mx00"].jitter == 1e-6
+        assert config.outages[0].recover == 0.002
+        assert config.seed == 42
 
     def test_seed_defaults_to_session_seed(self):
-        plane = FaultPlane.from_spec({"drop": 0.1}, default_seed=9)
-        assert plane.seed == 9
+        config = FaultConfig.from_spec({"drop": 0.1}, default_seed=9)
+        assert config.seed == 9
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(FaultInjectionError, match="dorp"):
-            FaultPlane.from_spec({"dorp": 0.1})
+        with pytest.raises(ConfigurationError, match="dorp"):
+            FaultConfig.from_spec({"dorp": 0.1})
 
     def test_unknown_subspec_key_rejected(self):
-        with pytest.raises(FaultInjectionError, match="latency"):
-            FaultPlane.from_spec({"per_nic": {"x": {"latency": 1}}})
+        with pytest.raises(ConfigurationError, match="latency"):
+            FaultConfig.from_spec({"per_nic": {"x": {"latency": 1}}})
 
     def test_unknown_outage_key_rejected(self):
-        with pytest.raises(FaultInjectionError, match="until"):
-            FaultPlane.from_spec({"outages": [{"nic": "x", "at": 1, "until": 2}]})
+        with pytest.raises(ConfigurationError, match="until"):
+            FaultConfig.from_spec({"outages": [{"nic": "x", "at": 1, "until": 2}]})
 
     def test_outage_missing_at_rejected(self):
-        with pytest.raises(FaultInjectionError, match="at"):
-            FaultPlane.from_spec({"outages": [{"nic": "x"}]})
+        with pytest.raises(ConfigurationError, match="at"):
+            FaultConfig.from_spec({"outages": [{"nic": "x"}]})
 
 
 class TestOutageInstall:
@@ -195,14 +195,14 @@ class TestOutageInstall:
         sim = Simulator()
         fabric = two_node_fabric(sim)
         plane = FaultPlane(outages=[RailOutage(at=1.0, nic="ghost")])
-        with pytest.raises(FaultInjectionError, match="ghost"):
+        with pytest.raises(ConfigurationError, match="ghost"):
             plane.install(fabric, sim)
 
     def test_unknown_network_rejected(self):
         sim = Simulator()
         fabric = two_node_fabric(sim)
         plane = FaultPlane(outages=[RailOutage(at=1.0, network="elan9")])
-        with pytest.raises(FaultInjectionError, match="elan9"):
+        with pytest.raises(ConfigurationError, match="elan9"):
             plane.install(fabric, sim)
 
 

@@ -14,10 +14,12 @@ import pytest
 from repro.live.loop import LiveClock
 from repro.live.nic import LiveNIC
 from repro.madeleine.message import Flow, Message
+from repro.network.faults import FaultConfig, RailOutage
 from repro.network.nic import NIC, SERVICE_WINDOW
 from repro.network.technologies import myrinet_mx
 from repro.network.wire import PacketKind, WirePacket, WireSegment, decode_frame
 from repro.obs.analyze import analyze_events
+from repro.obs.plane import ObservabilityConfig
 from repro.obs.recorder import ListSink
 from repro.runtime.cluster import Cluster
 from repro.sim import Simulator
@@ -311,8 +313,8 @@ class TestServiceWindow:
         occupancy (up to 1 ns of clock arithmetic)."""
         cluster = Cluster(
             networks=[("mx", 1)],
-            faults={"outages": [{"network": "mx0", "at": 2 * us, "recover": 500 * us}]},
-            observability={},
+            faults=FaultConfig(outages=(RailOutage(2 * us, network="mx0", recover=500 * us),)),
+            observability=ObservabilityConfig(),
         )
         api = cluster.api("n0")
         flow = api.open_flow("n1")

@@ -9,6 +9,7 @@ from repro.network.wire import (
     WirePacket,
     WireSegment,
 )
+from repro.obs.plane import ObservabilityConfig
 from repro.runtime.cluster import Cluster
 from repro.util.errors import ProtocolError
 
@@ -58,7 +59,7 @@ class TestWirePacket:
         cluster starts at packet 0 whatever the process did before."""
 
         def dispatched():
-            cluster = Cluster(observability={"trace": True})
+            cluster = Cluster(observability=ObservabilityConfig(trace=True))
             api = cluster.api("n0")
             flow = api.open_flow("n1")
             for _ in range(4):

@@ -151,9 +151,7 @@ class TestValidation:
             run_scenario(minimal_scenario(run={"stop_at": 1.0}))
 
     def test_unknown_faults_key_named_in_error(self):
-        from repro.util.errors import FaultInjectionError
-
-        with pytest.raises(FaultInjectionError, match="drp"):
+        with pytest.raises(ConfigurationError, match="drp"):
             build_scenario(minimal_scenario(faults={"drp": 0.1}))
 
 

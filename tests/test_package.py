@@ -96,6 +96,41 @@ class TestDocumentation:
                         )
         assert undocumented == []
 
+    def test_docstring_references_resolve(self):
+        """Every ``:class:`` / ``:func:`` / ``:mod:`` role naming a
+        ``repro.*`` target in ``src/repro`` resolves to an importable
+        name, or to an attribute its class assigns as ``self.<name>``."""
+
+        def resolves(name):
+            parts = name.split(".")
+            for cut in range(len(parts), 0, -1):
+                try:
+                    obj = importlib.import_module(".".join(parts[:cut]))
+                except ImportError:
+                    continue
+                rest = parts[cut:]
+                for i, attr in enumerate(rest):
+                    if not hasattr(obj, attr):
+                        return (
+                            i == len(rest) - 1
+                            and inspect.isclass(obj)
+                            and re.search(
+                                rf"\bself\.{attr}\s*(:[^=\n]*)?=(?!=)", inspect.getsource(obj)
+                            ) is not None
+                        )
+                    obj = getattr(obj, attr)
+                return True
+            return False
+
+        role = re.compile(r":(?:class|func|mod):`~?(repro(?:\.\w+)+)`")
+        dangling = sorted(
+            f"{path.relative_to(Path(repro.__path__[0]))}: {target}"
+            for path in Path(repro.__path__[0]).rglob("*.py")
+            for target in set(role.findall(path.read_text(encoding="utf-8")))
+            if not resolves(target)
+        )
+        assert dangling == []
+
     def test_docs_reference_what_exists(self):
         """Every back-ticked repo path and dotted ``repro.*`` name, and
         every ``--flag``, that the prose documents mention resolves: to a
