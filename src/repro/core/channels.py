@@ -261,11 +261,6 @@ class OneToOneChannels(ChannelPolicy):
         return ordered[self._rr_offset :] + ordered[: self._rr_offset]
 
 
-def _is_number(value, types) -> bool:
-    """``isinstance(value, types)``, where a bool is never a number."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
 class TailRailOrder:
     """The p99-budget rail order: pumps visit rails that keep their tail.
 
@@ -294,19 +289,15 @@ class TailRailOrder:
         min_samples: int = 32,
         refresh_every: int = 32,
     ) -> None:
-        if not _is_number(p99_budget_us, (int, float)) or not p99_budget_us > 0:
+        if not p99_budget_us > 0:
+            raise ConfigurationError(f"p99_budget_us must be > 0, got {p99_budget_us!r}")
+        if not 1 <= min_samples <= SERVICE_WINDOW:
             raise ConfigurationError(
-                f"p99_budget_us must be a number > 0, got {p99_budget_us!r}"
+                f"min_samples must be in [1, {SERVICE_WINDOW}] (the NIC service "
+                f"window), got {min_samples!r}"
             )
-        if not _is_number(min_samples, int) or not 1 <= min_samples <= SERVICE_WINDOW:
-            raise ConfigurationError(
-                f"min_samples must be an integer in [1, {SERVICE_WINDOW}] (the "
-                f"NIC service window), got {min_samples!r}"
-            )
-        if not _is_number(refresh_every, int) or refresh_every < 1:
-            raise ConfigurationError(
-                f"refresh_every must be an integer >= 1, got {refresh_every!r}"
-            )
+        if refresh_every < 1:
+            raise ConfigurationError(f"refresh_every must be >= 1, got {refresh_every!r}")
         self.p99_budget_us = p99_budget_us
         self.min_samples = min_samples
         self.refresh_every = refresh_every

@@ -45,12 +45,6 @@ class EngineConfig:
         ``"pooled"`` — any idle NIC may serve any channel (the paper's
         pooled multiplexing units); ``"static"`` — channel *i* is bound
         to NIC ``i mod n`` (the naive comparator in E6).
-    rdv_requires_recv:
-        When true, a rendezvous request is only acknowledged once the
-        receiving application has posted a matching receive
-        (``MadAPI.post_receive``) — the flow-controlled Madeleine
-        semantics.  Default false: the receiver acknowledges after its
-        pinning delay (anonymous pre-posted buffers).
     rdv_timeout:
         Seconds a parked rendezvous entry waits for its acknowledgement
         before abandoning the handshake and falling back to eager/split
@@ -65,7 +59,6 @@ class EngineConfig:
     stripe_chunk: int | None = 64 * KiB
     search_budget: int = 32
     rail_binding: str = "pooled"
-    rdv_requires_recv: bool = False
     rdv_timeout: float | None = None
 
     def __post_init__(self) -> None:

@@ -106,9 +106,6 @@ class CommEngineBase:
         self._rdv_pending: dict[int, tuple[SubmitEntry, int]] = {}
         self._rdv_timers: dict[int, Event] = {}
         self._rdv_abandoned: set[int] = set()
-        self._recv_credits: dict[int | None, int] = {}
-        self._deferred_reqs: dict[int | None, list[WirePacket]] = {}
-        self._granted_messages: set[int] = set()
         self._ack_delay = min(d.caps.rdv_ack_delay for d in self.drivers)
         self._enqueue_epoch = 0
         self._pumping = False
@@ -472,62 +469,8 @@ class CommEngineBase:
             )
 
     def _handle_rdv_req(self, packet: WirePacket) -> None:
-        """Peer wants to push bulk data: prepare, then acknowledge.
-
-        With ``config.rdv_requires_recv`` the acknowledgement is gated
-        on a posted receive (:meth:`post_receive`): one receive credit
-        admits one *message* — several oversized fragments of the same
-        message consume a single credit.
-        """
-        if not self.config.rdv_requires_recv:
-            self.sim.schedule(self._ack_delay, self._send_rdv_ack, packet)
-            return
-        message_id = packet.meta.get("message_id")
-        flow_id = packet.meta.get("flow_id")
-        if message_id is not None and message_id in self._granted_messages:
-            self.sim.schedule(self._ack_delay, self._send_rdv_ack, packet)
-            return
-        if self._recv_credits.get(flow_id, 0) > 0:
-            self._recv_credits[flow_id] -= 1
-            if message_id is not None:
-                self._granted_messages.add(message_id)
-            self.sim.schedule(self._ack_delay, self._send_rdv_ack, packet)
-            return
-        self._deferred_reqs.setdefault(flow_id, []).append(packet)
-
-    def post_receive(self, flow, count: int = 1) -> None:
-        """Grant ``count`` receive credits on an incoming flow.
-
-        Each credit admits one rendezvous message; deferred requests are
-        acknowledged immediately, surplus credits are banked.  A no-op
-        protocol-wise unless ``config.rdv_requires_recv`` is set (eager
-        traffic never needs credits).
-        """
-        if flow.dst != self.node_name:
-            raise ConfigurationError(
-                f"flow {flow.name!r} does not terminate at {self.node_name!r}"
-            )
-        if count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {count}")
-        flow_id = flow.flow_id
-        for _ in range(count):
-            deferred = self._deferred_reqs.get(flow_id)
-            if deferred:
-                packet = deferred.pop(0)
-                message_id = packet.meta.get("message_id")
-                self.sim.schedule(self._ack_delay, self._send_rdv_ack, packet)
-                if message_id is not None:
-                    self._granted_messages.add(message_id)
-                    # Sibling requests of the same message ride the same
-                    # credit (one posted receive admits one message).
-                    siblings = [
-                        p for p in deferred if p.meta.get("message_id") == message_id
-                    ]
-                    for sibling in siblings:
-                        deferred.remove(sibling)
-                        self.sim.schedule(self._ack_delay, self._send_rdv_ack, sibling)
-            else:
-                self._recv_credits[flow_id] = self._recv_credits.get(flow_id, 0) + 1
+        """Peer wants to push bulk data: prepare, then acknowledge."""
+        self.sim.schedule(self._ack_delay, self._send_rdv_ack, packet)
 
     def _send_rdv_ack(self, packet: WirePacket) -> None:
         ack = SubmitEntry(
@@ -677,11 +620,6 @@ class CommEngineBase:
     def hold_timer_armed(self) -> bool:
         """Whether a Nagle hold timer is currently pending."""
         return self._hold_timer is not None
-
-    @property
-    def deferred_rendezvous(self) -> int:
-        """Incoming rendezvous requests waiting for a posted receive."""
-        return sum(len(reqs) for reqs in self._deferred_reqs.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -392,7 +392,6 @@ class LivePeer:
             engine.backlog == 0
             and not engine.hold_timer_armed
             and engine.rendezvous_in_flight == 0
-            and engine.deferred_rendezvous == 0
             # A failed rail is quiescent: its in-flight work was released
             # on fail() and the engine re-routed around it.
             and all(nic.idle or nic.failed for nic in self.node.nics)

@@ -42,9 +42,6 @@ class CommEngineProtocol(Protocol):
     def submit_message(self, message: Message) -> None:
         """Accept a flushed message into the waiting lists."""
 
-    def post_receive(self, flow: Flow, count: int = 1) -> None:
-        """Grant rendezvous receive credits on an incoming flow."""
-
 
 class PackingSession:
     """Builder for one structured message."""
@@ -245,20 +242,6 @@ class MadAPI:
         """Latch onto the next incoming message of a flow (receive side)."""
         self._check_incoming(flow)
         return UnpackingSession(self.reassembler, flow)
-
-    def post_receive(self, flow: Flow, count: int = 1) -> None:
-        """Grant receive credits for rendezvous messages on a flow.
-
-        Only meaningful when the engine runs with
-        ``EngineConfig.rdv_requires_recv``: each credit admits one
-        rendezvous message (the sender's bulk data is withheld until the
-        receiver has somewhere to put it).  Eager traffic needs no
-        credits.
-        """
-        self._check_incoming(flow)
-        if self.engine is None:
-            raise self._no_engine("post receives")
-        self.engine.post_receive(flow, count)
 
     def _no_engine(self, verb: str) -> ConfigurationError:
         return ConfigurationError(

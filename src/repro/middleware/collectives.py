@@ -66,7 +66,9 @@ class BroadcastApp(CollectiveApp):
     rank fully received) in :attr:`durations`.
     """
 
-    def __init__(self, nodes, *, size: int = 4096, rounds: int = 1, name=None):
+    def __init__(
+        self, nodes: list[str], *, size: int = 4096, rounds: int = 1, name: str | None = None
+    ):
         super().__init__(nodes, name)
         if rounds < 1 or size < 1:
             raise ConfigurationError("rounds and size must be >= 1")
@@ -136,7 +138,7 @@ class BarrierApp(CollectiveApp):
     all ranks have transitively heard from everyone.
     """
 
-    def __init__(self, nodes, *, rounds: int = 1, name=None):
+    def __init__(self, nodes: list[str], *, rounds: int = 1, name: str | None = None):
         super().__init__(nodes, name)
         if rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
@@ -175,7 +177,9 @@ class AllReduceApp(CollectiveApp):
     short vectors.
     """
 
-    def __init__(self, nodes, *, size: int = 4096, rounds: int = 1, name=None):
+    def __init__(
+        self, nodes: list[str], *, size: int = 4096, rounds: int = 1, name: str | None = None
+    ):
         super().__init__(nodes, name)
         if not _is_power_of_two(len(nodes)):
             raise ConfigurationError(
@@ -219,12 +223,12 @@ class HaloExchangeApp(CollectiveApp):
 
     def __init__(
         self,
-        nodes,
+        nodes: list[str],
         *,
         halo_size: int = 8192,
         iterations: int = 10,
         compute_time: float = 0.0,
-        name=None,
+        name: str | None = None,
     ):
         super().__init__(nodes, name)
         if iterations < 1 or halo_size < 1:

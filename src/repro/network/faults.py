@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.network.reliable import ReliabilityConfig
-from repro.util.errors import REQUIRED, ConfigurationError, read_block
+from repro.util.errors import REQUIRED, ConfigurationError, read_block, schema_of
 from repro.util.rng import RngStream, SeedSequenceRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -158,24 +158,20 @@ def _signal_number(value: int | str) -> int:
         raise ConfigurationError(f"unknown die signal {value!r}") from None
 
 
-#: The scenario ``"faults"`` grammar, one for both planes:
-#: key → ``(kind, default)`` (see :func:`~repro.util.errors.read_block`).
-_SPEC_SCHEMA = {key: (float, 0.0) for key in ("drop", "corrupt", "duplicate", "jitter")}
+#: The scenario ``"faults"`` grammar, one for both planes: key →
+#: ``(kind, default)`` (see :func:`~repro.util.errors.read_block`) where
+#: a key is no constructor's argument; lotteries, outages and the
+#: ``reliability`` sub-block are typed by ``FaultSpec``, ``RailOutage``
+#: and ``ReliabilityConfig``.
 _FAULTS_SCHEMA = {
-    **_SPEC_SCHEMA,
+    **schema_of(FaultSpec),
     "per_network": (Mapping, {}),
     "per_nic": (Mapping, {}),
-    "outages": ((list, tuple), ()),
+    "outages": (list, ()),
     "reliability": (Mapping, {}),
     "disconnect": (Mapping, {}),
     "die": (Mapping, None),
     "heartbeat": (Mapping, {}),
-}
-_OUTAGE_SCHEMA = {
-    "at": (float, REQUIRED),
-    "nic": (str, None),
-    "network": (str, None),
-    "recover": (float, None),
 }
 _DISCONNECT_SCHEMA = {"every": (int, 0)}
 _DIE_SCHEMA = {"rank": (int, REQUIRED), "after": (float, 0.0), "signal": ((int, str), "KILL")}
@@ -228,7 +224,7 @@ class FaultConfig:
 
         def lotteries(key: str) -> dict[str, FaultSpec]:
             return {
-                name: FaultSpec(**read_block(sub, _SPEC_SCHEMA, f"faults.{key}[{name!r}]"))
+                name: FaultSpec(**read_block(sub, FaultSpec, f"faults.{key}[{name!r}]"))
                 for name, sub in top[key].items()
             }
 
@@ -238,12 +234,12 @@ class FaultConfig:
             die = DieSpec(values["rank"], values["after"], _signal_number(values["signal"]))
         heartbeat = read_block(top["heartbeat"], _HEARTBEAT_SCHEMA, "faults.heartbeat")
         return cls(
-            spec=FaultSpec(**{key: top[key] for key in _SPEC_SCHEMA}),
+            spec=FaultSpec(**{key: top[key] for key in schema_of(FaultSpec)}),
             seed=top["seed"],
             per_network=lotteries("per_network"),
             per_nic=lotteries("per_nic"),
             outages=tuple(
-                RailOutage(**read_block(entry, _OUTAGE_SCHEMA, f"faults.outages[{i}]"))
+                RailOutage(**read_block(entry, RailOutage, f"faults.outages[{i}]"))
                 for i, entry in enumerate(top["outages"])
             ),
             reliability=ReliabilityConfig.from_spec(top["reliability"]),

@@ -88,7 +88,7 @@ class ReliabilityConfig:
     @classmethod
     def from_spec(cls, spec) -> "ReliabilityConfig":
         """Build from a scenario ``"faults" → "reliability"`` sub-block."""
-        return cls(**read_block(spec, _SCHEMA, "faults.reliability"))
+        return cls(**read_block(spec, cls, "faults.reliability"))
 
     def rto_for(self, one_way: float, attempts: int) -> float:
         """Timeout for the (attempts+1)-th transmission of a packet."""
@@ -98,15 +98,6 @@ class ReliabilityConfig:
     def ack_delay_for(self, one_way: float) -> float:
         """Latency of the acknowledgement's return trip."""
         return self.ack_delay if self.ack_delay is not None else one_way
-
-
-#: The ``"reliability"`` sub-block: key → ``(kind, default)``.
-_SCHEMA = {
-    "max_retries": (int, 10),
-    "rto": (float, None),
-    "backoff": (float, 2.0),
-    "ack_delay": (float, None),
-}
 
 
 @dataclass(slots=True)

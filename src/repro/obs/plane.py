@@ -67,7 +67,7 @@ _SCHEMA = {
     "sample_interval": (float, None),
     "ring_buffer": (int, None),
     "trace": (bool, True),
-    "slo": ((list, tuple), None),
+    "slo": (list, None),
 }
 
 

@@ -76,7 +76,13 @@ def check_topology(
         )
     if not networks:
         raise ConfigurationError("a cluster needs at least one network")
-    for tech, nics_per_node in networks:
+    for entry in networks:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and isinstance(entry[0], str) and type(entry[1]) is int):
+            raise ConfigurationError(
+                f"cluster.networks entries must be [technology, nics_per_node] pairs, got {entry!r}"
+            )
+        tech, nics_per_node = entry
         if tech not in TECHNOLOGIES:
             raise ConfigurationError(
                 f"unknown technology {tech!r} (known: {sorted(TECHNOLOGIES)})"

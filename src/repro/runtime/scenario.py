@@ -40,9 +40,10 @@ engine a :class:`~repro.core.channels.TailRailOrder` built from its
 ``rails`` keys (all optional; the block being there is the switch,
 optimizing engine only).
 
-Every block has one reader, shared by both planes
-(:func:`parse_cluster`).  An unknown key, a wrong-typed value, or an
-outage or ``die`` rank naming no part of the cluster is a
+Every block has one reader, shared by both planes, and a block that is
+one constructor's arguments is typed by its signature
+(:func:`~repro.util.errors.read_block`).  An unknown key, a wrong-typed
+value, or an outage or ``die`` rank naming no part of the cluster is a
 :class:`~repro.util.errors.ConfigurationError` naming the key, in the
 same words on both planes — a typo'd knob silently ignored would
 invalidate the experiment it configures.
@@ -82,7 +83,6 @@ from repro.middleware import (
     StreamApp,
 )
 from repro.network.faults import FaultConfig, check_outages, rail_names
-from repro.network.virtual import TrafficClass
 from repro.obs.plane import ObservabilityConfig
 from repro.runtime.cluster import Cluster, check_topology
 from repro.runtime.metrics import SessionReport
@@ -99,18 +99,20 @@ __all__ = [
     "load_scenario_file",
 ]
 
-#: Workload app name → (class, endpoint kind: "pair" or "group").
-APP_TYPES: dict[str, tuple[type, str]] = {
-    "pingpong": (PingPongApp, "pair"),
-    "stream": (StreamApp, "pair"),
-    "rpc": (RpcApp, "pair"),
-    "dsm": (DsmApp, "pair"),
-    "global_arrays": (GlobalArraysApp, "pair"),
-    "control": (ControlPlaneApp, "pair"),
-    "broadcast": (BroadcastApp, "group"),
-    "barrier": (BarrierApp, "group"),
-    "allreduce": (AllReduceApp, "group"),
-    "halo": (HaloExchangeApp, "group"),
+_PAIR, _GROUP = ("src", "dst"), ("nodes",)
+#: Workload app name → (class, the endpoint keys an entry must name even
+#: where the constructor defaults them).
+APP_TYPES: dict[str, tuple[type, tuple[str, ...]]] = {
+    "pingpong": (PingPongApp, _PAIR),
+    "stream": (StreamApp, _PAIR),
+    "rpc": (RpcApp, _PAIR),
+    "dsm": (DsmApp, _PAIR),
+    "global_arrays": (GlobalArraysApp, _PAIR),
+    "control": (ControlPlaneApp, _PAIR),
+    "broadcast": (BroadcastApp, _GROUP),
+    "barrier": (BarrierApp, _GROUP),
+    "allreduce": (AllReduceApp, _GROUP),
+    "halo": (HaloExchangeApp, _GROUP),
 }
 
 #: Channel policy name → factory.
@@ -122,41 +124,20 @@ POLICY_TYPES: dict[str, Callable[[], ChannelPolicy]] = {
     "adaptive": AdaptiveChannels,
 }
 
-#: Keys a scenario mapping may carry at each level.
+#: Keys a scenario mapping may carry at its top level.
 _SCENARIO_KEYS = frozenset(
-    {
-        "name",
-        "description",
-        "cluster",
-        "workloads",
-        "faults",
-        "observability",
-        "tuner",
-        "run",
-    }
+    {"name", "description", "cluster", "workloads", "faults", "observability", "tuner", "run"}
 )
-_CLUSTER_KEYS = frozenset(
-    {"n_nodes", "networks", "engine", "strategy", "policy", "config", "seed"}
-)
-_RUN_SCHEMA = {"until": (float, None), "warmup": (float, 0.0)}
-_TUNER_KEYS = frozenset({"rails"})
-_RAILS_KEYS = frozenset(inspect.signature(TailRailOrder).parameters)
-#: What an absent ``cluster`` key means: the constructor's own default.
-_CLUSTER_DEFAULTS = {
-    key: inspect.signature(Cluster).parameters[key].default for key in _CLUSTER_KEYS
+#: The hand-kept schemas (see :func:`~repro.util.errors.read_block`) of
+#: the blocks whose keys are no one constructor's parameters.  The
+#: ``cluster`` block's defaults are :class:`Cluster`'s.
+_CLUSTER_SCHEMA = {
+    key: (kind, inspect.signature(Cluster).parameters[key].default)
+    for key, kind in {"n_nodes": int, "networks": list, "engine": str, "strategy": str,
+                      "policy": str, "config": Mapping, "seed": int}.items()
 }
-
-
-def _parse_traffic_class(value: Any) -> Any:
-    if isinstance(value, str):
-        try:
-            return TrafficClass(value)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown traffic class {value!r} "
-                f"(known: {[c.value for c in TrafficClass]})"
-            ) from None
-    return value
+_RUN_SCHEMA = {"until": (float, None), "warmup": (float, 0.0)}
+_TUNER_SCHEMA = {"rails": (Mapping, {})}
 
 
 def parse_cluster(scenario: Mapping[str, Any]) -> dict[str, Any]:
@@ -173,24 +154,18 @@ def parse_cluster(scenario: Mapping[str, Any]) -> dict[str, Any]:
     live peer build from this, so a bad block fails alike everywhere.
     """
     reject_unknown_keys(scenario, _SCENARIO_KEYS, "scenario")
-    block = scenario.get("cluster", {})
-    reject_unknown_keys(block, _CLUSTER_KEYS, "cluster")
-    spec = {**_CLUSTER_DEFAULTS, **block}
-    if spec["policy"] is not None:
-        try:
-            spec["policy"] = POLICY_TYPES[spec["policy"]]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown policy {spec['policy']!r} (known: {sorted(POLICY_TYPES)})"
-            ) from None
+    spec = read_block(scenario.get("cluster", {}), _CLUSTER_SCHEMA, "cluster")
+    policy = spec["policy"]
+    if policy is not None:
+        if policy not in POLICY_TYPES:
+            raise ConfigurationError(f"unknown policy {policy!r} (known: {sorted(POLICY_TYPES)})")
+        spec["policy"] = POLICY_TYPES[policy]
     if spec["config"] is not None:
-        try:
-            spec["config"] = EngineConfig(**spec["config"])
-        except TypeError as bad:
-            raise ConfigurationError(f"engine config: {bad}") from None
+        config = read_block(spec["config"], EngineConfig, "cluster.config")
+        spec["config"] = EngineConfig(**config)
+    check_topology(spec["n_nodes"], spec["networks"], spec["engine"])
     spec["networks"] = [tuple(net) for net in spec["networks"]]
     spec["rail_order"] = _parse_rail_order(scenario.get("tuner"), spec["engine"])
-    check_topology(spec["n_nodes"], spec["networks"], spec["engine"])
     faults = scenario.get("faults")
     if faults is not None:
         faults = FaultConfig.from_spec(faults, default_seed=spec["seed"])
@@ -213,13 +188,8 @@ def _parse_rail_order(block: Any, engine: str) -> Callable[[], TailRailOrder] | 
     """The ``"tuner"`` block as a :class:`TailRailOrder` factory."""
     if block is None:
         return None
-    if not isinstance(block, Mapping):
-        raise ConfigurationError(f"scenario key 'tuner' must be an object, got {block!r}")
-    reject_unknown_keys(block, _TUNER_KEYS, "tuner")
-    rails = block.get("rails", {})
-    if not isinstance(rails, Mapping):
-        raise ConfigurationError(f"tuner key 'rails' must be an object, got {rails!r}")
-    reject_unknown_keys(rails, _RAILS_KEYS, "tuner rails")
+    tuner = read_block(block, _TUNER_SCHEMA, "tuner")
+    rails = read_block(tuner["rails"], TailRailOrder, "tuner.rails")
     TailRailOrder(**rails)  # a bad value raises here, naming its key
     if engine != "optimizing":
         raise ConfigurationError(
@@ -228,38 +198,28 @@ def _parse_rail_order(block: Any, engine: str) -> Callable[[], TailRailOrder] | 
     return functools.partial(TailRailOrder, **rails)
 
 
-def _build_app(spec: Mapping[str, Any], index: int) -> AppBase:
+def _build_app(entry: Any, index: int) -> AppBase:
     """The ``index``-th workload-list entry into an (uninstalled) app."""
-    spec = dict(spec)
-    try:
-        app_name = spec.pop("app")
-    except KeyError:
-        raise ConfigurationError(f"workload entry missing 'app': {spec}") from None
-    try:
-        app_type, endpoint_kind = APP_TYPES[app_name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown app {app_name!r} (known: {sorted(APP_TYPES)})"
-        ) from None
+    where = f"workloads[{index}]"
+    if not isinstance(entry, Mapping):
+        raise ConfigurationError(f"{where} must be an object, got {entry!r}")
+    spec = dict(entry)
+    if "app" not in spec:
+        raise ConfigurationError(f"workload entry missing 'app': {spec}")
+    app_name = spec.pop("app")
+    if not isinstance(app_name, str) or app_name not in APP_TYPES:
+        raise ConfigurationError(f"unknown app {app_name!r} (known: {sorted(APP_TYPES)})")
+    app_type, endpoints = APP_TYPES[app_name]
+    for key in endpoints:
+        if key not in spec:
+            raise ConfigurationError(f"app {app_name!r} missing endpoint key {key!r}")
+    values = read_block(spec, app_type, where)
     # Named by workload position: RNG stream names derive from app
     # names, so the same scenario must name its apps the same way on
     # every run and on every live peer, whichever entries carry a name.
-    spec.setdefault("name", f"{app_type.__name__}{index}")
-    if "traffic_class" in spec:
-        spec["traffic_class"] = _parse_traffic_class(spec["traffic_class"])
-    try:
-        if endpoint_kind == "pair":
-            src = spec.pop("src")
-            dst = spec.pop("dst")
-            return app_type(src, dst, **spec)
-        nodes = spec.pop("nodes")
-        return app_type(nodes, **spec)
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"app {app_name!r} missing endpoint key {missing}"
-        ) from None
-    except TypeError as bad:
-        raise ConfigurationError(f"app {app_name!r}: {bad}") from None
+    if values["name"] is None:
+        values["name"] = f"{app_type.__name__}{index}"
+    return app_type(**values)
 
 
 def build_workloads(scenario: Mapping[str, Any]) -> list[AppBase]:

@@ -8,6 +8,11 @@ propagate.
 
 from __future__ import annotations
 
+import enum
+import functools
+import inspect
+import types
+import typing
 from typing import Any, Mapping
 
 __all__ = [
@@ -22,6 +27,7 @@ __all__ = [
     "REQUIRED",
     "reject_unknown_keys",
     "read_block",
+    "schema_of",
 ]
 
 
@@ -99,7 +105,6 @@ _KIND_NAMES = {
     float: "a number",
     str: "a string",
     list: "a list",
-    tuple: "a list",
     Mapping: "an object",
 }
 
@@ -114,15 +119,43 @@ def reject_unknown_keys(block: Mapping[str, Any], known, where: str) -> None:
             )
 
 
-def read_block(block: Any, schema: Mapping[str, tuple], where: str) -> dict[str, Any]:
-    """One scenario block, read against ``schema`` (key → ``(kind, default)``).
+@functools.cache
+def schema_of(cls: type) -> Mapping[str, tuple]:
+    """``cls``'s constructor as a read-only :func:`read_block` schema: its
+    parameter names are the keys, its defaults the defaults
+    (:data:`REQUIRED` where there is none) and its annotations the kinds."""
+    hints = typing.get_type_hints(cls.__init__)
+    return types.MappingProxyType({
+        name: (_kind(hints[name]), REQUIRED if param.default is param.empty else param.default)
+        for name, param in inspect.signature(cls).parameters.items()
+    })
+
+
+def _kind(hint: Any) -> Any:
+    """An annotation as a kind: an ``Enum`` (read by value), or a tuple of
+    types of :data:`_KIND_NAMES` (``list[X]`` is a list) and ``None``."""
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = tuple(typing.get_origin(t) or t for t in (typing.get_args(hint) if union else [hint]))
+    if not all(k in _KIND_NAMES or k is types.NoneType for k in kinds):
+        raise TypeError(f"no scenario kind for the annotation {hint!r}")
+    return kinds
+
+
+def read_block(block: Any, schema: Mapping[str, tuple] | type, where: str) -> dict[str, Any]:
+    """One scenario block, read against ``schema`` (key → ``(kind,
+    default)``), or against the class ``schema``'s constructor
+    (:func:`schema_of`).
 
     The result has every key of ``schema``, absent ones at their default
     (a :data:`REQUIRED` one must be given).  A value must be of its kind
-    (a type or tuple of types; a bool is no number, an int is a float),
-    or ``None`` where the default is.  Anything else raises a
-    :class:`ConfigurationError` naming ``where`` and the key.
+    (a bool is no number, an int is a float, a tuple is a list, an
+    ``Enum`` is given by value), or ``None`` where the default or the
+    kind is.  Anything else is a :class:`ConfigurationError` naming
+    ``where`` and the key.
     """
+    schema = schema_of(schema) if isinstance(schema, type) else schema
     if not isinstance(block, Mapping):
         raise ConfigurationError(f"{where} must be an object, got {block!r}")
     reject_unknown_keys(block, schema, where)
@@ -131,15 +164,23 @@ def read_block(block: Any, schema: Mapping[str, tuple], where: str) -> dict[str,
         value = block.get(key, default)
         if value is REQUIRED:
             raise ConfigurationError(f"{where} needs {key!r}")
-        if value is None and default is None:
-            values[key] = None
-            continue
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        numbers = (int, *kinds) if float in kinds else kinds
-        if not isinstance(value, numbers) or (isinstance(value, bool) and bool not in kinds):
-            names = dict.fromkeys(_KIND_NAMES[k] for k in kinds)
-            raise ConfigurationError(
-                f"{where}.{key} must be {' or '.join(names)}, got {value!r}"
-            )
-        values[key] = float(value) if kind is float else value
+        values[key] = _read(value, kind, default, f"{where}.{key}")
     return values
+
+
+def _read(value: Any, kind: Any, default: Any, where: str) -> Any:
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if value is None and (default is None or types.NoneType in kinds):
+        return None
+    if isinstance(kind, type) and issubclass(kind, enum.Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"{where} must be one of {[member.value for member in kind]}, got {value!r}"
+            ) from None
+    accepted = kinds + ((int,) if float in kinds else ()) + ((tuple,) if list in kinds else ())
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in kinds):
+        names = dict.fromkeys(_KIND_NAMES[k] for k in kinds if k is not types.NoneType)
+        raise ConfigurationError(f"{where} must be {' or '.join(names)}, got {value!r}")
+    return float(value) if float in kinds and isinstance(value, int) else value

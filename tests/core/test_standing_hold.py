@@ -59,7 +59,7 @@ def make_cluster(
             or (lambda: AutoStrategy(DEEP, hold_delay=DELAY, hold_min_bytes=MIN_BYTES)),
             policy=policy or (lambda: AdaptiveChannels(promote_bytes=4 * KiB, window_dispatches=4)),
             config=EngineConfig(
-                rdv_timeout=40 * us, rdv_requires_recv=True, rail_binding=rail_binding
+                rdv_timeout=40 * us, rail_binding=rail_binding
             ),
             driver_caps={
                 "elan": replace(
@@ -134,7 +134,6 @@ OPS = st.one_of(
     ),
     *[st.tuples(st.just("send"), st.integers(min_value=0, max_value=5),
                 st.sampled_from(SMALL), st.just(PackMode.CHEAPER), st.just(0))] * 3,
-    st.tuples(st.just("post"), st.integers(min_value=0, max_value=5)),
     st.tuples(st.just("fail"), st.integers(min_value=0, max_value=1)),
     st.tuples(st.just("recover"), st.integers(min_value=0, max_value=1)),
 )
@@ -163,22 +162,18 @@ def run_schedule(schedule, shadow: bool, prepare=None, **cluster_kwargs):
     flows = []
     for src, traffic_class in FLOWS:
         dst = "n1" if src == "n0" else "n0"
-        flows.append((cluster.api(src), cluster.api(dst),
-                      cluster.api(src).open_flow(dst, traffic_class=traffic_class)))
+        flows.append((cluster.api(src), cluster.api(src).open_flow(dst, traffic_class=traffic_class)))
 
     def step(op):
         if op[0] == "send":
             _, index, size, mode, header = op
-            api, _, flow = flows[index]
+            api, flow = flows[index]
             if size > ELAN_RDV and mode is PackMode.SAFER:
                 # A SAFER fragment whose handshake times out is sent
                 # whole, past ``max_aggregate_size``, and fails plan
                 # validation — at the parent commit too; not this test's.
                 mode = PackMode.CHEAPER
             api.send(flow, size, header_size=header, mode=mode)
-        elif op[0] == "post":
-            _, receiver, flow = flows[op[1]]
-            receiver.post_receive(flow)
         else:
             nic = cluster.nodes[0].nics[op[1]]
             nic.fail() if op[0] == "fail" else nic.recover()
@@ -273,19 +268,18 @@ class TestRelease:
         """An entry one rail parks for rendezvous ends the hold even
         though it is smaller than ``min_bytes``."""
         _, steps, _, _ = both(
-            [(0.0, send(0, 64)), (1 * us, send(0, ELAN_RDV + 1)), (30 * us, ("post", 0))]
+            [(0.0, send(0, 64)), (1 * us, send(0, ELAN_RDV + 1))]
         )
         assert 64 + ELAN_RDV + 1 < MIN_BYTES
         parked = [step[0][4] for step in steps]
-        assert parked == [0, 1, 1]  # parked by the submit's own pump
+        assert parked == [0, 1]  # parked by the submit's own pump
 
     def test_parked_behind_a_held_entry(self):
         """``pooled``: the held walk itself parks the entry behind the
         small one, and the handshake waits in the CONTROL channel.  No
         hold stands over it — the next submit's pump sends it at once."""
         log, steps, _, cluster = both(
-            [(0.0, send(0, 64)), (1 * us, send(0, ELAN_RDV + 1)), (1 * us, send(0, 64)),
-             (30 * us, ("post", 0))],
+            [(0.0, send(0, 64)), (1 * us, send(0, ELAN_RDV + 1)), (1 * us, send(0, 64))],
             policy=PooledChannels,
         )
         assert [step[0][4] for step in steps[:3]] == [0, 1, 1]

@@ -99,8 +99,6 @@ class Scenario:
         submitted = []
         for src, dst, traffic_class, messages in self.flows:
             flow = cluster.api(src).open_flow(dst, traffic_class=traffic_class)
-            if self.config.get("rdv_requires_recv"):
-                cluster.api(dst).post_receive(flow, count=len(messages))
             for fragments in messages:
                 session = cluster.api(src).begin(flow)
                 for size, mode, express in fragments:
@@ -128,7 +126,6 @@ CONFIG = st.fixed_dictionaries(
         "stripe_chunk": st.none() | st.integers(1 * KiB, 64 * KiB),
         "search_budget": st.integers(1, 32),
         "rail_binding": st.sampled_from(RAIL_BINDINGS),
-        "rdv_requires_recv": st.booleans(),
         "rdv_timeout": st.none() | st.floats(0.1 * us, 100 * us),
     }
 )

@@ -36,6 +36,16 @@ def _scenario(workloads):
     }
 
 
+def _cluster(**patch):
+    """The test scenario's cluster block with ``patch`` applied."""
+    return {**_scenario([])["cluster"], **patch}
+
+
+def _stream(**patch):
+    """A one-message stream workload list with ``patch`` applied."""
+    return [{"app": "stream", "src": "n0", "dst": "n1", "count": 1, **patch}]
+
+
 class TestValidation:
     def test_bad_transport_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -103,8 +113,8 @@ class TestFailsBeforeFork:
         [
             ({"sweeps": {}}, True, "unknown tuner key 'sweeps'"),
             ({"rails": {"min_samples": 1025}}, False, "min_samples"),
-            ({"rails": None}, False, "'rails'"),
-            ([], False, "'tuner'"),
+            ({"rails": None}, False, "tuner.rails must be an object"),
+            ([], False, "tuner must be an object"),
             ({"rails": {"p99_budget_us": "x"}}, False, "p99_budget_us"),
             ({"rails": {"p99_budget_us": float("nan")}}, False, "p99_budget_us"),
             ({"rails": {"min_samples": 2.5}}, False, "min_samples"),
@@ -148,12 +158,33 @@ class TestFailsBeforeFork:
             ("faults", {"die": {"rank": 9}}, "die rank 9"),
             ("run", {"stop_at": 1.0}, "stop_at"),
             ("run", {"until": "soon"}, "run.until"),
+            ("cluster", _cluster(seed=1.5), "cluster.seed"),
+            ("cluster", _cluster(seed="x"), "cluster.seed"),
+            ("cluster", _cluster(n_nodes=2.5), "cluster.n_nodes"),
+            ("cluster", _cluster(networks="mx"), "cluster.networks"),
+            ("cluster", _cluster(networks=[["mx", 1.5]]), "cluster.networks"),
+            ("cluster", _cluster(strategy=3), "cluster.strategy"),
+            ("cluster", _cluster(config=[]), "cluster.config"),
+            ("cluster", _cluster(config={"lookahead_window": "8"}),
+             "cluster.config.lookahead_window"),
+            ("cluster", _cluster(config={"nagle_delay": "x"}), "cluster.config.nagle_delay"),
+            ("cluster", _cluster(config={"search_budget": 2.5}), "cluster.config.search_budget"),
+            ("workloads", _stream(size="64"), "workloads[0].size"),
+            ("workloads", _stream(count=2.5), "workloads[0].count"),
+            ("workloads", _stream(mode="bogus"), "workloads[0].mode"),
+            ("workloads", _stream(traffic_class="fast"), "workloads[0].traffic_class"),
+            ("workloads", [{"app": "pingpong", "src": "n0", "count": 1}], "'dst'"),
         ],
         ids=[
             "trace-string", "interval-string", "fractional-ring", "unknown-obs-key",
             "fractional-seed", "fractional-disconnect", "string-drop", "string-die-rank",
             "string-heartbeat", "outages-object", "unknown-faults-key", "unknown-nic",
             "network-prefix", "die-rank-beyond-cluster", "unknown-run-key", "string-until",
+            "fractional-cluster-seed", "string-cluster-seed", "fractional-n-nodes",
+            "string-networks", "fractional-nics", "int-strategy", "list-config",
+            "string-window", "string-nagle-delay", "fractional-search-budget",
+            "string-size", "fractional-count", "unknown-mode", "unknown-traffic-class",
+            "pair-without-dst",
         ],
     )
     def test_same_verdict_on_both_planes(self, block, value, key, monkeypatch):

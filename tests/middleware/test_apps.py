@@ -229,8 +229,6 @@ class TestRunsWhereItsNodeLives:
         assert peer.api("n1").flows[1].messages_sent == 1
         with pytest.raises(ConfigurationError, match="no engine"):
             api0.send(api0.flows[0], 8)
-        with pytest.raises(ConfigurationError, match="no engine"):
-            api0.post_receive(peer.api("n1").flows[0])
 
     def test_app_that_spawns_nothing_is_still_an_error(self, cluster):
         class Idle(PingPongApp):

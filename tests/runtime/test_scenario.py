@@ -86,6 +86,17 @@ class TestBuildScenario:
         _, apps = build_scenario(scenario)
         assert apps[0].traffic_class is TrafficClass.BULK
 
+    def test_pack_mode_parsed(self):
+        """An ``Enum``-valued key is read by value: the fragments a
+        ``"safer"`` stream submits are ``PackMode.SAFER``."""
+        from repro.madeleine.message import PackMode
+
+        scenario = minimal_scenario()
+        scenario["workloads"][0].update(mode="safer", header_size=0, count=3)
+        _, _, apps = run_scenario(scenario)
+        modes = [fragment.mode for m in apps[0].messages for fragment in m.fragments]
+        assert modes == [PackMode.SAFER] * 3
+
     def test_networks_parsed(self):
         cluster, _ = build_scenario(
             minimal_scenario(cluster={"n_nodes": 2, "networks": [["mx", 2]]})
@@ -123,7 +134,7 @@ class TestValidation:
     def test_unknown_traffic_class(self):
         scenario = minimal_scenario()
         scenario["workloads"][0]["traffic_class"] = "vip"
-        with pytest.raises(ConfigurationError, match="traffic class"):
+        with pytest.raises(ConfigurationError, match="traffic_class must be one of"):
             build_scenario(scenario)
 
     def test_no_workloads(self):
@@ -133,7 +144,7 @@ class TestValidation:
     def test_bad_config_key(self):
         # ``validate_plans`` is gone: plans are checked by the test suite.
         for key, value in (("warp_speed", 9), ("validate_plans", True)):
-            with pytest.raises(ConfigurationError, match=f"engine config.*{key}"):
+            with pytest.raises(ConfigurationError, match=f"cluster.config key '{key}'"):
                 build_scenario(
                     minimal_scenario(cluster={"config": {key: value}})
                 )

@@ -4,6 +4,7 @@ The examples are a deliverable; running them in-process (monkeypatched
 ``__main__``-style) keeps them from rotting as the API evolves.
 """
 
+import json
 import runpy
 import subprocess
 import sys
@@ -11,8 +12,27 @@ from pathlib import Path
 
 import pytest
 
+from repro.runtime.scenario import load_scenario_file
+
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_SCRIPTS = sorted(EXAMPLES_DIR.glob("*.py"))
+WORKLOADS_DIR = EXAMPLES_DIR.parent / "benchmarks" / "e2e" / "workloads"
+#: Example scenarios that only the live plane runs (``repro live run``).
+LIVE_EXAMPLES = {"scenario_chaos", "scenario_live"}
+
+
+def _checked_in_scenarios():
+    """``(plane, scenario)`` of every example and ledger workload."""
+    for path in sorted(EXAMPLES_DIR.glob("*.json")):
+        plane = "live" if path.stem in LIVE_EXAMPLES else "sim"
+        yield pytest.param(plane, load_scenario_file(path), id=f"examples-{path.stem}")
+    for path in sorted(WORKLOADS_DIR.glob("*.json")):
+        workload = json.loads(path.read_text())
+        scenario = workload["scenario"]
+        if "smoke_count" in workload:  # a live workload's counts are set per run
+            for entry in scenario["workloads"]:
+                entry["count"] = workload["smoke_count"]
+        yield pytest.param(workload["plane"], scenario, id=f"workload-{path.stem}")
 
 
 class TestExamples:
@@ -29,12 +49,21 @@ class TestExamples:
         out = capsys.readouterr().out
         assert out.strip(), f"{script.name} produced no output"
 
-    def test_scenario_file_valid(self):
-        from repro.runtime.scenario import build_scenario, load_scenario_file
+    @pytest.mark.parametrize("plane, scenario", _checked_in_scenarios())
+    def test_scenario_file_valid(self, plane, scenario):
+        """Every checked-in scenario reads on the plane that runs it: the
+        examples and the benchmark ledger's workloads (read, never
+        written)."""
+        from repro.runtime.cluster import refuse
+        from repro.runtime.scenario import build_scenario, build_workloads, parse_cluster
 
-        scenario = load_scenario_file(EXAMPLES_DIR / "scenario_mixed.json")
-        cluster, apps = build_scenario(scenario)
-        assert len(apps) >= 5
+        if plane == "sim":
+            _, apps = build_scenario(scenario)
+        else:
+            spec = parse_cluster(scenario)
+            refuse(plane, spec["faults"], spec["observability"])
+            apps = build_workloads(scenario)
+        assert len(apps) == len(scenario["workloads"])
 
     def test_quickstart_via_subprocess(self):
         """One example through a real interpreter (import paths, shebang)."""

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -537,3 +538,84 @@ class TestSurface:
 
     def test_every_public_name_is_used(self):
         assert orphan_names(*self.sources("benchmarks/e2e", "examples")) == []
+
+
+#: Where Python code sets an option: the constructor it is a keyword of.
+_OPTION_OWNERS = {"Cluster": "cluster", "EngineConfig": "config", "TailRailOrder": "rails"}
+#: Options no checked-in run sets, and the reason each one stays.
+EXEMPT_OPTIONS = {
+    "config.rdv_timeout": "fault recovery: a parked rendezvous falls back to "
+    "eager on a faulty fabric (tests/integration/test_failover.py)",
+}
+
+
+def options_set(scenarios, sources) -> set[str]:
+    """The options (``cluster.*``, ``config.*``, ``rails.*``) that
+    ``scenarios`` name in their ``cluster`` / ``cluster.config`` /
+    ``tuner.rails`` blocks, or that Python ``sources`` pass as keywords
+    of ``Cluster``, ``EngineConfig`` or ``TailRailOrder``."""
+    found = set()
+    for scenario in scenarios:
+        cluster = scenario.get("cluster", {})
+        found.update(f"cluster.{key}" for key in cluster)
+        found.update(f"config.{key}" for key in cluster.get("config") or {})
+        found.update(f"rails.{key}" for key in scenario.get("tuner", {}).get("rails", {}))
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in _OPTION_OWNERS:
+                    found.update(
+                        f"{_OPTION_OWNERS[callee]}.{keyword.arg}"
+                        for keyword in node.keywords
+                        if keyword.arg is not None
+                    )
+    return found
+
+
+class TestOptionUse:
+    """Every option earns its place: each ``cluster`` key, ``EngineConfig``
+    field and ``tuner.rails`` key is set by an example, a ledger workload
+    or an experiment (``src/repro/bench``), or is named in
+    :data:`EXEMPT_OPTIONS` with its reason."""
+
+    def test_scan_catches_a_planted_unset_option(self):
+        scenarios = [{"cluster": {"seed": 1, "config": {"lookahead_window": 4}}}]
+        sources = [
+            "cluster = Cluster(n_nodes=2, config=cfg.EngineConfig(nagle_delay=1e-6))\n"
+            "order = TailRailOrder(min_samples=8)\n"
+            "other = Strategy(search_budget=4)\n"
+        ]
+        assert options_set(scenarios, sources) == {
+            "cluster.seed", "cluster.config", "cluster.n_nodes", "config.lookahead_window",
+            "config.nagle_delay", "rails.min_samples",
+        }
+
+    def test_every_option_is_set_by_a_run(self):
+        from dataclasses import fields
+
+        from repro.core.channels import TailRailOrder
+        from repro.core.config import EngineConfig
+        from repro.runtime.scenario import _CLUSTER_SCHEMA
+
+        options = (
+            {f"cluster.{key}" for key in _CLUSTER_SCHEMA}
+            | {f"config.{field.name}" for field in fields(EngineConfig)}
+            | {f"rails.{key}" for key in inspect.signature(TailRailOrder).parameters}
+        )
+        root = Path(repro.__path__[0]).parent.parent
+        scenarios = [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted((root / "examples").glob("*.json"))
+        ] + [
+            json.loads(path.read_text(encoding="utf-8"))["scenario"]
+            for path in sorted((root / "benchmarks/e2e/workloads").glob("*.json"))
+        ]
+        sources = [
+            path.read_text(encoding="utf-8")
+            for folder in ("examples", "src/repro/bench")
+            for path in sorted((root / folder).glob("*.py"))
+        ]
+        assert len(scenarios) >= 10 and sources
+        unset = options - options_set(scenarios, sources) - set(EXEMPT_OPTIONS)
+        assert sorted(unset) == []
