@@ -65,7 +65,7 @@ def e1_architecture(quick: bool = False) -> ExperimentResult:
     cluster.sim.tracer.subscribe(recorded)
 
     def of_kind(kind: str) -> list:
-        return [e for e in recorded.events if e.kind == kind]
+        return [e for e in recorded.events if e[2] == kind]
 
     n = 10 if quick else 40
     apps = [
@@ -77,7 +77,7 @@ def e1_architecture(quick: bool = False) -> ExperimentResult:
     run_session(cluster, [a.install for a in apps])
 
     # --- layer-interaction checks (the "figure") -----------------------
-    kinds = [e.kind for e in recorded.events]
+    kinds = [e[2] for e in recorded.events]
     assert "collect.enqueue" in kinds, "collect layer must enqueue"
     assert "optimizer.activate" in kinds, "optimizing layer must activate"
     assert "nic.send" in kinds, "transfer layer must send"
@@ -86,15 +86,16 @@ def e1_architecture(quick: bool = False) -> ExperimentResult:
     assert first_collect < first_dispatch, "nothing is sent before it is collected"
 
     activations = of_kind("optimizer.activate")
-    triggers = {e.detail["trigger"] for e in activations}
+    # optimizer.activate: (time, source, kind, trigger, backlog)
+    triggers = {e[3] for e in activations}
     assert "idle" in triggers, "NIC-idle transitions must trigger the optimizer"
-    max_backlog = max(e.detail["backlog"] for e in activations)
+    max_backlog = max(e[4] for e in activations)
     assert max_backlog > 1, "a backlog must accumulate while NICs are busy"
 
     parked = of_kind("rdv.park")
     ready = of_kind("rdv.ready")
     assert parked and ready, "rendezvous protocol must run"
-    assert parked[0].time < ready[0].time
+    assert parked[0][0] < ready[0][0]
 
     for node in cluster.fabric.nodes:
         for nic in node.nics:

@@ -44,19 +44,6 @@ from repro.network.wire import (
 
 __all__ = ["CostModel"]
 
-#: Names of the terms ``CostModel.terms`` returns, in order.
-_BREAKDOWN_TERMS = (
-    "wire_bytes",
-    "payload_bytes",
-    "control_bonus_bytes",
-    "startup_saved_bytes",
-    "occupancy_s",
-    "density",
-    "oldest_wait_s",
-    "staleness_boost",
-    "score",
-)
-
 _PIO = TransferMode.PIO
 
 
@@ -85,8 +72,9 @@ class CostModel:
         now: float,
         control: bool = False,
     ) -> tuple[float, ...]:
-        """Every term of the score, in :meth:`breakdown` order (the score
-        itself last), from a plan's aggregates.
+        """Every term of the score (the score itself last), from a plan's
+        aggregates.  The ``optimizer.decide`` trace record names them
+        (``score.*`` in :data:`repro.util.tracing.KINDS`).
 
         ``consts`` is the plan driver's ``constants``; a control plan is
         one item and no payload segment.  The only computation
@@ -124,8 +112,9 @@ class CostModel:
             density * boost,
         )
 
-    def _plan_terms(self, plan: TransferPlan, now: float) -> tuple[float, ...]:
-        """:meth:`terms` of a materialized plan."""
+    def breakdown(self, plan: TransferPlan, now: float) -> tuple[float, ...]:
+        """:meth:`terms` of a materialized plan (the ``optimizer.decide``
+        trace record carries them)."""
         control = plan.kind.is_control
         items = plan.items
         return self.terms(
@@ -139,17 +128,12 @@ class CostModel:
 
     def wire_bytes(self, plan: TransferPlan) -> int:
         """Predicted on-wire size of the plan's packet (with framing)."""
-        return int(self._plan_terms(plan, 0.0)[0])
+        return int(self.breakdown(plan, 0.0)[0])
 
     def occupancy(self, plan: TransferPlan) -> float:
         """Predicted sender-side NIC busy time of the plan."""
-        return self._plan_terms(plan, 0.0)[4]
+        return self.breakdown(plan, 0.0)[4]
 
     def score(self, plan: TransferPlan, now: float) -> float:
         """Value density of the plan (higher is better); see module docs."""
-        return self._plan_terms(plan, now)[-1]
-
-    def breakdown(self, plan: TransferPlan, now: float) -> dict[str, float]:
-        """The :meth:`score` computation, term by term (the
-        ``optimizer.decide`` trace record)."""
-        return dict(zip(_BREAKDOWN_TERMS, self._plan_terms(plan, now)))
+        return self.breakdown(plan, now)[-1]

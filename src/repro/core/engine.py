@@ -143,16 +143,11 @@ class CommEngineBase:
         self._enqueue_epoch += len(entries)
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                now,
-                f"engine:{self.node_name}",
-                "collect.enqueue",
-                message=message.message_id,
-                flow=message.flow.name,
-                dst=message.flow.dst,
-                fragments=len(message.fragments),
-                bytes=message.total_size,
-            )
+            tracer.emit((
+                now, f"engine:{self.node_name}", "collect.enqueue",
+                message.message_id, flow.name, flow.dst, len(entries),
+                message.total_size,
+            ))
         self._after_submit()
 
     def _enqueue(self, entry: SubmitEntry) -> None:
@@ -187,13 +182,10 @@ class CommEngineBase:
         self.policy.note_rail_event(self, nic, up=False)
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self.sim.now,
-                f"engine:{self.node_name}",
-                "engine.failover",
-                nic=nic.name,
-                survivors=sum(1 for d in self.drivers if not d.nic.failed),
-            )
+            tracer.emit((
+                self.sim.now, f"engine:{self.node_name}", "engine.failover",
+                nic.name, sum(1 for d in self.drivers if not d.nic.failed),
+            ))
         self._kick("rail-down")
 
     def _nic_recovered(self, nic) -> None:
@@ -228,13 +220,10 @@ class CommEngineBase:
         activations[trigger] = activations.get(trigger, 0) + 1
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self.sim.now,
-                f"engine:{self.node_name}",
-                "optimizer.activate",
-                trigger=trigger,
-                backlog=self.waiting.total_pending,
-            )
+            tracer.emit((
+                self.sim.now, f"engine:{self.node_name}", "optimizer.activate",
+                trigger, self.waiting.total_pending,
+            ))
 
     def _pump(self, trigger: str) -> None:
         """Feed every idle NIC until strategies run out of plans."""
@@ -307,22 +296,14 @@ class CommEngineBase:
         Never reached on the NullTracer fast path — callers guard on
         ``tracer.enabled``.
         """
-        detail: dict = {
-            "strategy": type(self.strategy).name,
-            "packet_kind": plan.kind.value,
-            "channel": plan.channel_id,
-            "items": len(plan.items),
-            "bytes": plan.payload_bytes,
-            "nic": plan.driver.name,
-            "dst": plan.dst,
-            "score": self.cost.breakdown(plan, self.sim.now),
-        }
-        explain = self.strategy.explain_last()
-        if explain:
-            detail.update(explain)
-        tracer.emit(
-            self.sim.now, f"engine:{self.node_name}", "optimizer.decide", **detail
-        )
+        now = self.sim.now
+        strategy = self.strategy
+        tracer.emit((
+            now, f"engine:{self.node_name}", "optimizer.decide",
+            strategy.name, plan.kind.value, plan.channel_id, len(plan.items),
+            plan.payload_bytes, plan.driver.name, plan.dst,
+            *self.cost.breakdown(plan, now), *strategy.explain_last(),
+        ))
 
     def _dispatch(self, plan: TransferPlan) -> None:
         """Turn a plan into a wire packet and hand it to the driver."""
@@ -358,25 +339,15 @@ class CommEngineBase:
                 stats.aggregated_packets += 1
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self.sim.now,
-                f"engine:{self.node_name}",
-                "engine.dispatch",
-                packet_kind=kind,
-                packet=packet.packet_id,
-                dst=plan.dst,
-                segments=len(segments),
-                bytes=packet.payload_bytes,
-                nic=plan.driver.name,
-                messages=[
-                    [
-                        seg.payload.message.message_id,
-                        seg.payload.index,
-                        seg.length,
-                    ]
+            tracer.emit((
+                self.sim.now, f"engine:{self.node_name}", "engine.dispatch",
+                kind, packet.packet_id, plan.dst, len(segments),
+                packet.payload_bytes, plan.driver.name,
+                tuple([
+                    (seg.payload.message.message_id, seg.payload.index, seg.length)
                     for seg in segments
-                ],
-            )
+                ]),
+            ))
 
     # ------------------------------------------------------------------
     # Nagle hold timer
@@ -396,22 +367,17 @@ class CommEngineBase:
         self._hold_timer = self.sim.at(wake_at, self._hold_expired)
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self.sim.now,
-                f"engine:{self.node_name}",
-                "hold.arm",
-                wake_at=wake_at,
-                backlog=self.waiting.total_pending,
-            )
+            tracer.emit((
+                self.sim.now, f"engine:{self.node_name}", "hold.arm",
+                wake_at, self.waiting.total_pending,
+            ))
 
     def _hold_expired(self) -> None:
         self._hold_timer = None
         self._hold_wake = float("inf")
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self.sim.now, f"engine:{self.node_name}", "hold.fire"
-            )
+            tracer.emit((self.sim.now, f"engine:{self.node_name}", "hold.fire"))
         self._pump("nagle")
 
     # ------------------------------------------------------------------
@@ -454,19 +420,13 @@ class CommEngineBase:
             )
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self.sim.now,
-                f"engine:{self.node_name}",
-                "rdv.park",
-                fragment=(
-                    entry.fragment.index if entry.fragment is not None else None
-                ),
-                token=token,
-                bytes=entry.remaining,
-                message=(
-                    entry.message.message_id if entry.message is not None else None
-                ),
-            )
+            tracer.emit((
+                self.sim.now, f"engine:{self.node_name}", "rdv.park",
+                entry.fragment.index if entry.fragment is not None else None,
+                token,
+                entry.remaining,
+                entry.message.message_id if entry.message is not None else None,
+            ))
 
     def _handle_rdv_req(self, packet: WirePacket) -> None:
         """Peer wants to push bulk data: prepare, then acknowledge."""
@@ -502,18 +462,12 @@ class CommEngineBase:
         self.stats.rdv_ready += 1
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self.sim.now,
-                f"engine:{self.node_name}",
-                "rdv.ready",
-                fragment=(
-                    entry.fragment.index if entry.fragment is not None else None
-                ),
-                token=token,
-                message=(
-                    entry.message.message_id if entry.message is not None else None
-                ),
-            )
+            tracer.emit((
+                self.sim.now, f"engine:{self.node_name}", "rdv.ready",
+                entry.fragment.index if entry.fragment is not None else None,
+                token,
+                entry.message.message_id if entry.message is not None else None,
+            ))
         self._kick("rdv-ready")
 
     def _rdv_timeout(self, token: int) -> None:
@@ -538,19 +492,13 @@ class CommEngineBase:
         self._rendezvous_abandoned(entry, channel_id)
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self.sim.now,
-                f"engine:{self.node_name}",
-                "rdv.timeout",
-                fragment=(
-                    entry.fragment.index if entry.fragment is not None else None
-                ),
-                token=token,
-                bytes=entry.remaining,
-                message=(
-                    entry.message.message_id if entry.message is not None else None
-                ),
-            )
+            tracer.emit((
+                self.sim.now, f"engine:{self.node_name}", "rdv.timeout",
+                entry.fragment.index if entry.fragment is not None else None,
+                token,
+                entry.remaining,
+                entry.message.message_id if entry.message is not None else None,
+            ))
         self._kick("rdv-timeout")
 
     def _rendezvous_abandoned(self, entry: SubmitEntry, channel_id: int) -> None:
@@ -593,14 +541,10 @@ class CommEngineBase:
         if moved:
             tracer = self.sim.tracer
             if tracer.enabled:
-                tracer.emit(
-                    self.sim.now,
-                    f"engine:{self.node_name}",
-                    "engine.reassign",
-                    traffic_class=traffic_class.value,
-                    channel=channel_id,
-                    moved=len(moved),
-                )
+                tracer.emit((
+                    self.sim.now, f"engine:{self.node_name}", "engine.reassign",
+                    traffic_class.value, channel_id, len(moved),
+                ))
         return len(moved)
 
     # ------------------------------------------------------------------

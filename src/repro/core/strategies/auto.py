@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.plan import Hold, TransferPlan
 from repro.core.strategies._builder import build_from_queue, first_build
-from repro.core.strategies.base import Strategy, register_strategy
+from repro.core.strategies.base import NO_EXPLAIN, Strategy, register_strategy
 from repro.core.strategies.nagle import gated_plan
 from repro.drivers.base import Driver
 from repro.util.errors import ConfigurationError
@@ -84,5 +84,5 @@ class AutoStrategy(Strategy):
             engine, driver, self.hold_delay, self.hold_min_bytes, self.deep_backlog
         )
 
-    def explain_last(self):
-        return {"regime": self._last_regime}
+    def explain_last(self) -> tuple:
+        return (self._last_regime, *NO_EXPLAIN[1:])

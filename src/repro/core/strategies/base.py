@@ -8,11 +8,17 @@ from typing import TYPE_CHECKING, Any, ClassVar
 from repro.core.plan import Hold, TransferPlan
 from repro.drivers.base import Driver
 from repro.util.errors import ConfigurationError
+from repro.util.tracing import ABSENT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.engine import CommEngineBase
 
 __all__ = ["Strategy", "STRATEGY_TYPES", "register_strategy", "make_strategy"]
+
+#: The explain fields of a decision that reports none: the
+#: ``optimizer.decide`` record's last eight (``regime``, then the
+#: search's seven), each :data:`~repro.util.tracing.ABSENT`.
+NO_EXPLAIN = (ABSENT,) * 8
 
 
 class Strategy(abc.ABC):
@@ -43,16 +49,17 @@ class Strategy(abc.ABC):
     ) -> TransferPlan | Hold | None:
         """Build the next packet for an idle driver (see class docs)."""
 
-    def explain_last(self) -> "dict[str, Any] | None":
+    def explain_last(self) -> tuple:
         """Explainability fields of the most recent ``make_plan`` call.
 
-        The engine merges the result into the ``optimizer.decide`` trace
+        The engine appends the result to the ``optimizer.decide`` trace
         record it emits per dispatch — only when tracing is enabled, so
         implementations may (and should) skip collecting anything while
-        ``engine.sim.tracer.enabled`` is false.  The base returns
-        ``None``: no strategy-specific fields.
+        ``engine.sim.tracer.enabled`` is false.  Positions are fixed (see
+        :data:`NO_EXPLAIN`); a field not reported holds ``ABSENT``.  The
+        base reports none.
         """
-        return None
+        return NO_EXPLAIN
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

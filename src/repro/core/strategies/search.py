@@ -46,8 +46,9 @@ from typing import TYPE_CHECKING
 
 from repro.core import kernel
 from repro.core.plan import Hold, TransferPlan
-from repro.core.strategies.base import Strategy, register_strategy
+from repro.core.strategies.base import NO_EXPLAIN, Strategy, register_strategy
 from repro.drivers.base import Driver
+from repro.util.tracing import ABSENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import CommEngineBase
@@ -67,7 +68,7 @@ class BoundedSearchStrategy(Strategy):
         self.candidates_evaluated = 0
         #: Candidates evaluated by the most recent ``make_plan`` call.
         self.last_evaluated = 0
-        self._last_explain: dict | None = None
+        self._last_explain = NO_EXPLAIN
 
     def make_plan(
         self, engine: "CommEngineBase", driver: Driver
@@ -261,19 +262,18 @@ class BoundedSearchStrategy(Strategy):
         self.last_evaluated = evaluated
         self.candidates_evaluated += evaluated
         if explain:
-            self._last_explain = {
-                "candidates": evaluated,
-                "budget": budget,
-                "truncation": "budget" if out_of_budget else "exhausted",
-                "widest_items": widest_seen,
-                "best_score": best[0] if best else None,
-                "seed_channel": best[1] if best else None,
-                "seed": best[2] if best else None,
-            }
+            self._last_explain = (
+                ABSENT,  # regime
+                evaluated,
+                budget,
+                "budget" if out_of_budget else "exhausted",
+                widest_seen,
+                *(best if best else (None, None, None)),  # best_score, seed_channel, seed
+            )
         else:
-            self._last_explain = None
+            self._last_explain = NO_EXPLAIN
 
-    def explain_last(self) -> dict | None:
+    def explain_last(self) -> tuple:
         return self._last_explain
 
     @staticmethod

@@ -116,19 +116,11 @@ class LiveNIC(NIC):
         self.modeled_busy_time += occupancy
 
         if tracer.enabled:
-            tracer.emit(
-                self._sim.now,
-                f"nic:{self.name}",
-                "nic.send",
-                packet=packet.packet_id,
-                packet_kind=kind,
-                bytes=packet.payload_bytes,
-                segments=packet.segment_count,
-                dst=packet.dst,
-                occupancy=occupancy,
-                live_bytes=len(data),
-                corr=corr,
-            )
+            tracer.emit((
+                self._sim.now, f"nic:{self.name}", "nic.send",
+                packet.packet_id, kind, packet.payload_bytes, packet.segment_count,
+                packet.dst, occupancy, len(data), corr,
+            ))
         started = time.perf_counter()
         self._send(packet, data, lambda: self._drained(started))
 

@@ -45,9 +45,13 @@ class SpoolSink:
         self.events: list[TraceEvent] = []
         self.seen = 0
         self.dropped = 0
+        #: Events received per kind, dropped ones included.
+        self.counts: dict[str, int] = {}
 
     def __call__(self, event: TraceEvent) -> None:
         self.seen += 1
+        counts = self.counts
+        counts[event[2]] = counts.get(event[2], 0) + 1
         if len(self.events) >= self.capacity:
             self.dropped += 1
             return

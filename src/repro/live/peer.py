@@ -284,19 +284,13 @@ class LivePeer:
             # The receive half of a wire crossing: carries the sender's
             # correlation id and clock so the coordinator can match it
             # to the exact nic.send span on the sending peer.
-            self.tracer.emit(
-                self.clock.now,
-                f"live:{self.local}",
-                "live.recv",
-                corr=frame.meta[META_CORR],
-                src=frame.src,
-                dst=self.local,
-                via=frame.meta.get(META_VIA),
-                sent_at=frame.meta.get(META_SENT_AT),
-                packet_kind=frame.kind.value,
-                segments=len(frame.segments),
-                bytes=sum(seg.length for seg in frame.segments),
-            )
+            self.tracer.emit((
+                self.clock.now, f"live:{self.local}", "live.recv",
+                frame.meta[META_CORR], frame.src, self.local,
+                frame.meta.get(META_VIA), frame.meta.get(META_SENT_AT),
+                frame.kind.value, len(frame.segments),
+                sum(seg.length for seg in frame.segments),
+            ))
         packet = self.mirror.packet_from_frame(frame, self.clock.ids.packet())
         self.node.receiver.deliver(packet)
 

@@ -215,16 +215,11 @@ class MessageReassembler:
         del self._message_remaining[message.message_id]
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                now,
-                f"reasm:{self.node_name}",
-                "message.complete",
-                message=message.message_id,
-                flow=message.flow.name,
-                src=message.flow.src,
-                bytes=message.total_size,
-                submit_time=message.submit_time,
-            )
+            tracer.emit((
+                now, f"reasm:{self.node_name}", "message.complete",
+                message.message_id, message.flow.name, message.flow.src,
+                message.total_size, message.submit_time,
+            ))
         message.completion.resolve(now)
         if self.on_message_complete is not None:
             self.on_message_complete(message, now)

@@ -37,6 +37,7 @@ from repro.network.model import LinkModel
 from repro.network.wire import WirePacket
 from repro.sim.engine import Simulator
 from repro.util.errors import SimulationError
+from repro.util.tracing import ABSENT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.reliable import ReliableTransport
@@ -163,7 +164,7 @@ class NIC:
         self.stats.failures += 1
         tracer = self._sim.tracer
         if tracer.enabled:
-            tracer.emit(self._sim.now, f"nic:{self.name}", "nic.fail")
+            tracer.emit((self._sim.now, f"nic:{self.name}", "nic.fail"))
         for callback in self._fail_subscribers:
             callback(self)
 
@@ -174,7 +175,7 @@ class NIC:
         self._failed = False
         tracer = self._sim.tracer
         if tracer.enabled:
-            tracer.emit(self._sim.now, f"nic:{self.name}", "nic.recover")
+            tracer.emit((self._sim.now, f"nic:{self.name}", "nic.recover"))
         for callback in self._recover_subscribers:
             callback(self)
             if self._busy or self._failed:
@@ -238,17 +239,11 @@ class NIC:
 
         tracer = self._sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self._sim.now,
-                f"nic:{self.name}",
-                "nic.send",
-                packet=packet.packet_id,
-                packet_kind=kind,
-                bytes=packet.payload_bytes,
-                segments=packet.segment_count,
-                dst=packet.dst,
-                occupancy=occupancy,
-            )
+            tracer.emit((
+                self._sim.now, f"nic:{self.name}", "nic.send",
+                packet.packet_id, kind, packet.payload_bytes, packet.segment_count,
+                packet.dst, occupancy, ABSENT, ABSENT,  # live_bytes, corr
+            ))
         if self.transport is not None:
             self.transport.transmit(self, packet, one_way)
         else:
@@ -266,7 +261,7 @@ class NIC:
             self.service_us.append((now - self._sent_at) * 1e6)
         tracer = self._sim.tracer
         if tracer.enabled:
-            tracer.emit(now, f"nic:{self.name}", "nic.idle")
+            tracer.emit((now, f"nic:{self.name}", "nic.idle"))
         for callback in self._idle_subscribers:
             callback(self)
             if self._busy:

@@ -105,17 +105,11 @@ class Receiver:
         self.bytes_received += packet.payload_bytes
         tracer = self._sim.tracer
         if tracer.enabled:
-            tracer.emit(
-                self._sim.now,
-                f"rx:{self.node_name}",
-                "rx.deliver",
-                packet=packet.packet_id,
-                packet_kind=packet.kind.value,
-                channel=packet.channel_id,
-                bytes=packet.payload_bytes,
-                src=packet.src,
-                corr=packet.meta.get(META_CORR),
-            )
+            tracer.emit((
+                self._sim.now, f"rx:{self.node_name}", "rx.deliver",
+                packet.packet_id, packet.kind.value, packet.channel_id,
+                packet.payload_bytes, packet.src, packet.meta.get(META_CORR),
+            ))
         if packet.kind.is_control:
             handler = self._control_handlers.get(packet.kind)
             if handler is None:

@@ -324,24 +324,18 @@ class ReliableTransport:
                 fallback = self._failover_nic(pending)
                 if fallback is not None:
                     if tracer.enabled:
-                        tracer.emit(
-                            self._sim.now,
-                            f"rel:{pending.nic.name}",
-                            "rel.failover",
-                            packet=packet.packet_id,
-                            to=fallback.name,
-                        )
+                        tracer.emit((
+                            self._sim.now, f"rel:{pending.nic.name}", "rel.failover",
+                            packet.packet_id, fallback.name,
+                        ))
                     pending.nic = fallback
                     self.stats.failovers += 1
             pending.nic.stats.retransmits += 1
             if tracer.enabled:
-                tracer.emit(
-                    self._sim.now,
-                    f"rel:{pending.nic.name}",
-                    "rel.retransmit",
-                    packet=packet.packet_id,
-                    attempt=attempt,
-                )
+                tracer.emit((
+                    self._sim.now, f"rel:{pending.nic.name}", "rel.retransmit",
+                    packet.packet_id, attempt,
+                ))
         nic = pending.nic
         if nic.failed:
             # The rail is dark: the attempt is lost outright.  It still
@@ -353,13 +347,9 @@ class ReliableTransport:
         if verdict.drop:
             nic.stats.drops += 1
             if tracer.enabled:
-                tracer.emit(
-                    self._sim.now,
-                    f"rel:{nic.name}",
-                    "rel.drop",
-                    packet=packet.packet_id,
-                    attempt=attempt,
-                )
+                tracer.emit((
+                    self._sim.now, f"rel:{nic.name}", "rel.drop", packet.packet_id, attempt
+                ))
             return True
         if verdict.corrupt:
             nic.stats.corruptions += 1
@@ -454,27 +444,19 @@ class ReliableTransport:
         tracer = self._sim.tracer
         if not released:
             if tracer.enabled:
-                tracer.emit(
-                    self._sim.now,
-                    f"rel:{packet.dst}",
-                    "reorder.enter",
-                    packet=packet.packet_id,
-                    src=packet.src,
-                    seq=seq,
-                    expected=ledger.expected,
-                )
+                tracer.emit((
+                    self._sim.now, f"rel:{packet.dst}", "reorder.enter",
+                    packet.packet_id, packet.src, seq, ledger.expected,
+                ))
             return
         if tracer.enabled:
             # released[0] is the arriving packet (never buffered); any
             # trailing packets sat in the reorder buffer until now.
             for ready in released[1:]:
-                tracer.emit(
-                    self._sim.now,
-                    f"rel:{packet.dst}",
-                    "reorder.release",
-                    packet=ready.packet_id,
-                    src=ready.src,
-                )
+                tracer.emit((
+                    self._sim.now, f"rel:{packet.dst}", "reorder.release",
+                    ready.packet_id, ready.src,
+                ))
         for ready in released:
             receiver.dispatch(ready)
 

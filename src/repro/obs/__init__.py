@@ -16,6 +16,7 @@ Quick use::
     plane.install(cluster)
     cluster.run_until_idle()
     plane.finalize()                     # mirror end-of-run counters
+    time, source, kind, *fields = plane.events[0]   # detail_of() names them
     plane.write_trace("trace.json")      # Chrome/Perfetto format
     plane.write_metrics("metrics.prom")  # first registry read folds blame
 

@@ -46,7 +46,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 
 from repro.obs.causal import CausalReport, attribute_chain, truncation_warning
@@ -54,7 +54,7 @@ from repro.obs.export import load_events
 from repro.obs.spans import Leg, MessageChain
 from repro.obs.tails import SLOStatus, TailStats, evaluate_slo_offline
 from repro.util.stats import percentiles
-from repro.util.tracing import TraceEvent
+from repro.util.tracing import ABSENT, TraceEvent
 from repro.util.units import format_time
 
 __all__ = [
@@ -79,8 +79,8 @@ _EDGE_TAILS = {"p50": 50.0, "p90": 90.0, "p99": 99.0, "p999": 99.9, "max": 100.0
 #: oldest is evicted FIFO so a runaway trace cannot grow memory.
 _PENDING_CAP = 65536
 
-_kind = attrgetter("kind")
-_time = attrgetter("time")
+_time = itemgetter(0)
+_kind = itemgetter(2)
 
 
 def _sparkline(values: list[float], width: int = 60) -> str:
@@ -216,14 +216,15 @@ class TraceAnalysis:
 def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
     """The one fold over a finished, time-ordered trace (module docs).
 
-    Detail fields are read as the emitters wrote them: ids, sizes and
+    Handlers unpack each event by the positions :data:`~repro.util.
+    tracing.KINDS` declares, as the emitters wrote them: ids, sizes and
     slices are ints in memory and stay ints through both file formats.
     """
     analysis = TraceAnalysis(
         n_events=len(events), kinds=dict(Counter(map(_kind, events)))
     )
     if events:
-        analysis.span = (events[0].time, max(map(_time, events)))
+        analysis.span = (events[0][0], max(map(_time, events)))
     chains = analysis.chains
     legs = analysis.legs
     completed = analysis.completed
@@ -257,47 +258,36 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
         edge.times.append(time)
 
     def on_enqueue(event: TraceEvent) -> None:
-        detail = event.detail
-        node = event.source.partition(":")[2]
-        message = detail["message"]
-        chain = MessageChain(
-            node,
-            message,
-            detail.get("flow"),
-            detail.get("dst"),
-            detail.get("bytes", 0),
-            detail.get("fragments", 0),
-            event.time,
-        )
+        time, source, _, message, flow, dst, fragments, n_bytes = event
+        node = source.partition(":")[2]
+        chain = MessageChain(node, message, flow, dst, n_bytes, fragments, time)
         if len(chains) >= _PENDING_CAP:
             del chains[next(iter(chains))]
             analysis.evicted_chains += 1
         chains[node, message] = chain
 
     def on_hold_arm(event: TraceEvent) -> None:
-        node = event.source.partition(":")[2]
+        node = event[1].partition(":")[2]
         if node not in open_hold:
             windows = hold_windows.setdefault(node, [])
             open_hold[node] = len(windows)
-            windows.append((event.time, None))
+            windows.append((event[0], None))
 
     def on_hold_fire(event: TraceEvent) -> None:
-        node = event.source.partition(":")[2]
+        node = event[1].partition(":")[2]
         index = open_hold.pop(node, None)
         if index is not None:
             windows = hold_windows[node]
-            windows[index] = (windows[index][0], event.time)
+            windows[index] = (windows[index][0], event[0])
 
     def rdv_chain(event: TraceEvent) -> MessageChain | None:
-        message = event.detail.get("message")
-        if message is None:
-            return None
-        return chains.get((event.source.partition(":")[2], message))
+        # Every rdv.* kind ends with its message (None: no chain has it).
+        return chains.get((event[1].partition(":")[2], event[-1]))
 
     def on_rdv_park(event: TraceEvent) -> None:
         chain = rdv_chain(event)
         if chain is not None:
-            chain.rdv_windows.append((event.time, None))
+            chain.rdv_windows.append((event[0], None))
 
     def on_rdv_close(event: TraceEvent) -> None:
         chain = rdv_chain(event)
@@ -305,23 +295,19 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
             windows = chain.rdv_windows
             for i in range(len(windows) - 1, -1, -1):
                 if windows[i][1] is None:
-                    windows[i] = (windows[i][0], event.time)
+                    windows[i] = (windows[i][0], event[0])
                     break
 
     def on_dispatch(event: TraceEvent) -> None:
-        detail = event.detail
-        packet = detail.get("packet")
-        if packet is None:  # trace predates packet correlation
-            return
-        node = event.source.partition(":")[2]
+        time, source, _, packet_kind, packet, dst, _, n_bytes, _, messages = event
+        node = source.partition(":")[2]
         key = f"{node}#{packet}"
         leg = legs.get(key) or leg_for(key, node)  # nic.send came first
         leg.packet_id = packet
-        leg.dispatch_t = event.time
-        leg.dst = detail.get("dst")
-        leg.packet_kind = detail.get("packet_kind")
-        leg.bytes = detail.get("bytes", 0)
-        messages = detail.get("messages", ())
+        leg.dispatch_t = time
+        leg.dst = dst
+        leg.packet_kind = packet_kind
+        leg.bytes = n_bytes
         leg.slices += messages
         for mid, _fid, _length in messages:
             chain = chains.get((node, mid))
@@ -329,94 +315,75 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
                 chain.legs.append(leg)
 
     def on_nic_send(event: TraceEvent) -> None:
-        detail = event.detail
-        source = event.source
-        time = event.time
+        time, source, _, packet, _, _, _, _, occupancy, _, corr = event
         serving[source] = time
         nic = source.partition(":")[2]
         node = nic.partition(".")[0]
-        corr = detail.get("corr")
-        leg = leg_for(corr or f"{node}#{detail['packet']}", node)
-        if corr is None:  # a sim send: the crossing opens here
+        if corr is ABSENT:  # a sim send: the crossing opens here
+            leg = leg_for(f"{node}#{packet}", node)
             leg.last_send_t = time
+        else:
+            leg = leg_for(corr, node)
         if leg.send_t is None:
             leg.send_t = time
         leg.nic = nic
-        occupancy = detail.get("occupancy")
-        if occupancy is not None:
-            leg.occupancy = float(occupancy)
+        leg.occupancy = float(occupancy)
 
     def on_nic_idle(event: TraceEvent) -> None:
-        sent = serving.pop(event.source, None)
+        time, source = event[:2]
+        sent = serving.pop(source, None)
         if sent is not None:
-            name = event.source.partition(":")[2]
+            name = source.partition(":")[2]
             rail = rails.get(name)
             if rail is None:
                 rail = rails[name] = _Spans()
-            rail.latencies.append(event.time - sent)
-            rail.times.append(event.time)
+            rail.latencies.append(time - sent)
+            rail.times.append(time)
 
     def on_nic_fail(event: TraceEvent) -> None:
-        serving.pop(event.source, None)
+        serving.pop(event[1], None)
 
     def rel_leg(event: TraceEvent) -> Leg:
-        node = event.source.partition(":")[2].partition(".")[0]
-        return leg_for(f"{node}#{event.detail['packet']}", node)
+        node = event[1].partition(":")[2].partition(".")[0]
+        return leg_for(f"{node}#{event[3]}", node)
 
     def on_retransmit(event: TraceEvent) -> None:
-        rel_leg(event).retransmits.append(event.time)
-        retransmit_times.append(event.time)
+        rel_leg(event).retransmits.append(event[0])
+        retransmit_times.append(event[0])
 
     def on_drop(event: TraceEvent) -> None:
         rel_leg(event).drops += 1
 
-    def reorder_leg(event: TraceEvent) -> Leg | None:
-        src = event.detail.get("src")
-        if src is None:
-            return None
-        return leg_for(f"{src}#{event.detail['packet']}", str(src))
+    def reorder_leg(event: TraceEvent) -> Leg:
+        packet, src = event[3:5]  # both reorder.* kinds start (packet, src)
+        return leg_for(f"{src}#{packet}", src)
 
     def on_reorder_enter(event: TraceEvent) -> None:
-        leg = reorder_leg(event)
-        if leg is not None:
-            leg.reorder_enter_t = event.time
+        reorder_leg(event).reorder_enter_t = event[0]
 
     def on_reorder_release(event: TraceEvent) -> None:
-        leg = reorder_leg(event)
-        if leg is not None:
-            leg.reorder_release_t = event.time
+        reorder_leg(event).reorder_release_t = event[0]
 
     def on_live_recv(event: TraceEvent) -> None:
-        detail = event.detail
-        corr = detail.get("corr")
-        if corr is not None:
-            src = detail.get("src", str(corr).partition("#")[0])
-            leg = leg_for(str(corr), str(src))
-            if leg.recv_t is None:
-                leg.recv_t = event.time
-        src = detail.get("src")
-        sent_at = detail.get("sent_at")
-        if src is not None and sent_at is not None:
-            dst = detail.get("dst") or event.source.partition(":")[2] or "?"
-            crossing(src, dst, float(sent_at), event.time)
+        time, _, _, corr, src, dst, _, sent_at = event[:8]
+        leg = leg_for(corr, src)
+        if leg.recv_t is None:
+            leg.recv_t = time
+        if sent_at is not None:
+            crossing(src, dst, float(sent_at), time)
 
     def on_deliver(event: TraceEvent) -> None:
-        detail = event.detail
-        corr = detail.get("corr")
-        time = event.time
+        time, source, _, packet, _, _, _, src, corr = event
         if corr is None:  # a sim delivery closes its leg's latest send
-            src = detail.get("src")
-            if src is None or "packet" not in detail:
-                return
-            leg = legs.get(f"{src}#{detail['packet']}")
+            leg = legs.get(f"{src}#{packet}")
             if leg is None:
                 return
             sent = leg.last_send_t
             if sent is not None:
                 leg.last_send_t = None
-                crossing(src, event.source.partition(":")[2], sent, time)
+                crossing(src, source.partition(":")[2], sent, time)
         else:
-            leg = legs.get(str(corr))
+            leg = legs.get(corr)
             if leg is None:
                 return
         if leg.deliver_t is None:
@@ -429,40 +396,33 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
                     chain.last_deliver_t = time
 
     def on_complete(event: TraceEvent) -> None:
-        detail = event.detail
-        chain = chains.pop((detail.get("src"), detail["message"]), None)
+        time, _, _, message, _, src = event[:6]
+        chain = chains.pop((src, message), None)
         if chain is not None:
-            chain.complete_t = event.time
+            chain.complete_t = time
             completed.append(chain)
 
     def on_truncated(event: TraceEvent) -> None:
-        detail = event.detail
-        report.trace_dropped += int(detail.get("dropped", 0))
-        seen = detail.get("seen")
+        seen, dropped = event[3:5]
+        report.trace_dropped += int(dropped)
         if seen is not None:
             report.trace_seen = (report.trace_seen or 0) + int(seen)
 
     def on_sample(event: TraceEvent) -> None:
         nonlocal starved_streak
-        detail = event.detail
-        t = event.time
-        backlog = detail.get("backlog")
-        if backlog is not None:
-            analysis.backlog.add(t, backlog)
+        t, _, _, queues, busy, backlog, _, retrans, _, holds_armed, _ = event
+        analysis.backlog.add(t, backlog)
         per_node: dict[str, float] = {}
-        for key, pair in (detail.get("queues") or {}).items():
-            node = str(key).split("/", 1)[0]
+        for key, pair in queues:
+            node = key.split("/", 1)[0]
             per_node[node] = per_node.get(node, 0.0) + pair[0]
         for node, depth in per_node.items():
             analysis.node_depth.setdefault(node, _Series()).add(t, depth)
-        busy = detail.get("nic_busy") or {}
-        for nic_name, fraction in busy.items():
+        for nic_name, fraction in busy:
             analysis.nic_busy.setdefault(nic_name, _Series()).add(t, fraction)
-        retrans = detail.get("retransmits_in_flight")
-        if retrans is not None:
-            analysis.retransmits.add(t, retrans)
+        analysis.retransmits.add(t, retrans)
         # Hold starvation: a Nagle hold armed while every NIC sat idle.
-        if detail.get("holds_armed") and busy and max(busy.values()) == 0.0:
+        if holds_armed and busy and max(f for _, f in busy) == 0.0:
             starved_streak += 1
             analysis.hold_starved_samples += 1
             analysis.hold_starved_streak = max(
@@ -472,22 +432,19 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
             starved_streak = 0
 
     def on_decide(event: TraceEvent) -> None:
-        detail = event.detail
-        items = detail.get("items", 0) or 0
-        widest = detail.get("widest_items")
+        source, channel, items = event[1], event[5], event[6]  # see KINDS
+        regime, _, _, truncation, widest = event[-8:-3]
         analysis.width_sum += items
-        if widest is not None:
+        if widest is not ABSENT:
             analysis.widest_sum += widest
             if widest > items:
                 analysis.misses += 1
-                key = f"{event.source.partition(':')[2]}/{detail.get('channel', '?')}"
+                key = f"{source.partition(':')[2]}/{channel}"
                 misses = analysis.miss_by_channel
                 misses[key] = misses.get(key, 0) + 1
-        truncation = detail.get("truncation")
-        if truncation is not None:
+        if truncation is not ABSENT:
             analysis.truncation[truncation] = analysis.truncation.get(truncation, 0) + 1
-        regime = detail.get("regime")
-        if regime is not None:
+        if regime is not ABSENT:
             analysis.regimes[regime] = analysis.regimes.get(regime, 0) + 1
 
     table = {

@@ -3,9 +3,9 @@
 The Chrome exporter maps the simulator's event stream onto the trace
 event format ``chrome://tracing`` and https://ui.perfetto.dev consume.
 Every event becomes an **instant** event (``i``) on its source's track,
-carrying its full detail dict in ``args``; the spans, flows and counters
-below are projections of those instants, drawn beside them (their
-details stay on the instants):
+carrying its fields by name (``detail_of``) in ``args``; the spans, flows
+and counters below are projections of those instants, drawn beside them
+(their fields stay on the instants):
 
 * every **node** becomes a process (``pid``), with its NICs and its
   optimizer as named threads (tracks);
@@ -37,12 +37,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.util.errors import ConfigurationError
-from repro.util.tracing import (
-    TraceEvent,
-    event_from_dict,
-    event_to_dict,
-    events_to_jsonl,
-)
+from repro.util.tracing import TraceEvent, detail_of, event_from_dict, events_to_jsonl
 
 __all__ = [
     "to_chrome_trace",
@@ -156,15 +151,15 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
     last_ts = 0.0
 
     for event in events:
-        ts = _us(event.time)
+        time, source, kind = event[:3]
+        ts = _us(time)
         last_ts = max(last_ts, ts)
-        kind = event.kind
-        detail = event.detail
-        pid, tid = tracks.track_for(event.source)
-        out.append(_instant(event, ts, pid, tid))
+        detail = detail_of(event)
+        pid, tid = tracks.track_for(source)
+        out.append(_instant(source, kind, detail, ts, pid, tid))
 
         if kind == "nic.send":
-            open_sends[event.source] = event
+            open_sends[source] = event
             out.append(
                 {
                     "ph": "B",
@@ -176,11 +171,11 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
                 }
             )
         elif kind == "nic.idle":
-            if open_sends.pop(event.source, None) is not None:
+            if open_sends.pop(source, None) is not None:
                 out.append({"ph": "E", "ts": ts, "pid": pid, "tid": tid})
         elif kind == "rdv.park":
             token = detail.get("token")
-            open_rdv[token] = event.source
+            open_rdv[token] = source
             out.append(
                 {
                     "ph": "b",
@@ -208,9 +203,9 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
                     }
                 )
         elif kind == "obs.sample":
-            out.extend(_sample_counters(event, tracks))
+            out.extend(_sample_counters(detail, ts, tracks))
         elif kind == "live.recv":
-            out.extend(_flow_pair(event, ts, pid, tid, tracks))
+            out.extend(_flow_pair(detail, ts, pid, tid, tracks))
 
     # Close anything still open so the JSON is a well-formed trace.
     for source, event in open_sends.items():
@@ -238,23 +233,21 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict[str, Any]:
     }
 
 
-def _instant(event: TraceEvent, ts: float, pid: int, tid: int) -> dict[str, Any]:
-    args = _jsonable_args(event.detail)
-    args["source"] = event.source  # keeps load_events lossless
+def _instant(source: str, kind: str, detail: dict, ts: float, pid: int, tid: int) -> dict:
     return {
         "ph": "i",
         "ts": ts,
         "pid": pid,
         "tid": tid,
         "s": "t",
-        "name": event.kind,
-        "cat": event.kind.split(".", 1)[0],
-        "args": args,
+        "name": kind,
+        "cat": kind.split(".", 1)[0],
+        "args": {**detail, "source": source},  # source keeps load_events lossless
     }
 
 
 def _flow_pair(
-    event: TraceEvent, ts: float, pid: int, tid: int, tracks: _TrackAllocator
+    detail: dict[str, Any], ts: float, pid: int, tid: int, tracks: _TrackAllocator
 ) -> list[dict[str, Any]]:
     """Flow start/finish (`ph: s`/`f`) for one ``live.recv`` record.
 
@@ -264,7 +257,6 @@ def _flow_pair(
     track at decode time.  Without a correlation id there is nothing to
     key the arrow on, so the record stays a plain instant.
     """
-    detail = event.detail
     corr = detail.get("corr")
     if corr is None:
         return []
@@ -282,10 +274,10 @@ def _flow_pair(
     ]
 
 
-def _sample_counters(event: TraceEvent, tracks: _TrackAllocator) -> list[dict[str, Any]]:
+def _sample_counters(
+    detail: dict[str, Any], ts: float, tracks: _TrackAllocator
+) -> list[dict[str, Any]]:
     """Counter events (`ph: C`) for one ``obs.sample`` record."""
-    ts = _us(event.time)
-    detail = event.detail
     out: list[dict[str, Any]] = []
 
     def counter(pid: int, name: str, series: dict[str, Any]) -> None:
@@ -317,11 +309,6 @@ def _sample_counters(event: TraceEvent, tracks: _TrackAllocator) -> list[dict[st
         if value is not None:
             counter(_GLOBAL_PID, name, {name: value})
     return out
-
-
-def _jsonable_args(detail: dict[str, Any]) -> dict[str, Any]:
-    # event_to_dict handles nested coercion; reuse it through a shim.
-    return event_to_dict(TraceEvent(0.0, "", "", detail))["detail"]
 
 
 # ----------------------------------------------------------------------
@@ -383,23 +370,23 @@ def load_events(path: str | Path) -> list[TraceEvent]:
                 f"{path}: JSON object without 'traceEvents' is not a trace"
             )
     if isinstance(payload, dict):
-        trace_events = payload["traceEvents"]
-        events = []
-        for entry in trace_events:
-            if entry.get("ph") != "i":
-                continue
-            args = dict(entry.get("args", {}))
-            source = args.pop("source", f"pid:{entry.get('pid')}")
-            events.append(
-                TraceEvent(entry["ts"] / 1e6, source, entry["name"], args)
-            )
-        return events
+        rows = [(f"traceEvents[{i}]", entry) for i, entry in enumerate(payload["traceEvents"])
+                if entry.get("ph") == "i"]
+        parse = _instant_record
+    else:
+        rows = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        parse = json.loads
     events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for where, row in rows:
         try:
-            events.append(event_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as bad:
-            raise ConfigurationError(f"{path}:{lineno}: bad trace line: {bad}") from None
+            events.append(event_from_dict(parse(row)))
+        except (AttributeError, KeyError, TypeError, ValueError) as bad:
+            raise ConfigurationError(f"{path}:{where}: bad trace record: {bad}") from None
     return events
+
+
+def _instant_record(entry: dict[str, Any]) -> dict[str, Any]:
+    """A Chrome instant in the :func:`~repro.util.tracing.event_to_dict` shape."""
+    args = dict(entry.get("args", {}))
+    source = args.pop("source", f"pid:{entry.get('pid')}")
+    return {"time": entry["ts"] / 1e6, "source": source, "kind": entry["name"], "detail": args}

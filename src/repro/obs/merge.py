@@ -19,6 +19,7 @@ process*.  This module turns those fragments into one picture:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
 from repro.obs.metrics import MetricsRegistry, snapshot_entry
@@ -38,7 +39,7 @@ def merge_events(
     keep a fixed order.
     """
     merged = [event for _, events in sorted(events_by_peer.items()) for event in events]
-    merged.sort(key=lambda e: e.time)
+    merged.sort(key=itemgetter(0))
     return merged
 
 

@@ -11,8 +11,8 @@ and attaches them to a cluster by *subscribing* to the tracer the
 simulator already carries.  Subscription flips ``tracer.enabled``, so
 every guarded emit site in the sim/core/network layers starts
 producing events; with no plane installed those sites stay on the
-NullTracer fast path (one attribute read, one branch, no detail-dict
-allocation).
+NullTracer fast path (one attribute read, one branch, no field
+computed).
 
 Nothing the plane records is read back by dispatch: the rail tails the
 rail order acts on are kept by the NICs themselves
@@ -205,9 +205,10 @@ class ObservabilityPlane:
                    "Reliability-layer retransmissions")
         self.mirror_recorder()
         # What the plane itself cost, in the unit it is paid in: events.
-        for kind, count in cluster.sim.tracer.counts.items():
-            mirror("repro_obs_events_total", count,
-                   "Trace events dispatched to the plane's sinks", kind=kind)
+        if self.sink is not None:
+            for kind, count in self.sink.counts.items():
+                mirror("repro_obs_events_total", count,
+                       "Trace events dispatched to the plane's sinks", kind=kind)
         self._blame_owed = self._own_trace
 
     def mirror_recorder(self) -> None:

@@ -15,7 +15,8 @@ the end.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.util.errors import ConfigurationError
@@ -37,20 +38,17 @@ def truncation_marker(
     a truncated run as a complete one.  Survives both JSONL and Chrome
     export formats.
     """
-    return TraceEvent(
-        time=events[-1].time if events else 0.0,
-        source="obs:recorder",
-        kind="obs.truncated",
-        detail={"seen": seen, "dropped": dropped, "capacity": capacity},
-    )
+    time = events[-1][0] if events else 0.0
+    return (time, "obs:recorder", "obs.truncated", seen, dropped, capacity)
 
 
 class ListSink(list):
     """Keeps every event, in emission order.
 
     It *is* the event list: calling it is ``list.append``, so recording
-    an event costs no Python frame.  Like any list it is falsy while
-    empty and compares by content; test it against ``None``.
+    an event costs no Python frame, and it counts kinds only when asked
+    (:attr:`counts`).  Like any list it is falsy while empty and
+    compares by content; test it against ``None``.
     """
 
     __slots__ = ()
@@ -70,6 +68,11 @@ class ListSink(list):
     def dropped(self) -> int:
         return 0
 
+    @property
+    def counts(self) -> dict[str, int]:
+        """Events received per kind, in first-seen order."""
+        return dict(Counter(map(itemgetter(2), self)))
+
     def to_jsonl(self) -> str:
         """The captured events as JSON Lines text."""
         return events_to_jsonl(self)
@@ -86,9 +89,13 @@ class RingBufferSink:
         self.capacity = capacity
         self._ring: deque[TraceEvent] = deque(maxlen=capacity)
         self.seen = 0
+        #: Events received per kind, evicted ones included.
+        self.counts: dict[str, int] = {}
 
     def __call__(self, event: TraceEvent) -> None:
         self.seen += 1
+        counts = self.counts
+        counts[event[2]] = counts.get(event[2], 0) + 1
         self._ring.append(event)
 
     @property

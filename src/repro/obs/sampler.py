@@ -24,7 +24,7 @@ finite workloads still drain under ``run_until_idle``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.util.errors import ConfigurationError
 
@@ -84,95 +84,79 @@ class ObservabilitySampler:
         """
         cluster = self._cluster
         now = cluster.sim.now
-        detail = self._snapshot(now)
+        sample = self._snapshot(now)
         if self.registry is not None:
-            self._update_registry(detail)
+            self._update_registry(*sample)
         tracer = cluster.sim.tracer
         if tracer.enabled:
-            tracer.emit(now, self.source, "obs.sample", **detail)
+            tracer.emit((now, self.source, "obs.sample", *sample))
 
-    def _snapshot(self, now: float) -> dict[str, Any]:
-        """One tick, in the shape of the ``obs.sample`` event detail.
+    def _snapshot(self, now: float) -> tuple:
+        """One tick: the ``obs.sample`` event's fields, in order.
 
-        ``queues`` maps ``"node/channel_id"`` to ``[pending entries,
-        pending bytes]``, ``nic_busy`` a NIC name to its busy fraction
-        over the last interval (0..1), ``holds_armed`` counts engines
+        ``queues`` pairs ``"node/channel_id"`` with ``(pending entries,
+        pending bytes)``, ``nic_busy`` a NIC name with its busy fraction
+        over the last interval (0..1); ``holds_armed`` counts engines
         with a Nagle hold timer pending and ``completed`` the messages
         reassembled so far.
         """
         cluster = self._cluster
-        queues: dict[str, list[int]] = {}
+        queues = []
         holds = 0
         rdv = 0
         for name, engine in cluster.engines.items():
             for queue in engine.waiting.queues():
-                queues[f"{name}/{queue.channel_id}"] = [len(queue), queue.pending_bytes]
+                queues.append((f"{name}/{queue.channel_id}", (len(queue), queue.pending_bytes)))
             if engine.hold_timer_armed:
                 holds += 1
             rdv += engine.rendezvous_in_flight
 
-        nic_busy: dict[str, float] = {}
+        nic_busy = []
         span = now - self._prev_time if self._prev_time is not None else None
         for node in cluster.nodes:
             for nic in node.nics:
                 busy = nic.stats.busy_time
                 if span is not None and span > 0:
                     delta = busy - self._prev_busy.get(nic.name, 0.0)
-                    nic_busy[nic.name] = min(max(delta / span, 0.0), 1.0)
+                    nic_busy.append((nic.name, min(max(delta / span, 0.0), 1.0)))
                 else:
-                    nic_busy[nic.name] = 0.0
+                    nic_busy.append((nic.name, 0.0))
                 self._prev_busy[nic.name] = busy
         self._prev_time = now
 
         transport = cluster.transport
-        return dict(
-            queues=queues,
-            nic_busy=nic_busy,
-            backlog=sum(e.waiting.total_pending for e in cluster.engines.values()),
-            backlog_bytes=sum(
-                e.waiting.total_pending_bytes for e in cluster.engines.values()
-            ),
-            retransmits_in_flight=transport.in_flight if transport is not None else 0,
-            rendezvous_in_flight=rdv,
-            holds_armed=holds,
-            completed=sum(r.messages_completed for r in cluster.reassemblers.values()),
+        engines = cluster.engines.values()
+        return (
+            tuple(queues), tuple(nic_busy),
+            sum(e.waiting.total_pending for e in engines),
+            sum(e.waiting.total_pending_bytes for e in engines),
+            transport.in_flight if transport is not None else 0, rdv, holds,
+            sum(r.messages_completed for r in cluster.reassemblers.values()),
         )
 
-    def _update_registry(self, sample: dict[str, Any]) -> None:
+    def _update_registry(
+        self, queues, nic_busy, backlog, backlog_bytes, retransmits, rendezvous, holds, _completed
+    ) -> None:
         registry = self.registry
         assert registry is not None
-        for key, (depth, n_bytes) in sample["queues"].items():
+        for key, (depth, n_bytes) in queues:
             node, _, channel = key.partition("/")
             labels = {"node": node, "channel": channel}
-            registry.gauge(
-                "repro_queue_depth", labels, help="Pending entries per channel queue"
-            ).set(depth)
-            registry.gauge(
-                "repro_queue_bytes", labels, help="Pending bytes per channel queue"
-            ).set(n_bytes)
-        for nic_name, fraction in sample["nic_busy"].items():
-            registry.gauge(
-                "repro_nic_busy_fraction",
-                {"nic": nic_name},
-                help="NIC busy fraction over the last sample interval",
-            ).set(fraction)
-        registry.gauge(
-            "repro_backlog_entries", help="Pending entries across all engines"
-        ).set(sample["backlog"])
-        registry.gauge(
-            "repro_backlog_bytes", help="Pending bytes across all engines"
-        ).set(sample["backlog_bytes"])
-        registry.gauge(
-            "repro_retransmits_in_flight",
-            help="Reliability-layer packets awaiting acknowledgement",
-        ).set(sample["retransmits_in_flight"])
-        registry.gauge(
-            "repro_rendezvous_in_flight",
-            help="Rendezvous handshakes awaiting acknowledgement",
-        ).set(sample["rendezvous_in_flight"])
-        registry.gauge(
-            "repro_hold_timers_armed", help="Engines with a Nagle hold timer pending"
-        ).set(sample["holds_armed"])
-        registry.counter(
-            "repro_samples_total", help="Observability samples taken"
-        ).inc()
+            registry.gauge("repro_queue_depth", labels,
+                           help="Pending entries per channel queue").set(depth)
+            registry.gauge("repro_queue_bytes", labels,
+                           help="Pending bytes per channel queue").set(n_bytes)
+        for nic_name, fraction in nic_busy:
+            registry.gauge("repro_nic_busy_fraction", {"nic": nic_name},
+                           help="NIC busy fraction over the last sample interval").set(fraction)
+        for name, value, help_text in (
+            ("repro_backlog_entries", backlog, "Pending entries across all engines"),
+            ("repro_backlog_bytes", backlog_bytes, "Pending bytes across all engines"),
+            ("repro_retransmits_in_flight", retransmits,
+             "Reliability-layer packets awaiting acknowledgement"),
+            ("repro_rendezvous_in_flight", rendezvous,
+             "Rendezvous handshakes awaiting acknowledgement"),
+            ("repro_hold_timers_armed", holds, "Engines with a Nagle hold timer pending"),
+        ):
+            registry.gauge(name, help=help_text).set(value)
+        registry.counter("repro_samples_total", help="Observability samples taken").inc()

@@ -69,6 +69,7 @@ from repro.core.channels import (
     WeightedChannels,
 )
 from repro.core.config import EngineConfig
+from repro.core.strategies.base import STRATEGY_TYPES
 from repro.middleware import (
     AllReduceApp,
     AppBase,
@@ -160,6 +161,11 @@ def parse_cluster(scenario: Mapping[str, Any]) -> dict[str, Any]:
         if policy not in POLICY_TYPES:
             raise ConfigurationError(f"unknown policy {policy!r} (known: {sorted(POLICY_TYPES)})")
         spec["policy"] = POLICY_TYPES[policy]
+    strategy = spec["strategy"]
+    if strategy is not None and strategy not in STRATEGY_TYPES:
+        raise ConfigurationError(
+            f"unknown strategy {strategy!r} (known: {sorted(STRATEGY_TYPES)})"
+        )
     if spec["config"] is not None:
         config = read_block(spec["config"], EngineConfig, "cluster.config")
         spec["config"] = EngineConfig(**config)

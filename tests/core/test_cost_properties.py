@@ -18,9 +18,13 @@ from repro.madeleine.submit import EntryKind, SubmitEntry
 from repro.network.model import TransferMode
 from repro.network.wire import PacketKind
 from repro.sim import Simulator
+from repro.util.tracing import KINDS
 from repro.util.units import KiB
 
 from tests.core.helpers import data_entry, make_driver
+
+#: ``CostModel.terms`` by name, in order: the ``score.*`` trace fields.
+_TERMS = [name[6:] for name in KINDS["optimizer.decide"] if name.startswith("score.")]
 
 
 def plan_of_sizes(driver, sizes, submit_time=0.0):
@@ -117,7 +121,7 @@ class TestCostProperties:
         driver, _ = make_driver(Simulator())
         plan = plan_of_sizes(driver, sizes)
         model = CostModel()
-        assert model.breakdown(plan, now)["score"] == model.score(plan, now)
+        assert model.breakdown(plan, now)[-1] == model.score(plan, now)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -170,7 +174,7 @@ class TestCostProperties:
             now,
             kind.is_control,
         )
-        breakdown = model.breakdown(plan, now)
+        breakdown = dict(zip(_TERMS, model.breakdown(plan, now), strict=True))
         assert tuple(breakdown.values()) == terms
         assert model.score(plan, now) == breakdown["score"] == terms[-1]
         assert model.occupancy(plan) == breakdown["occupancy_s"] == terms[4]

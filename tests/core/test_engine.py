@@ -10,6 +10,7 @@ from repro.network.virtual import TrafficClass
 from repro.obs.recorder import ListSink
 from repro.runtime.cluster import Cluster
 from repro.util.errors import ConfigurationError
+from repro.util.tracing import detail_of
 from repro.util.units import KiB, us
 
 
@@ -27,7 +28,7 @@ def traced_two_node_cluster():
 
 
 def activations(recorded):
-    return [e for e in recorded.events if e.kind == "optimizer.activate"]
+    return [e for e in recorded.events if e[2] == "optimizer.activate"]
 
 
 class TestActivationDiscipline:
@@ -36,7 +37,7 @@ class TestActivationDiscipline:
         api = c.api("n0")
         api.send(api.open_flow("n1"), 256)
         c.run_until_idle()
-        triggers = [e.detail["trigger"] for e in activations(recorded)]
+        triggers = [detail_of(e)["trigger"] for e in activations(recorded)]
         assert triggers[0] == "submit"
 
     def test_backlog_accumulates_while_nic_busy(self):
@@ -56,7 +57,7 @@ class TestActivationDiscipline:
         c.run_until_idle()
         assert engine.backlog == 0
         idle_activations = [
-            e for e in activations(recorded) if e.detail["trigger"] == "idle"
+            e for e in activations(recorded) if detail_of(e)["trigger"] == "idle"
         ]
         assert idle_activations, "idle transition must trigger the optimizer"
         # The accumulated backlog went out aggregated, not one-by-one.

@@ -11,6 +11,7 @@ from repro.middleware import ControlPlaneApp, StreamApp, uniform_small_flows
 from repro.network.virtual import TrafficClass
 from repro.obs.recorder import ListSink
 from repro.runtime import Cluster, run_session
+from repro.util.tracing import detail_of
 from repro.util.units import KiB, us
 
 
@@ -38,8 +39,8 @@ class TestAbstractClaims:
         cluster.sim.tracer.subscribe(recorded)
         apps = uniform_small_flows(4, size=512, count=30, interval=1 * us)
         run_session(cluster, [a.install for a in apps])
-        activations = [e for e in recorded.events if e.kind == "optimizer.activate"]
-        idle_triggered = sum(1 for e in activations if e.detail["trigger"] == "idle")
+        activations = [e for e in recorded.events if e[2] == "optimizer.activate"]
+        idle_triggered = sum(1 for e in activations if detail_of(e)["trigger"] == "idle")
         assert idle_triggered > len(activations) / 2
 
     def test_strategy_database_easily_extended(self):

@@ -25,7 +25,7 @@ from repro.live import cluster as live_cluster
 from repro.live.peer import LivePeer
 from repro.obs.analyze import analyze_events, analyze_file, summary_metrics
 from repro.obs.export import to_chrome_trace, write_trace
-from repro.util.tracing import event_to_dict
+from repro.util.tracing import detail_of, event_to_dict
 
 _TIMEOUT = 30.0
 
@@ -57,7 +57,7 @@ def traced_run():
 
 def _recvs(result):
     """The merged trace's wire crossings (one ``live.recv`` each)."""
-    return [e for e in result.aligned_events if e.kind == "live.recv"]
+    return [e for e in result.aligned_events if e[2] == "live.recv"]
 
 
 class TestMergedTrace:
@@ -70,10 +70,10 @@ class TestMergedTrace:
         analysis = analyze_events(traced_run.aligned_events)
         closed = {(chain.src, chain.message_id): chain for chain in analysis.completed}
         for event in traced_run.aligned_events:
-            if event.kind == "message.complete":
-                key = (event.detail["src"], event.detail["message"])
+            if event[2] == "message.complete":
+                key = (detail_of(event)["src"], detail_of(event)["message"])
                 assert key in closed
-                assert closed[key].complete_t == event.time
+                assert closed[key].complete_t == event[0]
         assert analysis.report.incomplete == 0
 
     def test_send_not_after_aligned_recv(self, traced_run):
@@ -82,22 +82,22 @@ class TestMergedTrace:
         recvs = _recvs(traced_run)
         assert recvs
         for event in recvs:
-            assert event.detail["sent_at"] <= event.time
+            assert detail_of(event)["sent_at"] <= event[0]
         edges = analyze_events(traced_run.aligned_events).edges
         assert set(edges) == {"n0->n1", "n1->n0"}
         assert all(edge.clamped == 0 for edge in edges.values())
 
     def test_events_from_both_peers_on_one_timeline(self, traced_run):
-        times = [e.time for e in traced_run.aligned_events]
+        times = [e[0] for e in traced_run.aligned_events]
         assert times == sorted(times)
-        sources = {e.detail.get("dst") for e in traced_run.aligned_events
-                   if e.kind == "live.recv"}
+        sources = {detail_of(e).get("dst") for e in traced_run.aligned_events
+                   if e[2] == "live.recv"}
         assert sources == {"n0", "n1"}
 
     def test_trace_events_dicts_match_aligned(self, traced_run):
         # ``--trace-out`` writes these dicts, one per merged event.
         dicts = [event_to_dict(e) for e in traced_run.aligned_events]
-        assert [d["time"] for d in dicts] == [e.time for e in traced_run.aligned_events]
+        assert [d["time"] for d in dicts] == [e[0] for e in traced_run.aligned_events]
         assert all("kind" in d for d in dicts)
 
     def test_chrome_export_has_matched_flow_pairs(self, traced_run):
@@ -120,7 +120,7 @@ class TestMergedTrace:
 
     def test_sampler_produced_series(self, traced_run):
         samples = [
-            e for e in traced_run.aligned_events if e.kind == "obs.sample"
+            e for e in traced_run.aligned_events if e[2] == "obs.sample"
         ]
         assert samples, "live sampler never ticked"
 
@@ -130,7 +130,7 @@ class TestReportAccounting:
         for payload in traced_run.peer_reports:
             assert payload["trace_dropped"] == 0
             assert payload["trace_seen"] >= 1
-        assert not any(e.kind == "obs.truncated" for e in traced_run.aligned_events)
+        assert not any(e[2] == "obs.truncated" for e in traced_run.aligned_events)
         # One metric name for the spool's drops, the plane's.
         dropped = {
             dict(m.labels)["peer"]: m.value

@@ -164,6 +164,7 @@ class TestFailsBeforeFork:
             ("cluster", _cluster(networks="mx"), "cluster.networks"),
             ("cluster", _cluster(networks=[["mx", 1.5]]), "cluster.networks"),
             ("cluster", _cluster(strategy=3), "cluster.strategy"),
+            ("cluster", _cluster(strategy="bogus"), "unknown strategy 'bogus'"),
             ("cluster", _cluster(config=[]), "cluster.config"),
             ("cluster", _cluster(config={"lookahead_window": "8"}),
              "cluster.config.lookahead_window"),
@@ -181,7 +182,8 @@ class TestFailsBeforeFork:
             "string-heartbeat", "outages-object", "unknown-faults-key", "unknown-nic",
             "network-prefix", "die-rank-beyond-cluster", "unknown-run-key", "string-until",
             "fractional-cluster-seed", "string-cluster-seed", "fractional-n-nodes",
-            "string-networks", "fractional-nics", "int-strategy", "list-config",
+            "string-networks", "fractional-nics", "int-strategy", "unknown-strategy",
+            "list-config",
             "string-window", "string-nagle-delay", "fractional-search-budget",
             "string-size", "fractional-count", "unknown-mode", "unknown-traffic-class",
             "pair-without-dst",
@@ -363,10 +365,10 @@ class TestAggregation:
             trace=True,
             timeout=_TIMEOUT,
         )
-        kinds = {e.kind for e in result.aligned_events}
+        kinds = {e[2] for e in result.aligned_events}
         assert "nic.send" in kinds
         assert "nic.idle" in kinds
-        times = [e.time for e in result.aligned_events]
+        times = [e[0] for e in result.aligned_events]
         assert times == sorted(times)
 
 

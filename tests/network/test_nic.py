@@ -24,6 +24,7 @@ from repro.obs.recorder import ListSink
 from repro.runtime.cluster import Cluster
 from repro.sim import Simulator
 from repro.util.errors import ProtocolError, SimulationError
+from repro.util.tracing import detail_of
 from repro.util.units import KiB, us
 
 
@@ -182,9 +183,9 @@ class TestLiveNIC:
         on_drained()  # the kernel accepted every byte
         assert calls == ["first"]  # second not told about a refilled NIC
         assert len(sent) == 2 and not nic.idle and nic.drains == 1
-        kinds = [e.kind for e in recorded.events]
+        kinds = [e[2] for e in recorded.events]
         assert kinds == ["nic.send", "nic.idle", "nic.send"]
-        assert recorded.events[0].detail["live_bytes"] == len(frame)
+        assert detail_of(recorded.events[0])["live_bytes"] == len(frame)
 
     def test_fail_mid_transfer_suppresses_the_idle(self, live):
         nic, sent = live
@@ -261,7 +262,7 @@ class TestTracing:
         nic, _ = make_nic(sim)
         nic.submit(packet(), occupancy=1e-6, one_way=2e-6)
         sim.run()
-        kinds = [e.kind for e in recorded.events]
+        kinds = [e[2] for e in recorded.events]
         assert kinds.count("nic.send") == 1
         assert kinds.count("nic.idle") == 1
 
@@ -323,7 +324,7 @@ class TestServiceWindow:
         cluster.run_until_idle()
         assert cluster.report().messages == 40
         events = cluster.obs.events
-        bound_us = max(e.detail["occupancy"] for e in events if e.kind == "nic.send") * 1e6
+        bound_us = max(detail_of(e)["occupancy"] for e in events if e[2] == "nic.send") * 1e6
         nic = cluster.nodes[0].nics[0]
         traced_us = [s * 1e6 for s in analyze_events(events).rails[nic.name].latencies]
         assert nic.stats.failures == 1 and len(nic.service_us) > 40

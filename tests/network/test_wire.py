@@ -12,6 +12,7 @@ from repro.network.wire import (
 from repro.obs.plane import ObservabilityConfig
 from repro.runtime.cluster import Cluster
 from repro.util.errors import ProtocolError
+from repro.util.tracing import detail_of
 
 
 class TestWireSegment:
@@ -66,9 +67,9 @@ class TestWirePacket:
                 api.send(flow, 64)
                 cluster.run_until_idle()
             return [
-                event.detail["packet"]
+                detail_of(event)["packet"]
                 for event in cluster.obs.sink.events
-                if event.kind == "engine.dispatch"
+                if event[2] == "engine.dispatch"
             ]
 
         first, second = dispatched(), dispatched()

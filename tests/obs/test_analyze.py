@@ -15,34 +15,29 @@ from repro.obs.analyze import (
 )
 from repro.runtime.scenario import load_scenario_file, run_scenario
 from repro.util.stats import percentiles
-from repro.util.tracing import TraceEvent
+from repro.util.tracing import event_from_dict
+
+
+def _event(t, source, kind, **detail):
+    """An event from the named fields it needs; the rest are absent."""
+    return event_from_dict({"time": t, "source": source, "kind": kind, "detail": detail})
 
 
 def _decide(t, items, widest, channel=0, truncation="exhausted"):
-    return TraceEvent(
-        t,
-        "engine:n0",
-        "optimizer.decide",
-        {
-            "items": items,
-            "widest_items": widest,
-            "channel": channel,
-            "truncation": truncation,
-        },
+    return _event(
+        t, "engine:n0", "optimizer.decide",
+        items=items, widest_items=widest, channel=channel, truncation=truncation,
     )
 
 
 def _sample(t, depth):
-    return TraceEvent(
-        t,
-        "obs:sampler",
-        "obs.sample",
-        {
-            "queues": {"n0/0": [depth, depth * 256]},
-            "nic_busy": {"n0.mx00": 0.25},
-            "backlog": depth,
-            "retransmits_in_flight": 1,
-        },
+    return _event(
+        t, "obs:sampler", "obs.sample",
+        queues={"n0/0": [depth, depth * 256]},
+        nic_busy={"n0.mx00": 0.25},
+        backlog=depth,
+        retransmits_in_flight=1,
+        holds_armed=0,
     )
 
 
@@ -88,12 +83,7 @@ class TestAnalysis:
 
 
 def _recv(t, src, dst, sent_at):
-    return TraceEvent(
-        t,
-        f"live:{dst}",
-        "live.recv",
-        {"src": src, "dst": dst, "sent_at": sent_at, "corr": 1},
-    )
+    return _event(t, f"live:{dst}", "live.recv", src=src, dst=dst, sent_at=sent_at, corr=1)
 
 
 class TestEdgePercentiles:
@@ -150,13 +140,11 @@ class TestEdgePercentiles:
 
 
 def _send(t, nic, packet, **detail):
-    return TraceEvent(t, f"nic:{nic}", "nic.send", {"packet": packet, **detail})
+    return _event(t, f"nic:{nic}", "nic.send", packet=packet, occupancy=1e-6, **detail)
 
 
 def _deliver(t, node, src, packet, corr=None):
-    return TraceEvent(
-        t, f"rx:{node}", "rx.deliver", {"packet": packet, "src": src, "corr": corr}
-    )
+    return _event(t, f"rx:{node}", "rx.deliver", packet=packet, src=src, corr=corr)
 
 
 class TestSimCrossings:
@@ -197,7 +185,7 @@ class TestSimCrossings:
 
 
 def _nic(t, nic, kind):
-    return TraceEvent(t, f"nic:{nic}", kind, {})
+    return (t, f"nic:{nic}", kind)
 
 
 class TestRailSpans:

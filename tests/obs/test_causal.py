@@ -28,9 +28,14 @@ from repro.obs.export import write_trace
 from repro.obs.recorder import ListSink
 from repro.obs.spans import Leg, MessageChain, interval_overlap, merge_intervals
 from repro.runtime.scenario import run_scenario
-from repro.util.tracing import NullTracer, TraceEvent, Tracer, event_to_dict
+from repro.util.tracing import NullTracer, Tracer, event_from_dict, event_to_dict
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+def _event(time, source, kind, detail):
+    """An event from the named fields it needs; the rest are absent."""
+    return event_from_dict({"time": time, "source": source, "kind": kind, "detail": detail})
 
 
 def _truncated_traces(plane, tmp_path):
@@ -320,16 +325,16 @@ class TestExportBlame:
     def _blame_events(self, mid, e2e, src="n0", dst="n1"):
         pid = 1000 + mid
         return [
-            TraceEvent(0.0, f"engine:{src}", "collect.enqueue",
-                       {"message": mid, "flow": "f", "dst": dst,
-                        "bytes": 8, "fragments": 1}),
-            TraceEvent(0.1, f"engine:{src}", "engine.dispatch",
-                       {"packet": pid, "dst": dst, "packet_kind": "eager",
-                        "bytes": 8, "messages": [[mid, 0, 8]]}),
-            TraceEvent(e2e, f"rx:{dst}", "rx.deliver",
-                       {"packet": pid, "src": src, "corr": None}),
-            TraceEvent(e2e, f"reasm:{dst}", "message.complete",
-                       {"message": mid, "flow": "f", "src": src}),
+            _event(0.0, f"engine:{src}", "collect.enqueue",
+                   {"message": mid, "flow": "f", "dst": dst,
+                    "bytes": 8, "fragments": 1}),
+            _event(0.1, f"engine:{src}", "engine.dispatch",
+                   {"packet": pid, "dst": dst, "packet_kind": "eager",
+                    "bytes": 8, "messages": [[mid, 0, 8]]}),
+            _event(e2e, f"rx:{dst}", "rx.deliver",
+                   {"packet": pid, "src": src, "corr": None}),
+            _event(e2e, f"reasm:{dst}", "message.complete",
+                   {"message": mid, "flow": "f", "src": src}),
         ]
 
     def test_export_writes_registry_series(self):
@@ -378,8 +383,8 @@ class TestZeroEmission:
         """Every span-boundary emit site sits behind ``tracer.enabled``."""
         calls = []
 
-        def spy(self, time, source, kind, **detail):
-            calls.append(kind)
+        def spy(self, event):
+            calls.append(event[2])
 
         monkeypatch.setattr(Tracer, "emit", spy)
         monkeypatch.setattr(NullTracer, "emit", spy)
@@ -416,7 +421,7 @@ class TestZeroEmission:
             ],
         }
         _, cluster, _ = run_scenario(scenario)
-        kinds = {e.kind for e in cluster.obs.events}
+        kinds = {e[2] for e in cluster.obs.events}
         assert {"hold.arm", "hold.fire", "rel.retransmit"} <= kinds
 
 
@@ -618,14 +623,14 @@ def _ops_per_event(holds: int) -> float:
             message=i, flow="f", src="n0", submit_time=t)
 
     events = sorted(
-        (event for i in range(holds) for event in message(i)),
+        (_event(*event) for i in range(holds) for event in message(i)),
         key=lambda event: event[0],
     )
     with _ObsOpcodes() as counter:
-        for time, source, kind, detail in events:
-            tracer.emit(time, source, kind, **detail)
+        for event in events:
+            tracer.emit(event)
         report = attribute_events(sink.events)
-    assert sum(tracer.counts.values()) == len(events)
+    assert len(sink) == len(events)
     assert len(report.messages) == holds and report.incomplete == 0
     return counter.ops / len(events)
 

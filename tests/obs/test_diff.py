@@ -136,7 +136,7 @@ class TestLoadComparable:
     def test_trace_jsonl(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(
-            json.dumps({"time": 0.0, "source": "s", "kind": "tick", "detail": {}})
+            json.dumps({"time": 0.0, "source": "nic:n0.mx00", "kind": "nic.idle", "detail": {}})
             + "\n"
         )
         kind, metrics = load_comparable(path)

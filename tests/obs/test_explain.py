@@ -6,6 +6,8 @@ from repro.core.config import EngineConfig
 from repro.core.strategies.search import BoundedSearchStrategy
 from repro.obs.recorder import ListSink
 from repro.runtime.cluster import Cluster
+from repro.core.strategies.base import NO_EXPLAIN
+from repro.util.tracing import ABSENT, KINDS, detail_of
 
 from tests.core.helpers import build_loaded_cluster
 
@@ -22,6 +24,13 @@ def _traced_loaded_cluster(depth, *, budget=64, traced=True):
     return cluster, sink
 
 
+def _explained(strategy) -> dict:
+    """The strategy's last explain fields by name, absent ones left out."""
+    names = KINDS["optimizer.decide"][-len(NO_EXPLAIN):]
+    fields = strategy.explain_last()
+    return {name: v for name, v in zip(names, fields, strict=True) if v is not ABSENT}
+
+
 def _drain(cluster):
     engine = cluster.engine("n0")
     engine._kick("test")
@@ -33,17 +42,17 @@ class TestDecideRecords:
     def test_one_record_per_dispatch(self):
         cluster, sink = _traced_loaded_cluster(32)
         _drain(cluster)
-        decides = [e for e in sink.events if e.kind == "optimizer.decide"]
-        dispatches = [e for e in sink.events if e.kind == "engine.dispatch"]
-        n0_dispatches = [e for e in dispatches if e.source == "engine:n0"]
-        n0_decides = [e for e in decides if e.source == "engine:n0"]
+        decides = [e for e in sink.events if e[2] == "optimizer.decide"]
+        dispatches = [e for e in sink.events if e[2] == "engine.dispatch"]
+        n0_dispatches = [e for e in dispatches if e[1] == "engine:n0"]
+        n0_decides = [e for e in decides if e[1] == "engine:n0"]
         assert len(n0_decides) == len(n0_dispatches) > 0
 
     def test_record_fields(self):
         cluster, sink = _traced_loaded_cluster(32)
         _drain(cluster)
-        record = next(e for e in sink.events if e.kind == "optimizer.decide")
-        d = record.detail
+        record = next(e for e in sink.events if e[2] == "optimizer.decide")
+        d = detail_of(record)
         assert d["strategy"] == "search"
         assert d["items"] >= 1
         assert d["nic"].startswith("n0.")
@@ -72,7 +81,7 @@ class TestDecideRecords:
         cluster, sink = _traced_loaded_cluster(64, budget=2)
         engine = cluster.engine("n0")
         engine.strategy.make_plan(engine, engine.drivers[0])
-        explain = engine.strategy.explain_last()
+        explain = _explained(engine.strategy)
         assert explain["truncation"] == "budget"
         assert explain["candidates"] == 2
 
@@ -80,7 +89,7 @@ class TestDecideRecords:
         cluster, sink = _traced_loaded_cluster(4, budget=10_000)
         engine = cluster.engine("n0")
         engine.strategy.make_plan(engine, engine.drivers[0])
-        explain = engine.strategy.explain_last()
+        explain = _explained(engine.strategy)
         assert explain["truncation"] == "exhausted"
         assert explain["candidates"] < 10_000
 
@@ -88,7 +97,7 @@ class TestDecideRecords:
         cluster, _ = _traced_loaded_cluster(16, traced=False)
         engine = cluster.engine("n0")
         engine.strategy.make_plan(engine, engine.drivers[0])
-        assert engine.strategy.explain_last() is None
+        assert engine.strategy.explain_last() is NO_EXPLAIN
 
 
 class TestTracingDoesNotChangeDecisions:
@@ -140,9 +149,9 @@ class TestOtherStrategies:
         for _ in range(20):
             api.send(flow, 256)
         cluster.run_until_idle()
-        decides = [e for e in sink.events if e.kind == "optimizer.decide"]
+        decides = [e for e in sink.events if e[2] == "optimizer.decide"]
         assert decides
-        assert all(e.detail["regime"] in ("deep", "sparse") for e in decides)
+        assert all(detail_of(e)["regime"] in ("deep", "sparse") for e in decides)
 
     def test_default_strategy_still_emits_decides(self):
         """Strategies without explain hooks still get the cost breakdown."""
@@ -154,7 +163,7 @@ class TestOtherStrategies:
         for _ in range(5):
             api.send(flow, 256)
         cluster.run_until_idle()
-        decides = [e for e in sink.events if e.kind == "optimizer.decide"]
+        decides = [e for e in sink.events if e[2] == "optimizer.decide"]
         assert decides
-        assert all("score" in e.detail for e in decides)
-        assert all("widest_items" not in e.detail for e in decides)
+        assert all("score" in detail_of(e) for e in decides)
+        assert all("widest_items" not in detail_of(e) for e in decides)

@@ -11,29 +11,33 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.util.errors import ConfigurationError
-from repro.util.tracing import TraceEvent
+from repro.util.tracing import ABSENT, TraceEvent, detail_of
+
+#: A simulated nic.send: packet, kind, bytes, segments, dst, occupancy,
+#: and no live-only fields.
+_SEND = (1, "eager", 256, 1, "n1", 1e-6, ABSENT, ABSENT)
 
 
 def _sample_stream() -> list[TraceEvent]:
     return [
-        TraceEvent(0.0, "engine:n0", "optimizer.activate", {"trigger": "submit"}),
-        TraceEvent(1e-6, "nic:n0.mx00", "nic.send", {"packet_kind": "eager", "bytes": 256}),
-        TraceEvent(2e-6, "engine:n0", "rdv.park", {"token": 7, "bytes": 65536}),
-        TraceEvent(3e-6, "nic:n0.mx00", "nic.idle", {}),
-        TraceEvent(
+        (0.0, "engine:n0", "optimizer.activate", "submit", 0),
+        (1e-6, "nic:n0.mx00", "nic.send", *_SEND),
+        (2e-6, "engine:n0", "rdv.park", 0, 7, 65536, 3),
+        (3e-6, "nic:n0.mx00", "nic.idle"),
+        (
             4e-6,
             "obs:sampler",
             "obs.sample",
-            {
-                "queues": {"n0/0": [3, 768]},
-                "nic_busy": {"n0.mx00": 0.5},
-                "backlog": 3,
-                "retransmits_in_flight": 0,
-                "rendezvous_in_flight": 1,
-                "holds_armed": 0,
-            },
+            (("n0/0", (3, 768)),),  # queues
+            (("n0.mx00", 0.5),),  # nic_busy
+            3,  # backlog
+            768,  # backlog_bytes
+            0,  # retransmits_in_flight
+            1,  # rendezvous_in_flight
+            0,  # holds_armed
+            0,  # completed
         ),
-        TraceEvent(5e-6, "engine:n1", "rdv.ready", {"token": 7}),
+        (5e-6, "engine:n1", "rdv.ready", 0, 7, 3),
     ]
 
 
@@ -74,8 +78,8 @@ class TestChromeTrace:
 
     def test_unmatched_spans_are_closed(self):
         events = [
-            TraceEvent(0.0, "nic:n0.mx00", "nic.send", {"packet_kind": "eager"}),
-            TraceEvent(1e-6, "engine:n0", "rdv.park", {"token": 1}),
+            (0.0, "nic:n0.mx00", "nic.send", *_SEND),
+            (1e-6, "engine:n0", "rdv.park", 0, 1, 65536, 3),
         ]
         doc = to_chrome_trace(events)
         phases = [e["ph"] for e in doc["traceEvents"] if e["ph"] in "BEbe"]
@@ -125,29 +129,24 @@ class TestRoundTrip:
         path = tmp_path / "t.json"
         assert write_trace(path, events) == "chrome"
         loaded = load_events(path)
-        by_kind = {e.kind: e for e in loaded}
-        # Every event comes back from its instant, time/source/detail
-        # intact, the span-projected kinds (nic.send/idle, rdv.*) too.
-        assert [e.kind for e in loaded] == [e.kind for e in events]
-        sample = by_kind["obs.sample"]
-        assert sample.time == pytest.approx(4e-6)
-        assert sample.source == "obs:sampler"
-        assert sample.detail["backlog"] == 3
-        assert by_kind["optimizer.activate"].detail == {"trigger": "submit"}
-        send = by_kind["nic.send"]
-        assert (send.source, send.detail) == (
-            "nic:n0.mx00", {"packet_kind": "eager", "bytes": 256}
-        )
-        assert by_kind["nic.idle"].time == pytest.approx(3e-6)
-        assert by_kind["rdv.park"].detail == {"token": 7, "bytes": 65536}
-        assert by_kind["rdv.ready"].source == "engine:n1"
+        # Every event comes back from its instant, source and fields
+        # intact, the span-projected kinds (nic.send/idle, rdv.*) too;
+        # times pass through microseconds.
+        assert [e[1:] for e in loaded] == [e[1:] for e in events]
+        assert [e[0] for e in loaded] == pytest.approx([e[0] for e in events])
+        send = loaded[1]
+        assert detail_of(send) == {
+            "packet": 1, "packet_kind": "eager", "bytes": 256, "segments": 1,
+            "dst": "n1", "occupancy": 1e-6,
+        }
+        assert detail_of(loaded[4])["queues"] == {"n0/0": (3, 768)}
 
     def test_single_line_jsonl_detected(self, tmp_path):
         path = tmp_path / "one.jsonl"
         write_jsonl(path, [_sample_stream()[0]])
         loaded = load_events(path)
         assert len(loaded) == 1
-        assert loaded[0].kind == "optimizer.activate"
+        assert loaded[0][2] == "optimizer.activate"
 
     def test_empty_file_loads_empty(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -156,9 +155,25 @@ class TestRoundTrip:
 
     def test_bad_lines_are_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"time": 1.0, "source": "a", "kind": "k"}\nnot json\n')
+        path.write_text('{"time": 1.0, "source": "nic:n0.mx00", "kind": "nic.idle"}\nnot json\n')
         with pytest.raises(ConfigurationError, match="bad.jsonl:2"):
             load_events(path)
+        path.write_text('{"time": 1.0, "source": "a", "kind": "no.such.kind"}\n')
+        with pytest.raises(ConfigurationError, match="bad.jsonl:1"):
+            load_events(path)
+        path.write_text(  # a field object that is not one
+            '{"time": 1.0, "source": "engine:n0", "kind": "optimizer.decide",'
+            ' "detail": {"score": 3}}\n'
+        )
+        with pytest.raises(ConfigurationError, match="bad.jsonl:1"):
+            load_events(path)
+        chrome = tmp_path / "bad.json"
+        chrome.write_text(json.dumps({"traceEvents": [
+            {"ph": "M", "pid": 1, "name": "process_name", "args": {"name": "cluster"}},
+            {"ph": "i", "ts": 1.0, "pid": 1, "name": "no.such.kind", "args": {}},
+        ]}))
+        with pytest.raises(ConfigurationError, match=r"bad.json:traceEvents\[1\]"):
+            load_events(chrome)
 
     def test_json_without_trace_events_rejected(self, tmp_path):
         path = tmp_path / "other.json"

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.obs.merge import merge_events, merge_registries
 from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import ConfigurationError
-from repro.util.tracing import TraceEvent
 
 
 def _counter_registry(values: dict[str, int]) -> MetricsRegistry:
@@ -66,7 +65,7 @@ class TestAlignment:
     def test_per_peer_order_preserved(self, times):
         events_by_peer = {
             peer: [
-                TraceEvent(t, f"src:{peer}", "tick", {"seq": i})
+                (t, f"engine:{peer}", "optimizer.activate", "submit", i)
                 for i, t in enumerate(sorted(ts))
             ]
             for peer, ts in times.items()
@@ -78,8 +77,8 @@ class TestAlignment:
             id(event) for events in events_by_peer.values() for event in events
         )
         for peer, events in events_by_peer.items():
-            assert [e for e in merged if e.source == f"src:{peer}"] == events
-        assert merged == sorted(merged, key=lambda e: e.time)
+            assert [e for e in merged if e[1] == f"engine:{peer}"] == events
+        assert merged == sorted(merged, key=lambda e: e[0])
 
 
 class TestDegenerateMerges:
@@ -88,7 +87,7 @@ class TestDegenerateMerges:
     def test_single_peer_merge_passes_events_through(self):
         events = {
             "n0": [
-                TraceEvent(float(i), "peer:n0", "tick", {"seq": i})
+                (float(i), "engine:n0", "optimizer.activate", "submit", i)
                 for i in range(5)
             ]
         }

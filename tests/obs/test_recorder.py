@@ -12,7 +12,8 @@ from repro.util.tracing import TraceEvent, Tracer
 
 
 def _event(i: int) -> TraceEvent:
-    return TraceEvent(float(i), "test:src", "test.kind", {"i": i})
+    """Event ``i``: a ``rel.retransmit`` of packet ``i``."""
+    return (float(i), "rel:n0.mx00", "rel.retransmit", i, 1)
 
 
 class TestListSink:
@@ -20,7 +21,7 @@ class TestListSink:
         sink = ListSink()
         for i in range(5):
             sink(_event(i))
-        assert [e.detail["i"] for e in sink] == [0, 1, 2, 3, 4]
+        assert [e[3] for e in sink] == [0, 1, 2, 3, 4]
         assert sink.seen == 5
         assert sink.dropped == 0
 
@@ -31,15 +32,16 @@ class TestListSink:
         tracer.subscribe(sink)
         assert tracer.enabled
         for i in range(4):
-            tracer.emit(float(i), "test:src", "test.kind", i=i)
+            tracer.emit((float(i), "rel:n0.mx00", "rel.retransmit", i, 1))
         assert sink.events == [_event(i) for i in range(4)]
         assert list(sink) == sink.events and len(sink) == 4
         assert sink.seen == 4
         assert sink.dropped == 0
         lines = [json.loads(line) for line in sink.to_jsonl().splitlines()]
-        assert [line["detail"]["i"] for line in lines] == [0, 1, 2, 3]
+        assert [line["detail"]["packet"] for line in lines] == [0, 1, 2, 3]
         assert lines[0] == {
-            "time": 0.0, "source": "test:src", "kind": "test.kind", "detail": {"i": 0},
+            "time": 0.0, "source": "rel:n0.mx00", "kind": "rel.retransmit",
+            "detail": {"packet": 0, "attempt": 1},
         }
 
     def test_to_jsonl(self):
@@ -48,9 +50,9 @@ class TestListSink:
         record = json.loads(sink.to_jsonl())
         assert record == {
             "time": 3.0,
-            "source": "test:src",
-            "kind": "test.kind",
-            "detail": {"i": 3},
+            "source": "rel:n0.mx00",
+            "kind": "rel.retransmit",
+            "detail": {"packet": 3, "attempt": 1},
         }
 
 
@@ -63,7 +65,7 @@ class TestRingBufferSink:
         sink = RingBufferSink(3)
         for i in range(10):
             sink(_event(i))
-        assert [e.detail["i"] for e in sink.events] == [7, 8, 9]
+        assert [e[3] for e in sink.events] == [7, 8, 9]
         assert sink.seen == 10
         assert sink.dropped == 7
 
@@ -77,7 +79,7 @@ class TestRingBufferSink:
         assert sink.seen == n_events
         assert sink.dropped == n_events - len(sink)
         # the window is the most recent events, oldest first
-        kept = [e.detail["i"] for e in sink.events]
+        kept = [e[3] for e in sink.events]
         assert kept == list(range(max(0, n_events - capacity), n_events))
 
     def test_subscribing_enables_tracer(self):
@@ -86,5 +88,5 @@ class TestRingBufferSink:
         sink = RingBufferSink(8)
         tracer.subscribe(sink)
         assert tracer.enabled
-        tracer.emit(1.0, "a", "k", x=1)
+        tracer.emit((1.0, "nic:n0.mx00", "nic.idle"))
         assert sink.seen == 1

@@ -8,6 +8,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import ObservabilitySampler
 from repro.runtime.cluster import Cluster
 from repro.util.errors import ConfigurationError
+from repro.util.tracing import detail_of
 
 
 def _drive(cluster: Cluster, sizes, dst="n1"):
@@ -21,7 +22,7 @@ def _sampled(cluster: Cluster, interval: float, **kwargs) -> list:
     events land in (the tick's one trace record)."""
     ticks: list = []
     cluster.sim.tracer.subscribe(
-        lambda event: ticks.append(event) if event.kind == "obs.sample" else None
+        lambda event: ticks.append(event) if event[2] == "obs.sample" else None
     )
     ObservabilitySampler(cluster, interval, **kwargs)
     return ticks
@@ -41,9 +42,9 @@ class TestAgainstRecount:
         checked = []
 
         def recount(event):
-            if event.kind != "obs.sample":
+            if event[2] != "obs.sample":
                 return
-            tick = event.detail
+            tick = detail_of(event)
             engines = cluster.engines.values()
             checked.append(
                 (
@@ -70,15 +71,15 @@ class TestAgainstRecount:
         ticks = _sampled(cluster, 1e-5)
         _drive(cluster, [256] * 4)
         cluster.run_until_idle()
-        assert ticks[-1].detail["backlog"] == 0
-        assert ticks[-1].detail["completed"] == 4
+        assert detail_of(ticks[-1])["backlog"] == 0
+        assert detail_of(ticks[-1])["completed"] == 4
 
     def test_busy_fraction_bounded_and_nonzero_under_load(self):
         cluster = Cluster(seed=1)
         ticks = _sampled(cluster, 1e-5)
         _drive(cluster, [4096] * 16)
         cluster.run_until_idle()
-        fractions = [f for t in ticks for f in t.detail["nic_busy"].values()]
+        fractions = [f for t in ticks for f in detail_of(t)["nic_busy"].values()]
         assert all(0.0 <= f <= 1.0 for f in fractions)
         assert max(fractions) > 0.0
 
@@ -89,7 +90,7 @@ class TestCadence:
         ticks = _sampled(cluster, 1e-5)
         _drive(cluster, [4096] * 16)
         cluster.run_until_idle()
-        times = [t.time for t in ticks]
+        times = [t[0] for t in ticks]
         assert len(times) >= 5
         assert all(abs(b - a - 1e-5) < 1e-12 for a, b in zip(times, times[1:]))
 
@@ -98,7 +99,7 @@ class TestCadence:
         ticks = _sampled(cluster, 1e-5)
         _drive(cluster, [4096] * 16)
         cluster.run_until_idle()
-        completed = [t.detail["completed"] for t in ticks]
+        completed = [detail_of(t)["completed"] for t in ticks]
         assert all(b >= a for a, b in zip(completed, completed[1:]))
         assert completed[-1] == 16
 
@@ -116,7 +117,7 @@ class TestRegistryUpdates:
         ticks = _sampled(cluster, 1e-5, registry=registry)
         _drive(cluster, [256] * 4)
         cluster.run_until_idle()
-        last = ticks[-1].detail
+        last = detail_of(ticks[-1])
         backlog = registry.get("repro_backlog_entries")
         assert backlog is not None and backlog.value == last["backlog"] == 0
         for nic, fraction in last["nic_busy"].items():

@@ -12,11 +12,12 @@ from repro.obs.spans import (
     subtract_intervals,
     total_length,
 )
-from repro.util.tracing import TraceEvent
+from repro.util.tracing import event_from_dict
 
 
 def _e(t, source, kind, **detail):
-    return TraceEvent(t, source, kind, detail)
+    """An event from the named fields it needs; the rest are absent."""
+    return event_from_dict({"time": t, "source": source, "kind": kind, "detail": detail})
 
 
 def _basic_stream(src="n0", dst="n1", mid=7, pid=42, size=1024):

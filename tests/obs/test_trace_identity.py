@@ -12,6 +12,7 @@ import hashlib
 import json
 
 from repro.runtime.scenario import load_scenario_file, run_scenario
+from repro.util.tracing import detail_of
 
 PARENT_EVENTS = 6915
 PARENT_DIGEST = "fd8c8516ca710151a834f4c8d4e0ea71a56575dca92c990eb585086982cba841"
@@ -29,8 +30,8 @@ def _run(traced: bool):
 def activation_record(events) -> list:
     fields = {"optimizer.activate": ("trigger", "backlog"), "hold.arm": ("wake_at", "backlog")}
     return [
-        [event.time, event.source, event.kind]
-        + [event.detail[name] for name in fields.get(event.kind, ())]
+        [event[0], event[1], event[2]]
+        + [detail_of(event)[name] for name in fields.get(event[2], ())]
         for event in events
     ]
 
@@ -39,7 +40,7 @@ def test_activation_trace_is_the_parents():
     _report, cluster = _run(traced=True)
     events = cluster.obs.sink.events
     assert len(events) == PARENT_EVENTS
-    kinds = {event.kind for event in events}
+    kinds = {event[2] for event in events}
     assert {"optimizer.activate", "hold.arm", "hold.fire", "engine.dispatch"} <= kinds
     digest = hashlib.sha256(json.dumps(activation_record(events)).encode()).hexdigest()
     assert digest == PARENT_DIGEST

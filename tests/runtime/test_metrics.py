@@ -107,6 +107,56 @@ class TestBlameOnRead:
         assert json.loads(fresh.stdout) == [False, True, 96]
 
 
+#: Runs one cold ``sim_traced`` ledger segment in a fresh interpreter
+#: (the workload's scenario at its seed, as the benchmark builds it),
+#: counting the collections of each generation the run started; then
+#: counts the recorded events still tracked after full collections.
+#: One is not enough for every event: the collector checks an event
+#: before the fresh tuples it holds (a dispatch's ``messages``, which
+#: holds one tuple per slice), so each nesting level costs a pass.
+_TRACED_SEGMENT_GC = """
+import gc, json, sys
+from repro.runtime.scenario import build_scenario
+from repro.runtime.session import run_session
+spec = json.load(open(sys.argv[1]))
+scenario = spec["scenario"]
+scenario["cluster"]["seed"] = spec["seed"]
+cluster, apps = build_scenario(scenario)
+started = [0, 0, 0]
+def count(phase, info):
+    if phase == "start":
+        started[info["generation"]] += 1
+gc.callbacks.append(count)
+run = scenario.get("run", {})
+run_session(cluster, [app.install for app in apps],
+            until=run.get("until"), warmup=run.get("warmup", 0.0))
+gc.callbacks.remove(count)
+events = cluster.obs.sink.events
+for _ in range(3):
+    gc.collect()
+print(json.dumps([started, len(events), sum(map(gc.is_tracked, events))]))
+"""
+
+
+class TestTracedRunGarbage:
+    def test_a_recorded_trace_never_reaches_the_oldest_generation(self):
+        """Every trace event is a tuple of atoms: the first young
+        collection untracks it, so a traced run promotes no events and
+        starts no generation-2 collection."""
+        fresh = subprocess.run(
+            [sys.executable, "-c", _TRACED_SEGMENT_GC,
+             str(ROOT / "benchmarks" / "e2e" / "workloads" / "sim_traced.json")],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        started, recorded, tracked = json.loads(fresh.stdout)
+        assert recorded > 10_000
+        assert started[2] == 0, started
+        assert tracked == 0
+
+
 class TestReport:
     def make_report(self, **send_kwargs):
         c = Cluster(seed=2)
