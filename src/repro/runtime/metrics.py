@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from repro.madeleine.message import Message
 from repro.madeleine.rx import MessageReassembler
 from repro.network.virtual import TrafficClass
@@ -102,13 +100,12 @@ class LatencySummary:
         if not values:
             nan = math.nan
             return cls(0, nan, nan, nan, nan, nan, nan, nan)
-        arr = np.asarray(values, dtype=float)
         return cls(
             len(values),
-            float(arr.mean()),  # numpy's pairwise sum, not a running one
+            math.fsum(values) / len(values),  # exactly rounded, in any order
             *percentiles(values, (50.0, 90.0, 99.0, 99.9)),
-            float(arr.min()),
-            float(arr.max()),
+            float(min(values)),
+            float(max(values)),
         )
 
 

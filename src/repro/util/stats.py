@@ -3,10 +3,8 @@
 
 from __future__ import annotations
 
-from math import floor, isnan, nan
+from math import floor, isfinite, isnan, nan
 from typing import Sequence
-
-import numpy as np
 
 __all__ = ["percentiles", "ascii_histogram"]
 
@@ -66,17 +64,39 @@ def ascii_histogram(
         raise ValueError("cannot histogram an empty sample")
     if bins < 1 or width < 1:
         raise ValueError("bins and width must be >= 1")
-    arr = np.asarray(samples, dtype=float)
-    counts, edges = np.histogram(arr, bins=bins)
-    peak = counts.max() if counts.max() > 0 else 1
+    counts, edges = _histogram([float(x) for x in samples], bins)
+    peak = max(counts)
     label_pairs = [
         f"{fmt.format(edges[i])} .. {fmt.format(edges[i + 1])}"
         for i in range(len(counts))
     ]
     label_width = max(len(s) for s in label_pairs)
-    count_width = len(str(int(counts.max())))
+    count_width = len(str(peak))
     lines = []
     for label, count in zip(label_pairs, counts):
         bar = "#" * int(round(count / peak * width))
         lines.append(f"{label:>{label_width}}  {count:>{count_width}}  {bar}")
     return "\n".join(lines)
+
+
+def _histogram(values: list[float], bins: int) -> tuple[list[int], list[float]]:
+    """``np.histogram(values, bins)`` in Python: equal-width edges over
+    ``[min, max]`` (a constant sample widened by ±0.5), every bin
+    half-open but the last, which is closed; same counts and edges."""
+    if not all(map(isfinite, values)):
+        raise ValueError("autodetected range is not finite")
+    first, last = min(values), max(values)
+    if first == last:
+        first, last = first - 0.5, last + 0.5
+    step = (last - first) / bins
+    edges = [i * step + first for i in range(bins)] + [last]
+    counts = [0] * bins
+    for x in values:
+        i = min(int((x - first) / (last - first) * bins), bins - 1)
+        # numpy's correction for an index a rounding put one bin off
+        if x < edges[i]:
+            i -= 1
+        elif x >= edges[i + 1] and i != bins - 1:
+            i += 1
+        counts[i] += 1
+    return counts, edges

@@ -220,22 +220,25 @@ class TestRailSpans:
         assert "n0.mx00  n=1" in text
 
 
-#: The parent commit's ``repro_edge_latency_us`` sketches on the traced
-#: ``examples/scenario_mixed.json``: edge -> (count, p50 us, p99 us,
-#: rank_error_bound()).
+#: What the deleted ``repro_edge_latency_us`` KLL sketch (``k = 128``)
+#: reported on the traced ``examples/scenario_mixed.json``: edge ->
+#: (count, p50 us, p99 us, rank_error_bound()).  Regenerated by feeding
+#: each edge's latencies, in trace order, to that sketch's last version
+#: (``343d699^:src/repro/obs/sketch.py``), which reproduces the table
+#: pinned before the streams left numpy.
 _PARENT_EDGE_SKETCHES = {
-    "n0->n1": (189, 4.153333333332954, 190.3257142857142, 0.015625),
-    "n0->n2": (8, 2.470666666666609, 3.050000000000101, 0.0078125),
-    "n0->n3": (36, 9.379959514170055, 96.03625101214575, 0.0078125),
-    "n1->n0": (137, 4.153333333332954, 37.910323886639674, 0.015625),
-    "n1->n2": (44, 9.163179487179487, 38.141295546558695, 0.0078125),
-    "n1->n3": (8, 3.0500000000000065, 3.3106666666666076, 0.0078125),
+    "n0->n1": (191, 4.153333333332954, 137.17732793522285, 0.015625),
+    "n0->n2": (6, 2.4706666666668258, 3.3106666666666618, 0.0078125),
+    "n0->n3": (27, 9.777142857142659, 85.13273954116062, 0.0078125),
+    "n1->n0": (138, 4.153333333332954, 37.910323886639674, 0.015625),
+    "n1->n2": (38, 11.242604588394064, 38.141295546558695, 0.0078125),
+    "n1->n3": (8, 3.050000000000101, 3.3106666666666076, 0.0078125),
     "n2->n0": (10, 2.2600000000000224, 3.050000000000101, 0.0078125),
-    "n2->n1": (35, 9.464955465587064, 37.910323886639674, 0.0078125),
-    "n2->n3": (55, 4.153333333333333, 38.86234817813765, 0.0078125),
-    "n3->n0": (57, 6.077142857142853, 105.56255060728765, 0.0078125),
-    "n3->n1": (8, 2.2600000000000224, 3.3106666666666076, 0.0078125),
-    "n3->n2": (49, 21.359716599190236, 38.66000000000001, 0.0078125),
+    "n2->n1": (30, 11.186021592442648, 37.910323886639674, 0.0078125),
+    "n2->n3": (53, 4.153333333333333, 38.86234817813765, 0.0078125),
+    "n3->n0": (45, 13.558097165991718, 79.39858299595149, 0.0078125),
+    "n3->n1": (10, 2.2600000000000224, 3.050000000000101, 0.0078125),
+    "n3->n2": (48, 21.359716599190236, 50.33999999999985, 0.0078125),
 }
 
 _EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -253,7 +256,7 @@ class TestScenarioMixedEdges:
         return analyze_events(cluster.obs.events)
 
     def test_crossings_per_edge_equal_the_sketch_counts(self, analysis):
-        assert analysis.crossings == 636
+        assert analysis.crossings == 604
         assert {name: edge.count for name, edge in analysis.edges.items()} == {
             name: count for name, (count, *_rest) in _PARENT_EDGE_SKETCHES.items()
         }
@@ -281,7 +284,7 @@ class TestFormatsAgree:
             cluster.obs.write_trace(path)
             metrics[suffix] = summary_metrics(analyze_file(path))
         jsonl, chrome = metrics["jsonl"], metrics["json"]
-        assert jsonl["crossings/total"] == 636
+        assert jsonl["crossings/total"] == 604
         assert chrome.keys() == jsonl.keys()
         for key, value in jsonl.items():
             # abs_tol: a zero residual (unattributed) is float noise ~1e-17.

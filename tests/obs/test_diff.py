@@ -162,8 +162,8 @@ def _ledger_output(tmp_path, name, msgs_per_s):
             "msgs_per_s": {"value": msgs_per_s, "unit": "1/s"},
             "peak_rss_mb": {"value": 41.3, "unit": "MB"},
             "py_ops_per_msg": {"value": 8358.28, "unit": "count"},
-            "sim_latency_us": {"value": 235.037918, "unit": "us"},
-            "core.agg_ratio": {"value": 2.730298, "unit": "count"},
+            "sim_latency_us": {"value": 241.967708, "unit": "us"},
+            "core.agg_ratio": {"value": 2.819583, "unit": "count"},
         },
     }
     path = tmp_path / name
@@ -182,7 +182,7 @@ class TestMain:
     def test_ledger_result_line_is_gated(self, tmp_path, capsys, cand_rate, exit_code):
         base = _ledger_output(tmp_path, "base.json", 10900.0)
         cand = _ledger_output(tmp_path, "cand.json", cand_rate)
-        assert load_comparable(base)[1]["sim_latency_us"] == 235.037918
+        assert load_comparable(base)[1]["sim_latency_us"] == 241.967708
         assert main(_args(base, cand, check=True)) == exit_code
         assert f"{exit_code} regression(s)" in capsys.readouterr().out
 

@@ -3,7 +3,8 @@
 Submits under an armed Nagle hold are answered from the standing hold
 (``core/engine.py``) without asking the strategy; the record stream must
 not show it.  The digest below was taken at the commit before the
-standing hold existed (``5c50533``): same kinds in the same order, same
+standing hold existed (``5c50533``, with this tree's ``util/rng.py`` in
+place of its numpy streams): same kinds in the same order, same
 ``backlog`` on every ``optimizer.activate``, same ``wake_at`` on every
 ``hold.arm``.
 """
@@ -14,8 +15,8 @@ import json
 from repro.runtime.scenario import load_scenario_file, run_scenario
 from repro.util.tracing import detail_of
 
-PARENT_EVENTS = 6915
-PARENT_DIGEST = "fd8c8516ca710151a834f4c8d4e0ea71a56575dca92c990eb585086982cba841"
+PARENT_EVENTS = 6659
+PARENT_DIGEST = "dcb185292fcd84a931bbb17adaafeb7004416a244c26371d5011850b999bfb6b"
 
 
 def _run(traced: bool):

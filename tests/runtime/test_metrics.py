@@ -55,22 +55,34 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+def _session_modules(mode: str, prelude: str = "") -> list[str]:
+    """The modules a fresh interpreter holds after one session."""
+    fresh = subprocess.run(
+        [sys.executable, "-c", prelude + _SESSION_MODULES,
+         str(ROOT / "examples" / "scenario_mixed.json"), mode],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    return json.loads(fresh.stdout)
+
+
 class TestSessionImports:
     @pytest.mark.parametrize("mode", ["untraced", "traced"])
-    def test_a_session_never_loads_masked_arrays(self, mode):
-        """Exact percentiles are computed in Python: ``np.percentile``
-        pulls in ``numpy.ma`` (13 ms of CPU, about 2 MB) on every run."""
-        fresh = subprocess.run(
-            [sys.executable, "-c", _SESSION_MODULES,
-             str(ROOT / "examples" / "scenario_mixed.json"), mode],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        )
-        modules = json.loads(fresh.stdout)
+    def test_a_session_loads_no_numpy(self, mode):
+        """A run needs the standard library only: the streams, the report's
+        mean and its percentiles are Python, and numpy alone costs about
+        14 MB and 120 ms of CPU per process."""
+        modules = _session_modules(mode)
         assert "repro.runtime.session" in modules
-        assert "numpy.ma" not in modules
+        assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+    @pytest.mark.parametrize("mode", ["untraced", "traced"])
+    def test_a_session_runs_with_numpy_blocked(self, mode):
+        """An ``import numpy`` anywhere on the run path raises here."""
+        modules = _session_modules(mode, 'import sys\nsys.modules["numpy"] = None\n')
+        assert "repro.runtime.session" in modules
 
 
 #: Runs one traced session of a scenario in a fresh interpreter, then

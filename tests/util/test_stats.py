@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.util.stats import percentiles
+from repro.util.stats import _histogram, percentiles
 
 
 def _bits(values):
@@ -108,7 +108,37 @@ class TestPercentiles:
         assert all(type(v) is float for v in values)
 
 
+#: Finite floats whose pairwise differences stay normal (numpy divides
+#: by them) plus a small pool, so ties and constant samples are common.
+_moderate = st.floats(-1e12, 1e12).filter(lambda x: x == 0 or abs(x) > 1e-200)
+_histogram_samples = st.lists(
+    st.one_of(_moderate, st.sampled_from([0.0, -3.5, 1.0, 2.5, 1e6])), min_size=1, max_size=500
+)
+
+
 class TestAsciiHistogram:
+    @given(_histogram_samples, st.integers(1, 40))
+    @example([1.0, 2.0, 3.0], 3)
+    @example([7.0] * 5, 4)
+    @example([0.1, 0.2, 0.3, 0.7], 10)
+    # Samples on their own edges, where the index needs numpy's ±1 fix.
+    @example([3.0, 0.3, 2.1, 1.2], 3)
+    @example([0.1, 10.0, 2.08, 4.06, 6.039999999999999, 8.02], 5)
+    def test_counts_and_edges_are_numpys(self, samples, bins):
+        """Equal-width edges over [min, max], the last bin closed, a
+        constant sample widened by ±0.5: ``np.histogram``, bit for bit."""
+        counts, edges = _histogram(samples, bins)
+        np_counts, np_edges = np.histogram(samples, bins=bins)
+        assert counts == np_counts.tolist()
+        assert _bits(edges) == _bits(np_edges.tolist())
+
+    def test_a_non_finite_sample_is_refused_like_numpy(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="not finite"):
+                _histogram([1.0, bad], 3)
+            with pytest.raises(ValueError, match="not finite"):
+                np.histogram([1.0, bad], bins=3)
+
     def test_renders_bars(self):
         from repro.util.stats import ascii_histogram
 
