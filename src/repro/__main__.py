@@ -10,6 +10,7 @@ Usage::
     python -m repro obs analyze trace.json   # timelines + decision summary
     python -m repro obs analyze merged.jsonl --scenario s.json --check  # SLO gate
     python -m repro obs diff base.json cand.json --check   # regression gate
+    python -m repro obs diff benchmarks/gates.json results/ --check  # CI gates
     python -m repro obs why trace.jsonl --slowest 5   # causal latency blame
     python -m repro bench [ids] [flags]    # alias for python -m repro.bench
 """
@@ -427,15 +428,15 @@ def main(argv: list[str] | None = None) -> int:
 
     diff_parser = obs_sub.add_parser(
         "diff",
-        help="compare two traces or benchmarks/e2e/run.py results metric-by-metric",
+        help="compare two traces or run.py results metric-by-metric, or check gates.json",
     )
-    diff_parser.add_argument("baseline", help="baseline trace or bench JSON")
-    diff_parser.add_argument("candidate", help="candidate trace or bench JSON")
+    diff_parser.add_argument("baseline", help="baseline trace, bench JSON or gates file")
+    diff_parser.add_argument("candidate", help="candidate trace, bench JSON or results dir")
     diff_parser.add_argument(
         "--threshold",
         type=float,
         default=None,
-        help="relative change treated as a regression (default 0.2 = 20%%)",
+        help="relative change treated as a regression where no bound is declared (default 0.2)",
     )
     diff_parser.add_argument(
         "--ignore",

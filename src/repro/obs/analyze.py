@@ -62,6 +62,7 @@ __all__ = [
     "analyze_events",
     "analyze_file",
     "summary_metrics",
+    "SUMMARY_BETTER",
     "main",
 ]
 
@@ -665,12 +666,37 @@ def render(analysis: TraceAnalysis, *, width: int = 60, top: int = 5) -> str:
     return "\n".join(lines)
 
 
+#: The good direction of every key :func:`summary_metrics` emits, by
+#: glob (the first match wins): ``obs diff`` gates a ``"lower"`` key
+#: when it rises and a ``"higher"`` one when it falls; ``None`` declares
+#: a key reported and never gated.
+SUMMARY_BETTER: dict[str, str | None] = {
+    "trace/events": None,
+    "trace/samples": "higher",
+    "trace/dropped": "lower",
+    "decide/records": None,
+    "decide/miss_fraction": "lower",
+    "retransmit/*": "lower",
+    "hold/starved_*": "lower",
+    "crossings/total": "higher",
+    "crossings/clamped": "lower",
+    "backlog/*": None,
+    "edge/*/crossings": "higher",
+    "edge/*/latency_*_us": "lower",
+    "blame/messages": "higher",
+    "blame/*/unattributed_fraction": "lower",
+    "blame/*/retransmit_fraction": "lower",
+    "blame/*/*_fraction": None,
+}
+
+
 def summary_metrics(analysis: TraceAnalysis) -> dict[str, float]:
     """Flatten an analysis into the scalar map ``obs diff`` compares.
 
     Keys are stable identifiers (``edge/n0->n1/latency_p50_us``), values
     plain floats, so two analyses — or an analysis and a checked-in
-    baseline — diff mechanically.
+    baseline — diff mechanically.  Each key's direction is declared in
+    :data:`SUMMARY_BETTER`.
     """
     out: dict[str, float] = {
         "trace/events": float(analysis.n_events),

@@ -1,98 +1,59 @@
 """Regression diffing: ``python -m repro obs diff BASELINE CANDIDATE``.
 
-Compares two comparable artifacts and reports which indicators moved,
-optionally failing (``--check``) when one moved past a threshold in its
-*bad* direction.  Two input shapes are accepted, detected per file:
+Reports which indicators moved between a baseline and a candidate, and
+with ``--check`` fails when one moved past its bound in its *bad*
+direction.  The baseline's shape, detected per file, names the candidate:
 
-* a benchmark result: the object ``benchmarks/e2e/run.py`` prints
-  (``{"correct", "attempted", "failed", "metrics": {name: {"value",
-  "unit"}}}``, one per line of its saved output — the last is taken),
-  or the flat ``{"metrics": {name: number}}`` form of a hand-written
-  file;
-* any trace file the observability plane can load (JSONL or Chrome
-  JSON), which is run through :func:`repro.obs.analyze.analyze_file`
-  and reduced to its summary metrics.
+* a benchmark result, and so is the candidate: the object
+  ``benchmarks/e2e/run.py`` prints (``{"correct", "attempted", "failed",
+  "metrics": {name: {"value", "unit"}}}``, one per line of its saved
+  output — the last is taken), or a flat ``{"metrics": {name: number}}``;
+* any trace file the observability plane loads (JSONL or Chrome JSON),
+  and so is the candidate, each reduced to its summary metrics;
+* a gates file (``{"gates": [row, ...]}``, ``benchmarks/gates.json``);
+  the candidate is a directory of saved results, ``<workload>.json``
+  each, and every row is checked (:func:`check_gates`).
 
-Every metric name is classified by direction — latency-ish names are
-worse when they rise, throughput-ish names are worse when they fall —
-and names matching neither family are reported but never gated: a
-number whose good direction we cannot name must not fail CI.  Use
-``--ignore GLOB`` (repeatable) to exclude wall-clock-noisy keys such as
-``*_us`` on shared runners.
+No direction is guessed from a name.  A bench metric's good direction,
+and its bound where one is declared, come from ``BENCHMARK.json`` at the
+checkout root; a trace key's from :data:`repro.obs.analyze.SUMMARY_BETTER`;
+a gate row states its kind.  A key with no declared direction is reported,
+never gated.  ``--ignore GLOB`` (repeatable) drops noisy keys such as
+``*_us`` from a bench or trace diff.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from fnmatch import fnmatch
+from fnmatch import fnmatchcase
 from pathlib import Path
 
-from repro.obs.analyze import analyze_file, summary_metrics
+from repro.obs.analyze import SUMMARY_BETTER, analyze_file, summary_metrics
 from repro.util.errors import ConfigurationError
 
-__all__ = ["DiffEntry", "load_comparable", "compare", "render_diff", "main"]
+__all__ = [
+    "DiffEntry", "load_comparable", "declared", "compare", "check_gates", "render_diff", "main",
+]
 
-#: Substrings marking a metric as worse-when-higher (latency family).
-WORSE_IF_HIGHER = (
-    "latency",
-    "rtt",
-    "corrupt",
-    "dropped",
-    "clamped",
-    "miss",
-    "retransmit",
-    "timeout",
-    "starv",
-    "burn",
-    "unattributed",
-    "_us",
-    "ops_per_",
-    "calls_per_",
-)
+#: Where the bench metrics declare their ``better`` and ``bound``.
+BENCHMARK = Path(__file__).resolve().parents[3] / "BENCHMARK.json"
 
-#: Substrings marking a metric as worse-when-lower (throughput family).
-WORSE_IF_LOWER = (
-    "ratio",
-    "throughput",
-    "verified",
-    "messages",
-    "samples",
-    "crossings",
-    "rate",
-    "_per_s",
-)
-
-#: Relative change tolerated in the bad direction before --check fails.
+#: Relative change tolerated in the bad direction where no bound is declared.
 DEFAULT_THRESHOLD = 0.2
 
 
 @dataclass(frozen=True, slots=True)
 class DiffEntry:
-    """One compared metric."""
+    """One compared metric, or one checked gate."""
 
     key: str
     base: float | None  #: None when the key is new in the candidate
     cand: float | None  #: None when the key vanished from the candidate
-    direction: str  #: "higher-is-worse" | "lower-is-worse" | "neutral"
+    rule: str  #: "lower" / "higher" is better, "ungated", or a gate's kind
     regressed: bool
     note: str = ""
-
-    @property
-    def delta(self) -> float:
-        if self.base is None or self.cand is None:
-            return 0.0
-        return self.cand - self.base
-
-
-def direction_of(key: str) -> str:
-    """Classify a metric name's bad direction (see module docstring)."""
-    lowered = key.lower()
-    if any(mark in lowered for mark in WORSE_IF_HIGHER):
-        return "higher-is-worse"
-    if any(mark in lowered for mark in WORSE_IF_LOWER):
-        return "lower-is-worse"
-    return "neutral"
 
 
 def _load_json(path: Path):
@@ -110,23 +71,20 @@ def _load_json(path: Path):
     return None
 
 
-def load_comparable(path: str | Path) -> tuple[str, dict[str, float]]:
-    """Load one input file; returns ``(kind, flat_metrics)``.
-
-    ``kind`` is ``"bench"`` for a benchmark-result JSON, ``"trace"``
-    for anything that loads as a trace.
-    """
+def load_comparable(path: str | Path) -> tuple[str, dict[str, float] | list[dict]]:
+    """Load one input file as ``(kind, content)``: ``"gates"`` and its
+    rows, or ``"bench"`` / ``"trace"`` and the flat metrics."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigurationError(f"no such file: {path}")
     if path.suffix == ".json":
         payload = _load_json(path)
+        if isinstance(payload, dict) and isinstance(payload.get("gates"), list):
+            return "gates", payload["gates"]
         if isinstance(payload, dict) and "metrics" in payload:
             metrics = payload["metrics"]
             if not isinstance(metrics, dict):
-                raise ConfigurationError(
-                    f"{path}: 'metrics' is not an object — not a bench result"
-                )
+                raise ConfigurationError(f"{path}: 'metrics' is not an object, not a bench result")
             return "bench", {
                 str(k): float(v["value"] if isinstance(v, dict) else v)
                 for k, v in metrics.items()
@@ -134,58 +92,99 @@ def load_comparable(path: str | Path) -> tuple[str, dict[str, float]]:
     return "trace", summary_metrics(analyze_file(path))
 
 
+def declared(kind: str) -> dict[str, tuple[str | None, float | None]]:
+    """Each declared key glob of a ``kind`` → ``(better, bound)``."""
+    if kind == "trace":
+        return {key: (better, None) for key, better in SUMMARY_BETTER.items()}
+    if not BENCHMARK.is_file():
+        raise ConfigurationError(f"{BENCHMARK} is missing: no bench metric has a direction")
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    metrics = spec["end_to_end"] + spec["per_layer"]
+    return {m["name"]: (m["better"], m.get("bound")) for m in metrics}
+
+
 def compare(
     base: dict[str, float],
     cand: dict[str, float],
+    rules: dict[str, tuple[str | None, float | None]],
     *,
     threshold: float = DEFAULT_THRESHOLD,
     ignore: tuple[str, ...] = (),
 ) -> list[DiffEntry]:
-    """Diff two flat metric mappings; entries sorted, regressions first.
+    """Diff two flat metric mappings under the ``rules`` of
+    :func:`declared`; entries sorted, regressions first.
 
-    Regression rules, applied only along a key's bad direction:
-
-    * baseline nonzero — fail when the relative change exceeds
-      ``threshold``;
-    * baseline zero, higher-is-worse — any positive candidate fails
-      (``0 -> anything`` retransmits/corruptions is categorically new
-      badness, not a percentage);
-    * a key present in the baseline but missing from the candidate is a
-      structural regression regardless of direction.
+    Along a key's bad direction only, a nonzero baseline fails past the
+    key's declared bound (else ``threshold``) of relative change, and a
+    zero one, where lower is better, fails on any positive candidate
+    (``0 -> anything`` retransmits is new badness, not a percentage).
+    A key missing from the candidate is a regression in any direction.
     """
-
-    def ignored(key: str) -> bool:
-        return any(fnmatch(key, pattern) for pattern in ignore)
-
     entries: list[DiffEntry] = []
     for key in sorted(set(base) | set(cand)):
-        if ignored(key):
+        if any(fnmatchcase(key, pattern) for pattern in ignore):
             continue
-        b = base.get(key)
-        c = cand.get(key)
-        direction = direction_of(key)
+        better, bound = next(
+            (rule for glob, rule in rules.items() if fnmatchcase(key, glob)), (None, None)
+        )
+        rule = better or "ungated"
+        limit = threshold if bound is None else bound
+        b, c = base.get(key), cand.get(key)
         if c is None:
-            entries.append(
-                DiffEntry(key, b, None, direction, True, "missing from candidate")
+            entries.append(DiffEntry(key, b, None, rule, True, "missing from candidate"))
+        elif b is None:
+            entries.append(DiffEntry(key, None, c, rule, False, "new"))
+        elif better == "lower" and b == 0:
+            entries.append(DiffEntry(key, b, c, rule, c > 0, "was zero" if c > 0 else ""))
+        else:
+            regressed = (better == "lower" and c > b * (1 + limit)) or (
+                better == "higher" and b > 0 and c < b * (1 - limit)
             )
-            continue
-        if b is None:
-            entries.append(DiffEntry(key, None, c, direction, False, "new"))
-            continue
-        regressed = False
-        note = ""
-        if direction == "higher-is-worse":
-            if b == 0:
-                regressed = c > 0
-                if regressed:
-                    note = "was zero"
-            elif c > b * (1 + threshold):
-                regressed = True
-        elif direction == "lower-is-worse":
-            if b > 0 and c < b * (1 - threshold):
-                regressed = True
-        entries.append(DiffEntry(key, b, c, direction, regressed, note))
+            entries.append(DiffEntry(key, b, c, rule, regressed))
     entries.sort(key=lambda e: (not e.regressed, e.key))
+    return entries
+
+
+def check_gates(rows: list[dict], results: Path, python: str | None = None) -> list[DiffEntry]:
+    """Check every gate row against the saved results in ``results``.
+
+    A row reads ``metric`` from ``<workload>.json``: summed over the
+    metrics it matches when it is a glob, minus the same metric of
+    ``<minus>.json`` when the row names one.  Its ``value`` (measured)
+    and, for a ``ceiling``, its ``limit`` are keyed by interpreter
+    ``major.minor``: an ``exact`` row passes when the result equals the
+    value at six decimals, a ``ceiling`` row when ``0 < result <=
+    limit``.  A row with no number for ``python`` (default: the running
+    interpreter) fails; it never borrows another interpreter's.
+    """
+    python = python or "%d.%d" % sys.version_info[:2]
+    if not results.is_dir():
+        raise ConfigurationError(f"{results}: not a directory of saved results")
+    loaded: dict[str, dict[str, float]] = {}
+
+    def read(workload: str, metric: str) -> float:
+        if workload not in loaded:
+            loaded[workload] = load_comparable(results / f"{workload}.json")[1]
+        if "*" not in metric:
+            return loaded[workload][metric]
+        return sum(v for k, v in loaded[workload].items() if fnmatchcase(k, metric))
+
+    entries = []
+    for row in rows:
+        minus, metric, kind = row.get("minus"), row["metric"], row["kind"]
+        key = f"{row['workload']}{f' - {minus}' if minus else ''}/{metric}"
+        value, limit = row["value"].get(python), row.get("limit", row["value"]).get(python)
+        cand, note = None, f"no value for Python {python}"
+        if value is not None and limit is not None:
+            try:
+                cand = read(row["workload"], metric) - (read(minus, metric) if minus else 0.0)
+                note = row["why"]
+            except (ConfigurationError, KeyError) as exc:
+                note = f"no result: {exc}"
+        exact = kind == "exact"
+        ok = cand is not None and (round(cand, 6) == value if exact else 0 < cand <= limit)
+        rule = kind if exact else f"ceiling {_fmt(limit)}"
+        entries.append(DiffEntry(key, value, cand, rule, not ok, "" if ok else note))
     return entries
 
 
@@ -194,31 +193,27 @@ def _fmt(value: float | None) -> str:
         return "—"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
-    return f"{value:.4g}"
+    return f"{value:.10g}"
 
 
-def render_diff(entries: list[DiffEntry], *, threshold: float) -> str:
+def render_diff(entries: list[DiffEntry]) -> str:
     """Human-readable diff table; regressions flagged with ``!``."""
     lines = []
-    regressions = [e for e in entries if e.regressed]
     width = max((len(e.key) for e in entries), default=3)
     for entry in entries:
         flag = "!" if entry.regressed else " "
         extra = f"  ({entry.note})" if entry.note else ""
         if entry.base not in (None, 0) and entry.cand is not None:
-            rel = (entry.cand - entry.base) / entry.base
-            change = f"{rel:+7.1%}"
+            change = f"{(entry.cand - entry.base) / entry.base:+7.1%}"
         else:
             change = "      —"
         lines.append(
             f" {flag} {entry.key.ljust(width)}  {_fmt(entry.base):>12} -> "
-            f"{_fmt(entry.cand):>12}  {change}  [{entry.direction}]{extra}"
+            f"{_fmt(entry.cand):>12}  {change}  [{entry.rule}]{extra}"
         )
     lines.append("")
-    lines.append(
-        f"{len(regressions)} regression(s) beyond ±{threshold:.0%} "
-        f"across {len(entries)} compared metric(s)"
-    )
+    regressions = sum(e.regressed for e in entries)
+    lines.append(f"{regressions} regression(s) across {len(entries)} compared metric(s)")
     return "\n".join(lines)
 
 
@@ -227,15 +222,19 @@ def main(args) -> int:
     threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
     try:
         base_kind, base = load_comparable(args.baseline)
-        cand_kind, cand = load_comparable(args.candidate)
+        if base_kind == "gates":
+            cand_kind, entries = "results", check_gates(base, Path(args.candidate))
+        else:
+            cand_kind, cand = load_comparable(args.candidate)
+            entries = compare(
+                base, cand, declared(base_kind), threshold=threshold,
+                ignore=tuple(args.ignore or ()),
+            )
     except ConfigurationError as exc:
         print(f"obs diff: {exc}")
         return 2
     print(f"== obs diff: {args.baseline} ({base_kind}) vs {args.candidate} ({cand_kind}) ==")
-    entries = compare(
-        base, cand, threshold=threshold, ignore=tuple(args.ignore or ())
-    )
-    print(render_diff(entries, threshold=threshold))
+    print(render_diff(entries))
     if args.check and any(e.regressed for e in entries):
         return 1
     return 0

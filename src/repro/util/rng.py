@@ -54,28 +54,6 @@ class RngStream:
             raise ValueError(f"exponential mean must be > 0, got {mean}")
         return -mean * log(1.0 - self._random())
 
-    def integers(self, low: int, high: int) -> int:
-        """A single integer draw in ``[low, high]`` inclusive, unbiased.
-
-        Scales ``random()`` to the next power of two at or above the span
-        (exact: its 53 bits are shifted, not rounded) and rejects what
-        lands beyond the span, so a span of at most ``2**53``.
-        """
-        span = high - low + 1
-        if not 1 <= span <= 1 << 53:
-            raise ValueError(f"integer range [{low}, {high}] is empty or wider than 2**53")
-        scale = 1 << (span - 1).bit_length()
-        while (k := int(self._random() * scale)) >= span:
-            pass
-        return low + k
-
-    def choice(self, items):
-        """Pick one element of a non-empty sequence uniformly."""
-        seq = list(items)
-        if not seq:
-            raise ValueError("cannot choose from an empty sequence")
-        return seq[self.integers(0, len(seq) - 1)]
-
     def lognormal_size(self, median: float, sigma: float, lo: int, hi: int) -> int:
         """A lognormal byte-size draw clamped to ``[lo, hi]``.
 
@@ -93,12 +71,6 @@ class RngStream:
         draw = self._random
         z = sqrt(-2.0 * log(1.0 - draw())) * cos(2.0 * pi * draw())
         return int(min(max(exp(self._mu + sigma * z), lo), hi))
-
-    def shuffle(self, items: list) -> None:
-        """Shuffle a list in place (Fisher–Yates)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.integers(0, i)
-            items[i], items[j] = items[j], items[i]
 
 
 class SeedSequenceRegistry:

@@ -270,25 +270,39 @@ class TestScenarioMixedEdges:
                 assert below - bound <= q <= at_or_below + bound, (name, q)
 
 
+#: What each example's traced run analyzes to, in either format:
+#: (crossings, edges, retransmits, storms, blamed, incomplete).
+_EXAMPLE_COUNTS = {
+    "scenario_mixed": (604, 12, 0, 0, 827, 0),
+    "scenario_faulty": (179, 2, 17, 1, 220, 0),
+}
+
+
 class TestFormatsAgree:
     """The Chrome export keeps every event as an instant, so it analyzes
     like the JSONL of the same run (times pass through microseconds)."""
 
     def test_summary_metrics_equal_across_formats(self, tmp_path):
-        scenario = load_scenario_file(_EXAMPLES / "scenario_mixed.json")
-        scenario["observability"] = {"trace": True}
-        _, cluster, _ = run_scenario(scenario)
-        metrics = {}
-        for suffix in ("jsonl", "json"):
-            path = tmp_path / f"trace.{suffix}"
-            cluster.obs.write_trace(path)
-            metrics[suffix] = summary_metrics(analyze_file(path))
-        jsonl, chrome = metrics["jsonl"], metrics["json"]
-        assert jsonl["crossings/total"] == 604
-        assert chrome.keys() == jsonl.keys()
-        for key, value in jsonl.items():
-            # abs_tol: a zero residual (unattributed) is float noise ~1e-17.
-            assert math.isclose(chrome[key], value, rel_tol=1e-9, abs_tol=1e-12), key
+        for name, counts in _EXAMPLE_COUNTS.items():
+            scenario = load_scenario_file(_EXAMPLES / f"{name}.json")
+            scenario["observability"] = {"trace": True}
+            _, cluster, _ = run_scenario(scenario)
+            metrics = {}
+            for suffix in ("jsonl", "json"):
+                path = tmp_path / f"{name}.{suffix}"
+                cluster.obs.write_trace(path)
+                analysis = analyze_file(path)
+                report = analysis.report
+                assert (
+                    analysis.crossings, len(analysis.edges), analysis.retransmit_count,
+                    analysis.retransmit_storms, len(report.messages), report.incomplete,
+                ) == counts, (name, suffix)
+                metrics[suffix] = summary_metrics(analysis)
+            jsonl, chrome = metrics["jsonl"], metrics["json"]
+            assert chrome.keys() == jsonl.keys()
+            for key, value in jsonl.items():
+                # abs_tol: a zero residual (unattributed) is float noise ~1e-17.
+                assert math.isclose(chrome[key], value, rel_tol=1e-9, abs_tol=1e-12), key
 
 
 class TestSparkline:

@@ -86,8 +86,9 @@ class TestSessionImports:
 
 
 #: Runs one traced session of a scenario in a fresh interpreter, then
-#: reads the plane's registry; prints what was loaded before the read
-#: and the blame series the read exported.
+#: reads the plane's registry; prints what was loaded before the read,
+#: the blame series the read exported and the histogram ``_bucket``
+#: lines of its Prometheus text (``--metrics-out``).
 _SESSION_THEN_READ = """
 import json, sys
 from repro.runtime.scenario import build_scenario
@@ -100,14 +101,17 @@ run_session(cluster, [app.install for app in apps],
             until=run.get("until"), warmup=run.get("warmup", 0.0))
 loaded = "repro.obs.analyze" in sys.modules
 blame = [m for m in cluster.obs.registry if m.name == "repro_blame_seconds_total"]
-print(json.dumps([loaded, "repro.obs.analyze" in sys.modules, len(blame)]))
+text = cluster.obs.registry.to_prometheus().splitlines()
+buckets = [l for l in text if l.split("{")[0].split(" ")[0].endswith("_bucket")]
+print(json.dumps([loaded, "repro.obs.analyze" in sys.modules, len(blame), len(buckets)]))
 """
 
 
 class TestBlameOnRead:
     def test_a_traced_session_leaves_the_fold_to_the_registry_read(self):
         """A traced run records and stops there: the trace fold's module
-        loads, and blame is attributed, when the registry is first read."""
+        loads, and blame is attributed, when the registry is first read.
+        The registry holds counters and gauges only: no ``_bucket`` line."""
         fresh = subprocess.run(
             [sys.executable, "-c", _SESSION_THEN_READ,
              str(ROOT / "examples" / "scenario_mixed.json")],
@@ -116,7 +120,7 @@ class TestBlameOnRead:
             check=True,
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         )
-        assert json.loads(fresh.stdout) == [False, True, 96]
+        assert json.loads(fresh.stdout) == [False, True, 96, 0]
 
 
 #: Runs one cold ``sim_traced`` ledger segment in a fresh interpreter

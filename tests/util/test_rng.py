@@ -75,22 +75,6 @@ class TestRngStream:
         draws = [stream.exponential(5.0) for _ in range(4000)]
         assert statistics.fmean(draws) == pytest.approx(5.0, rel=0.1)
 
-    def test_integers_inclusive(self, stream):
-        values = {stream.integers(1, 3) for _ in range(200)}
-        assert values == {1, 2, 3}
-
-    def test_integers_empty_range(self, stream):
-        with pytest.raises(ValueError):
-            stream.integers(5, 4)
-
-    def test_choice(self, stream):
-        assert stream.choice(["a"]) == "a"
-        assert stream.choice(("x", "y")) in {"x", "y"}
-
-    def test_choice_empty(self, stream):
-        with pytest.raises(ValueError):
-            stream.choice([])
-
     def test_lognormal_size_clamped(self, stream):
         for _ in range(200):
             v = stream.lognormal_size(median=1024, sigma=2.0, lo=64, hi=4096)
@@ -118,26 +102,9 @@ class TestRngStream:
         with pytest.raises(ValueError):
             stream.lognormal_size(median=10, sigma=1.0, lo=5, hi=4)
 
-    def test_shuffle_permutes(self, stream):
-        items = list(range(50))
-        shuffled = items.copy()
-        stream.shuffle(shuffled)
-        assert sorted(shuffled) == items
-
-    def test_integers_span_limit(self, stream):
-        assert stream.integers(0, (1 << 53) - 1) < 1 << 53
-        with pytest.raises(ValueError):
-            stream.integers(0, 1 << 53)
-
 
 def _fresh():
     return SeedSequenceRegistry(seed=2006).stream("golden")
-
-
-def _shuffled(stream):
-    items = list(range(8))
-    stream.shuffle(items)
-    return items
 
 
 #: The first 8 draws of every primitive from a fresh stream ``golden`` at
@@ -164,16 +131,10 @@ _GOLDEN = {
          0.025311672374563998, 1.2223956546959331, 0.8120044137846834,
          1.0757633950206753, 3.2630875348289963],
     ),
-    "integers": (lambda s: [s.integers(1, 6) for _ in range(8)], [3, 2, 1, 1, 4, 3, 4, 6]),
-    "choice": (
-        lambda s: [s.choice("abcde") for _ in range(8)],
-        ["c", "b", "a", "a", "d", "c", "d", "e"],
-    ),
     "lognormal_size": (
         lambda s: [s.lognormal_size(1024, 1.0, 1, 1 << 20) for _ in range(8)],
         [1123, 1666, 587, 1449, 213, 3536, 831, 694],
     ),
-    "shuffle": (_shuffled, [7, 4, 3, 6, 5, 0, 1, 2]),
 }
 
 
@@ -212,24 +173,8 @@ def _ks_distance(draws, cdf) -> float:
     return max(max((i + 1) / n - cdf(x), cdf(x) - i / n) for i, x in enumerate(ordered))
 
 
-def _discrete_ks_distance(draws, support) -> float:
-    """The same gap for a uniform law on the ordered ``support``."""
-    counts = Counter(draws)
-    seen, gap = 0, 0.0
-    for k, value in enumerate(support, 1):
-        seen += counts[value]
-        gap = max(gap, abs(seen / len(draws) - k / len(support)))
-    return gap
-
-
 def _normal_cdf(t: float) -> float:
     return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
-
-
-def _zero_position(stream) -> int:
-    items = list(range(7))
-    stream.shuffle(items)
-    return items.index(0)
 
 
 class TestDistributions:
@@ -254,19 +199,6 @@ class TestDistributions:
         draws = [stream.lognormal_size(1e9, sigma, 1, 10**12) for _ in range(_N)]
         distance = _ks_distance(draws, lambda x: _normal_cdf((math.log(x) - mu) / sigma))
         assert distance < _KS_BOUND
-
-    @pytest.mark.parametrize("low, high", [(1, 6), (0, 1000)])
-    def test_integers(self, stream, low, high):
-        draws = [stream.integers(low, high) for _ in range(_N)]
-        assert _discrete_ks_distance(draws, range(low, high + 1)) < _KS_BOUND
-
-    def test_choice(self, stream):
-        draws = [stream.choice("abcde") for _ in range(_N)]
-        assert _discrete_ks_distance(draws, "abcde") < _KS_BOUND
-
-    def test_shuffle(self, stream):
-        draws = [_zero_position(stream) for _ in range(_N)]
-        assert _discrete_ks_distance(draws, range(7)) < _KS_BOUND
 
 
 class TestIndependence:
