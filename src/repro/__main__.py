@@ -4,10 +4,11 @@ Usage::
 
     python -m repro info                 # versions, technologies, strategies
     python -m repro run scenario.json    # execute a declarative scenario
-    python -m repro run scenario.json --trace-out trace.json \
+    python -m repro run scenario.json --trace-out trace.jsonl \
         --metrics-out metrics.prom --sample-interval 1e-5
-    python -m repro live run scenario.json --serve :9464 --trace-out merged.json
-    python -m repro obs analyze trace.json   # timelines + decision summary
+    python -m repro run scenario.json --trace-out trace.json  # Perfetto view
+    python -m repro live run scenario.json --serve :9464 --trace-out merged.jsonl
+    python -m repro obs analyze trace.jsonl  # timelines + decision summary
     python -m repro obs analyze merged.jsonl --scenario s.json --check  # SLO gate
     python -m repro obs diff base.json cand.json --check   # regression gate
     python -m repro obs diff benchmarks/gates.json results/ --check  # CI gates
@@ -315,8 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out",
         metavar="PATH",
         help=(
-            "write the captured trace: .jsonl/.ndjson for JSON Lines, "
-            "anything else for Chrome trace JSON (open in ui.perfetto.dev)"
+            "write the captured trace: .jsonl/.ndjson for JSON Lines (what "
+            "'obs' reads), anything else for Chrome trace JSON (open in "
+            "ui.perfetto.dev)"
         ),
     )
     run_parser.add_argument(
@@ -367,8 +369,9 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out",
         metavar="PATH",
         help=(
-            "write the cross-peer merged trace, with flow events per "
-            "wire crossing (.jsonl/.ndjson or Chrome JSON)"
+            "write the cross-peer merged trace: .jsonl/.ndjson for JSON "
+            "Lines (what 'obs' reads), anything else for Chrome JSON with "
+            "flow events per wire crossing"
         ),
     )
     live_run.add_argument(
@@ -401,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     analyze_parser = obs_sub.add_parser(
         "analyze", help="reconstruct timelines + decision summary from a trace"
     )
-    analyze_parser.add_argument("trace", help="trace file (.jsonl or Chrome JSON)")
+    analyze_parser.add_argument("trace", help="trace file (.jsonl)")
     analyze_parser.add_argument(
         "--width", type=int, default=60, help="sparkline width in columns"
     )
@@ -457,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         help="causal latency attribution: why was this message late?",
     )
     why_parser.add_argument(
-        "trace", help="trace file (.jsonl or Chrome JSON; merged live or sim)"
+        "trace", help="trace file (.jsonl; merged live or sim)"
     )
     why_parser.add_argument(
         "--message",

@@ -178,16 +178,6 @@ class _ObsState:
         with self._lock:
             return dict(self._peers)
 
-    def why(self) -> dict[str, Any]:
-        """In-flight causal-attribution view for ``GET /why``; the exact
-        post-run view is ``LiveRunResult.tails["blame"]``."""
-        payload = self._analysis().report.summary()
-        payload["note"] = (
-            "mid-run view over flushed events; exact post-run "
-            "blame is in the run result"
-        )
-        return payload
-
     def _analysis(self) -> "TraceAnalysis":
         """One analysis of the events flushed so far.  Cached by total
         event count, so polling between flushes copies nothing."""
@@ -218,12 +208,9 @@ def _tails(
     NIC's name carries its node)."""
     payload: dict[str, Any] = {
         "edges": {
-            name: edge.stats().to_dict()
-            for name, edge in sorted(analysis.edges.items())
+            name: edge.stats() for name, edge in sorted(analysis.edges.items())
         },
-        "rails": {
-            nic: rail.stats().to_dict() for nic, rail in sorted(analysis.rails.items())
-        },
+        "rails": {nic: rail.stats() for nic, rail in sorted(analysis.rails.items())},
         "blame": analysis.report.summary(),
     }
     if objectives:
@@ -746,8 +733,8 @@ def run_live_scenario(
     ``tails["slo"]``.
     ``serve`` (``"PORT"``/``":PORT"``/``"HOST:PORT"``) additionally
     exposes live cluster ``/metrics`` (Prometheus text), ``/status``
-    (JSON), ``/peers`` (liveness), ``/tails`` (tail-latency view) and
-    ``/why`` (causal attribution) for the duration of the run.
+    (JSON), ``/peers`` (liveness) and ``/tails`` (tail-latency view, with
+    the causal attribution under ``"blame"``) for the duration of the run.
 
     A scenario ``"faults"`` block arms chaos injection *and* the
     coordinator watchdog: peers that die mid-run are declared dead,
@@ -785,15 +772,15 @@ def run_live_scenario(
         obs = _ObsCollector()
         obs_state = _ObsState(str(scenario.get("name", "live")), obs, slo_objectives)
         if serve_host is not None:
-            server = ObsHTTPServer(
-                obs_state.metrics_text, obs_state.status, obs_state.peers,
-                obs_state.tails, obs_state.why,
-                host=serve_host, port=serve_port,
-            )
-            server.start()
+            routes = {
+                "/metrics": obs_state.metrics_text,
+                "/status": obs_state.status,
+                "/peers": obs_state.peers,
+                "/tails": obs_state.tails,
+            }
+            server = ObsHTTPServer(routes, host=serve_host, port=serve_port).start()
             print(
-                f"[repro.live] serving /metrics, /status, /peers, /tails "
-                f"and /why on {server.address}",
+                f"[repro.live] serving {', '.join(routes)} on {server.address}",
                 file=sys.stderr,
             )
         _bring_up(

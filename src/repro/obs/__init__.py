@@ -3,9 +3,9 @@
 Turns the per-component :class:`~repro.util.tracing.Tracer` hook into a
 full observability subsystem: a metrics registry with Prometheus text
 export, a periodic time-series sampler, decision-explainability
-records from the optimizer, Chrome-trace/JSONL exporters (open the
-result in https://ui.perfetto.dev), a bounded flight-recorder capture
-mode, and a post-run analysis CLI.
+records from the optimizer, a bounded flight-recorder capture mode, and
+a post-run analysis CLI over JSON Lines traces, the one format read
+back (a Chrome trace is a write-only export for https://ui.perfetto.dev).
 
 Quick use::
 
@@ -17,7 +17,7 @@ Quick use::
     cluster.run_until_idle()
     plane.finalize()                     # mirror end-of-run counters
     time, source, kind, *fields = plane.events[0]   # detail_of() names them
-    plane.write_trace("trace.json")      # Chrome/Perfetto format
+    plane.write_trace("trace.jsonl")     # what `repro obs` reads back
     plane.write_metrics("metrics.prom")  # first registry read folds blame
 
 or declaratively via a scenario's ``"observability"`` block and the
@@ -26,8 +26,9 @@ or declaratively via a scenario's ``"observability"`` block and the
 For *distributed* (multi-process live) runs the plane extends across
 peers: :mod:`repro.obs.merge` merges the per-peer trace streams (one
 host, one clock: nothing is shifted) and registries, :mod:`repro.obs.serve` exposes the cluster
-registry over HTTP during the run, and :mod:`repro.obs.diff` gates two
-runs against each other (``python -m repro obs diff A B --check``).
+registry and its views over HTTP during the run (``/tails["blame"]`` is
+the mid-run blame view), and :mod:`repro.obs.diff` gates two runs
+against each other (``python -m repro obs diff A B --check``).
 
 Everything the plane reports about a run — per-edge one-way latency,
 its SLO verdicts, per-rail service time and causal blame — is computed
@@ -55,13 +56,7 @@ from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
 from repro.obs.sampler import ObservabilitySampler
 from repro.obs.serve import ObsHTTPServer, parse_serve_address
 from repro.obs.spans import Leg, MessageChain
-from repro.obs.tails import (
-    SLObjective,
-    SLOStatus,
-    TailStats,
-    evaluate_slo_offline,
-    parse_slo,
-)
+from repro.obs.tails import SLObjective, SLOStatus, evaluate_slo_offline
 
 __all__ = [
     "BLAME_BUCKETS",
@@ -80,7 +75,6 @@ __all__ = [
     "RingBufferSink",
     "SLObjective",
     "SLOStatus",
-    "TailStats",
     "attribute_chain",
     "attribute_events",
     "evaluate_slo_offline",
@@ -88,7 +82,6 @@ __all__ = [
     "merge_events",
     "merge_registries",
     "parse_serve_address",
-    "parse_slo",
     "render_waterfall",
     "to_chrome_trace",
     "truncation_marker",

@@ -1,8 +1,8 @@
 """The one pass over a finished trace: ``python -m repro obs analyze``.
 
 :func:`analyze_events` folds a time-ordered event list (a run's own
-recorder, a JSONL or Chrome trace file, or the live coordinator's
-merged trace) through one ``kind -> handler`` table, so every event is
+recorder, a JSONL trace file, or the live coordinator's merged
+trace) through one ``kind -> handler`` table, so every event is
 parsed once, and returns a :class:`TraceAnalysis` holding:
 
 * **span chains** — one :class:`~repro.obs.spans.MessageChain` per
@@ -36,8 +36,8 @@ parsed once, and returns a :class:`TraceAnalysis` holding:
   violation, or a trace without crossings, into exit status 1).
 
 Everything renders as ASCII so it works over SSH next to the
-simulation; open the same file in https://ui.perfetto.dev for the
-interactive version.
+simulation; for the interactive version, write the run's trace as
+Chrome JSON and open it in https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from pathlib import Path
 from repro.obs.causal import CausalReport, attribute_chain, truncation_warning
 from repro.obs.export import load_events
 from repro.obs.spans import Leg, MessageChain
-from repro.obs.tails import SLOStatus, TailStats, evaluate_slo_offline
+from repro.obs.tails import SLOStatus, evaluate_slo_offline
 from repro.util.stats import percentiles
 from repro.util.tracing import ABSENT, TraceEvent
 from repro.util.units import format_time
@@ -138,16 +138,16 @@ class _Spans:
         values = percentiles(self.latencies, list(_EDGE_TAILS.values()))
         return dict(zip(_EDGE_TAILS, values))
 
-    def stats(self) -> TailStats:
-        """The same columns in microseconds, plus the mean (an entry of a
-        live run's ``tails["edges"]`` or ``tails["rails"]``)."""
+    def stats(self) -> dict[str, float]:
+        """The same columns in microseconds, plus the count and the mean:
+        an entry of a live run's ``tails["edges"]`` or ``tails["rails"]``."""
         tails = self.tails()
-        return TailStats(
-            self.count,
-            *(tails[label] * 1e6 for label in ("p50", "p90", "p99", "p999")),
-            sum(self.latencies) / self.count * 1e6,
-            tails["max"] * 1e6,
-        )
+        return {
+            "count": self.count,
+            **{f"{label}_us": tails[label] * 1e6 for label in ("p50", "p90", "p99", "p999")},
+            "mean_us": sum(self.latencies) / self.count * 1e6,
+            "max_us": tails["max"] * 1e6,
+        }
 
     @property
     def count(self) -> int:
@@ -508,7 +508,7 @@ def _count_storms(times: list[float]) -> int:
 
 
 def analyze_file(path: str | Path) -> TraceAnalysis:
-    """Load a trace file (JSONL or Chrome JSON) and analyze it."""
+    """Load a JSONL trace file and analyze it."""
     return analyze_events(load_events(path))
 
 

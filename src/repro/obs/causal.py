@@ -324,7 +324,7 @@ class CausalReport:
 
     def summary(self, slowest: int = 5) -> dict[str, Any]:
         """Counts, per-edge rollup and the ``slowest`` waterfalls (a live
-        run's ``tails["blame"]`` and the ``/why`` payload)."""
+        run's ``tails["blame"]``, mid-run and post-run)."""
         return {
             "messages": len(self.messages),
             "incomplete": self.incomplete,

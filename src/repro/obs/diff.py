@@ -8,8 +8,8 @@ direction.  The baseline's shape, detected per file, names the candidate:
   ``benchmarks/e2e/run.py`` prints (``{"correct", "attempted", "failed",
   "metrics": {name: {"value", "unit"}}}``, one per line of its saved
   output — the last is taken), or a flat ``{"metrics": {name: number}}``;
-* any trace file the observability plane loads (JSONL or Chrome JSON),
-  and so is the candidate, each reduced to its summary metrics;
+* a JSONL trace file, and so is the candidate, each reduced to its
+  summary metrics;
 * a gates file (``{"gates": [row, ...]}``, ``benchmarks/gates.json``);
   the candidate is a directory of saved results, ``<workload>.json``
   each, and every row is checked (:func:`check_gates`).

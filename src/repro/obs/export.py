@@ -24,10 +24,10 @@ and counters below are projections of those instants, drawn beside them
 
 Timestamps are virtual microseconds (the trace format's native unit).
 
-``load_events`` reads both export formats back into normalized
-:class:`~repro.util.tracing.TraceEvent` lists (a Chrome trace from its
-instants), which is what the ``python -m repro obs analyze`` CLI
-operates on.
+The Chrome trace is a write-only export for viewing.  JSON Lines is the
+one format read back: ``load_events`` turns it into
+:class:`~repro.util.tracing.TraceEvent` lists, which is what the
+``python -m repro obs`` commands operate on.
 """
 
 from __future__ import annotations
@@ -39,13 +39,7 @@ from typing import Any, Iterable, Sequence
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent, detail_of, event_from_dict, events_to_jsonl
 
-__all__ = [
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_trace",
-    "load_events",
-]
+__all__ = ["to_chrome_trace", "write_trace", "load_events"]
 
 #: ``pid`` reserved for cluster-global tracks (sampler, transport).
 _GLOBAL_PID = 1
@@ -242,7 +236,8 @@ def _instant(source: str, kind: str, detail: dict, ts: float, pid: int, tid: int
         "s": "t",
         "name": kind,
         "cat": kind.split(".", 1)[0],
-        "args": {**detail, "source": source},  # source keeps load_events lossless
+        # engine:* sources share one "optimizer" track: keep which one.
+        "args": {**detail, "source": source},
     }
 
 
@@ -314,79 +309,36 @@ def _sample_counters(
 # ----------------------------------------------------------------------
 # file I/O
 # ----------------------------------------------------------------------
-def write_chrome_trace(path: str | Path, events: Iterable[TraceEvent]) -> None:
-    """Write a ``.json`` Chrome/Perfetto trace file."""
-    Path(path).write_text(
-        json.dumps(to_chrome_trace(events)) + "\n", encoding="utf-8"
-    )
-
-
-def write_jsonl(path: str | Path, events: Sequence[TraceEvent]) -> None:
-    """Write a ``.jsonl`` file (one event object per line)."""
-    text = events_to_jsonl(events)
-    Path(path).write_text(text + ("\n" if text else ""), encoding="utf-8")
-
-
 def write_trace(path: str | Path, events: Sequence[TraceEvent]) -> str:
     """Write ``events`` in the format the extension names.
 
-    ``.jsonl``/``.ndjson`` → JSON Lines; anything else → Chrome trace
-    JSON.  Returns the format written (``"jsonl"`` or ``"chrome"``).
+    ``.jsonl``/``.ndjson`` → JSON Lines, the format :func:`load_events`
+    reads back; anything else → Chrome trace JSON, the Perfetto view.
+    Returns the format written (``"jsonl"`` or ``"chrome"``).
     """
-    suffix = Path(path).suffix.lower()
-    if suffix in (".jsonl", ".ndjson"):
-        write_jsonl(path, events)
+    if Path(path).suffix.lower() in (".jsonl", ".ndjson"):
+        text = events_to_jsonl(events)
+        Path(path).write_text(text + ("\n" if text else ""), encoding="utf-8")
         return "jsonl"
-    write_chrome_trace(path, events)
+    Path(path).write_text(json.dumps(to_chrome_trace(events)) + "\n", encoding="utf-8")
     return "chrome"
 
 
 def load_events(path: str | Path) -> list[TraceEvent]:
-    """Load a trace file (either export format) back into events.
-
-    A Chrome trace is rebuilt from its instant events, one per recorded
-    event; its spans, flows and counters are projections of them.  Times
-    pass through microseconds, so they can differ from the JSONL's in
-    the last bits.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if not stripped:
-        return []
-    # Both formats start with "{": a Chrome trace is ONE JSON object
-    # holding "traceEvents", JSONL is one object PER LINE.  Parse the
-    # whole document first; only a Chrome trace survives that.
-    payload = None
-    if stripped.startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            payload = None  # multiple lines of objects: JSONL
-    if isinstance(payload, dict) and "traceEvents" not in payload:
-        if {"time", "source", "kind"} <= payload.keys():
-            payload = None  # a single-event JSONL file
-        else:
-            raise ConfigurationError(
-                f"{path}: JSON object without 'traceEvents' is not a trace"
-            )
-    if isinstance(payload, dict):
-        rows = [(f"traceEvents[{i}]", entry) for i, entry in enumerate(payload["traceEvents"])
-                if entry.get("ph") == "i"]
-        parse = _instant_record
-    else:
-        rows = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
-        parse = json.loads
+    """Load a JSON Lines trace file (one event object per line) back
+    into events.  A Chrome trace is a write-only Perfetto export: loading
+    one is a :class:`ConfigurationError` that says to write ``.jsonl``."""
     events = []
-    for where, row in rows:
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
         try:
-            events.append(event_from_dict(parse(row)))
+            events.append(event_from_dict(json.loads(line)))
         except (AttributeError, KeyError, TypeError, ValueError) as bad:
-            raise ConfigurationError(f"{path}:{where}: bad trace record: {bad}") from None
+            if '"traceEvents"' in line:
+                raise ConfigurationError(
+                    f"{path} is a Chrome trace, a write-only Perfetto export: "
+                    "write the trace as .jsonl to read it back"
+                ) from None
+            raise ConfigurationError(f"{path}:{n}: bad trace record: {bad}") from None
     return events
-
-
-def _instant_record(entry: dict[str, Any]) -> dict[str, Any]:
-    """A Chrome instant in the :func:`~repro.util.tracing.event_to_dict` shape."""
-    args = dict(entry.get("args", {}))
-    source = args.pop("source", f"pid:{entry.get('pid')}")
-    return {"time": entry["ts"] / 1e6, "source": source, "kind": entry["name"], "detail": args}

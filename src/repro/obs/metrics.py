@@ -114,10 +114,6 @@ class Gauge:
         """Add ``amount`` to the current value."""
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount`` from the current value."""
-        self.value -= amount
-
 
 #: Any registry instrument.
 Instrument = Counter | Gauge

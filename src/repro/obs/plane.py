@@ -53,8 +53,8 @@ from repro.obs.export import write_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
 from repro.obs.sampler import ObservabilitySampler
-from repro.obs.tails import SLObjective, parse_slo
-from repro.util.errors import ConfigurationError, read_block
+from repro.obs.tails import SLObjective
+from repro.util.errors import ConfigurationError, read_block, schema_of
 from repro.util.tracing import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,9 +110,14 @@ class ObservabilityConfig:
 
     @classmethod
     def from_spec(cls, spec: Any) -> "ObservabilityConfig":
-        """Read a scenario ``"observability"`` block: the only reader of it."""
+        """Read a scenario ``"observability"`` block: the only reader of
+        it.  An objective without a ``name`` is named by its position."""
         values = read_block(spec, _SCHEMA, "observability")
-        return cls(**{**values, "slo": parse_slo(values["slo"])})
+        slo = []
+        for i, entry in enumerate(values["slo"] or ()):
+            schema = {**schema_of(SLObjective), "name": ((str,), f"slo{i}")}
+            slo.append(SLObjective(**read_block(entry, schema, f"observability.slo[{i}]")))
+        return cls(**{**values, "slo": tuple(slo)})
 
 
 class ObservabilityPlane:

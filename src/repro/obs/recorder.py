@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.util.errors import ConfigurationError
-from repro.util.tracing import TraceEvent, events_to_jsonl
+from repro.util.tracing import TraceEvent
 
 __all__ = ["ListSink", "RingBufferSink", "truncation_marker"]
 
@@ -35,8 +35,7 @@ def truncation_marker(
     evicts the oldest), or a live run whose peer spool filled (it
     drops the newest until the next drain).  Offline consumers
     (``obs analyze``, ``obs why``) then warn instead of silently reading
-    a truncated run as a complete one.  Survives both JSONL and Chrome
-    export formats.
+    a truncated run as a complete one.  Both export formats write it.
     """
     time = events[-1][0] if events else 0.0
     return (time, "obs:recorder", "obs.truncated", seen, dropped, capacity)
@@ -72,10 +71,6 @@ class ListSink(list):
     def counts(self) -> dict[str, int]:
         """Events received per kind, in first-seen order."""
         return dict(Counter(map(itemgetter(2), self)))
-
-    def to_jsonl(self) -> str:
-        """The captured events as JSON Lines text."""
-        return events_to_jsonl(self)
 
 
 class RingBufferSink:
@@ -113,7 +108,3 @@ class RingBufferSink:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._ring)
-
-    def to_jsonl(self) -> str:
-        """The retained window as JSON Lines text."""
-        return events_to_jsonl(self._ring)

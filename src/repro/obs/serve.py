@@ -1,7 +1,7 @@
 """Minimal HTTP exposure of a run's cluster-level metrics.
 
-:class:`ObsHTTPServer` serves read-only endpoints while a live run
-is in flight:
+:class:`ObsHTTPServer` serves one read-only route table while a live run
+is in flight; the coordinator's table is:
 
 * ``GET /metrics`` — the cluster :class:`~repro.obs.metrics.MetricsRegistry`
   rendered in Prometheus text exposition format (``text/plain; version=0.0.4``).
@@ -12,15 +12,13 @@ is in flight:
 * ``GET /tails`` — JSON tail-latency view over the events merged so
   far, all exact from the merged trace: per-edge one-way
   latency and per-rail service time p50/p90/p99/p999, the scenario's
-  SLO burn rates, and the blame summary (see :mod:`repro.obs.analyze`).
-* ``GET /why`` — JSON causal-attribution view: per-edge blame-bucket
-  fractions and the slowest messages' waterfalls computed over the events
-  merged so far (see :mod:`repro.obs.causal`).
+  SLO burn rates, and under ``"blame"`` the causal-attribution summary
+  (see :mod:`repro.obs.analyze`).
 
 ``HEAD`` answers any route with its headers only.
 
 The server is deliberately tiny: a hand-rolled HTTP/1.0 responder on
-``asyncio`` streams, no routing table, no keep-alive, no dependencies.
+``asyncio`` streams, no keep-alive, no dependencies.
 It runs its own event loop in a daemon thread so the coordinator — which
 blocks in the synchronous control-protocol poll loop — never has to
 yield to it; the data it serves comes from thread-safe callbacks that
@@ -62,24 +60,15 @@ def parse_serve_address(spec: str) -> tuple[str, int]:
 
 
 class ObsHTTPServer:
-    """Background ``/metrics`` + ``/status`` HTTP server.
+    """Background HTTP server over one route table.
 
     Parameters
     ----------
-    metrics_text:
-        Zero-arg callable returning the current Prometheus exposition
-        text.  Called from the server thread — must be thread-safe.
-    status:
-        Zero-arg callable returning a JSON-able dict for ``/status``.
-    peers:
-        Optional zero-arg callable returning a JSON-able dict for
-        ``/peers`` (liveness view); without it the route 404s.
-    tails:
-        Optional zero-arg callable returning a JSON-able dict for
-        ``/tails`` (tail-latency view); without it the route 404s.
-    why:
-        Optional zero-arg callable returning a JSON-able dict for
-        ``/why`` (causal-attribution view); without it the route 404s.
+    routes:
+        ``{path: callable}``.  Each zero-arg callable is called from the
+        server thread, so must be thread-safe: ``/metrics`` returns
+        Prometheus exposition text, every other route a JSON-able
+        mapping.
     host, port:
         Bind address.  ``port=0`` picks a free port; read it back from
         :attr:`port` after :meth:`start`.
@@ -87,20 +76,12 @@ class ObsHTTPServer:
 
     def __init__(
         self,
-        metrics_text: Callable[[], str],
-        status: Callable[[], Mapping[str, Any]],
-        peers: Callable[[], Mapping[str, Any]] | None = None,
-        tails: Callable[[], Mapping[str, Any]] | None = None,
-        why: Callable[[], Mapping[str, Any]] | None = None,
+        routes: Mapping[str, Callable[[], Any]],
         *,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self._metrics_text = metrics_text
-        self._status = status
-        self._peers = peers
-        self._tails = tails
-        self._why = why
+        self._routes = dict(routes)
         self._host = host
         self._port = port
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -227,29 +208,14 @@ class ObsHTTPServer:
         if method not in ("GET", "HEAD"):
             return "405 Method Not Allowed", "text/plain", b"method not allowed\n"
         route = path.split("?", 1)[0]
+        view = self._routes.get(route)
+        if view is None:
+            known = ", ".join(self._routes)
+            return "404 Not Found", "text/plain", f"not found; try {known}\n".encode()
         try:
             if route == "/metrics":
-                return (
-                    "200 OK",
-                    _PROM_CONTENT_TYPE,
-                    self._metrics_text().encode("utf-8"),
-                )
-            if route == "/status":
-                body = json.dumps(dict(self._status()), indent=2, sort_keys=True)
-                return "200 OK", "application/json", (body + "\n").encode("utf-8")
-            if route == "/peers" and self._peers is not None:
-                body = json.dumps(dict(self._peers()), indent=2, sort_keys=True)
-                return "200 OK", "application/json", (body + "\n").encode("utf-8")
-            if route == "/tails" and self._tails is not None:
-                body = json.dumps(dict(self._tails()), indent=2, sort_keys=True)
-                return "200 OK", "application/json", (body + "\n").encode("utf-8")
-            if route == "/why" and self._why is not None:
-                body = json.dumps(dict(self._why()), indent=2, sort_keys=True)
-                return "200 OK", "application/json", (body + "\n").encode("utf-8")
+                return "200 OK", _PROM_CONTENT_TYPE, view().encode("utf-8")
+            body = json.dumps(dict(view()), indent=2, sort_keys=True)
         except Exception as exc:  # callback failure must not kill the server
             return "500 Internal Server Error", "text/plain", f"{exc}\n".encode()
-        return (
-            "404 Not Found",
-            "text/plain",
-            b"not found; try /metrics, /status, /peers, /tails or /why\n",
-        )
+        return "200 OK", "application/json", (body + "\n").encode("utf-8")

@@ -1,24 +1,21 @@
-"""Tail-latency rows and SLO burn rates.
+"""SLO burn rates over a trace's edge latencies.
 
-* :class:`TailStats` is one exact tail row in microseconds: a per-edge
-  one-way latency or a per-rail service time, both computed from the
-  trace after the run (:func:`repro.obs.analyze.analyze_events`), the
-  entries of a live run's ``tails["edges"]`` / ``tails["rails"]``.
-  Nothing here is online: message latency comes exactly from the
-  records (:class:`~repro.runtime.metrics.LatencySummary`), and the
-  rail tails the rail order acts on are each NIC's own window
-  (:attr:`~repro.network.nic.NIC.service_us`).
+:class:`SLObjective` + :func:`evaluate_slo_offline` implement SRE-style
+burn-rate tracking: an objective says "``target`` of crossings on edges
+matching ``edge`` finish within ``threshold_us``"; the burn rate is the
+observed violating fraction divided by the error budget
+(``1 - target``), so burn ``>= 1`` means the budget is being spent at
+least as fast as it accrues.  Evaluation is exact and multi-window over
+the trace's timestamped crossings (``repro obs analyze --scenario`` and
+a live run's ``tails``) — a violation requires *every* configured window
+to burn, which filters one-off spikes from sustained regressions.
 
-* :class:`SLObjective` + :func:`evaluate_slo_offline` implement
-  SRE-style burn-rate tracking: an objective says "``target`` of
-  crossings on edges matching ``edge`` finish within ``threshold_us``";
-  the burn rate is the observed violating fraction divided by the error
-  budget (``1 - target``), so burn ``>= 1`` means the budget is being
-  spent at least as fast as it accrues.  Evaluation is exact and
-  multi-window over the trace's timestamped crossings (``repro obs
-  analyze --scenario`` and a live run's ``tails``) — a violation
-  requires *every* configured window to burn, which filters one-off
-  spikes from sustained regressions.
+Nothing here is online: the edge latencies and rail service times are
+computed from the trace after the run
+(:func:`repro.obs.analyze.analyze_events`), message latency exactly from
+the records (:class:`~repro.runtime.metrics.LatencySummary`), and the
+rail tails the rail order acts on are each NIC's own window
+(:attr:`~repro.network.nic.NIC.service_us`).
 """
 
 from __future__ import annotations
@@ -29,107 +26,47 @@ from typing import Any, Iterable, Mapping
 
 from repro.util.errors import ConfigurationError
 
-__all__ = [
-    "TailStats",
-    "SLObjective",
-    "SLOStatus",
-    "parse_slo",
-    "evaluate_slo_offline",
-]
+__all__ = ["SLObjective", "SLOStatus", "evaluate_slo_offline"]
 
 
-@dataclass(frozen=True, slots=True)
-class TailStats:
-    """One exact tail row (microsecond values)."""
-
-    count: int
-    p50_us: float
-    p90_us: float
-    p99_us: float
-    p999_us: float
-    mean_us: float
-    max_us: float
-
-    def to_dict(self) -> dict[str, float]:
-        """JSON-able copy (a ``tails`` payload entry)."""
-        return asdict(self)
-
-
-# ----------------------------------------------------------------------
-# SLO objectives and burn rates
-# ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class SLObjective:
     """One latency objective: ``target`` of crossings on edges matching
-    ``edge`` complete within ``threshold_us`` microseconds."""
+    ``edge`` complete within ``threshold_us`` microseconds.
+
+    An entry of the scenario ``observability.slo`` list, read by
+    :meth:`repro.obs.plane.ObservabilityConfig.from_spec`; ``windows``
+    (seconds, trace-relative) is read as a list and kept as a tuple.
+    """
 
     name: str
-    edge: str  #: fnmatch glob over ``"src->dst"`` edge names
     threshold_us: float
+    edge: str = "*"  #: fnmatch glob over ``"src->dst"`` edge names
     target: float = 0.999
-    windows: tuple[float, ...] = (1.0, 10.0)  #: seconds, trace-relative
+    windows: list[float] = (1.0, 10.0)
+
+    def __post_init__(self) -> None:
+        if not self.threshold_us > 0:
+            raise ConfigurationError(
+                f"slo {self.name!r}: threshold_us must be > 0, got {self.threshold_us}"
+            )
+        if not 0.0 < self.target < 1.0:
+            raise ConfigurationError(
+                f"slo {self.name!r}: target must be in (0, 1), got {self.target}"
+            )
+        windows = tuple(self.windows)
+        if not windows or not all(
+            isinstance(w, (int, float)) and not isinstance(w, bool) and w > 0 for w in windows
+        ):
+            raise ConfigurationError(
+                f"slo {self.name!r}: windows must be positive durations, got {self.windows!r}"
+            )
+        object.__setattr__(self, "windows", tuple(map(float, windows)))
 
     @property
     def budget(self) -> float:
         """Error budget: the tolerated violating fraction."""
         return 1.0 - self.target
-
-
-_SLO_KEYS = {"name", "edge", "threshold_us", "target", "windows"}
-
-
-def parse_slo(spec: object) -> tuple[SLObjective, ...]:
-    """Parse the scenario ``observability.slo`` block.
-
-    The block is a list of objective objects::
-
-        "slo": [{"name": "edge-fast", "edge": "*", "threshold_us": 5000,
-                 "target": 0.99, "windows": [1.0, 10.0]}]
-    """
-    if spec is None:
-        return ()
-    if not isinstance(spec, (list, tuple)):
-        raise ConfigurationError(
-            f"observability.slo must be a list of objectives, got {type(spec).__name__}"
-        )
-    objectives: list[SLObjective] = []
-    for i, entry in enumerate(spec):
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError(f"observability.slo[{i}] must be an object")
-        unknown = set(entry) - _SLO_KEYS
-        if unknown:
-            raise ConfigurationError(
-                f"unknown key(s) in observability.slo[{i}]: {sorted(unknown)}"
-            )
-        if "threshold_us" not in entry:
-            raise ConfigurationError(
-                f"observability.slo[{i}] needs a threshold_us"
-            )
-        threshold = float(entry["threshold_us"])
-        if threshold <= 0:
-            raise ConfigurationError(
-                f"observability.slo[{i}].threshold_us must be > 0, got {threshold}"
-            )
-        target = float(entry.get("target", 0.999))
-        if not 0.0 < target < 1.0:
-            raise ConfigurationError(
-                f"observability.slo[{i}].target must be in (0, 1), got {target}"
-            )
-        windows = tuple(float(w) for w in entry.get("windows", (1.0, 10.0)))
-        if not windows or any(w <= 0 for w in windows):
-            raise ConfigurationError(
-                f"observability.slo[{i}].windows must be positive durations"
-            )
-        objectives.append(
-            SLObjective(
-                name=str(entry.get("name", f"slo{i}")),
-                edge=str(entry.get("edge", "*")),
-                threshold_us=threshold,
-                target=target,
-                windows=windows,
-            )
-        )
-    return tuple(objectives)
 
 
 @dataclass(slots=True)
@@ -144,10 +81,6 @@ class SLOStatus:
     burn: dict[str, float] = field(default_factory=dict)
     samples: int = 0
     violated: bool = False
-
-    @property
-    def worst_burn(self) -> float:
-        return max(self.burn.values()) if self.burn else 0.0
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-able copy (the ``tails`` payload's ``slo`` entries)."""

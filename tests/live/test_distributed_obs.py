@@ -15,6 +15,7 @@ import socket
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -228,7 +229,7 @@ class TestOneRecorderPerPeer:
         write_trace(path, result.aligned_events)
         edges = analyze_file(path).edges
         assert result.tails["edges"] == {
-            name: edge.stats().to_dict() for name, edge in sorted(edges.items())
+            name: edge.stats() for name, edge in sorted(edges.items())
         }
 
 
@@ -274,9 +275,10 @@ class TestLiveServe:
         assert status["scenario"] == "dist-obs"
         assert status["phase"] in ("starting", "running", "stopping")
 
-    def test_why_served_during_traced_run(self):
-        """``/why`` attributes what the coordinator has streamed so far,
-        read straight from its collector while the run is in flight."""
+    def test_blame_served_during_traced_run(self):
+        """``/tails["blame"]`` attributes what the coordinator has
+        streamed so far, read straight from its collector while the run
+        is in flight; ``/why`` is no route."""
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
@@ -284,14 +286,18 @@ class TestLiveServe:
 
         def poll():
             deadline = time.time() + _TIMEOUT
-            while time.time() < deadline and "why" not in grabbed:
+            while time.time() < deadline and "blame" not in grabbed:
                 try:
+                    if "why" not in grabbed:
+                        urllib.request.urlopen(f"http://127.0.0.1:{port}/why", timeout=1)
                     with urllib.request.urlopen(
-                        f"http://127.0.0.1:{port}/why", timeout=1
+                        f"http://127.0.0.1:{port}/tails", timeout=1
                     ) as resp:
-                        payload = json.loads(resp.read())
-                    if payload.get("messages", 0) > 0:
-                        grabbed["why"] = payload
+                        blame = json.loads(resp.read())["blame"]
+                    if blame["messages"] > 0:
+                        grabbed["blame"] = blame
+                except urllib.error.HTTPError as missing:
+                    grabbed["why"] = (missing.code, missing.read())
                 except OSError:
                     time.sleep(0.005)
 
@@ -303,13 +309,12 @@ class TestLiveServe:
         )
         poller.join(timeout=5)
         assert result.report.messages == 80
-        assert "why" in grabbed, "/why never attributed a message mid-run"
+        assert "blame" in grabbed, "/tails never attributed a message mid-run"
         assert not poller.is_alive()
-        payload = grabbed["why"]
-        assert payload["note"].startswith("mid-run")
-        # The one blame summary, plus the note.
-        assert set(payload) == {"note"} | set(result.tails["blame"])
-        assert 0 < payload["messages"] <= result.tails["blame"]["messages"]
+        blame = grabbed["blame"]
+        assert set(blame) == set(result.tails["blame"])
+        assert 0 < blame["messages"] <= result.tails["blame"]["messages"]
+        assert grabbed.get("why") == (404, b"not found; try /metrics, /status, /peers, /tails\n")
 
 
 class TestServeStateUnderConcurrentReads:
@@ -330,7 +335,6 @@ class TestServeStateUnderConcurrentReads:
             while not done.is_set():
                 state = current["state"]
                 try:
-                    state.why()
                     state.tails()
                     state.metrics_text()
                 except BaseException as exc:  # reported below
@@ -361,4 +365,4 @@ class TestServeStateUnderConcurrentReads:
             sys.setswitchinterval(previous)
         assert not any(reader.is_alive() for reader in readers)
         assert errors == []
-        assert current["state"].why()["messages"] > 0
+        assert current["state"].tails()["blame"]["messages"] > 0

@@ -46,6 +46,11 @@ def _stream(**patch):
     return [{"app": "stream", "src": "n0", "dst": "n1", "count": 1, **patch}]
 
 
+def _slo(**patch):
+    """An observability block with one SLO objective, ``patch`` applied."""
+    return {"slo": [{"edge": "*", "threshold_us": 5000, **patch}]}
+
+
 class TestValidation:
     def test_bad_transport_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -146,6 +151,11 @@ class TestFailsBeforeFork:
             ("observability", {"sample_interval": "1e-5"}, "observability.sample_interval"),
             ("observability", {"ring_buffer": 2.5}, "observability.ring_buffer"),
             ("observability", {"sampel_interval": 1e-5}, "sampel_interval"),
+            ("observability", _slo(threshold_us="5000"), "observability.slo[0].threshold_us"),
+            ("observability", _slo(threshold_us=True), "observability.slo[0].threshold_us"),
+            ("observability", _slo(threshold_us="abc"), "observability.slo[0].threshold_us"),
+            ("observability", _slo(windows=5), "observability.slo[0].windows"),
+            ("observability", _slo(name=5), "observability.slo[0].name"),
             ("faults", {"seed": 1.5}, "faults.seed"),
             ("faults", {"disconnect": {"every": 2.7}}, "faults.disconnect.every"),
             ("faults", {"drop": "x"}, "faults.drop"),
@@ -178,6 +188,8 @@ class TestFailsBeforeFork:
         ],
         ids=[
             "trace-string", "interval-string", "fractional-ring", "unknown-obs-key",
+            "string-slo-threshold", "bool-slo-threshold", "word-slo-threshold",
+            "scalar-slo-windows", "int-slo-name",
             "fractional-seed", "fractional-disconnect", "string-drop", "string-die-rank",
             "string-heartbeat", "outages-object", "unknown-faults-key", "unknown-nic",
             "network-prefix", "die-rank-beyond-cluster", "unknown-run-key", "string-until",

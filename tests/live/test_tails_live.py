@@ -18,7 +18,8 @@ import pytest
 from repro.live import cluster as live_cluster
 from repro.live import run_live_scenario
 from repro.obs.analyze import analyze_events
-from repro.obs.tails import evaluate_slo_offline, parse_slo
+from repro.obs.plane import ObservabilityConfig
+from repro.obs.tails import evaluate_slo_offline
 from repro.runtime.scenario import load_scenario_file
 
 _TIMEOUT = 30.0
@@ -69,12 +70,12 @@ class TestPostRunTails:
         bit for bit: one edge table, no sketch beside it."""
         analysis = analyze_events(traced_run.aligned_events)
         assert traced_run.tails["edges"] == {
-            name: edge.stats().to_dict() for name, edge in analysis.edges.items()
+            name: edge.stats() for name, edge in analysis.edges.items()
         }
         for name, stats in traced_run.tails["edges"].items():
             assert stats["p99_us"] == analysis.edges[name].tails()["p99"] * 1e6
         statuses = evaluate_slo_offline(
-            analysis.edges, parse_slo(_OBS["slo"]), t_end=analysis.span[1]
+            analysis.edges, ObservabilityConfig.from_spec(_OBS).slo, t_end=analysis.span[1]
         )
         assert traced_run.tails["slo"] == [s.to_dict() for s in statuses]
         assert "note" not in traced_run.tails
@@ -86,7 +87,7 @@ class TestPostRunTails:
         # Exact, from the same pass over the merged trace as the edges.
         analysis = analyze_events(traced_run.aligned_events)
         assert traced_run.tails["rails"] == {
-            nic: rail.stats().to_dict() for nic, rail in analysis.rails.items()
+            nic: rail.stats() for nic, rail in analysis.rails.items()
         }
 
     def test_slo_verdicts_attached(self, traced_run):
@@ -161,7 +162,7 @@ class TestLiveTailsEndpoint:
 
 class TestMidRunTails:
     def test_edges_are_offset_aligned(self):
-        """``/tails`` reads the same merge as ``/why``, with every
+        """``/tails`` reads the coordinator's one merge, with every
         timestamp as its peer recorded it: peers share one host clock, so
         a raw 1.1 ms crossing is a 1,100 us one."""
         collector = live_cluster._ObsCollector()
@@ -171,7 +172,8 @@ class TestMidRunTails:
              "detail": {"src": "n0", "dst": "n1", "sent_at": 5.0 + i, "corr": f"n0#{i}"}}
             for i in range(3)
         ]})
-        state = live_cluster._ObsState("mid-run", collector, parse_slo(_OBS["slo"]))
+        slo = ObservabilityConfig.from_spec(_OBS).slo
+        state = live_cluster._ObsState("mid-run", collector, slo)
         payload = state.tails()
         assert "note" not in payload
         edge = payload["edges"]["n0->n1"]

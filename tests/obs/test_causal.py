@@ -296,7 +296,7 @@ class TestEndToEndSim:
         assert "repro_blame_fraction" in text
 
     def test_summary_is_the_report_rolled_up(self, traced_run):
-        """``tails["blame"]`` and ``/why`` both print this one summary."""
+        """``tails["blame"]``, mid-run and post-run, is this one summary."""
         _, cluster = traced_run
         causal = attribute_events(cluster.obs.events)
         summary = causal.summary(slowest=3)

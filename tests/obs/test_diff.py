@@ -21,6 +21,7 @@ from repro.obs.diff import (
     load_comparable,
     main,
 )
+from repro.obs.export import write_trace
 from repro.runtime.scenario import load_scenario_file, run_scenario
 from repro.util.errors import ConfigurationError
 
@@ -292,6 +293,13 @@ class TestMain:
     def test_load_error_exits_2(self, tmp_path):
         base = _bench_file(tmp_path, "base.json", {})
         assert main(_args(base, tmp_path / "missing.json", check=True)) == 2
+
+    def test_chrome_trace_exits_2(self, tmp_path, capsys):
+        """A Chrome trace is a write-only export: diff its ``.jsonl``."""
+        chrome = tmp_path / "trace.json"
+        write_trace(chrome, [(0.0, "nic:n0.mx00", "nic.idle")])
+        assert main(_args(chrome, chrome, check=True)) == 2
+        assert "write the trace as .jsonl" in capsys.readouterr().out
 
     def test_custom_threshold(self, tmp_path):
         base = _bench_file(tmp_path, "base.json", {"py_ops_per_msg": 100.0})

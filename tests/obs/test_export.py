@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.export import (
-    load_events,
-    to_chrome_trace,
-    write_jsonl,
-    write_trace,
-)
+from repro.obs.export import load_events, to_chrome_trace, write_trace
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import ABSENT, TraceEvent, detail_of
 
@@ -124,26 +119,21 @@ class TestRoundTrip:
         loaded = load_events(path)
         assert loaded == events
 
-    def test_chrome_round_trip_preserves_instants(self, tmp_path):
+    def test_chrome_trace_is_not_read_back(self, tmp_path):
         events = _sample_stream()
         path = tmp_path / "t.json"
         assert write_trace(path, events) == "chrome"
-        loaded = load_events(path)
-        # Every event comes back from its instant, source and fields
-        # intact, the span-projected kinds (nic.send/idle, rdv.*) too;
-        # times pass through microseconds.
-        assert [e[1:] for e in loaded] == [e[1:] for e in events]
-        assert [e[0] for e in loaded] == pytest.approx([e[0] for e in events])
-        send = loaded[1]
-        assert detail_of(send) == {
-            "packet": 1, "packet_kind": "eager", "bytes": 256, "segments": 1,
-            "dst": "n1", "occupancy": 1e-6,
-        }
-        assert detail_of(loaded[4])["queues"] == {"n0/0": (3, 768)}
+        # Every event is still an instant carrying its fields and source.
+        instants = [e for e in json.loads(path.read_text())["traceEvents"] if e["ph"] == "i"]
+        assert [[e["name"], e["args"]] for e in instants] == json.loads(json.dumps(
+            [[e[2], {**detail_of(e), "source": e[1]}] for e in events]
+        ))
+        with pytest.raises(ConfigurationError, match=r"t\.json is a Chrome trace.*\.jsonl"):
+            load_events(path)
 
     def test_single_line_jsonl_detected(self, tmp_path):
         path = tmp_path / "one.jsonl"
-        write_jsonl(path, [_sample_stream()[0]])
+        write_trace(path, [_sample_stream()[0]])
         loaded = load_events(path)
         assert len(loaded) == 1
         assert loaded[0][2] == "optimizer.activate"
@@ -167,16 +157,9 @@ class TestRoundTrip:
         )
         with pytest.raises(ConfigurationError, match="bad.jsonl:1"):
             load_events(path)
-        chrome = tmp_path / "bad.json"
-        chrome.write_text(json.dumps({"traceEvents": [
-            {"ph": "M", "pid": 1, "name": "process_name", "args": {"name": "cluster"}},
-            {"ph": "i", "ts": 1.0, "pid": 1, "name": "no.such.kind", "args": {}},
-        ]}))
-        with pytest.raises(ConfigurationError, match=r"bad.json:traceEvents\[1\]"):
-            load_events(chrome)
 
     def test_json_without_trace_events_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"foo": 1}')
-        with pytest.raises(ConfigurationError, match="traceEvents"):
+        with pytest.raises(ConfigurationError, match="other.json:1: bad trace record"):
             load_events(path)

@@ -33,7 +33,7 @@ class TestGauge:
     def test_moves_both_ways(self):
         g = Gauge("g")
         g.set(5)
-        g.dec(7)
+        g.inc(-7)
         g.inc(1)
         assert g.value == -1
 

@@ -1,7 +1,5 @@
 """Tests for the trace sinks, especially flight-recorder bounds."""
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,7 +26,7 @@ class TestListSink:
     def test_records_a_tracers_events_in_order(self):
         tracer = Tracer()
         sink = ListSink()
-        assert sink.seen == 0 and sink.events == [] and sink.to_jsonl() == ""
+        assert sink.seen == 0 and sink.events == []
         tracer.subscribe(sink)
         assert tracer.enabled
         for i in range(4):
@@ -37,23 +35,6 @@ class TestListSink:
         assert list(sink) == sink.events and len(sink) == 4
         assert sink.seen == 4
         assert sink.dropped == 0
-        lines = [json.loads(line) for line in sink.to_jsonl().splitlines()]
-        assert [line["detail"]["packet"] for line in lines] == [0, 1, 2, 3]
-        assert lines[0] == {
-            "time": 0.0, "source": "rel:n0.mx00", "kind": "rel.retransmit",
-            "detail": {"packet": 0, "attempt": 1},
-        }
-
-    def test_to_jsonl(self):
-        sink = ListSink()
-        sink(_event(3))
-        record = json.loads(sink.to_jsonl())
-        assert record == {
-            "time": 3.0,
-            "source": "rel:n0.mx00",
-            "kind": "rel.retransmit",
-            "detail": {"packet": 3, "attempt": 1},
-        }
 
 
 class TestRingBufferSink:

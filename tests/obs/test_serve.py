@@ -1,4 +1,4 @@
-"""Tests for the minimal /metrics-/status HTTP endpoint."""
+"""Tests for the minimal route-table HTTP endpoint."""
 
 from __future__ import annotations
 
@@ -38,8 +38,10 @@ class TestObsHTTPServer:
     @pytest.fixture()
     def server(self):
         srv = ObsHTTPServer(
-            lambda: "repro_up 1\n",
-            lambda: {"phase": "running", "peers": 2},
+            {
+                "/metrics": lambda: "repro_up 1\n",
+                "/status": lambda: {"phase": "running", "peers": 2},
+            },
             port=0,
         )
         srv.start()
@@ -70,9 +72,7 @@ class TestObsHTTPServer:
 
     def test_tails_endpoint(self):
         payload = {"edges": {"n0->n1": {"p99_us": 123.0}}, "rails": {}}
-        srv = ObsHTTPServer(
-            lambda: "", lambda: {}, None, lambda: payload, port=0
-        ).start()
+        srv = ObsHTTPServer({"/tails": lambda: payload}, port=0).start()
         try:
             status, headers, body = _get(f"{srv.address}/tails")
             assert status == 200
@@ -82,33 +82,17 @@ class TestObsHTTPServer:
             srv.stop()
 
     def test_why_404_without_callback(self, server):
+        """``/why`` is no route; the 404 names the table's paths."""
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(f"{server.address}/why")
         assert err.value.code == 404
-
-    def test_why_endpoint(self):
-        payload = {
-            "messages": 3,
-            "incomplete": 0,
-            "edges": {"n0->n1": {"wire": 0.9, "unattributed": 0.1}},
-            "slowest": [],
-        }
-        srv = ObsHTTPServer(
-            lambda: "", lambda: {}, None, None, lambda: payload, port=0
-        ).start()
-        try:
-            status, headers, body = _get(f"{srv.address}/why")
-            assert status == 200
-            assert headers["Content-Type"].startswith("application/json")
-            assert json.loads(body) == payload
-        finally:
-            srv.stop()
+        assert err.value.read() == b"not found; try /metrics, /status\n"
 
     def test_callback_exception_is_500(self):
         def boom() -> str:
             raise RuntimeError("registry on fire")
 
-        srv = ObsHTTPServer(boom, lambda: {}, port=0).start()
+        srv = ObsHTTPServer({"/metrics": boom}, port=0).start()
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(f"{srv.address}/metrics")
@@ -143,6 +127,6 @@ class TestObsHTTPServer:
         assert server.port > 0
 
     def test_bind_conflict_raises(self, server):
-        clash = ObsHTTPServer(lambda: "", lambda: {}, port=server.port)
+        clash = ObsHTTPServer({}, port=server.port)
         with pytest.raises(OSError):
             clash.start()

@@ -143,7 +143,9 @@ class TestDocumentation:
             path.read_text(encoding="utf-8") for path in Path(repro.__path__[0]).rglob("*.py")
         )
         # Output files the reader names, not files of the repo.
-        placeholders = {"trace.json", "merged.json", "scenario.json", "t.jsonl"}
+        placeholders = {
+            "trace.json", "merged.json", "scenario.json", "t.jsonl", "trace.jsonl", "merged.jsonl",
+        }
         suffixes = (".py", ".md", ".json", ".jsonl", ".yml", ".toml")
         flags = {
             arg.value
