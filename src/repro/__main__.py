@@ -19,9 +19,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 import repro
+from repro.util.errors import ConfigurationError
 from repro.util.units import format_rate, format_time
 
 
@@ -50,8 +52,6 @@ def _apply_flags(scenario: dict, args) -> None:
     (outages, per-NIC overrides, ``die``, ``disconnect``) stay in the
     scenario file.
     """
-    from repro.util.errors import ConfigurationError
-
     if args.faults == "off":
         scenario.pop("faults", None)
     elif args.faults is not None:
@@ -260,26 +260,16 @@ def _cmd_live_run(args) -> int:
     return 0
 
 
-def _cmd_obs_analyze(args) -> int:
-    from repro.obs.analyze import main as analyze_main
-
-    return analyze_main(args)
-
-
-def _cmd_obs_diff(args) -> int:
-    from repro.obs.diff import main as diff_main
-
-    return diff_main(args)
+def _main_of(module: str):
+    """The ``func`` of a subcommand whose entry point is
+    ``module.main(args)``, imported only when it runs."""
+    return lambda args: importlib.import_module(module).main(args)
 
 
-def _cmd_obs_why(args) -> int:
-    from repro.obs.causal import main as why_main
-
-    return why_main(args)
-
-
-def _add_faults_flag(parser) -> None:
-    parser.add_argument(
+def _shared_flags() -> argparse.ArgumentParser:
+    """The flags ``run`` and ``live run`` share, declared once."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
         "--faults",
         metavar="SPEC",
         help=(
@@ -287,6 +277,35 @@ def _add_faults_flag(parser) -> None:
             "key=val pairs, e.g. --faults drop=0.05,duplicate=0.01,seed=7"
         ),
     )
+    shared.add_argument(
+        "--trace-out",
+        metavar="PATH",
+        help=(
+            "write the captured trace (on the live plane, every peer's "
+            "merged): .jsonl/.ndjson for JSON Lines (what 'obs' reads), "
+            "anything else for Chrome trace JSON (open in ui.perfetto.dev)"
+        ),
+    )
+    shared.add_argument(
+        "--metrics-out",
+        metavar="PATH",
+        help=(
+            "write end-of-run metrics (on the live plane, the merged "
+            "cluster registry) as Prometheus text exposition"
+        ),
+    )
+    shared.add_argument(
+        "--sample-interval",
+        type=float,
+        metavar="SECONDS",
+        help="periodic time-series sample interval in virtual seconds",
+    )
+    shared.add_argument(
+        "--json",
+        action="store_true",
+        help="emit the report as JSON on stdout (no human text)",
+    )
+    return shared
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -301,50 +320,27 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
+    shared = _shared_flags()
 
     subparsers.add_parser("info", help="list registered components").set_defaults(
         func=_cmd_info
     )
 
-    run_parser = subparsers.add_parser("run", help="execute a scenario file")
+    run_parser = subparsers.add_parser(
+        "run", parents=[shared], help="execute a scenario file"
+    )
     run_parser.add_argument("scenario", help="path to a scenario JSON file")
     run_parser.add_argument(
         "--histogram", action="store_true", help="show the latency histogram"
-    )
-    _add_faults_flag(run_parser)
-    run_parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help=(
-            "write the captured trace: .jsonl/.ndjson for JSON Lines (what "
-            "'obs' reads), anything else for Chrome trace JSON (open in "
-            "ui.perfetto.dev)"
-        ),
-    )
-    run_parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="write end-of-run metrics as Prometheus text exposition",
-    )
-    run_parser.add_argument(
-        "--sample-interval",
-        type=float,
-        metavar="SECONDS",
-        help="periodic time-series sample interval in simulated seconds",
-    )
-    run_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full session report as JSON on stdout (no human text)",
     )
     run_parser.set_defaults(func=_cmd_run)
 
     live_parser = subparsers.add_parser(
         "live", help="run the engine over real sockets (repro.live)"
     )
-    live_sub = live_parser.add_subparsers(dest="live_command", required=True)
+    live_sub = live_parser.add_subparsers(dest="subcommand", required=True)
     live_run = live_sub.add_parser(
-        "run", help="execute a scenario file over a local socket mesh"
+        "run", parents=[shared], help="execute a scenario file over a local socket mesh"
     )
     live_run.add_argument("scenario", help="path to a scenario JSON file")
     live_run.add_argument(
@@ -366,26 +362,6 @@ def main(argv: list[str] | None = None) -> int:
         help="hard wall-clock budget before the run is declared hung",
     )
     live_run.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help=(
-            "write the cross-peer merged trace: .jsonl/.ndjson for JSON "
-            "Lines (what 'obs' reads), anything else for Chrome JSON with "
-            "flow events per wire crossing"
-        ),
-    )
-    live_run.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="write the merged cluster registry as Prometheus text",
-    )
-    live_run.add_argument(
-        "--sample-interval",
-        type=float,
-        metavar="SECONDS",
-        help="periodic per-peer time-series sample interval (virtual seconds)",
-    )
-    live_run.add_argument(
         "--serve",
         metavar="[HOST:]PORT",
         help=(
@@ -393,14 +369,10 @@ def main(argv: list[str] | None = None) -> int:
             "over HTTP while the run is in flight, e.g. --serve :9464"
         ),
     )
-    _add_faults_flag(live_run)
-    live_run.add_argument(
-        "--json", action="store_true", help="emit the report as JSON on stdout"
-    )
     live_run.set_defaults(func=_cmd_live_run)
 
     obs_parser = subparsers.add_parser("obs", help="observability tools")
-    obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
+    obs_sub = obs_parser.add_subparsers(dest="subcommand", required=True)
     analyze_parser = obs_sub.add_parser(
         "analyze", help="reconstruct timelines + decision summary from a trace"
     )
@@ -427,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
             "violated in every configured window"
         ),
     )
-    analyze_parser.set_defaults(func=_cmd_obs_analyze)
+    analyze_parser.set_defaults(func=_main_of("repro.obs.analyze"))
 
     diff_parser = obs_sub.add_parser(
         "diff",
@@ -453,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="exit nonzero when any non-ignored metric regressed",
     )
-    diff_parser.set_defaults(func=_cmd_obs_diff)
+    diff_parser.set_defaults(func=_main_of("repro.obs.diff"))
 
     why_parser = obs_sub.add_parser(
         "why",
@@ -484,13 +456,21 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="emit the attribution report as JSON on stdout",
     )
-    why_parser.set_defaults(func=_cmd_obs_why)
+    why_parser.set_defaults(func=_main_of("repro.obs.causal"))
 
     # Listed for --help only; ``bench`` is dispatched above.
     subparsers.add_parser("bench", help="run experiments (python -m repro.bench)")
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigurationError, OSError) as exc:
+        # A bad scenario, flag or file is the user's to fix: one line.
+        # Any other error is a bug or a failed live run, and keeps its
+        # traceback.
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

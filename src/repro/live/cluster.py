@@ -37,7 +37,7 @@ peers because every peer is a child process on this host, stamping
 the host clock against the coordinator's epoch.
 
 Beyond the report, the coordinator is the *merge point* of the
-distributed observability plane (docs/ARCHITECTURE.md §13): it merges
+distributed observability plane (docs/ARCHITECTURE.md §5.5): it merges
 the streamed trace fragments, as the peers recorded them, into one
 multi-process trace (:mod:`repro.obs.merge`), folds the per-peer metric
 registries into a cluster registry with a ``peer`` label, and — with

@@ -1,4 +1,4 @@
-"""The observability plane (see docs/ARCHITECTURE.md §11).
+"""The observability plane (see docs/ARCHITECTURE.md §5).
 
 Turns the per-component :class:`~repro.util.tracing.Tracer` hook into a
 full observability subsystem: a metrics registry with Prometheus text

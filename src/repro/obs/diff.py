@@ -220,19 +220,15 @@ def render_diff(entries: list[DiffEntry]) -> str:
 def main(args) -> int:
     """Entry point for ``python -m repro obs diff``."""
     threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    try:
-        base_kind, base = load_comparable(args.baseline)
-        if base_kind == "gates":
-            cand_kind, entries = "results", check_gates(base, Path(args.candidate))
-        else:
-            cand_kind, cand = load_comparable(args.candidate)
-            entries = compare(
-                base, cand, declared(base_kind), threshold=threshold,
-                ignore=tuple(args.ignore or ()),
-            )
-    except ConfigurationError as exc:
-        print(f"obs diff: {exc}")
-        return 2
+    base_kind, base = load_comparable(args.baseline)
+    if base_kind == "gates":
+        cand_kind, entries = "results", check_gates(base, Path(args.candidate))
+    else:
+        cand_kind, cand = load_comparable(args.candidate)
+        entries = compare(
+            base, cand, declared(base_kind), threshold=threshold,
+            ignore=tuple(args.ignore or ()),
+        )
     print(f"== obs diff: {args.baseline} ({base_kind}) vs {args.candidate} ({cand_kind}) ==")
     print(render_diff(entries))
     if args.check and any(e.regressed for e in entries):

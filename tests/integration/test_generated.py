@@ -12,7 +12,8 @@ dispatch inside it is plan- and price-checked by the root
 Tier-1 runs ten times hypothesis's configured budget (1,000 scenarios
 under the default profile); CI runs the ``deep`` profile on top.  A
 shrunk scenario that once broke an invariant stays below as a named
-regression.
+regression, and so does a corner of the space the generator does not
+draw.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class Scenario:
     reproduction recipe hypothesis prints for a failing draw)."""
 
     engine: str = "optimizing"
+    n_nodes: int = 2
     strategy: str = "aggregate"
     policy: str = "pooled"
     networks: tuple[tuple[str, int], ...] = (("mx", 1),)
@@ -78,6 +80,7 @@ class Scenario:
 
     def make(self, traced: bool) -> Cluster:
         return Cluster(
+            n_nodes=self.n_nodes,
             networks=self.networks,
             engine=self.engine,
             strategy=self.strategy,
@@ -255,13 +258,21 @@ def test_every_generated_run_keeps_every_invariant(scenario):
 
 
 # ----------------------------------------------------------------------
-# named regressions: shrunk scenarios that once broke an invariant
+# named regressions: shrunk scenarios that once broke an invariant, and
+# corners the generator does not draw
 # ----------------------------------------------------------------------
 def _one_flow(traffic_class: TrafficClass, *messages: tuple[Fragment, ...]):
     return (("n0", "n1", traffic_class, messages),)
 
 
 _BULK_64K = ((64 * KiB, PackMode.CHEAPER, False),)
+
+
+def _sends(size: int, count: int) -> tuple[tuple[Fragment, ...], ...]:
+    """``count`` messages as ``MadAPI.send`` packs them: a 16 B express
+    header, then the payload."""
+    return (((16, PackMode.CHEAPER, True), (size, PackMode.CHEAPER, False)),) * count
+
 
 REGRESSIONS = {
     # A SAFER fragment bigger than ``max_aggregate_size`` whose rendezvous
@@ -338,6 +349,23 @@ REGRESSIONS = {
         flows=_one_flow(
             TrafficClass.BULK,
             ((2, PackMode.CHEAPER, False), (1, PackMode.CHEAPER, False), (1, PackMode.CHEAPER, False)),
+        ),
+    ),
+    # The generator draws windows of 1 to 32 entries; 40 messages on 4
+    # flows fill a window of 64.
+    "window_64": Scenario(
+        config={"lookahead_window": 64},
+        flows=(("n0", "n1", TrafficClass.DEFAULT, _sends(256, 10)),) * 4,
+    ),
+    # The generator draws two nodes; every ordered pair of four exchanges
+    # three messages.
+    "all_to_all_4_nodes": Scenario(
+        n_nodes=4,
+        flows=tuple(
+            (f"n{src}", f"n{dst}", TrafficClass.DEFAULT, _sends(512, 3))
+            for src in range(4)
+            for dst in range(4)
+            if src != dst
         ),
     ),
 }
@@ -462,6 +490,18 @@ class TestPlantedViolations:
         records.append(records[0])
         with pytest.raises(InvariantViolation, match="repeated"):
             INVARIANTS["exactly_once_fifo"].check(good_run)
+
+    def test_exactly_once_fifo_catches_a_completion_after_the_end(self, good_run):
+        records = good_run.untraced.cluster.metrics.records
+        records[0] = records[0]._replace(complete_time=good_run.untraced.cluster.sim.now + 1)
+        with pytest.raises(InvariantViolation, match="run ended at"):
+            INVARIANTS["exactly_once_fifo"].check(good_run)
+
+    def test_quiescent_catches_a_half_reassembled_message(self, good_run, monkeypatch):
+        reassembler = good_run.untraced.cluster.reassemblers["n1"]
+        monkeypatch.setattr(type(reassembler), "incomplete_messages", property(lambda _: 1))
+        with pytest.raises(InvariantViolation, match="incomplete_messages"):
+            INVARIANTS["quiescent"].check(good_run)
 
     def test_bytes_conserved_catches_a_dropped_byte(self, good_run):
         records = good_run.untraced.cluster.metrics.records

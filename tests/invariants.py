@@ -180,15 +180,28 @@ def _priced_as_charged(d: Dispatch) -> None:
 
 
 def _exactly_once_fifo(run: Run) -> None:
-    """Every message completes once; a flow's FIFO-bound fragments leave in
+    """Every message completes once, at the receiver too, between its
+    submit and the end of the run; a flow's FIFO-bound fragments leave in
     seq order."""
     for o in run.outcomes:
+        records = o.cluster.metrics.records
         wanted = sorted(m.message_id for m in o.submitted)
-        got = sorted(r.message_id for r in o.cluster.metrics.records)
+        got = sorted(r.message_id for r in records)
         if got != wanted:
             missing = sorted(set(wanted) - set(got))
             extra = sorted(i for i in set(got) if got.count(i) > 1)
             _fail("exactly_once_fifo", f"missing {missing}, repeated {extra}")
+        reassembled = sum(r.messages_completed for r in o.cluster.reassemblers.values())
+        if reassembled != len(wanted):
+            _fail("exactly_once_fifo", f"{reassembled} reassembled of {len(wanted)}")
+        end = o.cluster.sim.now
+        for r in records:
+            if not r.submit_time <= r.complete_time <= end:
+                _fail(
+                    "exactly_once_fifo",
+                    f"message {r.message_id} submitted at {r.submit_time!r}, "
+                    f"completed at {r.complete_time!r}, run ended at {end!r}",
+                )
         for flow_id, order in o.departures.items():
             if order != sorted(order):
                 _fail(
@@ -243,7 +256,8 @@ def _report_recount(run: Run) -> None:
 
 
 def _quiescent(run: Run) -> None:
-    """At idle no hold or rendezvous timer is armed and nothing is queued."""
+    """At idle no hold or rendezvous timer is armed, nothing is queued and
+    no message is half reassembled."""
     for o in run.outcomes:
         for name, engine in o.cluster.engines.items():
             state = {
@@ -251,6 +265,7 @@ def _quiescent(run: Run) -> None:
                 "rdv_timers": len(engine._rdv_timers),
                 "backlog": engine.backlog,
                 "rendezvous_in_flight": engine.rendezvous_in_flight,
+                "incomplete_messages": o.cluster.reassemblers[name].incomplete_messages,
             }
             if any(state.values()):
                 _fail("quiescent", f"engine {name} at idle: {state}")

@@ -210,6 +210,14 @@ class TestLoadComparable:
         assert rows == GATES
 
 
+def _cli(capsys, *argv) -> tuple[int, str]:
+    """``repro obs diff ARGV`` through the CLI: its exit code and stderr."""
+    from repro.__main__ import main as cli
+
+    code = cli(["obs", "diff", *map(str, argv)])
+    return code, capsys.readouterr().err
+
+
 def _args(baseline, candidate, *, check=False, threshold=None, ignore=()):
     return argparse.Namespace(
         baseline=str(baseline), candidate=str(candidate), check=check,
@@ -264,8 +272,9 @@ class TestMain:
         missing = tmp_path / "BENCHMARK.json"
         monkeypatch.setattr(diff, "BENCHMARK", missing)
         base = _ledger_output(tmp_path, "base.json", 10900.0)
-        assert main(_args(base, base, check=True)) == 2
-        assert str(missing) in capsys.readouterr().out
+        code, err = _cli(capsys, base, base, "--check")
+        assert code == 2
+        assert str(missing) in err
 
     def test_injected_regression_fails_check(self, tmp_path, capsys):
         base = _bench_file(tmp_path, "base.json", {"rtt_p50_us": 100.0, "core.agg_ratio": 3.0})
@@ -290,16 +299,19 @@ class TestMain:
         cand = _bench_file(tmp_path, "cand.json", {"rtt_p50_us": 50.0})
         assert main(_args(base, cand, check=True, ignore=["*_us"])) == 0
 
-    def test_load_error_exits_2(self, tmp_path):
+    def test_load_error_exits_2(self, tmp_path, capsys):
         base = _bench_file(tmp_path, "base.json", {})
-        assert main(_args(base, tmp_path / "missing.json", check=True)) == 2
+        code, err = _cli(capsys, base, tmp_path / "missing.json", "--check")
+        assert code == 2
+        assert "missing.json" in err
 
     def test_chrome_trace_exits_2(self, tmp_path, capsys):
         """A Chrome trace is a write-only export: diff its ``.jsonl``."""
         chrome = tmp_path / "trace.json"
         write_trace(chrome, [(0.0, "nic:n0.mx00", "nic.idle")])
-        assert main(_args(chrome, chrome, check=True)) == 2
-        assert "write the trace as .jsonl" in capsys.readouterr().out
+        code, err = _cli(capsys, chrome, chrome, "--check")
+        assert code == 2
+        assert "write the trace as .jsonl" in err
 
     def test_custom_threshold(self, tmp_path):
         base = _bench_file(tmp_path, "base.json", {"py_ops_per_msg": 100.0})
@@ -392,4 +404,6 @@ class TestGates:
         assert main(_args(gates, passing, check=True)) == 0
         assert main(_args(gates, failing, check=True)) == 1
         assert "(m grew)" in capsys.readouterr().out
-        assert main(_args(gates, gates, check=True)) == 2
+        code, err = _cli(capsys, gates, gates, "--check")
+        assert code == 2
+        assert "not a directory" in err

@@ -215,13 +215,13 @@ class TestFaultsBlock:
         out = capsys.readouterr().out
         assert "retransmits" not in out
 
-    def test_cli_faults_malformed_rejected(self, tmp_path):
+    def test_cli_faults_malformed_rejected(self, capsys, tmp_path):
         from repro.__main__ import main
 
         path = tmp_path / "s.json"
         path.write_text(json.dumps(minimal_scenario()))
-        with pytest.raises(ConfigurationError, match="--faults"):
-            main(["run", str(path), "--faults", "drop"])
+        assert main(["run", str(path), "--faults", "drop"]) == 2
+        assert "--faults" in capsys.readouterr().err
 
 
 class TestRunScenario:
@@ -324,6 +324,38 @@ class TestScenarioFile:
 
 
 class TestTopLevelCli:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["run", "{bad}"], "cluster.seed"),
+            (["live", "run", "{bad}"], "cluster.seed"),
+            (["obs", "analyze", "{missing}.jsonl"], "missing.jsonl"),
+            (["obs", "why", "{chrome}"], "write the trace as .jsonl"),
+            (["obs", "diff", "{missing}.json", "{chrome}"], "missing.json"),
+        ],
+        ids=["run", "live-run", "obs-analyze", "obs-why", "obs-diff"],
+    )
+    def test_an_error_the_user_can_fix_is_one_line_and_exit_2(
+        self, argv, names, tmp_path, capsys, monkeypatch
+    ):
+        """A bad scenario, a missing file or a Chrome trace: one stderr
+        line naming the problem, exit 2, no traceback, and no peer forked."""
+        from repro.__main__ import main
+        from repro.obs.export import write_trace
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(minimal_scenario(cluster={"seed": 1.5})))
+        chrome = tmp_path / "trace.json"
+        write_trace(chrome, [(0.0, "nic:n0.mx00", "nic.idle")])
+        paths = {"bad": bad, "missing": tmp_path / "missing", "chrome": chrome}
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: pytest.fail("spawned"))
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        command = " ".join(arg for arg in argv if "{" not in arg)
+        assert err.startswith(f"repro {command}: ")
+        assert names in err
+
     def test_info(self, capsys):
         from repro.__main__ import main
 

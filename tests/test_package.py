@@ -40,7 +40,38 @@ def _walk_modules():
         yield importlib.import_module(module_info.name)
 
 
+def section_citations(text: str) -> list[str]:
+    """The ``§N`` / ``§N.M`` numbers ``text`` cites in docs/ARCHITECTURE.md,
+    including a citation wrapped across a line (or a comment's ``#``)."""
+    return re.findall(r"ARCHITECTURE\.md`?[\s#]*§(\d+(?:\.\d+)?)", text)
+
+
 class TestDocumentation:
+    def test_citation_scan_catches_a_wrapped_citation(self):
+        text = "see `docs/ARCHITECTURE.md`\n§15; docs/ARCHITECTURE.md §2.4.\n# ARCHITECTURE.md\n# §3"
+        assert section_citations(text) == ["15", "2.4", "3"]
+
+    def test_architecture_sections_are_cited_as_they_exist(self):
+        """Every ``ARCHITECTURE.md §N`` (or ``§N.M``) cited by a prose
+        document or by ``src/``, and every ``§`` inside ARCHITECTURE
+        itself, names one of its ``## N.`` / ``### N.M`` headings; no
+        heading names a PR, and the document stays within its size."""
+        root = Path(repro.__path__[0]).parents[1]
+        arch = (root / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+        headings = re.findall(r"^#{2,3} .*$", arch, flags=re.M)
+        sections = set(re.findall(r"^## (\d+)\. ", arch, flags=re.M)) | set(
+            re.findall(r"^### (\d+\.\d+) ", arch, flags=re.M)
+        )
+        cited = {("docs/ARCHITECTURE.md", n) for n in re.findall(r"§(\d+(?:\.\d+)?)", arch)}
+        for path in [root / doc for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md")] + sorted(
+            Path(repro.__path__[0]).rglob("*.py")
+        ):
+            text = path.read_text(encoding="utf-8")
+            cited |= {(str(path.relative_to(root)), n) for n in section_citations(text)}
+        assert sorted(c for c in cited if c[1] not in sections) == []
+        assert [h for h in headings if "PR" in h] == []
+        assert len(arch.splitlines()) <= 600 and len(arch.split()) <= 5000
+
     def test_every_module_has_docstring(self):
         undocumented = [m.__name__ for m in _walk_modules() if not m.__doc__]
         assert undocumented == []
