@@ -214,6 +214,7 @@ def _cmd_live_run(args) -> int:
             "corrupt_slices": result.corrupt_slices,
             "done_frames_sent": result.done_frames_sent,
             "data_bytes_sent": result.data_bytes_sent,
+            "cpu_s": result.cpu_s,
             "rtt_samples": len(result.rtts),
             "tails": result.tails,
             "dead_peers": [

@@ -4,8 +4,7 @@ The array walk here is the only packet decision in ``src/``, for every
 strategy and driver.  The entry-object walk it replaced is the test
 oracle (``tests/core/oracle.py``) the equivalence tests compare it to.
 
-Design (ROADMAP "10-100x the decision kernel with array-based
-batching"):
+Design (docs/ARCHITECTURE.md §2.4):
 
 * :class:`PendingArrays` mirrors a channel queue's pending window as
   parallel flat lists (``remaining``, ``submit_time``, ``flow_id``,

@@ -115,6 +115,11 @@ class LiveRunResult:
         return sum(p["transport"]["corrupt_slices"] for p in self.peer_reports)
 
     @property
+    def cpu_s(self) -> float:
+        """CPU seconds the peers used, each read when it was told to STOP."""
+        return sum(p["cpu_s"] for p in self.peer_reports)
+
+    @property
     def done_frames_sent(self) -> int:
         """DONE frames the peers wrote (one per sender per ingested chunk)."""
         return sum(p["transport"]["done_frames_sent"] for p in self.peer_reports)

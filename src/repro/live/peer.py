@@ -42,6 +42,7 @@ import json
 import os
 import sys
 import threading
+import time
 import traceback
 from dataclasses import replace
 from typing import Any
@@ -462,6 +463,7 @@ class LivePeer:
 
     def report(self) -> dict[str, Any]:
         """The final REPORT payload: records, counters, apps, trace."""
+        cpu_s = time.process_time()  # this peer's CPU up to STOP
         if self.sampler is not None:
             self.sampler.stop()
         self.plane.finalize()
@@ -490,6 +492,7 @@ class LivePeer:
             "type": "report",
             "node": self.local,
             "now": self.clock.refresh(),
+            "cpu_s": cpu_s,
             "records": records,
             "engine": stats_row(self.engine.stats),
             "nics": nics,

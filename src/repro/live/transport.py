@@ -22,11 +22,14 @@ Three layers live here, all shared by the peer processes and the tests:
   the decoder, is then responsible for recovery.
 * **Deterministic payload bytes** — the simulator moves *sizes*, not
   bytes; the live plane must put real bytes on the wire and prove they
-  arrive intact.  Every fragment's content is a deterministic function
-  of ``(sender node, message id, fragment index)``
-  (:func:`fragment_seed` + :func:`payload_bytes`), addressable at any
-  offset, so the receiver can verify byte-identical delivery of any
-  slice without shipping expected values out of band.
+  arrive intact.  Each process hashes one 64 KiB random tile at import;
+  a fragment's bytes are that tile, cyclically, from a start mixed from
+  ``(sender node, message id, fragment index)`` (:func:`fragment_seed`),
+  so a slice is one cut at ``start + offset`` (:func:`payload_bytes`)
+  that the receiver checks with one ``bytes`` compare.  The check
+  catches any changed byte, a slice shifted within its fragment by
+  anything but a multiple of the period, and a slice of another
+  fragment whose start differs — all but one pair of starts in 65,536.
 * **Mirror reassembly** — on receive, :class:`MirrorReceiver` rebuilds a
   local :class:`~repro.madeleine.message.Message`/``Fragment`` skeleton
   from the binary message skeletons
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import zlib
 from typing import Callable, Iterable
 
 from repro.madeleine.message import Flow, Fragment, Message, PackMode
@@ -67,8 +69,6 @@ __all__ = [
     "ENVELOPE_CRC_OFFSET",
     "StreamDecoder",
     "wrap_envelope",
-    "fragment_seed",
-    "payload_bytes",
     "encode_live_packet",
     "hello_frame",
     "done_frame",
@@ -198,12 +198,34 @@ class StreamDecoder:
 # deterministic payload bytes
 # --------------------------------------------------------------------------
 
-_TILE_BYTES = 256
+#: Bytes after which a fragment's pattern repeats: the random tile's length.
+PATTERN_PERIOD = 1 << 16
+# The tile twice over, so a slice up to a period long is one cut.
+_SOURCE = hashlib.shake_128(b"repro.live payload pattern").digest(PATTERN_PERIOD) * 2
+_MIX = 0x9E3779B97F4A7C15  # 2**64 / golden ratio: spreads consecutive ids apart
+_STRIDE = 40503  # odd, ≈ period / golden ratio: the next fragment's start
+
+
+def _seed(node: int, message_id: int, fragment_index: int) -> int:
+    """Where a fragment's pattern starts (mod the period); ``node`` is :func:`_node_key`."""
+    return ((node ^ message_id) * _MIX >> 40) + fragment_index * _STRIDE
+
+
+def _cut(position: int, length: int) -> bytes:
+    start = position % PATTERN_PERIOD
+    if length <= PATTERN_PERIOD:
+        return _SOURCE[start : start + length]
+    reps = (start + length) // PATTERN_PERIOD + 1
+    return (_SOURCE[:PATTERN_PERIOD] * reps)[start : start + length]
+
+
+def _node_key(src: str) -> int:
+    return int.from_bytes(src.encode("utf-8"), "big")
 
 
 def fragment_seed(src: str, message_id: int, fragment_index: int) -> int:
-    """Stable 32-bit seed identifying one fragment's byte pattern."""
-    return zlib.crc32(f"{src}/{message_id}/{fragment_index}".encode("utf-8"))
+    """Stable 32-bit seed: where one fragment's pattern starts in the tile."""
+    return _seed(_node_key(src), message_id, fragment_index) & 0xFFFFFFFF
 
 
 def payload_bytes(seed: int, offset: int, length: int) -> bytes:
@@ -211,18 +233,12 @@ def payload_bytes(seed: int, offset: int, length: int) -> bytes:
 
     Absolute-offset addressable: the optimizer may split one fragment
     across packets (striping, rendezvous chunking) and each slice must
-    be independently generable and verifiable.
+    be independently generable and verifiable.  The slice is the tile
+    cut at ``seed + offset``: no hash, no string, one copy.
     """
     if offset < 0 or length < 0:
         raise WireError(f"negative payload slice ({offset}, {length})")
-    if length == 0:
-        return b""
-    # One C call per slice: every fragment has its own seed, so a cache
-    # of tiles would never hit.
-    tile = hashlib.shake_128(seed.to_bytes(4, "big")).digest(_TILE_BYTES)
-    start = offset % _TILE_BYTES
-    reps = (start + length + _TILE_BYTES - 1) // _TILE_BYTES
-    return (tile * reps)[start : start + length]
+    return _cut(seed + offset, length)
 
 
 # --------------------------------------------------------------------------
@@ -242,27 +258,25 @@ def encode_live_packet(packet: WirePacket) -> bytes:
     Control packets (rendezvous handshake) carry their ``meta`` only.
     The hub wraps the frame into a stream record (:func:`wrap_envelope`).
     """
+    node = _node_key(packet.src)
     segments = []
     described: set[int] = set()
-    for seg in packet.segments:
-        fragment = seg.payload
+    for fragment, offset, length in packet.segments:
         if not isinstance(fragment, Fragment):
             raise ProtocolError(
-                f"live transport cannot serialize non-fragment payload {seg.payload!r}"
+                f"live transport cannot serialize non-fragment payload {fragment!r}"
             )
         message = fragment.message
         message_id = message.message_id
+        index = fragment.index
         skeleton = None
         if message_id not in described:
             described.add(message_id)
             layout = [(f.size, f.express) for f in message.fragments]
             submit = message.submit_time or 0.0  # 0.0: not yet flushed
-            skeleton = MessageSkeleton(
-                message.flow.flow_id, submit, message.seq, layout, message.context
-            )
-        seed = fragment_seed(packet.src, message_id, fragment.index)
-        data = payload_bytes(seed, seg.offset, seg.length)
-        segments.append((message_id, fragment.index, skeleton, seg.offset, seg.length, data))
+            skeleton = (message.flow.flow_id, submit, message.seq, layout, message.context)
+        data = _cut(_seed(node, message_id, index) + offset, length)
+        segments.append((message_id, index, skeleton, offset, length, data))
     return encode_frame(
         packet.kind, packet.src, packet.dst, packet.channel_id, packet.meta, segments
     )
@@ -344,28 +358,37 @@ class MirrorReceiver:
         sender's own id crosses the wire only as the tracing
         correlation key in ``meta``)."""
         src = frame.src
-        segments: list[WireSegment] = []
+        node = _node_key(src)
+        mirrors = self._mirrors
+        new = tuple.__new__
+        segments = []
+        verified = 0
         for message_id, index, skeleton, offset, length, data in frame.segments:
-            message = self._mirrors.get(message_id)
+            message = mirrors.get(message_id)
             if message is None:  # the message's first segment: needs the skeleton
                 if skeleton is None:
                     raise WireError(
                         f"segment of message {message_id} has no mirror and no skeleton"
                     )
                 message = self._make_mirror(src, message_id, skeleton)
-            if index >= len(message.fragments):
+            try:
+                fragment = message.fragments[index]
+            except IndexError:
                 raise WireError(
                     f"fragment index {index} outside mirror layout of "
                     f"{len(message.fragments)} fragment(s)"
-                )
-            if data != payload_bytes(fragment_seed(src, message_id, index), offset, length):
+                ) from None
+            if data != _cut(_seed(node, message_id, index) + offset, length):
+                self.bytes_verified += verified
                 self.corrupt_slices += 1
                 raise WireError(
                     f"payload mismatch on {src}->{self.node_name} "
                     f"msg {message_id} fragment {index} [{offset}, {offset + length})"
                 )
-            self.bytes_verified += length
-            segments.append(WireSegment(message.fragments[index], offset, length))
+            verified += length
+            # The decoder bounded offset and length (u64): no re-check.
+            segments.append(new(WireSegment, (fragment, offset, length)))
+        self.bytes_verified += verified
         return WirePacket(
             kind=frame.kind,
             src=src,
@@ -396,14 +419,14 @@ class MirrorReceiver:
                 f"{flow.name!r} seq {message.seq} is message {message.message_id}"
             )
         message.submit_time = submit
-        # Fragment.__init__ does not append; preserve the Message
-        # invariants that fragments[i].index == i and that total_size
-        # is the sum of the fragment sizes.
-        message.fragments.extend(
-            Fragment(message, i, size, PackMode.CHEAPER, bool(express))
-            for i, (size, express) in enumerate(layout)
-        )
-        message.total_size = sum(size for size, _express in layout)
+        # Fragment.__init__ does not append: keep fragments[i].index == i
+        # and total_size the sum of the sizes, as add_fragment does.
+        fragments = message.fragments
+        total = 0
+        for index, (size, express) in enumerate(layout):
+            fragments.append(Fragment(message, index, size, PackMode.CHEAPER, bool(express)))
+            total += size
+        message.total_size = total
         self._mirrors[sender_mid] = message
         return message
 

@@ -192,6 +192,8 @@ _SEGMENT = struct.Struct("!QIBQQ")
 _SKELETON = struct.Struct("!IdIII")
 # one per fragment, in index order: size(u32) express(u8)
 _LAYOUT_ENTRY = struct.Struct("!IB")
+# A message's first segment in a frame: its header and skeleton, packed at once.
+_SKELETON_SEGMENT = struct.Struct(_SEGMENT.format + _SKELETON.format[1:])
 
 # One compact encoder for every meta dict and message context.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
@@ -254,15 +256,18 @@ def encode_frame(
     """Serialize one packet's framing and payload into wire bytes.
 
     Each segment is ``(message_id, index, skeleton, offset, length,
-    data)``, the fields of :class:`DecodedSegment`.  The returned buffer
-    is self-delimiting (a length field in the prefix) and carries a
-    CRC-32 over everything after the prefix, so :func:`decode_frame` can
-    detect truncation and corruption.  A field its wire slot cannot hold
-    (negative, too wide, not a number) is a ``WireError``, never a wrap.
+    data)``, the fields of :class:`DecodedSegment`; a skeleton is any
+    5-tuple in :class:`MessageSkeleton`'s field order.  The returned
+    buffer is self-delimiting (a length field in the prefix) and
+    carries a CRC-32 over everything after the prefix, so
+    :func:`decode_frame` can detect truncation and corruption.  A field
+    its wire slot cannot hold (negative, too wide, not a number) is a
+    ``WireError``, never a wrap.
     """
     src_b = src.encode("utf-8")
     dst_b = dst.encode("utf-8")
     meta_b = _dumps(meta).encode("utf-8")
+    pack_segment = _SEGMENT.pack
     try:
         head = _BODY_HEAD.pack(channel_id, len(src_b), len(dst_b), len(meta_b), len(segments))
         parts = [head, src_b, dst_b, meta_b]
@@ -271,14 +276,16 @@ def encode_frame(
                 raise WireError(
                     f"segment length field {length} disagrees with payload of {len(data)} bytes"
                 )
-            parts.append(_SEGMENT.pack(message_id, index, skeleton is not None, offset, length))
-            if skeleton is not None:
-                flow_id, submit, seq, layout, ctx = skeleton
-                ctx_b = _dumps(ctx).encode("utf-8") if ctx else b""
-                parts.append(_SKELETON.pack(flow_id, submit, seq, len(layout), len(ctx_b)))
-                parts.extend([_LAYOUT_ENTRY.pack(size, express) for size, express in layout])
-                parts.append(ctx_b)
-            parts.append(data)
+            if skeleton is None:
+                parts += (pack_segment(message_id, index, 0, offset, length), data)
+                continue
+            flow_id, submit, seq, layout, ctx = skeleton
+            ctx_b = _dumps(ctx).encode("utf-8") if ctx else b""
+            parts.append(_SKELETON_SEGMENT.pack(
+                message_id, index, 1, offset, length, flow_id, submit, seq, len(layout), len(ctx_b)
+            ))
+            parts += [_LAYOUT_ENTRY.pack(size, express) for size, express in layout]
+            parts += (ctx_b, data)
         body = b"".join(parts)
         prefix = _PREFIX.pack(
             WIRE_MAGIC, WIRE_VERSION, _KIND_CODES[kind], 0, 0, zlib.crc32(body), len(body)
@@ -286,35 +293,6 @@ def encode_frame(
     except struct.error as exc:
         raise WireError(f"a field does not fit its wire slot: {exc}") from None
     return prefix + body
-
-
-class _Cursor:
-    """Bounds-checked reader over a frame body — every overrun is a WireError."""
-
-    __slots__ = ("_data", "_pos")
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _advance(self, n: int, what: str) -> int:
-        start = self._pos
-        if start + n > len(self._data):
-            left = len(self._data) - start
-            raise WireError(f"truncated frame: {what} at byte {start} needs {n}, {left} left")
-        self._pos = start + n
-        return start
-
-    def take(self, n: int, what: str) -> bytes:
-        start = self._advance(n, what)
-        return self._data[start : self._pos]
-
-    def unpack(self, fmt: struct.Struct, what: str) -> tuple[Any, ...]:
-        return fmt.unpack_from(self._data, self._advance(fmt.size, what))
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
 
 
 def _decode_json(raw: bytes, what: str) -> dict[str, Any]:
@@ -335,10 +313,13 @@ def decode_frame(data: bytes) -> DecodedFrame:
     truncated body, CRC mismatch, bad skeleton flag, or garbage JSON.
     Trailing bytes after the declared body length are also rejected —
     the caller is expected to hand exactly one frame (stream splitting
-    happens a layer above).
+    happens a layer above).  The body is walked once by a local offset:
+    a field that runs past its end fails the next fixed-size read or
+    leaves the walk ending past the body.
     """
-    if len(data) < _PREFIX.size:
-        raise WireError(f"frame shorter than {_PREFIX.size}-byte prefix ({len(data)} bytes)")
+    size = len(data)
+    if size < FRAME_PREFIX_BYTES:
+        raise WireError(f"frame shorter than {FRAME_PREFIX_BYTES}-byte prefix ({size} bytes)")
     magic, version, kind_code, _flags, _reserved, crc, body_len = _PREFIX.unpack_from(data)
     if magic != WIRE_MAGIC:
         raise WireError(f"bad magic {magic!r} (expected {WIRE_MAGIC!r})")
@@ -347,32 +328,47 @@ def decode_frame(data: bytes) -> DecodedFrame:
     kind = _CODE_KINDS.get(kind_code)
     if kind is None:
         raise WireError(f"unknown packet kind code {kind_code}")
-    body = data[_PREFIX.size :]
-    if len(body) != body_len:
-        raise WireError(f"frame body is {len(body)} bytes, prefix declared {body_len}")
-    if zlib.crc32(body) != crc:
-        raise WireError(f"checksum mismatch (crc32 {zlib.crc32(body):#010x} != {crc:#010x})")
+    body_bytes = size - FRAME_PREFIX_BYTES
+    if body_bytes != body_len:
+        raise WireError(f"frame body is {body_bytes} bytes, prefix declared {body_len}")
+    body_crc = zlib.crc32(memoryview(data)[FRAME_PREFIX_BYTES:])
+    if body_crc != crc:
+        raise WireError(f"checksum mismatch (crc32 {body_crc:#010x} != {crc:#010x})")
 
-    cur = _Cursor(body)
-    channel_id, src_len, dst_len, meta_len, seg_count = cur.unpack(_BODY_HEAD, "body header")
-    src = cur.take(src_len, "src").decode("utf-8", errors="replace")
-    dst = cur.take(dst_len, "dst").decode("utf-8", errors="replace")
-    meta = _decode_json(cur.take(meta_len, "meta"), "meta")
+    unpack_segment = _SEGMENT.unpack_from
+    new = tuple.__new__  # a named tuple without its Python-level __new__
     segments = []
-    for _ in range(seg_count):
-        message_id, index, flag, offset, length = cur.unpack(_SEGMENT, "segment header")
-        skeleton = None
-        if flag == 1:
-            flow_id, submit, seq, count, ctx_len = cur.unpack(_SKELETON, "skeleton")
-            layout = cur.take(count * _LAYOUT_ENTRY.size, "layout")
-            ctx = _decode_json(cur.take(ctx_len, "ctx"), "ctx") if ctx_len else {}
-            skeleton = MessageSkeleton(
-                flow_id, submit, seq, tuple(_LAYOUT_ENTRY.iter_unpack(layout)), ctx
-            )
-        elif flag:
-            raise WireError(f"segment of message {message_id} has skeleton flag {flag}")
-        data = cur.take(length, "payload")
-        segments.append(DecodedSegment(message_id, index, skeleton, offset, length, data))
-    if not cur.exhausted:
-        raise WireError("trailing bytes after last segment")
+    append = segments.append
+    try:
+        channel_id, src_len, dst_len, meta_len, seg_count = _BODY_HEAD.unpack_from(
+            data, FRAME_PREFIX_BYTES
+        )
+        pos = FRAME_PREFIX_BYTES + _BODY_HEAD.size
+        src = data[pos : pos + src_len].decode("utf-8", errors="replace")
+        pos += src_len
+        dst = data[pos : pos + dst_len].decode("utf-8", errors="replace")
+        pos += dst_len
+        meta = _decode_json(data[pos : pos + meta_len], "meta")
+        pos += meta_len
+        for _ in range(seg_count):
+            message_id, index, flag, offset, length = unpack_segment(data, pos)
+            pos += _SEGMENT.size
+            skeleton = None
+            if flag == 1:
+                flow_id, submit, seq, count, ctx_len = _SKELETON.unpack_from(data, pos)
+                pos += _SKELETON.size
+                end = pos + count * _LAYOUT_ENTRY.size
+                layout = tuple(_LAYOUT_ENTRY.iter_unpack(data[pos:end]))
+                ctx = _decode_json(data[end : end + ctx_len], "ctx") if ctx_len else {}
+                pos = end + ctx_len
+                skeleton = new(MessageSkeleton, (flow_id, submit, seq, layout, ctx))
+            elif flag:
+                raise WireError(f"segment of message {message_id} has skeleton flag {flag}")
+            piece = data[pos : pos + length]
+            pos += length
+            append(new(DecodedSegment, (message_id, index, skeleton, offset, length, piece)))
+    except (struct.error, OverflowError) as exc:  # a read past the end, or far past it
+        raise WireError(f"truncated frame: {exc}") from None
+    if pos != size:
+        raise WireError(f"frame body ends at byte {size}, its fields at byte {pos}")
     return DecodedFrame(kind, src, dst, channel_id, meta, tuple(segments))

@@ -757,9 +757,9 @@ def main(args) -> int:
     """
     path = Path(args.trace)
     statuses: list[SLOStatus] = []
+    analysis = analyze_file(path)  # a missing or unreadable trace prints nothing
     try:
         print(f"== observability analysis: {path} ==")
-        analysis = analyze_file(path)
         print(render(analysis, width=args.width, top=args.top))
         if args.scenario:
             from repro.obs.plane import ObservabilityConfig

@@ -455,6 +455,8 @@ class TestCli:
         assert payload["bytes_verified"] == payload["report"]["total_bytes"]
         assert payload["corrupt_slices"] == 0
         assert payload["rtt_samples"] == 3
+        # Both peers' CPU up to STOP, summed: what a message costs.
+        assert 0 < payload["cpu_s"] < 60
         # Tail telemetry rides the payload; no tracing means the tail
         # families exist but stay empty.  The report's exact tails come
         # from the records either way.

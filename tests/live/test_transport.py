@@ -1,17 +1,22 @@
 """Unit tests for the live plane's framing, payloads, clock and mirror."""
 
 import asyncio
+import collections
+import hashlib
 import json
 import time
+import zlib
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.live import transport
 from repro.live.loop import LiveClock
 from repro.live.transport import (
     MAX_FRAME_BYTES,
+    PATTERN_PERIOD,
     TAG_RAW,
     TAG_SEQ,
     MirrorReceiver,
@@ -163,8 +168,8 @@ class TestPayloadPattern:
     )
     @settings(max_examples=200, deadline=None)
     def test_any_slice_is_a_slice_of_the_whole(self, seed, offset, length):
-        """Absolute addressing across tile boundaries (256 B): a slice
-        generated on its own equals the same span of one long read."""
+        """Absolute addressing across the tile's wrap: a slice generated
+        on its own equals the same span of one long read."""
         whole = payload_bytes(seed, 0, offset + length)
         assert payload_bytes(seed, offset, length) == whole[offset:]
         assert len(whole) == offset + length
@@ -176,10 +181,28 @@ class TestPayloadPattern:
     def test_wire_pattern_is_pinned(self):
         """Two checkouts that disagree about the pattern would each
         verify their own bytes and reject the other's: pin it."""
-        assert payload_bytes(0, 0, 16).hex() == "8f970ca42c849ca00c48f88d88380c57"
+        assert payload_bytes(0, 0, 16).hex() == "7e1fa0c4e514970361f3067fbcb2ed4c"
         seed = fragment_seed("n0", 7, 0)
-        assert seed == 3484234675
-        assert payload_bytes(seed, 0, 16).hex() == "0bfc96377ee83adf9555835d225a5fb5"
+        assert seed == 500447451
+        assert payload_bytes(seed, 0, 16).hex() == "d9bb0e5ffd946907bbff59dcd5057fc1"
+
+    def test_slices_longer_than_the_period(self):
+        """Past one period the pattern repeats, and a long slice is
+        still the same span of one long read."""
+        seed = fragment_seed("n0", 9, 1)
+        whole = payload_bytes(seed, 0, 3 * PATTERN_PERIOD)
+        assert whole[:PATTERN_PERIOD] * 3 == whole
+        assert payload_bytes(seed, 5, 2 * PATTERN_PERIOD + 7) == whole[5 : 2 * PATTERN_PERIOD + 12]
+
+    def test_no_shift_within_the_period_repeats_a_slice(self):
+        """Every shift shorter than the period gives other bytes, so a
+        slice delivered at the wrong offset never verifies."""
+        seed = fragment_seed("n0", 7, 1)
+        expected = payload_bytes(seed, 100, 16)
+        assert all(
+            payload_bytes(seed, 100 + shift, 16) != expected
+            for shift in range(1, PATTERN_PERIOD)
+        )
 
 
 class TestControlFrames:
@@ -368,6 +391,83 @@ class TestMirrorReceiver:
             mirror.packet_from_frame(replace(frame, segments=tuple(segments)), 0)
         assert mirror.corrupt_slices == 1
         assert mirror.bytes_verified == sum(s[2] for s in slices[:victim])
+
+    @given(shift=st.integers(1, PATTERN_PERIOD - 1), victim=st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_a_foreign_or_shifted_slice_is_detected(self, shift, victim):
+        """A slice of another fragment at the same offset, and a slice of
+        its own fragment shifted by any amount shorter than the period,
+        both fail verification and are counted."""
+        flow = Flow(0, "t-misplaced", "n0", "n1")
+        slices = []
+        for _ in range(2):
+            message = next_message(flow)
+            header, body = message.add_fragment(16, express=True), message.add_fragment(300)
+            message.mark_flushed(0.0)
+            slices += [(header, 0, 16), (body, 100, 200)]
+        packet = WirePacket(
+            kind=PacketKind.EAGER, src="n0", dst="n1", channel_id=0,
+            segments=tuple(WireSegment(*s) for s in slices), packet_id=0,
+        )
+        frame = _decode_one(encode_live_packet(packet))
+        fragment, offset, length = slices[victim]
+        other = slices[victim ^ 2][0]  # the same fragment of the other message
+        own = fragment_seed("n0", fragment.message.message_id, fragment.index)
+        foreign = fragment_seed("n0", other.message.message_id, other.index)
+        forgeries = [
+            payload_bytes(foreign, offset, length),
+            payload_bytes(own, offset + shift, length),
+        ]
+        for forged in forgeries:
+            segments = list(frame.segments)
+            segments[victim] = segments[victim]._replace(data=forged)
+            mirror = self._pair(flow)
+            with pytest.raises(WireError, match="payload mismatch"):
+                mirror.packet_from_frame(replace(frame, segments=tuple(segments)), 0)
+            assert mirror.corrupt_slices == 1
+
+    def test_a_live_packet_costs_no_hash_and_one_crc_per_side(self, monkeypatch):
+        """64 slices encoded and verified: no ``hashlib`` call and no
+        per-fragment seed string on either side, and exactly one CRC-32
+        per frame per side (the frame's own)."""
+        flow = Flow(0, "t-one-pass", "n0", "n1")
+        segments = []
+        for _ in range(32):
+            message = next_message(flow)
+            for size in (16, 240):
+                fragment = message.add_fragment(size, express=size == 16)
+                segments.append(WireSegment(fragment, 0, size))
+            message.mark_flushed(0.0)
+        packet = WirePacket(
+            kind=PacketKind.EAGER, src="n0", dst="n1", channel_id=0,
+            segments=tuple(segments), packet_id=0,
+        )
+        expected = [
+            payload_bytes(fragment_seed("n0", f.message.message_id, f.index), 0, n)
+            for f, _offset, n in segments
+        ]
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in sorted(hashlib.algorithms_guaranteed) + ["new"]:
+            monkeypatch.setattr(hashlib, name, counted("hashlib", getattr(hashlib, name)))
+        monkeypatch.setattr(transport, "fragment_seed", counted("fragment_seed", fragment_seed))
+        monkeypatch.setattr(zlib, "crc32", counted("crc32", zlib.crc32))
+        encoded = encode_live_packet(packet)
+        assert calls == {"crc32": 1}
+        calls.clear()
+        frame = _decode_one(encoded)
+        mirror = self._pair(flow)
+        rebuilt = mirror.packet_from_frame(frame, 0)
+        assert calls == {"crc32": 1}
+        assert len(rebuilt.segments) == 64
+        assert mirror.bytes_verified == 32 * (16 + 240) and mirror.corrupt_slices == 0
+        assert [s.data for s in frame.segments] == expected
 
     def test_skeleton_once_per_message_per_frame(self):
         """A message's first segment in a frame carries the skeleton,

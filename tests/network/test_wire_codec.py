@@ -16,6 +16,7 @@ from repro.network.wire import (
     WIRE_MAGIC,
     WIRE_VERSION,
     DecodedFrame,
+    DecodedSegment,
     MessageSkeleton,
     PacketKind,
     decode_frame,
@@ -335,3 +336,49 @@ class TestLimits:
         assert hashlib.sha256(frame).hexdigest() == (
             "59fee6e196bb09317a8ba5799f6ec7d34a1ae10f10cbc714699bdbcb8bc5aa58"
         )
+
+
+#: Three messages (the first with a context and a second fragment split
+#: in two slices) under a ``meta`` dict, as ``WIRE_VERSION`` 2 writes them.
+GOLDEN_SEGMENTS = (
+    (MID, 0, MessageSkeleton(1, 0.5, 3, ((4, 1), (10, 0)), {"tag": 7}), 0, 4, b"head"),
+    (MID + 1, 0, MessageSkeleton(1, 0.625, 4, ((3, 1),), {}), 0, 3, b"abc"),
+    (MID, 1, None, 0, 6, b"split-"),
+    (2 << 32, 0, MessageSkeleton(2, 0.75, 0, ((2, 1), (5, 0)), {}), 0, 2, b"xy"),
+    (MID, 1, None, 6, 4, b"frag"),
+    (2 << 32, 1, None, 0, 5, b"12345"),
+)
+GOLDEN_META = {"_corr": "n0#9", "_sent_at": 0.125, "_via": "n0.mx00"}
+GOLDEN_FRAME = bytes.fromhex(
+    "52574952020000009bbb60850000017400000005000200020000003200066e30"
+    "6e317b225f636f7272223a226e302339222c225f73656e745f6174223a302e31"
+    "32352c225f766961223a226e302e6d783030227d000000010000000300000000"
+    "0100000000000000000000000000000004000000013fe0000000000000000000"
+    "03000000020000000900000004010000000a007b22746167223a377d68656164"
+    "0000000100000004000000000100000000000000000000000000000003000000"
+    "013fe40000000000000000000400000001000000000000000301616263000000"
+    "010000000300000001000000000000000000000000000000000673706c69742d"
+    "0000000200000000000000000100000000000000000000000000000002000000"
+    "023fe80000000000000000000000000002000000000000000201000000050078"
+    "7900000001000000030000000100000000000000000600000000000000046672"
+    "6167000000020000000000000001000000000000000000000000000000000531"
+    "32333435"
+)
+
+
+class TestGoldenFrame:
+    """Peers of two checkouts must agree on every byte of a frame."""
+
+    def test_encoder_writes_the_golden_frame(self):
+        frame = encode_frame(PacketKind.EAGER, "n0", "n1", 5, GOLDEN_META, GOLDEN_SEGMENTS)
+        assert frame == GOLDEN_FRAME
+
+    def test_decoder_reads_the_golden_frame(self):
+        decoded = decode_frame(GOLDEN_FRAME)
+        assert decoded == DecodedFrame(
+            PacketKind.EAGER, "n0", "n1", 5, GOLDEN_META, GOLDEN_SEGMENTS
+        )
+        assert all(type(segment) is DecodedSegment for segment in decoded.segments)
+        skeletons = [segment.skeleton for segment in decoded.segments]
+        assert [type(skeleton) for skeleton in skeletons if skeleton] == [MessageSkeleton] * 3
+        assert skeletons[0].layout == ((4, 1), (10, 0)) and skeletons[0].ctx == {"tag": 7}

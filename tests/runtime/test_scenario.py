@@ -350,7 +350,8 @@ class TestTopLevelCli:
         paths = {"bad": bad, "missing": tmp_path / "missing", "chrome": chrome}
         monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: pytest.fail("spawned"))
         assert main([arg.format(**paths) for arg in argv]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         command = " ".join(arg for arg in argv if "{" not in arg)
         assert err.startswith(f"repro {command}: ")
