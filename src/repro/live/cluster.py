@@ -39,10 +39,14 @@ the host clock against the coordinator's epoch.
 Beyond the report, the coordinator is the *merge point* of the
 distributed observability plane (docs/ARCHITECTURE.md §5.5): it merges
 the streamed trace fragments, as the peers recorded them, into one
-multi-process trace (:mod:`repro.obs.merge`), folds the per-peer metric
-registries into a cluster registry with a ``peer`` label, and — with
-``serve`` — exposes ``/metrics`` and ``/status`` over HTTP while the run
-is in flight.
+multi-process trace (:func:`repro.obs.export.merge_events`), folds the
+per-peer metric registries into a cluster registry with a ``peer`` label
+(:meth:`repro.obs.metrics.MetricsRegistry.merge`), reads its tail view
+from one analysis of that trace
+(:func:`repro.obs.analyze.tails_payload`) and — with ``serve`` — exposes
+``/metrics``, ``/status``, ``/peers`` and ``/tails`` over HTTP while the
+run is in flight (:mod:`repro.obs.serve`, the standard library's
+threading server, imported only then: peers import this module).
 """
 
 from __future__ import annotations
@@ -61,11 +65,10 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.live.liveness import DeadPeer, PeerWatchdog
 from repro.obs.causal import export_blame
-from repro.obs.merge import merge_events, merge_registries
+from repro.obs.export import merge_events
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.plane import SLObjective
 from repro.obs.recorder import truncation_marker
-from repro.obs.tails import SLObjective, evaluate_slo_offline
-from repro.obs.serve import ObsHTTPServer, parse_serve_address
 from repro.runtime.cluster import refuse
 from repro.runtime.metrics import MessageRecord, SessionReport, assemble_report
 from repro.runtime.scenario import build_workloads, parse_cluster
@@ -74,6 +77,7 @@ from repro.util.tracing import TraceEvent, event_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.analyze import TraceAnalysis
+    from repro.obs.serve import ObsHTTPServer
 
 __all__ = ["LiveRunResult", "run_live_scenario", "survivor_agreement"]
 
@@ -89,16 +93,16 @@ class LiveRunResult:
     peer_reports: list[dict[str, Any]]
     rtts: list[float] = field(default_factory=list)
     #: The merged trace: every peer's events as recorded, time-sorted
-    #: (:func:`~repro.obs.merge.merge_events`), plus an
+    #: (:func:`~repro.obs.export.merge_events`), plus an
     #: ``obs.truncated`` marker when a peer's spool dropped events.
     aligned_events: list[TraceEvent] = field(default_factory=list)
     #: Cluster-level registry (every peer's metrics, ``peer``-labelled);
     #: None when the run carried no observability.
     cluster_registry: MetricsRegistry | None = None
-    #: Cluster tail view (:func:`_tails` over the merged trace: exact
-    #: per-edge latency and per-rail service tails, SLO burn rates,
-    #: blame); edges, rails and blame are empty when the run was not
-    #: traced.
+    #: Cluster tail view (:func:`~repro.obs.analyze.tails_payload` over
+    #: the merged trace: exact per-edge latency and per-rail service
+    #: tails, SLO burn rates, blame); edges, rails and blame are empty
+    #: when the run was not traced.
     tails: dict[str, Any] = field(default_factory=dict)
     #: Peers declared dead mid-run (empty on a clean run).  When
     #: non-empty, ``report.degraded`` is True and the report merges only
@@ -165,12 +169,14 @@ class _ObsState:
     def metrics_text(self) -> str:
         with self._lock:
             per_peer = dict(self._collector.metrics_by_peer)
-        return merge_registries(per_peer).to_prometheus()
+        return MetricsRegistry.merge(per_peer).to_prometheus()
 
     def tails(self) -> dict[str, Any]:
         """In-flight cluster tail view for ``GET /tails``: the post-run
         :attr:`LiveRunResult.tails` payload over the events merged so far."""
-        return _tails(self._analysis(), self._objectives)
+        from repro.obs.analyze import tails_payload
+
+        return tails_payload(self._analysis(), self._objectives)
 
     def status(self) -> dict[str, Any]:
         with self._lock:
@@ -202,28 +208,6 @@ class _ObsState:
         analysis = analyze_events(merge_events(per_peer))
         self._analysis_cache = (total, analysis)
         return analysis
-
-
-def _tails(
-    analysis: "TraceAnalysis", objectives: tuple[SLObjective, ...]
-) -> dict[str, Any]:
-    """The cluster tail view, from one analysis of the merged trace:
-    edge latency, the SLO verdicts over it and rail service time are all
-    exact, over the trace (rail names never collide across peers: each
-    NIC's name carries its node)."""
-    payload: dict[str, Any] = {
-        "edges": {
-            name: edge.stats() for name, edge in sorted(analysis.edges.items())
-        },
-        "rails": {nic: rail.stats() for nic, rail in sorted(analysis.rails.items())},
-        "blame": analysis.report.summary(),
-    }
-    if objectives:
-        statuses = evaluate_slo_offline(
-            analysis.edges, objectives, t_end=analysis.span[1]
-        )
-        payload["slo"] = [status.to_dict() for status in statuses]
-    return payload
 
 
 #: Upper bound on one control round-trip.  A healthy peer answers in
@@ -631,7 +615,7 @@ def _merge_run(
     """The survivors' REPORT payloads into one cluster-wide result."""
     # Imported here, not at the top: peers import this module and never
     # analyze a trace.
-    from repro.obs.analyze import analyze_events
+    from repro.obs.analyze import analyze_events, tails_payload
 
     for payload in peer_reports:
         if payload.get("fatal"):
@@ -665,7 +649,7 @@ def _merge_run(
             ).set(dead.time_to_detect)
         obs.metrics_by_peer["coordinator"] = coord.to_snapshot()
     cluster_registry = (
-        merge_registries(obs.metrics_by_peer) if obs.metrics_by_peer else None
+        MetricsRegistry.merge(obs.metrics_by_peer) if obs.metrics_by_peer else None
     )
 
     records = [MessageRecord.from_dict(r) for p in peer_reports for r in p["records"]]
@@ -692,7 +676,7 @@ def _merge_run(
     # Post-run tail view and causal attribution over the merged trace —
     # the coordinator is the only vantage point that sees a sender's
     # submit and the receiver's delivery in one stream.
-    tails = _tails(analyze_events(merged), slo_objectives)
+    tails = tails_payload(analyze_events(merged), slo_objectives)
     if cluster_registry is not None:
         export_blame(tails["blame"]["edges"], cluster_registry)
     return LiveRunResult(
@@ -761,13 +745,16 @@ def run_live_scenario(
     serve_host: str | None = None
     serve_port = 0
     if serve is not None:
+        # Only here: peers import this module and must not load http.server.
+        from repro.obs.serve import ObsHTTPServer, parse_serve_address
+
         serve_host, serve_port = parse_serve_address(serve)
 
     # Keep UDS paths short: sun_path is limited to ~104 bytes.
     workdir = tempfile.mkdtemp(prefix="rlive-", dir="/tmp")
     deadline = time.time() + timeout
     peers: list[_Peer] = []
-    server: ObsHTTPServer | None = None
+    server: "ObsHTTPServer | None" = None
     try:
         # Append as we spawn: if a later _Peer fails to construct, the
         # finally-sweep still kills the children already forked.

@@ -9,7 +9,7 @@ back (a Chrome trace is a write-only export for https://ui.perfetto.dev).
 
 Quick use::
 
-    from repro.obs import ObservabilityConfig, ObservabilityPlane
+    from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
 
     plane = ObservabilityPlane(ObservabilityConfig(sample_interval=1e-5))
     cluster = Cluster(...)
@@ -21,13 +21,16 @@ Quick use::
     plane.write_metrics("metrics.prom")  # first registry read folds blame
 
 or declaratively via a scenario's ``"observability"`` block and the
-``python -m repro run … --trace-out/--metrics-out`` flags.
+``python -m repro run … --trace-out/--metrics-out`` flags.  The package
+re-exports nothing: import from the module that defines a name.
 
 For *distributed* (multi-process live) runs the plane extends across
-peers: :mod:`repro.obs.merge` merges the per-peer trace streams (one
-host, one clock: nothing is shifted) and registries, :mod:`repro.obs.serve` exposes the cluster
-registry and its views over HTTP during the run (``/tails["blame"]`` is
-the mid-run blame view), and :mod:`repro.obs.diff` gates two runs
+peers: the coordinator merges the per-peer trace streams
+(:func:`repro.obs.export.merge_events`; one host, one clock: nothing is
+shifted) and registries (:meth:`repro.obs.metrics.MetricsRegistry.merge`),
+:mod:`repro.obs.serve` exposes the cluster registry and its views over
+the standard library's HTTP server during the run (``/tails["blame"]``
+is the mid-run blame view), and :mod:`repro.obs.diff` gates two runs
 against each other (``python -m repro obs diff A B --check``).
 
 Everything the plane reports about a run — per-edge one-way latency,
@@ -39,51 +42,3 @@ The plane keeps no online quantile state and nothing in it steers
 dispatch: the rail tails the rail order acts on are the NICs' own
 windows (:attr:`repro.network.nic.NIC.service_us`).
 """
-
-from repro.obs.causal import (
-    BLAME_BUCKETS,
-    CausalReport,
-    MessageBlame,
-    attribute_chain,
-    attribute_events,
-    render_waterfall,
-)
-from repro.obs.export import load_events, to_chrome_trace, write_trace
-from repro.obs.merge import merge_events, merge_registries
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-from repro.obs.plane import ObservabilityConfig, ObservabilityPlane
-from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
-from repro.obs.sampler import ObservabilitySampler
-from repro.obs.serve import ObsHTTPServer, parse_serve_address
-from repro.obs.spans import Leg, MessageChain
-from repro.obs.tails import SLObjective, SLOStatus, evaluate_slo_offline
-
-__all__ = [
-    "BLAME_BUCKETS",
-    "CausalReport",
-    "Counter",
-    "Gauge",
-    "Leg",
-    "ListSink",
-    "MessageBlame",
-    "MessageChain",
-    "MetricsRegistry",
-    "ObsHTTPServer",
-    "ObservabilityConfig",
-    "ObservabilityPlane",
-    "ObservabilitySampler",
-    "RingBufferSink",
-    "SLObjective",
-    "SLOStatus",
-    "attribute_chain",
-    "attribute_events",
-    "evaluate_slo_offline",
-    "load_events",
-    "merge_events",
-    "merge_registries",
-    "parse_serve_address",
-    "render_waterfall",
-    "to_chrome_trace",
-    "truncation_marker",
-    "write_trace",
-]

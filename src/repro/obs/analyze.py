@@ -5,16 +5,17 @@ recorder, a JSONL trace file, or the live coordinator's merged
 trace) through one ``kind -> handler`` table, so every event is
 parsed once, and returns a :class:`TraceAnalysis` holding:
 
-* **span chains** — one :class:`~repro.obs.spans.MessageChain` per
+* **span chains** — one :class:`~repro.obs.causal.MessageChain` per
   message (``collect.enqueue`` opens it, ``message.complete`` closes it)
-  over packet :class:`~repro.obs.spans.Leg`\\ s keyed
+  over packet :class:`~repro.obs.causal.Leg`\\ s keyed
   ``"{sender}#{packet}"``, the wire correlation id the live plane stamps
   into frames, so sim and merged live traces resolve alike.  A leg
   learns its slices from ``engine.dispatch`` and its timestamps from
   ``nic.send`` / ``rel.*`` / ``reorder.*`` / ``live.recv`` /
   ``rx.deliver``; a chain whose delivered bytes cover it but whose
   ``message.complete`` is missing (a truncated trace) is closed at its
-  last delivery.  Every closed chain is attributed
+  last delivery; one still open at the end, or evicted past
+  :data:`_PENDING_CAP`, counts as incomplete.  Every closed chain is attributed
   (:func:`~repro.obs.causal.attribute_chain`) into :attr:`report`, the
   blame that ``ObservabilityPlane.registry`` (attributed when the
   registry is first read), ``obs why`` and the live coordinator read;
@@ -35,6 +36,10 @@ parsed once, and returns a :class:`TraceAnalysis` holding:
   scenario's objectives over the crossings (``--check`` turns a
   violation, or a trace without crossings, into exit status 1).
 
+:func:`tails_payload` is the one view of an analysis as a live run
+reports it: ``GET /tails``, ``LiveRunResult.tails`` and the SLO block of
+``obs analyze --scenario`` all read it.
+
 Everything renders as ASCII so it works over SSH next to the
 simulation; for the interactive version, write the run's trace as
 Chrome JSON and open it in https://ui.perfetto.dev.
@@ -46,16 +51,26 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.obs.causal import CausalReport, attribute_chain, truncation_warning
+from repro.obs.causal import (
+    CausalReport,
+    Leg,
+    MessageChain,
+    attribute_chain,
+    blame_table,
+    truncation_warning,
+)
 from repro.obs.export import load_events
-from repro.obs.spans import Leg, MessageChain
-from repro.obs.tails import SLOStatus, evaluate_slo_offline
 from repro.util.stats import percentiles
 from repro.util.tracing import ABSENT, TraceEvent
 from repro.util.units import format_time
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.plane import SLObjective
 
 __all__ = [
     "TraceAnalysis",
@@ -63,6 +78,7 @@ __all__ = [
     "analyze_file",
     "summary_metrics",
     "SUMMARY_BETTER",
+    "tails_payload",
     "main",
 ]
 
@@ -73,7 +89,8 @@ _BLOCKS = "▁▂▃▄▅▆▇█"
 _STORM_GAP = 0.01
 _STORM_SIZE = 3
 
-#: Per-edge latency columns and the percentile each one reads.
+#: Per-edge latency columns (``stats()`` keys ``{label}_us``) and the
+#: percentile each one reads.
 _EDGE_TAILS = {"p50": 50.0, "p90": 90.0, "p99": 99.0, "p999": 99.9, "max": 100.0}
 
 #: Bound on open (not yet completed) chains and on legs; beyond it the
@@ -133,20 +150,19 @@ class _Spans:
     times: list[float] = field(default_factory=list)  #: end times (parallel)
     clamped: int = 0  #: crossings whose latency was clamped to 0
 
-    def tails(self) -> dict[str, float]:
-        """Exact latency columns (seconds), keyed as :data:`_EDGE_TAILS`."""
-        values = percentiles(self.latencies, list(_EDGE_TAILS.values()))
-        return dict(zip(_EDGE_TAILS, values))
-
     def stats(self) -> dict[str, float]:
-        """The same columns in microseconds, plus the count and the mean:
-        an entry of a live run's ``tails["edges"]`` or ``tails["rails"]``."""
-        tails = self.tails()
+        """The exact :data:`_EDGE_TAILS` columns in microseconds, plus the
+        count and the mean: an entry of a live run's ``tails["edges"]`` or
+        ``tails["rails"]``, and the one tail shape of a span table."""
+        p50, p90, p99, p999, top = percentiles(self.latencies, list(_EDGE_TAILS.values()))
         return {
             "count": self.count,
-            **{f"{label}_us": tails[label] * 1e6 for label in ("p50", "p90", "p99", "p999")},
+            "p50_us": p50 * 1e6,
+            "p90_us": p90 * 1e6,
+            "p99_us": p99 * 1e6,
+            "p999_us": p999 * 1e6,
             "mean_us": sum(self.latencies) / self.count * 1e6,
-            "max_us": tails["max"] * 1e6,
+            "max_us": top * 1e6,
         }
 
     @property
@@ -481,11 +497,13 @@ def analyze_events(events: list[TraceEvent]) -> TraceAnalysis:
         chain = chains.pop(key)
         chain.complete_t = chain.last_deliver_t
         completed.append(chain)
-    report.incomplete = len(chains)
+    # An evicted chain never closed either.
+    report.incomplete = len(chains) + analysis.evicted_chains
+    append = report.messages.append
     for chain in completed:
         blame = attribute_chain(chain, hold_windows)
         if blame is not None:
-            report.messages.append(blame)
+            append(blame)
     kinds = analysis.kinds
     analysis.decides = kinds.get("optimizer.decide", 0)
     analysis.samples = kinds.get("obs.sample", 0)
@@ -579,8 +597,9 @@ def render(analysis: TraceAnalysis, *, width: int = 60, top: int = 5) -> str:
         for name in sorted(table):
             spans = table[name]
             clamp = f"  clamped {spans.clamped}" if spans.clamped else ""
+            stats = spans.stats()
             columns = "  ".join(
-                f"{label} {format_time(value)}" for label, value in spans.tails().items()
+                f"{label} {format_time(stats[f'{label}_us'] / 1e6)}" for label in _EDGE_TAILS
             )
             lines.append(f"  {name:<{name_width}}  n={spans.count:<6} {columns}{clamp}")
 
@@ -599,30 +618,15 @@ def render(analysis: TraceAnalysis, *, width: int = 60, top: int = 5) -> str:
             f"NIC idle (longest streak {analysis.hold_starved_streak})"
         )
 
-    blame = report.edges()
-    if blame:
+    table = blame_table(report)
+    if table:
         lines.append("")
         lines.append(
             f"causal blame per edge ({len(report.messages)} message(s) "
             f"attributed, {report.incomplete} incomplete; "
             "see 'obs why' for waterfalls):"
         )
-        name_width = max(len(e) for e in blame)
-        for edge_name in sorted(blame):
-            slot = blame[edge_name]
-            dominant = sorted(
-                (
-                    (bucket, frac)
-                    for bucket, frac in slot["fractions"].items()
-                    if frac > 0
-                ),
-                key=lambda kv: -kv[1],
-            )[:3]
-            parts = "  ".join(f"{b}={f:.1%}" for b, f in dominant)
-            lines.append(
-                f"  {edge_name:<{name_width}}  n={slot['messages']:<5} "
-                f"{parts or 'all zero'}"
-            )
+        lines += table
 
     lines.append("")
     lines.append("aggregation opportunities (optimizer.decide records):")
@@ -718,8 +722,9 @@ def summary_metrics(analysis: TraceAnalysis) -> dict[str, float]:
     for edge_name, edge in sorted(analysis.edges.items()):
         prefix = f"edge/{edge_name}"
         out[f"{prefix}/crossings"] = float(edge.count)
-        for label, value in edge.tails().items():
-            out[f"{prefix}/latency_{label}_us"] = value * 1e6
+        stats = edge.stats()
+        for label in _EDGE_TAILS:
+            out[f"{prefix}/latency_{label}_us"] = stats[f"{label}_us"]
     report = analysis.report
     out["blame/messages"] = float(len(report.messages))
     if report.trace_dropped:
@@ -730,20 +735,69 @@ def summary_metrics(analysis: TraceAnalysis) -> dict[str, float]:
     return out
 
 
-def render_slo(statuses: list[SLOStatus]) -> str:
+def tails_payload(
+    analysis: TraceAnalysis, objectives: Iterable["SLObjective"] = ()
+) -> dict[str, Any]:
+    """The tail view of one analysis: exact per-edge latency and per-rail
+    service time (rail names never collide across peers: each NIC's name
+    carries its node), the blame summary and, when there are
+    ``objectives``, under ``"slo"`` each one's verdict on each edge its
+    glob matches.
+
+    A verdict holds exact multi-window burn rates over the edge's
+    timestamped crossings: a window (seconds before the trace's end)
+    burns its violating fraction over the error budget (``1 - target``),
+    so a burn ``>= 1`` spends the budget at least as fast as it accrues.
+    A violation requires **every** window to burn, the standard
+    multi-window rule: short windows alone alert on blips, long windows
+    alone alert too late, both together mean the regression is current
+    *and* sustained.
+    """
+    payload: dict[str, Any] = {
+        "edges": {name: edge.stats() for name, edge in sorted(analysis.edges.items())},
+        "rails": {nic: rail.stats() for nic, rail in sorted(analysis.rails.items())},
+        "blame": analysis.report.summary(),
+    }
+    if not objectives:
+        return payload
+    verdicts = payload["slo"] = []
+    for objective in objectives:
+        threshold_s = objective.threshold_us / 1e6
+        for name, edge in sorted(analysis.edges.items()):
+            if not fnmatchcase(name, objective.edge):
+                continue
+            burn: dict[str, float] = {}
+            for window in objective.windows:
+                start = analysis.span[1] - window
+                in_window = [lat for t, lat in zip(edge.times, edge.latencies) if t >= start]
+                violating = sum(1 for lat in in_window if lat > threshold_s)
+                burn[f"{window:g}s"] = (
+                    violating / len(in_window) / objective.budget if in_window else 0.0
+                )
+            verdicts.append({
+                "objective": objective.name,
+                "edge": name,
+                "threshold_us": objective.threshold_us,
+                "target": objective.target,
+                "burn": burn,
+                "samples": edge.count,
+                "violated": bool(burn) and all(b >= 1.0 for b in burn.values()),
+            })
+    return payload
+
+
+def render_slo(verdicts: list[dict[str, Any]]) -> str:
     """One line per (objective, edge) burn-rate verdict."""
-    if not statuses:
+    if not verdicts:
         return "SLO: no objectives matched any edge"
     lines = ["SLO burn rates (burn >= 1 in every window = violation):"]
-    for status in statuses:
-        windows = "  ".join(
-            f"{label}={burn:.2f}" for label, burn in status.burn.items()
-        )
-        verdict = "VIOLATED" if status.violated else "ok"
+    for v in verdicts:
+        windows = "  ".join(f"{label}={burn:.2f}" for label, burn in v["burn"].items())
+        verdict = "VIOLATED" if v["violated"] else "ok"
         lines.append(
-            f"  [{verdict:^8}] {status.objective}: {status.edge} "
-            f"<= {status.threshold_us:g}us @ {status.target:g} "
-            f"(n={status.samples})  burn {windows}"
+            f"  [{verdict:^8}] {v['objective']}: {v['edge']} "
+            f"<= {v['threshold_us']:g}us @ {v['target']:g} "
+            f"(n={v['samples']})  burn {windows}"
         )
     return "\n".join(lines)
 
@@ -756,7 +810,7 @@ def main(args) -> int:
     when no wire crossing was correlated or an objective is violated.
     """
     path = Path(args.trace)
-    statuses: list[SLOStatus] = []
+    verdicts: list[dict[str, Any]] = []
     analysis = analyze_file(path)  # a missing or unreadable trace prints nothing
     try:
         print(f"== observability analysis: {path} ==")
@@ -766,11 +820,9 @@ def main(args) -> int:
 
             spec = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
             config = ObservabilityConfig.from_spec(spec.get("observability", {}))
-            statuses = evaluate_slo_offline(
-                analysis.edges, config.slo, t_end=analysis.span[1]
-            )
+            verdicts = tails_payload(analysis, config.slo).get("slo", [])
             print()
-            print(render_slo(statuses))
+            print(render_slo(verdicts))
         report = analysis.report
         if report.truncated:
             print(
@@ -783,7 +835,7 @@ def main(args) -> int:
         if not analysis.edges:
             print("FAIL: --check requires at least one correlated edge")
             return 1
-        violated = [s for s in statuses if s.violated]
+        violated = [v for v in verdicts if v["violated"]]
         if violated:
             print(f"FAIL: {len(violated)} SLO violation(s)")
             return 1

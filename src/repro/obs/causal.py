@@ -1,8 +1,17 @@
 """Causal latency attribution: why was this message late?
 
-This module attributes every microsecond of a message's end-to-end
-latency, read from its :class:`~repro.obs.spans.MessageChain`, to a
-named blame bucket:
+A traced message leaves a trail across layers: ``collect.enqueue`` when
+the engine accepts it, ``engine.dispatch`` when fragments are packed
+into a wire packet, ``nic.send`` when that packet starts occupying a
+rail, ``rel.retransmit``/``reorder.enter``/``reorder.release`` when the
+reliability layer intervenes, ``rx.deliver`` on arrival and
+``message.complete`` when the reassembler hands the payload up.
+:func:`repro.obs.analyze.analyze_events` stitches those events into one
+:class:`MessageChain` per message: the packet :class:`Leg`\\ s that
+carried its bytes, plus the sender-side context (rendezvous handshakes)
+that explains time spent *before* the wire.  This module attributes
+every microsecond of a chain's end-to-end latency to a named blame
+bucket:
 
 ``hold``
     Waiting on the sender while the Nagle hold timer was armed — the
@@ -51,25 +60,20 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from repro.obs.spans import (
-    Leg,
-    MessageChain,
-    interval_overlap,
-    merge_intervals,
-    subtract_intervals,
-    total_length,
-)
 from repro.util.tracing import TraceEvent
 
 __all__ = [
     "BLAME_BUCKETS",
+    "Leg",
+    "MessageChain",
     "MessageBlame",
     "CausalReport",
     "attribute_chain",
     "attribute_events",
     "export_blame",
+    "blame_table",
     "render_waterfall",
     "render_report",
     "main",
@@ -88,6 +92,134 @@ BLAME_BUCKETS = (
 
 BLAME_SECONDS_METRIC = "repro_blame_seconds_total"
 BLAME_FRACTION_METRIC = "repro_blame_fraction"
+
+
+# ----------------------------------------------------------------------
+# message span chains: what the trace fold builds
+# ----------------------------------------------------------------------
+@dataclass(slots=True, eq=False)
+class Leg:
+    """One wire packet's journey from dispatch to delivery."""
+
+    key: str  #: ``"{sender}#{packet_id}"`` — the wire correlation id.
+    node: str  #: sender node.
+    packet_id: int | None = None
+    dst: str | None = None
+    nic: str | None = None
+    packet_kind: str | None = None
+    bytes: int = 0
+    dispatch_t: float | None = None
+    send_t: float | None = None  #: first nic.send
+    #: The latest sim ``nic.send`` no delivery has closed yet: the start
+    #: of the leg's next wire crossing.
+    last_send_t: float | None = None
+    occupancy: float | None = None
+    recv_t: float | None = None  #: live.recv (wire arrival, live only)
+    reorder_enter_t: float | None = None
+    reorder_release_t: float | None = None
+    deliver_t: float | None = None
+    retransmits: list[float] = field(default_factory=list)
+    drops: int = 0
+    #: ``(message_id, fragment index, length)`` slices this packet carries.
+    slices: list[tuple[int, int, int]] = field(default_factory=list)
+
+    @property
+    def arrival_t(self) -> float | None:
+        """Physical wire arrival: reorder entry, live.recv, or delivery."""
+        if self.reorder_enter_t is not None:
+            return self.reorder_enter_t
+        if self.recv_t is not None:
+            return self.recv_t
+        return self.deliver_t
+
+    @property
+    def done_t(self) -> float | None:
+        """When this leg's payload became available to the reassembler."""
+        if self.deliver_t is not None:
+            return self.deliver_t
+        if self.reorder_release_t is not None:
+            return self.reorder_release_t
+        return self.recv_t
+
+
+@dataclass(slots=True)
+class MessageChain:
+    """Everything one traced message did, submit to completion."""
+
+    src: str
+    message_id: int
+    flow: str | None = None
+    dst: str | None = None
+    bytes: int = 0
+    fragments: int = 0
+    submit_t: float = 0.0
+    complete_t: float | None = None
+    delivered_bytes: int = 0
+    last_deliver_t: float | None = None
+    legs: list[Leg] = field(default_factory=list)
+    #: Rendezvous handshake windows ``(park_t, ready_t | None)``.
+    rdv_windows: list[tuple[float, float | None]] = field(default_factory=list)
+
+    @property
+    def key(self) -> str:
+        return f"{self.src}#m{self.message_id}"
+
+    @property
+    def covered(self) -> bool:
+        """All payload bytes have a delivery timestamp."""
+        return self.bytes > 0 and self.delivered_bytes >= self.bytes
+
+
+# ----------------------------------------------------------------------
+# interval helpers (blame partitioning of the queue span)
+# ----------------------------------------------------------------------
+def merge_intervals(
+    intervals: Iterable[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """Union of possibly-overlapping intervals, sorted and disjoint."""
+    out: list[tuple[float, float]] = []
+    for start, end in sorted(i for i in intervals if i[1] > i[0]):
+        if out and start <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], end))
+        else:
+            out.append((start, end))
+    return out
+
+
+def interval_overlap(
+    intervals: Iterable[tuple[float, float]], lo: float, hi: float
+) -> list[tuple[float, float]]:
+    """Clip intervals to ``[lo, hi]`` (drops empty results)."""
+    return [
+        (max(start, lo), min(end, hi))
+        for start, end in intervals
+        if min(end, hi) > max(start, lo)
+    ]
+
+
+def subtract_intervals(
+    intervals: list[tuple[float, float]], holes: list[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """``intervals`` minus ``holes`` (both disjoint and sorted)."""
+    out: list[tuple[float, float]] = []
+    for start, end in intervals:
+        cursor = start
+        for h_start, h_end in holes:
+            if h_end <= cursor or h_start >= end:
+                continue
+            if h_start > cursor:
+                out.append((cursor, h_start))
+            cursor = max(cursor, h_end)
+            if cursor >= end:
+                break
+        if cursor < end:
+            out.append((cursor, end))
+    return out
+
+
+def total_length(intervals: Iterable[tuple[float, float]]) -> float:
+    """Summed length of the intervals (assumed disjoint)."""
+    return sum(end - start for start, end in intervals)
 
 
 @dataclass(slots=True)
@@ -318,9 +450,23 @@ class CausalReport:
             slot["fractions"] = _fractions(slot)
         return out
 
-    def slowest(self, k: int) -> list[MessageBlame]:
-        """The ``k`` highest-latency attributed messages."""
-        return sorted(self.messages, key=lambda b: b.e2e, reverse=True)[:k]
+    def select(
+        self, *, slowest: int = 5, message: str | None = None, edge: str | None = None
+    ) -> list[MessageBlame]:
+        """The messages ``obs why`` shows, in text and JSON alike: those on
+        ``edge`` (``a->b`` or ``a:b``), then the one ``message`` names (its
+        key or bare id) or else the ``slowest`` by end-to-end latency."""
+        selected = self.messages
+        if edge is not None:
+            wanted = edge if "->" in edge else edge.replace(":", "->", 1)
+            selected = [b for b in selected if b.edge == wanted]
+        if message is not None:
+            return [
+                b
+                for b in selected
+                if b.key == message or b.key.rpartition("#m")[2] == message
+            ]
+        return sorted(selected, key=lambda b: b.e2e, reverse=True)[:slowest]
 
     def summary(self, slowest: int = 5) -> dict[str, Any]:
         """Counts, per-edge rollup and the ``slowest`` waterfalls (a live
@@ -330,13 +476,14 @@ class CausalReport:
             "incomplete": self.incomplete,
             "truncated": self.truncated,
             "edges": self.edges(),
-            "slowest": [b.to_dict() for b in self.slowest(slowest)],
+            "slowest": [b.to_dict() for b in self.select(slowest=slowest)],
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready shape: every message plus the per-edge rollup."""
+    def to_dict(self, selected: list[MessageBlame]) -> dict[str, Any]:
+        """``obs why --json``: the ``selected`` messages plus the per-edge
+        rollup of them all."""
         return {
-            "messages": [b.to_dict() for b in self.messages],
+            "messages": [b.to_dict() for b in selected],
             "edges": self.edges(),
             "incomplete": self.incomplete,
             "truncated": self.truncated,
@@ -427,52 +574,42 @@ def truncation_warning(dropped: int, seen: int | None) -> str:
     )
 
 
+def blame_table(report: CausalReport) -> list[str]:
+    """Per-edge blame fractions, one row per edge: the table ``obs why``
+    and ``obs analyze`` both print (empty when nothing was attributed)."""
+    edges = report.edges()
+    if not edges:
+        return []
+    lines = [f"  {'edge':<14} {'msgs':>5} {'e2e':>14}" + "".join(
+        f" {b:>11}" for b in BLAME_BUCKETS
+    )]
+    for name in sorted(edges):
+        slot = edges[name]
+        row = f"  {name:<14} {slot['messages']:>5} {_us(slot['e2e_s']):>14}"
+        for bucket in BLAME_BUCKETS:
+            row += f" {slot['fractions'][bucket]:>10.1%}"
+        lines.append(row)
+    return lines
+
+
 def render_report(
-    report: CausalReport,
-    *,
-    slowest: int = 5,
-    message: str | None = None,
-    edge: str | None = None,
+    report: CausalReport, selected: list[MessageBlame], message: str | None = None
 ) -> str:
-    """Human-readable blame report: per-edge table plus waterfalls."""
+    """Human-readable blame report: per-edge table plus the waterfalls of
+    the ``selected`` messages (:meth:`CausalReport.select`)."""
     lines: list[str] = []
     if report.truncated:
         lines.append(truncation_warning(report.trace_dropped, report.trace_seen))
         lines.append("")
-    selected = report.messages
-    if edge is not None:
-        wanted = edge.replace(":", "->", 1) if "->" not in edge else edge
-        selected = [b for b in selected if b.edge == wanted]
-    if message is not None:
-        selected = [
-            b
-            for b in selected
-            if b.key == message or b.key.rpartition("#m")[2] == message
-        ]
-        if not selected:
-            lines.append(f"no attributed message matches {message!r}")
-    else:
-        selected = sorted(selected, key=lambda b: b.e2e, reverse=True)[:slowest]
+    if message is not None and not selected:
+        lines.append(f"no attributed message matches {message!r}")
     lines.append(
         f"== causal attribution: {len(report.messages)} message(s), "
         f"{report.incomplete} incomplete =="
     )
-    edges = report.edges()
-    if edges:
-        lines.append("")
-        lines.append("per-edge blame fractions:")
-        header = f"  {'edge':<14} {'msgs':>5} {'e2e':>14}" + "".join(
-            f" {b:>11}" for b in BLAME_BUCKETS
-        )
-        lines.append(header)
-        for name in sorted(edges):
-            slot = edges[name]
-            row = (
-                f"  {name:<14} {slot['messages']:>5} {_us(slot['e2e_s']):>14}"
-            )
-            for bucket in BLAME_BUCKETS:
-                row += f" {slot['fractions'][bucket]:>10.1%}"
-            lines.append(row)
+    table = blame_table(report)
+    if table:
+        lines += ["", "per-edge blame fractions:", *table]
     for blame in selected:
         lines.append("")
         lines.append(render_waterfall(blame))
@@ -487,22 +624,11 @@ def main(args) -> int:
     from repro.obs.analyze import analyze_file
 
     report = analyze_file(args.trace).report
+    selected = report.select(slowest=args.slowest, message=args.message, edge=args.edge)
     if getattr(args, "json", False):
-        payload = report.to_dict()
-        if args.message is None:
-            payload["messages"] = [
-                b.to_dict() for b in report.slowest(args.slowest)
-            ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.to_dict(selected), indent=2))
     else:
-        print(
-            render_report(
-                report,
-                slowest=args.slowest,
-                message=args.message,
-                edge=args.edge,
-            )
-        )
+        print(render_report(report, selected, args.message))
     if report.truncated:
         print(
             truncation_warning(report.trace_dropped, report.trace_seen),

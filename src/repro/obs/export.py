@@ -27,19 +27,21 @@ Timestamps are virtual microseconds (the trace format's native unit).
 The Chrome trace is a write-only export for viewing.  JSON Lines is the
 one format read back: ``load_events`` turns it into
 :class:`~repro.util.tracing.TraceEvent` lists, which is what the
-``python -m repro obs`` commands operate on.
+``python -m repro obs`` commands operate on.  A live run's trace arrives
+as one stream per peer; ``merge_events`` makes them one list.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.util.errors import ConfigurationError
 from repro.util.tracing import TraceEvent, detail_of, event_from_dict, events_to_jsonl
 
-__all__ = ["to_chrome_trace", "write_trace", "load_events"]
+__all__ = ["to_chrome_trace", "write_trace", "load_events", "merge_events"]
 
 #: ``pid`` reserved for cluster-global tracks (sampler, transport).
 _GLOBAL_PID = 1
@@ -342,3 +344,19 @@ def load_events(path: str | Path) -> list[TraceEvent]:
                 ) from None
             raise ConfigurationError(f"{path}:{n}: bad trace record: {bad}") from None
     return events
+
+
+def merge_events(events_by_peer: Mapping[str, Iterable[TraceEvent]]) -> list[TraceEvent]:
+    """Every peer's events, as recorded, in one time-sorted list.
+
+    Every live peer is a child process of the coordinator on the same
+    host and stamps ``time.time() - epoch`` with the coordinator's
+    epoch, so the streams already share one clock: the merge shifts
+    nothing, and each ``live.recv`` keeps the sender's own ``sent_at``.
+    The sort is stable over the peers taken in node order, so each
+    peer's own order survives and same-time events from different peers
+    keep a fixed order.
+    """
+    merged = [event for _, events in sorted(events_by_peer.items()) for event in events]
+    merged.sort(key=itemgetter(0))
+    return merged

@@ -60,17 +60,24 @@ def _format_labels(labels: LabelKey) -> str:
     return "{" + body + "}"
 
 
-class Counter:
-    """A monotonically increasing count."""
+class Instrument:
+    """One series: a name, its frozen labels and its value."""
 
     __slots__ = ("name", "labels", "value")
 
-    kind = "counter"
+    kind: str
 
     def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
         self.value: float = 0.0
+
+
+class Counter(Instrument):
+    """A monotonically increasing count."""
+
+    __slots__ = ()
+    kind = "counter"
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0) to the count."""
@@ -94,29 +101,15 @@ class Counter:
         self.value = value
 
 
-class Gauge:
+class Gauge(Instrument):
     """A value that can go up and down."""
 
-    __slots__ = ("name", "labels", "value")
-
+    __slots__ = ()
     kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value: float = 0.0
 
     def set(self, value: float) -> None:
         """Replace the current value."""
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` to the current value."""
-        self.value += amount
-
-
-#: Any registry instrument.
-Instrument = Counter | Gauge
 
 
 class MetricsRegistry:
@@ -128,8 +121,7 @@ class MetricsRegistry:
     one name would corrupt the export.
     """
 
-    def __init__(self, namespace: str = "repro") -> None:
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._metrics: dict[tuple[str, LabelKey], Instrument] = {}
         self._help: dict[str, str] = {}
         self._kinds: dict[str, str] = {}
@@ -220,22 +212,55 @@ class MetricsRegistry:
 
         The inverse of :meth:`from_snapshot`.  This is how a live peer
         ships its registry to the coordinator over the JSON-lines
-        control protocol (see :mod:`repro.obs.merge` for the cross-peer
-        merge semantics).
+        control protocol (the coordinator relabels them: :meth:`merge`).
         """
         metrics = [
-            snapshot_entry(metric, self._help.get(name, ""), labels)
+            {
+                "name": name,
+                "kind": metric.kind,
+                "labels": [list(pair) for pair in labels],
+                "help": self._help.get(name, ""),
+                "value": metric.value,
+            }
             for (name, labels), metric in sorted(self._metrics.items())
         ]
-        return {"namespace": self.namespace, "metrics": metrics}
+        return {"metrics": metrics}
 
     @classmethod
     def from_snapshot(cls, payload: Mapping[str, Any]) -> "MetricsRegistry":
         """Rebuild a registry from :meth:`to_snapshot` output."""
-        registry = cls(namespace=str(payload.get("namespace", "repro")))
+        registry = cls()
         for entry in payload.get("metrics", ()):
             registry._insert_snapshot_entry(entry)
         return registry
+
+    @classmethod
+    def merge(
+        cls, per_peer: Mapping[str, "MetricsRegistry | Mapping[str, Any]"]
+    ) -> "MetricsRegistry":
+        """One cluster-level registry: every instrument gains a ``peer`` label.
+
+        ``per_peer`` maps a peer name to its registry or its
+        :meth:`to_snapshot` payload, as shipped over the control
+        protocol.  Series from different peers can never collide — the
+        added label tells them apart — so this is a pure relabeling, not
+        a numeric merge, through the snapshot path: kind and name
+        validation applies.
+        """
+        cluster = cls()
+        for peer, source in sorted(per_peer.items()):
+            if not isinstance(source, MetricsRegistry):
+                source = cls.from_snapshot(source)
+            for entry in source.to_snapshot()["metrics"]:
+                labels = dict(entry["labels"])
+                if "peer" in labels:
+                    raise ConfigurationError(
+                        f"peer {peer!r} metric {entry['name']!r} already carries the "
+                        f"reserved merge label peer={labels['peer']!r}"
+                    )
+                labels["peer"] = peer
+                cluster._insert_snapshot_entry({**entry, "labels": labels.items()})
+        return cluster
 
     def _insert_snapshot_entry(self, entry: Mapping[str, Any]) -> None:
         try:
@@ -262,21 +287,6 @@ class MetricsRegistry:
         help_text = entry.get("help")
         if help_text and name not in self._help:
             self._help[name] = str(help_text)
-
-
-def snapshot_entry(
-    metric: Instrument,
-    help_text: str,
-    labels: Iterable[tuple[str, str]],
-) -> dict[str, Any]:
-    """Snapshot-shaped dict for one instrument under the given labels."""
-    return {
-        "name": metric.name,
-        "kind": metric.kind,
-        "labels": [list(pair) for pair in labels],
-        "help": help_text,
-        "value": metric.value,
-    }
 
 
 def _num(value: float) -> str:

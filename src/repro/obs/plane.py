@@ -27,7 +27,7 @@ Scenarios opt in with a top-level ``"observability"`` block::
       "sample_interval": 1e-5,     # simulated seconds; null disables
       "ring_buffer": 65536,        # keep last N events; null = keep all
       "trace": true,               # capture trace events at all
-      "slo": [                     # edge latency objectives (obs.tails)
+      "slo": [                     # edge latency objectives (SLObjective)
         {"name": "edge", "edge": "*", "threshold_us": 5000,
          "target": 0.99, "windows": [1.0, 10.0]}
       ]
@@ -53,14 +53,13 @@ from repro.obs.export import write_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ListSink, RingBufferSink, truncation_marker
 from repro.obs.sampler import ObservabilitySampler
-from repro.obs.tails import SLObjective
 from repro.util.errors import ConfigurationError, read_block, schema_of
 from repro.util.tracing import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cluster import Cluster
 
-__all__ = ["ObservabilityConfig", "ObservabilityPlane"]
+__all__ = ["ObservabilityConfig", "ObservabilityPlane", "SLObjective"]
 
 #: The scenario ``"observability"`` block: key → ``(kind, default)``.
 _SCHEMA = {
@@ -69,6 +68,47 @@ _SCHEMA = {
     "trace": (bool, True),
     "slo": (list, None),
 }
+
+
+@dataclass(frozen=True, slots=True)
+class SLObjective:
+    """One latency objective: ``target`` of crossings on edges matching
+    ``edge`` complete within ``threshold_us`` microseconds.
+
+    An entry of the block's ``slo`` list.  The plane does not evaluate
+    it: the exact multi-window verdicts come from the trace, after the
+    run (:func:`repro.obs.analyze.tails_payload`).  ``windows`` (seconds,
+    trace-relative) is read as a list and kept as a tuple.
+    """
+
+    name: str
+    threshold_us: float
+    edge: str = "*"  #: fnmatch glob over ``"src->dst"`` edge names
+    target: float = 0.999
+    windows: list[float] = (1.0, 10.0)
+
+    def __post_init__(self) -> None:
+        if not self.threshold_us > 0:
+            raise ConfigurationError(
+                f"slo {self.name!r}: threshold_us must be > 0, got {self.threshold_us}"
+            )
+        if not 0.0 < self.target < 1.0:
+            raise ConfigurationError(
+                f"slo {self.name!r}: target must be in (0, 1), got {self.target}"
+            )
+        windows = tuple(self.windows)
+        if not windows or not all(
+            isinstance(w, (int, float)) and not isinstance(w, bool) and w > 0 for w in windows
+        ):
+            raise ConfigurationError(
+                f"slo {self.name!r}: windows must be positive durations, got {self.windows!r}"
+            )
+        object.__setattr__(self, "windows", tuple(map(float, windows)))
+
+    @property
+    def budget(self) -> float:
+        """Error budget: the tolerated violating fraction."""
+        return 1.0 - self.target
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,10 +127,9 @@ class ObservabilityConfig:
         samples into the metrics registry, and the per-event emit
         sites stay on their disabled fast path.
     slo:
-        Edge latency objectives.  The plane does not evaluate them; the
-        exact multi-window verdicts come from the trace, after the run
-        (``repro obs analyze TRACE --scenario S`` and a live run's
-        ``tails["slo"]``, see :mod:`repro.obs.tails`).
+        Edge latency objectives (:class:`SLObjective`), evaluated over
+        the trace after the run (``repro obs analyze TRACE --scenario S``
+        and a live run's ``tails["slo"]``).
     """
 
     sample_interval: float | None = None

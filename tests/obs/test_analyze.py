@@ -85,6 +85,41 @@ def _recv(t, src, dst, sent_at):
     return _event(t, f"live:{dst}", "live.recv", src=src, dst=dst, sent_at=sent_at, corr=1)
 
 
+def _starved(t, holds_armed, busy):
+    """An ``obs.sample`` tick: ``holds_armed`` engines holding, both NICs
+    at ``busy``."""
+    return _event(
+        t, "obs:sampler", "obs.sample",
+        queues={"n0/0": [1, 64]},
+        nic_busy={"n0.mx00": busy, "n1.mx00": busy},
+        backlog=1,
+        retransmits_in_flight=0,
+        holds_armed=holds_armed,
+    )
+
+
+class TestHoldStarvation:
+    def test_starved_ticks_and_longest_streak(self):
+        """A tick with a Nagle hold armed while every NIC sat idle is
+        starved; a tick with a busy NIC ends the streak."""
+        events = [
+            _starved(0.0, 1, 0.0),
+            _starved(1e-5, 2, 0.0),
+            _starved(2e-5, 1, 0.5),  # a NIC busy: the streak ends
+            _starved(3e-5, 1, 0.0),
+        ]
+        analysis = analyze_events(events)
+        assert analysis.samples == 4
+        assert analysis.hold_starved_samples == 3
+        assert analysis.hold_starved_streak == 2
+        out = summary_metrics(analysis)
+        assert (out["hold/starved_samples"], out["hold/starved_streak"]) == (3.0, 2.0)
+        assert (
+            "hold-timer starvation: 3/4 samples had a Nagle hold armed with "
+            "every NIC idle (longest streak 2)"
+        ) in render(analysis).splitlines()
+
+
 class TestEdgePercentiles:
     def test_linear_interpolation(self):
         # 4 crossings with latencies 1..4 ms: numpy's default definition
@@ -93,18 +128,23 @@ class TestEdgePercentiles:
             _recv(10.0 + 0.001 * lat, "n0", "n1", 10.0) for lat in (4, 2, 1, 3)
         ]
         edge = analyze_events(events).edges["n0->n1"]
-        tails = edge.tails()
-        assert list(tails) == ["p50", "p90", "p99", "p999", "max"]
-        assert tails["p50"] == pytest.approx(2.5e-3)
-        assert tails["max"] == pytest.approx(4e-3)
+        stats = edge.stats()
+        assert list(stats) == [
+            "count", "p50_us", "p90_us", "p99_us", "p999_us", "mean_us", "max_us",
+        ]
+        assert stats["count"] == 4
+        assert stats["p50_us"] == pytest.approx(2500.0)
+        assert stats["mean_us"] == pytest.approx(2500.0)
+        assert stats["max_us"] == pytest.approx(4000.0)
         # The columns are the shared exact definition, value for value.
-        assert list(tails.values()) == percentiles(
-            edge.latencies, [50, 90, 99, 99.9, 100]
-        )
+        columns = [stats[key] for key in ("p50_us", "p90_us", "p99_us", "p999_us", "max_us")]
+        assert columns == [
+            p * 1e6 for p in percentiles(edge.latencies, [50, 90, 99, 99.9, 100])
+        ]
         assert percentiles(edge.latencies, [0, 25]) == pytest.approx([1e-3, 1.75e-3])
 
     def test_times_parallel_to_latencies(self):
-        # evaluate_slo_offline windows over (times, latencies) pairs.
+        # The SLO verdicts window over (times, latencies) pairs.
         events = [_recv(t, "n0", "n1", t - 1e-4) for t in (1.0, 2.0, 3.0)]
         edge = analyze_events(events).edges["n0->n1"]
         assert edge.times == [1.0, 2.0, 3.0]

@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -13,12 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.analyze import analyze_file
 from repro.obs.causal import (
+    Leg,
+    MessageChain,
     _clipped,
     attribute_chain,
     attribute_events,
     export_blame,
+    interval_overlap,
     main as why_main,
+    merge_intervals,
     render_report,
     render_waterfall,
 )
@@ -26,7 +32,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.live.cluster import _ObsCollector
 from repro.obs.export import write_trace
 from repro.obs.recorder import ListSink
-from repro.obs.spans import Leg, MessageChain, interval_overlap, merge_intervals
 from repro.runtime.scenario import run_scenario
 from repro.util.tracing import NullTracer, Tracer, event_from_dict, event_to_dict
 
@@ -305,7 +310,7 @@ class TestEndToEndSim:
             "incomplete": causal.incomplete,
             "truncated": False,
             "edges": causal.edges(),
-            "slowest": [b.to_dict() for b in causal.slowest(3)],
+            "slowest": [b.to_dict() for b in causal.select(slowest=3)],
         }
         assert len(summary["slowest"]) == 3
         assert len(causal.summary()["slowest"]) == 5  # the default
@@ -436,7 +441,7 @@ class TestRendering:
     def test_report_edge_filter_accepts_colon_form(self):
         report = attribute_events([])
         report.messages.append(attribute_chain(_chain()))
-        text = render_report(report, edge="n0:n1")
+        text = render_report(report, report.select(edge="n0:n1"))
         assert "n0->n1" in text
         assert "no attributed message" not in text
 
@@ -487,6 +492,48 @@ class TestWhyCli:
         assert why_main(self._args(trace_file, message=key)) == 0
         out = capsys.readouterr().out
         assert f"message {key}" in out
+
+    @pytest.fixture()
+    def two_way_trace(self, tmp_path):
+        """Slow n0->n1 messages and fast n1->n0 ones."""
+        scenario = {
+            "name": "why-two-way",
+            "cluster": {"n_nodes": 2, "strategy": "aggregate", "seed": 5},
+            "observability": {"trace": True},
+            "workloads": [
+                {"app": "stream", "src": "n0", "dst": "n1", "size": 8192,
+                 "count": 10, "interval": 0.0},
+                {"app": "stream", "src": "n1", "dst": "n0", "size": 64,
+                 "count": 10, "interval": 0.0},
+            ],
+        }
+        _, cluster, _ = run_scenario(scenario)
+        path = tmp_path / "trace.jsonl"
+        cluster.obs.write_trace(path)
+        return path
+
+    @pytest.mark.parametrize("pick", ["message", "edge"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_text_and_json_show_the_same_selection(
+        self, two_way_trace, capsys, as_json, pick
+    ):
+        """``--message`` and ``--edge`` pick the same messages for the
+        text waterfalls and the ``--json`` rows."""
+        report = analyze_file(two_way_trace).report
+        back = report.select(slowest=3, edge="n1->n0")
+        assert len(back) == 3
+        assert report.select(slowest=1)[0].edge == "n0->n1"  # the slow way
+        if pick == "message":
+            over, expected = {"message": back[1].key}, [back[1]]
+        else:
+            over, expected = {"edge": "n1:n0", "slowest": 3}, back
+        assert why_main(self._args(two_way_trace, json=as_json, **over)) == 0
+        out = capsys.readouterr().out
+        if as_json:
+            shown = [(m["message"], m["edge"]) for m in json.loads(out)["messages"]]
+        else:
+            shown = re.findall(r"^message (\S+)  flow=\S+  (\S+)", out, re.M)
+        assert shown == [(b.key, "n1->n0") for b in expected]
 
     def test_empty_trace_exits_nonzero(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -1,7 +1,8 @@
 """Property tests for the cross-peer merge operations.
 
-The merge layer (:mod:`repro.obs.merge`) is pure data-plumbing with
-algebraic contracts, so it gets algebraic tests:
+The merges (:meth:`repro.obs.metrics.MetricsRegistry.merge`,
+:func:`repro.obs.export.merge_events`) are pure data-plumbing with
+algebraic contracts, so they get algebraic tests:
 
 * relabeling must keep every peer's series apart;
 * the trace merge must be exactly the union of the peer streams, each
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.merge import merge_events, merge_registries
+from repro.obs.export import merge_events
 from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import ConfigurationError
 
@@ -34,19 +35,19 @@ class TestRelabelMerge:
             "n0": _counter_registry({"n0": 5}),
             "n1": _counter_registry({"n0": 7}),
         }
-        cluster = merge_registries(per_peer)
+        cluster = MetricsRegistry.merge(per_peer)
         assert cluster.get("repro_x_total", {"node": "n0", "peer": "n0"}).value == 5
         assert cluster.get("repro_x_total", {"node": "n0", "peer": "n1"}).value == 7
 
     def test_accepts_snapshots(self):
-        cluster = merge_registries({"n0": _counter_registry({"n0": 2}).to_snapshot()})
+        cluster = MetricsRegistry.merge({"n0": _counter_registry({"n0": 2}).to_snapshot()})
         assert cluster.get("repro_x_total", {"node": "n0", "peer": "n0"}).value == 2
 
     def test_reserved_peer_label_rejected(self):
         reg = MetricsRegistry()
         reg.counter("repro_x_total", {"peer": "oops"}).inc()
         with pytest.raises(ConfigurationError):
-            merge_registries({"n0": reg})
+            MetricsRegistry.merge({"n0": reg})
 
 
 _per_peer_times = st.dictionaries(

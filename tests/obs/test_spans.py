@@ -6,7 +6,7 @@ import pytest
 
 import repro.obs.analyze as analyze_mod
 from repro.obs.analyze import analyze_events
-from repro.obs.spans import (
+from repro.obs.causal import (
     interval_overlap,
     merge_intervals,
     subtract_intervals,
@@ -193,3 +193,6 @@ class TestChainReconstruction:
         assert analysis.evicted_chains == 1
         assert ("n0", 0) not in analysis.chains
         assert ("n0", 2) in analysis.chains
+        # The evicted chain never closed: it counts as incomplete, with
+        # the two still open.
+        assert analysis.report.incomplete == 3

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.plane import ObservabilityConfig
-from repro.obs.tails import SLObjective, evaluate_slo_offline
+from repro.obs.analyze import TraceAnalysis, _Spans, tails_payload
+from repro.obs.plane import ObservabilityConfig, SLObjective
 from repro.util.errors import ConfigurationError
+
+
+def _verdicts(edges, objective, t_end):
+    """The ``slo`` verdicts of one objective over ``{edge: (times,
+    latencies)}``, as the tails view reports them."""
+    analysis = TraceAnalysis(
+        span=(0.0, t_end),
+        edges={name: _Spans(latencies, times) for name, (times, latencies) in edges.items()},
+    )
+    return tails_payload(analysis, [objective])["slo"]
 
 
 def _read_slo(block):
@@ -52,46 +62,27 @@ class TestParseSLO:
 
 class TestEvaluateSLO:
     def test_glob_filters_edges(self):
-        class Stats:
-            times = [0.0]
-            latencies = [1.0]
-
-        objective = SLObjective("o", 50.0, edge="n9->*")
-        edges = {"n0->n1": Stats(), "n9->n1": Stats()}
-        (status,) = evaluate_slo_offline(edges, [objective], t_end=0.0)
-        assert status.edge == "n9->n1"
-        objective = SLObjective("o", 50.0, edge="n8->*")
-        assert evaluate_slo_offline(edges, [objective], t_end=0.0) == []
+        edges = {"n0->n1": ([0.0], [1.0]), "n9->n1": ([0.0], [1.0])}
+        (verdict,) = _verdicts(edges, SLObjective("o", 50.0, edge="n9->*"), 0.0)
+        assert verdict["edge"] == "n9->n1"
+        assert _verdicts(edges, SLObjective("o", 50.0, edge="n8->*"), 0.0) == []
 
     def test_offline_multi_window_requires_all_windows(self):
-        class Stats:
-            def __init__(self, times, latencies):
-                self.times = times
-                self.latencies = latencies
-
         # Old violations outside the 1s window, clean since: the short
         # window does not burn, so no violation despite the long one.
         times = [0.1 * i for i in range(100)]
         latencies = [1.0 if t < 5.0 else 1e-6 for t in times]
-        edges = {"n0->n1": Stats(times, latencies)}
         objective = SLObjective("o", 10.0, target=0.5, windows=(1.0, 10.0))
-        (status,) = evaluate_slo_offline(edges, [objective], t_end=times[-1])
-        assert status.burn["1s"] == 0.0
-        assert status.burn["10s"] > 0.0
-        assert not status.violated
+        (verdict,) = _verdicts({"n0->n1": (times, latencies)}, objective, times[-1])
+        assert verdict["burn"]["1s"] == 0.0
+        assert verdict["burn"]["10s"] > 0.0
+        assert not verdict["violated"]
         # Violations throughout: every window burns, verdict flips.
-        edges = {"n0->n1": Stats(times, [1.0] * 100)}
-        (status,) = evaluate_slo_offline(edges, [objective], t_end=times[-1])
-        assert status.violated
+        (verdict,) = _verdicts({"n0->n1": (times, [1.0] * 100)}, objective, times[-1])
+        assert verdict["violated"]
 
     def test_offline_empty_window_burns_zero(self):
-        class Stats:
-            times = [0.0]
-            latencies = [1.0]
-
         objective = SLObjective("o", 0.5, windows=(0.001,))
-        (status,) = evaluate_slo_offline(
-            {"n0->n1": Stats()}, [objective], t_end=100.0
-        )
-        assert status.burn == {"0.001s": 0.0}
-        assert not status.violated
+        (verdict,) = _verdicts({"n0->n1": ([0.0], [1.0])}, objective, 100.0)
+        assert verdict["burn"] == {"0.001s": 0.0}
+        assert not verdict["violated"]

@@ -84,6 +84,33 @@ class TestSessionImports:
         modules = _session_modules(mode, 'import sys\nsys.modules["numpy"] = None\n')
         assert "repro.runtime.session" in modules
 
+    @pytest.mark.parametrize("mode", ["untraced", "traced"])
+    def test_a_session_loads_no_network_server_stack(self, mode):
+        """A simulated run opens no socket: the live plane's HTTP server,
+        and the event loop, TLS and process machinery that come with a
+        server, stay unloaded."""
+        modules = set(_session_modules(mode))
+        assert "repro.runtime.session" in modules
+        server_stack = {
+            "asyncio", "ssl", "socket", "subprocess", "http.server", "repro.obs.serve",
+        }
+        assert sorted(modules & server_stack) == []
+
+    def test_a_live_peer_loads_no_http_server(self):
+        """Peers import the coordinator's module; only a coordinator told
+        to ``--serve`` imports the HTTP server."""
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, repro.live.peer; print(json.dumps(sorted(sys.modules)))"],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        modules = set(json.loads(fresh.stdout))
+        assert "repro.live.cluster" in modules
+        assert sorted(modules & {"http.server", "repro.obs.serve"}) == []
+
 
 #: Runs one traced session of a scenario in a fresh interpreter, then
 #: reads the plane's registry; prints what was loaded before the read,
