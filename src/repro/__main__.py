@@ -215,6 +215,8 @@ def _cmd_live_run(args) -> int:
             "done_frames_sent": result.done_frames_sent,
             "data_bytes_sent": result.data_bytes_sent,
             "cpu_s": result.cpu_s,
+            "traffic_cpu_s": result.traffic_cpu_s,
+            "socket_writes": result.socket_writes,
             "rtt_samples": len(result.rtts),
             "tails": result.tails,
             "dead_peers": [

@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.live.liveness import DeadPeer, PeerWatchdog
+from repro.network.virtual import TrafficClass
 from repro.obs.causal import export_blame
 from repro.obs.export import merge_events
 from repro.obs.metrics import MetricsRegistry
@@ -122,6 +123,16 @@ class LiveRunResult:
     def cpu_s(self) -> float:
         """CPU seconds the peers used, each read when it was told to STOP."""
         return sum(p["cpu_s"] for p in self.peer_reports)
+
+    @property
+    def traffic_cpu_s(self) -> float:
+        """CPU seconds the peers used between START and STOP: no start-up."""
+        return sum(p["cpu_s"] - p["cpu_start_s"] for p in self.peer_reports)
+
+    @property
+    def socket_writes(self) -> int:
+        """``transport.write`` calls the peers made, heartbeats included."""
+        return sum(p["transport"]["socket_writes"] for p in self.peer_reports)
 
     @property
     def done_frames_sent(self) -> int:
@@ -652,7 +663,11 @@ def _merge_run(
         MetricsRegistry.merge(obs.metrics_by_peer) if obs.metrics_by_peer else None
     )
 
-    records = [MessageRecord.from_dict(r) for p in peer_reports for r in p["records"]]
+    records = [
+        MessageRecord._make((mid, flow, TrafficClass(tc), *rest))
+        for p in peer_reports
+        for mid, flow, tc, *rest in p["records"]
+    ]
     chaos_stats = [p["chaos"] for p in peer_reports if p.get("chaos")]
     duration = 0.0
     if records:

@@ -32,6 +32,7 @@ from repro.live.transport import (
     StreamDecoder,
     ack_frame,
     done_frame,
+    done_items,
     heartbeat_frame,
     hello_frame,
     live_ctrl_kind,
@@ -43,18 +44,15 @@ __all__ = ["Hub"]
 _READ_CHUNK = 1 << 16
 
 
-class _ChaosDisconnect(Exception):
-    """Deliberate chaos-injected hard close of one connection."""
-
-
 class _Connection:
-    """One socket to one peer: a single pump task + a reader task.
+    """One socket to one peer: one flush per loop turn, a drain task, a reader.
 
-    asyncio's ``StreamWriter.drain`` supports exactly one concurrent
-    waiter, so all outbound records funnel through one pump coroutine;
-    NIC submits enqueue ``(bytes, on_drained)`` and the pump invokes the
-    callback once the kernel accepted every byte (write-buffer high-water
-    mark is 0, so ``drain`` returning *means* drained).
+    NIC submits enqueue ``(bytes, on_drained)``; the turn's first record
+    arms a ``call_soon`` flush that joins the queue into one
+    ``transport.write``.  With a write-buffer limit of 0 a write taken
+    whole *is* drained: its callbacks fire at once (never in the submit
+    path that queued them) and what they queue is written in the same
+    turn.  Only a write the kernel kept part of waits for ``drain()``.
 
     Connections are disposable: any socket error, EOF, or injected
     disconnect routes through :meth:`Hub.conn_failed`, which flushes
@@ -68,24 +66,26 @@ class _Connection:
         self.hub = hub
         self.reader = reader
         self.writer = writer
+        self.transport = writer.transport
         self.name = name  # peer node name; None until its HELLO arrives
         # Skipping a bad record is only sound when a retransmit recovers it.
         self.decoder = StreamDecoder(tolerant=hub.reliable)
-        self.outbound: deque[tuple[bytes | None, Callable[[], None] | None, bool]] = (
-            deque()
-        )
+        #: Queued ``(bytes, on_drained, counted)``; ``None`` bytes: close here.
+        self.outbound: deque[tuple] = deque()
+        #: Written, not yet released: ``(on_drained, counted)``.
+        self._written: deque[tuple] = deque()
         self.failed = False
-        self._current: tuple[Callable[[], None] | None, bool] | None = None
-        self._wake = asyncio.Event()
-        writer.transport.set_write_buffer_limits(0)
+        self._flushing = False  # a flush is armed, running, or awaiting drain
+        self._stalled = asyncio.get_running_loop().create_future()
+        self.transport.set_write_buffer_limits(0)
         self._tasks = [
-            asyncio.ensure_future(self._pump()),
+            asyncio.ensure_future(self._drain()),
             asyncio.ensure_future(self._read()),
         ]
 
     def enqueue(
         self,
-        data: bytes,
+        data: bytes | None,
         on_drained: Callable[[], None] | None,
         counted: bool = True,
     ) -> None:
@@ -95,39 +95,63 @@ class _Connection:
         self.outbound.append((data, on_drained, counted))
         if counted:
             self.hub.writes_in_flight += 1
-        self._wake.set()
+        if not self._flushing:
+            self._flushing = True
+            self.hub.clock.background(0.0, self._flush)
 
     def request_close(self) -> None:
         """Chaos disconnect: hard-close once everything queued so far is out."""
-        if not self.failed:
-            self.outbound.append((None, None, False))
-            self._wake.set()
+        self.enqueue(None, None, counted=False)
 
-    async def _pump(self) -> None:
+    def _flush(self) -> None:
+        """Release the last write, then write the queue until a write stalls."""
+        hub, outbound, written = self.hub, self.outbound, self._written
         try:
             while True:
-                while not self.outbound:
-                    self._wake.clear()
-                    await self._wake.wait()
-                data, on_drained, counted = self.outbound.popleft()
-                if data is None:
-                    raise _ChaosDisconnect
-                self._current = (on_drained, counted)
-                self.writer.write(data)
+                if written:  # the kernel has every byte of the last write
+                    hub.clock.refresh()
+                    while written:
+                        on_drained, counted = written.popleft()
+                        if counted:
+                            hub.writes_in_flight -= 1
+                        if on_drained is not None:
+                            on_drained()
+                if not outbound or self.failed:
+                    break
+                if outbound[0][0] is None:  # a chaos close, requested here
+                    hub.conn_failed(self)
+                    return
+                parts = []
+                while outbound and outbound[0][0] is not None:
+                    data, on_drained, counted = outbound.popleft()
+                    parts.append(data)
+                    written.append((on_drained, counted))
+                if self.transport.is_closing():
+                    raise ConnectionResetError("connection lost")
+                data = b"".join(parts)
+                self.transport.write(data)
+                hub.socket_writes += 1
+                hub.bytes_tx += len(data)
+                if self.transport.get_write_buffer_size():
+                    self._stalled.set_result(None)
+                    return
+            self._flushing = False
+        except (ConnectionError, OSError):
+            hub.conn_failed(self)
+        except Exception:  # pragma: no cover - surfaced via STATUS
+            hub.note_fatal(traceback.format_exc())
+            hub.conn_failed(self)
+
+    async def _drain(self) -> None:
+        try:
+            while True:
+                await self._stalled
                 await self.writer.drain()
-                self.hub.bytes_tx += len(data)
-                self.hub.clock.refresh()
-                if counted:
-                    self.hub.writes_in_flight -= 1
-                self._current = None
-                if on_drained is not None:
-                    on_drained()
+                self._stalled = asyncio.get_running_loop().create_future()
+                self._flush()
         except asyncio.CancelledError:
             pass
-        except (_ChaosDisconnect, ConnectionError, OSError):
-            self.hub.conn_failed(self)
-        except Exception:  # pragma: no cover - surfaced via STATUS
-            self.hub.note_fatal(traceback.format_exc())
+        except (ConnectionError, OSError):
             self.hub.conn_failed(self)
 
     async def _read(self) -> None:
@@ -149,24 +173,20 @@ class _Connection:
             self.hub.conn_failed(self)
 
     def abort(self) -> None:
-        """Flush every queued write and release the socket.  Idempotent."""
+        """Release every written and queued record and the socket.  Idempotent."""
         if self.failed:
             return
         self.failed = True
-        if self._current is not None:
-            on_drained, counted = self._current
-            self._current = None
+        hub = self.hub
+        released = list(self._written)
+        released += [(fn, counted) for data, fn, counted in self.outbound if data is not None]
+        self._written.clear()
+        self.outbound.clear()
+        for on_drained, counted in released:
             if counted:
-                self.hub.writes_in_flight -= 1
-            self.hub.flush_write(on_drained)
-        while self.outbound:
-            data, on_drained, counted = self.outbound.popleft()
-            if data is None:
-                continue
-            if counted:
-                self.hub.writes_in_flight -= 1
-            self.hub.flush_write(on_drained)
-        self.hub.corrupt_frames_closed += self.decoder.corrupt_frames
+                hub.writes_in_flight -= 1
+            hub.flush_write(on_drained)
+        hub.corrupt_frames_closed += self.decoder.corrupt_frames
         for task in self._tasks:
             task.cancel()
         try:
@@ -283,6 +303,7 @@ class Hub:
         self._server = None
         self.closing = False
         self.writes_in_flight = 0
+        self.socket_writes = 0  # one per transport.write
         self.bytes_tx = 0
         self.bytes_rx = 0
         #: Locally submitted messages awaiting a DONE acknowledgement.
@@ -666,7 +687,7 @@ class Hub:
             )
             return
         if ctrl == "done":
-            for message_id, when in frame.meta.get("items", ()):
+            for message_id, when in done_items(frame):
                 message = self.sent_messages.pop(message_id, None)
                 if message is None:
                     continue  # duplicate/late DONE: already accounted
@@ -675,7 +696,7 @@ class Hub:
                     self.done_rx_by_src.get(frame.src, 0) + 1
                 )
                 if not message.completion.done:
-                    message.completion.resolve(float(when))
+                    message.completion.resolve(when)
             return
         self._deliver(frame)
 

@@ -6,8 +6,8 @@ between talk to a :class:`~repro.sim.engine.Simulator`-shaped object:
 :class:`LiveClock` satisfies that interface over a running asyncio
 event loop, so the exact same engine/strategy/middleware code that runs
 in virtual time runs in wall-clock time — hold timers become
-``call_later`` timers, process think-times become real sleeps, and
-trace events carry real timestamps.
+``call_later`` timers (an event due now a ``call_soon``), process
+think-times become real sleeps, and trace events carry real timestamps.
 
 Two deliberate departures from a naive ``time.time()`` passthrough:
 
@@ -157,7 +157,13 @@ class LiveClock:
         (a loop entry point, like every other); ``delay=0`` runs on the
         next loop iteration.  Returns the loop's handle (``.cancel()``).
         """
-        return self._loop.call_later(delay * self._scale, self._enter, fn, args)
+        return self._call(delay, self._enter, fn, args)
+
+    def _call(self, delay: float, *callback: Any):
+        """``callback`` ``delay`` virtual seconds out: no timer when due now."""
+        if delay > 0:
+            return self._loop.call_later(delay * self._scale, *callback)
+        return self._loop.call_soon(*callback)
 
     def _enter(self, fn: Callable[..., Any], args: tuple) -> None:
         self.refresh()
@@ -165,13 +171,12 @@ class LiveClock:
 
     def _arm(self, when: float, fn: Callable[..., Any], args: tuple) -> LiveEvent:
         event = LiveEvent(when)
-        real_delay = max(0.0, (when - self.refresh()) * self._scale)
-        event._handle = self._loop.call_later(real_delay, self._fire, event, fn, args)
+        event._handle = self._call(when - self.refresh(), self._fire, event, fn, args)
         self._pending += 1
         return event
 
     def _fire(self, event: LiveEvent, fn: Callable[..., Any], args: tuple) -> None:
-        if event.cancelled:  # pragma: no cover - call_later already cancelled
+        if event.cancelled:  # pragma: no cover - the handle was cancelled
             return
         event.fired = True
         self._pending -= 1

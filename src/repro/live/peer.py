@@ -83,6 +83,7 @@ __all__ = ["LivePeer", "main"]
 _TRANSPORT_COUNTERS = (
     ("bytes_tx", lambda p: p.hub.bytes_tx,
      "repro_live_bytes_tx_total", "Bytes written to peer sockets"),
+    ("socket_writes", lambda p: p.hub.socket_writes, None, ""),
     ("bytes_rx", lambda p: p.hub.bytes_rx,
      "repro_live_bytes_rx_total", "Bytes read from peer sockets"),
     ("bytes_verified", lambda p: p.mirror.bytes_verified,
@@ -184,6 +185,7 @@ class LivePeer:
         self.mirror = MirrorReceiver(self.local, self.flows.get)
         self.metrics = MetricsCollector()
         self.apps: list = []
+        self.cpu_start_s = 0.0  # process time at START (install_apps)
         self._apps_installed = False
         #: Data frames that raced ahead of this peer's START (see
         #: ``_deliver_frame``); replayed once the flows exist.
@@ -304,6 +306,7 @@ class LivePeer:
         starts the local node's processes — traffic begins as soon as
         the event loop runs.
         """
+        self.cpu_start_s = time.process_time()
         self.apps = build_workloads(self.scenario)
         for app in self.apps:
             app.install(self)
@@ -468,7 +471,8 @@ class LivePeer:
             self.sampler.stop()
         self.plane.finalize()
         self._mirror_live_metrics()
-        records = [r.to_dict() for r in self.metrics.records]
+        # Rows in MessageRecord field order, the traffic class by value.
+        records = [(mid, flow, tc.value, *rest) for mid, flow, tc, *rest in self.metrics.records]
         nics = [
             {
                 "name": nic.name,
@@ -493,6 +497,7 @@ class LivePeer:
             "node": self.local,
             "now": self.clock.refresh(),
             "cpu_s": cpu_s,
+            "cpu_start_s": self.cpu_start_s,
             "records": records,
             "engine": stats_row(self.engine.stats),
             "nics": nics,

@@ -72,6 +72,7 @@ __all__ = [
     "encode_live_packet",
     "hello_frame",
     "done_frame",
+    "done_items",
     "heartbeat_frame",
     "ack_frame",
     "live_ctrl_kind",
@@ -84,6 +85,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH_PREFIX = struct.Struct("!I")
 _SEQ = struct.Struct("!Q")
+# One DONE item: the sender's message id (u64), the completion time (f64).
+_DONE_ITEM = struct.Struct("!Qd")
+#: A DONE frame's tag, in the CRC-covered body (engine channels are >= 0).
+DONE_CHANNEL = -2
 
 #: Envelope tags (first body byte of every record).
 TAG_RAW = 0  #: unsequenced: everything lossless; HELLO, heartbeat, ACK under chaos
@@ -289,6 +294,8 @@ def encode_live_packet(packet: WirePacket) -> bytes:
 
 def live_ctrl_kind(frame: DecodedFrame) -> str | None:
     """The transport-control tag of a frame, or None for engine traffic."""
+    if frame.channel_id == DONE_CHANNEL:
+        return "done"
     tag = frame.meta.get("live_ctrl")
     return tag if isinstance(tag, str) else None
 
@@ -305,15 +312,21 @@ def done_frame(src: str, dst: str, items: Iterable[tuple[int, float]]) -> bytes:
 
     Sent receiver → sender when a mirrored message completes, so the
     sender can resolve the original ``Message.completion`` future (the
-    live analogue of the simulator resolving it at arrival time).
+    live analogue of the simulator resolving it at arrival time).  No
+    ``meta``: one segment packs the items (:func:`done_items`).
     """
+    packed = b"".join([_DONE_ITEM.pack(mid, t) for mid, t in items])
     return encode_frame(
-        PacketKind.CTRL,
-        src,
-        dst,
-        -1,
-        {"live_ctrl": "done", "items": [[mid, t] for mid, t in items]},
+        PacketKind.CTRL, src, dst, DONE_CHANNEL, {}, ((0, 0, None, 0, len(packed), packed),)
     )
+
+
+def done_items(frame: DecodedFrame) -> list[tuple[int, float]]:
+    """The ``(sender message id, time)`` items of a decoded DONE frame."""
+    segments = frame.segments
+    if len(segments) != 1 or segments[0].length % _DONE_ITEM.size:
+        raise WireError(f"DONE frame from {frame.src!r} does not hold whole items")
+    return list(_DONE_ITEM.iter_unpack(segments[0].data))
 
 
 def heartbeat_frame(src: str, t: float) -> bytes:

@@ -266,7 +266,7 @@ def encode_frame(
     """
     src_b = src.encode("utf-8")
     dst_b = dst.encode("utf-8")
-    meta_b = _dumps(meta).encode("utf-8")
+    meta_b = _dumps(meta).encode("utf-8") if meta else b"{}"  # the codec's bytes
     pack_segment = _SEGMENT.pack
     try:
         head = _BODY_HEAD.pack(channel_id, len(src_b), len(dst_b), len(meta_b), len(segments))
@@ -348,7 +348,8 @@ def decode_frame(data: bytes) -> DecodedFrame:
         pos += src_len
         dst = data[pos : pos + dst_len].decode("utf-8", errors="replace")
         pos += dst_len
-        meta = _decode_json(data[pos : pos + meta_len], "meta")
+        raw = data[pos : pos + meta_len]
+        meta = {} if raw == b"{}" else _decode_json(raw, "meta")
         pos += meta_len
         for _ in range(seg_count):
             message_id, index, flag, offset, length = unpack_segment(data, pos)

@@ -54,19 +54,6 @@ class MessageRecord(NamedTuple):
         """Submit-to-full-delivery time (virtual seconds)."""
         return self.complete_time - self.submit_time
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready view (how a live peer ships its records)."""
-        out = self._asdict()
-        out["traffic_class"] = self.traffic_class.value
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MessageRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            **{**payload, "traffic_class": TrafficClass(payload["traffic_class"])}
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class LatencySummary:

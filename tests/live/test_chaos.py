@@ -29,6 +29,7 @@ from repro.live.transport import (
     ENVELOPE_CRC_OFFSET,
     StreamDecoder,
     done_frame,
+    done_items,
     wrap_envelope,
 )
 from repro.network.faults import FaultConfig, FaultLottery, FaultPlane, FaultPlaneStats
@@ -239,7 +240,7 @@ class TestConfigParsing:
 # ----------------------------------------------------------------------
 
 def _payload_id(frame) -> int:
-    return int(frame.meta["items"][0][0])
+    return done_items(frame)[0][0]
 
 
 def _run_pipe(n, write, ack_lost=lambda: False, shuffle=lambda wire: None, chunk=1 << 16):

@@ -1,21 +1,26 @@
-"""The hub's DONE batching, without sockets.
+"""The hub's DONE batching and its connections' writes.
 
-A :class:`~repro.live.hub.Hub` whose links carry a recording stand-in
-for ``_Connection``: what it would write is what the tests read.
+Most tests give a :class:`~repro.live.hub.Hub`'s links a recording
+stand-in for ``_Connection``: what it would write is what they read.
+``TestOneWritePerTurn`` runs the real ``_Connection`` over a stand-in
+transport, and ``TestWritesPerMessage`` two hubs over a real socket.
 """
 
 import asyncio
+import json
 import time
 
 import pytest
 
+from repro.network import wire
 from repro.network.faults import FaultConfig
-from repro.live.hub import Hub
+from repro.live.hub import Hub, _Connection
 from repro.live.loop import LiveClock
 from repro.live.transport import (
     TAG_RAW,
     TAG_SEQ,
     StreamDecoder,
+    done_items,
     encode_live_packet,
     live_ctrl_kind,
     wrap_envelope,
@@ -94,9 +99,20 @@ def _hub(loop, chaos=None, explode_on=None):
     return hub, conns, delivered
 
 
+def _send_pong(hub, on_drained=None, packet_id=9):
+    """The reply of a ping: one 8-byte message n1 → n0, through the NIC path."""
+    message = next_message(Flow(1, "pong", "n1", "n0"))
+    fragment = message.add_fragment(8)
+    packet = WirePacket(
+        kind=PacketKind.EAGER, src="n1", dst="n0", channel_id=0,
+        segments=(WireSegment(fragment, 0, 8),), packet_id=packet_id,
+    )
+    hub.send_packet(packet, encode_live_packet(packet), on_drained)
+
+
 def _done_items(conn, tag=TAG_RAW):
     frames = [f for _, f in conn.records(tag) if live_ctrl_kind(f) == "done"]
-    return [[mid for mid, _ in f.meta["items"]] for f in frames]
+    return [[mid for mid, _ in done_items(f)] for f in frames]
 
 
 class TestDoneBatching:
@@ -177,13 +193,7 @@ class TestDoneBatching:
         def deliver_and_reply(frame):
             deliver(frame)
             if frame is records[0][1]:
-                message = next_message(Flow(1, "pong", "n1", "n0"))
-                fragment = message.add_fragment(8)
-                packet = WirePacket(
-                    kind=PacketKind.EAGER, src="n1", dst="n0", channel_id=0,
-                    segments=(WireSegment(fragment, 0, 8),), packet_id=9,
-                )
-                hub.send_packet(packet, encode_live_packet(packet), None)
+                _send_pong(hub)
 
         hub._deliver = deliver_and_reply
         hub.ingest(conns["n0"], records)
@@ -221,7 +231,7 @@ class TestDoneBatchingUnderFaults:
         hub.ingest(conns["n0"], records)
         ((seq, frame),) = conns["n0"].records(TAG_SEQ)
         assert seq == 0 and live_ctrl_kind(frame) == "done"
-        assert [mid for mid, _ in frame.meta["items"]] == ids
+        assert [mid for mid, _ in done_items(frame)] == ids
         acks = [f for _, f in conns["n0"].records(TAG_RAW)]
         assert [f.meta["seqs"] for f in acks] == [[0, 1, 2, 3, 4, 5]]
         assert hub.in_flight == 1 and hub.done_frames_sent == 1
@@ -233,3 +243,224 @@ class TestDoneBatchingUnderFaults:
         assert all(r == (0, frame) for r in resent)
         assert hub.done_sent == 6 and hub.done_frames_sent == 1
         hub.close()
+
+
+class _Transport:
+    """What ``_Connection`` uses of an asyncio transport.  A write is
+    taken whole unless ``keep_next`` is set: then the kernel keeps that
+    many bytes until the test calls :meth:`_Writer.take`."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+        self.kept = 0
+        self.keep_next = 0
+
+    def set_write_buffer_limits(self, high):
+        assert high == 0
+
+    def is_closing(self):
+        return False
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        self.kept, self.keep_next = self.keep_next, 0
+
+    def get_write_buffer_size(self):
+        return self.kept
+
+
+class _Writer:
+    def __init__(self):
+        self.transport = _Transport()
+        self.drains = 0
+        self._waiter = None
+
+    async def drain(self):
+        self.drains += 1
+        while self.transport.kept:
+            self._waiter = asyncio.get_running_loop().create_future()
+            await self._waiter
+
+    def take(self):
+        """The kernel takes the bytes it kept."""
+        self.transport.kept = 0
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    def close(self):
+        pass
+
+
+class _Reader:
+    async def read(self, size):
+        await asyncio.get_running_loop().create_future()  # no inbound bytes
+
+
+def _turns(loop, n=3):
+    for _ in range(n):
+        loop.run_until_complete(asyncio.sleep(0))
+
+
+@pytest.fixture
+def connected(loop):
+    """A hub whose link to n0 is a real ``_Connection`` on a stand-in transport."""
+    hub, _, _ = _hub(loop)
+
+    async def connect():
+        return _Connection(hub, _Reader(), _Writer(), "n0")
+
+    conn = hub.links["n0"].conn = loop.run_until_complete(connect())
+    yield hub, conn
+    hub.close()
+    conn.abort()
+    _turns(loop)  # the cancelled tasks end
+
+
+def _released(fired, name):
+    return lambda: fired.append(name)
+
+
+class TestOneWritePerTurn:
+    def test_a_done_and_its_reply_leave_in_one_write_done_first(self, loop, connected):
+        hub, conn = connected
+        records, ids = _data_records(Flow(0, "ping", "n0", "n1"), 1)
+        deliver, fired = hub._deliver, []
+
+        def deliver_and_reply(frame):
+            deliver(frame)
+            _send_pong(hub, _released(fired, "pong"))
+
+        hub._deliver = deliver_and_reply
+        hub.ingest(conn, records)
+        assert conn.transport.writes == [] and hub.writes_in_flight == 2
+        _turns(loop)
+        (write,) = conn.transport.writes
+        frames = [frame for _, frame in StreamDecoder().feed(write)]
+        assert [live_ctrl_kind(f) for f in frames] == ["done", None]
+        assert [mid for mid, _ in done_items(frames[0])] == ids
+        assert fired == ["pong"]
+        assert (hub.socket_writes, hub.writes_in_flight, hub.bytes_tx) == (1, 0, len(write))
+
+    def test_a_write_the_kernel_keeps_part_of_waits_in_the_drain_task(self, loop, connected):
+        hub, conn = connected
+        tasks = len(asyncio.all_tasks(loop))
+        fired = []
+        conn.transport.keep_next = 3
+        conn.enqueue(b"a", _released(fired, "a"))
+        _turns(loop)
+        assert conn.transport.writes == [b"a"] and fired == []
+        conn.enqueue(b"b", _released(fired, "b"))
+        conn.enqueue(b"h", None, counted=False)
+        conn.enqueue(b"c", _released(fired, "c"))
+        _turns(loop)
+        assert conn.transport.writes == [b"a"] and hub.writes_in_flight == 3
+        assert conn.writer.drains == 1 and len(asyncio.all_tasks(loop)) == tasks
+        conn.writer.take()
+        _turns(loop)
+        assert conn.transport.writes == [b"a", b"bhc"]
+        assert fired == ["a", "b", "c"]
+        assert (hub.socket_writes, hub.writes_in_flight) == (2, 0)
+        assert conn.writer.drains == 1
+
+    def test_abort_during_a_drain_releases_each_write_once(self, loop, connected):
+        hub, conn = connected
+        fired = []
+        conn.transport.keep_next = 3
+        conn.enqueue(b"a", _released(fired, "a"))
+        _turns(loop)
+        conn.enqueue(b"b", _released(fired, "b"))
+        conn.enqueue(b"h", None, counted=False)
+        conn.abort()
+        assert fired == [] and hub.writes_in_flight == 0  # released next turn
+        conn.writer.take()  # the drain ends after the abort: nothing more
+        _turns(loop)
+        assert fired == ["a", "b"] and hub.writes_in_flight == 0
+        assert conn.transport.writes == [b"a"]
+        conn.enqueue(b"late", _released(fired, "late"))
+        _turns(loop)
+        assert fired == ["a", "b", "late"] and conn.transport.writes == [b"a"]
+
+    def test_an_abort_from_a_release_releases_the_rest_of_the_write_once(
+        self, loop, connected
+    ):
+        """A drained callback may fail the connection (the engine it wakes
+        can): the records left in that write are released once, later."""
+        hub, conn = connected
+        fired = []
+
+        def release_then_abort():
+            fired.append("a")
+            conn.abort()
+
+        conn.enqueue(b"a", release_then_abort)
+        conn.enqueue(b"b", _released(fired, "b"))
+        _turns(loop)
+        assert conn.transport.writes == [b"ab"]
+        assert fired == ["a", "b"] and hub.writes_in_flight == 0
+
+    def test_a_requested_close_comes_after_what_was_queued_before_it(self, loop, connected):
+        hub, conn = connected
+        fired = []
+        conn.enqueue(b"a", _released(fired, "a"))
+        conn.request_close()
+        conn.enqueue(b"b", _released(fired, "b"))
+        _turns(loop)
+        assert conn.transport.writes == [b"a"] and conn.failed
+        assert fired == ["a", "b"] and hub.writes_in_flight == 0
+        assert hub.links["n0"].conn is None and hub.disconnects == 1
+
+
+class TestWritesPerMessage:
+    def test_a_ping_pong_is_one_write_per_message_and_no_json(self, loop, tmp_path, monkeypatch):
+        """Two hubs over a Unix socket, in one process: each reply leaves
+        with the DONE of its request in one write, and neither the data
+        nor the DONE frames touch the JSON codec."""
+        rounds = 50
+        flows = {"n0": Flow(0, "ping", "n0", "n1"), "n1": Flow(1, "pong", "n1", "n0")}
+        hubs: dict[str, Hub] = {}
+        packet_ids = iter(range(1 << 30))
+
+        def send(node):
+            message = next_message(flows[node])
+            fragment = message.add_fragment(64)
+            message.mark_flushed(0.0)
+            packet = WirePacket(
+                kind=PacketKind.EAGER, src=node, dst=flows[node].dst, channel_id=0,
+                segments=(WireSegment(fragment, 0, 64),), packet_id=next(packet_ids),
+            )
+            hubs[node].send_packet(packet, encode_live_packet(packet), None)
+
+        def deliverer(node):
+            def deliver(frame):
+                hubs[node].send_done(frame.src, frame.segments[0].message_id, 0.0)
+                if node == "n1" or flows["n0"].messages_sent < rounds:
+                    send(node)
+            return deliver
+
+        calls = []
+        dumps, loads = wire._dumps, json.loads
+
+        async def run():
+            for rank, node in enumerate(flows):
+                clock = LiveClock(asyncio.get_running_loop(), epoch=time.time())
+                hubs[node] = Hub(clock, node, rank, deliverer(node), names=list(flows))
+            endpoint = await hubs["n0"].serve("uds", str(tmp_path))
+            await hubs["n1"].connect("n0", endpoint)
+            await hubs["n1"].await_mesh({"n0"})
+            await hubs["n0"].await_mesh({"n1"})  # n1's HELLO was read
+            monkeypatch.setattr(wire, "_dumps", lambda value: calls.append(value) or dumps(value))
+            monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+            send("n0")
+            while any(hub.sent_messages or hub.writes_in_flight for hub in hubs.values()):
+                await asyncio.sleep(0.001)
+            monkeypatch.undo()
+            for hub in hubs.values():
+                hub.close()
+            await asyncio.sleep(0)
+
+        loop.run_until_complete(asyncio.wait_for(run(), timeout=30))
+        messages = 2 * rounds
+        assert [hub.done_received for hub in hubs.values()] == [rounds, rounds]
+        writes = sum(hub.socket_writes for hub in hubs.values()) - 1  # the HELLO
+        assert messages <= writes <= messages + 1  # the last DONE goes alone
+        assert calls == []

@@ -455,8 +455,11 @@ class TestCli:
         assert payload["bytes_verified"] == payload["report"]["total_bytes"]
         assert payload["corrupt_slices"] == 0
         assert payload["rtt_samples"] == 3
-        # Both peers' CPU up to STOP, summed: what a message costs.
-        assert 0 < payload["cpu_s"] < 60
+        # Both peers' CPU up to STOP, summed, and the share after START.
+        assert 0 < payload["traffic_cpu_s"] < payload["cpu_s"] < 60
+        # One write per message: each reply carries its request's DONE
+        # (plus the HELLO, and at most one DONE alone at the end).
+        assert 6 <= payload["socket_writes"] <= 8
         # Tail telemetry rides the payload; no tracing means the tail
         # families exist but stay empty.  The report's exact tails come
         # from the records either way.

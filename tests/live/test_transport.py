@@ -22,6 +22,7 @@ from repro.live.transport import (
     MirrorReceiver,
     StreamDecoder,
     done_frame,
+    done_items,
     encode_live_packet,
     fragment_seed,
     hello_frame,
@@ -213,9 +214,10 @@ class TestControlFrames:
         assert frame.meta["rank"] == 2
 
     def test_done_carries_items(self):
-        frame = _decode_one(done_frame("n1", "n0", [(5, 1.25)]))
+        frame = _decode_one(done_frame("n1", "n0", [(5, 1.25), (2**64 - 1, 0.0)]))
         assert live_ctrl_kind(frame) == "done"
-        assert frame.meta["items"] == [[5, 1.25]]
+        assert frame.meta == {}
+        assert done_items(frame) == [(5, 1.25), (2**64 - 1, 0.0)]
 
     def test_engine_traffic_is_not_ctrl(self):
         assert live_ctrl_kind(_decode_one(_ctrl_frame({"other": 1}))) is None
@@ -528,10 +530,10 @@ class TestMirrorReceiver:
         with pytest.raises(WireError, match="outside mirror layout"):
             self._pair(flow).packet_from_frame(replace(frame, segments=(beyond,)), 0)
 
-    @pytest.mark.parametrize("context, json_calls", [(None, 1), ({"tag": 7}, 2)])
+    @pytest.mark.parametrize("context, json_calls", [(None, 0), ({"tag": 7}, 1)])
     def test_no_json_per_segment(self, monkeypatch, context, json_calls):
-        """JSON is spent on the frame's ``meta`` and on a non-empty
-        context, never per segment: 16 two-fragment messages, one frame."""
+        """JSON is spent on a non-empty context only, never per segment
+        nor on an empty ``meta``: 16 two-fragment messages, one frame."""
         flow = Flow(0, "t-json", "n0", "n1")
         segments = []
         for i in range(16):
@@ -642,6 +644,27 @@ class TestLiveClock:
             assert clock.pending_timers == 1
             loop.run_until_complete(asyncio.sleep(0.05))
             assert fired and fired[0] >= event.time
+            assert clock.pending_timers == 0
+        finally:
+            loop.close()
+
+    def test_an_event_due_now_runs_by_call_soon_in_fifo_order(self):
+        """Without a timer: a zero-delay event runs in submission order
+        with plain ``call_soon`` callbacks (a ``call_later(0)`` timer
+        would run after them) and is still counted and cancellable."""
+        loop = asyncio.new_event_loop()
+        try:
+            clock = self._clock(loop)
+            ran = []
+            clock.schedule(0.0, ran.append, "first")
+            loop.call_soon(ran.append, "soon")
+            clock.at(clock.now, ran.append, "second")
+            doomed = clock.schedule(0.0, ran.append, "cancelled")
+            assert clock.pending_timers == 3
+            clock.cancel(doomed)
+            assert clock.pending_timers == 2
+            loop.run_until_complete(asyncio.sleep(0))
+            assert ran == ["first", "soon", "second"]
             assert clock.pending_timers == 0
         finally:
             loop.close()
