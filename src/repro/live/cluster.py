@@ -440,8 +440,8 @@ def _bring_up(
         reply = peer.request({**config, "type": "config", "rank": peer.rank})
         endpoints[peer.rank] = reply["endpoint"]
         obs.nodes[peer.rank] = str(reply.get("node", f"n{peer.rank}"))
-    # Higher ranks dial lower ranks, so confirm in descending order:
-    # rank 0 only has to *accept*, which needs no round-trip first.
+    # Every peer gets MESH before any reply is read: higher ranks dial
+    # lower ranks, so rank 0 only has to *accept* and no order deadlocks.
     mesh_msg = {"type": "mesh", "endpoints": {str(r): e for r, e in endpoints.items()}}
     for peer in peers:
         assert peer.proc.stdin is not None
@@ -449,7 +449,10 @@ def _bring_up(
         peer.proc.stdin.flush()
     for peer in peers:
         peer.read_reply(timeout=max(deadline - time.time(), 1.0), expect="mesh_ok")
-    for peer in peers:
+    # Descending rank order: a peer answers STARTED once its processes
+    # have taken their first step, so a lower rank's first message finds
+    # the higher ranks' servers already waiting for it.
+    for peer in reversed(peers):
         peer.request({"type": "start"}, expect="started")
 
 

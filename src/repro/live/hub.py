@@ -41,18 +41,18 @@ from repro.live.transport import (
 
 __all__ = ["Hub"]
 
-_READ_CHUNK = 1 << 16
 
-
-class _Connection:
-    """One socket to one peer: one flush per loop turn, a drain task, a reader.
+class _Connection(asyncio.Protocol):
+    """One socket to one peer: one flush per loop turn, no task of its own.
 
     NIC submits enqueue ``(bytes, on_drained)``; the turn's first record
     arms a ``call_soon`` flush that joins the queue into one
     ``transport.write``.  With a write-buffer limit of 0 a write taken
     whole *is* drained: its callbacks fire at once (never in the submit
     path that queued them) and what they queue is written in the same
-    turn.  Only a write the kernel kept part of waits for ``drain()``.
+    turn.  Only a write the kernel kept part of (``pause_writing``)
+    waits, for ``resume_writing``.  Received bytes are decoded and
+    ingested in the ``data_received`` callback that read them.
 
     Connections are disposable: any socket error, EOF, or injected
     disconnect routes through :meth:`Hub.conn_failed`, which flushes
@@ -62,11 +62,8 @@ class _Connection:
     liveness beacons (heartbeats must never hold a quiet verdict open).
     """
 
-    def __init__(self, hub: "Hub", reader, writer, name: str | None) -> None:
+    def __init__(self, hub: "Hub", name: str | None) -> None:
         self.hub = hub
-        self.reader = reader
-        self.writer = writer
-        self.transport = writer.transport
         self.name = name  # peer node name; None until its HELLO arrives
         # Skipping a bad record is only sound when a retransmit recovers it.
         self.decoder = StreamDecoder(tolerant=hub.reliable)
@@ -75,14 +72,38 @@ class _Connection:
         #: Written, not yet released: ``(on_drained, counted)``.
         self._written: deque[tuple] = deque()
         self.failed = False
-        self._flushing = False  # a flush is armed, running, or awaiting drain
-        self._stalled = asyncio.get_running_loop().create_future()
-        self.transport.set_write_buffer_limits(0)
-        self._tasks = [
-            asyncio.ensure_future(self._drain()),
-            asyncio.ensure_future(self._read()),
-        ]
+        self._flushing = False  # a flush is armed, running, or awaiting resume
+        self._paused = False
 
+    # -- asyncio.Protocol ----------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        transport.set_write_buffer_limits(0)
+        self.hub.conn_made(self)
+
+    def data_received(self, data: bytes) -> None:
+        hub = self.hub
+        hub.bytes_rx += len(data)
+        hub.clock.refresh()
+        try:
+            hub.ingest(self, self.decoder.feed(data))
+        except (ConnectionError, OSError):
+            hub.conn_failed(self)
+        except Exception:  # pragma: no cover - surfaced via STATUS
+            hub.note_fatal(traceback.format_exc())
+            hub.conn_failed(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.hub.conn_failed(self)
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._flush()
+
+    # -- the write queue -----------------------------------------------
     def enqueue(
         self,
         data: bytes | None,
@@ -132,8 +153,7 @@ class _Connection:
                 self.transport.write(data)
                 hub.socket_writes += 1
                 hub.bytes_tx += len(data)
-                if self.transport.get_write_buffer_size():
-                    self._stalled.set_result(None)
+                if self._paused:
                     return
             self._flushing = False
         except (ConnectionError, OSError):
@@ -141,36 +161,6 @@ class _Connection:
         except Exception:  # pragma: no cover - surfaced via STATUS
             hub.note_fatal(traceback.format_exc())
             hub.conn_failed(self)
-
-    async def _drain(self) -> None:
-        try:
-            while True:
-                await self._stalled
-                await self.writer.drain()
-                self._stalled = asyncio.get_running_loop().create_future()
-                self._flush()
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionError, OSError):
-            self.hub.conn_failed(self)
-
-    async def _read(self) -> None:
-        try:
-            while True:
-                chunk = await self.reader.read(_READ_CHUNK)
-                if not chunk:
-                    self.hub.conn_failed(self)
-                    return
-                self.hub.bytes_rx += len(chunk)
-                self.hub.clock.refresh()
-                self.hub.ingest(self, self.decoder.feed(chunk))
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionError, OSError):
-            self.hub.conn_failed(self)
-        except Exception:  # pragma: no cover - surfaced via STATUS
-            self.hub.note_fatal(traceback.format_exc())
-            self.hub.conn_failed(self)
 
     def abort(self) -> None:
         """Release every written and queued record and the socket.  Idempotent."""
@@ -187,12 +177,7 @@ class _Connection:
                 hub.writes_in_flight -= 1
             hub.flush_write(on_drained)
         hub.corrupt_frames_closed += self.decoder.corrupt_frames
-        for task in self._tasks:
-            task.cancel()
-        try:
-            self.writer.close()
-        except Exception:  # pragma: no cover - teardown best-effort
-            pass
+        self.transport.close()
 
 
 class _Outbound:
@@ -264,6 +249,10 @@ class Hub:
     disconnects still yield byte-identical delivery.  Without it every
     record is sent ``TAG_RAW`` in the same record format — TCP/UDS
     loopback is already reliable.
+
+    Every socket is a :class:`_Connection` protocol built by the loop's
+    own server and dialer (``partial(_Connection, hub, name)``); the
+    hub runs no task per connection, only one per redial attempt.
     """
 
     def __init__(
@@ -355,32 +344,36 @@ class Hub:
     # -- server / mesh -------------------------------------------------
     async def serve(self, transport: str, workdir: str) -> dict[str, Any]:
         """Bind the listening socket; returns the endpoint descriptor."""
+        loop, accept = asyncio.get_running_loop(), partial(_Connection, self, None)
         if transport == "uds":
             path = f"{workdir}/p{self.rank}.sock"
-            self._server = await asyncio.start_unix_server(self._on_accept, path=path)
+            self._server = await loop.create_unix_server(accept, path=path)
             return {"kind": "uds", "path": path}
         if transport == "tcp":
-            self._server = await asyncio.start_server(self._on_accept, "127.0.0.1", 0)
+            self._server = await loop.create_server(accept, "127.0.0.1", 0)
             host, port = self._server.sockets[0].getsockname()[:2]
             return {"kind": "tcp", "host": host, "port": port}
         raise ConfigurationError(f"unknown live transport {transport!r}")
 
-    def _on_accept(self, reader, writer) -> None:
-        self._anonymous.append(_Connection(self, reader, writer, None))
-
-    async def _open(self, endpoint: dict[str, Any]):
-        if endpoint["kind"] == "uds":
-            return await asyncio.open_unix_connection(endpoint["path"])
-        return await asyncio.open_connection(endpoint["host"], endpoint["port"])
-
     async def connect(self, peer_name: str, endpoint: dict[str, Any]) -> None:
         """Dial one peer's endpoint and introduce ourselves with a HELLO."""
-        link = self.links[peer_name]
-        link.endpoint = endpoint
-        self._dialed(link, *await self._open(endpoint))
+        self.links[peer_name].endpoint = endpoint
+        loop, dialed = asyncio.get_running_loop(), partial(_Connection, self, peer_name)
+        if endpoint["kind"] == "uds":
+            await loop.create_unix_connection(dialed, endpoint["path"])
+        else:
+            await loop.create_connection(dialed, endpoint["host"], endpoint["port"])
 
-    def _dialed(self, link: "_Link", reader, writer) -> None:
-        conn = _Connection(self, reader, writer, link.name)
+    def conn_made(self, conn: _Connection) -> None:
+        """A socket is up: an accepted one waits for its HELLO, a dialed
+        one is its link's connection and sends ours."""
+        if conn.name is None:
+            self._anonymous.append(conn)
+            return
+        link = self.links[conn.name]
+        if link.dead or self.closing or link.writable:  # overtaken while dialing
+            conn.abort()
+            return
         self._register(link.name, conn)
         conn.enqueue(
             wrap_envelope(hello_frame(self.node_name, self.rank)), None, counted=False
@@ -467,14 +460,9 @@ class Hub:
 
     async def _redial(self, link: _Link) -> None:
         try:
-            reader, writer = await self._open(link.endpoint)
+            await self.connect(link.name, link.endpoint)
         except OSError:
             self._schedule_redial(link)
-            return
-        if link.dead or self.closing or link.writable:
-            writer.close()
-            return
-        self._dialed(link, reader, writer)
 
     # -- sending -------------------------------------------------------
     def send_packet(self, packet, data: bytes, on_drained) -> None:

@@ -10,7 +10,8 @@ uses as its activation trigger, same refill-break semantics in
 * simulated: busy for a *modeled* ``occupancy`` computed from the
   :class:`~repro.network.model.LinkModel`;
 * live: busy until the kernel accepted every byte of the encoded packet
-  (the asyncio writer's buffer drained with its high-water mark at 0).
+  (the write was taken whole with the transport's high-water mark at
+  0, or the protocol's ``resume_writing`` came).
 
 The paper's activation discipline — "the scheduler is activated when a
 NIC becomes idle" — therefore maps onto the drain event, and the backlog

@@ -6,7 +6,7 @@ JSON-lines control protocol on stdin/stdout::
 
     CONFIG  -> READY {endpoint}          build the stack, bind a server
     MESH    -> MESH_OK                   connect to lower ranks, await rest
-    START   -> STARTED                   install workload apps
+    START   -> STARTED                   install workload apps, step them once
     STATUS  -> STATUS {quiet, counters}  quiescence polling
     FLUSH   -> FLUSHED {events, metrics} drain trace spool + registry snapshot
     STOP    -> REPORT {...}              final records + counters, then exit
@@ -275,8 +275,9 @@ class LivePeer:
 
     # -- inbound engine traffic ----------------------------------------
     def _deliver_frame(self, frame) -> None:
-        # START is delivered peer by peer, so a fast peer's first data
-        # frame can land here before *this* peer has installed its apps
+        # START is delivered peer by peer, highest rank first, so a
+        # higher rank's first data frame can land here before *this*
+        # (lower) peer has installed its apps
         # (and therefore registered its flows).  Park such frames and
         # replay them from install_apps — decoding one now would die on
         # "unknown flow id".
@@ -571,6 +572,9 @@ async def _control_loop() -> int:
             elif kind == "start":
                 assert peer is not None
                 count = peer.install_apps()
+                # Let every spawned process take its first step (a
+                # server blocks on its inbox) before the next peer starts.
+                await asyncio.sleep(0)
                 _reply({"type": "started", "apps": count})
             elif kind == "status":
                 assert peer is not None

@@ -2,8 +2,10 @@
 
 Most tests give a :class:`~repro.live.hub.Hub`'s links a recording
 stand-in for ``_Connection``: what it would write is what they read.
-``TestOneWritePerTurn`` runs the real ``_Connection`` over a stand-in
-transport, and ``TestWritesPerMessage`` two hubs over a real socket.
+``TestOneWritePerTurn`` runs the real ``_Connection`` protocol over a
+stand-in transport; ``TestWritesPerMessage`` and
+``TestTurnsPerRoundTrip`` run two hubs in one process over a Unix
+socket, TCP, or an in-memory transport pair.
 """
 
 import asyncio
@@ -22,6 +24,7 @@ from repro.live.transport import (
     StreamDecoder,
     done_items,
     encode_live_packet,
+    hello_frame,
     live_ctrl_kind,
     wrap_envelope,
 )
@@ -248,52 +251,37 @@ class TestDoneBatchingUnderFaults:
 class _Transport:
     """What ``_Connection`` uses of an asyncio transport.  A write is
     taken whole unless ``keep_next`` is set: then the kernel keeps that
-    many bytes until the test calls :meth:`_Writer.take`."""
+    many bytes and the protocol is paused until :meth:`take`."""
 
-    def __init__(self):
+    def __init__(self, protocol):
+        self.protocol = protocol
         self.writes: list[bytes] = []
         self.kept = 0
         self.keep_next = 0
+        self.pauses = 0
+        self.closed = False
 
     def set_write_buffer_limits(self, high):
         assert high == 0
 
     def is_closing(self):
-        return False
+        return self.closed
 
     def write(self, data):
         self.writes.append(bytes(data))
         self.kept, self.keep_next = self.keep_next, 0
-
-    def get_write_buffer_size(self):
-        return self.kept
-
-
-class _Writer:
-    def __init__(self):
-        self.transport = _Transport()
-        self.drains = 0
-        self._waiter = None
-
-    async def drain(self):
-        self.drains += 1
-        while self.transport.kept:
-            self._waiter = asyncio.get_running_loop().create_future()
-            await self._waiter
+        if self.kept:
+            self.pauses += 1
+            self.protocol.pause_writing()
 
     def take(self):
-        """The kernel takes the bytes it kept."""
-        self.transport.kept = 0
-        if self._waiter is not None and not self._waiter.done():
-            self._waiter.set_result(None)
+        """The kernel takes the bytes it kept (the loop's writer callback)."""
+        if self.kept:
+            self.kept = 0
+            self.protocol.resume_writing()
 
     def close(self):
-        pass
-
-
-class _Reader:
-    async def read(self, size):
-        await asyncio.get_running_loop().create_future()  # no inbound bytes
+        self.closed = True
 
 
 def _turns(loop, n=3):
@@ -303,17 +291,18 @@ def _turns(loop, n=3):
 
 @pytest.fixture
 def connected(loop):
-    """A hub whose link to n0 is a real ``_Connection`` on a stand-in transport."""
+    """A hub whose link to n0 is a real ``_Connection``: accepted on a
+    stand-in transport, then identified by n0's HELLO."""
     hub, _, _ = _hub(loop)
-
-    async def connect():
-        return _Connection(hub, _Reader(), _Writer(), "n0")
-
-    conn = hub.links["n0"].conn = loop.run_until_complete(connect())
+    hub.links["n0"].conn = None
+    conn = _Connection(hub, None)
+    conn.connection_made(_Transport(conn))
+    assert hub._anonymous == [conn]
+    conn.data_received(wrap_envelope(hello_frame("n0", 0)))
+    assert hub.links["n0"].conn is conn and hub._anonymous == []
     yield hub, conn
     hub.close()
-    conn.abort()
-    _turns(loop)  # the cancelled tasks end
+    _turns(loop)
 
 
 def _released(fired, name):
@@ -341,9 +330,8 @@ class TestOneWritePerTurn:
         assert fired == ["pong"]
         assert (hub.socket_writes, hub.writes_in_flight, hub.bytes_tx) == (1, 0, len(write))
 
-    def test_a_write_the_kernel_keeps_part_of_waits_in_the_drain_task(self, loop, connected):
+    def test_a_partly_kept_write_waits_for_resume_writing(self, loop, connected):
         hub, conn = connected
-        tasks = len(asyncio.all_tasks(loop))
         fired = []
         conn.transport.keep_next = 3
         conn.enqueue(b"a", _released(fired, "a"))
@@ -354,13 +342,13 @@ class TestOneWritePerTurn:
         conn.enqueue(b"c", _released(fired, "c"))
         _turns(loop)
         assert conn.transport.writes == [b"a"] and hub.writes_in_flight == 3
-        assert conn.writer.drains == 1 and len(asyncio.all_tasks(loop)) == tasks
-        conn.writer.take()
-        _turns(loop)
+        assert conn.transport.pauses == 1
+        assert asyncio.all_tasks(loop) == set()  # 0 tasks per connection
+        conn.transport.take()
         assert conn.transport.writes == [b"a", b"bhc"]
         assert fired == ["a", "b", "c"]
         assert (hub.socket_writes, hub.writes_in_flight) == (2, 0)
-        assert conn.writer.drains == 1
+        assert conn.transport.pauses == 1
 
     def test_abort_during_a_drain_releases_each_write_once(self, loop, connected):
         hub, conn = connected
@@ -372,7 +360,8 @@ class TestOneWritePerTurn:
         conn.enqueue(b"h", None, counted=False)
         conn.abort()
         assert fired == [] and hub.writes_in_flight == 0  # released next turn
-        conn.writer.take()  # the drain ends after the abort: nothing more
+        assert conn.transport.closed
+        conn.transport.take()  # the kernel takes the rest after the abort: nothing more
         _turns(loop)
         assert fired == ["a", "b"] and hub.writes_in_flight == 0
         assert conn.transport.writes == [b"a"]
@@ -410,57 +399,131 @@ class TestOneWritePerTurn:
         assert hub.links["n0"].conn is None and hub.disconnects == 1
 
 
-class TestWritesPerMessage:
-    def test_a_ping_pong_is_one_write_per_message_and_no_json(self, loop, tmp_path, monkeypatch):
-        """Two hubs over a Unix socket, in one process: each reply leaves
-        with the DONE of its request in one write, and neither the data
-        nor the DONE frames touch the JSON codec."""
-        rounds = 50
-        flows = {"n0": Flow(0, "ping", "n0", "n1"), "n1": Flow(1, "pong", "n1", "n0")}
-        hubs: dict[str, Hub] = {}
-        packet_ids = iter(range(1 << 30))
+class _MemoryTransport(_Transport):
+    """One end of an in-process byte pipe: each write reaches the far
+    protocol's ``data_received`` whole, by ``call_soon``."""
 
-        def send(node):
-            message = next_message(flows[node])
-            fragment = message.add_fragment(64)
-            message.mark_flushed(0.0)
-            packet = WirePacket(
-                kind=PacketKind.EAGER, src=node, dst=flows[node].dst, channel_id=0,
-                segments=(WireSegment(fragment, 0, 64),), packet_id=next(packet_ids),
-            )
-            hubs[node].send_packet(packet, encode_live_packet(packet), None)
+    far: "_MemoryTransport"
 
-        def deliverer(node):
-            def deliver(frame):
-                hubs[node].send_done(frame.src, frame.segments[0].message_id, 0.0)
-                if node == "n1" or flows["n0"].messages_sent < rounds:
-                    send(node)
-            return deliver
+    def write(self, data):
+        super().write(data)
+        asyncio.get_running_loop().call_soon(self.far.protocol.data_received, bytes(data))
 
-        calls = []
-        dumps, loads = wire._dumps, json.loads
+    def close(self):
+        if not self.closed:
+            super().close()
+            asyncio.get_running_loop().call_soon(self.protocol.connection_lost, None)
+            self.far.close()
 
-        async def run():
-            for rank, node in enumerate(flows):
-                clock = LiveClock(asyncio.get_running_loop(), epoch=time.time())
-                hubs[node] = Hub(clock, node, rank, deliverer(node), names=list(flows))
-            endpoint = await hubs["n0"].serve("uds", str(tmp_path))
-            await hubs["n1"].connect("n0", endpoint)
-            await hubs["n1"].await_mesh({"n0"})
-            await hubs["n0"].await_mesh({"n1"})  # n1's HELLO was read
-            monkeypatch.setattr(wire, "_dumps", lambda value: calls.append(value) or dumps(value))
-            monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+
+async def _mesh(carrier, server: Hub, client: Hub, tmp_path):
+    """``client`` dials ``server`` over ``carrier``; both identified."""
+    if carrier == "memory":
+        accepted = _Connection(server, None)
+        dialed = _Connection(client, server.node_name)
+        ends = _MemoryTransport(accepted), _MemoryTransport(dialed)
+        ends[0].far, ends[1].far = ends[1], ends[0]
+        accepted.connection_made(ends[0])
+        dialed.connection_made(ends[1])
+    else:
+        endpoint = await server.serve(carrier, str(tmp_path))
+        await client.connect(server.node_name, endpoint)
+    await client.await_mesh({server.node_name})
+    await server.await_mesh({client.node_name})  # the client's HELLO was read
+
+
+def _ping_pong(loop, monkeypatch, tmp_path, carrier, rounds):
+    """``rounds`` ping-pongs n0 ⇄ n1 between two hubs in this process.
+
+    Returns the hubs, the bytes each node received, the JSON codec
+    calls made during the rounds, and the event-loop turns from the
+    first ping to the last pong's arrival.
+    """
+    flows = {"n0": Flow(0, "ping", "n0", "n1"), "n1": Flow(1, "pong", "n1", "n0")}
+    hubs: dict[str, Hub] = {}
+    packet_ids = iter(range(1 << 30))
+    received = {node: bytearray() for node in flows}
+    calls, turns = [], [0]
+    last_pong = loop.create_future()
+
+    def send(node):
+        message = next_message(flows[node])
+        fragment = message.add_fragment(64)
+        message.mark_flushed(0.0)
+        packet = WirePacket(
+            kind=PacketKind.EAGER, src=node, dst=flows[node].dst, channel_id=0,
+            segments=(WireSegment(fragment, 0, 64),), packet_id=next(packet_ids),
+        )
+        hubs[node].send_packet(packet, encode_live_packet(packet), None)
+
+    def deliverer(node):
+        def deliver(frame):
+            hubs[node].send_done(frame.src, frame.segments[0].message_id, 0.0)
+            if node == "n1" or flows["n0"].messages_sent < rounds:
+                send(node)
+            else:
+                last_pong.set_result(None)
+        return deliver
+
+    data_received, run_once = _Connection.data_received, loop._run_once
+    dumps, loads = wire._dumps, json.loads
+
+    def recording(conn, data):
+        received[conn.hub.node_name] += data
+        data_received(conn, data)
+
+    def counted():
+        turns[0] += 1
+        run_once()
+
+    async def run():
+        for rank, node in enumerate(flows):
+            clock = LiveClock(asyncio.get_running_loop(), epoch=time.time())
+            hubs[node] = Hub(clock, node, rank, deliverer(node), names=list(flows))
+        await _mesh(carrier, hubs["n0"], hubs["n1"], tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(wire, "_dumps", lambda value: calls.append(value) or dumps(value))
+            m.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+            loop._run_once = counted
             send("n0")
+            await last_pong
+            del loop._run_once
             while any(hub.sent_messages or hub.writes_in_flight for hub in hubs.values()):
                 await asyncio.sleep(0.001)
-            monkeypatch.undo()
-            for hub in hubs.values():
-                hub.close()
-            await asyncio.sleep(0)
+        for hub in hubs.values():
+            hub.close()
+        await asyncio.sleep(0)
 
+    with monkeypatch.context() as m:
+        m.setattr(_Connection, "data_received", recording)
         loop.run_until_complete(asyncio.wait_for(run(), timeout=30))
+    return hubs, received, calls, turns[0]
+
+
+@pytest.mark.parametrize("carrier", ["uds", "tcp", "memory"])
+class TestWritesPerMessage:
+    def test_a_ping_pong_is_one_write_per_message_and_no_json(
+        self, loop, tmp_path, monkeypatch, carrier
+    ):
+        """Two hubs in one process: each reply leaves with the DONE of
+        its request in one write, neither the data nor the DONE frames
+        touch the JSON codec, and every carrier delivers the bytes the
+        in-memory pair does, in the same order."""
+        rounds = 50
+        hubs, received, calls, _ = _ping_pong(loop, monkeypatch, tmp_path, carrier, rounds)
         messages = 2 * rounds
         assert [hub.done_received for hub in hubs.values()] == [rounds, rounds]
         writes = sum(hub.socket_writes for hub in hubs.values()) - 1  # the HELLO
         assert messages <= writes <= messages + 1  # the last DONE goes alone
         assert calls == []
+        _, reference, _, _ = _ping_pong(loop, monkeypatch, tmp_path, "memory", rounds)
+        assert received == reference
+
+
+class TestTurnsPerRoundTrip:
+    def test_a_round_trip_is_four_loop_turns(self, loop, tmp_path, monkeypatch):
+        """Bytes are ingested in the callback that read them: a round
+        trip is one read and one flush on each side."""
+        rounds = 1000
+        _, _, _, turns = _ping_pong(loop, monkeypatch, tmp_path, "uds", rounds)
+        assert turns / rounds <= 4.01
